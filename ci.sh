@@ -3,10 +3,10 @@
 #
 #   ./ci.sh
 #
-# Eleven stages, all must pass:
+# Twelve stages, all must pass:
 #   1. formatting (fails fast, before anything compiles)
 #   2. foxlint: the workspace invariant lints (determinism, hash_iter,
-#      rx_panic, tcb_write, cc_write, win_cast, ctrl_data, and the
+#      rx_panic, field_owner, win_cast, and the
 #      shard_global/shard_rc/shard_tcb shard-confinement family — see
 #      DESIGN.md §5.8, §5.13), ratcheted against foxlint.baseline;
 #      fails on new violations AND on stale entries
@@ -35,6 +35,11 @@
 #      then the conformance coverage ratchet proves every non-exempt
 #      spec edge is witnessed at runtime by both stacks (printing the
 #      edges-covered/total counts per stack)
+#  12. the benchmark: foxperf (a package of its own outside this
+#      workspace, so stages 1, 3, 4 and 10 never see it) is tested,
+#      clippy-linted and format-checked against the tree as it stands,
+#      so a refactor that breaks what foxperf compiles against fails
+#      here and not in the benchmark driver
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -82,5 +87,10 @@ cargo run -q -p foxlint -- --fsm-check
 cargo test -q -p foxtcp --test conformance \
   runtime_transitions_cover_the_extracted_fsm_spec -- --nocapture \
   | grep -E "fsm coverage|test result"
+
+echo "== foxperf (the benchmark: test, clippy, fmt) =="
+cargo test -q --offline --manifest-path foxperf/Cargo.toml
+cargo clippy --offline --manifest-path foxperf/Cargo.toml --all-targets -- -D warnings
+cargo fmt --check --manifest-path foxperf/Cargo.toml
 
 echo "CI OK"

@@ -29,12 +29,12 @@
 //! * [`profile`] — the profiling-counter infrastructure reproducing the
 //!   paper's memory-mapped hardware counters (15 µs per update), which
 //!   generates Table 2;
-//! * [`trace`] — the `do_prints` / `do_traces` debug hooks every functor
-//!   in the paper accepts;
 //! * [`obs`] — the typed, bounded, zero-cost-when-off event layer
 //!   (state transitions, actions, timers, segments, wire faults, GC
 //!   pauses) with JSONL / chrome://tracing exporters and a stream
-//!   differ that turns the determinism claim into a debugging tool;
+//!   differ that turns the determinism claim into a debugging tool —
+//!   the stack's one window, standing in for the print/trace switches
+//!   every functor in the paper accepts (Fig. 4);
 //! * [`wheel`] — a hierarchical timer wheel (O(1) arm/cancel, virtual-time
 //!   driven, cascading slots) shared by both TCP stacks, replacing the
 //!   one-coroutine-per-timer Fig. 11 scheme at scale.
@@ -52,7 +52,6 @@ pub mod profile;
 pub mod ring;
 pub mod seq;
 pub mod time;
-pub mod trace;
 pub mod wheel;
 pub mod wordarray;
 
@@ -65,6 +64,5 @@ pub use profile::{Account, Profiler};
 pub use ring::RingBuffer;
 pub use seq::Seq;
 pub use time::{NanoDuration, VirtualDuration, VirtualTime};
-pub use trace::Trace;
 pub use wheel::{TimerId, TimerWheel, WheelStats};
 pub use wordarray::WordArray;

@@ -1,5 +1,5 @@
-//! Typed, bounded observability: the event layer the `do_traces` string
-//! log could never be.
+//! Typed, bounded observability: the event layer that stands in for the
+//! print/trace switches every functor in the paper accepts (Fig. 4).
 //!
 //! The paper's central claim is that quasi-synchronous control makes the
 //! stack's behaviour totally ordered and deterministic. [`EventSink`]
@@ -19,8 +19,7 @@
 //! (Trace Event Format) respectively.
 //!
 //! The sink is zero-cost when off: a disabled sink holds no ring, and
-//! [`EventSink::emit`] takes the event as a closure that is never run,
-//! the same staging trick [`crate::trace::Trace::trace`] uses.
+//! [`EventSink::emit`] takes the event as a closure that is never run.
 
 use crate::time::VirtualTime;
 use std::cell::RefCell;

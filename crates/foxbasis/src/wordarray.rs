@@ -181,7 +181,7 @@ impl WordArray {
         Ok(&self.bytes[offset..offset + len])
     }
 
-    /// Hexadecimal dump, 16 bytes per line, for `do_prints` diagnostics.
+    /// Hexadecimal dump, 16 bytes per line, for diagnostics.
     pub fn hexdump(&self) -> String {
         let mut out = String::new();
         for (i, chunk) in self.bytes.chunks(16).enumerate() {

@@ -5,7 +5,7 @@
 //! written as functions-for-merge-points. This pass makes that claim
 //! checkable: it walks the two control files
 //! (`crates/foxtcp/src/control/segment.rs` and `…/control/state.rs` —
-//! the only files the `ctrl_data` lint permits to assign `core.state`)
+//! the only files the `field_owner` lint permits to assign `core.state`)
 //! and recovers every transition the code can perform, as
 //! `(from-state, trigger, to-state)` triples in RFC vocabulary.
 //!
@@ -1000,7 +1000,7 @@ pub fn to_dot(graph: &FsmGraph) -> String {
 // ---------------------------------------------------------------------
 
 /// The control files the FSM lives in — exactly the set the
-/// `ctrl_data` lint confines `core.state` writes to.
+/// `field_owner` lint confines `core.state` writes to.
 pub const CONTROL_FILES: &[&str] =
     &["crates/foxtcp/src/control/segment.rs", "crates/foxtcp/src/control/state.rs"];
 

@@ -22,22 +22,20 @@
 //!   also avoid unchecked indexing in `decode*`/`parse*` functions) and
 //!   the segment-input paths of both TCP engines. Malformed input is an
 //!   `Err`, never a crash.
-//! * `tcb_write` — TCB sequence-space fields may be assigned only
-//!   inside the whitelisted engine modules; everything else goes
-//!   through the engine API, preserving the quasi-synchronous
-//!   containment of connection state.
-//! * `cc_write` — `cwnd`/`ssthresh` may be assigned only inside
-//!   `crates/foxtcp/src/congestion.rs`, so every congestion decision
-//!   flows through the `CongestionControl` trait.
+//! * `field_owner` — one table (`FIELD_OWNERS`) of which files may
+//!   assign which connection fields: `state` only under
+//!   `crates/foxtcp/src/control/` (the control/data split inside
+//!   foxtcp, DESIGN.md §5.11: control hands data an `EstablishedHandle`,
+//!   data reports back through `DataEvent`, neither half writes the
+//!   other's fields); `cwnd`/`ssthresh` only in
+//!   `crates/foxtcp/src/data/congestion.rs`, so every congestion
+//!   decision flows through the `CongestionControl` trait; the RFC 793
+//!   sequence-space fields only in the data-path modules, `tcb.rs` and
+//!   the monolithic xktcp. Everything else goes through the engine API,
+//!   preserving the quasi-synchronous containment of connection state.
 //! * `win_cast` — no raw `as u16` on window-named values outside
 //!   `crates/wire`: the codec's `wire_window` is the one sanctioned
 //!   16-bit narrowing (it applies the negotiated scale and the cap).
-//! * `ctrl_data` — the control/data split inside foxtcp: `state` may be
-//!   assigned only under `crates/foxtcp/src/control/`, and the TCB's
-//!   sequence/window/congestion fields only under
-//!   `crates/foxtcp/src/data/` (or `tcb.rs` itself). Control hands data
-//!   an `EstablishedHandle`; data reports back through `DataEvent` —
-//!   neither half writes the other's fields. See DESIGN.md §5.11.
 //!
 //! Violations are reported as `file:line: lint: message`. A checked-in
 //! baseline (`foxlint.baseline`) ratchets: new violations fail, and so
@@ -64,10 +62,8 @@ pub const LINTS: &[(&str, &str)] = &[
     ("determinism", "no ambient time or randomness outside crates/bench"),
     ("hash_iter", "no HashMap/HashSet in trace-affecting crates (randomized iteration order)"),
     ("rx_panic", "no panics or unchecked indexing in packet-input paths"),
-    ("tcb_write", "TCB state fields assigned only inside whitelisted engine modules"),
-    ("cc_write", "cwnd/ssthresh assigned only inside the congestion-control module"),
+    ("field_owner", "connection fields assigned only inside their owning modules (one table)"),
     ("win_cast", "no raw `as u16` window casts outside the wire codec"),
-    ("ctrl_data", "state transitions only under control/, data-path fields only under data/"),
     ("shard_global", "no `static mut` or `thread_local!` state in trace-affecting crates"),
     ("shard_rc", "no `Rc` in foxtcp's crate-public signatures: shared state must not escape the engine"),
     (
@@ -87,42 +83,68 @@ const NONDET_IDENTS: &[&str] =
 const ITER_METHODS: &[&str] =
     &["iter", "iter_mut", "keys", "values", "values_mut", "drain", "retain", "into_iter"];
 
-/// TCB fields (RFC 793 names) whose writes are contained. The
-/// congestion windows are fenced separately (and more tightly) by
-/// `cc_write` below.
-const TCB_FIELDS: &[&str] = &[
-    "snd_una",
-    "snd_nxt",
-    "snd_wnd",
-    "snd_wl1",
-    "snd_wl2",
-    "snd_up",
-    "iss",
-    "irs",
-    "rcv_nxt",
-    "rcv_up",
-    "dup_acks",
-    "recover",
-    "persist_backoff",
-];
+/// One `field_owner` rule: in files under `scope` (the lint as a whole
+/// is confined to the trace-affecting crates), `.field <assign-op>` may
+/// appear only under one of the `owners` path prefixes.
+struct FieldOwner {
+    fields: &'static [&'static str],
+    scope: &'static str,
+    owners: &'static [&'static str],
+    /// What a writer outside the owners should do instead.
+    instead: &'static str,
+}
 
-/// Congestion-window fields: assignable only inside the congestion
-/// module, so every algorithm decision flows through the
-/// `CongestionControl` trait.
-const CC_FIELDS: &[&str] = &["cwnd", "ssthresh"];
-
-/// The one file allowed to assign [`CC_FIELDS`].
-const CC_WHITELIST: &[&str] = &["crates/foxtcp/src/data/congestion.rs"];
-
-/// foxtcp files that may write TCB fields (the data path proper, plus
-/// the TCB's own methods and the monolithic baseline).
-const TCB_WHITELIST: &[&str] = &[
-    "crates/foxtcp/src/data/transfer.rs",
-    "crates/foxtcp/src/data/send.rs",
-    "crates/foxtcp/src/data/resend.rs",
-    "crates/foxtcp/src/data/fastpath.rs",
-    "crates/foxtcp/src/tcb.rs",
-    "crates/xktcp/src/lib.rs",
+/// Who may assign which connection field. Where a field once fell under
+/// two lints the tighter owner set is kept: `congestion.rs` sits under
+/// `data/` yet may not write sequence space, and `tcb.rs` may not write
+/// the congestion windows.
+const FIELD_OWNERS: &[FieldOwner] = &[
+    // The control/data split is internal to foxtcp: other crates
+    // (including the monolithic xktcp baseline, which exists to *not*
+    // have this structure) assign their own `state` fields freely.
+    FieldOwner {
+        fields: &["state"],
+        scope: "crates/foxtcp/src/",
+        owners: &[CONTROL_PREFIX],
+        instead: "a state transition is control's alone — the data path reports events \
+                  (DataEvent), it never assigns `state`",
+    },
+    FieldOwner {
+        fields: &["cwnd", "ssthresh"],
+        scope: "crates/",
+        owners: &["crates/foxtcp/src/data/congestion.rs"],
+        instead: "go through the CongestionControl trait",
+    },
+    // The RFC 793 sequence-space fields: the data path proper, the
+    // TCB's own methods and the monolithic baseline.
+    FieldOwner {
+        fields: &[
+            "snd_una",
+            "snd_nxt",
+            "snd_wnd",
+            "snd_wl1",
+            "snd_wl2",
+            "snd_up",
+            "iss",
+            "irs",
+            "rcv_nxt",
+            "rcv_up",
+            "dup_acks",
+            "recover",
+            "persist_backoff",
+        ],
+        scope: "crates/",
+        owners: &[
+            "crates/foxtcp/src/data/transfer.rs",
+            "crates/foxtcp/src/data/send.rs",
+            "crates/foxtcp/src/data/resend.rs",
+            "crates/foxtcp/src/data/fastpath.rs",
+            "crates/foxtcp/src/tcb.rs",
+            "crates/xktcp/src/lib.rs",
+        ],
+        instead: "go through the engine API — control reaches the transfer machinery only \
+                  through its explicit interface",
+    },
 ];
 
 /// foxtcp rx-path files checked whole.
@@ -685,92 +707,28 @@ fn lint_rx_panic(cx: &FileCtx, out: &mut Vec<Violation>) {
     }
 }
 
-fn lint_tcb_write(cx: &FileCtx, out: &mut Vec<Violation>) {
+fn lint_field_owner(cx: &FileCtx, out: &mut Vec<Violation>) {
     let Some(k) = cx.krate else { return };
-    if !TRACE_CRATES.contains(&k) || TCB_WHITELIST.contains(&cx.rel) {
+    if !TRACE_CRATES.contains(&k) {
         return;
     }
     const ASSIGN: &[&str] = &["=", "+=", "-=", "*=", "/=", "%=", "^=", "&=", "|=", "<<=", ">>="];
-    for w in cx.toks.windows(3) {
-        let [dot, field, op] = w else { continue };
-        if dot.is_punct(".")
-            && field.ident().is_some_and(|f| TCB_FIELDS.contains(&f))
-            && op.punct().is_some_and(|o| ASSIGN.contains(&o))
-        {
-            cx.emit(
-                out,
-                field.line,
-                "tcb_write",
-                format!(
-                    "TCB field `{}` written outside the engine whitelist: go through the engine API",
-                    field.ident().unwrap_or(""),
-                ),
-            );
-        }
-    }
-}
-
-fn lint_cc_write(cx: &FileCtx, out: &mut Vec<Violation>) {
-    let Some(k) = cx.krate else { return };
-    if !TRACE_CRATES.contains(&k) || CC_WHITELIST.contains(&cx.rel) {
-        return;
-    }
-    const ASSIGN: &[&str] = &["=", "+=", "-=", "*=", "/=", "%=", "^=", "&=", "|=", "<<=", ">>="];
-    for w in cx.toks.windows(3) {
-        let [dot, field, op] = w else { continue };
-        if dot.is_punct(".")
-            && field.ident().is_some_and(|f| CC_FIELDS.contains(&f))
-            && op.punct().is_some_and(|o| ASSIGN.contains(&o))
-        {
-            cx.emit(
-                out,
-                field.line,
-                "cc_write",
-                format!(
-                    "congestion field `{}` written outside crates/foxtcp/src/congestion.rs: \
-                     go through the CongestionControl trait",
-                    field.ident().unwrap_or(""),
-                ),
-            );
-        }
-    }
-}
-
-fn lint_ctrl_data(cx: &FileCtx, out: &mut Vec<Violation>) {
-    // The split is internal to foxtcp: other crates (including the
-    // monolithic xktcp baseline, which exists to *not* have this
-    // structure) are out of scope.
-    if !cx.rel.starts_with("crates/foxtcp/src/") {
-        return;
-    }
-    const ASSIGN: &[&str] = &["=", "+=", "-=", "*=", "/=", "%=", "^=", "&=", "|=", "<<=", ">>="];
-    let in_control = cx.rel.starts_with(CONTROL_PREFIX);
-    let in_data = cx.rel.starts_with(DATA_PREFIX) || cx.rel == "crates/foxtcp/src/tcb.rs";
     for w in cx.toks.windows(3) {
         let [dot, field, op] = w else { continue };
         if !dot.is_punct(".") || !op.punct().is_some_and(|o| ASSIGN.contains(&o)) {
             continue;
         }
         let Some(f) = field.ident() else { continue };
-        if f == "state" && !in_control {
+        let Some(rule) = FIELD_OWNERS.iter().find(|r| r.fields.contains(&f) && cx.rel.starts_with(r.scope))
+        else {
+            continue;
+        };
+        if !rule.owners.iter().any(|o| cx.rel.starts_with(o)) {
             cx.emit(
                 out,
                 field.line,
-                "ctrl_data",
-                "state transition outside crates/foxtcp/src/control/: the data path reports \
-                 events (DataEvent), it never assigns `state`"
-                    .into(),
-            );
-        }
-        if (TCB_FIELDS.contains(&f) || CC_FIELDS.contains(&f)) && !in_data {
-            cx.emit(
-                out,
-                field.line,
-                "ctrl_data",
-                format!(
-                    "data-path field `{f}` written outside crates/foxtcp/src/data/: control \
-                     reaches the transfer machinery only through its explicit interface"
-                ),
+                "field_owner",
+                format!("`{f}` written outside {}: {}", rule.owners.join(", "), rule.instead),
             );
         }
     }
@@ -907,7 +865,7 @@ fn lint_shard_rc(cx: &FileCtx, out: &mut Vec<Violation>) {
 
 /// Files allowed to touch `.tcb` directly: the TCB itself and the
 /// engine that owns the demux table. `control/` and `data/` are the
-/// engine's own halves (scoped further by `ctrl_data`).
+/// engine's own halves (scoped further by `field_owner`).
 const TCB_ROUTE_FILES: &[&str] = &["crates/foxtcp/src/tcb.rs", "crates/foxtcp/src/engine.rs"];
 
 fn lint_shard_tcb(cx: &FileCtx, out: &mut Vec<Violation>) {
@@ -952,10 +910,8 @@ pub fn lint_source(rel: &str, src: &str) -> (Vec<Violation>, usize) {
     lint_determinism(&cx, &mut raw);
     lint_hash_iter(&cx, &mut raw);
     lint_rx_panic(&cx, &mut raw);
-    lint_tcb_write(&cx, &mut raw);
-    lint_cc_write(&cx, &mut raw);
+    lint_field_owner(&cx, &mut raw);
     lint_win_cast(&cx, &mut raw);
-    lint_ctrl_data(&cx, &mut raw);
     lint_shard_global(&cx, &mut raw);
     lint_shard_rc(&cx, &mut raw);
     lint_shard_tcb(&cx, &mut raw);
@@ -1237,49 +1193,6 @@ mod tests {
         let (toks, _) = lex(src);
         let names: Vec<_> = fn_regions(&toks).into_iter().map(|(n, _, _)| n).collect();
         assert_eq!(names, vec!["outer", "inner"]);
-    }
-
-    #[test]
-    fn cc_write_fenced_to_congestion_module() {
-        let src = "fn f(t: &mut Tcb<u8>) { t.cwnd = 1; t.ssthresh += 2; }";
-        let (vs, _) = lint_source("crates/foxtcp/src/data/resend.rs", src);
-        assert_eq!(vs.len(), 2, "{vs:?}");
-        assert!(vs.iter().all(|v| v.lint == "cc_write"));
-        // The congestion module itself is the whitelist.
-        let (vs, _) = lint_source("crates/foxtcp/src/data/congestion.rs", src);
-        assert!(vs.is_empty(), "{vs:?}");
-        // Non-trace crates are out of scope.
-        let (vs, _) = lint_source("crates/bench/src/x.rs", src);
-        assert!(vs.is_empty(), "{vs:?}");
-    }
-
-    #[test]
-    fn ctrl_data_separates_the_halves() {
-        // A state transition is control's alone: fine under control/,
-        // flagged in the data path and in the engine root.
-        let transition = "fn f(c: &mut Core) { c.state = 1; }";
-        let (vs, _) = lint_source("crates/foxtcp/src/control/state.rs", transition);
-        assert!(vs.is_empty(), "{vs:?}");
-        let (vs, _) = lint_source("crates/foxtcp/src/data/send.rs", transition);
-        assert_eq!(vs.len(), 1, "{vs:?}");
-        assert_eq!(vs[0].lint, "ctrl_data");
-        let (vs, _) = lint_source("crates/foxtcp/src/engine.rs", transition);
-        assert_eq!(vs.len(), 1, "{vs:?}");
-        assert_eq!(vs[0].lint, "ctrl_data");
-        // Sequence-space writes are data's alone: control gets flagged
-        // (tcb_write agrees, since control/ is not whitelisted either).
-        let seqwrite = "fn g(c: &mut Core) { c.rcv_nxt += 1; }";
-        let (vs, _) = lint_source("crates/foxtcp/src/control/segment.rs", seqwrite);
-        let lints: Vec<_> = vs.iter().map(|v| v.lint).collect();
-        assert_eq!(lints, vec!["ctrl_data", "tcb_write"], "{vs:?}");
-        let (vs, _) = lint_source("crates/foxtcp/src/data/transfer.rs", seqwrite);
-        assert!(vs.is_empty(), "{vs:?}");
-        // The TCB's own methods may touch its fields.
-        let (vs, _) = lint_source("crates/foxtcp/src/tcb.rs", seqwrite);
-        assert!(vs.is_empty(), "{vs:?}");
-        // The monolithic baseline is deliberately unsplit: out of scope.
-        let (vs, _) = lint_source("crates/xktcp/src/lib.rs", transition);
-        assert!(vs.is_empty(), "{vs:?}");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! events back (see `DataEvent` in [`crate::data::transfer`]) but never
 //! mutates the state machine.
 //!
-//! The boundary is machine-checked: the `ctrl_data` foxlint rule
+//! The boundary is machine-checked: the `field_owner` foxlint rule
 //! rejects `state` assignments outside this directory and
 //! sequence/window/congestion writes inside it (DESIGN.md §5.11).
 

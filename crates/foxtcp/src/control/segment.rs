@@ -21,8 +21,7 @@
 use crate::action::{AttackEvent, TcpAction, TimerKind};
 use crate::control::EstablishedHandle;
 use crate::data::transfer::{self, DataEvent};
-use crate::resend;
-use crate::send;
+use crate::data::{resend, send};
 use crate::tcb::TcpState;
 use crate::{ConnCore, TcpConfig};
 use foxbasis::time::VirtualTime;
@@ -456,12 +455,12 @@ mod tests {
         TcpSegment { header: h, payload: payload.into() }
     }
 
-    fn drain_tags(core: &ConnCore<u8>) -> Vec<&'static str> {
-        core.tcb.to_do.borrow_mut().drain_all().iter().map(|a| a.tag()).collect()
+    fn drain_tags(core: &mut ConnCore<u8>) -> Vec<&'static str> {
+        core.tcb.to_do.drain_all().iter().map(|a| a.tag()).collect()
     }
 
-    fn drain_actions(core: &ConnCore<u8>) -> Vec<TcpAction<u8>> {
-        core.tcb.to_do.borrow_mut().drain_all()
+    fn drain_actions(core: &mut ConnCore<u8>) -> Vec<TcpAction<u8>> {
+        core.tcb.to_do.drain_all()
     }
 
     // ---- LISTEN ----
@@ -482,7 +481,7 @@ mod tests {
         assert_eq!(core.tcb.snd_nxt, Seq(301));
         assert_eq!(core.tcb.mss, 800, "min(ours, peer) adopted");
         assert_eq!(core.state, TcpState::SynPassive { retries_left: 5 });
-        let actions = drain_actions(&core);
+        let actions = drain_actions(&mut core);
         let synack = actions
             .iter()
             .find_map(|a| match a {
@@ -545,7 +544,7 @@ mod tests {
         assert_eq!(core.tcb.rcv_nxt, Seq(9001));
         assert_eq!(core.tcb.snd_una, Seq(101));
         assert!(core.tcb.resend_queue.is_empty(), "SYN acked and removed");
-        let tags = drain_tags(&core);
+        let tags = drain_tags(&mut core);
         assert!(tags.contains(&"Complete_Open"));
         assert!(tags.contains(&"Send_Segment"), "the final ACK of the handshake");
     }
@@ -569,7 +568,7 @@ mod tests {
         s.header.ack = Seq(101);
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
         assert_eq!(core.state, TcpState::Closed);
-        assert!(drain_tags(&core).contains(&"Peer_Reset"));
+        assert!(drain_tags(&mut core).contains(&"Peer_Reset"));
     }
 
     #[test]
@@ -587,7 +586,7 @@ mod tests {
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
         assert_eq!(core.state, TcpState::SynActive);
         assert_eq!(core.tcb.rcv_nxt, Seq(9001));
-        let actions = drain_actions(&core);
+        let actions = drain_actions(&mut core);
         let synack = actions
             .iter()
             .find_map(|a| match a {
@@ -607,7 +606,7 @@ mod tests {
         let s = seg(4000, TcpFlags::ACK, b"stale");
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
         assert_eq!(core.tcb.rcv_nxt, Seq(5001), "nothing consumed");
-        let actions = drain_actions(&core);
+        let actions = drain_actions(&mut core);
         let ack = actions
             .iter()
             .find_map(|a| match a {
@@ -624,7 +623,7 @@ mod tests {
         let s = seg(5001 + 100_000, TcpFlags::ACK, b"beyond window");
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
         assert!(core.tcb.out_of_order.is_empty());
-        assert!(drain_tags(&core).contains(&"Send_Segment"));
+        assert!(drain_tags(&mut core).contains(&"Send_Segment"));
     }
 
     // ---- RST / SYN in window ----
@@ -635,7 +634,7 @@ mod tests {
         let s = seg(5001, TcpFlags::RST, b"");
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
         assert_eq!(core.state, TcpState::Closed);
-        assert!(drain_tags(&core).contains(&"Peer_Reset"));
+        assert!(drain_tags(&mut core).contains(&"Peer_Reset"));
     }
 
     #[test]
@@ -646,7 +645,7 @@ mod tests {
         let s = seg(5002, TcpFlags::RST, b"");
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
         assert_eq!(core.state, TcpState::Estab, "connection survives");
-        let tags = drain_tags(&core);
+        let tags = drain_tags(&mut core);
         assert!(tags.contains(&"Attack"), "rejection counted");
         assert!(tags.contains(&"Send_Segment"), "challenge ACK queued");
         assert!(!tags.contains(&"Peer_Reset"));
@@ -658,7 +657,7 @@ mod tests {
         let s = seg(1, TcpFlags::RST, b"");
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
         assert_eq!(core.state, TcpState::Estab);
-        assert!(!drain_tags(&core).contains(&"Peer_Reset"));
+        assert!(!drain_tags(&mut core).contains(&"Peer_Reset"));
     }
 
     #[test]
@@ -668,7 +667,7 @@ mod tests {
         let s = seg(5001, TcpFlags::RST, b"");
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
         assert_eq!(core.state, TcpState::Closed);
-        assert!(!drain_tags(&core).contains(&"Peer_Reset"), "listener child dies quietly");
+        assert!(!drain_tags(&mut core).contains(&"Peer_Reset"), "listener child dies quietly");
     }
 
     #[test]
@@ -707,7 +706,7 @@ mod tests {
         s.header.ack = Seq(9999);
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
         assert_eq!(core.tcb.rcv_nxt, Seq(5001), "text not processed");
-        let tags = drain_tags(&core);
+        let tags = drain_tags(&mut core);
         assert!(tags.contains(&"Send_Segment"));
         assert!(tags.contains(&"Attack"), "optimistic ACK counted");
         assert!(!tags.contains(&"User_Data"));
@@ -741,7 +740,7 @@ mod tests {
         let s = seg(5001, TcpFlags::ACK, b"abcdef");
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
         assert_eq!(core.tcb.rcv_nxt, Seq(5007));
-        let actions = drain_actions(&core);
+        let actions = drain_actions(&mut core);
         let data = actions.iter().find_map(|a| match a {
             TcpAction::UserData(d) => Some(d.clone()),
             _ => None,
@@ -756,7 +755,7 @@ mod tests {
         let mut core = estab();
         let s = seg(5001, TcpFlags::ACK, b"tiny");
         segment_arrives(&dcfg, &mut core, s, VirtualTime::ZERO);
-        let actions = drain_actions(&core);
+        let actions = drain_actions(&mut core);
         assert!(
             actions.iter().any(|a| matches!(a, TcpAction::SetTimer(TimerKind::DelayedAck, 200))),
             "{actions:?}"
@@ -775,7 +774,7 @@ mod tests {
         core.tcb.mss = 100;
         let s = seg(5001, TcpFlags::ACK, &[7; 250]);
         segment_arrives(&dcfg, &mut core, s, VirtualTime::ZERO);
-        let tags = drain_tags(&core);
+        let tags = drain_tags(&mut core);
         assert!(tags.contains(&"Send_Segment"), "{tags:?}");
     }
 
@@ -786,7 +785,7 @@ mod tests {
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
         assert_eq!(core.tcb.rcv_nxt, Seq(5001), "gap remains");
         assert_eq!(core.tcb.out_of_order.len(), 1);
-        let actions = drain_actions(&core);
+        let actions = drain_actions(&mut core);
         assert!(
             actions.iter().any(|a| matches!(a, TcpAction::SendSegment(s) if s.header.ack == Seq(5001))),
             "duplicate ACK points at the gap"
@@ -797,10 +796,10 @@ mod tests {
     fn gap_fill_delivers_everything() {
         let mut core = estab();
         segment_arrives(&cfg(), &mut core, seg(5007, TcpFlags::ACK, b"world!"), VirtualTime::ZERO);
-        drain_actions(&core);
+        drain_actions(&mut core);
         segment_arrives(&cfg(), &mut core, seg(5001, TcpFlags::ACK, b"hello "), VirtualTime::ZERO);
         assert_eq!(core.tcb.rcv_nxt, Seq(5013));
-        let actions = drain_actions(&core);
+        let actions = drain_actions(&mut core);
         let delivered: Vec<u8> = actions
             .iter()
             .filter_map(|a| match a {
@@ -816,11 +815,11 @@ mod tests {
     fn overlapping_retransmission_delivers_only_fresh_tail() {
         let mut core = estab();
         segment_arrives(&cfg(), &mut core, seg(5001, TcpFlags::ACK, b"abcd"), VirtualTime::ZERO);
-        drain_actions(&core);
+        drain_actions(&mut core);
         // Peer retransmits [5001..5009): first 4 bytes are old.
         segment_arrives(&cfg(), &mut core, seg(5001, TcpFlags::ACK, b"abcdEFGH"), VirtualTime::ZERO);
         assert_eq!(core.tcb.rcv_nxt, Seq(5009));
-        let actions = drain_actions(&core);
+        let actions = drain_actions(&mut core);
         let delivered: Vec<u8> = actions
             .iter()
             .filter_map(|a| match a {
@@ -841,7 +840,7 @@ mod tests {
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
         assert_eq!(core.state, TcpState::CloseWait);
         assert_eq!(core.tcb.rcv_nxt, Seq(5002), "FIN consumes a sequence number");
-        let tags = drain_tags(&core);
+        let tags = drain_tags(&mut core);
         assert!(tags.contains(&"Peer_Close"));
         assert!(tags.contains(&"Send_Segment"), "FIN acked immediately");
     }
@@ -852,7 +851,7 @@ mod tests {
         let s = seg(5001, TcpFlags::FIN_ACK, b"bye");
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
         assert_eq!(core.tcb.rcv_nxt, Seq(5005)); // 3 data + FIN
-        let tags = drain_tags(&core);
+        let tags = drain_tags(&mut core);
         let data_pos = tags.iter().position(|t| *t == "User_Data").unwrap();
         let close_pos = tags.iter().position(|t| *t == "Peer_Close").unwrap();
         assert!(data_pos < close_pos);
@@ -869,7 +868,7 @@ mod tests {
         s.header.ack = Seq(102);
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
         assert_eq!(core.state, TcpState::TimeWait);
-        let actions = drain_actions(&core);
+        let actions = drain_actions(&mut core);
         assert!(actions.iter().any(|a| matches!(a, TcpAction::SetTimer(TimerKind::TimeWait, _))));
     }
 
@@ -892,7 +891,7 @@ mod tests {
         s.header.ack = Seq(101);
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
         assert_eq!(core.state, TcpState::Closing);
-        drain_actions(&core);
+        drain_actions(&mut core);
         // Now the peer's ACK of our FIN arrives.
         let mut s2 = seg(5002, TcpFlags::ACK, b"");
         s2.header.ack = Seq(102);
@@ -920,7 +919,7 @@ mod tests {
         core.tcb.rcv_nxt = Seq(5002); // FIN at 5001 already consumed
         let s = seg(5001, TcpFlags::FIN_ACK, b"");
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
-        let actions = drain_actions(&core);
+        let actions = drain_actions(&mut core);
         assert!(
             actions.iter().any(|a| matches!(a, TcpAction::SetTimer(TimerKind::TimeWait, _))),
             "2MSL restarted: {actions:?}"
@@ -990,7 +989,7 @@ mod tests {
                     assert_eq!(core.tcb.snd_wscale, 7);
                     assert_eq!(core.tcb.rcv_wscale, 3, "shift for a 256 KiB buffer");
                 }
-                let synack = drain_actions(&core)
+                let synack = drain_actions(&mut core)
                     .iter()
                     .find_map(|a| match a {
                         TcpAction::SendSegment(s) => Some(s.clone()),
@@ -1004,7 +1003,7 @@ mod tests {
                 let s = peer_syn(None, theirs, None);
                 segment_arrives(&opt_cfg(false, ours, false), &mut core, s, VirtualTime::ZERO);
                 assert_eq!(core.tcb.sack_on, on, "sack ours={ours} theirs={theirs}");
-                let synack = drain_actions(&core)
+                let synack = drain_actions(&mut core)
                     .iter()
                     .find_map(|a| match a {
                         TcpAction::SendSegment(s) => Some(s.clone()),
@@ -1021,7 +1020,7 @@ mod tests {
                 if on {
                     assert_eq!(core.tcb.ts_recent, 5555, "TS.Recent initialized from the SYN");
                 }
-                let synack = drain_actions(&core)
+                let synack = drain_actions(&mut core)
                     .iter()
                     .find_map(|a| match a {
                         TcpAction::SendSegment(s) => Some(s.clone()),
@@ -1058,7 +1057,7 @@ mod tests {
         assert_eq!(core.tcb.ts_recent, 9000);
         assert_eq!(core.tcb.snd_wnd, 2048, "the SYN+ACK window itself is never scaled");
         // The handshake ACK carries a timestamp echoing the peer.
-        let ack = drain_actions(&core)
+        let ack = drain_actions(&mut core)
             .iter()
             .find_map(|a| match a {
                 TcpAction::SendSegment(s) => Some(s.clone()),
@@ -1093,7 +1092,7 @@ mod tests {
         s.header.options.push(TcpOption::Timestamps(9_999, 0));
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
         assert_eq!(core.tcb.rcv_nxt, Seq(5001), "text not consumed");
-        let actions = drain_actions(&core);
+        let actions = drain_actions(&mut core);
         assert!(
             actions.iter().any(|a| matches!(a, TcpAction::SendSegment(s) if s.header.ack == Seq(5001))),
             "PAWS drop still ACKs: {actions:?}"
@@ -1136,6 +1135,6 @@ mod tests {
         let s = seg(5001, TcpFlags::ACK, b"zombie data");
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
         assert_eq!(core.tcb.rcv_nxt, Seq(5001), "text ignored after FIN");
-        assert!(!drain_tags(&core).contains(&"User_Data"));
+        assert!(!drain_tags(&mut core).contains(&"User_Data"));
     }
 }

@@ -3,8 +3,7 @@
 //! (paper §4).
 
 use crate::action::{TcpAction, TimerKind};
-use crate::resend;
-use crate::send;
+use crate::data::{resend, send};
 use crate::tcb::TcpState;
 use crate::{ConnCore, TcpConfig};
 use foxbasis::time::VirtualTime;
@@ -221,8 +220,8 @@ mod tests {
         c
     }
 
-    fn tags(core: &ConnCore<u32>) -> Vec<&'static str> {
-        core.tcb.to_do.borrow_mut().drain_all().iter().map(|a| a.tag()).collect()
+    fn tags(core: &mut ConnCore<u32>) -> Vec<&'static str> {
+        core.tcb.to_do.drain_all().iter().map(|a| a.tag()).collect()
     }
 
     #[test]
@@ -230,7 +229,7 @@ mod tests {
         let mut core = fresh();
         active_open(&cfg(), &mut core, VirtualTime::ZERO).unwrap();
         assert_eq!(core.state, TcpState::SynSent { retries_left: 5 });
-        let t = tags(&core);
+        let t = tags(&mut core);
         assert!(t.contains(&"Send_Segment"));
         assert!(t.contains(&"Set_Timer"));
         assert_eq!(core.tcb.snd_nxt, Seq(101));
@@ -261,7 +260,7 @@ mod tests {
         assert_eq!(core.state, TcpState::FinWait1 { fin_acked: false });
         assert!(core.tcb.fin_pending);
         assert!(core.tcb.fin_seq.is_some(), "FIN actually staged");
-        let t = tags(&core);
+        let t = tags(&mut core);
         assert!(t.contains(&"Send_Segment"));
     }
 
@@ -280,7 +279,7 @@ mod tests {
         core.state = TcpState::Listen { backlog: 4 };
         close(&cfg(), &mut core, VirtualTime::ZERO).unwrap();
         assert_eq!(core.state, TcpState::Closed);
-        assert!(tags(&core).contains(&"Complete_Close"));
+        assert!(tags(&mut core).contains(&"Complete_Close"));
 
         let mut core = fresh();
         core.state = TcpState::SynSent { retries_left: 3 };
@@ -305,8 +304,7 @@ mod tests {
         abort(&cfg(), &mut core, VirtualTime::ZERO).unwrap();
         assert_eq!(core.state, TcpState::Closed);
         assert_eq!(core.tcb.send_buf.len(), 0);
-        let acts: Vec<String> =
-            core.tcb.to_do.borrow_mut().drain_all().iter().map(|a| format!("{a:?}")).collect();
+        let acts: Vec<String> = core.tcb.to_do.drain_all().iter().map(|a| format!("{a:?}")).collect();
         assert!(acts.iter().any(|a| a.contains("RST")), "{acts:?}");
         assert!(acts.iter().any(|a| a == "Complete_Close"));
     }
@@ -316,8 +314,7 @@ mod tests {
         let mut core = fresh();
         core.state = TcpState::SynSent { retries_left: 1 };
         abort(&cfg(), &mut core, VirtualTime::ZERO).unwrap();
-        let acts: Vec<String> =
-            core.tcb.to_do.borrow_mut().drain_all().iter().map(|a| format!("{a:?}")).collect();
+        let acts: Vec<String> = core.tcb.to_do.drain_all().iter().map(|a| format!("{a:?}")).collect();
         assert!(!acts.iter().any(|a| a.contains("RST")), "{acts:?}");
     }
 
@@ -327,7 +324,7 @@ mod tests {
         core.state = TcpState::TimeWait;
         timer_expired(&cfg(), &mut core, TimerKind::TimeWait, VirtualTime::from_millis(60_000));
         assert_eq!(core.state, TcpState::Closed);
-        assert!(tags(&core).contains(&"Complete_Close"));
+        assert!(tags(&mut core).contains(&"Complete_Close"));
     }
 
     #[test]
@@ -336,7 +333,7 @@ mod tests {
         core.state = TcpState::SynSent { retries_left: 2 };
         timer_expired(&cfg(), &mut core, TimerKind::UserTimeout, VirtualTime::from_millis(1));
         assert_eq!(core.state, TcpState::Closed);
-        assert!(tags(&core).contains(&"User_Timeout"));
+        assert!(tags(&mut core).contains(&"User_Timeout"));
     }
 
     #[test]
@@ -352,10 +349,10 @@ mod tests {
         let mut core = fresh();
         core.state = TcpState::Estab;
         timer_expired(&cfg(), &mut core, TimerKind::DelayedAck, VirtualTime::from_millis(1));
-        assert!(tags(&core).is_empty());
+        assert!(tags(&mut core).is_empty());
         core.tcb.ack_pending = true;
         timer_expired(&cfg(), &mut core, TimerKind::DelayedAck, VirtualTime::from_millis(2));
-        assert!(tags(&core).contains(&"Send_Segment"));
+        assert!(tags(&mut core).contains(&"Send_Segment"));
         assert!(!core.tcb.ack_pending);
     }
 
@@ -365,6 +362,6 @@ mod tests {
         for kind in TimerKind::ALL {
             timer_expired(&cfg(), &mut core, kind, VirtualTime::from_millis(1));
         }
-        assert!(tags(&core).is_empty());
+        assert!(tags(&mut core).is_empty());
     }
 }

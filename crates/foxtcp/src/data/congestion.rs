@@ -9,9 +9,9 @@
 //! arithmetic the stack always had) and [`Cubic`] (RFC 8312 in integer
 //! fixed-point, so the simulation stays deterministic).
 //!
-//! Enforcement is lexical: the `cc_write` foxlint rule forbids
-//! `cwnd`/`ssthresh` assignments outside this module, the same way
-//! `tcb_write` fences the TCB as a whole.
+//! Enforcement is lexical: the `field_owner` foxlint rule forbids
+//! `cwnd`/`ssthresh` assignments outside this module, the same way it
+//! fences the TCB's sequence space into the data-path modules.
 
 use crate::tcb::Tcb;
 use foxbasis::time::VirtualTime;
@@ -272,7 +272,7 @@ impl CcMachine {
 // ---------------------------------------------------------------------
 // The module-level entry points the rest of the stack calls. These are
 // the *only* places `tcb.cwnd` / `tcb.ssthresh` are assigned (enforced
-// by the `cc_write` foxlint rule); each replicates the guard structure
+// by the `field_owner` foxlint rule); each replicates the guard structure
 // the inline Reno code had, so behavior without options is unchanged.
 // ---------------------------------------------------------------------
 

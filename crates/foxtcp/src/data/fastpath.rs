@@ -14,8 +14,7 @@
 //! module's full SEGMENT-ARRIVES DAG.
 
 use crate::action::{TcpAction, TimerKind};
-use crate::resend;
-use crate::send;
+use crate::data::{resend, send};
 use crate::tcb::TcpState;
 use crate::{ConnCore, TcpConfig};
 use foxbasis::time::VirtualTime;
@@ -168,7 +167,7 @@ mod tests {
         let payload = vec![9u8; 700];
         assert!(try_fast(&cfg(), &mut core, &seg(5000, 100, 4096, &payload), VirtualTime::ZERO));
         assert_eq!(core.tcb.rcv_nxt, Seq(5700));
-        let tags: Vec<_> = core.tcb.to_do.borrow_mut().drain_all().iter().map(|a| a.tag()).collect();
+        let tags: Vec<_> = core.tcb.to_do.drain_all().iter().map(|a| a.tag()).collect();
         assert!(tags.contains(&"User_Data"));
     }
 
@@ -262,7 +261,7 @@ mod tests {
         // fast path refuses it (window change) and the full DAG must
         // accept the update.
         let upd = seg(5100, 100, 8192, b"");
-        let _ = crate::receive::segment_arrives(&cfg(), &mut core, upd, VirtualTime::ZERO);
+        let _ = crate::control::segment::segment_arrives(&cfg(), &mut core, upd, VirtualTime::ZERO);
         assert_eq!(
             core.tcb.snd_wnd, 8192,
             "a legitimate window update must not be rejected by stale WL state"
@@ -279,12 +278,12 @@ mod tests {
         assert_eq!(taken, 300);
         // user_send itself sent what the window allowed; drop those
         // actions and pretend the window just kept us from sending more.
-        core.tcb.to_do.borrow_mut().drain_all();
+        core.tcb.to_do.drain_all();
         core.tcb.snd_nxt = core.tcb.snd_una; // nothing in flight yet
         core.tcb.resend_queue.clear();
 
         assert!(try_fast(&cfg(), &mut core, &seg(5000, 100, 4096, &[9u8; 200]), VirtualTime::ZERO));
-        let tags: Vec<_> = core.tcb.to_do.borrow_mut().drain_all().iter().map(|a| a.tag()).collect();
+        let tags: Vec<_> = core.tcb.to_do.drain_all().iter().map(|a| a.tag()).collect();
         assert!(
             tags.contains(&"Send_Segment"),
             "fast path must attempt to send queued data like the slow path, got {tags:?}"
@@ -340,7 +339,7 @@ mod tests {
         let mut s = seg(5000, 100, 4096, &[1u8; 10]);
         s.header.options.push(TcpOption::Timestamps(499, 0));
         assert!(try_fast(&cfg(), &mut core, &s, VirtualTime::ZERO));
-        let actions = core.tcb.to_do.borrow_mut().drain_all();
+        let actions = core.tcb.to_do.drain_all();
         let acks: Vec<_> = actions
             .iter()
             .filter_map(|a| match a {
@@ -361,8 +360,8 @@ mod tests {
         core.tcb.ts_recent = 500;
         let mut s = seg(5000, 100, 4096, &[1u8; 10]);
         s.header.options.push(TcpOption::Timestamps(499, 0));
-        let _ = crate::receive::segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
-        let actions = core.tcb.to_do.borrow_mut().drain_all();
+        let _ = crate::control::segment::segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
+        let actions = core.tcb.to_do.drain_all();
         let slow_acks: Vec<_> = actions
             .iter()
             .filter_map(|a| match a {

@@ -2,8 +2,8 @@
 //!
 //! Sequence/ack bookkeeping, the send and receive windows, congestion
 //! control, retransmission, and the §4 fast path. Modules here own the
-//! TCB's sequence-space and window fields (the `tcb_write`/`cc_write`
-//! foxlint whitelists point exactly here) and are forbidden from
+//! TCB's sequence-space and window fields (the `field_owner` foxlint
+//! rule's owner lists point exactly here) and are forbidden from
 //! writing [`crate::TcpState`] — lifecycle decisions stay in
 //! [`crate::control`], which hands the data path an
 //! `EstablishedHandle` proof token at transition time and learns of

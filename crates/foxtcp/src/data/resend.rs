@@ -7,7 +7,7 @@
 //! queue".
 
 use crate::action::{LossEvent, TcpAction, TimerKind};
-use crate::congestion;
+use crate::data::{congestion, send};
 use crate::tcb::{RttEstimator, SentSegment, MAX_RTO, MIN_RTO};
 use crate::{ConnCore, TcpConfig};
 use foxbasis::seq::Seq;
@@ -210,7 +210,7 @@ pub fn duplicate_ack<P: Clone + PartialEq + Debug>(
         if core.tcb.sack_on {
             sack_retransmit_next(core, now);
         }
-        crate::send::maybe_send(cfg, core, now);
+        send::maybe_send(cfg, core, now);
     } else if core.tcb.dup_acks >= 3 {
         // Enter fast recovery: retransmit the first unacknowledged
         // segment without waiting for the timer, halve the window, and
@@ -294,11 +294,9 @@ fn retransmit_segment<P: Clone + PartialEq + Debug>(
     };
     if seg.syn {
         header.flags.ack = core.state.is_syn_received();
-        crate::send::push_syn_options(core, &mut header, now);
+        send::push_syn_options(core, &mut header, now);
     } else if core.tcb.ts_on {
-        header
-            .options
-            .push(foxwire::tcp::TcpOption::Timestamps(crate::send::ts_val(now), core.tcb.ts_recent));
+        header.options.push(foxwire::tcp::TcpOption::Timestamps(send::ts_val(now), core.tcb.ts_recent));
     }
     header.window = core.tcb.wire_window_field(seg.syn);
     let tcb = &mut core.tcb;
@@ -392,15 +390,20 @@ mod tests {
         core
     }
 
-    fn drain(core: &ConnCore<u32>) -> Vec<String> {
-        core.tcb.to_do.borrow_mut().drain_all().into_iter().map(|a| format!("{a:?}")).collect()
+    fn drain(core: &mut ConnCore<u32>) -> Vec<String> {
+        core.tcb.to_do.drain_all().into_iter().map(|a| format!("{a:?}")).collect()
     }
 
     /// Drives a retransmission timeout the way the engine does: through
     /// the control path (`state::timer_expired`), which wraps the data
     /// helpers under test here.
     fn rto(core: &mut ConnCore<u32>, at_ms: u64) {
-        crate::state::timer_expired(&cfg(), core, TimerKind::Resend, VirtualTime::from_millis(at_ms));
+        crate::control::state::timer_expired(
+            &cfg(),
+            core,
+            TimerKind::Resend,
+            VirtualTime::from_millis(at_ms),
+        );
     }
 
     #[test]
@@ -448,7 +451,7 @@ mod tests {
         assert_eq!(core.tcb.snd_una, Seq(2100));
         assert_eq!(core.tcb.resend_queue.len(), 1);
         assert_eq!(core.tcb.send_buf.len(), 1000, "acked bytes released");
-        let acts = drain(&core);
+        let acts = drain(&mut core);
         assert!(acts.iter().any(|a| a.starts_with("Set_Timer(Resend")), "timer restarts: {acts:?}");
     }
 
@@ -457,7 +460,7 @@ mod tests {
         let mut core = core_with_flight();
         process_ack(&cfg(), &mut core, Seq(3100), VirtualTime::from_millis(50));
         assert!(core.tcb.resend_queue.is_empty());
-        let acts = drain(&core);
+        let acts = drain(&mut core);
         assert!(acts.iter().any(|a| a.starts_with("Clear_Timer(Resend")), "{acts:?}");
     }
 
@@ -511,7 +514,7 @@ mod tests {
     fn retransmit_reuses_queued_payload() {
         let mut core = core_with_flight();
         rto(&mut core, 1000);
-        let acts = core.tcb.to_do.borrow_mut().drain_all();
+        let acts = core.tcb.to_do.drain_all();
         let seg = acts
             .iter()
             .find_map(|a| match a {
@@ -539,7 +542,7 @@ mod tests {
         core.tcb.retransmits_left = 0;
         rto(&mut core, 1000);
         assert_eq!(core.state, TcpState::Closed);
-        let acts = drain(&core);
+        let acts = drain(&mut core);
         assert!(acts.iter().any(|a| a == "User_Timeout"), "{acts:?}");
     }
 
@@ -551,9 +554,9 @@ mod tests {
         let now = VirtualTime::from_millis(10);
         duplicate_ack(&cfg(), &mut core, now);
         duplicate_ack(&cfg(), &mut core, now);
-        assert!(drain(&core).iter().all(|a| !a.starts_with("Send_Segment")));
+        assert!(drain(&mut core).iter().all(|a| !a.starts_with("Send_Segment")));
         duplicate_ack(&cfg(), &mut core, now);
-        let acts = drain(&core);
+        let acts = drain(&mut core);
         assert!(
             acts.iter().any(|a| a.starts_with("Send_Segment(seq=100")),
             "fast retransmit of the first segment: {acts:?}"
@@ -574,7 +577,7 @@ mod tests {
         assert_eq!(core.tcb.ssthresh, 2000);
         assert_eq!(core.tcb.cwnd, 5000);
         assert_eq!(core.tcb.recover, Some(Seq(3100)), "recovery point is snd_nxt");
-        let acts = drain(&core);
+        let acts = drain(&mut core);
         assert!(acts.iter().any(|a| a == "Loss(RecoveryEntered)"), "{acts:?}");
         assert!(acts.iter().any(|a| a == "Loss(FastRetransmit)"), "{acts:?}");
     }
@@ -590,13 +593,13 @@ mod tests {
         for _ in 0..3 {
             duplicate_ack(&cfg(), &mut core, now);
         }
-        core.tcb.to_do.borrow_mut().clear();
+        core.tcb.to_do.clear();
         // Fourth duplicate: inflate one MSS (5000 → 6000). The usable
         // window (min(snd_wnd, cwnd) − flight = 3000) now admits the
         // staged data.
         duplicate_ack(&cfg(), &mut core, now);
         assert_eq!(core.tcb.cwnd, 6000);
-        let acts = drain(&core);
+        let acts = drain(&mut core);
         assert!(
             acts.iter().any(|a| a.starts_with("Send_Segment(seq=3100")),
             "new data transmitted under the inflated window: {acts:?}"
@@ -613,12 +616,12 @@ mod tests {
         for _ in 0..4 {
             duplicate_ack(&cfg(), &mut core, now);
         }
-        core.tcb.to_do.borrow_mut().clear();
+        core.tcb.to_do.clear();
         // ACK covering the recovery point (3100) ends recovery.
         process_ack(&cfg(), &mut core, Seq(3100), VirtualTime::from_millis(50));
         assert_eq!(core.tcb.recover, None);
         assert_eq!(core.tcb.cwnd, 2000, "deflated to ssthresh, not left inflated");
-        let acts = drain(&core);
+        let acts = drain(&mut core);
         assert!(acts.iter().any(|a| a == "Loss(RecoveryExited)"), "{acts:?}");
     }
 
@@ -631,13 +634,13 @@ mod tests {
         for _ in 0..3 {
             duplicate_ack(&cfg(), &mut core, now);
         }
-        core.tcb.to_do.borrow_mut().clear();
+        core.tcb.to_do.clear();
         // ACK of only the first segment: below the recovery point.
         process_ack(&cfg(), &mut core, Seq(1100), VirtualTime::from_millis(50));
         assert_eq!(core.tcb.recover, Some(Seq(3100)), "partial ACK keeps recovery open");
         // Deflate by the 1000 acked, add one MSS back: 5000 net.
         assert_eq!(core.tcb.cwnd, 5000);
-        let acts = drain(&core);
+        let acts = drain(&mut core);
         assert!(acts.iter().any(|a| a == "Loss(PartialAck)"), "{acts:?}");
         assert!(
             acts.iter().any(|a| a.starts_with("Send_Segment(seq=1100")),
@@ -670,12 +673,12 @@ mod tests {
             });
         }
         core.tcb.snd_nxt = Seq(5100);
-        core.tcb.to_do.borrow_mut().clear();
+        core.tcb.to_do.clear();
         for _ in 0..3 {
             duplicate_ack(&cfg(), &mut core, now);
         }
         assert_eq!(core.tcb.recover, Some(Seq(5100)), "second episode entered");
-        let acts = drain(&core);
+        let acts = drain(&mut core);
         assert!(acts.iter().any(|a| a == "Loss(RecoveryEntered)"), "{acts:?}");
     }
 
@@ -692,7 +695,7 @@ mod tests {
         rto(&mut core, 2000);
         assert_eq!(core.tcb.recover, None, "slow start owns the window after an RTO");
         assert_eq!(core.tcb.cwnd, 1000);
-        let acts = drain(&core);
+        let acts = drain(&mut core);
         assert!(acts.iter().any(|a| a == "Loss(Rto)"), "{acts:?}");
     }
 
@@ -711,7 +714,7 @@ mod tests {
             SentSegment { seq: Seq(110), payload: vec![0; 10].into(), syn: false, fin: false },
             now,
         );
-        let acts = drain(&core);
+        let acts = drain(&mut core);
         assert_eq!(acts.iter().filter(|a| a.starts_with("Set_Timer(Resend")).count(), 1);
         assert_eq!(core.tcb.rtt.timing, Some((Seq(110), now)), "first segment timed");
     }

@@ -8,7 +8,7 @@
 //! algorithm, and stages the segments.
 
 use crate::action::{LossEvent, TcpAction, TimerKind};
-use crate::resend;
+use crate::data::resend;
 use crate::tcb::SentSegment;
 use crate::{ConnCore, TcpConfig};
 use foxbasis::buf::{PacketBuf, DEFAULT_HEADROOM};
@@ -262,10 +262,9 @@ mod tests {
         core
     }
 
-    fn staged_segments(core: &ConnCore<u32>) -> Vec<TcpSegment> {
+    fn staged_segments(core: &mut ConnCore<u32>) -> Vec<TcpSegment> {
         core.tcb
             .to_do
-            .borrow_mut()
             .drain_all()
             .into_iter()
             .filter_map(|a| match a {
@@ -281,7 +280,7 @@ mod tests {
         let mut core = estab_core(10_000);
         let n = user_send(&cfg, &mut core, &[7u8; 2500], VirtualTime::ZERO);
         assert_eq!(n, 2500);
-        let segs = staged_segments(&core);
+        let segs = staged_segments(&mut core);
         assert_eq!(segs.len(), 3);
         assert_eq!(segs[0].payload.len(), 1000);
         assert_eq!(segs[1].payload.len(), 1000);
@@ -306,7 +305,7 @@ mod tests {
         core.tcb.ts_on = true;
         let n = user_send(&cfg, &mut core, &[7u8; 2000], VirtualTime::ZERO);
         assert_eq!(n, 2000);
-        let segs = staged_segments(&core);
+        let segs = staged_segments(&mut core);
         assert_eq!(segs.len(), 3);
         assert_eq!(segs[0].payload.len(), 988, "mss 1000 less the 12-byte option");
         assert_eq!(segs[1].payload.len(), 988);
@@ -323,7 +322,7 @@ mod tests {
         let cfg = TcpConfig { nagle: false, ..TcpConfig::default() };
         let mut core = estab_core(1500);
         user_send(&cfg, &mut core, &[1u8; 4000], VirtualTime::ZERO);
-        let segs = staged_segments(&core);
+        let segs = staged_segments(&mut core);
         let sent: usize = segs.iter().map(|s| s.payload.len()).sum();
         assert_eq!(sent, 1500, "only the advertised window goes out");
         assert_eq!(core.tcb.unsent(), 2500);
@@ -335,7 +334,7 @@ mod tests {
         let mut core = estab_core(60_000);
         core.tcb.cwnd = 2000;
         user_send(&cfg, &mut core, &[1u8; 8000], VirtualTime::ZERO);
-        let segs = staged_segments(&core);
+        let segs = staged_segments(&mut core);
         let sent: usize = segs.iter().map(|s| s.payload.len()).sum();
         assert_eq!(sent, 2000);
     }
@@ -345,7 +344,7 @@ mod tests {
         let cfg = TcpConfig::default(); // nagle on
         let mut core = estab_core(10_000);
         user_send(&cfg, &mut core, &[1u8; 1300], VirtualTime::ZERO);
-        let segs = staged_segments(&core);
+        let segs = staged_segments(&mut core);
         // First 1000 go out (nothing in flight yet), the 300-byte tail
         // is held while the first segment is unacknowledged.
         assert_eq!(segs.len(), 2 - 1, "tail held: {segs:?}");
@@ -358,7 +357,7 @@ mod tests {
         let cfg = TcpConfig { nagle: false, ..TcpConfig::default() };
         let mut core = estab_core(10_000);
         user_send(&cfg, &mut core, &[1u8; 1300], VirtualTime::ZERO);
-        assert_eq!(staged_segments(&core).len(), 2);
+        assert_eq!(staged_segments(&mut core).len(), 2);
         assert_eq!(core.tcb.unsent(), 0);
     }
 
@@ -367,8 +366,7 @@ mod tests {
         let cfg = TcpConfig { nagle: false, ..TcpConfig::default() };
         let mut core = estab_core(0);
         user_send(&cfg, &mut core, &[1u8; 100], VirtualTime::ZERO);
-        let acts: Vec<String> =
-            core.tcb.to_do.borrow_mut().drain_all().iter().map(|a| format!("{a:?}")).collect();
+        let acts: Vec<String> = core.tcb.to_do.drain_all().iter().map(|a| format!("{a:?}")).collect();
         assert!(acts.iter().any(|a| a.starts_with("Set_Timer(Persist")), "{acts:?}");
         assert!(!acts.iter().any(|a| a.starts_with("Send_Segment")));
     }
@@ -378,9 +376,9 @@ mod tests {
         let cfg = TcpConfig { nagle: false, ..TcpConfig::default() };
         let mut core = estab_core(0);
         user_send(&cfg, &mut core, b"probe-me", VirtualTime::ZERO);
-        core.tcb.to_do.borrow_mut().clear();
+        core.tcb.to_do.clear();
         window_probe(&cfg, &mut core, VirtualTime::from_millis(500));
-        let segs = staged_segments(&core);
+        let segs = staged_segments(&mut core);
         // Note: staged_segments drained Set_Timer too — re-check via a
         // fresh probe call below.
         assert_eq!(segs.len(), 1);
@@ -397,17 +395,16 @@ mod tests {
         let cfg = TcpConfig { nagle: false, ..TcpConfig::default() };
         let mut core = estab_core(0);
         user_send(&cfg, &mut core, &[7u8; 100], VirtualTime::ZERO);
-        core.tcb.to_do.borrow_mut().clear();
+        core.tcb.to_do.clear();
         let mut intervals = Vec::new();
         let mut now = VirtualTime::ZERO;
         for _ in 0..4 {
             window_probe(&cfg, &mut core, now);
             // The peer ACKs the probe byte but still advertises zero.
             let ack = core.tcb.snd_nxt;
-            crate::resend::process_ack(&cfg, &mut core, ack, now);
+            resend::process_ack(&cfg, &mut core, ack, now);
             assert_eq!(core.tcb.rtt.backoff, 0, "the probe ACK resets the RTT backoff");
-            let acts: Vec<String> =
-                core.tcb.to_do.borrow_mut().drain_all().iter().map(|a| format!("{a:?}")).collect();
+            let acts: Vec<String> = core.tcb.to_do.drain_all().iter().map(|a| format!("{a:?}")).collect();
             let ms: u64 = acts
                 .iter()
                 .filter_map(|a| a.strip_prefix("Set_Timer(Persist, "))
@@ -439,7 +436,7 @@ mod tests {
         let mut core = estab_core(1000);
         core.tcb.send_buf.write(b"data");
         window_probe(&cfg, &mut core, VirtualTime::ZERO);
-        assert!(staged_segments(&core).is_empty());
+        assert!(staged_segments(&mut core).is_empty());
     }
 
     #[test]
@@ -447,13 +444,13 @@ mod tests {
         let cfg = TcpConfig { nagle: false, ..TcpConfig::default() };
         let mut core = estab_core(10_000);
         user_send(&cfg, &mut core, &[9u8; 500], VirtualTime::ZERO);
-        core.tcb.to_do.borrow_mut().clear();
+        core.tcb.to_do.clear();
         // Pretend nothing was sent yet so FIN piggybacks: reset.
         let mut core = estab_core(10_000);
         core.tcb.send_buf.write(&[9u8; 500]);
         core.tcb.fin_pending = true;
         maybe_send(&cfg, &mut core, VirtualTime::ZERO);
-        let segs = staged_segments(&core);
+        let segs = staged_segments(&mut core);
         assert_eq!(segs.len(), 1);
         assert!(segs[0].header.flags.fin);
         assert_eq!(segs[0].payload.len(), 500);
@@ -467,7 +464,7 @@ mod tests {
         let mut core = estab_core(10_000);
         core.tcb.fin_pending = true;
         maybe_send(&cfg, &mut core, VirtualTime::ZERO);
-        let segs = staged_segments(&core);
+        let segs = staged_segments(&mut core);
         assert_eq!(segs.len(), 1);
         assert!(segs[0].header.flags.fin && segs[0].header.flags.ack);
         assert!(segs[0].payload.is_empty());
@@ -489,7 +486,7 @@ mod tests {
         core.remote = Some((7, 2000));
         core.state = TcpState::SynSent { retries_left: 3 };
         queue_syn(&mut core, false, VirtualTime::ZERO);
-        let segs = staged_segments(&core);
+        let segs = staged_segments(&mut core);
         assert_eq!(segs.len(), 1);
         assert!(segs[0].header.flags.syn && !segs[0].header.flags.ack);
         assert_eq!(segs[0].header.mss(), Some(1460));
@@ -514,7 +511,7 @@ mod tests {
         core.remote = Some((7, 2000));
         core.state = TcpState::SynSent { retries_left: 3 };
         queue_syn(&mut core, false, VirtualTime::from_millis(250));
-        let segs = staged_segments(&core);
+        let segs = staged_segments(&mut core);
         let h = &segs[0].header;
         assert_eq!(h.mss(), Some(1460));
         assert_eq!(h.wscale(), Some(5), "offers the shift covering a 1 MiB buffer");
@@ -528,7 +525,7 @@ mod tests {
         core.remote = Some((7, 2000));
         core.state = TcpState::SynPassive { retries_left: 3 };
         queue_syn(&mut core, true, VirtualTime::ZERO);
-        let segs = staged_segments(&core);
+        let segs = staged_segments(&mut core);
         let h = &segs[0].header;
         assert_eq!(h.wscale(), None);
         assert!(!h.sack_permitted());
@@ -544,7 +541,7 @@ mod tests {
         core.tcb.sack_on = true;
         core.tcb.insert_out_of_order(Seq(6000), vec![1u8; 100], false);
         queue_ack(&mut core, VirtualTime::from_millis(1234));
-        let segs = staged_segments(&core);
+        let segs = staged_segments(&mut core);
         let h = &segs[0].header;
         assert_eq!(h.timestamps(), Some((1234, 777)));
         assert_eq!(h.sack_blocks(), &[(Seq(6000), Seq(6100))]);
@@ -555,7 +552,7 @@ mod tests {
         let mut core = estab_core(1000);
         core.tcb.rcv_nxt = Seq(9999);
         queue_ack(&mut core, VirtualTime::ZERO);
-        let segs = staged_segments(&core);
+        let segs = staged_segments(&mut core);
         assert_eq!(segs[0].header.ack, Seq(9999));
         assert_eq!(segs[0].header.window, 4096);
         assert!(segs[0].payload.is_empty());

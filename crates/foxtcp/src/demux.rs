@@ -15,7 +15,6 @@
 //!   equality (and any state predicate) against the TCB.
 //! * **listeners** — connections opened passively (no remote), keyed by
 //!   local port.
-//! * **by_id** — connection id → current index in the engine's table.
 //! * **ports** — local-port reference counts, for ephemeral allocation.
 //!
 //! Within one bucket, candidate ids are kept in creation order, so the
@@ -35,14 +34,12 @@ pub struct DemuxStats {
     pub steps: u64,
 }
 
-/// The demux table. Ids are the engine's connection ids; indexes are
-/// positions in the engine's connection vector (the engine re-indexes
-/// after reaping).
+/// The demux table. It speaks the engine's connection ids only: where a
+/// connection sits in the engine's table is the engine's business.
 #[derive(Default)]
 pub struct Demux {
     flows: BTreeMap<(u16, u64, u16), Vec<u32>>,
     listeners: BTreeMap<u16, Vec<u32>>,
-    by_id: BTreeMap<u32, usize>,
     ports: BTreeMap<u16, usize>,
     stats: DemuxStats,
 }
@@ -58,21 +55,9 @@ impl Demux {
         self.stats
     }
 
-    /// Registered connections.
-    pub fn len(&self) -> usize {
-        self.by_id.len()
-    }
-
-    /// No registered connections?
-    pub fn is_empty(&self) -> bool {
-        self.by_id.is_empty()
-    }
-
-    /// Registers a connection at `index`. `flow` is
-    /// `(hash(remote addr), remote port)` for connections with a fixed
-    /// peer; `None` for listeners.
-    pub fn insert(&mut self, id: u32, index: usize, local_port: u16, flow: Option<(u64, u16)>) {
-        self.by_id.insert(id, index);
+    /// Registers a connection. `flow` is `(hash(remote addr), remote
+    /// port)` for connections with a fixed peer; `None` for listeners.
+    pub fn insert(&mut self, id: u32, local_port: u16, flow: Option<(u64, u16)>) {
         *self.ports.entry(local_port).or_insert(0) += 1;
         match flow {
             Some((peer, remote_port)) => {
@@ -84,7 +69,6 @@ impl Demux {
 
     /// Unregisters a connection; `flow` must match what `insert` got.
     pub fn remove(&mut self, id: u32, local_port: u16, flow: Option<(u64, u16)>) {
-        self.by_id.remove(&id);
         if let Some(n) = self.ports.get_mut(&local_port) {
             *n -= 1;
             if *n == 0 {
@@ -110,67 +94,42 @@ impl Demux {
         }
     }
 
-    /// The connection's current index, if registered.
-    pub fn index_of(&self, id: u32) -> Option<usize> {
-        self.by_id.get(&id).copied()
-    }
-
-    /// Re-points a connection at a new index (after the engine compacts
-    /// its table).
-    pub fn set_index(&mut self, id: u32, index: usize) {
-        if let Some(slot) = self.by_id.get_mut(&id) {
-            *slot = index;
-        }
-    }
-
     /// Any connection (in any state) using `local_port`?
     pub fn port_in_use(&self, local_port: u16) -> bool {
         self.ports.contains_key(&local_port)
     }
 
     /// Finds the first (oldest) flow connection matching the key that
-    /// `verify(index, id)` accepts — the closure re-checks full address
+    /// `verify(id)` accepts — the closure re-checks full address
     /// equality against the TCB, making hash collisions harmless.
-    /// Returns `(index, id)`.
     pub fn lookup_flow(
         &mut self,
         local_port: u16,
         peer: u64,
         remote_port: u16,
-        mut verify: impl FnMut(usize, u32) -> bool,
-    ) -> Option<(usize, u32)> {
+        verify: impl FnMut(u32) -> bool,
+    ) -> Option<u32> {
         self.stats.lookups += 1;
         let ids = self.flows.get(&(local_port, peer, remote_port))?;
-        for &id in ids {
-            self.stats.steps += 1;
-            // A flow entry without an index would mean insert/remove fell
-            // out of sync; skip rather than panic on the rx path.
-            let Some(&idx) = self.by_id.get(&id) else { continue };
-            if verify(idx, id) {
-                return Some((idx, id));
-            }
-        }
-        None
+        first_verified(ids, &mut self.stats.steps, verify)
     }
 
     /// Finds the first (oldest) listener on `local_port` that
-    /// `verify(index, id)` accepts. Returns `(index, id)`.
-    pub fn lookup_listener(
-        &mut self,
-        local_port: u16,
-        mut verify: impl FnMut(usize, u32) -> bool,
-    ) -> Option<(usize, u32)> {
+    /// `verify(id)` accepts.
+    pub fn lookup_listener(&mut self, local_port: u16, verify: impl FnMut(u32) -> bool) -> Option<u32> {
         self.stats.lookups += 1;
         let ids = self.listeners.get(&local_port)?;
-        for &id in ids {
-            self.stats.steps += 1;
-            let Some(&idx) = self.by_id.get(&id) else { continue };
-            if verify(idx, id) {
-                return Some((idx, id));
-            }
-        }
-        None
+        first_verified(ids, &mut self.stats.steps, verify)
     }
+}
+
+/// The first id in a bucket that `verify` accepts, counting each
+/// candidate examined.
+fn first_verified(ids: &[u32], steps: &mut u64, mut verify: impl FnMut(u32) -> bool) -> Option<u32> {
+    ids.iter().copied().find(|&id| {
+        *steps += 1;
+        verify(id)
+    })
 }
 
 #[cfg(test)]
@@ -180,14 +139,13 @@ mod tests {
     #[test]
     fn flow_lookup_finds_oldest_verified_candidate() {
         let mut d = Demux::new();
-        d.insert(7, 0, 2000, Some((0xabc, 5000)));
-        d.insert(9, 1, 2000, Some((0xabc, 5000))); // same bucket (collision or dup key)
-                                                   // Verify rejects id 7 (e.g. state mismatch): falls to 9.
-        let got = d.lookup_flow(2000, 0xabc, 5000, |_idx, id| id != 7);
-        assert_eq!(got, Some((1, 9)));
+        d.insert(7, 2000, Some((0xabc, 5000)));
+        d.insert(9, 2000, Some((0xabc, 5000))); // same bucket (collision or dup key)
+
+        // Verify rejects id 7 (e.g. state mismatch): falls to 9.
+        assert_eq!(d.lookup_flow(2000, 0xabc, 5000, |id| id != 7), Some(9));
         // Verify accepts all: oldest wins, like the old front-to-back scan.
-        let got = d.lookup_flow(2000, 0xabc, 5000, |_idx, _id| true);
-        assert_eq!(got, Some((0, 7)));
+        assert_eq!(d.lookup_flow(2000, 0xabc, 5000, |_| true), Some(7));
         assert_eq!(d.stats().lookups, 2);
         assert_eq!(d.stats().steps, 3);
     }
@@ -195,43 +153,39 @@ mod tests {
     #[test]
     fn listener_and_flow_namespaces_are_distinct() {
         let mut d = Demux::new();
-        d.insert(1, 0, 2000, None);
-        d.insert(2, 1, 2000, Some((5, 6)));
-        assert_eq!(d.lookup_listener(2000, |_, _| true), Some((0, 1)));
-        assert_eq!(d.lookup_flow(2000, 5, 6, |_, _| true), Some((1, 2)));
-        assert_eq!(d.lookup_flow(2000, 5, 7, |_, _| true), None);
-        assert_eq!(d.lookup_listener(2001, |_, _| true), None);
+        d.insert(1, 2000, None);
+        d.insert(2, 2000, Some((5, 6)));
+        assert_eq!(d.lookup_listener(2000, |_| true), Some(1));
+        assert_eq!(d.lookup_flow(2000, 5, 6, |_| true), Some(2));
+        assert_eq!(d.lookup_flow(2000, 5, 7, |_| true), None);
+        assert_eq!(d.lookup_listener(2001, |_| true), None);
     }
 
     #[test]
-    fn remove_and_reindex_track_the_engine_table() {
+    fn remove_unfiles_the_id_and_keeps_shared_ports() {
         let mut d = Demux::new();
-        d.insert(1, 0, 1000, Some((1, 1)));
-        d.insert(2, 1, 1000, Some((2, 2)));
-        d.insert(3, 2, 1001, None);
+        d.insert(1, 1000, Some((1, 1)));
+        d.insert(2, 1000, Some((2, 2)));
+        d.insert(3, 1001, None);
         assert!(d.port_in_use(1000));
         d.remove(1, 1000, Some((1, 1)));
         assert!(d.port_in_use(1000), "port refcount survives one of two users");
-        // Engine compacted: id 2 now at index 0, id 3 at 1.
-        d.set_index(2, 0);
-        d.set_index(3, 1);
-        assert_eq!(d.index_of(2), Some(0));
-        assert_eq!(d.lookup_flow(1000, 2, 2, |_, _| true), Some((0, 2)));
+        assert_eq!(d.lookup_flow(1000, 1, 1, |_| true), None);
+        assert_eq!(d.lookup_flow(1000, 2, 2, |_| true), Some(2));
         d.remove(2, 1000, Some((2, 2)));
         assert!(!d.port_in_use(1000));
-        assert_eq!(d.lookup_flow(1000, 2, 2, |_, _| true), None);
-        assert_eq!(d.len(), 1);
+        assert_eq!(d.lookup_flow(1000, 2, 2, |_| true), None);
+        assert_eq!(d.lookup_listener(1001, |_| true), Some(3), "other ports untouched");
     }
 
     #[test]
     fn port_refcounts_span_flows_and_listeners() {
         let mut d = Demux::new();
-        d.insert(1, 0, 2000, None);
-        d.insert(2, 1, 2000, Some((9, 9)));
+        d.insert(1, 2000, None);
+        d.insert(2, 2000, Some((9, 9)));
         d.remove(1, 2000, None);
         assert!(d.port_in_use(2000));
         d.remove(2, 2000, Some((9, 9)));
         assert!(!d.port_in_use(2000));
-        assert!(d.is_empty());
     }
 }

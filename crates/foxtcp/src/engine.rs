@@ -16,10 +16,10 @@
 //! paper advertises. [`crate::TcpConfig`] carries the value parameters.
 
 use crate::action::{AttackEvent, LossEvent, TcpAction, TimerKind};
+use crate::control::segment::{self, ListenVerdict};
+use crate::control::state;
+use crate::data::{fastpath, send};
 use crate::demux::{Demux, DemuxStats};
-use crate::receive::{self, ListenVerdict};
-use crate::send;
-use crate::state;
 use crate::tcb::TcpState;
 use crate::{ConnCore, TcpConfig};
 use fox_scheduler::SchedHandle;
@@ -28,7 +28,6 @@ use foxbasis::fifo::Fifo;
 use foxbasis::obs::{ConnMetrics, Event, EventSink};
 use foxbasis::seq::Seq;
 use foxbasis::time::{VirtualDuration, VirtualTime};
-use foxbasis::trace::Trace;
 use foxbasis::wheel::{TimerWheel, WheelStats};
 use foxproto::aux::IpAux;
 use foxproto::{Handler, ProtoError, Protocol};
@@ -153,6 +152,9 @@ struct Conn<P> {
     finished: bool,
 }
 
+/// The first port of the ephemeral range (through 65535).
+const EPHEMERAL_FIRST: u16 = 49152;
+
 fn timer_index(kind: TimerKind) -> usize {
     match kind {
         TimerKind::Resend => 0,
@@ -173,7 +175,7 @@ fn timer_index(kind: TimerKind) -> usize {
 ///    and type Lower.incoming_message = Aux.incoming_message
 ///    val initial_window / compute_checksums / ...  -- TcpConfig
 ///    structure Scheduler: COROUTINE       -- SchedHandle
-///    structure B: FOX_BASIS               -- HostHandle + Trace
+///    structure B: FOX_BASIS               -- HostHandle + EventSink
 ///    ...): TCP_PROTOCOL
 /// ```
 pub struct Tcp<L, A>
@@ -186,10 +188,13 @@ where
     cfg: TcpConfig,
     sched: SchedHandle,
     host: HostHandle,
-    trace: Trace,
     lower_pattern: L::Pattern,
     lower_conn: Option<L::ConnId>,
     rx: Rc<RefCell<Fifo<L::Incoming>>>,
+    /// The only connection table. Creation-ordered, and ids only grow,
+    /// so it is sorted by id: id → position is a binary search
+    /// ([`position`]) and needs no mirror to keep in step when `reap`
+    /// compacts it.
     conns: Vec<Conn<L::Peer>>,
     next_id: u32,
     next_ephemeral: u16,
@@ -198,8 +203,13 @@ where
     /// All connection timers, one shared wheel: payload is
     /// (connection id, timer kind).
     wheel: TimerWheel<(u32, TimerKind)>,
-    /// Keyed segment→connection table; mirrors `conns` exactly.
+    /// Keyed segment→connection-id table; files every id in `conns`.
     demux: Demux,
+}
+
+/// Where connection `id` sits in the engine's table (sorted by id).
+fn position<P>(conns: &[Conn<P>], id: u32) -> Option<usize> {
+    conns.binary_search_by_key(&id, |c| c.id).ok()
 }
 
 /// The transition-cause a segment carries, by flag precedence: an RST
@@ -220,31 +230,6 @@ fn seg_cause(f: &foxwire::tcp::TcpFlags) -> &'static str {
     }
 }
 
-/// Renders wire flags as the event layer's bitmask.
-fn obs_flags(f: &foxwire::tcp::TcpFlags) -> u8 {
-    use foxbasis::obs::flags;
-    let mut bits = 0;
-    if f.fin {
-        bits |= flags::FIN;
-    }
-    if f.syn {
-        bits |= flags::SYN;
-    }
-    if f.rst {
-        bits |= flags::RST;
-    }
-    if f.psh {
-        bits |= flags::PSH;
-    }
-    if f.ack {
-        bits |= flags::ACK;
-    }
-    if f.urg {
-        bits |= flags::URG;
-    }
-    bits
-}
-
 impl<L, A> Tcp<L, A>
 where
     L: Protocol,
@@ -259,7 +244,6 @@ where
         sched: SchedHandle,
         host: HostHandle,
     ) -> Tcp<L, A> {
-        let trace = Trace::new("tcp", cfg.do_prints, cfg.do_traces);
         let wheel = TimerWheel::new(sched.now());
         Tcp {
             lower,
@@ -267,13 +251,12 @@ where
             cfg,
             sched,
             host,
-            trace,
             lower_pattern,
             lower_conn: None,
             rx: Rc::new(RefCell::new(Fifo::new())),
             conns: Vec::new(),
             next_id: 0,
-            next_ephemeral: 49152,
+            next_ephemeral: EPHEMERAL_FIRST,
             stats: TcpStats::default(),
             obs: EventSink::off(),
             wheel,
@@ -308,7 +291,7 @@ where
     /// counts across connections; single-connection hosts — every
     /// harness station — read them as per-connection).
     pub fn metrics_of(&self, conn: TcpConnId) -> Option<ConnMetrics> {
-        let i = self.conn_index(conn)?;
+        let i = self.index_of(conn.0)?;
         let tcb = &self.conns[i].core.tcb;
         Some(ConnMetrics {
             srtt_us: tcb.rtt.srtt.map(|d| d.as_micros()),
@@ -333,15 +316,9 @@ where
         })
     }
 
-    /// The `do_prints`/`do_traces` log collected so far (paper Fig. 4's
-    /// debugging parameters).
-    pub fn trace_log(&self) -> Vec<String> {
-        self.trace.messages()
-    }
-
     /// The connection's current state, if it still exists.
     pub fn state_of(&self, conn: TcpConnId) -> Option<TcpState> {
-        self.conn_index(conn).map(|i| self.conns[i].core.state.clone())
+        self.index_of(conn.0).map(|i| self.conns[i].core.state.clone())
     }
 
     /// Free space in the connection's send buffer.
@@ -350,7 +327,7 @@ where
     /// distinguishable from `Ok(0)`, which means the connection exists
     /// but flow control is pushing back.
     pub fn send_capacity(&self, conn: TcpConnId) -> Result<usize, ProtoError> {
-        let i = self.conn_index(conn).ok_or(ProtoError::NotOpen)?;
+        let i = self.index_of(conn.0).ok_or(ProtoError::NotOpen)?;
         Ok(self.conns[i].core.tcb.send_buf.free())
     }
 
@@ -358,7 +335,7 @@ where
     /// flushed to it immediately. This is how a listener's user adopts a
     /// [`TcpEvent::NewConnection`] child.
     pub fn set_handler(&mut self, conn: TcpConnId, mut handler: Handler<TcpEvent>) -> Result<(), ProtoError> {
-        let i = self.conn_index(conn).ok_or(ProtoError::NotOpen)?;
+        let i = self.index_of(conn.0).ok_or(ProtoError::NotOpen)?;
         for ev in self.conns[i].pending_events.drain(..) {
             handler(ev);
         }
@@ -369,7 +346,7 @@ where
     /// Accepts as much of `data` as fits the send buffer; returns the
     /// number of bytes taken (0 means flow control pushed back).
     pub fn send_data(&mut self, conn: TcpConnId, data: &[u8]) -> Result<usize, ProtoError> {
-        let i = self.conn_index(conn).ok_or(ProtoError::NotOpen)?;
+        let i = self.index_of(conn.0).ok_or(ProtoError::NotOpen)?;
         {
             let core = &mut self.conns[i].core;
             match core.state {
@@ -398,12 +375,48 @@ where
 
     // ----- internals -----
 
-    fn conn_index(&self, conn: TcpConnId) -> Option<usize> {
-        self.demux.index_of(conn.0)
+    fn index_of(&self, id: u32) -> Option<usize> {
+        position(&self.conns, id)
     }
 
-    fn index_of_id(&self, id: u32) -> Option<usize> {
-        self.demux.index_of(id)
+    /// The oldest connection filed under `(local_port, peer,
+    /// remote_port)` whose peer really is `peer` (the demux keys on a
+    /// hash) and whose state `accept`s.
+    fn flow_index(
+        &mut self,
+        local_port: u16,
+        peer: &L::Peer,
+        remote_port: u16,
+        accept: impl Fn(&TcpState) -> bool,
+    ) -> Option<usize> {
+        let conns = &self.conns;
+        let id = self.demux.lookup_flow(local_port, A::hash(peer), remote_port, |id| {
+            position(conns, id).is_some_and(|i| {
+                let core = &conns[i].core;
+                core.remote.as_ref().is_some_and(|(a, p)| A::eq(a, peer) && *p == remote_port)
+                    && accept(&core.state)
+            })
+        })?;
+        self.index_of(id)
+    }
+
+    /// The oldest listener on `local_port` whose state `accept`s.
+    fn listener_index(&mut self, local_port: u16, accept: impl Fn(&TcpState) -> bool) -> Option<usize> {
+        let conns = &self.conns;
+        let id = self.demux.lookup_listener(local_port, |id| {
+            position(conns, id).is_some_and(|i| accept(&conns[i].core.state))
+        })?;
+        self.index_of(id)
+    }
+
+    /// Reports connection `id`'s state change since `before`, if any —
+    /// the one place a `StateTransition` is stamped.
+    fn note_transition(&self, id: u32, before: &'static str, cause: &'static str) {
+        let Some(idx) = self.index_of(id) else { return };
+        let after = self.conns[idx].core.state.name();
+        if before != after {
+            self.obs.emit(self.sched.now(), id, || Event::StateTransition { from: before, to: after, cause });
+        }
     }
 
     fn ensure_lower_open(&mut self) -> Result<(), ProtoError> {
@@ -422,14 +435,17 @@ where
         Seq(clock.wrapping_add(self.next_id.wrapping_mul(65_536)).wrapping_add(1))
     }
 
-    fn alloc_ephemeral(&mut self) -> u16 {
-        loop {
+    /// The next free port of 49152–65535, or `None` once one whole lap
+    /// finds every one of them bound.
+    fn alloc_ephemeral(&mut self) -> Option<u16> {
+        for _ in EPHEMERAL_FIRST..=u16::MAX {
             let p = self.next_ephemeral;
-            self.next_ephemeral = if p == u16::MAX { 49152 } else { p + 1 };
+            self.next_ephemeral = if p == u16::MAX { EPHEMERAL_FIRST } else { p + 1 };
             if !self.demux.port_in_use(p) {
-                return p;
+                return Some(p);
             }
         }
+        None
     }
 
     fn new_conn(&mut self, local_port: u16, remote: Option<(L::Peer, u16)>, parent: Option<u32>) -> u32 {
@@ -447,7 +463,7 @@ where
         // `core.remote` is fixed for the connection's lifetime, so its
         // demux key never needs re-filing.
         let flow = core.remote.as_ref().map(|(a, p)| (A::hash(a), *p));
-        self.demux.insert(id, self.conns.len(), local_port, flow);
+        self.demux.insert(id, local_port, flow);
         self.conns.push(Conn {
             id,
             core,
@@ -494,21 +510,14 @@ where
         // observability stamp below (the old code scanned twice with the
         // same predicate); skipped when neither needs it.
         let tx_conn = if seg.header.flags.ack || self.obs.is_on() {
-            let conns = &self.conns;
-            self.demux.lookup_flow(seg.header.src_port, A::hash(&to), seg.header.dst_port, |idx, _id| {
-                conns[idx]
-                    .core
-                    .remote
-                    .as_ref()
-                    .is_some_and(|(a, p)| A::eq(a, &to) && *p == seg.header.dst_port)
-            })
+            self.flow_index(seg.header.src_port, &to, seg.header.dst_port, |_| true)
         } else {
             None
         };
         // Remember what window the peer will believe after this segment
         // (post-scaling; SYN windows go out unscaled per RFC 7323).
         if seg.header.flags.ack {
-            if let Some((idx, _)) = tx_conn {
+            if let Some(idx) = tx_conn {
                 let tcb = &mut self.conns[idx].core.tcb;
                 let shift = if seg.header.flags.syn { 0 } else { tcb.adv_wscale() };
                 tcb.last_adv_wnd = u32::from(seg.header.window) << shift;
@@ -517,10 +526,7 @@ where
         let mark = copy_mark();
         let bytes = match seg.encode_buf(pseudo) {
             Ok(b) => b,
-            Err(e) => {
-                self.trace.print(&format!("encode failed: {e}"));
-                return;
-            }
+            Err(_) => return,
         };
         let delta = mark.delta();
         if delta.bytes > 0 {
@@ -534,25 +540,15 @@ where
         self.stats.segments_sent += 1;
         self.stats.bytes_sent += seg.payload.len() as u64;
         if self.obs.is_on() {
-            let conn = tx_conn.map_or(foxbasis::obs::NO_CONN, |(_, id)| id);
+            let conn = tx_conn.map_or(foxbasis::obs::NO_CONN, |idx| self.conns[idx].id);
             self.obs.emit(self.sched.now(), conn, || Event::SegTx {
                 seq: seg.header.seq.0,
                 ack: seg.header.ack.0,
                 len: seg.payload.len() as u32,
-                flags: obs_flags(&seg.header.flags),
+                flags: seg.header.flags.to_u8(),
                 wnd: u32::from(seg.header.window),
             });
         }
-        self.trace.trace(|| {
-            format!(
-                "tx seq={} ack={} len={} {:?} wnd={}",
-                seg.header.seq,
-                seg.header.ack,
-                seg.payload.len(),
-                seg.header.flags,
-                seg.header.window
-            )
-        });
         if seg.payload.is_empty() && !seg.header.flags.syn && !seg.header.flags.fin {
             self.stats.acks_sent += 1;
         }
@@ -600,27 +596,20 @@ where
     /// (paper Fig. 7).
     fn run_actions(&mut self, conn_id: u32) {
         loop {
-            let idx = match self.index_of_id(conn_id) {
-                Some(i) => i,
-                None => return,
-            };
-            let action = {
-                let todo = self.conns[idx].core.tcb.to_do.clone();
-                let mut q = todo.borrow_mut();
-                // The paper's §4 priority extension: serve the actions
-                // that affect packet latency (outbound segments) first.
-                if self.cfg.latency_priority {
-                    q.take_first_match(|a| matches!(a, TcpAction::SendSegment(_))).or_else(|| q.next())
-                } else {
-                    q.next()
-                }
+            let Some(idx) = self.index_of(conn_id) else { return };
+            let q = &mut self.conns[idx].core.tcb.to_do;
+            // The paper's §4 priority extension: serve the actions
+            // that affect packet latency (outbound segments) first.
+            let action = if self.cfg.latency_priority {
+                q.take_first_match(|a| matches!(a, TcpAction::SendSegment(_))).or_else(|| q.next())
+            } else {
+                q.next()
             };
             let Some(action) = action else { return };
             self.stats.actions_executed += 1;
             let now = self.sched.now();
-            let conn_obs_id = self.conns[idx].id;
             let state_before = if self.obs.is_on() {
-                self.obs.emit(now, conn_obs_id, || Event::Action { tag: action.tag() });
+                self.obs.emit(now, conn_id, || Event::Action { tag: action.tag() });
                 // Only segments and timers can move the state machine
                 // from inside the action loop; stamp the cause now,
                 // while the action still owns its segment.
@@ -635,29 +624,19 @@ where
             };
             match action {
                 TcpAction::ProcessData(seg, _src) => {
-                    self.obs.emit(now, conn_obs_id, || Event::SegRx {
+                    self.obs.emit(now, conn_id, || Event::SegRx {
                         seq: seg.header.seq.0,
                         ack: seg.header.ack.0,
                         len: seg.payload.len() as u32,
-                        flags: obs_flags(&seg.header.flags),
+                        flags: seg.header.flags.to_u8(),
                         wnd: u32::from(seg.header.window),
-                    });
-                    self.trace.trace(|| {
-                        format!(
-                            "rx seq={} ack={} len={} {:?} state={:?}",
-                            seg.header.seq,
-                            seg.header.ack,
-                            seg.payload.len(),
-                            seg.header.flags,
-                            self.conns[idx].core.state
-                        )
                     });
                     self.host.charge_tcp_segment_sized(seg.payload.len());
                     self.host.with(|h| h.alloc_segment(seg.payload.len()));
                     let mut handled_fast = false;
                     if self.cfg.fast_path {
                         let core = &mut self.conns[idx].core;
-                        handled_fast = crate::fastpath::try_fast(&self.cfg, core, &seg, now);
+                        handled_fast = fastpath::try_fast(&self.cfg, core, &seg, now);
                     }
                     if handled_fast {
                         self.stats.fastpath_hits += 1;
@@ -668,7 +647,7 @@ where
                         }
                         let disposition = {
                             let core = &mut self.conns[idx].core;
-                            receive::segment_arrives(&self.cfg, core, seg, now)
+                            segment::segment_arrives(&self.cfg, core, seg, now)
                         };
                         if let Some(reply) = disposition.reply {
                             self.transmit(idx, reply);
@@ -702,7 +681,7 @@ where
                 TcpAction::SetTimer(kind, ms) => self.set_timer(idx, kind, ms),
                 TcpAction::ClearTimer(kind) => self.clear_timer(idx, kind),
                 TcpAction::TimerExpiration(kind) => {
-                    self.obs.emit(now, conn_obs_id, || Event::TimerFire { timer: kind.name() });
+                    self.obs.emit(now, conn_id, || Event::TimerFire { timer: kind.name() });
                     if kind == TimerKind::Resend {
                         let had_flight = !self.conns[idx].core.tcb.resend_queue.is_empty();
                         if had_flight {
@@ -726,7 +705,7 @@ where
                 }
                 TcpAction::AckedTo(_) => {}
                 TcpAction::Loss(ev) => {
-                    self.obs.emit(now, conn_obs_id, || Event::Loss { kind: ev.name() });
+                    self.obs.emit(now, conn_id, || Event::Loss { kind: ev.name() });
                     match ev {
                         LossEvent::FastRetransmit => {
                             self.stats.fast_retransmits += 1;
@@ -742,28 +721,17 @@ where
                         LossEvent::Rto => self.stats.rto_fires += 1,
                         LossEvent::Probe => self.stats.probe_fires += 1,
                     }
-                    self.trace.trace(|| format!("conn {}: loss event {ev:?}", self.conns[idx].id));
                 }
                 TcpAction::Attack(ev) => {
-                    self.obs.emit(now, conn_obs_id, || Event::Attack { kind: ev.name() });
+                    self.obs.emit(now, conn_id, || Event::Attack { kind: ev.name() });
                     match ev {
                         AttackEvent::RstBadSeq => self.stats.rst_rejected_seq += 1,
                         AttackEvent::AckUnsentData => self.stats.acks_ignored_unsent_data += 1,
                     }
-                    self.trace.trace(|| format!("conn {}: attack repelled {ev:?}", self.conns[idx].id));
                 }
             }
             if let Some((before, cause)) = state_before {
-                if let Some(i2) = self.index_of_id(conn_id) {
-                    let after = self.conns[i2].core.state.name();
-                    if before != after {
-                        self.obs.emit(now, conn_obs_id, || Event::StateTransition {
-                            from: before,
-                            to: after,
-                            cause,
-                        });
-                    }
-                }
+                self.note_transition(conn_id, before, cause);
             }
         }
     }
@@ -801,32 +769,21 @@ where
         };
         self.stats.segments_received += 1;
 
-        // Demultiplex: exact (remote, ports) match first. The verify
-        // closure re-checks full address equality (hash collisions) and
-        // the state predicate the old scan applied.
-        let exact = {
-            let conns = &self.conns;
-            self.demux.lookup_flow(seg.header.dst_port, A::hash(&src), seg.header.src_port, |idx, _id| {
-                let c = &conns[idx];
-                c.core.remote.as_ref().is_some_and(|(a, p)| A::eq(a, &src) && *p == seg.header.src_port)
-                    && c.core.state != TcpState::Closed
-            })
-        };
-        if let Some((idx, id)) = exact {
+        // Demultiplex: exact (remote, ports) match first.
+        let exact =
+            self.flow_index(seg.header.dst_port, &src, seg.header.src_port, |s| *s != TcpState::Closed);
+        if let Some(idx) = exact {
+            let id = self.conns[idx].id;
             self.conns[idx].core.tcb.push_action(TcpAction::ProcessData(seg, src));
             self.run_actions(id);
             return;
         }
 
         // A listener on the port?
-        let listener = {
-            let conns = &self.conns;
-            self.demux.lookup_listener(seg.header.dst_port, |idx, _id| {
-                matches!(conns[idx].core.state, TcpState::Listen { .. })
-            })
-        };
-        if let Some((lidx, lid)) = listener {
-            match receive::on_listen_segment(seg.header.dst_port, &seg) {
+        let listener = self.listener_index(seg.header.dst_port, |s| matches!(s, TcpState::Listen { .. }));
+        if let Some(lidx) = listener {
+            let lid = self.conns[lidx].id;
+            match segment::on_listen_segment(seg.header.dst_port, &seg) {
                 ListenVerdict::Ignore => {}
                 ListenVerdict::Reply(rst) => self.transmit_to(rst, src),
                 ListenVerdict::Spawn => {
@@ -851,7 +808,6 @@ where
                         .count();
                     if pending >= backlog {
                         self.stats.syns_dropped += 1;
-                        self.trace.trace(|| "SYN dropped: backlog full".into());
                         return;
                     }
                     let child = self.new_conn(
@@ -859,15 +815,14 @@ where
                         Some((src.clone(), seg.header.src_port)),
                         Some(lid),
                     );
-                    let Some(cidx) = self.index_of_id(child) else { return };
+                    let Some(cidx) = self.index_of(child) else { return };
                     state::spawn_embryonic(&mut self.conns[cidx].core);
                     self.conns[cidx].core.tcb.push_action(TcpAction::ProcessData(seg, src));
                     self.run_actions(child);
                     // Tell the listener's user about the child.
-                    if let Some(lidx) = self.index_of_id(lid) {
-                        let lid2 = self.conns[lidx].id;
+                    if let Some(lidx) = self.index_of(lid) {
                         self.conns[lidx].core.tcb.push_action(TcpAction::NewConnection(child));
-                        self.run_actions(lid2);
+                        self.run_actions(lid);
                     }
                 }
             }
@@ -875,33 +830,27 @@ where
         }
 
         // No connection at all: RFC 793 p. 36.
-        if let Some(rst) = receive::on_closed_segment(&self.cfg, seg.header.dst_port, &seg) {
+        if let Some(rst) = segment::on_closed_segment(&self.cfg, seg.header.dst_port, &seg) {
             self.transmit_to(rst, src);
         }
     }
 
     /// Removes connections that are fully closed, drained, and whose
-    /// user has seen the end, keeping the demux table in step.
+    /// user has seen the end, unfiling each from the demux table.
+    /// `retain` keeps the survivors in id order.
     fn reap(&mut self) {
         let demux = &mut self.demux;
-        let mut removed = false;
         self.conns.retain(|c| {
             let done = c.core.state == TcpState::Closed
-                && c.core.tcb.to_do.borrow().is_empty()
+                && c.core.tcb.to_do.is_empty()
                 && c.pending_events.is_empty()
                 && (c.finished || c.parent.is_some());
             if done {
-                removed = true;
                 let flow = c.core.remote.as_ref().map(|(a, p)| (A::hash(a), *p));
                 demux.remove(c.id, c.core.local_port, flow);
             }
             !done
         });
-        if removed {
-            for (i, c) in self.conns.iter().enumerate() {
-                self.demux.set_index(c.id, i);
-            }
-        }
     }
 }
 
@@ -923,39 +872,26 @@ where
         self.ensure_lower_open()?;
         match pattern {
             TcpPattern::Active { remote, remote_port, local_port } => {
-                let local_port = if local_port == 0 { self.alloc_ephemeral() } else { local_port };
-                // Same predicate the old scan applied: a live connection
-                // with the exact 4-tuple, or any live listener on the
-                // port (remote-`None` connections are only listeners).
-                let conns = &self.conns;
-                let clash = self
-                    .demux
-                    .lookup_flow(local_port, A::hash(&remote), remote_port, |idx, _id| {
-                        let c = &conns[idx];
-                        c.core.remote.as_ref().is_some_and(|(a, p)| A::eq(a, &remote) && *p == remote_port)
-                            && c.core.state != TcpState::Closed
-                    })
-                    .is_some()
-                    || self
-                        .demux
-                        .lookup_listener(local_port, |idx, _id| conns[idx].core.state != TcpState::Closed)
-                        .is_some();
+                let local_port = match local_port {
+                    // Every ephemeral port bound: the request cannot be
+                    // given a 4-tuple of its own.
+                    0 => self.alloc_ephemeral().ok_or(ProtoError::AlreadyOpen)?,
+                    p => p,
+                };
+                // A live connection with the exact 4-tuple, or any live
+                // listener on the port (remote-`None` connections are
+                // only listeners).
+                let live = |s: &TcpState| *s != TcpState::Closed;
+                let clash = self.flow_index(local_port, &remote, remote_port, live).is_some()
+                    || self.listener_index(local_port, live).is_some();
                 if clash {
                     return Err(ProtoError::AlreadyOpen);
                 }
                 let id = self.new_conn(local_port, Some((remote, remote_port)), None);
-                let idx = self.index_of_id(id).expect("created");
-                self.conns[idx].handler = Some(handler);
-                let now = self.sched.now();
-                {
-                    let core = &mut self.conns[idx].core;
-                    state::active_open(&self.cfg, core, now)?;
-                }
-                self.obs.emit(now, id, || Event::StateTransition {
-                    from: "Closed",
-                    to: self.conns[idx].core.state.name(),
-                    cause: "open",
-                });
+                let conn = self.conns.last_mut().expect("created");
+                conn.handler = Some(handler);
+                state::active_open(&self.cfg, &mut conn.core, self.sched.now())?;
+                self.note_transition(id, "Closed", "open");
                 self.run_actions(id);
                 Ok(TcpConnId(id))
             }
@@ -963,28 +899,14 @@ where
                 if local_port == 0 {
                     return Err(ProtoError::Invalid("listen port 0"));
                 }
-                let conns = &self.conns;
-                let clash = self
-                    .demux
-                    .lookup_listener(local_port, |idx, _id| {
-                        matches!(conns[idx].core.state, TcpState::Listen { .. })
-                    })
-                    .is_some();
-                if clash {
+                if self.listener_index(local_port, |s| matches!(s, TcpState::Listen { .. })).is_some() {
                     return Err(ProtoError::AlreadyOpen);
                 }
                 let id = self.new_conn(local_port, None, None);
-                let idx = self.index_of_id(id).expect("created");
-                self.conns[idx].handler = Some(handler);
-                {
-                    let core = &mut self.conns[idx].core;
-                    state::passive_open(&self.cfg, core)?;
-                }
-                self.obs.emit(self.sched.now(), id, || Event::StateTransition {
-                    from: "Closed",
-                    to: self.conns[idx].core.state.name(),
-                    cause: "open",
-                });
+                let conn = self.conns.last_mut().expect("created");
+                conn.handler = Some(handler);
+                state::passive_open(&self.cfg, &mut conn.core)?;
+                self.note_transition(id, "Closed", "open");
                 Ok(TcpConnId(id))
             }
         }
@@ -1009,37 +931,21 @@ where
     }
 
     fn close(&mut self, conn: TcpConnId) -> Result<(), ProtoError> {
-        let i = self.conn_index(conn).ok_or(ProtoError::NotOpen)?;
-        let now = self.sched.now();
-        let before = self.conns[i].core.state.name();
-        let res = {
-            let core = &mut self.conns[i].core;
-            state::close(&self.cfg, core, now)
-        };
-        let after = self.conns[i].core.state.name();
-        if before != after {
-            self.obs.emit(now, conn.0, || Event::StateTransition { from: before, to: after, cause: "close" });
-        }
+        let i = self.index_of(conn.0).ok_or(ProtoError::NotOpen)?;
+        let core = &mut self.conns[i].core;
+        let before = core.state.name();
+        let res = state::close(&self.cfg, core, self.sched.now());
+        self.note_transition(conn.0, before, "close");
         self.run_actions(conn.0);
         res
     }
 
     fn abort(&mut self, conn: TcpConnId) -> Result<(), ProtoError> {
-        let i = self.conn_index(conn).ok_or(ProtoError::NotOpen)?;
-        let now = self.sched.now();
-        let before = self.conns[i].core.state.name();
-        let res = {
-            let core = &mut self.conns[i].core;
-            state::abort(&self.cfg, core, now)
-        };
-        let after = self.conns[i].core.state.name();
-        if before != after {
-            self.obs.emit(self.sched.now(), conn.0, || Event::StateTransition {
-                from: before,
-                to: after,
-                cause: "abort",
-            });
-        }
+        let i = self.index_of(conn.0).ok_or(ProtoError::NotOpen)?;
+        let core = &mut self.conns[i].core;
+        let before = core.state.name();
+        let res = state::abort(&self.cfg, core, self.sched.now());
+        self.note_transition(conn.0, before, "abort");
         self.run_actions(conn.0);
         res
     }
@@ -1051,12 +957,14 @@ where
         // 1. Let the clock catch up: due timers enqueue
         //    Timer_Expiration actions, in (deadline, arm order) — the
         //    same total order the scheduler's sleep heap used to give.
+        let mut fired_ids = Vec::new();
         if self.sched.now() < now {
             self.sched.advance_to(now);
             for fired in self.wheel.advance(now) {
                 let (cid, kind) = fired.payload;
-                if let Some(idx) = self.index_of_id(cid) {
-                    self.conns[idx].core.tcb.to_do.borrow_mut().add(TcpAction::TimerExpiration(kind));
+                if let Some(idx) = self.index_of(cid) {
+                    self.conns[idx].core.tcb.push_action(TcpAction::TimerExpiration(kind));
+                    fired_ids.push(cid);
                 }
             }
         }
@@ -1071,16 +979,20 @@ where
             progress = true;
             self.internalize(msg);
         }
-        // 4. Drain queues filled by timer expirations.
-        let ids: Vec<u32> = self.conns.iter().map(|c| c.id).collect();
-        for id in ids {
-            if let Some(idx) = self.index_of_id(id) {
-                if !self.conns[idx].core.tcb.to_do.borrow().is_empty() {
-                    progress = true;
-                    self.run_actions(id);
-                }
+        // 4. Drain queues filled by timer expirations, in id order
+        //    whatever order the timers fired in. Only phase 1 leaves
+        //    actions queued: every other enqueue is followed by
+        //    `run_actions` before control returns (and an arrival in
+        //    phase 3 may already have drained a fired connection).
+        fired_ids.sort_unstable();
+        fired_ids.dedup();
+        for id in fired_ids {
+            if self.index_of(id).is_some_and(|idx| !self.conns[idx].core.tcb.to_do.is_empty()) {
+                progress = true;
+                self.run_actions(id);
             }
         }
+        debug_assert!(self.conns.iter().all(|c| c.core.tcb.to_do.is_empty()), "a to_do queue outlived step");
         self.reap();
         progress
     }
@@ -1899,19 +1811,26 @@ mod extended_tests {
 
     #[test]
     fn traces_record_segment_flow_when_enabled() {
+        use foxbasis::obs::flags;
+
         let link = LinkPair::new();
-        let cfg = TcpConfig { do_traces: true, ..TcpConfig::default() };
-        let mut a = engine(&link, 0, cfg.clone());
+        let mut a = engine(&link, 0, TcpConfig::default());
         let mut b = engine(&link, 1, TcpConfig::default());
+        let sink = EventSink::recording(256);
+        a.set_obs(sink.for_host(0));
         b.open(TcpPattern::Passive { local_port: 80 }, Box::new(|_| {})).unwrap();
         a.open(TcpPattern::Active { remote: 1, remote_port: 80, local_port: 5000 }, Box::new(|_| {}))
             .unwrap();
         spin(&mut a, &mut b);
-        let log = a.trace_log();
-        assert!(log.iter().any(|l| l.contains("tx") && l.contains("SYN")), "{log:?}");
-        assert!(log.iter().any(|l| l.contains("rx") && l.contains("SYN+ACK")), "{log:?}");
-        // Tracing off: silent.
-        assert!(b.trace_log().is_empty());
+        let evs = sink.events();
+        let syn_ack = flags::SYN | flags::ACK;
+        assert!(evs.iter().any(|e| matches!(e.event, Event::SegTx { flags: flags::SYN, .. })), "{evs:?}");
+        assert!(
+            evs.iter().any(|e| matches!(e.event, Event::SegRx { flags, .. } if flags == syn_ack)),
+            "{evs:?}"
+        );
+        // No sink installed on b: silent.
+        assert!(evs.iter().all(|e| e.host == 0), "{evs:?}");
     }
 
     #[test]
@@ -1998,20 +1917,23 @@ mod golden_trace_tests {
     //! "Once the actions have been placed on the queue the behavior of
     //! TCP is completely deterministic and testable" — pinned as a
     //! golden trace: the exact segment sequence of a canonical
-    //! handshake + exchange + close, captured via `do_traces`.
+    //! handshake + exchange + close, captured by a recording
+    //! [`EventSink`].
 
     use super::*;
     use crate::testlink::{LinkPair, TestAux};
+    use foxbasis::obs::flags_to_string;
 
     #[test]
     fn canonical_session_trace_is_stable() {
         let run = || {
-            let cfg =
-                TcpConfig { nagle: false, delayed_ack_ms: None, do_traces: true, ..TcpConfig::default() };
+            let cfg = TcpConfig { nagle: false, delayed_ack_ms: None, ..TcpConfig::default() };
             let link = LinkPair::new();
             let mut a =
                 Tcp::new(link.endpoint(0), TestAux, (), cfg.clone(), SchedHandle::new(), HostHandle::free());
             let mut b = Tcp::new(link.endpoint(1), TestAux, (), cfg, SchedHandle::new(), HostHandle::free());
+            let sink = EventSink::recording(1024);
+            a.set_obs(sink.clone());
             b.open(TcpPattern::Passive { local_port: 80 }, Box::new(|_| {})).unwrap();
             let ca = a
                 .open(TcpPattern::Active { remote: 1, remote_port: 80, local_port: 9000 }, Box::new(|_| {}))
@@ -2031,26 +1953,22 @@ mod golden_trace_tests {
             spin(&mut a, &mut b);
             a.close(ca).unwrap();
             spin(&mut a, &mut b);
-            a.trace_log()
+            assert_eq!(sink.dropped(), 0);
+            sink.events()
         };
         let t1 = run();
         let t2 = run();
-        assert_eq!(t1, t2, "byte-identical traces across runs");
+        assert_eq!(t1, t2, "identical event streams across runs");
 
         // The flag sequence of a's transmissions is the textbook session.
         let tx_flags: Vec<String> = t1
             .iter()
-            .filter(|l| l.contains("tx"))
-            .map(|l| {
-                l.split_whitespace()
-                    .find(|w| {
-                        w.contains("SYN") || w.contains("ACK") || w.contains("FIN") || w.contains("<none>")
-                    })
-                    .unwrap_or("?")
-                    .to_string()
+            .filter_map(|e| match e.event {
+                Event::SegTx { flags, .. } => Some(flags_to_string(flags)),
+                _ => None,
             })
             .collect();
-        assert_eq!(tx_flags, vec!["SYN", "ACK", "PSH+ACK", "FIN+ACK"], "full log:\n{}", t1.join("\n"));
+        assert_eq!(tx_flags, vec!["SYN", "ACK", "PSH+ACK", "FIN+ACK"], "full stream:\n{t1:#?}");
     }
 }
 

@@ -19,7 +19,7 @@
 //! *which half of TCP they implement*: [`control`] owns the connection
 //! lifecycle (every [`TcpState`] write), [`data`] owns byte transfer
 //! (every sequence/window/congestion write), and the two communicate
-//! only through the narrow seams in [`data::transfer`]. The `ctrl_data`
+//! only through the narrow seams in [`data::transfer`]. The `field_owner`
 //! foxlint rule enforces the split mechanically, and [`socket`] exposes
 //! it to users as a typestate API where illegal operations (sending on
 //! a listener) fail to compile.
@@ -47,15 +47,8 @@ pub mod socket;
 pub mod tcb;
 pub mod testlink;
 
-// Flat aliases for the paper's module names: `foxtcp::receive`,
-// `foxtcp::send`, ... keep working while the files themselves live on
-// the side of the control/data boundary they belong to.
-pub use control::segment as receive;
-pub use control::state;
-pub use data::{congestion, fastpath, resend, send};
-
 pub use action::{LossEvent, TcpAction, TimerKind};
-pub use congestion::CcAlg;
+pub use data::congestion::CcAlg;
 pub use demux::{Demux, DemuxStats};
 pub use engine::{Tcp, TcpConnId, TcpEvent, TcpPattern, TcpStats};
 pub use socket::{ConnectingSocket, EstablishedSocket, ListeningSocket};
@@ -113,10 +106,10 @@ pub struct TcpConfig {
     pub congestion_control: bool,
     /// Which algorithm owns `cwnd`/`ssthresh` when `congestion_control`
     /// is on. Reno is the paper-era default; every write goes through
-    /// the [`congestion::CongestionControl`] trait either way (the
-    /// `cc_write` foxlint rule enforces that the seam is the only
+    /// the [`data::congestion::CongestionControl`] trait either way (the
+    /// `field_owner` foxlint rule enforces that the seam is the only
     /// writer).
-    pub congestion_algorithm: congestion::CcAlg,
+    pub congestion_algorithm: CcAlg,
     /// Offer RFC 7323 window scaling on our SYN. Scaling only turns on
     /// when both sides offer it; otherwise windows stay 16-bit exactly
     /// as before.
@@ -133,10 +126,6 @@ pub struct TcpConfig {
     pub syn_retries: u32,
     /// Default backlog for passive opens.
     pub backlog: usize,
-    /// `val do_prints: bool`.
-    pub do_prints: bool,
-    /// `val do_traces: bool`.
-    pub do_traces: bool,
 }
 
 impl Default for TcpConfig {
@@ -156,7 +145,7 @@ impl Default for TcpConfig {
             fast_path: true,
             latency_priority: false,
             congestion_control: true,
-            congestion_algorithm: congestion::CcAlg::Reno,
+            congestion_algorithm: CcAlg::Reno,
             window_scale: false,
             sack: false,
             timestamps: false,
@@ -164,8 +153,6 @@ impl Default for TcpConfig {
             max_retransmits: 12,
             syn_retries: 5,
             backlog: 8,
-            do_prints: false,
-            do_traces: false,
         }
     }
 }
@@ -209,7 +196,7 @@ impl<P: Clone + PartialEq + std::fmt::Debug> ConnCore<P> {
         if cfg.window_scale {
             tcb.rcv_wscale = tcb::wscale_for(cfg.initial_window);
         }
-        tcb.cc = congestion::CcMachine::new(cfg.congestion_algorithm);
+        tcb.cc = data::congestion::CcMachine::new(cfg.congestion_algorithm);
         ConnCore { local_port, remote: None, state: TcpState::Closed, tcb, our_mss }
     }
 }

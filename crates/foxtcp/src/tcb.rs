@@ -24,20 +24,7 @@ use foxbasis::fifo::Fifo;
 use foxbasis::ring::RingBuffer;
 use foxbasis::seq::Seq;
 use foxbasis::time::{VirtualDuration, VirtualTime};
-use std::cell::RefCell;
 use std::fmt;
-use std::rc::Rc;
-
-/// The shared, queue-only handle to a connection's `to_do` queue.
-///
-/// Timer closures capture exactly this (never the engine or the TCB), so
-/// an expiration can only *enqueue* — the paper's rule that asynchronous
-/// events are synchronized by queuing actions.
-///
-/// Crate-private on purpose (`shard_rc`): an `Rc` handle escaping the
-/// crate could pin a connection's queue to an alien shard. External
-/// code observes the queue through the engine API only.
-pub(crate) type ToDo<P> = Rc<RefCell<Fifo<TcpAction<P>>>>;
 
 /// The connection state (paper Fig. 6 `tcp_state`).
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -307,9 +294,9 @@ pub struct Tcb<P> {
     /// below it is a partial ACK and retransmits the next hole.
     pub recover: Option<Seq>,
     /// The congestion-control algorithm state (the
-    /// [`crate::congestion::CongestionControl`] seam). All writes to
+    /// [`crate::data::congestion::CongestionControl`] seam). All writes to
     /// [`Tcb::cwnd`]/[`Tcb::ssthresh`] flow through it.
-    pub cc: crate::congestion::CcMachine,
+    pub cc: crate::data::congestion::CcMachine,
     /// Zero-window probe backoff exponent. Separate from
     /// [`RttEstimator::backoff`] because every *answered* probe resets
     /// the RTT backoff (the probe byte is new data being acked) while
@@ -331,10 +318,13 @@ pub struct Tcb<P> {
     pub last_adv_wnd: u32,
 
     // --- the control structure ---
-    /// The to_do action queue (paper: `to_do: tcp_action Q.T ref`).
-    /// Crate-private like [`ToDo`] itself; see `clear_pending_actions`
-    /// for the one sanctioned external operation.
-    pub(crate) to_do: ToDo<P>,
+    /// The to_do action queue (paper: `to_do: tcp_action Q.T ref`),
+    /// owned outright: an armed timer holds `(connection id, kind)` on
+    /// the engine's wheel, never a handle to this queue. Crate-private;
+    /// external code enqueues with [`Tcb::push_action`] and the engine
+    /// drains (see `clear_pending_actions` for the one other
+    /// sanctioned operation).
+    pub(crate) to_do: Fifo<TcpAction<P>>,
 }
 
 /// Maximum out-of-order segments held (smoltcp's upper configuration).
@@ -387,13 +377,13 @@ impl<P> Tcb<P> {
             ssthresh: u32::MAX,
             dup_acks: 0,
             recover: None,
-            cc: crate::congestion::CcMachine::default(),
+            cc: crate::data::congestion::CcMachine::default(),
             persist_backoff: 0,
             ack_pending: false,
             bytes_since_ack: 0,
             segs_since_ack: 0,
             last_adv_wnd: recv_buffer.clamp(1, 65535) as u32,
-            to_do: Rc::new(RefCell::new(Fifo::new())),
+            to_do: Fifo::new(),
         }
     }
 
@@ -561,15 +551,15 @@ impl<P> Tcb<P> {
 
     /// Pushes an action onto the to_do queue (the only way anything is
     /// ever scheduled against a connection).
-    pub fn push_action(&self, action: TcpAction<P>) {
-        self.to_do.borrow_mut().add(action);
+    pub fn push_action(&mut self, action: TcpAction<P>) {
+        self.to_do.add(action);
     }
 
     /// Drops everything queued on the to_do queue without executing it.
     /// For harnesses that drive the receive DAG without an engine
     /// attached (the fuzz suite); the engine itself always drains.
-    pub fn clear_pending_actions(&self) {
-        self.to_do.borrow_mut().clear();
+    pub fn clear_pending_actions(&mut self) {
+        self.to_do.clear();
     }
 
     /// Inserts an out-of-order segment, keeping the queue sorted and
@@ -649,7 +639,7 @@ impl<P> fmt::Debug for Tcb<P> {
             self.flight_size(),
             self.unsent(),
             self.out_of_order.len(),
-            self.to_do.borrow().size(),
+            self.to_do.size(),
         )
     }
 }
@@ -670,7 +660,7 @@ mod tests {
         assert_eq!(t.flight_size(), 0);
         assert_eq!(t.unsent(), 0);
         assert_eq!(t.rcv_wnd(), 4096);
-        assert!(t.to_do.borrow().is_empty());
+        assert!(t.to_do.is_empty());
     }
 
     #[test]

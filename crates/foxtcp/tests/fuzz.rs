@@ -8,7 +8,7 @@ use fox_scheduler::SchedHandle;
 use foxbasis::seq::Seq;
 use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxproto::Protocol;
-use foxtcp::receive;
+use foxtcp::control::segment;
 use foxtcp::tcb::{TcpState, MAX_OUT_OF_ORDER};
 use foxtcp::testlink::{LinkPair, TestAux};
 use foxtcp::{ConnCore, Tcp, TcpConfig, TcpConnId, TcpEvent, TcpPattern};
@@ -107,7 +107,7 @@ proptest! {
         let cfg = TcpConfig::default();
         let mut core = estab_core();
         for (i, a) in segs.iter().enumerate() {
-            let _ = receive::segment_arrives(&cfg, &mut core, to_segment(a), VirtualTime::from_millis(i as u64));
+            let _ = segment::segment_arrives(&cfg, &mut core, to_segment(a), VirtualTime::from_millis(i as u64));
             core.tcb.clear_pending_actions();
             check_invariants(&core, "estab-fuzz");
             if core.state == TcpState::Closed {
@@ -124,7 +124,7 @@ proptest! {
         let cfg = TcpConfig::default();
         let mut core = estab_core();
         for (i, a) in segs.iter().enumerate() {
-            let _ = receive::segment_arrives(&cfg, &mut core, to_segment(a), VirtualTime::from_millis(i as u64));
+            let _ = segment::segment_arrives(&cfg, &mut core, to_segment(a), VirtualTime::from_millis(i as u64));
             core.tcb.clear_pending_actions();
             check_invariants(&core, "window-fuzz");
             if core.state == TcpState::Closed {
@@ -158,7 +158,7 @@ proptest! {
             core.tcb.snd_nxt += 1;
         }
         for (i, a) in segs.iter().enumerate() {
-            let _ = receive::segment_arrives(&cfg, &mut core, to_segment(a), VirtualTime::from_millis(i as u64));
+            let _ = segment::segment_arrives(&cfg, &mut core, to_segment(a), VirtualTime::from_millis(i as u64));
             core.tcb.clear_pending_actions();
             check_invariants(&core, "state-fuzz");
             if core.state == TcpState::Closed {

@@ -9,7 +9,7 @@ use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxharness::experiments as exp;
 use foxharness::stack::StackKind;
 use foxharness::workload::{many_flows, ManyFlowsResult};
-use foxtcp::congestion::CcAlg;
+use foxtcp::CcAlg;
 use foxtcp::TcpConfig;
 use simnet::{CostModel, FaultConfig, NetConfig, SimNet};
 
