@@ -11,7 +11,11 @@
 #      DESIGN.md §5.8, §5.13), ratcheted against foxlint.baseline;
 #      fails on new violations AND on stale entries
 #   3. release build of every crate and target
-#   4. the whole workspace test suite
+#   4. the whole workspace test suite, then foxbasis and foxwire again
+#      in release: their per-byte kernels (checksum, CRC-32, ring) defer
+#      carries and index tables, debug builds trap the overflow that
+#      release builds wrap, and every benchmark number is a release
+#      build — a mistake that only misbehaves when wrapping fails here
 #   5. the RFC-793 conformance suite, explicitly (both TCP stacks
 #      against the standard's state diagram; also part of stage 4, but
 #      a named stage keeps the gate visible)
@@ -26,8 +30,9 @@
 #      runs whose rendered tables must diff to zero
 #   8. bench smoke: a small `tables -- bench-json` run end to end (its
 #      output schema-validated by bench-check, fox ≥ xk on the modern
-#      profile asserted), then bench-check against the checked-in
-#      BENCH_7.json trajectory
+#      profile asserted; 1 MB per cell, ~3 ms of wall time — at 200 KB
+#      a cell is half a millisecond and the ratio is host noise), then
+#      bench-check against the checked-in BENCH_7.json trajectory
 #   9. the Criterion benches compile (not run; keeps them from rotting)
 #  10. clippy over every target (benches and bins too), warnings as errors
 #  11. the FSM gate: `foxlint --fsm-check` proves the state machine
@@ -52,8 +57,9 @@ cargo run -q -p foxlint -- --check
 echo "== build (release) =="
 cargo build --release
 
-echo "== test (workspace) =="
+echo "== test (workspace; per-byte kernels again in release) =="
 cargo test -q --workspace
+cargo test -q --release -p foxbasis -p foxwire
 
 echo "== conformance (RFC 793, both stacks) =="
 cargo test -q -p foxtcp --test conformance
@@ -73,7 +79,7 @@ echo "== bench smoke (segments/sec trajectory) =="
 BENCH_SMOKE_OUT=$(mktemp /tmp/bench_smoke.XXXXXX.json)
 trap 'rm -f "$ADV_SMOKE_A" "$ADV_SMOKE_B" "$BENCH_SMOKE_OUT"' EXIT
 cargo run -q --release -p foxbench --bin tables -- bench-json \
-  --out "$BENCH_SMOKE_OUT" --bytes 200000 --reps 5 --label ci-smoke
+  --out "$BENCH_SMOKE_OUT" --bytes 1000000 --reps 5 --label ci-smoke
 cargo run -q --release -p foxbench --bin tables -- bench-check BENCH_7.json
 
 echo "== bench (compile only) =="

@@ -57,7 +57,7 @@
 //! Tables 1–2 reproduce byte-for-byte while the host's real memcpy
 //! traffic drops.
 
-use crate::checksum::word_check;
+use crate::checksum::ones_complement_sum;
 use std::cell::{Cell, Ref, RefCell};
 use std::fmt;
 use std::rc::Rc;
@@ -279,7 +279,7 @@ impl PacketBuf {
         if let Some(s) = self.sum.get() {
             return s;
         }
-        let s = word_check(&self.bytes());
+        let s = ones_complement_sum(&self.bytes());
         self.sum.set(Some(s));
         s
     }
@@ -554,6 +554,7 @@ impl<const N: usize> PartialEq<&[u8; N]> for PacketBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checksum::word_check;
     use proptest::prelude::*;
 
     #[test]

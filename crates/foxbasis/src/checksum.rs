@@ -11,10 +11,14 @@
 //! byte-oriented routine (375 µs/KB) despite SML's bounds checks.
 //!
 //! This module provides:
-//! * [`word_check`] — the Fig. 10 algorithm (the fast path);
+//! * [`ones_complement_sum`] — the production kernel every protocol
+//!   checksum goes through: native-endian wide loads into a 64-bit
+//!   accumulator, one fold and one byte swap at the end (RFC 1071 §2(B));
+//! * [`word_check`] — the Fig. 10 algorithm, rendered line for line (a
+//!   §5 exhibit and a test reference; no protocol code calls it);
 //! * [`byte_check`] — the "slower algorithm" the x-kernel used, summing
 //!   16 bits at a time with immediate carry folding (the baseline for the
-//!   §5 checksum comparison);
+//!   §5 checksum comparison; likewise an exhibit only);
 //! * [`ChecksumAccum`] — a streaming accumulator so pseudo-header, header
 //!   and payload can be summed without concatenation;
 //! * [`incremental_update`] — RFC 1624 incremental checksum adjustment.
@@ -101,10 +105,30 @@ pub fn byte_check(data: &[u8]) -> u16 {
     sum
 }
 
-/// The ones-complement sum of `data` (not inverted). Alias for the fast
-/// algorithm; protocol code should use this.
+/// The ones-complement sum of `data` (not inverted): the production
+/// kernel behind every checksum the stack computes.
+///
+/// RFC 1071 §2(B): the sum is byte-order independent, so the loop adds
+/// native-endian 32-bit loads into a 64-bit accumulator — no per-word
+/// byte swap, no carry handling (the top half absorbs 2^32 loads, 16 GiB,
+/// before it could overflow) — and the result is folded to 16 bits and
+/// byte-swapped once at the end. A tail shorter than a word is
+/// zero-padded, which is exactly RFC 1071's odd-byte rule.
 pub fn ones_complement_sum(data: &[u8]) -> u16 {
-    word_check(data)
+    let mut words = data.chunks_exact(4);
+    let mut acc: u64 = 0;
+    for w in &mut words {
+        acc += u64::from(u32::from_ne_bytes([w[0], w[1], w[2], w[3]]));
+    }
+    let tail = words.remainder();
+    let mut last = [0u8; 4];
+    last[..tail.len()].copy_from_slice(tail);
+    acc += u64::from(u32::from_ne_bytes(last));
+    acc = (acc & 0xffff_ffff) + (acc >> 32);
+    acc = (acc & 0xffff_ffff) + (acc >> 32);
+    // The 16-bit lanes were summed in memory order; `from_be` puts the
+    // network-order value in the native register.
+    u16::from_be(fold(acc as u32))
 }
 
 /// The Internet checksum of `data`: the ones-complement of the
@@ -120,7 +144,7 @@ pub fn ones_complement_sum(data: &[u8]) -> u16 {
 /// assert_eq!(ones_complement_sum(&packet), 0xffff);
 /// ```
 pub fn checksum(data: &[u8]) -> u16 {
-    !word_check(data)
+    !ones_complement_sum(data)
 }
 
 /// Adds two folded ones-complement partial sums.
@@ -160,27 +184,12 @@ impl ChecksumAccum {
 
     /// Absorbs `data`.
     pub fn add_bytes(&mut self, data: &[u8]) -> &mut Self {
-        let mut i = 0;
-        if self.half && !data.is_empty() {
-            // Complete the straddling word: the pending byte was the high
-            // half.
-            self.sum += u32::from(data[0]);
-            self.sum = u32::from(fold(self.sum));
-            i = 1;
-            self.half = false;
-        }
-        let even_end = i + ((data.len() - i) & !1);
-        while i < even_end {
-            self.sum += u32::from(u16::from_be_bytes([data[i], data[i + 1]]));
-            i += 2;
-            if self.sum >= 0xffff_0000 {
-                self.sum = u32::from(fold(self.sum));
-            }
-        }
-        if i < data.len() {
-            self.sum += u32::from(data[i]) << 8;
-            self.half = true;
-        }
+        let sum = ones_complement_sum(data);
+        // A chunk that starts at an odd offset has every byte in the
+        // opposite half of its 16-bit word: swap its sum's halves.
+        let sum = if self.half { sum.swap_bytes() } else { sum };
+        self.sum = u32::from(fold(self.sum + u32::from(sum)));
+        self.half ^= data.len() % 2 == 1;
         self
     }
 
@@ -265,6 +274,45 @@ mod tests {
     }
 
     #[test]
+    fn every_kernel_matches_the_reference_at_every_length_and_alignment() {
+        // Carry-heavy bytes; offsets 0..8 into one allocation reach every
+        // alignment a 64-bit load can see.
+        let backing: Vec<u8> = (0..138u32).map(|i| if i % 3 == 0 { 0xff } else { (i * 167) as u8 }).collect();
+        for align in 0..8 {
+            for len in 0..=130 {
+                let data = &backing[align..align + len];
+                let want = reference_sum(data);
+                assert_eq!(ones_complement_sum(data), want, "production kernel, align {align} len {len}");
+                assert_eq!(word_check(data), want, "word_check, align {align} len {len}");
+                assert_eq!(byte_check(data), want, "byte_check, align {align} len {len}");
+                // Split everywhere: odd cuts leave the second chunk at an
+                // odd offset.
+                for cut in 0..=len {
+                    let mut acc = ChecksumAccum::new();
+                    acc.add_bytes(&data[..cut]).add_bytes(&data[cut..]);
+                    assert_eq!(acc.sum(), want, "accumulator, align {align} len {len} cut {cut}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn deferred_carries_survive_the_largest_segment() {
+        // 64 KB of 0xff: the most carries an IP datagram can produce.
+        let data = vec![0xffu8; 65536];
+        let want = reference_sum(&data);
+        assert_eq!(want, 0xffff);
+        assert_eq!(ones_complement_sum(&data), want);
+        assert_eq!(word_check(&data), want);
+        assert_eq!(byte_check(&data), want);
+        let mut acc = ChecksumAccum::new();
+        for chunk in data.chunks(7) {
+            acc.add_bytes(chunk);
+        }
+        assert_eq!(acc.sum(), want);
+    }
+
+    #[test]
     fn incremental_update_matches_recompute() {
         let mut packet = vec![0x45, 0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06];
         let old_check = checksum(&packet);
@@ -309,6 +357,7 @@ mod tests {
         #[test]
         fn algorithms_agree(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
             let r = reference_sum(&data);
+            prop_assert_eq!(ones_complement_sum(&data), r);
             prop_assert_eq!(word_check(&data), r);
             prop_assert_eq!(byte_check(&data), r);
         }

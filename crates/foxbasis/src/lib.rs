@@ -18,9 +18,10 @@
 //! * [`wordarray`] — safe byte arrays with 1/2/4-byte big-endian access,
 //!   the Rust rendering of the Fox extensions' in-lined byte arrays and
 //!   `Byte2`/`Byte4` operations;
-//! * [`mod@checksum`] — the Internet checksum, including a line-for-line port
-//!   of the paper's Fig. 10 `word_check` loop plus the slower
-//!   byte-oriented algorithm the x-kernel used, and incremental update;
+//! * [`mod@checksum`] — the Internet checksum: the wide-load kernel the
+//!   stack runs, a line-for-line port of the paper's Fig. 10 `word_check`
+//!   loop and the slower byte-oriented algorithm the x-kernel used (the
+//!   §5 exhibits), and incremental update;
 //! * [`copy`] — the copy routines whose cost the paper reports
 //!   (300 µs/KB in SML vs 61 µs/KB for `bcopy` on a DECstation 5000/125);
 //! * [`seq`] — TCP sequence-number arithmetic (modulo 2^32);

@@ -4,8 +4,15 @@
 //! window the connection advertises is exactly the free space of the
 //! receive ring (the paper standardizes it to 4096 bytes for the Table 1
 //! benchmark), and the send ring holds bytes the user has written but the
-//! Send module has not yet segmented.
+//! Send module has not yet segmented. (`xktcp` receives into one;
+//! `foxtcp` hands received data straight to the user and keeps only this
+//! arithmetic, as `foxtcp::tcb::RecvAccount`.)
+//!
+//! Any stretch of the ring — stored bytes or free space — is at most two
+//! contiguous runs of the storage, so every operation is one index
+//! computation and two slice copies, never a loop over bytes.
 
+use crate::checksum::ones_complement_sum;
 use std::fmt;
 
 /// A fixed-capacity FIFO of bytes.
@@ -62,12 +69,12 @@ impl RingBuffer {
     /// accepted.
     pub fn write(&mut self, src: &[u8]) -> usize {
         let n = src.len().min(self.free());
-        let cap = self.capacity();
-        let mut at = (self.head + self.len) % cap;
-        for &b in &src[..n] {
-            self.data[at] = b;
-            at = (at + 1) % cap;
-        }
+        // The free space is at most two contiguous runs: up to the end
+        // of the storage, then from its start.
+        let at = (self.head + self.len) % self.capacity();
+        let first = n.min(self.capacity() - at);
+        self.data[at..at + first].copy_from_slice(&src[..first]);
+        self.data[..n - first].copy_from_slice(&src[first..n]);
         self.len += n;
         n
     }
@@ -83,12 +90,7 @@ impl RingBuffer {
     /// Copies up to `dst.len()` bytes into `dst` without consuming them;
     /// returns the number of bytes copied.
     pub fn peek(&self, dst: &mut [u8]) -> usize {
-        let n = dst.len().min(self.len);
-        let cap = self.capacity();
-        for (i, slot) in dst[..n].iter_mut().enumerate() {
-            *slot = self.data[(self.head + i) % cap];
-        }
-        n
+        self.peek_at(0, dst)
     }
 
     /// Copies up to `max` bytes starting `offset` bytes past the head,
@@ -99,48 +101,23 @@ impl RingBuffer {
             return 0;
         }
         let n = dst.len().min(self.len - offset);
-        let cap = self.capacity();
-        for (i, slot) in dst[..n].iter_mut().enumerate() {
-            *slot = self.data[(self.head + offset + i) % cap];
-        }
+        // Like the free space, the stored bytes are at most two runs.
+        let at = (self.head + offset) % self.capacity();
+        let first = n.min(self.capacity() - at);
+        dst[..first].copy_from_slice(&self.data[at..at + first]);
+        dst[first..n].copy_from_slice(&self.data[..n - first]);
         n
     }
 
-    /// Like [`RingBuffer::peek_at`], but also folds the RFC 1071
-    /// ones-complement sum of the copied bytes **in the same pass** —
-    /// the paper's Fig. 10 combined copy+checksum idea, used by the TCP
-    /// segment builder so the payload is touched exactly once on the
-    /// send side. Returns `(bytes copied, ones-complement sum)`.
+    /// Like [`RingBuffer::peek_at`], but also returns the RFC 1071
+    /// ones-complement sum of the copied bytes, summed from `dst` while
+    /// the copy has it in cache — the paper's Fig. 10 combined
+    /// copy+checksum idea, used by the TCP segment builder so the
+    /// payload is fetched from memory exactly once on the send side.
+    /// Returns `(bytes copied, ones-complement sum)`.
     pub fn peek_at_sum(&self, offset: usize, dst: &mut [u8]) -> (usize, u16) {
-        if offset >= self.len {
-            return (0, 0);
-        }
-        let n = dst.len().min(self.len - offset);
-        let cap = self.capacity();
-        let mut sum: u32 = 0;
-        let mut i = 0;
-        // Word-at-a-time with deferred carries, folding as the bytes
-        // land in `dst`.
-        while i + 1 < n {
-            let hi = self.data[(self.head + offset + i) % cap];
-            let lo = self.data[(self.head + offset + i + 1) % cap];
-            dst[i] = hi;
-            dst[i + 1] = lo;
-            sum += u32::from(u16::from_be_bytes([hi, lo]));
-            if sum >= 0xffff_0000 {
-                sum = (sum & 0xffff) + (sum >> 16);
-            }
-            i += 2;
-        }
-        if i < n {
-            let b = self.data[(self.head + offset + i) % cap];
-            dst[i] = b;
-            sum += u32::from(b) << 8;
-        }
-        while sum >> 16 != 0 {
-            sum = (sum & 0xffff) + (sum >> 16);
-        }
-        (n, sum as u16)
+        let n = self.peek_at(offset, dst);
+        (n, ones_complement_sum(&dst[..n]))
     }
 
     /// Discards up to `n` bytes from the front; returns the number
@@ -168,6 +145,8 @@ impl fmt::Debug for RingBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     #[test]
     fn write_then_read() {
@@ -286,5 +265,61 @@ mod tests {
             out.extend_from_slice(&buf[..n]);
         }
         assert_eq!(out, src);
+    }
+    proptest! {
+        /// The ring against a `VecDeque` model. Capacities are small and
+        /// odd, so the wrap falls mid-word and at offset `cap - 1`, and
+        /// every operation's two-run split is hit at every position.
+        #[test]
+        fn matches_a_deque_model(
+            half_cap in 0usize..8,
+            ops in proptest::collection::vec((0u8..5, 0usize..20, 0usize..20), 0..200),
+        ) {
+            let cap = 2 * half_cap + 1;
+            let mut ring = RingBuffer::new(cap);
+            let mut model: VecDeque<u8> = VecDeque::new();
+            let mut next = 0u8;
+            for (op, a, b) in ops {
+                match op {
+                    0 => {
+                        let src: Vec<u8> = (0..a)
+                            .map(|_| {
+                                next = next.wrapping_mul(31).wrapping_add(7);
+                                next
+                            })
+                            .collect();
+                        let took = ring.write(&src);
+                        prop_assert_eq!(took, a.min(cap - model.len()));
+                        model.extend(&src[..took]);
+                    }
+                    1 => {
+                        let mut dst = vec![0u8; a];
+                        let n = ring.read(&mut dst);
+                        let want: Vec<u8> = model.drain(..a.min(model.len())).collect();
+                        prop_assert_eq!(&dst[..n], &want[..]);
+                    }
+                    2 => {
+                        let mut dst = vec![0u8; b];
+                        let n = ring.peek_at(a, &mut dst);
+                        let want: Vec<u8> = model.iter().skip(a).take(b).copied().collect();
+                        prop_assert_eq!(&dst[..n], &want[..]);
+                    }
+                    3 => {
+                        let mut dst = vec![0u8; b];
+                        let (n, sum) = ring.peek_at_sum(a, &mut dst);
+                        let want: Vec<u8> = model.iter().skip(a).take(b).copied().collect();
+                        prop_assert_eq!(&dst[..n], &want[..]);
+                        prop_assert_eq!(sum, crate::checksum::word_check(&dst[..n]));
+                    }
+                    _ => {
+                        let n = ring.skip(a);
+                        prop_assert_eq!(n, a.min(model.len()));
+                        model.drain(..n);
+                    }
+                }
+                prop_assert_eq!(ring.len(), model.len());
+                prop_assert_eq!(ring.free(), cap - model.len());
+            }
+        }
     }
 }

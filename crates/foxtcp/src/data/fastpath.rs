@@ -81,7 +81,7 @@ pub fn try_fast<P: Clone + PartialEq + Debug>(
             return false; // let the full path manage reassembly
         }
         let tcb = &mut core.tcb;
-        let took = tcb.recv_buf.write(&seg.payload.bytes());
+        let took = tcb.recv_buf.take(seg.payload.len());
         debug_assert_eq!(took, seg.payload.len());
         tcb.rcv_nxt += took as u32;
         tcb.bytes_since_ack += took as u32;
@@ -91,8 +91,10 @@ pub fn try_fast<P: Clone + PartialEq + Debug>(
         tcb.snd_wl1 = h.seq;
         tcb.snd_wl2 = h.ack;
         // The copy into the user's vector — the same user-boundary copy
-        // the slow path pays. Deliberately outside the copy counter:
-        // the paper keeps the user copy out of its benchmarks.
+        // the slow path pays, and the only time the receive side touches
+        // the payload after its checksum (`recv_buf` only counts bytes).
+        // Deliberately outside the copy counter: the paper keeps the
+        // user copy out of its benchmarks.
         tcb.push_action(TcpAction::UserData(seg.payload.bytes().to_vec()));
         let th = cfg.ack_threshold();
         match cfg.delayed_ack_ms {
@@ -376,7 +378,7 @@ mod tests {
     fn rejects_data_when_buffer_tight() {
         let mut core = estab();
         let fill = core.tcb.recv_buf.capacity() - 10;
-        core.tcb.recv_buf.write(&vec![0u8; fill]);
+        core.tcb.recv_buf.take(fill);
         assert!(!try_fast(&cfg(), &mut core, &seg(5000, 100, 4096, &[1u8; 20]), VirtualTime::ZERO));
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::action::{LossEvent, TcpAction, TimerKind};
 use crate::data::resend;
-use crate::tcb::SentSegment;
+use crate::tcb::{SentSegment, Tcb};
 use crate::{ConnCore, TcpConfig};
 use foxbasis::buf::{PacketBuf, DEFAULT_HEADROOM};
 use foxbasis::seq::Seq;
@@ -106,6 +106,19 @@ pub fn queue_syn<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, with_ack:
     }
 }
 
+/// Where the first unsent byte sits in `send_buf`: the flight, less the
+/// SYN's sequence number while it is unacknowledged. The queue is
+/// push-back/pop-front and the SYN, at `iss`, is the first thing a
+/// connection ever sends, so only the front entry can carry it.
+fn staging_offset<P>(tcb: &Tcb<P>) -> usize {
+    debug_assert!(
+        tcb.resend_queue.iter().skip(1).all(|s| !s.syn),
+        "only the oldest segment in flight can be the SYN"
+    );
+    let syn_outstanding = tcb.resend_queue.front().is_some_and(|s| s.syn);
+    (tcb.flight_size() as usize).saturating_sub(usize::from(syn_outstanding))
+}
+
 /// Stages as much pending data (and the pending FIN) as the windows
 /// allow. This is the segmentation loop; each staged segment is recorded
 /// in the retransmission queue.
@@ -137,13 +150,12 @@ pub fn maybe_send<P: Clone + PartialEq + Debug>(cfg: &TcpConfig, core: &mut Conn
             return;
         }
 
-        // Copy the staged bytes out of the send buffer exactly once,
-        // folding the checksum into the same pass (the paper's Fig. 10
-        // combined copy/checksum loop). The resulting buffer is the one
-        // the wire encoders prepend into, the one the engine hands down,
-        // and the one the retransmission queue re-references.
-        let syn_outstanding = core.tcb.resend_queue.iter().any(|s| s.syn);
-        let offset = (core.tcb.flight_size() as usize).saturating_sub(usize::from(syn_outstanding));
+        // Copy the staged bytes out of the send buffer exactly once and
+        // checksum them while that copy has them in cache (the paper's
+        // Fig. 10 combined copy/checksum idea). The resulting buffer is
+        // the one the wire encoders prepend into, the one the engine
+        // hands down, and the one the retransmission queue re-references.
+        let offset = staging_offset(&core.tcb);
         let send_buf = &core.tcb.send_buf;
         let payload = PacketBuf::build_summed(DEFAULT_HEADROOM, take as usize, |dst| {
             let (got, sum) = send_buf.peek_at_sum(offset, dst);
@@ -202,8 +214,7 @@ pub fn window_probe<P: Clone + PartialEq + Debug>(
     if tcb.snd_wnd > 0 || tcb.unsent() == 0 {
         return; // window opened meanwhile, or nothing to probe with
     }
-    let syn_outstanding = core.tcb.resend_queue.iter().any(|s| s.syn);
-    let offset = (core.tcb.flight_size() as usize).saturating_sub(usize::from(syn_outstanding));
+    let offset = staging_offset(&core.tcb);
     let send_buf = &core.tcb.send_buf;
     let mut got = 0;
     let payload = PacketBuf::build_summed(DEFAULT_HEADROOM, 1, |dst| {

@@ -244,11 +244,8 @@ pub(crate) fn process_text<P: Clone + PartialEq + Debug>(
         // out-of-order queue behind it. (The copy into the user's
         // delivery vector is the one copy the paper's receive path also
         // pays — the user boundary.)
-        let (took, mut delivered) = {
-            let bytes = seg.payload.bytes();
-            let took = tcb.recv_buf.write(&bytes);
-            (took, bytes[..took].to_vec())
-        };
+        let took = tcb.recv_buf.take(seg.payload.len());
+        let mut delivered = seg.payload.bytes()[..took].to_vec();
         tcb.rcv_nxt += took as u32;
         if took < seg.payload.len() {
             // Receive buffer full: the rest stays unacknowledged; the
@@ -294,12 +291,8 @@ pub(crate) fn process_text<P: Clone + PartialEq + Debug>(
         let skip = tcb.rcv_nxt.since(seq) as usize;
         if skip < seg.payload.len() {
             let fresh_len = seg.payload.len() - skip;
-            let (took, mut delivered) = {
-                let bytes = seg.payload.bytes();
-                let fresh = &bytes[skip..];
-                let took = tcb.recv_buf.write(fresh);
-                (took, fresh[..took].to_vec())
-            };
+            let took = tcb.recv_buf.take(fresh_len);
+            let mut delivered = seg.payload.bytes()[skip..skip + took].to_vec();
             tcb.rcv_nxt += took as u32;
             if took == fresh_len {
                 let (more, _) = tcb.drain_out_of_order();

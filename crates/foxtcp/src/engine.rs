@@ -658,7 +658,8 @@ where
                     self.transmit(idx, seg);
                 }
                 TcpAction::UserData(data) => {
-                    // The user copy happens here — the one the paper
+                    // The user takes the data here, which frees its
+                    // share of the receive buffer — the copy the paper
                     // says is "not reflected in the benchmarks".
                     self.conns[idx].core.tcb.recv_buf.skip(data.len());
                     self.stats.bytes_delivered += data.len() as u64;

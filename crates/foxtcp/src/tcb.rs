@@ -265,8 +265,9 @@ pub struct Tcb<P> {
     pub fin_pending: bool,
     /// Sequence number our FIN occupies once sent.
     pub fin_seq: Option<Seq>,
-    /// In-order received data awaiting delivery actions are cut from.
-    pub recv_buf: RingBuffer,
+    /// Receive-buffer accounting: how much of the advertised buffer
+    /// in-order data queued for delivery currently holds.
+    pub recv_buf: RecvAccount,
     /// Out-of-order segments (paper: `out_of_order: tcp_in Q.T ref`),
     /// kept sorted by sequence number; `bool` marks a FIN carried by the
     /// segment. Entries hold the received [`PacketBuf`] itself, so
@@ -327,6 +328,50 @@ pub struct Tcb<P> {
     pub(crate) to_do: Fifo<TcpAction<P>>,
 }
 
+/// The receive buffer as accounting: a capacity and how many bytes of it
+/// accepted-but-undelivered data holds. No bytes are stored — accepted
+/// payload rides to the user inside [`TcpAction::UserData`], queued in
+/// the same step that accepts it and released ([`RecvAccount::skip`])
+/// when the engine executes that action — so the window arithmetic is a
+/// byte ring's, without the ring.
+#[derive(Debug)]
+pub struct RecvAccount {
+    capacity: usize,
+    held: usize,
+}
+
+impl RecvAccount {
+    /// Accounting for a receive buffer of `capacity` bytes, empty.
+    pub fn new(capacity: usize) -> RecvAccount {
+        RecvAccount { capacity, held: 0 }
+    }
+
+    /// Total capacity in bytes.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Free space: the window to advertise.
+    pub fn free(&self) -> usize {
+        self.capacity - self.held
+    }
+
+    /// Accepts as many of `n` offered bytes as fit; returns how many.
+    pub fn take(&mut self, n: usize) -> usize {
+        let n = n.min(self.free());
+        self.held += n;
+        n
+    }
+
+    /// Releases up to `n` held bytes (the user took them); returns how
+    /// many.
+    pub fn skip(&mut self, n: usize) -> usize {
+        let n = n.min(self.held);
+        self.held -= n;
+        n
+    }
+}
+
 /// Maximum out-of-order segments held (smoltcp's upper configuration).
 pub const MAX_OUT_OF_ORDER: usize = 32;
 
@@ -368,7 +413,7 @@ impl<P> Tcb<P> {
             send_buf: RingBuffer::new(send_buffer.max(1)),
             fin_pending: false,
             fin_seq: None,
-            recv_buf: RingBuffer::new(recv_buffer.max(1)),
+            recv_buf: RecvAccount::new(recv_buffer.max(1)),
             out_of_order: Vec::new(),
             resend_queue: foxbasis::deq::Deq::new(),
             rtt: RttEstimator::default(),
@@ -587,8 +632,8 @@ impl<P> Tcb<P> {
         self.out_of_order.insert(at, (seq, data, fin));
     }
 
-    /// Drains out-of-order segments that are now in order, appending
-    /// their data to `recv_buf`. Returns (delivered bytes, fin seen).
+    /// Drains out-of-order segments that are now in order, as far as
+    /// `recv_buf` has room for them. Returns (delivered bytes, fin seen).
     pub fn drain_out_of_order(&mut self) -> (Vec<u8>, bool) {
         let mut delivered = Vec::new();
         let mut fin = false;
@@ -604,13 +649,8 @@ impl<P> Tcb<P> {
                 continue; // wholly stale duplicate
             }
             let fresh_len = d.len() - skip;
-            let took = {
-                let bytes = d.bytes();
-                let fresh = &bytes[skip..];
-                let took = self.recv_buf.write(fresh);
-                delivered.extend_from_slice(&fresh[..took]);
-                took
-            };
+            let took = self.recv_buf.take(fresh_len);
+            delivered.extend_from_slice(&d.bytes()[skip..skip + took]);
             self.rcv_nxt += took as u32;
             if took < fresh_len {
                 // Receive buffer full: keep the remainder for later —
@@ -681,8 +721,45 @@ mod tests {
     fn rcv_wnd_tracks_buffer_and_caps() {
         let mut t: Tcb<()> = Tcb::new(Seq(0), 16, 100_000);
         assert_eq!(t.rcv_wnd(), 65535, "capped at the 16-bit field");
-        t.recv_buf.write(&[0; 50]);
+        t.recv_buf.take(50);
         assert_eq!(t.rcv_wnd(), 65535.min((100_000 - 50) as u32));
+    }
+
+    #[test]
+    fn receive_accounting_clamps_closes_and_reopens_the_window() {
+        let mut t = tcb();
+        assert_eq!(t.recv_buf.take(4000), 4000);
+        assert_eq!(t.rcv_wnd(), 96);
+        // Over-offer: only what fits is taken, and the window is shut.
+        assert_eq!(t.recv_buf.take(500), 96, "take is clamped to the free space");
+        assert_eq!(t.recv_buf.free(), 0);
+        assert_eq!(t.rcv_wnd(), 0);
+        assert_eq!(t.wire_window_field(false), 0);
+        assert_eq!(t.recv_buf.take(1), 0, "a full buffer accepts nothing");
+        // The user takes delivery: the window reopens by exactly that.
+        assert_eq!(t.recv_buf.skip(1000), 1000);
+        assert_eq!(t.rcv_wnd(), 1000);
+        assert_eq!(t.recv_buf.skip(usize::MAX), 3096, "release is clamped to what is held");
+        assert_eq!(t.recv_buf.free(), t.recv_buf.capacity());
+        assert_eq!(t.rcv_wnd(), 4096);
+    }
+
+    #[test]
+    fn drain_out_of_order_stops_at_a_full_buffer() {
+        let mut t = tcb();
+        t.rcv_nxt = Seq(100);
+        t.recv_buf.take(4096 - 30);
+        t.insert_out_of_order(Seq(100), (0..50u8).collect::<Vec<u8>>(), true);
+        let (data, fin) = t.drain_out_of_order();
+        assert_eq!(data, (0..30u8).collect::<Vec<u8>>(), "only what fits is delivered");
+        assert!(!fin, "the FIN waits behind the undelivered tail");
+        assert_eq!(t.rcv_nxt, Seq(130));
+        assert_eq!(t.rcv_wnd(), 0);
+        assert_eq!(t.out_of_order.len(), 1, "the remainder is kept");
+        t.recv_buf.skip(4096);
+        let (data, fin) = t.drain_out_of_order();
+        assert_eq!(data, (30..50u8).collect::<Vec<u8>>());
+        assert!(fin);
     }
 
     #[test]
@@ -779,7 +856,7 @@ mod tests {
         t.wscale_on = true;
         t.rcv_wscale = 5;
         assert_eq!(t.rcv_wnd(), 1 << 20, "full buffer visible");
-        t.recv_buf.write(&[0; 100]);
+        t.recv_buf.take(100);
         // Rounded down to the 32-byte shift granularity — what the peer
         // reconstructs from the wire field.
         assert_eq!(t.rcv_wnd(), ((1 << 20) - 100) & !0x1f);

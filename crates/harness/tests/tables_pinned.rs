@@ -55,3 +55,46 @@ Table 2: Execution Profile (Percent of Total Time) of the TCP/IP stack
     let got = format!("{}", exp::render_table2(&exp::table2(42)));
     assert_eq!(got.trim_end(), expected, "Table 2 drifted from the pinned rendering");
 }
+
+/// FNV-1a-64, written out here so the pin below shares no code with the
+/// checksum, FCS or ring kernels it guards.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// The frames are pinned the way the tables are: a hash of every byte
+/// that crossed the medium (libpcap-framed, so virtual timestamps and
+/// frame lengths are covered too). The constants were captured at commit
+/// db9c00e, before the ring, checksum and CRC-32 kernels were rewritten;
+/// a codec, checksum or FCS change that moves one wire byte fails here
+/// instead of silently re-baselining.
+#[test]
+fn wire_is_pinned() {
+    use foxharness::stack::StackKind;
+    use simnet::CostModel;
+
+    for (kind, want) in
+        [(StackKind::FoxStandard, 0x2c10_1756_9dd1_3d35_u64), (StackKind::XKernel, 0x007c_c973_260f_100a_u64)]
+    {
+        let run = exp::traced_table1_bulk(kind, CostModel::modern, 100_000, 42);
+        assert_eq!(run.bulk.bytes, 100_000);
+        assert_eq!(fnv1a64(&run.pcap.bytes()), want, "{kind:?}: Table 1 bulk frames drifted from the pin");
+    }
+
+    // `traced_loss_cell`'s run with every option offered: corrupted
+    // frames cross the medium and die at the receiver's FCS check, the
+    // holes they leave draw SACK blocks, and the sender retransmits.
+    let cfg =
+        foxtcp::TcpConfig { window_scale: true, sack: true, timestamps: true, ..exp::loss_matrix_config() };
+    let run = exp::traced_cell_with(StackKind::FoxStandard, "corrupt 3%", cfg, 200_000, 42);
+    assert_eq!(run.bulk.bytes, 200_000);
+    assert!(
+        run.bulk.net.frames_corrupted > 0 && run.bulk.sender.retransmits > 0,
+        "the cell must exercise recovery"
+    );
+    assert_eq!(
+        fnv1a64(&run.pcap.bytes()),
+        0x8fcf_c5ae_e353_21b0_u64,
+        "lossy-cell frames drifted from the pin"
+    );
+}
