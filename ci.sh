@@ -15,7 +15,11 @@
 #      in release: their per-byte kernels (checksum, CRC-32, ring) defer
 #      carries and index tables, debug builds trap the overflow that
 #      release builds wrap, and every benchmark number is a release
-#      build — a mistake that only misbehaves when wrapping fails here
+#      build — a mistake that only misbehaves when wrapping fails here.
+#      The release re-run also covers the two allocation budgets
+#      (foxbasis's wheel_alloc: a warm timer wheel makes 0 heap calls;
+#      foxtcp's alloc_budget: heap calls per ESTABLISHED round trip, an
+#      exact constant) — the counts are facts about the optimized build
 #   5. the RFC-793 conformance suite, explicitly (both TCP stacks
 #      against the standard's state diagram; also part of stage 4, but
 #      a named stage keeps the gate visible)
@@ -33,7 +37,8 @@
 #      profile asserted; 1 MB per cell, ~3 ms of wall time — at 200 KB
 #      a cell is half a millisecond and the ratio is host noise), then
 #      bench-check against the checked-in BENCH_7.json trajectory
-#   9. the Criterion benches compile (not run; keeps them from rotting)
+#   9. the Criterion benches compile (not run; keeps them from rotting) —
+#      including timer.rs's `wheel` group beside the Fig. 11 rows
 #  10. clippy over every target (benches and bins too), warnings as errors
 #  11. the FSM gate: `foxlint --fsm-check` proves the state machine
 #      extracted from foxtcp's control/ source equals spec/tcp_fsm.txt,
@@ -57,9 +62,10 @@ cargo run -q -p foxlint -- --check
 echo "== build (release) =="
 cargo build --release
 
-echo "== test (workspace; per-byte kernels again in release) =="
+echo "== test (workspace; per-byte kernels and allocation budgets again in release) =="
 cargo test -q --workspace
 cargo test -q --release -p foxbasis -p foxwire
+cargo test -q --release -p foxtcp --test alloc_budget
 
 echo "== conformance (RFC 793, both stacks) =="
 cargo test -q -p foxtcp --test conformance

@@ -27,8 +27,11 @@
 //! ## Safety discipline (no `unsafe`, no aliased mutation)
 //!
 //! Storage sits behind a `RefCell`; every live view registers its
-//! `[start, end)` bounds with the shared storage. A byte below `start`
-//! is only visible to a view whose own start is smaller, so:
+//! `[start, end)` bounds with the shared storage (in an array inside
+//! the shared block itself, so a buffer is two heap calls — storage
+//! and `Rc` — and a `clone` is none; only a ninth simultaneous view
+//! spills to a vector). A byte below `start` is only visible to a view
+//! whose own start is smaller, so:
 //!
 //! * `prepend_header` may write `[start - n, start)` in place iff **no
 //!   other live view has a smaller start** (equal starts are fine — they
@@ -130,24 +133,81 @@ fn note_copy(bytes: usize) {
 
 // ----- the buffer -----
 
+/// Live views one storage block can have before their registry spills
+/// to the heap. A segment in flight has about half a dozen: the resend
+/// queue's payload, the frame on the wire, and the slices each receiving
+/// layer cut from it.
+const INLINE_VIEWS: usize = 8;
+
+/// The `[start, end)` of every live view of one storage block, one
+/// entry per `PacketBuf`, in no particular order. Held inline so that a
+/// buffer costs its storage and its `Rc<Inner>` and nothing else, and a
+/// `clone` allocates nothing; `spill` is used only while `inline` is
+/// full. Small, scanned linearly.
+struct Views {
+    inline: [(usize, usize); INLINE_VIEWS],
+    inline_len: usize,
+    spill: Vec<(usize, usize)>,
+}
+
+impl Views {
+    fn len(&self) -> usize {
+        self.inline_len + self.spill.len()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.inline[..self.inline_len].iter().chain(&self.spill).copied()
+    }
+
+    fn push(&mut self, view: (usize, usize)) {
+        if self.inline_len < INLINE_VIEWS {
+            self.inline[self.inline_len] = view;
+            self.inline_len += 1;
+        } else {
+            self.spill.push(view);
+        }
+    }
+
+    /// One registered occurrence of `view`.
+    fn find(&mut self, view: (usize, usize)) -> Option<&mut (usize, usize)> {
+        self.inline[..self.inline_len].iter_mut().chain(&mut self.spill).find(|v| **v == view)
+    }
+
+    /// Unregisters one occurrence of `view` (swap-remove).
+    fn remove(&mut self, view: (usize, usize)) {
+        let last = self.spill.pop().unwrap_or_else(|| {
+            self.inline_len -= 1;
+            self.inline[self.inline_len]
+        });
+        if last != view {
+            match self.find(view) {
+                Some(slot) => *slot = last,
+                // Every live view is registered; were one not, dropping
+                // another's entry would let a writer alias its bytes.
+                None => self.push(last),
+            }
+        }
+    }
+}
+
 struct Inner {
     storage: RefCell<Vec<u8>>,
-    /// `[start, end)` of every live view of this storage, one entry per
-    /// `PacketBuf`. Small (a handful of views), scanned linearly.
-    views: RefCell<Vec<(usize, usize)>>,
+    views: RefCell<Views>,
 }
 
 impl Inner {
     fn with_storage(storage: Vec<u8>, start: usize, end: usize) -> Rc<Inner> {
-        Rc::new(Inner { storage: RefCell::new(storage), views: RefCell::new(vec![(start, end)]) })
+        let mut inline = [(0, 0); INLINE_VIEWS];
+        inline[0] = (start, end);
+        let views = Views { inline, inline_len: 1, spill: Vec::new() };
+        Rc::new(Inner { storage: RefCell::new(storage), views: RefCell::new(views) })
     }
 
     /// True if a live view *other than* one occurrence of `[start, end)`
     /// starts below `limit`.
     fn other_view_starts_below(&self, start: usize, end: usize, limit: usize) -> bool {
-        let views = self.views.borrow();
         let mut self_seen = false;
-        views.iter().any(|&(s, e)| {
+        self.views.borrow().iter().any(|(s, e)| {
             if !self_seen && s == start && e == end {
                 self_seen = true;
                 return false;
@@ -159,9 +219,8 @@ impl Inner {
     /// True if a live view other than one occurrence of `[start, end)`
     /// ends above `limit`.
     fn other_view_ends_above(&self, start: usize, end: usize, limit: usize) -> bool {
-        let views = self.views.borrow();
         let mut self_seen = false;
-        views.iter().any(|&(s, e)| {
+        self.views.borrow().iter().any(|(s, e)| {
             if !self_seen && s == start && e == end {
                 self_seen = true;
                 return false;
@@ -293,11 +352,8 @@ impl PacketBuf {
 
     fn set_bounds(&mut self, start: usize, end: usize) {
         debug_assert!(start <= end);
-        {
-            let mut views = self.inner.views.borrow_mut();
-            if let Some(i) = views.iter().position(|&v| v == (self.start, self.end)) {
-                views[i] = (start, end);
-            }
+        if let Some(view) = self.inner.views.borrow_mut().find((self.start, self.end)) {
+            *view = (start, end);
         }
         self.start = start;
         self.end = end;
@@ -471,10 +527,7 @@ impl Clone for PacketBuf {
 
 impl Drop for PacketBuf {
     fn drop(&mut self) {
-        let mut views = self.inner.views.borrow_mut();
-        if let Some(i) = views.iter().position(|&v| v == (self.start, self.end)) {
-            views.swap_remove(i);
-        }
+        self.inner.views.borrow_mut().remove((self.start, self.end));
     }
 }
 

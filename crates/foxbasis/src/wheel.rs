@@ -1,11 +1,13 @@
 //! A hierarchical timer wheel driven by virtual time.
 //!
-//! The paper's Fig. 11 timer forks one coroutine per armed timer; with a
-//! handful of connections that is charming, with hundreds it is O(log n)
-//! heap traffic per arm and a dead sleeper left behind by every cancel.
-//! This wheel gives every protocol stack in the workspace (foxtcp *and*
-//! the x-kernel baseline, so the comparison stays apples-to-apples)
-//! O(1) arm and cancel:
+//! The paper's Fig. 11 timer forks one coroutine per armed timer and is
+//! "simple and fast" only given "fast heap allocation of the shared
+//! state"; with a handful of connections that is charming, with
+//! hundreds it is O(log n) heap traffic per arm and a dead sleeper left
+//! behind by every cancel. This wheel gives every protocol stack in the
+//! workspace (foxtcp *and* the x-kernel baseline, so the comparison
+//! stays apples-to-apples) O(1) arm and cancel with no heap traffic at
+//! all once it is warm:
 //!
 //! * [`LEVELS`] levels of [`SLOTS`] slots each; a level-0 slot covers one
 //!   tick of 2^[`TICK_BITS`] µs (≈ 1 ms), each level above covers
@@ -17,15 +19,28 @@
 //!   safe to mix with exact virtual time: every entry at level ℓ+1 is
 //!   strictly later than everything still pending at level ℓ, so firing
 //!   never has to look upward.
-//! * Exact deadlines are kept in the entries; [`TimerWheel::advance`]
-//!   returns everything due sorted by `(deadline, arm order)` — the same
-//!   total order the scheduler's sleep heap imposed, which is what keeps
-//!   same-seed traces byte-identical after the migration.
-//! * Cancellation marks the entry and forgets it; the carcass is
-//!   dropped when cascading or firing next touches its slot.
+//! * Every timer is one **cell of a slab**, threaded onto its slot's
+//!   doubly-linked list by cell index. A cell holds the exact deadline,
+//!   the arm sequence number, the payload, its two neighbours and the
+//!   list it is on — everything `cancel` needs to unlink it without
+//!   looking anywhere else. Freed cells go on a free list and are the
+//!   first to be handed out again, so a stack that arms and cancels in a
+//!   steady state touches the same few cells forever.
+//! * Cancellation is **eager**: the cell is unlinked and freed at once.
+//!   There are no carcasses to cascade, re-file or skip, and no side
+//!   tables of live or dead ids. A [`TimerId`] carries (cell, arm
+//!   sequence), and a cell remembers the sequence of its tenant, so an
+//!   id kept past its timer's firing can never cancel the cell's next
+//!   tenant.
+//! * Exact deadlines are kept in the cells; [`TimerWheel::advance`]
+//!   hands back everything due sorted by `(deadline, arm order)` — the
+//!   same total order the scheduler's sleep heap imposed, which is what
+//!   keeps same-seed traces byte-identical. Arm order is the sequence
+//!   number, which depends on the history of `arm` calls alone: which
+//!   cell a timer landed in, and where on its list, never reaches the
+//!   caller.
 
 use crate::time::VirtualTime;
-use std::collections::BTreeSet;
 
 /// Bits of one level-0 tick: a slot spans 2^10 µs = 1.024 ms.
 pub const TICK_BITS: u32 = 10;
@@ -36,10 +51,23 @@ pub const SLOTS: usize = 1 << SLOT_BITS;
 /// Number of levels.
 pub const LEVELS: usize = 6;
 
-/// Handle for a pending timer, returned by [`TimerWheel::arm`].
-/// Ids are never reused; cancelling an already-fired id is a no-op.
+/// List index of the entries due within the current tick but after `now`.
+const NEAR: usize = LEVELS * SLOTS;
+/// List index of the entries armed with a deadline already ≤ `now`: due
+/// at the very next `advance`, whatever its target.
+const RIPE: usize = NEAR + 1;
+/// End-of-list / no-cell marker.
+const NIL: u32 = u32::MAX;
+
+/// Handle for a pending timer, returned by [`TimerWheel::arm`]: the slab
+/// cell the timer lives in and its arm sequence number. Sequence numbers
+/// are never reused, so cancelling an id whose timer already fired (or
+/// was cancelled) is a no-op even after its cell has a new tenant.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
-pub struct TimerId(u64);
+pub struct TimerId {
+    cell: u32,
+    seq: u64,
+}
 
 /// Operation counters (the `tables -- scale` experiment reports these).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -50,16 +78,24 @@ pub struct WheelStats {
     pub cancels: u64,
     /// Timers fired (returned from [`TimerWheel::advance`]).
     pub fires: u64,
-    /// Entries moved between levels by cascading.
+    /// Pending entries moved between levels by cascading. Cancelled
+    /// timers no longer exist, so they are never counted here.
     pub cascades: u64,
 }
 
-struct Entry<T> {
+struct Cell<T> {
     /// Exact deadline in µs.
     deadline: u64,
-    /// Arm order; doubles as the [`TimerId`].
+    /// Arm order of the current (or, once vacant, the last) tenant.
     seq: u64,
-    payload: T,
+    /// Neighbours on the cell's list, `NIL` at either end. A vacant
+    /// cell's `next` threads the free list.
+    prev: u32,
+    next: u32,
+    /// The list the cell is on: a slot (level-major), `NEAR` or `RIPE`.
+    list: u16,
+    /// `None` marks the cell vacant.
+    payload: Option<T>,
 }
 
 /// One fired timer.
@@ -76,20 +112,24 @@ pub struct Fired<T> {
 /// The wheel. `T` is the per-timer payload — protocol stacks use
 /// `(connection id, timer kind)`.
 pub struct TimerWheel<T> {
-    /// `LEVELS * SLOTS` buckets, level-major.
-    slots: Vec<Vec<Entry<T>>>,
-    /// Entries due within the current tick but after `now`.
-    near: Vec<Entry<T>>,
-    /// Entries armed with a deadline already ≤ `now`: due at the very
-    /// next `advance`, whatever its target.
-    ripe: Vec<Entry<T>>,
+    /// The slab: every pending timer is one occupied cell.
+    cells: Vec<Cell<T>>,
+    /// First vacant cell (threaded through `Cell::next`).
+    free: u32,
+    /// First cell of each list: `LEVELS * SLOTS` slots, then `NEAR`,
+    /// then `RIPE`.
+    heads: [u32; RIPE + 1],
+    /// A lower bound on the deadlines on the `NEAR` list (exact after
+    /// every scan of it; a cancel may leave it too low, never too
+    /// high), so a same-tick `advance` short of it looks at no entry.
+    near_min: u64,
+    /// What the last `advance` fired; the buffer is reused.
+    due: Vec<Fired<T>>,
     /// Current time in µs.
     now: u64,
     next_seq: u64,
-    /// Ids armed and neither fired nor cancelled.
-    pending: BTreeSet<u64>,
-    /// Ids cancelled whose entries still sit in a slot.
-    cancelled: BTreeSet<u64>,
+    /// Occupied cells.
+    live: usize,
     stats: WheelStats,
 }
 
@@ -97,13 +137,14 @@ impl<T> TimerWheel<T> {
     /// An empty wheel whose clock starts at `start`.
     pub fn new(start: VirtualTime) -> TimerWheel<T> {
         TimerWheel {
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
-            near: Vec::new(),
-            ripe: Vec::new(),
+            cells: Vec::new(),
+            free: NIL,
+            heads: [NIL; RIPE + 1],
+            near_min: u64::MAX,
+            due: Vec::new(),
             now: start.as_micros(),
             next_seq: 0,
-            pending: BTreeSet::new(),
-            cancelled: BTreeSet::new(),
+            live: 0,
             stats: WheelStats::default(),
         }
     }
@@ -115,12 +156,12 @@ impl<T> TimerWheel<T> {
 
     /// Pending (armed, not yet fired or cancelled) timers.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.live
     }
 
     /// No pending timers?
     pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+        self.live == 0
     }
 
     /// Operation counters.
@@ -132,39 +173,49 @@ impl<T> TimerWheel<T> {
     /// time is clamped to the current time and fires on the next
     /// [`TimerWheel::advance`] — the scheduler this replaces could never
     /// sleep into the past, so "already due" means "due now, after
-    /// everything armed earlier". O(1).
+    /// everything armed earlier". O(1); allocates only when every cell
+    /// the slab ever held is occupied.
     pub fn arm(&mut self, deadline: VirtualTime, payload: T) -> TimerId {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.stats.arms += 1;
-        self.pending.insert(seq);
+        self.live += 1;
         let deadline = deadline.as_micros().max(self.now);
-        self.place(Entry { deadline, seq, payload });
-        TimerId(seq)
+        let tenant = Cell { deadline, seq, prev: NIL, next: NIL, list: 0, payload: Some(payload) };
+        let cell = if self.free == NIL {
+            self.cells.push(tenant);
+            u32::try_from(self.cells.len() - 1).expect("fewer than 2^32 pending timers")
+        } else {
+            let cell = self.free;
+            self.free = self.cells[cell as usize].next;
+            self.cells[cell as usize] = tenant;
+            cell
+        };
+        self.place(cell);
+        TimerId { cell, seq }
     }
 
     /// Cancels a pending timer; returns whether it was still pending.
-    /// O(1) — the entry is dropped lazily.
+    /// O(1) and eager: the cell is unlinked and free for the next `arm`
+    /// when this returns.
     pub fn cancel(&mut self, id: TimerId) -> bool {
-        if self.pending.remove(&id.0) {
-            self.cancelled.insert(id.0);
+        let pending =
+            self.cells.get(id.cell as usize).is_some_and(|c| c.payload.is_some() && c.seq == id.seq);
+        if pending {
+            self.unlink(id.cell);
+            self.release(id.cell);
             self.stats.cancels += 1;
-            true
-        } else {
-            false
         }
+        pending
     }
 
-    /// The earliest pending deadline, if any. O(pending) — diagnostics
+    /// The earliest pending deadline, if any. O(slab) — diagnostics
     /// and tests only; the hot path is `advance`.
     pub fn next_deadline(&self) -> Option<VirtualTime> {
-        self.slots
+        self.cells
             .iter()
-            .chain(std::iter::once(&self.near))
-            .chain(std::iter::once(&self.ripe))
-            .flatten()
-            .filter(|e| !self.cancelled.contains(&e.seq))
-            .map(|e| e.deadline)
+            .filter(|c| c.payload.is_some())
+            .map(|c| c.deadline)
             .min()
             .map(VirtualTime::from_micros)
     }
@@ -172,35 +223,46 @@ impl<T> TimerWheel<T> {
     /// Moves the clock to `to` (must not go backwards) and returns every
     /// timer with `deadline <= to`, sorted by `(deadline, arm order)`.
     /// Calling with `to == now()` still drains timers armed at or before
-    /// the current instant.
-    pub fn advance(&mut self, to: VirtualTime) -> Vec<Fired<T>> {
+    /// the current instant. The slice is the wheel's own buffer, good
+    /// until the next `advance`; within one tick a call that fires
+    /// nothing is O(1).
+    pub fn advance(&mut self, to: VirtualTime) -> &[Fired<T>] {
         let to_us = to.as_micros();
         assert!(to_us >= self.now, "timer wheel clock cannot run backwards");
         let old_t = self.now >> TICK_BITS;
         self.now = to_us;
         let new_t = to_us >> TICK_BITS;
 
-        let mut due: Vec<Entry<T>> = std::mem::take(&mut self.ripe);
-        let mut replace: Vec<Entry<T>> = Vec::new();
+        self.due.clear();
+        self.fire_list(RIPE);
 
         if new_t == old_t {
-            // Same tick: only `near` can have come due.
-            let mut keep = Vec::new();
-            for e in self.near.drain(..) {
-                if e.deadline <= to_us {
-                    due.push(e);
-                } else {
-                    keep.push(e);
+            // Same tick: only `NEAR` can have come due.
+            if to_us >= self.near_min {
+                let mut min = u64::MAX;
+                let mut c = self.heads[NEAR];
+                while c != NIL {
+                    let Cell { next, deadline, .. } = self.cells[c as usize];
+                    if deadline <= to_us {
+                        self.unlink(c);
+                        self.fire(c);
+                    } else {
+                        min = min.min(deadline);
+                    }
+                    c = next;
                 }
+                self.near_min = min;
             }
-            self.near = keep;
         } else {
             // The old tick is fully behind us.
-            due.append(&mut self.near);
+            self.fire_list(NEAR);
+            self.near_min = u64::MAX;
             // Drain every slot the cursor passed, level by level. A span
             // of ≥ SLOTS at some level drains the whole level; levels
             // whose cursor did not move are untouched (and neither are
-            // any above them).
+            // any above them). Survivors are chained aside and re-filed
+            // only once every passed slot is empty, so none is met twice.
+            let mut refile = NIL;
             for lvl in 0..LEVELS {
                 let shift = SLOT_BITS * lvl as u32;
                 let (old_l, new_l) = (old_t >> shift, new_t >> shift);
@@ -210,77 +272,118 @@ impl<T> TimerWheel<T> {
                 let span = (new_l - old_l).min(SLOTS as u64);
                 for k in 1..=span {
                     let slot = ((old_l + k) % SLOTS as u64) as usize;
-                    for e in self.slots[lvl * SLOTS + slot].drain(..) {
-                        if e.deadline <= to_us {
-                            due.push(e);
+                    let mut c = std::mem::replace(&mut self.heads[lvl * SLOTS + slot], NIL);
+                    while c != NIL {
+                        let Cell { next, deadline, .. } = self.cells[c as usize];
+                        if deadline <= to_us {
+                            self.fire(c);
                         } else {
                             if lvl > 0 {
                                 self.stats.cascades += 1;
                             }
-                            replace.push(e);
+                            self.cells[c as usize].next = refile;
+                            refile = c;
                         }
+                        c = next;
                     }
                 }
             }
-        }
-
-        // Re-file survivors relative to the new now (cascade).
-        for e in replace {
-            self.place(e);
-        }
-
-        due.retain(|e| {
-            if self.cancelled.remove(&e.seq) {
-                false
-            } else {
-                self.pending.remove(&e.seq);
-                true
+            // Re-file survivors relative to the new now (cascade).
+            while refile != NIL {
+                let next = self.cells[refile as usize].next;
+                self.place(refile);
+                refile = next;
             }
-        });
-        due.sort_by_key(|e| (e.deadline, e.seq));
-        self.stats.fires += due.len() as u64;
-        due.into_iter()
-            .map(|e| Fired {
-                id: TimerId(e.seq),
-                deadline: VirtualTime::from_micros(e.deadline),
-                payload: e.payload,
-            })
-            .collect()
+        }
+
+        // Sequence numbers are unique, so the unstable sort (which,
+        // unlike the stable one, needs no scratch buffer) has one answer.
+        self.due.sort_unstable_by_key(|f| (f.deadline, f.id.seq));
+        self.stats.fires += self.due.len() as u64;
+        &self.due
     }
 
-    /// Files an entry at the lowest level whose aligned window (around
+    /// Files cell `c` at the lowest level whose aligned window (around
     /// the current time) contains its deadline.
-    fn place(&mut self, e: Entry<T>) {
-        if e.deadline <= self.now {
-            self.ripe.push(e);
-            return;
-        }
+    fn place(&mut self, c: u32) {
+        let deadline = self.cells[c as usize].deadline;
         let now_t = self.now >> TICK_BITS;
-        let d_t = e.deadline >> TICK_BITS;
+        let d_t = deadline >> TICK_BITS;
         let diff = d_t ^ now_t;
-        if diff == 0 {
-            self.near.push(e);
-            return;
-        }
-        let lvl = ((63 - diff.leading_zeros()) / SLOT_BITS) as usize;
-        let slot = if lvl >= LEVELS {
-            // Beyond the top level's window (> ~2 years out): park one
-            // slot ahead of the top cursor. An overflow deadline is
-            // always past the next top-level cursor move, so the entry
-            // is re-examined (and re-filed closer) there — never early,
-            // never missed.
-            let top = now_t >> (SLOT_BITS * (LEVELS as u32 - 1));
-            ((top + 1) % SLOTS as u64) as usize + (LEVELS - 1) * SLOTS
+        let list = if deadline <= self.now {
+            RIPE
+        } else if diff == 0 {
+            self.near_min = self.near_min.min(deadline);
+            NEAR
         } else {
-            ((d_t >> (SLOT_BITS * lvl as u32)) % SLOTS as u64) as usize + lvl * SLOTS
+            let lvl = ((63 - diff.leading_zeros()) / SLOT_BITS) as usize;
+            if lvl >= LEVELS {
+                // Beyond the top level's window (> ~2 years out): park one
+                // slot ahead of the top cursor. An overflow deadline is
+                // always past the next top-level cursor move, so the entry
+                // is re-examined (and re-filed closer) there — never early,
+                // never missed.
+                let top = now_t >> (SLOT_BITS * (LEVELS as u32 - 1));
+                ((top + 1) % SLOTS as u64) as usize + (LEVELS - 1) * SLOTS
+            } else {
+                ((d_t >> (SLOT_BITS * lvl as u32)) % SLOTS as u64) as usize + lvl * SLOTS
+            }
         };
-        self.slots[slot].push(e);
+        let head = std::mem::replace(&mut self.heads[list], c);
+        if head != NIL {
+            self.cells[head as usize].prev = c;
+        }
+        let cell = &mut self.cells[c as usize];
+        (cell.prev, cell.next, cell.list) = (NIL, head, list as u16);
+    }
+
+    /// Takes cell `c` off the list it is on.
+    fn unlink(&mut self, c: u32) {
+        let Cell { prev, next, list, .. } = self.cells[c as usize];
+        if prev == NIL {
+            self.heads[list as usize] = next;
+        } else {
+            self.cells[prev as usize].next = next;
+        }
+        if next != NIL {
+            self.cells[next as usize].prev = prev;
+        }
+    }
+
+    /// Vacates the (already unlinked) cell `c` and returns its payload.
+    fn release(&mut self, c: u32) -> T {
+        let cell = &mut self.cells[c as usize];
+        cell.next = self.free;
+        self.free = c;
+        self.live -= 1;
+        cell.payload.take().expect("only occupied cells are released")
+    }
+
+    /// Moves the (already unlinked) cell `c` to the fired buffer.
+    fn fire(&mut self, c: u32) {
+        let Cell { deadline, seq, .. } = self.cells[c as usize];
+        let payload = self.release(c);
+        self.due.push(Fired {
+            id: TimerId { cell: c, seq },
+            deadline: VirtualTime::from_micros(deadline),
+            payload,
+        });
+    }
+
+    /// Fires every cell on `list`.
+    fn fire_list(&mut self, list: usize) {
+        let mut c = std::mem::replace(&mut self.heads[list], NIL);
+        while c != NIL {
+            let next = self.cells[c as usize].next;
+            self.fire(c);
+            c = next;
+        }
     }
 }
 
 impl<T> std::fmt::Debug for TimerWheel<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "TimerWheel(now={}µs, pending={}, stats={:?})", self.now, self.pending.len(), self.stats)
+        write!(f, "TimerWheel(now={}µs, pending={}, stats={:?})", self.now, self.live, self.stats)
     }
 }
 
@@ -397,6 +500,32 @@ mod tests {
         assert_eq!(fired[0].payload, "far");
     }
 
+    /// A fired timer's id, kept by its owner (as `Conn::timers` and
+    /// xktcp's `slot.tid` do), must not reach the next tenant of the
+    /// slab cell it names.
+    #[test]
+    fn stale_id_cannot_cancel_the_cells_next_tenant() {
+        let mut w = TimerWheel::new(VirtualTime::ZERO);
+        let a = w.arm(t(1_000), "a");
+        assert_eq!(w.advance(t(2_000)).len(), 1);
+        let b = w.arm(t(3_000), "b");
+        assert_eq!(b.cell, a.cell, "the freed cell is the first handed out again");
+        assert_ne!(a, b);
+        assert!(!w.cancel(a), "a already fired");
+        assert_eq!(w.len(), 1);
+        let fired = w.advance(t(4_000));
+        assert_eq!(fired.len(), 1);
+        assert_eq!((fired[0].id, fired[0].payload), (b, "b"));
+        // The same holds for an id whose timer was cancelled.
+        let c = w.arm(t(5_000), "c");
+        assert!(w.cancel(c));
+        let d = w.arm(t(5_000), "d");
+        assert_eq!(d.cell, c.cell);
+        assert!(!w.cancel(c));
+        assert_eq!(w.advance(t(6_000))[0].payload, "d");
+        assert_eq!(w.stats(), WheelStats { arms: 4, cancels: 1, fires: 3, cascades: 0 });
+    }
+
     /// The reference model the proptest below (and the satellite task)
     /// pins the wheel against: a `BTreeMap<(time, id)>`, fired in key
     /// order — exactly the scheduler sleep-heap semantics the wheel
@@ -407,6 +536,8 @@ mod tests {
         by_id: BTreeMap<u64, (u64, u64)>,
         now: u64,
         next: u64,
+        cancels: u64,
+        fires: u64,
     }
 
     impl NaiveTimers {
@@ -419,10 +550,9 @@ mod tests {
         }
 
         fn cancel(&mut self, id: u64) -> bool {
-            match self.by_id.remove(&id) {
-                Some(key) => self.map.remove(&key).is_some(),
-                None => false,
-            }
+            let pending = self.by_id.remove(&id).is_some_and(|key| self.map.remove(&key).is_some());
+            self.cancels += u64::from(pending);
+            pending
         }
 
         fn advance(&mut self, to: u64) -> Vec<(u64, u32)> {
@@ -436,7 +566,58 @@ mod tests {
                 self.by_id.remove(&id);
                 fired.push((d, p));
             }
+            self.fires += fired.len() as u64;
             fired
+        }
+    }
+
+    /// The wheel and the model driven in lockstep; every operation ends
+    /// by comparing everything the wheel reports about itself.
+    struct Lockstep {
+        wheel: TimerWheel<u32>,
+        model: NaiveTimers,
+        ids: Vec<(TimerId, u64)>,
+        now: u64,
+    }
+
+    impl Lockstep {
+        fn new() -> Lockstep {
+            Lockstep {
+                wheel: TimerWheel::new(VirtualTime::ZERO),
+                model: NaiveTimers::default(),
+                ids: Vec::new(),
+                now: 0,
+            }
+        }
+
+        fn check(&self) {
+            assert_eq!(self.wheel.len(), self.model.map.len());
+            assert_eq!(self.wheel.next_deadline(), self.model.map.keys().next().map(|&(d, _)| t(d)));
+            let s = self.wheel.stats();
+            assert_eq!((s.arms, s.cancels, s.fires), (self.model.next, self.model.cancels, self.model.fires));
+        }
+
+        fn arm(&mut self, deadline: u64) -> usize {
+            let payload = self.ids.len() as u32;
+            let wid = self.wheel.arm(t(deadline), payload);
+            let mid = self.model.arm(deadline.max(self.now), payload);
+            self.ids.push((wid, mid));
+            self.check();
+            self.ids.len() - 1
+        }
+
+        fn cancel(&mut self, i: usize) {
+            let (wid, mid) = self.ids[i];
+            assert_eq!(self.wheel.cancel(wid), self.model.cancel(mid), "cancel liveness must agree");
+            self.check();
+        }
+
+        fn advance_by(&mut self, us: u64) {
+            self.now += us;
+            let fired: Vec<(u64, u32)> =
+                self.wheel.advance(t(self.now)).iter().map(|f| (f.deadline.as_micros(), f.payload)).collect();
+            assert_eq!(fired, self.model.advance(self.now), "same timers, same order");
+            self.check();
         }
     }
 
@@ -444,54 +625,45 @@ mod tests {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
 
         /// Arbitrary arm/cancel/advance sequences fire the same timers
-        /// in the same order as the naive ordered-map model.
+        /// in the same order as the naive ordered-map model, and the
+        /// wheel's own account of itself agrees after every step.
         #[test]
-        fn wheel_matches_btreemap_reference(ops in proptest::collection::vec((0u8..8, 0u64..5_000_000), 1..120)) {
-            let mut wheel = TimerWheel::new(VirtualTime::ZERO);
-            let mut model = NaiveTimers::default();
-            let mut ids: Vec<(TimerId, u64)> = Vec::new();
-            let mut now = 0u64;
-            let mut payload = 0u32;
+        fn wheel_matches_btreemap_reference(ops in proptest::collection::vec((0u8..9, 0u64..5_000_000), 1..120)) {
+            let mut l = Lockstep::new();
             for (op, arg) in ops {
                 match op {
-                    // Arm (weighted: most ops arm).
-                    0..=3 => {
-                        // Mix of near, far, and already-due deadlines.
-                        let deadline = match op {
-                            0 => now + arg % 2_048,              // sub-slot
-                            1 => now + arg % 400_000,            // a few slots
-                            2 => now + arg,                      // anywhere
-                            _ => now.saturating_sub(arg % 1_000), // already due
-                        };
-                        payload += 1;
-                        let wid = wheel.arm(t(deadline), payload);
-                        let mid = model.arm(deadline.max(now), payload);
-                        ids.push((wid, mid));
-                    }
+                    // Arm (weighted: most ops arm): a mix of near, far,
+                    // and already-due deadlines.
+                    0 => { l.arm(l.now + arg % 2_048); }             // sub-slot
+                    1 => { l.arm(l.now + arg % 400_000); }           // a few slots
+                    2 => { l.arm(l.now + arg); }                     // anywhere
+                    3 => { l.arm(l.now.saturating_sub(arg % 1_000)); } // already due
                     // Cancel a random previously armed timer.
                     4 | 5 => {
-                        if !ids.is_empty() {
-                            let (wid, mid) = ids[arg as usize % ids.len()];
-                            let a = wheel.cancel(wid);
-                            let b = model.cancel(mid);
-                            proptest::prop_assert_eq!(a, b, "cancel liveness must agree");
+                        if !l.ids.is_empty() {
+                            l.cancel(arg as usize % l.ids.len());
                         }
                     }
                     // Advance (sometimes by zero).
+                    6 => l.advance_by(arg % 3_000),
+                    7 => l.advance_by(arg % 900_000),
+                    // A request/response run: a delayed ACK armed one
+                    // millisecond out and cancelled by the reply, the
+                    // clock creeping 3 µs a step — up to two tick
+                    // roll-overs of same-tick advances and cancelled
+                    // entries in `NEAR` and in level 0.
                     _ => {
-                        now += if op == 6 { arg % 3_000 } else { arg % 900_000 };
-                        let fired: Vec<u32> = wheel.advance(t(now)).into_iter().map(|f| f.payload).collect();
-                        let expect: Vec<u32> = model.advance(now).into_iter().map(|(_, p)| p).collect();
-                        proptest::prop_assert_eq!(fired, expect, "same timers, same order");
+                        for _ in 0..arg % 700 {
+                            let ack = l.arm(l.now + 1_000);
+                            l.cancel(ack);
+                            l.advance_by(3);
+                        }
                     }
                 }
             }
             // Drain everything left and compare the tail too.
-            now += 100_000_000_000;
-            let fired: Vec<u32> = wheel.advance(t(now)).into_iter().map(|f| f.payload).collect();
-            let expect: Vec<u32> = model.advance(now).into_iter().map(|(_, p)| p).collect();
-            proptest::prop_assert_eq!(fired, expect);
-            proptest::prop_assert!(wheel.is_empty());
+            l.advance_by(100_000_000_000);
+            proptest::prop_assert!(l.wheel.is_empty());
         }
     }
 

@@ -1,0 +1,58 @@
+//! A `#[global_allocator]` that counts the calling thread's allocation
+//! calls, for the tests that pin a heap budget: `wheel_alloc` here and
+//! foxtcp's `alloc_budget`, which includes this file by `#[path]`.
+//!
+//! Per thread, so that a neighbouring test (or the test harness's own
+//! main thread) cannot leak calls into a count.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    // Const-initialized and without a destructor, so touching it from
+    // inside the allocator can neither allocate nor observe a torn-down
+    // slot.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+fn note_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; counting touches only a thread-local cell.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_alloc();
+        // SAFETY: the caller's obligations are exactly `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_alloc();
+        // SAFETY: as above, for `System.alloc_zeroed`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_alloc();
+        // SAFETY: as above, for `System.realloc`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above, for `System.dealloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+/// Allocation calls (`alloc`, `alloc_zeroed` and each `realloc`) this
+/// thread has made so far.
+pub fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}

@@ -155,6 +155,17 @@ struct Conn<P> {
 /// The first port of the ephemeral range (through 65535).
 const EPHEMERAL_FIRST: u16 = 49152;
 
+impl<P> Conn<P> {
+    /// Fully closed, drained, and the user has seen the end (an
+    /// unadopted child has no user to show it to).
+    fn reapable(&self) -> bool {
+        self.core.state == TcpState::Closed
+            && self.core.tcb.to_do.is_empty()
+            && self.pending_events.is_empty()
+            && (self.finished || self.parent.is_some())
+    }
+}
+
 fn timer_index(kind: TimerKind) -> usize {
     match kind {
         TimerKind::Resend => 0,
@@ -205,6 +216,12 @@ where
     wheel: TimerWheel<(u32, TimerKind)>,
     /// Keyed segment→connection-id table; files every id in `conns`.
     demux: Demux,
+    /// Connections whose timers fired in this `step` (scratch, kept for
+    /// its capacity).
+    fired_ids: Vec<u32>,
+    /// Set wherever a connection can have become reapable; `reap` looks
+    /// at the table only when it is.
+    reap_due: bool,
 }
 
 /// Where connection `id` sits in the engine's table (sorted by id).
@@ -261,6 +278,8 @@ where
             obs: EventSink::off(),
             wheel,
             demux: Demux::new(),
+            fired_ids: Vec::new(),
+            reap_due: false,
         }
     }
 
@@ -340,6 +359,7 @@ where
             handler(ev);
         }
         self.conns[i].handler = Some(handler);
+        self.reap_due = true;
         Ok(())
     }
 
@@ -479,6 +499,7 @@ where
     fn deliver(&mut self, idx: usize, event: TcpEvent) {
         if matches!(event, TcpEvent::Closed | TcpEvent::Reset | TcpEvent::TimedOut) {
             self.conns[idx].finished = true;
+            self.reap_due = true;
         }
         match &mut self.conns[idx].handler {
             Some(h) => h(event),
@@ -734,6 +755,7 @@ where
             if let Some((before, cause)) = state_before {
                 self.note_transition(conn_id, before, cause);
             }
+            self.note_closed(idx);
         }
     }
 
@@ -836,16 +858,28 @@ where
         }
     }
 
+    /// A connection reaching `Closed` is one of the three ways it can
+    /// become reapable (see [`Conn::reapable`]); `deliver` and
+    /// `set_handler` note the other two.
+    fn note_closed(&mut self, idx: usize) {
+        if self.conns[idx].core.state == TcpState::Closed {
+            self.reap_due = true;
+        }
+    }
+
     /// Removes connections that are fully closed, drained, and whose
     /// user has seen the end, unfiling each from the demux table.
-    /// `retain` keeps the survivors in id order.
+    /// `retain` keeps the survivors in id order. Looks at the table only
+    /// when something in it can have changed its answer.
     fn reap(&mut self) {
+        if !self.reap_due {
+            debug_assert!(!self.conns.iter().any(Conn::reapable), "a reapable connection was not flagged");
+            return;
+        }
+        self.reap_due = false;
         let demux = &mut self.demux;
         self.conns.retain(|c| {
-            let done = c.core.state == TcpState::Closed
-                && c.core.tcb.to_do.is_empty()
-                && c.pending_events.is_empty()
-                && (c.finished || c.parent.is_some());
+            let done = c.reapable();
             if done {
                 let flow = c.core.remote.as_ref().map(|(a, p)| (A::hash(a), *p));
                 demux.remove(c.id, c.core.local_port, flow);
@@ -936,6 +970,7 @@ where
         let core = &mut self.conns[i].core;
         let before = core.state.name();
         let res = state::close(&self.cfg, core, self.sched.now());
+        self.note_closed(i);
         self.note_transition(conn.0, before, "close");
         self.run_actions(conn.0);
         res
@@ -946,6 +981,7 @@ where
         let core = &mut self.conns[i].core;
         let before = core.state.name();
         let res = state::abort(&self.cfg, core, self.sched.now());
+        self.note_closed(i);
         self.note_transition(conn.0, before, "abort");
         self.run_actions(conn.0);
         res
@@ -958,12 +994,12 @@ where
         // 1. Let the clock catch up: due timers enqueue
         //    Timer_Expiration actions, in (deadline, arm order) — the
         //    same total order the scheduler's sleep heap used to give.
-        let mut fired_ids = Vec::new();
+        let mut fired_ids = std::mem::take(&mut self.fired_ids);
         if self.sched.now() < now {
             self.sched.advance_to(now);
             for fired in self.wheel.advance(now) {
                 let (cid, kind) = fired.payload;
-                if let Some(idx) = self.index_of(cid) {
+                if let Some(idx) = position(&self.conns, cid) {
                     self.conns[idx].core.tcb.push_action(TcpAction::TimerExpiration(kind));
                     fired_ids.push(cid);
                 }
@@ -987,12 +1023,13 @@ where
         //    phase 3 may already have drained a fired connection).
         fired_ids.sort_unstable();
         fired_ids.dedup();
-        for id in fired_ids {
+        for id in fired_ids.drain(..) {
             if self.index_of(id).is_some_and(|idx| !self.conns[idx].core.tcb.to_do.is_empty()) {
                 progress = true;
                 self.run_actions(id);
             }
         }
+        self.fired_ids = fired_ids;
         debug_assert!(self.conns.iter().all(|c| c.core.tcb.to_do.is_empty()), "a to_do queue outlived step");
         self.reap();
         progress
@@ -1266,6 +1303,51 @@ mod tests {
         assert!(has(&|e| matches!(e, Event::TimerFire { timer: "TimeWait" })));
         assert!(evs.iter().any(|e| e.host == 0) && evs.iter().any(|e| e.host == 1));
         assert_eq!(sink.dropped(), 0);
+    }
+
+    /// `Conn::timers[k]` keeps a timer's id after the timer fired, and
+    /// a later `clear_timer` hands that id to the wheel. By then the
+    /// wheel has given the fired timer's cell to someone else: the clear
+    /// must still be reported (DESIGN §5.7) and must cancel nothing.
+    #[test]
+    fn clearing_a_fired_timer_spares_its_cells_next_tenant() {
+        use foxbasis::obs::EventSink;
+
+        let link = LinkPair::new();
+        let mut a = Host::new(&link, 0, TcpConfig::default());
+        let mut b = Host::new(&link, 1, TcpConfig::default());
+        let (client, _child) = open_pair(&mut a, &mut b);
+        let idx = a.tcp.index_of(client.0).unwrap();
+        assert!(a.tcp.wheel.is_empty(), "an idle connection holds no timer");
+        let sink = EventSink::recording(256);
+        a.tcp.set_obs(sink.for_host(0));
+
+        // A fires (a delayed ACK with none owed does nothing) and frees
+        // its cell; B, armed next on an otherwise empty wheel, gets it.
+        a.tcp.set_timer(idx, TimerKind::DelayedAck, 1);
+        settle(&mut a, &mut b, VirtualTime::from_millis(2));
+        a.tcp.set_timer(idx, TimerKind::UserTimeout, 5);
+        let before = a.tcp.wheel_stats();
+        a.tcp.clear_timer(idx, TimerKind::DelayedAck);
+        assert_eq!(a.tcp.wheel_stats(), before, "a stale id cancels nothing");
+        assert_eq!(a.tcp.wheel.len(), 1, "B is still pending");
+        settle(&mut a, &mut b, VirtualTime::from_millis(10));
+
+        let timers: Vec<String> = sink
+            .events()
+            .iter()
+            .filter_map(|e| match e.event {
+                Event::TimerSet { timer, .. } => Some(format!("set {timer}")),
+                Event::TimerClear { timer } => Some(format!("clear {timer}")),
+                Event::TimerFire { timer } => Some(format!("fire {timer}")),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            timers,
+            ["set DelayedAck", "fire DelayedAck", "set UserTimeout", "clear DelayedAck", "fire UserTimeout"]
+        );
+        assert_eq!(a.tcp.state_of(client), Some(TcpState::Estab));
     }
 
     #[test]

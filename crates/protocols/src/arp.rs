@@ -65,7 +65,9 @@ impl ArpCache {
     }
 
     /// Looks up `ip`; on a miss, queues `packet` and possibly emits a
-    /// request. Returns the effects to perform.
+    /// request. Returns the effects to perform. This is the slow path:
+    /// a sender with a packet per call asks [`ArpCache::lookup`] first
+    /// and, on a hit, transmits without building an effect list.
     pub fn resolve(
         &mut self,
         now: VirtualTime,
@@ -139,7 +141,10 @@ impl ArpCache {
         gone
     }
 
-    /// A snapshot lookup without side effects.
+    /// A snapshot lookup without side effects (and without allocating):
+    /// the live mapping for `ip`, if there is one. `Ip` sends every
+    /// packet whose next hop this answers straight to the returned
+    /// address; only a miss goes through [`ArpCache::resolve`].
     pub fn lookup(&self, now: VirtualTime, ip: Ipv4Addr) -> Option<EthAddr> {
         self.entries.get(&ip).filter(|e| e.expires > now).map(|e| e.mac)
     }

@@ -324,10 +324,15 @@ impl<L: Protocol<Pattern = EtherType, Peer = EthAddr, Incoming = EthIncoming>> I
         self.stats.sent += 1;
         match self.next_hop(dst)? {
             None => self.lower.send(conn, EthAddr::BROADCAST, bytes),
-            Some(hop) => {
-                let effects = self.arp.resolve(now, hop, bytes);
-                self.apply_arp_effects(effects)
-            }
+            Some(hop) => match self.arp.lookup(now, hop) {
+                // The per-packet case: a live mapping, nothing to queue,
+                // no effect list to build.
+                Some(mac) => self.lower.send(conn, mac, bytes),
+                None => {
+                    let effects = self.arp.resolve(now, hop, bytes);
+                    self.apply_arp_effects(effects)
+                }
+            },
         }
     }
 

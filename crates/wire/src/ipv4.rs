@@ -93,6 +93,8 @@ impl IpProtocol {
 
 /// Length of the option-free IPv4 header.
 pub const HEADER_LEN: usize = 20;
+/// The longest header the 4-bit IHL field can describe (40 option bytes).
+pub const MAX_HEADER_LEN: usize = 60;
 
 /// The fields of an IPv4 header (options carried raw; the stack ignores
 /// them, as the paper's did — "IPv4 options are silently ignored" is also
@@ -173,7 +175,10 @@ impl Ipv4Packet {
     /// Fails if options are not 32-bit aligned or too long, or if the
     /// total length exceeds 65535.
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
-        let mut out = self.encode_header()?;
+        let mut header = [0u8; MAX_HEADER_LEN];
+        let n = self.encode_header(&mut header)?;
+        let mut out = Vec::with_capacity(n + self.payload.len());
+        out.extend_from_slice(&header[..n]);
         out.extend_from_slice(&self.payload.bytes());
         Ok(out)
     }
@@ -183,28 +188,29 @@ impl Ipv4Packet {
     /// continues down the stack. The header checksum only touches the
     /// 20–60 header bytes; the payload is not read.
     pub fn encode_buf(&self) -> Result<PacketBuf, WireError> {
-        let header = self.encode_header()?;
+        let mut header = [0u8; MAX_HEADER_LEN];
+        let n = self.encode_header(&mut header)?;
         let mut buf = self.payload.clone();
-        buf.prepend_header(&header);
+        buf.prepend_header(&header[..n]);
         Ok(buf)
     }
 
-    /// Serializes the header, computing its checksum.
-    fn encode_header(&self) -> Result<Vec<u8>, WireError> {
+    /// Serializes the header into the front of `out`, computing its
+    /// checksum, and returns its length.
+    fn encode_header(&self, out: &mut [u8; MAX_HEADER_LEN]) -> Result<usize, WireError> {
         let h = &self.header;
-        if !h.options.len().is_multiple_of(4) || h.options.len() > 40 {
+        if !h.options.len().is_multiple_of(4) || h.options.len() > MAX_HEADER_LEN - HEADER_LEN {
             return Err(WireError::Malformed("ipv4 options length"));
         }
-        let total_len = h.header_len() + self.payload.len();
+        let len = h.header_len();
+        let total_len = len + self.payload.len();
         if total_len > 65535 {
             return Err(WireError::Malformed("ipv4 total length"));
         }
-        let mut out = Vec::with_capacity(h.header_len());
-        let ihl = (h.header_len() / 4) as u8;
-        out.push(0x40 | ihl);
-        out.push(h.tos);
-        out.extend_from_slice(&(total_len as u16).to_be_bytes());
-        out.extend_from_slice(&h.ident.to_be_bytes());
+        out[0] = 0x40 | (len / 4) as u8;
+        out[1] = h.tos;
+        out[2..4].copy_from_slice(&(total_len as u16).to_be_bytes());
+        out[4..6].copy_from_slice(&h.ident.to_be_bytes());
         let mut flags_frag = h.frag_offset & 0x1fff;
         if h.dont_frag {
             flags_frag |= 0x4000;
@@ -212,16 +218,16 @@ impl Ipv4Packet {
         if h.more_frags {
             flags_frag |= 0x2000;
         }
-        out.extend_from_slice(&flags_frag.to_be_bytes());
-        out.push(h.ttl);
-        out.push(h.protocol.to_u8());
-        out.extend_from_slice(&[0, 0]); // checksum placeholder
-        out.extend_from_slice(&h.src.0);
-        out.extend_from_slice(&h.dst.0);
-        out.extend_from_slice(&h.options);
-        let csum = checksum::checksum(&out);
+        out[6..8].copy_from_slice(&flags_frag.to_be_bytes());
+        out[8] = h.ttl;
+        out[9] = h.protocol.to_u8();
+        out[10..12].fill(0); // checksum placeholder
+        out[12..16].copy_from_slice(&h.src.0);
+        out[16..20].copy_from_slice(&h.dst.0);
+        out[HEADER_LEN..len].copy_from_slice(&h.options);
+        let csum = checksum::checksum(&out[..len]);
         out[10..12].copy_from_slice(&csum.to_be_bytes());
-        Ok(out)
+        Ok(len)
     }
 
     /// Internalizes a packet, verifying version, lengths, and the header

@@ -10,6 +10,8 @@ use std::fmt;
 
 /// Length of the option-free TCP header.
 pub const HEADER_LEN: usize = 20;
+/// The longest header the 4-bit data-offset field can describe.
+pub const MAX_HEADER_LEN: usize = 60;
 
 /// The largest window-scale shift RFC 7323 §2.3 permits.
 pub const MAX_WSCALE: u8 = 14;
@@ -296,7 +298,10 @@ impl TcpSegment {
     /// `None` the checksum field is left zero (the paper's
     /// `compute_checksums = false` configuration for `Special_Tcp`).
     pub fn encode(&self, pseudo_sum: Option<u16>) -> Result<Vec<u8>, WireError> {
-        let mut out = self.encode_header()?;
+        let mut header = [0u8; MAX_HEADER_LEN];
+        let n = self.encode_header(&mut header)?;
+        let mut out = Vec::with_capacity(n + self.payload.len());
+        out.extend_from_slice(&header[..n]);
         out.extend_from_slice(&self.payload.bytes());
         if let Some(pseudo) = pseudo_sum {
             let mut acc = foxbasis::checksum::ChecksumAccum::new();
@@ -314,80 +319,76 @@ impl TcpSegment {
     /// by the combined copy+checksum pass that filled it), so the
     /// payload bytes are not re-read here.
     pub fn encode_buf(&self, pseudo_sum: Option<u16>) -> Result<PacketBuf, WireError> {
-        let mut header = self.encode_header()?;
+        let mut header = [0u8; MAX_HEADER_LEN];
+        let n = self.encode_header(&mut header)?;
+        let header = &mut header[..n];
         if let Some(pseudo) = pseudo_sum {
             let mut acc = foxbasis::checksum::ChecksumAccum::new();
-            acc.add_word(pseudo).add_bytes(&header).add_word(self.payload.ones_sum());
+            acc.add_word(pseudo).add_bytes(header).add_word(self.payload.ones_sum());
             let csum = acc.finish();
             header[16..18].copy_from_slice(&csum.to_be_bytes());
         }
         let mut buf = self.payload.clone();
-        buf.prepend_header(&header);
+        buf.prepend_header(header);
         Ok(buf)
     }
 
-    /// Serializes the header (checksum field zero), options padded to a
-    /// 32-bit boundary with End-of-List.
-    fn encode_header(&self) -> Result<Vec<u8>, WireError> {
+    /// Serializes the header (checksum field zero) into the front of
+    /// `out` and returns its length; the option bytes end in
+    /// End-of-List padding up to a 32-bit boundary.
+    fn encode_header(&self, out: &mut [u8; MAX_HEADER_LEN]) -> Result<usize, WireError> {
         let h = &self.header;
-        let opt_len = h.options_wire_len();
-        if HEADER_LEN + opt_len > 60 {
+        let len = HEADER_LEN + h.options_wire_len();
+        if len > MAX_HEADER_LEN {
             return Err(WireError::Malformed("tcp options too long"));
         }
-        if HEADER_LEN + opt_len + self.payload.len() > 65535 {
+        if len + self.payload.len() > 65535 {
             return Err(WireError::Malformed("tcp segment too long"));
         }
-        let mut out = Vec::with_capacity(HEADER_LEN + opt_len);
-        out.extend_from_slice(&h.src_port.to_be_bytes());
-        out.extend_from_slice(&h.dst_port.to_be_bytes());
-        out.extend_from_slice(&h.seq.raw().to_be_bytes());
-        out.extend_from_slice(&h.ack.raw().to_be_bytes());
-        let data_offset = ((HEADER_LEN + opt_len) / 4) as u8;
-        out.push(data_offset << 4);
-        out.push(h.flags.to_u8());
-        out.extend_from_slice(&h.window.to_be_bytes());
-        out.extend_from_slice(&[0, 0]); // checksum placeholder
-        out.extend_from_slice(&h.urgent.to_be_bytes());
+        out[0..2].copy_from_slice(&h.src_port.to_be_bytes());
+        out[2..4].copy_from_slice(&h.dst_port.to_be_bytes());
+        out[4..8].copy_from_slice(&h.seq.raw().to_be_bytes());
+        out[8..12].copy_from_slice(&h.ack.raw().to_be_bytes());
+        out[12] = ((len / 4) as u8) << 4;
+        out[13] = h.flags.to_u8();
+        out[14..16].copy_from_slice(&h.window.to_be_bytes());
+        out[16..18].fill(0); // checksum placeholder
+        out[18..20].copy_from_slice(&h.urgent.to_be_bytes());
+        // `len` bounds every option's bytes, so `put` stays inside `out`.
+        let mut at = HEADER_LEN;
+        let mut put = |bytes: &[u8]| {
+            out[at..at + bytes.len()].copy_from_slice(bytes);
+            at += bytes.len();
+        };
         for opt in &h.options {
             match opt {
                 TcpOption::MaxSegmentSize(v) => {
-                    out.push(2);
-                    out.push(4);
-                    out.extend_from_slice(&v.to_be_bytes());
+                    put(&[2, 4]);
+                    put(&v.to_be_bytes());
                 }
-                TcpOption::NoOp => out.push(1),
-                TcpOption::WindowScale(s) => {
-                    out.push(3);
-                    out.push(3);
-                    out.push(*s);
-                }
-                TcpOption::SackPermitted => {
-                    out.push(4);
-                    out.push(2);
-                }
+                TcpOption::NoOp => put(&[1]),
+                TcpOption::WindowScale(s) => put(&[3, 3, *s]),
+                TcpOption::SackPermitted => put(&[4, 2]),
                 TcpOption::Sack(blocks) => {
-                    out.push(5);
-                    out.push((2 + 8 * blocks.len()) as u8);
+                    put(&[5, (2 + 8 * blocks.len()) as u8]);
                     for (left, right) in blocks {
-                        out.extend_from_slice(&left.raw().to_be_bytes());
-                        out.extend_from_slice(&right.raw().to_be_bytes());
+                        put(&left.raw().to_be_bytes());
+                        put(&right.raw().to_be_bytes());
                     }
                 }
                 TcpOption::Timestamps(tsval, tsecr) => {
-                    out.push(8);
-                    out.push(10);
-                    out.extend_from_slice(&tsval.to_be_bytes());
-                    out.extend_from_slice(&tsecr.to_be_bytes());
+                    put(&[8, 10]);
+                    put(&tsval.to_be_bytes());
+                    put(&tsecr.to_be_bytes());
                 }
                 TcpOption::Unknown(kind, data) => {
-                    out.push(*kind);
-                    out.push((2 + data.len()) as u8);
-                    out.extend_from_slice(data);
+                    put(&[*kind, (2 + data.len()) as u8]);
+                    put(data);
                 }
             }
         }
-        out.resize(HEADER_LEN + opt_len, 0); // pad options with End-of-List
-        Ok(out)
+        out[at..len].fill(0); // pad options with End-of-List
+        Ok(len)
     }
 
     /// [`encode`](Self::encode) with the standard IPv4 pseudo-header.
