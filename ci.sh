@@ -6,7 +6,8 @@
 # Twelve stages, all must pass:
 #   1. formatting (fails fast, before anything compiles)
 #   2. foxlint: the workspace invariant lints (determinism, hash_iter,
-#      rx_panic, field_owner, win_cast, and the
+#      rx_panic, field_owner — which also confines every `state` write
+#      in foxtcp to control/fsm.rs::transition — win_cast, and the
 #      shard_global/shard_rc/shard_tcb shard-confinement family — see
 #      DESIGN.md §5.8, §5.13), ratcheted against foxlint.baseline;
 #      fails on new violations AND on stale entries
@@ -40,11 +41,14 @@
 #   9. the Criterion benches compile (not run; keeps them from rotting) —
 #      including timer.rs's `wheel` group beside the Fig. 11 rows
 #  10. clippy over every target (benches and bins too), warnings as errors
-#  11. the FSM gate: `foxlint --fsm-check` proves the state machine
-#      extracted from foxtcp's control/ source equals spec/tcp_fsm.txt,
-#      then the conformance coverage ratchet proves every non-exempt
-#      spec edge is witnessed at runtime by both stacks (printing the
-#      edges-covered/total counts per stack)
+#  11. the FSM gate: the control::fsm unit tests (the guard admits
+#      exactly the edges of spec/tcp_fsm.txt, a write outside it panics,
+#      the spec parser, docs/tcp_fsm.dot is current), then the
+#      conformance coverage ratchet proves every non-exempt spec edge is
+#      witnessed at runtime by both stacks (printing the
+#      edges-covered/total counts per stack). That every state write is
+#      a spec edge needs no stage of its own: stage 2 confines the writes
+#      to `transition`, whose debug assertion is live in stages 4 and 5
 #  12. the benchmark: foxperf (a package of its own outside this
 #      workspace, so stages 1, 3, 4 and 10 never see it) is tested,
 #      clippy-linted and format-checked against the tree as it stands,
@@ -94,10 +98,10 @@ cargo bench --workspace --no-run
 echo "== clippy (all targets, deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== fsm gate (extracted graph == spec, spec edges covered at runtime) =="
-cargo run -q -p foxlint -- --fsm-check
+echo "== fsm gate (guard == spec, spec edges covered at runtime) =="
+cargo test -q -p foxtcp --lib control::fsm
 cargo test -q -p foxtcp --test conformance \
-  runtime_transitions_cover_the_extracted_fsm_spec -- --nocapture \
+  runtime_transitions_cover_the_fsm_spec -- --nocapture \
   | grep -E "fsm coverage|test result"
 
 echo "== foxperf (the benchmark: test, clippy, fmt) =="

@@ -5,7 +5,9 @@
 //!   cargo run --release -p foxbench --bin tables -- table1   # one item
 //!
 //! Items: table1, table2, gc, gcpause, ablations, matrix, loss,
-//! lossmatrix, interop, copies, scale, adversarial, micro
+//! lossmatrix, interop, copies, scale, adversarial, micro, and
+//! adversarial-smoke (CI's 6-cell subset; by name only, never part of
+//! "everything"). An unknown item prints this list and exits 2.
 //!
 //! Flags:
 //!   --trace <file>   record the Table 1 bulk run's typed event stream;
@@ -29,6 +31,13 @@ use foxharness::experiments as exp;
 use foxharness::stack::StackKind;
 use simnet::CostModel;
 use std::time::Instant;
+
+/// Every item name the command line accepts.
+#[rustfmt::skip]
+const ITEMS: [&str; 14] = [
+    "table1", "table2", "gc", "gcpause", "ablations", "matrix", "loss", "lossmatrix", "interop", "copies",
+    "scale", "adversarial", "adversarial-smoke", "micro",
+];
 
 fn want(args: &[String], name: &str) -> bool {
     args.is_empty() || args.iter().any(|a| a == name)
@@ -63,6 +72,10 @@ fn main() {
 
     let trace_path = take_flag(&mut args, "--trace");
     let pcap_path = take_flag(&mut args, "--pcap");
+    if let Some(typo) = args.iter().find(|a| !ITEMS.contains(&a.as_str())) {
+        eprintln!("unknown item `{typo}`; items: {}", ITEMS.join(" "));
+        std::process::exit(2);
+    }
     if trace_path.is_some() || pcap_path.is_some() {
         println!("running the traced Table 1 bulk transfer (10^6 bytes, 1994 cost model)...");
         let t = exp::traced_table1_bulk(StackKind::FoxStandard, CostModel::decstation_sml, 1_000_000, seed);

@@ -23,11 +23,11 @@
 //!   the segment-input paths of both TCP engines. Malformed input is an
 //!   `Err`, never a crash.
 //! * `field_owner` — one table (`FIELD_OWNERS`) of which files may
-//!   assign which connection fields: `state` only under
-//!   `crates/foxtcp/src/control/` (the control/data split inside
-//!   foxtcp, DESIGN.md §5.11: control hands data an `EstablishedHandle`,
-//!   data reports back through `DataEvent`, neither half writes the
-//!   other's fields); `cwnd`/`ssthresh` only in
+//!   assign which connection fields: `state` only in
+//!   `crates/foxtcp/src/control/fsm.rs`, whose `transition` checks every
+//!   write against `spec/tcp_fsm.txt` (DESIGN.md §5.13; control hands
+//!   data an `EstablishedHandle`, data reports back through `DataEvent`,
+//!   neither half writes the other's fields, §5.11); `cwnd`/`ssthresh` only in
 //!   `crates/foxtcp/src/data/congestion.rs`, so every congestion
 //!   decision flows through the `CongestionControl` trait; the RFC 793
 //!   sequence-space fields only in the data-path modules, `tcb.rs` and
@@ -54,8 +54,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
-
-pub mod fsm;
 
 /// The lint registry: `(name, one-line description)`.
 pub const LINTS: &[(&str, &str)] = &[
@@ -105,8 +103,9 @@ const FIELD_OWNERS: &[FieldOwner] = &[
     FieldOwner {
         fields: &["state"],
         scope: "crates/foxtcp/src/",
-        owners: &[CONTROL_PREFIX],
-        instead: "a state transition is control's alone — the data path reports events \
+        owners: &["crates/foxtcp/src/control/fsm.rs"],
+        instead: "a state transition is control's alone and goes through `fsm::transition`, \
+                  which checks it against spec/tcp_fsm.txt — the data path reports events \
                   (DataEvent), it never assigns `state`",
     },
     FieldOwner {

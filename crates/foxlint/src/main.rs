@@ -6,8 +6,6 @@
 //! cargo run -p foxlint -- --update-baseline    # re-bless current counts
 //! cargo run -p foxlint -- --list               # describe the lints
 //! cargo run -p foxlint -- --format json        # machine-readable findings
-//! cargo run -p foxlint -- --fsm-check          # extracted FSM vs spec/tcp_fsm.txt
-//! cargo run -p foxlint -- --fsm-dot            # extracted FSM as Graphviz DOT
 //! ```
 //!
 //! Exit status 0 means no new violations and no stale baseline entries;
@@ -22,8 +20,6 @@ fn main() -> ExitCode {
     let mut baseline_path: Option<PathBuf> = None;
     let mut update = false;
     let mut list = false;
-    let mut fsm_check = false;
-    let mut fsm_dot = false;
     let mut json = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -31,8 +27,6 @@ fn main() -> ExitCode {
             "--check" => {}
             "--update-baseline" => update = true,
             "--list" => list = true,
-            "--fsm-check" => fsm_check = true,
-            "--fsm-dot" => fsm_dot = true,
             "--format" => match args.next().as_deref() {
                 Some("json") => json = true,
                 Some("text") => json = false,
@@ -54,21 +48,6 @@ fn main() -> ExitCode {
             println!("{name}: {desc}");
         }
         return ExitCode::SUCCESS;
-    }
-    if fsm_dot {
-        match foxlint::fsm::extract_root(&root) {
-            Ok(graph) => {
-                print!("{}", foxlint::fsm::to_dot(&graph));
-                return ExitCode::SUCCESS;
-            }
-            Err(e) => {
-                eprintln!("foxlint: fsm extraction failed:\n{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if fsm_check {
-        return run_fsm_check(&root);
     }
     let baseline_path = baseline_path.unwrap_or_else(|| root.join("foxlint.baseline"));
 
@@ -137,49 +116,11 @@ fn main() -> ExitCode {
     }
 }
 
-/// `--fsm-check`: extract the implemented transition graph and ratchet
-/// it against `spec/tcp_fsm.txt` in both directions.
-fn run_fsm_check(root: &std::path::Path) -> ExitCode {
-    let report = match foxlint::fsm::check_fsm(root) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("foxlint: fsm check failed:\n{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    for ((from, to, trigger), sites) in &report.drift.code_only {
-        let at = sites.iter().map(|(f, l)| format!("{f}:{l}")).collect::<Vec<_>>().join(", ");
-        eprintln!(
-            "fsm: code implements {from} -> {to} : {trigger} (at {at}) but spec/tcp_fsm.txt \
-             does not list it — add the edge with its RFC citation, or fix the code"
-        );
-    }
-    for e in &report.drift.spec_only {
-        eprintln!(
-            "fsm: spec/tcp_fsm.txt:{} lists {} -> {} : {} but the control files do not \
-             implement it — implement the edge, or remove it from the spec",
-            e.line, e.from, e.to, e.trigger
-        );
-    }
-    println!(
-        "foxlint: fsm {} edges implemented, {} in spec, {} code-only, {} spec-only",
-        report.graph.edges.len(),
-        report.spec.len(),
-        report.drift.code_only.len(),
-        report.drift.spec_only.len(),
-    );
-    if report.drift.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 fn usage(err: &str) -> ExitCode {
     eprintln!(
         "foxlint: {err}\n\
          usage: foxlint [--check] [--update-baseline] [--list] [--format text|json]\n\
-         \x20              [--fsm-check] [--fsm-dot] [--root DIR] [--baseline FILE]"
+         \x20              [--root DIR] [--baseline FILE]"
     );
     ExitCode::FAILURE
 }

@@ -11,7 +11,7 @@ pub struct Core {
 }
 
 pub fn mixed(core: &mut Core) {
-    core.state = 1; //~ field_owner (outside foxtcp's control/)
+    core.state = 1; //~ field_owner (outside foxtcp's control/fsm.rs)
     core.snd_nxt += 2; //~ field_owner (outside the data-path modules)
     core.cwnd = 3; //~ field_owner (outside congestion.rs)
     core.ssthresh <<= 1; //~ field_owner (outside congestion.rs)

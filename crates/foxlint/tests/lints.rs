@@ -116,9 +116,12 @@ fn field_owner_fires_outside_each_fields_owner() {
     // In the engine root nobody's fields may be assigned: all four
     // writes fire, each exactly once.
     assert_eq!(fired("crates/foxtcp/src/engine.rs"), ["state", "snd_nxt", "cwnd", "ssthresh"]);
-    // Under control/ the state transition is legal; the data path's
-    // fields are not.
-    assert_eq!(fired("crates/foxtcp/src/control/state.rs"), ["snd_nxt", "cwnd", "ssthresh"]);
+    // The state write is legal in exactly one file, `transition`'s; the
+    // rest of control/ goes through it like everyone else. The data
+    // path's fields are control's nowhere.
+    assert_eq!(fired("crates/foxtcp/src/control/fsm.rs"), ["snd_nxt", "cwnd", "ssthresh"]);
+    assert_eq!(fired("crates/foxtcp/src/control/segment.rs"), ["state", "snd_nxt", "cwnd", "ssthresh"]);
+    assert_eq!(fired("crates/foxtcp/src/control/state.rs"), ["state", "snd_nxt", "cwnd", "ssthresh"]);
     // Inside a data-path module the sequence-space write is fine, but a
     // state transition is control's and the congestion writes still
     // belong to congestion.rs.

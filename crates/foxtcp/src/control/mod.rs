@@ -3,15 +3,18 @@
 //! Everything that decides *what a connection is* lives here — passive
 //! and active opens, the SYN handshakes, RST handling, the close
 //! sequences, timer-driven give-ups, and every write to
-//! [`crate::TcpState`]. The data path ([`crate::data`]) moves bytes for
+//! [`crate::TcpState`], each one a [`fsm::transition`] checked against
+//! `spec/tcp_fsm.txt`. The data path ([`crate::data`]) moves bytes for
 //! a connection whose shape control has already decided; it reports
 //! events back (see `DataEvent` in [`crate::data::transfer`]) but never
 //! mutates the state machine.
 //!
 //! The boundary is machine-checked: the `field_owner` foxlint rule
-//! rejects `state` assignments outside this directory and
-//! sequence/window/congestion writes inside it (DESIGN.md §5.11).
+//! rejects `state` assignments outside `control/fsm.rs` and
+//! sequence/window/congestion writes inside this directory (DESIGN.md
+//! §5.11).
 
+pub mod fsm;
 pub mod segment;
 pub mod state;
 

@@ -11,6 +11,9 @@
 //! through `check_sequence` → `check_rst` → `check_syn` → `check_ack` →
 //! `process_text` → `check_fin`, each an explicit function so the code
 //! can be read against the standard — the paper's maintainability claim.
+//! Each check stamps its state writes with the trigger it is named after
+//! (`check_ack` writes are `ack` even when the segment also carries a
+//! FIN that `check_fin` will act on next).
 //!
 //! This file is the *control* half of the DAG: the branch structure and
 //! every state transition. The checks that move sequence numbers,
@@ -19,6 +22,7 @@
 //! `EstablishedHandle` at promotion time, receiving `DataEvent`s back).
 
 use crate::action::{AttackEvent, TcpAction, TimerKind};
+use crate::control::fsm::{transition, Trigger};
 use crate::control::EstablishedHandle;
 use crate::data::transfer::{self, DataEvent};
 use crate::data::{resend, send};
@@ -108,7 +112,7 @@ fn listen_receives_syn<P: Clone + PartialEq + Debug>(
 ) {
     transfer::note_peer_syn(core, &seg.header);
     transfer::init_window_from_syn(core, &seg.header);
-    core.state = TcpState::SynPassive { retries_left: cfg.syn_retries };
+    transition(core, Trigger::Syn, TcpState::SynPassive { retries_left: cfg.syn_retries });
     send::queue_syn(core, true, now);
     core.tcb.push_action(TcpAction::SetTimer(TimerKind::UserTimeout, cfg.user_timeout_ms));
     // Any data included with the SYN would be processed later (after
@@ -141,7 +145,7 @@ fn syn_sent<P: Clone + PartialEq + Debug>(
         if ack_acceptable {
             // "signal the user 'error: connection reset', drop the
             // segment, enter CLOSED state."
-            enter_closed_after_reset(core);
+            enter_closed_after_reset(core, Trigger::Rst);
         }
         return Disposition::default();
     }
@@ -157,7 +161,7 @@ fn syn_sent<P: Clone + PartialEq + Debug>(
             resend::process_ack(cfg, core, h.ack, now);
             // A SYN+ACK's window is never scaled.
             transfer::establish(cfg, core, h, false, EstablishedHandle::mint());
-            core.state = TcpState::Estab;
+            transition(core, Trigger::Syn, TcpState::Estab);
             core.tcb.push_action(TcpAction::ClearTimer(TimerKind::UserTimeout));
             core.tcb.push_action(TcpAction::CompleteOpen);
             send::queue_ack(core, now);
@@ -167,7 +171,7 @@ fn syn_sent<P: Clone + PartialEq + Debug>(
         } else {
             // Simultaneous open: "enter SYN-RECEIVED, form a SYN,ACK
             // segment and send it."
-            core.state = TcpState::SynActive;
+            transition(core, Trigger::Syn, TcpState::SynActive);
             send::queue_syn(core, true, now);
         }
     }
@@ -226,16 +230,16 @@ fn check_rst<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>) {
             // Passive opens "return to the LISTEN state" — the embryonic
             // connection simply disappears; the engine notices Closed
             // with no user signal needed (the parent still listens).
-            silently_close(core);
+            silently_close(core, Trigger::Rst);
         }
-        _ => enter_closed_after_reset(core),
+        _ => enter_closed_after_reset(core, Trigger::Rst),
     }
 }
 
 /// Fourth check: an in-window SYN is an error.
 fn check_syn<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, seg: &TcpSegment) -> Disposition {
     let reply = send::reset_for(core.local_port, seg);
-    enter_closed_after_reset(core);
+    enter_closed_after_reset(core, Trigger::Syn);
     Disposition { reply: Some(reply) }
 }
 
@@ -265,7 +269,7 @@ fn check_ack<P: Clone + PartialEq + Debug>(
             resend::process_ack(cfg, core, ack, now);
             // The handshake-completing ACK is not a SYN: scaled.
             transfer::establish(cfg, core, h, true, EstablishedHandle::mint());
-            core.state = TcpState::Estab;
+            transition(core, Trigger::Ack, TcpState::Estab);
             core.tcb.push_action(TcpAction::ClearTimer(TimerKind::UserTimeout));
             core.tcb.push_action(TcpAction::CompleteOpen);
             send::maybe_send(cfg, core, now);
@@ -313,21 +317,13 @@ fn after_ack_transitions<P: Clone + PartialEq + Debug>(
 ) {
     let our_fin_acked = fin_acked_now || core.tcb.fin_seq.is_some_and(|f| (f + 1).le(core.tcb.snd_una));
     match core.state {
-        TcpState::FinWait1 { .. } if our_fin_acked => {
-            core.state = TcpState::FinWait2;
-        }
-        TcpState::FinWait1 { .. } => {
-            core.state = TcpState::FinWait1 { fin_acked: false };
-        }
+        TcpState::FinWait1 if our_fin_acked => transition(core, Trigger::Ack, TcpState::FinWait2),
         TcpState::Closing if our_fin_acked => {
-            core.state = TcpState::TimeWait;
+            transition(core, Trigger::Ack, TcpState::TimeWait);
             core.tcb.push_action(TcpAction::SetTimer(TimerKind::TimeWait, cfg.time_wait_ms));
         }
         TcpState::LastAck if our_fin_acked => {
-            core.state = TcpState::Closed;
-            for kind in TimerKind::ALL {
-                core.tcb.push_action(TcpAction::ClearTimer(kind));
-            }
+            transition(core, Trigger::Ack, TcpState::Closed);
             core.tcb.push_action(TcpAction::CompleteClose);
         }
         _ => {}
@@ -368,18 +364,18 @@ fn check_fin<P: Clone + PartialEq + Debug>(
     core.tcb.push_action(TcpAction::PeerClose);
     match core.state {
         TcpState::SynActive | TcpState::SynPassive { .. } | TcpState::Estab => {
-            core.state = TcpState::CloseWait;
+            transition(core, Trigger::Fin, TcpState::CloseWait);
         }
-        TcpState::FinWait1 { fin_acked } => {
-            if fin_acked || core.tcb.fin_seq.is_some_and(|f| (f + 1).le(core.tcb.snd_una)) {
-                core.state = TcpState::TimeWait;
+        TcpState::FinWait1 => {
+            if core.tcb.fin_seq.is_some_and(|f| (f + 1).le(core.tcb.snd_una)) {
+                transition(core, Trigger::Fin, TcpState::TimeWait);
                 core.tcb.push_action(TcpAction::SetTimer(TimerKind::TimeWait, cfg.time_wait_ms));
             } else {
-                core.state = TcpState::Closing;
+                transition(core, Trigger::Fin, TcpState::Closing);
             }
         }
         TcpState::FinWait2 => {
-            core.state = TcpState::TimeWait;
+            transition(core, Trigger::Fin, TcpState::TimeWait);
             core.tcb.push_action(TcpAction::SetTimer(TimerKind::TimeWait, cfg.time_wait_ms));
         }
         TcpState::TimeWait => {
@@ -390,28 +386,18 @@ fn check_fin<P: Clone + PartialEq + Debug>(
 }
 
 /// Peer reset: flush everything, tell the user.
-fn enter_closed_after_reset<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>) {
-    core.state = TcpState::Closed;
-    let tcb = &mut core.tcb;
-    tcb.resend_queue.clear();
-    tcb.send_buf.clear();
-    tcb.out_of_order.clear();
-    for kind in TimerKind::ALL {
-        tcb.push_action(TcpAction::ClearTimer(kind));
-    }
-    tcb.push_action(TcpAction::PeerReset);
+fn enter_closed_after_reset<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, trigger: Trigger) {
+    silently_close(core, trigger);
+    core.tcb.push_action(TcpAction::PeerReset);
 }
 
 /// Close without any user signal (embryonic reset).
-fn silently_close<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>) {
-    core.state = TcpState::Closed;
+fn silently_close<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, trigger: Trigger) {
+    transition(core, trigger, TcpState::Closed);
     let tcb = &mut core.tcb;
     tcb.resend_queue.clear();
     tcb.send_buf.clear();
     tcb.out_of_order.clear();
-    for kind in TimerKind::ALL {
-        tcb.push_action(TcpAction::ClearTimer(kind));
-    }
 }
 
 #[cfg(test)]
@@ -876,7 +862,7 @@ mod tests {
     fn simultaneous_close_fins_cross() {
         let mut core = estab();
         // We closed: FIN sent at 101, unacked.
-        core.state = TcpState::FinWait1 { fin_acked: false };
+        core.state = TcpState::FinWait1;
         core.tcb.fin_pending = true;
         core.tcb.fin_seq = Some(Seq(101));
         core.tcb.snd_nxt = Seq(102);
@@ -902,7 +888,7 @@ mod tests {
     #[test]
     fn fin_wait_1_with_fin_acked_goes_time_wait_on_fin() {
         let mut core = estab();
-        core.state = TcpState::FinWait1 { fin_acked: false };
+        core.state = TcpState::FinWait1;
         core.tcb.fin_seq = Some(Seq(101));
         core.tcb.snd_nxt = Seq(102);
         // Peer ACKs our FIN and FINs in the same segment.

@@ -3,6 +3,7 @@
 //! (paper §4).
 
 use crate::action::{TcpAction, TimerKind};
+use crate::control::fsm::{transition, Trigger};
 use crate::data::{resend, send};
 use crate::tcb::TcpState;
 use crate::{ConnCore, TcpConfig};
@@ -24,7 +25,7 @@ pub fn active_open<P: Clone + PartialEq + Debug>(
     if core.remote.is_none() {
         return Err(ProtoError::Invalid("active open requires a remote"));
     }
-    core.state = TcpState::SynSent { retries_left: cfg.syn_retries };
+    transition(core, Trigger::Open, TcpState::SynSent { retries_left: cfg.syn_retries });
     send::queue_syn(core, false, now);
     core.tcb.push_action(TcpAction::SetTimer(TimerKind::UserTimeout, cfg.user_timeout_ms));
     Ok(())
@@ -38,7 +39,7 @@ pub fn passive_open<P: Clone + PartialEq + Debug>(
     if core.state != TcpState::Closed {
         return Err(ProtoError::AlreadyOpen);
     }
-    core.state = TcpState::Listen { backlog: cfg.backlog };
+    transition(core, Trigger::Open, TcpState::Listen { backlog: cfg.backlog });
     Ok(())
 }
 
@@ -48,10 +49,7 @@ pub fn passive_open<P: Clone + PartialEq + Debug>(
 /// engine calls this instead of writing the state directly; every
 /// lifecycle write stays in `control`.
 pub fn spawn_embryonic<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>) {
-    // Embryonic TCBs are always minted fresh; the FSM extractor relies
-    // on this assertion to type the write as CLOSED -> LISTEN.
-    debug_assert!(core.state == TcpState::Closed);
-    core.state = TcpState::Listen { backlog: 0 };
+    transition(core, Trigger::Open, TcpState::Listen { backlog: 0 });
 }
 
 /// CLOSE (RFC 793 p. 60): graceful shutdown of our direction.
@@ -64,10 +62,7 @@ pub fn close<P: Clone + PartialEq + Debug>(
         TcpState::Closed => Err(ProtoError::NotOpen),
         TcpState::Listen { .. } | TcpState::SynSent { .. } => {
             // "Any outstanding RECEIVEs are returned ... delete the TCB."
-            core.state = TcpState::Closed;
-            for kind in TimerKind::ALL {
-                core.tcb.push_action(TcpAction::ClearTimer(kind));
-            }
+            transition(core, Trigger::Close, TcpState::Closed);
             core.tcb.push_action(TcpAction::CompleteClose);
             Ok(())
         }
@@ -76,17 +71,17 @@ pub fn close<P: Clone + PartialEq + Debug>(
             // then form a FIN segment and send it" — fin_pending does the
             // queueing; the Send module emits the FIN after the data.
             core.tcb.fin_pending = true;
-            core.state = TcpState::FinWait1 { fin_acked: false };
+            transition(core, Trigger::Close, TcpState::FinWait1);
             send::maybe_send(cfg, core, now);
             Ok(())
         }
         TcpState::CloseWait => {
             core.tcb.fin_pending = true;
-            core.state = TcpState::LastAck;
+            transition(core, Trigger::Close, TcpState::LastAck);
             send::maybe_send(cfg, core, now);
             Ok(())
         }
-        TcpState::FinWait1 { .. }
+        TcpState::FinWait1
         | TcpState::FinWait2
         | TcpState::Closing
         | TcpState::LastAck
@@ -111,13 +106,10 @@ pub fn abort<P: Clone + PartialEq + Debug>(
             payload: foxbasis::buf::PacketBuf::new(),
         }));
     }
-    core.state = TcpState::Closed;
+    transition(core, Trigger::Abort, TcpState::Closed);
     core.tcb.resend_queue.clear();
     core.tcb.send_buf.clear();
     core.tcb.out_of_order.clear();
-    for kind in TimerKind::ALL {
-        core.tcb.push_action(TcpAction::ClearTimer(kind));
-    }
     core.tcb.push_action(TcpAction::CompleteClose);
     Ok(())
 }
@@ -145,22 +137,16 @@ pub fn timer_expired<P: Clone + PartialEq + Debug>(
         }
         TimerKind::TimeWait => {
             if core.state == TcpState::TimeWait {
-                core.state = TcpState::Closed;
-                for k in TimerKind::ALL {
-                    core.tcb.push_action(TcpAction::ClearTimer(k));
-                }
+                transition(core, Trigger::Timer, TcpState::Closed);
                 core.tcb.push_action(TcpAction::CompleteClose);
             }
         }
         TimerKind::UserTimeout => {
             // A hung operation (usually the handshake) fails.
             if !matches!(core.state, TcpState::Estab) {
-                core.state = TcpState::Closed;
+                transition(core, Trigger::Timer, TcpState::Closed);
                 core.tcb.resend_queue.clear();
                 core.tcb.send_buf.clear();
-                for k in TimerKind::ALL {
-                    core.tcb.push_action(TcpAction::ClearTimer(k));
-                }
                 core.tcb.push_action(TcpAction::UserTimeoutFired);
             }
         }
@@ -198,10 +184,7 @@ fn retransmit_timer<P: Clone + PartialEq + Debug>(cfg: &TcpConfig, core: &mut Co
 
 /// Hung operation: fail it (the paper's user timeout).
 fn give_up<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>) {
-    core.state = TcpState::Closed;
-    for kind in TimerKind::ALL {
-        core.tcb.push_action(TcpAction::ClearTimer(kind));
-    }
+    transition(core, Trigger::Timer, TcpState::Closed);
     core.tcb.push_action(TcpAction::UserTimeoutFired);
 }
 
@@ -257,7 +240,7 @@ mod tests {
         core.state = TcpState::Estab;
         core.tcb.snd_wnd = 4096;
         close(&cfg(), &mut core, VirtualTime::ZERO).unwrap();
-        assert_eq!(core.state, TcpState::FinWait1 { fin_acked: false });
+        assert_eq!(core.state, TcpState::FinWait1);
         assert!(core.tcb.fin_pending);
         assert!(core.tcb.fin_seq.is_some(), "FIN actually staged");
         let t = tags(&mut core);

@@ -176,7 +176,7 @@ mod tests {
     #[test]
     fn rejects_non_estab() {
         let mut core = estab();
-        core.state = TcpState::FinWait1 { fin_acked: false };
+        core.state = TcpState::FinWait1;
         assert!(!try_fast(&cfg(), &mut core, &seg(5000, 100, 4096, b"x"), VirtualTime::ZERO));
     }
 

@@ -16,6 +16,7 @@
 //! paper advertises. [`crate::TcpConfig`] carries the value parameters.
 
 use crate::action::{AttackEvent, LossEvent, TcpAction, TimerKind};
+use crate::control::fsm::Trigger;
 use crate::control::segment::{self, ListenVerdict};
 use crate::control::state;
 use crate::data::{fastpath, send};
@@ -227,24 +228,6 @@ where
 /// Where connection `id` sits in the engine's table (sorted by id).
 fn position<P>(conns: &[Conn<P>], id: u32) -> Option<usize> {
     conns.binary_search_by_key(&id, |c| c.id).ok()
-}
-
-/// The transition-cause a segment carries, by flag precedence: an RST
-/// dominates everything, a SYN dominates FIN/ACK, a FIN dominates its
-/// piggybacked ACK. Matches the trigger vocabulary of
-/// `spec/tcp_fsm.txt` (see `foxlint --fsm-check`).
-fn seg_cause(f: &foxwire::tcp::TcpFlags) -> &'static str {
-    if f.rst {
-        "rst"
-    } else if f.syn {
-        "syn"
-    } else if f.fin {
-        "fin"
-    } else if f.ack {
-        "ack"
-    } else {
-        "seg"
-    }
 }
 
 impl<L, A> Tcp<L, A>
@@ -635,8 +618,8 @@ where
                 // from inside the action loop; stamp the cause now,
                 // while the action still owns its segment.
                 let cause = match &action {
-                    TcpAction::ProcessData(seg, _) => seg_cause(&seg.header.flags),
-                    TcpAction::TimerExpiration(_) => "timer",
+                    TcpAction::ProcessData(seg, _) => Trigger::of(&seg.header.flags).name(),
+                    TcpAction::TimerExpiration(_) => Trigger::Timer.name(),
                     _ => "action",
                 };
                 Some((self.conns[idx].core.state.name(), cause))
@@ -926,7 +909,7 @@ where
                 let conn = self.conns.last_mut().expect("created");
                 conn.handler = Some(handler);
                 state::active_open(&self.cfg, &mut conn.core, self.sched.now())?;
-                self.note_transition(id, "Closed", "open");
+                self.note_transition(id, "Closed", Trigger::Open.name());
                 self.run_actions(id);
                 Ok(TcpConnId(id))
             }
@@ -941,7 +924,7 @@ where
                 let conn = self.conns.last_mut().expect("created");
                 conn.handler = Some(handler);
                 state::passive_open(&self.cfg, &mut conn.core)?;
-                self.note_transition(id, "Closed", "open");
+                self.note_transition(id, "Closed", Trigger::Open.name());
                 Ok(TcpConnId(id))
             }
         }
@@ -971,7 +954,7 @@ where
         let before = core.state.name();
         let res = state::close(&self.cfg, core, self.sched.now());
         self.note_closed(i);
-        self.note_transition(conn.0, before, "close");
+        self.note_transition(conn.0, before, Trigger::Close.name());
         self.run_actions(conn.0);
         res
     }
@@ -982,7 +965,7 @@ where
         let before = core.state.name();
         let res = state::abort(&self.cfg, core, self.sched.now());
         self.note_closed(i);
-        self.note_transition(conn.0, before, "abort");
+        self.note_transition(conn.0, before, Trigger::Abort.name());
         self.run_actions(conn.0);
         res
     }

@@ -54,12 +54,9 @@ pub enum TcpState {
     },
     /// Connection established.
     Estab,
-    /// We closed first; the `bool` is the paper's "our FIN has been
-    /// acknowledged" flag.
-    FinWait1 {
-        /// True once the peer has ACKed our FIN.
-        fin_acked: bool,
-    },
+    /// We closed first. The paper's `Fin_Wait_1 of tcb * bool` ("our FIN
+    /// has been acknowledged") is carried by `fin_seq`/`snd_una`.
+    FinWait1,
     /// Our FIN acknowledged, awaiting the peer's.
     FinWait2,
     /// Peer closed first; we may still send.
@@ -80,7 +77,7 @@ impl TcpState {
 
     /// True in states where incoming segment text is accepted.
     pub fn can_receive(&self) -> bool {
-        matches!(self, TcpState::Estab | TcpState::FinWait1 { .. } | TcpState::FinWait2)
+        matches!(self, TcpState::Estab | TcpState::FinWait1 | TcpState::FinWait2)
     }
 
     /// True for the two SYN-RECEIVED flavors.
@@ -102,7 +99,7 @@ impl TcpState {
             TcpState::SynActive => "SynActive",
             TcpState::SynPassive { .. } => "SynPassive",
             TcpState::Estab => "Estab",
-            TcpState::FinWait1 { .. } => "FinWait1",
+            TcpState::FinWait1 => "FinWait1",
             TcpState::FinWait2 => "FinWait2",
             TcpState::CloseWait => "CloseWait",
             TcpState::Closing => "Closing",
@@ -907,7 +904,7 @@ mod tests {
     fn state_predicates() {
         assert!(TcpState::Estab.can_send());
         assert!(TcpState::CloseWait.can_send());
-        assert!(!TcpState::FinWait1 { fin_acked: false }.can_send());
+        assert!(!TcpState::FinWait1.can_send());
         assert!(TcpState::FinWait2.can_receive());
         assert!(!TcpState::CloseWait.can_receive());
         assert!(TcpState::SynActive.is_syn_received());

@@ -16,19 +16,20 @@
 //! `CLOSED`.
 //!
 //! The scenarios live in one registry ([`SCENARIOS`]) so the suite can
-//! be ratcheted against the statically extracted state machine: every
-//! run records the `(state, trigger, state')` transitions each stack
-//! emits through `foxbasis::obs`, and
-//! [`runtime_transitions_cover_the_extracted_fsm_spec`] fails if any
-//! edge of `spec/tcp_fsm.txt` (itself diffed against the *code* by
-//! `foxlint --fsm-check`) is never exercised at runtime — unless the
-//! spec line carries a documented `@untested` exemption for that stack.
+//! be ratcheted against the declared state machine: every run records
+//! the `(state, trigger, state')` transitions each stack emits through
+//! `foxbasis::obs`, and [`runtime_transitions_cover_the_fsm_spec`] fails
+//! if any edge of `spec/tcp_fsm.txt` (which `control::fsm::transition`
+//! holds every fox state write to) is never exercised at runtime —
+//! unless the spec line carries a documented `@untested` exemption for
+//! that stack.
 
 use fox_scheduler::SchedHandle;
 use foxbasis::obs::{Event, EventSink};
 use foxbasis::seq::Seq;
 use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxproto::Protocol;
+use foxtcp::control::fsm::{self, SpecEdge, Trigger};
 use foxtcp::testlink::{LinkPair, TestAux, TestLower};
 use foxtcp::{ConnectingSocket, EstablishedSocket, ListeningSocket, Tcp, TcpConfig, TcpConnId, TcpEvent};
 use foxwire::tcp::{TcpFlags, TcpHeader, TcpSegment};
@@ -642,7 +643,7 @@ impl Scenario {
 /// `(from, trigger, to)` transitions the stack emitted while it ran.
 /// Normalized self-loops (e.g. a retransmission that re-enters the same
 /// RFC state) are dropped: the spec graph has no self-edges.
-fn run_on(stack: &'static str, sc: &Scenario) -> BTreeSet<(String, String, String)> {
+fn run_on(stack: &'static str, sc: &Scenario) -> BTreeSet<(&'static str, &'static str, &'static str)> {
     let link = LinkPair::new();
     let mut sut: Box<dyn Sut> = match stack {
         "fox" => Box::new(FoxSut::new(&link)),
@@ -658,7 +659,7 @@ fn run_on(stack: &'static str, sc: &Scenario) -> BTreeSet<(String, String, Strin
         if let Event::StateTransition { from, to, cause } = ev.event {
             let (f, t) = (normalize(from), normalize(to));
             if f != t {
-                out.insert((f.to_string(), cause.to_string(), t.to_string()));
+                out.insert((f, cause, t));
             }
         }
     }
@@ -1498,55 +1499,92 @@ fn abort_in_time_wait() {
 
 // ------------------------------------------------- the coverage ratchet
 
-/// Every transition the extracted spec (`spec/tcp_fsm.txt`) admits must
-/// be *witnessed at runtime* by some scenario above, per stack — and no
-/// scenario may witness a transition the spec does not admit. Edges a
-/// stack cannot reach are exempted in the spec file itself with
+/// Every transition `spec/tcp_fsm.txt` admits must be *witnessed at
+/// runtime* by some scenario above, per stack — and no scenario may
+/// witness a transition the spec does not admit. Edges a stack cannot
+/// reach are exempted in the spec file itself with
 /// `@untested(stack: reason)`, so skipping coverage is a reviewed spec
-/// edit, not a silent gap. New spec edges (from new code paths in
-/// `control/`) fail this test until a scenario exercises them: the
-/// ratchet only tightens.
+/// edit, not a silent gap. A new spec edge fails this test until a
+/// scenario exercises it: the ratchet only tightens.
 #[test]
-fn runtime_transitions_cover_the_extracted_fsm_spec() {
-    let spec_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../spec/tcp_fsm.txt");
-    let text = std::fs::read_to_string(spec_path).expect("read spec/tcp_fsm.txt");
-    let spec = foxlint::fsm::parse_spec(&text).expect("parse spec/tcp_fsm.txt");
-
+fn runtime_transitions_cover_the_fsm_spec() {
     let mut failures = Vec::new();
     for stack in ["fox", "xk"] {
-        let mut seen: BTreeSet<(String, String, String)> = BTreeSet::new();
+        let mut seen = BTreeSet::new();
         for sc in SCENARIOS {
             if sc.runs_on(stack) {
                 seen.extend(run_on(stack, sc));
             }
         }
+        let key = |e: &SpecEdge| (e.from, e.trigger.name(), e.to);
         // Nothing observed that the spec does not admit.
-        for (from, trigger, to) in &seen {
-            let admitted = spec.iter().any(|e| e.from == *from && e.to == *to && e.trigger == *trigger);
-            if !admitted {
-                failures.push(format!(
-                    "[{stack}] observed transition outside the spec: \
-                     {from} -> {to} : {trigger}"
-                ));
-            }
+        for (from, trigger, to) in seen.iter().filter(|s| !fsm::SPEC.iter().any(|e| key(e) == **s)) {
+            failures
+                .push(format!("[{stack}] observed transition outside the spec: {from} -> {to} : {trigger}"));
         }
         // Everything the spec admits (minus exemptions) observed.
-        let testable: Vec<_> = spec.iter().filter(|e| !e.untested_for(stack)).collect();
-        let mut covered = 0usize;
-        for e in &testable {
-            if seen.contains(&(e.from.clone(), e.trigger.clone(), e.to.clone())) {
-                covered += 1;
-            } else {
-                failures.push(format!(
-                    "[{stack}] spec edge never witnessed at runtime: \
-                     {} -> {} : {} (spec line {})",
-                    e.from, e.to, e.trigger, e.line
-                ));
-            }
+        let testable: Vec<_> = fsm::SPEC.iter().filter(|e| e.untested != Some(stack)).collect();
+        let missed: Vec<_> = testable.iter().filter(|e| !seen.contains(&key(e))).collect();
+        for e in &missed {
+            let (from, trigger, to) = key(e);
+            failures
+                .push(format!("[{stack}] spec edge never witnessed at runtime: {from} -> {to} : {trigger}"));
         }
-        println!("[{stack}] fsm coverage: {covered}/{} spec edges", testable.len());
+        println!("[{stack}] fsm coverage: {}/{} spec edges", testable.len() - missed.len(), testable.len());
     }
     assert!(failures.is_empty(), "fsm coverage ratchet failed:\n{}", failures.join("\n"));
+}
+
+/// RFC 9293 Fig. 5, typed in independently of `spec/tcp_fsm.txt` (from
+/// the figure, as `handshake`'s transcription in SNIPPETS.md does): the
+/// textbook diagram is a subgraph of the declared machine. The figure
+/// labels edges "event / action"; the trigger here is the event (`rcv
+/// SYN,ACK` is `syn`, by flag precedence). Two of its edges the stack
+/// deliberately lacks, and each says why.
+#[test]
+fn rfc9293_figure_5_is_a_subgraph_of_the_spec() {
+    use Trigger::*;
+    const FIG5: &[(&str, Trigger, &str)] = &[
+        ("CLOSED", Open, "LISTEN"),            // passive OPEN
+        ("CLOSED", Open, "SYN-SENT"),          // active OPEN / snd SYN
+        ("LISTEN", Syn, "SYN-RECEIVED"),       // rcv SYN / snd SYN,ACK
+        ("LISTEN", Close, "CLOSED"),           // CLOSE / delete TCB
+        ("SYN-SENT", Syn, "SYN-RECEIVED"),     // rcv SYN / snd SYN,ACK
+        ("SYN-SENT", Syn, "ESTABLISHED"),      // rcv SYN,ACK / snd ACK
+        ("SYN-SENT", Close, "CLOSED"),         // CLOSE / delete TCB
+        ("SYN-RECEIVED", Ack, "ESTABLISHED"),  // rcv ACK of SYN
+        ("SYN-RECEIVED", Close, "FIN-WAIT-1"), // CLOSE / snd FIN
+        ("ESTABLISHED", Close, "FIN-WAIT-1"),  // CLOSE / snd FIN
+        ("ESTABLISHED", Fin, "CLOSE-WAIT"),    // rcv FIN / snd ACK
+        ("FIN-WAIT-1", Ack, "FIN-WAIT-2"),     // rcv ACK of FIN
+        ("FIN-WAIT-1", Fin, "CLOSING"),        // rcv FIN / snd ACK
+        ("FIN-WAIT-2", Fin, "TIME-WAIT"),      // rcv FIN / snd ACK
+        ("CLOSE-WAIT", Close, "LAST-ACK"),     // CLOSE / snd FIN
+        ("CLOSING", Ack, "TIME-WAIT"),         // rcv ACK of FIN
+        ("LAST-ACK", Ack, "CLOSED"),           // rcv ACK of FIN
+        ("TIME-WAIT", Timer, "CLOSED"),        // Timeout=2MSL / delete TCB
+    ];
+    const LACKING: &[((&str, Trigger, &str), &str)] = &[
+        (
+            ("LISTEN", Open, "SYN-SENT"),
+            "SEND on a listener: neither stack turns a listening socket active (`ListeningSocket` has \
+             no send); the user opens a second, active connection instead",
+        ),
+        (
+            ("SYN-RECEIVED", Rst, "LISTEN"),
+            "the figure's note 1: an RST closes the embryonic child (SYN-RECEIVED -> CLOSED : rst) and \
+             the parent listener never left LISTEN, so nothing returns to it",
+        ),
+    ];
+    let in_spec =
+        |(from, trigger, to)| fsm::SPEC.iter().any(|e| (e.from, e.trigger, e.to) == (from, trigger, to));
+    for &edge in FIG5 {
+        assert!(in_spec(edge), "Fig. 5 edge not in spec: {edge:?}");
+    }
+    for &(edge, why) in LACKING {
+        assert!(!in_spec(edge), "{edge:?} is now in the spec; it was left out because: {why}");
+    }
+    assert_eq!(FIG5.len() + LACKING.len(), 20, "Fig. 5 draws twenty edges");
 }
 
 // ------------------------------------------------- SYN-flood recovery

@@ -144,7 +144,7 @@ proptest! {
             TcpState::SynActive,
             TcpState::SynPassive { retries_left: 3 },
             TcpState::Estab,
-            TcpState::FinWait1 { fin_acked: false },
+            TcpState::FinWait1,
             TcpState::FinWait2,
             TcpState::CloseWait,
             TcpState::Closing,
@@ -153,7 +153,7 @@ proptest! {
         let cfg = TcpConfig::default();
         let mut core = estab_core();
         core.state = states[state_ix].clone();
-        if matches!(core.state, TcpState::FinWait1 { .. } | TcpState::Closing) {
+        if matches!(core.state, TcpState::FinWait1 | TcpState::Closing) {
             core.tcb.fin_seq = Some(core.tcb.snd_nxt);
             core.tcb.snd_nxt += 1;
         }
