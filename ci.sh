@@ -33,11 +33,9 @@
 #      matrix (DESIGN.md §5.12) — each cell internally run twice with
 #      bit-identical reports asserted — executed as two whole process
 #      runs whose rendered tables must diff to zero
-#   8. bench smoke: a small `tables -- bench-json` run end to end (its
-#      output schema-validated by bench-check, fox ≥ xk on the modern
-#      profile asserted; 1 MB per cell, ~3 ms of wall time — at 200 KB
-#      a cell is half a millisecond and the ratio is host noise), then
-#      bench-check against the checked-in BENCH_7.json trajectory
+#   8. examples run: the eight `examples/*.rs`, from the release build,
+#      each must exit 0 (together under a second; their output is
+#      run-to-run identical, and nothing else executes them)
 #   9. the Criterion benches compile (not run; keeps them from rotting) —
 #      including timer.rs's `wheel` group beside the Fig. 11 rows
 #  10. clippy over every target (benches and bins too), warnings as errors
@@ -49,8 +47,10 @@
 #      edges-covered/total counts per stack). That every state write is
 #      a spec edge needs no stage of its own: stage 2 confines the writes
 #      to `transition`, whose debug assertion is live in stages 4 and 5
-#  12. the benchmark: foxperf (a package of its own outside this
-#      workspace, so stages 1, 3, 4 and 10 never see it) is tested,
+#  12. the benchmark: foxperf — the repo's one wall-clock bench path
+#      (BENCHMARK.json says how it is run; no stage here times anything),
+#      a package of its own outside this workspace, so stages 1, 3, 4
+#      and 10 never see it — is tested,
 #      clippy-linted and format-checked against the tree as it stands,
 #      so a refactor that breaks what foxperf compiles against fails
 #      here and not in the benchmark driver
@@ -85,12 +85,11 @@ cargo run -q --release -p foxbench --bin tables -- adversarial-smoke > "$ADV_SMO
 cargo run -q --release -p foxbench --bin tables -- adversarial-smoke > "$ADV_SMOKE_B"
 diff "$ADV_SMOKE_A" "$ADV_SMOKE_B"
 
-echo "== bench smoke (segments/sec trajectory) =="
-BENCH_SMOKE_OUT=$(mktemp /tmp/bench_smoke.XXXXXX.json)
-trap 'rm -f "$ADV_SMOKE_A" "$ADV_SMOKE_B" "$BENCH_SMOKE_OUT"' EXIT
-cargo run -q --release -p foxbench --bin tables -- bench-json \
-  --out "$BENCH_SMOKE_OUT" --bytes 1000000 --reps 5 --label ci-smoke
-cargo run -q --release -p foxbench --bin tables -- bench-check BENCH_7.json
+echo "== examples run (all eight, release, exit 0) =="
+cargo build -q --release --examples
+for example in examples/*.rs; do
+  "target/release/examples/$(basename "$example" .rs)" > /dev/null
+done
 
 echo "== bench (compile only) =="
 cargo bench --workspace --no-run

@@ -94,13 +94,12 @@ fn bench_engine(c: &mut Criterion) {
     group.finish();
 }
 
-/// The full simulated stacks under both cost profiles — the Criterion
-/// rendering of the `tables -- bench-json` trajectory: each iteration is
-/// one complete bulk transfer through device, Ethernet, IP, and TCP on
-/// both hosts (1994: paper config, unbatched; modern: gigabit link,
+/// The full simulated stacks under both cost profiles: each iteration
+/// is one complete bulk transfer through device, Ethernet, IP, and TCP
+/// on both hosts (1994: paper config, unbatched; modern: gigabit link,
 /// GRO/TSO batching, wscale, coalesced ACKs).
 fn bench_profiles(c: &mut Criterion) {
-    use foxharness::bench::{bench_transfer, BenchProfile};
+    use foxharness::bench::BenchProfile;
     use foxharness::stack::StackKind;
     let mut group = c.benchmark_group("engine_profiles");
     group.sample_size(15);
@@ -110,7 +109,8 @@ fn bench_profiles(c: &mut Criterion) {
         for profile in [BenchProfile::Paper1994, BenchProfile::Modern] {
             let id = BenchmarkId::new(format!("{kname}_{}", profile.name()), bytes);
             group.bench_with_input(id, &bytes, |b, &n| {
-                b.iter(|| black_box(bench_transfer(kind, profile, n, 42).segments))
+                let cell = profile.cell(kind, 42);
+                b.iter(|| black_box(cell.bulk(n).sender.segments_sent))
             });
         }
     }

@@ -4,10 +4,9 @@
 //!   cargo run --release -p foxbench --bin tables             # everything
 //!   cargo run --release -p foxbench --bin tables -- table1   # one item
 //!
-//! Items: table1, table2, gc, gcpause, ablations, matrix, loss,
-//! lossmatrix, interop, copies, scale, adversarial, micro, and
-//! adversarial-smoke (CI's 6-cell subset; by name only, never part of
-//! "everything"). An unknown item prints this list and exits 2.
+//! The items are the [`ITEMS`] registry below; an unknown item prints
+//! their names and exits 2. Wall-clock benchmarking is not here: that is
+//! `foxperf/` (see `BENCHMARK.json`).
 //!
 //! Flags:
 //!   --trace <file>   record the Table 1 bulk run's typed event stream;
@@ -15,32 +14,125 @@
 //!                    other extension writes chrome://tracing JSON
 //!                    (open it in Perfetto)
 //!   --pcap <file>    write the same run's wire capture, Wireshark-ready
-//!
-//! Bench trajectory (the checked-in real-time numbers):
-//!   bench-json [--out F] [--bytes N] [--reps K] [--label L]
-//!                    run {fox, x-kernel} × {1994, modern} transfers,
-//!                    time them on the wall clock, and append a point to
-//!                    the trajectory file (default BENCH_7.json)
-//!   bench-check <file>
-//!                    validate a trajectory file's schema and its
-//!                    fox-vs-xk ordering on the modern profile
 
-use foxbasis::time::VirtualDuration;
-use foxharness::bench::{bench_transfer, BenchProfile};
 use foxharness::experiments as exp;
 use foxharness::stack::StackKind;
 use simnet::CostModel;
 use std::time::Instant;
 
-/// Every item name the command line accepts.
-#[rustfmt::skip]
-const ITEMS: [&str; 14] = [
-    "table1", "table2", "gc", "gcpause", "ablations", "matrix", "loss", "lossmatrix", "interop", "copies",
-    "scale", "adversarial", "adversarial-smoke", "micro",
+/// One thing the command line can ask for.
+struct Item {
+    name: &'static str,
+    /// Printed, followed by a blank line, before the item runs.
+    banner: &'static str,
+    /// Runs the item under the given seed and prints its tables.
+    run: fn(u64),
+    /// Whether a bare `tables` runs it; `false` means by name only.
+    in_all: bool,
+}
+
+/// Every item, in the order a run prints them. Dispatch, the
+/// unknown-item message and the module docs' "items" all read this list.
+const ITEMS: &[Item] = &[
+    Item {
+        name: "table1",
+        banner: "running Table 1 (two 10^6-byte transfers + RTT runs)...",
+        run: |seed| println!("{}", exp::render_table1(&exp::table1(seed))),
+        in_all: true,
+    },
+    Item {
+        name: "table2",
+        banner: "running Table 2 (profiled 10^6-byte transfer, counters on)...",
+        run: |seed| println!("{}", exp::render_table2(&exp::table2(seed))),
+        in_all: true,
+    },
+    Item {
+        name: "gc",
+        banner: "running the GC study (transfer-size sweep)...",
+        run: |seed| {
+            let rows = exp::gc_study(&[500_000, 1_000_000, 2_000_000, 5_000_000, 8_000_000], seed);
+            println!("{}", exp::render_gc_study(&rows));
+        },
+        in_all: true,
+    },
+    Item {
+        name: "gcpause",
+        banner: "running the GC pause study (stop-and-copy vs incremental)...",
+        run: |seed| println!("{}", exp::render_gc_pause_study(&exp::gc_pause_study(400, seed))),
+        in_all: true,
+    },
+    Item {
+        name: "ablations",
+        banner: "running the ablations (design-choice sweep)...",
+        run: |seed| println!("{}", exp::render_ablations(&exp::ablations(500_000, seed))),
+        in_all: true,
+    },
+    Item {
+        name: "matrix",
+        banner: "running the interoperation matrix...",
+        run: |seed| println!("{}", exp::render_interop_matrix(&exp::interop_matrix(300_000, seed))),
+        in_all: true,
+    },
+    Item {
+        name: "loss",
+        banner: "running the loss sweep...",
+        run: |seed| println!("{}", exp::render_loss_sweep(&exp::loss_sweep(200_000, seed))),
+        in_all: true,
+    },
+    Item {
+        name: "lossmatrix",
+        banner: "running the loss matrix (each cell twice, checking determinism)...",
+        run: |seed| println!("{}", exp::render_loss_matrix(&exp::loss_matrix(200_000, seed))),
+        in_all: true,
+    },
+    Item {
+        name: "interop",
+        banner: "running the options interop matrix (each cell twice, checking determinism)...",
+        run: |seed| {
+            println!("{}", exp::render_options_interop(&exp::options_interop(50_000, seed)));
+            println!("running SACK vs NewReno under burst loss (three seeds)...\n");
+            println!("{}", exp::render_sack_vs_newreno(&exp::sack_vs_newreno(300_000, seed)));
+        },
+        in_all: true,
+    },
+    Item {
+        name: "copies",
+        banner: "running the copy comparison (Table 1 workload, copy counter on)...",
+        run: |seed| println!("{}", exp::render_copy_comparison(&exp::copy_comparison(1_000_000, seed))),
+        in_all: true,
+    },
+    Item {
+        name: "scale",
+        banner: "running the scale experiment (N concurrent connections, fox vs x-kernel)...",
+        run: |seed| println!("{}", exp::render_scale(&exp::scale_experiment(&[16, 64, 256], seed))),
+        in_all: true,
+    },
+    // CI's subset: the full matrix already covers it.
+    Item {
+        name: "adversarial-smoke",
+        banner: "running the adversarial smoke subset (6 fixed cells, each twice)...",
+        run: |seed| println!("{}", exp::render_adversarial_matrix(&exp::adversarial_smoke(seed))),
+        in_all: false,
+    },
+    Item {
+        name: "adversarial",
+        banner: "running the adversarial matrix (attack × link × stack, each cell twice)...",
+        run: |seed| println!("{}", exp::render_adversarial_matrix(&exp::adversarial_matrix(seed))),
+        in_all: true,
+    },
+    Item {
+        name: "micro",
+        banner: "quick wall-clock microbenchmarks (see Criterion benches for rigor):",
+        run: |_| micro(),
+        in_all: true,
+    },
 ];
 
-fn want(args: &[String], name: &str) -> bool {
-    args.is_empty() || args.iter().any(|a| a == name)
+/// The complaint about the first argument that names no item, if any.
+fn unknown_item(args: &[String]) -> Option<String> {
+    let typo = args.iter().find(|a| ITEMS.iter().all(|item| item.name != a.as_str()))?;
+    let names: Vec<&str> = ITEMS.iter().map(|item| item.name).collect();
+    Some(format!("unknown item `{typo}`; items: {}", names.join(" ")))
 }
 
 /// Pulls `--name value` out of the argument list, if present.
@@ -59,26 +151,16 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let seed = 42;
 
-    if args.iter().any(|a| a == "bench-json") {
-        args.retain(|a| a != "bench-json");
-        bench_json(&mut args, seed);
-        return;
-    }
-    if let Some(i) = args.iter().position(|a| a == "bench-check") {
-        let path = args.get(i + 1).cloned().unwrap_or_else(|| "BENCH_7.json".into());
-        bench_check(&path);
-        return;
-    }
-
     let trace_path = take_flag(&mut args, "--trace");
     let pcap_path = take_flag(&mut args, "--pcap");
-    if let Some(typo) = args.iter().find(|a| !ITEMS.contains(&a.as_str())) {
-        eprintln!("unknown item `{typo}`; items: {}", ITEMS.join(" "));
+    if let Some(complaint) = unknown_item(&args) {
+        eprintln!("{complaint}");
         std::process::exit(2);
     }
     if trace_path.is_some() || pcap_path.is_some() {
         println!("running the traced Table 1 bulk transfer (10^6 bytes, 1994 cost model)...");
-        let t = exp::traced_table1_bulk(StackKind::FoxStandard, CostModel::decstation_sml, 1_000_000, seed);
+        let t = exp::table1_cell(StackKind::FoxStandard, CostModel::decstation_sml(), seed)
+            .traced_bulk(1_000_000);
         println!(
             "  {} events recorded ({} overwritten), {} frames captured, {:.1} Mb/s",
             t.events.len(),
@@ -111,266 +193,11 @@ fn main() {
         }
     }
 
-    if want(&args, "table1") {
-        println!("running Table 1 (two 10^6-byte transfers + RTT runs)...\n");
-        let t1 = exp::table1(seed);
-        println!("{}", exp::render_table1(&t1));
-    }
-
-    if want(&args, "table2") {
-        println!("running Table 2 (profiled 10^6-byte transfer, counters on)...\n");
-        let t2 = exp::table2(seed);
-        println!("{}", exp::render_table2(&t2));
-    }
-
-    if want(&args, "gc") {
-        println!("running the GC study (transfer-size sweep)...\n");
-        let rows = exp::gc_study(&[500_000, 1_000_000, 2_000_000, 5_000_000, 8_000_000], seed);
-        println!("{}", exp::render_gc_study(&rows));
-    }
-
-    if want(&args, "gcpause") {
-        println!("running the GC pause study (stop-and-copy vs incremental)...\n");
-        let t = exp::gc_pause_study(400, seed);
-        println!("{}", exp::render_gc_pause_study(&t));
-    }
-
-    if want(&args, "ablations") {
-        println!("running the ablations (design-choice sweep)...\n");
-        let rows = exp::ablations(500_000, seed);
-        println!("{}", exp::render_ablations(&rows));
-    }
-
-    if want(&args, "matrix") {
-        println!("running the interoperation matrix...\n");
-        let rows = exp::interop_matrix(300_000, seed);
-        println!("{}", exp::render_interop_matrix(&rows));
-    }
-
-    if want(&args, "loss") {
-        println!("running the loss sweep...\n");
-        let rows = exp::loss_sweep(200_000, seed);
-        println!("{}", exp::render_loss_sweep(&rows));
-    }
-
-    if want(&args, "lossmatrix") {
-        println!("running the loss matrix (each cell twice, checking determinism)...\n");
-        let cells = exp::loss_matrix(200_000, seed);
-        println!("{}", exp::render_loss_matrix(&cells));
-    }
-
-    if want(&args, "interop") {
-        println!("running the options interop matrix (each cell twice, checking determinism)...\n");
-        let cells = exp::options_interop(50_000, seed);
-        println!("{}", exp::render_options_interop(&cells));
-        println!("running SACK vs NewReno under burst loss (three seeds)...\n");
-        let rows = exp::sack_vs_newreno(300_000, seed);
-        println!("{}", exp::render_sack_vs_newreno(&rows));
-    }
-
-    if want(&args, "copies") {
-        println!("running the copy comparison (Table 1 workload, copy counter on)...\n");
-        let rows = exp::copy_comparison(1_000_000, seed);
-        println!("{}", exp::render_copy_comparison(&rows));
-    }
-
-    if want(&args, "scale") {
-        println!("running the scale experiment (N concurrent connections, fox vs x-kernel)...\n");
-        let cells = exp::scale_experiment(&[16, 64, 256], seed);
-        println!("{}", exp::render_scale(&cells));
-    }
-
-    // The CI subset is opt-in by exact name, never part of "everything"
-    // (the full matrix already covers it).
-    if args.iter().any(|a| a == "adversarial-smoke") {
-        println!("running the adversarial smoke subset (6 fixed cells, each twice)...\n");
-        let cells = exp::adversarial_smoke(seed);
-        println!("{}", exp::render_adversarial_matrix(&cells));
-    }
-
-    if want(&args, "adversarial") {
-        println!("running the adversarial matrix (attack × link × stack, each cell twice)...\n");
-        let cells = exp::adversarial_matrix(seed);
-        println!("{}", exp::render_adversarial_matrix(&cells));
-    }
-
-    if want(&args, "micro") {
-        println!("quick wall-clock microbenchmarks (see Criterion benches for rigor):\n");
-        micro();
-    }
-}
-
-/// One cell of the bench matrix: {fox, xk} × {1994, modern}.
-const BENCH_CELLS: [(StackKind, &str); 2] = [(StackKind::FoxStandard, "fox"), (StackKind::XKernel, "xk")];
-
-/// `bench-json`: runs the bench matrix, times each cell on the wall
-/// clock (best of `--reps`, after one untimed warm-up), and appends a
-/// point to the trajectory file. The virtual outcome of every rep must
-/// be identical — the runs are deterministic — so only the wall time
-/// varies. Fails loudly if the structured stack falls behind the
-/// baseline on the modern profile.
-fn bench_json(args: &mut Vec<String>, seed: u64) {
-    let out = take_flag(args, "--out").unwrap_or_else(|| "BENCH_7.json".into());
-    let bytes: usize =
-        take_flag(args, "--bytes").map(|s| s.parse().expect("--bytes wants a number")).unwrap_or(1_000_000);
-    let reps: usize =
-        take_flag(args, "--reps").map(|s| s.parse().expect("--reps wants a number")).unwrap_or(5);
-    let label = take_flag(args, "--label").unwrap_or_else(|| "local".into());
-
-    println!("bench-json: {bytes}-byte transfers, best of {reps} interleaved reps per cell -> {out}");
-    // All four cells, warmed once untimed. The timed reps interleave
-    // across cells (fox, xk, fox, xk, ...) so a machine-load spike hits
-    // every cell equally instead of poisoning one stack's whole run;
-    // min-of-N per cell then discards the spikes.
-    let mut cells: Vec<(StackKind, &str, BenchProfile, _, f64)> = Vec::new();
-    for (kind, kname) in BENCH_CELLS {
-        for profile in [BenchProfile::Paper1994, BenchProfile::Modern] {
-            let warm = bench_transfer(kind, profile, bytes, seed);
-            cells.push((kind, kname, profile, warm, f64::INFINITY));
-        }
-    }
-    for _ in 0..reps {
-        for (kind, _, profile, warm, best) in cells.iter_mut() {
-            let t0 = Instant::now();
-            let r = bench_transfer(*kind, *profile, bytes, seed);
-            *best = best.min(t0.elapsed().as_secs_f64());
-            assert_eq!(r.segments, warm.segments, "same-seed reruns must be identical");
-        }
-    }
-
-    let mut runs = Vec::new();
-    let mut modern_rate = std::collections::BTreeMap::new();
-    for (_, kname, profile, warm, best) in &cells {
-        // The rate's numerator is the *workload* in MSS units — the
-        // same for every cell at a given size — so the rate orders
-        // exactly like wall time-to-completion; see `BenchRun`.
-        let segs_per_sec = warm.workload_segments as f64 / best.max(1e-9);
-        if *profile == BenchProfile::Modern {
-            modern_rate.insert(*kname, segs_per_sec);
-        }
-        println!(
-            "  {kname:>3} [{:>6}]  {:>6} data segments ({:>6} on the wire)  {:>8.2} ms wall  {:>9.0} segs/sec  ({:.2} virtual Mb/s)",
-            profile.name(),
-            warm.segments,
-            warm.wire_segments,
-            best * 1e3,
-            segs_per_sec,
-            warm.throughput_mbps
-        );
-        runs.push(format!(
-            "{{\"stack\": \"{kname}\", \"profile\": \"{}\", \"bytes\": {bytes}, \"workload_segments\": {}, \
-             \"segments\": {}, \"wire_segments\": {}, \"virtual_mbps\": {:.3}, \"wall_ms\": {:.3}, \
-             \"segments_per_sec\": {:.0}}}",
-            profile.name(),
-            warm.workload_segments,
-            warm.segments,
-            warm.wire_segments,
-            warm.throughput_mbps,
-            best * 1e3,
-            segs_per_sec
-        ));
-    }
-
-    let fox = modern_rate["fox"];
-    let xk = modern_rate["xk"];
-    assert!(
-        fox >= xk,
-        "the structured stack must process segments at least as fast as the baseline \
-         on the modern profile (fox {fox:.0} vs xk {xk:.0} segs/sec)"
-    );
-    println!("  modern fox/xk real-time ratio: {:.2}", fox / xk);
-
-    // Append-only trajectory: each point is exactly one line, so prior
-    // points survive as lines and ours appends after them.
-    let mut points: Vec<String> = std::fs::read_to_string(&out)
-        .map(|text| {
-            text.lines()
-                .map(str::trim_end)
-                .filter(|l| l.trim_start().starts_with("{\"label\""))
-                .map(|l| format!("    {}", l.trim_start().trim_end_matches(',')))
-                .collect()
-        })
-        .unwrap_or_default();
-    points.push(format!("    {{\"label\": \"{label}\", \"runs\": [{}]}}", runs.join(", ")));
-    let doc = format!(
-        "{{\n  \"schema\": \"fox-bench-v1\",\n  \"unit\": \"segments_per_sec\",\n  \"points\": [\n{}\n  ]\n}}\n",
-        points.join(",\n")
-    );
-    if let Err(e) = std::fs::write(&out, &doc) {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(1);
-    }
-    println!("  trajectory written to {out} ({} point(s))", points.len());
-    bench_check(&out);
-}
-
-/// `bench-check`: validates a trajectory file — schema marker, full
-/// {fox, xk} × {1994, modern} coverage, and the fox-vs-xk ordering on
-/// the modern profile of the latest point. Exits nonzero on any
-/// violation, so CI can gate on it.
-fn bench_check(path: &str) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("bench-check: cannot read {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let mut failures = Vec::new();
-    for needle in
-        ["\"schema\": \"fox-bench-v1\"", "\"unit\": \"segments_per_sec\"", "\"points\": [", "\"label\": "]
-    {
-        if !text.contains(needle) {
-            failures.push(format!("missing {needle}"));
-        }
-    }
-    // The latest point must cover the whole matrix.
-    let last = text.lines().rfind(|l| l.trim_start().starts_with("{\"label\""));
-    let point: String = match last {
-        Some(l) => {
-            // Runs may be pretty-printed on the following lines; take
-            // everything from the label line to the closing "]}".
-            let start = text.rfind(l).unwrap_or(0);
-            let rest = &text[start..];
-            let end = rest.find("]}").map(|i| i + 2).unwrap_or(rest.len());
-            rest[..end].to_string()
-        }
-        None => {
-            eprintln!("bench-check: {path}: no points found");
-            std::process::exit(1);
-        }
-    };
-    let rate = |stack: &str, profile: &str| -> Option<f64> {
-        let key = format!("\"stack\": \"{stack}\", \"profile\": \"{profile}\"");
-        let at = point.find(&key)?;
-        let tail = &point[at..];
-        let v = tail.split("\"segments_per_sec\": ").nth(1)?;
-        v.split([',', '}']).next()?.trim().parse().ok()
-    };
-    let mut rates = std::collections::BTreeMap::new();
-    for (_, stack) in BENCH_CELLS {
-        for profile in ["1994", "modern"] {
-            match rate(stack, profile) {
-                Some(v) if v > 0.0 => {
-                    rates.insert((stack, profile), v);
-                }
-                Some(v) => failures.push(format!("{stack}/{profile}: nonpositive rate {v}")),
-                None => failures.push(format!("{stack}/{profile}: cell missing from latest point")),
-            }
-        }
-    }
-    if let (Some(&fox), Some(&xk)) = (rates.get(&("fox", "modern")), rates.get(&("xk", "modern"))) {
-        if fox < xk {
-            failures.push(format!("modern profile: fox ({fox:.0}) slower than xk ({xk:.0}) segs/sec"));
-        }
-    }
-    if failures.is_empty() {
-        println!("bench-check: {path} OK ({} matrix cells in latest point)", rates.len());
-    } else {
-        for f in &failures {
-            eprintln!("bench-check: {path}: {f}");
-        }
-        std::process::exit(1);
+    let wanted =
+        |item: &&Item| if args.is_empty() { item.in_all } else { args.iter().any(|a| a == item.name) };
+    for item in ITEMS.iter().filter(wanted) {
+        println!("{}\n", item.banner);
+        (item.run)(seed);
     }
 }
 
@@ -449,5 +276,35 @@ fn micro() {
     println!("  fork+terminate+switch {switch:8.1} ns     (paper: 30,000 ns)");
     println!("  ratio: {:.0}x (paper: ~25x)", switch / call.max(0.01));
     println!();
-    let _ = VirtualDuration::ZERO;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn item_names_are_unique() {
+        for (i, item) in ITEMS.iter().enumerate() {
+            assert!(
+                ITEMS[..i].iter().all(|earlier| earlier.name != item.name),
+                "`{}` is listed twice",
+                item.name
+            );
+        }
+    }
+
+    #[test]
+    fn an_unknown_item_is_answered_with_exactly_the_registry() {
+        let complaint = unknown_item(&["table1".into(), "nosuch".into()]).expect("`nosuch` is no item");
+        let (blame, listed) = complaint.split_once("; items: ").expect("the complaint lists the items");
+        assert_eq!(blame, "unknown item `nosuch`");
+        let names: Vec<&str> = ITEMS.iter().map(|item| item.name).collect();
+        assert_eq!(listed.split(' ').collect::<Vec<_>>(), names);
+        let every: Vec<String> = names.iter().map(|n| n.to_string()).collect();
+        assert_eq!(unknown_item(&every), None, "every registered name is accepted");
+        // The deleted bench path left no subcommand behind.
+        for gone in ["bench-json", "bench-check"] {
+            assert!(unknown_item(&[gone.into()]).is_some(), "`{gone}` must be unknown");
+        }
+    }
 }

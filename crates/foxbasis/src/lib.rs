@@ -12,10 +12,12 @@
 //!   per direction, with the checksum folded into that pass; two heap
 //!   calls per buffer, none per clone);
 //! * [`fifo`] — the FIFO queue (`structure Q: FIFO` in Fig. 6), used for
-//!   the per-connection `to_do` action queue and the out-of-order queue;
+//!   the per-connection `to_do` action queue and each layer's queue of
+//!   received messages (the TCB's out-of-order store is a sorted `Vec`);
 //! * [`deq`] — the double-ended queue (`structure D: DEQ` in Fig. 6),
-//!   used for the queue of unsent outgoing packets;
-//! * [`ring`] — a byte ring buffer used for socket send/receive buffers;
+//!   used for the TCB's resend queue of sent, unacknowledged segments;
+//! * [`ring`] — a byte ring buffer used for the socket send buffer (the
+//!   receive side keeps a byte count, not a ring);
 //! * [`wordarray`] — safe byte arrays with 1/2/4-byte big-endian access,
 //!   the Rust rendering of the Fox extensions' in-lined byte arrays and
 //!   `Byte2`/`Byte4` operations;

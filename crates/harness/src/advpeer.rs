@@ -21,22 +21,26 @@
 //! link personality × seed) replays bit-identically — the property the
 //! `tables -- adversarial` matrix asserts by running every cell twice.
 
+use crate::experiments::loss_cell;
 use crate::sim::drive;
 use crate::stack::{ip_of, mac_of, StackKind};
 use crate::station::StationStats;
 use foxbasis::buf::PacketBuf;
+use foxbasis::obs::EventSink;
 use foxbasis::seq::Seq;
 use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxtcp::TcpConfig;
 use foxwire::ether::{EthAddr, EtherType, Frame};
 use foxwire::ipv4::{IpProtocol, Ipv4Addr, Ipv4Header, Ipv4Packet};
 use foxwire::tcp::{TcpFlags, TcpHeader, TcpOption, TcpSegment};
-use simnet::{CostModel, FaultConfig, NetConfig, NetStats, Port, SimNet};
+use simnet::{FaultConfig, NetStats, Port, SimNet};
 use std::collections::BTreeMap;
 
-/// Station id of the transfer's sender (the listening side).
+/// Station id of the transfer's sender (the listening side): the
+/// `Cell`'s first station.
 const SENDER_ID: u16 = 1;
-/// Station id of the transfer's receiver (the connecting side).
+/// Station id of the transfer's receiver (the connecting side): the
+/// `Cell`'s second.
 const RECEIVER_ID: u16 = 2;
 /// Station id the adversary's own (never-spoofed) port answers to.
 const ADVERSARY_ID: u16 = 66;
@@ -323,13 +327,11 @@ impl AttackReport {
 /// Runs one attack script against one stack over one link personality,
 /// returning the full report. Same arguments ⇒ bit-identical report.
 pub fn run_attack(kind: StackKind, attack: Attack, faults: FaultConfig, seed: u64) -> AttackReport {
-    let cfg = NetConfig { faults, ..NetConfig::default() };
-    let net = SimNet::new(cfg, seed);
     let tcp_cfg = TcpConfig { backlog: BACKLOG, ..TcpConfig::default() };
-    let mut sender = kind.build(&net, SENDER_ID, RECEIVER_ID, CostModel::modern(), false, tcp_cfg.clone());
-    let mut receiver = kind.build(&net, RECEIVER_ID, SENDER_ID, CostModel::modern(), false, tcp_cfg);
+    let cell = loss_cell(kind, faults, tcp_cfg, seed);
+    let (net, mut sender, mut receiver) = cell.pair(EventSink::off());
     let mut adv = Adversary::new(&net);
-    let deadline = VirtualTime::from_millis(600_000);
+    let deadline = cell.deadline;
 
     sender.listen(SERVICE_PORT);
     let rconn = receiver.connect(SERVICE_PORT);

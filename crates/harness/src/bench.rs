@@ -1,20 +1,17 @@
-//! The bench-trajectory substrate (DESIGN.md §5.10): parameterized
-//! transfer runs whose *virtual* outcome (segments moved, virtual
-//! elapsed) the bench crate wraps in wall-clock timing to produce
-//! real-time segments/sec. Everything here stays on the virtual clock —
+//! The two machine-and-link eras a run can model (DESIGN.md §5.10), each
+//! a recipe for a [`Cell`]. Everything here stays on the virtual clock —
 //! the `no_wallclock` foxlint rule forbids `std::time::Instant` outside
-//! `crates/bench`, and this module is the seam that keeps it that way.
+//! `crates/bench` — and wall-clock measurement of these profiles is
+//! foxperf's job (`foxperf/`, `BENCHMARK.json`).
 
+use crate::cell::Cell;
 use crate::experiments::paper_tcp_config;
 use crate::stack::StackKind;
-use crate::workload::bulk_transfer;
-use foxbasis::obs::EventSink;
-use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxproto::dev::BatchConfig;
 use foxtcp::TcpConfig;
-use simnet::{CostModel, NetConfig, SimNet};
+use simnet::{CostModel, NetConfig};
 
-/// Which machine-and-link era a bench run models. The 1994 profile is
+/// Which machine-and-link era a run models. The 1994 profile is
 /// the paper's Table 1 setup, bit-for-bit; the modern profile is the
 /// same experiment rebased onto today's constants so the fast path is
 /// exercised where it matters.
@@ -31,7 +28,7 @@ pub enum BenchProfile {
 }
 
 impl BenchProfile {
-    /// Short name used in benchmark ids and the BENCH json.
+    /// Short name used in benchmark ids.
     pub fn name(self) -> &'static str {
         match self {
             BenchProfile::Paper1994 => "1994",
@@ -93,57 +90,15 @@ impl BenchProfile {
             BenchProfile::Modern => BatchConfig { rx_burst: 8, tx_burst: 8 },
         }
     }
-}
 
-/// The virtual outcome of one bench transfer.
-#[derive(Clone, Debug)]
-pub struct BenchRun {
-    /// Payload bytes delivered (always the requested size).
-    pub bytes: usize,
-    /// The workload in full-MSS segment units: `bytes / mss`, rounded
-    /// up, with the MSS both stacks derive from the shared Ethernet
-    /// link. This is the numerator of the real-time rate, and it is
-    /// deliberately *the same for both stacks at a given size*: the
-    /// rate then orders exactly like time-to-completion, so a stack
-    /// cannot score higher by chopping the identical payload into more
-    /// (or smaller) segments, and acking every segment instead of
-    /// coalescing doesn't inflate the count either — extra wire
-    /// traffic is overhead, not work.
-    pub workload_segments: u64,
-    /// Data-bearing segments the sender actually transmitted (recorded
-    /// next to the rate so segmentation efficiency stays visible).
-    pub segments: u64,
-    /// Every segment either engine put on the wire, ACKs included (the
-    /// wire-level count, for the efficiency story next to `segments`).
-    pub wire_segments: u64,
-    /// Elapsed time on the virtual clock.
-    pub virtual_elapsed: VirtualDuration,
-    /// Virtual payload throughput, Mb/s.
-    pub throughput_mbps: f64,
-}
-
-/// Runs one bulk transfer of `bytes` under `profile` and returns its
-/// virtual outcome. Wall-clock timing belongs to the caller: the bench
-/// crate calls this inside an `Instant` bracket and divides
-/// `workload_segments` by the wall seconds.
-pub fn bench_transfer(kind: StackKind, profile: BenchProfile, bytes: usize, seed: u64) -> BenchRun {
-    let net = SimNet::new(profile.net_config(), seed);
-    let cfg = profile.tcp_config();
-    let batch = profile.batch();
-    let mut sender =
-        kind.build_batched(&net, 1, 2, profile.cost(kind), false, cfg.clone(), EventSink::off(), batch);
-    let mut receiver =
-        kind.build_batched(&net, 2, 1, profile.cost(kind), false, cfg, EventSink::off(), batch);
-    let r = bulk_transfer(&net, &mut sender, &mut receiver, bytes, VirtualTime::from_micros(u64::MAX / 2));
-    assert_eq!(r.bytes, bytes, "{} [{}]: transfer must complete", kind.name(), profile.name());
-    let mss = foxwire::tcp::mss_for_mtu(foxwire::ether::MTU as u32) as usize;
-    BenchRun {
-        bytes,
-        workload_segments: bytes.div_ceil(mss) as u64,
-        segments: r.sender.segments_sent,
-        wire_segments: r.sender.segments_sent + r.receiver.segments_sent,
-        virtual_elapsed: r.elapsed,
-        throughput_mbps: r.throughput_mbps,
+    /// The whole profile as one declared run: `kind` at both ends over
+    /// this profile's link, machine, TCP configuration and batching.
+    pub fn cell(self, kind: StackKind, seed: u64) -> Cell {
+        Cell {
+            net: self.net_config(),
+            batch: self.batch(),
+            ..Cell::new(kind, self.cost(kind), self.tcp_config(), seed)
+        }
     }
 }
 
@@ -154,9 +109,9 @@ mod tests {
     #[test]
     fn modern_profile_moves_the_bulk_workload() {
         for kind in [StackKind::FoxStandard, StackKind::XKernel] {
-            let r = bench_transfer(kind, BenchProfile::Modern, 200_000, 7);
+            let r = BenchProfile::Modern.cell(kind, 7).bulk(200_000);
             assert_eq!(r.bytes, 200_000);
-            assert!(r.segments > 0);
+            assert!(r.sender.segments_sent > 0);
             // A gigabit link with modern host costs must beat the
             // paper's 10 Mb/s Ethernet by a wide margin.
             assert!(
@@ -170,7 +125,7 @@ mod tests {
 
     #[test]
     fn paper_profile_matches_the_table1_setup() {
-        let r = bench_transfer(StackKind::FoxStandard, BenchProfile::Paper1994, 100_000, 7);
+        let r = BenchProfile::Paper1994.cell(StackKind::FoxStandard, 7).bulk(100_000);
         assert_eq!(r.bytes, 100_000);
         // The 1994 fox stack runs at ~0.6 Mb/s; sanity-bound it.
         assert!(r.throughput_mbps < 5.0);

@@ -2,15 +2,17 @@
 //! in-text claim. EXPERIMENTS.md records paper-vs-measured for all of
 //! them; the `tables` binary in the bench crate prints them.
 
+use crate::cell::Cell;
 use crate::report::{f1, f2, Table};
 use crate::stack::StackKind;
-use crate::station::{ScaleCounters, StationStats};
+use crate::station::ScaleCounters;
 use crate::workload::{bulk_transfer, many_flows, ping_pong, BulkResult, PingResult};
-use foxbasis::obs::{EventSink, Stamped, DEFAULT_RING_CAPACITY};
+use foxbasis::obs::EventSink;
 use foxbasis::profile::Account;
 use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxtcp::TcpConfig;
-use simnet::{CostModel, FaultConfig, NetConfig, NetStats, PcapSink, SimNet};
+use simnet::{CostModel, FaultConfig, NetConfig, SimNet};
+use std::fmt::Debug;
 
 /// The paper's benchmark configuration: 4096-byte window, immediate
 /// ACKs. (With a 4096-byte window — 2.8 MSS — holding ACKs back for
@@ -22,8 +24,21 @@ pub fn paper_tcp_config() -> TcpConfig {
     TcpConfig { initial_window: 4096, send_buffer: 8192, delayed_ack_ms: None, ..TcpConfig::default() }
 }
 
-fn fresh_net(seed: u64) -> SimNet {
-    SimNet::new(NetConfig::default(), seed)
+/// The Table 1 cell: `kind` at both ends with the paper's TCP
+/// configuration on the fault-free 10 Mb/s segment. `measure_speed`
+/// times its bulk run; `tables --trace` and the wire pins record it.
+pub fn table1_cell(kind: StackKind, cost: CostModel, seed: u64) -> Cell {
+    Cell::new(kind, cost, paper_tcp_config(), seed)
+}
+
+/// Runs `run` twice and asserts the two results are bit-identical — the
+/// paper's determinism claim, checked on every matrix cell. `label` is
+/// what the failure names: pass the [`Cell`], whose `{:?}` is everything
+/// needed to run it again (traced, if need be).
+pub fn replayed<T: PartialEq + Debug>(label: &dyn Debug, run: impl Fn() -> T) -> T {
+    let (a, b) = (run(), run());
+    assert_eq!(a, b, "same seed must replay bit-identically: {label:?}");
+    a
 }
 
 /// One Table 1 measurement for a stack kind and cost model.
@@ -42,22 +57,16 @@ pub struct Speed {
 }
 
 /// Measures one implementation on the paper's workload.
-pub fn measure_speed(kind: StackKind, cost: fn() -> CostModel, bytes: usize, seed: u64) -> Speed {
+pub fn measure_speed(kind: StackKind, cost: CostModel, bytes: usize, seed: u64) -> Speed {
     // Throughput run.
-    let net = fresh_net(seed);
-    let mut sender = kind.build(&net, 1, 2, cost(), false, paper_tcp_config());
-    let mut receiver = kind.build(&net, 2, 1, cost(), false, paper_tcp_config());
-    let bulk = bulk_transfer(&net, &mut sender, &mut receiver, bytes, VirtualTime::from_micros(u64::MAX / 2));
+    let bulk = table1_cell(kind, cost.clone(), seed).bulk(bytes);
     assert_eq!(bulk.bytes, bytes, "{}: transfer must complete", kind.name());
 
     // Round-trip run (fresh network, like the paper's separate test).
     // Delayed ACKs stay on here: for request/response traffic the ACK
     // piggybacks on the echo, which is what 1994 stacks did.
-    let net = fresh_net(seed + 1);
     let rtt_cfg = TcpConfig { initial_window: 4096, ..TcpConfig::default() };
-    let mut server = kind.build(&net, 1, 2, cost(), false, rtt_cfg.clone());
-    let mut client = kind.build(&net, 2, 1, cost(), false, rtt_cfg);
-    let ping = ping_pong(&net, &mut server, &mut client, 20, 1, VirtualTime::from_micros(u64::MAX / 2));
+    let ping = Cell::new(kind, cost, rtt_cfg, seed + 1).ping(20, 1);
 
     Speed {
         name: kind.name(),
@@ -78,8 +87,8 @@ pub struct Table1 {
 
 /// Runs Table 1 with the paper's 10^6-byte transfer.
 pub fn table1(seed: u64) -> Table1 {
-    let fox = measure_speed(StackKind::FoxStandard, CostModel::decstation_sml, 1_000_000, seed);
-    let xk = measure_speed(StackKind::XKernel, CostModel::decstation_c, 1_000_000, seed);
+    let fox = measure_speed(StackKind::FoxStandard, CostModel::decstation_sml(), 1_000_000, seed);
+    let xk = measure_speed(StackKind::XKernel, CostModel::decstation_c(), 1_000_000, seed);
     Table1 { fox, xk }
 }
 
@@ -114,13 +123,10 @@ pub struct Table2 {
 
 /// Runs the profiled 10^6-byte transfer.
 pub fn table2(seed: u64) -> Table2 {
-    let net = fresh_net(seed);
-    let mut sender =
-        StackKind::FoxStandard.build(&net, 1, 2, CostModel::decstation_sml(), true, paper_tcp_config());
-    let mut receiver =
-        StackKind::FoxStandard.build(&net, 2, 1, CostModel::decstation_sml(), true, paper_tcp_config());
-    let bulk =
-        bulk_transfer(&net, &mut sender, &mut receiver, 1_000_000, VirtualTime::from_micros(u64::MAX / 2));
+    let cell =
+        Cell { profiled: true, ..table1_cell(StackKind::FoxStandard, CostModel::decstation_sml(), seed) };
+    let (net, mut sender, mut receiver) = cell.pair(EventSink::off());
+    let bulk = bulk_transfer(&net, &mut sender, &mut receiver, 1_000_000, cell.deadline);
 
     // The paper's "packet wait" is the time spent blocked in Mach
     // waiting for a packet; in the simulation that is exactly the
@@ -206,30 +212,7 @@ pub fn gc_study(sizes: &[usize], seed: u64) -> Vec<GcRow> {
     sizes
         .iter()
         .map(|&bytes| {
-            let net = fresh_net(seed);
-            let mut sender = StackKind::FoxStandard.build(
-                &net,
-                1,
-                2,
-                CostModel::decstation_sml(),
-                false,
-                paper_tcp_config(),
-            );
-            let mut receiver = StackKind::FoxStandard.build(
-                &net,
-                2,
-                1,
-                CostModel::decstation_sml(),
-                false,
-                paper_tcp_config(),
-            );
-            let r = bulk_transfer(
-                &net,
-                &mut sender,
-                &mut receiver,
-                bytes,
-                VirtualTime::from_micros(u64::MAX / 2),
-            );
+            let r = table1_cell(StackKind::FoxStandard, CostModel::decstation_sml(), seed).bulk(bytes);
             let gc = r.sender_gc.clone().unwrap_or_default();
             GcRow {
                 bytes,
@@ -275,11 +258,8 @@ pub struct AblationRow {
     pub fastpath_fraction: f64,
 }
 
-fn run_ablation(name: &str, cfg: TcpConfig, cost: fn() -> CostModel, bytes: usize, seed: u64) -> AblationRow {
-    let net = fresh_net(seed);
-    let mut sender = StackKind::FoxStandard.build(&net, 1, 2, cost(), false, cfg.clone());
-    let mut receiver = StackKind::FoxStandard.build(&net, 2, 1, cost(), false, cfg);
-    let r = bulk_transfer(&net, &mut sender, &mut receiver, bytes, VirtualTime::from_micros(u64::MAX / 2));
+fn run_ablation(name: &str, cfg: TcpConfig, bytes: usize, seed: u64) -> AblationRow {
+    let r = Cell::new(StackKind::FoxStandard, CostModel::decstation_sml(), cfg, seed).bulk(bytes);
     let recv = r.receiver;
     AblationRow {
         name: name.into(),
@@ -296,40 +276,14 @@ fn run_ablation(name: &str, cfg: TcpConfig, cost: fn() -> CostModel, bytes: usiz
 /// The design-choice ablations DESIGN.md §4 lists.
 pub fn ablations(bytes: usize, seed: u64) -> Vec<AblationRow> {
     let base = paper_tcp_config;
-    let mut rows =
-        vec![run_ablation("baseline (paper config)", base(), CostModel::decstation_sml, bytes, seed)];
-    rows.push(run_ablation(
-        "fast path off",
-        TcpConfig { fast_path: false, ..base() },
-        CostModel::decstation_sml,
-        bytes,
-        seed,
-    ));
-    rows.push(run_ablation(
-        "delayed ACK off",
-        TcpConfig { delayed_ack_ms: None, ..base() },
-        CostModel::decstation_sml,
-        bytes,
-        seed,
-    ));
-    rows.push(run_ablation(
-        "Nagle off",
-        TcpConfig { nagle: false, ..base() },
-        CostModel::decstation_sml,
-        bytes,
-        seed,
-    ));
-    rows.push(run_ablation(
-        "checksums off",
-        TcpConfig { compute_checksums: false, ..base() },
-        CostModel::decstation_sml,
-        bytes,
-        seed,
-    ));
+    let mut rows = vec![run_ablation("baseline (paper config)", base(), bytes, seed)];
+    rows.push(run_ablation("fast path off", TcpConfig { fast_path: false, ..base() }, bytes, seed));
+    rows.push(run_ablation("delayed ACK off", TcpConfig { delayed_ack_ms: None, ..base() }, bytes, seed));
+    rows.push(run_ablation("Nagle off", TcpConfig { nagle: false, ..base() }, bytes, seed));
+    rows.push(run_ablation("checksums off", TcpConfig { compute_checksums: false, ..base() }, bytes, seed));
     rows.push(run_ablation(
         "latency-priority to_do queue",
         TcpConfig { latency_priority: true, ..base() },
-        CostModel::decstation_sml,
         bytes,
         seed,
     ));
@@ -337,7 +291,6 @@ pub fn ablations(bytes: usize, seed: u64) -> Vec<AblationRow> {
         rows.push(run_ablation(
             &format!("window {window}"),
             TcpConfig { initial_window: window, send_buffer: window * 2, ..base() },
-            CostModel::decstation_sml,
             bytes,
             seed,
         ));
@@ -376,16 +329,14 @@ pub struct GcPauseStudy {
 pub fn gc_pause_study(rounds: usize, seed: u64) -> GcPauseStudy {
     let mut rows = Vec::new();
     for (name, cost) in [
-        ("stop-and-copy (SML/NJ '94)", CostModel::decstation_sml as fn() -> CostModel),
-        ("incremental, 5 ms bound ('95 plan)", CostModel::decstation_sml_incremental),
+        ("stop-and-copy (SML/NJ '94)", CostModel::decstation_sml()),
+        ("incremental, 5 ms bound ('95 plan)", CostModel::decstation_sml_incremental()),
     ] {
-        let net = fresh_net(seed);
         let cfg = TcpConfig { initial_window: 4096, ..TcpConfig::default() };
-        let mut server = StackKind::FoxStandard.build(&net, 1, 2, cost(), false, cfg.clone());
-        let mut client = StackKind::FoxStandard.build(&net, 2, 1, cost(), false, cfg);
+        let cell = Cell::new(StackKind::FoxStandard, cost, cfg, seed);
+        let (net, mut server, mut client) = cell.pair(EventSink::off());
         // 512-byte echoes allocate enough to keep the collector busy.
-        let r =
-            ping_pong(&net, &mut server, &mut client, rounds, 512, VirtualTime::from_micros(u64::MAX / 2));
+        let r = ping_pong(&net, &mut server, &mut client, rounds, 512, cell.deadline);
         let gc = server.host().with(|h| h.gc_stats().cloned()).unwrap_or_default();
         rows.push((name, r.mean_rtt, r.max_rtt, gc.total_pause, gc.max_pause));
     }
@@ -417,20 +368,9 @@ pub fn loss_sweep(bytes: usize, seed: u64) -> Vec<(f64, f64, u64)> {
     [0.0, 0.01, 0.05, 0.10]
         .iter()
         .map(|&p| {
-            let mut cfg = NetConfig::default();
-            cfg.faults.drop_chance = p;
-            let net = SimNet::new(cfg, seed);
-            let mut sender =
-                StackKind::FoxStandard.build(&net, 1, 2, CostModel::modern(), false, paper_tcp_config());
-            let mut receiver =
-                StackKind::FoxStandard.build(&net, 2, 1, CostModel::modern(), false, paper_tcp_config());
-            let r = bulk_transfer(
-                &net,
-                &mut sender,
-                &mut receiver,
-                bytes,
-                VirtualTime::from_micros(u64::MAX / 2),
-            );
+            let mut cell = table1_cell(StackKind::FoxStandard, CostModel::modern(), seed);
+            cell.net.faults.drop_chance = p;
+            let r = cell.bulk(bytes);
             assert_eq!(r.bytes, bytes, "transfer completes even at {p} loss");
             (p, r.throughput_mbps, r.sender.retransmits)
         })
@@ -446,11 +386,8 @@ pub fn interop_matrix(bytes: usize, seed: u64) -> Vec<(String, f64)> {
     let mut rows = Vec::new();
     for &sender in &kinds {
         for &receiver in &kinds {
-            let net = fresh_net(seed);
             let cfg = TcpConfig { delayed_ack_ms: None, ..paper_tcp_config() };
-            let mut s = sender.build(&net, 1, 2, CostModel::modern(), false, cfg.clone());
-            let mut r = receiver.build(&net, 2, 1, CostModel::modern(), false, cfg);
-            let res = bulk_transfer(&net, &mut s, &mut r, bytes, VirtualTime::from_micros(u64::MAX / 2));
+            let res = Cell { receiver, ..Cell::new(sender, CostModel::modern(), cfg, seed) }.bulk(bytes);
             assert_eq!(res.bytes, bytes, "{} -> {}", sender.name(), receiver.name());
             rows.push((format!("{} -> {}", sender.name(), receiver.name()), res.throughput_mbps));
         }
@@ -514,22 +451,21 @@ pub fn loss_matrix_config() -> TcpConfig {
     TcpConfig { initial_window: 16384, send_buffer: 32768, delayed_ack_ms: None, ..TcpConfig::default() }
 }
 
-/// Everything observable about one cell run, for exact-equality
-/// comparison of same-seed reruns.
-fn loss_cell_run(
-    kind: StackKind,
-    faults: &FaultConfig,
-    bytes: usize,
-    seed: u64,
-) -> (usize, f64, VirtualDuration, StationStats, StationStats, NetStats) {
-    let netcfg = NetConfig { faults: faults.clone(), ..NetConfig::default() };
-    let net = SimNet::new(netcfg, seed);
-    let mut s = kind.build(&net, 1, 2, CostModel::modern(), false, loss_matrix_config());
-    let mut r = kind.build(&net, 2, 1, CostModel::modern(), false, loss_matrix_config());
-    // A finite deadline (ten virtual minutes): a wedged cell must fail
-    // the delivery assert, not grind the harness forever.
-    let res = bulk_transfer(&net, &mut s, &mut r, bytes, VirtualTime::from_millis(600_000));
-    (res.bytes, res.throughput_mbps, res.elapsed, res.sender, res.receiver, net.stats())
+/// One loss-matrix cell, declared: `kind` at both ends on free CPUs
+/// over a link with `faults`. Unlike the fault-free Table 1 cell — whose
+/// event stream does not depend on the seed at all — a lossy cell
+/// consumes the fault dice, so different seeds diverge. Passing a `cfg`
+/// other than [`loss_matrix_config`] trace-diffs a configuration change
+/// (a congestion algorithm, an offered option) against the pinned
+/// defaults on the same dice.
+pub fn loss_cell(kind: StackKind, faults: FaultConfig, cfg: TcpConfig, seed: u64) -> Cell {
+    Cell {
+        net: NetConfig { faults, ..NetConfig::default() },
+        // A finite deadline (ten virtual minutes): a wedged cell must fail
+        // the delivery assert, not grind the harness forever.
+        deadline: VirtualTime::from_millis(600_000),
+        ..Cell::new(kind, CostModel::modern(), cfg, seed)
+    }
 }
 
 /// The loss matrix: {drop, burst, corrupt, duplicate, reorder} × {Fox
@@ -541,18 +477,17 @@ pub fn loss_matrix(bytes: usize, seed: u64) -> Vec<LossCell> {
     let mut cells = Vec::new();
     for (profile, faults) in loss_matrix_profiles() {
         for kind in [StackKind::FoxStandard, StackKind::XKernel] {
-            let a = loss_cell_run(kind, &faults, bytes, seed);
-            let b = loss_cell_run(kind, &faults, bytes, seed);
-            assert_eq!(a, b, "{profile}/{}: same seed must replay bit-identically", kind.name());
-            assert_eq!(a.0, bytes, "{profile}/{}: transfer must complete", kind.name());
+            let cell = loss_cell(kind, faults.clone(), loss_matrix_config(), seed);
+            let r = replayed(&cell, || cell.bulk(bytes));
+            assert_eq!(r.bytes, bytes, "{profile}: transfer must complete: {cell:?}");
             cells.push(LossCell {
                 profile,
                 stack: kind.name(),
-                throughput_mbps: a.1,
-                retransmits: a.3.retransmits,
-                fast_retransmits: a.3.fast_retransmits,
-                recoveries: a.3.recoveries,
-                rto_fires: a.3.rto_fires,
+                throughput_mbps: r.throughput_mbps,
+                retransmits: r.sender.retransmits,
+                fast_retransmits: r.sender.fast_retransmits,
+                recoveries: r.sender.recoveries,
+                rto_fires: r.sender.rto_fires,
             });
         }
     }
@@ -617,24 +552,6 @@ fn option_config(wscale: bool, sack: bool, ts: bool) -> TcpConfig {
     TcpConfig { window_scale: wscale, sack, timestamps: ts, ..loss_matrix_config() }
 }
 
-/// Everything observable about one interop cell, for exact-equality
-/// comparison of same-seed reruns.
-fn option_cell_run(
-    sender: StackKind,
-    receiver: StackKind,
-    cfg: &TcpConfig,
-    faults: &FaultConfig,
-    bytes: usize,
-    seed: u64,
-) -> (usize, f64, VirtualDuration, StationStats, StationStats, NetStats) {
-    let netcfg = NetConfig { faults: faults.clone(), ..NetConfig::default() };
-    let net = SimNet::new(netcfg, seed);
-    let mut s = sender.build(&net, 1, 2, CostModel::modern(), false, cfg.clone());
-    let mut r = receiver.build(&net, 2, 1, CostModel::modern(), false, cfg.clone());
-    let res = bulk_transfer(&net, &mut s, &mut r, bytes, VirtualTime::from_millis(600_000));
-    (res.bytes, res.throughput_mbps, res.elapsed, res.sender, res.receiver, net.stats())
-}
-
 /// The options interop matrix: {none, wscale, sack, ts, all} × {fox→fox,
 /// fox→xk, xk→fox} × every loss-matrix fault profile, on fixed seeds.
 /// Every cell must deliver every byte, and every cell runs twice to
@@ -654,17 +571,15 @@ pub fn options_interop(bytes: usize, seed: u64) -> Vec<OptionCell> {
         let cfg = option_config(wscale, sack, ts);
         for &(sender, receiver) in &pairings {
             for (profile, faults) in loss_matrix_profiles() {
-                let a = option_cell_run(sender, receiver, &cfg, &faults, bytes, seed);
-                let b = option_cell_run(sender, receiver, &cfg, &faults, bytes, seed);
-                let pairing = format!("{} -> {}", sender.name(), receiver.name());
-                assert_eq!(a, b, "{opts}/{pairing}/{profile}: same seed must replay bit-identically");
-                assert_eq!(a.0, bytes, "{opts}/{pairing}/{profile}: transfer must complete");
+                let cell = Cell { receiver, ..loss_cell(sender, faults, cfg.clone(), seed) };
+                let r = replayed(&cell, || cell.bulk(bytes));
+                assert_eq!(r.bytes, bytes, "{opts}/{profile}: transfer must complete: {cell:?}");
                 cells.push(OptionCell {
                     options: opts,
-                    pairing,
+                    pairing: format!("{} -> {}", sender.name(), receiver.name()),
                     profile,
-                    throughput_mbps: a.1,
-                    retransmits: a.3.retransmits,
+                    throughput_mbps: r.throughput_mbps,
+                    retransmits: r.sender.retransmits,
                 });
             }
         }
@@ -720,11 +635,7 @@ fn sack_cell(sack: bool, bytes: usize, seed: u64) -> SackRow {
         ..TcpConfig::default()
     };
     let faults = FaultConfig::bursty(1.0 / 50.0, 1.0 / 3.0, 0.9);
-    let netcfg = NetConfig { faults, ..NetConfig::default() };
-    let net = SimNet::new(netcfg, seed);
-    let mut s = StackKind::FoxStandard.build(&net, 1, 2, CostModel::modern(), false, cfg.clone());
-    let mut r = StackKind::FoxStandard.build(&net, 2, 1, CostModel::modern(), false, cfg);
-    let res = bulk_transfer(&net, &mut s, &mut r, bytes, VirtualTime::from_millis(600_000));
+    let res = loss_cell(StackKind::FoxStandard, faults, cfg, seed).bulk(bytes);
     assert_eq!(res.bytes, bytes, "{}: transfer must complete", if sack { "SACK" } else { "NewReno" });
     SackRow {
         seed,
@@ -831,19 +742,17 @@ impl CopyRow {
 /// [`PacketBuf`]: foxbasis::buf::PacketBuf
 pub fn copy_comparison(bytes: usize, seed: u64) -> Vec<CopyRow> {
     use foxbasis::buf::{copy_stats, reset_copy_stats};
-    let runs: [(StackKind, fn() -> CostModel); 2] =
-        [(StackKind::FoxStandard, CostModel::decstation_sml), (StackKind::XKernel, CostModel::decstation_c)];
+    let runs = [
+        (StackKind::FoxStandard, CostModel::decstation_sml()),
+        (StackKind::XKernel, CostModel::decstation_c()),
+    ];
     let mut rows = Vec::new();
     for (kind, cost) in runs {
-        let net = fresh_net(seed);
-        let mut sender = kind.build(&net, 1, 2, cost(), false, paper_tcp_config());
-        let mut receiver = kind.build(&net, 2, 1, cost(), false, paper_tcp_config());
         reset_copy_stats();
-        let bulk =
-            bulk_transfer(&net, &mut sender, &mut receiver, bytes, VirtualTime::from_micros(u64::MAX / 2));
+        let bulk = table1_cell(kind, cost, seed).bulk(bytes);
         let cs = copy_stats();
         assert_eq!(bulk.bytes, bytes, "{}: transfer must complete", kind.name());
-        let segments = sender.stats().segments_sent + receiver.stats().segments_sent;
+        let segments = bulk.sender.segments_sent + bulk.receiver.segments_sent;
         rows.push(CopyRow { name: kind.name(), copies: cs.copies, bytes: cs.bytes, segments });
     }
     rows
@@ -866,133 +775,6 @@ pub fn render_copy_comparison(rows: &[CopyRow]) -> Table {
         ]);
     }
     tab
-}
-
-// ----- traced runs (DESIGN.md §5.5: the typed event layer) -----
-
-/// A run with the event layer on: the typed stream, its drop counter,
-/// the wire capture of the same run, and the workload result.
-pub struct TracedBulk {
-    /// The recorded events, in emission order.
-    pub events: Vec<Stamped>,
-    /// Events the bounded ring overwrote (0 in a healthy run).
-    pub dropped: u64,
-    /// Every frame that crossed the medium, libpcap-framed.
-    pub pcap: PcapSink,
-    /// The workload result.
-    pub bulk: BulkResult,
-}
-
-fn run_traced(
-    net: SimNet,
-    kind: StackKind,
-    cost: fn() -> CostModel,
-    cfg: TcpConfig,
-    bytes: usize,
-    deadline: VirtualTime,
-) -> TracedBulk {
-    run_traced_batched(net, kind, cost, cfg, bytes, deadline, foxproto::dev::BatchConfig::default())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_traced_batched(
-    net: SimNet,
-    kind: StackKind,
-    cost: fn() -> CostModel,
-    cfg: TcpConfig,
-    bytes: usize,
-    deadline: VirtualTime,
-    batch: foxproto::dev::BatchConfig,
-) -> TracedBulk {
-    let sink = EventSink::recording(DEFAULT_RING_CAPACITY);
-    net.set_obs(sink.clone());
-    let pcap = net.capture();
-    let mut s = kind.build_batched(&net, 1, 2, cost(), false, cfg.clone(), sink.clone(), batch);
-    let mut r = kind.build_batched(&net, 2, 1, cost(), false, cfg, sink.clone(), batch);
-    let bulk = bulk_transfer(&net, &mut s, &mut r, bytes, deadline);
-    TracedBulk { events: sink.events(), dropped: sink.dropped(), pcap, bulk }
-}
-
-/// The Table 1 bulk transfer with the event layer recording: the same
-/// run `measure_speed` times, but returning the full typed timeline
-/// (TCP state machine, timers, segments, frames, GC) next to the pcap.
-/// Two calls with the same seed must produce byte-identical streams —
-/// `foxbasis::obs::first_divergence` of the pair is `None`.
-pub fn traced_table1_bulk(kind: StackKind, cost: fn() -> CostModel, bytes: usize, seed: u64) -> TracedBulk {
-    run_traced(fresh_net(seed), kind, cost, paper_tcp_config(), bytes, VirtualTime::from_micros(u64::MAX / 2))
-}
-
-/// The traced bulk run under an explicit TCP configuration on the
-/// fault-free Table 1 network — for trace-diffing a configuration knob
-/// (ACK coalescing, delayed ACKs) against the defaults on the same
-/// seed.
-pub fn traced_bulk_with(
-    kind: StackKind,
-    cost: fn() -> CostModel,
-    cfg: TcpConfig,
-    bytes: usize,
-    seed: u64,
-) -> TracedBulk {
-    run_traced(fresh_net(seed), kind, cost, cfg, bytes, VirtualTime::from_micros(u64::MAX / 2))
-}
-
-/// The traced Table 1 bulk run with explicit GRO/TSO device batching —
-/// for trace-diffing a batched device against the unbatched one on the
-/// same seed. Under the 1994 cost presets the per-batch device costs
-/// are zero, so the two streams must be byte-identical: batching groups
-/// the charges that exist, it never invents new ones.
-pub fn traced_table1_bulk_batched(
-    kind: StackKind,
-    cost: fn() -> CostModel,
-    bytes: usize,
-    seed: u64,
-    batch: foxproto::dev::BatchConfig,
-) -> TracedBulk {
-    run_traced_batched(
-        fresh_net(seed),
-        kind,
-        cost,
-        paper_tcp_config(),
-        bytes,
-        VirtualTime::from_micros(u64::MAX / 2),
-        batch,
-    )
-}
-
-/// One loss-matrix cell with the event layer recording. Unlike the
-/// fault-free Table 1 run — whose event stream does not depend on the
-/// seed at all — a lossy cell consumes the fault dice, so different
-/// seeds diverge and `first_divergence` names the first differing
-/// event.
-pub fn traced_loss_cell(kind: StackKind, profile: &str, bytes: usize, seed: u64) -> TracedBulk {
-    traced_cell_with(kind, profile, loss_matrix_config(), bytes, seed)
-}
-
-/// A traced loss-matrix cell under an explicit TCP configuration, for
-/// trace-diffing configuration changes — a selected congestion
-/// algorithm, an offered option — against the pinned defaults on the
-/// same fault dice.
-pub fn traced_cell_with(
-    kind: StackKind,
-    profile: &str,
-    cfg: TcpConfig,
-    bytes: usize,
-    seed: u64,
-) -> TracedBulk {
-    let faults = loss_matrix_profiles()
-        .into_iter()
-        .find(|(name, _)| *name == profile)
-        .unwrap_or_else(|| panic!("unknown fault profile {profile:?}"))
-        .1;
-    let netcfg = NetConfig { faults, ..NetConfig::default() };
-    run_traced(
-        SimNet::new(netcfg, seed),
-        kind,
-        CostModel::modern,
-        cfg,
-        bytes,
-        VirtualTime::from_millis(600_000),
-    )
 }
 
 /// Renders the loss sweep.
@@ -1035,7 +817,7 @@ pub fn scale_experiment(ns: &[usize], seed: u64) -> Vec<ScaleCell> {
     let mut cells = Vec::new();
     for &kind in &[StackKind::FoxStandard, StackKind::XKernel] {
         for &n in ns {
-            let net = fresh_net(seed);
+            let net = SimNet::new(NetConfig::default(), seed);
             let r = many_flows(
                 &net,
                 kind,
@@ -1180,9 +962,7 @@ fn adversarial_cell(
     seed: u64,
 ) -> AdvCell {
     use crate::advpeer::{run_attack, Attack};
-    let a = run_attack(kind, attack, faults.clone(), seed);
-    let b = run_attack(kind, attack, faults.clone(), seed);
-    assert_eq!(a, b, "{}/{profile}/{}: same seed must replay bit-identically", attack.name(), kind.name());
+    let a = replayed(&(attack, profile, kind, seed), || run_attack(kind, attack, faults.clone(), seed));
     assert!(
         a.outcome_ok(),
         "{}/{profile}/{}: survive-or-documented-refusal violated: {a:?}",

@@ -63,15 +63,14 @@ pub fn drive(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::Cell;
     use crate::stack::StackKind;
+    use foxbasis::obs::EventSink;
     use foxtcp::TcpConfig;
     use simnet::{CostModel, SimNet};
 
     fn quick_pair(kind: StackKind) -> (SimNet, Box<dyn Station>, Box<dyn Station>) {
-        let net = SimNet::ethernet_10mbps(33);
-        let a = kind.build(&net, 1, 2, CostModel::modern(), false, TcpConfig::default());
-        let b = kind.build(&net, 2, 1, CostModel::modern(), false, TcpConfig::default());
-        (net, a, b)
+        Cell::new(kind, CostModel::modern(), TcpConfig::default(), 33).pair(EventSink::off())
     }
 
     fn handshake_and_exchange(kind: StackKind) {

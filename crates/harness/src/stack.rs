@@ -45,45 +45,16 @@ pub enum StackKind {
 }
 
 impl StackKind {
-    /// Builds a station of this kind attached to `net`.
+    /// Builds a station of this kind attached to `net` — the single
+    /// constructor under [`crate::cell::Cell::pair`] and `many_flows`.
     ///
     /// `id` numbers the host (MAC `02:...:id`, IP `10.0.0.id`); the
-    /// station's peer is host `peer_id` (two-host experiments). `cost`
-    /// is the machine model; `profiled` enables the Table 2 counters.
-    pub fn build(
-        self,
-        net: &SimNet,
-        id: u16,
-        peer_id: u16,
-        cost: CostModel,
-        profiled: bool,
-        tcp_cfg: TcpConfig,
-    ) -> Box<dyn Station> {
-        self.build_traced(net, id, peer_id, cost, profiled, tcp_cfg, EventSink::off())
-    }
-
-    /// Like [`StackKind::build`], but with an event sink installed in
-    /// every layer (device, host GC, TCP engine), stamped with the
-    /// station's wire-side host id so device and wire views of one
-    /// frame line up.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_traced(
-        self,
-        net: &SimNet,
-        id: u16,
-        peer_id: u16,
-        cost: CostModel,
-        profiled: bool,
-        tcp_cfg: TcpConfig,
-        sink: EventSink,
-    ) -> Box<dyn Station> {
-        self.build_batched(net, id, peer_id, cost, profiled, tcp_cfg, sink, BatchConfig::default())
-    }
-
-    /// Like [`StackKind::build_traced`], but with GRO/TSO device
-    /// batching limits. `BatchConfig::default()` (both bursts 1) is
-    /// exactly the unbatched device.
-    #[allow(clippy::too_many_arguments)]
+    /// station's peer is host `peer_id`. `cost` is the machine model;
+    /// `profiled` enables the Table 2 counters. `sink` is installed in
+    /// every layer (device, host GC, TCP engine), stamped with the wire
+    /// port the station was attached to. `BatchConfig::default()` (both
+    /// bursts 1) is exactly the unbatched device.
+    #[allow(clippy::too_many_arguments)] // pinned: foxperf compiles against this signature
     pub fn build_batched(
         self,
         net: &SimNet,
@@ -95,12 +66,11 @@ impl StackKind {
         sink: EventSink,
         batch: BatchConfig,
     ) -> Box<dyn Station> {
+        let sub = Substrate::new(net, id, cost, profiled, &sink, batch);
         match self {
-            StackKind::FoxStandard => {
-                standard_station(net, id, peer_id, cost, profiled, tcp_cfg, sink, batch)
-            }
-            StackKind::FoxSpecial => special_station(net, id, peer_id, cost, profiled, tcp_cfg, sink, batch),
-            StackKind::XKernel => xk_station(net, id, peer_id, cost, profiled, &tcp_cfg, sink, batch),
+            StackKind::FoxStandard => standard_station(sub, id, peer_id, tcp_cfg),
+            StackKind::FoxSpecial => special_station(sub, peer_id, tcp_cfg),
+            StackKind::XKernel => xk_station(sub, id, peer_id, &tcp_cfg),
         }
     }
 
@@ -142,122 +112,76 @@ fn ip_config(local: Ipv4Addr) -> IpConfig {
     IpConfig { local, prefix_len: 16, gateway: None, ttl: 64 }
 }
 
-/// Stations attach ports in build order, so station `id` (1-based) sits
-/// on wire port `id - 1`; stamping events with the port number keeps the
-/// device-side and wire-side views of one frame under the same host id.
-fn stamp(sink: &EventSink, id: u16) -> EventSink {
-    sink.for_host(u32::from(id.saturating_sub(1)))
+/// What all three compositions stand on — Fig. 3's `Device` and `Eth`
+/// lines: the simulated machine, and a batched, observed device under
+/// Ethernet.
+struct Substrate {
+    host: HostHandle,
+    /// The caller's sink stamped with the wire port `net.attach` handed
+    /// out — the host id `SimNet` stamps its own events with — so the
+    /// device-side and wire-side views of one frame land under the same
+    /// host whatever order stations are built in.
+    sink: EventSink,
+    mac: EthAddr,
+    eth: Eth<Dev>,
+}
+
+impl Substrate {
+    fn new(
+        net: &SimNet,
+        id: u16,
+        cost: CostModel,
+        profiled: bool,
+        sink: &EventSink,
+        batch: BatchConfig,
+    ) -> Substrate {
+        let host = host_handle(id, cost, profiled);
+        let mac = mac_of(id);
+        let port = net.attach(mac);
+        let sink = sink.for_host(port.index());
+        host.set_obs(sink.clone());
+        let mut dev = Dev::new(port, host.clone());
+        dev.set_batching(batch);
+        dev.set_obs(sink.clone());
+        Substrate { eth: Eth::new(dev, mac, host.clone()), host, sink, mac }
+    }
+
+    /// `Ip (structure Lower = Eth ...)` for station `id`, with the aux
+    /// structure a TCP over it needs.
+    fn ip(self, id: u16) -> (HostHandle, EventSink, Ip<Eth<Dev>>, IpAuxImpl) {
+        let local = ip_of(id);
+        let ip = Ip::new(self.eth, self.mac, ip_config(local), self.host.clone());
+        // The TCP aux carries the *link* MTU (1500 on Ethernet), not IP's
+        // post-header capacity: RFC 879 expresses the MSS against the link
+        // MTU (mss_for_mtu subtracts both 20-byte headers), so a 1500-byte
+        // link advertises 1460 and each full segment fills a frame exactly.
+        let aux = IpAuxImpl::new(local, IpProtocol::Tcp, foxwire::ether::MTU);
+        (self.host, self.sink, ip, aux)
+    }
 }
 
 /// `Standard_Tcp = Tcp (structure Lower = Ip ...)`.
-#[allow(clippy::too_many_arguments)]
-pub fn standard_station(
-    net: &SimNet,
-    id: u16,
-    peer_id: u16,
-    cost: CostModel,
-    profiled: bool,
-    tcp_cfg: TcpConfig,
-    sink: EventSink,
-    batch: BatchConfig,
-) -> Box<dyn Station> {
-    let stamped = stamp(&sink, id);
-    let host = host_handle(id, cost, profiled);
-    host.set_obs(stamped.clone());
+fn standard_station(sub: Substrate, id: u16, peer_id: u16, tcp_cfg: TcpConfig) -> Box<dyn Station> {
+    let (host, sink, ip, aux) = sub.ip(id);
     let sched = SchedHandle::new();
-    let mac = mac_of(id);
-    let local = ip_of(id);
-    let mut dev = Dev::new(net.attach(mac), host.clone());
-    dev.set_batching(batch);
-    dev.set_obs(stamped.clone());
-    let eth = Eth::new(dev, mac, host.clone());
-    let ip = Ip::new(eth, mac, ip_config(local), host.clone());
-    // The TCP aux carries the *link* MTU (1500 on Ethernet), not IP's
-    // post-header capacity: RFC 879 expresses the MSS against the link
-    // MTU (mss_for_mtu subtracts both 20-byte headers), so a 1500-byte
-    // link advertises 1460 and each full segment fills a frame exactly.
-    let aux = IpAuxImpl::new(local, IpProtocol::Tcp, foxwire::ether::MTU);
-    let mut tcp = Tcp::new(ip, aux, IpProtocol::Tcp, tcp_cfg, sched.clone(), host.clone());
-    tcp.set_obs(stamped);
-    Box::new(FoxStation {
-        tcp,
-        _sched: sched,
-        host,
-        peer: ip_of(peer_id),
-        kind: "Fox Net",
-        bufs: BTreeMap::new(),
-        accepted: Rc::new(RefCell::new(VecDeque::new())),
-        listener: None,
-        socks: BTreeMap::new(),
-    })
+    let tcp = Tcp::new(ip, aux, IpProtocol::Tcp, tcp_cfg, sched.clone(), host.clone());
+    FoxStation::boxed(tcp, sched, host, sink, ip_of(peer_id), StackKind::FoxStandard)
 }
 
 /// `Special_Tcp = Tcp (structure Lower = Eth ...)` — with the
 /// `SizedPayload` virtual protocol delimiting segments, and TCP
 /// checksums off (the Ethernet FCS carries integrity).
-#[allow(clippy::too_many_arguments)]
-pub fn special_station(
-    net: &SimNet,
-    id: u16,
-    peer_id: u16,
-    cost: CostModel,
-    profiled: bool,
-    mut tcp_cfg: TcpConfig,
-    sink: EventSink,
-    batch: BatchConfig,
-) -> Box<dyn Station> {
+fn special_station(sub: Substrate, peer_id: u16, mut tcp_cfg: TcpConfig) -> Box<dyn Station> {
     tcp_cfg.compute_checksums = false; // val do_checksums = false
-    let stamped = stamp(&sink, id);
-    let host = host_handle(id, cost, profiled);
-    host.set_obs(stamped.clone());
+    let eth = SizedPayload::new(sub.eth);
     let sched = SchedHandle::new();
-    let mac = mac_of(id);
-    let mut dev = Dev::new(net.attach(mac), host.clone());
-    dev.set_batching(batch);
-    dev.set_obs(stamped.clone());
-    let eth = SizedPayload::new(Eth::new(dev, mac, host.clone()));
-    let mut tcp = Tcp::new(eth, EthAux::new(), EtherType::TcpDirect, tcp_cfg, sched.clone(), host.clone());
-    tcp.set_obs(stamped);
-    Box::new(FoxStation {
-        tcp,
-        _sched: sched,
-        host,
-        peer: mac_of(peer_id),
-        kind: "Fox Net (TCP/Eth)",
-        bufs: BTreeMap::new(),
-        accepted: Rc::new(RefCell::new(VecDeque::new())),
-        listener: None,
-        socks: BTreeMap::new(),
-    })
+    let tcp = Tcp::new(eth, EthAux::new(), EtherType::TcpDirect, tcp_cfg, sched.clone(), sub.host.clone());
+    FoxStation::boxed(tcp, sched, sub.host, sub.sink, mac_of(peer_id), StackKind::FoxSpecial)
 }
 
 /// The x-kernel baseline over the standard substrate.
-#[allow(clippy::too_many_arguments)]
-pub fn xk_station(
-    net: &SimNet,
-    id: u16,
-    peer_id: u16,
-    cost: CostModel,
-    profiled: bool,
-    tcp_cfg: &TcpConfig,
-    sink: EventSink,
-    batch: BatchConfig,
-) -> Box<dyn Station> {
-    let stamped = stamp(&sink, id);
-    let host = host_handle(id, cost, profiled);
-    host.set_obs(stamped.clone());
-    let mac = mac_of(id);
-    let local = ip_of(id);
-    let mut dev = Dev::new(net.attach(mac), host.clone());
-    dev.set_batching(batch);
-    dev.set_obs(stamped.clone());
-    let eth = Eth::new(dev, mac, host.clone());
-    let ip = Ip::new(eth, mac, ip_config(local), host.clone());
-    // The TCP aux carries the *link* MTU (1500 on Ethernet), not IP's
-    // post-header capacity: RFC 879 expresses the MSS against the link
-    // MTU (mss_for_mtu subtracts both 20-byte headers), so a 1500-byte
-    // link advertises 1460 and each full segment fills a frame exactly.
-    let aux = IpAuxImpl::new(local, IpProtocol::Tcp, foxwire::ether::MTU);
+fn xk_station(sub: Substrate, id: u16, peer_id: u16, tcp_cfg: &TcpConfig) -> Box<dyn Station> {
+    let (host, sink, ip, aux) = sub.ip(id);
     let cfg = XkConfig {
         window: tcp_cfg.initial_window,
         send_buffer: tcp_cfg.send_buffer,
@@ -272,7 +196,7 @@ pub fn xk_station(
         ack_coalesce_segments: tcp_cfg.ack_coalesce_segments,
     };
     let mut tcp = XkTcp::new(ip, aux, IpProtocol::Tcp, cfg, host.clone());
-    tcp.set_obs(stamped);
+    tcp.set_obs(sink);
     Box::new(XkStation {
         tcp,
         host,
@@ -339,6 +263,32 @@ where
     L: Protocol,
     A: IpAux<Address = L::Peer, Incoming = L::Incoming>,
 {
+    fn boxed(
+        mut tcp: Tcp<L, A>,
+        sched: SchedHandle,
+        host: HostHandle,
+        sink: EventSink,
+        peer: L::Peer,
+        kind: StackKind,
+    ) -> Box<dyn Station>
+    where
+        L: 'static,
+        A: 'static,
+    {
+        tcp.set_obs(sink);
+        Box::new(FoxStation {
+            tcp,
+            _sched: sched,
+            host,
+            peer,
+            kind: kind.name(),
+            bufs: BTreeMap::new(),
+            accepted: Rc::new(RefCell::new(VecDeque::new())),
+            listener: None,
+            socks: BTreeMap::new(),
+        })
+    }
+
     /// Promotes a `Connecting` socket to `Established` if its handshake
     /// has completed; leaves it (and any other stage) untouched
     /// otherwise.
@@ -658,5 +608,55 @@ where
 
     fn debug_line(&self) -> String {
         self.conns.iter().filter_map(|c| self.tcp.debug_of(*c)).collect::<Vec<_>>().join(" | ")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::workload::bulk_transfer;
+    use foxbasis::obs::{Event, DEFAULT_RING_CAPACITY};
+
+    /// Stations stamp their events with the wire port `net.attach` gave
+    /// them, not with one guessed from their id — so the device's and the
+    /// wire's view of one frame agree on the host even when station 2 is
+    /// built (and attached) before station 1.
+    #[test]
+    fn device_and_wire_events_share_a_host_in_any_build_order() {
+        let net = SimNet::new(simnet::NetConfig::default(), 5);
+        let sink = EventSink::recording(DEFAULT_RING_CAPACITY);
+        net.set_obs(sink.clone());
+        let build = |id, peer| {
+            let (cost, tcp) = (CostModel::modern(), TcpConfig::default());
+            StackKind::FoxStandard.build_batched(
+                &net,
+                id,
+                peer,
+                cost,
+                false,
+                tcp,
+                sink.clone(),
+                BatchConfig::default(),
+            )
+        };
+        let mut receiver = build(2, 1); // wire port 0
+        let mut sender = build(1, 2); // wire port 1
+        let r = bulk_transfer(&net, &mut sender, &mut receiver, 20_000, VirtualTime::from_millis(60_000));
+        assert_eq!(r.bytes, 20_000);
+
+        let events = sink.events();
+        let sizes = |host: u32, pick: fn(&Event) -> Option<u32>| -> Vec<u32> {
+            events.iter().filter(|e| e.host == host).filter_map(|e| pick(&e.event)).collect()
+        };
+        let sent = |e: &Event| if let Event::FrameTx { bytes } = e { Some(*bytes) } else { None };
+        let delivered = |e: &Event| if let Event::FrameDeliver { bytes } = e { Some(*bytes) } else { None };
+        // On a clean two-port segment, what one port's device sends is
+        // what the wire delivers at the other port, in order (the run
+        // may end with the last frames still in flight).
+        for port in [0, 1] {
+            let (tx, rx) = (sizes(port, sent), sizes(1 - port, delivered));
+            assert!(!rx.is_empty() && tx.starts_with(&rx), "port {port} sent {tx:?}, the other got {rx:?}");
+        }
+        assert_ne!(sizes(0, sent), sizes(1, sent), "the directions must differ for the check to bite");
     }
 }

@@ -18,12 +18,13 @@ use crate::station::{ConnHandle, ScaleCounters, Station, StationStats};
 use foxbasis::obs::EventSink;
 use foxbasis::profile::Account;
 use foxbasis::time::{VirtualDuration, VirtualTime};
+use foxproto::dev::BatchConfig;
 use foxtcp::TcpConfig;
 use simnet::{CostModel, GcStats, NetStats, SimNet};
 use std::collections::BTreeMap;
 
 /// Result of one bulk-transfer run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BulkResult {
     /// Bytes the receiver asked for and got.
     pub bytes: usize,
@@ -213,11 +214,16 @@ pub fn many_flows(
     let base = TcpConfig::default();
     let cfg = TcpConfig { backlog: base.backlog.max(n), ..base };
 
+    // The one place with more than two hosts, so the one caller of the
+    // station constructor besides `Cell::pair`: the server is id 1, the
+    // clients ids 2.., attached in that order.
+    let build = |id: u16, peer: u16| {
+        kind.build_batched(net, id, peer, cost(), false, cfg.clone(), sink.clone(), BatchConfig::default())
+    };
     let mut all: Vec<Box<dyn Station>> = Vec::with_capacity(n + 1);
-    all.push(kind.build_traced(net, 1, 2, cost(), false, cfg.clone(), sink.clone()));
+    all.push(build(1, 2));
     for i in 0..n {
-        let id = u16::try_from(i + 2).expect("station id fits u16");
-        all.push(kind.build_traced(net, id, 1, cost(), false, cfg.clone(), sink.clone()));
+        all.push(build(u16::try_from(i + 2).expect("station id fits u16"), 1));
     }
     all[0].listen(2000);
     let handles: Vec<ConnHandle> = all[1..].iter_mut().map(|c| c.connect(2000)).collect();
@@ -447,21 +453,19 @@ pub fn ping_pong(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::Cell;
     use crate::stack::StackKind;
     use foxtcp::TcpConfig;
     use simnet::{CostModel, SimNet};
 
-    fn pair(kind: StackKind, cost: fn() -> CostModel) -> (SimNet, Box<dyn Station>, Box<dyn Station>) {
-        let net = SimNet::ethernet_10mbps(77);
-        let a = kind.build(&net, 1, 2, cost(), false, TcpConfig::default());
-        let b = kind.build(&net, 2, 1, cost(), false, TcpConfig::default());
-        (net, a, b)
+    fn cell(kind: StackKind) -> Cell {
+        let deadline = VirtualTime::from_millis(600_000);
+        Cell { deadline, ..Cell::new(kind, CostModel::modern(), TcpConfig::default(), 77) }
     }
 
     #[test]
     fn bulk_transfer_fox_modern_cost() {
-        let (net, mut sender, mut receiver) = pair(StackKind::FoxStandard, CostModel::modern);
-        let r = bulk_transfer(&net, &mut sender, &mut receiver, 200_000, VirtualTime::from_millis(600_000));
+        let r = cell(StackKind::FoxStandard).bulk(200_000);
         assert_eq!(r.bytes, 200_000);
         // With zero CPU cost the 10 Mb/s wire is the only limit; with a
         // 4096-byte window and ~2.5 ms RTT-ish, expect a few Mb/s.
@@ -472,16 +476,14 @@ mod tests {
 
     #[test]
     fn bulk_transfer_xk_modern_cost() {
-        let (net, mut sender, mut receiver) = pair(StackKind::XKernel, CostModel::modern);
-        let r = bulk_transfer(&net, &mut sender, &mut receiver, 100_000, VirtualTime::from_millis(600_000));
+        let r = cell(StackKind::XKernel).bulk(100_000);
         assert_eq!(r.bytes, 100_000);
         assert!(r.throughput_mbps > 0.5, "got {} Mb/s", r.throughput_mbps);
     }
 
     #[test]
     fn bulk_transfer_special_stack() {
-        let (net, mut sender, mut receiver) = pair(StackKind::FoxSpecial, CostModel::modern);
-        let r = bulk_transfer(&net, &mut sender, &mut receiver, 100_000, VirtualTime::from_millis(600_000));
+        let r = cell(StackKind::FoxSpecial).bulk(100_000);
         assert_eq!(r.bytes, 100_000);
         assert_eq!(r.sender.checksum_failures, 0);
     }
@@ -534,8 +536,7 @@ mod tests {
 
     #[test]
     fn ping_pong_reports_rtts() {
-        let (net, mut server, mut client) = pair(StackKind::FoxStandard, CostModel::modern);
-        let r = ping_pong(&net, &mut server, &mut client, 10, 1, VirtualTime::from_millis(600_000));
+        let r = cell(StackKind::FoxStandard).ping(10, 1);
         assert_eq!(r.rounds, 10);
         assert!(r.mean_rtt > VirtualDuration::ZERO);
         assert!(r.min_rtt <= r.mean_rtt && r.mean_rtt <= r.max_rtt);

@@ -7,7 +7,7 @@ use simnet::CostModel;
 
 #[test]
 fn measure_speed_smoke() {
-    let s = exp::measure_speed(StackKind::FoxStandard, CostModel::modern, 50_000, 7);
+    let s = exp::measure_speed(StackKind::FoxStandard, CostModel::modern(), 50_000, 7);
     assert!(s.throughput_mbps > 0.5 && s.throughput_mbps < 10.0);
     assert!(s.rtt_ms > 0.0 && s.rtt_ms < 100.0);
 }

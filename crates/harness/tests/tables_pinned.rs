@@ -76,17 +76,18 @@ fn wire_is_pinned() {
     for (kind, want) in
         [(StackKind::FoxStandard, 0x2c10_1756_9dd1_3d35_u64), (StackKind::XKernel, 0x007c_c973_260f_100a_u64)]
     {
-        let run = exp::traced_table1_bulk(kind, CostModel::modern, 100_000, 42);
+        let run = exp::table1_cell(kind, CostModel::modern(), 42).traced_bulk(100_000);
         assert_eq!(run.bulk.bytes, 100_000);
         assert_eq!(fnv1a64(&run.pcap.bytes()), want, "{kind:?}: Table 1 bulk frames drifted from the pin");
     }
 
-    // `traced_loss_cell`'s run with every option offered: corrupted
+    // The loss matrix's "corrupt 3%" cell with every option offered: corrupted
     // frames cross the medium and die at the receiver's FCS check, the
     // holes they leave draw SACK blocks, and the sender retransmits.
     let cfg =
         foxtcp::TcpConfig { window_scale: true, sack: true, timestamps: true, ..exp::loss_matrix_config() };
-    let run = exp::traced_cell_with(StackKind::FoxStandard, "corrupt 3%", cfg, 200_000, 42);
+    let faults = simnet::FaultConfig { corrupt_chance: 0.03, ..simnet::FaultConfig::default() };
+    let run = exp::loss_cell(StackKind::FoxStandard, faults, cfg, 42).traced_bulk(200_000);
     assert_eq!(run.bulk.bytes, 200_000);
     assert!(
         run.bulk.net.frames_corrupted > 0 && run.bulk.sender.retransmits > 0,

@@ -9,14 +9,22 @@ use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxharness::experiments as exp;
 use foxharness::stack::StackKind;
 use foxharness::workload::{many_flows, ManyFlowsResult};
+use foxharness::{Cell, TracedBulk};
 use foxtcp::CcAlg;
 use foxtcp::TcpConfig;
 use simnet::{CostModel, FaultConfig, NetConfig, SimNet};
 
+/// The loss matrix's "drop 5%" cell under `cfg`, recorded.
+fn traced_drop5(cfg: TcpConfig, bytes: usize, seed: u64) -> TracedBulk {
+    let faults = FaultConfig { drop_chance: 0.05, ..FaultConfig::default() };
+    exp::loss_cell(StackKind::FoxStandard, faults, cfg, seed).traced_bulk(bytes)
+}
+
 #[test]
 fn same_seed_table1_runs_diff_to_zero() {
-    let a = exp::traced_table1_bulk(StackKind::FoxStandard, CostModel::modern, 50_000, 7);
-    let b = exp::traced_table1_bulk(StackKind::FoxStandard, CostModel::modern, 50_000, 7);
+    let cell = exp::table1_cell(StackKind::FoxStandard, CostModel::modern(), 7);
+    let a = cell.traced_bulk(50_000);
+    let b = cell.traced_bulk(50_000);
     assert!(!a.events.is_empty(), "a traced run must record events");
     assert_eq!(a.dropped, 0, "the default ring must hold a 50 KB run");
     assert_eq!(a.bulk.bytes, 50_000);
@@ -30,7 +38,7 @@ fn same_seed_table1_runs_diff_to_zero() {
 fn traced_run_covers_every_layer() {
     // 300 KB: enough to fill the 1994 model's nursery at least once,
     // so the GC layer shows up in the stream.
-    let t = exp::traced_table1_bulk(StackKind::FoxStandard, CostModel::decstation_sml, 300_000, 7);
+    let t = exp::table1_cell(StackKind::FoxStandard, CostModel::decstation_sml(), 7).traced_bulk(300_000);
     let has = |f: &dyn Fn(&Event) -> bool| t.events.iter().any(|e| f(&e.event));
     assert!(has(&|e| matches!(e, Event::StateTransition { to: "Estab", .. })), "TCP layer");
     assert!(has(&|e| matches!(e, Event::Action { .. })), "action queue");
@@ -48,7 +56,7 @@ fn traced_run_covers_every_layer() {
 
 #[test]
 fn xkernel_stack_is_traced_too() {
-    let t = exp::traced_table1_bulk(StackKind::XKernel, CostModel::modern, 30_000, 7);
+    let t = exp::table1_cell(StackKind::XKernel, CostModel::modern(), 7).traced_bulk(30_000);
     let has = |f: &dyn Fn(&Event) -> bool| t.events.iter().any(|e| f(&e.event));
     assert!(has(&|e| matches!(e, Event::StateTransition { to: "Estab", .. })));
     assert!(has(&|e| matches!(e, Event::SegTx { .. })));
@@ -98,12 +106,12 @@ fn same_seed_many_flows_under_burst_loss_diff_to_zero() {
 fn gro_batched_device_is_trace_invisible_on_the_1994_profile() {
     use foxproto::dev::BatchConfig;
     for (kind, cost) in [
-        (StackKind::FoxStandard, CostModel::decstation_sml as fn() -> CostModel),
-        (StackKind::XKernel, CostModel::decstation_c),
+        (StackKind::FoxStandard, CostModel::decstation_sml()),
+        (StackKind::XKernel, CostModel::decstation_c()),
     ] {
-        let unbatched = exp::traced_table1_bulk(kind, cost, 120_000, 7);
-        let batched =
-            exp::traced_table1_bulk_batched(kind, cost, 120_000, 7, BatchConfig { rx_burst: 8, tx_burst: 8 });
+        let cell = exp::table1_cell(kind, cost, 7);
+        let unbatched = cell.traced_bulk(120_000);
+        let batched = Cell { batch: BatchConfig { rx_burst: 8, tx_burst: 8 }, ..cell }.traced_bulk(120_000);
         assert_eq!(unbatched.bulk.bytes, 120_000);
         assert_eq!(batched.bulk.bytes, 120_000);
         let d = first_divergence(&unbatched.events, &batched.events);
@@ -126,25 +134,14 @@ fn ack_coalescing_defaults_pin_the_historical_thresholds() {
     // the ACK back (the paper's bulk config acks immediately).
     let delayed = TcpConfig { initial_window: 4096, send_buffer: 8192, ..TcpConfig::default() };
     assert_eq!(delayed.delayed_ack_ms, Some(200));
-    let base =
-        exp::traced_bulk_with(StackKind::FoxStandard, CostModel::decstation_sml, delayed.clone(), 80_000, 7);
-    let explicit = exp::traced_bulk_with(
-        StackKind::FoxStandard,
-        CostModel::decstation_sml,
-        TcpConfig { ack_coalesce_segments: Some(2), ..delayed.clone() },
-        80_000,
-        7,
-    );
+    let fox =
+        |tcp| Cell::new(StackKind::FoxStandard, CostModel::decstation_sml(), tcp, 7).traced_bulk(80_000);
+    let base = fox(delayed.clone());
+    let explicit = fox(TcpConfig { ack_coalesce_segments: Some(2), ..delayed.clone() });
     let d = first_divergence(&base.events, &explicit.events);
     assert!(d.is_none(), "fox: Some(2) must equal the default threshold, diverged at {d:?}");
 
-    let coalesced = exp::traced_bulk_with(
-        StackKind::FoxStandard,
-        CostModel::decstation_sml,
-        TcpConfig { ack_coalesce_segments: Some(8), ..delayed },
-        80_000,
-        7,
-    );
+    let coalesced = fox(TcpConfig { ack_coalesce_segments: Some(8), ..delayed });
     assert_eq!(coalesced.bulk.bytes, 80_000, "a coalescing receiver still delivers everything");
     assert!(
         first_divergence(&base.events, &coalesced.events).is_some(),
@@ -154,14 +151,9 @@ fn ack_coalescing_defaults_pin_the_historical_thresholds() {
     // x-kernel: its historical rule is an immediate ACK on every full
     // segment, i.e. threshold 1.
     let paper = exp::paper_tcp_config();
-    let base = exp::traced_bulk_with(StackKind::XKernel, CostModel::decstation_c, paper.clone(), 80_000, 7);
-    let explicit = exp::traced_bulk_with(
-        StackKind::XKernel,
-        CostModel::decstation_c,
-        TcpConfig { ack_coalesce_segments: Some(1), ..paper },
-        80_000,
-        7,
-    );
+    let xk = |tcp| Cell::new(StackKind::XKernel, CostModel::decstation_c(), tcp, 7).traced_bulk(80_000);
+    let base = xk(paper.clone());
+    let explicit = xk(TcpConfig { ack_coalesce_segments: Some(1), ..paper });
     let d = first_divergence(&base.events, &explicit.events);
     assert!(d.is_none(), "xk: Some(1) must equal the default threshold, diverged at {d:?}");
 }
@@ -180,16 +172,10 @@ fn reno_pinned_runs_trace_diff_to_zero_with_cubic_behind_the_trait() {
         !defaults.window_scale && !defaults.sack && !defaults.timestamps,
         "no option is offered unless asked for"
     );
-    let base = exp::traced_loss_cell(StackKind::FoxStandard, "drop 5%", 40_000, 7);
+    let base = traced_drop5(exp::loss_matrix_config(), 40_000, 7);
     let explicit_reno = exp::loss_matrix_config();
     assert_eq!(explicit_reno.congestion_algorithm, CcAlg::Reno);
-    let reno = exp::traced_cell_with(
-        StackKind::FoxStandard,
-        "drop 5%",
-        TcpConfig { congestion_algorithm: CcAlg::Reno, ..explicit_reno },
-        40_000,
-        7,
-    );
+    let reno = traced_drop5(TcpConfig { congestion_algorithm: CcAlg::Reno, ..explicit_reno }, 40_000, 7);
     let d = first_divergence(&base.events, &reno.events);
     assert!(d.is_none(), "the trait seam changed Reno's behavior, diverged at {d:?}");
 
@@ -206,10 +192,10 @@ fn reno_pinned_runs_trace_diff_to_zero_with_cubic_behind_the_trait() {
         delayed_ack_ms: None,
         ..TcpConfig::default()
     };
-    let reno_wide = exp::traced_cell_with(StackKind::FoxStandard, "drop 5%", wide(CcAlg::Reno), 100_000, 7);
-    let cubic = exp::traced_cell_with(StackKind::FoxStandard, "drop 5%", wide(CcAlg::Cubic), 100_000, 7);
+    let reno_wide = traced_drop5(wide(CcAlg::Reno), 100_000, 7);
+    let cubic = traced_drop5(wide(CcAlg::Cubic), 100_000, 7);
     assert_eq!(cubic.bulk.bytes, 100_000, "CUBIC delivers in full");
-    let cubic2 = exp::traced_cell_with(StackKind::FoxStandard, "drop 5%", wide(CcAlg::Cubic), 100_000, 7);
+    let cubic2 = traced_drop5(wide(CcAlg::Cubic), 100_000, 7);
     assert!(first_divergence(&cubic.events, &cubic2.events).is_none(), "CUBIC replays deterministically");
     assert!(
         first_divergence(&reno_wide.events, &cubic.events).is_some(),
@@ -219,19 +205,19 @@ fn reno_pinned_runs_trace_diff_to_zero_with_cubic_behind_the_trait() {
 
 #[test]
 fn different_seed_lossy_cell_reports_first_divergence() {
-    let a = exp::traced_loss_cell(StackKind::FoxStandard, "drop 5%", 30_000, 7);
-    let b = exp::traced_loss_cell(StackKind::FoxStandard, "drop 5%", 30_000, 8);
+    let a = traced_drop5(exp::loss_matrix_config(), 30_000, 7);
+    let b = traced_drop5(exp::loss_matrix_config(), 30_000, 8);
     let d = first_divergence(&a.events, &b.events).expect("different fault dice must diverge somewhere");
     assert!(d.index <= a.events.len().max(b.events.len()));
     assert!(d.left.is_some() || d.right.is_some(), "a divergence names at least one side's event");
     // And the same lossy seed still replays exactly.
-    let a2 = exp::traced_loss_cell(StackKind::FoxStandard, "drop 5%", 30_000, 7);
+    let a2 = traced_drop5(exp::loss_matrix_config(), 30_000, 7);
     assert!(first_divergence(&a.events, &a2.events).is_none());
 }
 
 #[test]
 fn chrome_export_of_a_lossmatrix_cell_is_valid_json() {
-    let t = exp::traced_loss_cell(StackKind::FoxStandard, "drop 5%", 20_000, 7);
+    let t = traced_drop5(exp::loss_matrix_config(), 20_000, 7);
     let json = to_chrome_trace(&t.events);
     let value = json::parse(&json).expect("export must be syntactically valid JSON");
     let obj = match value {

@@ -616,6 +616,12 @@ impl Port {
         self.net.borrow().ports[self.id].addr
     }
 
+    /// This port's position on the segment (attach order, from 0) — the
+    /// host id the segment stamps its own frame events with.
+    pub fn index(&self) -> u32 {
+        self.id as u32
+    }
+
     /// Enables reception of all frames regardless of destination.
     pub fn set_promiscuous(&self, on: bool) {
         self.net.borrow_mut().ports[self.id].promiscuous = on;

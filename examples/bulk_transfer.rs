@@ -9,11 +9,11 @@
 //! With a fourth argument, every frame on the simulated wire is written
 //! to a Wireshark-readable pcap file.
 
-use foxbasis::time::VirtualTime;
-use foxharness::experiments::paper_tcp_config;
+use foxbasis::obs::EventSink;
+use foxharness::experiments::table1_cell;
 use foxharness::stack::StackKind;
 use foxharness::workload::bulk_transfer;
-use simnet::{CostModel, SimNet};
+use simnet::CostModel;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -22,24 +22,23 @@ fn main() {
         Some("special") => StackKind::FoxSpecial,
         _ => StackKind::FoxStandard,
     };
-    let (cost, cost_name): (fn() -> CostModel, _) = match args.get(2).map(String::as_str) {
-        Some("modern") => (CostModel::modern as fn() -> CostModel, "modern (free CPU)"),
+    let (cost, cost_name) = match args.get(2).map(String::as_str) {
+        Some("modern") => (CostModel::modern(), "modern (free CPU)"),
         _ => {
             if kind == StackKind::XKernel {
-                (CostModel::decstation_c as fn() -> CostModel, "DECstation 5000/125 (C)")
+                (CostModel::decstation_c(), "DECstation 5000/125 (C)")
             } else {
-                (CostModel::decstation_sml as fn() -> CostModel, "DECstation 5000/125 (SML/NJ)")
+                (CostModel::decstation_sml(), "DECstation 5000/125 (SML/NJ)")
             }
         }
     };
     let bytes: usize = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(1_000_000);
 
     println!("stack: {}   machine: {cost_name}   transfer: {bytes} bytes", kind.name());
-    let net = SimNet::ethernet_10mbps(42);
+    let cell = table1_cell(kind, cost, 42);
+    let (net, mut sender, mut receiver) = cell.pair(EventSink::off());
     let capture = args.get(4).map(|path| (net.capture(), std::path::PathBuf::from(path)));
-    let mut sender = kind.build(&net, 1, 2, cost(), false, paper_tcp_config());
-    let mut receiver = kind.build(&net, 2, 1, cost(), false, paper_tcp_config());
-    let r = bulk_transfer(&net, &mut sender, &mut receiver, bytes, VirtualTime::from_micros(u64::MAX / 2));
+    let r = bulk_transfer(&net, &mut sender, &mut receiver, bytes, cell.deadline);
 
     println!();
     println!("elapsed (virtual): {}", r.elapsed);

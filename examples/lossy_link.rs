@@ -7,19 +7,17 @@
 //!
 //! Run with: `cargo run --release --example lossy_link`
 
-use foxbasis::time::{VirtualDuration, VirtualTime};
+use foxbasis::time::VirtualDuration;
 use foxharness::stack::StackKind;
-use foxharness::workload::bulk_transfer;
+use foxharness::Cell;
 use foxtcp::TcpConfig;
-use simnet::{CostModel, FaultConfig, NetConfig, SimNet};
+use simnet::{CostModel, FaultConfig, NetConfig};
 
 fn run(label: &str, faults: FaultConfig) {
-    let net = SimNet::new(NetConfig { faults, ..NetConfig::default() }, 4242);
     let cfg = TcpConfig { delayed_ack_ms: None, ..TcpConfig::default() };
-    let mut sender = StackKind::FoxStandard.build(&net, 1, 2, CostModel::modern(), false, cfg.clone());
-    let mut receiver = StackKind::FoxStandard.build(&net, 2, 1, CostModel::modern(), false, cfg);
+    let net = NetConfig { faults, ..NetConfig::default() };
     let bytes = 250_000;
-    let r = bulk_transfer(&net, &mut sender, &mut receiver, bytes, VirtualTime::from_micros(u64::MAX / 2));
+    let r = Cell { net, ..Cell::new(StackKind::FoxStandard, CostModel::modern(), cfg, 4242) }.bulk(bytes);
     assert_eq!(r.bytes, bytes, "{label}: data must arrive complete and intact");
     let n = r.net;
     println!(

@@ -7,22 +7,23 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+use foxbasis::obs::EventSink;
 use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxharness::sim::drive;
 use foxharness::stack::StackKind;
+use foxharness::Cell;
 use foxtcp::TcpConfig;
-use simnet::{CostModel, SimNet};
+use simnet::CostModel;
 
 fn main() {
-    // An isolated 10 Mb/s Ethernet segment, deterministic under seed 7.
-    let net = SimNet::ethernet_10mbps(7);
-
-    // Two stations: MAC 02:...:01 / IP 10.0.0.1 and 02:...:02 / 10.0.0.2.
+    // The whole experiment, declared: `Standard_Tcp` at both ends of an
+    // isolated 10 Mb/s Ethernet segment, deterministic under seed 7.
     // `CostModel::modern()` runs the protocol code "for free"; swap in
     // `CostModel::decstation_sml()` to feel 1994.
-    let mut alice =
-        StackKind::FoxStandard.build(&net, 1, 2, CostModel::modern(), false, TcpConfig::default());
-    let mut bob = StackKind::FoxStandard.build(&net, 2, 1, CostModel::modern(), false, TcpConfig::default());
+    let cell = Cell::new(StackKind::FoxStandard, CostModel::modern(), TcpConfig::default(), 7);
+
+    // Two stations: MAC 02:...:01 / IP 10.0.0.1 and 02:...:02 / 10.0.0.2.
+    let (net, mut alice, mut bob) = cell.pair(EventSink::off());
 
     println!("== passive open: bob listens on port 7777");
     bob.listen(7777);

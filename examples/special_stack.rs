@@ -10,20 +10,18 @@
 //!
 //! Run with: `cargo run --release --example special_stack`
 
+use foxbasis::obs::EventSink;
 use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxharness::sim::drive;
 use foxharness::stack::StackKind;
-use foxharness::workload::bulk_transfer;
+use foxharness::Cell;
 use foxtcp::TcpConfig;
-use simnet::{CostModel, NetConfig, SimNet};
+use simnet::CostModel;
 
 fn transfer(kind: StackKind, corrupt: f64, label: &str) {
-    let mut cfg = NetConfig::default();
-    cfg.faults.corrupt_chance = corrupt;
-    let net = SimNet::new(cfg, 99);
-    let mut sender = kind.build(&net, 1, 2, CostModel::modern(), false, TcpConfig::default());
-    let mut receiver = kind.build(&net, 2, 1, CostModel::modern(), false, TcpConfig::default());
-    let r = bulk_transfer(&net, &mut sender, &mut receiver, 300_000, VirtualTime::from_micros(u64::MAX / 2));
+    let mut cell = Cell::new(kind, CostModel::modern(), TcpConfig::default(), 99);
+    cell.net.faults.corrupt_chance = corrupt;
+    let r = cell.bulk(300_000);
     println!(
         "{label:<38} {:>6.2} Mb/s  retransmits={:<3} corrupted-frames={:<3} tcp-checksum-drops={}",
         r.throughput_mbps, r.sender.retransmits, r.net.frames_corrupted, r.receiver.checksum_failures,
@@ -49,9 +47,8 @@ fn main() {
     transfer(StackKind::FoxSpecial, 0.02, "Special_Tcp,  2% corruption");
 
     // And the quickstart exchange works over the special stack too.
-    let net = SimNet::ethernet_10mbps(1);
-    let mut a = StackKind::FoxSpecial.build(&net, 1, 2, CostModel::modern(), false, TcpConfig::default());
-    let mut b = StackKind::FoxSpecial.build(&net, 2, 1, CostModel::modern(), false, TcpConfig::default());
+    let (net, mut a, mut b) =
+        Cell::new(StackKind::FoxSpecial, CostModel::modern(), TcpConfig::default(), 1).pair(EventSink::off());
     b.listen(80);
     let conn = a.connect(80);
     let mut bc = None;

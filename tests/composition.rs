@@ -4,9 +4,11 @@
 //! for example, are present as functor parameters before allowing the
 //! composition."
 
+use foxbasis::obs::EventSink;
 use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxharness::sim::drive;
 use foxharness::stack::StackKind;
+use foxharness::Cell;
 use foxproto::aux::EthAux;
 use foxproto::dev::Dev;
 use foxproto::eth::Eth;
@@ -26,9 +28,8 @@ use std::rc::Rc;
 #[test]
 fn standard_and_special_assemblies_build_and_run() {
     for kind in [StackKind::FoxStandard, StackKind::FoxSpecial] {
-        let net = SimNet::ethernet_10mbps(3);
-        let mut a = kind.build(&net, 1, 2, CostModel::modern(), false, TcpConfig::default());
-        let mut b = kind.build(&net, 2, 1, CostModel::modern(), false, TcpConfig::default());
+        let (net, mut a, mut b) =
+            Cell::new(kind, CostModel::modern(), TcpConfig::default(), 3).pair(EventSink::off());
         b.listen(1234);
         let conn = a.connect(1234);
         let mut bc = None;

@@ -4,10 +4,12 @@
 //! (The paper ran its stack against other implementations on a live
 //! Ethernet; this is the simulated equivalent.)
 
+use foxbasis::obs::EventSink;
 use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxharness::sim::drive;
 use foxharness::stack::StackKind;
 use foxharness::station::Station;
+use foxharness::Cell;
 use foxtcp::TcpConfig;
 use simnet::{CostModel, FaultConfig, NetConfig, SimNet};
 
@@ -21,10 +23,9 @@ fn pair(
     seed: u64,
     faults: FaultConfig,
 ) -> (SimNet, Box<dyn Station>, Box<dyn Station>) {
-    let net = SimNet::new(NetConfig { faults, ..NetConfig::default() }, seed);
-    let c = client.build(&net, 1, 2, CostModel::modern(), false, cfg());
-    let s = server.build(&net, 2, 1, CostModel::modern(), false, cfg());
-    (net, c, s)
+    let net = NetConfig { faults, ..NetConfig::default() };
+    Cell { receiver: server, net, ..Cell::new(client, CostModel::modern(), cfg(), seed) }
+        .pair(EventSink::off())
 }
 
 fn exchange(client_kind: StackKind, server_kind: StackKind, faults: FaultConfig, bytes: usize) {

@@ -3,15 +3,21 @@
 //! network abuse, and the behavior of the full stack's substrate
 //! features (ARP, fragmentation, ICMP) under the same roof as TCP.
 
+use foxbasis::obs::EventSink;
 use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxharness::sim::drive;
 use foxharness::stack::StackKind;
-use foxharness::workload::{bulk_transfer, ping_pong};
+use foxharness::Cell;
 use foxtcp::TcpConfig;
-use simnet::{CostModel, FaultConfig, NetConfig, SimNet};
+use simnet::{CostModel, FaultConfig, NetConfig};
 
 fn cfg() -> TcpConfig {
     TcpConfig { delayed_ack_ms: None, ..TcpConfig::default() }
+}
+
+/// `kind` at both ends on free CPUs with [`cfg`], over `net`.
+fn cell(kind: StackKind, net: NetConfig, seed: u64) -> Cell {
+    Cell { net, ..Cell::new(kind, CostModel::modern(), cfg(), seed) }
 }
 
 /// "Once the actions have been placed on the queue the behavior of TCP
@@ -29,11 +35,9 @@ fn system_scale_determinism() {
             ..FaultConfig::default()
         };
         let netcfg = NetConfig { faults, ..NetConfig::default() };
-        let net = SimNet::new(netcfg, seed);
-        let mut s = StackKind::FoxStandard.build(&net, 1, 2, CostModel::decstation_sml(), false, cfg());
-        let mut r = StackKind::FoxStandard.build(&net, 2, 1, CostModel::decstation_sml(), false, cfg());
-        let res = bulk_transfer(&net, &mut s, &mut r, 100_000, VirtualTime::from_micros(u64::MAX / 2));
-        (res.elapsed, res.sender, res.receiver, net.stats())
+        let cell = Cell { cost: CostModel::decstation_sml(), ..cell(StackKind::FoxStandard, netcfg, seed) };
+        let res = cell.bulk(100_000);
+        (res.elapsed, res.sender, res.receiver, res.net)
     };
     let a = run(12345);
     let b = run(12345);
@@ -54,10 +58,7 @@ fn integrity_under_abuse_all_stacks() {
             ..FaultConfig::default()
         };
         let netcfg = NetConfig { faults, ..NetConfig::default() };
-        let net = SimNet::new(netcfg, 777);
-        let mut s = kind.build(&net, 1, 2, CostModel::modern(), false, cfg());
-        let mut r = kind.build(&net, 2, 1, CostModel::modern(), false, cfg());
-        let res = bulk_transfer(&net, &mut s, &mut r, 60_000, VirtualTime::from_micros(u64::MAX / 2));
+        let res = cell(kind, netcfg, 777).bulk(60_000);
         assert_eq!(res.bytes, 60_000, "{}: incomplete", kind.name());
         assert!(res.sender.retransmits > 0, "{}: loss must have caused retransmits", kind.name());
     }
@@ -74,10 +75,8 @@ fn burst_loss_recovers_without_rto() {
     let tcp =
         TcpConfig { initial_window: 16384, send_buffer: 32768, delayed_ack_ms: None, ..TcpConfig::default() };
     let netcfg = NetConfig { faults: FaultConfig::bursty(1.0 / 60.0, 0.5, 1.0), ..NetConfig::default() };
-    let net = SimNet::new(netcfg, 173);
-    let mut s = StackKind::FoxStandard.build(&net, 1, 2, CostModel::modern(), false, tcp.clone());
-    let mut r = StackKind::FoxStandard.build(&net, 2, 1, CostModel::modern(), false, tcp);
-    let res = bulk_transfer(&net, &mut s, &mut r, 200_000, VirtualTime::from_millis(120_000));
+    let deadline = VirtualTime::from_millis(120_000);
+    let res = Cell { tcp, deadline, ..cell(StackKind::FoxStandard, netcfg, 173) }.bulk(200_000);
     assert_eq!(res.bytes, 200_000, "burst-loss transfer must complete");
     let st = res.sender;
     assert!(st.recoveries > 0, "losses must be repaired by fast recovery: {st:?}");
@@ -92,10 +91,7 @@ fn burst_loss_recovers_without_rto() {
 #[test]
 fn kernel_buffer_overflow_recovers() {
     let netcfg = NetConfig { rx_capacity: 4096, ..NetConfig::default() }; // a tiny kernel buffer
-    let net = SimNet::new(netcfg, 31);
-    let mut s = StackKind::FoxStandard.build(&net, 1, 2, CostModel::modern(), false, cfg());
-    let mut r = StackKind::FoxStandard.build(&net, 2, 1, CostModel::modern(), false, cfg());
-    let res = bulk_transfer(&net, &mut s, &mut r, 80_000, VirtualTime::from_micros(u64::MAX / 2));
+    let res = cell(StackKind::FoxStandard, netcfg, 31).bulk(80_000);
     assert_eq!(res.bytes, 80_000);
 }
 
@@ -103,10 +99,7 @@ fn kernel_buffer_overflow_recovers() {
 /// than a timer artifact, and the mean sits between min and max.
 #[test]
 fn rtt_through_full_stack() {
-    let net = SimNet::ethernet_10mbps(5);
-    let mut server = StackKind::FoxStandard.build(&net, 1, 2, CostModel::modern(), false, cfg());
-    let mut client = StackKind::FoxStandard.build(&net, 2, 1, CostModel::modern(), false, cfg());
-    let r = ping_pong(&net, &mut server, &mut client, 25, 64, VirtualTime::from_micros(u64::MAX / 2));
+    let r = cell(StackKind::FoxStandard, NetConfig::default(), 5).ping(25, 64);
     assert_eq!(r.rounds, 25);
     // Wire time for a small frame is ~120 µs round trip.
     assert!(r.mean_rtt >= VirtualDuration::from_micros(100), "{:?}", r.mean_rtt);
@@ -119,14 +112,11 @@ fn rtt_through_full_stack() {
 #[test]
 fn paper_speed_relation_holds() {
     let bytes = 200_000; // smaller than Table 1's 10^6 to keep tests fast
-    let run = |kind: StackKind, cost: fn() -> CostModel| {
-        let net = SimNet::ethernet_10mbps(42);
-        let mut s = kind.build(&net, 1, 2, cost(), false, foxharness::experiments::paper_tcp_config());
-        let mut r = kind.build(&net, 2, 1, cost(), false, foxharness::experiments::paper_tcp_config());
-        bulk_transfer(&net, &mut s, &mut r, bytes, VirtualTime::from_micros(u64::MAX / 2)).throughput_mbps
+    let run = |kind: StackKind, cost: CostModel| {
+        foxharness::experiments::table1_cell(kind, cost, 42).bulk(bytes).throughput_mbps
     };
-    let fox = run(StackKind::FoxStandard, CostModel::decstation_sml);
-    let xk = run(StackKind::XKernel, CostModel::decstation_c);
+    let fox = run(StackKind::FoxStandard, CostModel::decstation_sml());
+    let xk = run(StackKind::XKernel, CostModel::decstation_c());
     assert!(fox < xk, "fox {fox} must be slower than xk {xk}");
     let ratio = fox / xk;
     assert!((0.1..=0.5).contains(&ratio), "throughput ratio {ratio:.2} should bracket the paper's 0.24");
@@ -137,9 +127,7 @@ fn paper_speed_relation_holds() {
 /// idle detection cooperate).
 #[test]
 fn quiescent_stack_stays_quiescent() {
-    let net = SimNet::ethernet_10mbps(1);
-    let mut a = StackKind::FoxStandard.build(&net, 1, 2, CostModel::modern(), false, cfg());
-    let mut b = StackKind::FoxStandard.build(&net, 2, 1, CostModel::modern(), false, cfg());
+    let (net, mut a, mut b) = cell(StackKind::FoxStandard, NetConfig::default(), 1).pair(EventSink::off());
     b.listen(1);
     let conn = a.connect(1);
     drive(
