@@ -5,12 +5,11 @@
 #
 # Twelve stages, all must pass:
 #   1. formatting (fails fast, before anything compiles)
-#   2. foxlint: the workspace invariant lints (determinism, hash_iter,
-#      rx_panic, field_owner — which also confines every `state` write
-#      in foxtcp to control/fsm.rs::transition — win_cast, and the
-#      shard_global/shard_rc/shard_tcb shard-confinement family — see
-#      DESIGN.md §5.8, §5.13), ratcheted against foxlint.baseline;
-#      fails on new violations AND on stale entries
+#   2. foxlint: the six workspace invariant lints (determinism,
+#      hash_iter, rx_panic, field_owner — which also confines every
+#      `state` write in foxtcp to control/fsm.rs::transition — win_cast
+#      and shard_global; DESIGN.md §5.8). Any violation fails: there is
+#      no baseline, and a root with nothing to lint is an error too
 #   3. release build of every crate and target
 #   4. the whole workspace test suite, then foxbasis and foxwire again
 #      in release: their per-byte kernels (checksum, CRC-32, ring) defer
@@ -37,7 +36,9 @@
 #      each must exit 0 (together under a second; their output is
 #      run-to-run identical, and nothing else executes them)
 #   9. the Criterion benches compile (not run; keeps them from rotting) —
-#      including timer.rs's `wheel` group beside the Fig. 11 rows
+#      including timer.rs's `wheel` group beside the Fig. 11 rows, and
+#      engine.rs and obs.rs on the shared two-engine rig
+#      (foxtcp::testlink::Pair)
 #  10. clippy over every target (benches and bins too), warnings as errors
 #  11. the FSM gate: the control::fsm unit tests (the guard admits
 #      exactly the edges of spec/tcp_fsm.txt, a write outside it panics,
@@ -60,7 +61,7 @@ cd "$(dirname "$0")"
 echo "== fmt (check) =="
 cargo fmt --check
 
-echo "== foxlint (invariant lints, baseline ratchet) =="
+echo "== foxlint (six invariant lints, any violation fails) =="
 cargo run -q -p foxlint -- --check
 
 echo "== build (release) =="

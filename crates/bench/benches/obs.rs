@@ -10,18 +10,13 @@
 //!   touches a ring.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use fox_scheduler::SchedHandle;
 use foxbasis::obs::{Event, EventSink};
-use foxbasis::time::{VirtualDuration, VirtualTime};
-use foxproto::Protocol;
-use foxtcp::testlink::{LinkPair, TestAux};
-use foxtcp::{Tcp, TcpConfig, TcpPattern};
-use simnet::HostHandle;
-use std::cell::RefCell;
+use foxbasis::time::VirtualTime;
+use foxtcp::testlink::Pair;
+use foxtcp::TcpConfig;
 use std::hint::black_box;
-use std::rc::Rc;
 
-fn transfer(bytes: usize, sink: EventSink) -> usize {
+fn transfer(bytes: usize, sink: EventSink) -> u64 {
     let cfg = TcpConfig {
         nagle: false,
         delayed_ack_ms: None,
@@ -29,56 +24,22 @@ fn transfer(bytes: usize, sink: EventSink) -> usize {
         send_buffer: 65_535,
         ..TcpConfig::default()
     };
-    let link = LinkPair::new();
-    let mut a = Tcp::new(link.endpoint(0), TestAux, (), cfg.clone(), SchedHandle::new(), HostHandle::free());
-    let mut b = Tcp::new(link.endpoint(1), TestAux, (), cfg, SchedHandle::new(), HostHandle::free());
-    a.set_obs(sink.for_host(0));
-    b.set_obs(sink.for_host(1));
-
-    let received = Rc::new(RefCell::new(0usize));
-    let r2 = received.clone();
-    b.open(
-        TcpPattern::Passive { local_port: 80 },
-        Box::new(move |ev| {
-            if let foxtcp::TcpEvent::Data(d) = ev {
-                *r2.borrow_mut() += d.len();
-            }
-        }),
-    )
-    .unwrap();
-    let conn =
-        a.open(TcpPattern::Active { remote: 1, remote_port: 80, local_port: 0 }, Box::new(|_| {})).unwrap();
+    let mut p = Pair::new(cfg.clone(), cfg);
+    p.a.set_obs(sink.for_host(0));
+    p.b.set_obs(sink.for_host(1));
+    let (conn, child) = p.open(80);
+    // The receiver keeps nothing: the rig's recording handler would.
+    p.b.set_handler(child, Box::new(|_| {})).unwrap();
 
     let payload = vec![0xa5u8; 8192];
     let mut sent = 0;
-    let mut now = VirtualTime::ZERO;
-    // Children buffer their events until adopted; adopt eagerly.
-    let mut adopted = false;
-    while *received.borrow() < bytes {
-        now += VirtualDuration::from_millis(1);
+    while p.b.stats().bytes_delivered < bytes as u64 {
         if sent < bytes {
-            sent += a.send_data(conn, &payload[..payload.len().min(bytes - sent)]).unwrap_or(0);
+            sent += p.a.send_data(conn, &payload[..payload.len().min(bytes - sent)]).unwrap_or(0);
         }
-        a.step(now);
-        b.step(now);
-        if !adopted {
-            let r3 = received.clone();
-            if b.set_handler(
-                foxtcp::TcpConnId(1),
-                Box::new(move |ev| {
-                    if let foxtcp::TcpEvent::Data(d) = ev {
-                        *r3.borrow_mut() += d.len();
-                    }
-                }),
-            )
-            .is_ok()
-            {
-                adopted = true;
-            }
-        }
+        p.tick(1);
     }
-    let got = *received.borrow();
-    got
+    p.b.stats().bytes_delivered
 }
 
 fn bench_emit(c: &mut Criterion) {

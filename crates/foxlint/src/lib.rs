@@ -36,11 +36,13 @@
 //! * `win_cast` — no raw `as u16` on window-named values outside
 //!   `crates/wire`: the codec's `wire_window` is the one sanctioned
 //!   16-bit narrowing (it applies the negotiated scale and the cap).
+//! * `shard_global` — no `static mut` or `thread_local!` state in the
+//!   trace-affecting crates: process-global mutable state breaks replay
+//!   whether or not the engine is ever sharded.
 //!
-//! Violations are reported as `file:line: lint: message`. A checked-in
-//! baseline (`foxlint.baseline`) ratchets: new violations fail, and so
-//! do stale entries (fixed counts must be removed with
-//! `--update-baseline`). A per-site escape hatch
+//! Violations are reported as `file:line: lint: message`, and any
+//! violation fails the check: there is no baseline of tolerated debt.
+//! The one escape hatch is per site —
 //! `// foxlint::allow(<lint>): <reason>` suppresses the same or next
 //! line; the reason is mandatory.
 //!
@@ -50,7 +52,7 @@
 //! field assignments) are exactly the ones whose absence the trace
 //! proofs assume. See DESIGN.md §5.8.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -63,11 +65,6 @@ pub const LINTS: &[(&str, &str)] = &[
     ("field_owner", "connection fields assigned only inside their owning modules (one table)"),
     ("win_cast", "no raw `as u16` window casts outside the wire codec"),
     ("shard_global", "no `static mut` or `thread_local!` state in trace-affecting crates"),
-    ("shard_rc", "no `Rc` in foxtcp's crate-public signatures: shared state must not escape the engine"),
-    (
-        "shard_tcb",
-        "TCB access only inside engine/control/data: everyone else goes through the demuxed engine API",
-    ),
 ];
 
 /// Crates whose execution order is observable in traces.
@@ -153,12 +150,6 @@ const FOXTCP_RX_FILES: &[&str] = &[
     "crates/foxtcp/src/data/fastpath.rs",
     "crates/foxtcp/src/demux.rs",
 ];
-
-/// The control side of the foxtcp split: connection lifecycle.
-const CONTROL_PREFIX: &str = "crates/foxtcp/src/control/";
-
-/// The data side of the foxtcp split: transfer machinery.
-const DATA_PREFIX: &str = "crates/foxtcp/src/data/";
 
 /// One reported violation.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -770,18 +761,9 @@ fn lint_win_cast(cx: &FileCtx, out: &mut Vec<Violation>) {
     }
 }
 
-// ---------------------------------------------------------------------
-// shard_ready family: the static shard-confinement proof
-// ---------------------------------------------------------------------
-//
-// ROADMAP item 2 wants the engine sharded by hashing 4-tuples onto W
-// workers. That is only sound if (1) no trace-affecting crate keeps
-// process-global mutable state a shard could race on, (2) no `Rc` to
-// TCB/engine state escapes foxtcp's public surface (an `Rc` crossing a
-// shard boundary is a data race the type system cannot see once shards
-// run on threads), and (3) every TCB access routes through the
-// demux-owning engine modules. These three lints are that proof.
-
+/// Process-global mutable state is shared by every engine in the
+/// process and survives from one run to the next, so a replay can read
+/// what the first run left behind.
 fn lint_shard_global(cx: &FileCtx, out: &mut Vec<Violation>) {
     let Some(k) = cx.krate else { return };
     if !TRACE_CRATES.contains(&k) {
@@ -793,8 +775,9 @@ fn lint_shard_global(cx: &FileCtx, out: &mut Vec<Violation>) {
                 out,
                 t.line,
                 "shard_global",
-                "`static mut` in a trace-affecting crate: shards would race on it — move the \
-                 state into the engine (per-shard) or behind an explicit channel"
+                "`static mut` in a trace-affecting crate: every engine in the process shares it \
+                 and a replay inherits it — move the state into the engine or behind an explicit \
+                 channel"
                     .into(),
             );
         }
@@ -803,90 +786,9 @@ fn lint_shard_global(cx: &FileCtx, out: &mut Vec<Violation>) {
                 out,
                 t.line,
                 "shard_global",
-                "`thread_local!` in a trace-affecting crate: per-thread state silently diverges \
-                 across shards — make it per-engine, or allow with a reason why it cannot \
+                "`thread_local!` in a trace-affecting crate: per-thread state outlives the run \
+                 that wrote it — make it per-engine, or allow with a reason why it cannot \
                  affect traces"
-                    .into(),
-            );
-        }
-    }
-}
-
-/// Scans a `pub` item signature for an `Rc` mention. The signature runs
-/// from the token after `pub` to the first `;`, `{`, `}` or `,` at
-/// paren/bracket depth zero — a field ends at its comma, a fn at its
-/// body brace, a type alias at its semicolon. (Commas inside a generic
-/// parameter list are not depth-tracked; a signature like
-/// `pub fn f<A, B>() -> Rc<T>` ends the scan early. The codebase does
-/// not use that shape for shared state, and a missed site still fails
-/// the runtime coverage ratchet it would break.)
-fn lint_shard_rc(cx: &FileCtx, out: &mut Vec<Violation>) {
-    if !cx.rel.starts_with("crates/foxtcp/src/") {
-        return;
-    }
-    let toks = cx.toks;
-    let mut i = 0usize;
-    while i < toks.len() {
-        if !toks[i].is_ident("pub") {
-            i += 1;
-            continue;
-        }
-        // `pub(crate)` / `pub(super)` never escape the crate.
-        if toks.get(i + 1).is_some_and(|n| n.is_punct("(")) {
-            i += 1;
-            continue;
-        }
-        let mut depth = 0i32;
-        let mut j = i + 1;
-        while j < toks.len() {
-            match toks[j].punct() {
-                Some("(") | Some("[") => depth += 1,
-                Some(")") | Some("]") => depth -= 1,
-                Some(";") | Some("{") | Some("}") | Some(",") if depth == 0 => break,
-                _ => {}
-            }
-            if toks[j].is_ident("Rc") {
-                cx.emit(
-                    out,
-                    toks[j].line,
-                    "shard_rc",
-                    "`Rc` in a crate-public foxtcp signature: a shared handle crossing the crate \
-                     boundary cannot be confined to one shard — make it pub(crate) or expose a \
-                     method instead"
-                        .into(),
-                );
-            }
-            j += 1;
-        }
-        i = j + 1;
-    }
-}
-
-/// Files allowed to touch `.tcb` directly: the TCB itself and the
-/// engine that owns the demux table. `control/` and `data/` are the
-/// engine's own halves (scoped further by `field_owner`).
-const TCB_ROUTE_FILES: &[&str] = &["crates/foxtcp/src/tcb.rs", "crates/foxtcp/src/engine.rs"];
-
-fn lint_shard_tcb(cx: &FileCtx, out: &mut Vec<Violation>) {
-    let Some(k) = cx.krate else { return };
-    if !TRACE_CRATES.contains(&k) {
-        return;
-    }
-    if cx.rel.starts_with(CONTROL_PREFIX)
-        || cx.rel.starts_with(DATA_PREFIX)
-        || TCB_ROUTE_FILES.contains(&cx.rel)
-    {
-        return;
-    }
-    for w in cx.toks.windows(2) {
-        let [dot, field] = w else { continue };
-        if dot.is_punct(".") && field.is_ident("tcb") {
-            cx.emit(
-                out,
-                field.line,
-                "shard_tcb",
-                "direct `.tcb` access outside the engine modules: per-connection state is \
-                 reachable only through the demux-owning engine — use the engine API"
                     .into(),
             );
         }
@@ -912,8 +814,6 @@ pub fn lint_source(rel: &str, src: &str) -> (Vec<Violation>, usize) {
     lint_field_owner(&cx, &mut raw);
     lint_win_cast(&cx, &mut raw);
     lint_shard_global(&cx, &mut raw);
-    lint_shard_rc(&cx, &mut raw);
-    lint_shard_tcb(&cx, &mut raw);
     // Apply allow directives: a valid allow suppresses matching
     // violations on its own line and the following line. A malformed
     // directive is itself a violation — the escape hatch must not decay.
@@ -1010,131 +910,6 @@ pub fn check_root(root: &Path) -> CheckOutcome {
     out
 }
 
-// ---------------------------------------------------------------------
-// Baseline ratchet
-// ---------------------------------------------------------------------
-
-/// Per-`(lint, path)` violation counts.
-pub type Counts = BTreeMap<(String, String), usize>;
-
-/// Groups violations by `(lint, path)`.
-pub fn count(violations: &[Violation]) -> Counts {
-    let mut c = Counts::new();
-    for v in violations {
-        *c.entry((v.lint.to_string(), v.path.clone())).or_insert(0) += 1;
-    }
-    c
-}
-
-/// Reads a baseline file (`lint<TAB>path<TAB>count` lines; `#` comments).
-pub fn load_baseline(path: &Path) -> Result<Counts, String> {
-    let mut c = Counts::new();
-    let text = match fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(c),
-        Err(e) => return Err(format!("{}: {e}", path.display())),
-    };
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split('\t');
-        let (Some(lint), Some(p), Some(n)) = (parts.next(), parts.next(), parts.next()) else {
-            return Err(format!("{}:{}: malformed baseline line", path.display(), i + 1));
-        };
-        let n: usize = n.parse().map_err(|_| format!("{}:{}: bad count `{n}`", path.display(), i + 1))?;
-        c.insert((lint.to_string(), p.to_string()), n);
-    }
-    Ok(c)
-}
-
-/// Serializes counts back to the baseline format.
-pub fn render_baseline(c: &Counts) -> String {
-    let mut s = String::from(
-        "# foxlint baseline: known violations, one `lint<TAB>path<TAB>count` per line.\n\
-         # New violations fail the build; fixing one makes its entry stale, which\n\
-         # also fails — regenerate with `cargo run -p foxlint -- --update-baseline`.\n",
-    );
-    for ((lint, path), n) in c {
-        s.push_str(&format!("{lint}\t{path}\t{n}\n"));
-    }
-    s
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Serializes violations as a JSON array of
-/// `{"file":…,"line":…,"lint":…,"message":…}` records (deterministic
-/// key and record order), for `foxlint --format json`.
-pub fn render_json(violations: &[Violation]) -> String {
-    let mut s = String::from("[");
-    for (i, v) in violations.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n  {{\"file\":\"{}\",\"line\":{},\"lint\":\"{}\",\"message\":\"{}\"}}",
-            json_escape(&v.path),
-            v.line,
-            json_escape(v.lint),
-            json_escape(&v.message),
-        ));
-    }
-    if !violations.is_empty() {
-        s.push('\n');
-    }
-    s.push_str("]\n");
-    s
-}
-
-/// The ratchet: how current counts compare to the baseline.
-#[derive(Debug, Default)]
-pub struct Drift {
-    /// `(lint, path, current, baseline)` where current > baseline.
-    pub grown: Vec<(String, String, usize, usize)>,
-    /// `(lint, path, current, baseline)` where current < baseline.
-    pub stale: Vec<(String, String, usize, usize)>,
-}
-
-impl Drift {
-    /// No drift in either direction?
-    pub fn is_clean(&self) -> bool {
-        self.grown.is_empty() && self.stale.is_empty()
-    }
-}
-
-/// Compares current counts against the baseline in both directions.
-pub fn compare(current: &Counts, baseline: &Counts) -> Drift {
-    let mut d = Drift::default();
-    let keys: BTreeSet<_> = current.keys().chain(baseline.keys()).collect();
-    for k in keys {
-        let cur = current.get(k).copied().unwrap_or(0);
-        let base = baseline.get(k).copied().unwrap_or(0);
-        if cur > base {
-            d.grown.push((k.0.clone(), k.1.clone(), cur, base));
-        } else if cur < base {
-            d.stale.push((k.0.clone(), k.1.clone(), cur, base));
-        }
-    }
-    d
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1211,25 +986,5 @@ mod tests {
         let src = "fn h(window: u32, p: u32) -> u16 { let _w = window; p as u16 }";
         let (vs, _) = lint_source("crates/xktcp/src/lib.rs", src);
         assert!(vs.is_empty(), "{vs:?}");
-    }
-
-    #[test]
-    fn baseline_roundtrip_and_drift() {
-        let mut base = Counts::new();
-        base.insert(("rx_panic".into(), "a.rs".into()), 2);
-        let text = render_baseline(&base);
-        let dir = std::env::temp_dir().join("foxlint-test-baseline");
-        fs::write(&dir, &text).unwrap();
-        let loaded = load_baseline(&dir).unwrap();
-        assert_eq!(loaded, base);
-        let mut cur = Counts::new();
-        cur.insert(("rx_panic".into(), "a.rs".into()), 3);
-        cur.insert(("hash_iter".into(), "b.rs".into()), 1);
-        let d = compare(&cur, &base);
-        assert_eq!(d.grown.len(), 2);
-        assert!(d.stale.is_empty());
-        let d2 = compare(&Counts::new(), &base);
-        assert_eq!(d2.stale.len(), 1);
-        fs::remove_file(&dir).ok();
     }
 }

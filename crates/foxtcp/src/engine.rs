@@ -190,6 +190,10 @@ fn timer_index(kind: TimerKind) -> usize {
 ///    structure B: FOX_BASIS               -- HostHandle + EventSink
 ///    ...): TCP_PROTOCOL
 /// ```
+///
+/// The engine reads the scheduler only as a clock (`now`,
+/// `advance_to`): it forks no coroutine, and every connection timer
+/// lives on the engine's own shared wheel.
 pub struct Tcp<L, A>
 where
     L: Protocol,
@@ -457,8 +461,7 @@ where
         let iss = self.new_iss();
         // RFC 879: the MSS excludes both the IP and TCP headers from
         // the link MTU the aux reports — 1460 on a 1500-byte Ethernet.
-        // One shared, saturating helper (the old code subtracted a bare
-        // unchecked 20 here and disagreed with xktcp on the clamp).
+        // One saturating helper, shared with xktcp.
         let mss = foxwire::tcp::mss_for_mtu(self.aux.mtu() as u32);
         let mut core = ConnCore::new(&self.cfg, local_port, iss, mss);
         core.remote = remote;
@@ -511,8 +514,7 @@ where
         self.host.charge_tcp_segment_sized(seg.payload.len());
         self.host.with(|h| h.alloc_segment(seg.payload.len()));
         // One keyed lookup serves both the window bookkeeping and the
-        // observability stamp below (the old code scanned twice with the
-        // same predicate); skipped when neither needs it.
+        // observability stamp below; skipped when neither needs it.
         let tx_conn = if seg.header.flags.ack || self.obs.is_on() {
             self.flow_index(seg.header.src_port, &to, seg.header.dst_port, |_| true)
         } else {
@@ -588,8 +590,7 @@ where
     fn clear_timer(&mut self, idx: usize, kind: TimerKind) {
         if let Some(tid) = self.conns[idx].timers[timer_index(kind)].take() {
             // May already have fired — cancelling then is a no-op, and
-            // the clear is still reported (as with the old one-shot
-            // timer handles).
+            // the clear is still reported.
             self.wheel.cancel(tid);
             self.obs.emit(self.sched.now(), self.conns[idx].id, || Event::TimerClear { timer: kind.name() });
         }
@@ -975,8 +976,7 @@ where
         //    we are attached below.
         let _ = self.ensure_lower_open();
         // 1. Let the clock catch up: due timers enqueue
-        //    Timer_Expiration actions, in (deadline, arm order) — the
-        //    same total order the scheduler's sleep heap used to give.
+        //    Timer_Expiration actions, in (deadline, arm order).
         let mut fired_ids = std::mem::take(&mut self.fired_ids);
         if self.sched.now() < now {
             self.sched.advance_to(now);
@@ -1031,262 +1031,12 @@ where
 
 #[cfg(test)]
 mod tests {
+    //! The one engine test that needs the engine's private parts
+    //! (`set_timer`, `clear_timer`, the wheel); the rest of the engine's
+    //! tests are `tests/engine*.rs`, over the same [`Pair`].
+
     use super::*;
-    use crate::testlink::{LinkPair, TestAux, TestLower};
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    type Engine = Tcp<TestLower, TestAux>;
-
-    struct Host {
-        tcp: Engine,
-        #[allow(dead_code)]
-        sched: SchedHandle,
-        events: Rc<RefCell<Vec<(TcpConnId, TcpEvent)>>>,
-    }
-
-    impl Host {
-        fn new(link: &LinkPair, side: u8, cfg: TcpConfig) -> Host {
-            Host::with_host(link, side, cfg, HostHandle::free())
-        }
-
-        fn with_host(link: &LinkPair, side: u8, cfg: TcpConfig, hh: HostHandle) -> Host {
-            let sched = SchedHandle::new();
-            let tcp = Tcp::new(link.endpoint(side), TestAux, (), cfg, sched.clone(), hh);
-            Host { tcp, sched, events: Rc::new(RefCell::new(Vec::new())) }
-        }
-
-        fn recorder(&self, id_hint: u32) -> Handler<TcpEvent> {
-            let ev = self.events.clone();
-            Box::new(move |e| ev.borrow_mut().push((TcpConnId(id_hint), e)))
-        }
-
-        /// Adopt a connection with a recording handler tagged by its id.
-        fn adopt(&mut self, conn: TcpConnId) {
-            let ev = self.events.clone();
-            self.tcp.set_handler(conn, Box::new(move |e| ev.borrow_mut().push((conn, e)))).unwrap();
-        }
-
-        fn events_of(&self, conn: TcpConnId) -> Vec<TcpEvent> {
-            self.events.borrow().iter().filter(|(c, _)| *c == conn).map(|(_, e)| e.clone()).collect()
-        }
-
-        fn received_bytes(&self, conn: TcpConnId) -> Vec<u8> {
-            self.events_of(conn)
-                .into_iter()
-                .filter_map(|e| match e {
-                    TcpEvent::Data(d) => Some(d),
-                    _ => None,
-                })
-                .flatten()
-                .collect()
-        }
-    }
-
-    /// Step both hosts at `now` until neither makes progress.
-    fn settle(a: &mut Host, b: &mut Host, now: VirtualTime) {
-        for _ in 0..500 {
-            let pa = a.tcp.step(now);
-            let pb = b.tcp.step(now);
-            if !pa && !pb {
-                return;
-            }
-        }
-        panic!("did not settle");
-    }
-
-    /// Advance both hosts through virtual time in `tick_ms` steps.
-    fn run_for(a: &mut Host, b: &mut Host, from: VirtualTime, ms: u64, tick_ms: u64) -> VirtualTime {
-        let mut now = from;
-        let end = from + VirtualDuration::from_millis(ms);
-        while now < end {
-            now = (now + VirtualDuration::from_millis(tick_ms)).min(end);
-            settle(a, b, now);
-        }
-        end
-    }
-
-    fn open_pair(a: &mut Host, b: &mut Host) -> (TcpConnId, TcpConnId) {
-        let _listener = b.tcp.open(TcpPattern::Passive { local_port: 80 }, b.recorder(999)).unwrap();
-        let ev = a.events.clone();
-        let client = a
-            .tcp
-            .open(
-                TcpPattern::Active { remote: 1, remote_port: 80, local_port: 0 },
-                Box::new(move |e| ev.borrow_mut().push((TcpConnId(u32::MAX), e))),
-            )
-            .unwrap();
-        settle(a, b, VirtualTime::ZERO);
-        // The listener got a NewConnection event (recorded under tag 999).
-        let child = b
-            .events_of(TcpConnId(999))
-            .into_iter()
-            .find_map(|e| match e {
-                TcpEvent::NewConnection(c) => Some(c),
-                _ => None,
-            })
-            .expect("listener should see the child");
-        b.adopt(child);
-        (client, child)
-    }
-
-    #[test]
-    fn three_way_handshake_establishes_both_sides() {
-        let link = LinkPair::new();
-        let mut a = Host::new(&link, 0, TcpConfig::default());
-        let mut b = Host::new(&link, 1, TcpConfig::default());
-        let (client, child) = open_pair(&mut a, &mut b);
-        assert_eq!(a.tcp.state_of(client), Some(TcpState::Estab));
-        assert_eq!(b.tcp.state_of(child), Some(TcpState::Estab));
-        assert!(a.events.borrow().iter().any(|(_, e)| *e == TcpEvent::Established));
-        assert!(b.events_of(child).contains(&TcpEvent::Established));
-    }
-
-    #[test]
-    fn data_flows_client_to_server() {
-        let link = LinkPair::new();
-        let mut a = Host::new(&link, 0, TcpConfig { nagle: false, ..TcpConfig::default() });
-        let mut b = Host::new(&link, 1, TcpConfig::default());
-        let (client, child) = open_pair(&mut a, &mut b);
-        a.tcp.send(client, (), b"hello from the fox".to_vec()).unwrap();
-        settle(&mut a, &mut b, VirtualTime::ZERO);
-        assert_eq!(b.received_bytes(child), b"hello from the fox");
-    }
-
-    #[test]
-    fn data_flows_both_directions() {
-        let link = LinkPair::new();
-        let mut a = Host::new(&link, 0, TcpConfig { nagle: false, ..TcpConfig::default() });
-        let mut b = Host::new(&link, 1, TcpConfig { nagle: false, ..TcpConfig::default() });
-        let (client, child) = open_pair(&mut a, &mut b);
-        a.tcp.send(client, (), b"ping".to_vec()).unwrap();
-        settle(&mut a, &mut b, VirtualTime::ZERO);
-        b.tcp.send(child, (), b"pong".to_vec()).unwrap();
-        settle(&mut a, &mut b, VirtualTime::ZERO);
-        assert_eq!(b.received_bytes(child), b"ping");
-        assert_eq!(a.received_bytes(TcpConnId(u32::MAX)), b"pong");
-    }
-
-    #[test]
-    fn bulk_transfer_with_flow_control() {
-        // 100 KB through a 4096-byte window: many round trips, windows
-        // opening and closing, delayed ACKs, the works.
-        let link = LinkPair::new();
-        let mut a = Host::new(&link, 0, TcpConfig { nagle: false, ..TcpConfig::default() });
-        let mut b = Host::new(&link, 1, TcpConfig::default());
-        let (client, child) = open_pair(&mut a, &mut b);
-        let payload: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
-        let mut sent = 0;
-        let mut now = VirtualTime::ZERO;
-        let mut spins = 0;
-        while sent < payload.len() {
-            let n = a.tcp.send_data(client, &payload[sent..]).unwrap();
-            sent += n;
-            now = run_for(&mut a, &mut b, now, 50, 10);
-            spins += 1;
-            assert!(spins < 10_000, "transfer wedged at {sent} bytes");
-        }
-        now = run_for(&mut a, &mut b, now, 2000, 50);
-        let got = b.received_bytes(child);
-        assert_eq!(got.len(), payload.len());
-        assert_eq!(got, payload);
-        let _ = now;
-    }
-
-    /// Satellite regression: segments the fast path fully handles must
-    /// charge exactly the accounts (and update exactly the stats) the
-    /// full SEGMENT-ARRIVES DAG would.
-    #[test]
-    fn fast_and_slow_path_charge_the_same_accounts() {
-        use foxbasis::profile::Account;
-        use simnet::{CostModel, Host as SimHost};
-
-        fn run(fast_path: bool) -> (Vec<(u64, u64)>, TcpStats, TcpStats) {
-            let link = LinkPair::new();
-            let cfg = TcpConfig { nagle: false, fast_path, ..TcpConfig::default() };
-            let ha = HostHandle::new(SimHost::new("a", CostModel::decstation_sml(), true));
-            let hb = HostHandle::new(SimHost::new("b", CostModel::decstation_sml(), true));
-            let mut a = Host::with_host(&link, 0, cfg.clone(), ha.clone());
-            let mut b = Host::with_host(&link, 1, cfg, hb.clone());
-            let (client, child) = open_pair(&mut a, &mut b);
-            // Bidirectional bulk: exercises both fast-path cases (pure
-            // ACK of new data, pure in-order data) on both hosts.
-            let payload: Vec<u8> = (0..20_000u32).map(|i| (i % 241) as u8).collect();
-            let (mut sa, mut sb) = (0, 0);
-            let mut now = VirtualTime::ZERO;
-            while sa < payload.len() || sb < payload.len() {
-                if sa < payload.len() {
-                    sa += a.tcp.send_data(client, &payload[sa..]).unwrap();
-                }
-                if sb < payload.len() {
-                    sb += b.tcp.send_data(child, &payload[sb..]).unwrap();
-                }
-                now = run_for(&mut a, &mut b, now, 50, 10);
-            }
-            run_for(&mut a, &mut b, now, 1000, 50);
-            assert_eq!(b.received_bytes(child).len(), payload.len());
-            assert_eq!(a.received_bytes(TcpConnId(u32::MAX)).len(), payload.len());
-            let accounts = Account::ALL
-                .iter()
-                .map(|&acc| {
-                    (
-                        ha.with(|h| h.profiler().total(acc)).as_micros(),
-                        hb.with(|h| h.profiler().total(acc)).as_micros(),
-                    )
-                })
-                .collect();
-            (accounts, a.tcp.stats(), b.tcp.stats())
-        }
-
-        let (acc_fast, a_fast, b_fast) = run(true);
-        let (acc_slow, a_slow, b_slow) = run(false);
-        assert!(a_fast.fastpath_hits > 0, "fast run must actually take the fast path");
-        assert_eq!(a_slow.fastpath_hits, 0);
-        assert_eq!(acc_fast, acc_slow, "fast and slow path must charge the same accounts");
-        // Same stats, except the hit/miss split that defines the paths.
-        let neutral = |mut s: TcpStats| {
-            s.fastpath_hits = 0;
-            s.fastpath_misses = 0;
-            s
-        };
-        assert_eq!(neutral(a_fast), neutral(a_slow));
-        assert_eq!(neutral(b_fast), neutral(b_slow));
-    }
-
-    /// The obs layer sees the whole life of a connection: transitions,
-    /// actions, timers, segments — and metrics summarize it.
-    #[test]
-    fn obs_records_typed_events_and_metrics() {
-        use foxbasis::obs::{flags, EventSink};
-
-        let link = LinkPair::new();
-        let mut a = Host::new(&link, 0, TcpConfig { nagle: false, ..TcpConfig::default() });
-        let mut b = Host::new(&link, 1, TcpConfig::default());
-        let sink = EventSink::recording(4096);
-        a.tcp.set_obs(sink.for_host(0));
-        b.tcp.set_obs(sink.for_host(1));
-        let (client, child) = open_pair(&mut a, &mut b);
-        a.tcp.send(client, (), b"observable".to_vec()).unwrap();
-        settle(&mut a, &mut b, VirtualTime::ZERO);
-        let m = b.tcp.metrics_of(child).expect("child metrics");
-        assert!(m.segments_received > 0);
-        assert_eq!(m.bytes_delivered, 10);
-        a.tcp.close(client).unwrap();
-        b.tcp.close(child).unwrap();
-        run_for(&mut a, &mut b, VirtualTime::ZERO, 120_000, 5_000);
-
-        let evs = sink.events();
-        let has = |f: &dyn Fn(&Event) -> bool| evs.iter().any(|e| f(&e.event));
-        assert!(has(&|e| matches!(e, Event::StateTransition { to: "Estab", .. })));
-        assert!(has(&|e| matches!(e, Event::StateTransition { to: "TimeWait", .. })));
-        assert!(has(&|e| matches!(e, Event::SegTx { flags: f, .. } if *f == flags::SYN)));
-        assert!(has(&|e| matches!(e, Event::SegRx { flags: f, .. } if *f == flags::SYN | flags::ACK)));
-        assert!(has(&|e| matches!(e, Event::Action { tag: "Process_Data" })));
-        assert!(has(&|e| matches!(e, Event::TimerSet { timer: "Resend", .. })));
-        assert!(has(&|e| matches!(e, Event::TimerFire { timer: "TimeWait" })));
-        assert!(evs.iter().any(|e| e.host == 0) && evs.iter().any(|e| e.host == 1));
-        assert_eq!(sink.dropped(), 0);
-    }
+    use crate::testlink::Pair;
 
     /// `Conn::timers[k]` keeps a timer's id after the timer fired, and
     /// a later `clear_timer` hands that id to the wheel. By then the
@@ -1294,27 +1044,25 @@ mod tests {
     /// must still be reported (DESIGN §5.7) and must cancel nothing.
     #[test]
     fn clearing_a_fired_timer_spares_its_cells_next_tenant() {
-        use foxbasis::obs::EventSink;
-
-        let link = LinkPair::new();
-        let mut a = Host::new(&link, 0, TcpConfig::default());
-        let mut b = Host::new(&link, 1, TcpConfig::default());
-        let (client, _child) = open_pair(&mut a, &mut b);
-        let idx = a.tcp.index_of(client.0).unwrap();
-        assert!(a.tcp.wheel.is_empty(), "an idle connection holds no timer");
+        let mut p = Pair::new(TcpConfig::default(), TcpConfig::default());
+        let (client, _child) = p.open(80);
+        let idx = p.a.index_of(client.0).unwrap();
+        assert!(p.a.wheel.is_empty(), "an idle connection holds no timer");
         let sink = EventSink::recording(256);
-        a.tcp.set_obs(sink.for_host(0));
+        p.a.set_obs(sink.for_host(0));
 
         // A fires (a delayed ACK with none owed does nothing) and frees
         // its cell; B, armed next on an otherwise empty wheel, gets it.
-        a.tcp.set_timer(idx, TimerKind::DelayedAck, 1);
-        settle(&mut a, &mut b, VirtualTime::from_millis(2));
-        a.tcp.set_timer(idx, TimerKind::UserTimeout, 5);
-        let before = a.tcp.wheel_stats();
-        a.tcp.clear_timer(idx, TimerKind::DelayedAck);
-        assert_eq!(a.tcp.wheel_stats(), before, "a stale id cancels nothing");
-        assert_eq!(a.tcp.wheel.len(), 1, "B is still pending");
-        settle(&mut a, &mut b, VirtualTime::from_millis(10));
+        p.a.set_timer(idx, TimerKind::DelayedAck, 1);
+        p.now = VirtualTime::from_millis(2);
+        p.settle();
+        p.a.set_timer(idx, TimerKind::UserTimeout, 5);
+        let before = p.a.wheel_stats();
+        p.a.clear_timer(idx, TimerKind::DelayedAck);
+        assert_eq!(p.a.wheel_stats(), before, "a stale id cancels nothing");
+        assert_eq!(p.a.wheel.len(), 1, "B is still pending");
+        p.now = VirtualTime::from_millis(10);
+        p.settle();
 
         let timers: Vec<String> = sink
             .events()
@@ -1330,773 +1078,6 @@ mod tests {
             timers,
             ["set DelayedAck", "fire DelayedAck", "set UserTimeout", "clear DelayedAck", "fire UserTimeout"]
         );
-        assert_eq!(a.tcp.state_of(client), Some(TcpState::Estab));
-    }
-
-    #[test]
-    fn graceful_close_sequence() {
-        let link = LinkPair::new();
-        let mut a = Host::new(&link, 0, TcpConfig::default());
-        let mut b = Host::new(&link, 1, TcpConfig::default());
-        let (client, child) = open_pair(&mut a, &mut b);
-
-        a.tcp.close(client).unwrap();
-        settle(&mut a, &mut b, VirtualTime::ZERO);
-        // Peer saw our FIN.
-        assert!(b.events_of(child).contains(&TcpEvent::PeerClosed));
-        assert_eq!(b.tcp.state_of(child), Some(TcpState::CloseWait));
-        assert_eq!(a.tcp.state_of(client), Some(TcpState::FinWait2));
-
-        b.tcp.close(child).unwrap();
-        settle(&mut a, &mut b, VirtualTime::ZERO);
-        assert!(a.events_of(TcpConnId(u32::MAX)).contains(&TcpEvent::PeerClosed));
-        // b's side is fully closed (reaped after Closed event).
-        assert!(b.events_of(child).contains(&TcpEvent::Closed));
-        // a lingers in TIME-WAIT.
-        assert_eq!(a.tcp.state_of(client), Some(TcpState::TimeWait));
-        // ... and completes after 2MSL.
-        run_for(&mut a, &mut b, VirtualTime::ZERO, 61_000, 1000);
-        assert!(a.events_of(TcpConnId(u32::MAX)).contains(&TcpEvent::Closed));
-        assert_eq!(a.tcp.state_of(client), None, "reaped after close");
-    }
-
-    #[test]
-    fn connect_to_closed_port_is_reset() {
-        let link = LinkPair::new();
-        let mut a = Host::new(&link, 0, TcpConfig::default());
-        let mut b = Host::new(&link, 1, TcpConfig::default());
-        let ev = a.events.clone();
-        let client = a
-            .tcp
-            .open(
-                TcpPattern::Active { remote: 1, remote_port: 4444, local_port: 0 },
-                Box::new(move |e| ev.borrow_mut().push((TcpConnId(7), e))),
-            )
-            .unwrap();
-        settle(&mut a, &mut b, VirtualTime::ZERO);
-        assert!(a.events_of(TcpConnId(7)).contains(&TcpEvent::Reset));
-        assert_eq!(a.tcp.state_of(client), None, "connection reaped after reset");
-        assert_eq!(b.tcp.stats().rsts_sent, 1);
-    }
-
-    #[test]
-    fn syn_advertises_rfc_879_mss_for_the_link() {
-        // Regression for the MSS derivation: the test link reports the
-        // conventional 1500-byte Ethernet MTU, and the SYN on the wire
-        // must carry 1460 — both 20-byte headers subtracted, through
-        // the one shared `mss_for_mtu` helper.
-        let link = LinkPair::new();
-        let mut a = Host::new(&link, 0, TcpConfig::default());
-        let mut b = Host::new(&link, 1, TcpConfig::default());
-        let seen = Rc::new(RefCell::new(Vec::new()));
-        let tap = seen.clone();
-        link.set_filter_toward(
-            1,
-            Box::new(move |bytes| {
-                if let Ok(seg) = TcpSegment::decode_buf(bytes, None) {
-                    if seg.header.flags.syn {
-                        tap.borrow_mut().push(seg.header.mss());
-                    }
-                }
-                true
-            }),
-        );
-        let (client, _child) = open_pair(&mut a, &mut b);
-        assert_eq!(seen.borrow().as_slice(), &[Some(1460)], "one SYN, MSS 1460 for MTU 1500");
-        assert!(a.tcp.state_of(client).is_some());
-    }
-
-    #[test]
-    fn transfer_survives_packet_loss() {
-        let link = LinkPair::new();
-        let mut a = Host::new(&link, 0, TcpConfig { nagle: false, ..TcpConfig::default() });
-        let mut b = Host::new(&link, 1, TcpConfig::default());
-        let (client, child) = open_pair(&mut a, &mut b);
-        // Drop every 5th frame toward the server.
-        let counter = Rc::new(RefCell::new(0u32));
-        let c = counter.clone();
-        link.set_filter_toward(
-            1,
-            Box::new(move |_| {
-                *c.borrow_mut() += 1;
-                !(*c.borrow()).is_multiple_of(5)
-            }),
-        );
-        let payload: Vec<u8> = (0..30_000u32).map(|i| (i % 241) as u8).collect();
-        let mut sent = 0;
-        let mut now = VirtualTime::ZERO;
-        let mut spins = 0;
-        while sent < payload.len() {
-            sent += a.tcp.send_data(client, &payload[sent..]).unwrap();
-            now = run_for(&mut a, &mut b, now, 200, 50);
-            spins += 1;
-            assert!(spins < 5000, "lossy transfer wedged at {sent}");
-        }
-        run_for(&mut a, &mut b, now, 30_000, 250);
-        let got = b.received_bytes(child);
-        assert_eq!(got.len(), payload.len(), "all bytes despite loss");
-        assert_eq!(got, payload);
-        assert!(a.tcp.stats().retransmits > 0, "loss must cause retransmissions");
-        assert!(link.dropped() > 0);
-    }
-
-    #[test]
-    fn syn_retransmits_then_gives_up() {
-        let link = LinkPair::new();
-        let mut a = Host::new(
-            &link,
-            0,
-            TcpConfig { syn_retries: 2, user_timeout_ms: 600_000, ..TcpConfig::default() },
-        );
-        let mut b = Host::new(&link, 1, TcpConfig::default());
-        // Black-hole everything toward b.
-        link.set_filter_toward(1, Box::new(|_| false));
-        let ev = a.events.clone();
-        let client = a
-            .tcp
-            .open(
-                TcpPattern::Active { remote: 1, remote_port: 80, local_port: 0 },
-                Box::new(move |e| ev.borrow_mut().push((TcpConnId(7), e))),
-            )
-            .unwrap();
-        run_for(&mut a, &mut b, VirtualTime::ZERO, 120_000, 500);
-        assert!(a.events_of(TcpConnId(7)).contains(&TcpEvent::TimedOut), "{:?}", a.events);
-        assert_eq!(a.tcp.state_of(client), None);
-        assert!(link.dropped() >= 3, "initial SYN plus at least 2 retries");
-    }
-
-    #[test]
-    fn zero_window_then_reopen_via_probe() {
-        // Server app stops consuming (we emulate by a tiny window),
-        // then the client's persist probe keeps the connection alive.
-        let link = LinkPair::new();
-        let mut a = Host::new(&link, 0, TcpConfig { nagle: false, ..TcpConfig::default() });
-        // Server with a 512-byte window.
-        let mut b = Host::new(&link, 1, TcpConfig { initial_window: 512, ..TcpConfig::default() });
-        let (client, child) = open_pair(&mut a, &mut b);
-        let payload = vec![0x5a_u8; 4000];
-        let mut sent = 0;
-        let mut now = VirtualTime::ZERO;
-        let mut spins = 0;
-        while sent < payload.len() {
-            sent += a.tcp.send_data(client, &payload[sent..]).unwrap();
-            now = run_for(&mut a, &mut b, now, 400, 100);
-            spins += 1;
-            assert!(spins < 3000, "zero-window transfer wedged at {sent}");
-        }
-        run_for(&mut a, &mut b, now, 20_000, 250);
-        assert_eq!(b.received_bytes(child).len(), payload.len());
-    }
-
-    #[test]
-    fn listener_backlog_bounds_embryonic_connections() {
-        let link = LinkPair::new();
-        let mut a = Host::new(&link, 0, TcpConfig::default());
-        let mut b = Host::new(&link, 1, TcpConfig { backlog: 1, ..TcpConfig::default() });
-        let _listener = b.tcp.open(TcpPattern::Passive { local_port: 80 }, b.recorder(999)).unwrap();
-        // Stop SYN+ACKs from reaching client so children stay embryonic.
-        link.set_filter_toward(0, Box::new(|_| false));
-        for i in 0..3 {
-            let _ = a.tcp.open(
-                TcpPattern::Active { remote: 1, remote_port: 80, local_port: 10_000 + i },
-                Box::new(|_| {}),
-            );
-        }
-        settle(&mut a, &mut b, VirtualTime::ZERO);
-        let embryonic =
-            (0..200u32).filter_map(|i| b.tcp.state_of(TcpConnId(i))).filter(|s| s.is_syn_received()).count();
-        assert_eq!(embryonic, 1, "backlog 1 admits a single embryonic child");
-    }
-
-    #[test]
-    fn abort_sends_rst_peer_sees_reset() {
-        let link = LinkPair::new();
-        let mut a = Host::new(&link, 0, TcpConfig::default());
-        let mut b = Host::new(&link, 1, TcpConfig::default());
-        let (client, child) = open_pair(&mut a, &mut b);
-        a.tcp.abort(client).unwrap();
-        settle(&mut a, &mut b, VirtualTime::ZERO);
-        assert!(b.events_of(child).contains(&TcpEvent::Reset));
-        assert!(a.events_of(TcpConnId(u32::MAX)).contains(&TcpEvent::Closed));
-    }
-
-    #[test]
-    fn send_on_unknown_connection_errors() {
-        let link = LinkPair::new();
-        let mut a = Host::new(&link, 0, TcpConfig::default());
-        assert_eq!(a.tcp.send(TcpConnId(42), (), b"x".to_vec()), Err(ProtoError::NotOpen));
-        assert_eq!(a.tcp.close(TcpConnId(42)), Err(ProtoError::NotOpen));
-    }
-
-    #[test]
-    fn send_pushback_when_buffer_full() {
-        let link = LinkPair::new();
-        let mut a =
-            Host::new(&link, 0, TcpConfig { send_buffer: 1000, nagle: false, ..TcpConfig::default() });
-        let mut b = Host::new(&link, 1, TcpConfig { initial_window: 256, ..TcpConfig::default() });
-        let (client, _child) = open_pair(&mut a, &mut b);
-        // Fill beyond window + buffer.
-        let r = a.tcp.send(client, (), vec![0; 5000]);
-        assert_eq!(r, Err(ProtoError::WouldBlock));
-        let n = a.tcp.send_data(client, &vec![0; 5000]).unwrap();
-        assert!(n > 0 && n <= 1000);
-    }
-
-    #[test]
-    fn duplicate_active_open_rejected() {
-        let link = LinkPair::new();
-        let mut a = Host::new(&link, 0, TcpConfig::default());
-        a.tcp
-            .open(TcpPattern::Active { remote: 1, remote_port: 80, local_port: 5000 }, Box::new(|_| {}))
-            .unwrap();
-        let again =
-            a.tcp.open(TcpPattern::Active { remote: 1, remote_port: 80, local_port: 5000 }, Box::new(|_| {}));
-        assert_eq!(again.unwrap_err(), ProtoError::AlreadyOpen);
-    }
-
-    #[test]
-    fn duplicate_listen_rejected() {
-        let link = LinkPair::new();
-        let mut b = Host::new(&link, 1, TcpConfig::default());
-        b.tcp.open(TcpPattern::Passive { local_port: 80 }, Box::new(|_| {})).unwrap();
-        assert_eq!(
-            b.tcp.open(TcpPattern::Passive { local_port: 80 }, Box::new(|_| {})).unwrap_err(),
-            ProtoError::AlreadyOpen
-        );
-    }
-
-    #[test]
-    fn server_close_first_client_second() {
-        let link = LinkPair::new();
-        let mut a = Host::new(&link, 0, TcpConfig::default());
-        let mut b = Host::new(&link, 1, TcpConfig::default());
-        let (client, child) = open_pair(&mut a, &mut b);
-        b.tcp.close(child).unwrap();
-        settle(&mut a, &mut b, VirtualTime::ZERO);
-        assert_eq!(a.tcp.state_of(client), Some(TcpState::CloseWait));
-        a.tcp.close(client).unwrap();
-        settle(&mut a, &mut b, VirtualTime::ZERO);
-        assert!(a.events_of(TcpConnId(u32::MAX)).contains(&TcpEvent::Closed));
-        // Server side lingers in TIME-WAIT, then finishes.
-        assert_eq!(b.tcp.state_of(child), Some(TcpState::TimeWait));
-        run_for(&mut a, &mut b, VirtualTime::ZERO, 61_000, 1000);
-        assert!(b.events_of(child).contains(&TcpEvent::Closed));
-        assert_eq!(b.tcp.state_of(child), None);
-    }
-
-    #[test]
-    fn data_before_close_is_delivered_with_fin() {
-        let link = LinkPair::new();
-        let mut a = Host::new(&link, 0, TcpConfig { nagle: false, ..TcpConfig::default() });
-        let mut b = Host::new(&link, 1, TcpConfig::default());
-        let (client, child) = open_pair(&mut a, &mut b);
-        a.tcp.send(client, (), b"last words".to_vec()).unwrap();
-        a.tcp.close(client).unwrap();
-        settle(&mut a, &mut b, VirtualTime::ZERO);
-        let evs = b.events_of(child);
-        assert_eq!(b.received_bytes(child), b"last words");
-        let data_pos = evs.iter().position(|e| matches!(e, TcpEvent::Data(_))).unwrap();
-        let fin_pos = evs.iter().position(|e| *e == TcpEvent::PeerClosed).unwrap();
-        assert!(data_pos < fin_pos, "data precedes the close notice: {evs:?}");
-    }
-
-    #[test]
-    fn determinism_same_run_same_stats() {
-        let run = || {
-            let link = LinkPair::new();
-            let mut a = Host::new(&link, 0, TcpConfig { nagle: false, ..TcpConfig::default() });
-            let mut b = Host::new(&link, 1, TcpConfig::default());
-            let (client, child) = open_pair(&mut a, &mut b);
-            let payload: Vec<u8> = (0..20_000u32).map(|i| (i % 7) as u8).collect();
-            let mut sent = 0;
-            let mut now = VirtualTime::ZERO;
-            while sent < payload.len() {
-                sent += a.tcp.send_data(client, &payload[sent..]).unwrap();
-                now = run_for(&mut a, &mut b, now, 50, 10);
-            }
-            run_for(&mut a, &mut b, now, 1000, 50);
-            let _ = child;
-            (a.tcp.stats(), b.tcp.stats())
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn fast_path_dominates_bulk_transfer() {
-        let link = LinkPair::new();
-        let mut a = Host::new(&link, 0, TcpConfig { nagle: false, ..TcpConfig::default() });
-        let mut b = Host::new(&link, 1, TcpConfig::default());
-        let (client, _child) = open_pair(&mut a, &mut b);
-        let payload = vec![3u8; 50_000];
-        let mut sent = 0;
-        let mut now = VirtualTime::ZERO;
-        while sent < payload.len() {
-            sent += a.tcp.send_data(client, &payload[sent..]).unwrap();
-            now = run_for(&mut a, &mut b, now, 50, 10);
-        }
-        run_for(&mut a, &mut b, now, 1000, 50);
-        let b_stats = b.tcp.stats();
-        assert!(
-            b_stats.fastpath_hits > b_stats.fastpath_misses,
-            "receiver fast path should dominate: {b_stats:?}"
-        );
-    }
-}
-
-#[cfg(test)]
-mod priority_tests {
-    //! The §4 scheduling extension: with `latency_priority` on, queued
-    //! outbound segments are executed ahead of other actions.
-
-    use super::*;
-    use crate::testlink::{LinkPair, TestAux};
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    #[test]
-    fn send_segments_jump_the_queue() {
-        let cfg =
-            TcpConfig { latency_priority: true, nagle: false, delayed_ack_ms: None, ..TcpConfig::default() };
-        let link = LinkPair::new();
-        let sched = SchedHandle::new();
-        let mut a = Tcp::new(link.endpoint(0), TestAux, (), cfg.clone(), sched.clone(), HostHandle::free());
-        let mut b = Tcp::new(link.endpoint(1), TestAux, (), cfg, SchedHandle::new(), HostHandle::free());
-        let got = Rc::new(RefCell::new(Vec::new()));
-        let g = got.clone();
-        b.open(TcpPattern::Passive { local_port: 80 }, Box::new(|_| {})).unwrap();
-        let conn = a
-            .open(TcpPattern::Active { remote: 1, remote_port: 80, local_port: 0 }, Box::new(|_| {}))
-            .unwrap();
-        for _ in 0..50 {
-            a.step(VirtualTime::ZERO);
-            b.step(VirtualTime::ZERO);
-        }
-        assert_eq!(a.state_of(conn), Some(TcpState::Estab));
-        // Adopt the child so its data lands somewhere.
-        let child = TcpConnId(1);
-        b.set_handler(
-            child,
-            Box::new(move |ev| {
-                if let TcpEvent::Data(d) = ev {
-                    g.borrow_mut().extend_from_slice(&d);
-                }
-            }),
-        )
-        .unwrap();
-        a.send(conn, (), b"priority-scheduled".to_vec()).unwrap();
-        for _ in 0..50 {
-            a.step(VirtualTime::ZERO);
-            b.step(VirtualTime::ZERO);
-        }
-        assert_eq!(
-            &got.borrow()[..],
-            b"priority-scheduled",
-            "correctness unchanged under priority scheduling"
-        );
-    }
-
-    #[test]
-    fn priority_and_fifo_deliver_identical_streams() {
-        let run = |priority: bool| {
-            let cfg = TcpConfig {
-                latency_priority: priority,
-                nagle: false,
-                delayed_ack_ms: None,
-                ..TcpConfig::default()
-            };
-            let link = LinkPair::new();
-            let mut a =
-                Tcp::new(link.endpoint(0), TestAux, (), cfg.clone(), SchedHandle::new(), HostHandle::free());
-            let mut b = Tcp::new(link.endpoint(1), TestAux, (), cfg, SchedHandle::new(), HostHandle::free());
-            let got = Rc::new(RefCell::new(Vec::new()));
-            let g = got.clone();
-            b.open(TcpPattern::Passive { local_port: 80 }, Box::new(|_| {})).unwrap();
-            let conn = a
-                .open(TcpPattern::Active { remote: 1, remote_port: 80, local_port: 0 }, Box::new(|_| {}))
-                .unwrap();
-            let payload: Vec<u8> = (0..40_000u32).map(|i| (i % 251) as u8).collect();
-            let mut sent = 0;
-            let mut now = VirtualTime::ZERO;
-            let mut adopted = false;
-            for _ in 0..100_000 {
-                now += VirtualDuration::from_millis(1);
-                if sent < payload.len() {
-                    sent += a.send_data(conn, &payload[sent..]).unwrap_or(0);
-                }
-                a.step(now);
-                b.step(now);
-                if !adopted {
-                    let g2 = g.clone();
-                    adopted = b
-                        .set_handler(
-                            TcpConnId(1),
-                            Box::new(move |ev| {
-                                if let TcpEvent::Data(d) = ev {
-                                    g2.borrow_mut().extend_from_slice(&d);
-                                }
-                            }),
-                        )
-                        .is_ok();
-                }
-                if got.borrow().len() >= payload.len() {
-                    break;
-                }
-            }
-            assert_eq!(got.borrow().len(), payload.len(), "priority={priority}");
-            let out = got.borrow().clone();
-            (out, payload)
-        };
-        let (fifo_stream, payload) = run(false);
-        let (prio_stream, _) = run(true);
-        assert_eq!(fifo_stream, payload);
-        assert_eq!(prio_stream, payload, "byte stream identical under either scheduler");
-    }
-}
-
-#[cfg(test)]
-mod extended_tests {
-    use super::*;
-    use crate::testlink::{LinkPair, TestAux};
-    use foxwire::tcp::{TcpFlags, TcpHeader, TcpSegment};
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    fn engine(link: &LinkPair, side: u8, cfg: TcpConfig) -> Tcp<crate::testlink::TestLower, TestAux> {
-        Tcp::new(link.endpoint(side), TestAux, (), cfg, SchedHandle::new(), HostHandle::free())
-    }
-
-    fn spin(
-        a: &mut Tcp<crate::testlink::TestLower, TestAux>,
-        b: &mut Tcp<crate::testlink::TestLower, TestAux>,
-    ) {
-        for _ in 0..200 {
-            let p = a.step(VirtualTime::ZERO);
-            let q = b.step(VirtualTime::ZERO);
-            if !p && !q {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn simultaneous_open_establishes_both_sides() {
-        // Both ends actively open to each other with fixed ports: the
-        // SYNs cross, each side enters Syn_Active (the paper's
-        // active-open SYN-RECEIVED variant), and both establish.
-        let link = LinkPair::new();
-        let cfg = TcpConfig::default();
-        let mut a = engine(&link, 0, cfg.clone());
-        let mut b = engine(&link, 1, cfg);
-        let ev_a = Rc::new(RefCell::new(Vec::new()));
-        let ev_b = Rc::new(RefCell::new(Vec::new()));
-        let (ea, eb) = (ev_a.clone(), ev_b.clone());
-        let ca = a
-            .open(
-                TcpPattern::Active { remote: 1, remote_port: 2000, local_port: 1000 },
-                Box::new(move |e| ea.borrow_mut().push(e)),
-            )
-            .unwrap();
-        let cb = b
-            .open(
-                TcpPattern::Active { remote: 0, remote_port: 1000, local_port: 2000 },
-                Box::new(move |e| eb.borrow_mut().push(e)),
-            )
-            .unwrap();
-        spin(&mut a, &mut b);
-        assert_eq!(a.state_of(ca), Some(TcpState::Estab), "events: {:?}", ev_a.borrow());
-        assert_eq!(b.state_of(cb), Some(TcpState::Estab), "events: {:?}", ev_b.borrow());
-        assert!(ev_a.borrow().contains(&TcpEvent::Established));
-        assert!(ev_b.borrow().contains(&TcpEvent::Established));
-    }
-
-    #[test]
-    fn urgent_pointer_signalled_once_per_region() {
-        let link = LinkPair::new();
-        // Immediate ACKs and no Nagle: the test spins at a frozen clock,
-        // so nothing timer-driven can fire.
-        let cfg = TcpConfig { nagle: false, delayed_ack_ms: None, ..TcpConfig::default() };
-        let mut a = engine(&link, 0, cfg.clone());
-        let mut b = engine(&link, 1, cfg);
-        let ev = Rc::new(RefCell::new(Vec::new()));
-        let e2 = ev.clone();
-        b.open(TcpPattern::Passive { local_port: 80 }, Box::new(|_| {})).unwrap();
-        let ca = a
-            .open(TcpPattern::Active { remote: 1, remote_port: 80, local_port: 5000 }, Box::new(|_| {}))
-            .unwrap();
-        spin(&mut a, &mut b);
-        assert_eq!(a.state_of(ca), Some(TcpState::Estab));
-        b.set_handler(TcpConnId(1), Box::new(move |e| e2.borrow_mut().push(e))).unwrap();
-        // Craft an URG segment from a's side by sending data with the
-        // URG flag through the raw link: simplest is to use a's engine
-        // send and then rewrite... instead, push a hand-built segment
-        // into b via the link from endpoint 0's address.
-        // a's engine state gives us the right seq numbers:
-        a.send(ca, (), b"urgent!".to_vec()).unwrap();
-        // Rewrite in flight: set URG + urgent pointer on the data frame.
-        // (The test link carries raw TCP bytes; decode, set, re-encode.)
-        let pair_filter_installed = Rc::new(RefCell::new(0));
-        let n = pair_filter_installed.clone();
-        link.set_filter_toward(
-            1,
-            Box::new(move |bytes| {
-                if let Ok(mut seg) = TcpSegment::decode_buf(bytes, None) {
-                    if !seg.payload.is_empty() {
-                        seg.header.flags.urg = true;
-                        seg.header.urgent = seg.payload.len() as u16;
-                        *bytes = seg.encode_buf(None).unwrap();
-                        *n.borrow_mut() += 1;
-                    }
-                }
-                true
-            }),
-        );
-        // Retransmit will carry the URG flag after the filter mutates it;
-        // force one round trip.
-        spin(&mut a, &mut b);
-        let urgents: Vec<_> =
-            ev.borrow().iter().filter(|e| matches!(e, TcpEvent::Urgent(_))).cloned().collect();
-        // The data already flowed before the filter was installed in
-        // this spin; send one more urgent-marked chunk.
-        a.send(ca, (), b"more".to_vec()).unwrap();
-        spin(&mut a, &mut b);
-        let urgents_after: Vec<_> =
-            ev.borrow().iter().filter(|e| matches!(e, TcpEvent::Urgent(_))).cloned().collect();
-        assert!(urgents_after.len() > urgents.len(), "urgent event delivered: {:?}", ev.borrow());
-        // Data itself still arrives in order.
-        let data: Vec<u8> = ev
-            .borrow()
-            .iter()
-            .filter_map(|e| match e {
-                TcpEvent::Data(d) => Some(d.clone()),
-                _ => None,
-            })
-            .flatten()
-            .collect();
-        assert_eq!(data, b"urgent!more");
-    }
-
-    #[test]
-    fn traces_record_segment_flow_when_enabled() {
-        use foxbasis::obs::flags;
-
-        let link = LinkPair::new();
-        let mut a = engine(&link, 0, TcpConfig::default());
-        let mut b = engine(&link, 1, TcpConfig::default());
-        let sink = EventSink::recording(256);
-        a.set_obs(sink.for_host(0));
-        b.open(TcpPattern::Passive { local_port: 80 }, Box::new(|_| {})).unwrap();
-        a.open(TcpPattern::Active { remote: 1, remote_port: 80, local_port: 5000 }, Box::new(|_| {}))
-            .unwrap();
-        spin(&mut a, &mut b);
-        let evs = sink.events();
-        let syn_ack = flags::SYN | flags::ACK;
-        assert!(evs.iter().any(|e| matches!(e.event, Event::SegTx { flags: flags::SYN, .. })), "{evs:?}");
-        assert!(
-            evs.iter().any(|e| matches!(e.event, Event::SegRx { flags, .. } if flags == syn_ack)),
-            "{evs:?}"
-        );
-        // No sink installed on b: silent.
-        assert!(evs.iter().all(|e| e.host == 0), "{evs:?}");
-    }
-
-    #[test]
-    fn urgent_test_filter_decodes_what_engine_encodes() {
-        // Sanity for the filter trick above: decode(encode(x)) == x with
-        // checksums off (the TestAux configuration).
-        let mut h = TcpHeader::new(1, 2);
-        h.flags = TcpFlags::ACK;
-        let seg = TcpSegment { header: h, payload: b"xyz"[..].into() };
-        let bytes = seg.encode(None).unwrap();
-        assert_eq!(TcpSegment::decode(&bytes, None).unwrap(), seg);
-    }
-}
-
-#[cfg(test)]
-mod half_close_tests {
-    //! TCP's half-close semantics: after the peer FINs, our side may
-    //! keep sending (CLOSE-WAIT is a sending state).
-
-    use super::*;
-    use crate::testlink::{LinkPair, TestAux};
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    #[test]
-    fn data_flows_from_close_wait() {
-        let cfg = TcpConfig { nagle: false, delayed_ack_ms: None, ..TcpConfig::default() };
-        let link = LinkPair::new();
-        let mut a =
-            Tcp::new(link.endpoint(0), TestAux, (), cfg.clone(), SchedHandle::new(), HostHandle::free());
-        let mut b = Tcp::new(link.endpoint(1), TestAux, (), cfg, SchedHandle::new(), HostHandle::free());
-        let a_events = Rc::new(RefCell::new(Vec::new()));
-        let ae = a_events.clone();
-        b.open(TcpPattern::Passive { local_port: 80 }, Box::new(|_| {})).unwrap();
-        let ca = a
-            .open(
-                TcpPattern::Active { remote: 1, remote_port: 80, local_port: 5000 },
-                Box::new(move |e| ae.borrow_mut().push(e)),
-            )
-            .unwrap();
-        let spin = |a: &mut Tcp<_, _>, b: &mut Tcp<_, _>| {
-            for _ in 0..200 {
-                let p = a.step(VirtualTime::ZERO);
-                let q = b.step(VirtualTime::ZERO);
-                if !p && !q {
-                    break;
-                }
-            }
-        };
-        spin(&mut a, &mut b);
-        let cb = TcpConnId(1);
-        b.set_handler(cb, Box::new(|_| {})).unwrap();
-
-        // a closes first: a -> FIN-WAIT, b -> CLOSE-WAIT.
-        a.close(ca).unwrap();
-        spin(&mut a, &mut b);
-        assert_eq!(b.state_of(cb), Some(TcpState::CloseWait));
-        assert_eq!(a.state_of(ca), Some(TcpState::FinWait2));
-
-        // b keeps talking on the half-open connection.
-        b.send(cb, (), b"parting data".to_vec()).unwrap();
-        spin(&mut a, &mut b);
-        let data: Vec<u8> = a_events
-            .borrow()
-            .iter()
-            .filter_map(|e| match e {
-                TcpEvent::Data(d) => Some(d.clone()),
-                _ => None,
-            })
-            .flatten()
-            .collect();
-        assert_eq!(data, b"parting data", "CLOSE-WAIT can still send");
-
-        // And finally closes: full teardown, a through TIME-WAIT.
-        b.close(cb).unwrap();
-        spin(&mut a, &mut b);
-        assert_eq!(a.state_of(ca), Some(TcpState::TimeWait));
-        assert!(a_events.borrow().contains(&TcpEvent::PeerClosed));
-    }
-}
-
-#[cfg(test)]
-mod golden_trace_tests {
-    //! "Once the actions have been placed on the queue the behavior of
-    //! TCP is completely deterministic and testable" — pinned as a
-    //! golden trace: the exact segment sequence of a canonical
-    //! handshake + exchange + close, captured by a recording
-    //! [`EventSink`].
-
-    use super::*;
-    use crate::testlink::{LinkPair, TestAux};
-    use foxbasis::obs::flags_to_string;
-
-    #[test]
-    fn canonical_session_trace_is_stable() {
-        let run = || {
-            let cfg = TcpConfig { nagle: false, delayed_ack_ms: None, ..TcpConfig::default() };
-            let link = LinkPair::new();
-            let mut a =
-                Tcp::new(link.endpoint(0), TestAux, (), cfg.clone(), SchedHandle::new(), HostHandle::free());
-            let mut b = Tcp::new(link.endpoint(1), TestAux, (), cfg, SchedHandle::new(), HostHandle::free());
-            let sink = EventSink::recording(1024);
-            a.set_obs(sink.clone());
-            b.open(TcpPattern::Passive { local_port: 80 }, Box::new(|_| {})).unwrap();
-            let ca = a
-                .open(TcpPattern::Active { remote: 1, remote_port: 80, local_port: 9000 }, Box::new(|_| {}))
-                .unwrap();
-            let spin = |a: &mut Tcp<_, _>, b: &mut Tcp<_, _>| {
-                for _ in 0..300 {
-                    let p = a.step(VirtualTime::ZERO);
-                    let q = b.step(VirtualTime::ZERO);
-                    if !p && !q {
-                        break;
-                    }
-                }
-            };
-            spin(&mut a, &mut b);
-            b.set_handler(TcpConnId(1), Box::new(|_| {})).unwrap();
-            a.send(ca, (), b"abc".to_vec()).unwrap();
-            spin(&mut a, &mut b);
-            a.close(ca).unwrap();
-            spin(&mut a, &mut b);
-            assert_eq!(sink.dropped(), 0);
-            sink.events()
-        };
-        let t1 = run();
-        let t2 = run();
-        assert_eq!(t1, t2, "identical event streams across runs");
-
-        // The flag sequence of a's transmissions is the textbook session.
-        let tx_flags: Vec<String> = t1
-            .iter()
-            .filter_map(|e| match e.event {
-                Event::SegTx { flags, .. } => Some(flags_to_string(flags)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(tx_flags, vec!["SYN", "ACK", "PSH+ACK", "FIN+ACK"], "full stream:\n{t1:#?}");
-    }
-}
-
-#[cfg(test)]
-mod wraparound_tests {
-    //! Sequence-number wraparound: a transfer that crosses 2^32 in the
-    //! middle of the stream must be seamless — the reason `ubyte4`
-    //! arithmetic (our [`foxbasis::seq::Seq`]) exists at all.
-
-    use super::*;
-    use crate::testlink::{LinkPair, TestAux};
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    #[test]
-    fn stream_crosses_sequence_space_wrap() {
-        // Start the virtual clock so the clock-derived ISS sits just
-        // below 2^32; a 200 KB transfer then wraps mid-stream.
-        let start = VirtualTime::from_micros(((u32::MAX as u64) - 60_000) * 4);
-        let cfg = TcpConfig { nagle: false, delayed_ack_ms: None, ..TcpConfig::default() };
-        let link = LinkPair::new();
-        let sched_a = SchedHandle::from_scheduler(fox_scheduler::Scheduler::starting_at(start));
-        let sched_b = SchedHandle::from_scheduler(fox_scheduler::Scheduler::starting_at(start));
-        let mut a = Tcp::new(link.endpoint(0), TestAux, (), cfg.clone(), sched_a, HostHandle::free());
-        let mut b = Tcp::new(link.endpoint(1), TestAux, (), cfg, sched_b, HostHandle::free());
-
-        let got = Rc::new(RefCell::new(Vec::new()));
-        b.open(TcpPattern::Passive { local_port: 80 }, Box::new(|_| {})).unwrap();
-        let conn = a
-            .open(TcpPattern::Active { remote: 1, remote_port: 80, local_port: 0 }, Box::new(|_| {}))
-            .unwrap();
-
-        let payload: Vec<u8> = (0..200_000u32).map(|i| (i % 249) as u8).collect();
-        let mut sent = 0;
-        let mut now = start;
-        let mut adopted = false;
-        for _ in 0..100_000 {
-            now += VirtualDuration::from_millis(1);
-            if sent < payload.len() {
-                sent += a.send_data(conn, &payload[sent..]).unwrap_or(0);
-            }
-            a.step(now);
-            b.step(now);
-            if !adopted {
-                let g = got.clone();
-                adopted = b
-                    .set_handler(
-                        TcpConnId(1),
-                        Box::new(move |ev| {
-                            if let TcpEvent::Data(d) = ev {
-                                g.borrow_mut().extend_from_slice(&d);
-                            }
-                        }),
-                    )
-                    .is_ok();
-            }
-            if got.borrow().len() >= payload.len() {
-                break;
-            }
-        }
-        assert_eq!(got.borrow().len(), payload.len(), "transfer wedged at the wrap");
-        assert_eq!(&got.borrow()[..], &payload[..]);
-        assert_eq!(a.stats().retransmits, 0, "clean link: the wrap alone must not confuse RTT/resend");
+        assert_eq!(p.a.state_of(client), Some(TcpState::Estab));
     }
 }

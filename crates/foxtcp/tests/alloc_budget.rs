@@ -13,16 +13,11 @@
 mod counting_alloc;
 
 use counting_alloc::allocs;
-use fox_scheduler::SchedHandle;
-use foxbasis::time::{VirtualDuration, VirtualTime};
-use foxproto::Protocol;
-use foxtcp::testlink::{LinkPair, TestAux, TestLower};
-use foxtcp::{Tcp, TcpConfig, TcpConnId, TcpEvent, TcpPattern};
-use simnet::HostHandle;
+use foxbasis::time::VirtualDuration;
+use foxtcp::testlink::Pair;
+use foxtcp::{TcpConfig, TcpEvent};
 use std::cell::Cell;
 use std::rc::Rc;
-
-type Engine = Tcp<TestLower, TestAux>;
 
 /// Heap calls one 64-byte request/response costs the two engines
 /// together, in steady state. What is left: per segment, the staged
@@ -49,18 +44,8 @@ fn modern() -> TcpConfig {
     }
 }
 
-fn settle(a: &mut Engine, b: &mut Engine, now: VirtualTime) {
-    for _ in 0..100 {
-        let pa = a.step(now);
-        let pb = b.step(now);
-        if !pa && !pb {
-            return;
-        }
-    }
-    panic!("did not settle");
-}
-
-/// A handler that counts delivered payload bytes and keeps nothing.
+/// A handler that counts delivered payload bytes and keeps nothing
+/// (the rig's own recording handler would allocate per event).
 fn counting(into: &Rc<Cell<usize>>) -> foxproto::Handler<TcpEvent> {
     let into = into.clone();
     Box::new(move |e| {
@@ -72,54 +57,36 @@ fn counting(into: &Rc<Cell<usize>>) -> foxproto::Handler<TcpEvent> {
 
 #[test]
 fn established_round_trip_allocations_are_pinned() {
-    let link = LinkPair::new();
-    let mut a = Tcp::new(link.endpoint(0), TestAux, (), modern(), SchedHandle::new(), HostHandle::free());
-    let mut b = Tcp::new(link.endpoint(1), TestAux, (), modern(), SchedHandle::new(), HostHandle::free());
+    let mut p = Pair::new(modern(), modern());
     let (got_a, got_b) = (Rc::new(Cell::new(0)), Rc::new(Cell::new(0)));
+    let (client, server) = p.open(80);
+    p.a.set_handler(client, counting(&got_a)).unwrap();
+    p.b.set_handler(server, counting(&got_b)).unwrap();
 
-    let child = Rc::new(Cell::new(None));
-    let seen = child.clone();
-    b.open(
-        TcpPattern::Passive { local_port: 80 },
-        Box::new(move |e| {
-            if let TcpEvent::NewConnection(c) = e {
-                seen.set(Some(c));
-            }
-        }),
-    )
-    .unwrap();
-    let client = a
-        .open(TcpPattern::Active { remote: 1, remote_port: 80, local_port: 5000 }, counting(&got_a))
-        .unwrap();
-    let mut now = VirtualTime::ZERO;
-    settle(&mut a, &mut b, now);
-    let server: TcpConnId = child.get().expect("the listener saw the child");
-    b.set_handler(server, counting(&got_b)).unwrap();
-
-    let mut round_trip = |a: &mut Engine, b: &mut Engine| {
+    let round_trip = |p: &mut Pair| {
         // 6 µs a round trip is the `rr` workload's virtual pace: the
         // 1 ms delayed ACK never fires, it is cancelled by the reply.
-        assert_eq!(a.send_data(client, &[0x5a; 64]), Ok(64));
-        now += VirtualDuration::from_micros(3);
-        settle(a, b, now);
-        assert_eq!(b.send_data(server, &[0xa5; 64]), Ok(64));
-        now += VirtualDuration::from_micros(3);
-        settle(a, b, now);
+        assert_eq!(p.a.send_data(client, &[0x5a; 64]), Ok(64));
+        p.now += VirtualDuration::from_micros(3);
+        p.settle();
+        assert_eq!(p.b.send_data(server, &[0xa5; 64]), Ok(64));
+        p.now += VirtualDuration::from_micros(3);
+        p.settle();
     };
     // Warm-up: buffers, queues and the wheel's slab reach their
     // steady-state capacity, and the run crosses tick roll-overs.
     for _ in 0..ROUND_TRIPS {
-        round_trip(&mut a, &mut b);
+        round_trip(&mut p);
     }
-    let (before, wheel_before) = (allocs(), a.wheel_stats());
+    let (before, wheel_before) = (allocs(), p.a.wheel_stats());
     for _ in 0..ROUND_TRIPS {
-        round_trip(&mut a, &mut b);
+        round_trip(&mut p);
     }
     let spent = allocs() - before;
 
     assert_eq!(got_a.get() as u64, 2 * ROUND_TRIPS * 64, "every reply arrived");
     assert_eq!(got_b.get() as u64, 2 * ROUND_TRIPS * 64, "every request arrived");
-    let wheel = a.wheel_stats();
+    let wheel = p.a.wheel_stats();
     assert_eq!(wheel.fires, wheel_before.fires, "no delayed ACK fired: every one was cancelled");
     assert!(
         wheel.cancels - wheel_before.cancels >= ROUND_TRIPS,

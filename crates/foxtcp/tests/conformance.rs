@@ -30,8 +30,10 @@ use foxbasis::seq::Seq;
 use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxproto::Protocol;
 use foxtcp::control::fsm::{self, SpecEdge, Trigger};
-use foxtcp::testlink::{LinkPair, TestAux, TestLower};
-use foxtcp::{ConnectingSocket, EstablishedSocket, ListeningSocket, Tcp, TcpConfig, TcpConnId, TcpEvent};
+use foxtcp::testlink::{LinkPair, Pair, TestAux, TestLower};
+use foxtcp::{
+    ConnectingSocket, EstablishedSocket, ListeningSocket, Tcp, TcpConfig, TcpConnId, TcpEvent, TcpState,
+};
 use foxwire::tcp::{TcpFlags, TcpHeader, TcpSegment};
 use simnet::HostHandle;
 use std::cell::RefCell;
@@ -1590,7 +1592,8 @@ fn rfc9293_figure_5_is_a_subgraph_of_the_spec() {
 // ------------------------------------------------- SYN-flood recovery
 
 /// A raw peer that floods from many source ports and watches which of
-/// them the listener answers.
+/// them the xk listener answers. (fox faces real clients below: its
+/// peer is a second engine on `foxtcp::testlink::Pair`.)
 struct FloodPeer {
     lower: TestLower,
     rx: Rc<RefCell<VecDeque<TcpSegment>>>,
@@ -1623,156 +1626,91 @@ impl FloodPeer {
         self.lower.send(0, 1, seg.encode_buf(None).unwrap()).unwrap();
     }
 
-    /// Drains received segments, returning `(dst_port, segment)` pairs.
-    fn drain(&mut self, now: VirtualTime) -> Vec<(u16, TcpSegment)> {
-        self.lower.step(now);
-        let mut out = Vec::new();
-        loop {
-            let seg = self.rx.borrow_mut().pop_front();
-            match seg {
-                Some(s) => out.push((s.header.dst_port, s)),
-                None => break,
-            }
-        }
-        out
-    }
-}
-
-/// Shared script: flood a backlog-2 listener with 5 SYNs, check only 2
-/// are answered, drain the accept queue by finishing those handshakes,
-/// then retry one of the dropped SYNs and see it admitted — the
-/// bounded queue recovers instead of wedging.
-///
-/// `step` drives the stack; `drainq` performs whatever the stack needs
-/// for an established child to leave the accept queue (fox: adopt it
-/// with a handler; xk: nothing, SYN-RECEIVED ends at establishment).
-fn syn_flood_recovers(
-    kind: &str,
-    step: &mut dyn FnMut(VirtualTime) -> bool,
-    drainq: &mut dyn FnMut(),
-    peer: &mut FloodPeer,
-) -> Vec<u16> {
-    let now = VirtualTime::ZERO;
-    let mut settle = |peer: &mut FloodPeer| {
+    /// Steps `tcp` at time zero until it and the link fall silent,
+    /// returning every `(dst_port, segment)` it transmitted meanwhile.
+    fn exchange(&mut self, tcp: &mut XkTcp<TestLower, TestAux>) -> Vec<(u16, TcpSegment)> {
+        let now = VirtualTime::ZERO;
         let mut seen = Vec::new();
         for _ in 0..256 {
-            let p = step(now);
-            let fresh = peer.drain(now);
-            if !p && fresh.is_empty() {
+            let progress = tcp.step(now);
+            self.lower.step(now);
+            let fresh: Vec<_> = self.rx.borrow_mut().drain(..).map(|s| (s.header.dst_port, s)).collect();
+            if !progress && fresh.is_empty() {
                 return seen;
             }
             seen.extend(fresh);
         }
-        panic!("[{kind}] did not settle");
-    };
+        panic!("[xk] did not settle");
+    }
+}
+
+fn is_syn_ack(seg: &TcpSegment) -> bool {
+    seg.header.flags.syn && seg.header.flags.ack
+}
+
+/// Flood a backlog-2 listener with 5 SYNs, check only 2 are answered,
+/// finish those handshakes (which is all xk needs for a child to leave
+/// its accept queue: SYN-RECEIVED ends at establishment), then retry one
+/// of the dropped SYNs and see it admitted — the bounded queue recovers
+/// instead of wedging.
+#[test]
+fn xk_syn_flood_drops_beyond_backlog_and_recovers() {
+    let link = LinkPair::new();
+    let cfg = XkConfig { backlog: 2, ..XkConfig::default() };
+    let mut tcp = XkTcp::new(link.endpoint(1), TestAux, (), cfg, HostHandle::free());
+    tcp.listen(SUT_LISTEN_PORT).unwrap();
+    let mut peer = FloodPeer::new(&link);
 
     // Five clients, one burst. Backlog is 2.
     for port in [9001u16, 9002, 9003, 9004, 9005] {
         peer.send(port, TcpFlags::SYN, 1000, 0);
     }
-    let replies = settle(peer);
-    let answered: Vec<u16> =
-        replies.iter().filter(|(_, s)| s.header.flags.syn && s.header.flags.ack).map(|(p, _)| *p).collect();
-    assert_eq!(answered, vec![9001, 9002], "[{kind}] only the backlog is admitted");
+    let replies = peer.exchange(&mut tcp);
+    let answered: Vec<u16> = replies.iter().filter(|(_, s)| is_syn_ack(s)).map(|(p, _)| *p).collect();
+    assert_eq!(answered, vec![9001, 9002], "only the backlog is admitted");
 
-    // Finish the admitted handshakes and take the children off the
-    // accept queue.
-    for (port, seg) in replies.iter().filter(|(_, s)| s.header.flags.syn && s.header.flags.ack) {
+    // Finish the admitted handshakes.
+    for (port, seg) in replies.iter().filter(|(_, s)| is_syn_ack(s)) {
         peer.send(*port, TcpFlags::ACK, 1001, seg.header.seq.0.wrapping_add(1));
     }
-    settle(peer);
-    drainq();
-    settle(peer);
+    peer.exchange(&mut tcp);
 
     // One of the silently dropped clients retransmits its SYN; the
     // drained queue now has room.
     peer.send(9004, TcpFlags::SYN, 1000, 0);
-    let replies = settle(peer);
+    let replies = peer.exchange(&mut tcp);
     assert!(
-        replies.iter().any(|(p, s)| *p == 9004 && s.header.flags.syn && s.header.flags.ack),
-        "[{kind}] retransmitted SYN is admitted after the queue drains"
+        replies.iter().any(|(p, s)| *p == 9004 && is_syn_ack(s)),
+        "retransmitted SYN is admitted after the queue drains"
     );
-    answered
 }
 
+/// The same property for fox, against five real clients: a backlog-2
+/// listener admits the first two SYNs of a burst and sheds three; once
+/// the user has accepted the two children (fox counts a child against
+/// the backlog until it is adopted), the shed clients' retransmitted
+/// SYNs are admitted in their turn.
 #[test]
 fn fox_syn_flood_drops_beyond_backlog_and_recovers() {
-    let link = LinkPair::new();
-    let sched = SchedHandle::new();
-    let cfg = TcpConfig { backlog: 2, ..TcpConfig::default() };
-    let tcp: Rc<RefCell<Tcp<TestLower, TestAux>>> = Rc::new(RefCell::new(Tcp::new(
-        link.endpoint(1),
-        TestAux,
-        (),
-        cfg,
-        sched.clone(),
-        HostHandle::free(),
-    )));
-    let events: Rc<RefCell<Vec<TcpEvent>>> = Rc::new(RefCell::new(Vec::new()));
-    let ev = events.clone();
-    let listener =
-        tcp.borrow_mut().listen(SUT_LISTEN_PORT, Box::new(move |e| ev.borrow_mut().push(e))).unwrap();
-    let mut peer = FloodPeer::new(&link);
+    let mut p = Pair::new(TcpConfig::default(), TcpConfig { backlog: 2, ..TcpConfig::default() });
+    let clients: Vec<TcpConnId> = (0..5).map(|_| p.connect(SUT_LISTEN_PORT).id()).collect();
+    p.settle();
+    let established =
+        |p: &Pair| clients.iter().map(|c| p.a.state_of(*c) == Some(TcpState::Estab)).collect::<Vec<_>>();
+    assert_eq!(established(&p), [true, true, false, false, false], "only the backlog is admitted");
+    assert_eq!(p.b.stats().syns_dropped, 3, "three of the five SYNs were shed");
 
-    let t = tcp.clone();
-    let mut step = move |now: VirtualTime| t.borrow_mut().step(now);
-    let t = tcp.clone();
-    let mut drainq = move || {
-        // Accepting a child (installing its handler) takes it off the
-        // listener's queue.
-        let children: Vec<TcpConnId> = events
-            .borrow()
-            .iter()
-            .filter_map(|e| match e {
-                TcpEvent::NewConnection(c) => Some(*c),
-                _ => None,
-            })
-            .collect();
-        for c in children {
-            let _ = listener.accept(&mut t.borrow_mut(), c, Box::new(|_| {}));
-        }
-    };
-    syn_flood_recovers("fox", &mut step, &mut drainq, &mut peer);
-    assert_eq!(tcp.borrow().stats().syns_dropped, 3, "three of the five SYNs were shed");
-}
-
-#[test]
-fn xk_syn_flood_drops_beyond_backlog_and_recovers() {
-    let link = LinkPair::new();
-    let cfg = XkConfig { backlog: 2, ..XkConfig::default() };
-    let tcp: Rc<RefCell<XkTcp<TestLower, TestAux>>> =
-        Rc::new(RefCell::new(XkTcp::new(link.endpoint(1), TestAux, (), cfg, HostHandle::free())));
-    tcp.borrow_mut().listen(SUT_LISTEN_PORT).unwrap();
-    let mut peer = FloodPeer::new(&link);
-
-    let t = tcp.clone();
-    let mut step = move |now: VirtualTime| t.borrow_mut().step(now);
-    // xk's embryonic count only covers SYN-RECEIVED sockets, so the
-    // completed handshakes already drained the queue.
-    let mut drainq = || {};
-    syn_flood_recovers("xk", &mut step, &mut drainq, &mut peer);
+    // Accepting a child (installing its handler) takes it off the
+    // listener's queue; the shed clients' SYN timers then retry.
+    while p.accept().is_some() {}
+    p.run_for(2_000, 100);
+    assert_eq!(established(&p), [true, true, true, true, false], "retransmitted SYNs are admitted");
+    while p.accept().is_some() {}
+    p.run_for(4_000, 100);
+    assert_eq!(established(&p), [true; 5], "the queue recovers instead of wedging");
 }
 
 // ------------------------------------------- typestate lifecycle (fox)
-
-/// Steps a fox stack and a raw peer until neither makes progress,
-/// returning every segment the stack transmitted meanwhile.
-fn settle_fox(
-    tcp: &mut Tcp<TestLower, TestAux>,
-    peer: &mut FloodPeer,
-    now: VirtualTime,
-) -> Vec<(u16, TcpSegment)> {
-    let mut seen = Vec::new();
-    for _ in 0..256 {
-        let p = tcp.step(now);
-        let fresh = peer.drain(now);
-        if !p && fresh.is_empty() {
-            return seen;
-        }
-        seen.extend(fresh);
-    }
-    panic!("[fox] did not settle");
-}
 
 /// The positive half of the typestate story: a connection driven end to
 /// end — listen → accept → try_established → send_data → close —
@@ -1780,56 +1718,39 @@ fn settle_fox(
 /// half lives in `foxtcp::socket`'s `compile_fail` doctests.)
 #[test]
 fn fox_typed_lifecycle_listen_accept_send_close() {
-    let link = LinkPair::new();
-    let sched = SchedHandle::new();
-    let mut tcp = Tcp::new(link.endpoint(1), TestAux, (), TcpConfig::default(), sched, HostHandle::free());
-    let events: Rc<RefCell<Vec<TcpEvent>>> = Rc::new(RefCell::new(Vec::new()));
-    let ev = events.clone();
-    let listener = tcp.listen(SUT_LISTEN_PORT, Box::new(move |e| ev.borrow_mut().push(e))).unwrap();
-    let mut peer = FloodPeer::new(&link);
-    let now = VirtualTime::ZERO;
-
-    // Three-way handshake, scripted by the raw peer.
-    peer.send(PEER_PORT, TcpFlags::SYN, PEER_ISS, 0);
-    let replies = settle_fox(&mut tcp, &mut peer, now);
-    let sut_iss = replies
-        .iter()
-        .find(|(_, s)| s.header.flags.syn && s.header.flags.ack)
-        .expect("SYN-ACK answers the SYN")
-        .1
-        .header
-        .seq
-        .0;
-    peer.send(PEER_PORT, TcpFlags::ACK, PEER_ISS + 1, sut_iss.wrapping_add(1));
-    settle_fox(&mut tcp, &mut peer, now);
+    let mut p = Pair::new(TcpConfig::default(), TcpConfig::default());
+    let (listener_tag, client_tag) = (TcpConnId(SUT_LISTEN_PORT.into()), TcpConnId(PEER_PORT.into()));
+    let listener = p.b.listen(SUT_LISTEN_PORT, p.recorder(1, listener_tag)).unwrap();
+    let client = p.a.connect(1, SUT_LISTEN_PORT, PEER_PORT, p.recorder(0, client_tag)).unwrap();
+    p.settle();
+    client.try_established(&p.a).expect("the client's handshake has completed");
 
     // Adopt the announced child through the typed accept; the
     // handshake is already complete, so it promotes immediately.
-    let child = events
-        .borrow()
+    let child = p
+        .events_of(1, listener_tag)
         .iter()
         .find_map(|e| match e {
             TcpEvent::NewConnection(c) => Some(*c),
             _ => None,
         })
         .expect("listener announced its child");
-    let conn = listener.accept(&mut tcp, child, Box::new(|_| {})).unwrap();
-    let est = conn.try_established(&tcp).expect("handshake has completed");
+    let conn = listener.accept(&mut p.b, child, Box::new(|_| {})).unwrap();
+    let est = conn.try_established(&p.b).expect("handshake has completed");
 
     // Data moves only through the established stage.
-    assert_eq!(est.send_data(&mut tcp, b"typed").unwrap(), 5);
-    assert!(est.send_capacity(&tcp).unwrap() > 0);
-    let replies = settle_fox(&mut tcp, &mut peer, now);
-    assert!(replies.iter().any(|(_, s)| s.payload.len() == 5), "the payload went out");
-    peer.send(PEER_PORT, TcpFlags::ACK, PEER_ISS + 1, sut_iss.wrapping_add(1 + 5));
-    settle_fox(&mut tcp, &mut peer, now);
+    assert_eq!(est.send_data(&mut p.b, b"typed").unwrap(), 5);
+    assert!(est.send_capacity(&p.b).unwrap() > 0);
+    p.settle();
+    assert_eq!(p.data_of(0, client_tag), b"typed", "the payload went out");
 
-    // Close consumes the socket and puts a FIN on the wire.
-    est.close(&mut tcp).unwrap();
-    let replies = settle_fox(&mut tcp, &mut peer, now);
-    assert!(replies.iter().any(|(_, s)| s.header.flags.fin), "FIN transmitted");
-    assert_eq!(tcp.state_of(child).expect("still tracked").name(), "FinWait1");
-    listener.close(&mut tcp).unwrap();
+    // Close consumes the socket and puts a FIN on the wire; the peer
+    // acknowledges it and keeps its own half open.
+    est.close(&mut p.b).unwrap();
+    p.settle();
+    assert!(p.events_of(0, client_tag).contains(&TcpEvent::PeerClosed), "FIN transmitted");
+    assert_eq!(p.b.state_of(child).expect("still tracked").name(), "FinWait2");
+    listener.close(&mut p.b).unwrap();
 }
 
 // --------------------------------------------- post-reap observability
@@ -1838,55 +1759,24 @@ fn fox_typed_lifecycle_listen_accept_send_close() {
 /// answer `None` — never a stale snapshot of the dead connection.
 #[test]
 fn fox_reaped_connection_reads_none() {
-    let link = LinkPair::new();
-    let sched = SchedHandle::new();
-    let mut tcp = Tcp::new(link.endpoint(1), TestAux, (), TcpConfig::default(), sched, HostHandle::free());
-    let events: Rc<RefCell<Vec<TcpEvent>>> = Rc::new(RefCell::new(Vec::new()));
-    let ev = events.clone();
-    let listener = tcp.listen(SUT_LISTEN_PORT, Box::new(move |e| ev.borrow_mut().push(e))).unwrap();
-    let mut peer = FloodPeer::new(&link);
-    let now = VirtualTime::ZERO;
-
-    peer.send(PEER_PORT, TcpFlags::SYN, PEER_ISS, 0);
-    let replies = settle_fox(&mut tcp, &mut peer, now);
-    let sut_iss = replies
-        .iter()
-        .find(|(_, s)| s.header.flags.syn && s.header.flags.ack)
-        .expect("SYN-ACK answers the SYN")
-        .1
-        .header
-        .seq
-        .0;
-    peer.send(PEER_PORT, TcpFlags::ACK, PEER_ISS + 1, sut_iss.wrapping_add(1));
-    settle_fox(&mut tcp, &mut peer, now);
-
-    let child = events
-        .borrow()
-        .iter()
-        .find_map(|e| match e {
-            TcpEvent::NewConnection(c) => Some(*c),
-            _ => None,
-        })
-        .expect("listener announced its child");
-    let conn = listener.accept(&mut tcp, child, Box::new(|_| {})).unwrap();
-    let est = conn.try_established(&tcp).expect("handshake has completed");
-    assert!(tcp.state_of(child).is_some(), "live connection is observable");
-    assert!(tcp.metrics_of(child).is_some());
+    let mut p = Pair::new(TcpConfig::default(), TcpConfig::default());
+    let (client, child) = p.open(SUT_LISTEN_PORT);
+    assert!(p.b.state_of(child).is_some(), "live connection is observable");
+    assert!(p.b.metrics_of(child).is_some());
 
     // Passive close: peer's FIN, our FIN, peer's final ACK. LAST-ACK
     // collapses straight to CLOSED, so the reaper takes the connection
     // as soon as its Closed event has been delivered.
-    peer.send(PEER_PORT, TcpFlags::FIN_ACK, PEER_ISS + 1, sut_iss.wrapping_add(1));
-    settle_fox(&mut tcp, &mut peer, now);
-    est.close(&mut tcp).unwrap();
-    settle_fox(&mut tcp, &mut peer, now);
-    peer.send(PEER_PORT, TcpFlags::ACK, PEER_ISS + 2, sut_iss.wrapping_add(2));
-    settle_fox(&mut tcp, &mut peer, now);
+    p.a.close(client).unwrap();
+    p.settle();
+    p.b.close(child).unwrap();
+    p.settle();
 
-    assert_eq!(tcp.state_of(child), None, "reaped: no stale state");
-    assert!(tcp.metrics_of(child).is_none(), "reaped: no stale metrics");
-    assert!(tcp.state_of(listener.id()).is_some(), "the listener survives its child");
-    assert!(tcp.send_capacity(child).is_err(), "reaped: capacity is an error, not 0");
+    assert_eq!(p.b.state_of(child), None, "reaped: no stale state");
+    assert!(p.b.metrics_of(child).is_none(), "reaped: no stale metrics");
+    assert!(p.b.send_capacity(child).is_err(), "reaped: capacity is an error, not 0");
+    let (_, next_child) = p.open(SUT_LISTEN_PORT);
+    assert_ne!(next_child, child, "the listener survives its child");
 }
 
 /// The xk baseline keeps the same post-reap contract: an accepted child
@@ -1899,33 +1789,13 @@ fn xk_reaped_child_reads_none() {
     let mut tcp = XkTcp::new(link.endpoint(1), TestAux, (), XkConfig::default(), HostHandle::free());
     let listener = tcp.listen(SUT_LISTEN_PORT).unwrap();
     let mut peer = FloodPeer::new(&link);
-    let now = VirtualTime::ZERO;
-
-    let settle = |tcp: &mut XkTcp<TestLower, TestAux>, peer: &mut FloodPeer| {
-        let mut seen: Vec<(u16, TcpSegment)> = Vec::new();
-        for _ in 0..256 {
-            let p = tcp.step(now);
-            let fresh = peer.drain(now);
-            if !p && fresh.is_empty() {
-                return seen;
-            }
-            seen.extend(fresh);
-        }
-        panic!("[xk] did not settle");
-    };
 
     peer.send(PEER_PORT, TcpFlags::SYN, PEER_ISS, 0);
-    let replies = settle(&mut tcp, &mut peer);
-    let sut_iss = replies
-        .iter()
-        .find(|(_, s)| s.header.flags.syn && s.header.flags.ack)
-        .expect("SYN-ACK answers the SYN")
-        .1
-        .header
-        .seq
-        .0;
+    let replies = peer.exchange(&mut tcp);
+    let (_, syn_ack) = replies.iter().find(|(_, s)| is_syn_ack(s)).expect("SYN-ACK answers the SYN");
+    let sut_iss = syn_ack.header.seq.0;
     peer.send(PEER_PORT, TcpFlags::ACK, PEER_ISS + 1, sut_iss.wrapping_add(1));
-    settle(&mut tcp, &mut peer);
+    peer.exchange(&mut tcp);
 
     let mut child = None;
     while let Some(e) = tcp.poll_event(listener) {
@@ -1939,15 +1809,15 @@ fn xk_reaped_child_reads_none() {
 
     // Passive close of the child.
     peer.send(PEER_PORT, TcpFlags::FIN_ACK, PEER_ISS + 1, sut_iss.wrapping_add(1));
-    settle(&mut tcp, &mut peer);
+    peer.exchange(&mut tcp);
     tcp.close(child).unwrap();
-    settle(&mut tcp, &mut peer);
+    peer.exchange(&mut tcp);
     peer.send(PEER_PORT, TcpFlags::ACK, PEER_ISS + 2, sut_iss.wrapping_add(2));
-    settle(&mut tcp, &mut peer);
+    peer.exchange(&mut tcp);
 
     // xk reaps only once the user has drained the child's events.
     while tcp.poll_event(child).is_some() {}
-    tcp.step(now);
+    tcp.step(VirtualTime::ZERO);
 
     assert_eq!(tcp.state_of(child), None, "reaped: no stale state");
     assert!(tcp.metrics_of(child).is_none(), "reaped: no stale metrics");

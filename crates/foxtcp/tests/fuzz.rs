@@ -4,17 +4,14 @@
 //! testability; these properties pin down the safety side — no input
 //! sequence may panic the stack or corrupt its invariants.
 
-use fox_scheduler::SchedHandle;
 use foxbasis::seq::Seq;
-use foxbasis::time::{VirtualDuration, VirtualTime};
-use foxproto::Protocol;
+use foxbasis::time::VirtualTime;
 use foxtcp::control::segment;
 use foxtcp::tcb::{TcpState, MAX_OUT_OF_ORDER};
-use foxtcp::testlink::{LinkPair, TestAux};
-use foxtcp::{ConnCore, Tcp, TcpConfig, TcpConnId, TcpEvent, TcpPattern};
+use foxtcp::testlink::Pair;
+use foxtcp::{ConnCore, TcpConfig};
 use foxwire::tcp::{TcpFlags, TcpHeader, TcpSegment};
 use proptest::prelude::*;
-use simnet::HostHandle;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -177,15 +174,13 @@ proptest! {
 // explicit test below, independent of the fuzzer's seed decoding.
 fn stream_prefix_property(drop_mask: &[bool], payload_len: usize) {
     let cfg = TcpConfig { nagle: false, delayed_ack_ms: None, ..TcpConfig::default() };
-    let link = LinkPair::new();
-    let mut a = Tcp::new(link.endpoint(0), TestAux, (), cfg.clone(), SchedHandle::new(), HostHandle::free());
-    let mut b = Tcp::new(link.endpoint(1), TestAux, (), cfg, SchedHandle::new(), HostHandle::free());
+    let mut p = Pair::new(cfg.clone(), cfg);
 
     // Drop frames toward the server according to the mask, cycling.
     let mask = drop_mask.to_vec();
     let idx = Rc::new(RefCell::new(0usize));
     let i2 = idx.clone();
-    link.set_filter_toward(
+    p.link.set_filter_toward(
         1,
         Box::new(move |_| {
             let mut i = i2.borrow_mut();
@@ -195,40 +190,25 @@ fn stream_prefix_property(drop_mask: &[bool], payload_len: usize) {
         }),
     );
 
-    let got = Rc::new(RefCell::new(Vec::new()));
-    b.open(TcpPattern::Passive { local_port: 80 }, Box::new(|_| {})).unwrap();
-    let conn =
-        a.open(TcpPattern::Active { remote: 1, remote_port: 80, local_port: 0 }, Box::new(|_| {})).unwrap();
+    let conn = p.connect(80).id();
     let payload: Vec<u8> = (0..payload_len as u32).map(|i| (i % 251) as u8).collect();
 
-    let mut now = VirtualTime::ZERO;
+    // The handshake itself runs through the drop mask, so the child is
+    // adopted whenever it first appears (it buffers its events until
+    // then).
     let mut sent = 0;
-    let mut adopted = false;
+    let mut child = None;
     for _ in 0..4_000 {
-        now += VirtualDuration::from_millis(100);
         if sent < payload.len() {
-            sent += a.send_data(conn, &payload[sent..]).unwrap_or(0);
+            sent += p.a.send_data(conn, &payload[sent..]).unwrap_or(0);
         }
-        a.step(now);
-        b.step(now);
-        if !adopted {
-            let g = got.clone();
-            adopted = b
-                .set_handler(
-                    TcpConnId(1),
-                    Box::new(move |ev| {
-                        if let TcpEvent::Data(d) = ev {
-                            g.borrow_mut().extend_from_slice(&d);
-                        }
-                    }),
-                )
-                .is_ok();
-        }
-        if got.borrow().len() >= payload.len() {
+        p.tick(100);
+        child = child.or_else(|| p.accept());
+        if p.b.stats().bytes_delivered >= payload.len() as u64 {
             break;
         }
     }
-    let received = got.borrow().clone();
+    let received = child.map_or(Vec::new(), |c| p.data_of(1, c.id()));
     // The received stream must be an exact prefix — never reordered,
     // never duplicated, never corrupted.
     assert!(received.len() <= payload.len());

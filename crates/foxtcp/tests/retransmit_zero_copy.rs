@@ -8,58 +8,23 @@
 //! prepend onto the counted realloc path — the copy counter catches it
 //! here.
 
-use fox_scheduler::SchedHandle;
 use foxbasis::buf::{copy_mark, reset_copy_stats};
-use foxbasis::time::{VirtualDuration, VirtualTime};
-use foxproto::Protocol;
-use foxtcp::testlink::{LinkPair, TestAux, TestLower};
-use foxtcp::{Tcp, TcpConfig, TcpConnId, TcpEvent, TcpPattern};
-use simnet::HostHandle;
+use foxtcp::testlink::Pair;
+use foxtcp::TcpConfig;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-type Engine = Tcp<TestLower, TestAux>;
-
-fn engine(link: &LinkPair, side: u8, cfg: TcpConfig) -> Engine {
-    Tcp::new(link.endpoint(side), TestAux, (), cfg, SchedHandle::new(), HostHandle::free())
-}
-
-fn settle(a: &mut Engine, b: &mut Engine, now: VirtualTime) {
-    for _ in 0..500 {
-        let pa = a.step(now);
-        let pb = b.step(now);
-        if !pa && !pb {
-            return;
-        }
-    }
-    panic!("did not settle");
-}
-
-fn run_for(a: &mut Engine, b: &mut Engine, from: VirtualTime, ms: u64, tick_ms: u64) -> VirtualTime {
-    let mut now = from;
-    let end = from + VirtualDuration::from_millis(ms);
-    while now < end {
-        now = (now + VirtualDuration::from_millis(tick_ms)).min(end);
-        settle(a, b, now);
-    }
-    end
+fn immediate() -> TcpConfig {
+    TcpConfig { nagle: false, delayed_ack_ms: None, ..TcpConfig::default() }
 }
 
 #[test]
 fn pure_retransmit_episode_copies_nothing() {
     reset_copy_stats();
-    let link = LinkPair::new();
-    let cfg = TcpConfig { nagle: false, delayed_ack_ms: None, ..TcpConfig::default() };
-    let mut a = engine(&link, 0, cfg.clone());
-    let mut b = engine(&link, 1, cfg);
-
-    b.open(TcpPattern::Passive { local_port: 80 }, Box::new(|_| {})).unwrap();
-    let client = a
-        .open(TcpPattern::Active { remote: 1, remote_port: 80, local_port: 5000 }, Box::new(|_| {}))
-        .unwrap();
-    settle(&mut a, &mut b, VirtualTime::ZERO);
+    let mut p = Pair::new(immediate(), immediate());
+    let (client, _child) = p.open(80);
     assert!(
-        matches!(a.state_of(client), Some(foxtcp::TcpState::Estab)),
+        matches!(p.a.state_of(client), Some(foxtcp::TcpState::Estab)),
         "handshake must complete before the episode"
     );
 
@@ -67,21 +32,21 @@ fn pure_retransmit_episode_copies_nothing() {
     // copy (ring -> PacketBuf) happens here, outside the measured
     // window, and the data is lost in flight: drop everything toward
     // the server from now on.
-    link.set_filter_toward(1, Box::new(|_| false));
+    p.link.set_filter_toward(1, Box::new(|_| false));
     let payload = vec![0xB5u8; 2000];
-    let sent = a.send_data(client, &payload).unwrap();
+    let sent = p.a.send_data(client, &payload).unwrap();
     assert_eq!(sent, payload.len());
-    settle(&mut a, &mut b, VirtualTime::ZERO);
-    assert!(link.dropped() > 0, "the initial flight must be in the black hole");
+    p.settle();
+    assert!(p.link.dropped() > 0, "the initial flight must be in the black hole");
 
     // The pure-retransmit episode: every RTO re-sends the queued
     // segment. Re-referencing the queued PacketBuf and writing the
     // header into its headroom must move zero payload bytes.
-    let stats_before = a.stats();
+    let stats_before = p.a.stats();
     let mark = copy_mark();
-    run_for(&mut a, &mut b, VirtualTime::ZERO, 10_000, 100);
+    p.run_for(10_000, 100);
     let delta = mark.delta();
-    let stats_after = a.stats();
+    let stats_after = p.a.stats();
 
     assert!(
         stats_after.retransmits > stats_before.retransmits,
@@ -102,33 +67,13 @@ fn pure_retransmit_episode_copies_nothing() {
 fn retransmitted_bytes_still_arrive_intact() {
     // The zero-copy path must still deliver the right bytes once the
     // link heals: re-referencing must not alias mutated state.
-    let link = LinkPair::new();
-    let cfg = TcpConfig { nagle: false, delayed_ack_ms: None, ..TcpConfig::default() };
-    let mut a = engine(&link, 0, cfg.clone());
-    let mut b = engine(&link, 1, cfg);
-
-    let got = Rc::new(RefCell::new(Vec::<u8>::new()));
-    b.open(TcpPattern::Passive { local_port: 80 }, Box::new(|_| {})).unwrap();
-    let client = a
-        .open(TcpPattern::Active { remote: 1, remote_port: 80, local_port: 5000 }, Box::new(|_| {}))
-        .unwrap();
-    settle(&mut a, &mut b, VirtualTime::ZERO);
-    let child = TcpConnId(1);
-    let sink = got.clone();
-    b.set_handler(
-        child,
-        Box::new(move |e| {
-            if let TcpEvent::Data(d) = e {
-                sink.borrow_mut().extend_from_slice(&d);
-            }
-        }),
-    )
-    .unwrap();
+    let mut p = Pair::new(immediate(), immediate());
+    let (client, child) = p.open(80);
 
     // Lose the first flight entirely, then heal.
     let drops = Rc::new(RefCell::new(0u32));
     let d2 = drops.clone();
-    link.set_filter_toward(
+    p.link.set_filter_toward(
         1,
         Box::new(move |_| {
             let mut n = d2.borrow_mut();
@@ -138,14 +83,14 @@ fn retransmitted_bytes_still_arrive_intact() {
     );
     let payload: Vec<u8> = (0..3000u32).map(|i| (i % 251) as u8).collect();
     let mut sent = 0;
-    let mut now = VirtualTime::ZERO;
     while sent < payload.len() {
-        sent += a.send_data(client, &payload[sent..]).unwrap();
-        now = run_for(&mut a, &mut b, now, 400, 100);
+        sent += p.a.send_data(client, &payload[sent..]).unwrap();
+        p.run_for(400, 100);
     }
-    run_for(&mut a, &mut b, now, 20_000, 250);
+    p.run_for(20_000, 250);
 
-    assert!(a.stats().retransmits > 0, "the first flight was dropped");
-    assert_eq!(got.borrow().len(), payload.len());
-    assert_eq!(*got.borrow(), payload, "retransmitted payloads must be byte-identical");
+    assert!(p.a.stats().retransmits > 0, "the first flight was dropped");
+    let got = p.data_of(1, child);
+    assert_eq!(got.len(), payload.len());
+    assert_eq!(got, payload, "retransmitted payloads must be byte-identical");
 }

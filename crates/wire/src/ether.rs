@@ -175,26 +175,15 @@ impl Frame {
         Frame { dst, src, ethertype, payload: payload.into() }
     }
 
-    /// Externalizes the frame: header, payload padded to the minimum,
-    /// and the FCS.
+    /// Externalizes the frame — header, payload padded to the minimum,
+    /// and the FCS — as owned bytes: [`encode_buf`](Self::encode_buf)'s
+    /// frame, copied out.
     ///
     /// # Errors
     /// Fails with [`WireError::Malformed`] if the payload exceeds the
     /// MTU.
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
-        if self.payload.len() > MTU {
-            return Err(WireError::Malformed("ethernet payload exceeds MTU"));
-        }
-        let padded = self.payload.len().max(MIN_PAYLOAD);
-        let mut out = Vec::with_capacity(HEADER_LEN + padded + FCS_LEN);
-        out.extend_from_slice(&self.dst.0);
-        out.extend_from_slice(&self.src.0);
-        out.extend_from_slice(&self.ethertype.to_u16().to_be_bytes());
-        out.extend_from_slice(&self.payload.bytes());
-        out.resize(HEADER_LEN + padded, 0);
-        let fcs = crc32(&out);
-        out.extend_from_slice(&fcs.to_be_bytes());
-        Ok(out)
+        Ok(self.encode_buf()?.to_vec())
     }
 
     /// Externalizes the frame **in place**: header into the payload

@@ -169,18 +169,14 @@ pub struct Ipv4Packet {
 }
 
 impl Ipv4Packet {
-    /// Externalizes the packet, computing the header checksum.
+    /// Externalizes the packet, computing the header checksum, as owned
+    /// bytes: [`encode_buf`](Self::encode_buf)'s packet, copied out.
     ///
     /// # Errors
     /// Fails if options are not 32-bit aligned or too long, or if the
     /// total length exceeds 65535.
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
-        let mut header = [0u8; MAX_HEADER_LEN];
-        let n = self.encode_header(&mut header)?;
-        let mut out = Vec::with_capacity(n + self.payload.len());
-        out.extend_from_slice(&header[..n]);
-        out.extend_from_slice(&self.payload.bytes());
-        Ok(out)
+        Ok(self.encode_buf()?.to_vec())
     }
 
     /// Externalizes the packet **in place**: the checksummed header is

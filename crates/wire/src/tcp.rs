@@ -297,19 +297,10 @@ impl TcpSegment {
     /// — and the checksum is computed over it plus the segment. With
     /// `None` the checksum field is left zero (the paper's
     /// `compute_checksums = false` configuration for `Special_Tcp`).
+    /// Owned bytes: [`encode_buf`](Self::encode_buf)'s segment, copied
+    /// out.
     pub fn encode(&self, pseudo_sum: Option<u16>) -> Result<Vec<u8>, WireError> {
-        let mut header = [0u8; MAX_HEADER_LEN];
-        let n = self.encode_header(&mut header)?;
-        let mut out = Vec::with_capacity(n + self.payload.len());
-        out.extend_from_slice(&header[..n]);
-        out.extend_from_slice(&self.payload.bytes());
-        if let Some(pseudo) = pseudo_sum {
-            let mut acc = foxbasis::checksum::ChecksumAccum::new();
-            acc.add_word(pseudo).add_bytes(&out);
-            let csum = acc.finish();
-            out[16..18].copy_from_slice(&csum.to_be_bytes());
-        }
-        Ok(out)
+        Ok(self.encode_buf(pseudo_sum)?.to_vec())
     }
 
     /// Externalizes the segment **in place**: the header (with the
