@@ -111,7 +111,8 @@ const FIELD_OWNERS: &[FieldOwner] = &[
         owners: &["crates/foxtcp/src/data/congestion.rs"],
         instead: "go through the CongestionControl trait",
     },
-    // The RFC 793 sequence-space fields: the data path proper, the
+    // The RFC 793 sequence-space fields and the loss-recovery record
+    // (`Tcb::recovery` and its three fields): the data path proper, the
     // TCB's own methods and the monolithic baseline.
     FieldOwner {
         fields: &[
@@ -126,7 +127,10 @@ const FIELD_OWNERS: &[FieldOwner] = &[
             "rcv_nxt",
             "rcv_up",
             "dup_acks",
+            "recovery",
             "recover",
+            "high_rxt",
+            "by_rto",
             "persist_backoff",
         ],
         scope: "crates/",

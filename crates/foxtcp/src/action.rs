@@ -60,16 +60,21 @@ impl TimerKind {
 /// observe *how* a transfer recovered, not just that the bytes arrived.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum LossEvent {
-    /// Three duplicate ACKs retransmitted the front segment without
-    /// waiting for the timer.
+    /// A segment was retransmitted during fast recovery without waiting
+    /// for the timer: the front segment on the third duplicate ACK, or a
+    /// later hole on a further duplicate or a partial ACK.
     FastRetransmit,
+    /// A segment of the flight a timeout declared lost was retransmitted:
+    /// the front segment when the timer fired, or the rest of that
+    /// flight, under slow start, on the ACKs that followed.
+    RtoRetransmit,
     /// Fast recovery was entered (Reno: cwnd inflating on further
     /// duplicate ACKs until the recovery point is acknowledged).
     RecoveryEntered,
     /// The recovery point was acknowledged; cwnd deflated to ssthresh.
     RecoveryExited,
-    /// A partial ACK during recovery (NewReno): the next hole was
-    /// retransmitted immediately, recovery continues.
+    /// A partial ACK during fast recovery (NewReno): recovery continues,
+    /// and the hole it exposed is retransmitted at once.
     PartialAck,
     /// The retransmission timer fired with data outstanding.
     Rto,
@@ -82,6 +87,7 @@ impl LossEvent {
     pub fn name(self) -> &'static str {
         match self {
             LossEvent::FastRetransmit => "FastRetransmit",
+            LossEvent::RtoRetransmit => "RtoRetransmit",
             LossEvent::RecoveryEntered => "RecoveryEntered",
             LossEvent::RecoveryExited => "RecoveryExited",
             LossEvent::PartialAck => "PartialAck",

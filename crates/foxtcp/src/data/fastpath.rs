@@ -11,7 +11,10 @@
 //!    — the receiver's steady state.
 //!
 //! Anything else returns `false` and falls through to the Receive
-//! module's full SEGMENT-ARRIVES DAG.
+//! module's full SEGMENT-ARRIVES DAG — in particular any segment that
+//! carries SACK blocks on a connection that negotiated them: the blocks
+//! are the sender's only view of what survived a loss, and the header
+//! prediction above knows nothing of options.
 
 use crate::action::{TcpAction, TimerKind};
 use crate::data::{resend, send};
@@ -44,6 +47,13 @@ pub fn try_fast<P: Clone + PartialEq + Debug>(
     // The wire field is compared post-scaling: with wscale negotiated an
     // unchanged 16-bit field still predicts an unchanged true window.
     if core.tcb.scale_peer_window(h.window, false) != core.tcb.snd_wnd {
+        return false;
+    }
+    // SACK blocks are loss-recovery input (RFC 2018): only the full
+    // path's ACK processing folds them into the scoreboard, and a
+    // partial ACK that carries them must not be consumed without that.
+    // Declined before the timestamp step, so nothing runs twice.
+    if core.tcb.sack_on && !h.sack_blocks().is_empty() {
         return false;
     }
     // RFC 7323's fast-path timestamp check: PAWS-reject old segments,

@@ -5,10 +5,26 @@
 //! Responsibilities, exactly as the paper assigns them: implement the
 //! RTT estimation, and "remove acknowledged segments from the retransmit
 //! queue".
+//!
+//! Loss recovery is one record and one walk. A loss detected either way
+//! — the third duplicate ACK ([`duplicate_ack`]) or the retransmission
+//! timer ([`rto_backoff`]) — opens a [`Recovery`] episode that lasts
+//! until the ACK covering what was outstanding when it began. While it
+//! stands, every ACK that can change what should go out next — a further
+//! duplicate or a partial ACK in fast recovery, any ACK of new data
+//! after a timeout — calls [`retransmit_lost`], which walks the resend
+//! queue upward from the highest sequence already retransmitted and
+//! resends what is presumed lost. After a timeout that is the old
+//! flight, as far as the congestion window covers what has been resent
+//! since `snd_una`: slow-start retransmission, 1, 2, 4 … segments per
+//! round trip (RFC 5681 §3.1; with no scoreboard, BSD's go-back-N). In
+//! fast recovery it is one segment per ACK — RFC 6675's `NextSeg` on
+//! Reno's ACK clock, and with no scoreboard NewReno's one hole per
+//! partial ACK. The timer is what is left when no ACK comes back at all.
 
 use crate::action::{LossEvent, TcpAction, TimerKind};
 use crate::data::{congestion, send};
-use crate::tcb::{RttEstimator, SentSegment, MAX_RTO, MIN_RTO};
+use crate::tcb::{Recovery, RttEstimator, SentSegment, Tcb, MAX_RTO, MIN_RTO};
 use crate::{ConnCore, TcpConfig};
 use foxbasis::seq::Seq;
 use foxbasis::time::{VirtualDuration, VirtualTime};
@@ -121,35 +137,38 @@ pub fn process_ack<P: Clone + PartialEq + Debug>(
         tcb.prune_sack_scoreboard(ack);
     }
 
-    // Fast-recovery ACK processing (NewReno, RFC 6582). An ACK covering
-    // the recovery point ends recovery and deflates cwnd to ssthresh; an
-    // ACK below it acknowledges only part of the lost window, so the
-    // next hole is retransmitted immediately and recovery continues with
-    // cwnd deflated by the amount acknowledged (plus one MSS back, so
-    // the pipe stays as full as it was).
-    let was_in_recovery = tcb.recover.is_some();
-    let mut partial_ack = false;
-    if cfg.congestion_control {
-        if let Some(rp) = tcb.recover {
-            if ack.ge(rp) {
+    // The recovery episode, if one is open. An ACK covering the recovery
+    // point ends it; below that, recovery continues and the walk below
+    // resends what this ACK made room for. Fast recovery (NewReno,
+    // RFC 6582) owns the window meanwhile — deflate by the amount
+    // acknowledged plus one MSS back, so the pipe stays as full as it
+    // was, and to ssthresh on exit — while after a timeout slow start
+    // does, through the ordinary growth rule.
+    let fast_recovery = tcb.recovery.is_some_and(|r| !r.by_rto);
+    if let Some(r) = &mut tcb.recovery {
+        if ack.ge(r.recover) {
+            tcb.recovery = None;
+            if fast_recovery {
                 congestion::exit_recovery(tcb, now);
-                tcb.recover = None;
-                tcb.sack_rexmit = None;
                 tcb.push_action(TcpAction::Loss(LossEvent::RecoveryExited));
-            } else {
+            }
+        } else {
+            if r.high_rxt.lt(ack) {
+                r.high_rxt = ack;
+            }
+            tcb.rtt.timing = None; // Karn: retransmissions follow
+            if fast_recovery {
                 congestion::partial_ack(tcb, out.bytes_acked);
-                tcb.rtt.timing = None; // Karn: the hole is retransmitted below
-                partial_ack = true;
                 tcb.push_action(TcpAction::Loss(LossEvent::PartialAck));
             }
         }
     }
 
     // Congestion window growth: the algorithm behind the seam decides
-    // (Reno: slow start below ssthresh, linear above). Suspended while
-    // recovering — inflation/deflation own the window until the
+    // (Reno: slow start below ssthresh, linear above). Suspended during
+    // fast recovery — inflation/deflation own the window until the
     // recovery point is acknowledged.
-    if cfg.congestion_control && !was_in_recovery {
+    if cfg.congestion_control && !fast_recovery {
         congestion::on_ack(tcb, out.bytes_acked, now);
     }
 
@@ -161,33 +180,20 @@ pub fn process_ack<P: Clone + PartialEq + Debug>(
         tcb.push_action(TcpAction::SetTimer(TimerKind::Resend, tcb.rtt.timeout().as_millis()));
     }
     tcb.push_action(TcpAction::AckedTo(ack));
-    if partial_ack {
-        let from = core.tcb.sack_rexmit.unwrap_or(core.tcb.snd_una);
-        if !core.tcb.sack_on || core.tcb.sack_scoreboard.is_empty() {
-            retransmit_front(core, now);
-        } else if !sack_retransmit_next(core, now) {
-            // RFC 6675: the scoreboard, not the cumulative ACK, decides
-            // what goes out next — the hole at `snd_una` usually went
-            // out off an earlier duplicate ACK, and re-sending it on
-            // every partial ACK is the one-hole-per-RTT NewReno tax
-            // SACK exists to avoid. Only when the new front hole lies
-            // beyond everything the scoreboard drove out does the
-            // NewReno retransmit still apply.
-            if core.tcb.resend_queue.front().is_some_and(|f| f.seq.ge(from)) {
-                retransmit_front(core, now);
-            }
-        }
-    }
+    retransmit_lost(core, now);
     out
 }
 
 /// A duplicate ACK (`SEG.ACK == SND.UNA` with nothing else of interest).
 /// Three trigger fast retransmit and enter fast recovery (Reno); while
 /// recovering, every further duplicate ACK inflates the congestion
-/// window by one MSS — each one means a segment left the network — and
-/// new data is transmitted when the inflated window allows. Recovery
-/// ends (and the window deflates) in [`process_ack`] when the recovery
-/// point is acknowledged.
+/// window by one MSS — each one means a segment left the network — the
+/// scoreboard it updated may show the next hole, and new data is
+/// transmitted when the inflated window allows. Recovery ends (and the
+/// window deflates) in [`process_ack`] when the recovery point is
+/// acknowledged. Duplicates that arrive during the episode a timeout
+/// opened are its own go-back-N's echo: they enter nothing (RFC 6582
+/// §4), or every timeout would halve the window a second time.
 pub fn duplicate_ack<P: Clone + PartialEq + Debug>(
     cfg: &TcpConfig,
     core: &mut ConnCore<P>,
@@ -200,78 +206,79 @@ pub fn duplicate_ack<P: Clone + PartialEq + Debug>(
     if !cfg.congestion_control {
         return;
     }
-    if core.tcb.recover.is_some() {
-        // In recovery: inflate and try to keep the pipe full. With a
-        // SACK scoreboard the duplicate also pinpoints the *next* hole,
-        // which goes out right away — NewReno must instead wait a full
-        // RTT (one partial ACK) per hole, which is exactly the
-        // multi-hole burst-loss gap SACK closes.
-        congestion::dup_ack_inflate(&mut core.tcb);
-        if core.tcb.sack_on {
-            sack_retransmit_next(core, now);
+    match core.tcb.recovery {
+        // Neither the window nor `snd_una` moved: nothing more fits.
+        Some(r) if r.by_rto => {}
+        Some(_) => {
+            congestion::dup_ack_inflate(&mut core.tcb);
+            retransmit_lost(core, now);
+            send::maybe_send(cfg, core, now);
         }
-        send::maybe_send(cfg, core, now);
-    } else if core.tcb.dup_acks >= 3 {
-        // Enter fast recovery: retransmit the first unacknowledged
-        // segment without waiting for the timer, halve the window, and
-        // remember where recovery ends. (`>=` rather than `==`: if the
-        // third duplicate arrives while something else defers entry —
-        // e.g. recovery just exited on a partial window — the next
-        // duplicate still re-arms it.)
-        let tcb = &mut core.tcb;
-        congestion::enter_recovery(tcb, now);
-        tcb.recover = Some(tcb.snd_nxt);
-        tcb.sack_rexmit = None;
-        tcb.rtt.timing = None; // Karn
-        tcb.push_action(TcpAction::Loss(LossEvent::RecoveryEntered));
-        tcb.push_action(TcpAction::Loss(LossEvent::FastRetransmit));
-        retransmit_front(core, now);
-        if core.tcb.sack_on {
-            // The front hole just went out; remember so further
-            // duplicates advance to the following holes.
-            core.tcb.sack_rexmit = core.tcb.resend_queue.front().map(SentSegment::end);
+        // `>=` rather than `==`: if the third duplicate arrives while
+        // an episode is still open, the next one after it closes still
+        // enters.
+        None if core.tcb.dup_acks >= 3 => {
+            // Enter fast recovery: halve the window, remember where
+            // recovery ends, and retransmit the first unacknowledged
+            // segment without waiting for the timer.
+            let tcb = &mut core.tcb;
+            congestion::enter_recovery(tcb, now);
+            tcb.recovery = Some(Recovery { recover: tcb.snd_nxt, high_rxt: tcb.snd_una, by_rto: false });
+            tcb.rtt.timing = None; // Karn
+            tcb.push_action(TcpAction::Loss(LossEvent::RecoveryEntered));
+            retransmit_lost(core, now);
         }
+        None => {}
     }
 }
 
-/// SACK-based loss recovery (RFC 6675, simplified): retransmits the
-/// next segment the scoreboard shows as a hole — unacknowledged, not
-/// SACKed, and below the highest SACKed edge (segments above it are not
-/// yet presumed lost). At most one segment per duplicate ACK, so the
-/// retransmissions are ACK-clocked like the rest of recovery. Returns
-/// whether a hole was found and retransmitted.
-pub fn sack_retransmit_next<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, now: VirtualTime) -> bool {
-    let high = match core.tcb.sack_scoreboard.last() {
-        Some((_, e)) => *e,
-        None => return false, // no scoreboard: plain NewReno behavior
+/// The one place a segment is chosen for retransmission (RFC 6675's
+/// `NextSeg`, rules 1 and 3 folded together): the lowest segment of the
+/// resend queue that starts at or above the highest sequence already
+/// retransmitted in this episode, is presumed lost, and that the peer
+/// has not SACKed. Only the flight the episode found (what lies below
+/// the recovery point) is ever presumed lost: all of it after a timeout;
+/// after three duplicates, what lies below the highest SACKed byte — and
+/// always the front segment, which is what the duplicates are about, and
+/// which goes out whatever the scoreboard says (a peer may renege).
+fn next_lost<P>(tcb: &Tcb<P>) -> Option<&SentSegment> {
+    let r = tcb.recovery?;
+    let sacked_to = tcb.sack_scoreboard.last().map(|&(_, end)| end);
+    let presumed_lost = |s: &SentSegment| {
+        s.end().le(r.recover)
+            && (r.by_rto || s.seq == tcb.snd_una || sacked_to.is_some_and(|end| s.end().le(end)))
     };
-    let from = core.tcb.sack_rexmit.unwrap_or(core.tcb.snd_una);
-    let hole = core
-        .tcb
-        .resend_queue
+    tcb.resend_queue
         .iter()
-        .find(|s| s.seq.ge(from) && s.end().le(high) && !core.tcb.sacked(s.seq, s.end()))
-        .cloned();
-    if let Some(seg) = hole {
-        core.tcb.sack_rexmit = Some(seg.end());
-        retransmit_segment(core, &seg, now);
-        core.tcb.push_action(TcpAction::Loss(LossEvent::FastRetransmit));
-        true
-    } else {
-        false
-    }
+        .skip_while(|s| s.seq.lt(r.high_rxt))
+        .take_while(|s| presumed_lost(s))
+        .find(|s| s.seq == tcb.snd_una || !tcb.sacked(s.seq, s.end()))
 }
 
-/// Rebuilds and queues the first unacknowledged segment for
-/// transmission. The payload is *not* re-read from the send buffer: the
-/// queued [`foxbasis::buf::PacketBuf`] is re-referenced, so a pure
-/// retransmission memcpys nothing.
-pub fn retransmit_front<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, now: VirtualTime) {
-    let front = match core.tcb.resend_queue.front() {
-        Some(s) => s.clone(),
-        None => return,
-    };
-    retransmit_segment(core, &front, now);
+/// The walk the ACKs of a recovery episode take, and the timer before
+/// the first of them: resend [`next_lost`] segments, lowest first. After
+/// a timeout, as many as keep what has been resent since `snd_una`
+/// inside the congestion window (one segment, with congestion control
+/// off), so the old flight leaves under slow start; in fast recovery one
+/// per call, because there every ACK stands for one segment that left
+/// the network. Does nothing outside an episode. Payloads are
+/// re-referenced, never re-read from the send buffer, so the walk
+/// memcpys nothing however many segments it sends.
+pub fn retransmit_lost<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, now: VirtualTime) {
+    while let Some(seg) = next_lost(&core.tcb).cloned() {
+        let tcb = &mut core.tcb;
+        let r = tcb.recovery.as_mut().expect("next_lost found an episode");
+        if seg.seq != tcb.snd_una && seg.end().since(tcb.snd_una) > tcb.cwnd.max(tcb.mss) {
+            return;
+        }
+        r.high_rxt = seg.end();
+        let how = if r.by_rto { LossEvent::RtoRetransmit } else { LossEvent::FastRetransmit };
+        retransmit_segment(core, &seg, now);
+        core.tcb.push_action(TcpAction::Loss(how));
+        if how == LossEvent::FastRetransmit {
+            return;
+        }
+    }
 }
 
 /// Rebuilds the header for `seg` (current `rcv_nxt`, window, negotiated
@@ -318,10 +325,16 @@ pub fn out_of_retries<P: Clone + PartialEq + Debug>(core: &ConnCore<P>) -> bool 
 }
 
 /// The data-path half of a retransmission timeout: spend a retry, back
-/// the RTO off exponentially, apply Karn's rule, and let the congestion
-/// controller respond. Whether the connection *gives up* — the retry
-/// budget, the SYN-state retry accounting — is decided on the control
-/// side (`state::timer_expired`), around this call.
+/// the RTO off exponentially, apply Karn's rule, let the congestion
+/// controller respond, and open the recovery episode that the ACKs to
+/// come will walk — everything outstanding now is presumed lost, less
+/// what the scoreboard says arrived (RFC 6675 §5.1 keeps it across a
+/// timeout; the front segment goes out whatever it says, so a peer that
+/// reneged costs a timeout per segment, not the connection). Any fast
+/// recovery in progress is abandoned: slow start owns the window again.
+/// Whether the connection *gives up* — the retry budget, the SYN-state
+/// retry accounting — is decided on the control side
+/// (`state::timer_expired`), around this call.
 pub fn rto_backoff<P: Clone + PartialEq + Debug>(cfg: &TcpConfig, core: &mut ConnCore<P>, now: VirtualTime) {
     let tcb = &mut core.tcb;
     tcb.retransmits_left -= 1;
@@ -331,19 +344,15 @@ pub fn rto_backoff<P: Clone + PartialEq + Debug>(cfg: &TcpConfig, core: &mut Con
     if cfg.congestion_control {
         congestion::on_rto(tcb, now);
         tcb.dup_acks = 0;
-        // An RTO abandons any fast recovery in progress — slow start
-        // owns the window again. RFC 6675 also discards the SACK
-        // scoreboard: the network state it described is stale.
-        tcb.recover = None;
-        tcb.sack_scoreboard.clear();
-        tcb.sack_rexmit = None;
     }
+    tcb.recovery = Some(Recovery { recover: tcb.snd_nxt, high_rxt: tcb.snd_una, by_rto: true });
 }
 
-/// Resends the front (oldest unacknowledged) segment and re-arms the
-/// retransmission timer with the backed-off RTO.
+/// Resends the front (oldest unacknowledged) segment — all one MSS of
+/// congestion window covers — and re-arms the retransmission timer with
+/// the backed-off RTO.
 pub fn retransmit_and_rearm<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, now: VirtualTime) {
-    retransmit_front(core, now);
+    retransmit_lost(core, now);
     let timeout = core.tcb.rtt.timeout().as_millis();
     core.tcb.push_action(TcpAction::SetTimer(TimerKind::Resend, timeout));
 }
@@ -576,7 +585,9 @@ mod tests {
         // flight 3000 → ssthresh 2000; cwnd = ssthresh + 3·MSS.
         assert_eq!(core.tcb.ssthresh, 2000);
         assert_eq!(core.tcb.cwnd, 5000);
-        assert_eq!(core.tcb.recover, Some(Seq(3100)), "recovery point is snd_nxt");
+        let r = core.tcb.recovery.expect("in recovery");
+        assert_eq!((r.recover, r.by_rto), (Seq(3100), false), "recovery point is snd_nxt");
+        assert_eq!(r.high_rxt, Seq(1100), "the front segment went out");
         let acts = drain(&mut core);
         assert!(acts.iter().any(|a| a == "Loss(RecoveryEntered)"), "{acts:?}");
         assert!(acts.iter().any(|a| a == "Loss(FastRetransmit)"), "{acts:?}");
@@ -619,7 +630,7 @@ mod tests {
         core.tcb.to_do.clear();
         // ACK covering the recovery point (3100) ends recovery.
         process_ack(&cfg(), &mut core, Seq(3100), VirtualTime::from_millis(50));
-        assert_eq!(core.tcb.recover, None);
+        assert_eq!(core.tcb.recovery, None);
         assert_eq!(core.tcb.cwnd, 2000, "deflated to ssthresh, not left inflated");
         let acts = drain(&mut core);
         assert!(acts.iter().any(|a| a == "Loss(RecoveryExited)"), "{acts:?}");
@@ -637,7 +648,7 @@ mod tests {
         core.tcb.to_do.clear();
         // ACK of only the first segment: below the recovery point.
         process_ack(&cfg(), &mut core, Seq(1100), VirtualTime::from_millis(50));
-        assert_eq!(core.tcb.recover, Some(Seq(3100)), "partial ACK keeps recovery open");
+        assert_eq!(core.tcb.recovery.map(|r| r.recover), Some(Seq(3100)), "partial ACK keeps recovery open");
         // Deflate by the 1000 acked, add one MSS back: 5000 net.
         assert_eq!(core.tcb.cwnd, 5000);
         let acts = drain(&mut core);
@@ -658,7 +669,7 @@ mod tests {
             duplicate_ack(&cfg(), &mut core, now); // well past three
         }
         process_ack(&cfg(), &mut core, Seq(3100), VirtualTime::from_millis(50));
-        assert_eq!(core.tcb.recover, None);
+        assert_eq!(core.tcb.recovery, None);
         assert_eq!(core.tcb.dup_acks, 0, "exit resets the duplicate count");
         // A second loss episode: new flight, three fresh duplicates must
         // re-enter recovery (the old `== 3` trigger would never re-fire
@@ -677,13 +688,13 @@ mod tests {
         for _ in 0..3 {
             duplicate_ack(&cfg(), &mut core, now);
         }
-        assert_eq!(core.tcb.recover, Some(Seq(5100)), "second episode entered");
+        assert_eq!(core.tcb.recovery.map(|r| r.recover), Some(Seq(5100)), "second episode entered");
         let acts = drain(&mut core);
         assert!(acts.iter().any(|a| a == "Loss(RecoveryEntered)"), "{acts:?}");
     }
 
     #[test]
-    fn rto_abandons_recovery() {
+    fn rto_abandons_fast_recovery_for_its_own_episode() {
         let mut core = core_with_flight();
         core.tcb.cwnd = 6000;
         core.tcb.ssthresh = u32::MAX;
@@ -691,12 +702,119 @@ mod tests {
         for _ in 0..3 {
             duplicate_ack(&cfg(), &mut core, now);
         }
-        assert!(core.tcb.recover.is_some());
+        assert!(core.tcb.recovery.is_some_and(|r| !r.by_rto));
+        core.tcb.to_do.clear();
         rto(&mut core, 2000);
-        assert_eq!(core.tcb.recover, None, "slow start owns the window after an RTO");
-        assert_eq!(core.tcb.cwnd, 1000);
+        assert_eq!(
+            core.tcb.recovery,
+            Some(Recovery { recover: Seq(3100), high_rxt: Seq(1100), by_rto: true }),
+            "everything outstanding is presumed lost, and the front segment has gone out"
+        );
+        assert_eq!(core.tcb.cwnd, 1000, "slow start owns the window after an RTO");
         let acts = drain(&mut core);
         assert!(acts.iter().any(|a| a == "Loss(Rto)"), "{acts:?}");
+        assert_eq!(acts.iter().filter(|a| a.starts_with("Send_Segment")).count(), 1, "{acts:?}");
+    }
+
+    /// The sequence numbers of the segments queued for transmission.
+    fn sent(core: &mut ConnCore<u32>) -> Vec<u32> {
+        core.tcb
+            .to_do
+            .drain_all()
+            .into_iter()
+            .filter_map(|a| match a {
+                TcpAction::SendSegment(s) => Some(s.header.seq.0),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A flight of `n` 1000-byte segments from sequence 100.
+    fn core_with_segments(n: u32) -> ConnCore<u32> {
+        let mut core = core_with_flight();
+        core.tcb.send_buf = foxbasis::ring::RingBuffer::new(n as usize * 1000);
+        core.tcb.send_buf.write(&vec![0xAA; n as usize * 1000]);
+        for i in 3..n {
+            core.tcb.resend_queue.push_back(SentSegment {
+                seq: Seq(100 + i * 1000),
+                payload: vec![0xAA; 1000].into(),
+                syn: false,
+                fin: false,
+            });
+        }
+        core.tcb.snd_nxt = Seq(100 + n * 1000);
+        core.tcb.snd_wnd = 64_000;
+        core.tcb.cwnd = 16_000;
+        core
+    }
+
+    #[test]
+    fn after_a_timeout_the_old_flight_is_resent_under_slow_start() {
+        let mut core = core_with_segments(8);
+        rto(&mut core, 1000);
+        assert_eq!(sent(&mut core), [100], "the timer itself resends one segment");
+        // Each ACK of one segment opens the window by one more: 2, 3 …
+        process_ack(&cfg(), &mut core, Seq(1100), VirtualTime::from_millis(1010));
+        assert_eq!(sent(&mut core), [1100, 2100]);
+        process_ack(&cfg(), &mut core, Seq(2100), VirtualTime::from_millis(1020));
+        assert_eq!(sent(&mut core), [3100, 4100]);
+        // A jump past everything resent resumes from the ACK, not from
+        // the highest retransmission.
+        process_ack(&cfg(), &mut core, Seq(6100), VirtualTime::from_millis(1030));
+        assert_eq!(sent(&mut core), [6100, 7100]);
+        assert!(core.tcb.recovery.is_some());
+        process_ack(&cfg(), &mut core, Seq(8100), VirtualTime::from_millis(1040));
+        assert_eq!(core.tcb.recovery, None, "the ACK of the recovery point closes the episode");
+        let acts = drain(&mut core);
+        assert!(!acts.iter().any(|a| a == "Loss(RecoveryExited)"), "no fast recovery to exit: {acts:?}");
+    }
+
+    #[test]
+    fn the_walk_never_resends_what_the_scoreboard_holds() {
+        let mut core = core_with_segments(8);
+        core.tcb.sack_on = true;
+        core.tcb.note_sack_blocks(&[(Seq(1100), Seq(3100)), (Seq(4100), Seq(5100))]);
+        rto(&mut core, 1000);
+        assert_eq!(sent(&mut core), [100]);
+        assert_eq!(core.tcb.sack_scoreboard.len(), 2, "the scoreboard survives the timeout");
+        process_ack(&cfg(), &mut core, Seq(3100), VirtualTime::from_millis(1010));
+        assert_eq!(sent(&mut core), [3100], "two MSS of window: 3100, and 4100's share is not spent on 5100");
+        process_ack(&cfg(), &mut core, Seq(5100), VirtualTime::from_millis(1020));
+        assert_eq!(sent(&mut core), [5100, 6100, 7100], "4100 was SACKed and never resent");
+    }
+
+    #[test]
+    fn duplicates_during_a_timeout_episode_enter_nothing() {
+        let mut core = core_with_segments(8);
+        rto(&mut core, 1000);
+        core.tcb.to_do.clear();
+        let (cwnd, ssthresh) = (core.tcb.cwnd, core.tcb.ssthresh);
+        for _ in 0..5 {
+            duplicate_ack(&cfg(), &mut core, VirtualTime::from_millis(1010));
+        }
+        assert!(core.tcb.recovery.is_some_and(|r| r.by_rto));
+        assert_eq!((core.tcb.cwnd, core.tcb.ssthresh), (cwnd, ssthresh), "RFC 6582: no second halving");
+        let acts = drain(&mut core);
+        assert!(!acts.iter().any(|a| a.starts_with("Loss(") || a.starts_with("Send_Segment")), "{acts:?}");
+    }
+
+    #[test]
+    fn fast_recovery_resends_one_hole_per_ack_below_the_highest_sack() {
+        let mut core = core_with_segments(8);
+        core.tcb.sack_on = true;
+        // Holes at 100, 2100 and 4100; 7100 is merely not yet reported.
+        core.tcb.note_sack_blocks(&[(Seq(1100), Seq(2100)), (Seq(3100), Seq(4100)), (Seq(5100), Seq(7100))]);
+        let now = VirtualTime::from_millis(10);
+        for _ in 0..3 {
+            duplicate_ack(&cfg(), &mut core, now);
+        }
+        assert_eq!(sent(&mut core), [100], "the third duplicate resends the front hole");
+        duplicate_ack(&cfg(), &mut core, now);
+        assert_eq!(sent(&mut core), [2100], "the fourth, the next");
+        process_ack(&cfg(), &mut core, Seq(2100), VirtualTime::from_millis(20));
+        assert_eq!(sent(&mut core), [4100], "a partial ACK resends the next hole, not the one already out");
+        duplicate_ack(&cfg(), &mut core, now);
+        assert_eq!(sent(&mut core), [] as [u32; 0], "nothing above the highest SACKed byte is presumed lost");
     }
 
     #[test]

@@ -245,21 +245,18 @@ pub(crate) fn process_text<P: Clone + PartialEq + Debug>(
         // delivery vector is the one copy the paper's receive path also
         // pays — the user boundary.)
         let took = tcb.recv_buf.take(seg.payload.len());
-        let mut delivered = seg.payload.bytes()[..took].to_vec();
         tcb.rcv_nxt += took as u32;
-        if took < seg.payload.len() {
-            // Receive buffer full: the rest stays unacknowledged; the
-            // sender will retransmit into our advertised window.
-        } else {
-            let (more, _fin_seen) = tcb.drain_out_of_order();
-            delivered.extend_from_slice(&more);
-            // A FIN buffered out of order is re-examined by check_fin on
-            // the retransmission that delivers it in order; simpler and
-            // still correct (the peer retransmits its FIN).
-        }
-        tcb.bytes_since_ack += delivered.len() as u32;
+        tcb.push_action(TcpAction::UserData(seg.payload.bytes()[..took].to_vec()));
+        // If the receive buffer was full the rest stays unacknowledged
+        // and the sender will retransmit into our advertised window;
+        // otherwise whatever the reassembly queue held behind this
+        // segment follows it to the user, buffer by buffer. (A FIN
+        // buffered out of order is re-examined by check_fin on the
+        // retransmission that delivers it in order; simpler and still
+        // correct — the peer retransmits its FIN.)
+        let drained = if took == seg.payload.len() { tcb.drain_out_of_order().0 } else { 0 };
+        tcb.bytes_since_ack += (took + drained) as u32;
         tcb.segs_since_ack += 1;
-        tcb.push_action(TcpAction::UserData(delivered));
         // ACK policy (BSD): immediately on every second data segment or
         // after 2·MSS of bytes; otherwise delayed ("else a Set_Timer for
         // the ack timer if the ack is to be delayed"). The threshold of
@@ -292,14 +289,10 @@ pub(crate) fn process_text<P: Clone + PartialEq + Debug>(
         if skip < seg.payload.len() {
             let fresh_len = seg.payload.len() - skip;
             let took = tcb.recv_buf.take(fresh_len);
-            let mut delivered = seg.payload.bytes()[skip..skip + took].to_vec();
             tcb.rcv_nxt += took as u32;
-            if took == fresh_len {
-                let (more, _) = tcb.drain_out_of_order();
-                delivered.extend_from_slice(&more);
-            }
-            tcb.bytes_since_ack += delivered.len() as u32;
-            tcb.push_action(TcpAction::UserData(delivered));
+            tcb.push_action(TcpAction::UserData(seg.payload.bytes()[skip..skip + took].to_vec()));
+            let drained = if took == fresh_len { tcb.drain_out_of_order().0 } else { 0 };
+            tcb.bytes_since_ack += (took + drained) as u32;
         }
         send::queue_ack(core, now);
     }

@@ -322,6 +322,12 @@ where
         })
     }
 
+    /// The connection's core — its state and TCB — for a test or a
+    /// diagnostic to read, if it still exists.
+    pub fn core_of(&self, conn: TcpConnId) -> Option<&ConnCore<L::Peer>> {
+        self.index_of(conn.0).map(|i| &self.conns[i].core)
+    }
+
     /// The connection's current state, if it still exists.
     pub fn state_of(&self, conn: TcpConnId) -> Option<TcpState> {
         self.index_of(conn.0).map(|i| self.conns[i].core.state.clone())
@@ -688,12 +694,6 @@ where
                 TcpAction::ClearTimer(kind) => self.clear_timer(idx, kind),
                 TcpAction::TimerExpiration(kind) => {
                     self.obs.emit(now, conn_id, || Event::TimerFire { timer: kind.name() });
-                    if kind == TimerKind::Resend {
-                        let had_flight = !self.conns[idx].core.tcb.resend_queue.is_empty();
-                        if had_flight {
-                            self.stats.retransmits += 1;
-                        }
-                    }
                     let core = &mut self.conns[idx].core;
                     state::timer_expired(&self.cfg, core, kind, now);
                 }
@@ -717,13 +717,11 @@ where
                             self.stats.fast_retransmits += 1;
                             self.stats.retransmits += 1;
                         }
+                        LossEvent::RtoRetransmit => self.stats.retransmits += 1,
                         LossEvent::RecoveryEntered => self.stats.recoveries += 1,
-                        LossEvent::RecoveryExited => {}
-                        // The hole retransmitted on a partial ACK is a
-                        // retransmission the Resend timer never saw.
-                        LossEvent::PartialAck => self.stats.retransmits += 1,
-                        // `retransmits` itself is counted when the
-                        // Resend timer expires with data outstanding.
+                        // What a partial ACK or a timeout retransmits
+                        // reports itself, segment by segment.
+                        LossEvent::RecoveryExited | LossEvent::PartialAck => {}
                         LossEvent::Rto => self.stats.rto_fires += 1,
                         LossEvent::Probe => self.stats.probe_fires += 1,
                     }
@@ -738,6 +736,9 @@ where
             }
             if let Some((before, cause)) = state_before {
                 self.note_transition(conn_id, before, cause);
+            }
+            if cfg!(debug_assertions) {
+                self.conns[idx].core.tcb.check_invariants();
             }
             self.note_closed(idx);
         }

@@ -24,6 +24,7 @@ use foxbasis::fifo::Fifo;
 use foxbasis::ring::RingBuffer;
 use foxbasis::seq::Seq;
 use foxbasis::time::{VirtualDuration, VirtualTime};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// The connection state (paper Fig. 6 `tcp_state`).
@@ -185,6 +186,29 @@ impl SentSegment {
     }
 }
 
+/// The one loss-recovery record. `Some` from the moment a loss is
+/// detected — by the third duplicate ACK or by the retransmission timer
+/// — until the ACK that covers [`Recovery::recover`]; while it stands,
+/// every ACK drives `resend::retransmit_lost`, and no new episode can be
+/// entered by duplicates (RFC 6582 §4).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Recovery {
+    /// The recovery point (RFC 6582's `recover`): `snd_nxt` when the
+    /// episode began. Only segments below it are retransmitted; the ACK
+    /// that reaches it ends the episode.
+    pub recover: Seq,
+    /// One past the highest sequence number retransmitted in this
+    /// episode (RFC 6675's `HighRxt`): the walk over the resend queue
+    /// resumes here, so no segment goes out twice in one episode.
+    pub high_rxt: Seq,
+    /// How the episode began, which decides who owns `cwnd` while it
+    /// lasts: after a timeout slow start does (RFC 5681 §3.1) and all
+    /// of the old flight is presumed lost; after three duplicates fast
+    /// recovery inflates and deflates it, and only what lies below the
+    /// highest SACKed byte is.
+    pub by_rto: bool,
+}
+
 /// The transmission control block (paper Fig. 6 `tcp_tcb`).
 pub struct Tcb<P> {
     // --- RFC 793 send sequence variables ---
@@ -239,10 +263,6 @@ pub struct Tcb<P> {
     /// The sender-side SACK scoreboard (RFC 6675): peer-reported
     /// received ranges above `snd_una`, merged and sorted.
     pub sack_scoreboard: Vec<(Seq, Seq)>,
-    /// Highest sequence retransmitted from a SACK hole in the current
-    /// recovery episode (so each duplicate ACK advances to the *next*
-    /// hole instead of re-sending the same one).
-    pub sack_rexmit: Option<Seq>,
     /// True once both SYNs carried the timestamps option (RFC 7323).
     pub ts_on: bool,
     /// `TS.Recent` — the peer timestamp we echo in TSecr, updated by the
@@ -266,10 +286,12 @@ pub struct Tcb<P> {
     /// in-order data queued for delivery currently holds.
     pub recv_buf: RecvAccount,
     /// Out-of-order segments (paper: `out_of_order: tcp_in Q.T ref`),
-    /// kept sorted by sequence number; `bool` marks a FIN carried by the
-    /// segment. Entries hold the received [`PacketBuf`] itself, so
-    /// queueing a segment out of order costs a refcount bump, not a copy.
-    pub out_of_order: Vec<(Seq, PacketBuf, bool)>,
+    /// sorted by sequence number and trimmed on insert so that no two
+    /// overlap; `bool` marks a FIN carried by the segment. Entries hold
+    /// the received [`PacketBuf`] itself, so queueing a segment out of
+    /// order costs a refcount bump, not a copy. Bounded three ways by
+    /// [`Tcb::insert_out_of_order`].
+    pub out_of_order: VecDeque<(Seq, PacketBuf, bool)>,
 
     // --- retransmission (the Resend module's queue) ---
     /// Sent, unacknowledged segments, oldest first.
@@ -286,11 +308,8 @@ pub struct Tcb<P> {
     pub ssthresh: u32,
     /// Consecutive duplicate ACKs seen.
     pub dup_acks: u32,
-    /// Fast-recovery state (Reno/NewReno): when `Some`, the connection
-    /// is in fast recovery and the value is the recovery point —
-    /// `snd_nxt` at entry. An ACK covering it ends recovery; an ACK
-    /// below it is a partial ACK and retransmits the next hole.
-    pub recover: Option<Seq>,
+    /// The loss-recovery episode in progress, if any.
+    pub recovery: Option<Recovery>,
     /// The congestion-control algorithm state (the
     /// [`crate::data::congestion::CongestionControl`] seam). All writes to
     /// [`Tcb::cwnd`]/[`Tcb::ssthresh`] flow through it.
@@ -369,8 +388,17 @@ impl RecvAccount {
     }
 }
 
-/// Maximum out-of-order segments held (smoltcp's upper configuration).
+/// Maximum disjoint *ranges* (so: holes) the reassembly queue tracks —
+/// the contiguous-range cap of smoltcp's assembler at its upper
+/// configuration. A range is any run of queued segments with no gap
+/// between them, however many segments it took to build.
 pub const MAX_OUT_OF_ORDER: usize = 32;
+
+/// One past the last sequence number a queued out-of-order entry
+/// occupies (its FIN takes one).
+fn ooo_end((seq, data, fin): &(Seq, PacketBuf, bool)) -> Seq {
+    *seq + data.len() as u32 + u32::from(*fin)
+}
 
 /// The window-scale shift to offer for a receive buffer of `capacity`
 /// bytes: the smallest shift that lets the 16-bit field cover the whole
@@ -403,7 +431,6 @@ impl<P> Tcb<P> {
             rcv_wscale: 0,
             sack_on: false,
             sack_scoreboard: Vec::new(),
-            sack_rexmit: None,
             ts_on: false,
             ts_recent: 0,
             ts_ecr_pending: None,
@@ -411,14 +438,14 @@ impl<P> Tcb<P> {
             fin_pending: false,
             fin_seq: None,
             recv_buf: RecvAccount::new(recv_buffer.max(1)),
-            out_of_order: Vec::new(),
+            out_of_order: VecDeque::new(),
             resend_queue: foxbasis::deq::Deq::new(),
             rtt: RttEstimator::default(),
             retransmits_left: 12,
             cwnd: 0,
             ssthresh: u32::MAX,
             dup_acks: 0,
-            recover: None,
+            recovery: None,
             cc: crate::data::congestion::CcMachine::default(),
             persist_backoff: 0,
             ack_pending: false,
@@ -477,23 +504,26 @@ impl<P> Tcb<P> {
         u32::from(window) << shift
     }
 
+    /// The merged contiguous ranges the reassembly queue holds, in
+    /// ascending order. Entries never overlap, so two belong to one
+    /// range exactly when the first ends where the second starts.
+    pub fn out_of_order_ranges(&self) -> Vec<(Seq, Seq)> {
+        let mut ranges: Vec<(Seq, Seq)> = Vec::new();
+        for entry in &self.out_of_order {
+            match ranges.last_mut() {
+                Some((_, e)) if *e == entry.0 => *e = ooo_end(entry),
+                _ => ranges.push((entry.0, ooo_end(entry))),
+            }
+        }
+        ranges
+    }
+
     /// Up to three SACK blocks describing the out-of-order queue
     /// (RFC 2018): merged contiguous ranges above `rcv_nxt`, in
     /// ascending order. (RFC 2018 prefers most-recent-first; ascending
     /// is equally legal and keeps the report deterministic.)
     pub fn sack_blocks_to_send(&self) -> Vec<(Seq, Seq)> {
-        let mut blocks: Vec<(Seq, Seq)> = Vec::new();
-        for (seq, data, fin) in &self.out_of_order {
-            let end = *seq + data.len() as u32 + u32::from(*fin);
-            match blocks.last_mut() {
-                Some((_, e)) if seq.le(*e) => {
-                    if end.gt(*e) {
-                        *e = end;
-                    }
-                }
-                _ => blocks.push((*seq, end)),
-            }
-        }
+        let mut blocks = self.out_of_order_ranges();
         blocks.truncate(3);
         blocks
     }
@@ -504,8 +534,8 @@ impl<P> Tcb<P> {
     pub fn note_sack_blocks(&mut self, blocks: &[(Seq, Seq)]) {
         for &(start, end) in blocks {
             let start = if start.lt(self.snd_una) { self.snd_una } else { start };
-            if !start.lt(end) || end.since(start) > (1 << 30) {
-                continue; // empty or implausible range
+            if !start.lt(end) || end.gt(self.snd_nxt) {
+                continue; // empty, or claims bytes never sent
             }
             let at = self
                 .sack_scoreboard
@@ -597,6 +627,70 @@ impl<P> Tcb<P> {
         self.to_do.add(action);
     }
 
+    /// Asserts the relations among the TCB's fields that every module
+    /// relies on and none re-checks. The engine calls this after every
+    /// executed action in debug builds (the switch `fsm::transition`'s
+    /// guard uses), so the whole suite and every matrix cell run from a
+    /// debug build check them at every step; release builds never call
+    /// it.
+    ///
+    /// # Panics
+    /// Panics, naming the relation, if one does not hold.
+    pub fn check_invariants(&self) {
+        // Circular ordering of the send-side variables.
+        assert!(self.snd_una.le(self.snd_nxt), "snd_una {} passed snd_nxt {}", self.snd_una, self.snd_nxt);
+        // In-flight data never exceeds what the buffers can back (plus
+        // the SYN and FIN octets).
+        assert!(
+            self.flight_size() as usize <= self.send_buf.capacity() + 2,
+            "flight {} vs send buffer {}",
+            self.flight_size(),
+            self.send_buf.capacity()
+        );
+        // The advertised window is bounded by the receive buffer.
+        assert!(self.rcv_wnd() as usize <= self.recv_buf.capacity(), "window over capacity");
+
+        // The retransmission queue is ordered, and only its front entry
+        // may carry the SYN (`send::staging_offset` relies on it).
+        for (i, (a, b)) in self.resend_queue.iter().zip(self.resend_queue.iter().skip(1)).enumerate() {
+            assert!(a.end().le(b.seq), "resend queue out of order at {i}: {} then {}", a.end(), b.seq);
+            assert!(!b.syn, "resend queue entry {} carries a SYN", i + 1);
+        }
+
+        // The reassembly queue: sorted, no two entries overlapping, and
+        // inside all three of its bounds.
+        let q = &self.out_of_order;
+        for (a, b) in q.iter().zip(q.iter().skip(1)) {
+            assert!(ooo_end(a).le(b.0), "reassembly queue overlaps: ..{} then {}..", ooo_end(a), b.0);
+        }
+        let ranges = self.out_of_order_ranges().len();
+        assert!(ranges <= MAX_OUT_OF_ORDER, "reassembly queue holds {ranges} ranges");
+        let bytes: usize = q.iter().map(|(_, d, _)| d.len()).sum();
+        assert!(bytes <= self.recv_buf.capacity(), "reassembly queue holds {bytes} bytes");
+        assert!(q.len() <= self.max_out_of_order_entries(), "reassembly queue holds {} entries", q.len());
+
+        // The scoreboard: sorted, disjoint, and about bytes in flight.
+        for &(s, e) in &self.sack_scoreboard {
+            assert!(s.lt(e), "empty scoreboard range {s}..{e}");
+            assert!(self.snd_una.le(s) && e.le(self.snd_nxt), "scoreboard range {s}..{e} outside the flight");
+        }
+        for (a, b) in self.sack_scoreboard.iter().zip(self.sack_scoreboard.iter().skip(1)) {
+            assert!(a.1.lt(b.0), "scoreboard ranges {a:?} and {b:?} touch or cross");
+        }
+
+        // A recovery episode is about the flight it found.
+        if let Some(r) = self.recovery {
+            for (name, v) in [("recover", r.recover), ("high_rxt", r.high_rxt)] {
+                assert!(self.snd_una.le(v) && v.le(self.snd_nxt), "{name} {v} outside the flight");
+            }
+            assert!(r.high_rxt.le(r.recover), "retransmitted past the recovery point");
+        }
+
+        // Congestion control, when on (a zero window is the ablation
+        // switch), never starves the connection of one segment.
+        assert!(self.cwnd == 0 || self.cwnd >= self.mss, "cwnd {} under one MSS {}", self.cwnd, self.mss);
+    }
+
     /// Drops everything queued on the to_do queue without executing it.
     /// For harnesses that drive the receive DAG without an engine
     /// attached (the fuzz suite); the engine itself always drains.
@@ -604,62 +698,98 @@ impl<P> Tcb<P> {
         self.to_do.clear();
     }
 
-    /// Inserts an out-of-order segment, keeping the queue sorted and
-    /// bounded. Exact duplicates are dropped.
-    pub fn insert_out_of_order(&mut self, seq: Seq, data: impl Into<PacketBuf>, fin: bool) {
-        let data = data.into();
-        if self.out_of_order.len() >= MAX_OUT_OF_ORDER {
-            return;
-        }
-        if self.out_of_order.iter().any(|(s, d, _)| *s == seq && d.len() == data.len()) {
-            return;
-        }
-        let at = self
-            .out_of_order
-            .binary_search_by(|(s, _, _)| {
-                if *s == seq {
-                    std::cmp::Ordering::Equal
-                } else if s.lt(seq) {
-                    std::cmp::Ordering::Less
-                } else {
-                    std::cmp::Ordering::Greater
-                }
-            })
-            .unwrap_or_else(|e| e);
-        self.out_of_order.insert(at, (seq, data, fin));
+    /// The most segments the reassembly queue will hold: twice what a
+    /// window of full-sized segments needs. Without it a flood of
+    /// one-byte segments would pin a whole frame's storage per byte of
+    /// window.
+    pub fn max_out_of_order_entries(&self) -> usize {
+        (2 * self.recv_buf.capacity() / self.mss.max(1) as usize).max(2)
     }
 
-    /// Drains out-of-order segments that are now in order, as far as
-    /// `recv_buf` has room for them. Returns (delivered bytes, fin seen).
-    pub fn drain_out_of_order(&mut self) -> (Vec<u8>, bool) {
-        let mut delivered = Vec::new();
-        let mut fin = false;
-        while !fin {
-            // Find a segment starting at or below rcv_nxt.
-            let idx = self.out_of_order.iter().position(|(s, _, _)| s.le(self.rcv_nxt));
-            let (s, d, f) = match idx {
-                Some(i) => self.out_of_order.remove(i),
-                None => break,
-            };
-            let skip = self.rcv_nxt.since(s) as usize;
-            if skip > d.len() {
-                continue; // wholly stale duplicate
-            }
-            let fresh_len = d.len() - skip;
-            let took = self.recv_buf.take(fresh_len);
-            delivered.extend_from_slice(&d.bytes()[skip..skip + took]);
-            self.rcv_nxt += took as u32;
-            if took < fresh_len {
-                // Receive buffer full: keep the remainder for later —
-                // a zero-copy slice of the same storage.
-                self.insert_out_of_order(self.rcv_nxt, d.slice(skip + took, d.len()), f);
-                break;
-            }
-            if f {
-                fin = true; // all of the segment's data consumed: FIN is next
+    /// Queues an out-of-order segment. The part of it the queue already
+    /// holds is trimmed away (a zero-copy narrowing of the view), queued
+    /// segments it wholly covers are replaced by it, and it is refused —
+    /// the sender will retransmit — if it would take the queue past any
+    /// of its three bounds: [`MAX_OUT_OF_ORDER`] ranges,
+    /// `recv_buf.capacity()` bytes, [`Tcb::max_out_of_order_entries`]
+    /// segments. Short of those the queue keeps everything that falls in
+    /// the window the receiver advertised, because the sender was told
+    /// it would.
+    pub fn insert_out_of_order(&mut self, seq: Seq, data: impl Into<PacketBuf>, fin: bool) {
+        let mut new = (seq, data.into(), fin);
+        let q = &self.out_of_order;
+        let at = q.partition_point(|(s, _, _)| s.le(seq));
+        let pred_end = at.checked_sub(1).map(|p| ooo_end(&q[p]));
+        if let Some(pred_end) = pred_end.filter(|e| e.gt(seq)) {
+            let cut = (pred_end.since(seq) as usize).min(new.1.len());
+            new.1.trim_front(cut);
+            new.0 += cut as u32;
+            if pred_end.gt(new.0) {
+                return; // nothing the predecessor lacks
             }
         }
-        (delivered, fin)
+        // Successors `at..hi` lie wholly inside the new segment; the one
+        // after them may overlap its tail.
+        let mut hi = at;
+        while q.get(hi).is_some_and(|next| ooo_end(next).le(ooo_end(&new))) {
+            hi += 1;
+        }
+        if let Some(next) = q.get(hi).filter(|next| next.0.lt(ooo_end(&new))) {
+            new.1.truncate(next.0.since(new.0) as usize);
+            new.2 = false;
+        }
+        if new.1.is_empty() && !new.2 {
+            return;
+        }
+        let covered: usize = q.range(at..hi).map(|(_, d, _)| d.len()).sum();
+        let held: usize = q.iter().map(|(_, d, _)| d.len()).sum();
+        let opens_a_range =
+            hi == at && pred_end != Some(new.0) && q.get(hi).is_none_or(|next| next.0 != ooo_end(&new));
+        if q.len() - (hi - at) >= self.max_out_of_order_entries()
+            || held - covered + new.1.len() > self.recv_buf.capacity()
+            || (opens_a_range && self.out_of_order_ranges().len() >= MAX_OUT_OF_ORDER)
+        {
+            return;
+        }
+        self.out_of_order.drain(at..hi);
+        self.out_of_order.insert(at, new);
+    }
+
+    /// Hands the user every queued segment that is now in order, as far
+    /// as `recv_buf` has room: one [`TcpAction::UserData`] per queued
+    /// buffer, never one concatenation of the run — the queue may hold a
+    /// whole window. Returns (bytes delivered, FIN reached).
+    pub fn drain_out_of_order(&mut self) -> (usize, bool) {
+        let mut delivered = 0;
+        while self.out_of_order.front().is_some_and(|(s, _, _)| s.le(self.rcv_nxt)) {
+            let (s, mut d, fin) = self.out_of_order.pop_front().expect("front");
+            let stale = self.rcv_nxt.since(s) as usize;
+            if stale > d.len() {
+                continue; // wholly stale duplicate
+            }
+            d.trim_front(stale);
+            let took = self.recv_buf.take(d.len());
+            self.rcv_nxt += took as u32;
+            delivered += took;
+            let full = took < d.len();
+            if full {
+                // Receive buffer full: the tail waits at the head of the
+                // queue — a zero-copy slice of the same storage.
+                self.out_of_order.push_front((self.rcv_nxt, d.slice(took, d.len()), fin));
+                d.truncate(took);
+            }
+            if !d.is_empty() {
+                // The user-boundary copy, as on the in-order path.
+                self.push_action(TcpAction::UserData(d.bytes().to_vec()));
+            }
+            if full {
+                break;
+            }
+            if fin {
+                return (delivered, true); // all of the segment's data consumed: FIN is next
+            }
+        }
+        (delivered, false)
     }
 }
 
@@ -741,20 +871,35 @@ mod tests {
         assert_eq!(t.rcv_wnd(), 4096);
     }
 
+    /// Drains the queue and returns what it handed the user (the
+    /// `UserData` actions, concatenated) and whether the FIN was reached.
+    fn drain(t: &mut Tcb<()>) -> (Vec<u8>, bool) {
+        let (n, fin) = t.drain_out_of_order();
+        let mut data = Vec::new();
+        for a in t.to_do.drain_all() {
+            match a {
+                TcpAction::UserData(d) => data.extend_from_slice(&d),
+                other => panic!("drain queued {other:?}"),
+            }
+        }
+        assert_eq!(n, data.len(), "the byte count is what was delivered");
+        (data, fin)
+    }
+
     #[test]
     fn drain_out_of_order_stops_at_a_full_buffer() {
         let mut t = tcb();
         t.rcv_nxt = Seq(100);
         t.recv_buf.take(4096 - 30);
         t.insert_out_of_order(Seq(100), (0..50u8).collect::<Vec<u8>>(), true);
-        let (data, fin) = t.drain_out_of_order();
+        let (data, fin) = drain(&mut t);
         assert_eq!(data, (0..30u8).collect::<Vec<u8>>(), "only what fits is delivered");
         assert!(!fin, "the FIN waits behind the undelivered tail");
         assert_eq!(t.rcv_nxt, Seq(130));
         assert_eq!(t.rcv_wnd(), 0);
         assert_eq!(t.out_of_order.len(), 1, "the remainder is kept");
         t.recv_buf.skip(4096);
-        let (data, fin) = t.drain_out_of_order();
+        let (data, fin) = drain(&mut t);
         assert_eq!(data, (30..50u8).collect::<Vec<u8>>());
         assert!(fin);
     }
@@ -765,11 +910,12 @@ mod tests {
         t.rcv_nxt = Seq(100);
         t.insert_out_of_order(Seq(120), vec![2; 10], false);
         t.insert_out_of_order(Seq(100), vec![1; 20], false);
-        let (data, fin) = t.drain_out_of_order();
-        assert_eq!(data.len(), 30);
+        let (n, fin) = t.drain_out_of_order();
+        assert_eq!(n, 30);
         assert!(!fin);
         assert_eq!(t.rcv_nxt, Seq(130));
         assert!(t.out_of_order.is_empty());
+        assert_eq!(t.to_do.size(), 2, "one delivery per queued buffer, not one concatenation");
     }
 
     #[test]
@@ -777,26 +923,37 @@ mod tests {
         let mut t = tcb();
         t.rcv_nxt = Seq(100);
         t.insert_out_of_order(Seq(130), vec![3; 10], false);
-        let (data, _) = t.drain_out_of_order();
+        let (data, _) = drain(&mut t);
         assert!(data.is_empty());
         assert_eq!(t.out_of_order.len(), 1);
         // The gap fills:
         t.insert_out_of_order(Seq(100), vec![1; 30], false);
-        let (data, _) = t.drain_out_of_order();
+        let (data, _) = drain(&mut t);
         assert_eq!(data.len(), 40);
         assert_eq!(t.rcv_nxt, Seq(140));
     }
 
     #[test]
-    fn overlapping_out_of_order_deduplicated() {
+    fn overlapping_out_of_order_is_trimmed_on_insert() {
         let mut t = tcb();
         t.rcv_nxt = Seq(100);
-        t.insert_out_of_order(Seq(100), vec![1; 20], false);
-        t.insert_out_of_order(Seq(110), vec![2; 10], false); // wholly contained
-        let (data, _) = t.drain_out_of_order();
-        assert_eq!(data.len(), 20);
-        assert_eq!(t.rcv_nxt, Seq(120));
-        assert!(t.out_of_order.is_empty(), "contained segment discarded");
+        t.insert_out_of_order(Seq(110), vec![1; 20], false);
+        t.insert_out_of_order(Seq(115), vec![2; 10], false); // wholly contained
+        assert_eq!(t.out_of_order.len(), 1, "contained segment discarded");
+        t.insert_out_of_order(Seq(120), vec![3; 20], false); // head held, tail new
+        t.insert_out_of_order(Seq(150), vec![5; 10], false);
+        t.insert_out_of_order(Seq(135), vec![4; 20], false); // head and tail both held
+        let held: Vec<(Seq, usize)> = t.out_of_order.iter().map(|(s, d, _)| (*s, d.len())).collect();
+        assert_eq!(held, vec![(Seq(110), 20), (Seq(130), 10), (Seq(140), 10), (Seq(150), 10)]);
+        t.insert_out_of_order(Seq(105), vec![6; 50], false); // covers three, overlaps a fourth
+        let held: Vec<(Seq, usize)> = t.out_of_order.iter().map(|(s, d, _)| (*s, d.len())).collect();
+        assert_eq!(held, vec![(Seq(105), 45), (Seq(150), 10)]);
+        t.check_invariants();
+        t.insert_out_of_order(Seq(100), vec![7; 5], false);
+        let (data, _) = drain(&mut t);
+        assert_eq!(data.len(), 60);
+        assert_eq!(&data[..6], &[7, 7, 7, 7, 7, 6]);
+        assert_eq!(t.rcv_nxt, Seq(160));
     }
 
     #[test]
@@ -804,19 +961,44 @@ mod tests {
         let mut t = tcb();
         t.rcv_nxt = Seq(100);
         t.insert_out_of_order(Seq(100), vec![9; 5], true);
-        let (data, fin) = t.drain_out_of_order();
+        let (data, fin) = drain(&mut t);
         assert_eq!(data.len(), 5);
         assert!(fin);
     }
 
     #[test]
-    fn out_of_order_bounded() {
-        let mut t = tcb();
-        t.rcv_nxt = Seq(0);
+    fn out_of_order_bounded_by_ranges_entries_and_bytes() {
+        // Ranges: segments that never touch each open a hole.
+        let mut t: Tcb<()> = Tcb::new(Seq(0), 4096, 65536);
         for i in 0..(MAX_OUT_OF_ORDER + 10) {
             t.insert_out_of_order(Seq(1000 + 10 * i as u32), vec![0; 5], false);
         }
+        assert_eq!(t.out_of_order_ranges().len(), MAX_OUT_OF_ORDER);
         assert_eq!(t.out_of_order.len(), MAX_OUT_OF_ORDER);
+        // ... but a segment that extends a range, or joins two, is taken.
+        t.insert_out_of_order(Seq(1005), vec![0; 5], false);
+        assert_eq!(t.out_of_order.len(), MAX_OUT_OF_ORDER + 1);
+        assert_eq!(t.out_of_order_ranges().len(), MAX_OUT_OF_ORDER - 1);
+        t.check_invariants();
+
+        // Entries: one contiguous run of one-byte segments.
+        let mut t: Tcb<()> = Tcb::new(Seq(0), 4096, 65536);
+        t.mss = 1000;
+        for i in 0..1000 {
+            t.insert_out_of_order(Seq(1000 + i), vec![0; 1], false);
+        }
+        assert_eq!(t.out_of_order.len(), t.max_out_of_order_entries());
+        assert_eq!(t.max_out_of_order_entries(), 2 * 65536 / 1000);
+        t.check_invariants();
+
+        // Bytes: full segments up to the buffer's capacity and no more.
+        let mut t: Tcb<()> = Tcb::new(Seq(0), 4096, 4096);
+        t.mss = 100;
+        for i in 0..10 {
+            t.insert_out_of_order(Seq(1000 + 1000 * i), vec![0; 1000], false);
+        }
+        assert_eq!(t.out_of_order.len(), 4);
+        t.check_invariants();
     }
 
     #[test]
@@ -887,6 +1069,7 @@ mod tests {
     fn sack_scoreboard_merges_and_prunes() {
         let mut t = tcb();
         t.snd_una = Seq(1000);
+        t.snd_nxt = Seq(6000);
         t.note_sack_blocks(&[(Seq(2000), Seq(3000))]);
         t.note_sack_blocks(&[(Seq(4000), Seq(5000)), (Seq(2500), Seq(3500))]);
         assert_eq!(t.sack_scoreboard, vec![(Seq(2000), Seq(3500)), (Seq(4000), Seq(5000))]);
@@ -897,6 +1080,9 @@ mod tests {
         t.note_sack_blocks(&[(Seq(500), Seq(900))]);
         assert_eq!(t.sack_scoreboard.len(), 2);
         t.prune_sack_scoreboard(Seq(4500));
+        assert_eq!(t.sack_scoreboard, vec![(Seq(4500), Seq(5000))]);
+        // A block claiming bytes never sent is not evidence of anything.
+        t.note_sack_blocks(&[(Seq(5500), Seq(6001))]);
         assert_eq!(t.sack_scoreboard, vec![(Seq(4500), Seq(5000))]);
     }
 

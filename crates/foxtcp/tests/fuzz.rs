@@ -7,7 +7,7 @@
 use foxbasis::seq::Seq;
 use foxbasis::time::VirtualTime;
 use foxtcp::control::segment;
-use foxtcp::tcb::{TcpState, MAX_OUT_OF_ORDER};
+use foxtcp::tcb::TcpState;
 use foxtcp::testlink::Pair;
 use foxtcp::{ConnCore, TcpConfig};
 use foxwire::tcp::{TcpFlags, TcpHeader, TcpSegment};
@@ -67,31 +67,6 @@ fn estab_core() -> ConnCore<u8> {
     core
 }
 
-fn check_invariants(core: &ConnCore<u8>, context: &str) {
-    let tcb = &core.tcb;
-    // Circular ordering of the send-side variables.
-    assert!(tcb.snd_una.le(tcb.snd_nxt), "{context}: snd_una must not pass snd_nxt");
-    // In-flight data never exceeds what the buffers can back.
-    assert!(
-        tcb.flight_size() as usize <= tcb.send_buf.capacity() + 2,
-        "{context}: flight {} vs buffer {}",
-        tcb.flight_size(),
-        tcb.send_buf.capacity()
-    );
-    // Advertised window is bounded by the receive buffer.
-    assert!(tcb.rcv_wnd() as usize <= tcb.recv_buf.capacity(), "{context}: window over capacity");
-    // The reassembly queue is bounded.
-    assert!(tcb.out_of_order.len() <= MAX_OUT_OF_ORDER, "{context}: ooo unbounded");
-    // Retransmission queue entries are ordered and within flight.
-    let mut prev: Option<Seq> = None;
-    for s in tcb.resend_queue.iter() {
-        if let Some(p) = prev {
-            assert!(p.le(s.seq), "{context}: resend queue out of order");
-        }
-        prev = Some(s.end());
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -106,7 +81,7 @@ proptest! {
         for (i, a) in segs.iter().enumerate() {
             let _ = segment::segment_arrives(&cfg, &mut core, to_segment(a), VirtualTime::from_millis(i as u64));
             core.tcb.clear_pending_actions();
-            check_invariants(&core, "estab-fuzz");
+            core.tcb.check_invariants();
             if core.state == TcpState::Closed {
                 break;
             }
@@ -123,7 +98,7 @@ proptest! {
         for (i, a) in segs.iter().enumerate() {
             let _ = segment::segment_arrives(&cfg, &mut core, to_segment(a), VirtualTime::from_millis(i as u64));
             core.tcb.clear_pending_actions();
-            check_invariants(&core, "window-fuzz");
+            core.tcb.check_invariants();
             if core.state == TcpState::Closed {
                 break;
             }
@@ -157,7 +132,7 @@ proptest! {
         for (i, a) in segs.iter().enumerate() {
             let _ = segment::segment_arrives(&cfg, &mut core, to_segment(a), VirtualTime::from_millis(i as u64));
             core.tcb.clear_pending_actions();
-            check_invariants(&core, "state-fuzz");
+            core.tcb.check_invariants();
             if core.state == TcpState::Closed {
                 break;
             }

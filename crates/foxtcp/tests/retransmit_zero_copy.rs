@@ -64,6 +64,37 @@ fn pure_retransmit_episode_copies_nothing() {
 }
 
 #[test]
+fn resending_a_whole_flight_after_a_timeout_copies_nothing() {
+    // The multi-segment episode: the flight is lost whole, the link
+    // heals, and after the timeout every segment of it goes out again,
+    // ACK by ACK, under slow start. Every one of those retransmissions
+    // re-references its queued payload.
+    reset_copy_stats();
+    let mut p = Pair::new(immediate(), immediate());
+    let (client, child) = p.open(80);
+    let payload = vec![0xB5u8; 4000]; // three segments, inside the 4096-byte window
+                                      // Open the congestion window past the flight, then lose the flight.
+    for _ in 0..3 {
+        p.a.send_data(client, &payload).unwrap();
+        p.settle();
+    }
+    p.link.set_filter_toward(1, Box::new(|_| false));
+    assert_eq!(p.a.send_data(client, &payload).unwrap(), payload.len());
+    p.settle();
+    p.link.set_filter_toward(1, Box::new(|_| true));
+
+    let stats_before = p.a.stats();
+    p.run_for(1_500, 100);
+    let stats_after = p.a.stats();
+
+    assert_eq!(stats_after.rto_fires, stats_before.rto_fires + 1, "one timeout");
+    assert_eq!(stats_after.retransmits, stats_before.retransmits + 3, "all three segments went out again");
+    assert_eq!(p.data_of(1, child).len(), 4 * payload.len(), "and arrived");
+    assert_eq!(stats_after.buf_copies, stats_before.buf_copies, "without a single payload copy");
+    assert_eq!(stats_after.buf_copy_bytes, stats_before.buf_copy_bytes);
+}
+
+#[test]
 fn retransmitted_bytes_still_arrive_intact() {
     // The zero-copy path must still deliver the right bytes once the
     // link heals: re-referencing must not alias mutated state.
