@@ -292,6 +292,9 @@ pub struct Tcb<P> {
     /// order costs a refcount bump, not a copy. Bounded three ways by
     /// [`Tcb::insert_out_of_order`].
     pub out_of_order: VecDeque<(Seq, PacketBuf, bool)>,
+    /// Where the segment queued most recently starts — the one whose
+    /// range RFC 2018 §4 wants reported first.
+    pub last_queued: Option<Seq>,
 
     // --- retransmission (the Resend module's queue) ---
     /// Sent, unacknowledged segments, oldest first.
@@ -439,6 +442,7 @@ impl<P> Tcb<P> {
             fin_seq: None,
             recv_buf: RecvAccount::new(recv_buffer.max(1)),
             out_of_order: VecDeque::new(),
+            last_queued: None,
             resend_queue: foxbasis::deq::Deq::new(),
             rtt: RttEstimator::default(),
             retransmits_left: 12,
@@ -519,11 +523,17 @@ impl<P> Tcb<P> {
     }
 
     /// Up to three SACK blocks describing the out-of-order queue
-    /// (RFC 2018): merged contiguous ranges above `rcv_nxt`, in
-    /// ascending order. (RFC 2018 prefers most-recent-first; ascending
-    /// is equally legal and keeps the report deterministic.)
+    /// (RFC 2018): merged contiguous ranges above `rcv_nxt`. The range
+    /// holding the segment queued most recently comes first — §4's MUST
+    /// for the ACK that segment triggers, and with four or more holes
+    /// the only way the sender ever hears of the newest data; the rest
+    /// follow in ascending order, which keeps the report deterministic.
     pub fn sack_blocks_to_send(&self) -> Vec<(Seq, Seq)> {
         let mut blocks = self.out_of_order_ranges();
+        let newest = self.last_queued.and_then(|q| blocks.iter().position(|(s, e)| s.le(q) && q.lt(*e)));
+        if let Some(newest) = newest {
+            blocks[..=newest].rotate_right(1);
+        }
         blocks.truncate(3);
         blocks
     }
@@ -752,6 +762,7 @@ impl<P> Tcb<P> {
             return;
         }
         self.out_of_order.drain(at..hi);
+        self.last_queued = Some(new.0);
         self.out_of_order.insert(at, new);
     }
 
@@ -1061,8 +1072,36 @@ mod tests {
         t.insert_out_of_order(Seq(200), vec![1; 50], false);
         t.insert_out_of_order(Seq(250), vec![2; 50], false); // adjacent: merges
         t.insert_out_of_order(Seq(400), vec![3; 10], true); // FIN occupies a number
-        assert_eq!(t.sack_blocks_to_send(), vec![(Seq(200), Seq(300)), (Seq(400), Seq(411))]);
+        assert_eq!(t.sack_blocks_to_send(), vec![(Seq(400), Seq(411)), (Seq(200), Seq(300))], "newest first");
         assert!(tcb().sack_blocks_to_send().is_empty());
+    }
+
+    #[test]
+    fn sack_blocks_lead_with_the_range_just_queued() {
+        let mut t = tcb();
+        t.rcv_nxt = Seq(100);
+        for start in [200, 400, 600, 800] {
+            t.insert_out_of_order(Seq(start), vec![0; 50], false);
+        }
+        // Four ranges, three blocks: ascending order alone would never
+        // mention the newest.
+        assert_eq!(
+            t.sack_blocks_to_send(),
+            vec![(Seq(800), Seq(850)), (Seq(200), Seq(250)), (Seq(400), Seq(450))]
+        );
+        // A segment that extends an older range brings that range first.
+        t.insert_out_of_order(Seq(450), vec![0; 50], false);
+        assert_eq!(
+            t.sack_blocks_to_send(),
+            vec![(Seq(400), Seq(500)), (Seq(200), Seq(250)), (Seq(600), Seq(650))]
+        );
+        // Once the newest segment has been delivered the order is plain.
+        t.insert_out_of_order(Seq(100), vec![0; 100], false);
+        t.drain_out_of_order();
+        assert_eq!(
+            t.sack_blocks_to_send(),
+            vec![(Seq(400), Seq(500)), (Seq(600), Seq(650)), (Seq(800), Seq(850))]
+        );
     }
 
     #[test]
