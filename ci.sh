@@ -27,7 +27,11 @@
 #      sack, ts, all} × {fox↔fox, fox↔xk} × the loss-matrix fault
 #      profiles, every cell delivered in full and replayed
 #      bit-identically, plus the SACK-beats-NewReno burst-loss
-#      assertions (the `tables` binary panics if any of it regresses)
+#      assertions (the `tables` binary panics if any of it regresses);
+#      then the loss matrix once from a *debug* build, where
+#      `Tcb::check_invariants` runs after every executed action and
+#      `fsm::transition`'s guard is live, so every lossy cell is checked
+#      at every step on every run
 #   7. adversarial smoke: a fixed 6-cell subset of the adversarial
 #      matrix (DESIGN.md §5.12) — each cell internally run twice with
 #      bit-identical reports asserted — executed as two whole process
@@ -75,8 +79,9 @@ cargo test -q --release -p foxtcp --test alloc_budget
 echo "== conformance (RFC 793, both stacks) =="
 cargo test -q -p foxtcp --test conformance
 
-echo "== options interop matrix (fixed seeds) =="
+echo "== options interop matrix (fixed seeds); loss matrix under debug invariants =="
 cargo run -q --release -p foxbench --bin tables -- interop
+cargo run -q -p foxbench --bin tables -- lossmatrix > /dev/null
 
 echo "== adversarial smoke (6 fixed cells, two runs, diffed to zero) =="
 ADV_SMOKE_A=$(mktemp /tmp/adv_smoke_a.XXXXXX.txt)

@@ -272,10 +272,11 @@ pub fn retransmit_lost<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, now
             return;
         }
         r.high_rxt = seg.end();
-        let how = if r.by_rto { LossEvent::RtoRetransmit } else { LossEvent::FastRetransmit };
+        let by_rto = r.by_rto;
         retransmit_segment(core, &seg, now);
+        let how = if by_rto { LossEvent::RtoRetransmit } else { LossEvent::FastRetransmit };
         core.tcb.push_action(TcpAction::Loss(how));
-        if how == LossEvent::FastRetransmit {
+        if !by_rto {
             return;
         }
     }

@@ -330,7 +330,7 @@ where
 
     /// The connection's current state, if it still exists.
     pub fn state_of(&self, conn: TcpConnId) -> Option<TcpState> {
-        self.index_of(conn.0).map(|i| self.conns[i].core.state.clone())
+        self.core_of(conn).map(|core| core.state.clone())
     }
 
     /// Free space in the connection's send buffer.

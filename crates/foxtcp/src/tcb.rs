@@ -709,7 +709,8 @@ impl<P> Tcb<P> {
     }
 
     /// The most segments the reassembly queue will hold: twice what a
-    /// window of full-sized segments needs. Without it a flood of
+    /// window of full-sized segments needs (and never fewer than two,
+    /// however small the window). Without it a flood of
     /// one-byte segments would pin a whole frame's storage per byte of
     /// window.
     pub fn max_out_of_order_entries(&self) -> usize {
