@@ -19,7 +19,10 @@
 #      The release re-run also covers the two allocation budgets
 #      (foxbasis's wheel_alloc: a warm timer wheel makes 0 heap calls;
 #      foxtcp's alloc_budget: heap calls per ESTABLISHED round trip, an
-#      exact constant) — the counts are facts about the optimized build
+#      exact constant) — the counts are facts about the optimized build.
+#      The workspace run also holds the copy budget beside them
+#      (foxtcp's retransmit_copy_budget: one staging copy per segment
+#      resent, none while encoding, both exact)
 #   5. the RFC-793 conformance suite, explicitly (both TCP stacks
 #      against the standard's state diagram; also part of stage 4, but
 #      a named stage keeps the gate visible)
@@ -58,7 +61,11 @@
 #      and 10 never see it — is tested,
 #      clippy-linted and format-checked against the tree as it stands,
 #      so a refactor that breaks what foxperf compiles against fails
-#      here and not in the benchmark driver
+#      here and not in the benchmark driver. What it guards in the
+#      buffer path: foxperf compiles *and lints* unchanged against
+#      `PacketBuf`'s public names and the by-value `encode_buf`s — which
+#      is why `PacketBuf::bytes()` still returns a guard (a `&[u8]`
+#      there trips `needless_borrow` in foxperf's ladder)
 set -euo pipefail
 cd "$(dirname "$0")"
 

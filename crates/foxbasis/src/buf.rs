@@ -20,33 +20,30 @@
 //! ```
 //!
 //! A `PacketBuf` is a *view* `[start, end)` of the shared storage.
-//! `clone` is a refcount bump. [`PacketBuf::prepend_header`] writes into
-//! the headroom **in place** when that is provably safe, and falls back
-//! to reallocating (a real, counted copy) when it is not.
+//! `clone` and [`PacketBuf::slice`] are refcount bumps.
+//! [`PacketBuf::prepend_header`] writes into the headroom **in place**
+//! when this handle is the storage's only owner, and otherwise re-homes
+//! the view into storage of its own (a real, counted copy).
 //!
-//! ## Safety discipline (no `unsafe`, no aliased mutation)
+//! ## One owner writes (no `unsafe`, no aliased mutation)
 //!
-//! Storage sits behind a `RefCell`; every live view registers its
-//! `[start, end)` bounds with the shared storage (in an array inside
-//! the shared block itself, so a buffer is two heap calls — storage
-//! and `Rc` — and a `clone` is none; only a ninth simultaneous view
-//! spills to a vector). A byte below `start` is only visible to a view
-//! whose own start is smaller, so:
+//! The storage is written only through its one owner: `prepend_header`,
+//! `append` and `bytes_mut` touch it iff `Rc::get_mut` succeeds, that
+//! is, iff no other handle — whatever its bounds — is alive. A shared
+//! buffer re-homes: the writer copies its own view into fresh storage,
+//! writes there, and every other handle keeps seeing the bytes it had.
 //!
-//! * `prepend_header` may write `[start - n, start)` in place iff **no
-//!   other live view has a smaller start** (equal starts are fine — they
-//!   cannot see below themselves either);
-//! * `append` may write `[end, end + n)` in place iff no other live view
-//!   has a larger end.
-//!
-//! This makes the retransmission pattern work without copies: the resend
-//! queue holds the payload view `[p, e)`; at (re)transmission time the
-//! descending clone starts at the same `p`, so TCP/IP/Ethernet headers
-//! prepend in place below `p` while the queued payload bytes are never
-//! touched. If an older view of the same storage is still alive further
-//! down (e.g. a frame still sitting in a simulated receive queue), the
-//! prepend *detects* it and reallocates — correctness first, the copy is
-//! merely counted.
+//! So ownership is linear on the way down the stack. The sender stages
+//! a segment's payload out of its send buffer into a buffer with
+//! headroom and hands that buffer to the TCP encoder *by value*; each
+//! encoder prepends into the buffer it was given and passes it on, so
+//! TCP, IP and Ethernet headers and the FCS all land in the one block
+//! with no payload byte moved. Nothing upstream keeps a handle: the
+//! bytes a retransmission needs are still in the send buffer, and are
+//! staged again. On the way up sharing is read-only — each receiving
+//! layer slices its payload out of the frame — and a layer that must
+//! write to what it received (the router's TTL) does so in place when
+//! it holds the last handle and on a private copy when it does not.
 //!
 //! ## Copy accounting
 //!
@@ -133,107 +130,11 @@ fn note_copy(bytes: usize) {
 
 // ----- the buffer -----
 
-/// Live views one storage block can have before their registry spills
-/// to the heap. A segment in flight has about half a dozen: the resend
-/// queue's payload, the frame on the wire, and the slices each receiving
-/// layer cut from it.
-const INLINE_VIEWS: usize = 8;
-
-/// The `[start, end)` of every live view of one storage block, one
-/// entry per `PacketBuf`, in no particular order. Held inline so that a
-/// buffer costs its storage and its `Rc<Inner>` and nothing else, and a
-/// `clone` allocates nothing; `spill` is used only while `inline` is
-/// full. Small, scanned linearly.
-struct Views {
-    inline: [(usize, usize); INLINE_VIEWS],
-    inline_len: usize,
-    spill: Vec<(usize, usize)>,
-}
-
-impl Views {
-    fn len(&self) -> usize {
-        self.inline_len + self.spill.len()
-    }
-
-    fn iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.inline[..self.inline_len].iter().chain(&self.spill).copied()
-    }
-
-    fn push(&mut self, view: (usize, usize)) {
-        if self.inline_len < INLINE_VIEWS {
-            self.inline[self.inline_len] = view;
-            self.inline_len += 1;
-        } else {
-            self.spill.push(view);
-        }
-    }
-
-    /// One registered occurrence of `view`.
-    fn find(&mut self, view: (usize, usize)) -> Option<&mut (usize, usize)> {
-        self.inline[..self.inline_len].iter_mut().chain(&mut self.spill).find(|v| **v == view)
-    }
-
-    /// Unregisters one occurrence of `view` (swap-remove).
-    fn remove(&mut self, view: (usize, usize)) {
-        let last = self.spill.pop().unwrap_or_else(|| {
-            self.inline_len -= 1;
-            self.inline[self.inline_len]
-        });
-        if last != view {
-            match self.find(view) {
-                Some(slot) => *slot = last,
-                // Every live view is registered; were one not, dropping
-                // another's entry would let a writer alias its bytes.
-                None => self.push(last),
-            }
-        }
-    }
-}
-
-struct Inner {
-    storage: RefCell<Vec<u8>>,
-    views: RefCell<Views>,
-}
-
-impl Inner {
-    fn with_storage(storage: Vec<u8>, start: usize, end: usize) -> Rc<Inner> {
-        let mut inline = [(0, 0); INLINE_VIEWS];
-        inline[0] = (start, end);
-        let views = Views { inline, inline_len: 1, spill: Vec::new() };
-        Rc::new(Inner { storage: RefCell::new(storage), views: RefCell::new(views) })
-    }
-
-    /// True if a live view *other than* one occurrence of `[start, end)`
-    /// starts below `limit`.
-    fn other_view_starts_below(&self, start: usize, end: usize, limit: usize) -> bool {
-        let mut self_seen = false;
-        self.views.borrow().iter().any(|(s, e)| {
-            if !self_seen && s == start && e == end {
-                self_seen = true;
-                return false;
-            }
-            s < limit
-        })
-    }
-
-    /// True if a live view other than one occurrence of `[start, end)`
-    /// ends above `limit`.
-    fn other_view_ends_above(&self, start: usize, end: usize, limit: usize) -> bool {
-        let mut self_seen = false;
-        self.views.borrow().iter().any(|(s, e)| {
-            if !self_seen && s == start && e == end {
-                self_seen = true;
-                return false;
-            }
-            e > limit
-        })
-    }
-}
-
 /// A cheaply-cloneable view of a shared packet storage block with
 /// reserved headroom. See the module docs for the discipline.
+#[derive(Clone)]
 pub struct PacketBuf {
-    inner: Rc<Inner>,
+    storage: Rc<RefCell<Vec<u8>>>,
     start: usize,
     end: usize,
     /// Memoized ones-complement sum of `self[start..end]` — set by the
@@ -246,6 +147,11 @@ pub struct PacketBuf {
 impl PacketBuf {
     // ----- constructors -----
 
+    /// The view `[start, end)` of `storage`, as its only handle.
+    fn over(storage: Vec<u8>, start: usize, end: usize, sum: Option<u16>) -> PacketBuf {
+        PacketBuf { storage: Rc::new(RefCell::new(storage)), start, end, sum: Cell::new(sum) }
+    }
+
     /// An empty buffer with the default head- and tailroom.
     pub fn new() -> PacketBuf {
         PacketBuf::with_room(DEFAULT_HEADROOM, DEFAULT_TAILROOM)
@@ -256,8 +162,7 @@ impl PacketBuf {
     pub fn with_room(headroom: usize, tailroom: usize) -> PacketBuf {
         let mut storage = Vec::with_capacity(headroom + tailroom);
         storage.resize(headroom, 0);
-        let inner = Inner::with_storage(storage, headroom, headroom);
-        PacketBuf { inner, start: headroom, end: headroom, sum: Cell::new(Some(0)) }
+        PacketBuf::over(storage, headroom, headroom, Some(0))
     }
 
     /// Adopts `v` as the payload with **no** copy and no headroom.
@@ -266,8 +171,7 @@ impl PacketBuf {
     /// protocol stack.
     pub fn from_vec(v: Vec<u8>) -> PacketBuf {
         let end = v.len();
-        let inner = Inner::with_storage(v, 0, end);
-        PacketBuf { inner, start: 0, end, sum: Cell::new(None) }
+        PacketBuf::over(v, 0, end, None)
     }
 
     /// Copies `data` into fresh storage behind `headroom` reserved
@@ -285,8 +189,7 @@ impl PacketBuf {
         storage.resize(headroom + len, 0);
         fill(&mut storage[headroom..]);
         note_copy(len);
-        let inner = Inner::with_storage(storage, headroom, headroom + len);
-        PacketBuf { inner, start: headroom, end: headroom + len, sum: Cell::new(None) }
+        PacketBuf::over(storage, headroom, headroom + len, None)
     }
 
     /// Like [`PacketBuf::build`], but the filler also returns the
@@ -298,8 +201,7 @@ impl PacketBuf {
         storage.resize(headroom + len, 0);
         let sum = fill(&mut storage[headroom..]);
         note_copy(len);
-        let inner = Inner::with_storage(storage, headroom, headroom + len);
-        PacketBuf { inner, start: headroom, end: headroom + len, sum: Cell::new(Some(sum)) }
+        PacketBuf::over(storage, headroom, headroom + len, Some(sum))
     }
 
     // ----- observers -----
@@ -323,7 +225,7 @@ impl PacketBuf {
     /// drop it before calling any mutating operation on a view of the
     /// same buffer.
     pub fn bytes(&self) -> Ref<'_, [u8]> {
-        Ref::map(self.inner.storage.borrow(), |s| &s[self.start..self.end])
+        Ref::map(self.storage.borrow(), |s| &s[self.start..self.end])
     }
 
     /// An owned copy of the view's bytes (counted).
@@ -343,18 +245,15 @@ impl PacketBuf {
         s
     }
 
-    /// True if this view is the only live view of its storage.
+    /// True if this is the only handle to its storage.
     pub fn is_unique(&self) -> bool {
-        Rc::strong_count(&self.inner) == 1 && self.inner.views.borrow().len() == 1
+        Rc::strong_count(&self.storage) == 1
     }
 
     // ----- view surgery (zero-copy) -----
 
     fn set_bounds(&mut self, start: usize, end: usize) {
         debug_assert!(start <= end);
-        if let Some(view) = self.inner.views.borrow_mut().find((self.start, self.end)) {
-            *view = (start, end);
-        }
         self.start = start;
         self.end = end;
         self.sum.set(None);
@@ -366,8 +265,7 @@ impl PacketBuf {
     /// Panics if `from > to` or `to > self.len()`.
     pub fn slice(&self, from: usize, to: usize) -> PacketBuf {
         assert!(from <= to && to <= self.len(), "slice {from}..{to} of {}", self.len());
-        let b = self.clone();
-        let mut b = b;
+        let mut b = self.clone();
         b.set_bounds(self.start + from, self.start + to);
         b
     }
@@ -400,72 +298,56 @@ impl PacketBuf {
     // ----- mutation -----
 
     /// Prepends `header` in front of the view — in place into the
-    /// headroom when safe, otherwise by reallocating (fallback).
-    /// Returns the number of payload bytes really memcpy'd: 0 for the
-    /// in-place path, `self.len()` for the fallback.
+    /// headroom when this is the storage's only handle and the headroom
+    /// suffices, otherwise by re-homing. Returns the number of payload
+    /// bytes really memcpy'd: 0 for the in-place path, `self.len()`
+    /// otherwise.
     pub fn prepend_header(&mut self, header: &[u8]) -> usize {
         let n = header.len();
-        let in_place =
-            self.start >= n && !self.inner.other_view_starts_below(self.start, self.end, self.start);
-        if in_place {
-            {
-                let mut storage = self.inner.storage.borrow_mut();
-                storage[self.start - n..self.start].copy_from_slice(header);
+        match Rc::get_mut(&mut self.storage) {
+            Some(storage) if self.start >= n => {
+                storage.get_mut()[self.start - n..self.start].copy_from_slice(header);
+                self.set_bounds(self.start - n, self.end);
+                0
             }
-            self.set_bounds(self.start - n, self.end);
-            0
-        } else {
-            let copied = self.len();
-            let mut storage = Vec::with_capacity(DEFAULT_HEADROOM + n + copied + DEFAULT_TAILROOM);
-            storage.resize(DEFAULT_HEADROOM, 0);
-            storage.extend_from_slice(header);
-            storage.extend_from_slice(&self.bytes());
-            note_copy(copied);
-            let start = DEFAULT_HEADROOM;
-            let end = start + n + copied;
-            *self = PacketBuf {
-                inner: Inner::with_storage(storage, start, end),
-                start,
-                end,
-                sum: Cell::new(None),
-            };
-            copied
+            _ => self.rehome(header, &[]),
         }
     }
 
-    /// Appends `data` behind the view — in place when safe, otherwise by
-    /// reallocating. Returns the payload bytes really memcpy'd (0 for
-    /// the in-place path).
+    /// Appends `data` behind the view — in place when this is the
+    /// storage's only handle, otherwise by re-homing. Returns the
+    /// payload bytes really memcpy'd (0 for the in-place path).
     pub fn append(&mut self, data: &[u8]) -> usize {
         let n = data.len();
-        let in_place = !self.inner.other_view_ends_above(self.start, self.end, self.end);
-        if in_place {
-            {
-                let mut storage = self.inner.storage.borrow_mut();
+        match Rc::get_mut(&mut self.storage) {
+            Some(storage) => {
+                let storage = storage.get_mut();
                 if storage.len() < self.end + n {
                     storage.resize(self.end + n, 0);
                 }
                 storage[self.end..self.end + n].copy_from_slice(data);
+                self.set_bounds(self.start, self.end + n);
+                0
             }
-            self.set_bounds(self.start, self.end + n);
-            0
-        } else {
-            let copied = self.len();
-            let mut storage = Vec::with_capacity(DEFAULT_HEADROOM + copied + n + DEFAULT_TAILROOM);
-            storage.resize(DEFAULT_HEADROOM, 0);
-            storage.extend_from_slice(&self.bytes());
-            storage.extend_from_slice(data);
-            note_copy(copied);
-            let start = DEFAULT_HEADROOM;
-            let end = start + copied + n;
-            *self = PacketBuf {
-                inner: Inner::with_storage(storage, start, end),
-                start,
-                end,
-                sum: Cell::new(None),
-            };
-            copied
+            None => self.rehome(&[], data),
         }
+    }
+
+    /// Moves the view into storage of its own — default head- and
+    /// tailroom, `front` before the view's bytes and `back` behind them
+    /// — leaving every other handle of the old storage as it was.
+    /// Returns the view's bytes copied (counted).
+    fn rehome(&mut self, front: &[u8], back: &[u8]) -> usize {
+        let copied = self.len();
+        let len = front.len() + copied + back.len();
+        let mut storage = Vec::with_capacity(DEFAULT_HEADROOM + len + DEFAULT_TAILROOM);
+        storage.resize(DEFAULT_HEADROOM, 0);
+        storage.extend_from_slice(front);
+        storage.extend_from_slice(&self.bytes());
+        storage.extend_from_slice(back);
+        note_copy(copied);
+        *self = PacketBuf::over(storage, DEFAULT_HEADROOM, DEFAULT_HEADROOM + len, None);
+        copied
     }
 
     /// Appends `n` zero bytes (Ethernet minimum-payload padding).
@@ -488,13 +370,11 @@ impl PacketBuf {
     /// by fault injection before corrupting bytes in place.
     pub fn clone_owned(&self) -> PacketBuf {
         note_copy(self.len());
-        let data = self.bytes().to_vec();
-        let end = data.len();
-        PacketBuf { inner: Inner::with_storage(data, 0, end), start: 0, end, sum: Cell::new(None) }
+        PacketBuf::from_vec(self.bytes().to_vec())
     }
 
     /// Mutable access to the view's bytes, only when this is the sole
-    /// live view of its storage (e.g. right after [`clone_owned`]).
+    /// handle to its storage (e.g. right after [`clone_owned`]).
     /// Invalidates the memoized sum.
     ///
     /// [`clone_owned`]: PacketBuf::clone_owned
@@ -503,31 +383,13 @@ impl PacketBuf {
             return None;
         }
         self.sum.set(None);
-        Some(std::cell::RefMut::map(self.inner.storage.borrow_mut(), |s| &mut s[self.start..self.end]))
+        Some(std::cell::RefMut::map(self.storage.borrow_mut(), |s| &mut s[self.start..self.end]))
     }
 }
 
 impl Default for PacketBuf {
     fn default() -> Self {
         PacketBuf::new()
-    }
-}
-
-impl Clone for PacketBuf {
-    fn clone(&self) -> Self {
-        self.inner.views.borrow_mut().push((self.start, self.end));
-        PacketBuf {
-            inner: Rc::clone(&self.inner),
-            start: self.start,
-            end: self.end,
-            sum: Cell::new(self.sum.get()),
-        }
-    }
-}
-
-impl Drop for PacketBuf {
-    fn drop(&mut self) {
-        self.inner.views.borrow_mut().remove((self.start, self.end));
     }
 }
 
@@ -561,7 +423,7 @@ impl PartialEq for PacketBuf {
     fn eq(&self, other: &PacketBuf) -> bool {
         // Same storage and bounds is common (clones); compare bytes
         // otherwise.
-        (Rc::ptr_eq(&self.inner, &other.inner) && self.start == other.start && self.end == other.end)
+        (Rc::ptr_eq(&self.storage, &other.storage) && self.start == other.start && self.end == other.end)
             || *self.bytes() == *other.bytes()
     }
 }
@@ -635,60 +497,45 @@ mod tests {
     }
 
     #[test]
-    fn clone_is_refcount_bump_and_contended_prepend_copies() {
+    fn shared_handle_rehomes_on_prepend_and_append_then_writes_in_place() {
         reset_copy_stats();
         let b = PacketBuf::with_headroom(32, b"shared-bytes");
-        let base = copy_stats().bytes;
-        let kept = b.clone();
-        assert_eq!(copy_stats().bytes, base, "clone copies nothing");
-        // A clone starting at the same offset may still prepend in
-        // place: it cannot corrupt a view that starts at or above it.
-        let mut descend = b.clone();
-        assert_eq!(descend.prepend_header(b"IP"), 0);
-        // But now `descend` starts *below* `b` and `kept`; a sibling
-        // prepend at the higher start is blocked by the lower view.
-        let mut late = kept.clone();
-        assert_eq!(late.prepend_header(b"XX"), b.len(), "contended prepend falls back");
-        assert_eq!(late, b"XXshared-bytes");
-        assert_eq!(descend, b"IPshared-bytes");
+        let base = copy_stats();
+        let mut down = b.clone();
+        assert_eq!(copy_stats(), base, "clone copies nothing");
+        assert!(!down.is_unique());
+        // Headroom or not, a shared buffer is never written: the writer
+        // moves out, and the handle left behind sees what it always saw.
+        assert_eq!(down.prepend_header(b"IP"), b.len(), "shared prepend re-homes");
+        assert_eq!(copy_stats().copies, base.copies + 1);
+        assert!(down.is_unique() && b.is_unique());
+        assert_eq!(down.prepend_header(b"ETH"), 0, "its own storage now");
+        assert_eq!(down.append(b"FCS"), 0);
+        assert_eq!(down, b"ETHIPshared-bytesFCS");
         assert_eq!(b, b"shared-bytes");
+
+        let mut tail = b.slice(7, 12);
+        assert_eq!(tail.append(b"!"), 5, "shared append re-homes");
+        assert_eq!(tail.append(b"!"), 0);
+        assert_eq!(tail.prepend_header(b">"), 0);
+        assert_eq!(tail, b">bytes!!");
+        assert_eq!(b, b"shared-bytes");
+        assert_eq!(copy_stats().copies, base.copies + 2);
     }
 
     #[test]
-    fn retransmit_pattern_prepends_in_place_twice() {
-        // Queue holds the payload view; each (re)transmission clones it
-        // and prepends headers. Once the first frame dies, the second
-        // descent reuses the same headroom with zero copies.
-        let queued = PacketBuf::with_headroom(54, b"segment-payload");
+    fn lone_buffer_takes_every_header_and_the_fcs_in_place() {
+        // The way down: staged once, handed on by value, never shared.
+        let mut frame = PacketBuf::with_headroom(DEFAULT_HEADROOM, b"ping");
         reset_copy_stats();
-        for _ in 0..2 {
-            let mut descend = queued.clone();
-            assert_eq!(descend.prepend_header(&[0u8; 20]), 0); // TCP
-            assert_eq!(descend.prepend_header(&[1u8; 20]), 0); // IP
-            assert_eq!(descend.prepend_header(&[2u8; 14]), 0); // Eth
-            assert_eq!(descend.append(&[3u8; 4]), 0); // FCS
-            assert_eq!(descend.len(), 15 + 54 + 4);
-            drop(descend);
-        }
-        assert_eq!(copy_stats().bytes, 0, "pure retransmission memcpys nothing");
-        assert_eq!(queued, b"segment-payload");
-    }
-
-    #[test]
-    fn append_contention_falls_back() {
-        let b = PacketBuf::with_headroom(8, b"abc");
-        let longer = {
-            let mut l = b.clone();
-            l.append(b"tail");
-            l
-        };
-        // `b` ends below `longer` now; appending through `b` must not
-        // clobber `longer`'s tail.
-        let mut b2 = b.clone();
-        let copied = b2.append(b"XYZ");
-        assert_eq!(copied, 3);
-        assert_eq!(b2, b"abcXYZ");
-        assert_eq!(longer, b"abctail");
+        assert_eq!(frame.prepend_header(&[0u8; 20]), 0); // TCP
+        assert_eq!(frame.prepend_header(&[1u8; 20]), 0); // IP
+        assert_eq!(frame.prepend_header(&[2u8; 14]), 0); // Ethernet
+        assert_eq!(frame.append_zeros(2), 0); // padding to the 46-byte minimum
+        assert_eq!(frame.append(&[3u8; 4]), 0); // FCS
+        assert_eq!(copy_stats(), CopyStats::default(), "zero payload bytes moved");
+        assert_eq!(frame.len(), 14 + 46 + 4);
+        assert_eq!(frame.slice(54, 58), b"ping");
     }
 
     #[test]

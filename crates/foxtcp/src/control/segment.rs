@@ -409,7 +409,6 @@ mod tests {
     //! SEGMENT-ARRIVES, and checks the TCB and emitted actions.
 
     use super::*;
-    use foxbasis::buf::PacketBuf;
     use foxbasis::seq::Seq;
     use foxwire::tcp::{TcpFlags, TcpHeader, TcpOption};
 
@@ -512,7 +511,7 @@ mod tests {
         core.tcb.snd_nxt = Seq(101);
         core.tcb.resend_queue.push_back(crate::tcb::SentSegment {
             seq: Seq(100),
-            payload: PacketBuf::new(),
+            len: 0,
             syn: true,
             fin: false,
         });
@@ -674,7 +673,7 @@ mod tests {
         core.tcb.snd_nxt = Seq(401);
         core.tcb.resend_queue.push_back(crate::tcb::SentSegment {
             seq: Seq(101),
-            payload: vec![1u8; 300].into(),
+            len: 300,
             syn: false,
             fin: false,
         });
@@ -868,7 +867,7 @@ mod tests {
         core.tcb.snd_nxt = Seq(102);
         core.tcb.resend_queue.push_back(crate::tcb::SentSegment {
             seq: Seq(101),
-            payload: PacketBuf::new(),
+            len: 0,
             syn: false,
             fin: true,
         });
@@ -1028,7 +1027,7 @@ mod tests {
         core.tcb.snd_nxt = Seq(101);
         core.tcb.resend_queue.push_back(crate::tcb::SentSegment {
             seq: Seq(100),
-            payload: PacketBuf::new(),
+            len: 0,
             syn: true,
             fin: false,
         });
@@ -1101,7 +1100,7 @@ mod tests {
         for i in 0..4u32 {
             core.tcb.resend_queue.push_back(crate::tcb::SentSegment {
                 seq: Seq(101 + i * 1000),
-                payload: vec![0u8; 1000].into(),
+                len: 1000,
                 syn: false,
                 fin: false,
             });

@@ -164,7 +164,7 @@ mod tests {
         core.tcb.snd_nxt = Seq(600);
         core.tcb.resend_queue.push_back(crate::tcb::SentSegment {
             seq: Seq(100),
-            payload: vec![1u8; 500].into(),
+            len: 500,
             syn: false,
             fin: false,
         });
@@ -240,7 +240,7 @@ mod tests {
         core.tcb.snd_nxt = Seq(600);
         core.tcb.resend_queue.push_back(crate::tcb::SentSegment {
             seq: Seq(100),
-            payload: vec![1u8; 500].into(),
+            len: 500,
             syn: false,
             fin: false,
         });

@@ -78,7 +78,7 @@ pub fn process_ack<P: Clone + PartialEq + Debug>(
     while let Some(front) = tcb.resend_queue.front() {
         if front.end().le(ack) {
             let seg = tcb.resend_queue.pop_front().expect("front");
-            out.bytes_acked += seg.len();
+            out.bytes_acked += seg.len;
             out.syn_acked |= seg.syn;
             out.fin_acked |= seg.fin;
         } else {
@@ -88,16 +88,14 @@ pub fn process_ack<P: Clone + PartialEq + Debug>(
     // Partial ACK inside the front segment: trim it.
     if let Some(front) = tcb.resend_queue.front_mut() {
         if front.seq.lt(ack) && ack.lt(front.end()) {
-            let cut = ack.since(front.seq);
-            let data_cut = cut - u32::from(front.syn && front.seq.lt(ack));
-            // Narrow the stored view — the storage (shared with the
-            // in-flight frame) is untouched.
-            front.payload.trim_front(data_cut.min(front.len()) as usize);
-            if front.syn {
-                front.syn = false; // the SYN octet is first, so it is covered
-                out.syn_acked = true;
-            }
+            // The entry becomes the unacknowledged remainder: the SYN
+            // octet is first, so it is covered, and an ACK short of the
+            // entry's end leaves its last data byte or its FIN.
+            let data_cut = ack.since(front.seq) - u32::from(front.syn);
+            out.syn_acked |= front.syn;
+            front.syn = false;
             front.seq = ack;
+            front.len -= data_cut;
             out.bytes_acked += data_cut;
         }
     }
@@ -261,11 +259,12 @@ fn next_lost<P>(tcb: &Tcb<P>) -> Option<&SentSegment> {
 /// inside the congestion window (one segment, with congestion control
 /// off), so the old flight leaves under slow start; in fast recovery one
 /// per call, because there every ACK stands for one segment that left
-/// the network. Does nothing outside an episode. Payloads are
-/// re-referenced, never re-read from the send buffer, so the walk
-/// memcpys nothing however many segments it sends.
+/// the network. Does nothing outside an episode. The queue holds
+/// sequence ranges, so each segment the walk sends is staged from the
+/// send buffer again: one copy per segment resent, the same copy its
+/// first transmission made.
 pub fn retransmit_lost<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, now: VirtualTime) {
-    while let Some(seg) = next_lost(&core.tcb).cloned() {
+    while let Some(seg) = next_lost(&core.tcb).copied() {
         let tcb = &mut core.tcb;
         let r = tcb.recovery.as_mut().expect("next_lost found an episode");
         if seg.seq != tcb.snd_una && seg.end().since(tcb.snd_una) > tcb.cwnd.max(tcb.mss) {
@@ -273,7 +272,7 @@ pub fn retransmit_lost<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, now
         }
         r.high_rxt = seg.end();
         let by_rto = r.by_rto;
-        retransmit_segment(core, &seg, now);
+        retransmit_segment(core, seg, now);
         let how = if by_rto { LossEvent::RtoRetransmit } else { LossEvent::FastRetransmit };
         core.tcb.push_action(TcpAction::Loss(how));
         if !by_rto {
@@ -282,14 +281,14 @@ pub fn retransmit_lost<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, now
     }
 }
 
-/// Rebuilds the header for `seg` (current `rcv_nxt`, window, negotiated
-/// options) and queues it for transmission.
+/// Stages `seg`'s bytes again, rebuilds its header (current `rcv_nxt`,
+/// window, negotiated options) and queues it for transmission.
 fn retransmit_segment<P: Clone + PartialEq + Debug>(
     core: &mut ConnCore<P>,
-    seg: &SentSegment,
+    seg: SentSegment,
     now: VirtualTime,
 ) {
-    let payload = seg.payload.clone();
+    let payload = send::stage(&core.tcb, seg.seq, seg.len);
     let mut header = TcpHeader::new(core.local_port, core.remote.as_ref().map(|(_, p)| *p).unwrap_or(0));
     header.seq = seg.seq;
     header.ack = core.tcb.rcv_nxt;
@@ -297,7 +296,7 @@ fn retransmit_segment<P: Clone + PartialEq + Debug>(
         syn: seg.syn,
         fin: seg.fin,
         ack: core.state.is_synchronized() || !seg.syn,
-        psh: !seg.is_empty(),
+        psh: seg.len > 0,
         ..TcpFlags::default()
     };
     if seg.syn {
@@ -391,7 +390,7 @@ mod tests {
         for i in 0..3u32 {
             core.tcb.resend_queue.push_back(SentSegment {
                 seq: Seq(100 + i * 1000),
-                payload: vec![0xAA; 1000].into(),
+                len: 1000,
                 syn: false,
                 fin: false,
             });
@@ -481,7 +480,7 @@ mod tests {
         assert_eq!(out.bytes_acked, 500);
         let front = core.tcb.resend_queue.front().unwrap();
         assert_eq!(front.seq, Seq(600));
-        assert_eq!(front.len(), 500);
+        assert_eq!(front.len, 500);
     }
 
     #[test]
@@ -520,20 +519,41 @@ mod tests {
         assert_eq!(core.tcb.rtt.backoff, 0, "new data acked resets backoff");
     }
 
+    /// The first segment queued for transmission.
+    fn first_sent(core: &mut ConnCore<u32>) -> TcpSegment {
+        let sent = core.tcb.to_do.drain_all().into_iter().find_map(|a| match a {
+            TcpAction::SendSegment(s) => Some(s),
+            _ => None,
+        });
+        sent.expect("a segment was queued")
+    }
+
     #[test]
-    fn retransmit_reuses_queued_payload() {
+    fn retransmit_stages_the_front_segment_again() {
         let mut core = core_with_flight();
         rto(&mut core, 1000);
-        let acts = core.tcb.to_do.drain_all();
-        let seg = acts
-            .iter()
-            .find_map(|a| match a {
-                TcpAction::SendSegment(s) => Some(s.clone()),
-                _ => None,
-            })
-            .expect("a retransmitted segment");
+        let seg = first_sent(&mut core);
         assert_eq!(seg.header.seq, Seq(100));
         assert_eq!(seg.payload, vec![0xAA; 1000]);
+        assert!(seg.payload.is_unique(), "nothing else holds the buffer that goes down");
+    }
+
+    #[test]
+    fn timeout_after_a_partial_ack_resends_exactly_the_remainder() {
+        let mut core = core_with_flight();
+        let bytes: Vec<u8> = (0..3000u32).map(|i| (i % 251) as u8).collect();
+        core.tcb.send_buf.clear();
+        core.tcb.send_buf.write(&bytes);
+        // The ACK lands 500 bytes into the first 1000-byte segment.
+        process_ack(&cfg(), &mut core, Seq(600), VirtualTime::from_millis(10));
+        let front = SentSegment { seq: Seq(600), len: 500, syn: false, fin: false };
+        assert_eq!(core.tcb.resend_queue.front(), Some(&front));
+        core.tcb.to_do.clear();
+        rto(&mut core, 1000);
+        let seg = first_sent(&mut core);
+        assert_eq!(seg.header.seq, Seq(600));
+        assert_eq!(seg.payload, bytes[500..1000], "the unacknowledged remainder, and only it");
+        core.tcb.check_invariants();
     }
 
     #[test]
@@ -679,7 +699,7 @@ mod tests {
         for i in 0..2u32 {
             core.tcb.resend_queue.push_back(SentSegment {
                 seq: Seq(3100 + i * 1000),
-                payload: vec![0xCC; 1000].into(),
+                len: 1000,
                 syn: false,
                 fin: false,
             });
@@ -738,7 +758,7 @@ mod tests {
         for i in 3..n {
             core.tcb.resend_queue.push_back(SentSegment {
                 seq: Seq(100 + i * 1000),
-                payload: vec![0xAA; 1000].into(),
+                len: 1000,
                 syn: false,
                 fin: false,
             });
@@ -823,16 +843,8 @@ mod tests {
         let mut core = core_with_flight();
         core.tcb.resend_queue.clear();
         let now = VirtualTime::from_millis(5);
-        record_sent(
-            &mut core.tcb,
-            SentSegment { seq: Seq(100), payload: vec![0; 10].into(), syn: false, fin: false },
-            now,
-        );
-        record_sent(
-            &mut core.tcb,
-            SentSegment { seq: Seq(110), payload: vec![0; 10].into(), syn: false, fin: false },
-            now,
-        );
+        record_sent(&mut core.tcb, SentSegment { seq: Seq(100), len: 10, syn: false, fin: false }, now);
+        record_sent(&mut core.tcb, SentSegment { seq: Seq(110), len: 10, syn: false, fin: false }, now);
         let acts = drain(&mut core);
         assert_eq!(acts.iter().filter(|a| a.starts_with("Set_Timer(Resend")).count(), 1);
         assert_eq!(core.tcb.rtt.timing, Some((Seq(110), now)), "first segment timed");

@@ -98,25 +98,31 @@ pub fn queue_syn<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, with_ack:
     if core.tcb.snd_nxt == core.tcb.iss {
         let iss = core.tcb.iss;
         core.tcb.snd_nxt = iss + 1;
-        resend::record_sent(
-            &mut core.tcb,
-            SentSegment { seq: iss, payload: PacketBuf::new(), syn: true, fin: false },
-            now,
-        );
+        resend::record_sent(&mut core.tcb, SentSegment { seq: iss, len: 0, syn: true, fin: false }, now);
     }
 }
 
-/// Where the first unsent byte sits in `send_buf`: the flight, less the
-/// SYN's sequence number while it is unacknowledged. The queue is
-/// push-back/pop-front and the SYN, at `iss`, is the first thing a
-/// connection ever sends, so only the front entry can carry it.
-fn staging_offset<P>(tcb: &Tcb<P>) -> usize {
-    debug_assert!(
-        tcb.resend_queue.iter().skip(1).all(|s| !s.syn),
-        "only the oldest segment in flight can be the SYN"
-    );
+/// Stages the `len` bytes of the send buffer that start at sequence
+/// number `seq` into a fresh buffer with headroom for every header
+/// below: the one copy a transmission makes — the first, a window probe
+/// or a retransmission alike — with the checksum computed while that
+/// copy has the bytes in cache (the paper's Fig. 10 combined
+/// copy/checksum idea). The buffer goes down the stack by value; the
+/// bytes stay in `send_buf` until they are acknowledged, so nothing
+/// here or in the resend queue keeps a handle to it.
+///
+/// `send_buf` begins at `snd_una`, less the SYN's sequence number while
+/// that is unacknowledged. The queue is push-back/pop-front and the SYN,
+/// at `iss`, is the first thing a connection ever sends, so only the
+/// front entry can carry it.
+pub fn stage<P>(tcb: &Tcb<P>, seq: Seq, len: u32) -> PacketBuf {
     let syn_outstanding = tcb.resend_queue.front().is_some_and(|s| s.syn);
-    (tcb.flight_size() as usize).saturating_sub(usize::from(syn_outstanding))
+    let offset = (seq.since(tcb.snd_una) as usize).saturating_sub(usize::from(syn_outstanding));
+    PacketBuf::build_summed(DEFAULT_HEADROOM, len as usize, |dst| {
+        let (got, sum) = tcb.send_buf.peek_at_sum(offset, dst);
+        debug_assert_eq!(got, dst.len(), "staged bytes must be present");
+        sum
+    })
 }
 
 /// Stages as much pending data (and the pending FIN) as the windows
@@ -150,24 +156,12 @@ pub fn maybe_send<P: Clone + PartialEq + Debug>(cfg: &TcpConfig, core: &mut Conn
             return;
         }
 
-        // Copy the staged bytes out of the send buffer exactly once and
-        // checksum them while that copy has them in cache (the paper's
-        // Fig. 10 combined copy/checksum idea). The resulting buffer is
-        // the one the wire encoders prepend into, the one the engine
-        // hands down, and the one the retransmission queue re-references.
-        let offset = staging_offset(&core.tcb);
-        let send_buf = &core.tcb.send_buf;
-        let payload = PacketBuf::build_summed(DEFAULT_HEADROOM, take as usize, |dst| {
-            let (got, sum) = send_buf.peek_at_sum(offset, dst);
-            debug_assert_eq!(got as u32, take, "staged bytes must be present");
-            sum
-        });
-
         let seq = core.tcb.snd_nxt;
+        let payload = stage(&core.tcb, seq, take);
         let push = take > 0 && take == unsent;
         let flags = TcpFlags { ack: true, psh: push, fin: fin_now, ..TcpFlags::default() };
         let header = make_header(core, flags, seq, now);
-        core.tcb.push_action(TcpAction::SendSegment(TcpSegment { header, payload: payload.clone() }));
+        core.tcb.push_action(TcpAction::SendSegment(TcpSegment { header, payload }));
         core.tcb.snd_nxt = seq + take + u32::from(fin_now);
         if fin_now {
             core.tcb.fin_seq = Some(seq + take);
@@ -176,7 +170,7 @@ pub fn maybe_send<P: Clone + PartialEq + Debug>(cfg: &TcpConfig, core: &mut Conn
         core.tcb.bytes_since_ack = 0;
         core.tcb.segs_since_ack = 0;
         core.tcb.push_action(TcpAction::ClearTimer(TimerKind::DelayedAck));
-        resend::record_sent(&mut core.tcb, SentSegment { seq, payload, syn: false, fin: fin_now }, now);
+        resend::record_sent(&mut core.tcb, SentSegment { seq, len: take, syn: false, fin: fin_now }, now);
         if fin_now {
             return;
         }
@@ -214,22 +208,12 @@ pub fn window_probe<P: Clone + PartialEq + Debug>(
     if tcb.snd_wnd > 0 || tcb.unsent() == 0 {
         return; // window opened meanwhile, or nothing to probe with
     }
-    let offset = staging_offset(&core.tcb);
-    let send_buf = &core.tcb.send_buf;
-    let mut got = 0;
-    let payload = PacketBuf::build_summed(DEFAULT_HEADROOM, 1, |dst| {
-        let (n, sum) = send_buf.peek_at_sum(offset, dst);
-        got = n;
-        sum
-    });
-    if got == 0 {
-        return;
-    }
     let seq = core.tcb.snd_nxt;
+    let payload = stage(&core.tcb, seq, 1);
     let header = make_header(core, TcpFlags { ack: true, psh: true, ..TcpFlags::default() }, seq, now);
-    core.tcb.push_action(TcpAction::SendSegment(TcpSegment { header, payload: payload.clone() }));
+    core.tcb.push_action(TcpAction::SendSegment(TcpSegment { header, payload }));
     core.tcb.snd_nxt = seq + 1;
-    resend::record_sent(&mut core.tcb, SentSegment { seq, payload, syn: false, fin: false }, now);
+    resend::record_sent(&mut core.tcb, SentSegment { seq, len: 1, syn: false, fin: false }, now);
     // Back off the *persist* exponent, not the RTT one: the peer will
     // ACK the probe byte, and that ACK resets `rtt.backoff` in
     // `process_ack` — which used to pin the probe interval at its base
@@ -507,6 +491,24 @@ mod tests {
         queue_syn(&mut core, false, VirtualTime::ZERO);
         assert_eq!(core.tcb.snd_nxt, Seq(101));
         assert_eq!(core.tcb.resend_queue.len(), 1);
+    }
+
+    #[test]
+    fn stage_reads_past_an_unacknowledged_syn_from_offset_zero() {
+        // The SYN holds a sequence number and no byte of the buffer:
+        // while it is at the front of the queue, `iss + 1` is offset 0.
+        let cfg = TcpConfig::default();
+        let mut core: ConnCore<u32> = ConnCore::new(&cfg, 1000, Seq(100), 1460);
+        core.remote = Some((7, 2000));
+        core.state = TcpState::SynSent { retries_left: 3 };
+        queue_syn(&mut core, false, VirtualTime::ZERO);
+        core.tcb.send_buf.write(b"early data");
+        assert_eq!(stage(&core.tcb, Seq(101), 5), b"early");
+        assert_eq!(stage(&core.tcb, Seq(106), 5), b" data");
+        assert!(stage(&core.tcb, Seq(100), 0).is_empty(), "the SYN itself stages nothing");
+        // Acknowledged, the SYN leaves the queue and the arithmetic is plain.
+        resend::process_ack(&cfg, &mut core, Seq(101), VirtualTime::ZERO);
+        assert_eq!(stage(&core.tcb, Seq(106), 5), b" data");
     }
 
     #[test]

@@ -535,6 +535,11 @@ where
                 tcb.last_adv_wnd = u32::from(seg.header.window) << shift;
             }
         }
+        // The encoder consumes the segment — the payload buffer it
+        // carries is the buffer that goes down — so what is reported
+        // about it is read first.
+        let (h, len) = (&seg.header, seg.payload.len());
+        let (seq, ack, flags, wnd) = (h.seq.0, h.ack.0, h.flags, h.window);
         let mark = copy_mark();
         let bytes = match seg.encode_buf(pseudo) {
             Ok(b) => b,
@@ -550,21 +555,21 @@ where
             });
         }
         self.stats.segments_sent += 1;
-        self.stats.bytes_sent += seg.payload.len() as u64;
+        self.stats.bytes_sent += len as u64;
         if self.obs.is_on() {
             let conn = tx_conn.map_or(foxbasis::obs::NO_CONN, |idx| self.conns[idx].id);
             self.obs.emit(self.sched.now(), conn, || Event::SegTx {
-                seq: seg.header.seq.0,
-                ack: seg.header.ack.0,
-                len: seg.payload.len() as u32,
-                flags: seg.header.flags.to_u8(),
-                wnd: u32::from(seg.header.window),
+                seq,
+                ack,
+                len: len as u32,
+                flags: flags.to_u8(),
+                wnd: u32::from(wnd),
             });
         }
-        if seg.payload.is_empty() && !seg.header.flags.syn && !seg.header.flags.fin {
+        if len == 0 && !flags.syn && !flags.fin {
             self.stats.acks_sent += 1;
         }
-        if seg.header.flags.rst {
+        if flags.rst {
             self.stats.rsts_sent += 1;
         }
         let conn = match self.lower_conn {

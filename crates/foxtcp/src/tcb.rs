@@ -8,7 +8,7 @@
 //! |------------------|------------------------------------------------|
 //! | `iss`            | [`Tcb::iss`]                                   |
 //! | `snd_una` …      | [`Tcb::snd_una`] and the other RFC 793 vars    |
-//! | `queued`         | the unsent tail of [`Tcb::send_buf`] (bytes past `snd_nxt`) — the deque of not-yet-sent packets, adapted to a byte-stream store so retransmission can re-segment |
+//! | `queued`         | the unsent tail of [`Tcb::send_buf`] (bytes past `snd_nxt`) — the deque of not-yet-sent packets, adapted to a byte-stream store. The sent prefix stays in it until acknowledged and is the only copy of the flight: every transmission, first or repeated, stages its bytes from here (`send::stage`) |
 //! | `out_of_order`   | [`Tcb::out_of_order`]                          |
 //! | `to_do`          | [`Tcb::to_do`] — the action queue at the heart of the quasi-synchronous control structure |
 //!
@@ -148,16 +148,19 @@ impl RttEstimator {
     }
 }
 
-/// An entry in the retransmission queue: a sent, unacknowledged segment.
-/// The payload is the *same* [`PacketBuf`] that was handed down the
-/// stack — retransmission re-references it (a refcount bump), it never
-/// re-reads the send buffer (the zero-copy discipline).
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// An entry in the retransmission queue: a sent, unacknowledged segment,
+/// as the sequence range it occupies and nothing else. Its bytes are
+/// where they were before it was sent — in [`Tcb::send_buf`], which
+/// releases them only when they are acknowledged — and the buffer that
+/// carried them down the stack belongs to the layers below. A
+/// retransmission stages them again (`send::stage`): one copy per
+/// segment resent, none kept per segment in flight.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SentSegment {
     /// First sequence number of the segment.
     pub seq: Seq,
-    /// The segment's payload, shared with the frame that went out.
-    pub payload: PacketBuf,
+    /// Bytes of payload.
+    pub len: u32,
     /// Whether the segment carried SYN.
     pub syn: bool,
     /// Whether the segment carried FIN.
@@ -165,19 +168,9 @@ pub struct SentSegment {
 }
 
 impl SentSegment {
-    /// Bytes of payload.
-    pub fn len(&self) -> u32 {
-        self.payload.len() as u32
-    }
-
-    /// True if the segment carried no payload bytes.
-    pub fn is_empty(&self) -> bool {
-        self.payload.is_empty()
-    }
-
     /// Sequence space consumed.
     pub fn seq_len(&self) -> u32 {
-        self.len() + u32::from(self.syn) + u32::from(self.fin)
+        self.len + u32::from(self.syn) + u32::from(self.fin)
     }
 
     /// One past the last sequence number.
@@ -274,8 +267,10 @@ pub struct Tcb<P> {
 
     // --- data buffers ---
     /// Outgoing byte store: `snd_una .. snd_una + send_buf.len()`.
-    /// The prefix up to `snd_nxt` is sent-but-unacked (the retransmit
-    /// store); the tail is the paper's `queued` — staged, unsent data.
+    /// The prefix up to `snd_nxt` is sent-but-unacked — the one copy of
+    /// the flight, which [`Tcb::resend_queue`] describes and every
+    /// retransmission reads; the tail is the paper's `queued` — staged,
+    /// unsent data.
     pub send_buf: RingBuffer,
     /// True once the user has called `close` — a FIN follows the last
     /// byte of `send_buf`.
@@ -297,7 +292,8 @@ pub struct Tcb<P> {
     pub last_queued: Option<Seq>,
 
     // --- retransmission (the Resend module's queue) ---
-    /// Sent, unacknowledged segments, oldest first.
+    /// Sent, unacknowledged segments, oldest first: sequence ranges
+    /// over the sent prefix of [`Tcb::send_buf`].
     pub resend_queue: foxbasis::deq::Deq<SentSegment>,
     /// RTT estimation.
     pub rtt: RttEstimator,
@@ -559,20 +555,16 @@ impl<P> Tcb<P> {
                 .unwrap_or_else(|e| e);
             self.sack_scoreboard.insert(at, (start, end));
         }
-        // Coalesce overlapping/adjacent ranges.
-        let mut merged: Vec<(Seq, Seq)> = Vec::new();
-        for &(s, e) in &self.sack_scoreboard {
-            match merged.last_mut() {
-                Some((_, me)) if s.le(*me) => {
-                    if e.gt(*me) {
-                        *me = e;
-                    }
-                }
-                _ => merged.push((s, e)),
+        // Coalesce overlapping/adjacent ranges, in place: a range that
+        // touches the one kept before it extends that one and goes.
+        self.sack_scoreboard.dedup_by(|next, kept| {
+            let touches = next.0.le(kept.1);
+            if touches && next.1.gt(kept.1) {
+                kept.1 = next.1;
             }
-        }
-        merged.truncate(16);
-        self.sack_scoreboard = merged;
+            touches
+        });
+        self.sack_scoreboard.truncate(16);
     }
 
     /// Drops scoreboard ranges the cumulative ACK has overtaken.
@@ -661,11 +653,29 @@ impl<P> Tcb<P> {
         assert!(self.rcv_wnd() as usize <= self.recv_buf.capacity(), "window over capacity");
 
         // The retransmission queue is ordered, and only its front entry
-        // may carry the SYN (`send::staging_offset` relies on it).
+        // may carry the SYN (`send::stage` relies on it).
         for (i, (a, b)) in self.resend_queue.iter().zip(self.resend_queue.iter().skip(1)).enumerate() {
             assert!(a.end().le(b.seq), "resend queue out of order at {i}: {} then {}", a.end(), b.seq);
             assert!(!b.syn, "resend queue entry {} carries a SYN", i + 1);
         }
+        // The queue holds ranges, not bytes: what it describes must
+        // still be in the send buffer for a retransmission to stage.
+        let queued: usize = self.resend_queue.iter().map(|s| s.len as usize).sum();
+        assert!(
+            queued <= self.send_buf.len(),
+            "resend queue describes {queued} bytes of {}",
+            self.send_buf.len()
+        );
+        // And it describes the whole flight, or nothing: `abort`, a peer
+        // reset and the user timeout clear the queue and leave `snd_una`
+        // and `snd_nxt` where they were, so an empty queue says nothing
+        // about the flight.
+        let described: u32 = self.resend_queue.iter().map(SentSegment::seq_len).sum();
+        assert!(
+            self.resend_queue.is_empty() || described == self.flight_size(),
+            "resend queue covers {described} of a flight of {}",
+            self.flight_size()
+        );
 
         // The reassembly queue: sorted, no two entries overlapping, and
         // inside all three of its bounds.
@@ -1025,7 +1035,7 @@ mod tests {
 
     #[test]
     fn sent_segment_accounting() {
-        let s = SentSegment { seq: Seq(10), payload: vec![0u8; 100].into(), syn: false, fin: true };
+        let s = SentSegment { seq: Seq(10), len: 100, syn: false, fin: true };
         assert_eq!(s.seq_len(), 101);
         assert_eq!(s.end(), Seq(111));
     }
@@ -1124,6 +1134,24 @@ mod tests {
         // A block claiming bytes never sent is not evidence of anything.
         t.note_sack_blocks(&[(Seq(5500), Seq(6001))]);
         assert_eq!(t.sack_scoreboard, vec![(Seq(4500), Seq(5000))]);
+    }
+
+    #[test]
+    fn sack_scoreboard_keeps_the_sixteen_lowest_ranges() {
+        let mut t = tcb();
+        t.snd_una = Seq(1000);
+        t.snd_nxt = Seq(3000);
+        let range = |i: u32| (Seq(1100 + 100 * i), Seq(1150 + 100 * i));
+        // Seventeen disjoint ranges, reported highest first.
+        for i in (0..17).rev() {
+            t.note_sack_blocks(&[range(i)]);
+        }
+        assert_eq!(t.sack_scoreboard, (0..16).map(range).collect::<Vec<_>>(), "the seventeenth is dropped");
+        // One block that bridges two of them shortens the board instead.
+        t.note_sack_blocks(&[(Seq(1150), Seq(1200))]);
+        assert_eq!(t.sack_scoreboard.len(), 15);
+        assert_eq!(t.sack_scoreboard[0], (Seq(1100), Seq(1250)));
+        t.check_invariants();
     }
 
     #[test]

@@ -196,6 +196,18 @@ pub type Engine = Tcp<TestLower, TestAux>;
 
 type EventLog = Rc<RefCell<Vec<(TcpConnId, TcpEvent)>>>;
 
+/// The default configuration with Nagle off: every write goes out as
+/// soon as the windows allow.
+pub fn no_nagle() -> TcpConfig {
+    TcpConfig { nagle: false, ..TcpConfig::default() }
+}
+
+/// Immediate ACKs and no Nagle: nothing in the exchange waits on a
+/// timer, so a test can run at a frozen clock.
+pub fn immediate() -> TcpConfig {
+    TcpConfig { delayed_ack_ms: None, ..no_nagle() }
+}
+
 /// Two engines joined by a [`LinkPair`], one virtual clock between them
 /// and a log of every event either side's users received.
 ///
@@ -415,7 +427,7 @@ mod tests {
 
     #[test]
     fn a_filter_drop_shows_through_the_pair() {
-        let mut p = Pair::new(TcpConfig { nagle: false, ..TcpConfig::default() }, TcpConfig::default());
+        let mut p = Pair::new(no_nagle(), TcpConfig::default());
         let (client, child) = p.open(80);
         p.link.set_filter_toward(1, Box::new(|_| false));
         p.a.send_data(client, b"lost").unwrap();

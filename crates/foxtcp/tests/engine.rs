@@ -7,16 +7,12 @@ use foxbasis::obs::{flags, Event, EventSink};
 use foxbasis::profile::Account;
 use foxbasis::time::VirtualTime;
 use foxproto::{ProtoError, Protocol};
-use foxtcp::testlink::Pair;
+use foxtcp::testlink::{no_nagle, Pair};
 use foxtcp::{TcpConfig, TcpConnId, TcpEvent, TcpPattern, TcpState, TcpStats};
 use foxwire::tcp::TcpSegment;
 use simnet::{CostModel, Host as SimHost, HostHandle};
 use std::cell::RefCell;
 use std::rc::Rc;
-
-fn no_nagle() -> TcpConfig {
-    TcpConfig { nagle: false, ..TcpConfig::default() }
-}
 
 /// `a` feeds `payload` into `client` as flow control admits it, running
 /// the pair `ms` (in `tick_ms` steps) between writes; 3000 writes is the

@@ -5,16 +5,10 @@
 use foxbasis::obs::{flags, flags_to_string, Event, EventSink};
 use foxbasis::time::VirtualTime;
 use foxproto::Protocol;
-use foxtcp::testlink::Pair;
+use foxtcp::testlink::{immediate, Pair};
 use foxtcp::{TcpConfig, TcpConnId, TcpEvent, TcpPattern, TcpState};
 use foxwire::tcp::{TcpFlags, TcpHeader, TcpSegment};
 use simnet::HostHandle;
-
-/// Immediate ACKs and no Nagle: nothing in the exchange waits on a
-/// timer, so a test can run at a frozen clock.
-fn immediate() -> TcpConfig {
-    TcpConfig { nagle: false, delayed_ack_ms: None, ..TcpConfig::default() }
-}
 
 /// `a` feeds `payload` into `conn` a millisecond tick at a time until
 /// `b` has delivered all of it (or 100 000 ticks have passed).

@@ -91,7 +91,7 @@ fn tap_toward_a(p: &Pair, black_hole: Rc<Cell<bool>>) -> Rc<RefCell<Option<Packe
 /// Puts `seg` on the wire from `from`'s link address to the other's, as
 /// if that engine had sent it.
 fn inject(p: &Pair, from: u8, seg: &TcpSegment) {
-    let frame = seg.encode_buf(None).expect("encodes");
+    let frame = seg.clone().encode_buf(None).expect("encodes");
     p.link.endpoint(from).send(from, 1 - from, frame).expect("the link takes it");
 }
 

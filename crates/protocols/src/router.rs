@@ -186,10 +186,10 @@ impl Router {
         }
         // TTL and the incremental checksum update (RFC 1624): the
         // TTL/protocol 16-bit word loses 0x0100. The mutation happens in
-        // place when this hop holds the only view of the buffer;
-        // otherwise (the sender still references it, e.g. from a
-        // retransmission queue on the same simulated machine) on a
-        // private copy — never on bytes another view can see.
+        // place when this hop holds the only handle to the buffer;
+        // otherwise (the frame it was sliced from is still alive
+        // somewhere on the same simulated machine) on a private copy —
+        // never on bytes another handle can see.
         let mut bytes = buf;
         if bytes.bytes_mut().is_none() {
             bytes = bytes.clone_owned();

@@ -319,9 +319,9 @@ impl NetCore {
         }
         let mut frame = frame;
         if self.rng.gen_bool(self.config.faults.corrupt_chance) && !frame.is_empty() {
-            // The sender may still reference this buffer (e.g. in a
-            // retransmission queue), so corruption works on a private
-            // deep copy — the only copy the wire ever makes.
+            // Someone else may still hold this buffer (a sender that
+            // keeps what it sent, a capture tap), so corruption works on
+            // a private deep copy — the only copy the wire ever makes.
             let mut owned = frame.clone_owned();
             let at = self.rng.gen_range(0..owned.len());
             let bit = self.rng.gen_range(0u32..8);

@@ -183,15 +183,15 @@ impl Frame {
     /// Fails with [`WireError::Malformed`] if the payload exceeds the
     /// MTU.
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
-        Ok(self.encode_buf()?.to_vec())
+        Ok(self.clone().encode_buf()?.to_vec())
     }
 
-    /// Externalizes the frame **in place**: header into the payload
-    /// buffer's headroom, minimum-payload padding and FCS into its
-    /// tailroom. The FCS pass reads the frame once (the link layer's
+    /// Externalizes the frame **in place**, consuming it: header into
+    /// the payload buffer's headroom, minimum-payload padding and FCS
+    /// into its tailroom. The FCS pass reads the frame once (the link layer's
     /// checksum cost, charged by the virtual model as before); the
     /// payload bytes are not copied.
-    pub fn encode_buf(&self) -> Result<PacketBuf, WireError> {
+    pub fn encode_buf(self) -> Result<PacketBuf, WireError> {
         if self.payload.len() > MTU {
             return Err(WireError::Malformed("ethernet payload exceeds MTU"));
         }
@@ -199,7 +199,7 @@ impl Frame {
         header[0..6].copy_from_slice(&self.dst.0);
         header[6..12].copy_from_slice(&self.src.0);
         header[12..14].copy_from_slice(&self.ethertype.to_u16().to_be_bytes());
-        let mut buf = self.payload.clone();
+        let mut buf = self.payload;
         let pad = MIN_PAYLOAD.saturating_sub(buf.len());
         buf.prepend_header(&header);
         buf.append_zeros(pad);

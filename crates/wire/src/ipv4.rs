@@ -176,17 +176,18 @@ impl Ipv4Packet {
     /// Fails if options are not 32-bit aligned or too long, or if the
     /// total length exceeds 65535.
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
-        Ok(self.encode_buf()?.to_vec())
+        Ok(self.clone().encode_buf()?.to_vec())
     }
 
-    /// Externalizes the packet **in place**: the checksummed header is
-    /// prepended into the payload buffer's headroom and the same storage
-    /// continues down the stack. The header checksum only touches the
-    /// 20–60 header bytes; the payload is not read.
-    pub fn encode_buf(&self) -> Result<PacketBuf, WireError> {
+    /// Externalizes the packet **in place**, consuming it: the
+    /// checksummed header is prepended into the payload buffer's
+    /// headroom and the same storage continues down the stack. The
+    /// header checksum only touches the 20–60 header bytes; the payload
+    /// is not read.
+    pub fn encode_buf(self) -> Result<PacketBuf, WireError> {
         let mut header = [0u8; MAX_HEADER_LEN];
         let n = self.encode_header(&mut header)?;
-        let mut buf = self.payload.clone();
+        let mut buf = self.payload;
         buf.prepend_header(&header[..n]);
         Ok(buf)
     }

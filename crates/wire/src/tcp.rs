@@ -297,19 +297,21 @@ impl TcpSegment {
     /// — and the checksum is computed over it plus the segment. With
     /// `None` the checksum field is left zero (the paper's
     /// `compute_checksums = false` configuration for `Special_Tcp`).
-    /// Owned bytes: [`encode_buf`](Self::encode_buf)'s segment, copied
-    /// out.
+    /// Owned bytes: [`encode_buf`](Self::encode_buf)'s segment, built
+    /// from a copy of this one and copied out.
     pub fn encode(&self, pseudo_sum: Option<u16>) -> Result<Vec<u8>, WireError> {
-        Ok(self.encode_buf(pseudo_sum)?.to_vec())
+        Ok(self.clone().encode_buf(pseudo_sum)?.to_vec())
     }
 
     /// Externalizes the segment **in place**: the header (with the
     /// checksum already computed) is prepended into the payload buffer's
-    /// headroom, and the same storage continues down the stack. The
-    /// payload's ones-complement sum comes from the buffer's memo (set
-    /// by the combined copy+checksum pass that filled it), so the
-    /// payload bytes are not re-read here.
-    pub fn encode_buf(&self, pseudo_sum: Option<u16>) -> Result<PacketBuf, WireError> {
+    /// headroom, and the same storage continues down the stack — the
+    /// segment is consumed, so the buffer it was given is the buffer it
+    /// returns and nothing is left holding it. The payload's
+    /// ones-complement sum comes from the buffer's memo (set by the
+    /// combined copy+checksum pass that filled it), so the payload
+    /// bytes are not re-read here.
+    pub fn encode_buf(self, pseudo_sum: Option<u16>) -> Result<PacketBuf, WireError> {
         let mut header = [0u8; MAX_HEADER_LEN];
         let n = self.encode_header(&mut header)?;
         let header = &mut header[..n];
@@ -319,7 +321,7 @@ impl TcpSegment {
             let csum = acc.finish();
             header[16..18].copy_from_slice(&csum.to_be_bytes());
         }
-        let mut buf = self.payload.clone();
+        let mut buf = self.payload;
         buf.prepend_header(header);
         Ok(buf)
     }

@@ -37,13 +37,14 @@ impl UdpDatagram {
     /// Per RFC 768, a computed checksum of zero is transmitted as 0xFFFF,
     /// and a transmitted zero means "no checksum".
     pub fn encode(&self, pseudo_sum: Option<u16>) -> Result<Vec<u8>, WireError> {
-        Ok(self.encode_buf(pseudo_sum)?.to_vec())
+        Ok(self.clone().encode_buf(pseudo_sum)?.to_vec())
     }
 
-    /// Like [`encode`](Self::encode), but writes the header into the
-    /// payload buffer's headroom in place: the payload bytes are not
-    /// touched (the checksum reuses the buffer's memoized ones-sum).
-    pub fn encode_buf(&self, pseudo_sum: Option<u16>) -> Result<PacketBuf, WireError> {
+    /// Like [`encode`](Self::encode), but consumes the datagram and
+    /// writes the header into its payload buffer's headroom in place:
+    /// the payload bytes are not touched (the checksum reuses the
+    /// buffer's memoized ones-sum).
+    pub fn encode_buf(self, pseudo_sum: Option<u16>) -> Result<PacketBuf, WireError> {
         let total = HEADER_LEN + self.payload.len();
         if total > 65535 {
             return Err(WireError::Malformed("udp datagram too long"));
@@ -60,7 +61,7 @@ impl UdpDatagram {
             }
             header[6..8].copy_from_slice(&csum.to_be_bytes());
         }
-        let mut buf = self.payload.clone();
+        let mut buf = self.payload;
         buf.prepend_header(&header);
         Ok(buf)
     }
