@@ -16,10 +16,12 @@
 #      carries and index tables, debug builds trap the overflow that
 #      release builds wrap, and every benchmark number is a release
 #      build — a mistake that only misbehaves when wrapping fails here.
-#      The release re-run also covers the two allocation budgets
+#      The release re-run also covers the allocation budgets
 #      (foxbasis's wheel_alloc: a warm timer wheel makes 0 heap calls;
-#      foxtcp's alloc_budget: heap calls per ESTABLISHED round trip, an
-#      exact constant) — the counts are facts about the optimized build.
+#      foxtcp's alloc_budget: heap calls per ESTABLISHED round trip and
+#      heap bytes held per idle ESTABLISHED connection — the
+#      bytes-per-connection ceiling — both exact constants) — the counts
+#      are facts about the optimized build.
 #      The workspace run also holds the copy budget beside them
 #      (foxtcp's retransmit_copy_budget: one staging copy per segment
 #      resent, none while encoding, both exact)
@@ -32,9 +34,10 @@
 #      bit-identically, plus the SACK-beats-NewReno burst-loss
 #      assertions (the `tables` binary panics if any of it regresses);
 #      then the loss matrix once from a *debug* build, where
-#      `Tcb::check_invariants` runs after every executed action and
-#      `fsm::transition`'s guard is live, so every lossy cell is checked
-#      at every step on every run
+#      `Tcb::check_invariants` runs after every executed action,
+#      `Tcp::check_invariants` (table, demux, accept-queue counters,
+#      timers) at the end of every `step`, and `fsm::transition`'s guard
+#      is live, so every lossy cell is checked at every step on every run
 #   7. adversarial smoke: a fixed 6-cell subset of the adversarial
 #      matrix (DESIGN.md §5.12) — each cell internally run twice with
 #      bit-identical reports asserted — executed as two whole process

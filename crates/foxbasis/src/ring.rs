@@ -1,4 +1,4 @@
-//! A fixed-capacity byte ring buffer.
+//! A bounded byte ring buffer whose storage is grown by use.
 //!
 //! TCP's send and receive buffers are bounded byte queues: the receive
 //! window the connection advertises is exactly the free space of the
@@ -8,6 +8,15 @@
 //! `foxtcp` hands received data straight to the user and keeps only this
 //! arithmetic, as `foxtcp::tcb::RecvAccount`.)
 //!
+//! The bound — [`RingBuffer::capacity`], what [`RingBuffer::free`] and
+//! flow control read — is fixed at construction; the storage behind it
+//! is not. A new ring holds none, the first [`RingBuffer::write`]
+//! allocates [`STORAGE_FLOOR`] bytes (or the bound, if smaller), later
+//! writes double it as far as the bytes stored need and never past the
+//! bound, and [`RingBuffer::clear`] gives it all back. A connection that
+//! moves 64 bytes therefore costs 64 bytes of ring, not its whole send
+//! buffer, and one that fills the buffer pays a dozen or so growth steps, once.
+//!
 //! Any stretch of the ring — stored bytes or free space — is at most two
 //! contiguous runs of the storage, so every operation is one index
 //! computation and two slice copies, never a loop over bytes.
@@ -15,11 +24,17 @@
 use crate::checksum::ones_complement_sum;
 use std::fmt;
 
-/// A fixed-capacity FIFO of bytes.
+/// The first allocation a ring makes, in bytes (a smaller bound
+/// allocates the bound). Storage is this, doubled as often as use asked
+/// for, capped at the bound.
+pub const STORAGE_FLOOR: usize = 64;
+
+/// A bounded FIFO of bytes.
 ///
 /// ```
 /// use foxbasis::ring::RingBuffer;
 /// let mut ring = RingBuffer::new(8);
+/// assert_eq!(ring.storage(), 0); // nothing allocated until written to
 /// assert_eq!(ring.write(b"hello"), 5);
 /// assert_eq!(ring.free(), 3); // the window a TCP would advertise
 /// let mut out = [0u8; 8];
@@ -27,7 +42,11 @@ use std::fmt;
 /// assert_eq!(&out[..5], b"hello");
 /// ```
 pub struct RingBuffer {
+    /// The storage allocated so far: empty, or `capacity.min(FLOOR << k)`
+    /// bytes.
     data: Vec<u8>,
+    /// The most bytes the ring will ever hold.
+    capacity: usize,
     /// Index of the first valid byte.
     head: usize,
     /// Number of valid bytes.
@@ -35,17 +54,24 @@ pub struct RingBuffer {
 }
 
 impl RingBuffer {
-    /// Creates a ring holding at most `capacity` bytes.
+    /// Creates a ring holding at most `capacity` bytes. Allocates
+    /// nothing.
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "ring buffer capacity must be positive");
-        RingBuffer { data: vec![0; capacity], head: 0, len: 0 }
+        RingBuffer { data: Vec::new(), capacity, head: 0, len: 0 }
     }
 
-    /// Total capacity in bytes.
+    /// The bound: the most bytes the ring will hold.
     pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Bytes of storage currently allocated, at most
+    /// [`capacity`](Self::capacity).
+    pub fn storage(&self) -> usize {
         self.data.len()
     }
 
@@ -62,21 +88,38 @@ impl RingBuffer {
     /// Free space, i.e. how many more bytes [`write`](Self::write) will
     /// accept. For a TCP receive buffer this is the window to advertise.
     pub fn free(&self) -> usize {
-        self.capacity() - self.len
+        self.capacity - self.len
     }
 
     /// Appends as much of `src` as fits; returns the number of bytes
     /// accepted.
     pub fn write(&mut self, src: &[u8]) -> usize {
         let n = src.len().min(self.free());
+        if n == 0 {
+            return 0;
+        }
+        if self.len + n > self.data.len() {
+            self.grow_to_hold(self.len + n);
+        }
         // The free space is at most two contiguous runs: up to the end
         // of the storage, then from its start.
-        let at = (self.head + self.len) % self.capacity();
-        let first = n.min(self.capacity() - at);
+        let at = (self.head + self.len) % self.data.len();
+        let first = n.min(self.data.len() - at);
         self.data[at..at + first].copy_from_slice(&src[..first]);
         self.data[..n - first].copy_from_slice(&src[first..n]);
         self.len += n;
         n
+    }
+
+    /// Replaces the storage with the smallest step of the doubling
+    /// ladder that holds `need` bytes, the stored bytes moved to its
+    /// front.
+    fn grow_to_hold(&mut self, need: usize) {
+        let size = need.next_power_of_two().max(STORAGE_FLOOR).min(self.capacity);
+        let mut grown = vec![0; size];
+        self.peek_at(0, &mut grown[..self.len]);
+        self.data = grown;
+        self.head = 0;
     }
 
     /// Removes up to `dst.len()` bytes into `dst`; returns the number of
@@ -102,8 +145,8 @@ impl RingBuffer {
         }
         let n = dst.len().min(self.len - offset);
         // Like the free space, the stored bytes are at most two runs.
-        let at = (self.head + offset) % self.capacity();
-        let first = n.min(self.capacity() - at);
+        let at = (self.head + offset) % self.data.len();
+        let first = n.min(self.data.len() - at);
         dst[..first].copy_from_slice(&self.data[at..at + first]);
         dst[first..n].copy_from_slice(&self.data[..n - first]);
         n
@@ -124,13 +167,16 @@ impl RingBuffer {
     /// discarded.
     pub fn skip(&mut self, n: usize) -> usize {
         let n = n.min(self.len);
-        self.head = (self.head + n) % self.capacity();
-        self.len -= n;
+        if n > 0 {
+            self.head = (self.head + n) % self.data.len();
+            self.len -= n;
+        }
         n
     }
 
-    /// Removes everything.
+    /// Removes everything and returns the storage to the allocator.
     pub fn clear(&mut self) {
+        self.data = Vec::new();
         self.head = 0;
         self.len = 0;
     }
@@ -266,22 +312,67 @@ mod tests {
         }
         assert_eq!(out, src);
     }
+    #[test]
+    fn an_unwritten_ring_has_no_storage_and_every_read_of_it_is_empty() {
+        let mut r = RingBuffer::new(4096);
+        assert_eq!((r.storage(), r.capacity(), r.free()), (0, 4096, 4096));
+        let mut buf = [0u8; 8];
+        assert_eq!(r.peek(&mut buf), 0);
+        assert_eq!(r.peek_at(3, &mut buf), 0);
+        assert_eq!(r.peek_at_sum(0, &mut buf), (0, 0));
+        assert_eq!(r.read(&mut buf), 0);
+        assert_eq!(r.skip(5), 0);
+        assert_eq!(r.write(&[]), 0);
+        assert_eq!(r.storage(), 0, "an empty write allocates nothing");
+        r.clear();
+        assert_eq!(r.skip(1), 0, "nor does a cleared ring divide by its storage");
+    }
+
+    #[test]
+    fn storage_doubles_with_use_up_to_the_bound_and_clear_returns_it() {
+        let mut r = RingBuffer::new(1000);
+        r.write(&[1; 10]);
+        assert_eq!(r.storage(), STORAGE_FLOOR);
+        r.skip(8); // head mid-storage: growth has to re-linearise
+        r.write(&[2; 62]);
+        assert_eq!(r.storage(), STORAGE_FLOOR, "64 bytes stored still fit the floor");
+        r.write(&[3; 200]);
+        assert_eq!(r.storage(), 512, "264 bytes stored skip the 128 and 256 steps");
+        let mut out = vec![0u8; 264];
+        assert_eq!(r.peek(&mut out), 264);
+        assert_eq!((&out[..2], &out[2..64], &out[64..]), (&[1; 2][..], &[2; 62][..], &[3; 200][..]));
+        assert_eq!(r.write(&[4; 2000]), 736);
+        assert_eq!(r.storage(), 1000, "the last step stops at the bound");
+        r.clear();
+        assert_eq!((r.storage(), r.len(), r.free()), (0, 0, 1000));
+        assert_eq!(RingBuffer::new(7).write(&[0; 9]), 7, "a bound under the floor is the whole storage");
+    }
+
     proptest! {
-        /// The ring against a `VecDeque` model. Capacities are small and
-        /// odd, so the wrap falls mid-word and at offset `cap - 1`, and
-        /// every operation's two-run split is hit at every position.
+        /// The ring against a `VecDeque` model. Bounds are odd, so the
+        /// wrap falls mid-word and at offset `cap - 1`: the small ones
+        /// hit every operation's two-run split at every position, the
+        /// large ones cross several growth steps and wrap afterwards.
+        /// Storage follows the high-water mark and nothing else.
         #[test]
         fn matches_a_deque_model(
-            half_cap in 0usize..8,
-            ops in proptest::collection::vec((0u8..5, 0usize..20, 0usize..20), 0..200),
+            small in 0usize..8,
+            large in 8usize..1500,
+            pick_large: bool,
+            ops in proptest::collection::vec((0u8..6, 0usize..20, 0usize..20), 0..200),
         ) {
-            let cap = 2 * half_cap + 1;
+            let cap = 2 * if pick_large { large } else { small } + 1;
+            // Amounts scale with the bound, so a large ring fills in a
+            // few writes.
+            let scale = cap.div_ceil(20);
             let mut ring = RingBuffer::new(cap);
             let mut model: VecDeque<u8> = VecDeque::new();
+            let mut high_water = 0usize;
             let mut next = 0u8;
             for (op, a, b) in ops {
+                let (a, b) = (a * scale, b * scale);
                 match op {
-                    0 => {
+                    0 | 5 => {
                         let src: Vec<u8> = (0..a)
                             .map(|_| {
                                 next = next.wrapping_mul(31).wrapping_add(7);
@@ -319,7 +410,13 @@ mod tests {
                 }
                 prop_assert_eq!(ring.len(), model.len());
                 prop_assert_eq!(ring.free(), cap - model.len());
+                high_water = high_water.max(model.len());
+                let ladder = if high_water == 0 { 0 } else { high_water.next_power_of_two().max(STORAGE_FLOOR) };
+                prop_assert!(ring.storage() <= ladder, "{} bytes of storage for a high-water of {}", ring.storage(), high_water);
+                prop_assert!(ring.storage() >= ring.len());
             }
+            ring.clear();
+            prop_assert_eq!((ring.storage(), ring.len(), ring.free()), (0, 0, cap));
         }
     }
 }

@@ -199,14 +199,21 @@ impl<T> TimerWheel<T> {
     /// O(1) and eager: the cell is unlinked and free for the next `arm`
     /// when this returns.
     pub fn cancel(&mut self, id: TimerId) -> bool {
-        let pending =
-            self.cells.get(id.cell as usize).is_some_and(|c| c.payload.is_some() && c.seq == id.seq);
+        let pending = self.get(id).is_some();
         if pending {
             self.unlink(id.cell);
             self.release(id.cell);
             self.stats.cancels += 1;
         }
         pending
+    }
+
+    /// The payload timer `id` was armed with, while it is still pending;
+    /// `None` once it has fired or been cancelled, whoever holds its
+    /// cell now.
+    pub fn get(&self, id: TimerId) -> Option<&T> {
+        let cell = self.cells.get(id.cell as usize).filter(|c| c.seq == id.seq)?;
+        cell.payload.as_ref()
     }
 
     /// The earliest pending deadline, if any. O(slab) — diagnostics
@@ -512,6 +519,7 @@ mod tests {
         assert_eq!(b.cell, a.cell, "the freed cell is the first handed out again");
         assert_ne!(a, b);
         assert!(!w.cancel(a), "a already fired");
+        assert_eq!((w.get(a), w.get(b)), (None, Some(&"b")), "nor read it");
         assert_eq!(w.len(), 1);
         let fired = w.advance(t(4_000));
         assert_eq!(fired.len(), 1);

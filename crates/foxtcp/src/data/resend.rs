@@ -130,6 +130,12 @@ pub fn process_ack<P: Clone + PartialEq + Debug>(
     // the buffer head; SYN/FIN octets occupy sequence space but no
     // buffer bytes.)
     tcb.send_buf.skip(out.bytes_acked as usize);
+    if out.fin_acked {
+        // Everything before the FIN is acknowledged with it and nothing
+        // follows it: the buffer is empty for good, so its storage goes
+        // back now and TIME-WAIT holds none.
+        tcb.send_buf.clear();
+    }
     tcb.snd_una = ack;
     if tcb.sack_on {
         tcb.prune_sack_scoreboard(ack);

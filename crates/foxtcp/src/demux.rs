@@ -17,11 +17,15 @@
 //!   local port.
 //! * **ports** — local-port reference counts, for ephemeral allocation.
 //!
-//! Within one bucket, candidate ids are kept in creation order, so the
-//! first verified candidate is the same connection the old front-to-back
-//! scan found — lookup results are bit-for-bit unchanged, only cheaper.
+//! One ordered set per namespace, its entries the key followed by the
+//! connection id: the candidates for a key are a `range` over the id
+//! suffix, filing a connection is one insert and unfiling it one remove,
+//! and no key owns a heap object of its own. Ids ascend in creation
+//! order, so the first verified candidate is the same connection the old
+//! front-to-back scan found — lookup results are bit-for-bit unchanged,
+//! only cheaper.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Operation counters (the `tables -- scale` experiment reports these).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -38,8 +42,10 @@ pub struct DemuxStats {
 /// connection sits in the engine's table is the engine's business.
 #[derive(Default)]
 pub struct Demux {
-    flows: BTreeMap<(u16, u64, u16), Vec<u32>>,
-    listeners: BTreeMap<u16, Vec<u32>>,
+    /// `(local port, hash(remote addr), remote port, id)`.
+    flows: BTreeSet<(u16, u64, u16, u32)>,
+    /// `(local port, id)`.
+    listeners: BTreeSet<(u16, u32)>,
     ports: BTreeMap<u16, usize>,
     stats: DemuxStats,
 }
@@ -60,11 +66,9 @@ impl Demux {
     pub fn insert(&mut self, id: u32, local_port: u16, flow: Option<(u64, u16)>) {
         *self.ports.entry(local_port).or_insert(0) += 1;
         match flow {
-            Some((peer, remote_port)) => {
-                self.flows.entry((local_port, peer, remote_port)).or_default().push(id)
-            }
-            None => self.listeners.entry(local_port).or_default().push(id),
-        }
+            Some((peer, remote_port)) => self.flows.insert((local_port, peer, remote_port, id)),
+            None => self.listeners.insert((local_port, id)),
+        };
     }
 
     /// Unregisters a connection; `flow` must match what `insert` got.
@@ -75,28 +79,23 @@ impl Demux {
                 self.ports.remove(&local_port);
             }
         }
-        let bucket = match flow {
-            Some((peer, remote_port)) => self.flows.get_mut(&(local_port, peer, remote_port)),
-            None => self.listeners.get_mut(&local_port),
+        match flow {
+            Some((peer, remote_port)) => self.flows.remove(&(local_port, peer, remote_port, id)),
+            None => self.listeners.remove(&(local_port, id)),
         };
-        if let Some(ids) = bucket {
-            ids.retain(|&x| x != id);
-            if ids.is_empty() {
-                match flow {
-                    Some((peer, remote_port)) => {
-                        self.flows.remove(&(local_port, peer, remote_port));
-                    }
-                    None => {
-                        self.listeners.remove(&local_port);
-                    }
-                }
-            }
-        }
     }
 
     /// Any connection (in any state) using `local_port`?
     pub fn port_in_use(&self, local_port: u16) -> bool {
         self.ports.contains_key(&local_port)
+    }
+
+    /// True if `id` is filed under exactly this key.
+    pub fn files(&self, id: u32, local_port: u16, flow: Option<(u64, u16)>) -> bool {
+        match flow {
+            Some((peer, remote_port)) => self.flows.contains(&(local_port, peer, remote_port, id)),
+            None => self.listeners.contains(&(local_port, id)),
+        }
     }
 
     /// Finds the first (oldest) flow connection matching the key that
@@ -110,7 +109,10 @@ impl Demux {
         verify: impl FnMut(u32) -> bool,
     ) -> Option<u32> {
         self.stats.lookups += 1;
-        let ids = self.flows.get(&(local_port, peer, remote_port))?;
+        let ids = self
+            .flows
+            .range((local_port, peer, remote_port, 0)..=(local_port, peer, remote_port, u32::MAX))
+            .map(|&(_, _, _, id)| id);
         first_verified(ids, &mut self.stats.steps, verify)
     }
 
@@ -118,15 +120,19 @@ impl Demux {
     /// `verify(id)` accepts.
     pub fn lookup_listener(&mut self, local_port: u16, verify: impl FnMut(u32) -> bool) -> Option<u32> {
         self.stats.lookups += 1;
-        let ids = self.listeners.get(&local_port)?;
+        let ids = self.listeners.range((local_port, 0)..=(local_port, u32::MAX)).map(|&(_, id)| id);
         first_verified(ids, &mut self.stats.steps, verify)
     }
 }
 
-/// The first id in a bucket that `verify` accepts, counting each
+/// The first of a key's ids that `verify` accepts, counting each
 /// candidate examined.
-fn first_verified(ids: &[u32], steps: &mut u64, mut verify: impl FnMut(u32) -> bool) -> Option<u32> {
-    ids.iter().copied().find(|&id| {
+fn first_verified(
+    mut ids: impl Iterator<Item = u32>,
+    steps: &mut u64,
+    mut verify: impl FnMut(u32) -> bool,
+) -> Option<u32> {
+    ids.find(|&id| {
         *steps += 1;
         verify(id)
     })

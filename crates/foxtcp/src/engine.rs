@@ -151,6 +151,14 @@ struct Conn<P> {
     parent: Option<u32>,
     /// Set once a terminal event (Closed/Reset/TimedOut) was delivered.
     finished: bool,
+    /// True while this child takes up a place in its parent's accept
+    /// queue: from its spawning until the first of adoption or `Closed`.
+    in_backlog: bool,
+    /// (Listeners) the children currently `in_backlog` — the count a SYN
+    /// is admitted against.
+    backlogged: usize,
+    /// Already on the engine's `reap_list`.
+    reap_listed: bool,
 }
 
 /// The first port of the ephemeral range (through 65535).
@@ -207,11 +215,8 @@ where
     lower_pattern: L::Pattern,
     lower_conn: Option<L::ConnId>,
     rx: Rc<RefCell<Fifo<L::Incoming>>>,
-    /// The only connection table. Creation-ordered, and ids only grow,
-    /// so it is sorted by id: id → position is a binary search
-    /// ([`position`]) and needs no mirror to keep in step when `reap`
-    /// compacts it.
-    conns: Vec<Conn<L::Peer>>,
+    /// The only connection table (see [`Table`]).
+    conns: Table<L::Peer>,
     next_id: u32,
     next_ephemeral: u16,
     stats: TcpStats,
@@ -221,17 +226,98 @@ where
     wheel: TimerWheel<(u32, TimerKind)>,
     /// Keyed segment→connection-id table; files every id in `conns`.
     demux: Demux,
-    /// Connections whose timers fired in this `step` (scratch, kept for
-    /// its capacity).
-    fired_ids: Vec<u32>,
-    /// Set wherever a connection can have become reapable; `reap` looks
-    /// at the table only when it is.
-    reap_due: bool,
+    /// `(id, slot)` of the connections whose timers fired in this `step`
+    /// (scratch, kept for its capacity).
+    fired: Vec<(u32, usize)>,
+    /// The slots of the connections that can have become reapable since
+    /// the last `reap` — listed wherever one of [`Conn::reapable`]'s
+    /// terms can have turned true — which are the only ones it visits.
+    reap_list: Vec<usize>,
 }
 
-/// Where connection `id` sits in the engine's table (sorted by id).
-fn position<P>(conns: &[Conn<P>], id: u32) -> Option<usize> {
-    conns.binary_search_by_key(&id, |c| c.id).ok()
+/// The connection table: a slab. A connection is built in a slot and
+/// stays there until it is reaped, so a slot number, once looked up, is
+/// good for as long as the connection is — `reap` runs only at the end
+/// of `step`, and nothing else removes. Slots are recycled, ids are not:
+/// an id is the engine's creation counter (traces, the demux's
+/// oldest-first rule and `step`'s drain order all read it as one), and a
+/// stale `TcpConnId` must name nothing rather than a stranger.
+///
+/// `live` is the table's only order and its only index: `(id, slot)`
+/// pairs in creation order, which is ascending id, so id → slot is a
+/// binary search over 8-byte entries. An entry is written once when its
+/// connection is created and removed once when it is reaped; nothing
+/// ever renumbers the others.
+struct Table<P> {
+    slots: Vec<Option<Conn<P>>>,
+    /// Vacant slots, the last vacated first to be reused.
+    free: Vec<u32>,
+    live: Vec<(u32, u32)>,
+}
+
+impl<P> Table<P> {
+    fn new() -> Table<P> {
+        Table { slots: Vec::new(), free: Vec::new(), live: Vec::new() }
+    }
+
+    /// Live connections.
+    fn len(&self) -> usize {
+        self.live.len()
+    }
+
+    /// The slot connection `id` lives in, if it is live.
+    fn slot_of(&self, id: u32) -> Option<usize> {
+        let at = self.live.binary_search_by_key(&id, |&(id, _)| id).ok()?;
+        Some(self.live[at].1 as usize)
+    }
+
+    /// Files `conn`, whose id must exceed every id filed before it, in
+    /// a vacant slot; returns the slot.
+    fn insert(&mut self, conn: Conn<P>) -> usize {
+        debug_assert!(self.live.last().is_none_or(|&(newest, _)| newest < conn.id), "ids only grow");
+        let id = conn.id;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(conn);
+                slot
+            }
+            None => {
+                self.slots.push(Some(conn));
+                u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 connections")
+            }
+        };
+        self.live.push((id, slot));
+        slot as usize
+    }
+
+    /// Takes the connection out of `slot`, which it must occupy.
+    fn remove(&mut self, slot: usize) -> Conn<P> {
+        let conn = self.slots[slot].take().expect("only an occupied slot is vacated");
+        let at =
+            self.live.binary_search_by_key(&conn.id, |&(id, _)| id).expect("a live connection is listed");
+        self.live.remove(at);
+        self.free.push(slot as u32);
+        conn
+    }
+
+    /// Every live connection, in id order.
+    fn iter(&self) -> impl Iterator<Item = &Conn<P>> {
+        self.live.iter().map(|&(_, slot)| &self[slot as usize])
+    }
+}
+
+impl<P> std::ops::Index<usize> for Table<P> {
+    type Output = Conn<P>;
+
+    fn index(&self, slot: usize) -> &Conn<P> {
+        self.slots[slot].as_ref().expect("a looked-up slot stays occupied until the end of `step`")
+    }
+}
+
+impl<P> std::ops::IndexMut<usize> for Table<P> {
+    fn index_mut(&mut self, slot: usize) -> &mut Conn<P> {
+        self.slots[slot].as_mut().expect("a looked-up slot stays occupied until the end of `step`")
+    }
 }
 
 impl<L, A> Tcp<L, A>
@@ -258,15 +344,15 @@ where
             lower_pattern,
             lower_conn: None,
             rx: Rc::new(RefCell::new(Fifo::new())),
-            conns: Vec::new(),
+            conns: Table::new(),
             next_id: 0,
             next_ephemeral: EPHEMERAL_FIRST,
             stats: TcpStats::default(),
             obs: EventSink::off(),
             wheel,
             demux: Demux::new(),
-            fired_ids: Vec::new(),
-            reap_due: false,
+            fired: Vec::new(),
+            reap_list: Vec::new(),
         }
     }
 
@@ -297,7 +383,7 @@ where
     /// counts across connections; single-connection hosts — every
     /// harness station — read them as per-connection).
     pub fn metrics_of(&self, conn: TcpConnId) -> Option<ConnMetrics> {
-        let i = self.index_of(conn.0)?;
+        let i = self.conns.slot_of(conn.0)?;
         let tcb = &self.conns[i].core.tcb;
         Some(ConnMetrics {
             srtt_us: tcb.rtt.srtt.map(|d| d.as_micros()),
@@ -325,7 +411,7 @@ where
     /// The connection's core — its state and TCB — for a test or a
     /// diagnostic to read, if it still exists.
     pub fn core_of(&self, conn: TcpConnId) -> Option<&ConnCore<L::Peer>> {
-        self.index_of(conn.0).map(|i| &self.conns[i].core)
+        self.conns.slot_of(conn.0).map(|i| &self.conns[i].core)
     }
 
     /// The connection's current state, if it still exists.
@@ -339,27 +425,37 @@ where
     /// distinguishable from `Ok(0)`, which means the connection exists
     /// but flow control is pushing back.
     pub fn send_capacity(&self, conn: TcpConnId) -> Result<usize, ProtoError> {
-        let i = self.index_of(conn.0).ok_or(ProtoError::NotOpen)?;
+        let i = self.conns.slot_of(conn.0).ok_or(ProtoError::NotOpen)?;
         Ok(self.conns[i].core.tcb.send_buf.free())
     }
 
     /// Installs (or replaces) the upcall handler; buffered events are
     /// flushed to it immediately. This is how a listener's user adopts a
-    /// [`TcpEvent::NewConnection`] child.
+    /// [`TcpEvent::NewConnection`] child — and when the data the child
+    /// parked meanwhile stops counting against its receive window.
     pub fn set_handler(&mut self, conn: TcpConnId, mut handler: Handler<TcpEvent>) -> Result<(), ProtoError> {
-        let i = self.index_of(conn.0).ok_or(ProtoError::NotOpen)?;
+        let i = self.conns.slot_of(conn.0).ok_or(ProtoError::NotOpen)?;
+        let mut taken = 0;
         for ev in self.conns[i].pending_events.drain(..) {
+            if let TcpEvent::Data(d) = &ev {
+                taken += d.len();
+            }
             handler(ev);
         }
         self.conns[i].handler = Some(handler);
-        self.reap_due = true;
+        self.leave_backlog(i);
+        self.list_for_reap(i);
+        if taken > 0 {
+            self.user_took(i, taken);
+            self.run_actions(i);
+        }
         Ok(())
     }
 
     /// Accepts as much of `data` as fits the send buffer; returns the
     /// number of bytes taken (0 means flow control pushed back).
     pub fn send_data(&mut self, conn: TcpConnId, data: &[u8]) -> Result<usize, ProtoError> {
-        let i = self.index_of(conn.0).ok_or(ProtoError::NotOpen)?;
+        let i = self.conns.slot_of(conn.0).ok_or(ProtoError::NotOpen)?;
         {
             let core = &mut self.conns[i].core;
             match core.state {
@@ -382,19 +478,15 @@ where
             let core = &mut self.conns[i].core;
             send::user_send(&self.cfg, core, data, now)
         };
-        self.run_actions(conn.0);
+        self.run_actions(i);
         Ok(taken)
     }
 
     // ----- internals -----
 
-    fn index_of(&self, id: u32) -> Option<usize> {
-        position(&self.conns, id)
-    }
-
-    /// The oldest connection filed under `(local_port, peer,
-    /// remote_port)` whose peer really is `peer` (the demux keys on a
-    /// hash) and whose state `accept`s.
+    /// The slot of the oldest connection filed under `(local_port,
+    /// peer, remote_port)` whose peer really is `peer` (the demux keys
+    /// on a hash) and whose state `accept`s.
     fn flow_index(
         &mut self,
         local_port: u16,
@@ -403,32 +495,43 @@ where
         accept: impl Fn(&TcpState) -> bool,
     ) -> Option<usize> {
         let conns = &self.conns;
-        let id = self.demux.lookup_flow(local_port, A::hash(peer), remote_port, |id| {
-            position(conns, id).is_some_and(|i| {
+        // The closure has to find the slot to look at the connection;
+        // the slot it accepted is the answer.
+        let mut found = None;
+        self.demux.lookup_flow(local_port, A::hash(peer), remote_port, |id| {
+            found = conns.slot_of(id).filter(|&i| {
                 let core = &conns[i].core;
                 core.remote.as_ref().is_some_and(|(a, p)| A::eq(a, peer) && *p == remote_port)
                     && accept(&core.state)
-            })
+            });
+            found.is_some()
         })?;
-        self.index_of(id)
+        found
     }
 
-    /// The oldest listener on `local_port` whose state `accept`s.
+    /// The slot of the oldest listener on `local_port` whose state
+    /// `accept`s.
     fn listener_index(&mut self, local_port: u16, accept: impl Fn(&TcpState) -> bool) -> Option<usize> {
         let conns = &self.conns;
-        let id = self.demux.lookup_listener(local_port, |id| {
-            position(conns, id).is_some_and(|i| accept(&conns[i].core.state))
+        let mut found = None;
+        self.demux.lookup_listener(local_port, |id| {
+            found = conns.slot_of(id).filter(|&i| accept(&conns[i].core.state));
+            found.is_some()
         })?;
-        self.index_of(id)
+        found
     }
 
-    /// Reports connection `id`'s state change since `before`, if any —
-    /// the one place a `StateTransition` is stamped.
-    fn note_transition(&self, id: u32, before: &'static str, cause: &'static str) {
-        let Some(idx) = self.index_of(id) else { return };
-        let after = self.conns[idx].core.state.name();
+    /// Reports the state change of the connection in slot `idx` since
+    /// `before`, if any — the one place a `StateTransition` is stamped.
+    fn note_transition(&self, idx: usize, before: &'static str, cause: &'static str) {
+        let conn = &self.conns[idx];
+        let after = conn.core.state.name();
         if before != after {
-            self.obs.emit(self.sched.now(), id, || Event::StateTransition { from: before, to: after, cause });
+            self.obs.emit(self.sched.now(), conn.id, || Event::StateTransition {
+                from: before,
+                to: after,
+                cause,
+            });
         }
     }
 
@@ -461,7 +564,8 @@ where
         None
     }
 
-    fn new_conn(&mut self, local_port: u16, remote: Option<(L::Peer, u16)>, parent: Option<u32>) -> u32 {
+    /// Creates a closed connection and files it; returns its slot.
+    fn new_conn(&mut self, local_port: u16, remote: Option<(L::Peer, u16)>, parent: Option<u32>) -> usize {
         let id = self.next_id;
         self.next_id += 1;
         let iss = self.new_iss();
@@ -472,11 +576,7 @@ where
         let mut core = ConnCore::new(&self.cfg, local_port, iss, mss);
         core.remote = remote;
         core.tcb.mss = mss;
-        // `core.remote` is fixed for the connection's lifetime, so its
-        // demux key never needs re-filing.
-        let flow = core.remote.as_ref().map(|(a, p)| (A::hash(a), *p));
-        self.demux.insert(id, local_port, flow);
-        self.conns.push(Conn {
+        let conn = Conn {
             id,
             core,
             handler: None,
@@ -484,14 +584,57 @@ where
             timers: Default::default(),
             parent,
             finished: false,
-        });
-        id
+            in_backlog: false,
+            backlogged: 0,
+            reap_listed: false,
+        };
+        // `core.remote` is fixed for the connection's lifetime, so its
+        // demux key never needs re-filing.
+        let (id, local_port, flow) = Self::demux_key(&conn);
+        self.demux.insert(id, local_port, flow);
+        self.conns.insert(conn)
+    }
+
+    /// The child in slot `idx` gives up its place in its parent's accept
+    /// queue, if it still holds one: called at adoption and at `Closed`,
+    /// whichever comes first.
+    fn leave_backlog(&mut self, idx: usize) {
+        if std::mem::take(&mut self.conns[idx].in_backlog) {
+            let parent = self.conns[idx].parent.and_then(|lid| self.conns.slot_of(lid));
+            if let Some(lidx) = parent {
+                self.conns[lidx].backlogged -= 1;
+            }
+        }
+    }
+
+    /// Puts the connection in slot `idx` on the list `reap` visits.
+    fn list_for_reap(&mut self, idx: usize) {
+        if !std::mem::replace(&mut self.conns[idx].reap_listed, true) {
+            self.reap_list.push(idx);
+        }
+    }
+
+    /// The user took `n` delivered bytes from the connection in slot
+    /// `idx`, which frees their share of the receive buffer — the copy
+    /// the paper says is "not reflected in the benchmarks".
+    fn user_took(&mut self, idx: usize, n: usize) {
+        let core = &mut self.conns[idx].core;
+        core.tcb.recv_buf.skip(n);
+        // BSD window-update rule: consuming data may have grown the
+        // window well past what the peer last saw; tell it, or a
+        // zero-window peer stays stuck.
+        let wnd = core.tcb.rcv_wnd();
+        let grew = wnd.saturating_sub(core.tcb.last_adv_wnd);
+        let half = (core.tcb.recv_buf.capacity() as u32 / 2).max(1);
+        if core.state == TcpState::Estab && (grew >= 2 * core.tcb.mss || grew >= half) {
+            send::queue_ack(core, self.sched.now());
+        }
     }
 
     fn deliver(&mut self, idx: usize, event: TcpEvent) {
         if matches!(event, TcpEvent::Closed | TcpEvent::Reset | TcpEvent::TimedOut) {
             self.conns[idx].finished = true;
-            self.reap_due = true;
+            self.list_for_reap(idx);
         }
         match &mut self.conns[idx].handler {
             Some(h) => h(event),
@@ -506,12 +649,13 @@ where
             Some((peer, _)) => peer.clone(),
             None => return, // cannot address: drop (listener RSTs go via transmit_to)
         };
-        self.transmit_to(seg, to);
+        self.transmit_to(seg, to, Some(idx));
     }
 
-    /// Transmits a segment to an explicit peer (RST replies for unknown
-    /// connections have no connection record).
-    fn transmit_to(&mut self, seg: TcpSegment, to: L::Peer) {
+    /// Transmits a segment to an explicit peer, on behalf of the
+    /// connection in slot `tx_conn` (RST replies for unknown connections
+    /// have no connection record).
+    fn transmit_to(&mut self, seg: TcpSegment, to: L::Peer, tx_conn: Option<usize>) {
         let total = seg.header.header_len() + seg.payload.len();
         let pseudo = if self.cfg.compute_checksums { self.aux.check(&to, total) } else { None };
         if pseudo.is_some() {
@@ -519,13 +663,6 @@ where
         }
         self.host.charge_tcp_segment_sized(seg.payload.len());
         self.host.with(|h| h.alloc_segment(seg.payload.len()));
-        // One keyed lookup serves both the window bookkeeping and the
-        // observability stamp below; skipped when neither needs it.
-        let tx_conn = if seg.header.flags.ack || self.obs.is_on() {
-            self.flow_index(seg.header.src_port, &to, seg.header.dst_port, |_| true)
-        } else {
-            None
-        };
         // Remember what window the peer will believe after this segment
         // (post-scaling; SYN windows go out unscaled per RFC 7323).
         if seg.header.flags.ack {
@@ -610,9 +747,12 @@ where
     /// Drains a connection's to_do queue, executing actions one at a
     /// time — the heart of the quasi-synchronous control structure
     /// (paper Fig. 7).
-    fn run_actions(&mut self, conn_id: u32) {
+    ///
+    /// Takes the connection's slot: the caller looked it up, and it
+    /// stays good however long the drain runs.
+    fn run_actions(&mut self, idx: usize) {
+        let conn_id = self.conns[idx].id;
         loop {
-            let Some(idx) = self.index_of(conn_id) else { return };
             let q = &mut self.conns[idx].core.tcb.to_do;
             // The paper's §4 priority extension: serve the actions
             // that affect packet latency (outbound segments) first.
@@ -674,22 +814,14 @@ where
                     self.transmit(idx, seg);
                 }
                 TcpAction::UserData(data) => {
-                    // The user takes the data here, which frees its
-                    // share of the receive buffer — the copy the paper
-                    // says is "not reflected in the benchmarks".
-                    self.conns[idx].core.tcb.recv_buf.skip(data.len());
                     self.stats.bytes_delivered += data.len() as u64;
-                    // BSD window-update rule: consuming data may have
-                    // grown the window well past what the peer last saw;
-                    // tell it, or a zero-window peer stays stuck.
-                    {
-                        let core = &mut self.conns[idx].core;
-                        let wnd = core.tcb.rcv_wnd();
-                        let grew = wnd.saturating_sub(core.tcb.last_adv_wnd);
-                        let half = (core.tcb.recv_buf.capacity() as u32 / 2).max(1);
-                        if core.state == TcpState::Estab && (grew >= 2 * core.tcb.mss || grew >= half) {
-                            send::queue_ack(core, now);
-                        }
+                    // A connection with a handler has a user, who takes
+                    // the data here. An unadopted child has none yet:
+                    // what it parks stays charged to its receive window
+                    // — the bound on what a peer nobody `accept`s from
+                    // can make us hold — until `set_handler` flushes it.
+                    if self.conns[idx].handler.is_some() {
+                        self.user_took(idx, data.len());
                     }
                     if !data.is_empty() {
                         self.deliver(idx, TcpEvent::Data(data));
@@ -740,7 +872,7 @@ where
                 }
             }
             if let Some((before, cause)) = state_before {
-                self.note_transition(conn_id, before, cause);
+                self.note_transition(idx, before, cause);
             }
             if cfg!(debug_assertions) {
                 self.conns[idx].core.tcb.check_invariants();
@@ -786,9 +918,8 @@ where
         let exact =
             self.flow_index(seg.header.dst_port, &src, seg.header.src_port, |s| *s != TcpState::Closed);
         if let Some(idx) = exact {
-            let id = self.conns[idx].id;
             self.conns[idx].core.tcb.push_action(TcpAction::ProcessData(seg, src));
-            self.run_actions(id);
+            self.run_actions(idx);
             return;
         }
 
@@ -798,7 +929,7 @@ where
             let lid = self.conns[lidx].id;
             match segment::on_listen_segment(seg.header.dst_port, &seg) {
                 ListenVerdict::Ignore => {}
-                ListenVerdict::Reply(rst) => self.transmit_to(rst, src),
+                ListenVerdict::Reply(rst) => self.transmit_to(rst, src, None),
                 ListenVerdict::Spawn => {
                     // The verify closure above only accepts Listen, but
                     // stay total on the rx path: treat anything else as
@@ -806,37 +937,30 @@ where
                     let TcpState::Listen { backlog } = self.conns[lidx].core.state else {
                         return;
                     };
-                    // The backlog is a real bounded accept queue: it
-                    // counts every live child the user has not taken
-                    // over yet — embryonic (handshake in flight) and
-                    // established-but-unaccepted alike. The dropped SYN
-                    // is not answered; the peer's retransmitted SYN
+                    // The backlog is a real bounded accept queue: the
+                    // listener counts every live child the user has not
+                    // taken over yet — embryonic (handshake in flight)
+                    // and established-but-unaccepted alike. The dropped
+                    // SYN is not answered; the peer's retransmitted SYN
                     // retries admission once the queue has drained.
-                    let pending = self
-                        .conns
-                        .iter()
-                        .filter(|c| {
-                            c.parent == Some(lid) && c.handler.is_none() && c.core.state != TcpState::Closed
-                        })
-                        .count();
-                    if pending >= backlog {
+                    if self.conns[lidx].backlogged >= backlog {
                         self.stats.syns_dropped += 1;
                         return;
                     }
-                    let child = self.new_conn(
+                    let cidx = self.new_conn(
                         seg.header.dst_port,
                         Some((src.clone(), seg.header.src_port)),
                         Some(lid),
                     );
-                    let Some(cidx) = self.index_of(child) else { return };
+                    self.conns[cidx].in_backlog = true;
+                    self.conns[lidx].backlogged += 1;
+                    let child = self.conns[cidx].id;
                     state::spawn_embryonic(&mut self.conns[cidx].core);
                     self.conns[cidx].core.tcb.push_action(TcpAction::ProcessData(seg, src));
-                    self.run_actions(child);
+                    self.run_actions(cidx);
                     // Tell the listener's user about the child.
-                    if let Some(lidx) = self.index_of(lid) {
-                        self.conns[lidx].core.tcb.push_action(TcpAction::NewConnection(child));
-                        self.run_actions(lid);
-                    }
+                    self.conns[lidx].core.tcb.push_action(TcpAction::NewConnection(child));
+                    self.run_actions(lidx);
                 }
             }
             return;
@@ -844,38 +968,112 @@ where
 
         // No connection at all: RFC 793 p. 36.
         if let Some(rst) = segment::on_closed_segment(&self.cfg, seg.header.dst_port, &seg) {
-            self.transmit_to(rst, src);
+            self.transmit_to(rst, src, None);
         }
     }
 
     /// A connection reaching `Closed` is one of the three ways it can
-    /// become reapable (see [`Conn::reapable`]); `deliver` and
-    /// `set_handler` note the other two.
+    /// become reapable (see [`Conn::reapable`]) — `deliver` and
+    /// `set_handler` list the other two — and, for a child nobody
+    /// adopted, the end of its stay in the accept queue.
     fn note_closed(&mut self, idx: usize) {
         if self.conns[idx].core.state == TcpState::Closed {
-            self.reap_due = true;
+            self.leave_backlog(idx);
+            self.list_for_reap(idx);
         }
     }
 
-    /// Removes connections that are fully closed, drained, and whose
-    /// user has seen the end, unfiling each from the demux table.
-    /// `retain` keeps the survivors in id order. Looks at the table only
-    /// when something in it can have changed its answer.
+    /// Removes the listed connections that are fully closed, drained,
+    /// and whose user has seen the end, unfiling each from the demux
+    /// table and vacating its slot. A listed connection that is not
+    /// there yet (closed, say, with its last event still parked for a
+    /// user who has not adopted it) is left, and is listed again by
+    /// whatever brings it the rest of the way.
     fn reap(&mut self) {
-        if !self.reap_due {
-            debug_assert!(!self.conns.iter().any(Conn::reapable), "a reapable connection was not flagged");
-            return;
-        }
-        self.reap_due = false;
-        let demux = &mut self.demux;
-        self.conns.retain(|c| {
-            let done = c.reapable();
-            if done {
-                let flow = c.core.remote.as_ref().map(|(a, p)| (A::hash(a), *p));
-                demux.remove(c.id, c.core.local_port, flow);
+        while let Some(idx) = self.reap_list.pop() {
+            self.conns[idx].reap_listed = false;
+            if self.conns[idx].reapable() {
+                let (id, local_port, flow) = Self::demux_key(&self.conns.remove(idx));
+                self.demux.remove(id, local_port, flow);
             }
-            !done
-        });
+        }
+    }
+
+    /// Asserts what holds between the table, the demux, the wheel and
+    /// the accept-queue counters whenever the engine is at rest. `step`
+    /// ends with it in debug builds (the switch `Tcb::check_invariants`
+    /// and `fsm::transition`'s guard use); release builds never call it.
+    ///
+    /// # Panics
+    /// Panics, naming the relation, if one does not hold.
+    fn check_invariants(&self) {
+        let table = &self.conns;
+        // The slab: `live` ascends by id and points at its connections;
+        // every other slot is vacant and on the free list exactly once.
+        for pair in table.live.windows(2) {
+            assert!(pair[0].0 < pair[1].0, "live entries {:?} and {:?} out of order", pair[0], pair[1]);
+        }
+        for &(id, slot) in &table.live {
+            let holds = table.slots.get(slot as usize).and_then(|s| s.as_ref()).map(|c| c.id);
+            assert_eq!(holds, Some(id), "slot {slot} does not hold connection {id}");
+        }
+        let mut free = table.free.clone();
+        free.sort_unstable();
+        assert!(free.windows(2).all(|w| w[0] != w[1]), "a slot is on the free list twice");
+        assert!(
+            free.iter().all(|&s| table.slots[s as usize].is_none()),
+            "an occupied slot is on the free list"
+        );
+        assert_eq!(table.live.len() + free.len(), table.slots.len(), "a slot is neither live nor free");
+
+        for c in table.iter() {
+            let id = c.id;
+            assert!(c.core.tcb.to_do.is_empty(), "connection {id}'s to_do queue outlived step");
+            assert!(!c.reapable(), "reapable connection {id} was not listed");
+            let (_, local_port, flow) = Self::demux_key(c);
+            assert!(self.demux.files(id, local_port, flow), "connection {id} is not filed in the demux");
+
+            // The accept queue: a listener's counter is the scan it
+            // replaced, and a child is counted exactly while that scan
+            // would have found it.
+            let waits =
+                |child: &Conn<L::Peer>| child.handler.is_none() && child.core.state != TcpState::Closed;
+            assert_eq!(
+                c.in_backlog,
+                c.parent.is_some() && waits(c),
+                "connection {id}'s place in the accept queue"
+            );
+            if c.core.remote.is_none() {
+                let scan = table.iter().filter(|child| child.parent == Some(id) && waits(child)).count();
+                assert_eq!(c.backlogged, scan, "listener {id}'s accept-queue count");
+            } else {
+                assert_eq!(c.backlogged, 0, "connection {id} is no listener and counts children");
+            }
+
+            // A timer id still pending on the wheel is this connection's
+            // own, and of the kind it is filed under.
+            let pending = |kind| c.timers[timer_index(kind)].and_then(|tid| self.wheel.get(tid));
+            for kind in TimerKind::ALL {
+                assert!(
+                    pending(kind).is_none_or(|&armed| armed == (id, kind)),
+                    "connection {id}'s {} timer slot holds {:?}",
+                    kind.name(),
+                    pending(kind)
+                );
+            }
+            // The retransmission timer runs exactly while something is
+            // in flight.
+            assert_eq!(
+                pending(TimerKind::Resend).is_some(),
+                !c.core.tcb.resend_queue.is_empty(),
+                "connection {id}'s retransmission timer against its resend queue"
+            );
+        }
+    }
+
+    /// The demux key connection `c` is filed under.
+    fn demux_key(c: &Conn<L::Peer>) -> (u32, u16, Option<(u64, u16)>) {
+        (c.id, c.core.local_port, c.core.remote.as_ref().map(|(a, p)| (A::hash(a), *p)))
     }
 }
 
@@ -912,13 +1110,13 @@ where
                 if clash {
                     return Err(ProtoError::AlreadyOpen);
                 }
-                let id = self.new_conn(local_port, Some((remote, remote_port)), None);
-                let conn = self.conns.last_mut().expect("created");
+                let idx = self.new_conn(local_port, Some((remote, remote_port)), None);
+                let conn = &mut self.conns[idx];
                 conn.handler = Some(handler);
                 state::active_open(&self.cfg, &mut conn.core, self.sched.now())?;
-                self.note_transition(id, "Closed", Trigger::Open.name());
-                self.run_actions(id);
-                Ok(TcpConnId(id))
+                self.note_transition(idx, "Closed", Trigger::Open.name());
+                self.run_actions(idx);
+                Ok(TcpConnId(self.conns[idx].id))
             }
             TcpPattern::Passive { local_port } => {
                 if local_port == 0 {
@@ -927,12 +1125,12 @@ where
                 if self.listener_index(local_port, |s| matches!(s, TcpState::Listen { .. })).is_some() {
                     return Err(ProtoError::AlreadyOpen);
                 }
-                let id = self.new_conn(local_port, None, None);
-                let conn = self.conns.last_mut().expect("created");
+                let idx = self.new_conn(local_port, None, None);
+                let conn = &mut self.conns[idx];
                 conn.handler = Some(handler);
                 state::passive_open(&self.cfg, &mut conn.core)?;
-                self.note_transition(id, "Closed", Trigger::Open.name());
-                Ok(TcpConnId(id))
+                self.note_transition(idx, "Closed", Trigger::Open.name());
+                Ok(TcpConnId(self.conns[idx].id))
             }
         }
     }
@@ -956,24 +1154,24 @@ where
     }
 
     fn close(&mut self, conn: TcpConnId) -> Result<(), ProtoError> {
-        let i = self.index_of(conn.0).ok_or(ProtoError::NotOpen)?;
+        let i = self.conns.slot_of(conn.0).ok_or(ProtoError::NotOpen)?;
         let core = &mut self.conns[i].core;
         let before = core.state.name();
         let res = state::close(&self.cfg, core, self.sched.now());
         self.note_closed(i);
-        self.note_transition(conn.0, before, Trigger::Close.name());
-        self.run_actions(conn.0);
+        self.note_transition(i, before, Trigger::Close.name());
+        self.run_actions(i);
         res
     }
 
     fn abort(&mut self, conn: TcpConnId) -> Result<(), ProtoError> {
-        let i = self.index_of(conn.0).ok_or(ProtoError::NotOpen)?;
+        let i = self.conns.slot_of(conn.0).ok_or(ProtoError::NotOpen)?;
         let core = &mut self.conns[i].core;
         let before = core.state.name();
         let res = state::abort(&self.cfg, core, self.sched.now());
         self.note_closed(i);
-        self.note_transition(conn.0, before, Trigger::Abort.name());
-        self.run_actions(conn.0);
+        self.note_transition(i, before, Trigger::Abort.name());
+        self.run_actions(i);
         res
     }
 
@@ -983,14 +1181,14 @@ where
         let _ = self.ensure_lower_open();
         // 1. Let the clock catch up: due timers enqueue
         //    Timer_Expiration actions, in (deadline, arm order).
-        let mut fired_ids = std::mem::take(&mut self.fired_ids);
+        let mut fired = std::mem::take(&mut self.fired);
         if self.sched.now() < now {
             self.sched.advance_to(now);
-            for fired in self.wheel.advance(now) {
-                let (cid, kind) = fired.payload;
-                if let Some(idx) = position(&self.conns, cid) {
+            for timer in self.wheel.advance(now) {
+                let (cid, kind) = timer.payload;
+                if let Some(idx) = self.conns.slot_of(cid) {
                     self.conns[idx].core.tcb.push_action(TcpAction::TimerExpiration(kind));
-                    fired_ids.push(cid);
+                    fired.push((cid, idx));
                 }
             }
         }
@@ -1010,17 +1208,19 @@ where
         //    actions queued: every other enqueue is followed by
         //    `run_actions` before control returns (and an arrival in
         //    phase 3 may already have drained a fired connection).
-        fired_ids.sort_unstable();
-        fired_ids.dedup();
-        for id in fired_ids.drain(..) {
-            if self.index_of(id).is_some_and(|idx| !self.conns[idx].core.tcb.to_do.is_empty()) {
+        fired.sort_unstable();
+        fired.dedup();
+        for (_, idx) in fired.drain(..) {
+            if !self.conns[idx].core.tcb.to_do.is_empty() {
                 progress = true;
-                self.run_actions(id);
+                self.run_actions(idx);
             }
         }
-        self.fired_ids = fired_ids;
-        debug_assert!(self.conns.iter().all(|c| c.core.tcb.to_do.is_empty()), "a to_do queue outlived step");
+        self.fired = fired;
         self.reap();
+        if cfg!(debug_assertions) {
+            self.check_invariants();
+        }
         progress
     }
 }
@@ -1037,12 +1237,58 @@ where
 
 #[cfg(test)]
 mod tests {
-    //! The one engine test that needs the engine's private parts
-    //! (`set_timer`, `clear_timer`, the wheel); the rest of the engine's
-    //! tests are `tests/engine*.rs`, over the same [`Pair`].
+    //! The engine tests that need the engine's private parts
+    //! (`set_timer`, `clear_timer`, the wheel, slot numbers); the rest of
+    //! the engine's tests are `tests/engine*.rs`, over the same [`Pair`].
 
     use super::*;
-    use crate::testlink::Pair;
+    use crate::testlink::{immediate, Pair};
+
+    /// Slots are recycled, ids are not; and whatever slots connections
+    /// landed in, `step` drains the ones whose timers fired in id order.
+    #[test]
+    fn a_reaped_connections_slot_is_reused_and_its_id_is_not() {
+        let mut p = Pair::new(immediate(), immediate());
+        let [(first, first_child), (second, _), (third, _)] = [p.open(80), p.open(80), p.open(80)];
+        let slot = |p: &Pair, conn: TcpConnId| p.a.conns.slot_of(conn.0);
+        assert_eq!(
+            [first, second, third].map(|c| (c.0, slot(&p, c))),
+            [(0, Some(0)), (1, Some(1)), (2, Some(2))]
+        );
+
+        // b closes first, so a's end skips TIME-WAIT and is reaped by
+        // the step that delivers `Closed`.
+        p.b.close(first_child).unwrap();
+        p.settle();
+        p.a.close(first).unwrap();
+        p.settle();
+        assert_eq!(slot(&p, first), None);
+        assert_eq!((&p.a.conns.free[..], p.a.conns.len()), (&[0][..], 2));
+
+        let (fourth, _) = p.open(80);
+        assert_eq!((fourth, slot(&p, fourth)), (TcpConnId(3), Some(0)), "the freed slot, the next id");
+        assert!(p.a.conns.free.is_empty());
+        assert_eq!(p.a.conns.live, [(1, 1), (2, 2), (3, 0)], "creation order, whatever the slots");
+        assert_eq!(p.a.state_of(first), None, "the old id names nothing, not the slot's new tenant");
+        assert_eq!(p.a.send_data(first, b"x"), Err(ProtoError::NotOpen));
+
+        // Timers on all three at one instant, armed in slot order —
+        // the newest connection first.
+        p.link.set_filter_toward(1, Box::new(|_| false));
+        let sink = EventSink::recording(1024);
+        p.a.set_obs(sink.clone());
+        for conn in [fourth, second, third] {
+            assert_eq!(p.a.send_data(conn, b"unanswered"), Ok(10));
+        }
+        p.a.step(p.now + VirtualDuration::from_secs(5));
+        let fired: Vec<u32> = sink
+            .events()
+            .iter()
+            .filter(|e| matches!(e.event, Event::TimerFire { timer: "Resend" }))
+            .map(|e| e.conn)
+            .collect();
+        assert_eq!(fired, [1, 2, 3], "drained in id order, not slot order");
+    }
 
     /// `Conn::timers[k]` keeps a timer's id after the timer fired, and
     /// a later `clear_timer` hands that id to the wheel. By then the
@@ -1052,7 +1298,7 @@ mod tests {
     fn clearing_a_fired_timer_spares_its_cells_next_tenant() {
         let mut p = Pair::new(TcpConfig::default(), TcpConfig::default());
         let (client, _child) = p.open(80);
-        let idx = p.a.index_of(client.0).unwrap();
+        let idx = p.a.conns.slot_of(client.0).unwrap();
         assert!(p.a.wheel.is_empty(), "an idle connection holds no timer");
         let sink = EventSink::recording(256);
         p.a.set_obs(sink.for_host(0));

@@ -8,7 +8,7 @@
 //! |------------------|------------------------------------------------|
 //! | `iss`            | [`Tcb::iss`]                                   |
 //! | `snd_una` …      | [`Tcb::snd_una`] and the other RFC 793 vars    |
-//! | `queued`         | the unsent tail of [`Tcb::send_buf`] (bytes past `snd_nxt`) — the deque of not-yet-sent packets, adapted to a byte-stream store. The sent prefix stays in it until acknowledged and is the only copy of the flight: every transmission, first or repeated, stages its bytes from here (`send::stage`) |
+//! | `queued`         | the unsent tail of [`Tcb::send_buf`] (bytes past `snd_nxt`) — the deque of not-yet-sent packets, adapted to a byte-stream store. The sent prefix stays in it until acknowledged and is the only copy of the flight: every transmission, first or repeated, stages its bytes from here (`send::stage`). Bounded by `TcpConfig::send_buffer`, but it holds storage only for what the connection has had queued at once (`foxbasis::ring`: none until the first write, doubled by use) and gives it back when our FIN is acknowledged, so neither an idle connection nor TIME-WAIT pays for the bound |
 //! | `out_of_order`   | [`Tcb::out_of_order`]                          |
 //! | `to_do`          | [`Tcb::to_do`] — the action queue at the heart of the quasi-synchronous control structure |
 //!
@@ -270,7 +270,9 @@ pub struct Tcb<P> {
     /// The prefix up to `snd_nxt` is sent-but-unacked — the one copy of
     /// the flight, which [`Tcb::resend_queue`] describes and every
     /// retransmission reads; the tail is the paper's `queued` — staged,
-    /// unsent data.
+    /// unsent data. Its storage grows with use and is released once our
+    /// FIN is acknowledged (`resend::process_ack`): nothing can be
+    /// written or resent after that.
     pub send_buf: RingBuffer,
     /// True once the user has called `close` — a FIN follows the last
     /// byte of `send_buf`.
@@ -649,8 +651,22 @@ impl<P> Tcb<P> {
             self.flight_size(),
             self.send_buf.capacity()
         );
-        // The advertised window is bounded by the receive buffer.
+        // The advertised window is bounded by the receive buffer, and so
+        // is what the buffer is charged with.
         assert!(self.rcv_wnd() as usize <= self.recv_buf.capacity(), "window over capacity");
+        assert!(
+            self.recv_buf.held <= self.recv_buf.capacity,
+            "receive buffer holds {} of {}",
+            self.recv_buf.held,
+            self.recv_buf.capacity
+        );
+        // The send buffer's storage grows by use, never past its bound.
+        assert!(
+            self.send_buf.storage() <= self.send_buf.capacity(),
+            "send buffer stores {} for a bound of {}",
+            self.send_buf.storage(),
+            self.send_buf.capacity()
+        );
 
         // The retransmission queue is ordered, and only its front entry
         // may carry the SYN (`send::stage` relies on it).

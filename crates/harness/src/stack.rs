@@ -250,6 +250,9 @@ fn buf_handler(buf: Rc<RefCell<ConnBuf>>) -> foxproto::Handler<TcpEvent> {
         let mut b = buf.borrow_mut();
         match ev {
             TcpEvent::Established => b.established = true,
+            // `recv` takes the whole vector, so most deliveries find the
+            // buffer drained: keep the engine's vector, copy nothing.
+            TcpEvent::Data(d) if b.data.is_empty() => b.data = d,
             TcpEvent::Data(d) => b.data.extend_from_slice(&d),
             TcpEvent::PeerClosed => b.peer_closed = true,
             TcpEvent::Closed | TcpEvent::Reset | TcpEvent::TimedOut => b.finished = true,
