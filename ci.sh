@@ -18,13 +18,18 @@
 #      build — a mistake that only misbehaves when wrapping fails here.
 #      The release re-run also covers the allocation budgets
 #      (foxbasis's wheel_alloc: a warm timer wheel makes 0 heap calls;
-#      foxtcp's alloc_budget: heap calls per ESTABLISHED round trip and
-#      heap bytes held per idle ESTABLISHED connection — the
-#      bytes-per-connection ceiling — both exact constants) — the counts
-#      are facts about the optimized build.
+#      foxbasis's pool_alloc: a warm BufPool hands back the same block
+#      with 0 heap calls; foxtcp's alloc_budget: ALLOCS_PER_ROUND_TRIP
+#      == 2, the two TcpEvent::Data vectors, and
+#      BYTES_HELD_BY_IDLE_PAIRS == 248 016, the bytes-per-connection
+#      ceiling with the engines' free blocks — both exact constants) —
+#      the counts are facts about the optimized build.
 #      The workspace run also holds the copy budget beside them
 #      (foxtcp's retransmit_copy_budget: one staging copy per segment
-#      resent, none while encoding, both exact)
+#      resent, none while encoding, both exact) and the pool's leak
+#      detector (foxtcp's buf_pool_leak: after a transfer through drops,
+#      duplicates and reordering, every block each engine's pool made
+#      is home, and it made no more than its flight's high-water + 4)
 #   5. the RFC-793 conformance suite, explicitly (both TCP stacks
 #      against the standard's state diagram; also part of stage 4, but
 #      a named stage keeps the gate visible)

@@ -45,6 +45,31 @@
 //! write to what it received (the router's TTL) does so in place when
 //! it holds the last handle and on a private copy when it does not.
 //!
+//! ## Where a buffer goes when it is done
+//!
+//! "Done" is the last handle's drop: nothing else frees storage, and it
+//! can happen anywhere — in the peer's receive path once the payload is
+//! delivered, in its reassembly queue, in the simulator's fault drop, in
+//! a capture or a test's filter. A block a [`BufPool`] made knows its
+//! pool (a `Weak`), and that drop puts the block — its `Vec` and its
+//! `Rc` both — on the pool's free list instead of freeing it; the next
+//! [`BufPool::build_summed`] or [`BufPool::empty`] takes it back,
+//! cleared and zero-filled to its new length, so it shows nothing of its
+//! last packet and the new owner writes it in place exactly as a fresh
+//! block. A block whose pool is gone, and every block the plain
+//! constructors make (wire decoders, simnet, the baseline stack — code
+//! with no engine), is simply freed. There is one storage type, one drop
+//! path and one write discipline either way. The free list is never
+//! capped: it holds at most what its engine once had outstanding at one
+//! time.
+//!
+//! The pool is per engine — `foxtcp::Tcp::new` makes one and hands each
+//! connection a handle — not per thread. Per-thread state is what
+//! foxlint's `shard_global` rules out; foxperf asks each fresh station
+//! to repeat the warm-up's exact heap counts, which a pool outliving its
+//! engines would break; and an engine's state is what a shard of the
+//! engine would own.
+//!
 //! ## Copy accounting
 //!
 //! Every real payload memcpy this module performs is recorded in a
@@ -60,7 +85,7 @@
 use crate::checksum::ones_complement_sum;
 use std::cell::{Cell, Ref, RefCell};
 use std::fmt;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 /// Default headroom reserved in front of a payload: enough for
 /// TCP (≤60) is not needed below IP in this stack — the deepest real
@@ -130,11 +155,26 @@ fn note_copy(bytes: usize) {
 
 // ----- the buffer -----
 
+/// A storage block: the bytes, and the pool they go back to when the
+/// last handle on them drops — `Weak::new()` for a block no pool made,
+/// which is simply freed.
+struct Storage {
+    bytes: RefCell<Vec<u8>>,
+    home: Weak<Home>,
+}
+
+impl Storage {
+    /// A block of no pool's, around `bytes`.
+    fn unpooled(bytes: Vec<u8>) -> Rc<Storage> {
+        Rc::new(Storage { bytes: RefCell::new(bytes), home: Weak::new() })
+    }
+}
+
 /// A cheaply-cloneable view of a shared packet storage block with
 /// reserved headroom. See the module docs for the discipline.
 #[derive(Clone)]
 pub struct PacketBuf {
-    storage: Rc<RefCell<Vec<u8>>>,
+    storage: Rc<Storage>,
     start: usize,
     end: usize,
     /// Memoized ones-complement sum of `self[start..end]` — set by the
@@ -144,12 +184,31 @@ pub struct PacketBuf {
     sum: Cell<Option<u16>>,
 }
 
+/// Zero-fills `storage` to `headroom + len` bytes, lets `fill` write the
+/// last `len` of them (one counted copy) and views those; `fill` returns
+/// their sum if it computed one. Every constructor that stages bytes
+/// behind headroom, pooled or not, ends here.
+fn staged(
+    storage: Rc<Storage>,
+    headroom: usize,
+    len: usize,
+    fill: impl FnOnce(&mut [u8]) -> Option<u16>,
+) -> PacketBuf {
+    let sum = {
+        let mut bytes = storage.bytes.borrow_mut();
+        bytes.resize(headroom + len, 0);
+        fill(&mut bytes[headroom..])
+    };
+    note_copy(len);
+    PacketBuf { storage, start: headroom, end: headroom + len, sum: Cell::new(sum) }
+}
+
 impl PacketBuf {
     // ----- constructors -----
 
     /// The view `[start, end)` of `storage`, as its only handle.
     fn over(storage: Vec<u8>, start: usize, end: usize, sum: Option<u16>) -> PacketBuf {
-        PacketBuf { storage: Rc::new(RefCell::new(storage)), start, end, sum: Cell::new(sum) }
+        PacketBuf { storage: Storage::unpooled(storage), start, end, sum: Cell::new(sum) }
     }
 
     /// An empty buffer with the default head- and tailroom.
@@ -160,9 +219,7 @@ impl PacketBuf {
     /// An empty buffer with `headroom` bytes reserved in front and
     /// capacity for `tailroom` bytes behind.
     pub fn with_room(headroom: usize, tailroom: usize) -> PacketBuf {
-        let mut storage = Vec::with_capacity(headroom + tailroom);
-        storage.resize(headroom, 0);
-        PacketBuf::over(storage, headroom, headroom, Some(0))
+        staged(Storage::unpooled(Vec::with_capacity(headroom + tailroom)), headroom, 0, |_| Some(0))
     }
 
     /// Adopts `v` as the payload with **no** copy and no headroom.
@@ -185,11 +242,11 @@ impl PacketBuf {
     /// counted copy — the filler is expected to be a real data source
     /// such as a ring-buffer read).
     pub fn build(headroom: usize, len: usize, fill: impl FnOnce(&mut [u8])) -> PacketBuf {
-        let mut storage = Vec::with_capacity(headroom + len + DEFAULT_TAILROOM);
-        storage.resize(headroom + len, 0);
-        fill(&mut storage[headroom..]);
-        note_copy(len);
-        PacketBuf::over(storage, headroom, headroom + len, None)
+        let storage = Storage::unpooled(Vec::with_capacity(headroom + len + DEFAULT_TAILROOM));
+        staged(storage, headroom, len, |dst| {
+            fill(dst);
+            None
+        })
     }
 
     /// Like [`PacketBuf::build`], but the filler also returns the
@@ -197,11 +254,8 @@ impl PacketBuf {
     /// copy — the paper's Fig. 10 combined copy+checksum pass. The sum
     /// is memoized so the TCP encoder never re-reads the payload.
     pub fn build_summed(headroom: usize, len: usize, fill: impl FnOnce(&mut [u8]) -> u16) -> PacketBuf {
-        let mut storage = Vec::with_capacity(headroom + len + DEFAULT_TAILROOM);
-        storage.resize(headroom + len, 0);
-        let sum = fill(&mut storage[headroom..]);
-        note_copy(len);
-        PacketBuf::over(storage, headroom, headroom + len, Some(sum))
+        let storage = Storage::unpooled(Vec::with_capacity(headroom + len + DEFAULT_TAILROOM));
+        staged(storage, headroom, len, |dst| Some(fill(dst)))
     }
 
     // ----- observers -----
@@ -225,7 +279,7 @@ impl PacketBuf {
     /// drop it before calling any mutating operation on a view of the
     /// same buffer.
     pub fn bytes(&self) -> Ref<'_, [u8]> {
-        Ref::map(self.storage.borrow(), |s| &s[self.start..self.end])
+        Ref::map(self.storage.bytes.borrow(), |s| &s[self.start..self.end])
     }
 
     /// An owned copy of the view's bytes (counted).
@@ -306,7 +360,7 @@ impl PacketBuf {
         let n = header.len();
         match Rc::get_mut(&mut self.storage) {
             Some(storage) if self.start >= n => {
-                storage.get_mut()[self.start - n..self.start].copy_from_slice(header);
+                storage.bytes.get_mut()[self.start - n..self.start].copy_from_slice(header);
                 self.set_bounds(self.start - n, self.end);
                 0
             }
@@ -321,7 +375,7 @@ impl PacketBuf {
         let n = data.len();
         match Rc::get_mut(&mut self.storage) {
             Some(storage) => {
-                let storage = storage.get_mut();
+                let storage = storage.bytes.get_mut();
                 if storage.len() < self.end + n {
                     storage.resize(self.end + n, 0);
                 }
@@ -383,7 +437,19 @@ impl PacketBuf {
             return None;
         }
         self.sum.set(None);
-        Some(std::cell::RefMut::map(self.storage.borrow_mut(), |s| &mut s[self.start..self.end]))
+        Some(std::cell::RefMut::map(self.storage.bytes.borrow_mut(), |s| &mut s[self.start..self.end]))
+    }
+}
+
+impl Drop for PacketBuf {
+    /// The last handle on a pooled block sends the block home — its
+    /// `Vec` and its `Rc` both — if the pool is still there to take it.
+    fn drop(&mut self) {
+        if Rc::strong_count(&self.storage) == 1 {
+            if let Some(home) = self.storage.home.upgrade() {
+                home.free.borrow_mut().push(Rc::clone(&self.storage));
+            }
+        }
     }
 }
 
@@ -463,6 +529,82 @@ impl<const N: usize> PartialEq<[u8; N]> for PacketBuf {
 impl<const N: usize> PartialEq<&[u8; N]> for PacketBuf {
     fn eq(&self, other: &&[u8; N]) -> bool {
         *self.bytes() == other[..]
+    }
+}
+
+// ----- the pool -----
+
+/// What a pool's handles share, and what its blocks point home to.
+struct Home {
+    /// Blocks whose last handle dropped, the last to come home on top.
+    free: RefCell<Vec<Rc<Storage>>>,
+    /// Blocks this pool has ever made.
+    made: Cell<usize>,
+}
+
+/// One engine's recycled packet storage: [`PacketBuf`]s built here come
+/// back when their last handle drops, wherever that happens, and the
+/// next build reuses them — so once the pool holds as many blocks as
+/// the engine ever had outstanding at once, a segment costs no heap
+/// call. Cloning is a refcount bump; every clone is the same pool.
+#[derive(Clone)]
+pub struct BufPool {
+    home: Rc<Home>,
+}
+
+impl BufPool {
+    /// An empty pool.
+    pub fn new() -> BufPool {
+        BufPool { home: Rc::new(Home { free: RefCell::new(Vec::new()), made: Cell::new(0) }) }
+    }
+
+    /// [`PacketBuf::build_summed`], in a block from this pool.
+    pub fn build_summed(
+        &self,
+        headroom: usize,
+        len: usize,
+        fill: impl FnOnce(&mut [u8]) -> u16,
+    ) -> PacketBuf {
+        staged(self.block(headroom + len + DEFAULT_TAILROOM), headroom, len, |dst| Some(fill(dst)))
+    }
+
+    /// [`PacketBuf::new`], in a block from this pool.
+    pub fn empty(&self) -> PacketBuf {
+        staged(self.block(DEFAULT_HEADROOM + DEFAULT_TAILROOM), DEFAULT_HEADROOM, 0, |_| Some(0))
+    }
+
+    /// Blocks this pool has made: the most it has had outstanding at
+    /// once.
+    pub fn made(&self) -> usize {
+        self.home.made.get()
+    }
+
+    /// Blocks at home, waiting to be reused.
+    pub fn free(&self) -> usize {
+        self.home.free.borrow().len()
+    }
+
+    /// A free block, emptied, with room for `room` bytes — or a new
+    /// one. What a block held before never shows: [`staged`] zero-fills
+    /// whatever its filler does not write.
+    fn block(&self, room: usize) -> Rc<Storage> {
+        let reused = self.home.free.borrow_mut().pop();
+        let block = reused.unwrap_or_else(|| {
+            self.home.made.set(self.home.made.get() + 1);
+            Rc::new(Storage { bytes: RefCell::new(Vec::new()), home: Rc::downgrade(&self.home) })
+        });
+        {
+            let mut bytes = block.bytes.borrow_mut();
+            bytes.clear();
+            bytes.reserve(room);
+        }
+        block
+    }
+}
+
+impl Default for BufPool {
+    fn default() -> Self {
+        BufPool::new()
     }
 }
 
@@ -600,7 +742,116 @@ mod tests {
         assert_ne!(a, PacketBuf::from_vec(b"diff".to_vec()));
     }
 
+    // ----- the pool -----
+
+    /// `data` staged behind `headroom` in a block of `pool`.
+    fn pooled(pool: &BufPool, headroom: usize, data: &[u8]) -> PacketBuf {
+        pool.build_summed(headroom, data.len(), |dst| {
+            dst.copy_from_slice(data);
+            word_check(dst)
+        })
+    }
+
+    #[test]
+    fn a_dropped_block_is_the_next_one_taken() {
+        let pool = BufPool::new();
+        let first = pooled(&pool, DEFAULT_HEADROOM, b"first");
+        let at = first.bytes().as_ptr();
+        drop(first);
+        assert_eq!((pool.made(), pool.free()), (1, 1));
+        let again = pool.empty();
+        assert_eq!((pool.made(), pool.free()), (1, 0));
+        assert_eq!(again.bytes().as_ptr(), at, "the same storage, the same view start");
+        assert!(again.is_empty() && again.is_unique());
+        assert_eq!((again.headroom(), again.ones_sum()), (DEFAULT_HEADROOM, 0), "as PacketBuf::new");
+    }
+
+    #[test]
+    fn a_recycled_block_shows_nothing_of_its_last_packet() {
+        let pool = BufPool::new();
+        let mut old = pooled(&pool, DEFAULT_HEADROOM, &[0xAA; 300]);
+        assert_eq!(old.prepend_header(&[0xAA; 54]), 0);
+        assert_eq!(old.append(&[0xAA; 40]), 0);
+        drop(old);
+
+        let mut new = pooled(&pool, DEFAULT_HEADROOM, b"short");
+        assert_eq!(pool.made(), 1, "the same block");
+        assert_eq!(new.append_zeros(41), 0, "written in place");
+        assert_eq!(new.prepend_header(&[1; 14]), 0, "written in place");
+        let mut want = vec![1; 14];
+        want.extend_from_slice(b"short");
+        want.extend_from_slice(&[0; 41]);
+        assert_eq!(new, want);
+        assert_eq!(new.ones_sum(), word_check(&want));
+        // Not in the view and not in the headroom in front of it either.
+        assert!(!new.storage.bytes.borrow().contains(&0xAA), "a byte of the last packet shows");
+    }
+
+    #[test]
+    fn a_shared_block_goes_home_with_its_last_handle() {
+        let pool = BufPool::new();
+        let frame = pooled(&pool, DEFAULT_HEADROOM, b"header+payload");
+        let payload = frame.slice(7, 14);
+        let copy = frame.clone();
+        drop(frame);
+        assert_eq!(pool.free(), 0, "two handles left");
+        drop(copy);
+        assert_eq!(pool.free(), 0, "the payload's slice still reads it");
+        assert_eq!(payload, b"payload");
+        drop(payload);
+        assert_eq!((pool.made(), pool.free()), (1, 1));
+    }
+
+    #[test]
+    fn a_block_that_outlives_its_pool_is_freed() {
+        let pool = BufPool::new();
+        let mut survivor = pooled(&pool, DEFAULT_HEADROOM, b"late");
+        let twin = pool.clone();
+        drop(pool);
+        drop(pooled(&twin, 8, b"home"));
+        assert_eq!(twin.free(), 1, "a clone is the same pool");
+        drop(twin); // the engine goes first
+        assert_eq!(survivor.prepend_header(b"still "), 0, "still this handle's to write");
+        assert_eq!(survivor, b"still late");
+        let copy = survivor.clone();
+        drop(survivor);
+        drop(copy); // no home to go to: freed
+    }
+
     // ----- satellite: proptest against a Vec<u8> reference model -----
+
+    /// Applies view operation `sel` (0 to 4: prepend, append, trim front,
+    /// trim back, slice) to `buf` and to its reference `model`.
+    fn apply(buf: &mut PacketBuf, model: &mut Vec<u8>, sel: u8, data: Vec<u8>, a: usize, b: usize) {
+        match sel {
+            0 => {
+                buf.prepend_header(&data);
+                let mut m = data;
+                m.extend_from_slice(model);
+                *model = m;
+            }
+            1 => {
+                buf.append(&data);
+                model.extend_from_slice(&data);
+            }
+            2 => {
+                let n = a.min(model.len());
+                buf.trim_front(n);
+                model.drain(..n);
+            }
+            3 => {
+                let n = a.min(model.len());
+                buf.trim_back(n);
+                model.truncate(model.len() - n);
+            }
+            _ => {
+                let a = a.min(model.len());
+                let b = b.min(model.len()).max(a);
+                *buf = buf.slice(a, b);
+                *model = model[a..b].to_vec();
+            }
+        }
+    }
 
     proptest! {
         #[test]
@@ -619,35 +870,8 @@ mod tests {
             let mut aside: Vec<(PacketBuf, Vec<u8>)> = Vec::new();
             for (sel, data, a, b) in ops {
                 match sel % 6 {
-                    0 => {
-                        buf.prepend_header(&data);
-                        let mut m = data;
-                        m.extend_from_slice(&model);
-                        model = m;
-                    }
-                    1 => {
-                        buf.append(&data);
-                        model.extend_from_slice(&data);
-                    }
-                    2 => {
-                        let n = a.min(model.len());
-                        buf.trim_front(n);
-                        model.drain(..n);
-                    }
-                    3 => {
-                        let n = a.min(model.len());
-                        buf.trim_back(n);
-                        model.truncate(model.len() - n);
-                    }
-                    4 => {
-                        let a = a.min(model.len());
-                        let b = b.min(model.len()).max(a);
-                        buf = buf.slice(a, b);
-                        model = model[a..b].to_vec();
-                    }
-                    _ => {
-                        aside.push((buf.clone(), model.clone()));
-                    }
+                    5 => aside.push((buf.clone(), model.clone())),
+                    sel => apply(&mut buf, &mut model, sel, data, a, b),
                 }
                 prop_assert_eq!(&buf, &model);
                 prop_assert_eq!(buf.ones_sum(), word_check(&model));
@@ -655,6 +879,51 @@ mod tests {
                     prop_assert_eq!(b, m, "held clone bytes changed under mutation");
                 }
             }
+        }
+
+        /// The same model over pooled blocks, with handles dropped and
+        /// blocks re-taken along the way: a block that went home and came
+        /// back shows only what its new owner wrote, a held handle keeps
+        /// its bytes however its block's other handles come and go, and
+        /// once every handle is gone every block is home.
+        #[test]
+        fn pooled_blocks_match_the_vec_reference_model(
+            initial in proptest::collection::vec(any::<u8>(), 0..64),
+            ops in proptest::collection::vec(
+                (any::<u8>(), proptest::collection::vec(any::<u8>(), 0..24), 0usize..32, 0usize..32),
+                0..32,
+            ),
+        ) {
+            let pool = BufPool::new();
+            let mut buf = pooled(&pool, DEFAULT_HEADROOM, &initial);
+            let mut model = initial.clone();
+            let mut aside: Vec<(PacketBuf, Vec<u8>)> = Vec::new();
+            for (sel, data, a, b) in ops {
+                match sel % 8 {
+                    5 => aside.push((buf.clone(), model.clone())),
+                    6 => {
+                        if !aside.is_empty() {
+                            aside.remove(a % aside.len());
+                        }
+                    }
+                    7 => {
+                        // Done with this one: it may go home before the
+                        // next is taken, and be that next one.
+                        drop(std::mem::take(&mut buf));
+                        buf = pooled(&pool, a % 8, &data);
+                        model = data;
+                    }
+                    sel => apply(&mut buf, &mut model, sel, data, a, b),
+                }
+                prop_assert_eq!(&buf, &model);
+                prop_assert_eq!(buf.ones_sum(), word_check(&model));
+                for (b, m) in &aside {
+                    prop_assert_eq!(b, m, "held clone bytes changed under drops and re-takes");
+                }
+            }
+            drop(buf);
+            drop(aside);
+            prop_assert_eq!(pool.free(), pool.made(), "a block never came home");
         }
     }
 }

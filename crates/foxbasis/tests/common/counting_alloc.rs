@@ -1,7 +1,7 @@
 //! A `#[global_allocator]` that counts the calling thread's allocation
 //! calls and the bytes it holds, for the tests that pin a heap budget:
-//! `wheel_alloc` here and foxtcp's `alloc_budget`, which includes this
-//! file by `#[path]`.
+//! `wheel_alloc` and `pool_alloc` here and foxtcp's `alloc_budget`,
+//! which includes this file by `#[path]`.
 //!
 //! Per thread, so that a neighbouring test (or the test harness's own
 //! main thread) cannot leak calls into a count.
@@ -71,7 +71,7 @@ pub fn allocs() -> u64 {
 
 /// Bytes this thread has allocated and not freed — meaningful as the
 /// difference between two readings on one thread.
-#[allow(dead_code)] // `wheel_alloc` counts calls only
+#[allow(dead_code)] // `wheel_alloc` and `pool_alloc` count calls only
 pub fn live_bytes() -> u64 {
     LIVE.with(Cell::get)
 }

@@ -153,6 +153,7 @@ pub fn to_dot(edges: &[SpecEdge]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use foxbasis::buf::BufPool;
 
     #[test]
     fn the_guard_admits_exactly_spec_edges_and_self_edges() {
@@ -169,7 +170,8 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "ESTABLISHED -> CLOSING : fin")]
     fn a_write_outside_the_spec_is_caught() {
-        let mut core: ConnCore<u8> = ConnCore::new(&Default::default(), 1, foxbasis::seq::Seq(0), 1460);
+        let mut core: ConnCore<u8> =
+            ConnCore::new(&Default::default(), 1, foxbasis::seq::Seq(0), 1460, BufPool::new());
         core.state = TcpState::Estab;
         transition(&mut core, Trigger::Fin, TcpState::Closing);
     }

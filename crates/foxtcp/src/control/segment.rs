@@ -28,6 +28,7 @@ use crate::data::transfer::{self, DataEvent};
 use crate::data::{resend, send};
 use crate::tcb::TcpState;
 use crate::{ConnCore, TcpConfig};
+use foxbasis::buf::BufPool;
 use foxbasis::time::VirtualTime;
 use foxwire::tcp::TcpSegment;
 use std::fmt::Debug;
@@ -56,11 +57,11 @@ pub enum ListenVerdict {
 }
 
 /// Classifies a segment arriving at a listening socket.
-pub fn on_listen_segment(local_port: u16, seg: &TcpSegment) -> ListenVerdict {
+pub fn on_listen_segment(pool: &BufPool, local_port: u16, seg: &TcpSegment) -> ListenVerdict {
     if seg.header.flags.rst {
         ListenVerdict::Ignore
     } else if seg.header.flags.ack {
-        ListenVerdict::Reply(send::reset_for(local_port, seg))
+        ListenVerdict::Reply(send::reset_for(pool, local_port, seg))
     } else if seg.header.flags.syn {
         ListenVerdict::Spawn
     } else {
@@ -69,12 +70,17 @@ pub fn on_listen_segment(local_port: u16, seg: &TcpSegment) -> ListenVerdict {
 }
 
 /// The response RFC 793 p. 36 prescribes for a segment arriving at a
-/// CLOSED (nonexistent) connection.
-pub fn on_closed_segment(cfg: &TcpConfig, local_port: u16, seg: &TcpSegment) -> Option<TcpSegment> {
+/// CLOSED (nonexistent) connection, staged in `pool`.
+pub fn on_closed_segment(
+    cfg: &TcpConfig,
+    pool: &BufPool,
+    local_port: u16,
+    seg: &TcpSegment,
+) -> Option<TcpSegment> {
     if seg.header.flags.rst || !cfg.abort_unknown_connections {
         None
     } else {
-        Some(send::reset_for(local_port, seg))
+        Some(send::reset_for(pool, local_port, seg))
     }
 }
 
@@ -86,7 +92,7 @@ pub fn segment_arrives<P: Clone + PartialEq + Debug>(
     now: VirtualTime,
 ) -> Disposition {
     match core.state {
-        TcpState::Closed => Disposition { reply: on_closed_segment(cfg, core.local_port, &seg) },
+        TcpState::Closed => Disposition { reply: on_closed_segment(cfg, &core.pool, core.local_port, &seg) },
         TcpState::Listen { .. } => {
             // LISTEN processing for the freshly-spawned embryonic
             // connection: record the peer's sequencing, answer SYN+ACK,
@@ -134,7 +140,7 @@ fn syn_sent<P: Clone + PartialEq + Debug>(
             if h.flags.rst {
                 return Disposition::default();
             }
-            return Disposition { reply: Some(send::reset_for(core.local_port, &seg)) };
+            return Disposition { reply: Some(send::reset_for(&core.pool, core.local_port, &seg)) };
         }
         true
     } else {
@@ -238,7 +244,7 @@ fn check_rst<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>) {
 
 /// Fourth check: an in-window SYN is an error.
 fn check_syn<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, seg: &TcpSegment) -> Disposition {
-    let reply = send::reset_for(core.local_port, seg);
+    let reply = send::reset_for(&core.pool, core.local_port, seg);
     enter_closed_after_reset(core, Trigger::Syn);
     Disposition { reply: Some(reply) }
 }
@@ -274,7 +280,7 @@ fn check_ack<P: Clone + PartialEq + Debug>(
             core.tcb.push_action(TcpAction::CompleteOpen);
             send::maybe_send(cfg, core, now);
         } else {
-            core.tcb.push_action(TcpAction::SendSegment(send::reset_for(core.local_port, seg)));
+            core.tcb.push_action(TcpAction::SendSegment(send::reset_for(&core.pool, core.local_port, seg)));
             return false;
         }
         return true;
@@ -419,7 +425,7 @@ mod tests {
     /// An ESTABLISHED connection: iss 100 (una=nxt=600 after 500 sent
     /// and acked... keep simple: una=nxt=101), irs 5000, rcv_nxt 5001.
     fn estab() -> ConnCore<u8> {
-        let mut core: ConnCore<u8> = ConnCore::new(&cfg(), 80, Seq(100), 1460);
+        let mut core: ConnCore<u8> = ConnCore::new(&cfg(), 80, Seq(100), 1460, BufPool::new());
         core.remote = Some((9, 4000));
         core.state = TcpState::Estab;
         core.tcb.mss = 1000;
@@ -452,7 +458,7 @@ mod tests {
 
     #[test]
     fn listen_syn_becomes_syn_passive_with_syn_ack() {
-        let mut core: ConnCore<u8> = ConnCore::new(&cfg(), 80, Seq(300), 1460);
+        let mut core: ConnCore<u8> = ConnCore::new(&cfg(), 80, Seq(300), 1460, BufPool::new());
         core.remote = Some((9, 4000));
         core.tcb.mss = 1460;
         core.state = TcpState::Listen { backlog: 0 };
@@ -482,29 +488,29 @@ mod tests {
     #[test]
     fn listen_verdicts() {
         let rst = seg(1, TcpFlags::RST, b"");
-        assert_eq!(on_listen_segment(80, &rst), ListenVerdict::Ignore);
+        assert_eq!(on_listen_segment(&BufPool::new(), 80, &rst), ListenVerdict::Ignore);
         let ack = seg(1, TcpFlags::ACK, b"");
-        assert!(matches!(on_listen_segment(80, &ack), ListenVerdict::Reply(_)));
+        assert!(matches!(on_listen_segment(&BufPool::new(), 80, &ack), ListenVerdict::Reply(_)));
         let syn = seg(1, TcpFlags::SYN, b"");
-        assert_eq!(on_listen_segment(80, &syn), ListenVerdict::Spawn);
+        assert_eq!(on_listen_segment(&BufPool::new(), 80, &syn), ListenVerdict::Spawn);
         let none = seg(1, TcpFlags::default(), b"");
-        assert_eq!(on_listen_segment(80, &none), ListenVerdict::Ignore);
+        assert_eq!(on_listen_segment(&BufPool::new(), 80, &none), ListenVerdict::Ignore);
     }
 
     #[test]
     fn closed_replies_rst_unless_configured_off() {
         let syn = seg(1, TcpFlags::SYN, b"");
-        assert!(on_closed_segment(&cfg(), 80, &syn).is_some());
+        assert!(on_closed_segment(&cfg(), &BufPool::new(), 80, &syn).is_some());
         let quiet = TcpConfig { abort_unknown_connections: false, ..cfg() };
-        assert!(on_closed_segment(&quiet, 80, &syn).is_none());
+        assert!(on_closed_segment(&quiet, &BufPool::new(), 80, &syn).is_none());
         let rst = seg(1, TcpFlags::RST, b"");
-        assert!(on_closed_segment(&cfg(), 80, &rst).is_none(), "never reset a reset");
+        assert!(on_closed_segment(&cfg(), &BufPool::new(), 80, &rst).is_none(), "never reset a reset");
     }
 
     // ---- SYN-SENT ----
 
     fn syn_sent_core() -> ConnCore<u8> {
-        let mut core: ConnCore<u8> = ConnCore::new(&cfg(), 5000, Seq(100), 1460);
+        let mut core: ConnCore<u8> = ConnCore::new(&cfg(), 5000, Seq(100), 1460, BufPool::new());
         core.remote = Some((9, 80));
         core.state = TcpState::SynSent { retries_left: 5 };
         // SYN already sent.
@@ -935,7 +941,7 @@ mod tests {
     }
 
     fn listener(c: &TcpConfig) -> ConnCore<u8> {
-        let mut core: ConnCore<u8> = ConnCore::new(c, 80, Seq(300), 1460);
+        let mut core: ConnCore<u8> = ConnCore::new(c, 80, Seq(300), 1460, BufPool::new());
         core.remote = Some((9, 4000));
         core.tcb.mss = 1460;
         core.state = TcpState::Listen { backlog: 0 };
@@ -1021,7 +1027,7 @@ mod tests {
     #[test]
     fn active_opener_negotiates_from_syn_ack() {
         let c = opt_cfg(true, true, true);
-        let mut core: ConnCore<u8> = ConnCore::new(&c, 5000, Seq(100), 1460);
+        let mut core: ConnCore<u8> = ConnCore::new(&c, 5000, Seq(100), 1460, BufPool::new());
         core.remote = Some((9, 80));
         core.state = TcpState::SynSent { retries_left: 5 };
         core.tcb.snd_nxt = Seq(101);

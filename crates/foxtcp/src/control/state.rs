@@ -101,10 +101,8 @@ pub fn abort<P: Clone + PartialEq + Debug>(
     }
     if core.state.is_synchronized() && was != TcpState::TimeWait {
         let header = send::make_header(core, TcpFlags::RST_ACK, core.tcb.snd_nxt, now);
-        core.tcb.push_action(TcpAction::SendSegment(foxwire::tcp::TcpSegment {
-            header,
-            payload: foxbasis::buf::PacketBuf::new(),
-        }));
+        let payload = core.pool.empty();
+        core.tcb.push_action(TcpAction::SendSegment(foxwire::tcp::TcpSegment { header, payload }));
     }
     transition(core, Trigger::Abort, TcpState::Closed);
     core.tcb.resend_queue.clear();
@@ -191,6 +189,7 @@ fn give_up<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use foxbasis::buf::BufPool;
     use foxbasis::seq::Seq;
 
     fn cfg() -> TcpConfig {
@@ -198,7 +197,7 @@ mod tests {
     }
 
     fn fresh() -> ConnCore<u32> {
-        let mut c: ConnCore<u32> = ConnCore::new(&cfg(), 1000, Seq(100), 1460);
+        let mut c: ConnCore<u32> = ConnCore::new(&cfg(), 1000, Seq(100), 1460, BufPool::new());
         c.remote = Some((7, 2000));
         c
     }
@@ -222,7 +221,7 @@ mod tests {
 
     #[test]
     fn active_open_requires_remote() {
-        let mut core: ConnCore<u32> = ConnCore::new(&cfg(), 1, Seq(0), 1460);
+        let mut core: ConnCore<u32> = ConnCore::new(&cfg(), 1, Seq(0), 1460, BufPool::new());
         assert!(matches!(active_open(&cfg(), &mut core, VirtualTime::ZERO), Err(ProtoError::Invalid(_))));
     }
 

@@ -128,6 +128,7 @@ pub fn try_fast<P: Clone + PartialEq + Debug>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use foxbasis::buf::BufPool;
     use foxbasis::seq::Seq;
     use foxwire::tcp::{TcpFlags, TcpHeader};
 
@@ -136,7 +137,7 @@ mod tests {
     }
 
     fn estab() -> ConnCore<u32> {
-        let mut core: ConnCore<u32> = ConnCore::new(&cfg(), 1000, Seq(100), 1460);
+        let mut core: ConnCore<u32> = ConnCore::new(&cfg(), 1000, Seq(100), 1460, BufPool::new());
         core.remote = Some((7, 2000));
         core.state = TcpState::Estab;
         core.tcb.mss = 1000;

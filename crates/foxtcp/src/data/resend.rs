@@ -294,7 +294,7 @@ fn retransmit_segment<P: Clone + PartialEq + Debug>(
     seg: SentSegment,
     now: VirtualTime,
 ) {
-    let payload = send::stage(&core.tcb, seg.seq, seg.len);
+    let payload = send::stage(core, seg.seq, seg.len);
     let mut header = TcpHeader::new(core.local_port, core.remote.as_ref().map(|(_, p)| *p).unwrap_or(0));
     header.seq = seg.seq;
     header.ack = core.tcb.rcv_nxt;
@@ -380,13 +380,14 @@ pub fn record_sent<P>(tcb: &mut crate::tcb::Tcb<P>, seg: SentSegment, now: Virtu
 mod tests {
     use super::*;
     use crate::tcb::{TcpState, INITIAL_RTO};
+    use foxbasis::buf::BufPool;
 
     fn cfg() -> TcpConfig {
         TcpConfig::default()
     }
 
     fn core_with_flight() -> ConnCore<u32> {
-        let mut core: ConnCore<u32> = ConnCore::new(&cfg(), 1000, Seq(100), 1460);
+        let mut core: ConnCore<u32> = ConnCore::new(&cfg(), 1000, Seq(100), 1460, BufPool::new());
         core.remote = Some((9, 2000));
         core.state = TcpState::Estab;
         core.tcb.mss = 1000;

@@ -9,9 +9,9 @@
 
 use crate::action::{LossEvent, TcpAction, TimerKind};
 use crate::data::resend;
-use crate::tcb::{SentSegment, Tcb};
+use crate::tcb::SentSegment;
 use crate::{ConnCore, TcpConfig};
-use foxbasis::buf::{PacketBuf, DEFAULT_HEADROOM};
+use foxbasis::buf::{BufPool, PacketBuf, DEFAULT_HEADROOM};
 use foxbasis::seq::Seq;
 use foxbasis::time::VirtualTime;
 use foxwire::tcp::{TcpFlags, TcpHeader, TcpOption, TcpSegment};
@@ -84,7 +84,8 @@ pub fn queue_ack<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, now: Virt
     core.tcb.ack_pending = false;
     core.tcb.bytes_since_ack = 0;
     core.tcb.segs_since_ack = 0;
-    core.tcb.push_action(TcpAction::SendSegment(TcpSegment { header, payload: PacketBuf::new() }));
+    let payload = core.pool.empty();
+    core.tcb.push_action(TcpAction::SendSegment(TcpSegment { header, payload }));
 }
 
 /// Stages our SYN (active open) or SYN+ACK (passive/simultaneous open).
@@ -94,7 +95,8 @@ pub fn queue_syn<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, with_ack:
     let flags = if with_ack { TcpFlags::SYN_ACK } else { TcpFlags::SYN };
     let mut header = make_header(core, flags, core.tcb.iss, now);
     push_syn_options(core, &mut header, now);
-    core.tcb.push_action(TcpAction::SendSegment(TcpSegment { header, payload: PacketBuf::new() }));
+    let payload = core.pool.empty();
+    core.tcb.push_action(TcpAction::SendSegment(TcpSegment { header, payload }));
     if core.tcb.snd_nxt == core.tcb.iss {
         let iss = core.tcb.iss;
         core.tcb.snd_nxt = iss + 1;
@@ -103,22 +105,24 @@ pub fn queue_syn<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, with_ack:
 }
 
 /// Stages the `len` bytes of the send buffer that start at sequence
-/// number `seq` into a fresh buffer with headroom for every header
-/// below: the one copy a transmission makes — the first, a window probe
-/// or a retransmission alike — with the checksum computed while that
-/// copy has the bytes in cache (the paper's Fig. 10 combined
+/// number `seq` into a block of the engine's pool, with headroom for
+/// every header below: the one copy a transmission makes — the first, a
+/// window probe or a retransmission alike — with the checksum computed
+/// while that copy has the bytes in cache (the paper's Fig. 10 combined
 /// copy/checksum idea). The buffer goes down the stack by value; the
 /// bytes stay in `send_buf` until they are acknowledged, so nothing
-/// here or in the resend queue keeps a handle to it.
+/// here or in the resend queue keeps a handle to it, and the block goes
+/// home as soon as the layers below are done with it.
 ///
 /// `send_buf` begins at `snd_una`, less the SYN's sequence number while
 /// that is unacknowledged. The queue is push-back/pop-front and the SYN,
 /// at `iss`, is the first thing a connection ever sends, so only the
 /// front entry can carry it.
-pub fn stage<P>(tcb: &Tcb<P>, seq: Seq, len: u32) -> PacketBuf {
+pub fn stage<P>(core: &ConnCore<P>, seq: Seq, len: u32) -> PacketBuf {
+    let tcb = &core.tcb;
     let syn_outstanding = tcb.resend_queue.front().is_some_and(|s| s.syn);
     let offset = (seq.since(tcb.snd_una) as usize).saturating_sub(usize::from(syn_outstanding));
-    PacketBuf::build_summed(DEFAULT_HEADROOM, len as usize, |dst| {
+    core.pool.build_summed(DEFAULT_HEADROOM, len as usize, |dst| {
         let (got, sum) = tcb.send_buf.peek_at_sum(offset, dst);
         debug_assert_eq!(got, dst.len(), "staged bytes must be present");
         sum
@@ -157,7 +161,7 @@ pub fn maybe_send<P: Clone + PartialEq + Debug>(cfg: &TcpConfig, core: &mut Conn
         }
 
         let seq = core.tcb.snd_nxt;
-        let payload = stage(&core.tcb, seq, take);
+        let payload = stage(core, seq, take);
         let push = take > 0 && take == unsent;
         let flags = TcpFlags { ack: true, psh: push, fin: fin_now, ..TcpFlags::default() };
         let header = make_header(core, flags, seq, now);
@@ -209,7 +213,7 @@ pub fn window_probe<P: Clone + PartialEq + Debug>(
         return; // window opened meanwhile, or nothing to probe with
     }
     let seq = core.tcb.snd_nxt;
-    let payload = stage(&core.tcb, seq, 1);
+    let payload = stage(core, seq, 1);
     let header = make_header(core, TcpFlags { ack: true, psh: true, ..TcpFlags::default() }, seq, now);
     core.tcb.push_action(TcpAction::SendSegment(TcpSegment { header, payload }));
     core.tcb.snd_nxt = seq + 1;
@@ -227,8 +231,9 @@ pub fn window_probe<P: Clone + PartialEq + Debug>(
 
 /// Stages an RST in reply to `seg`, per RFC 793 page 36: take the
 /// sequence number from the offending segment's ACK when it has one,
-/// otherwise ACK everything it occupied.
-pub fn reset_for(local_port: u16, seg: &TcpSegment) -> TcpSegment {
+/// otherwise ACK everything it occupied. The RST is staged in `pool`,
+/// the engine's, whether or not a connection sends it.
+pub fn reset_for(pool: &BufPool, local_port: u16, seg: &TcpSegment) -> TcpSegment {
     let mut h = TcpHeader::new(local_port, seg.header.src_port);
     if seg.header.flags.ack {
         h.seq = seg.header.ack;
@@ -238,7 +243,7 @@ pub fn reset_for(local_port: u16, seg: &TcpSegment) -> TcpSegment {
         h.ack = seg.header.seq + seg.seq_len();
         h.flags = TcpFlags::RST_ACK;
     }
-    TcpSegment { header: h, payload: PacketBuf::new() }
+    TcpSegment { header: h, payload: pool.empty() }
 }
 
 #[cfg(test)]
@@ -248,7 +253,7 @@ mod tests {
 
     fn estab_core(wnd: u32) -> ConnCore<u32> {
         let cfg = TcpConfig::default();
-        let mut core: ConnCore<u32> = ConnCore::new(&cfg, 1000, Seq(100), 1460);
+        let mut core: ConnCore<u32> = ConnCore::new(&cfg, 1000, Seq(100), 1460, BufPool::new());
         core.remote = Some((7, 2000));
         core.state = TcpState::Estab;
         core.tcb.mss = 1000;
@@ -477,7 +482,7 @@ mod tests {
     #[test]
     fn syn_carries_mss_option() {
         let cfg = TcpConfig::default();
-        let mut core: ConnCore<u32> = ConnCore::new(&cfg, 1000, Seq(100), 1460);
+        let mut core: ConnCore<u32> = ConnCore::new(&cfg, 1000, Seq(100), 1460, BufPool::new());
         core.remote = Some((7, 2000));
         core.state = TcpState::SynSent { retries_left: 3 };
         queue_syn(&mut core, false, VirtualTime::ZERO);
@@ -498,17 +503,17 @@ mod tests {
         // The SYN holds a sequence number and no byte of the buffer:
         // while it is at the front of the queue, `iss + 1` is offset 0.
         let cfg = TcpConfig::default();
-        let mut core: ConnCore<u32> = ConnCore::new(&cfg, 1000, Seq(100), 1460);
+        let mut core: ConnCore<u32> = ConnCore::new(&cfg, 1000, Seq(100), 1460, BufPool::new());
         core.remote = Some((7, 2000));
         core.state = TcpState::SynSent { retries_left: 3 };
         queue_syn(&mut core, false, VirtualTime::ZERO);
         core.tcb.send_buf.write(b"early data");
-        assert_eq!(stage(&core.tcb, Seq(101), 5), b"early");
-        assert_eq!(stage(&core.tcb, Seq(106), 5), b" data");
-        assert!(stage(&core.tcb, Seq(100), 0).is_empty(), "the SYN itself stages nothing");
+        assert_eq!(stage(&core, Seq(101), 5), b"early");
+        assert_eq!(stage(&core, Seq(106), 5), b" data");
+        assert!(stage(&core, Seq(100), 0).is_empty(), "the SYN itself stages nothing");
         // Acknowledged, the SYN leaves the queue and the arithmetic is plain.
         resend::process_ack(&cfg, &mut core, Seq(101), VirtualTime::ZERO);
-        assert_eq!(stage(&core.tcb, Seq(106), 5), b" data");
+        assert_eq!(stage(&core, Seq(106), 5), b" data");
     }
 
     #[test]
@@ -520,7 +525,7 @@ mod tests {
             initial_window: 1 << 20,
             ..TcpConfig::default()
         };
-        let mut core: ConnCore<u32> = ConnCore::new(&cfg, 1000, Seq(100), 1460);
+        let mut core: ConnCore<u32> = ConnCore::new(&cfg, 1000, Seq(100), 1460, BufPool::new());
         core.remote = Some((7, 2000));
         core.state = TcpState::SynSent { retries_left: 3 };
         queue_syn(&mut core, false, VirtualTime::from_millis(250));
@@ -534,7 +539,7 @@ mod tests {
 
         // A SYN+ACK echoes only what was negotiated: here the peer
         // offered nothing, so nothing is echoed even though we offer.
-        let mut core: ConnCore<u32> = ConnCore::new(&cfg, 1000, Seq(100), 1460);
+        let mut core: ConnCore<u32> = ConnCore::new(&cfg, 1000, Seq(100), 1460, BufPool::new());
         core.remote = Some((7, 2000));
         core.state = TcpState::SynPassive { retries_left: 3 };
         queue_syn(&mut core, true, VirtualTime::ZERO);
@@ -577,7 +582,7 @@ mod tests {
         let mut seg = TcpSegment { header: TcpHeader::new(5555, 80), payload: b"x"[..].into() };
         seg.header.flags = TcpFlags::ACK;
         seg.header.ack = Seq(777);
-        let rst = reset_for(80, &seg);
+        let rst = reset_for(&BufPool::new(), 80, &seg);
         assert_eq!(rst.header.seq, Seq(777));
         assert!(rst.header.flags.rst && !rst.header.flags.ack);
         assert_eq!(rst.header.src_port, 80);
@@ -585,7 +590,7 @@ mod tests {
         // Without ACK: seq 0, ack covers the segment.
         seg.header.flags = TcpFlags::SYN;
         seg.header.seq = Seq(100);
-        let rst = reset_for(80, &seg);
+        let rst = reset_for(&BufPool::new(), 80, &seg);
         assert_eq!(rst.header.seq, Seq(0));
         assert_eq!(rst.header.ack, Seq(100 + 1 + 1)); // SYN + 1 payload byte
         assert!(rst.header.flags.rst && rst.header.flags.ack);
@@ -594,7 +599,7 @@ mod tests {
     #[test]
     fn send_buffer_full_pushes_back() {
         let cfg = TcpConfig { send_buffer: 100, nagle: false, ..TcpConfig::default() };
-        let mut core: ConnCore<u32> = ConnCore::new(&cfg, 1, Seq(0), 1460);
+        let mut core: ConnCore<u32> = ConnCore::new(&cfg, 1, Seq(0), 1460, BufPool::new());
         core.remote = Some((7, 2));
         core.state = TcpState::Estab;
         core.tcb.mss = 1000;

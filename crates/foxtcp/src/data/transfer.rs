@@ -21,7 +21,6 @@ use crate::control::EstablishedHandle;
 use crate::data::{congestion, send};
 use crate::tcb::TcpState;
 use crate::{ConnCore, TcpConfig};
-use foxbasis::buf::PacketBuf;
 use foxbasis::seq::Seq;
 use foxbasis::time::VirtualTime;
 use foxwire::tcp::{TcpHeader, TcpSegment};
@@ -301,7 +300,7 @@ pub(crate) fn process_text<P: Clone + PartialEq + Debug>(
 /// Marks a FIN that arrived ahead of missing data: a bare entry in the
 /// reassembly queue so the gap's eventual fill re-exposes it.
 pub(crate) fn note_out_of_order_fin<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, seq: Seq) {
-    core.tcb.insert_out_of_order(seq, PacketBuf::new(), true);
+    core.tcb.insert_out_of_order(seq, core.pool.empty(), true);
 }
 
 /// Consumes the peer's FIN at the left window edge: `RCV.NXT` steps

@@ -24,7 +24,7 @@ use crate::demux::{Demux, DemuxStats};
 use crate::tcb::TcpState;
 use crate::{ConnCore, TcpConfig};
 use fox_scheduler::SchedHandle;
-use foxbasis::buf::copy_mark;
+use foxbasis::buf::{copy_mark, BufPool};
 use foxbasis::fifo::Fifo;
 use foxbasis::obs::{ConnMetrics, Event, EventSink};
 use foxbasis::seq::Seq;
@@ -226,6 +226,9 @@ where
     wheel: TimerWheel<(u32, TimerKind)>,
     /// Keyed segment→connection-id table; files every id in `conns`.
     demux: Demux,
+    /// The storage every segment this engine sends is staged in; each
+    /// connection holds a handle on it.
+    pool: BufPool,
     /// `(id, slot)` of the connections whose timers fired in this `step`
     /// (scratch, kept for its capacity).
     fired: Vec<(u32, usize)>,
@@ -351,6 +354,7 @@ where
             obs: EventSink::off(),
             wheel,
             demux: Demux::new(),
+            pool: BufPool::new(),
             fired: Vec::new(),
             reap_list: Vec::new(),
         }
@@ -376,6 +380,12 @@ where
     /// Demux-table operation counters.
     pub fn demux_stats(&self) -> DemuxStats {
         self.demux.stats()
+    }
+
+    /// The engine's buffer pool, for a test or a diagnostic to read its
+    /// counters.
+    pub fn buf_pool(&self) -> &BufPool {
+        &self.pool
     }
 
     /// A unified per-connection metrics snapshot: the TCB's live
@@ -573,7 +583,7 @@ where
         // the link MTU the aux reports — 1460 on a 1500-byte Ethernet.
         // One saturating helper, shared with xktcp.
         let mss = foxwire::tcp::mss_for_mtu(self.aux.mtu() as u32);
-        let mut core = ConnCore::new(&self.cfg, local_port, iss, mss);
+        let mut core = ConnCore::new(&self.cfg, local_port, iss, mss, self.pool.clone());
         core.remote = remote;
         core.tcb.mss = mss;
         let conn = Conn {
@@ -927,7 +937,7 @@ where
         let listener = self.listener_index(seg.header.dst_port, |s| matches!(s, TcpState::Listen { .. }));
         if let Some(lidx) = listener {
             let lid = self.conns[lidx].id;
-            match segment::on_listen_segment(seg.header.dst_port, &seg) {
+            match segment::on_listen_segment(&self.pool, seg.header.dst_port, &seg) {
                 ListenVerdict::Ignore => {}
                 ListenVerdict::Reply(rst) => self.transmit_to(rst, src, None),
                 ListenVerdict::Spawn => {
@@ -967,7 +977,7 @@ where
         }
 
         // No connection at all: RFC 793 p. 36.
-        if let Some(rst) = segment::on_closed_segment(&self.cfg, seg.header.dst_port, &seg) {
+        if let Some(rst) = segment::on_closed_segment(&self.cfg, &self.pool, seg.header.dst_port, &seg) {
             self.transmit_to(rst, src, None);
         }
     }

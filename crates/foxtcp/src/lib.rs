@@ -54,6 +54,7 @@ pub use engine::{Tcp, TcpConnId, TcpEvent, TcpPattern, TcpStats};
 pub use socket::{ConnectingSocket, EstablishedSocket, ListeningSocket};
 pub use tcb::{Tcb, TcpState};
 
+use foxbasis::buf::BufPool;
 use foxbasis::seq::Seq;
 use tcb::Tcb as TcbT;
 
@@ -182,11 +183,16 @@ pub struct ConnCore<P> {
     pub tcb: TcbT<P>,
     /// The MSS we advertise on SYNs (from the aux structure's MTU).
     pub our_mss: u32,
+    /// The engine's buffer pool, a handle on the one every connection
+    /// of the engine shares: each segment this connection sends is
+    /// staged in a block from it. Kept beside the TCB, not in it, so
+    /// that the TCB stays plain data.
+    pub pool: BufPool,
 }
 
 impl<P: Clone + PartialEq + std::fmt::Debug> ConnCore<P> {
-    /// A fresh closed connection core.
-    pub fn new(cfg: &TcpConfig, local_port: u16, iss: Seq, our_mss: u32) -> ConnCore<P> {
+    /// A fresh closed connection core, staging its segments in `pool`.
+    pub fn new(cfg: &TcpConfig, local_port: u16, iss: Seq, our_mss: u32, pool: BufPool) -> ConnCore<P> {
         let mut tcb = TcbT::new(iss, cfg.send_buffer, cfg.initial_window);
         // The options we will offer at SYN time (each only turns on if
         // the peer offers it back; see `receive`).
@@ -197,6 +203,6 @@ impl<P: Clone + PartialEq + std::fmt::Debug> ConnCore<P> {
             tcb.rcv_wscale = tcb::wscale_for(cfg.initial_window);
         }
         tcb.cc = data::congestion::CcMachine::new(cfg.congestion_algorithm);
-        ConnCore { local_port, remote: None, state: TcpState::Closed, tcb, our_mss }
+        ConnCore { local_port, remote: None, state: TcpState::Closed, tcb, our_mss, pool }
     }
 }

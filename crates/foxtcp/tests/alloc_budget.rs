@@ -26,13 +26,15 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 /// Heap calls one 64-byte request/response costs the two engines
-/// together, in steady state. What is left: per segment, the staged
-/// payload's storage and its `Rc` (2), the decoded header's option
-/// vector when the segment carries options (0 here), and the `Vec` a
-/// `TcpEvent::Data` hands the user (1); two segments per round trip.
+/// together, in steady state. What is left is the two `TcpEvent::Data`
+/// vectors, one per segment, that hand the user its bytes. Each
+/// segment's staged storage and its `Rc` (2 each until PR 25) now come
+/// from the sending engine's `BufPool` and go back to it when the
+/// receiver drops the frame; the decoded header's option vector costs
+/// nothing here because the segments carry no options.
 /// The commit before this test spent 36.927 (not even a whole number:
 /// its timer wheel re-grew a vector on most `step`s).
-const ALLOCS_PER_ROUND_TRIP: u64 = 6;
+const ALLOCS_PER_ROUND_TRIP: u64 = 2;
 
 const ROUND_TRIPS: u64 = 1_000;
 
@@ -42,7 +44,7 @@ const IDLE_PAIRS: u64 = 64;
 /// Heap bytes the two engines hold for [`IDLE_PAIRS`] ESTABLISHED
 /// connections (so twice as many connection ends, and the listener),
 /// each idle after one 64-byte round trip, under the benchmark's
-/// 512 KB / 256 KB buffer configuration: 1 825 per end.
+/// 512 KB / 256 KB buffer configuration: 1 937 per end.
 /// What an end holds: its slot in the engine's table (the `Conn` itself,
 /// most of the figure), a 64-byte send ring, its handler's box, the
 /// warmed-up `to_do` and resend queues, and its share of the table's
@@ -50,7 +52,13 @@ const IDLE_PAIRS: u64 = 64;
 /// slack a doubling vector carries at this population (the listening
 /// engine has 65 connections in 128 slots). Before the ring grew by use
 /// the same population held 512 KB more per end, whatever it sent.
-const BYTES_HELD_BY_IDLE_PAIRS: u64 = 233_720;
+/// Since PR 25 it also holds the engines' free blocks: 14 296 bytes
+/// over the 233 720 before, almost all of it 65 pooled blocks, because
+/// the last settle fires the 64 clients' delayed ACKs in one step and so
+/// once had 64 of one engine's blocks outstanding together (the other
+/// engine never had more than one); the rest is a pool handle per
+/// connection.
+const BYTES_HELD_BY_IDLE_PAIRS: u64 = 248_016;
 
 /// `foxharness::bench::BenchProfile::Modern.tcp_config()`, which this
 /// crate cannot name (the harness depends on it).

@@ -4,6 +4,7 @@
 //! testability; these properties pin down the safety side — no input
 //! sequence may panic the stack or corrupt its invariants.
 
+use foxbasis::buf::BufPool;
 use foxbasis::seq::Seq;
 use foxbasis::time::VirtualTime;
 use foxtcp::control::segment;
@@ -55,7 +56,7 @@ fn to_segment(a: &ArbSegment) -> TcpSegment {
 
 fn estab_core() -> ConnCore<u8> {
     let cfg = TcpConfig::default();
-    let mut core: ConnCore<u8> = ConnCore::new(&cfg, 80, Seq(1_000_000), 1460);
+    let mut core: ConnCore<u8> = ConnCore::new(&cfg, 80, Seq(1_000_000), 1460, BufPool::new());
     core.remote = Some((9, 4000));
     core.state = TcpState::Estab;
     core.tcb.mss = 1000;
