@@ -5,11 +5,11 @@
 #
 # Twelve stages, all must pass:
 #   1. formatting (fails fast, before anything compiles)
-#   2. foxlint: the six workspace invariant lints (determinism,
-#      hash_iter, rx_panic, field_owner — which also confines every
-#      `state` write in foxtcp to control/fsm.rs::transition — win_cast
-#      and shard_global; DESIGN.md §5.8). Any violation fails: there is
-#      no baseline, and a root with nothing to lint is an error too
+#   2. foxlint: the two invariant lints clippy cannot express
+#      (field_owner — which also confines every `state` write in foxtcp
+#      to control/fsm.rs::transition — and win_cast; DESIGN.md §5.8).
+#      Any violation fails: there is no baseline, and a root with
+#      nothing to lint is an error too
 #   3. release build of every crate and target
 #   4. the whole workspace test suite, then foxbasis and foxwire again
 #      in release: their per-byte kernels (checksum, CRC-32, ring) defer
@@ -54,7 +54,14 @@
 #      including timer.rs's `wheel` group beside the Fig. 11 rows, and
 #      engine.rs and obs.rs on the shared two-engine rig
 #      (foxtcp::testlink::Pair)
-#  10. clippy over every target (benches and bins too), warnings as errors
+#  10. clippy over every target (benches and bins too), warnings as
+#      errors. This is the gate for four workspace invariants
+#      (DESIGN.md §5.8), stated in crates/clippy.toml and lint
+#      attributes: determinism (no Instant/SystemTime/RandomState/
+#      DefaultHasher), hash_iter (no HashMap/HashSet), rx_panic (no
+#      unwrap/expect/panic-family on the packet-input path, no indexing
+#      in wire decoders) and shard_global (no thread-local accessors).
+#      Stage 4's foxlint clippy_gate test pins the statements themselves
 #  11. the FSM gate: the control::fsm unit tests (the guard admits
 #      exactly the edges of spec/tcp_fsm.txt, a write outside it panics,
 #      the spec parser, docs/tcp_fsm.dot is current), then the
@@ -80,7 +87,7 @@ cd "$(dirname "$0")"
 echo "== fmt (check) =="
 cargo fmt --check
 
-echo "== foxlint (six invariant lints, any violation fails) =="
+echo "== foxlint (two invariant lints, any violation fails) =="
 cargo run -q -p foxlint -- --check
 
 echo "== build (release) =="
@@ -115,7 +122,7 @@ done
 echo "== bench (compile only) =="
 cargo bench --workspace --no-run
 
-echo "== clippy (all targets, deny warnings) =="
+echo "== clippy (all targets, deny warnings; determinism, hash_iter, rx_panic, shard_global) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== fsm gate (guard == spec, spec edges covered at runtime) =="

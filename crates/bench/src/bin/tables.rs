@@ -15,6 +15,12 @@
 //!                    (open it in Perfetto)
 //!   --pcap <file>    write the same run's wire capture, Wireshark-ready
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the `micro` item times real code on the wall clock; no other item reads it"
+)]
+
 use foxharness::experiments as exp;
 use foxharness::stack::StackKind;
 use simnet::CostModel;

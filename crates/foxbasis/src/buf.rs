@@ -64,11 +64,11 @@
 //! time.
 //!
 //! The pool is per engine — `foxtcp::Tcp::new` makes one and hands each
-//! connection a handle — not per thread. Per-thread state is what
-//! foxlint's `shard_global` rules out; foxperf asks each fresh station
-//! to repeat the warm-up's exact heap counts, which a pool outliving its
-//! engines would break; and an engine's state is what a shard of the
-//! engine would own.
+//! connection a handle — not per thread. Per-thread state is what the
+//! `LocalKey` ban in `crates/clippy.toml` rules out; foxperf asks each
+//! fresh station to repeat the warm-up's exact heap counts, which a pool
+//! outliving its engines would break; and an engine's state is what a
+//! shard of the engine would own.
 //!
 //! ## Copy accounting
 //!
@@ -101,7 +101,6 @@ pub const DEFAULT_TAILROOM: usize = 64;
 // copies independently (`charge_copy`), so nothing trace-affecting ever
 // reads them — a shard seeing its own counts is exactly the intended
 // per-worker accounting.
-// foxlint::allow(shard_global): diagnostic copy counters; the cost model charges independently, so traces never read these
 thread_local! {
     static COPIES: Cell<u64> = const { Cell::new(0) };
     static COPY_BYTES: Cell<u64> = const { Cell::new(0) };
@@ -118,11 +117,13 @@ pub struct CopyStats {
 
 /// The thread's cumulative [`CopyStats`] since the last
 /// [`reset_copy_stats`].
+#[expect(clippy::disallowed_methods, reason = "diagnostic copy counters, never read by trace-affecting code")]
 pub fn copy_stats() -> CopyStats {
     CopyStats { copies: COPIES.with(|c| c.get()), bytes: COPY_BYTES.with(|c| c.get()) }
 }
 
 /// Zeroes the thread's copy counters.
+#[expect(clippy::disallowed_methods, reason = "diagnostic copy counters, never read by trace-affecting code")]
 pub fn reset_copy_stats() {
     COPIES.with(|c| c.set(0));
     COPY_BYTES.with(|c| c.set(0));
@@ -145,6 +146,7 @@ impl CopyMark {
     }
 }
 
+#[expect(clippy::disallowed_methods, reason = "diagnostic copy counters, never read by trace-affecting code")]
 fn note_copy(bytes: usize) {
     if bytes == 0 {
         return;

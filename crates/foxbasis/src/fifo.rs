@@ -38,9 +38,11 @@ impl<T> Fifo<T> {
     }
 
     /// Removes and returns the item at the head of the queue, or `None`
-    /// if the queue is empty. Named after the paper's `Q.next`, not the
-    /// `Iterator` method.
-    #[allow(clippy::should_implement_trait)]
+    /// if the queue is empty.
+    #[allow(
+        clippy::should_implement_trait,
+        reason = "named after the paper's `Q.next`, not the `Iterator` method"
+    )]
     pub fn next(&mut self) -> Option<T> {
         self.items.pop_front()
     }

@@ -46,6 +46,7 @@
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::allow_attributes_without_reason)]
 
 pub mod buf;
 pub mod checksum;

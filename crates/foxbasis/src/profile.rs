@@ -23,7 +23,7 @@ use std::fmt;
 /// switch — we keep the account but, like the paper, exclude it from the
 /// printed table by default).
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Hash)]
-#[allow(missing_docs)]
+#[allow(missing_docs, reason = "the account names are Table 2's row labels")]
 pub enum Account {
     Tcp,
     Ip,

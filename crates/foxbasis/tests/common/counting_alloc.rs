@@ -6,6 +6,8 @@
 //! Per thread, so that a neighbouring test (or the test harness's own
 //! main thread) cannot leak calls into a count.
 
+#![expect(clippy::disallowed_methods, reason = "a per-thread count is the point: it isolates each test")]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -71,7 +73,7 @@ pub fn allocs() -> u64 {
 
 /// Bytes this thread has allocated and not freed — meaningful as the
 /// difference between two readings on one thread.
-#[allow(dead_code)] // `wheel_alloc` and `pool_alloc` count calls only
+#[allow(dead_code, reason = "`wheel_alloc` and `pool_alloc` count calls only")]
 pub fn live_bytes() -> u64 {
     LIVE.with(Cell::get)
 }

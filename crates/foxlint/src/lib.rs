@@ -1,27 +1,14 @@
-//! # foxlint — machine-checked invariants for trace determinism
+//! # foxlint — the two invariants the compiler cannot state
 //!
 //! The paper's central claim is that a quasi-synchronous TCP produces
-//! the *same trace from the same seed*. That property is global: one
-//! stray `Instant::now()`, one iteration over a `HashMap`, one panic on
-//! a malformed segment, and byte-identical replay silently dies. The
-//! type system cannot see any of these, so this crate checks them
-//! mechanically — a registry-free, dependency-free lexer over the
-//! workspace source enforcing these lints:
+//! the *same trace from the same seed*, and its structure claim is that
+//! each module owns its own state. Most of the invariants behind those
+//! claims are checked by the compiler: `crates/clippy.toml` bans ambient
+//! time, hash containers and thread-local accessors, and lint attributes
+//! deny panics on the receive path (DESIGN.md §5.8). Two are left that
+//! clippy cannot express, and this crate checks them with a
+//! dependency-free lexer over the workspace source:
 //!
-//! * [`determinism`](LINTS) — no ambient time (`Instant`, `SystemTime`)
-//!   or ambient randomness (`thread_rng`, `RandomState`, …) outside
-//!   `crates/bench`. All time must come from the virtual clock, all
-//!   randomness from a seeded generator.
-//! * `hash_iter` — no `HashMap`/`HashSet` in trace-affecting crates
-//!   (foxtcp, xktcp, protocols, simnet, foxbasis, harness): hash
-//!   iteration order is randomized per process, so any iteration —
-//!   including `retain` — can reorder observable effects. `BTreeMap`/
-//!   `BTreeSet` give the same O(log n) and a total order.
-//! * `rx_panic` — no `unwrap`/`expect`/`panic!`-family calls in code a
-//!   hostile packet can reach: the `crates/wire` decoders (which must
-//!   also avoid unchecked indexing in `decode*`/`parse*` functions) and
-//!   the segment-input paths of both TCP engines. Malformed input is an
-//!   `Err`, never a crash.
 //! * `field_owner` — one table (`FIELD_OWNERS`) of which files may
 //!   assign which connection fields: `state` only in
 //!   `crates/foxtcp/src/control/fsm.rs`, whose `transition` checks every
@@ -33,24 +20,27 @@
 //!   sequence-space fields only in the data-path modules, `tcb.rs` and
 //!   the monolithic xktcp. Everything else goes through the engine API,
 //!   preserving the quasi-synchronous containment of connection state.
+//!   Clippy's `disallowed_fields` flags reads as well as writes, so it
+//!   cannot say "written only here, read anywhere".
 //! * `win_cast` — no raw `as u16` on window-named values outside
 //!   `crates/wire`: the codec's `wire_window` is the one sanctioned
 //!   16-bit narrowing (it applies the negotiated scale and the cap).
-//! * `shard_global` — no `static mut` or `thread_local!` state in the
-//!   trace-affecting crates: process-global mutable state breaks replay
-//!   whether or not the engine is ever sharded.
+//!   Clippy's `cast_possible_truncation` would flag every narrowing
+//!   cast, not only the window ones.
 //!
 //! Violations are reported as `file:line: lint: message`, and any
-//! violation fails the check: there is no baseline of tolerated debt.
-//! The one escape hatch is per site —
-//! `// foxlint::allow(<lint>): <reason>` suppresses the same or next
-//! line; the reason is mandatory.
+//! violation fails the check: there is no baseline of tolerated debt and
+//! no escape comment. An exception to `field_owner` is a row in
+//! `FIELD_OWNERS`; a window narrowing goes through `wire_window`.
+//! `#[cfg(test)]` and `#[test]` items are not checked.
 //!
 //! The analysis is lexical, not semantic — by design. It never needs to
 //! resolve types, so it has zero dependencies and runs in milliseconds,
-//! and the patterns it matches (banned identifiers, banned call shapes,
-//! field assignments) are exactly the ones whose absence the trace
-//! proofs assume. See DESIGN.md §5.8.
+//! and the patterns it matches (field assignments, casts next to window
+//! names) are exactly the ones whose absence the structure proofs
+//! assume.
+
+#![deny(clippy::allow_attributes_without_reason)]
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -59,24 +49,12 @@ use std::path::{Path, PathBuf};
 
 /// The lint registry: `(name, one-line description)`.
 pub const LINTS: &[(&str, &str)] = &[
-    ("determinism", "no ambient time or randomness outside crates/bench"),
-    ("hash_iter", "no HashMap/HashSet in trace-affecting crates (randomized iteration order)"),
-    ("rx_panic", "no panics or unchecked indexing in packet-input paths"),
     ("field_owner", "connection fields assigned only inside their owning modules (one table)"),
     ("win_cast", "no raw `as u16` window casts outside the wire codec"),
-    ("shard_global", "no `static mut` or `thread_local!` state in trace-affecting crates"),
 ];
 
 /// Crates whose execution order is observable in traces.
 const TRACE_CRATES: &[&str] = &["foxtcp", "xktcp", "protocols", "simnet", "foxbasis", "harness"];
-
-/// Identifiers that pull in wall-clock time or ambient randomness.
-const NONDET_IDENTS: &[&str] =
-    &["Instant", "SystemTime", "thread_rng", "from_entropy", "RandomState", "DefaultHasher"];
-
-/// Iteration methods whose order depends on the container.
-const ITER_METHODS: &[&str] =
-    &["iter", "iter_mut", "keys", "values", "values_mut", "drain", "retain", "into_iter"];
 
 /// One `field_owner` rule: in files under `scope` (the lint as a whole
 /// is confined to the trace-affecting crates), `.field <assign-op>` may
@@ -147,14 +125,6 @@ const FIELD_OWNERS: &[FieldOwner] = &[
     },
 ];
 
-/// foxtcp rx-path files checked whole.
-const FOXTCP_RX_FILES: &[&str] = &[
-    "crates/foxtcp/src/control/segment.rs",
-    "crates/foxtcp/src/data/transfer.rs",
-    "crates/foxtcp/src/data/fastpath.rs",
-    "crates/foxtcp/src/demux.rs",
-];
-
 /// One reported violation.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Violation {
@@ -162,7 +132,7 @@ pub struct Violation {
     pub path: String,
     /// 1-based line.
     pub line: usize,
-    /// Lint name (or `directive` for a malformed allow comment).
+    /// Lint name.
     pub lint: &'static str,
     /// Human-readable explanation.
     pub message: String,
@@ -179,45 +149,36 @@ impl fmt::Display for Violation {
 // ---------------------------------------------------------------------
 
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Tok {
+enum Tok {
     Ident(String),
     Punct(String),
 }
 
 #[derive(Debug, Clone)]
-pub(crate) struct Token {
-    pub(crate) line: usize,
-    pub(crate) tok: Tok,
+struct Token {
+    line: usize,
+    tok: Tok,
 }
 
 impl Token {
-    pub(crate) fn ident(&self) -> Option<&str> {
+    fn ident(&self) -> Option<&str> {
         match &self.tok {
             Tok::Ident(s) => Some(s),
             Tok::Punct(_) => None,
         }
     }
-    pub(crate) fn punct(&self) -> Option<&str> {
+    fn punct(&self) -> Option<&str> {
         match &self.tok {
             Tok::Punct(s) => Some(s),
             Tok::Ident(_) => None,
         }
     }
-    pub(crate) fn is_punct(&self, p: &str) -> bool {
+    fn is_punct(&self, p: &str) -> bool {
         self.punct() == Some(p)
     }
-    pub(crate) fn is_ident(&self, i: &str) -> bool {
+    fn is_ident(&self, i: &str) -> bool {
         self.ident() == Some(i)
     }
-}
-
-/// A `// foxlint::allow(<lint>): <reason>` comment.
-#[derive(Debug, Clone)]
-struct Allow {
-    line: usize,
-    lint: String,
-    /// `Some(msg)` if the directive is malformed.
-    error: Option<String>,
 }
 
 const MULTI_PUNCT: &[&str] = &[
@@ -225,10 +186,9 @@ const MULTI_PUNCT: &[&str] = &[
     "/=", "%=", "^=", "&=", "|=", "<<", ">>",
 ];
 
-pub(crate) fn lex(src: &str) -> (Vec<Token>, Vec<Allow>) {
+fn lex(src: &str) -> Vec<Token> {
     let chars: Vec<char> = src.chars().collect();
     let mut toks = Vec::new();
-    let mut allows = Vec::new();
     let mut i = 0usize;
     let mut line = 1usize;
     while i < chars.len() {
@@ -240,16 +200,9 @@ pub(crate) fn lex(src: &str) -> (Vec<Token>, Vec<Allow>) {
             }
             ' ' | '\t' | '\r' => i += 1,
             '/' if chars.get(i + 1) == Some(&'/') => {
-                let start = i + 2;
-                let mut j = start;
-                while j < chars.len() && chars[j] != '\n' {
-                    j += 1;
+                while i < chars.len() && chars[i] != '\n' {
+                    i += 1;
                 }
-                let comment: String = chars[start..j].iter().collect();
-                if let Some(a) = parse_allow(&comment, line) {
-                    allows.push(a);
-                }
-                i = j;
             }
             '/' if chars.get(i + 1) == Some(&'*') => {
                 let mut depth = 1;
@@ -346,7 +299,7 @@ pub(crate) fn lex(src: &str) -> (Vec<Token>, Vec<Allow>) {
             }
         }
     }
-    (toks, allows)
+    toks
 }
 
 /// Skips a `"…"` string starting at the opening quote; returns the index
@@ -358,7 +311,7 @@ fn skip_string(chars: &[char], open: usize, line: &mut usize) -> usize {
             // An escape consumes the next char too — which may be a real
             // newline (`\` line continuation, legal in `"…"`/`b"…"`).
             // Count it, or every token after the string reports one line
-            // early and `foxlint::allow` stops matching its target line.
+            // early.
             '\\' => {
                 if chars.get(j + 1) == Some(&'\n') {
                     *line += 1;
@@ -410,40 +363,12 @@ fn skip_raw_string(chars: &[char], mut j: usize, line: &mut usize) -> usize {
     j
 }
 
-fn parse_allow(comment: &str, line: usize) -> Option<Allow> {
-    let t = comment.trim();
-    let rest = t.strip_prefix("foxlint::allow")?;
-    let make_err = |msg: &str| Some(Allow { line, lint: String::new(), error: Some(msg.to_string()) });
-    let Some(rest) = rest.trim_start().strip_prefix('(') else {
-        return make_err("malformed foxlint::allow: expected `(<lint>): <reason>`");
-    };
-    let Some(close) = rest.find(')') else {
-        return make_err("malformed foxlint::allow: missing `)`");
-    };
-    let lint = rest[..close].trim().to_string();
-    if !LINTS.iter().any(|(n, _)| *n == lint) {
-        return Some(Allow {
-            line,
-            lint: lint.clone(),
-            error: Some(format!("foxlint::allow names unknown lint `{lint}`")),
-        });
-    }
-    let after = rest[close + 1..].trim_start();
-    let Some(reason) = after.strip_prefix(':') else {
-        return make_err("foxlint::allow requires `: <reason>` after the lint name");
-    };
-    if reason.trim().is_empty() {
-        return make_err("foxlint::allow requires a nonempty reason");
-    }
-    Some(Allow { line, lint, error: None })
-}
-
 // ---------------------------------------------------------------------
-// Structure discovery: test regions and fn regions
+// Test regions
 // ---------------------------------------------------------------------
 
 /// Index of the `}` matching the `{` at `open`, or the last token.
-pub(crate) fn match_brace(toks: &[Token], open: usize) -> usize {
+fn match_brace(toks: &[Token], open: usize) -> usize {
     let mut depth = 0usize;
     for (k, t) in toks.iter().enumerate().skip(open) {
         if t.is_punct("{") {
@@ -460,7 +385,7 @@ pub(crate) fn match_brace(toks: &[Token], open: usize) -> usize {
 
 /// Lines covered by `#[cfg(test)]` / `#[test]` items (the attribute line
 /// through the close of the following brace block).
-pub(crate) fn test_lines(toks: &[Token]) -> BTreeSet<usize> {
+fn test_lines(toks: &[Token]) -> BTreeSet<usize> {
     let mut out = BTreeSet::new();
     let mut k = 0usize;
     while k < toks.len() {
@@ -497,38 +422,12 @@ pub(crate) fn test_lines(toks: &[Token]) -> BTreeSet<usize> {
     out
 }
 
-/// `(name, first line, last line)` of every `fn` body.
-fn fn_regions(toks: &[Token]) -> Vec<(String, usize, usize)> {
-    let mut out = Vec::new();
-    let mut k = 0usize;
-    while k < toks.len() {
-        if toks[k].is_ident("fn") {
-            if let Some(name) = toks.get(k + 1).and_then(|t| t.ident()) {
-                let name = name.to_string();
-                let mut open = k + 2;
-                while open < toks.len() && !toks[open].is_punct("{") && !toks[open].is_punct(";") {
-                    open += 1;
-                }
-                if open < toks.len() && toks[open].is_punct("{") {
-                    let close = match_brace(toks, open);
-                    out.push((name, toks[k].line, toks[close].line));
-                    k = open + 1; // descend: nested fns found too
-                    continue;
-                }
-            }
-        }
-        k += 1;
-    }
-    out
-}
-
 // ---------------------------------------------------------------------
 // Lint passes
 // ---------------------------------------------------------------------
 
 struct FileCtx<'a> {
     rel: &'a str,
-    krate: Option<&'a str>,
     toks: &'a [Token],
     excluded: &'a BTreeSet<usize>,
 }
@@ -541,171 +440,7 @@ impl FileCtx<'_> {
     }
 }
 
-fn lint_determinism(cx: &FileCtx, out: &mut Vec<Violation>) {
-    if cx.krate == Some("bench") || cx.krate == Some("foxlint") {
-        return;
-    }
-    for t in cx.toks {
-        if let Some(id) = t.ident() {
-            if NONDET_IDENTS.contains(&id) {
-                cx.emit(
-                    out,
-                    t.line,
-                    "determinism",
-                    format!("nondeterministic source `{id}`: use the virtual clock / seeded rng"),
-                );
-            }
-        }
-    }
-}
-
-fn lint_hash_iter(cx: &FileCtx, out: &mut Vec<Violation>) {
-    let Some(k) = cx.krate else { return };
-    if !TRACE_CRATES.contains(&k) {
-        return;
-    }
-    // Any hash container at all: iteration order is per-process random,
-    // and even lookup-only tables invite future iteration.
-    let mut hash_names: BTreeSet<String> = BTreeSet::new();
-    for (i, t) in cx.toks.iter().enumerate() {
-        let Some(id) = t.ident() else { continue };
-        if id == "HashMap" || id == "HashSet" {
-            cx.emit(
-                out,
-                t.line,
-                "hash_iter",
-                format!("`{id}` in trace-affecting crate: use BTreeMap/BTreeSet"),
-            );
-            // Remember declared names: `name: …HashMap<…` / `name = HashMap::new`.
-            for back in (0..i).rev().take(8) {
-                let bt = &cx.toks[back];
-                if bt.is_punct(":") || bt.is_punct("=") {
-                    if let Some(name) = cx.toks.get(back.wrapping_sub(1)).and_then(|t| t.ident()) {
-                        hash_names.insert(name.to_string());
-                    }
-                    break;
-                }
-                if bt.is_punct(";") || bt.is_punct("{") || bt.is_punct("}") {
-                    break;
-                }
-            }
-        }
-    }
-    // `.iter()`-family calls on names known to be hash containers.
-    for w in cx.toks.windows(4) {
-        let [recv, dot, method, open] = w else { continue };
-        if dot.is_punct(".")
-            && open.is_punct("(")
-            && method.ident().is_some_and(|m| ITER_METHODS.contains(&m))
-            && recv.ident().is_some_and(|r| hash_names.contains(r))
-        {
-            cx.emit(
-                out,
-                method.line,
-                "hash_iter",
-                format!(
-                    "iteration (`{}`) over hash container `{}`: order is nondeterministic",
-                    method.ident().unwrap_or(""),
-                    recv.ident().unwrap_or(""),
-                ),
-            );
-        }
-    }
-}
-
-/// Lines of `crates/xktcp/src/lib.rs` / `engine.rs` covered by the named
-/// rx-path functions.
-fn lines_of_fns(toks: &[Token], names: &[&str]) -> BTreeSet<usize> {
-    let mut set = BTreeSet::new();
-    for (name, lo, hi) in fn_regions(toks) {
-        if names.contains(&name.as_str()) {
-            for l in lo..=hi {
-                set.insert(l);
-            }
-        }
-    }
-    set
-}
-
-fn lint_rx_panic(cx: &FileCtx, out: &mut Vec<Violation>) {
-    let wire = cx.rel.starts_with("crates/wire/src/");
-    let foxtcp_whole = FOXTCP_RX_FILES.contains(&cx.rel);
-    let engine = cx.rel == "crates/foxtcp/src/engine.rs";
-    let xk = cx.rel == "crates/xktcp/src/lib.rs";
-    if !(wire || foxtcp_whole || engine || xk) {
-        return;
-    }
-    // Which lines are in scope for the panic rules?
-    let scoped: Option<BTreeSet<usize>> = if engine {
-        Some(lines_of_fns(cx.toks, &["internalize"]))
-    } else if xk {
-        Some(lines_of_fns(cx.toks, &["input", "process_segment"]))
-    } else {
-        None // whole file
-    };
-    let in_scope = |line: usize| scoped.as_ref().is_none_or(|s| s.contains(&line));
-    // Unchecked indexing is checked only inside wire decode*/parse* fns,
-    // where the input is attacker-controlled bytes.
-    let decode_lines: BTreeSet<usize> = if wire {
-        fn_regions(cx.toks)
-            .into_iter()
-            .filter(|(n, _, _)| n.starts_with("decode") || n.starts_with("parse"))
-            .flat_map(|(_, lo, hi)| lo..=hi)
-            .collect()
-    } else {
-        BTreeSet::new()
-    };
-    for (i, t) in cx.toks.iter().enumerate() {
-        let Some(id) = t.ident() else {
-            // `x[…]`, `arr[…]`, `f()[…]`, `s.field[…]` — previous token
-            // ident, `]` or `)` followed by `[`.
-            if t.is_punct("[") && decode_lines.contains(&t.line) {
-                let prev = i.checked_sub(1).and_then(|p| cx.toks.get(p));
-                let indexes = prev.is_some_and(|p| p.ident().is_some() || p.is_punct("]") || p.is_punct(")"));
-                if indexes {
-                    cx.emit(
-                        out,
-                        t.line,
-                        "rx_panic",
-                        "unchecked indexing in a wire decoder: use ByteReader / get()".into(),
-                    );
-                }
-            }
-            continue;
-        };
-        if !in_scope(t.line) {
-            continue;
-        }
-        let next = cx.toks.get(i + 1);
-        let prev = i.checked_sub(1).and_then(|p| cx.toks.get(p));
-        let method_call = prev.is_some_and(|p| p.is_punct("."))
-            && next.is_some_and(|n| n.is_punct("(") || n.is_punct("::"));
-        if (id == "unwrap" || id == "expect") && method_call {
-            cx.emit(
-                out,
-                t.line,
-                "rx_panic",
-                format!("`.{id}()` on the packet-input path: malformed input must be an Err"),
-            );
-        }
-        if matches!(id, "panic" | "unreachable" | "todo" | "unimplemented")
-            && next.is_some_and(|n| n.is_punct("!"))
-        {
-            cx.emit(
-                out,
-                t.line,
-                "rx_panic",
-                format!("`{id}!` on the packet-input path: return an error instead"),
-            );
-        }
-    }
-}
-
 fn lint_field_owner(cx: &FileCtx, out: &mut Vec<Violation>) {
-    let Some(k) = cx.krate else { return };
-    if !TRACE_CRATES.contains(&k) {
-        return;
-    }
     const ASSIGN: &[&str] = &["=", "+=", "-=", "*=", "/=", "%=", "^=", "&=", "|=", "<<=", ">>="];
     for w in cx.toks.windows(3) {
         let [dot, field, op] = w else { continue };
@@ -735,12 +470,6 @@ fn is_window_name(id: &str) -> bool {
 }
 
 fn lint_win_cast(cx: &FileCtx, out: &mut Vec<Violation>) {
-    let Some(k) = cx.krate else { return };
-    // The wire codec owns the one sanctioned narrowing (`wire_window`);
-    // everywhere else a bare `as u16` silently reintroduces the 64 KB cap.
-    if !TRACE_CRATES.contains(&k) {
-        return;
-    }
     for (i, t) in cx.toks.iter().enumerate() {
         if !t.is_ident("as") || !cx.toks.get(i + 1).is_some_and(|n| n.is_ident("u16")) {
             continue;
@@ -765,86 +494,29 @@ fn lint_win_cast(cx: &FileCtx, out: &mut Vec<Violation>) {
     }
 }
 
-/// Process-global mutable state is shared by every engine in the
-/// process and survives from one run to the next, so a replay can read
-/// what the first run left behind.
-fn lint_shard_global(cx: &FileCtx, out: &mut Vec<Violation>) {
-    let Some(k) = cx.krate else { return };
-    if !TRACE_CRATES.contains(&k) {
-        return;
-    }
-    for (i, t) in cx.toks.iter().enumerate() {
-        if t.is_ident("static") && cx.toks.get(i + 1).is_some_and(|n| n.is_ident("mut")) {
-            cx.emit(
-                out,
-                t.line,
-                "shard_global",
-                "`static mut` in a trace-affecting crate: every engine in the process shares it \
-                 and a replay inherits it — move the state into the engine or behind an explicit \
-                 channel"
-                    .into(),
-            );
-        }
-        if t.is_ident("thread_local") && cx.toks.get(i + 1).is_some_and(|n| n.is_punct("!")) {
-            cx.emit(
-                out,
-                t.line,
-                "shard_global",
-                "`thread_local!` in a trace-affecting crate: per-thread state outlives the run \
-                 that wrote it — make it per-engine, or allow with a reason why it cannot \
-                 affect traces"
-                    .into(),
-            );
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Per-file driver
 // ---------------------------------------------------------------------
 
 /// Lints one file's source. `rel` is the workspace-relative path with
-/// forward slashes (it selects each lint's scope). Returns the surviving
-/// violations and how many were suppressed by valid allow directives.
-pub fn lint_source(rel: &str, src: &str) -> (Vec<Violation>, usize) {
-    let (toks, allows) = lex(src);
-    let excluded = test_lines(&toks);
+/// forward slashes (it selects each lint's scope). Returns the
+/// violations, sorted.
+pub fn lint_source(rel: &str, src: &str) -> Vec<Violation> {
+    // Both lints cover the trace-affecting crates only. For `win_cast`
+    // that leaves out the wire codec, which owns the one sanctioned
+    // narrowing (`wire_window`).
     let krate = rel.strip_prefix("crates/").and_then(|r| r.split('/').next());
-    let cx = FileCtx { rel, krate, toks: &toks, excluded: &excluded };
-    let mut raw = Vec::new();
-    lint_determinism(&cx, &mut raw);
-    lint_hash_iter(&cx, &mut raw);
-    lint_rx_panic(&cx, &mut raw);
-    lint_field_owner(&cx, &mut raw);
-    lint_win_cast(&cx, &mut raw);
-    lint_shard_global(&cx, &mut raw);
-    // Apply allow directives: a valid allow suppresses matching
-    // violations on its own line and the following line. A malformed
-    // directive is itself a violation — the escape hatch must not decay.
+    if !krate.is_some_and(|k| TRACE_CRATES.contains(&k)) {
+        return Vec::new();
+    }
+    let toks = lex(src);
+    let excluded = test_lines(&toks);
+    let cx = FileCtx { rel, toks: &toks, excluded: &excluded };
     let mut out = Vec::new();
-    let mut allowed = 0usize;
-    for a in &allows {
-        if let Some(err) = &a.error {
-            out.push(Violation {
-                path: rel.to_string(),
-                line: a.line,
-                lint: "directive",
-                message: err.clone(),
-            });
-        }
-    }
-    for v in raw {
-        let hit = allows
-            .iter()
-            .any(|a| a.error.is_none() && a.lint == v.lint && (a.line == v.line || a.line + 1 == v.line));
-        if hit {
-            allowed += 1;
-        } else {
-            out.push(v);
-        }
-    }
+    lint_field_owner(&cx, &mut out);
+    lint_win_cast(&cx, &mut out);
     out.sort();
-    (out, allowed)
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -885,10 +557,8 @@ pub fn workspace_files(root: &Path) -> Vec<PathBuf> {
 /// Outcome of linting a whole workspace.
 #[derive(Debug, Default)]
 pub struct CheckOutcome {
-    /// All surviving violations, sorted.
+    /// All violations, sorted.
     pub violations: Vec<Violation>,
-    /// Count suppressed by valid allow directives.
-    pub allowed: usize,
     /// Files scanned.
     pub files: usize,
 }
@@ -905,9 +575,7 @@ pub fn check_root(root: &Path) -> CheckOutcome {
             .map(|c| c.as_os_str().to_string_lossy())
             .collect::<Vec<_>>()
             .join("/");
-        let (vs, allowed) = lint_source(&rel, &src);
-        out.violations.extend(vs);
-        out.allowed += allowed;
+        out.violations.extend(lint_source(&rel, &src));
         out.files += 1;
     }
     out.violations.sort();
@@ -921,34 +589,21 @@ mod tests {
     #[test]
     fn lexer_skips_strings_comments_and_lifetimes() {
         let src = r####"
-            // HashMap in a comment
-            /* Instant in /* a nested */ block */
+            // cwnd in a comment
+            /* snd_nxt in /* a nested */ block */
             fn f<'a>(x: &'a str) -> char {
-                let _s = "HashMap<Instant>";
-                let _r = r#"SystemTime"#;
-                let _b = b"thread_rng";
+                let _s = "cwnd = 1";
+                let _r = r#"snd_wnd"#;
+                let _b = b"ssthresh";
                 let _c = '\'';
                 'x'
             }
         "####;
-        let (toks, _) = lex(src);
-        assert!(!toks.iter().any(|t| t.is_ident("HashMap")));
-        assert!(!toks.iter().any(|t| t.is_ident("Instant")));
-        assert!(!toks.iter().any(|t| t.is_ident("SystemTime")));
-        assert!(!toks.iter().any(|t| t.is_ident("thread_rng")));
+        let toks = lex(src);
+        for banned in ["cwnd", "snd_nxt", "snd_wnd", "ssthresh"] {
+            assert!(!toks.iter().any(|t| t.is_ident(banned)), "{banned}");
+        }
         assert!(toks.iter().any(|t| t.is_ident("fn")));
-    }
-
-    #[test]
-    fn allow_directive_parses_and_rejects() {
-        let ok = parse_allow(" foxlint::allow(determinism): bench-only warmup", 3).unwrap();
-        assert!(ok.error.is_none());
-        assert_eq!(ok.lint, "determinism");
-        let bad = parse_allow(" foxlint::allow(nosuch): reason", 3).unwrap();
-        assert!(bad.error.is_some());
-        let noreason = parse_allow(" foxlint::allow(rx_panic):", 3).unwrap();
-        assert!(noreason.error.is_some());
-        assert!(parse_allow("ordinary comment", 1).is_none());
     }
 
     #[test]
@@ -957,38 +612,29 @@ mod tests {
             fn live() {}
             #[cfg(test)]
             mod tests {
-                use std::collections::HashMap;
-                fn t() { let m: HashMap<u8, u8> = HashMap::new(); }
+                fn t(core: &mut Core) { core.cwnd = 1; core.snd_nxt += 2; }
             }
         ";
-        let (vs, _) = lint_source("crates/foxtcp/src/x.rs", src);
+        let vs = lint_source("crates/foxtcp/src/x.rs", src);
         assert!(vs.is_empty(), "{vs:?}");
-    }
-
-    #[test]
-    fn fn_regions_find_nested_fns() {
-        let src = "fn outer() { fn inner() {} }";
-        let (toks, _) = lex(src);
-        let names: Vec<_> = fn_regions(&toks).into_iter().map(|(n, _, _)| n).collect();
-        assert_eq!(names, vec!["outer", "inner"]);
     }
 
     #[test]
     fn win_cast_flags_window_narrowing_outside_wire() {
         let src = "fn f(w: u32) -> u16 { let snd_wnd = w; snd_wnd.min(65535) as u16 }";
-        let (vs, _) = lint_source("crates/foxtcp/src/send.rs", src);
+        let vs = lint_source("crates/foxtcp/src/send.rs", src);
         assert_eq!(vs.len(), 1, "{vs:?}");
         assert_eq!(vs[0].lint, "win_cast");
         // crates/wire is not a trace crate: the codec owns the narrowing.
-        let (vs, _) = lint_source("crates/wire/src/tcp.rs", src);
+        let vs = lint_source("crates/wire/src/tcp.rs", src);
         assert!(vs.iter().all(|v| v.lint != "win_cast"), "{vs:?}");
         // Unrelated u16 casts don't trip it.
         let src = "fn g(port: u32) -> u16 { port as u16 }";
-        let (vs, _) = lint_source("crates/foxtcp/src/send.rs", src);
+        let vs = lint_source("crates/foxtcp/src/send.rs", src);
         assert!(vs.is_empty(), "{vs:?}");
         // Statement boundaries reset the lookback.
         let src = "fn h(window: u32, p: u32) -> u16 { let _w = window; p as u16 }";
-        let (vs, _) = lint_source("crates/xktcp/src/lib.rs", src);
+        let vs = lint_source("crates/xktcp/src/lib.rs", src);
         assert!(vs.is_empty(), "{vs:?}");
     }
 }

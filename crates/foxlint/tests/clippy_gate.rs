@@ -1,0 +1,180 @@
+//! The statements of the clippy-enforced invariants, pinned. Four of the
+//! workspace invariants (DESIGN.md §5.8) are stated as `crates/clippy.toml`
+//! entries and lint attributes, and `ci.sh` stage 10 (`cargo clippy
+//! --workspace --all-targets -- -D warnings`) finds their violations.
+//! Clippy does not run under `cargo test`, so this file checks that the
+//! statements are still there: deleting a banned path, a receive-path
+//! deny or a decoder's `indexing_slicing` fails here.
+
+use std::collections::BTreeSet;
+use std::fs;
+use std::path::PathBuf;
+
+/// `determinism` and `hash_iter`.
+const BANNED_TYPES: &[&str] = &[
+    "std::time::Instant",
+    "std::time::SystemTime",
+    "std::hash::RandomState",
+    "std::hash::DefaultHasher",
+    "std::collections::HashMap",
+    "std::collections::HashSet",
+];
+
+/// `determinism`, then `shard_global`: every `LocalKey` accessor.
+const BANNED_METHODS: &[&str] = &[
+    "std::time::Instant::now",
+    "std::time::SystemTime::now",
+    "std::thread::LocalKey::with",
+    "std::thread::LocalKey::try_with",
+    "std::thread::LocalKey::get",
+    "std::thread::LocalKey::set",
+    "std::thread::LocalKey::take",
+    "std::thread::LocalKey::replace",
+    "std::thread::LocalKey::with_borrow",
+    "std::thread::LocalKey::with_borrow_mut",
+];
+
+/// `rx_panic`: what a packet-input path may not call.
+const RX_PANIC: &[&str] = &[
+    "clippy::unwrap_used",
+    "clippy::expect_used",
+    "clippy::panic",
+    "clippy::unreachable",
+    "clippy::todo",
+    "clippy::unimplemented",
+];
+
+/// Receive-path files denied whole (the wire crate through its root).
+const RX_FILES: &[&str] = &[
+    "crates/wire/src/lib.rs",
+    "crates/foxtcp/src/control/segment.rs",
+    "crates/foxtcp/src/data/transfer.rs",
+    "crates/foxtcp/src/data/fastpath.rs",
+    "crates/foxtcp/src/demux.rs",
+];
+
+/// Receive-path fns inside files that are not.
+const RX_FNS: &[(&str, &str)] = &[
+    ("crates/foxtcp/src/engine.rs", "internalize"),
+    ("crates/xktcp/src/lib.rs", "input"),
+    ("crates/xktcp/src/lib.rs", "process_segment"),
+];
+
+fn root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+fn read(rel: &str) -> String {
+    let p = root().join(rel);
+    fs::read_to_string(&p).unwrap_or_else(|e| panic!("{}: {e}", p.display()))
+}
+
+/// The `path = "…"` entries of the TOML array `key = [ … ]`.
+fn listed(toml: &str, key: &str) -> BTreeSet<String> {
+    let start = toml.find(&format!("\n{key} = [")).unwrap_or_else(|| panic!("no `{key}` in clippy.toml"));
+    let body = &toml[start..];
+    let body = &body[..body.find("\n]").expect("array closes")];
+    body.split("path = \"").skip(1).map(|s| s[..s.find('"').expect("path closes")].to_string()).collect()
+}
+
+/// Every lint named by an `{open}…)]` attribute in `text` (`open` is
+/// `#![deny(` or `#[deny(`).
+fn denied(text: &str, open: &str) -> BTreeSet<String> {
+    let mut out = BTreeSet::new();
+    for part in text.split(open).skip(1) {
+        let list = &part[..part.find(")]").unwrap_or(part.len())];
+        out.extend(list.split(',').map(str::trim).filter(|l| !l.is_empty()).map(String::from));
+    }
+    out
+}
+
+/// `(name, attribute lines)` of every fn in `src`: the `#[…]` lines
+/// (multi-line ones included) directly above it, doc comments skipped.
+fn fns_with_attrs(src: &str) -> Vec<(String, String)> {
+    let lines: Vec<&str> = src.lines().collect();
+    let mut out = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        let t = line.trim_start();
+        let t = t.strip_prefix("pub(crate) ").or_else(|| t.strip_prefix("pub ")).unwrap_or(t);
+        let Some(sig) = t.strip_prefix("fn ") else { continue };
+        let name: String = sig.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
+        let attrs: Vec<&str> = lines[..i]
+            .iter()
+            .rev()
+            .map(|l| l.trim())
+            .take_while(|l| ["#[", "///", "clippy::", ")]"].iter().any(|p| l.starts_with(p)))
+            .filter(|l| !l.starts_with("///"))
+            .collect();
+        out.push((name, attrs.into_iter().rev().collect::<Vec<_>>().join("\n")));
+    }
+    out
+}
+
+fn missing<'a>(want: &[&'a str], have: &BTreeSet<String>) -> Vec<&'a str> {
+    want.iter().copied().filter(|w| !have.contains(*w)).collect()
+}
+
+#[test]
+fn clippy_toml_bans_every_path() {
+    let toml = read("crates/clippy.toml");
+    let types = listed(&toml, "disallowed-types");
+    let methods = listed(&toml, "disallowed-methods");
+    assert_eq!(missing(BANNED_TYPES, &types), Vec::<&str>::new(), "disallowed-types lost entries");
+    assert_eq!(missing(BANNED_METHODS, &methods), Vec::<&str>::new(), "disallowed-methods lost entries");
+}
+
+#[test]
+fn receive_path_files_and_fns_deny_panics() {
+    for rel in RX_FILES {
+        let have = denied(&read(rel), "#![deny(");
+        assert_eq!(missing(RX_PANIC, &have), Vec::<&str>::new(), "{rel}: module-level deny lost lints");
+    }
+    for (rel, name) in RX_FNS {
+        let fns = fns_with_attrs(&read(rel));
+        let (_, attrs) =
+            fns.iter().find(|(n, _)| n == name).unwrap_or_else(|| panic!("{rel}: no `fn {name}`"));
+        let have = denied(attrs, "#[deny(");
+        assert_eq!(missing(RX_PANIC, &have), Vec::<&str>::new(), "{rel}: `fn {name}` lost lints");
+    }
+}
+
+#[test]
+fn every_wire_decoder_denies_indexing() {
+    let dir = root().join("crates/wire/src");
+    let mut files: Vec<PathBuf> =
+        fs::read_dir(&dir).expect("crates/wire/src").flatten().map(|e| e.path()).collect();
+    files.sort();
+    let mut checked = 0;
+    for path in files.iter().filter(|p| p.extension().is_some_and(|e| e == "rs")) {
+        let src = fs::read_to_string(path).expect("readable source");
+        for (name, attrs) in fns_with_attrs(&src) {
+            if !(name.starts_with("decode") || name.starts_with("parse")) {
+                continue;
+            }
+            checked += 1;
+            assert!(
+                denied(&attrs, "#[deny(").contains("clippy::indexing_slicing"),
+                "{}: `fn {name}` lost #[deny(clippy::indexing_slicing)]",
+                path.display()
+            );
+        }
+    }
+    assert!(checked >= 16, "found only {checked} decode*/parse* fns — wrong directory?");
+}
+
+#[test]
+fn every_crate_root_requires_a_reason_on_each_allow() {
+    let crates = root().join("crates");
+    let mut roots: Vec<PathBuf> =
+        fs::read_dir(&crates).expect("crates/").flatten().map(|e| e.path().join("src/lib.rs")).collect();
+    roots.retain(|p| p.exists());
+    assert!(roots.len() >= 9, "found only {} crate roots", roots.len());
+    for lib in roots {
+        let src = fs::read_to_string(&lib).expect("readable source");
+        assert!(
+            denied(&src, "#![deny(").contains("clippy::allow_attributes_without_reason"),
+            "{}: lost #![deny(clippy::allow_attributes_without_reason)]",
+            lib.display()
+        );
+    }
+}

@@ -1,16 +1,16 @@
-//! No-fire side of the byte-string pair: lint-named tokens inside every
-//! byte-string shape must not be misclassified as code.
+//! No-fire side of the byte-string pair: field writes and window casts
+//! inside every byte-string shape must not be misclassified as code.
 
 pub fn shapes() -> usize {
-    let plain = b"Instant SystemTime thread_rng";
-    let escaped = b"HashMap \"Instant\" \\";
-    let raw = br"RandomState \ no escapes";
-    let hashed = br#"DefaultHasher "quoted" inner"#;
-    let double = br##"Instant "# still inside"##;
-    let multiline = b"Instant
-        SystemTime";
-    let continued = b"thread_rng\
-        HashMap";
+    let plain = b"core.state = 1; core.cwnd = 2";
+    let escaped = b"core.snd_nxt += \"1\" \\";
+    let raw = br"core.ssthresh = 0 \ no escapes";
+    let hashed = br#"snd_wnd as u16 "quoted" inner"#;
+    let double = br##"core.cwnd = 1 "# still inside"##;
+    let multiline = b"core.state = 1
+        core.rcv_nxt = 2";
+    let continued = b"window as u16\
+        core.cwnd <<= 1";
     let ch = b'"';
     plain.len()
         + escaped.len()

@@ -1,6 +1,6 @@
 //! Fire side of the byte-string lexer pair: the byte strings below use
 //! `\`-newline continuations, which the lexer must count as real lines.
-//! The banned ident after them must be reported at its true line — if
+//! The field write after them must be reported at its true line — if
 //! the lexer drops continuation newlines, the line drifts and the
 //! paired test fails.
 
@@ -13,7 +13,7 @@ pub fn banner() -> (&'static [u8], &'static [u8]) {
     (a, b)
 }
 
-pub fn stamp() -> u64 {
+pub fn grow(core: &mut Core) {
     // line 18: the fixture test pins this exact line number.
-    Instant::now().elapsed().as_micros() as u64
+    core.cwnd = core.cwnd * 2;
 }

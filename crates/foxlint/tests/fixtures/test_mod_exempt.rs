@@ -1,20 +1,20 @@
-// Fixture: `#[cfg(test)]` regions and `#[test]` fns are exempt from all
-// lints — unwraps and hash maps in tests are idiomatic.
+// Fixture: `#[cfg(test)]` regions and `#[test]` fns are exempt from both
+// lints — a test sets up whatever connection state it needs to check.
 pub fn live() -> u8 {
     7
 }
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashMap;
+    use super::Core;
 
     #[test]
-    fn uses_all_the_banned_things() {
-        let mut m: HashMap<u8, u8> = HashMap::new();
-        m.insert(1, 2);
-        for (_k, v) in m.iter() {
-            assert_eq!(*v, 2);
-        }
-        let _ = m.get(&1).unwrap();
+    fn writes_every_owned_field() {
+        let mut core = Core::default();
+        core.state = 1;
+        core.snd_nxt += 2;
+        core.cwnd = 3;
+        let snd_wnd = 65_536u32;
+        core.window = snd_wnd as u16;
     }
 }

@@ -20,7 +20,7 @@ const RFC_STATES: [&str; 11] = [
 
 /// What moves the machine: a user call, any timer expiry, or a segment.
 #[rustfmt::skip]
-#[allow(missing_docs)]
+#[allow(missing_docs, reason = "each trigger names the event of the same name")]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Trigger { Open, Close, Abort, Timer, Rst, Syn, Fin, Ack }
 
@@ -66,7 +66,7 @@ impl TcpState {
 }
 
 /// One `FROM -> TO : trigger` line of `spec/tcp_fsm.txt`.
-#[allow(missing_docs)]
+#[allow(missing_docs, reason = "`from`, `to` and `trigger` are the line's three parts")]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpecEdge {
     pub from: &'static str,

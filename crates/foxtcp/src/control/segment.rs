@@ -21,6 +21,16 @@
 //! calls them through the narrow seams described there (handing over an
 //! `EstablishedHandle` at promotion time, receiving `DataEvent`s back).
 
+// rx_panic (DESIGN.md §5.8): a segment from the wire reaches this module.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::action::{AttackEvent, TcpAction, TimerKind};
 use crate::control::fsm::{transition, Trigger};
 use crate::control::EstablishedHandle;

@@ -16,6 +16,16 @@
 //! are the sender's only view of what survived a loss, and the header
 //! prediction above knows nothing of options.
 
+// rx_panic (DESIGN.md §5.8): a segment from the wire reaches this module.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::action::{TcpAction, TimerKind};
 use crate::data::{resend, send};
 use crate::tcb::TcpState;

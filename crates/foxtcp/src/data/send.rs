@@ -250,6 +250,7 @@ pub fn reset_for(pool: &BufPool, local_port: u16, seg: &TcpSegment) -> TcpSegmen
 mod tests {
     use super::*;
     use crate::tcb::TcpState;
+    use crate::testlink::no_nagle;
 
     fn estab_core(wnd: u32) -> ConnCore<u32> {
         let cfg = TcpConfig::default();
@@ -276,7 +277,7 @@ mod tests {
 
     #[test]
     fn segmentation_respects_mss() {
-        let cfg = TcpConfig { nagle: false, ..TcpConfig::default() };
+        let cfg = no_nagle();
         let mut core = estab_core(10_000);
         let n = user_send(&cfg, &mut core, &[7u8; 2500], VirtualTime::ZERO);
         assert_eq!(n, 2500);
@@ -300,7 +301,7 @@ mod tests {
         // timestamps on the segmentation loop must shave the option's
         // 12 padded bytes — a "full" segment sized by the raw MSS would
         // overflow the link MTU and fragment.
-        let cfg = TcpConfig { nagle: false, ..TcpConfig::default() };
+        let cfg = no_nagle();
         let mut core = estab_core(10_000);
         core.tcb.ts_on = true;
         let n = user_send(&cfg, &mut core, &[7u8; 2000], VirtualTime::ZERO);
@@ -319,7 +320,7 @@ mod tests {
 
     #[test]
     fn send_respects_peer_window() {
-        let cfg = TcpConfig { nagle: false, ..TcpConfig::default() };
+        let cfg = no_nagle();
         let mut core = estab_core(1500);
         user_send(&cfg, &mut core, &[1u8; 4000], VirtualTime::ZERO);
         let segs = staged_segments(&mut core);
@@ -330,7 +331,7 @@ mod tests {
 
     #[test]
     fn send_respects_congestion_window() {
-        let cfg = TcpConfig { nagle: false, ..TcpConfig::default() };
+        let cfg = no_nagle();
         let mut core = estab_core(60_000);
         core.tcb.cwnd = 2000;
         user_send(&cfg, &mut core, &[1u8; 8000], VirtualTime::ZERO);
@@ -354,7 +355,7 @@ mod tests {
 
     #[test]
     fn nagle_off_sends_immediately() {
-        let cfg = TcpConfig { nagle: false, ..TcpConfig::default() };
+        let cfg = no_nagle();
         let mut core = estab_core(10_000);
         user_send(&cfg, &mut core, &[1u8; 1300], VirtualTime::ZERO);
         assert_eq!(staged_segments(&mut core).len(), 2);
@@ -363,7 +364,7 @@ mod tests {
 
     #[test]
     fn zero_window_arms_persist() {
-        let cfg = TcpConfig { nagle: false, ..TcpConfig::default() };
+        let cfg = no_nagle();
         let mut core = estab_core(0);
         user_send(&cfg, &mut core, &[1u8; 100], VirtualTime::ZERO);
         let acts: Vec<String> = core.tcb.to_do.drain_all().iter().map(|a| format!("{a:?}")).collect();
@@ -373,7 +374,7 @@ mod tests {
 
     #[test]
     fn window_probe_sends_one_byte() {
-        let cfg = TcpConfig { nagle: false, ..TcpConfig::default() };
+        let cfg = no_nagle();
         let mut core = estab_core(0);
         user_send(&cfg, &mut core, b"probe-me", VirtualTime::ZERO);
         core.tcb.to_do.clear();
@@ -392,7 +393,7 @@ mod tests {
         // which the ACK of each probe byte resets — so probes re-fired
         // at a constant interval forever. The persist exponent must keep
         // growing across answered probes until the window opens.
-        let cfg = TcpConfig { nagle: false, ..TcpConfig::default() };
+        let cfg = no_nagle();
         let mut core = estab_core(0);
         user_send(&cfg, &mut core, &[7u8; 100], VirtualTime::ZERO);
         core.tcb.to_do.clear();
@@ -419,7 +420,7 @@ mod tests {
 
     #[test]
     fn window_opening_resets_persist_backoff() {
-        let cfg = TcpConfig { nagle: false, ..TcpConfig::default() };
+        let cfg = no_nagle();
         let mut core = estab_core(0);
         user_send(&cfg, &mut core, &[7u8; 100], VirtualTime::ZERO);
         for _ in 0..3 {
@@ -441,7 +442,7 @@ mod tests {
 
     #[test]
     fn fin_piggybacks_on_last_segment() {
-        let cfg = TcpConfig { nagle: false, ..TcpConfig::default() };
+        let cfg = no_nagle();
         let mut core = estab_core(10_000);
         user_send(&cfg, &mut core, &[9u8; 500], VirtualTime::ZERO);
         core.tcb.to_do.clear();

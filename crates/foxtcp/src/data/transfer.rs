@@ -16,6 +16,16 @@
 //!   [`DataEvent::FinReceived`]; *control* then decides which closing
 //!   state that implies. Nothing in this module writes `TcpState`.
 
+// rx_panic (DESIGN.md §5.8): a segment from the wire reaches this module.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::action::{TcpAction, TimerKind};
 use crate::control::EstablishedHandle;
 use crate::data::{congestion, send};

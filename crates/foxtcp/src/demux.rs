@@ -25,6 +25,16 @@
 //! front-to-back scan found — lookup results are bit-for-bit unchanged,
 //! only cheaper.
 
+// rx_panic (DESIGN.md §5.8): a segment from the wire reaches this module.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Operation counters (the `tables -- scale` experiment reports these).

@@ -894,6 +894,14 @@ where
     /// Internalizes one lower-layer message (the Action module's receive
     /// half): verify the checksum, decode, demultiplex, enqueue a
     /// `Process_Data` action, then drain that connection's queue.
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     fn internalize(&mut self, msg: L::Incoming) {
         let (src, seg) = {
             let info = self.aux.info(&msg);

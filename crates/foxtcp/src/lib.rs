@@ -37,6 +37,7 @@
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::allow_attributes_without_reason)]
 
 pub mod action;
 pub mod control;

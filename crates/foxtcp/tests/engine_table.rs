@@ -10,7 +10,7 @@ use foxbasis::obs::{Event, EventSink};
 use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxproto::{ProtoError, Protocol};
 use foxtcp::tcb::TcpState;
-use foxtcp::testlink::{immediate, Engine, Pair};
+use foxtcp::testlink::{immediate, no_nagle, Engine, Pair};
 use foxtcp::{TcpConfig, TcpConnId, TcpEvent, TcpPattern};
 
 /// Three established connections a → b, all to one listener. Returns
@@ -53,7 +53,7 @@ fn ephemeral_port_exhaustion_errors_instead_of_hanging() {
 /// order and id order disagree.
 #[test]
 fn fired_connections_drain_in_id_order() {
-    let cfg = TcpConfig { nagle: false, ..TcpConfig::default() };
+    let cfg = no_nagle();
     let mut p = Pair::new(cfg.clone(), cfg);
     let pairs = three_pairs(&mut p);
 
@@ -89,7 +89,7 @@ fn fired_connections_drain_in_id_order() {
 /// the ones on either side.
 #[test]
 fn reaping_the_middle_connection_leaves_the_rest_reachable() {
-    let cfg = TcpConfig { nagle: false, delayed_ack_ms: None, ..TcpConfig::default() };
+    let cfg = immediate();
     let mut p = Pair::new(cfg.clone(), cfg);
     let [(first, _), (second, second_child), (third, third_child)] = three_pairs(&mut p);
 

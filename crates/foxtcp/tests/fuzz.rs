@@ -9,7 +9,7 @@ use foxbasis::seq::Seq;
 use foxbasis::time::VirtualTime;
 use foxtcp::control::segment;
 use foxtcp::tcb::TcpState;
-use foxtcp::testlink::Pair;
+use foxtcp::testlink::{immediate, Pair};
 use foxtcp::{ConnCore, TcpConfig};
 use foxwire::tcp::{TcpFlags, TcpHeader, TcpSegment};
 use proptest::prelude::*;
@@ -149,7 +149,7 @@ proptest! {
 // regression case (see fuzz.proptest-regressions) can be replayed as an
 // explicit test below, independent of the fuzzer's seed decoding.
 fn stream_prefix_property(drop_mask: &[bool], payload_len: usize) {
-    let cfg = TcpConfig { nagle: false, delayed_ack_ms: None, ..TcpConfig::default() };
+    let cfg = immediate();
     let mut p = Pair::new(cfg.clone(), cfg);
 
     // Drop frames toward the server according to the mask, cycling.

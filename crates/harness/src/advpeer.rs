@@ -135,7 +135,7 @@ impl Adversary {
     /// Forges one TCP segment (correct TCP checksum, IP checksum and
     /// Ethernet FCS — forgeries must survive every integrity check the
     /// stack runs) and puts it on the wire from the adversary's port.
-    #[allow(clippy::too_many_arguments)] // a forged header is its field list
+    #[allow(clippy::too_many_arguments, reason = "a forged header is its field list")]
     fn forge(
         &mut self,
         src: (Ipv4Addr, u16),

@@ -1,8 +1,8 @@
 //! The two machine-and-link eras a run can model (DESIGN.md §5.10), each
 //! a recipe for a [`Cell`]. Everything here stays on the virtual clock —
-//! the `no_wallclock` foxlint rule forbids `std::time::Instant` outside
-//! `crates/bench` — and wall-clock measurement of these profiles is
-//! foxperf's job (`foxperf/`, `BENCHMARK.json`).
+//! the `std::time::Instant` entries of `crates/clippy.toml` forbid wall
+//! time everywhere but `tables micro` — and wall-clock measurement of
+//! these profiles is foxperf's job (`foxperf/`, `BENCHMARK.json`).
 
 use crate::cell::Cell;
 use crate::experiments::paper_tcp_config;

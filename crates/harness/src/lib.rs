@@ -10,6 +10,7 @@
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::allow_attributes_without_reason)]
 
 pub mod advpeer;
 pub mod bench;

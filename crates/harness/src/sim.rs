@@ -73,58 +73,44 @@ mod tests {
         Cell::new(kind, CostModel::modern(), TcpConfig::default(), 33).pair(EventSink::off())
     }
 
+    /// Opens one connection and moves one message each way on it, by the
+    /// handles `connect` and `accept` returned.
     fn handshake_and_exchange(kind: StackKind) {
         let (net, mut a, mut b) = quick_pair(kind);
         b.listen(6969);
         let conn = a.connect(6969);
-        drive(
-            &net,
-            &mut [&mut a, &mut b],
-            |st| st[0].established(0) && st[1].accept().is_some(),
-            VirtualDuration::from_millis(1),
-            VirtualTime::from_millis(5_000),
-        );
-        assert!(a.established(conn), "{} should establish", a.kind());
-        // Find the server-side handle (accept consumed it in `done`; the
-        // xk/fox stations hand out handle values we captured — redo with
-        // an explicit accept loop instead).
-        let _ = net;
-    }
-
-    #[test]
-    fn all_three_stacks_establish() {
-        handshake_and_exchange(StackKind::FoxStandard);
-        handshake_and_exchange(StackKind::FoxSpecial);
-        handshake_and_exchange(StackKind::XKernel);
-    }
-
-    #[test]
-    fn data_roundtrip_fox_standard() {
-        let (net, mut a, mut b) = quick_pair(StackKind::FoxStandard);
-        b.listen(7);
-        let conn = a.connect(7);
-        let mut server_conn = None;
+        let mut server = None;
         drive(
             &net,
             &mut [&mut a, &mut b],
             |st| {
-                if server_conn.is_none() {
-                    server_conn = st[1].accept();
+                if server.is_none() {
+                    server = st[1].accept();
                 }
-                server_conn.is_some() && st[0].established(0)
+                st[0].established(conn) && server.is_some_and(|s| st[1].established(s))
             },
             VirtualDuration::from_millis(1),
             VirtualTime::from_millis(5_000),
         );
-        let sc = server_conn.expect("accepted");
+        assert!(a.established(conn), "{} should establish", a.kind());
+        let sc = server.expect("accepted");
         assert_eq!(a.send(conn, b"echo me"), 7);
+        assert_eq!(b.send(sc, b"echoed"), 6);
         drive(
             &net,
             &mut [&mut a, &mut b],
-            |st| st[1].received_len(sc) >= 7,
+            |st| st[1].received_len(sc) >= 7 && st[0].received_len(conn) >= 6,
             VirtualDuration::from_millis(1),
             VirtualTime::from_millis(5_000),
         );
-        assert_eq!(b.recv(sc), b"echo me");
+        assert_eq!(b.recv(sc), b"echo me", "{}: client to server", a.kind());
+        assert_eq!(a.recv(conn), b"echoed", "{}: server to client", a.kind());
+    }
+
+    #[test]
+    fn all_three_stacks_establish_and_exchange() {
+        handshake_and_exchange(StackKind::FoxStandard);
+        handshake_and_exchange(StackKind::FoxSpecial);
+        handshake_and_exchange(StackKind::XKernel);
     }
 }

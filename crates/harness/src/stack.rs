@@ -54,7 +54,7 @@ impl StackKind {
     /// every layer (device, host GC, TCP engine), stamped with the wire
     /// port the station was attached to. `BatchConfig::default()` (both
     /// bursts 1) is exactly the unbatched device.
-    #[allow(clippy::too_many_arguments)] // pinned: foxperf compiles against this signature
+    #[allow(clippy::too_many_arguments, reason = "pinned: foxperf compiles against this signature")]
     pub fn build_batched(
         self,
         net: &SimNet,

@@ -197,7 +197,7 @@ pub struct ManyFlowsResult {
 /// All stations use the same `cost` model, so fox-vs-xk differences in
 /// `server_busy` and [`ScaleCounters`] are implementation differences,
 /// not machine differences.
-#[allow(clippy::too_many_arguments)] // a workload is its parameter list
+#[allow(clippy::too_many_arguments, reason = "a workload is its parameter list")]
 pub fn many_flows(
     net: &SimNet,
     kind: StackKind,

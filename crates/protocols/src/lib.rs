@@ -40,6 +40,7 @@
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::allow_attributes_without_reason)]
 
 pub mod arp;
 pub mod aux;

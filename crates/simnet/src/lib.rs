@@ -28,6 +28,7 @@
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::allow_attributes_without_reason)]
 
 pub mod gcmodel;
 pub mod host;

@@ -81,6 +81,7 @@ impl ArpPacket {
     /// Every access goes through the checked [`ByteReader`], so short
     /// input yields `Err(Truncated)` from whichever field runs out —
     /// never a panic.
+    #[deny(clippy::indexing_slicing)]
     pub fn decode(buf: &[u8]) -> Result<ArpPacket, WireError> {
         need("arp packet", buf, PACKET_LEN)?;
         let mut r = ByteReader::new("arp packet", buf);

@@ -1,8 +1,8 @@
 //! Checked, panic-free byte access for decoders.
 //!
 //! Every internalization path in this crate parses attacker-controlled
-//! bytes, and the workspace invariant (enforced by `foxlint`'s
-//! `rx_panic` lint) is that such code *cannot* abort the station: any
+//! bytes, and the workspace invariant (`rx_panic`: clippy's panic lints
+//! denied crate-wide) is that such code *cannot* abort the station: any
 //! malformed input must surface as a [`WireError`], never a panic. Raw
 //! slice indexing (`buf[0]`, `&buf[a..b]`) panics on a bad offset, and
 //! whether a given index is guarded by an earlier length check is

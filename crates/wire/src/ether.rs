@@ -209,6 +209,7 @@ impl Frame {
     }
 
     /// Internalizes a frame, verifying the FCS.
+    #[deny(clippy::indexing_slicing)]
     pub fn decode(buf: &[u8]) -> Result<Frame, WireError> {
         let (dst, src, ethertype, body_len) = Frame::parse(buf)?;
         let payload = crate::bytes::range("ethernet payload", buf, HEADER_LEN, body_len)?;
@@ -217,11 +218,13 @@ impl Frame {
 
     /// Internalizes a frame from a [`PacketBuf`] view, slicing the
     /// (padded) payload out of the same storage (zero-copy).
+    #[deny(clippy::indexing_slicing)]
     pub fn decode_buf(buf: &PacketBuf) -> Result<Frame, WireError> {
         let (dst, src, ethertype, body_len) = Frame::parse(&buf.bytes())?;
         Ok(Frame { dst, src, ethertype, payload: buf.slice(HEADER_LEN, body_len) })
     }
 
+    #[deny(clippy::indexing_slicing)]
     fn parse(buf: &[u8]) -> Result<(EthAddr, EthAddr, EtherType, usize), WireError> {
         need("ethernet frame", buf, HEADER_LEN + MIN_PAYLOAD + FCS_LEN)?;
         let body_len = buf.len().saturating_sub(FCS_LEN);

@@ -42,6 +42,7 @@ impl IcmpEcho {
     /// Internalizes an echo message, verifying type, code and checksum.
     /// All field access is through the checked [`ByteReader`]; short
     /// input is `Err(Truncated)`, never a panic.
+    #[deny(clippy::indexing_slicing)]
     pub fn decode(buf: &[u8]) -> Result<IcmpEcho, WireError> {
         need("icmp echo", buf, HEADER_LEN)?;
         let mut r = ByteReader::new("icmp echo", buf);

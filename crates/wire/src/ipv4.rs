@@ -230,6 +230,7 @@ impl Ipv4Packet {
     /// Internalizes a packet, verifying version, lengths, and the header
     /// checksum. Extra bytes after `total_length` (Ethernet padding) are
     /// discarded, which is why the length field exists.
+    #[deny(clippy::indexing_slicing)]
     pub fn decode(buf: &[u8]) -> Result<Ipv4Packet, WireError> {
         let (header, ihl, total_len) = Ipv4Packet::parse_header(buf)?;
         let payload = range("ipv4 payload", buf, ihl, total_len)?;
@@ -238,6 +239,7 @@ impl Ipv4Packet {
 
     /// Internalizes a packet from a [`PacketBuf`] view, slicing the
     /// payload out of the same storage (zero-copy).
+    #[deny(clippy::indexing_slicing)]
     pub fn decode_buf(buf: &PacketBuf) -> Result<Ipv4Packet, WireError> {
         let (header, ihl, total_len) = Ipv4Packet::parse_header(&buf.bytes())?;
         Ok(Ipv4Packet { header, payload: buf.slice(ihl, total_len) })
@@ -246,6 +248,7 @@ impl Ipv4Packet {
     /// Parses and validates the header. All byte access is through the
     /// checked [`ByteReader`]/[`range`] helpers: malformed or truncated
     /// input is an error, never a panic.
+    #[deny(clippy::indexing_slicing)]
     fn parse_header(buf: &[u8]) -> Result<(Ipv4Header, usize, usize), WireError> {
         need("ipv4 header", buf, HEADER_LEN)?;
         let mut r = ByteReader::new("ipv4 header", buf);

@@ -28,6 +28,17 @@
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::allow_attributes_without_reason)]
+// rx_panic (DESIGN.md §5.8): the whole crate is on the packet-input
+// path; each `decode*`/`parse*` fn also denies `indexing_slicing`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod arp;
 pub mod bytes;

@@ -398,6 +398,7 @@ impl TcpSegment {
     /// Internalizes a segment. With `pseudo_sum = Some(..)` (the partial
     /// sum over the pseudo-header including length) the checksum is
     /// verified first; with `None` the checksum field is ignored.
+    #[deny(clippy::indexing_slicing)]
     pub fn decode(buf: &[u8], pseudo_sum: Option<u16>) -> Result<TcpSegment, WireError> {
         let (header, data_offset) = TcpSegment::parse_header(buf, pseudo_sum)?;
         let payload = range("tcp payload", buf, data_offset, buf.len())?;
@@ -407,6 +408,7 @@ impl TcpSegment {
     /// Internalizes a segment from a [`PacketBuf`] view, slicing the
     /// payload out of the same storage (zero-copy). The checksum
     /// verification (when requested) is the only pass over the bytes.
+    #[deny(clippy::indexing_slicing)]
     pub fn decode_buf(buf: &PacketBuf, pseudo_sum: Option<u16>) -> Result<TcpSegment, WireError> {
         let (header, data_offset) = TcpSegment::parse_header(&buf.bytes(), pseudo_sum)?;
         Ok(TcpSegment { header, payload: buf.slice(data_offset, buf.len()) })
@@ -416,6 +418,7 @@ impl TcpSegment {
     /// checked [`ByteReader`]/[`range`] helpers: malformed or truncated
     /// input (including adversarial option lengths) is an error, never
     /// a panic.
+    #[deny(clippy::indexing_slicing)]
     fn parse_header(buf: &[u8], pseudo_sum: Option<u16>) -> Result<(TcpHeader, usize), WireError> {
         need("tcp header", buf, HEADER_LEN)?;
         if let Some(pseudo) = pseudo_sum {
@@ -510,6 +513,7 @@ impl TcpSegment {
     }
 
     /// [`decode`](Self::decode) with the standard IPv4 pseudo-header.
+    #[deny(clippy::indexing_slicing)]
     pub fn decode_v4(
         buf: &[u8],
         checksum_over: Option<(Ipv4Addr, Ipv4Addr)>,

@@ -69,6 +69,7 @@ impl UdpDatagram {
     /// Parses the header and verifies length and (optionally) checksum.
     /// Returns `(src_port, dst_port, length)`. All byte access is
     /// through the checked [`ByteReader`]/[`prefix`] helpers.
+    #[deny(clippy::indexing_slicing)]
     fn parse(buf: &[u8], pseudo_sum: Option<u16>) -> Result<(u16, u16, usize), WireError> {
         need("udp header", buf, HEADER_LEN)?;
         let mut r = ByteReader::new("udp header", buf);
@@ -94,6 +95,7 @@ impl UdpDatagram {
 
     /// Internalizes a datagram; verifies the checksum when a pseudo-sum
     /// is supplied and the sender computed one.
+    #[deny(clippy::indexing_slicing)]
     pub fn decode(buf: &[u8], pseudo_sum: Option<u16>) -> Result<UdpDatagram, WireError> {
         let (src_port, dst_port, length) = UdpDatagram::parse(buf, pseudo_sum)?;
         let payload = range("udp payload", buf, HEADER_LEN, length)?;
@@ -102,6 +104,7 @@ impl UdpDatagram {
 
     /// Internalizes a datagram from a [`PacketBuf`], returning the
     /// payload as a zero-copy slice of the same buffer.
+    #[deny(clippy::indexing_slicing)]
     pub fn decode_buf(buf: &PacketBuf, pseudo_sum: Option<u16>) -> Result<UdpDatagram, WireError> {
         let (src_port, dst_port, length) = UdpDatagram::parse(&buf.bytes(), pseudo_sum)?;
         Ok(UdpDatagram { src_port, dst_port, payload: buf.slice(HEADER_LEN, length) })
@@ -115,6 +118,7 @@ impl UdpDatagram {
     }
 
     /// [`decode`](Self::decode) with the standard IPv4 pseudo-header.
+    #[deny(clippy::indexing_slicing)]
     pub fn decode_v4(
         buf: &[u8],
         checksum_over: Option<(Ipv4Addr, Ipv4Addr)>,

@@ -1,6 +1,6 @@
 //! Totality of every wire decoder: `decode(arbitrary bytes)` returns
 //! `Ok` or `Err`, never panics. This is the property the `rx_panic`
-//! foxlint rule enforces lexically — here it is exercised dynamically,
+//! deny attributes enforce statically — here it is exercised dynamically,
 //! with adversarial inputs that include truncations of valid packets
 //! (the inputs most likely to defeat a length check).
 

@@ -25,6 +25,7 @@
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::allow_attributes_without_reason)]
 
 use foxbasis::buf::{copy_mark, PacketBuf};
 use foxbasis::obs::{ConnMetrics, Event, EventSink};
@@ -48,7 +49,7 @@ pub struct SockId(pub u32);
 /// Connection states (the classic eleven; no Syn_Active/Passive split —
 /// that refinement is the Fox design's).
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
-#[allow(missing_docs)]
+#[allow(missing_docs, reason = "the RFC 793 state names document themselves")]
 pub enum XkState {
     Closed,
     Listen,
@@ -1032,6 +1033,14 @@ where
 
     // ----- input path: one big switch, BSD style -----
 
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     fn input(&mut self, msg: L::Incoming) {
         let (src, seg) = {
             let info = self.aux.info(&msg);
@@ -1169,6 +1178,14 @@ where
         self.note_transition(i, before, cause);
     }
 
+    #[deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )]
     fn process_segment(&mut self, i: usize, seg: TcpSegment) {
         let h = seg.header.clone();
         let state = self.socks[i].state;
