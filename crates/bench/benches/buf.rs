@@ -45,7 +45,7 @@ fn legacy_trip(ring: &RingBuffer, size: usize) -> usize {
     let moved_stage = staged.len();
     let seg = TcpSegment { header: header(), payload: staged.into() };
     // Header + payload into the frame (copy 2).
-    let frame = seg.encode(PSEUDO).expect("encode");
+    let frame = seg.encode_buf(PSEUDO).expect("encode").to_vec();
     let moved_encode = frame.len();
     // Payload back out of the frame (copy 3).
     let rx = TcpSegment::decode(&frame, PSEUDO).expect("decode");

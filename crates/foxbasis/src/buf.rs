@@ -77,10 +77,10 @@
 //! [`crate::obs::EventSink`] additionally emit `Event::BufCopy`. Header
 //! and trailer writes (≤ ~60 bytes per layer, plain stores into
 //! reserved room) are not copies and are not counted. The *virtual*
-//! cost model is entirely unaffected: `charge_copy`/`charge_checksum`
-//! keep charging the paper's per-KB constants at the same points, so
-//! Tables 1–2 reproduce byte-for-byte while the host's real memcpy
-//! traffic drops.
+//! cost model is entirely unaffected: the `Copy` and `Checksum` work
+//! the layers charge their host keeps the paper's per-KB prices at the
+//! same points, so Tables 1–2 reproduce byte-for-byte while the host's
+//! real memcpy traffic drops.
 
 use crate::checksum::ones_complement_sum;
 use std::cell::{Cell, Ref, RefCell};
@@ -98,7 +98,7 @@ pub const DEFAULT_TAILROOM: usize = 64;
 // ----- thread-local copy accounting -----
 
 // These counters are observational only: the virtual cost model charges
-// copies independently (`charge_copy`), so nothing trace-affecting ever
+// copies independently (as `Copy` work), so nothing trace-affecting ever
 // reads them — a shard seeing its own counts is exactly the intended
 // per-worker accounting.
 thread_local! {

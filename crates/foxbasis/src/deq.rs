@@ -1,17 +1,16 @@
 //! The double-ended queue of the Fox Basis (`structure D: DEQ` in the
 //! paper's Fig. 6).
 //!
-//! The structured TCP keeps the connection's queue of not-yet-sent
-//! outgoing packets (`queued: Send_Packet.T D.T ref`) in a deque: new
-//! data is appended at the back by the Send module, segments are taken
-//! from the front for transmission, and a segment that could not be sent
-//! (window closed mid-segmentation) is pushed back on the front.
+//! The structured TCP keeps its resend queue in a deque: the Send module
+//! appends each segment it transmits at the back, as a `SentSegment`
+//! sequence range over the send buffer (the bytes stay there), and the
+//! Resend module trims and releases acknowledged ranges from the front.
 
 use std::collections::VecDeque;
 use std::fmt;
 
 /// A double-ended queue.
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 pub struct Deq<T> {
     items: VecDeque<T>,
 }
@@ -27,19 +26,9 @@ impl<T> Deq<T> {
         self.items.push_back(item);
     }
 
-    /// Prepends at the front.
-    pub fn push_front(&mut self, item: T) {
-        self.items.push_front(item);
-    }
-
     /// Removes from the front.
     pub fn pop_front(&mut self) -> Option<T> {
         self.items.pop_front()
-    }
-
-    /// Removes from the back.
-    pub fn pop_back(&mut self) -> Option<T> {
-        self.items.pop_back()
     }
 
     /// References the front element.
@@ -119,15 +108,15 @@ mod tests {
     #[test]
     fn both_ends() {
         let mut d = Deq::new();
+        d.push_back(1);
         d.push_back(2);
-        d.push_front(1);
         d.push_back(3);
         assert_eq!(d.len(), 3);
         assert_eq!(d.front(), Some(&1));
         assert_eq!(d.back(), Some(&3));
         assert_eq!(d.pop_front(), Some(1));
-        assert_eq!(d.pop_back(), Some(3));
         assert_eq!(d.pop_front(), Some(2));
+        assert_eq!(d.pop_front(), Some(3));
         assert!(d.is_empty());
     }
 
@@ -137,17 +126,6 @@ mod tests {
         *d.front_mut().unwrap() += 1;
         *d.back_mut().unwrap() += 2;
         assert_eq!(d.iter().copied().collect::<Vec<_>>(), vec![11, 22]);
-    }
-
-    #[test]
-    fn unsent_packet_requeue_pattern() {
-        // The Send-module pattern: pop a segment, discover the window is
-        // closed, push it back on the front for the next opportunity.
-        let mut d: Deq<&str> = ["seg1", "seg2"].into_iter().collect();
-        let seg = d.pop_front().unwrap();
-        d.push_front(seg);
-        assert_eq!(d.pop_front(), Some("seg1"));
-        assert_eq!(d.pop_front(), Some("seg2"));
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! The FIFO queue of the Fox Basis (`structure Q: FIFO` in the paper's
 //! Fig. 6).
 //!
-//! Two of the central data structures of the structured TCP are FIFOs:
-//! the per-connection `to_do` queue of [`TcpAction`]s — the heart of the
-//! quasi-synchronous control structure — and the queue of out-of-order
-//! incoming segments. The paper also notes (§4) that replacing this FIFO
-//! with a priority queue would let particular actions (e.g. ones that
-//! affect packet latency) run at higher priority; [`Fifo::requeue_front`]
-//! exists so such experiments stay cheap.
+//! The per-connection `to_do` queue of [`TcpAction`]s — the heart of the
+//! quasi-synchronous control structure — is a FIFO, and so is each
+//! layer's queue of received messages. The paper also notes (§4) that
+//! replacing this FIFO with a priority queue would let particular
+//! actions (e.g. ones that affect packet latency) run at higher
+//! priority; [`Fifo::take_first_match`] is that hook, and the engine's
+//! `latency_priority` option uses it.
 //!
 //! [`TcpAction`]: ../../foxtcp/action/enum.TcpAction.html
 
@@ -15,7 +15,7 @@ use std::collections::VecDeque;
 use std::fmt;
 
 /// A first-in first-out queue.
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 pub struct Fifo<T> {
     items: VecDeque<T>,
 }
@@ -50,13 +50,6 @@ impl<T> Fifo<T> {
     /// Returns a reference to the head of the queue without removing it.
     pub fn peek(&self) -> Option<&T> {
         self.items.front()
-    }
-
-    /// Puts `item` back at the *head* of the queue so it is the next item
-    /// returned — the hook the paper mentions for experimenting with
-    /// scheduling priorities.
-    pub fn requeue_front(&mut self, item: T) {
-        self.items.push_front(item);
     }
 
     /// Number of queued items.
@@ -150,17 +143,6 @@ mod tests {
         assert_eq!(q.peek(), Some(&"a"));
         assert_eq!(q.size(), 1);
         assert_eq!(q.next(), Some("a"));
-    }
-
-    #[test]
-    fn requeue_front_takes_priority() {
-        let mut q = Fifo::new();
-        q.add(1);
-        q.add(2);
-        let head = q.next().unwrap();
-        q.requeue_front(head);
-        assert_eq!(q.next(), Some(1));
-        assert_eq!(q.next(), Some(2));
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //!   calls per buffer, none per clone);
 //! * [`fifo`] — the FIFO queue (`structure Q: FIFO` in Fig. 6), used for
 //!   the per-connection `to_do` action queue and each layer's queue of
-//!   received messages (the TCB's out-of-order store is a sorted `Vec`);
+//!   received messages (the TCB's out-of-order store is a `VecDeque` of
+//!   the received `PacketBuf`s, kept sorted by sequence number);
 //! * [`deq`] — the double-ended queue (`structure D: DEQ` in Fig. 6),
-//!   used for the TCB's resend queue of sent, unacknowledged segments;
+//!   used for the TCB's resend queue: the sequence ranges of sent,
+//!   unacknowledged segments;
 //! * [`ring`] — a byte ring buffer used for the socket send buffer (the
 //!   receive side keeps a byte count, not a ring);
 //! * [`wordarray`] — safe byte arrays with 1/2/4-byte big-endian access,
@@ -29,10 +31,9 @@
 //!   (300 µs/KB in SML vs 61 µs/KB for `bcopy` on a DECstation 5000/125);
 //! * [`seq`] — TCP sequence-number arithmetic (modulo 2^32);
 //! * [`time`] — the virtual-time types used by the deterministic
-//!   simulation substrate;
-//! * [`profile`] — the profiling-counter infrastructure reproducing the
-//!   paper's memory-mapped hardware counters (15 µs per update), which
-//!   generates Table 2;
+//!   simulation substrate (the profiling half of `FOX_BASIS`, the
+//!   Table 2 ledger with its 15 µs counter updates, is the simulated
+//!   host's: `simnet::host`);
 //! * [`obs`] — the typed, bounded, zero-cost-when-off event layer
 //!   (state transitions, actions, timers, segments, wire faults, GC
 //!   pauses) with JSONL / chrome://tracing exporters and a stream
@@ -54,7 +55,6 @@ pub mod copy;
 pub mod deq;
 pub mod fifo;
 pub mod obs;
-pub mod profile;
 pub mod ring;
 pub mod seq;
 pub mod time;
@@ -66,7 +66,6 @@ pub use checksum::{checksum, ones_complement_sum, ChecksumAccum};
 pub use deq::Deq;
 pub use fifo::Fifo;
 pub use obs::{ConnMetrics, Event, EventRing, EventSink, Stamped, NO_CONN};
-pub use profile::{Account, Profiler};
 pub use ring::RingBuffer;
 pub use seq::Seq;
 pub use time::{NanoDuration, VirtualDuration, VirtualTime};

@@ -41,6 +41,11 @@ pub const STORAGE_FLOOR: usize = 64;
 /// assert_eq!(ring.read(&mut out), 5);
 /// assert_eq!(&out[..5], b"hello");
 /// ```
+///
+/// Two rings are equal when they have the same bound and hold the same
+/// bytes: where those bytes sit in the storage, and how far the storage
+/// has grown, is layout, not content.
+#[derive(Clone)]
 pub struct RingBuffer {
     /// The storage allocated so far: empty, or `capacity.min(FLOOR << k)`
     /// bytes.
@@ -179,6 +184,22 @@ impl RingBuffer {
         self.data = Vec::new();
         self.head = 0;
         self.len = 0;
+    }
+
+    /// The stored bytes, front first, as the (at most) two runs of the
+    /// storage they occupy.
+    fn runs(&self) -> (&[u8], &[u8]) {
+        let first = self.len.min(self.data.len() - self.head);
+        (&self.data[self.head..self.head + first], &self.data[..self.len - first])
+    }
+}
+
+impl PartialEq for RingBuffer {
+    fn eq(&self, other: &Self) -> bool {
+        let ((a0, a1), (b0, b1)) = (self.runs(), other.runs());
+        self.capacity == other.capacity
+            && self.len == other.len
+            && a0.iter().chain(a1).eq(b0.iter().chain(b1))
     }
 }
 
@@ -346,6 +367,31 @@ mod tests {
         r.clear();
         assert_eq!((r.storage(), r.len(), r.free()), (0, 0, 1000));
         assert_eq!(RingBuffer::new(7).write(&[0; 9]), 7, "a bound under the floor is the whole storage");
+    }
+
+    #[test]
+    fn equality_is_bound_and_content_not_layout() {
+        // `a` holds "cdef" wrapped around the end of 64 bytes of
+        // storage; `b` holds it from the front of 100.
+        let mut a = RingBuffer::new(100);
+        a.write(&[0; 60]);
+        a.skip(60);
+        a.write(b"abcdef");
+        a.skip(2);
+        let mut b = RingBuffer::new(100);
+        b.write(&[0; 100]);
+        b.skip(100);
+        b.write(b"cdef");
+        assert_eq!((a.storage(), b.storage()), (64, 100));
+        assert!(a == b, "same bound, same bytes");
+        let snapshot = a.clone();
+        assert!(snapshot == a);
+        a.skip(1);
+        assert!(snapshot != a, "a clone does not follow its original");
+        let mut c = RingBuffer::new(99);
+        c.write(b"cdef");
+        assert!(c != b, "a different bound is a different ring");
+        assert!(RingBuffer::new(5) == RingBuffer::new(5), "no storage on either side");
     }
 
     proptest! {

@@ -125,6 +125,7 @@ impl AttackEvent {
 /// One action on a connection's to_do queue (paper Fig. 8).
 /// `P` is the lower-layer peer address type (IPv4 address for
 /// `Standard_Tcp`, Ethernet address for `Special_Tcp`).
+#[derive(Clone, PartialEq)]
 pub enum TcpAction<P> {
     /// An internalized (decoded, checksum-verified) segment has arrived
     /// from `src` — the Receive module processes it.

@@ -654,10 +654,14 @@ mod tests {
 
     #[test]
     fn off_window_rst_ignored() {
+        // RFC 793: an RST outside the window is dropped "and return" —
+        // nothing in the TCB may move, down to the last queued action.
         let mut core = estab();
+        let before = core.tcb.clone();
         let s = seg(1, TcpFlags::RST, b"");
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
         assert_eq!(core.state, TcpState::Estab);
+        assert_eq!(core.tcb, before);
         assert!(!drain_tags(&mut core).contains(&"Peer_Reset"));
     }
 

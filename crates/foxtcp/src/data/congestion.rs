@@ -61,7 +61,7 @@ pub trait CongestionControl {
 }
 
 /// NewReno. Stateless — the windows themselves are the whole state.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct Reno;
 
 impl CongestionControl for Reno {
@@ -121,7 +121,7 @@ const CUBIC_BETA_DEN: u64 = 1024;
 /// `W(t) = C·(t−K)³ + W_max` is evaluated in milliseconds and
 /// MSS-units with C = 0.4, so the target window per ACK is exact
 /// integer arithmetic — no floats, fully deterministic.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct Cubic {
     /// Window size (bytes) just before the last reduction.
     w_max: u32,
@@ -235,10 +235,10 @@ impl CongestionControl for Cubic {
 }
 
 /// The per-connection algorithm instance. An enum rather than a
-/// `Box<dyn>` so the TCB stays `Clone`-free, allocation-free and the
-/// dispatch deterministic; both variants implement [`CongestionControl`]
-/// and the enum forwards.
-#[derive(Clone, Debug)]
+/// `Box<dyn>` so the TCB stays plain data (`Clone`, `PartialEq`),
+/// allocation-free and the dispatch deterministic; both variants
+/// implement [`CongestionControl`] and the enum forwards.
+#[derive(Clone, PartialEq, Debug)]
 pub enum CcMachine {
     /// NewReno state.
     Reno(Reno),

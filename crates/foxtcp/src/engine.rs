@@ -33,7 +33,7 @@ use foxbasis::wheel::{TimerWheel, WheelStats};
 use foxproto::aux::IpAux;
 use foxproto::{Handler, ProtoError, Protocol};
 use foxwire::tcp::TcpSegment;
-use simnet::HostHandle;
+use simnet::{HostHandle, Work};
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
@@ -669,9 +669,9 @@ where
         let total = seg.header.header_len() + seg.payload.len();
         let pseudo = if self.cfg.compute_checksums { self.aux.check(&to, total) } else { None };
         if pseudo.is_some() {
-            self.host.charge_checksum(total);
+            self.host.charge(Work::Checksum(total));
         }
-        self.host.charge_tcp_segment_sized(seg.payload.len());
+        self.host.charge(Work::TcpSegment { payload: seg.payload.len() });
         self.host.with(|h| h.alloc_segment(seg.payload.len()));
         // Remember what window the peer will believe after this segment
         // (post-scaling; SYN windows go out unscaled per RFC 7323).
@@ -738,7 +738,7 @@ where
             timer: kind.name(),
             after_ms: ms,
         });
-        self.host.charge_thread_op();
+        self.host.charge(Work::ThreadOp);
         let deadline = self.sched.now() + VirtualDuration::from_millis(ms);
         let id = self.conns[idx].id;
         let tid = self.wheel.arm(deadline, (id, kind));
@@ -797,7 +797,7 @@ where
                         flags: seg.header.flags.to_u8(),
                         wnd: u32::from(seg.header.window),
                     });
-                    self.host.charge_tcp_segment_sized(seg.payload.len());
+                    self.host.charge(Work::TcpSegment { payload: seg.payload.len() });
                     self.host.with(|h| h.alloc_segment(seg.payload.len()));
                     let mut handled_fast = false;
                     if self.cfg.fast_path {
@@ -908,7 +908,7 @@ where
             let pseudo =
                 if self.cfg.compute_checksums { self.aux.check(&info.src, info.data.len()) } else { None };
             if pseudo.is_some() {
-                self.host.charge_checksum(info.data.len());
+                self.host.charge(Work::Checksum(info.data.len()));
             }
             let mark = copy_mark();
             let decoded = TcpSegment::decode_buf(info.data, pseudo);

@@ -111,7 +111,7 @@ impl TcpState {
 }
 
 /// Jacobson/Karn round-trip estimation state (the Resend module's data).
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct RttEstimator {
     /// Smoothed RTT in µs (None until the first sample).
     pub srtt: Option<VirtualDuration>,
@@ -202,7 +202,10 @@ pub struct Recovery {
     pub by_rto: bool,
 }
 
-/// The transmission control block (paper Fig. 6 `tcp_tcb`).
+/// The transmission control block (paper Fig. 6 `tcp_tcb`). Plain data:
+/// a clone is a snapshot, and two snapshots compare field by field, so a
+/// test can diff the TCB before and after one input.
+#[derive(Clone, PartialEq)]
 pub struct Tcb<P> {
     // --- RFC 793 send sequence variables ---
     /// Initial send sequence number.
@@ -351,7 +354,7 @@ pub struct Tcb<P> {
 /// the same step that accepts it and released ([`RecvAccount::skip`])
 /// when the engine executes that action — so the window arithmetic is a
 /// byte ring's, without the ring.
-#[derive(Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct RecvAccount {
     capacity: usize,
     held: usize,

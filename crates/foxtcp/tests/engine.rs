@@ -4,13 +4,12 @@
 //! every failure here is a TCP bug.
 
 use foxbasis::obs::{flags, Event, EventSink};
-use foxbasis::profile::Account;
 use foxbasis::time::VirtualTime;
 use foxproto::{ProtoError, Protocol};
 use foxtcp::testlink::{no_nagle, Pair};
 use foxtcp::{TcpConfig, TcpConnId, TcpEvent, TcpPattern, TcpState, TcpStats};
 use foxwire::tcp::TcpSegment;
-use simnet::{CostModel, Host as SimHost, HostHandle};
+use simnet::{Account, CostModel, Host as SimHost, HostHandle};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -102,12 +101,7 @@ fn fast_and_slow_path_charge_the_same_accounts() {
         assert_eq!(p.data_of(0, client).len(), payload.len());
         let accounts = Account::ALL
             .iter()
-            .map(|&acc| {
-                (
-                    ha.with(|h| h.profiler().total(acc)).as_micros(),
-                    hb.with(|h| h.profiler().total(acc)).as_micros(),
-                )
-            })
+            .map(|&acc| (ha.with(|h| h.booked(acc)).as_micros(), hb.with(|h| h.booked(acc)).as_micros()))
             .collect();
         (accounts, p.a.stats(), p.b.stats())
     }

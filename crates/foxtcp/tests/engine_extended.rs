@@ -137,7 +137,7 @@ fn urgent_test_filter_decodes_what_engine_encodes() {
     let mut h = TcpHeader::new(1, 2);
     h.flags = TcpFlags::ACK;
     let seg = TcpSegment { header: h, payload: b"xyz"[..].into() };
-    let bytes = seg.encode(None).unwrap();
+    let bytes = seg.clone().encode_buf(None).unwrap().to_vec();
     assert_eq!(TcpSegment::decode(&bytes, None).unwrap(), seg);
 }
 

@@ -25,6 +25,7 @@ use crate::experiments::loss_cell;
 use crate::sim::drive;
 use crate::stack::{ip_of, mac_of, StackKind};
 use crate::station::StationStats;
+use crate::workload::establish;
 use foxbasis::buf::PacketBuf;
 use foxbasis::obs::EventSink;
 use foxbasis::seq::Seq;
@@ -159,17 +160,14 @@ impl Adversary {
         h.options = options;
         let seg = TcpSegment { header: h, payload: payload.into() };
         let tcp_bytes = seg.encode_v4(Some((src.0, dst.0))).expect("forged segment encodes");
-        let pkt = Ipv4Packet {
-            header: Ipv4Header::new(IpProtocol::Tcp, src.0, dst.0),
-            payload: PacketBuf::from_vec(tcp_bytes),
-        };
+        let pkt = Ipv4Packet { header: Ipv4Header::new(IpProtocol::Tcp, src.0, dst.0), payload: tcp_bytes };
         // The source MAC is spoofed too: the frame claims to come from
         // the host whose IP it borrows, like a real on-LAN forgery.
         let frame = Frame::new(
             dst_mac,
             EthAddr([0x02, 0, 0, 0, 0, 0xfe]),
             EtherType::Ipv4,
-            pkt.encode().expect("forged packet encodes"),
+            pkt.encode_buf().expect("forged packet encodes"),
         )
         .encode_buf()
         .expect("forged frame encodes");
@@ -333,23 +331,7 @@ pub fn run_attack(kind: StackKind, attack: Attack, faults: FaultConfig, seed: u6
     let mut adv = Adversary::new(&net);
     let deadline = cell.deadline;
 
-    sender.listen(SERVICE_PORT);
-    let rconn = receiver.connect(SERVICE_PORT);
-    let mut sconn = None;
-    drive(
-        &net,
-        &mut [&mut sender, &mut receiver],
-        |st| {
-            adv.poll();
-            if sconn.is_none() {
-                sconn = st[0].accept();
-            }
-            sconn.is_some() && st[1].established(rconn)
-        },
-        VirtualDuration::from_millis(1),
-        deadline,
-    );
-    let sconn = sconn.expect("sender accepted the receiver's connection");
+    let (sconn, rconn) = establish(&net, &mut sender, &mut receiver, SERVICE_PORT, deadline, || adv.poll());
 
     let bytes = TRANSFER_BYTES;
     let request = (bytes as u64).to_be_bytes();

@@ -8,10 +8,9 @@ use crate::stack::StackKind;
 use crate::station::ScaleCounters;
 use crate::workload::{bulk_transfer, many_flows, ping_pong, BulkResult, PingResult};
 use foxbasis::obs::EventSink;
-use foxbasis::profile::Account;
-use foxbasis::time::{VirtualDuration, VirtualTime};
+use foxbasis::time::{NanoDuration, VirtualDuration, VirtualTime};
 use foxtcp::TcpConfig;
-use simnet::{CostModel, FaultConfig, NetConfig, SimNet};
+use simnet::{Account, CostModel, FaultConfig, NetConfig, SimNet};
 use std::fmt::Debug;
 
 /// The paper's benchmark configuration: 4096-byte window, immediate
@@ -128,28 +127,33 @@ pub fn table2(seed: u64) -> Table2 {
     let (net, mut sender, mut receiver) = cell.pair(EventSink::off());
     let bulk = bulk_transfer(&net, &mut sender, &mut receiver, 1_000_000, cell.deadline);
 
-    // The paper's "packet wait" is the time spent blocked in Mach
-    // waiting for a packet; in the simulation that is exactly the
-    // machine's idle time, so fold it into the charged account.
-    let idle_pct = |st: &dyn crate::station::Station| {
+    // Each host's ledger as shares of the run's elapsed time. The
+    // paper's "packet wait" is the time spent blocked in Mach waiting
+    // for a packet; in the simulation that is exactly the machine's idle
+    // time, so fold it into the charged account.
+    let column = |st: &dyn crate::station::Station| {
         st.host().with(|h| {
+            let wall = NanoDuration::from(bulk.elapsed).as_nanos().max(1) as f64;
             let idle = bulk.elapsed.saturating_sub(h.total_busy());
-            100.0 * idle.as_micros() as f64 / bulk.elapsed.as_micros().max(1) as f64
+            let idle = 100.0 * idle.as_micros() as f64 / bulk.elapsed.as_micros().max(1) as f64;
+            Account::ALL.map(|a| {
+                let booked = 100.0 * h.booked(a).as_nanos() as f64 / wall;
+                if a == Account::PacketWait {
+                    booked + idle
+                } else {
+                    booked
+                }
+            })
         })
     };
-    let sender_idle = idle_pct(&*sender);
-    let receiver_idle = idle_pct(&*receiver);
+    let (sender, receiver) = (column(&*sender), column(&*receiver));
 
     let mut rows = Vec::new();
     let mut totals = (0.0, 0.0);
-    for account in Account::ALL {
+    for ((account, s), r) in Account::ALL.into_iter().zip(sender).zip(receiver) {
         if account == Account::Scheduler {
             continue; // the paper leaves the scheduler unprofiled
         }
-        let s = bulk.sender_profile.iter().find(|(a, _)| *a == account).map(|(_, p)| *p).unwrap_or(0.0);
-        let r = bulk.receiver_profile.iter().find(|(a, _)| *a == account).map(|(_, p)| *p).unwrap_or(0.0);
-        let (s, r) =
-            if account == Account::PacketWait { (s + sender_idle, r + receiver_idle) } else { (s, r) };
         totals.0 += s;
         totals.1 += r;
         rows.push((account, s, r));

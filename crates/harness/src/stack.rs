@@ -139,7 +139,7 @@ impl Substrate {
         let mac = mac_of(id);
         let port = net.attach(mac);
         let sink = sink.for_host(port.index());
-        host.set_obs(sink.clone());
+        host.with(|h| h.set_obs(sink.clone()));
         let mut dev = Dev::new(port, host.clone());
         dev.set_batching(batch);
         dev.set_obs(sink.clone());

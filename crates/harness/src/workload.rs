@@ -16,7 +16,6 @@ use crate::sim::drive;
 use crate::stack::StackKind;
 use crate::station::{ConnHandle, ScaleCounters, Station, StationStats};
 use foxbasis::obs::EventSink;
-use foxbasis::profile::Account;
 use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxproto::dev::BatchConfig;
 use foxtcp::TcpConfig;
@@ -36,14 +35,42 @@ pub struct BulkResult {
     pub sender: StationStats,
     /// Receiver TCP stats.
     pub receiver: StationStats,
-    /// Sender-side Table 2 percentages (when profiled).
-    pub sender_profile: Vec<(Account, f64)>,
-    /// Receiver-side Table 2 percentages (when profiled).
-    pub receiver_profile: Vec<(Account, f64)>,
     /// Sender GC statistics (when the cost model has a collector).
     pub sender_gc: Option<GcStats>,
     /// Network statistics.
     pub net: NetStats,
+}
+
+/// Opens one connection from `client` to `server`, which listens on
+/// `port`, and drives both until the server has accepted it and the
+/// client sees it established. Returns the server's handle and then the
+/// client's. `each_tick` runs first on every pass of the drive loop,
+/// before the server's `accept`.
+pub fn establish(
+    net: &SimNet,
+    server: &mut Box<dyn Station>,
+    client: &mut Box<dyn Station>,
+    port: u16,
+    deadline: VirtualTime,
+    mut each_tick: impl FnMut(),
+) -> (ConnHandle, ConnHandle) {
+    server.listen(port);
+    let cconn = client.connect(port);
+    let mut sconn = None;
+    drive(
+        net,
+        &mut [&mut *server, &mut *client],
+        |st| {
+            each_tick();
+            if sconn.is_none() {
+                sconn = st[0].accept();
+            }
+            sconn.is_some() && st[1].established(cconn)
+        },
+        VirtualDuration::from_millis(1),
+        deadline,
+    );
+    (sconn.expect("server accepted the client's connection"), cconn)
 }
 
 /// Runs the paper's throughput benchmark: the *receiver* connects,
@@ -59,24 +86,7 @@ pub fn bulk_transfer(
     bytes: usize,
     deadline: VirtualTime,
 ) -> BulkResult {
-    sender.listen(2000);
-    let rconn = receiver.connect(2000);
-
-    // Establish.
-    let mut sconn = None;
-    drive(
-        net,
-        &mut [&mut *sender, &mut *receiver],
-        |st| {
-            if sconn.is_none() {
-                sconn = st[0].accept();
-            }
-            sconn.is_some() && st[1].established(rconn)
-        },
-        VirtualDuration::from_millis(1),
-        deadline,
-    );
-    let sconn = sconn.expect("sender accepted the receiver's connection");
+    let (sconn, rconn) = establish(net, sender, receiver, 2000, deadline, || {});
 
     // Receiver starts its timer and sends the request.
     let t0 = net.now();
@@ -117,18 +127,6 @@ pub fn bulk_transfer(
 
     let elapsed = end.saturating_since(t0);
     let secs = elapsed.as_secs_f64().max(1e-9);
-    let profile =
-        |s: &dyn Station| {
-            s.host().with(|h| {
-                if h.profiler().is_enabled() {
-                    h.profiler().percentages(elapsed)
-                } else {
-                    Vec::new()
-                }
-            })
-        };
-    let sender_profile = profile(&**sender);
-    let receiver_profile = profile(&**receiver);
     let sender_gc = sender.host().with(|h| h.gc_stats().cloned());
 
     BulkResult {
@@ -137,8 +135,6 @@ pub fn bulk_transfer(
         throughput_mbps: (bytes as f64 * 8.0) / secs / 1e6,
         sender: sender.stats(),
         receiver: receiver.stats(),
-        sender_profile,
-        receiver_profile,
         sender_gc,
         net: net.stats(),
     }
@@ -394,22 +390,7 @@ pub fn ping_pong(
     msg_len: usize,
     deadline: VirtualTime,
 ) -> PingResult {
-    server.listen(2001);
-    let cconn = client.connect(2001);
-    let mut sconn = None;
-    drive(
-        net,
-        &mut [&mut *server, &mut *client],
-        |st| {
-            if sconn.is_none() {
-                sconn = st[0].accept();
-            }
-            sconn.is_some() && st[1].established(cconn)
-        },
-        VirtualDuration::from_millis(1),
-        deadline,
-    );
-    let sconn = sconn.expect("server accepted");
+    let (sconn, cconn) = establish(net, server, client, 2001, deadline, || {});
 
     let msg = vec![0x42u8; msg_len.max(1)];
     let mut rtts = Vec::with_capacity(rounds);

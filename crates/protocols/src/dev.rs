@@ -14,7 +14,7 @@ use crate::{Handler, ProtoError, Protocol};
 use foxbasis::buf::PacketBuf;
 use foxbasis::obs::{Event, EventSink, NO_CONN};
 use foxbasis::time::VirtualTime;
-use simnet::{HostHandle, Port};
+use simnet::{HostHandle, Port, Work};
 use std::fmt;
 
 /// GRO/TSO-style device batching limits.
@@ -128,14 +128,14 @@ impl Protocol for Dev {
         // "kernel", plus buffer management and the Mach IPC send. The
         // virtual cost model still charges the paper's per-KB constant
         // here even though the Rust buffer crosses by refcount bump.
-        self.host.charge_copy(frame.len());
-        self.host.charge_misc_packet();
-        self.host.charge_mach_send();
+        self.host.charge(Work::Copy(frame.len()));
+        self.host.charge(Work::Misc);
+        self.host.charge(Work::MachSend);
         // TSO-style doorbell: the first frame of every `tx_burst`-sized
         // group in this pump pays the per-batch device cost (zero under
         // the 1994 presets).
         if self.tx_in_group == 0 {
-            self.host.charge_tx_doorbell();
+            self.host.charge(Work::TxDoorbell);
             self.tx_doorbells += 1;
         }
         self.tx_in_group = (self.tx_in_group + 1) % self.batch.tx_burst.max(1);
@@ -173,14 +173,14 @@ impl Protocol for Dev {
             while in_batch < burst {
                 let Some(frame) = self.port.recv() else { break };
                 if in_batch == 0 {
-                    self.host.charge_rx_batch();
+                    self.host.charge(Work::RxBatch);
                     self.rx_batches += 1;
                 }
                 in_batch += 1;
                 self.frames_received += 1;
-                self.host.charge_packet_wait();
-                self.host.charge_misc_packet();
-                self.host.charge_copy(frame.len());
+                self.host.charge(Work::PacketWait);
+                self.host.charge(Work::Misc);
+                self.host.charge(Work::Copy(frame.len()));
                 if let Some(handler) = &mut self.handler {
                     handler(frame);
                 }
@@ -219,8 +219,9 @@ mod tests {
 
     fn frame(dst: EthAddr, n: usize) -> Vec<u8> {
         foxwire::ether::Frame::new(dst, EthAddr::host(1), foxwire::ether::EtherType::Ipv4, vec![1; n])
-            .encode()
+            .encode_buf()
             .unwrap()
+            .to_vec()
     }
 
     #[test]

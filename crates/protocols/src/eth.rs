@@ -13,7 +13,7 @@ use foxbasis::buf::PacketBuf;
 use foxbasis::fifo::Fifo;
 use foxbasis::time::VirtualTime;
 use foxwire::ether::{EthAddr, EtherType, Frame};
-use simnet::HostHandle;
+use simnet::{HostHandle, Work};
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
@@ -126,7 +126,7 @@ impl<L: Protocol<Pattern = (), Peer = (), Incoming = PacketBuf, ConnId = DevConn
     fn send(&mut self, conn: EthConn, to: EthAddr, payload: impl Into<PacketBuf>) -> Result<(), ProtoError> {
         let ethertype =
             self.conns.iter().find(|c| c.id == conn).map(|c| c.ethertype).ok_or(ProtoError::NotOpen)?;
-        self.host.charge_eth_packet();
+        self.host.charge(Work::EthFrame);
         let frame =
             Frame::new(to, self.local, ethertype, payload).encode_buf().map_err(|_| ProtoError::TooBig)?;
         self.stats.sent += 1;
@@ -150,7 +150,7 @@ impl<L: Protocol<Pattern = (), Peer = (), Incoming = PacketBuf, ConnId = DevConn
                 None => break,
             };
             progress = true;
-            self.host.charge_eth_packet();
+            self.host.charge(Work::EthFrame);
             let frame = match Frame::decode_buf(&raw) {
                 Ok(f) => f,
                 Err(_) => {

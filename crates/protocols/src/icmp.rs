@@ -12,7 +12,7 @@ use foxbasis::fifo::Fifo;
 use foxbasis::time::VirtualTime;
 use foxwire::icmp::IcmpEcho;
 use foxwire::ipv4::{IpProtocol, Ipv4Addr};
-use simnet::HostHandle;
+use simnet::{HostHandle, Work};
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
@@ -146,7 +146,7 @@ impl<L: Protocol<Pattern = IpProtocol, Peer = Ipv4Addr, Incoming = IpIncoming>> 
             };
             if echo.is_request {
                 // Answer automatically, as every live host does.
-                self.host.charge_checksum(msg.payload.len());
+                self.host.charge(Work::Checksum(msg.payload.len()));
                 let reply = echo.reply();
                 if let (Some(conn), Ok(bytes)) = (self.conn, reply.encode()) {
                     let _ = self.lower.send(conn, msg.src, bytes);
@@ -178,7 +178,7 @@ impl<L: Protocol<Pattern = IpProtocol, Peer = Ipv4Addr, Incoming = IpIncoming>> 
         let lower_conn = self.conn.ok_or(ProtoError::NotOpen)?;
         let req = IcmpEcho { is_request: true, ident: conn.0, seq, payload };
         let bytes = req.encode().map_err(|_| ProtoError::TooBig)?;
-        self.host.charge_checksum(bytes.len());
+        self.host.charge(Work::Checksum(bytes.len()));
         self.lower.send(lower_conn, to, bytes)
     }
 }

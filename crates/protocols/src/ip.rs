@@ -16,7 +16,7 @@ use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxwire::arp::ArpPacket;
 use foxwire::ether::{EthAddr, EtherType};
 use foxwire::ipv4::{IpProtocol, Ipv4Addr, Ipv4Header, Ipv4Packet};
-use simnet::HostHandle;
+use simnet::{HostHandle, Work};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::{cell::RefCell, rc::Rc};
@@ -385,7 +385,7 @@ impl<L: Protocol<Pattern = EtherType, Peer = EthAddr, Incoming = EthIncoming>> P
     fn send(&mut self, conn: IpConn, to: Ipv4Addr, payload: impl Into<PacketBuf>) -> Result<(), ProtoError> {
         let payload: PacketBuf = payload.into();
         let proto = self.conns.iter().find(|c| c.id == conn).map(|c| c.proto).ok_or(ProtoError::NotOpen)?;
-        self.host.charge_ip_packet();
+        self.host.charge(Work::IpPacket);
         let now = self.host.with(|h| h.now_busy());
         let mtu = self.mtu();
         let ident = self.next_ident;
@@ -412,7 +412,7 @@ impl<L: Protocol<Pattern = EtherType, Peer = EthAddr, Incoming = EthIncoming>> P
                 ..Ipv4Header::new(proto, self.config.local, to)
             };
             if offset > 0 {
-                self.host.charge_ip_packet(); // each extra fragment costs
+                self.host.charge(Work::IpPacket); // each extra fragment costs
             }
             let bytes = Ipv4Packet { header, payload: payload.slice(offset, end) }
                 .encode_buf()
@@ -450,7 +450,7 @@ impl<L: Protocol<Pattern = EtherType, Peer = EthAddr, Incoming = EthIncoming>> P
                     }
                 }
                 EtherType::Ipv4 => {
-                    self.host.charge_ip_packet();
+                    self.host.charge(Work::IpPacket);
                     let pkt = match Ipv4Packet::decode_buf(&msg.payload) {
                         Ok(p) => p,
                         Err(_) => {
@@ -629,7 +629,7 @@ mod tests {
         let mac = EthAddr::host(7);
         let mut raw = Eth::new(Dev::new(net.attach(mac), host.clone()), mac, host);
         let rc = raw.open(EtherType::Ipv4, Box::new(|_| {})).unwrap();
-        raw.send(rc, EthAddr::host(2), pkt.encode().unwrap()).unwrap();
+        raw.send(rc, EthAddr::host(2), pkt.encode_buf().unwrap()).unwrap();
         settle(&net, &mut [&mut a, &mut b]);
         assert!(got.borrow().is_empty());
         assert_eq!(b.stats().not_ours, 1);
@@ -672,7 +672,7 @@ mod tests {
         let mac = EthAddr::host(7);
         let mut raw = Eth::new(Dev::new(net.attach(mac), host.clone()), mac, host);
         let rc = raw.open(EtherType::Ipv4, Box::new(|_| {})).unwrap();
-        raw.send(rc, EthAddr::host(2), pkt.encode().unwrap()).unwrap();
+        raw.send(rc, EthAddr::host(2), pkt.encode_buf().unwrap()).unwrap();
         settle(&net, &mut [&mut a, &mut b]);
         assert_eq!(b.reasm.in_flight(), 1);
         net.advance_to(net.now() + VirtualDuration::from_secs(31));
@@ -698,7 +698,7 @@ mod tests {
                 ..Ipv4Header::new(IpProtocol::Udp, Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2))
             };
             let pkt = Ipv4Packet { header, payload: vec![0u8; 8].into() };
-            raw.send(rc, EthAddr::host(2), pkt.encode().unwrap()).unwrap();
+            raw.send(rc, EthAddr::host(2), pkt.encode_buf().unwrap()).unwrap();
         }
         for _ in 0..60 {
             if let Some(t) = net.next_delivery() {

@@ -379,7 +379,7 @@ mod tests {
             header: Ipv4Header::new(IpProtocol::Udp, Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 1, 2)),
             payload: b"check me"[..].into(),
         };
-        let mut bytes = pkt.encode().unwrap();
+        let mut bytes = pkt.encode_buf().unwrap().to_vec();
         // Simulate the router's in-place mutation.
         let old_word = u16::from_be_bytes([bytes[8], bytes[9]]);
         bytes[8] -= 1;

@@ -13,7 +13,7 @@ use foxbasis::buf::PacketBuf;
 use foxbasis::fifo::Fifo;
 use foxbasis::time::VirtualTime;
 use foxwire::udp::UdpDatagram;
-use simnet::HostHandle;
+use simnet::{HostHandle, Work};
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
@@ -160,7 +160,7 @@ where
         let total = d.payload.len() + foxwire::udp::HEADER_LEN;
         let pseudo = if self.compute_checksums { self.aux.check(&addr, total) } else { None };
         if self.compute_checksums && pseudo.is_some() {
-            self.host.charge_checksum(total);
+            self.host.charge(Work::Checksum(total));
         }
         let bytes = d.encode_buf(pseudo).map_err(|_| ProtoError::TooBig)?;
         let lower_conn = self.lower_conn.ok_or(ProtoError::NotOpen)?;
@@ -202,7 +202,7 @@ where
                     None
                 };
                 if pseudo.is_some() {
-                    self.host.charge_checksum(info.data.len());
+                    self.host.charge(Work::Checksum(info.data.len()));
                 }
                 (info.src.clone(), UdpDatagram::decode_buf(info.data, pseudo))
             };

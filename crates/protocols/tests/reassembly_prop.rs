@@ -81,7 +81,7 @@ proptest! {
         let mut raw = Eth::new(Dev::new(net.attach(mac), host.clone()), mac, host);
         let conn = raw.open(EtherType::Ipv4, Box::new(|_| {})).unwrap();
         for f in &frags {
-            raw.send(conn, EthAddr::host(2), f.encode().unwrap()).unwrap();
+            raw.send(conn, EthAddr::host(2), f.clone().encode_buf().unwrap()).unwrap();
         }
         for _ in 0..200 {
             if let Some(t) = net.next_delivery() {
@@ -189,7 +189,7 @@ proptest! {
                 },
                 payload: data.as_slice().into(),
             };
-            raw.send(conn, EthAddr::host(2), pkt.encode().unwrap()).unwrap();
+            raw.send(conn, EthAddr::host(2), pkt.encode_buf().unwrap()).unwrap();
         }
         for _ in 0..300 {
             if let Some(t) = net.next_delivery() {
@@ -252,7 +252,7 @@ fn regression_complete_duplicate_set_len_100_chunk_64() {
     let mut raw = Eth::new(Dev::new(net.attach(mac), host.clone()), mac, host);
     let conn = raw.open(EtherType::Ipv4, Box::new(|_| {})).unwrap();
     for f in &frags {
-        raw.send(conn, EthAddr::host(2), f.encode().unwrap()).unwrap();
+        raw.send(conn, EthAddr::host(2), f.clone().encode_buf().unwrap()).unwrap();
     }
     for _ in 0..200 {
         if let Some(t) = net.next_delivery() {

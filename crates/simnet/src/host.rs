@@ -7,7 +7,7 @@
 //!
 //! * copy: 300 µs/KB (SML) vs 61 µs/KB (`bcopy`);
 //! * checksum: 343 µs/KB (Fig. 10 algorithm) vs 375 µs/KB (x-kernel);
-//! * thread fork+switch: 30 µs; empty function call: 1.2 µs;
+//! * thread fork+switch: 30 µs;
 //! * profiling counter update: 15 µs;
 //!
 //! plus per-packet processing constants for the TCP, IP and
@@ -16,17 +16,118 @@
 //! EXPERIMENTS.md).
 //!
 //! A [`Host`] owns one simulated CPU: protocol code runs inside a
-//! *processing episode* (`begin` … `end`), charging accounts as it goes;
-//! the episode's total determines when the CPU is free again and when
-//! any frames produced during the episode actually reach the wire.
+//! *processing episode* (`begin` … `end`). Each layer describes what it
+//! just did as one [`Work`] value; [`CostModel::price`] turns it into an
+//! [`Account`] and a duration, and [`Host::charge`] books that. The
+//! episode's total determines when the CPU is free again and when any
+//! frames produced during the episode actually reach the wire.
+//!
+//! The host's per-account table is Table 2's ledger. The paper could not
+//! use SML/NJ's sampling profiler under Mach 3.0, so it "installed
+//! hardware devices containing free-running counters that can be mapped
+//! into the address space of the SML task"; one start/stop pair cost
+//! about 15 µs, and the "counters (est.)" row is that perturbation. A
+//! host built `profiled` pays it on every booking, so the measurement
+//! slows the simulated machine down as it did in 1994.
 
 use crate::gcmodel::{GcConfig, GcStats, SmlRuntime};
 use foxbasis::obs::{Event, EventSink, NO_CONN};
-use foxbasis::profile::{Account, Profiler, PAPER_COUNTER_UPDATE_COST};
 use foxbasis::time::{NanoDuration, VirtualDuration, VirtualTime};
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
+
+/// The cost accounts of Table 2, plus `Scheduler` (which the paper left
+/// unprofiled because the 15 µs update would swamp the 30 µs thread
+/// switch — the account is kept but, like the paper, left out of the
+/// printed table).
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Hash)]
+#[allow(missing_docs, reason = "the account names are Table 2's row labels")]
+pub enum Account {
+    Tcp,
+    Ip,
+    EthMachInterface,
+    Copy,
+    Checksum,
+    MachSend,
+    PacketWait,
+    Gc,
+    Misc,
+    Counters,
+    Scheduler,
+}
+
+impl Account {
+    /// Every account, in Table 2's row order (which is also the order of
+    /// the host's ledger).
+    pub const ALL: [Account; 11] = [
+        Account::Tcp,
+        Account::Ip,
+        Account::EthMachInterface,
+        Account::Copy,
+        Account::Checksum,
+        Account::MachSend,
+        Account::PacketWait,
+        Account::Gc,
+        Account::Misc,
+        Account::Counters,
+        Account::Scheduler,
+    ];
+
+    /// The row label Table 2 uses.
+    pub fn label(self) -> &'static str {
+        match self {
+            Account::Tcp => "TCP",
+            Account::Ip => "IP",
+            Account::EthMachInterface => "eth, Mach interf.",
+            Account::Copy => "copy",
+            Account::Checksum => "checksum",
+            Account::MachSend => "Mach send",
+            Account::PacketWait => "packet wait",
+            Account::Gc => "g. c.",
+            Account::Misc => "misc.",
+            Account::Counters => "counters (est.)",
+            Account::Scheduler => "scheduler",
+        }
+    }
+}
+
+/// The paper's measured cost of one start/stop counter pair.
+pub const PAPER_COUNTER_UPDATE_COST: NanoDuration = NanoDuration::from_micros(15);
+
+/// One unit of protocol work, as the layer that did it describes it.
+/// [`CostModel::price`] says what it costs and which account pays.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum Work {
+    /// TCP processing of one segment sent or received; a zero `payload`
+    /// is a pure ACK, which costs less.
+    TcpSegment {
+        /// Payload bytes the segment carries.
+        payload: usize,
+    },
+    /// IP processing of one packet (or of each extra fragment).
+    IpPacket,
+    /// Ethernet encapsulation plus the Mach device interface, one frame.
+    EthFrame,
+    /// Mach IPC send of one frame.
+    MachSend,
+    /// One transmit doorbell for a group of frames (TSO amortization).
+    TxDoorbell,
+    /// Mach IPC receive ("packet wait") of one frame.
+    PacketWait,
+    /// One receive wakeup for a drained batch of frames (GRO
+    /// amortization).
+    RxBatch,
+    /// Buffer management, reading the clock and other utilities, one
+    /// packet.
+    Misc,
+    /// A data copy of this many bytes.
+    Copy(usize),
+    /// An Internet checksum over this many bytes.
+    Checksum(usize),
+    /// A coroutine fork/switch (timers, the `to_do` drain thread).
+    ThreadOp,
+}
 
 /// Per-operation virtual CPU costs.
 ///
@@ -72,8 +173,6 @@ pub struct CostModel {
     pub checksum_per_packet: NanoDuration,
     /// Coroutine fork + switch (the paper: ~30 µs).
     pub thread_op: NanoDuration,
-    /// An empty function call (the paper: ~1.2 µs).
-    pub function_call: NanoDuration,
     /// Computed (per-KB) charges are rounded *down* to a multiple of
     /// this quantum. The 1994 presets use 1 µs, reproducing the original
     /// microsecond integer arithmetic bit-for-bit; the modern preset
@@ -108,7 +207,6 @@ impl CostModel {
             checksum_per_kb: NanoDuration::from_micros(343),
             checksum_per_packet: NanoDuration::from_micros(420),
             thread_op: NanoDuration::from_micros(30),
-            function_call: NanoDuration::from_micros(1),
             charge_quantum: NanoDuration::from_micros(1),
             alloc_overhead_per_segment: 2048,
             counter_updates_per_charge: 4,
@@ -144,7 +242,6 @@ impl CostModel {
             checksum_per_kb: NanoDuration::from_micros(375),
             checksum_per_packet: NanoDuration::ZERO,
             thread_op: NanoDuration::from_micros(10),
-            function_call: NanoDuration::from_micros(1),
             charge_quantum: NanoDuration::from_micros(1),
             alloc_overhead_per_segment: 0,
             counter_updates_per_charge: 1,
@@ -171,7 +268,6 @@ impl CostModel {
             checksum_per_kb: NanoDuration::ZERO,
             checksum_per_packet: NanoDuration::ZERO,
             thread_op: NanoDuration::ZERO,
-            function_call: NanoDuration::ZERO,
             charge_quantum: NanoDuration::from_nanos(1),
             alloc_overhead_per_segment: 0,
             counter_updates_per_charge: 1,
@@ -201,7 +297,6 @@ impl CostModel {
             checksum_per_kb: NanoDuration::from_nanos(25),
             checksum_per_packet: NanoDuration::from_nanos(15),
             thread_op: NanoDuration::from_nanos(200),
-            function_call: NanoDuration::from_nanos(2),
             charge_quantum: NanoDuration::from_nanos(1),
             alloc_overhead_per_segment: 0,
             counter_updates_per_charge: 1,
@@ -209,8 +304,35 @@ impl CostModel {
         }
     }
 
-    fn per_kb(rate: NanoDuration, bytes: usize, quantum: NanoDuration) -> NanoDuration {
-        (NanoDuration::from_nanos(rate.as_nanos() * bytes as u64) / 1024).quantize_down(quantum)
+    /// What `work` costs and which account pays for it. `None` means the
+    /// work is free and not booked at all: a zero per-batch cost (every
+    /// 1994 preset), so device batching cannot perturb a paper-era run.
+    /// Every other price is booked, even a zero one.
+    pub fn price(&self, work: Work) -> Option<(Account, NanoDuration)> {
+        // Per-KB motion, rounded down to the quantum, plus the fixed
+        // buffer or setup share, which header-sized packets skip.
+        let sized = |per_kb: NanoDuration, per_packet: NanoDuration, bytes: usize| {
+            let motion = (NanoDuration::from_nanos(per_kb.as_nanos() * bytes as u64) / 1024)
+                .quantize_down(self.charge_quantum);
+            motion + if bytes > 256 { per_packet } else { NanoDuration::ZERO }
+        };
+        let per_batch = |cost: NanoDuration| (!cost.is_zero()).then_some(cost);
+        Some(match work {
+            Work::TcpSegment { payload: 0 } => (Account::Tcp, self.tcp_per_ack),
+            Work::TcpSegment { .. } => (Account::Tcp, self.tcp_per_segment),
+            Work::IpPacket => (Account::Ip, self.ip_per_packet),
+            Work::EthFrame => (Account::EthMachInterface, self.eth_interface_per_packet),
+            Work::MachSend => (Account::MachSend, self.mach_send_per_packet),
+            Work::TxDoorbell => (Account::MachSend, per_batch(self.mach_send_per_batch)?),
+            Work::PacketWait => (Account::PacketWait, self.packet_wait_per_packet),
+            Work::RxBatch => (Account::PacketWait, per_batch(self.packet_wait_per_batch)?),
+            Work::Misc => (Account::Misc, self.misc_per_packet),
+            Work::Copy(bytes) => (Account::Copy, sized(self.copy_per_kb, self.copy_per_packet, bytes)),
+            Work::Checksum(bytes) => {
+                (Account::Checksum, sized(self.checksum_per_kb, self.checksum_per_packet, bytes))
+            }
+            Work::ThreadOp => (Account::Scheduler, self.thread_op),
+        })
     }
 }
 
@@ -224,7 +346,10 @@ impl CostModel {
 pub struct Host {
     name: &'static str,
     cost: CostModel,
-    profiler: Profiler,
+    /// Whether every booking also pays the paper's counter updates.
+    profiled: bool,
+    /// Time booked per account, indexed in [`Account::ALL`] order.
+    booked: [NanoDuration; Account::ALL.len()],
     gc: Option<SmlRuntime>,
     /// Nanoseconds since the epoch at which the CPU becomes free.
     cpu_free_ns: u64,
@@ -239,16 +364,12 @@ impl Host {
     /// A host with the given cost model. `profiled` turns the Table 2
     /// counters on, *including their 15 µs perturbation*.
     pub fn new(name: &'static str, cost: CostModel, profiled: bool) -> Host {
-        let profiler = if profiled {
-            Profiler::with_update_cost(PAPER_COUNTER_UPDATE_COST)
-        } else {
-            Profiler::disabled()
-        };
         let gc = cost.gc.clone().map(SmlRuntime::new);
         Host {
             name,
             cost,
-            profiler,
+            profiled,
+            booked: [NanoDuration::ZERO; Account::ALL.len()],
             gc,
             cpu_free_ns: 0,
             episode_start_ns: None,
@@ -309,21 +430,27 @@ impl Host {
         self.cpu_free_at()
     }
 
-    /// Charges `dur` to `account` within the current episode (or, if no
-    /// episode is open, extends the CPU busy time directly).
-    pub fn charge(&mut self, account: Account, dur: VirtualDuration) {
-        self.charge_ns(account, dur.into());
+    /// Prices `work` under the host's cost model and books it; work the
+    /// model prices at `None` is skipped entirely.
+    pub fn charge(&mut self, work: Work) {
+        if let Some((account, dur)) = self.cost.price(work) {
+            self.book(account, dur);
+        }
     }
 
-    /// Nanosecond-resolution variant of [`Host::charge`]; the cost-model
-    /// shorthands route through here.
-    pub fn charge_ns(&mut self, account: Account, dur: NanoDuration) {
-        let mut overhead = self.profiler.charge(account, dur);
-        // The paper's instrumentation updated several counters per
-        // protocol operation; model the extra perturbation.
-        for _ in 1..self.cost.counter_updates_per_charge.max(1) {
-            overhead += self.profiler.charge(Account::Counters, NanoDuration::ZERO);
-        }
+    /// Books `dur` to `account` within the current episode (or, if no
+    /// episode is open, extends the CPU busy time directly). A profiled
+    /// host also pays for the paper's instrumentation, which updated
+    /// several counters per protocol operation: the perturbation is
+    /// booked to [`Account::Counters`] and slows the machine down.
+    fn book(&mut self, account: Account, dur: NanoDuration) {
+        let overhead = if self.profiled {
+            PAPER_COUNTER_UPDATE_COST * self.cost.counter_updates_per_charge.max(1)
+        } else {
+            NanoDuration::ZERO
+        };
+        self.booked[account as usize] += dur;
+        self.booked[Account::Counters as usize] += overhead;
         let total = dur + overhead;
         self.total_busy += total;
         if self.episode_start_ns.is_some() {
@@ -331,6 +458,11 @@ impl Host {
         } else {
             self.cpu_free_ns += total.as_nanos();
         }
+    }
+
+    /// Time booked to `account` so far: one row of Table 2's ledger.
+    pub fn booked(&self, account: Account) -> NanoDuration {
+        self.booked[account as usize]
     }
 
     /// Total CPU time consumed so far (all charges plus measurement
@@ -347,14 +479,14 @@ impl Host {
         self.total_busy
     }
 
-    /// Models a heap allocation of `bytes`; any GC pause is charged to
+    /// Models a heap allocation of `bytes`; any GC pause is booked to
     /// the `g. c.` account.
     pub fn alloc(&mut self, bytes: usize) {
         if let Some(gc) = &mut self.gc {
             let pause = gc.alloc(bytes);
             if !pause.is_zero() {
                 self.obs.emit(self.now_busy(), NO_CONN, || Event::GcPause { micros: pause.as_micros() });
-                self.charge(Account::Gc, pause);
+                self.book(Account::Gc, pause.into());
             }
         }
     }
@@ -362,90 +494,6 @@ impl Host {
     /// GC statistics, if a collector is modeled.
     pub fn gc_stats(&self) -> Option<&GcStats> {
         self.gc.as_ref().map(|g| g.stats())
-    }
-
-    /// The profiler (for Table 2 extraction).
-    pub fn profiler(&self) -> &Profiler {
-        &self.profiler
-    }
-
-    // ----- cost-model shorthands used by the protocol layers -----
-
-    /// TCP protocol processing for one segment. `payload_bytes` selects
-    /// the data-segment or pure-ACK cost.
-    pub fn charge_tcp_segment_sized(&mut self, payload_bytes: usize) {
-        let dur = if payload_bytes == 0 { self.cost.tcp_per_ack } else { self.cost.tcp_per_segment };
-        self.charge_ns(Account::Tcp, dur);
-    }
-
-    /// TCP protocol processing for one data segment.
-    pub fn charge_tcp_segment(&mut self) {
-        self.charge_ns(Account::Tcp, self.cost.tcp_per_segment);
-    }
-
-    /// IP processing for one packet.
-    pub fn charge_ip_packet(&mut self) {
-        self.charge_ns(Account::Ip, self.cost.ip_per_packet);
-    }
-
-    /// Ethernet + device interface processing for one frame.
-    pub fn charge_eth_packet(&mut self) {
-        self.charge_ns(Account::EthMachInterface, self.cost.eth_interface_per_packet);
-    }
-
-    /// Mach IPC send for one frame.
-    pub fn charge_mach_send(&mut self) {
-        self.charge_ns(Account::MachSend, self.cost.mach_send_per_packet);
-    }
-
-    /// Mach IPC receive ("packet wait") for one frame.
-    pub fn charge_packet_wait(&mut self) {
-        self.charge_ns(Account::PacketWait, self.cost.packet_wait_per_packet);
-    }
-
-    /// Per-batch receive wakeup overhead (GRO amortization). Charged
-    /// once per drained batch; a no-op under cost models whose
-    /// `packet_wait_per_batch` is zero (all 1994 presets), so enabling
-    /// rx batching leaves their charge streams untouched.
-    pub fn charge_rx_batch(&mut self) {
-        if !self.cost.packet_wait_per_batch.is_zero() {
-            self.charge_ns(Account::PacketWait, self.cost.packet_wait_per_batch);
-        }
-    }
-
-    /// Per-batch transmit doorbell overhead (TSO amortization). Charged
-    /// once per group of frames handed to the device; a no-op when
-    /// `mach_send_per_batch` is zero (all 1994 presets).
-    pub fn charge_tx_doorbell(&mut self) {
-        if !self.cost.mach_send_per_batch.is_zero() {
-            self.charge_ns(Account::MachSend, self.cost.mach_send_per_batch);
-        }
-    }
-
-    /// Miscellaneous per-packet utilities.
-    pub fn charge_misc_packet(&mut self) {
-        self.charge_ns(Account::Misc, self.cost.misc_per_packet);
-    }
-
-    /// A data copy of `bytes` (per-KB motion plus fixed buffer setup;
-    /// header-only packets skip the buffer-chain surcharge).
-    pub fn charge_copy(&mut self, bytes: usize) {
-        let surcharge = if bytes > 256 { self.cost.copy_per_packet } else { NanoDuration::ZERO };
-        let dur = CostModel::per_kb(self.cost.copy_per_kb, bytes, self.cost.charge_quantum) + surcharge;
-        self.charge_ns(Account::Copy, dur);
-    }
-
-    /// A checksum over `bytes` (per-KB summing plus fixed setup;
-    /// header-only packets skip the setup surcharge).
-    pub fn charge_checksum(&mut self, bytes: usize) {
-        let surcharge = if bytes > 256 { self.cost.checksum_per_packet } else { NanoDuration::ZERO };
-        let dur = CostModel::per_kb(self.cost.checksum_per_kb, bytes, self.cost.charge_quantum) + surcharge;
-        self.charge_ns(Account::Checksum, dur);
-    }
-
-    /// A coroutine fork/switch (timers, the to_do drain thread).
-    pub fn charge_thread_op(&mut self) {
-        self.charge_ns(Account::Scheduler, self.cost.thread_op);
     }
 
     /// Allocation for one segment of `payload` bytes (buffer + fixed
@@ -478,11 +526,6 @@ impl HostHandle {
         HostHandle { inner: Rc::new(RefCell::new(host)) }
     }
 
-    /// Installs an event sink on the wrapped host.
-    pub fn set_obs(&self, sink: EventSink) {
-        self.inner.borrow_mut().set_obs(sink);
-    }
-
     /// A zero-cost host (for unit tests and modern measurements).
     pub fn free() -> HostHandle {
         HostHandle::new(Host::new("free", CostModel::modern(), false))
@@ -504,78 +547,8 @@ impl HostHandle {
     }
 
     /// See [`Host::charge`].
-    pub fn charge(&self, account: Account, dur: VirtualDuration) {
-        self.inner.borrow_mut().charge(account, dur);
-    }
-
-    /// See [`Host::charge_tcp_segment`].
-    pub fn charge_tcp_segment(&self) {
-        self.inner.borrow_mut().charge_tcp_segment();
-    }
-
-    /// See [`Host::charge_tcp_segment_sized`].
-    pub fn charge_tcp_segment_sized(&self, payload_bytes: usize) {
-        self.inner.borrow_mut().charge_tcp_segment_sized(payload_bytes);
-    }
-
-    /// See [`Host::charge_ip_packet`].
-    pub fn charge_ip_packet(&self) {
-        self.inner.borrow_mut().charge_ip_packet();
-    }
-
-    /// See [`Host::charge_eth_packet`].
-    pub fn charge_eth_packet(&self) {
-        self.inner.borrow_mut().charge_eth_packet();
-    }
-
-    /// See [`Host::charge_mach_send`].
-    pub fn charge_mach_send(&self) {
-        self.inner.borrow_mut().charge_mach_send();
-    }
-
-    /// See [`Host::charge_packet_wait`].
-    pub fn charge_packet_wait(&self) {
-        self.inner.borrow_mut().charge_packet_wait();
-    }
-
-    /// See [`Host::charge_misc_packet`].
-    pub fn charge_misc_packet(&self) {
-        self.inner.borrow_mut().charge_misc_packet();
-    }
-
-    /// See [`Host::charge_rx_batch`].
-    pub fn charge_rx_batch(&self) {
-        self.inner.borrow_mut().charge_rx_batch();
-    }
-
-    /// See [`Host::charge_tx_doorbell`].
-    pub fn charge_tx_doorbell(&self) {
-        self.inner.borrow_mut().charge_tx_doorbell();
-    }
-
-    /// See [`Host::charge_copy`].
-    pub fn charge_copy(&self, bytes: usize) {
-        self.inner.borrow_mut().charge_copy(bytes);
-    }
-
-    /// See [`Host::charge_checksum`].
-    pub fn charge_checksum(&self, bytes: usize) {
-        self.inner.borrow_mut().charge_checksum(bytes);
-    }
-
-    /// See [`Host::charge_thread_op`].
-    pub fn charge_thread_op(&self) {
-        self.inner.borrow_mut().charge_thread_op();
-    }
-
-    /// See [`Host::alloc_segment`].
-    pub fn alloc_segment(&self, payload: usize) {
-        self.inner.borrow_mut().alloc_segment(payload);
-    }
-
-    /// When the host CPU becomes free.
-    pub fn cpu_free_at(&self) -> VirtualTime {
-        self.inner.borrow().cpu_free_at()
+    pub fn charge(&self, work: Work) {
+        self.inner.borrow_mut().charge(work);
     }
 }
 
@@ -614,9 +587,8 @@ mod tests {
                 us(sml.checksum_per_kb),
                 us(sml.checksum_per_packet),
                 us(sml.thread_op),
-                us(sml.function_call),
             ],
-            [4000, 1500, 750, 1050, 1390, 2000, 450, 300, 1400, 343, 420, 30, 1]
+            [4000, 1500, 750, 1050, 1390, 2000, 450, 300, 1400, 343, 420, 30]
         );
         let c = CostModel::decstation_c();
         assert_eq!(
@@ -633,9 +605,8 @@ mod tests {
                 us(c.checksum_per_kb),
                 us(c.checksum_per_packet),
                 us(c.thread_op),
-                us(c.function_call),
             ],
-            [450, 180, 150, 280, 300, 350, 80, 61, 0, 375, 0, 10, 1]
+            [450, 180, 150, 280, 300, 350, 80, 61, 0, 375, 0, 10]
         );
         for m in [&sml, &c] {
             assert_eq!(m.charge_quantum, NanoDuration::from_micros(1));
@@ -643,6 +614,7 @@ mod tests {
             assert_eq!(m.packet_wait_per_batch, NanoDuration::ZERO);
         }
         assert_eq!(sml.counter_updates_per_charge, 4);
+        assert_eq!(PAPER_COUNTER_UPDATE_COST, NanoDuration::from_micros(15));
         assert!(sml.gc.is_some() && c.gc.is_none());
         // The modern preset is the opposite bargain: a 1 ns quantum
         // (no rounding) and nonzero per-batch costs for GRO/TSO to
@@ -654,20 +626,67 @@ mod tests {
         assert!(g.tcp_per_segment < sml.tcp_per_segment / 1000, "GHz-class constants");
     }
 
+    /// Every pricing rule, one `Work` at a time, on the SML machine.
+    #[test]
+    fn price_maps_work_to_its_account() {
+        let sml = CostModel::decstation_sml();
+        let us = |account, micros| Some((account, NanoDuration::from_micros(micros)));
+        // Data segments and pure ACKs are priced apart.
+        assert_eq!(sml.price(Work::TcpSegment { payload: 1 }), us(Account::Tcp, 4000));
+        assert_eq!(sml.price(Work::TcpSegment { payload: 0 }), us(Account::Tcp, 1500));
+        assert_eq!(sml.price(Work::IpPacket), us(Account::Ip, 750));
+        assert_eq!(sml.price(Work::EthFrame), us(Account::EthMachInterface, 1050));
+        assert_eq!(sml.price(Work::MachSend), us(Account::MachSend, 1390));
+        assert_eq!(sml.price(Work::PacketWait), us(Account::PacketWait, 2000));
+        assert_eq!(sml.price(Work::Misc), us(Account::Misc, 450));
+        assert_eq!(sml.price(Work::ThreadOp), us(Account::Scheduler, 30));
+        // A zero per-batch cost is no booking at all; a nonzero one is
+        // booked beside the per-packet cost of the same account.
+        assert_eq!(sml.price(Work::TxDoorbell), None);
+        assert_eq!(sml.price(Work::RxBatch), None);
+        let g = CostModel::modern_gbps();
+        assert_eq!(g.price(Work::TxDoorbell), Some((Account::MachSend, NanoDuration::from_nanos(600))));
+        assert_eq!(g.price(Work::RxBatch), Some((Account::PacketWait, NanoDuration::from_nanos(400))));
+        // Any other zero price is still booked (a profiled host pays its
+        // counters for it).
+        assert_eq!(CostModel::modern().price(Work::Misc), Some((Account::Misc, NanoDuration::ZERO)));
+    }
+
+    #[test]
+    fn per_kb_prices_scale_and_quantize_down() {
+        let sml = CostModel::decstation_sml();
+        // 300/KB + 1400 buffer surcharge; 2×343 + 420 setup surcharge.
+        assert_eq!(sml.price(Work::Copy(1024)), Some((Account::Copy, NanoDuration::from_micros(1700))));
+        assert_eq!(
+            sml.price(Work::Checksum(2048)),
+            Some((Account::Checksum, NanoDuration::from_micros(1106)))
+        );
+        // Header-sized packets skip the surcharges, and the per-KB part
+        // rounds down to the 1 µs grid: 300·64/1024 = 18.75 → 18.
+        assert_eq!(sml.price(Work::Copy(64)), Some((Account::Copy, NanoDuration::from_micros(18))));
+        assert_eq!(sml.price(Work::Checksum(64)), Some((Account::Checksum, NanoDuration::from_micros(21))));
+        // The modern machine's 1 ns quantum keeps what a µs grid drops:
+        // 16·1000/1024 = 15.6 → 15 ns, plus the 30 ns surcharge.
+        let g = CostModel::modern_gbps();
+        assert_eq!(g.price(Work::Copy(1000)), Some((Account::Copy, NanoDuration::from_nanos(45))));
+    }
+
     #[test]
     fn episode_accumulates_and_serializes() {
         let mut h = Host::new("t", CostModel::decstation_sml(), false);
         let start = h.begin(VirtualTime::from_millis(10));
         assert_eq!(start, VirtualTime::from_millis(10));
-        h.charge(Account::Tcp, VirtualDuration::from_millis(2));
-        h.charge(Account::Ip, VirtualDuration::from_millis(1));
+        h.charge(Work::TcpSegment { payload: 1 }); // 4 ms
+        h.charge(Work::IpPacket); // 0.75 ms
         let done = h.end();
-        assert_eq!(done, VirtualTime::from_millis(13));
+        assert_eq!(done, VirtualTime::from_micros(14_750));
         // A second event arriving during the busy period starts late.
         let start2 = h.begin(VirtualTime::from_millis(11));
-        assert_eq!(start2, VirtualTime::from_millis(13));
+        assert_eq!(start2, VirtualTime::from_micros(14_750));
         let done2 = h.end();
-        assert_eq!(done2, VirtualTime::from_millis(13));
+        assert_eq!(done2, VirtualTime::from_micros(14_750));
+        assert_eq!(h.booked(Account::Tcp), NanoDuration::from_micros(4000));
+        assert_eq!(h.booked(Account::Ip), NanoDuration::from_micros(750));
     }
 
     #[test]
@@ -676,38 +695,31 @@ mod tests {
         // operation, 15 µs each.
         let mut h = Host::new("t", CostModel::decstation_sml(), true);
         h.begin(VirtualTime::ZERO);
-        h.charge(Account::Tcp, VirtualDuration::from_micros(100));
+        h.charge(Work::TcpSegment { payload: 0 });
         let done = h.end();
-        assert_eq!(done, VirtualTime::from_micros(100 + 4 * 15));
-        assert_eq!(h.profiler().total(Account::Counters).as_micros(), 4 * 15);
-        assert_eq!(h.total_busy().as_micros(), 160);
+        assert_eq!(done, VirtualTime::from_micros(1500 + 4 * 15));
+        assert_eq!(h.booked(Account::Tcp).as_micros(), 1500);
+        assert_eq!(h.booked(Account::Counters).as_micros(), 4 * 15);
+        assert_eq!(h.total_busy().as_micros(), 1560);
     }
 
     #[test]
     fn unprofiled_host_pays_none() {
         let mut h = Host::new("t", CostModel::decstation_sml(), false);
         h.begin(VirtualTime::ZERO);
-        h.charge(Account::Tcp, VirtualDuration::from_micros(100));
-        assert_eq!(h.end(), VirtualTime::from_micros(100));
+        h.charge(Work::TcpSegment { payload: 0 });
+        assert_eq!(h.end(), VirtualTime::from_micros(1500));
+        assert_eq!(h.booked(Account::Counters), NanoDuration::ZERO);
     }
 
     #[test]
-    fn per_kb_charges_scale() {
-        let mut h = Host::new("t", CostModel::decstation_sml(), false);
+    fn unpriced_work_costs_nothing_even_profiled() {
+        let mut h = Host::new("t", CostModel::decstation_sml(), true);
         h.begin(VirtualTime::ZERO);
-        h.charge_copy(1024); // 300/KB + 1400 buffer surcharge
-        h.charge_checksum(2048); // 2×343 + 420 setup surcharge
-        let done = h.end();
-        assert_eq!(done.as_micros(), (300 + 1400) + (2 * 343 + 420));
-        assert_eq!(h.profiler().total(Account::Copy).as_micros(), 1700);
-        assert_eq!(h.profiler().total(Account::Checksum).as_micros(), 1106);
-        // Header-sized packets skip the surcharges.
-        let t1 = VirtualTime::from_millis(1_000);
-        h.begin(t1);
-        h.charge_copy(64);
-        h.charge_checksum(64);
-        let d2 = h.end() - t1;
-        assert_eq!(d2.as_micros(), (300 * 64 / 1024) + (343 * 64 / 1024));
+        h.charge(Work::TxDoorbell);
+        h.charge(Work::RxBatch);
+        assert_eq!(h.end(), VirtualTime::ZERO);
+        assert!(Account::ALL.iter().all(|&a| h.booked(a).is_zero()));
     }
 
     #[test]
@@ -721,15 +733,15 @@ mod tests {
         let done = h.end();
         let gc = h.gc_stats().unwrap();
         assert!(gc.minors > 0);
-        assert_eq!(h.profiler().total(Account::Gc), NanoDuration::from(gc.total_pause));
+        assert_eq!(h.booked(Account::Gc), NanoDuration::from(gc.total_pause));
         assert!(done.as_micros() > 0);
     }
 
     #[test]
     fn charges_outside_episode_extend_cpu_directly() {
-        let mut h = Host::new("t", CostModel::modern(), false);
-        h.charge(Account::Misc, VirtualDuration::from_micros(7));
-        assert_eq!(h.cpu_free_at(), VirtualTime::from_micros(7));
+        let mut h = Host::new("t", CostModel::decstation_c(), false);
+        h.charge(Work::Misc);
+        assert_eq!(h.cpu_free_at(), VirtualTime::from_micros(80));
     }
 
     #[test]
@@ -744,9 +756,9 @@ mod tests {
     fn modern_preset_is_free() {
         let mut h = Host::new("t", CostModel::modern(), false);
         h.begin(VirtualTime::ZERO);
-        h.charge_tcp_segment();
-        h.charge_ip_packet();
-        h.charge_copy(100_000);
+        h.charge(Work::TcpSegment { payload: 1 });
+        h.charge(Work::IpPacket);
+        h.charge(Work::Copy(100_000));
         h.alloc_segment(100_000);
         assert_eq!(h.end(), VirtualTime::ZERO);
     }
@@ -756,7 +768,16 @@ mod tests {
         let h = HostHandle::new(Host::new("t", CostModel::decstation_c(), false));
         let h2 = h.clone();
         h.begin(VirtualTime::ZERO);
-        h2.charge_tcp_segment();
+        h2.charge(Work::TcpSegment { payload: 1 });
         assert_eq!(h.end().as_micros(), 450);
+    }
+
+    #[test]
+    fn labels_match_table2() {
+        assert_eq!(Account::EthMachInterface.label(), "eth, Mach interf.");
+        assert_eq!(Account::Gc.label(), "g. c.");
+        assert_eq!(Account::Counters.label(), "counters (est.)");
+        // The ledger is indexed by declaration order, which is Table 2's.
+        assert!(Account::ALL.iter().enumerate().all(|(i, &a)| a as usize == i));
     }
 }

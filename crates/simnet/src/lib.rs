@@ -15,9 +15,11 @@
 //! * [`host`] — the host cost model: a virtual CPU per host that is
 //!   *charged* time for protocol processing, copies, checksums, Mach IPC
 //!   and so on, with presets calibrated to the paper's DECstation numbers
-//!   (SML and C variants) plus a free "modern" preset. Charges flow
-//!   through the [`foxbasis::profile::Profiler`], which is how Table 2
-//!   falls out of a run;
+//!   (SML and C variants) plus a free "modern" preset. Each layer
+//!   charges one [`Work`] value; the cost model prices it into an
+//!   [`Account`], and the host's per-account ledger, with the paper's
+//!   15 µs counter perturbation when profiled, is how Table 2 falls out
+//!   of a run;
 //! * [`gcmodel`] — an allocation-driven model of the SML/NJ generational
 //!   stop-and-copy collector: minor collections when the nursery fills,
 //!   major collections as promoted data accumulates, each contributing
@@ -36,6 +38,6 @@ pub mod net;
 pub mod pcap;
 
 pub use gcmodel::{GcConfig, GcStats, SmlRuntime};
-pub use host::{CostModel, Host, HostHandle};
+pub use host::{Account, CostModel, Host, HostHandle, Work, PAPER_COUNTER_UPDATE_COST};
 pub use net::{FaultConfig, NetConfig, NetStats, Port, SimNet, TxShape};
 pub use pcap::PcapSink;

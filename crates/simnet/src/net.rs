@@ -433,11 +433,13 @@ fn decode_tcp(frame: &PacketBuf) -> Option<(Frame, Ipv4Packet, TcpSegment)> {
 }
 
 /// Re-encodes a rewritten TCP segment into a full frame with correct
-/// TCP checksum, IP header checksum, and Ethernet FCS.
-fn encode_tcp(eth: &Frame, ip: &Ipv4Packet, tcp: &TcpSegment) -> Option<PacketBuf> {
+/// TCP checksum, IP header checksum, and Ethernet FCS. The payload is
+/// still a view of the original frame, so prepending the TCP header
+/// re-homes it (one copy per rewritten frame); the IP and Ethernet
+/// headers then go on in place.
+fn encode_tcp(eth: Frame, ip: Ipv4Packet, tcp: TcpSegment) -> Option<PacketBuf> {
     let tcp_bytes = tcp.encode_v4(Some((ip.header.src, ip.header.dst))).ok()?;
-    let pkt = Ipv4Packet { header: ip.header.clone(), payload: PacketBuf::from_vec(tcp_bytes) };
-    let ip_bytes = pkt.encode().ok()?;
+    let ip_bytes = Ipv4Packet { header: ip.header, payload: tcp_bytes }.encode_buf().ok()?;
     Frame::new(eth.dst, eth.src, EtherType::Ipv4, ip_bytes).encode_buf().ok()
 }
 
@@ -460,7 +462,7 @@ fn clamp_mss(frame: &PacketBuf, mss: u16) -> Option<PacketBuf> {
     if !changed {
         return None;
     }
-    encode_tcp(&eth, &ip, &tcp)
+    encode_tcp(eth, ip, tcp)
 }
 
 /// The in-loop fuzzer: applies one seeded mutation to a live TCP
@@ -498,7 +500,7 @@ fn mutate_tcp(rng: &mut StdRng, frame: &PacketBuf) -> Option<(PacketBuf, &'stati
             "garble_options"
         }
     };
-    encode_tcp(&eth, &ip, &tcp).map(|f| (f, kind))
+    encode_tcp(eth, ip, tcp).map(|f| (f, kind))
 }
 
 fn frame_dst(frame: &PacketBuf) -> Option<EthAddr> {
@@ -681,7 +683,7 @@ mod tests {
     use foxwire::ether::{EtherType, Frame};
 
     fn frame_to(dst: EthAddr, src: EthAddr, n: usize) -> Vec<u8> {
-        Frame::new(dst, src, EtherType::Other(0x1234), vec![0xab; n]).encode().unwrap()
+        Frame::new(dst, src, EtherType::Other(0x1234), vec![0xab; n]).encode_buf().unwrap().to_vec()
     }
 
     #[test]
@@ -940,13 +942,16 @@ mod tests {
         }
         let seg = TcpSegment { header: h, payload: payload.into() };
         let tcp_bytes = seg.encode_v4(Some((src_ip, dst_ip))).unwrap();
-        let pkt = Ipv4Packet {
-            header: Ipv4Header::new(IpProtocol::Tcp, src_ip, dst_ip),
-            payload: PacketBuf::from_vec(tcp_bytes),
-        };
-        Frame::new(EthAddr::host(dst_host), EthAddr::host(src_host), EtherType::Ipv4, pkt.encode().unwrap())
-            .encode()
-            .unwrap()
+        let pkt = Ipv4Packet { header: Ipv4Header::new(IpProtocol::Tcp, src_ip, dst_ip), payload: tcp_bytes };
+        Frame::new(
+            EthAddr::host(dst_host),
+            EthAddr::host(src_host),
+            EtherType::Ipv4,
+            pkt.encode_buf().unwrap(),
+        )
+        .encode_buf()
+        .unwrap()
+        .to_vec()
     }
 
     fn delivered_tcp(frame: &PacketBuf) -> TcpSegment {
@@ -1068,8 +1073,10 @@ mod pcap_tests {
         let cap = net.capture();
         let a = net.attach(EthAddr::host(1));
         let _b = net.attach(EthAddr::host(2));
-        let frame =
-            Frame::new(EthAddr::host(2), EthAddr::host(1), EtherType::Ipv4, vec![9; 64]).encode().unwrap();
+        let frame = Frame::new(EthAddr::host(2), EthAddr::host(1), EtherType::Ipv4, vec![9; 64])
+            .encode_buf()
+            .unwrap()
+            .to_vec();
         a.send(frame.clone());
         net.advance_to(VirtualTime::from_millis(5));
         assert_eq!(cap.frame_count(), 1);

@@ -9,7 +9,10 @@ use proptest::prelude::*;
 use simnet::{FaultConfig, NetConfig, SimNet};
 
 fn payload_frame(i: u8, len: usize) -> Vec<u8> {
-    Frame::new(EthAddr::host(2), EthAddr::host(1), EtherType::Other(0x1234), vec![i; len]).encode().unwrap()
+    Frame::new(EthAddr::host(2), EthAddr::host(1), EtherType::Other(0x1234), vec![i; len])
+        .encode_buf()
+        .unwrap()
+        .to_vec()
 }
 
 /// One seeded run: `count` frames of varying sizes through a jittery

@@ -176,21 +176,15 @@ impl Frame {
     }
 
     /// Externalizes the frame — header, payload padded to the minimum,
-    /// and the FCS — as owned bytes: [`encode_buf`](Self::encode_buf)'s
-    /// frame, copied out.
+    /// and the FCS — **in place**, consuming it: header into the payload
+    /// buffer's headroom, minimum-payload padding and FCS into its
+    /// tailroom. The FCS pass reads the frame once (the link layer's
+    /// checksum cost, charged by the virtual model as before); the
+    /// payload bytes are not copied.
     ///
     /// # Errors
     /// Fails with [`WireError::Malformed`] if the payload exceeds the
     /// MTU.
-    pub fn encode(&self) -> Result<Vec<u8>, WireError> {
-        Ok(self.clone().encode_buf()?.to_vec())
-    }
-
-    /// Externalizes the frame **in place**, consuming it: header into
-    /// the payload buffer's headroom, minimum-payload padding and FCS
-    /// into its tailroom. The FCS pass reads the frame once (the link layer's
-    /// checksum cost, charged by the virtual model as before); the
-    /// payload bytes are not copied.
     pub fn encode_buf(self) -> Result<PacketBuf, WireError> {
         if self.payload.len() > MTU {
             return Err(WireError::Malformed("ethernet payload exceeds MTU"));
@@ -284,7 +278,7 @@ mod tests {
     #[test]
     fn roundtrip_with_padding() {
         let f = Frame::new(EthAddr::host(1), EthAddr::host(2), EtherType::Ipv4, b"short".to_vec());
-        let bytes = f.encode().unwrap();
+        let bytes = f.clone().encode_buf().unwrap().to_vec();
         assert_eq!(bytes.len(), HEADER_LEN + MIN_PAYLOAD + FCS_LEN);
         let g = Frame::decode(&bytes).unwrap();
         assert_eq!(g.dst, f.dst);
@@ -297,7 +291,7 @@ mod tests {
     #[test]
     fn corruption_is_detected_by_fcs() {
         let f = Frame::new(EthAddr::host(1), EthAddr::host(2), EtherType::Arp, vec![7; 100]);
-        let mut bytes = f.encode().unwrap();
+        let mut bytes = f.encode_buf().unwrap().to_vec();
         bytes[40] ^= 0x20;
         assert_eq!(Frame::decode(&bytes), Err(WireError::BadChecksum("ethernet FCS")));
     }
@@ -305,7 +299,7 @@ mod tests {
     #[test]
     fn oversized_payload_rejected() {
         let f = Frame::new(EthAddr::host(1), EthAddr::host(2), EtherType::Ipv4, vec![0; MTU + 1]);
-        assert!(matches!(f.encode(), Err(WireError::Malformed(_))));
+        assert!(matches!(f.encode_buf(), Err(WireError::Malformed(_))));
     }
 
     #[test]
@@ -345,7 +339,7 @@ mod tests {
             payload in proptest::collection::vec(any::<u8>(), 0..=MTU),
         ) {
             let f = Frame::new(EthAddr(dst), EthAddr(src), EtherType::from_u16(ethertype), payload.clone());
-            let bytes = f.encode().unwrap();
+            let bytes = f.clone().encode_buf().unwrap().to_vec();
             let g = Frame::decode(&bytes).unwrap();
             prop_assert_eq!(g.dst, f.dst);
             prop_assert_eq!(g.src, f.src);
@@ -359,7 +353,7 @@ mod tests {
             bit in 0usize..512,
         ) {
             let f = Frame::new(EthAddr::host(1), EthAddr::host(2), EtherType::Ipv4, payload);
-            let mut bytes = f.encode().unwrap();
+            let mut bytes = f.encode_buf().unwrap().to_vec();
             let bit = bit % (bytes.len() * 8);
             bytes[bit / 8] ^= 1 << (bit % 8);
             prop_assert!(Frame::decode(&bytes).is_err());

@@ -169,21 +169,15 @@ pub struct Ipv4Packet {
 }
 
 impl Ipv4Packet {
-    /// Externalizes the packet, computing the header checksum, as owned
-    /// bytes: [`encode_buf`](Self::encode_buf)'s packet, copied out.
-    ///
-    /// # Errors
-    /// Fails if options are not 32-bit aligned or too long, or if the
-    /// total length exceeds 65535.
-    pub fn encode(&self) -> Result<Vec<u8>, WireError> {
-        Ok(self.clone().encode_buf()?.to_vec())
-    }
-
     /// Externalizes the packet **in place**, consuming it: the
     /// checksummed header is prepended into the payload buffer's
     /// headroom and the same storage continues down the stack. The
     /// header checksum only touches the 20–60 header bytes; the payload
     /// is not read.
+    ///
+    /// # Errors
+    /// Fails if options are not 32-bit aligned or too long, or if the
+    /// total length exceeds 65535.
     pub fn encode_buf(self) -> Result<PacketBuf, WireError> {
         let mut header = [0u8; MAX_HEADER_LEN];
         let n = self.encode_header(&mut header)?;
@@ -299,6 +293,11 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Test shorthand: a copy of `p`'s wire bytes, leaving `p` intact.
+    fn wire(p: &Ipv4Packet) -> Result<Vec<u8>, WireError> {
+        Ok(p.clone().encode_buf()?.to_vec())
+    }
+
     fn sample() -> Ipv4Packet {
         Ipv4Packet {
             header: Ipv4Header::new(IpProtocol::Tcp, Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2)),
@@ -309,38 +308,38 @@ mod tests {
     #[test]
     fn roundtrip() {
         let p = sample();
-        let bytes = p.encode().unwrap();
+        let bytes = wire(&p).unwrap();
         assert_eq!(Ipv4Packet::decode(&bytes).unwrap(), p);
     }
 
     #[test]
     fn trailing_padding_is_discarded() {
         let p = sample();
-        let mut bytes = p.encode().unwrap();
+        let mut bytes = wire(&p).unwrap();
         bytes.extend_from_slice(&[0xaa; 10]); // Ethernet pad garbage
         assert_eq!(Ipv4Packet::decode(&bytes).unwrap(), p);
     }
 
     #[test]
     fn header_checksum_verified() {
-        let mut bytes = sample().encode().unwrap();
+        let mut bytes = wire(&sample()).unwrap();
         bytes[8] = bytes[8].wrapping_add(1); // corrupt TTL
         assert_eq!(Ipv4Packet::decode(&bytes), Err(WireError::BadChecksum("ipv4 header")));
     }
 
     #[test]
     fn version_and_ihl_validation() {
-        let mut bytes = sample().encode().unwrap();
+        let mut bytes = wire(&sample()).unwrap();
         bytes[0] = 0x60 | (bytes[0] & 0x0f);
         assert!(matches!(Ipv4Packet::decode(&bytes), Err(WireError::Unsupported { .. })));
-        let mut bytes = sample().encode().unwrap();
+        let mut bytes = wire(&sample()).unwrap();
         bytes[0] = 0x41; // IHL = 4 bytes, impossible
         assert!(matches!(Ipv4Packet::decode(&bytes), Err(WireError::Malformed(_))));
     }
 
     #[test]
     fn total_length_shorter_than_ihl_rejected() {
-        let mut bytes = sample().encode().unwrap();
+        let mut bytes = wire(&sample()).unwrap();
         bytes[2] = 0;
         bytes[3] = 8;
         // fix checksum so we reach the length check? No: length checked
@@ -354,7 +353,7 @@ mod tests {
         p.header.more_frags = true;
         p.header.frag_offset = 185; // 1480 bytes
         p.header.ident = 0xbeef;
-        let q = Ipv4Packet::decode(&p.encode().unwrap()).unwrap();
+        let q = Ipv4Packet::decode(&wire(&p).unwrap()).unwrap();
         assert!(q.header.is_fragment());
         assert_eq!(q.header.frag_byte_offset(), 1480);
         assert_eq!(q.header.ident, 0xbeef);
@@ -364,12 +363,12 @@ mod tests {
     fn options_roundtrip_and_validation() {
         let mut p = sample();
         p.header.options = vec![1, 1, 1, 1]; // four NOPs
-        let q = Ipv4Packet::decode(&p.encode().unwrap()).unwrap();
+        let q = Ipv4Packet::decode(&wire(&p).unwrap()).unwrap();
         assert_eq!(q.header.options, vec![1, 1, 1, 1]);
         p.header.options = vec![1, 1, 1]; // not 32-bit aligned
-        assert!(p.encode().is_err());
+        assert!(wire(&p).is_err());
         p.header.options = vec![1; 44]; // too long
-        assert!(p.encode().is_err());
+        assert!(wire(&p).is_err());
     }
 
     #[test]
@@ -405,7 +404,7 @@ mod tests {
                 },
                 payload: payload.into(),
             };
-            let bytes = p.encode().unwrap();
+            let bytes = wire(&p).unwrap();
             prop_assert_eq!(Ipv4Packet::decode(&bytes).unwrap(), p);
         }
 
@@ -419,7 +418,7 @@ mod tests {
                 header: Ipv4Header::new(IpProtocol::Udp, Ipv4Addr::new(1,2,3,4), Ipv4Addr::new(5,6,7,8)),
                 payload: payload.into(),
             };
-            let mut bytes = p.encode().unwrap();
+            let mut bytes = wire(&p).unwrap();
             bytes[at] ^= flip;
             // Either some structural validation fires or the checksum
             // catches it; silent acceptance of a *different* packet is

@@ -291,18 +291,6 @@ impl TcpSegment {
         self.payload.len() as u32 + u32::from(self.header.flags.syn) + u32::from(self.header.flags.fin)
     }
 
-    /// Externalizes the segment. `pseudo_sum`, if present, is the folded
-    /// ones-complement partial sum of the pseudo-header *including the
-    /// transport length* — the value the paper's `IP_AUX.check` supplies
-    /// — and the checksum is computed over it plus the segment. With
-    /// `None` the checksum field is left zero (the paper's
-    /// `compute_checksums = false` configuration for `Special_Tcp`).
-    /// Owned bytes: [`encode_buf`](Self::encode_buf)'s segment, built
-    /// from a copy of this one and copied out.
-    pub fn encode(&self, pseudo_sum: Option<u16>) -> Result<Vec<u8>, WireError> {
-        Ok(self.clone().encode_buf(pseudo_sum)?.to_vec())
-    }
-
     /// Externalizes the segment **in place**: the header (with the
     /// checksum already computed) is prepended into the payload buffer's
     /// headroom, and the same storage continues down the stack — the
@@ -311,6 +299,13 @@ impl TcpSegment {
     /// ones-complement sum comes from the buffer's memo (set by the
     /// combined copy+checksum pass that filled it), so the payload
     /// bytes are not re-read here.
+    ///
+    /// `pseudo_sum`, if present, is the folded ones-complement partial
+    /// sum of the pseudo-header *including the transport length* — the
+    /// value the paper's `IP_AUX.check` supplies — and the checksum is
+    /// computed over it plus the segment. With `None` the checksum field
+    /// is left zero (the paper's `compute_checksums = false`
+    /// configuration for `Special_Tcp`).
     pub fn encode_buf(self, pseudo_sum: Option<u16>) -> Result<PacketBuf, WireError> {
         let mut header = [0u8; MAX_HEADER_LEN];
         let n = self.encode_header(&mut header)?;
@@ -384,11 +379,12 @@ impl TcpSegment {
         Ok(len)
     }
 
-    /// [`encode`](Self::encode) with the standard IPv4 pseudo-header.
-    pub fn encode_v4(&self, checksum_over: Option<(Ipv4Addr, Ipv4Addr)>) -> Result<Vec<u8>, WireError> {
+    /// [`encode_buf`](Self::encode_buf) with the standard IPv4
+    /// pseudo-header.
+    pub fn encode_v4(self, checksum_over: Option<(Ipv4Addr, Ipv4Addr)>) -> Result<PacketBuf, WireError> {
         let pseudo = checksum_over
             .map(|(src, dst)| pseudo::v4_sum(src, dst, IpProtocol::Tcp, self.header_len_plus_payload()));
-        self.encode(pseudo)
+        self.encode_buf(pseudo)
     }
 
     fn header_len_plus_payload(&self) -> usize {
@@ -531,6 +527,17 @@ mod tests {
     const A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const B: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 
+    /// Test shorthand: a copy of `s`'s wire bytes, checksummed over the
+    /// pseudo-header from `A` to `B`, leaving `s` intact.
+    fn wire_v4(s: &TcpSegment) -> Vec<u8> {
+        s.clone().encode_v4(Some((A, B))).unwrap().to_vec()
+    }
+
+    /// Test shorthand: `s`'s wire bytes with the checksum left zero.
+    fn wire(s: &TcpSegment) -> Vec<u8> {
+        s.clone().encode_buf(None).unwrap().to_vec()
+    }
+
     fn syn_segment() -> TcpSegment {
         let mut h = TcpHeader::new(4000, 80);
         h.seq = Seq(12345);
@@ -543,7 +550,7 @@ mod tests {
     #[test]
     fn roundtrip_with_checksum() {
         let s = syn_segment();
-        let bytes = s.encode_v4(Some((A, B))).unwrap();
+        let bytes = wire_v4(&s);
         let t = TcpSegment::decode_v4(&bytes, Some((A, B))).unwrap();
         assert_eq!(t, s);
         assert_eq!(t.header.mss(), Some(1460));
@@ -553,7 +560,7 @@ mod tests {
     fn roundtrip_without_checksum() {
         let mut s = syn_segment();
         s.payload = b"data".to_vec().into();
-        let bytes = s.encode(None).unwrap();
+        let bytes = wire(&s);
         assert_eq!(&bytes[16..18], &[0, 0]); // checksum left zero
         let t = TcpSegment::decode(&bytes, None).unwrap();
         assert_eq!(t, s);
@@ -563,7 +570,7 @@ mod tests {
     fn checksum_detects_payload_corruption() {
         let mut s = syn_segment();
         s.payload = b"important".to_vec().into();
-        let mut bytes = s.encode_v4(Some((A, B))).unwrap();
+        let mut bytes = wire_v4(&s);
         *bytes.last_mut().unwrap() ^= 0xff;
         assert_eq!(TcpSegment::decode_v4(&bytes, Some((A, B))), Err(WireError::BadChecksum("tcp")));
     }
@@ -573,7 +580,7 @@ mod tests {
         // The same bytes validated against the wrong addresses must fail:
         // that's the point of the pseudo-header.
         let s = syn_segment();
-        let bytes = s.encode_v4(Some((A, B))).unwrap();
+        let bytes = wire_v4(&s);
         let wrong = Ipv4Addr::new(10, 0, 0, 3);
         assert!(TcpSegment::decode_v4(&bytes, Some((A, wrong))).is_err());
     }
@@ -601,7 +608,7 @@ mod tests {
     #[test]
     fn bad_data_offset_rejected() {
         let s = syn_segment();
-        let mut bytes = s.encode(None).unwrap();
+        let mut bytes = wire(&s);
         bytes[12] = 0x30; // data offset 12 bytes < 20
         assert!(matches!(TcpSegment::decode(&bytes, None), Err(WireError::Malformed(_))));
     }
@@ -609,7 +616,7 @@ mod tests {
     #[test]
     fn malformed_options_rejected() {
         let s = syn_segment();
-        let mut bytes = s.encode(None).unwrap();
+        let mut bytes = wire(&s);
         // Option kind 2 with a bogus length of 0.
         bytes[20] = 2;
         bytes[21] = 0;
@@ -621,7 +628,7 @@ mod tests {
         let mut s = syn_segment();
         s.header.options =
             vec![TcpOption::NoOp, TcpOption::Unknown(254, vec![0xde, 0xad]), TcpOption::MaxSegmentSize(536)];
-        let bytes = s.encode(None).unwrap();
+        let bytes = wire(&s);
         let t = TcpSegment::decode(&bytes, None).unwrap();
         assert_eq!(t.header.options, s.header.options);
     }
@@ -635,7 +642,7 @@ mod tests {
             TcpOption::SackPermitted,
             TcpOption::Timestamps(0xdead_beef, 0x0bad_cafe),
         ];
-        let bytes = s.encode_v4(Some((A, B))).unwrap();
+        let bytes = wire_v4(&s);
         let t = TcpSegment::decode_v4(&bytes, Some((A, B))).unwrap();
         assert_eq!(t.header.options, s.header.options);
         assert_eq!(t.header.wscale(), Some(7));
@@ -652,7 +659,7 @@ mod tests {
             TcpOption::Sack(vec![(Seq(100), Seq(200)), (Seq(400), Seq(450))]),
             TcpOption::Timestamps(1, 2),
         ];
-        let bytes = s.encode_v4(Some((A, B))).unwrap();
+        let bytes = wire_v4(&s);
         let t = TcpSegment::decode_v4(&bytes, Some((A, B))).unwrap();
         assert_eq!(t.header.sack_blocks(), &[(Seq(100), Seq(200)), (Seq(400), Seq(450))]);
     }
@@ -661,7 +668,7 @@ mod tests {
     fn wscale_accessor_clamps_to_rfc_limit() {
         let mut s = syn_segment();
         s.header.options = vec![TcpOption::WindowScale(30)];
-        let bytes = s.encode(None).unwrap();
+        let bytes = wire(&s);
         let t = TcpSegment::decode(&bytes, None).unwrap();
         // Decoded verbatim, but the accessor applies RFC 7323 §2.3.
         assert_eq!(t.header.options, vec![TcpOption::WindowScale(30)]);
@@ -672,7 +679,7 @@ mod tests {
     fn bad_new_option_lengths_rejected() {
         for (kind, bad_len) in [(3u8, 4u8), (4, 3), (5, 9), (5, 12), (8, 8)] {
             let s = syn_segment();
-            let mut bytes = s.encode(None).unwrap();
+            let mut bytes = wire(&s);
             bytes[20] = kind;
             bytes[21] = bad_len;
             assert!(
@@ -729,7 +736,7 @@ mod tests {
                 ));
             }
             let s = TcpSegment { header: h, payload: payload.into() };
-            let bytes = s.encode_v4(Some((A, B))).unwrap();
+            let bytes = wire_v4(&s);
             let t = TcpSegment::decode_v4(&bytes, Some((A, B))).unwrap();
             prop_assert_eq!(t, s);
         }
@@ -742,7 +749,7 @@ mod tests {
         ) {
             let mut s = syn_segment();
             s.payload = payload.into();
-            let mut bytes = s.encode_v4(Some((A, B))).unwrap();
+            let mut bytes = wire_v4(&s);
             let at = at % bytes.len();
             bytes[at] ^= flip;
             match TcpSegment::decode_v4(&bytes, Some((A, B))) {

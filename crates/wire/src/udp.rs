@@ -32,18 +32,13 @@ impl UdpDatagram {
         h
     }
 
-    /// Externalizes the datagram; `pseudo_sum` is the partial sum over
-    /// the pseudo-header including length (see `TcpSegment::encode`).
-    /// Per RFC 768, a computed checksum of zero is transmitted as 0xFFFF,
-    /// and a transmitted zero means "no checksum".
-    pub fn encode(&self, pseudo_sum: Option<u16>) -> Result<Vec<u8>, WireError> {
-        Ok(self.clone().encode_buf(pseudo_sum)?.to_vec())
-    }
-
-    /// Like [`encode`](Self::encode), but consumes the datagram and
-    /// writes the header into its payload buffer's headroom in place:
-    /// the payload bytes are not touched (the checksum reuses the
-    /// buffer's memoized ones-sum).
+    /// Externalizes the datagram, consuming it: the header goes into its
+    /// payload buffer's headroom in place and the payload bytes are not
+    /// touched (the checksum reuses the buffer's memoized ones-sum).
+    /// `pseudo_sum` is the partial sum over the pseudo-header including
+    /// length (see `TcpSegment::encode_buf`). Per RFC 768, a computed
+    /// checksum of zero is transmitted as 0xFFFF, and a transmitted zero
+    /// means "no checksum".
     pub fn encode_buf(self, pseudo_sum: Option<u16>) -> Result<PacketBuf, WireError> {
         let total = HEADER_LEN + self.payload.len();
         if total > 65535 {
@@ -110,11 +105,12 @@ impl UdpDatagram {
         Ok(UdpDatagram { src_port, dst_port, payload: buf.slice(HEADER_LEN, length) })
     }
 
-    /// [`encode`](Self::encode) with the standard IPv4 pseudo-header.
-    pub fn encode_v4(&self, checksum_over: Option<(Ipv4Addr, Ipv4Addr)>) -> Result<Vec<u8>, WireError> {
+    /// [`encode_buf`](Self::encode_buf) with the standard IPv4
+    /// pseudo-header.
+    pub fn encode_v4(self, checksum_over: Option<(Ipv4Addr, Ipv4Addr)>) -> Result<PacketBuf, WireError> {
         let pseudo = checksum_over
             .map(|(src, dst)| pseudo::v4_sum(src, dst, IpProtocol::Udp, HEADER_LEN + self.payload.len()));
-        self.encode(pseudo)
+        self.encode_buf(pseudo)
     }
 
     /// [`decode`](Self::decode) with the standard IPv4 pseudo-header.
@@ -143,17 +139,23 @@ mod tests {
     const A: Ipv4Addr = Ipv4Addr::new(192, 168, 69, 1);
     const B: Ipv4Addr = Ipv4Addr::new(192, 168, 69, 2);
 
+    /// Test shorthand: a copy of `d`'s wire bytes, checksummed over the
+    /// pseudo-header from `A` to `B`, leaving `d` intact.
+    fn wire_v4(d: &UdpDatagram) -> Vec<u8> {
+        d.clone().encode_v4(Some((A, B))).unwrap().to_vec()
+    }
+
     #[test]
     fn roundtrip() {
         let d = UdpDatagram { src_port: 6969, dst_port: 53, payload: b"query"[..].into() };
-        let bytes = d.encode_v4(Some((A, B))).unwrap();
+        let bytes = wire_v4(&d);
         assert_eq!(UdpDatagram::decode_v4(&bytes, Some((A, B))).unwrap(), d);
     }
 
     #[test]
     fn zero_checksum_means_unchecked() {
         let d = UdpDatagram { src_port: 1, dst_port: 2, payload: b"x"[..].into() };
-        let mut bytes = d.encode(None).unwrap();
+        let mut bytes = d.encode_buf(None).unwrap().to_vec();
         assert_eq!(&bytes[6..8], &[0, 0]);
         // Corrupt the payload: decode still succeeds because checksum 0
         // means the sender didn't compute one.
@@ -164,7 +166,7 @@ mod tests {
     #[test]
     fn corruption_detected_when_checksummed() {
         let d = UdpDatagram { src_port: 1, dst_port: 2, payload: b"pay"[..].into() };
-        let mut bytes = d.encode_v4(Some((A, B))).unwrap();
+        let mut bytes = wire_v4(&d);
         bytes[9] ^= 0x01;
         assert_eq!(UdpDatagram::decode_v4(&bytes, Some((A, B))), Err(WireError::BadChecksum("udp")));
     }
@@ -172,7 +174,7 @@ mod tests {
     #[test]
     fn trailing_padding_discarded() {
         let d = UdpDatagram { src_port: 9, dst_port: 10, payload: b"ab"[..].into() };
-        let mut bytes = d.encode_v4(Some((A, B))).unwrap();
+        let mut bytes = wire_v4(&d);
         bytes.extend_from_slice(&[0; 20]); // Ethernet padding
         assert_eq!(UdpDatagram::decode_v4(&bytes, Some((A, B))).unwrap(), d);
     }
@@ -180,7 +182,7 @@ mod tests {
     #[test]
     fn bad_length_rejected() {
         let d = UdpDatagram { src_port: 9, dst_port: 10, payload: PacketBuf::new() };
-        let mut bytes = d.encode(None).unwrap();
+        let mut bytes = d.encode_buf(None).unwrap().to_vec();
         bytes[5] = 4; // length 4 < header
         assert!(matches!(UdpDatagram::decode(&bytes, None), Err(WireError::Malformed(_))));
         bytes[5] = 200; // length beyond buffer
@@ -194,7 +196,7 @@ mod tests {
             payload in proptest::collection::vec(any::<u8>(), 0..2000),
         ) {
             let d = UdpDatagram { src_port, dst_port, payload: payload.into() };
-            let bytes = d.encode_v4(Some((A, B))).unwrap();
+            let bytes = wire_v4(&d);
             prop_assert_eq!(UdpDatagram::decode_v4(&bytes, Some((A, B))).unwrap(), d);
         }
     }

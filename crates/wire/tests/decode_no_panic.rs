@@ -61,7 +61,7 @@ proptest! {
         let mut header = foxwire::TcpHeader::new(2000, 5000);
         header.window = 4096;
         let seg = TcpSegment { header, payload: PacketBuf::from_vec(b"x".to_vec()) };
-        let mut wire = seg.encode(None).unwrap();
+        let mut wire = seg.encode_buf(None).unwrap().to_vec();
         // Rewrite the data offset to cover the injected option bytes
         // (rounded down to a 32-bit boundary) and splice them in.
         let opt_len = opts.len() & !3;
@@ -78,7 +78,7 @@ proptest! {
         let mut header = foxwire::TcpHeader::new(2000, 5000);
         header.window = 4096;
         let seg = TcpSegment { header, payload: PacketBuf::new() };
-        let mut wire = seg.encode(None).unwrap();
+        let mut wire = seg.encode_buf(None).unwrap().to_vec();
         let mut opts = vec![kind, len];
         opts.resize(40, fill);
         wire.splice(20..20, opts.iter().copied());
@@ -101,13 +101,14 @@ proptest! {
             foxwire::TcpOption::Timestamps(1000, 2000),
         ];
         let tcp = TcpSegment { header, payload: PacketBuf::from_vec(b"payload".to_vec()) };
-        let seg = tcp.encode_v4(Some((A, B))).unwrap();
+        let seg = tcp.encode_v4(Some((A, B))).unwrap().to_vec();
         let ip = Ipv4Packet {
             header: foxwire::ipv4::Ipv4Header::new(foxwire::IpProtocol::Tcp, A, B),
             payload: PacketBuf::from_vec(seg.clone()),
         }
-        .encode()
-        .unwrap();
+        .encode_buf()
+        .unwrap()
+        .to_vec();
         for base in [&seg, &ip] {
             let cut = cut.min(base.len());
             let _ = TcpSegment::decode(&base[..cut], None);

@@ -39,7 +39,7 @@ proptest! {
         let mut h = foxwire::tcp::TcpHeader::new(1, 2);
         h.flags = foxwire::tcp::TcpFlags::ACK;
         let seg = TcpSegment { header: h, payload: payload.clone().into() };
-        let bytes = seg.encode_v4(Some((A, B))).unwrap();
+        let bytes = seg.encode_v4(Some((A, B))).unwrap().to_vec();
         let cut = cut.min(bytes.len());
         let _ = TcpSegment::decode_v4(&bytes[..cut], Some((A, B)));
 
@@ -47,7 +47,7 @@ proptest! {
             header: foxwire::ipv4::Ipv4Header::new(foxwire::ipv4::IpProtocol::Tcp, A, B),
             payload: payload.into(),
         };
-        let bytes = ip.encode().unwrap();
+        let bytes = ip.encode_buf().unwrap().to_vec();
         let cut2 = cut.min(bytes.len());
         if cut2 < bytes.len() {
             prop_assert!(Ipv4Packet::decode(&bytes[..cut2]).is_err(), "short IPv4 must not validate");
@@ -64,7 +64,7 @@ proptest! {
             foxwire::ether::EtherType::Ipv4,
             inner,
         );
-        let bytes = f.encode().unwrap();
+        let bytes = f.encode_buf().unwrap().to_vec();
         let decoded = Frame::decode(&bytes).unwrap();
         if let Ok(ip) = Ipv4Packet::decode_buf(&decoded.payload) {
             let _ = TcpSegment::decode_buf(&ip.payload, None);

@@ -643,9 +643,9 @@ where
         let total = seg.header.header_len() + seg.payload.len();
         let pseudo = if self.cfg.checksums { self.aux.check(&to, total) } else { None };
         if pseudo.is_some() {
-            self.host.charge_checksum(total);
+            self.host.charge(simnet::Work::Checksum(total));
         }
-        self.host.charge_tcp_segment_sized(seg.payload.len());
+        self.host.charge(simnet::Work::TcpSegment { payload: seg.payload.len() });
         self.stats.segments_sent += 1;
         self.stats.bytes_sent += seg.payload.len() as u64;
         if self.obs.is_on() {
@@ -1046,7 +1046,7 @@ where
             let info = self.aux.info(&msg);
             let pseudo = if self.cfg.checksums { self.aux.check(&info.src, info.data.len()) } else { None };
             if pseudo.is_some() {
-                self.host.charge_checksum(info.data.len());
+                self.host.charge(simnet::Work::Checksum(info.data.len()));
             }
             let mark = copy_mark();
             let decoded = TcpSegment::decode_buf(info.data, pseudo);
@@ -1068,7 +1068,7 @@ where
                 Err(_) => return,
             }
         };
-        self.host.charge_tcp_segment_sized(seg.payload.len());
+        self.host.charge(simnet::Work::TcpSegment { payload: seg.payload.len() });
         self.stats.segments_received += 1;
         let h = seg.header.clone();
 
