@@ -3,15 +3,16 @@
 #
 #   ./ci.sh
 #
-# Twelve stages, all must pass:
+# Eleven stages, all must pass:
 #   1. formatting (fails fast, before anything compiles)
-#   2. foxlint: the two invariant lints clippy cannot express
-#      (field_owner — which also confines every `state` write in foxtcp
-#      to control/fsm.rs::transition — and win_cast; DESIGN.md §5.8).
-#      Any violation fails: there is no baseline, and a root with
-#      nothing to lint is an error too
-#   3. release build of every crate and target
-#   4. the whole workspace test suite, then foxbasis and foxwire again
+#   2. release build of every crate and target. This is also where the
+#      ownership invariants fail (DESIGN.md §5.8): a connection's state
+#      is an `fsm::State` only control/fsm.rs can change, the TCB's
+#      sequence space is `pub(in crate::data)`, the congestion windows
+#      are private to `congestion::Cc`, and a header window is a
+#      `WireWindow` only `wire_window` makes — so a write outside its
+#      owner, or a raw narrowing, does not compile (in test code: stage 3)
+#   3. the whole workspace test suite, then foxbasis and foxwire again
 #      in release: their per-byte kernels (checksum, CRC-32, ring) defer
 #      carries and index tables, debug builds trap the overflow that
 #      release builds wrap, and every benchmark number is a release
@@ -29,11 +30,16 @@
 #      resent, none while encoding, both exact) and the pool's leak
 #      detector (foxtcp's buf_pool_leak: after a transfer through drops,
 #      duplicates and reordering, every block each engine's pool made
-#      is home, and it made no more than its flight's high-water + 4)
-#   5. the RFC-793 conformance suite, explicitly (both TCP stacks
-#      against the standard's state diagram; also part of stage 4, but
+#      is home, and it made no more than its flight's high-water + 4).
+#      The workspace run also pins the statements of the tool-enforced
+#      invariants (the root tests/clippy_gate.rs): every clippy.toml
+#      entry and deny attribute, and that the ownership types above are
+#      not loosened (no `pub` field, no `Clone` on `State`, every test
+#      hook `#[cfg(test)]`)
+#   4. the RFC-793 conformance suite, explicitly (both TCP stacks
+#      against the standard's state diagram; also part of stage 3, but
 #      a named stage keeps the gate visible)
-#   6. the TCP-options interop matrix under fixed seeds: {none, wscale,
+#   5. the TCP-options interop matrix under fixed seeds: {none, wscale,
 #      sack, ts, all} × {fox↔fox, fox↔xk} × the loss-matrix fault
 #      profiles, every cell delivered in full and replayed
 #      bit-identically, plus the SACK-beats-NewReno burst-loss
@@ -43,37 +49,38 @@
 #      `Tcp::check_invariants` (table, demux, accept-queue counters,
 #      timers) at the end of every `step`, and `fsm::transition`'s guard
 #      is live, so every lossy cell is checked at every step on every run
-#   7. adversarial smoke: a fixed 6-cell subset of the adversarial
+#   6. adversarial smoke: a fixed 6-cell subset of the adversarial
 #      matrix (DESIGN.md §5.12) — each cell internally run twice with
 #      bit-identical reports asserted — executed as two whole process
 #      runs whose rendered tables must diff to zero
-#   8. examples run: the eight `examples/*.rs`, from the release build,
+#   7. examples run: the eight `examples/*.rs`, from the release build,
 #      each must exit 0 (together under a second; their output is
 #      run-to-run identical, and nothing else executes them)
-#   9. the Criterion benches compile (not run; keeps them from rotting) —
+#   8. the Criterion benches compile (not run; keeps them from rotting) —
 #      including timer.rs's `wheel` group beside the Fig. 11 rows, and
 #      engine.rs and obs.rs on the shared two-engine rig
 #      (foxtcp::testlink::Pair)
-#  10. clippy over every target (benches and bins too), warnings as
+#   9. clippy over every target (benches and bins too), warnings as
 #      errors. This is the gate for four workspace invariants
 #      (DESIGN.md §5.8), stated in crates/clippy.toml and lint
 #      attributes: determinism (no Instant/SystemTime/RandomState/
 #      DefaultHasher), hash_iter (no HashMap/HashSet), rx_panic (no
 #      unwrap/expect/panic-family on the packet-input path, no indexing
 #      in wire decoders) and shard_global (no thread-local accessors).
-#      Stage 4's foxlint clippy_gate test pins the statements themselves
-#  11. the FSM gate: the control::fsm unit tests (the guard admits
+#      Stage 3's clippy_gate test pins the statements themselves
+#  10. the FSM gate: the control::fsm unit tests (the guard admits
 #      exactly the edges of spec/tcp_fsm.txt, a write outside it panics,
 #      the spec parser, docs/tcp_fsm.dot is current), then the
 #      conformance coverage ratchet proves every non-exempt spec edge is
 #      witnessed at runtime by both stacks (printing the
 #      edges-covered/total counts per stack). That every state write is
-#      a spec edge needs no stage of its own: stage 2 confines the writes
-#      to `transition`, whose debug assertion is live in stages 4 and 5
-#  12. the benchmark: foxperf — the repo's one wall-clock bench path
+#      a spec edge needs no stage of its own: rustc confines the writes
+#      to control/fsm.rs, where `transition`'s debug assertion is live in
+#      stages 3 and 4
+#  11. the benchmark: foxperf — the repo's one wall-clock bench path
 #      (BENCHMARK.json says how it is run; no stage here times anything),
-#      a package of its own outside this workspace, so stages 1, 3, 4
-#      and 10 never see it — is tested,
+#      a package of its own outside this workspace, so stages 1, 2, 3
+#      and 9 never see it — is tested,
 #      clippy-linted and format-checked against the tree as it stands,
 #      so a refactor that breaks what foxperf compiles against fails
 #      here and not in the benchmark driver. What it guards in the
@@ -86,9 +93,6 @@ cd "$(dirname "$0")"
 
 echo "== fmt (check) =="
 cargo fmt --check
-
-echo "== foxlint (two invariant lints, any violation fails) =="
-cargo run -q -p foxlint -- --check
 
 echo "== build (release) =="
 cargo build --release

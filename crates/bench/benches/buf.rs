@@ -1,11 +1,11 @@
 //! The buffer architecture's before/after: bytes actually memcpy'd per
 //! segment on the Table 1 bulk-transfer path.
 //!
-//! Before (the Vec-per-layer path, kept as `encode`/`decode` for
-//! comparison): stage the payload out of the send ring into a fresh
-//! vector, copy header + payload into the wire frame, and copy the
-//! payload back out when decoding — every payload byte moves three
-//! times per segment, plus a separate checksum pass.
+//! Before (the Vec-per-layer path, rebuilt here for comparison): stage
+//! the payload out of the send ring into a fresh vector, copy header +
+//! payload into the wire frame, and copy the payload back out after
+//! decoding — every payload byte moves three times per segment, plus a
+//! separate checksum pass.
 //!
 //! After (the `PacketBuf` path): one combined copy+checksum pass stages
 //! the payload into a buffer with reserved headroom (paper Fig. 10),
@@ -21,7 +21,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use foxbasis::buf::{copy_mark, PacketBuf, DEFAULT_HEADROOM};
 use foxbasis::ring::RingBuffer;
 use foxbasis::seq::Seq;
-use foxwire::tcp::{TcpFlags, TcpHeader, TcpSegment};
+use foxwire::tcp::{wire_window, TcpFlags, TcpHeader, TcpSegment};
 use std::hint::black_box;
 
 fn header() -> TcpHeader {
@@ -29,7 +29,7 @@ fn header() -> TcpHeader {
     h.seq = Seq(100);
     h.ack = Seq(200);
     h.flags = TcpFlags { ack: true, psh: true, ..TcpFlags::default() };
-    h.window = 4096;
+    h.window = wire_window(4096, 0);
     h
 }
 
@@ -48,9 +48,10 @@ fn legacy_trip(ring: &RingBuffer, size: usize) -> usize {
     let frame = seg.encode_buf(PSEUDO).expect("encode").to_vec();
     let moved_encode = frame.len();
     // Payload back out of the frame (copy 3).
-    let rx = TcpSegment::decode(&frame, PSEUDO).expect("decode");
-    let moved_decode = rx.payload.len();
-    black_box(rx);
+    let rx = TcpSegment::decode_buf(&PacketBuf::from_vec(frame), PSEUDO).expect("decode");
+    let delivered = rx.payload.to_vec();
+    let moved_decode = delivered.len();
+    black_box(delivered);
     moved_stage + moved_encode + moved_decode
 }
 

@@ -477,62 +477,6 @@ pub struct ConnMetrics {
     pub buf_copy_bytes: u64,
 }
 
-impl ConnMetrics {
-    /// Share of received segments the fast path handled.
-    pub fn fastpath_hit_ratio(&self) -> f64 {
-        let total = self.fastpath_hits + self.fastpath_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.fastpath_hits as f64 / total as f64
-        }
-    }
-
-    /// Real host payload copies per transmitted segment — the number the
-    /// zero-copy refactor drives toward 1.0 (the single send-buffer
-    /// read, with the checksum folded into the same pass).
-    pub fn copies_per_packet(&self) -> f64 {
-        if self.segments_sent == 0 {
-            0.0
-        } else {
-            self.buf_copies as f64 / self.segments_sent as f64
-        }
-    }
-
-    /// A deterministic JSON rendering of the snapshot.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"srtt_us\":{},\"rto_us\":{},\"cwnd\":{},\"ssthresh\":{},\"snd_wnd\":{},\
-             \"bytes_in_flight\":{},\"fastpath_hits\":{},\"fastpath_misses\":{},\
-             \"fastpath_hit_ratio\":{:.4},\"retransmits\":{},\"fast_retransmits\":{},\
-             \"recoveries\":{},\"rto_fires\":{},\"probe_fires\":{},\"segments_sent\":{},\
-             \"segments_received\":{},\"bytes_sent\":{},\"bytes_delivered\":{},\
-             \"buf_copies\":{},\"buf_copy_bytes\":{},\"copies_per_packet\":{:.4}}}",
-            self.srtt_us.map_or("null".to_string(), |v| v.to_string()),
-            self.rto_us,
-            self.cwnd,
-            self.ssthresh,
-            self.snd_wnd,
-            self.bytes_in_flight,
-            self.fastpath_hits,
-            self.fastpath_misses,
-            self.fastpath_hit_ratio(),
-            self.retransmits,
-            self.fast_retransmits,
-            self.recoveries,
-            self.rto_fires,
-            self.probe_fires,
-            self.segments_sent,
-            self.segments_received,
-            self.bytes_sent,
-            self.bytes_delivered,
-            self.buf_copies,
-            self.buf_copy_bytes,
-            self.copies_per_packet(),
-        )
-    }
-}
-
 // ----- exporters -----
 
 /// One JSON object per line — greppable, diffable, streamable.
@@ -693,22 +637,5 @@ mod tests {
         let d = first_divergence(&a, &b).expect("length mismatch diverges");
         assert_eq!(d.index, 0);
         assert!(d.right.is_none());
-    }
-
-    #[test]
-    fn metrics_ratio_and_json() {
-        let m = ConnMetrics {
-            srtt_us: Some(1500),
-            fastpath_hits: 3,
-            fastpath_misses: 1,
-            ..ConnMetrics::default()
-        };
-        assert!((m.fastpath_hit_ratio() - 0.75).abs() < 1e-9);
-        let json = m.to_json();
-        assert!(json.contains("\"srtt_us\":1500"));
-        assert!(json.contains("\"fastpath_hit_ratio\":0.7500"));
-        let none = ConnMetrics::default();
-        assert!(none.to_json().contains("\"srtt_us\":null"));
-        assert_eq!(none.fastpath_hit_ratio(), 0.0);
     }
 }

@@ -6,7 +6,7 @@
 //! benchmark), and the send ring holds bytes the user has written but the
 //! Send module has not yet segmented. (`xktcp` receives into one;
 //! `foxtcp` hands received data straight to the user and keeps only this
-//! arithmetic, as `foxtcp::tcb::RecvAccount`.)
+//! arithmetic, as `foxtcp::data::tcb::RecvAccount`.)
 //!
 //! The bound — [`RingBuffer::capacity`], what [`RingBuffer::free`] and
 //! flow control read — is fixed at construction; the storage behind it

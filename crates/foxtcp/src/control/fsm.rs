@@ -1,15 +1,175 @@
 //! The state machine as a declared table. `spec/tcp_fsm.txt` is the one
-//! place a `FROM -> TO : trigger` edge is written down; [`transition`] is
-//! the one place `core.state` is assigned (the `field_owner` lint rejects
-//! a write anywhere else) and, in debug builds, asserts the write is an
-//! edge of that file. So code ⊆ spec holds on every debug run of anything
-//! that links foxtcp; spec ⊆ code is conformance's coverage ratchet (§5.13).
+//! place a `FROM -> TO : trigger` edge is written down, and this module
+//! holds the paper's `tcp_state` datatype ([`TcpState`]) and the only
+//! code that can make or change a connection's [`State`]:
+//! [`ConnCore::new`], [`transition`] and the SYN-retry count
+//! [`spend_syn_retry`]. `State`'s field is private, so the compiler
+//! rejects a write anywhere else; [`transition`] in debug builds asserts
+//! the write is an edge of that file. So code ⊆ spec holds on every
+//! debug run of anything that links foxtcp; spec ⊆ code is conformance's
+//! coverage ratchet (§5.13).
 
 use crate::action::{TcpAction, TimerKind};
-use crate::tcb::TcpState;
-use crate::ConnCore;
+use crate::data::tcb::Tcb;
+use crate::{congestion, ConnCore, TcpConfig};
+use foxbasis::buf::BufPool;
+use foxbasis::seq::Seq;
 use foxwire::tcp::TcpFlags;
+use std::ops::Deref;
 use std::sync::LazyLock;
+
+/// The connection state (paper Fig. 6 `tcp_state`), with the paper's
+/// twelve variants: RFC 793's single SYN-RECEIVED state is split into
+/// `Syn_Active` / `Syn_Passive` because the completion action differs —
+/// an active opener must also complete the user's `open`.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum TcpState {
+    /// No connection. (The paper's `Closed of tcp_action Q.T ref` keeps
+    /// the to_do queue so queued actions can still drain; ours lives in
+    /// the connection record.)
+    Closed,
+    /// Passive open, awaiting SYNs; the payload is the paper's `int`
+    /// (bounding concurrent embryonic connections).
+    Listen {
+        /// Maximum embryonic (SYN-received) children.
+        backlog: usize,
+    },
+    /// Active open, SYN sent; the `int` counts remaining retries.
+    SynSent {
+        /// SYN retransmissions left before giving up.
+        retries_left: u32,
+    },
+    /// SYN-RECEIVED reached from an active open (simultaneous open).
+    SynActive,
+    /// SYN-RECEIVED reached from a passive open; the `int` counts
+    /// retries of our SYN+ACK.
+    SynPassive {
+        /// SYN+ACK retransmissions left.
+        retries_left: u32,
+    },
+    /// Connection established.
+    Estab,
+    /// We closed first. The paper's `Fin_Wait_1 of tcb * bool` ("our FIN
+    /// has been acknowledged") is carried by `fin_seq`/`snd_una`.
+    FinWait1,
+    /// Our FIN acknowledged, awaiting the peer's.
+    FinWait2,
+    /// Peer closed first; we may still send.
+    CloseWait,
+    /// Simultaneous close: FINs crossed.
+    Closing,
+    /// Peer closed, we closed, awaiting the ACK of our FIN.
+    LastAck,
+    /// Both closed; lingering 2MSL to absorb stray segments.
+    TimeWait,
+}
+
+impl TcpState {
+    /// True in states where user data may still be sent.
+    pub fn can_send(&self) -> bool {
+        matches!(self, TcpState::Estab | TcpState::CloseWait)
+    }
+
+    /// True in states where incoming segment text is accepted.
+    pub fn can_receive(&self) -> bool {
+        matches!(self, TcpState::Estab | TcpState::FinWait1 | TcpState::FinWait2)
+    }
+
+    /// True for the two SYN-RECEIVED flavors.
+    pub fn is_syn_received(&self) -> bool {
+        matches!(self, TcpState::SynActive | TcpState::SynPassive { .. })
+    }
+
+    /// True once the connection is past the three-way handshake.
+    pub fn is_synchronized(&self) -> bool {
+        !matches!(self, TcpState::Closed | TcpState::Listen { .. } | TcpState::SynSent { .. })
+    }
+
+    /// The RFC 793 state name, as event exports use it.
+    pub fn name(&self) -> &'static str {
+        match self {
+            TcpState::Closed => "Closed",
+            TcpState::Listen { .. } => "Listen",
+            TcpState::SynSent { .. } => "SynSent",
+            TcpState::SynActive => "SynActive",
+            TcpState::SynPassive { .. } => "SynPassive",
+            TcpState::Estab => "Estab",
+            TcpState::FinWait1 => "FinWait1",
+            TcpState::FinWait2 => "FinWait2",
+            TcpState::CloseWait => "CloseWait",
+            TcpState::Closing => "Closing",
+            TcpState::LastAck => "LastAck",
+            TcpState::TimeWait => "TimeWait",
+        }
+    }
+
+    /// The RFC 793 name; the two SYN-RECEIVED flavors share one.
+    pub fn rfc_name(&self) -> &'static str {
+        match self {
+            TcpState::Closed => "CLOSED",
+            TcpState::Listen { .. } => "LISTEN",
+            TcpState::SynSent { .. } => "SYN-SENT",
+            TcpState::SynActive | TcpState::SynPassive { .. } => "SYN-RECEIVED",
+            TcpState::Estab => "ESTABLISHED",
+            TcpState::FinWait1 => "FIN-WAIT-1",
+            TcpState::FinWait2 => "FIN-WAIT-2",
+            TcpState::CloseWait => "CLOSE-WAIT",
+            TcpState::Closing => "CLOSING",
+            TcpState::LastAck => "LAST-ACK",
+            TcpState::TimeWait => "TIME-WAIT",
+        }
+    }
+}
+
+/// A connection's state as [`ConnCore::state`] holds it: a [`TcpState`]
+/// that only this module can make or change. It has no `Clone`, no
+/// `Default` and no public constructor, so no code elsewhere can come
+/// by a `State` to store. Reads go through `Deref` (`core.state.name()`,
+/// `match *core.state`) and `PartialEq<TcpState>` (`core.state ==
+/// TcpState::Closed`).
+#[derive(Debug)]
+pub struct State(TcpState);
+
+impl Deref for State {
+    type Target = TcpState;
+
+    fn deref(&self) -> &TcpState {
+        &self.0
+    }
+}
+
+impl PartialEq<TcpState> for State {
+    fn eq(&self, other: &TcpState) -> bool {
+        self.0 == *other
+    }
+}
+
+/// Test hook: the module tests that start a connection from a given
+/// state put it there directly — no guard, no entry action. Compiled
+/// into this crate's own unit tests and nowhere else.
+#[cfg(test)]
+impl State {
+    pub(crate) fn force(&mut self, to: TcpState) {
+        self.0 = to;
+    }
+}
+
+impl<P: Clone + PartialEq + std::fmt::Debug> ConnCore<P> {
+    /// A fresh closed connection core, staging its segments in `pool`.
+    pub fn new(cfg: &TcpConfig, local_port: u16, iss: Seq, our_mss: u32, pool: BufPool) -> ConnCore<P> {
+        let mut tcb = Tcb::new(iss, cfg.send_buffer, cfg.initial_window);
+        // The options we will offer at SYN time (each only turns on if
+        // the peer offers it back; see `transfer::negotiate_syn_options`).
+        tcb.offer_wscale = cfg.window_scale;
+        tcb.offer_sack = cfg.sack;
+        tcb.offer_ts = cfg.timestamps;
+        if cfg.window_scale {
+            tcb.rcv_wscale = foxwire::tcp::wscale_for(cfg.initial_window);
+        }
+        tcb.cc = congestion::Cc::new(cfg.congestion_algorithm);
+        ConnCore { local_port, remote: None, state: State(TcpState::Closed), tcb, our_mss, pool }
+    }
+}
 
 /// RFC 793 §3.9 state names: the spec file's vocabulary.
 #[rustfmt::skip]
@@ -43,25 +203,6 @@ impl Trigger {
     /// The spelling in the spec file and in `StateTransition { cause }`.
     pub fn name(self) -> &'static str {
         ["open", "close", "abort", "timer", "rst", "syn", "fin", "ack"][self as usize]
-    }
-}
-
-impl TcpState {
-    /// The RFC 793 name; the two SYN-RECEIVED flavors share one.
-    pub fn rfc_name(&self) -> &'static str {
-        match self {
-            TcpState::Closed => "CLOSED",
-            TcpState::Listen { .. } => "LISTEN",
-            TcpState::SynSent { .. } => "SYN-SENT",
-            TcpState::SynActive | TcpState::SynPassive { .. } => "SYN-RECEIVED",
-            TcpState::Estab => "ESTABLISHED",
-            TcpState::FinWait1 => "FIN-WAIT-1",
-            TcpState::FinWait2 => "FIN-WAIT-2",
-            TcpState::CloseWait => "CLOSE-WAIT",
-            TcpState::Closing => "CLOSING",
-            TcpState::LastAck => "LAST-ACK",
-            TcpState::TimeWait => "TIME-WAIT",
-        }
     }
 }
 
@@ -118,18 +259,33 @@ fn admits(from: &str, trigger: Trigger, to: &str) -> bool {
     from == to || SPEC.iter().any(|e| (e.from, e.trigger, e.to) == (from, trigger, to))
 }
 
-/// The only assignment to `core.state` outside test code. Entering
-/// CLOSED also queues the entry action every such site shares: no timer
-/// outlives the connection.
+/// The one move of `core.state` to another state. Entering CLOSED also
+/// queues the entry action every such site shares: no timer outlives
+/// the connection.
 #[inline]
 pub(in crate::control) fn transition<P>(core: &mut ConnCore<P>, trigger: Trigger, to: TcpState) {
     let (from, into) = (core.state.rfc_name(), to.rfc_name());
     debug_assert!(admits(from, trigger, into), "not in the spec: {from} -> {into} : {}", trigger.name());
-    core.state = to;
+    core.state.0 = to;
     if core.state == TcpState::Closed {
         for kind in TimerKind::ALL {
             core.tcb.push_action(TcpAction::ClearTimer(kind));
         }
+    }
+}
+
+/// Spends one of the SYN (or SYN+ACK) retransmissions the state counts,
+/// mirroring the paper's `Syn_Sent of tcp_tcb * int`; false, spending
+/// nothing, once none is left. States that count no retries always
+/// answer true. The state stays what it was, so this is no transition.
+pub(in crate::control) fn spend_syn_retry<P>(core: &mut ConnCore<P>) -> bool {
+    match &mut core.state.0 {
+        TcpState::SynSent { retries_left } | TcpState::SynPassive { retries_left } => {
+            let any_left = *retries_left > 0;
+            *retries_left = retries_left.saturating_sub(1);
+            any_left
+        }
+        _ => true,
     }
 }
 
@@ -153,7 +309,6 @@ pub fn to_dot(edges: &[SpecEdge]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use foxbasis::buf::BufPool;
 
     #[test]
     fn the_guard_admits_exactly_spec_edges_and_self_edges() {
@@ -170,10 +325,22 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "ESTABLISHED -> CLOSING : fin")]
     fn a_write_outside_the_spec_is_caught() {
-        let mut core: ConnCore<u8> =
-            ConnCore::new(&Default::default(), 1, foxbasis::seq::Seq(0), 1460, BufPool::new());
-        core.state = TcpState::Estab;
+        let mut core: ConnCore<u8> = ConnCore::new(&Default::default(), 1, Seq(0), 1460, BufPool::new());
+        core.state.force(TcpState::Estab);
         transition(&mut core, Trigger::Fin, TcpState::Closing);
+    }
+
+    #[test]
+    fn state_predicates() {
+        assert!(TcpState::Estab.can_send());
+        assert!(TcpState::CloseWait.can_send());
+        assert!(!TcpState::FinWait1.can_send());
+        assert!(TcpState::FinWait2.can_receive());
+        assert!(!TcpState::CloseWait.can_receive());
+        assert!(TcpState::SynActive.is_syn_received());
+        assert!(TcpState::SynPassive { retries_left: 1 }.is_syn_received());
+        assert!(!TcpState::SynSent { retries_left: 1 }.is_synchronized());
+        assert!(TcpState::TimeWait.is_synchronized());
     }
 
     #[test]

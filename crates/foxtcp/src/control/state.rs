@@ -3,10 +3,9 @@
 //! (paper §4).
 
 use crate::action::{TcpAction, TimerKind};
-use crate::control::fsm::{transition, Trigger};
+use crate::control::fsm::{spend_syn_retry, transition, Trigger};
 use crate::data::{resend, send};
-use crate::tcb::TcpState;
-use crate::{ConnCore, TcpConfig};
+use crate::{ConnCore, TcpConfig, TcpState};
 use foxbasis::time::VirtualTime;
 use foxproto::ProtoError;
 use foxwire::tcp::TcpFlags;
@@ -58,7 +57,7 @@ pub fn close<P: Clone + PartialEq + Debug>(
     core: &mut ConnCore<P>,
     now: VirtualTime,
 ) -> Result<(), ProtoError> {
-    match core.state.clone() {
+    match *core.state {
         TcpState::Closed => Err(ProtoError::NotOpen),
         TcpState::Listen { .. } | TcpState::SynSent { .. } => {
             // "Any outstanding RECEIVEs are returned ... delete the TCB."
@@ -95,12 +94,11 @@ pub fn abort<P: Clone + PartialEq + Debug>(
     core: &mut ConnCore<P>,
     now: VirtualTime,
 ) -> Result<(), ProtoError> {
-    let was = core.state.clone();
-    if was == TcpState::Closed {
+    if core.state == TcpState::Closed {
         return Err(ProtoError::NotOpen);
     }
-    if core.state.is_synchronized() && was != TcpState::TimeWait {
-        let header = send::make_header(core, TcpFlags::RST_ACK, core.tcb.snd_nxt, now);
+    if core.state.is_synchronized() && core.state != TcpState::TimeWait {
+        let header = send::make_header(core, TcpFlags::RST_ACK, core.tcb.snd_nxt(), now);
         let payload = core.pool.empty();
         core.tcb.push_action(TcpAction::SendSegment(foxwire::tcp::TcpSegment { header, payload }));
     }
@@ -141,7 +139,7 @@ pub fn timer_expired<P: Clone + PartialEq + Debug>(
         }
         TimerKind::UserTimeout => {
             // A hung operation (usually the handshake) fails.
-            if !matches!(core.state, TcpState::Estab) {
+            if core.state != TcpState::Estab {
                 transition(core, Trigger::Timer, TcpState::Closed);
                 core.tcb.resend_queue.clear();
                 core.tcb.send_buf.clear();
@@ -165,17 +163,11 @@ fn retransmit_timer<P: Clone + PartialEq + Debug>(cfg: &TcpConfig, core: &mut Co
         return;
     }
     resend::rto_backoff(cfg, core, now);
-    // SYN-state retry accounting lives in the state, mirroring the
-    // paper's `Syn_Sent of tcp_tcb * int`.
-    match &mut core.state {
-        TcpState::SynSent { retries_left } | TcpState::SynPassive { retries_left } => {
-            if *retries_left == 0 {
-                give_up(core);
-                return;
-            }
-            *retries_left -= 1;
-        }
-        _ => {}
+    // The SYN states count their own retries (`fsm` spends them); with
+    // none left the connection gives up.
+    if !spend_syn_retry(core) {
+        give_up(core);
+        return;
     }
     resend::retransmit_and_rearm(core, now);
 }
@@ -214,7 +206,7 @@ mod tests {
         let t = tags(&mut core);
         assert!(t.contains(&"Send_Segment"));
         assert!(t.contains(&"Set_Timer"));
-        assert_eq!(core.tcb.snd_nxt, Seq(101));
+        assert_eq!(core.tcb.snd_nxt(), Seq(101));
         // Double open fails.
         assert_eq!(active_open(&cfg(), &mut core, VirtualTime::ZERO), Err(ProtoError::AlreadyOpen));
     }
@@ -236,8 +228,8 @@ mod tests {
     #[test]
     fn close_from_estab_sends_fin_enters_finwait1() {
         let mut core = fresh();
-        core.state = TcpState::Estab;
-        core.tcb.snd_wnd = 4096;
+        core.state.force(TcpState::Estab);
+        core.tcb.set_snd_wnd(4096);
         close(&cfg(), &mut core, VirtualTime::ZERO).unwrap();
         assert_eq!(core.state, TcpState::FinWait1);
         assert!(core.tcb.fin_pending);
@@ -249,8 +241,8 @@ mod tests {
     #[test]
     fn close_from_close_wait_enters_last_ack() {
         let mut core = fresh();
-        core.state = TcpState::CloseWait;
-        core.tcb.snd_wnd = 4096;
+        core.state.force(TcpState::CloseWait);
+        core.tcb.set_snd_wnd(4096);
         close(&cfg(), &mut core, VirtualTime::ZERO).unwrap();
         assert_eq!(core.state, TcpState::LastAck);
     }
@@ -258,13 +250,13 @@ mod tests {
     #[test]
     fn close_from_listen_or_synsent_just_closes() {
         let mut core = fresh();
-        core.state = TcpState::Listen { backlog: 4 };
+        core.state.force(TcpState::Listen { backlog: 4 });
         close(&cfg(), &mut core, VirtualTime::ZERO).unwrap();
         assert_eq!(core.state, TcpState::Closed);
         assert!(tags(&mut core).contains(&"Complete_Close"));
 
         let mut core = fresh();
-        core.state = TcpState::SynSent { retries_left: 3 };
+        core.state.force(TcpState::SynSent { retries_left: 3 });
         close(&cfg(), &mut core, VirtualTime::ZERO).unwrap();
         assert_eq!(core.state, TcpState::Closed);
     }
@@ -272,16 +264,16 @@ mod tests {
     #[test]
     fn double_close_is_an_error() {
         let mut core = fresh();
-        core.state = TcpState::FinWait2;
+        core.state.force(TcpState::FinWait2);
         assert_eq!(close(&cfg(), &mut core, VirtualTime::ZERO), Err(ProtoError::Closing));
-        core.state = TcpState::Closed;
+        core.state.force(TcpState::Closed);
         assert_eq!(close(&cfg(), &mut core, VirtualTime::ZERO), Err(ProtoError::NotOpen));
     }
 
     #[test]
     fn abort_sends_rst_and_flushes() {
         let mut core = fresh();
-        core.state = TcpState::Estab;
+        core.state.force(TcpState::Estab);
         core.tcb.send_buf.write(&[1; 100]);
         abort(&cfg(), &mut core, VirtualTime::ZERO).unwrap();
         assert_eq!(core.state, TcpState::Closed);
@@ -294,7 +286,7 @@ mod tests {
     #[test]
     fn abort_from_syn_sent_sends_no_rst() {
         let mut core = fresh();
-        core.state = TcpState::SynSent { retries_left: 1 };
+        core.state.force(TcpState::SynSent { retries_left: 1 });
         abort(&cfg(), &mut core, VirtualTime::ZERO).unwrap();
         let acts: Vec<String> = core.tcb.to_do.drain_all().iter().map(|a| format!("{a:?}")).collect();
         assert!(!acts.iter().any(|a| a.contains("RST")), "{acts:?}");
@@ -303,7 +295,7 @@ mod tests {
     #[test]
     fn time_wait_timer_completes_close() {
         let mut core = fresh();
-        core.state = TcpState::TimeWait;
+        core.state.force(TcpState::TimeWait);
         timer_expired(&cfg(), &mut core, TimerKind::TimeWait, VirtualTime::from_millis(60_000));
         assert_eq!(core.state, TcpState::Closed);
         assert!(tags(&mut core).contains(&"Complete_Close"));
@@ -312,7 +304,7 @@ mod tests {
     #[test]
     fn user_timeout_fails_a_hung_handshake() {
         let mut core = fresh();
-        core.state = TcpState::SynSent { retries_left: 2 };
+        core.state.force(TcpState::SynSent { retries_left: 2 });
         timer_expired(&cfg(), &mut core, TimerKind::UserTimeout, VirtualTime::from_millis(1));
         assert_eq!(core.state, TcpState::Closed);
         assert!(tags(&mut core).contains(&"User_Timeout"));
@@ -321,7 +313,7 @@ mod tests {
     #[test]
     fn user_timeout_ignores_established() {
         let mut core = fresh();
-        core.state = TcpState::Estab;
+        core.state.force(TcpState::Estab);
         timer_expired(&cfg(), &mut core, TimerKind::UserTimeout, VirtualTime::from_millis(1));
         assert_eq!(core.state, TcpState::Estab);
     }
@@ -329,7 +321,7 @@ mod tests {
     #[test]
     fn delayed_ack_timer_acks_only_when_pending() {
         let mut core = fresh();
-        core.state = TcpState::Estab;
+        core.state.force(TcpState::Estab);
         timer_expired(&cfg(), &mut core, TimerKind::DelayedAck, VirtualTime::from_millis(1));
         assert!(tags(&mut core).is_empty());
         core.tcb.ack_pending = true;

@@ -28,8 +28,7 @@
 
 use crate::action::{TcpAction, TimerKind};
 use crate::data::{resend, send};
-use crate::tcb::TcpState;
-use crate::{ConnCore, TcpConfig};
+use crate::{ConnCore, TcpConfig, TcpState};
 use foxbasis::time::VirtualTime;
 use foxwire::tcp::TcpSegment;
 use std::fmt::Debug;
@@ -140,7 +139,7 @@ mod tests {
     use super::*;
     use foxbasis::buf::BufPool;
     use foxbasis::seq::Seq;
-    use foxwire::tcp::{TcpFlags, TcpHeader};
+    use foxwire::tcp::{wire_window, TcpFlags, TcpHeader};
 
     fn cfg() -> TcpConfig {
         TcpConfig::default()
@@ -149,7 +148,7 @@ mod tests {
     fn estab() -> ConnCore<u32> {
         let mut core: ConnCore<u32> = ConnCore::new(&cfg(), 1000, Seq(100), 1460, BufPool::new());
         core.remote = Some((7, 2000));
-        core.state = TcpState::Estab;
+        core.state.force(TcpState::Estab);
         core.tcb.mss = 1000;
         core.tcb.snd_wnd = 4096;
         core.tcb.rcv_nxt = Seq(5000);
@@ -158,12 +157,12 @@ mod tests {
         core
     }
 
-    fn seg(seq: u32, ack: u32, window: u16, payload: &[u8]) -> TcpSegment {
+    fn seg(seq: u32, ack: u32, window: u32, payload: &[u8]) -> TcpSegment {
         let mut h = TcpHeader::new(2000, 1000);
         h.seq = Seq(seq);
         h.ack = Seq(ack);
         h.flags = TcpFlags::ACK;
-        h.window = window;
+        h.window = wire_window(window, 0);
         TcpSegment { header: h, payload: payload.into() }
     }
 
@@ -173,7 +172,7 @@ mod tests {
         // One outstanding segment.
         core.tcb.send_buf.write(&[1; 500]);
         core.tcb.snd_nxt = Seq(600);
-        core.tcb.resend_queue.push_back(crate::tcb::SentSegment {
+        core.tcb.resend_queue.push_back(crate::data::tcb::SentSegment {
             seq: Seq(100),
             len: 500,
             syn: false,
@@ -197,7 +196,7 @@ mod tests {
     #[test]
     fn rejects_non_estab() {
         let mut core = estab();
-        core.state = TcpState::FinWait1;
+        core.state.force(TcpState::FinWait1);
         assert!(!try_fast(&cfg(), &mut core, &seg(5000, 100, 4096, b"x"), VirtualTime::ZERO));
     }
 
@@ -249,7 +248,7 @@ mod tests {
         let mut core = estab();
         core.tcb.send_buf.write(&[1; 500]);
         core.tcb.snd_nxt = Seq(600);
-        core.tcb.resend_queue.push_back(crate::tcb::SentSegment {
+        core.tcb.resend_queue.push_back(crate::data::tcb::SentSegment {
             seq: Seq(100),
             len: 500,
             syn: false,

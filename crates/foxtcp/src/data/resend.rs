@@ -23,9 +23,9 @@
 //! partial ACK. The timer is what is left when no ACK comes back at all.
 
 use crate::action::{LossEvent, TcpAction, TimerKind};
-use crate::data::{congestion, send};
-use crate::tcb::{Recovery, RttEstimator, SentSegment, Tcb, MAX_RTO, MIN_RTO};
-use crate::{ConnCore, TcpConfig};
+use crate::data::send;
+use crate::data::tcb::{Recovery, RttEstimator, SentSegment, Tcb, MAX_RTO, MIN_RTO};
+use crate::{congestion, ConnCore, TcpConfig};
 use foxbasis::seq::Seq;
 use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxwire::tcp::{TcpFlags, TcpHeader, TcpSegment};
@@ -273,7 +273,7 @@ pub fn retransmit_lost<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, now
     while let Some(seg) = next_lost(&core.tcb).copied() {
         let tcb = &mut core.tcb;
         let r = tcb.recovery.as_mut().expect("next_lost found an episode");
-        if seg.seq != tcb.snd_una && seg.end().since(tcb.snd_una) > tcb.cwnd.max(tcb.mss) {
+        if seg.seq != tcb.snd_una && seg.end().since(tcb.snd_una) > tcb.cc.cwnd().max(tcb.mss) {
             return;
         }
         r.high_rxt = seg.end();
@@ -365,7 +365,7 @@ pub fn retransmit_and_rearm<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>
 
 /// Records a freshly transmitted segment in the retransmission queue and
 /// starts the RTT clock if idle.
-pub fn record_sent<P>(tcb: &mut crate::tcb::Tcb<P>, seg: SentSegment, now: VirtualTime) {
+pub fn record_sent<P>(tcb: &mut Tcb<P>, seg: SentSegment, now: VirtualTime) {
     if tcb.rtt.timing.is_none() && seg.seq_len() > 0 {
         tcb.rtt.timing = Some((seg.end(), now));
     }
@@ -379,7 +379,8 @@ pub fn record_sent<P>(tcb: &mut crate::tcb::Tcb<P>, seg: SentSegment, now: Virtu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tcb::{TcpState, INITIAL_RTO};
+    use crate::data::tcb::INITIAL_RTO;
+    use crate::TcpState;
     use foxbasis::buf::BufPool;
 
     fn cfg() -> TcpConfig {
@@ -389,7 +390,7 @@ mod tests {
     fn core_with_flight() -> ConnCore<u32> {
         let mut core: ConnCore<u32> = ConnCore::new(&cfg(), 1000, Seq(100), 1460, BufPool::new());
         core.remote = Some((9, 2000));
-        core.state = TcpState::Estab;
+        core.state.force(TcpState::Estab);
         core.tcb.mss = 1000;
         core.tcb.snd_wnd = 8000;
         // 3000 bytes in the buffer, all sent as three 1000-byte segments.
@@ -566,11 +567,10 @@ mod tests {
     #[test]
     fn timeout_shrinks_congestion_window() {
         let mut core = core_with_flight();
-        core.tcb.cwnd = 8000;
-        core.tcb.ssthresh = u32::MAX;
+        core.tcb.cc.set_cwnd(8000);
         rto(&mut core, 1000);
-        assert_eq!(core.tcb.cwnd, 1000, "back to one MSS");
-        assert_eq!(core.tcb.ssthresh, 2000, "half the flight, floored at 2·MSS");
+        assert_eq!(core.tcb.cc.cwnd(), 1000, "back to one MSS");
+        assert_eq!(core.tcb.cc.ssthresh(), 2000, "half the flight, floored at 2·MSS");
     }
 
     #[test]
@@ -586,8 +586,7 @@ mod tests {
     #[test]
     fn three_duplicate_acks_fast_retransmit() {
         let mut core = core_with_flight();
-        core.tcb.cwnd = 6000;
-        core.tcb.ssthresh = u32::MAX;
+        core.tcb.cc.set_cwnd(6000);
         let now = VirtualTime::from_millis(10);
         duplicate_ack(&cfg(), &mut core, now);
         duplicate_ack(&cfg(), &mut core, now);
@@ -598,21 +597,20 @@ mod tests {
             acts.iter().any(|a| a.starts_with("Send_Segment(seq=100")),
             "fast retransmit of the first segment: {acts:?}"
         );
-        assert_eq!(core.tcb.ssthresh, 2000);
+        assert_eq!(core.tcb.cc.ssthresh(), 2000);
     }
 
     #[test]
     fn fast_recovery_entry_inflates_cwnd_by_three() {
         let mut core = core_with_flight();
-        core.tcb.cwnd = 6000;
-        core.tcb.ssthresh = u32::MAX;
+        core.tcb.cc.set_cwnd(6000);
         let now = VirtualTime::from_millis(10);
         for _ in 0..3 {
             duplicate_ack(&cfg(), &mut core, now);
         }
         // flight 3000 → ssthresh 2000; cwnd = ssthresh + 3·MSS.
-        assert_eq!(core.tcb.ssthresh, 2000);
-        assert_eq!(core.tcb.cwnd, 5000);
+        assert_eq!(core.tcb.cc.ssthresh(), 2000);
+        assert_eq!(core.tcb.cc.cwnd(), 5000);
         let r = core.tcb.recovery.expect("in recovery");
         assert_eq!((r.recover, r.by_rto), (Seq(3100), false), "recovery point is snd_nxt");
         assert_eq!(r.high_rxt, Seq(1100), "the front segment went out");
@@ -624,8 +622,7 @@ mod tests {
     #[test]
     fn further_duplicates_inflate_and_send_new_data() {
         let mut core = core_with_flight();
-        core.tcb.cwnd = 6000;
-        core.tcb.ssthresh = u32::MAX;
+        core.tcb.cc.set_cwnd(6000);
         // 2000 more bytes staged but unsent.
         core.tcb.send_buf.write(&[0xBB; 2000]);
         let now = VirtualTime::from_millis(10);
@@ -637,7 +634,7 @@ mod tests {
         // window (min(snd_wnd, cwnd) − flight = 3000) now admits the
         // staged data.
         duplicate_ack(&cfg(), &mut core, now);
-        assert_eq!(core.tcb.cwnd, 6000);
+        assert_eq!(core.tcb.cc.cwnd(), 6000);
         let acts = drain(&mut core);
         assert!(
             acts.iter().any(|a| a.starts_with("Send_Segment(seq=3100")),
@@ -649,8 +646,7 @@ mod tests {
     #[test]
     fn full_recovery_ack_deflates_to_ssthresh() {
         let mut core = core_with_flight();
-        core.tcb.cwnd = 6000;
-        core.tcb.ssthresh = u32::MAX;
+        core.tcb.cc.set_cwnd(6000);
         let now = VirtualTime::from_millis(10);
         for _ in 0..4 {
             duplicate_ack(&cfg(), &mut core, now);
@@ -659,7 +655,7 @@ mod tests {
         // ACK covering the recovery point (3100) ends recovery.
         process_ack(&cfg(), &mut core, Seq(3100), VirtualTime::from_millis(50));
         assert_eq!(core.tcb.recovery, None);
-        assert_eq!(core.tcb.cwnd, 2000, "deflated to ssthresh, not left inflated");
+        assert_eq!(core.tcb.cc.cwnd(), 2000, "deflated to ssthresh, not left inflated");
         let acts = drain(&mut core);
         assert!(acts.iter().any(|a| a == "Loss(RecoveryExited)"), "{acts:?}");
     }
@@ -667,8 +663,7 @@ mod tests {
     #[test]
     fn partial_ack_retransmits_next_hole_and_stays_in_recovery() {
         let mut core = core_with_flight();
-        core.tcb.cwnd = 6000;
-        core.tcb.ssthresh = u32::MAX;
+        core.tcb.cc.set_cwnd(6000);
         let now = VirtualTime::from_millis(10);
         for _ in 0..3 {
             duplicate_ack(&cfg(), &mut core, now);
@@ -678,7 +673,7 @@ mod tests {
         process_ack(&cfg(), &mut core, Seq(1100), VirtualTime::from_millis(50));
         assert_eq!(core.tcb.recovery.map(|r| r.recover), Some(Seq(3100)), "partial ACK keeps recovery open");
         // Deflate by the 1000 acked, add one MSS back: 5000 net.
-        assert_eq!(core.tcb.cwnd, 5000);
+        assert_eq!(core.tcb.cc.cwnd(), 5000);
         let acts = drain(&mut core);
         assert!(acts.iter().any(|a| a == "Loss(PartialAck)"), "{acts:?}");
         assert!(
@@ -690,8 +685,7 @@ mod tests {
     #[test]
     fn recovery_rearms_after_exit() {
         let mut core = core_with_flight();
-        core.tcb.cwnd = 6000;
-        core.tcb.ssthresh = u32::MAX;
+        core.tcb.cc.set_cwnd(6000);
         let now = VirtualTime::from_millis(10);
         for _ in 0..5 {
             duplicate_ack(&cfg(), &mut core, now); // well past three
@@ -724,8 +718,7 @@ mod tests {
     #[test]
     fn rto_abandons_fast_recovery_for_its_own_episode() {
         let mut core = core_with_flight();
-        core.tcb.cwnd = 6000;
-        core.tcb.ssthresh = u32::MAX;
+        core.tcb.cc.set_cwnd(6000);
         let now = VirtualTime::from_millis(10);
         for _ in 0..3 {
             duplicate_ack(&cfg(), &mut core, now);
@@ -738,7 +731,7 @@ mod tests {
             Some(Recovery { recover: Seq(3100), high_rxt: Seq(1100), by_rto: true }),
             "everything outstanding is presumed lost, and the front segment has gone out"
         );
-        assert_eq!(core.tcb.cwnd, 1000, "slow start owns the window after an RTO");
+        assert_eq!(core.tcb.cc.cwnd(), 1000, "slow start owns the window after an RTO");
         let acts = drain(&mut core);
         assert!(acts.iter().any(|a| a == "Loss(Rto)"), "{acts:?}");
         assert_eq!(acts.iter().filter(|a| a.starts_with("Send_Segment")).count(), 1, "{acts:?}");
@@ -772,7 +765,7 @@ mod tests {
         }
         core.tcb.snd_nxt = Seq(100 + n * 1000);
         core.tcb.snd_wnd = 64_000;
-        core.tcb.cwnd = 16_000;
+        core.tcb.cc.set_cwnd(16_000);
         core
     }
 
@@ -816,12 +809,16 @@ mod tests {
         let mut core = core_with_segments(8);
         rto(&mut core, 1000);
         core.tcb.to_do.clear();
-        let (cwnd, ssthresh) = (core.tcb.cwnd, core.tcb.ssthresh);
+        let (cwnd, ssthresh) = (core.tcb.cc.cwnd(), core.tcb.cc.ssthresh());
         for _ in 0..5 {
             duplicate_ack(&cfg(), &mut core, VirtualTime::from_millis(1010));
         }
         assert!(core.tcb.recovery.is_some_and(|r| r.by_rto));
-        assert_eq!((core.tcb.cwnd, core.tcb.ssthresh), (cwnd, ssthresh), "RFC 6582: no second halving");
+        assert_eq!(
+            (core.tcb.cc.cwnd(), core.tcb.cc.ssthresh()),
+            (cwnd, ssthresh),
+            "RFC 6582: no second halving"
+        );
         let acts = drain(&mut core);
         assert!(!acts.iter().any(|a| a.starts_with("Loss(") || a.starts_with("Send_Segment")), "{acts:?}");
     }

@@ -9,7 +9,7 @@
 
 use crate::action::{LossEvent, TcpAction, TimerKind};
 use crate::data::resend;
-use crate::tcb::SentSegment;
+use crate::data::tcb::SentSegment;
 use crate::{ConnCore, TcpConfig};
 use foxbasis::buf::{BufPool, PacketBuf, DEFAULT_HEADROOM};
 use foxbasis::seq::Seq;
@@ -222,7 +222,7 @@ pub fn window_probe<P: Clone + PartialEq + Debug>(
     // ACK the probe byte, and that ACK resets `rtt.backoff` in
     // `process_ack` — which used to pin the probe interval at its base
     // value forever. The persist exponent only resets when the window
-    // actually opens (`receive::update_send_window`).
+    // actually opens (`transfer::update_send_window`).
     core.tcb.persist_backoff = (core.tcb.persist_backoff + 1).min(6);
     core.tcb.push_action(TcpAction::Loss(LossEvent::Probe));
     let next = core.tcb.persist_timeout().as_millis();
@@ -249,14 +249,14 @@ pub fn reset_for(pool: &BufPool, local_port: u16, seg: &TcpSegment) -> TcpSegmen
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tcb::TcpState;
     use crate::testlink::no_nagle;
+    use crate::TcpState;
 
     fn estab_core(wnd: u32) -> ConnCore<u32> {
         let cfg = TcpConfig::default();
         let mut core: ConnCore<u32> = ConnCore::new(&cfg, 1000, Seq(100), 1460, BufPool::new());
         core.remote = Some((7, 2000));
-        core.state = TcpState::Estab;
+        core.state.force(TcpState::Estab);
         core.tcb.mss = 1000;
         core.tcb.snd_wnd = wnd;
         core.tcb.rcv_nxt = Seq(5000);
@@ -333,7 +333,7 @@ mod tests {
     fn send_respects_congestion_window() {
         let cfg = no_nagle();
         let mut core = estab_core(60_000);
-        core.tcb.cwnd = 2000;
+        core.tcb.cc.set_cwnd(2000);
         user_send(&cfg, &mut core, &[1u8; 8000], VirtualTime::ZERO);
         let segs = staged_segments(&mut core);
         let sent: usize = segs.iter().map(|s| s.payload.len()).sum();
@@ -387,6 +387,20 @@ mod tests {
         assert_eq!(core.tcb.snd_nxt, Seq(101));
     }
 
+    /// Why `Tcb::check_invariants` does not assert `snd_nxt ≤ snd_una +
+    /// snd_wnd`: a probe sends past a closed window on purpose, and every
+    /// relation that *is* asserted still holds.
+    #[test]
+    fn a_window_probe_sends_past_the_window() {
+        let cfg = no_nagle();
+        let mut core = estab_core(0);
+        user_send(&cfg, &mut core, b"probe-me", VirtualTime::ZERO);
+        window_probe(&cfg, &mut core, VirtualTime::from_millis(500));
+        let tcb = &core.tcb;
+        assert!(tcb.snd_nxt.since(tcb.snd_una) > tcb.snd_wnd, "{tcb:?}");
+        tcb.check_invariants();
+    }
+
     #[test]
     fn persist_backoff_survives_probe_acks() {
         // Regression: the probe interval used to ride on `rtt.backoff`,
@@ -427,7 +441,7 @@ mod tests {
             window_probe(&cfg, &mut core, VirtualTime::from_millis(500));
         }
         assert_eq!(core.tcb.persist_backoff, 3);
-        core.tcb.persist_backoff = 0; // what receive::update_send_window does
+        core.tcb.persist_backoff = 0; // what transfer::update_send_window does
         assert_eq!(core.tcb.persist_timeout(), core.tcb.rtt.rto, "back to the base interval");
     }
 
@@ -485,7 +499,7 @@ mod tests {
         let cfg = TcpConfig::default();
         let mut core: ConnCore<u32> = ConnCore::new(&cfg, 1000, Seq(100), 1460, BufPool::new());
         core.remote = Some((7, 2000));
-        core.state = TcpState::SynSent { retries_left: 3 };
+        core.state.force(TcpState::SynSent { retries_left: 3 });
         queue_syn(&mut core, false, VirtualTime::ZERO);
         let segs = staged_segments(&mut core);
         assert_eq!(segs.len(), 1);
@@ -506,7 +520,7 @@ mod tests {
         let cfg = TcpConfig::default();
         let mut core: ConnCore<u32> = ConnCore::new(&cfg, 1000, Seq(100), 1460, BufPool::new());
         core.remote = Some((7, 2000));
-        core.state = TcpState::SynSent { retries_left: 3 };
+        core.state.force(TcpState::SynSent { retries_left: 3 });
         queue_syn(&mut core, false, VirtualTime::ZERO);
         core.tcb.send_buf.write(b"early data");
         assert_eq!(stage(&core, Seq(101), 5), b"early");
@@ -528,7 +542,7 @@ mod tests {
         };
         let mut core: ConnCore<u32> = ConnCore::new(&cfg, 1000, Seq(100), 1460, BufPool::new());
         core.remote = Some((7, 2000));
-        core.state = TcpState::SynSent { retries_left: 3 };
+        core.state.force(TcpState::SynSent { retries_left: 3 });
         queue_syn(&mut core, false, VirtualTime::from_millis(250));
         let segs = staged_segments(&mut core);
         let h = &segs[0].header;
@@ -536,13 +550,13 @@ mod tests {
         assert_eq!(h.wscale(), Some(5), "offers the shift covering a 1 MiB buffer");
         assert!(h.sack_permitted());
         assert_eq!(h.timestamps(), Some((250, 0)), "TSecr is zero on the initial SYN");
-        assert_eq!(h.window, 0xffff, "a SYN window is never scaled");
+        assert_eq!(u32::from(h.window), 0xffff, "a SYN window is never scaled");
 
         // A SYN+ACK echoes only what was negotiated: here the peer
         // offered nothing, so nothing is echoed even though we offer.
         let mut core: ConnCore<u32> = ConnCore::new(&cfg, 1000, Seq(100), 1460, BufPool::new());
         core.remote = Some((7, 2000));
-        core.state = TcpState::SynPassive { retries_left: 3 };
+        core.state.force(TcpState::SynPassive { retries_left: 3 });
         queue_syn(&mut core, true, VirtualTime::ZERO);
         let segs = staged_segments(&mut core);
         let h = &segs[0].header;
@@ -573,7 +587,7 @@ mod tests {
         queue_ack(&mut core, VirtualTime::ZERO);
         let segs = staged_segments(&mut core);
         assert_eq!(segs[0].header.ack, Seq(9999));
-        assert_eq!(segs[0].header.window, 4096);
+        assert_eq!(u32::from(segs[0].header.window), 4096);
         assert!(segs[0].payload.is_empty());
     }
 
@@ -602,7 +616,7 @@ mod tests {
         let cfg = TcpConfig { send_buffer: 100, nagle: false, ..TcpConfig::default() };
         let mut core: ConnCore<u32> = ConnCore::new(&cfg, 1, Seq(0), 1460, BufPool::new());
         core.remote = Some((7, 2));
-        core.state = TcpState::Estab;
+        core.state.force(TcpState::Estab);
         core.tcb.mss = 1000;
         core.tcb.snd_wnd = 0; // nothing drains
         assert_eq!(user_send(&cfg, &mut core, &[1; 60], VirtualTime::ZERO), 60);

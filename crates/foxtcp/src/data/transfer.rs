@@ -5,8 +5,8 @@
 //! every `TcpState` write; the checks that move sequence numbers,
 //! windows, and bytes — PAWS/timestamps, sequence acceptability, the
 //! send-window update rule, text processing, urgent pointers — live
-//! here, where the `field_owner` lint's sequence-space rule permits
-//! them. The two halves communicate narrowly:
+//! here, inside [`crate::data`], the only place the TCB's sequence
+//! space can be written. The two halves communicate narrowly:
 //!
 //! * control hands data an [`EstablishedHandle`] (minted next to the
 //!   `TcpState::Estab` write, nowhere else) to run [`establish`], the
@@ -28,9 +28,8 @@
 
 use crate::action::{TcpAction, TimerKind};
 use crate::control::EstablishedHandle;
-use crate::data::{congestion, send};
-use crate::tcb::TcpState;
-use crate::{ConnCore, TcpConfig};
+use crate::data::send;
+use crate::{congestion, ConnCore, TcpConfig, TcpState};
 use foxbasis::seq::Seq;
 use foxbasis::time::VirtualTime;
 use foxwire::tcp::{TcpHeader, TcpSegment};
@@ -328,7 +327,7 @@ pub(crate) fn consume_fin<P: Clone + PartialEq + Debug>(
 
 /// Initial congestion window: one MSS (Jacobson's 1988 slow start, as
 /// 1994 practice had it). The write happens behind the
-/// [`crate::data::congestion::CongestionControl`] seam.
+/// [`crate::congestion::CongestionControl`] seam.
 pub(crate) fn init_cwnd<P: Clone + PartialEq + Debug>(cfg: &TcpConfig, core: &mut ConnCore<P>) {
     if cfg.congestion_control {
         congestion::init(&mut core.tcb);

@@ -21,8 +21,7 @@ use crate::control::segment::{self, ListenVerdict};
 use crate::control::state;
 use crate::data::{fastpath, send};
 use crate::demux::{Demux, DemuxStats};
-use crate::tcb::TcpState;
-use crate::{ConnCore, TcpConfig};
+use crate::{ConnCore, TcpConfig, TcpState};
 use fox_scheduler::SchedHandle;
 use foxbasis::buf::{copy_mark, BufPool};
 use foxbasis::fifo::Fifo;
@@ -109,12 +108,8 @@ pub struct TcpStats {
     pub rsts_sent: u64,
     /// Segments that arrived out of order.
     pub out_of_order: u64,
-    /// Pure ACKs transmitted.
-    pub acks_sent: u64,
     /// Actions executed through to_do queues.
     pub actions_executed: u64,
-    /// Timers armed.
-    pub timers_set: u64,
     /// Fast retransmissions (three duplicate ACKs, no timer).
     pub fast_retransmits: u64,
     /// Fast-recovery episodes entered (Reno/NewReno).
@@ -398,9 +393,9 @@ where
         Some(ConnMetrics {
             srtt_us: tcb.rtt.srtt.map(|d| d.as_micros()),
             rto_us: tcb.rtt.rto.as_micros(),
-            cwnd: tcb.cwnd,
-            ssthresh: tcb.ssthresh,
-            snd_wnd: tcb.snd_wnd,
+            cwnd: tcb.cc.cwnd(),
+            ssthresh: tcb.cc.ssthresh(),
+            snd_wnd: tcb.snd_wnd(),
             bytes_in_flight: tcb.flight_size(),
             fastpath_hits: self.stats.fastpath_hits,
             fastpath_misses: self.stats.fastpath_misses,
@@ -426,7 +421,7 @@ where
 
     /// The connection's current state, if it still exists.
     pub fn state_of(&self, conn: TcpConnId) -> Option<TcpState> {
-        self.core_of(conn).map(|core| core.state.clone())
+        self.core_of(conn).map(|core| TcpState::clone(&core.state))
     }
 
     /// Free space in the connection's send buffer.
@@ -468,7 +463,7 @@ where
         let i = self.conns.slot_of(conn.0).ok_or(ProtoError::NotOpen)?;
         {
             let core = &mut self.conns[i].core;
-            match core.state {
+            match *core.state {
                 TcpState::Closed => return Err(ProtoError::NotOpen),
                 TcpState::Listen { .. } => return Err(ProtoError::Invalid("send on listener")),
                 ref s
@@ -713,9 +708,6 @@ where
                 wnd: u32::from(wnd),
             });
         }
-        if len == 0 && !flags.syn && !flags.fin {
-            self.stats.acks_sent += 1;
-        }
         if flags.rst {
             self.stats.rsts_sent += 1;
         }
@@ -733,7 +725,6 @@ where
     /// never by touching state.
     fn set_timer(&mut self, idx: usize, kind: TimerKind, ms: u64) {
         self.clear_timer(idx, kind);
-        self.stats.timers_set += 1;
         self.obs.emit(self.sched.now(), self.conns[idx].id, || Event::TimerSet {
             timer: kind.name(),
             after_ms: ms,
@@ -808,7 +799,7 @@ where
                         self.stats.fastpath_hits += 1;
                     } else {
                         self.stats.fastpath_misses += 1;
-                        if seg.header.seq != self.conns[idx].core.tcb.rcv_nxt && !seg.payload.is_empty() {
+                        if seg.header.seq != self.conns[idx].core.tcb.rcv_nxt() && !seg.payload.is_empty() {
                             self.stats.out_of_order += 1;
                         }
                         let disposition = {
@@ -853,7 +844,7 @@ where
                     self.deliver(idx, TcpEvent::NewConnection(TcpConnId(child)))
                 }
                 TcpAction::UrgentData(up) => {
-                    let offset = up.since(self.conns[idx].core.tcb.irs);
+                    let offset = up.since(self.conns[idx].core.tcb.irs());
                     self.deliver(idx, TcpEvent::Urgent(offset));
                 }
                 TcpAction::AckedTo(_) => {}
@@ -952,7 +943,7 @@ where
                     // The verify closure above only accepts Listen, but
                     // stay total on the rx path: treat anything else as
                     // a vanished listener and drop the SYN.
-                    let TcpState::Listen { backlog } = self.conns[lidx].core.state else {
+                    let TcpState::Listen { backlog } = *self.conns[lidx].core.state else {
                         return;
                     };
                     // The backlog is a real bounded accept queue: the

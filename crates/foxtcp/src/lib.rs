@@ -6,7 +6,7 @@
 //!
 //! | paper module | here          | job |
 //! |--------------|---------------|-----|
-//! | `Tcb`        | [`tcb`]       | the TCB record and `tcp_state` datatype (Fig. 6) |
+//! | `Tcb`        | [`data::tcb`] + [`control::fsm`] | the TCB record (Fig. 6) and, with the state machine, the `tcp_state` datatype |
 //! | `Main`       | [`engine`]    | the quasi-synchronous executor and user operations |
 //! | `State`      | [`control::state`] | open/close/abort and timer-expiration state manipulations |
 //! | `Receive`    | [`control::segment`] + [`data::transfer`] | RFC 793 SEGMENT-ARRIVES, branch for branch, functions as merge points |
@@ -18,11 +18,12 @@
 //! On top of the paper's decomposition, the modules are grouped by
 //! *which half of TCP they implement*: [`control`] owns the connection
 //! lifecycle (every [`TcpState`] write), [`data`] owns byte transfer
-//! (every sequence/window/congestion write), and the two communicate
-//! only through the narrow seams in [`data::transfer`]. The `field_owner`
-//! foxlint rule enforces the split mechanically, and [`socket`] exposes
-//! it to users as a typestate API where illegal operations (sending on
-//! a listener) fail to compile.
+//! (every sequence/window write), [`congestion`] owns the congestion
+//! windows, and the halves communicate only through the narrow seams in
+//! [`data::transfer`]. Module privacy and types enforce the split — the
+//! compiler rejects a write outside its owner (DESIGN.md §5.8) — and
+//! [`socket`] exposes it to users as a typestate API where illegal
+//! operations (sending on a listener) fail to compile.
 //!
 //! The control structure is the paper's Fig. 7: timer expirations and
 //! message receptions are asynchronous, but each merely *enqueues* a
@@ -40,24 +41,23 @@
 #![deny(clippy::allow_attributes_without_reason)]
 
 pub mod action;
+pub mod congestion;
 pub mod control;
 pub mod data;
 pub mod demux;
 pub mod engine;
 pub mod socket;
-pub mod tcb;
 pub mod testlink;
 
 pub use action::{LossEvent, TcpAction, TimerKind};
-pub use data::congestion::CcAlg;
+pub use congestion::CcAlg;
+pub use control::fsm::TcpState;
+pub use data::tcb::Tcb;
 pub use demux::{Demux, DemuxStats};
 pub use engine::{Tcp, TcpConnId, TcpEvent, TcpPattern, TcpStats};
 pub use socket::{ConnectingSocket, EstablishedSocket, ListeningSocket};
-pub use tcb::{Tcb, TcpState};
 
 use foxbasis::buf::BufPool;
-use foxbasis::seq::Seq;
-use tcb::Tcb as TcbT;
 
 /// The value parameters of the TCP functor (paper Fig. 4).
 #[derive(Clone, Debug)]
@@ -108,9 +108,9 @@ pub struct TcpConfig {
     pub congestion_control: bool,
     /// Which algorithm owns `cwnd`/`ssthresh` when `congestion_control`
     /// is on. Reno is the paper-era default; every write goes through
-    /// the [`data::congestion::CongestionControl`] trait either way (the
-    /// `field_owner` foxlint rule enforces that the seam is the only
-    /// writer).
+    /// the [`congestion::CongestionControl`] trait either way (the
+    /// windows are private to [`congestion::Cc`], so the seam is the
+    /// only possible writer).
     pub congestion_algorithm: CcAlg,
     /// Offer RFC 7323 window scaling on our SYN. Scaling only turns on
     /// when both sides offer it; otherwise windows stay 16-bit exactly
@@ -172,16 +172,18 @@ impl TcpConfig {
 /// on: everything about a connection *except* the engine-side plumbing
 /// (user handler, timer handles). Module-level tests construct one of
 /// these, apply one operation, and compare the TCB against the standard
-/// — the paper's test structure.
+/// — the paper's test structure. [`ConnCore::new`] (in
+/// [`control::fsm`]) is the only way to make one.
 pub struct ConnCore<P> {
     /// Our port.
     pub local_port: u16,
     /// Peer address and port (`None` while listening).
     pub remote: Option<(P, u16)>,
-    /// The connection state.
-    pub state: TcpState,
+    /// The connection state: read anywhere, changed only by
+    /// [`control::fsm`].
+    pub state: control::fsm::State,
     /// The transmission control block.
-    pub tcb: TcbT<P>,
+    pub tcb: Tcb<P>,
     /// The MSS we advertise on SYNs (from the aux structure's MTU).
     pub our_mss: u32,
     /// The engine's buffer pool, a handle on the one every connection
@@ -189,21 +191,4 @@ pub struct ConnCore<P> {
     /// staged in a block from it. Kept beside the TCB, not in it, so
     /// that the TCB stays plain data.
     pub pool: BufPool,
-}
-
-impl<P: Clone + PartialEq + std::fmt::Debug> ConnCore<P> {
-    /// A fresh closed connection core, staging its segments in `pool`.
-    pub fn new(cfg: &TcpConfig, local_port: u16, iss: Seq, our_mss: u32, pool: BufPool) -> ConnCore<P> {
-        let mut tcb = TcbT::new(iss, cfg.send_buffer, cfg.initial_window);
-        // The options we will offer at SYN time (each only turns on if
-        // the peer offers it back; see `receive`).
-        tcb.offer_wscale = cfg.window_scale;
-        tcb.offer_sack = cfg.sack;
-        tcb.offer_ts = cfg.timestamps;
-        if cfg.window_scale {
-            tcb.rcv_wscale = tcb::wscale_for(cfg.initial_window);
-        }
-        tcb.cc = data::congestion::CcMachine::new(cfg.congestion_algorithm);
-        ConnCore { local_port, remote: None, state: TcpState::Closed, tcb, our_mss, pool }
-    }
 }

@@ -45,7 +45,7 @@
 //! (and tests) that need to poke at the raw lifecycle.
 
 use crate::engine::{Tcp, TcpConnId, TcpEvent, TcpPattern};
-use crate::tcb::TcpState;
+use crate::TcpState;
 use foxproto::aux::IpAux;
 use foxproto::{Handler, ProtoError, Protocol};
 

@@ -34,7 +34,7 @@ use foxtcp::testlink::{LinkPair, Pair, TestAux, TestLower};
 use foxtcp::{
     ConnectingSocket, EstablishedSocket, ListeningSocket, Tcp, TcpConfig, TcpConnId, TcpEvent, TcpState,
 };
-use foxwire::tcp::{TcpFlags, TcpHeader, TcpSegment};
+use foxwire::tcp::{wire_window, TcpFlags, TcpHeader, TcpSegment};
 use simnet::HostHandle;
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -483,7 +483,7 @@ impl Harness {
         h.seq = Seq(seq);
         h.ack = Seq(ack);
         h.flags = flags;
-        h.window = 4096;
+        h.window = wire_window(4096, 0);
         let seg = TcpSegment { header: h, payload: foxbasis::buf::PacketBuf::new() };
         let buf = seg.encode_buf(None).unwrap();
         self.lower.send(0, 1, buf).unwrap();
@@ -1621,7 +1621,7 @@ impl FloodPeer {
         h.seq = Seq(seq);
         h.ack = Seq(ack);
         h.flags = flags;
-        h.window = 4096;
+        h.window = wire_window(4096, 0);
         let seg = TcpSegment { header: h, payload: foxbasis::buf::PacketBuf::new() };
         self.lower.send(0, 1, seg.encode_buf(None).unwrap()).unwrap();
     }

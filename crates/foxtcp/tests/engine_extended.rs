@@ -137,8 +137,8 @@ fn urgent_test_filter_decodes_what_engine_encodes() {
     let mut h = TcpHeader::new(1, 2);
     h.flags = TcpFlags::ACK;
     let seg = TcpSegment { header: h, payload: b"xyz"[..].into() };
-    let bytes = seg.clone().encode_buf(None).unwrap().to_vec();
-    assert_eq!(TcpSegment::decode(&bytes, None).unwrap(), seg);
+    let bytes = seg.clone().encode_buf(None).unwrap();
+    assert_eq!(TcpSegment::decode_buf(&bytes, None).unwrap(), seg);
 }
 
 /// TCP's half-close semantics: after the peer FINs, our side may keep

@@ -9,7 +9,7 @@ use foxbasis::buf::PacketBuf;
 use foxbasis::seq::Seq;
 use foxbasis::time::VirtualDuration;
 use foxproto::Protocol;
-use foxtcp::tcb::MAX_OUT_OF_ORDER;
+use foxtcp::data::tcb::MAX_OUT_OF_ORDER;
 use foxtcp::testlink::Pair;
 use foxtcp::{TcpConfig, TcpConnId};
 use foxwire::tcp::{TcpOption, TcpSegment};
@@ -102,7 +102,7 @@ fn inject(p: &Pair, from: u8, seg: &TcpSegment) {
 fn the_receiver_keeps_what_its_window_promised() {
     let mut p = Pair::new(wide(), wide());
     let (client, child, streamed) = warmed_up(&mut p, 70);
-    let hole = p.a.core_of(client).unwrap().tcb.snd_nxt;
+    let hole = p.a.core_of(client).unwrap().tcb.snd_nxt();
     let blocked = Rc::new(Cell::new(true));
     let still_blocked = blocked.clone();
     let sends = tap_toward_b(&p, move |seq| seq == hole && still_blocked.get());
@@ -137,7 +137,7 @@ fn the_receiver_keeps_what_its_window_promised() {
 fn a_timeout_resends_the_old_flight_under_slow_start() {
     let mut p = Pair::new(wide(), wide());
     let (client, child, streamed) = warmed_up(&mut p, 40);
-    let base = p.a.core_of(client).unwrap().tcb.snd_nxt;
+    let base = p.a.core_of(client).unwrap().tcb.snd_nxt();
     // Segments 20..=30 are lost; 31 arrives, out of order.
     let lossy = Rc::new(Cell::new(true));
     let (still_lossy, acks_lost) = (lossy.clone(), lossy.clone());
@@ -148,7 +148,7 @@ fn a_timeout_resends_the_old_flight_under_slow_start() {
     let payload = pattern(32 * MSS as usize);
     assert_eq!(p.a.send_data(client, &payload).unwrap(), payload.len());
     p.settle();
-    assert_eq!(p.a.core_of(client).unwrap().tcb.snd_una, base, "no ACK came back");
+    assert_eq!(p.a.core_of(client).unwrap().tcb.snd_una(), base, "no ACK came back");
     let rto_fires = p.a.stats().rto_fires;
 
     // The link heals and the retransmission timer (one second: the RTT
@@ -172,7 +172,7 @@ fn a_timeout_resends_the_old_flight_under_slow_start() {
     assert_eq!(p.a.stats().recoveries, 0, "none of it was fast recovery");
     assert_eq!(sends.borrow()[&(base + 31 * MSS).0], 1, "the SACKed last segment is never resent");
     assert_eq!(p.data_of(1, child)[streamed.len()..], payload[..]);
-    assert!(p.a.core_of(client).unwrap().tcb.recovery.is_none(), "the episode is over");
+    assert!(p.a.core_of(client).unwrap().tcb.recovery().is_none(), "the episode is over");
 }
 
 /// (iii) After a timeout, duplicate ACKs for data below the recovery
@@ -188,7 +188,7 @@ fn duplicates_after_a_timeout_enter_no_fast_recovery() {
     p.a.send_data(client, b"x").unwrap();
     p.settle();
     let ack = TcpSegment::decode_buf(last_ack.borrow().as_ref().expect("b acknowledged"), None).unwrap();
-    assert_eq!(ack.header.ack, p.a.core_of(client).unwrap().tcb.snd_nxt);
+    assert_eq!(ack.header.ack, p.a.core_of(client).unwrap().tcb.snd_nxt());
 
     p.link.set_filter_toward(1, Box::new(|_| false));
     p.a.send_data(client, &pattern(8 * MSS as usize)).unwrap();
@@ -199,8 +199,8 @@ fn duplicates_after_a_timeout_enter_no_fast_recovery() {
     assert_eq!(after_rto.rto_fires, 1);
     let (cwnd, ssthresh) = {
         let tcb = &p.a.core_of(client).unwrap().tcb;
-        assert!(tcb.recovery.is_some_and(|r| r.by_rto));
-        (tcb.cwnd, tcb.ssthresh)
+        assert!(tcb.recovery().is_some_and(|r| r.by_rto));
+        (tcb.cc.cwnd(), tcb.cc.ssthresh())
     };
 
     for _ in 0..5 {
@@ -212,8 +212,8 @@ fn duplicates_after_a_timeout_enter_no_fast_recovery() {
     assert_eq!(stats.fast_retransmits, after_rto.fast_retransmits);
     assert_eq!(stats.segments_sent, after_rto.segments_sent, "and nothing was sent on their account");
     let tcb = &p.a.core_of(client).unwrap().tcb;
-    assert_eq!(tcb.dup_acks, 5, "they were duplicates");
-    assert_eq!((tcb.cwnd, tcb.ssthresh), (cwnd, ssthresh));
+    assert_eq!(tcb.dup_acks(), 5, "they were duplicates");
+    assert_eq!((tcb.cc.cwnd(), tcb.cc.ssthresh()), (cwnd, ssthresh));
 }
 
 /// (iv) During fast recovery, a pure ACK of new data whose window field
@@ -223,14 +223,14 @@ fn duplicates_after_a_timeout_enter_no_fast_recovery() {
 fn a_partial_ack_with_sack_blocks_reaches_the_scoreboard() {
     let mut p = Pair::new(wide(), wide());
     let (client, _child, _) = warmed_up(&mut p, 16);
-    let base = p.a.core_of(client).unwrap().tcb.snd_nxt;
+    let base = p.a.core_of(client).unwrap().tcb.snd_nxt();
     // Segments 0 and 5 of the next flight never arrive.
     tap_toward_b(&p, move |seq| [0, 5 * MSS].contains(&seq.since(base)));
     let last_ack = tap_toward_a(&p, Rc::new(Cell::new(false)));
     p.a.send_data(client, &pattern(10 * MSS as usize)).unwrap();
     p.settle();
     let tcb = &p.a.core_of(client).unwrap().tcb;
-    assert!(tcb.recovery.is_some_and(|r| !r.by_rto), "three duplicates entered fast recovery");
+    assert!(tcb.recovery().is_some_and(|r| !r.by_rto), "three duplicates entered fast recovery");
     let segment_5 = (base + 5 * MSS, base + 6 * MSS);
     assert!(!tcb.sacked(segment_5.0, segment_5.1));
 
@@ -246,8 +246,8 @@ fn a_partial_ack_with_sack_blocks_reaches_the_scoreboard() {
     p.settle();
 
     let tcb = &p.a.core_of(client).unwrap().tcb;
-    assert_eq!(tcb.snd_una, base + MSS, "it was a partial ACK");
-    assert!(tcb.recovery.is_some(), "below the recovery point");
+    assert_eq!(tcb.snd_una(), base + MSS, "it was a partial ACK");
+    assert!(tcb.recovery().is_some(), "below the recovery point");
     assert!(tcb.sacked(segment_5.0, segment_5.1), "and its SACK block was read");
     assert_eq!(tcb.sack_scoreboard, [(base + MSS, base + 10 * MSS)]);
 }
@@ -272,7 +272,7 @@ fn one_byte_segments_cannot_outgrow_the_reassembly_queue() {
     p.a.send_data(client, b"x").unwrap();
     p.settle();
     let mut seg = TcpSegment::decode_buf(last_data.borrow().as_ref().unwrap(), None).unwrap();
-    let rcv_nxt = p.b.core_of(child).unwrap().tcb.rcv_nxt;
+    let rcv_nxt = p.b.core_of(child).unwrap().tcb.rcv_nxt();
 
     seg.payload = vec![0x5a].into();
     for i in 0..4096 {
@@ -300,5 +300,5 @@ fn one_byte_segments_cannot_outgrow_the_reassembly_queue() {
     );
     assert_eq!(rx.out_of_order_ranges().len(), MAX_OUT_OF_ORDER, "having only extended the last range");
     rx.check_invariants();
-    assert_eq!(rx.rcv_nxt, rcv_nxt, "none of it was in order");
+    assert_eq!(rx.rcv_nxt(), rcv_nxt, "none of it was in order");
 }

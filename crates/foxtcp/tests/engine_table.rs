@@ -9,8 +9,8 @@
 use foxbasis::obs::{Event, EventSink};
 use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxproto::{ProtoError, Protocol};
-use foxtcp::tcb::TcpState;
 use foxtcp::testlink::{immediate, no_nagle, Engine, Pair};
+use foxtcp::TcpState;
 use foxtcp::{TcpConfig, TcpConnId, TcpEvent, TcpPattern};
 
 /// Three established connections a → b, all to one listener. Returns

@@ -1,145 +1,14 @@
-//! Property-based adversarial tests: arbitrary segments against the
-//! Receive module, and whole-engine transfers over randomly failing
-//! links. The quasi-synchronous design's promise is determinism and
-//! testability; these properties pin down the safety side — no input
-//! sequence may panic the stack or corrupt its invariants.
+//! Property-based adversarial test of the whole engine: transfers over
+//! randomly failing links. The quasi-synchronous design's promise is
+//! determinism and testability; this property pins down the safety side
+//! — no drop pattern may make the stack deliver a byte it should not.
+//! (The receive-DAG properties, which start from states no handshake
+//! reaches, are unit tests in `control::segment_fuzz`.)
 
-use foxbasis::buf::BufPool;
-use foxbasis::seq::Seq;
-use foxbasis::time::VirtualTime;
-use foxtcp::control::segment;
-use foxtcp::tcb::TcpState;
 use foxtcp::testlink::{immediate, Pair};
-use foxtcp::{ConnCore, TcpConfig};
-use foxwire::tcp::{TcpFlags, TcpHeader, TcpSegment};
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::rc::Rc;
-
-#[derive(Debug, Clone)]
-struct ArbSegment {
-    seq: u32,
-    ack: u32,
-    flags: u8,
-    window: u16,
-    payload_len: usize,
-}
-
-fn arb_segment() -> impl Strategy<Value = ArbSegment> {
-    (any::<u32>(), any::<u32>(), 0u8..64, any::<u16>(), 0usize..2000).prop_map(
-        |(seq, ack, flags, window, payload_len)| ArbSegment { seq, ack, flags, window, payload_len },
-    )
-}
-
-/// Segments biased toward the connection's live window, where the
-/// interesting branches are.
-fn biased_segment(base_seq: u32, base_ack: u32) -> impl Strategy<Value = ArbSegment> {
-    (-20_000i64..20_000, -20_000i64..20_000, 0u8..64, any::<u16>(), 0usize..1600).prop_map(
-        move |(dseq, dack, flags, window, payload_len)| ArbSegment {
-            seq: (base_seq as i64).wrapping_add(dseq) as u32,
-            ack: (base_ack as i64).wrapping_add(dack) as u32,
-            flags,
-            window,
-            payload_len,
-        },
-    )
-}
-
-fn to_segment(a: &ArbSegment) -> TcpSegment {
-    let mut h = TcpHeader::new(4000, 80);
-    h.seq = Seq(a.seq);
-    h.ack = Seq(a.ack);
-    h.flags = TcpFlags::from_u8(a.flags);
-    h.window = a.window;
-    TcpSegment { header: h, payload: vec![0x7u8; a.payload_len].into() }
-}
-
-fn estab_core() -> ConnCore<u8> {
-    let cfg = TcpConfig::default();
-    let mut core: ConnCore<u8> = ConnCore::new(&cfg, 80, Seq(1_000_000), 1460, BufPool::new());
-    core.remote = Some((9, 4000));
-    core.state = TcpState::Estab;
-    core.tcb.mss = 1000;
-    core.tcb.snd_una = Seq(1_000_001);
-    core.tcb.snd_nxt = Seq(1_000_001);
-    core.tcb.irs = Seq(5_000_000);
-    core.tcb.rcv_nxt = Seq(5_000_001);
-    core.tcb.snd_wnd = 4096;
-    core
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    /// No arbitrary segment sequence can panic SEGMENT-ARRIVES or break
-    /// the TCB invariants, from ESTABLISHED.
-    #[test]
-    fn receive_dag_is_total_from_estab(
-        segs in proptest::collection::vec(arb_segment(), 1..40),
-    ) {
-        let cfg = TcpConfig::default();
-        let mut core = estab_core();
-        for (i, a) in segs.iter().enumerate() {
-            let _ = segment::segment_arrives(&cfg, &mut core, to_segment(a), VirtualTime::from_millis(i as u64));
-            core.tcb.clear_pending_actions();
-            core.tcb.check_invariants();
-            if core.state == TcpState::Closed {
-                break;
-            }
-        }
-    }
-
-    /// Same, with segments biased into the live window (deeper branches).
-    #[test]
-    fn receive_dag_is_total_near_window(
-        segs in proptest::collection::vec(biased_segment(5_000_001, 1_000_001), 1..40),
-    ) {
-        let cfg = TcpConfig::default();
-        let mut core = estab_core();
-        for (i, a) in segs.iter().enumerate() {
-            let _ = segment::segment_arrives(&cfg, &mut core, to_segment(a), VirtualTime::from_millis(i as u64));
-            core.tcb.clear_pending_actions();
-            core.tcb.check_invariants();
-            if core.state == TcpState::Closed {
-                break;
-            }
-        }
-    }
-
-    /// Every non-listen state survives arbitrary segments.
-    #[test]
-    fn receive_dag_is_total_in_all_states(
-        state_ix in 0usize..9,
-        segs in proptest::collection::vec(biased_segment(5_000_001, 1_000_001), 1..25),
-    ) {
-        let states = [
-            TcpState::SynSent { retries_left: 3 },
-            TcpState::SynActive,
-            TcpState::SynPassive { retries_left: 3 },
-            TcpState::Estab,
-            TcpState::FinWait1,
-            TcpState::FinWait2,
-            TcpState::CloseWait,
-            TcpState::Closing,
-            TcpState::TimeWait,
-        ];
-        let cfg = TcpConfig::default();
-        let mut core = estab_core();
-        core.state = states[state_ix].clone();
-        if matches!(core.state, TcpState::FinWait1 | TcpState::Closing) {
-            core.tcb.fin_seq = Some(core.tcb.snd_nxt);
-            core.tcb.snd_nxt += 1;
-        }
-        for (i, a) in segs.iter().enumerate() {
-            let _ = segment::segment_arrives(&cfg, &mut core, to_segment(a), VirtualTime::from_millis(i as u64));
-            core.tcb.clear_pending_actions();
-            core.tcb.check_invariants();
-            if core.state == TcpState::Closed {
-                break;
-            }
-        }
-    }
-}
 
 // Whole-engine property: under an arbitrary drop pattern, a transfer
 // either completes with a byte-exact stream or makes no false delivery

@@ -33,7 +33,7 @@ use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxtcp::TcpConfig;
 use foxwire::ether::{EthAddr, EtherType, Frame};
 use foxwire::ipv4::{IpProtocol, Ipv4Addr, Ipv4Header, Ipv4Packet};
-use foxwire::tcp::{TcpFlags, TcpHeader, TcpOption, TcpSegment};
+use foxwire::tcp::{wire_window, TcpFlags, TcpHeader, TcpOption, TcpSegment};
 use simnet::{FaultConfig, NetStats, Port, SimNet};
 use std::collections::BTreeMap;
 
@@ -67,8 +67,6 @@ struct FlowView {
     seq_end: u32,
     /// Latest acknowledgment field — the speaker's RCV.NXT.
     ack: u32,
-    /// Latest advertised window (raw wire field, unscaled).
-    window: u16,
     /// Frames seen from this source.
     frames: u64,
 }
@@ -125,7 +123,6 @@ impl Adversary {
         if tcp.header.flags.ack {
             v.ack = tcp.header.ack.0;
         }
-        v.window = tcp.header.window;
         v.frames += 1;
     }
 
@@ -156,7 +153,7 @@ impl Adversary {
             flags.ack = true;
         }
         h.flags = flags;
-        h.window = window;
+        h.window = wire_window(u32::from(window), 0);
         h.options = options;
         let seg = TcpSegment { header: h, payload: payload.into() };
         let tcp_bytes = seg.encode_v4(Some((src.0, dst.0))).expect("forged segment encodes");

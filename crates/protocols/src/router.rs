@@ -387,7 +387,8 @@ mod tests {
         let old_check = u16::from_be_bytes([bytes[10], bytes[11]]);
         let new_check = incremental_update(old_check, old_word, new_word);
         bytes[10..12].copy_from_slice(&new_check.to_be_bytes());
-        let decoded = Ipv4Packet::decode(&bytes).expect("checksum must verify after update");
+        let decoded = Ipv4Packet::decode_buf(&foxbasis::buf::PacketBuf::from_vec(bytes))
+            .expect("checksum must verify after update");
         assert_eq!(decoded.header.ttl, 63);
     }
 }

@@ -189,8 +189,9 @@ where
                 let info = self.aux.info(&msg);
                 let pseudo = if self.compute_checksums {
                     // Verification length comes from the datagram's own
-                    // header (see decode_v4's padding note); reconstruct
-                    // the claimed length for the pseudo-sum.
+                    // header (see the padding note on
+                    // `UdpDatagram::decode_buf`); reconstruct the claimed
+                    // length for the pseudo-sum.
                     let claimed = if info.data.len() >= 6 {
                         let b = info.data.bytes();
                         usize::from(u16::from_be_bytes([b[4], b[5]]))

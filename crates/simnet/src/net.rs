@@ -20,7 +20,7 @@ use foxbasis::seq::Seq;
 use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxwire::ether::{EthAddr, EtherType, Frame};
 use foxwire::ipv4::{IpProtocol, Ipv4Packet};
-use foxwire::tcp::{TcpOption, TcpSegment};
+use foxwire::tcp::{wire_window, TcpOption, TcpSegment};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
@@ -482,7 +482,7 @@ fn mutate_tcp(rng: &mut StdRng, frame: &PacketBuf) -> Option<(PacketBuf, &'stati
             "flip_ack"
         }
         2 => {
-            tcp.header.window = 0;
+            tcp.header.window = wire_window(0, 0);
             "zero_window"
         }
         3 => {
@@ -698,7 +698,7 @@ mod tests {
         assert!(!c.has_rx());
         assert!(!a.has_rx(), "sender does not hear its own frame");
         let got = b.recv().unwrap();
-        assert!(Frame::decode(&got.bytes()).is_ok());
+        assert!(Frame::decode_buf(&got).is_ok());
     }
 
     #[test]
@@ -810,7 +810,7 @@ mod tests {
         a.send(frame_to(EthAddr::host(2), EthAddr::host(1), 64));
         net.advance_to(VirtualTime::from_millis(10));
         let got = b.recv().unwrap();
-        assert!(Frame::decode(&got.bytes()).is_err(), "FCS must catch wire corruption");
+        assert!(Frame::decode_buf(&got).is_err(), "FCS must catch wire corruption");
         assert_eq!(net.stats().frames_corrupted, 1);
     }
 
@@ -936,7 +936,7 @@ mod tests {
         h.seq = Seq(1000);
         h.ack = Seq(2000);
         h.flags = flags;
-        h.window = 4096;
+        h.window = wire_window(4096, 0);
         if flags.syn {
             h.options.push(TcpOption::MaxSegmentSize(1460));
         }
@@ -955,7 +955,7 @@ mod tests {
     }
 
     fn delivered_tcp(frame: &PacketBuf) -> TcpSegment {
-        let eth = Frame::decode(&frame.bytes()).expect("FCS valid after rewrite");
+        let eth = Frame::decode_buf(frame).expect("FCS valid after rewrite");
         let ip = Ipv4Packet::decode_buf(&eth.payload).unwrap();
         TcpSegment::decode_buf(&ip.payload, None).unwrap()
     }
@@ -1027,7 +1027,7 @@ mod tests {
             while let Some(f) = b.recv() {
                 // Checksums are recomputed: every mutated frame still
                 // passes the FCS and reaches TCP validation.
-                assert!(Frame::decode(&f.bytes()).is_ok());
+                assert!(Frame::decode_buf(&f).is_ok());
                 got.push(f.bytes().to_vec());
             }
             (got, net.stats())

@@ -202,16 +202,9 @@ impl Frame {
         Ok(buf)
     }
 
-    /// Internalizes a frame, verifying the FCS.
-    #[deny(clippy::indexing_slicing)]
-    pub fn decode(buf: &[u8]) -> Result<Frame, WireError> {
-        let (dst, src, ethertype, body_len) = Frame::parse(buf)?;
-        let payload = crate::bytes::range("ethernet payload", buf, HEADER_LEN, body_len)?;
-        Ok(Frame { dst, src, ethertype, payload: PacketBuf::from_vec(payload.to_vec()) })
-    }
-
-    /// Internalizes a frame from a [`PacketBuf`] view, slicing the
-    /// (padded) payload out of the same storage (zero-copy).
+    /// Internalizes a frame from a [`PacketBuf`] view, verifying the FCS
+    /// and slicing the (padded) payload out of the same storage
+    /// (zero-copy).
     #[deny(clippy::indexing_slicing)]
     pub fn decode_buf(buf: &PacketBuf) -> Result<Frame, WireError> {
         let (dst, src, ethertype, body_len) = Frame::parse(&buf.bytes())?;
@@ -255,6 +248,11 @@ mod tests {
         !crc
     }
 
+    /// Test shorthand: `bytes` decoded as a frame.
+    fn read(bytes: &[u8]) -> Result<Frame, WireError> {
+        Frame::decode_buf(&PacketBuf::from_vec(bytes.to_vec()))
+    }
+
     #[test]
     fn crc32_known_vector() {
         // The canonical check value: CRC-32("123456789") = 0xCBF43926.
@@ -280,7 +278,7 @@ mod tests {
         let f = Frame::new(EthAddr::host(1), EthAddr::host(2), EtherType::Ipv4, b"short".to_vec());
         let bytes = f.clone().encode_buf().unwrap().to_vec();
         assert_eq!(bytes.len(), HEADER_LEN + MIN_PAYLOAD + FCS_LEN);
-        let g = Frame::decode(&bytes).unwrap();
+        let g = read(&bytes).unwrap();
         assert_eq!(g.dst, f.dst);
         assert_eq!(g.src, f.src);
         assert_eq!(g.ethertype, EtherType::Ipv4);
@@ -293,7 +291,7 @@ mod tests {
         let f = Frame::new(EthAddr::host(1), EthAddr::host(2), EtherType::Arp, vec![7; 100]);
         let mut bytes = f.encode_buf().unwrap().to_vec();
         bytes[40] ^= 0x20;
-        assert_eq!(Frame::decode(&bytes), Err(WireError::BadChecksum("ethernet FCS")));
+        assert_eq!(read(&bytes), Err(WireError::BadChecksum("ethernet FCS")));
     }
 
     #[test]
@@ -304,7 +302,7 @@ mod tests {
 
     #[test]
     fn runt_frame_rejected() {
-        assert!(matches!(Frame::decode(&[0u8; 30]), Err(WireError::Truncated { .. })));
+        assert!(matches!(read(&[0u8; 30]), Err(WireError::Truncated { .. })));
     }
 
     #[test]
@@ -340,7 +338,7 @@ mod tests {
         ) {
             let f = Frame::new(EthAddr(dst), EthAddr(src), EtherType::from_u16(ethertype), payload.clone());
             let bytes = f.clone().encode_buf().unwrap().to_vec();
-            let g = Frame::decode(&bytes).unwrap();
+            let g = read(&bytes).unwrap();
             prop_assert_eq!(g.dst, f.dst);
             prop_assert_eq!(g.src, f.src);
             prop_assert_eq!(g.ethertype.to_u16(), ethertype);
@@ -356,7 +354,7 @@ mod tests {
             let mut bytes = f.encode_buf().unwrap().to_vec();
             let bit = bit % (bytes.len() * 8);
             bytes[bit / 8] ^= 1 << (bit % 8);
-            prop_assert!(Frame::decode(&bytes).is_err());
+            prop_assert!(read(&bytes).is_err());
         }
     }
 }

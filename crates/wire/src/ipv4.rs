@@ -221,18 +221,11 @@ impl Ipv4Packet {
         Ok(len)
     }
 
-    /// Internalizes a packet, verifying version, lengths, and the header
-    /// checksum. Extra bytes after `total_length` (Ethernet padding) are
-    /// discarded, which is why the length field exists.
-    #[deny(clippy::indexing_slicing)]
-    pub fn decode(buf: &[u8]) -> Result<Ipv4Packet, WireError> {
-        let (header, ihl, total_len) = Ipv4Packet::parse_header(buf)?;
-        let payload = range("ipv4 payload", buf, ihl, total_len)?;
-        Ok(Ipv4Packet { header, payload: PacketBuf::from_vec(payload.to_vec()) })
-    }
-
-    /// Internalizes a packet from a [`PacketBuf`] view, slicing the
-    /// payload out of the same storage (zero-copy).
+    /// Internalizes a packet from a [`PacketBuf`] view, verifying
+    /// version, lengths, and the header checksum, and slicing the payload
+    /// out of the same storage (zero-copy). Extra bytes after
+    /// `total_length` (Ethernet padding) are discarded, which is why the
+    /// length field exists.
     #[deny(clippy::indexing_slicing)]
     pub fn decode_buf(buf: &PacketBuf) -> Result<Ipv4Packet, WireError> {
         let (header, ihl, total_len) = Ipv4Packet::parse_header(&buf.bytes())?;
@@ -298,6 +291,11 @@ mod tests {
         Ok(p.clone().encode_buf()?.to_vec())
     }
 
+    /// Test shorthand: `bytes` decoded as a packet.
+    fn read(bytes: &[u8]) -> Result<Ipv4Packet, WireError> {
+        Ipv4Packet::decode_buf(&PacketBuf::from_vec(bytes.to_vec()))
+    }
+
     fn sample() -> Ipv4Packet {
         Ipv4Packet {
             header: Ipv4Header::new(IpProtocol::Tcp, Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2)),
@@ -309,7 +307,7 @@ mod tests {
     fn roundtrip() {
         let p = sample();
         let bytes = wire(&p).unwrap();
-        assert_eq!(Ipv4Packet::decode(&bytes).unwrap(), p);
+        assert_eq!(read(&bytes).unwrap(), p);
     }
 
     #[test]
@@ -317,24 +315,24 @@ mod tests {
         let p = sample();
         let mut bytes = wire(&p).unwrap();
         bytes.extend_from_slice(&[0xaa; 10]); // Ethernet pad garbage
-        assert_eq!(Ipv4Packet::decode(&bytes).unwrap(), p);
+        assert_eq!(read(&bytes).unwrap(), p);
     }
 
     #[test]
     fn header_checksum_verified() {
         let mut bytes = wire(&sample()).unwrap();
         bytes[8] = bytes[8].wrapping_add(1); // corrupt TTL
-        assert_eq!(Ipv4Packet::decode(&bytes), Err(WireError::BadChecksum("ipv4 header")));
+        assert_eq!(read(&bytes), Err(WireError::BadChecksum("ipv4 header")));
     }
 
     #[test]
     fn version_and_ihl_validation() {
         let mut bytes = wire(&sample()).unwrap();
         bytes[0] = 0x60 | (bytes[0] & 0x0f);
-        assert!(matches!(Ipv4Packet::decode(&bytes), Err(WireError::Unsupported { .. })));
+        assert!(matches!(read(&bytes), Err(WireError::Unsupported { .. })));
         let mut bytes = wire(&sample()).unwrap();
         bytes[0] = 0x41; // IHL = 4 bytes, impossible
-        assert!(matches!(Ipv4Packet::decode(&bytes), Err(WireError::Malformed(_))));
+        assert!(matches!(read(&bytes), Err(WireError::Malformed(_))));
     }
 
     #[test]
@@ -344,7 +342,7 @@ mod tests {
         bytes[3] = 8;
         // fix checksum so we reach the length check? No: length checked
         // before checksum, so corruption is fine here.
-        assert!(matches!(Ipv4Packet::decode(&bytes), Err(WireError::Malformed(_))));
+        assert!(matches!(read(&bytes), Err(WireError::Malformed(_))));
     }
 
     #[test]
@@ -353,7 +351,7 @@ mod tests {
         p.header.more_frags = true;
         p.header.frag_offset = 185; // 1480 bytes
         p.header.ident = 0xbeef;
-        let q = Ipv4Packet::decode(&wire(&p).unwrap()).unwrap();
+        let q = read(&wire(&p).unwrap()).unwrap();
         assert!(q.header.is_fragment());
         assert_eq!(q.header.frag_byte_offset(), 1480);
         assert_eq!(q.header.ident, 0xbeef);
@@ -363,7 +361,7 @@ mod tests {
     fn options_roundtrip_and_validation() {
         let mut p = sample();
         p.header.options = vec![1, 1, 1, 1]; // four NOPs
-        let q = Ipv4Packet::decode(&wire(&p).unwrap()).unwrap();
+        let q = read(&wire(&p).unwrap()).unwrap();
         assert_eq!(q.header.options, vec![1, 1, 1, 1]);
         p.header.options = vec![1, 1, 1]; // not 32-bit aligned
         assert!(wire(&p).is_err());
@@ -405,7 +403,7 @@ mod tests {
                 payload: payload.into(),
             };
             let bytes = wire(&p).unwrap();
-            prop_assert_eq!(Ipv4Packet::decode(&bytes).unwrap(), p);
+            prop_assert_eq!(read(&bytes).unwrap(), p);
         }
 
         #[test]
@@ -425,7 +423,7 @@ mod tests {
             // the only failure. (A flip may leave the packet decodable
             // but only if it decodes to different content with a failing
             // checksum — assert decode fails OR fields differ.)
-            match Ipv4Packet::decode(&bytes) {
+            match read(&bytes) {
                 Err(_) => {}
                 Ok(q) => prop_assert_eq!(q, p, "corruption silently accepted"),
             }

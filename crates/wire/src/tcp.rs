@@ -37,15 +37,28 @@ pub fn mss_for_mtu(mtu: u32) -> u32 {
 /// `eff_mss` accessors.
 pub const TIMESTAMPS_SEGMENT_OVERHEAD: u32 = 12;
 
+/// The 16-bit window field of a TCP header. Its only constructors are
+/// [`wire_window`] and the decoder, so every window a stack stores in a
+/// header has been narrowed by the one rule that applies the scale and
+/// the cap; reading it back widens it losslessly (`u32::from`).
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub struct WireWindow(u16);
+
+impl From<WireWindow> for u32 {
+    fn from(w: WireWindow) -> u32 {
+        u32::from(w.0)
+    }
+}
+
 /// Encodes a receive window for the 16-bit header field under a
 /// window-scale shift (RFC 7323 §2.2): the true window is shifted
 /// right, and anything that still exceeds 16 bits is capped. With
-/// `shift == 0` this is the classic RFC 793 65 535 cap. This is the
-/// **only** place a window is narrowed to `u16` — the stacks must route
-/// every header-window store through it (enforced by the `win_cast`
-/// foxlint rule).
-pub fn wire_window(wnd: u32, shift: u8) -> u16 {
-    (wnd >> shift).min(0xffff) as u16
+/// `shift == 0` this is the classic RFC 793 65 535 cap, and the identity
+/// on any value that already fits 16 bits. This is the **only** place a
+/// window is narrowed to 16 bits: it is the one public constructor of
+/// [`WireWindow`], the type of [`TcpHeader::window`].
+pub fn wire_window(wnd: u32, shift: u8) -> WireWindow {
+    WireWindow((wnd >> shift).min(0xffff) as u16)
 }
 
 /// The smallest window-scale shift under which a receive buffer of
@@ -186,7 +199,7 @@ pub struct TcpHeader {
     /// Control flags.
     pub flags: TcpFlags,
     /// Advertised receive window.
-    pub window: u16,
+    pub window: WireWindow,
     /// Urgent pointer (valid iff `flags.urg`).
     pub urgent: u16,
     /// Options.
@@ -202,7 +215,7 @@ impl TcpHeader {
             seq: Seq(0),
             ack: Seq(0),
             flags: TcpFlags::default(),
-            window: 0,
+            window: WireWindow(0),
             urgent: 0,
             options: Vec::new(),
         }
@@ -339,7 +352,7 @@ impl TcpSegment {
         out[8..12].copy_from_slice(&h.ack.raw().to_be_bytes());
         out[12] = ((len / 4) as u8) << 4;
         out[13] = h.flags.to_u8();
-        out[14..16].copy_from_slice(&h.window.to_be_bytes());
+        out[14..16].copy_from_slice(&h.window.0.to_be_bytes());
         out[16..18].fill(0); // checksum placeholder
         out[18..20].copy_from_slice(&h.urgent.to_be_bytes());
         // `len` bounds every option's bytes, so `put` stays inside `out`.
@@ -391,19 +404,12 @@ impl TcpSegment {
         self.header.header_len() + self.payload.len()
     }
 
-    /// Internalizes a segment. With `pseudo_sum = Some(..)` (the partial
-    /// sum over the pseudo-header including length) the checksum is
-    /// verified first; with `None` the checksum field is ignored.
-    #[deny(clippy::indexing_slicing)]
-    pub fn decode(buf: &[u8], pseudo_sum: Option<u16>) -> Result<TcpSegment, WireError> {
-        let (header, data_offset) = TcpSegment::parse_header(buf, pseudo_sum)?;
-        let payload = range("tcp payload", buf, data_offset, buf.len())?;
-        Ok(TcpSegment { header, payload: PacketBuf::from_vec(payload.to_vec()) })
-    }
-
     /// Internalizes a segment from a [`PacketBuf`] view, slicing the
-    /// payload out of the same storage (zero-copy). The checksum
-    /// verification (when requested) is the only pass over the bytes.
+    /// payload out of the same storage (zero-copy). With `pseudo_sum =
+    /// Some(..)` (the partial sum over the pseudo-header including
+    /// length, e.g. [`pseudo::v4_sum`]) the checksum is verified first —
+    /// the only pass over the bytes; with `None` the checksum field is
+    /// ignored.
     #[deny(clippy::indexing_slicing)]
     pub fn decode_buf(buf: &PacketBuf, pseudo_sum: Option<u16>) -> Result<TcpSegment, WireError> {
         let (header, data_offset) = TcpSegment::parse_header(&buf.bytes(), pseudo_sum)?;
@@ -435,7 +441,7 @@ impl TcpSegment {
         }
         need("tcp options", buf, data_offset)?;
         let flags = TcpFlags::from_u8(r.u8()?);
-        let window = r.u16_be()?;
+        let window = WireWindow(r.u16_be()?);
         r.skip(2)?; // checksum field, verified above when requested
         let urgent = r.u16_be()?;
         let mut options = Vec::new();
@@ -507,16 +513,6 @@ impl TcpSegment {
         let header = TcpHeader { src_port, dst_port, seq, ack, flags, window, urgent, options };
         Ok((header, data_offset))
     }
-
-    /// [`decode`](Self::decode) with the standard IPv4 pseudo-header.
-    #[deny(clippy::indexing_slicing)]
-    pub fn decode_v4(
-        buf: &[u8],
-        checksum_over: Option<(Ipv4Addr, Ipv4Addr)>,
-    ) -> Result<TcpSegment, WireError> {
-        let pseudo = checksum_over.map(|(src, dst)| pseudo::v4_sum(src, dst, IpProtocol::Tcp, buf.len()));
-        TcpSegment::decode(buf, pseudo)
-    }
 }
 
 #[cfg(test)]
@@ -538,11 +534,23 @@ mod tests {
         s.clone().encode_buf(None).unwrap().to_vec()
     }
 
+    /// Test shorthand: `bytes` decoded, the checksum verified over the
+    /// pseudo-header from `A` to `to`.
+    fn read_v4(bytes: &[u8], to: Ipv4Addr) -> Result<TcpSegment, WireError> {
+        let sum = pseudo::v4_sum(A, to, IpProtocol::Tcp, bytes.len());
+        TcpSegment::decode_buf(&PacketBuf::from_vec(bytes.to_vec()), Some(sum))
+    }
+
+    /// Test shorthand: `bytes` decoded, the checksum field ignored.
+    fn read(bytes: &[u8]) -> Result<TcpSegment, WireError> {
+        TcpSegment::decode_buf(&PacketBuf::from_vec(bytes.to_vec()), None)
+    }
+
     fn syn_segment() -> TcpSegment {
         let mut h = TcpHeader::new(4000, 80);
         h.seq = Seq(12345);
         h.flags = TcpFlags::SYN;
-        h.window = 4096;
+        h.window = wire_window(4096, 0);
         h.options = vec![TcpOption::MaxSegmentSize(1460)];
         TcpSegment { header: h, payload: PacketBuf::new() }
     }
@@ -551,7 +559,7 @@ mod tests {
     fn roundtrip_with_checksum() {
         let s = syn_segment();
         let bytes = wire_v4(&s);
-        let t = TcpSegment::decode_v4(&bytes, Some((A, B))).unwrap();
+        let t = read_v4(&bytes, B).unwrap();
         assert_eq!(t, s);
         assert_eq!(t.header.mss(), Some(1460));
     }
@@ -562,7 +570,7 @@ mod tests {
         s.payload = b"data".to_vec().into();
         let bytes = wire(&s);
         assert_eq!(&bytes[16..18], &[0, 0]); // checksum left zero
-        let t = TcpSegment::decode(&bytes, None).unwrap();
+        let t = read(&bytes).unwrap();
         assert_eq!(t, s);
     }
 
@@ -572,7 +580,7 @@ mod tests {
         s.payload = b"important".to_vec().into();
         let mut bytes = wire_v4(&s);
         *bytes.last_mut().unwrap() ^= 0xff;
-        assert_eq!(TcpSegment::decode_v4(&bytes, Some((A, B))), Err(WireError::BadChecksum("tcp")));
+        assert_eq!(read_v4(&bytes, B), Err(WireError::BadChecksum("tcp")));
     }
 
     #[test]
@@ -582,7 +590,7 @@ mod tests {
         let s = syn_segment();
         let bytes = wire_v4(&s);
         let wrong = Ipv4Addr::new(10, 0, 0, 3);
-        assert!(TcpSegment::decode_v4(&bytes, Some((A, wrong))).is_err());
+        assert!(read_v4(&bytes, wrong).is_err());
     }
 
     #[test]
@@ -610,7 +618,7 @@ mod tests {
         let s = syn_segment();
         let mut bytes = wire(&s);
         bytes[12] = 0x30; // data offset 12 bytes < 20
-        assert!(matches!(TcpSegment::decode(&bytes, None), Err(WireError::Malformed(_))));
+        assert!(matches!(read(&bytes), Err(WireError::Malformed(_))));
     }
 
     #[test]
@@ -620,7 +628,7 @@ mod tests {
         // Option kind 2 with a bogus length of 0.
         bytes[20] = 2;
         bytes[21] = 0;
-        assert!(matches!(TcpSegment::decode(&bytes, None), Err(WireError::Malformed(_))));
+        assert!(matches!(read(&bytes), Err(WireError::Malformed(_))));
     }
 
     #[test]
@@ -629,7 +637,7 @@ mod tests {
         s.header.options =
             vec![TcpOption::NoOp, TcpOption::Unknown(254, vec![0xde, 0xad]), TcpOption::MaxSegmentSize(536)];
         let bytes = wire(&s);
-        let t = TcpSegment::decode(&bytes, None).unwrap();
+        let t = read(&bytes).unwrap();
         assert_eq!(t.header.options, s.header.options);
     }
 
@@ -643,7 +651,7 @@ mod tests {
             TcpOption::Timestamps(0xdead_beef, 0x0bad_cafe),
         ];
         let bytes = wire_v4(&s);
-        let t = TcpSegment::decode_v4(&bytes, Some((A, B))).unwrap();
+        let t = read_v4(&bytes, B).unwrap();
         assert_eq!(t.header.options, s.header.options);
         assert_eq!(t.header.wscale(), Some(7));
         assert!(t.header.sack_permitted());
@@ -660,7 +668,7 @@ mod tests {
             TcpOption::Timestamps(1, 2),
         ];
         let bytes = wire_v4(&s);
-        let t = TcpSegment::decode_v4(&bytes, Some((A, B))).unwrap();
+        let t = read_v4(&bytes, B).unwrap();
         assert_eq!(t.header.sack_blocks(), &[(Seq(100), Seq(200)), (Seq(400), Seq(450))]);
     }
 
@@ -669,7 +677,7 @@ mod tests {
         let mut s = syn_segment();
         s.header.options = vec![TcpOption::WindowScale(30)];
         let bytes = wire(&s);
-        let t = TcpSegment::decode(&bytes, None).unwrap();
+        let t = read(&bytes).unwrap();
         // Decoded verbatim, but the accessor applies RFC 7323 §2.3.
         assert_eq!(t.header.options, vec![TcpOption::WindowScale(30)]);
         assert_eq!(t.header.wscale(), Some(MAX_WSCALE));
@@ -683,7 +691,7 @@ mod tests {
             bytes[20] = kind;
             bytes[21] = bad_len;
             assert!(
-                matches!(TcpSegment::decode(&bytes, None), Err(WireError::Malformed(_))),
+                matches!(read(&bytes), Err(WireError::Malformed(_))),
                 "kind {kind} len {bad_len} must be malformed"
             );
         }
@@ -699,11 +707,23 @@ mod tests {
 
     #[test]
     fn wire_window_scales_and_caps() {
-        assert_eq!(wire_window(4096, 0), 4096);
-        assert_eq!(wire_window(100_000, 0), 0xffff, "classic 64 KB cap without wscale");
-        assert_eq!(wire_window(100_000, 2), 25_000);
-        assert_eq!(wire_window(1 << 30, 14), 0xffff, "still capped after shifting");
-        assert_eq!(wire_window(u32::MAX, MAX_WSCALE), 0xffff);
+        let wire = |wnd, shift| u32::from(wire_window(wnd, shift));
+        assert_eq!(wire(4096, 0), 4096);
+        assert_eq!(wire(100_000, 0), 0xffff, "classic 64 KB cap without wscale");
+        assert_eq!(wire(100_000, 2), 25_000);
+        assert_eq!(wire(1 << 30, 14), 0xffff, "still capped after shifting");
+        assert_eq!(wire(u32::MAX, MAX_WSCALE), 0xffff);
+        assert!((0..=0xffff).all(|w| wire(w, 0) == w), "the identity on every 16-bit value");
+    }
+
+    #[test]
+    fn wscale_for_covers_buffer() {
+        assert_eq!(wscale_for(4096), 0);
+        assert_eq!(wscale_for(65535), 0);
+        assert_eq!(wscale_for(65536), 1);
+        // (1 << 20) >> 4 = 65536 still exceeds the 16-bit field.
+        assert_eq!(wscale_for(1 << 20), 5);
+        assert_eq!(wscale_for(usize::MAX), 14, "clamped to RFC 7323's max");
     }
 
     proptest! {
@@ -722,7 +742,7 @@ mod tests {
             h.seq = Seq(seq);
             h.ack = Seq(ack);
             h.flags = TcpFlags::from_u8(flags);
-            h.window = window;
+            h.window = wire_window(u32::from(window), 0);
             h.urgent = urgent;
             let (mss, wscale, sack_permitted) = syn_opts;
             let (ts, sack) = ack_opts;
@@ -737,7 +757,7 @@ mod tests {
             }
             let s = TcpSegment { header: h, payload: payload.into() };
             let bytes = wire_v4(&s);
-            let t = TcpSegment::decode_v4(&bytes, Some((A, B))).unwrap();
+            let t = read_v4(&bytes, B).unwrap();
             prop_assert_eq!(t, s);
         }
 
@@ -752,7 +772,7 @@ mod tests {
             let mut bytes = wire_v4(&s);
             let at = at % bytes.len();
             bytes[at] ^= flip;
-            match TcpSegment::decode_v4(&bytes, Some((A, B))) {
+            match read_v4(&bytes, B) {
                 Err(_) => {}
                 Ok(t) => prop_assert_eq!(t, s, "corruption silently accepted"),
             }

@@ -4,7 +4,7 @@
 //! as a parameter to the UDP functor as well" — UDP shares TCP's need for
 //! the pseudo-header checksum.
 
-use crate::bytes::{prefix, range, ByteReader};
+use crate::bytes::{prefix, ByteReader};
 use crate::ipv4::{IpProtocol, Ipv4Addr};
 use crate::{need, pseudo, WireError};
 use foxbasis::buf::PacketBuf;
@@ -88,17 +88,16 @@ impl UdpDatagram {
         Ok((src_port, dst_port, length))
     }
 
-    /// Internalizes a datagram; verifies the checksum when a pseudo-sum
-    /// is supplied and the sender computed one.
-    #[deny(clippy::indexing_slicing)]
-    pub fn decode(buf: &[u8], pseudo_sum: Option<u16>) -> Result<UdpDatagram, WireError> {
-        let (src_port, dst_port, length) = UdpDatagram::parse(buf, pseudo_sum)?;
-        let payload = range("udp payload", buf, HEADER_LEN, length)?;
-        Ok(UdpDatagram { src_port, dst_port, payload: PacketBuf::from_vec(payload.to_vec()) })
-    }
-
     /// Internalizes a datagram from a [`PacketBuf`], returning the
-    /// payload as a zero-copy slice of the same buffer.
+    /// payload as a zero-copy slice of the same buffer; verifies the
+    /// checksum when a pseudo-sum is supplied and the sender computed one.
+    ///
+    /// Padding note: the pseudo-header's length field is the UDP length,
+    /// which for a valid datagram equals the length field in its own
+    /// header — not `buf.len()`, which may include link-layer padding. A
+    /// caller building `pseudo_sum` (e.g. with [`pseudo::v4_sum`]) passes
+    /// that claimed length, read from bytes 4–5, so padding does not
+    /// disturb the sum.
     #[deny(clippy::indexing_slicing)]
     pub fn decode_buf(buf: &PacketBuf, pseudo_sum: Option<u16>) -> Result<UdpDatagram, WireError> {
         let (src_port, dst_port, length) = UdpDatagram::parse(&buf.bytes(), pseudo_sum)?;
@@ -111,23 +110,6 @@ impl UdpDatagram {
         let pseudo = checksum_over
             .map(|(src, dst)| pseudo::v4_sum(src, dst, IpProtocol::Udp, HEADER_LEN + self.payload.len()));
         self.encode_buf(pseudo)
-    }
-
-    /// [`decode`](Self::decode) with the standard IPv4 pseudo-header.
-    #[deny(clippy::indexing_slicing)]
-    pub fn decode_v4(
-        buf: &[u8],
-        checksum_over: Option<(Ipv4Addr, Ipv4Addr)>,
-    ) -> Result<UdpDatagram, WireError> {
-        // The pseudo-header length field is the UDP length, which for a
-        // valid datagram equals the length field in the header itself;
-        // use the claimed length so padding does not disturb the sum.
-        let claimed = match buf.get(4..6) {
-            Some(&[hi, lo]) => usize::from(u16::from_be_bytes([hi, lo])),
-            _ => buf.len(),
-        };
-        let pseudo = checksum_over.map(|(src, dst)| pseudo::v4_sum(src, dst, IpProtocol::Udp, claimed));
-        UdpDatagram::decode(buf, pseudo)
     }
 }
 
@@ -145,11 +127,25 @@ mod tests {
         d.clone().encode_v4(Some((A, B))).unwrap().to_vec()
     }
 
+    /// Test shorthand: `bytes` decoded, the checksum verified over the
+    /// pseudo-header from `A` to `B` with the datagram's claimed length
+    /// (the padding note on `decode_buf`).
+    fn read_v4(bytes: &[u8]) -> Result<UdpDatagram, WireError> {
+        let claimed = usize::from(u16::from_be_bytes([bytes[4], bytes[5]]));
+        let sum = pseudo::v4_sum(A, B, IpProtocol::Udp, claimed);
+        UdpDatagram::decode_buf(&PacketBuf::from_vec(bytes.to_vec()), Some(sum))
+    }
+
+    /// Test shorthand: `bytes` decoded, the checksum field ignored.
+    fn read(bytes: &[u8]) -> Result<UdpDatagram, WireError> {
+        UdpDatagram::decode_buf(&PacketBuf::from_vec(bytes.to_vec()), None)
+    }
+
     #[test]
     fn roundtrip() {
         let d = UdpDatagram { src_port: 6969, dst_port: 53, payload: b"query"[..].into() };
         let bytes = wire_v4(&d);
-        assert_eq!(UdpDatagram::decode_v4(&bytes, Some((A, B))).unwrap(), d);
+        assert_eq!(read_v4(&bytes).unwrap(), d);
     }
 
     #[test]
@@ -160,7 +156,7 @@ mod tests {
         // Corrupt the payload: decode still succeeds because checksum 0
         // means the sender didn't compute one.
         bytes[8] ^= 0xff;
-        assert!(UdpDatagram::decode_v4(&bytes, Some((A, B))).is_ok());
+        assert!(read_v4(&bytes).is_ok());
     }
 
     #[test]
@@ -168,7 +164,7 @@ mod tests {
         let d = UdpDatagram { src_port: 1, dst_port: 2, payload: b"pay"[..].into() };
         let mut bytes = wire_v4(&d);
         bytes[9] ^= 0x01;
-        assert_eq!(UdpDatagram::decode_v4(&bytes, Some((A, B))), Err(WireError::BadChecksum("udp")));
+        assert_eq!(read_v4(&bytes), Err(WireError::BadChecksum("udp")));
     }
 
     #[test]
@@ -176,7 +172,7 @@ mod tests {
         let d = UdpDatagram { src_port: 9, dst_port: 10, payload: b"ab"[..].into() };
         let mut bytes = wire_v4(&d);
         bytes.extend_from_slice(&[0; 20]); // Ethernet padding
-        assert_eq!(UdpDatagram::decode_v4(&bytes, Some((A, B))).unwrap(), d);
+        assert_eq!(read_v4(&bytes).unwrap(), d);
     }
 
     #[test]
@@ -184,9 +180,9 @@ mod tests {
         let d = UdpDatagram { src_port: 9, dst_port: 10, payload: PacketBuf::new() };
         let mut bytes = d.encode_buf(None).unwrap().to_vec();
         bytes[5] = 4; // length 4 < header
-        assert!(matches!(UdpDatagram::decode(&bytes, None), Err(WireError::Malformed(_))));
+        assert!(matches!(read(&bytes), Err(WireError::Malformed(_))));
         bytes[5] = 200; // length beyond buffer
-        assert!(matches!(UdpDatagram::decode(&bytes, None), Err(WireError::Truncated { .. })));
+        assert!(matches!(read(&bytes), Err(WireError::Truncated { .. })));
     }
 
     proptest! {
@@ -197,7 +193,7 @@ mod tests {
         ) {
             let d = UdpDatagram { src_port, dst_port, payload: payload.into() };
             let bytes = wire_v4(&d);
-            prop_assert_eq!(UdpDatagram::decode_v4(&bytes, Some((A, B))).unwrap(), d);
+            prop_assert_eq!(read_v4(&bytes).unwrap(), d);
         }
     }
 }
