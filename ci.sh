@@ -21,8 +21,8 @@
 #      (foxbasis's wheel_alloc: a warm timer wheel makes 0 heap calls;
 #      foxbasis's pool_alloc: a warm BufPool hands back the same block
 #      with 0 heap calls; foxtcp's alloc_budget: ALLOCS_PER_ROUND_TRIP
-#      == 2, the two TcpEvent::Data vectors, and
-#      BYTES_HELD_BY_IDLE_PAIRS == 248 016, the bytes-per-connection
+#      == 2 with options on and off, the two TcpEvent::Data vectors, and
+#      BYTES_HELD_BY_IDLE_PAIRS == 255 248, the bytes-per-connection
 #      ceiling with the engines' free blocks — both exact constants) —
 #      the counts are facts about the optimized build.
 #      The workspace run also holds the copy budget beside them

@@ -38,9 +38,13 @@
 //! headroom and hands that buffer to the TCP encoder *by value*; each
 //! encoder prepends into the buffer it was given and passes it on, so
 //! TCP, IP and Ethernet headers and the FCS all land in the one block
-//! with no payload byte moved. Nothing upstream keeps a handle: the
-//! bytes a retransmission needs are still in the send buffer, and are
-//! staged again. On the way up sharing is read-only — each receiving
+//! with no payload byte moved. That needs room as well as ownership:
+//! [`DEFAULT_HEADROOM`] fits the deepest stack the TCP path builds (a
+//! TCP header with every option byte used, IPv4 and Ethernet: 94
+//! bytes), so no prepend on the way down runs out of headroom and
+//! re-homes the payload, options or not. Nothing upstream keeps a
+//! handle: the bytes a retransmission needs are still in the send
+//! buffer, and are staged again. On the way up sharing is read-only — each receiving
 //! layer slices its payload out of the frame — and a layer that must
 //! write to what it received (the router's TTL) does so in place when
 //! it holds the last handle and on a private copy when it does not.
@@ -87,10 +91,12 @@ use std::cell::{Cell, Ref, RefCell};
 use std::fmt;
 use std::rc::{Rc, Weak};
 
-/// Default headroom reserved in front of a payload: enough for
-/// TCP (≤60) is not needed below IP in this stack — the deepest real
-/// stack here is TCP(20) + IPv4(20) + Ethernet(14) = 54 bytes.
-pub const DEFAULT_HEADROOM: usize = 64;
+/// Default headroom reserved in front of a payload: room for the
+/// deepest header stack the TCP path builds, a TCP header with a full
+/// 40-byte option space (60) + IPv4 (20) + Ethernet (14) = 94 bytes, so
+/// every header goes on in place. `foxwire` asserts the sum at compile
+/// time.
+pub const DEFAULT_HEADROOM: usize = 96;
 /// Default tailroom reserved behind a payload: Ethernet minimum-payload
 /// padding (≤46) plus the 4-byte FCS.
 pub const DEFAULT_TAILROOM: usize = 64;
@@ -177,8 +183,10 @@ impl Storage {
 #[derive(Clone)]
 pub struct PacketBuf {
     storage: Rc<Storage>,
-    start: usize,
-    end: usize,
+    // The view's bounds in `storage`, 32 bits wide so a segment that
+    // holds a buffer (the engine queues whole segments) stays small.
+    start: u32,
+    end: u32,
     /// Memoized ones-complement sum of `self[start..end]` — set by the
     /// combined copy+checksum constructors, read by the TCP encoder so
     /// the payload is summed exactly once (the paper's Fig. 10 combined
@@ -202,15 +210,33 @@ fn staged(
         fill(&mut bytes[headroom..])
     };
     note_copy(len);
-    PacketBuf { storage, start: headroom, end: headroom + len, sum: Cell::new(sum) }
+    PacketBuf::view(storage, headroom, headroom + len, sum)
+}
+
+/// `i` as a view bound: one packet's storage is far below 4 GiB.
+fn bound(i: usize) -> u32 {
+    u32::try_from(i).expect("a packet buffer is smaller than 4 GiB")
 }
 
 impl PacketBuf {
     // ----- constructors -----
 
+    /// The view `[start, end)` of `storage`.
+    fn view(storage: Rc<Storage>, start: usize, end: usize, sum: Option<u16>) -> PacketBuf {
+        PacketBuf { storage, start: bound(start), end: bound(end), sum: Cell::new(sum) }
+    }
+
     /// The view `[start, end)` of `storage`, as its only handle.
     fn over(storage: Vec<u8>, start: usize, end: usize, sum: Option<u16>) -> PacketBuf {
-        PacketBuf { storage: Storage::unpooled(storage), start, end, sum: Cell::new(sum) }
+        PacketBuf::view(Storage::unpooled(storage), start, end, sum)
+    }
+
+    fn start(&self) -> usize {
+        self.start as usize
+    }
+
+    fn end(&self) -> usize {
+        self.end as usize
     }
 
     /// An empty buffer with the default head- and tailroom.
@@ -264,7 +290,7 @@ impl PacketBuf {
 
     /// Bytes in this view.
     pub fn len(&self) -> usize {
-        self.end - self.start
+        self.end() - self.start()
     }
 
     /// True when the view is empty.
@@ -274,14 +300,14 @@ impl PacketBuf {
 
     /// Headroom available in front of this view.
     pub fn headroom(&self) -> usize {
-        self.start
+        self.start()
     }
 
     /// The view's bytes. The returned guard borrows the shared storage:
     /// drop it before calling any mutating operation on a view of the
     /// same buffer.
     pub fn bytes(&self) -> Ref<'_, [u8]> {
-        Ref::map(self.storage.bytes.borrow(), |s| &s[self.start..self.end])
+        Ref::map(self.storage.bytes.borrow(), |s| &s[self.start()..self.end()])
     }
 
     /// An owned copy of the view's bytes (counted).
@@ -310,8 +336,8 @@ impl PacketBuf {
 
     fn set_bounds(&mut self, start: usize, end: usize) {
         debug_assert!(start <= end);
-        self.start = start;
-        self.end = end;
+        self.start = bound(start);
+        self.end = bound(end);
         self.sum.set(None);
     }
 
@@ -322,7 +348,7 @@ impl PacketBuf {
     pub fn slice(&self, from: usize, to: usize) -> PacketBuf {
         assert!(from <= to && to <= self.len(), "slice {from}..{to} of {}", self.len());
         let mut b = self.clone();
-        b.set_bounds(self.start + from, self.start + to);
+        b.set_bounds(self.start() + from, self.start() + to);
         b
     }
 
@@ -332,7 +358,7 @@ impl PacketBuf {
     /// Panics if `n > self.len()`.
     pub fn trim_front(&mut self, n: usize) {
         assert!(n <= self.len());
-        self.set_bounds(self.start + n, self.end);
+        self.set_bounds(self.start() + n, self.end());
     }
 
     /// Drops the last `n` bytes from the view (no copy).
@@ -341,13 +367,13 @@ impl PacketBuf {
     /// Panics if `n > self.len()`.
     pub fn trim_back(&mut self, n: usize) {
         assert!(n <= self.len());
-        self.set_bounds(self.start, self.end - n);
+        self.set_bounds(self.start(), self.end() - n);
     }
 
     /// Shortens the view to `len` bytes (no-op if already shorter).
     pub fn truncate(&mut self, len: usize) {
         if len < self.len() {
-            self.set_bounds(self.start, self.start + len);
+            self.set_bounds(self.start(), self.start() + len);
         }
     }
 
@@ -359,11 +385,11 @@ impl PacketBuf {
     /// bytes really memcpy'd: 0 for the in-place path, `self.len()`
     /// otherwise.
     pub fn prepend_header(&mut self, header: &[u8]) -> usize {
-        let n = header.len();
+        let (n, start, end) = (header.len(), self.start(), self.end());
         match Rc::get_mut(&mut self.storage) {
-            Some(storage) if self.start >= n => {
-                storage.bytes.get_mut()[self.start - n..self.start].copy_from_slice(header);
-                self.set_bounds(self.start - n, self.end);
+            Some(storage) if start >= n => {
+                storage.bytes.get_mut()[start - n..start].copy_from_slice(header);
+                self.set_bounds(start - n, end);
                 0
             }
             _ => self.rehome(header, &[]),
@@ -374,15 +400,15 @@ impl PacketBuf {
     /// storage's only handle, otherwise by re-homing. Returns the
     /// payload bytes really memcpy'd (0 for the in-place path).
     pub fn append(&mut self, data: &[u8]) -> usize {
-        let n = data.len();
+        let (n, start, end) = (data.len(), self.start(), self.end());
         match Rc::get_mut(&mut self.storage) {
             Some(storage) => {
                 let storage = storage.bytes.get_mut();
-                if storage.len() < self.end + n {
-                    storage.resize(self.end + n, 0);
+                if storage.len() < end + n {
+                    storage.resize(end + n, 0);
                 }
-                storage[self.end..self.end + n].copy_from_slice(data);
-                self.set_bounds(self.start, self.end + n);
+                storage[end..end + n].copy_from_slice(data);
+                self.set_bounds(start, end + n);
                 0
             }
             None => self.rehome(&[], data),
@@ -439,7 +465,7 @@ impl PacketBuf {
             return None;
         }
         self.sum.set(None);
-        Some(std::cell::RefMut::map(self.storage.bytes.borrow_mut(), |s| &mut s[self.start..self.end]))
+        Some(std::cell::RefMut::map(self.storage.bytes.borrow_mut(), |s| &mut s[self.start()..self.end()]))
     }
 }
 
@@ -672,14 +698,13 @@ mod tests {
         // The way down: staged once, handed on by value, never shared.
         let mut frame = PacketBuf::with_headroom(DEFAULT_HEADROOM, b"ping");
         reset_copy_stats();
-        assert_eq!(frame.prepend_header(&[0u8; 20]), 0); // TCP
+        assert_eq!(frame.prepend_header(&[0u8; 60]), 0); // TCP, every option byte used
         assert_eq!(frame.prepend_header(&[1u8; 20]), 0); // IP
         assert_eq!(frame.prepend_header(&[2u8; 14]), 0); // Ethernet
-        assert_eq!(frame.append_zeros(2), 0); // padding to the 46-byte minimum
         assert_eq!(frame.append(&[3u8; 4]), 0); // FCS
         assert_eq!(copy_stats(), CopyStats::default(), "zero payload bytes moved");
-        assert_eq!(frame.len(), 14 + 46 + 4);
-        assert_eq!(frame.slice(54, 58), b"ping");
+        assert_eq!(frame.len(), 94 + 4 + 4);
+        assert_eq!(frame.slice(94, 98), b"ping");
     }
 
     #[test]

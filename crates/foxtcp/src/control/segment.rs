@@ -273,7 +273,7 @@ fn check_ack<P: Clone + PartialEq + Debug>(
     if core.tcb.sack_on {
         let blocks = h.sack_blocks();
         if !blocks.is_empty() {
-            core.tcb.note_sack_blocks(blocks);
+            core.tcb.note_sack_blocks(&blocks);
         }
     }
 
@@ -470,7 +470,7 @@ mod tests {
         core.tcb.mss = 1460;
         core.state.force(TcpState::Listen { backlog: 0 });
         let mut s = seg(7000, TcpFlags::SYN, b"");
-        s.header.options.push(TcpOption::MaxSegmentSize(800));
+        s.header.options.push(TcpOption::MaxSegmentSize(800)).unwrap();
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
         // TCB per the standard: RCV.NXT = SEG.SEQ+1, IRS = SEG.SEQ,
         // SND.NXT = ISS+1.
@@ -959,15 +959,15 @@ mod tests {
 
     fn peer_syn(wscale: Option<u8>, sack: bool, ts: Option<(u32, u32)>) -> TcpSegment {
         let mut s = seg(7000, TcpFlags::SYN, b"");
-        s.header.options.push(TcpOption::MaxSegmentSize(1460));
+        s.header.options.push(TcpOption::MaxSegmentSize(1460)).unwrap();
         if let Some(sh) = wscale {
-            s.header.options.push(TcpOption::WindowScale(sh));
+            s.header.options.push(TcpOption::WindowScale(sh)).unwrap();
         }
         if sack {
-            s.header.options.push(TcpOption::SackPermitted);
+            s.header.options.push(TcpOption::SackPermitted).unwrap();
         }
         if let Some((v, e)) = ts {
-            s.header.options.push(TcpOption::Timestamps(v, e));
+            s.header.options.push(TcpOption::Timestamps(v, e)).unwrap();
         }
         s
     }
@@ -1089,7 +1089,7 @@ mod tests {
         core.tcb.ts_on = true;
         core.tcb.ts_recent = 10_000;
         let mut s = seg(5001, TcpFlags::ACK, b"wrapped ghost");
-        s.header.options.push(TcpOption::Timestamps(9_999, 0));
+        s.header.options.push(TcpOption::Timestamps(9_999, 0)).unwrap();
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
         assert_eq!(core.tcb.rcv_nxt(), Seq(5001), "text not consumed");
         let actions = drain_actions(&mut core);
@@ -1099,7 +1099,7 @@ mod tests {
         );
         // The same data with a current timestamp is accepted.
         let mut s = seg(5001, TcpFlags::ACK, b"fresh");
-        s.header.options.push(TcpOption::Timestamps(10_001, 0));
+        s.header.options.push(TcpOption::Timestamps(10_001, 0)).unwrap();
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
         assert_eq!(core.tcb.rcv_nxt(), Seq(5006));
         assert_eq!(core.tcb.ts_recent, 10_001, "TS.Recent advanced");
@@ -1122,7 +1122,7 @@ mod tests {
         }
         let mut s = seg(5001, TcpFlags::ACK, b"");
         s.header.ack = Seq(101); // duplicate
-        s.header.options.push(TcpOption::Sack(vec![(Seq(1101), Seq(2101))]));
+        s.header.options.push(TcpOption::Sack([(Seq(1101), Seq(2101))].into_iter().collect())).unwrap();
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
         assert_eq!(core.tcb.sack_scoreboard, vec![(Seq(1101), Seq(2101))]);
         assert!(core.tcb.sacked(Seq(1101), Seq(2101)));

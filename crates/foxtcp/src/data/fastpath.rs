@@ -336,11 +336,11 @@ mod tests {
         core.tcb.ts_on = true;
         core.tcb.ts_recent = 500;
         let mut s = seg(5000, 100, 4096, &[1u8; 10]);
-        s.header.options.push(TcpOption::Timestamps(499, 0));
+        s.header.options.push(TcpOption::Timestamps(499, 0)).unwrap();
         assert!(try_fast(&cfg(), &mut core, &s, VirtualTime::ZERO), "PAWS drop is a handled segment");
         assert_eq!(core.tcb.rcv_nxt, Seq(5000), "old-timestamp data not consumed");
         let mut s = seg(5000, 100, 4096, &[1u8; 10]);
-        s.header.options.push(TcpOption::Timestamps(501, 0));
+        s.header.options.push(TcpOption::Timestamps(501, 0)).unwrap();
         assert!(try_fast(&cfg(), &mut core, &s, VirtualTime::ZERO));
         assert_eq!(core.tcb.rcv_nxt, Seq(5010));
         assert_eq!(core.tcb.ts_recent, 501);
@@ -359,7 +359,7 @@ mod tests {
         core.tcb.ts_on = true;
         core.tcb.ts_recent = 500;
         let mut s = seg(5000, 100, 4096, &[1u8; 10]);
-        s.header.options.push(TcpOption::Timestamps(499, 0));
+        s.header.options.push(TcpOption::Timestamps(499, 0)).unwrap();
         assert!(try_fast(&cfg(), &mut core, &s, VirtualTime::ZERO));
         let actions = core.tcb.to_do.drain_all();
         let acks: Vec<_> = actions
@@ -381,7 +381,7 @@ mod tests {
         core.tcb.ts_on = true;
         core.tcb.ts_recent = 500;
         let mut s = seg(5000, 100, 4096, &[1u8; 10]);
-        s.header.options.push(TcpOption::Timestamps(499, 0));
+        s.header.options.push(TcpOption::Timestamps(499, 0)).unwrap();
         let _ = crate::control::segment::segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
         let actions = core.tcb.to_do.drain_all();
         let slow_acks: Vec<_> = actions

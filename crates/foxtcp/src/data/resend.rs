@@ -309,7 +309,10 @@ fn retransmit_segment<P: Clone + PartialEq + Debug>(
         header.flags.ack = core.state.is_syn_received();
         send::push_syn_options(core, &mut header, now);
     } else if core.tcb.ts_on {
-        header.options.push(foxwire::tcp::TcpOption::Timestamps(send::ts_val(now), core.tcb.ts_recent));
+        header
+            .options
+            .push(foxwire::tcp::TcpOption::Timestamps(send::ts_val(now), core.tcb.ts_recent))
+            .expect(send::OPTIONS_FIT);
     }
     header.window = core.tcb.wire_window_field(seg.syn);
     let tcb = &mut core.tcb;

@@ -17,6 +17,12 @@ use foxbasis::time::VirtualTime;
 use foxwire::tcp::{TcpFlags, TcpHeader, TcpOption, TcpSegment};
 use std::fmt::Debug;
 
+/// Why no option push onto a header this module builds is refused: a
+/// SYN carries at most 19 option bytes (MSS, window scale,
+/// SACK-permitted, timestamps) and any later segment 36 (timestamps and
+/// three SACK blocks), of the 40 there are.
+pub(crate) const OPTIONS_FIT: &str = "a header's options fit the 40-byte option space";
+
 /// The RFC 7323 timestamp clock: the virtual clock in milliseconds,
 /// truncated to the 32-bit TSval field (wrap is handled by the
 /// modular-arithmetic comparisons on the receive side).
@@ -42,12 +48,12 @@ pub fn make_header<P: Clone + PartialEq + Debug>(
     h.window = core.tcb.wire_window_field(flags.syn);
     if !flags.syn {
         if core.tcb.ts_on {
-            h.options.push(TcpOption::Timestamps(ts_val(now), core.tcb.ts_recent));
+            h.options.push(TcpOption::Timestamps(ts_val(now), core.tcb.ts_recent)).expect(OPTIONS_FIT);
         }
         if core.tcb.sack_on && flags.ack {
             let blocks = core.tcb.sack_blocks_to_send();
             if !blocks.is_empty() {
-                h.options.push(TcpOption::Sack(blocks));
+                h.options.push(TcpOption::Sack(blocks)).expect(OPTIONS_FIT);
             }
         }
     }
@@ -64,17 +70,17 @@ pub fn push_syn_options<P: Clone + PartialEq + Debug>(
     header: &mut TcpHeader,
     now: VirtualTime,
 ) {
-    header.options.push(TcpOption::MaxSegmentSize(core.our_mss.min(65535) as u16));
+    header.options.push(TcpOption::MaxSegmentSize(core.our_mss.min(65535) as u16)).expect(OPTIONS_FIT);
     let tcb = &core.tcb;
     let answering = header.flags.ack; // SYN+ACK answers the peer's offers
     if if answering { tcb.wscale_on } else { tcb.offer_wscale } {
-        header.options.push(TcpOption::WindowScale(tcb.rcv_wscale));
+        header.options.push(TcpOption::WindowScale(tcb.rcv_wscale)).expect(OPTIONS_FIT);
     }
     if if answering { tcb.sack_on } else { tcb.offer_sack } {
-        header.options.push(TcpOption::SackPermitted);
+        header.options.push(TcpOption::SackPermitted).expect(OPTIONS_FIT);
     }
     if if answering { tcb.ts_on } else { tcb.offer_ts } {
-        header.options.push(TcpOption::Timestamps(ts_val(now), tcb.ts_recent));
+        header.options.push(TcpOption::Timestamps(ts_val(now), tcb.ts_recent)).expect(OPTIONS_FIT);
     }
 }
 
@@ -577,7 +583,7 @@ mod tests {
         let segs = staged_segments(&mut core);
         let h = &segs[0].header;
         assert_eq!(h.timestamps(), Some((1234, 777)));
-        assert_eq!(h.sack_blocks(), &[(Seq(6000), Seq(6100))]);
+        assert_eq!(*h.sack_blocks(), [(Seq(6000), Seq(6100))]);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use foxbasis::fifo::Fifo;
 use foxbasis::ring::RingBuffer;
 use foxbasis::seq::Seq;
 use foxbasis::time::{VirtualDuration, VirtualTime};
-use foxwire::tcp::WireWindow;
+use foxwire::tcp::{SackBlocks, WireWindow};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -472,15 +472,16 @@ impl<P> Tcb<P> {
     /// The merged contiguous ranges the reassembly queue holds, in
     /// ascending order. Entries never overlap, so two belong to one
     /// range exactly when the first ends where the second starts.
-    pub fn out_of_order_ranges(&self) -> Vec<(Seq, Seq)> {
-        let mut ranges: Vec<(Seq, Seq)> = Vec::new();
-        for entry in &self.out_of_order {
-            match ranges.last_mut() {
-                Some((_, e)) if *e == entry.0 => *e = ooo_end(entry),
-                _ => ranges.push((entry.0, ooo_end(entry))),
+    pub fn out_of_order_ranges(&self) -> impl Iterator<Item = (Seq, Seq)> + '_ {
+        let mut entries = self.out_of_order.iter().peekable();
+        std::iter::from_fn(move || {
+            let first = entries.next()?;
+            let mut end = ooo_end(first);
+            while let Some(next) = entries.next_if(|next| next.0 == end) {
+                end = ooo_end(next);
             }
-        }
-        ranges
+            Some((first.0, end))
+        })
     }
 
     /// Up to three SACK blocks describing the out-of-order queue
@@ -489,14 +490,11 @@ impl<P> Tcb<P> {
     /// for the ACK that segment triggers, and with four or more holes
     /// the only way the sender ever hears of the newest data; the rest
     /// follow in ascending order, which keeps the report deterministic.
-    pub fn sack_blocks_to_send(&self) -> Vec<(Seq, Seq)> {
-        let mut blocks = self.out_of_order_ranges();
-        let newest = self.last_queued.and_then(|q| blocks.iter().position(|(s, e)| s.le(q) && q.lt(*e)));
-        if let Some(newest) = newest {
-            blocks[..=newest].rotate_right(1);
-        }
-        blocks.truncate(3);
-        blocks
+    pub fn sack_blocks_to_send(&self) -> SackBlocks {
+        let newest =
+            self.last_queued.and_then(|q| self.out_of_order_ranges().find(|(s, e)| s.le(q) && q.lt(*e)));
+        let rest = self.out_of_order_ranges().filter(|r| Some(*r) != newest);
+        newest.into_iter().chain(rest).take(3).collect()
     }
 
     /// Merges peer-reported SACK blocks into the scoreboard, dropping
@@ -674,7 +672,7 @@ impl<P> Tcb<P> {
         for (a, b) in q.iter().zip(q.iter().skip(1)) {
             assert!(ooo_end(a).le(b.0), "reassembly queue overlaps: ..{} then {}..", ooo_end(a), b.0);
         }
-        let ranges = self.out_of_order_ranges().len();
+        let ranges = self.out_of_order_ranges().count();
         assert!(ranges <= MAX_OUT_OF_ORDER, "reassembly queue holds {ranges} ranges");
         let bytes: usize = q.iter().map(|(_, d, _)| d.len()).sum();
         assert!(bytes <= self.recv_buf.capacity(), "reassembly queue holds {bytes} bytes");
@@ -760,7 +758,7 @@ impl<P> Tcb<P> {
             hi == at && pred_end != Some(new.0) && q.get(hi).is_none_or(|next| next.0 != ooo_end(&new));
         if q.len() - (hi - at) >= self.max_out_of_order_entries()
             || held - covered + new.1.len() > self.recv_buf.capacity()
-            || (opens_a_range && self.out_of_order_ranges().len() >= MAX_OUT_OF_ORDER)
+            || (opens_a_range && self.out_of_order_ranges().count() >= MAX_OUT_OF_ORDER)
         {
             return;
         }
@@ -1014,12 +1012,12 @@ mod tests {
         for i in 0..(MAX_OUT_OF_ORDER + 10) {
             t.insert_out_of_order(Seq(1000 + 10 * i as u32), vec![0; 5], false);
         }
-        assert_eq!(t.out_of_order_ranges().len(), MAX_OUT_OF_ORDER);
+        assert_eq!(t.out_of_order_ranges().count(), MAX_OUT_OF_ORDER);
         assert_eq!(t.out_of_order.len(), MAX_OUT_OF_ORDER);
         // ... but a segment that extends a range, or joins two, is taken.
         t.insert_out_of_order(Seq(1005), vec![0; 5], false);
         assert_eq!(t.out_of_order.len(), MAX_OUT_OF_ORDER + 1);
-        assert_eq!(t.out_of_order_ranges().len(), MAX_OUT_OF_ORDER - 1);
+        assert_eq!(t.out_of_order_ranges().count(), MAX_OUT_OF_ORDER - 1);
         t.check_invariants();
 
         // Entries: one contiguous run of one-byte segments.
@@ -1093,7 +1091,7 @@ mod tests {
         t.insert_out_of_order(Seq(200), vec![1; 50], false);
         t.insert_out_of_order(Seq(250), vec![2; 50], false); // adjacent: merges
         t.insert_out_of_order(Seq(400), vec![3; 10], true); // FIN occupies a number
-        assert_eq!(t.sack_blocks_to_send(), vec![(Seq(400), Seq(411)), (Seq(200), Seq(300))], "newest first");
+        assert_eq!(*t.sack_blocks_to_send(), [(Seq(400), Seq(411)), (Seq(200), Seq(300))], "newest first");
         assert!(tcb().sack_blocks_to_send().is_empty());
     }
 
@@ -1107,21 +1105,21 @@ mod tests {
         // Four ranges, three blocks: ascending order alone would never
         // mention the newest.
         assert_eq!(
-            t.sack_blocks_to_send(),
-            vec![(Seq(800), Seq(850)), (Seq(200), Seq(250)), (Seq(400), Seq(450))]
+            *t.sack_blocks_to_send(),
+            [(Seq(800), Seq(850)), (Seq(200), Seq(250)), (Seq(400), Seq(450))]
         );
         // A segment that extends an older range brings that range first.
         t.insert_out_of_order(Seq(450), vec![0; 50], false);
         assert_eq!(
-            t.sack_blocks_to_send(),
-            vec![(Seq(400), Seq(500)), (Seq(200), Seq(250)), (Seq(600), Seq(650))]
+            *t.sack_blocks_to_send(),
+            [(Seq(400), Seq(500)), (Seq(200), Seq(250)), (Seq(600), Seq(650))]
         );
         // Once the newest segment has been delivered the order is plain.
         t.insert_out_of_order(Seq(100), vec![0; 100], false);
         t.drain_out_of_order();
         assert_eq!(
-            t.sack_blocks_to_send(),
-            vec![(Seq(400), Seq(500)), (Seq(600), Seq(650)), (Seq(800), Seq(850))]
+            *t.sack_blocks_to_send(),
+            [(Seq(400), Seq(500)), (Seq(600), Seq(650)), (Seq(800), Seq(850))]
         );
     }
 

@@ -1,5 +1,6 @@
 //! The engine's heap budget, pinned as exact counts: heap calls per
-//! round trip, and heap bytes held per idle connection.
+//! round trip, with and without options, and heap bytes held per idle
+//! connection.
 //!
 //! ROADMAP item 2 asks for an engine that is "allocation-free per
 //! segment" and prefers "the allocator count over a `hot_alloc` lint":
@@ -26,12 +27,14 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 /// Heap calls one 64-byte request/response costs the two engines
-/// together, in steady state. What is left is the two `TcpEvent::Data`
-/// vectors, one per segment, that hand the user its bytes. Each
-/// segment's staged storage and its `Rc` (2 each until PR 25) now come
-/// from the sending engine's `BufPool` and go back to it when the
-/// receiver drops the frame; the decoded header's option vector costs
-/// nothing here because the segments carry no options.
+/// together, in steady state, with options negotiated or not. What is
+/// left is the two `TcpEvent::Data` vectors, one per segment, that hand
+/// the user its bytes. Each segment's staged storage and its `Rc` (2
+/// each until PR 25) now come from the sending engine's `BufPool` and go
+/// back to it when the receiver drops the frame. A header holds its
+/// options inline, so a timestamped segment costs what a bare one does;
+/// while options were a vector, encoding and decoding each allocated
+/// one, and the round trip with timestamps on cost 6.
 /// The commit before this test spent 36.927 (not even a whole number:
 /// its timer wheel re-grew a vector on most `step`s).
 const ALLOCS_PER_ROUND_TRIP: u64 = 2;
@@ -44,7 +47,7 @@ const IDLE_PAIRS: u64 = 64;
 /// Heap bytes the two engines hold for [`IDLE_PAIRS`] ESTABLISHED
 /// connections (so twice as many connection ends, and the listener),
 /// each idle after one 64-byte round trip, under the benchmark's
-/// 512 KB / 256 KB buffer configuration: 1 937 per end.
+/// 512 KB / 256 KB buffer configuration: 1 994 per end.
 /// What an end holds: its slot in the engine's table (the `Conn` itself,
 /// most of the figure), a 64-byte send ring, its handler's box, the
 /// warmed-up `to_do` and resend queues, and its share of the table's
@@ -58,7 +61,18 @@ const IDLE_PAIRS: u64 = 64;
 /// once had 64 of one engine's blocks outstanding together (the other
 /// engine never had more than one); the rest is a pool handle per
 /// connection.
-const BYTES_HELD_BY_IDLE_PAIRS: u64 = 248_016;
+/// Since options went inline it is 7 232 bytes over the 248 016 before:
+/// - +2 144: 67 pooled blocks, each with 32 bytes more headroom (96, so
+///   a TCP header with every option byte used still goes on in place);
+/// - +6 176: the `to_do` queues' 772 slots (the 64 clients' warmed to
+///   8, the children's and the listener's to 4), each 8 bytes larger: a
+///   `TcpAction` is 96 bytes, not 88, because a header is 64 bytes, not
+///   48, with its options inline, while a `PacketBuf` is 24, not 32,
+///   with 32-bit view bounds;
+/// - −1 088: 136 `TestMsg` slots, 68 in the test link's in-flight queues
+///   and 68 in the engines' receive queues, each 8 bytes smaller with the
+///   `PacketBuf`.
+const BYTES_HELD_BY_IDLE_PAIRS: u64 = 255_248;
 
 /// `foxharness::bench::BenchProfile::Modern.tcp_config()`, which this
 /// crate cannot name (the harness depends on it).
@@ -100,11 +114,24 @@ fn round_trip(p: &mut Pair, client: TcpConnId, server: TcpConnId) {
 
 #[test]
 fn established_round_trip_allocations_are_pinned() {
-    let mut p = Pair::new(modern(), modern());
+    round_trip_allocations_are_pinned(modern());
+}
+
+/// The same round trip with timestamps and SACK negotiated: every
+/// segment carries a timestamps option.
+#[test]
+fn round_trip_allocations_with_options_are_pinned() {
+    round_trip_allocations_are_pinned(TcpConfig { timestamps: true, sack: true, ..modern() });
+}
+
+fn round_trip_allocations_are_pinned(cfg: TcpConfig) {
+    let mut p = Pair::new(cfg.clone(), cfg.clone());
     let (got_a, got_b) = (Rc::new(Cell::new(0)), Rc::new(Cell::new(0)));
     let (client, server) = p.open(80);
     p.a.set_handler(client, counting(&got_a)).unwrap();
     p.b.set_handler(server, counting(&got_b)).unwrap();
+    let tcb = &p.a.core_of(client).unwrap().tcb;
+    assert_eq!((tcb.ts_on, tcb.sack_on), (cfg.timestamps, cfg.sack), "negotiated as configured");
 
     // Warm-up: buffers, queues and the wheel's slab reach their
     // steady-state capacity, and the run crosses tick roll-overs.

@@ -12,7 +12,7 @@ use foxproto::Protocol;
 use foxtcp::data::tcb::MAX_OUT_OF_ORDER;
 use foxtcp::testlink::Pair;
 use foxtcp::{TcpConfig, TcpConnId};
-use foxwire::tcp::{TcpOption, TcpSegment};
+use foxwire::tcp::{TcpOption, TcpOptions, TcpSegment};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -114,7 +114,7 @@ fn the_receiver_keeps_what_its_window_promised() {
     let behind_the_hole = [(hole + MSS, hole + 65 * MSS)];
     let rx = &p.b.core_of(child).unwrap().tcb;
     assert_eq!(rx.out_of_order.len(), 64, "every segment behind the hole is held");
-    assert_eq!(rx.sack_blocks_to_send(), behind_the_hole);
+    assert_eq!(*rx.sack_blocks_to_send(), behind_the_hole);
     let tx = &p.a.core_of(client).unwrap().tcb;
     assert_eq!(tx.sack_scoreboard, behind_the_hole, "and the sender knows it");
     assert_eq!(sends.borrow()[&hole.0], 2, "the third duplicate resent the hole (into the filter)");
@@ -240,8 +240,12 @@ fn a_partial_ack_with_sack_blocks_reaches_the_scoreboard() {
         TcpSegment::decode_buf(last_ack.borrow().as_ref().expect("b sent duplicates"), None).unwrap();
     assert_eq!(ack.header.ack, base);
     ack.header.ack = base + MSS;
-    ack.header.options.retain(|o| !matches!(o, TcpOption::Sack(_)));
-    ack.header.options.push(TcpOption::Sack(vec![segment_5]));
+    let mut options = TcpOptions::new();
+    if let Some((tsval, tsecr)) = ack.header.timestamps() {
+        options.push(TcpOption::Timestamps(tsval, tsecr)).unwrap();
+    }
+    options.push(TcpOption::Sack([segment_5].into_iter().collect())).unwrap();
+    ack.header.options = options;
     inject(&p, 1, &ack);
     p.settle();
 
@@ -281,7 +285,7 @@ fn one_byte_segments_cannot_outgrow_the_reassembly_queue() {
     }
     p.settle();
     let rx = &p.b.core_of(child).unwrap().tcb;
-    assert_eq!(rx.out_of_order_ranges().len(), MAX_OUT_OF_ORDER, "scattered bytes stop at the range bound");
+    assert_eq!(rx.out_of_order_ranges().count(), MAX_OUT_OF_ORDER, "scattered bytes stop at the range bound");
     assert_eq!(rx.out_of_order.len(), MAX_OUT_OF_ORDER);
 
     // The same flood again, contiguous from where the last range ends.
@@ -298,7 +302,7 @@ fn one_byte_segments_cannot_outgrow_the_reassembly_queue() {
         rx.max_out_of_order_entries(),
         "contiguous bytes stop at the entry bound"
     );
-    assert_eq!(rx.out_of_order_ranges().len(), MAX_OUT_OF_ORDER, "having only extended the last range");
+    assert_eq!(rx.out_of_order_ranges().count(), MAX_OUT_OF_ORDER, "having only extended the last range");
     rx.check_invariants();
     assert_eq!(rx.rcv_nxt(), rcv_nxt, "none of it was in order");
 }

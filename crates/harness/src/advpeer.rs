@@ -144,7 +144,7 @@ impl Adversary {
         mut flags: TcpFlags,
         window: u16,
         payload: &[u8],
-        options: Vec<TcpOption>,
+        options: &[TcpOption],
     ) {
         let mut h = TcpHeader::new(src.1, dst.1);
         h.seq = Seq(seq);
@@ -154,7 +154,9 @@ impl Adversary {
         }
         h.flags = flags;
         h.window = wire_window(u32::from(window), 0);
-        h.options = options;
+        for &o in options {
+            h.options.push(o).expect("forged options fit the option space");
+        }
         let seg = TcpSegment { header: h, payload: payload.into() };
         let tcp_bytes = seg.encode_v4(Some((src.0, dst.0))).expect("forged segment encodes");
         let pkt = Ipv4Packet { header: Ipv4Header::new(IpProtocol::Tcp, src.0, dst.0), payload: tcp_bytes };
@@ -426,7 +428,7 @@ pub fn run_attack(kind: StackKind, attack: Attack, faults: FaultConfig, seed: u6
                         TcpFlags::RST,
                         0,
                         &[],
-                        Vec::new(),
+                        &[],
                     );
                 }
                 Attack::BlindRstInWindow if quiet => {
@@ -442,7 +444,7 @@ pub fn run_attack(kind: StackKind, attack: Attack, faults: FaultConfig, seed: u6
                         TcpFlags::RST,
                         0,
                         &[],
-                        Vec::new(),
+                        &[],
                     );
                 }
                 Attack::ExactRst if quiet => {
@@ -458,7 +460,7 @@ pub fn run_attack(kind: StackKind, attack: Attack, faults: FaultConfig, seed: u6
                         TcpFlags::RST,
                         0,
                         &[],
-                        Vec::new(),
+                        &[],
                     );
                 }
                 Attack::BlindDataOffWindow if fired_window && volleys < 4 => {
@@ -472,7 +474,7 @@ pub fn run_attack(kind: StackKind, attack: Attack, faults: FaultConfig, seed: u6
                         TcpFlags { psh: true, ..TcpFlags::default() },
                         4096,
                         &junk,
-                        Vec::new(),
+                        &[],
                     );
                 }
                 Attack::BlindDataInWindow if fired_window && volleys < 4 => {
@@ -489,7 +491,7 @@ pub fn run_attack(kind: StackKind, attack: Attack, faults: FaultConfig, seed: u6
                         TcpFlags { psh: true, ..TcpFlags::default() },
                         4096,
                         &junk,
-                        Vec::new(),
+                        &[],
                     );
                 }
                 Attack::ExactData if fired_window && volleys < 1 => {
@@ -503,7 +505,7 @@ pub fn run_attack(kind: StackKind, attack: Attack, faults: FaultConfig, seed: u6
                         TcpFlags { psh: true, ..TcpFlags::default() },
                         4096,
                         &junk,
-                        Vec::new(),
+                        &[],
                     );
                 }
                 Attack::AckDivision if sustained && volleys < 30 => {
@@ -522,7 +524,7 @@ pub fn run_attack(kind: StackKind, attack: Attack, faults: FaultConfig, seed: u6
                                 TcpFlags::default(),
                                 4096,
                                 &[],
-                                Vec::new(),
+                                &[],
                             );
                         }
                     }
@@ -538,7 +540,7 @@ pub fn run_attack(kind: StackKind, attack: Attack, faults: FaultConfig, seed: u6
                         TcpFlags::default(),
                         4096,
                         &[],
-                        Vec::new(),
+                        &[],
                     );
                 }
                 Attack::SwsPump if fired_window && volleys < 40 => {
@@ -553,7 +555,7 @@ pub fn run_attack(kind: StackKind, attack: Attack, faults: FaultConfig, seed: u6
                         TcpFlags::default(),
                         64,
                         &[],
-                        Vec::new(),
+                        &[],
                     );
                 }
                 Attack::Land if fired_window && volleys < 3 => {
@@ -567,7 +569,7 @@ pub fn run_attack(kind: StackKind, attack: Attack, faults: FaultConfig, seed: u6
                         TcpFlags::SYN,
                         4096,
                         &[],
-                        vec![TcpOption::MaxSegmentSize(1460)],
+                        &[TcpOption::MaxSegmentSize(1460)],
                     );
                 }
                 Attack::SynFloodReplay if fired_window && volleys < 1 => {
@@ -582,7 +584,7 @@ pub fn run_attack(kind: StackKind, attack: Attack, faults: FaultConfig, seed: u6
                             TcpFlags::SYN,
                             4096,
                             &[],
-                            vec![TcpOption::MaxSegmentSize(1460)],
+                            &[TcpOption::MaxSegmentSize(1460)],
                         );
                     }
                     if let Some(syn) = adv.captured_syn.clone() {

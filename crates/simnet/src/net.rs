@@ -20,7 +20,7 @@ use foxbasis::seq::Seq;
 use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxwire::ether::{EthAddr, EtherType, Frame};
 use foxwire::ipv4::{IpProtocol, Ipv4Packet};
-use foxwire::tcp::{wire_window, TcpOption, TcpSegment};
+use foxwire::tcp::{wire_window, TcpSegment};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
@@ -319,17 +319,20 @@ impl NetCore {
         }
         let mut frame = frame;
         if self.rng.gen_bool(self.config.faults.corrupt_chance) && !frame.is_empty() {
-            // Someone else may still hold this buffer (a sender that
-            // keeps what it sent, a capture tap), so corruption works on
-            // a private deep copy — the only copy the wire ever makes.
-            let mut owned = frame.clone_owned();
-            let at = self.rng.gen_range(0..owned.len());
+            // The bit flips in place when the wire holds the frame's
+            // last handle. When someone else still holds it (a sender
+            // that keeps what it sent, a capture tap) it flips on a
+            // private deep copy — the only copy the wire ever makes —
+            // never on bytes another handle can see.
+            if frame.bytes_mut().is_none() {
+                frame = frame.clone_owned();
+            }
+            let at = self.rng.gen_range(0..frame.len());
             let bit = self.rng.gen_range(0u32..8);
             {
-                let mut b = owned.bytes_mut().expect("clone_owned is unique");
+                let mut b = frame.bytes_mut().expect("the wire holds the last handle");
                 b[at] ^= 1u8 << bit;
             }
-            frame = owned;
             self.stats.frames_corrupted += 1;
             self.obs.emit_for(end, from as u32, NO_CONN, || Event::FrameCorrupt);
         }
@@ -450,16 +453,7 @@ fn clamp_mss(frame: &PacketBuf, mss: u16) -> Option<PacketBuf> {
     if !tcp.header.flags.syn {
         return None;
     }
-    let mut changed = false;
-    for opt in &mut tcp.header.options {
-        if let TcpOption::MaxSegmentSize(v) = opt {
-            if *v > mss {
-                *opt = TcpOption::MaxSegmentSize(mss);
-                changed = true;
-            }
-        }
-    }
-    if !changed {
+    if !tcp.header.options.clamp_mss(mss) {
         return None;
     }
     encode_tcp(eth, ip, tcp)
@@ -495,8 +489,9 @@ fn mutate_tcp(rng: &mut StdRng, frame: &PacketBuf) -> Option<(PacketBuf, &'stati
         }
         _ => {
             // A known option kind (MSS = 2) with an impossible length:
-            // the receiver's decoder must reject the segment cleanly.
-            tcp.header.options.push(TcpOption::Unknown(2, vec![0]));
+            // the receiver's decoder must reject the segment cleanly. A
+            // header with no room left for it is passed through.
+            tcp.header.options.push_raw(2, &[0]).ok()?;
             "garble_options"
         }
     };
@@ -681,6 +676,7 @@ impl fmt::Debug for Port {
 mod tests {
     use super::*;
     use foxwire::ether::{EtherType, Frame};
+    use foxwire::tcp::TcpOption;
 
     fn frame_to(dst: EthAddr, src: EthAddr, n: usize) -> Vec<u8> {
         Frame::new(dst, src, EtherType::Other(0x1234), vec![0xab; n]).encode_buf().unwrap().to_vec()
@@ -815,6 +811,34 @@ mod tests {
     }
 
     #[test]
+    fn corruption_copies_a_frame_only_while_another_handle_holds_it() {
+        use foxbasis::buf::copy_mark;
+        let mut cfg = NetConfig::default();
+        cfg.faults.corrupt_chance = 1.0;
+        let net = SimNet::new(cfg, 42);
+        let a = net.attach(EthAddr::host(1));
+        let b = net.attach(EthAddr::host(2));
+        let sent = frame_to(EthAddr::host(2), EthAddr::host(1), 64);
+        let frame = PacketBuf::from_vec(sent.clone());
+
+        // Held elsewhere too: the bit flips on a private copy.
+        let mark = copy_mark();
+        a.send(frame.clone());
+        net.advance_to(VirtualTime::from_millis(10));
+        assert_ne!(b.recv().unwrap(), sent);
+        assert_eq!(frame, sent, "the other handle still sees what it had");
+        assert_eq!(mark.delta().copies, 1);
+
+        // The wire's alone: in place, no copy.
+        let mark = copy_mark();
+        a.send(frame);
+        net.advance_to(VirtualTime::from_millis(20));
+        assert_ne!(b.recv().unwrap(), sent);
+        assert_eq!(mark.delta().copies, 0);
+        assert_eq!(net.stats().frames_corrupted, 2);
+    }
+
+    #[test]
     fn duplication_fault_delivers_twice() {
         let mut cfg = NetConfig::default();
         cfg.faults.duplicate_chance = 1.0;
@@ -938,7 +962,7 @@ mod tests {
         h.flags = flags;
         h.window = wire_window(4096, 0);
         if flags.syn {
-            h.options.push(TcpOption::MaxSegmentSize(1460));
+            h.options.push(TcpOption::MaxSegmentSize(1460)).unwrap();
         }
         let seg = TcpSegment { header: h, payload: payload.into() };
         let tcp_bytes = seg.encode_v4(Some((src_ip, dst_ip))).unwrap();

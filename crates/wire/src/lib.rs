@@ -16,8 +16,8 @@
 //!   checksum;
 //! * [`icmp`] — ICMP echo (ping);
 //! * [`udp`] — UDP;
-//! * [`tcp`] — the TCP header, flags and the Maximum Segment Size
-//!   option;
+//! * [`tcp`] — the TCP header, flags and options, the options held
+//!   inline in wire form;
 //! * [`pseudo`] — the TCP/UDP pseudo-header checksum over IPv4
 //!   addresses (the `check` function of the paper's `IP_AUX` signature,
 //!   Fig. 5).
@@ -57,6 +57,16 @@ pub use tcp::{TcpFlags, TcpHeader, TcpOption, TcpSegment};
 pub use udp::UdpDatagram;
 
 use std::fmt;
+
+// The deepest header stack the TCP path builds — a TCP header with a
+// full option space over IPv4 over Ethernet, 94 bytes — fits the
+// headroom every staged payload gets, so each layer prepends in place
+// and no frame re-homes on its way down.
+const _: () =
+    assert!(tcp::MAX_HEADER_LEN + ipv4::HEADER_LEN + ether::HEADER_LEN <= foxbasis::buf::DEFAULT_HEADROOM);
+// A header holds its options inline: making, cloning or dropping one
+// costs no heap call.
+const _: () = assert!(!std::mem::needs_drop::<TcpHeader>());
 
 /// Decoding/encoding failures.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,12 +1,13 @@
 //! The TCP header (RFC 793 §3.1) — segment externalization and
 //! internalization, the job of the paper's Action module.
 
-use crate::bytes::{range, ByteReader};
+use crate::bytes::{prefix, range, ByteReader};
 use crate::ipv4::{IpProtocol, Ipv4Addr};
 use crate::{need, pseudo, WireError};
 use foxbasis::buf::PacketBuf;
 use foxbasis::seq::Seq;
 use std::fmt;
+use std::ops::Deref;
 
 /// Length of the option-free TCP header.
 pub const HEADER_LEN: usize = 20;
@@ -163,9 +164,63 @@ impl fmt::Debug for TcpFlags {
     }
 }
 
-/// TCP options the stack understands. Unknown options are preserved
-/// as raw kind/bytes so they survive a decode/encode round trip.
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// The option space behind the fixed header: what the 4-bit data
+/// offset leaves.
+pub const MAX_OPTIONS_LEN: usize = MAX_HEADER_LEN - HEADER_LEN;
+
+/// The most SACK blocks one option can carry: 2 + 8 · 4 = 34 of the 40
+/// option bytes (RFC 2018 §3).
+pub const MAX_SACK_BLOCKS: usize = 4;
+
+/// What a push past [`MAX_OPTIONS_LEN`] is refused with.
+const TOO_LONG: WireError = WireError::Malformed("tcp options too long");
+
+/// Up to [`MAX_SACK_BLOCKS`] SACK blocks, each `[left, right)` in
+/// sequence space, held inline and read as a slice.
+#[derive(Copy, Clone, Default)]
+pub struct SackBlocks {
+    blocks: [(Seq, Seq); MAX_SACK_BLOCKS],
+    len: u8,
+}
+
+impl Deref for SackBlocks {
+    type Target = [(Seq, Seq)];
+
+    fn deref(&self) -> &[(Seq, Seq)] {
+        &self.blocks[..usize::from(self.len)]
+    }
+}
+
+impl FromIterator<(Seq, Seq)> for SackBlocks {
+    /// The first [`MAX_SACK_BLOCKS`] of `blocks`: no more fit one option.
+    fn from_iter<I: IntoIterator<Item = (Seq, Seq)>>(blocks: I) -> SackBlocks {
+        let mut out = SackBlocks::default();
+        for (slot, block) in out.blocks.iter_mut().zip(blocks) {
+            *slot = block;
+            out.len += 1;
+        }
+        out
+    }
+}
+
+impl PartialEq for SackBlocks {
+    fn eq(&self, other: &SackBlocks) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for SackBlocks {}
+
+impl fmt::Debug for SackBlocks {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+/// TCP options the stack understands: what a sender pushes onto a
+/// header's [`TcpOptions`], and what the accessors read back. Any other
+/// option is pushed as raw bytes ([`TcpOptions::push_raw`]).
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum TcpOption {
     /// Kind 2: maximum segment size (only legal on SYN segments).
     MaxSegmentSize(u16),
@@ -176,13 +231,184 @@ pub enum TcpOption {
     WindowScale(u8),
     /// Kind 4: SACK permitted (RFC 2018 §2; only legal on SYN segments).
     SackPermitted,
-    /// Kind 5: SACK blocks, each `[left, right)` in sequence space
-    /// (RFC 2018 §3).
-    Sack(Vec<(Seq, Seq)>),
+    /// Kind 5: SACK blocks (RFC 2018 §3).
+    Sack(SackBlocks),
     /// Kind 8: timestamps (RFC 7323 §3): (TSval, TSecr).
     Timestamps(u32, u32),
-    /// Any other option, carried as (kind, payload).
-    Unknown(u8, Vec<u8>),
+}
+
+impl TcpOption {
+    /// The option a `(kind, body)` pair encodes, when the kind is one
+    /// above and the body has the length its RFC gives it.
+    #[deny(clippy::indexing_slicing)]
+    fn parse(kind: u8, body: &[u8]) -> Option<TcpOption> {
+        let mut r = ByteReader::new("tcp option", body);
+        let option = match (kind, body.len()) {
+            (1, 0) => TcpOption::NoOp,
+            (2, 2) => TcpOption::MaxSegmentSize(r.u16_be().ok()?),
+            (3, 1) => TcpOption::WindowScale(r.u8().ok()?),
+            (4, 0) => TcpOption::SackPermitted,
+            (5, n) if n % 8 == 0 && (1..=MAX_SACK_BLOCKS).contains(&(n / 8)) => TcpOption::Sack(
+                std::iter::from_fn(|| Some((Seq(r.u32_be().ok()?), Seq(r.u32_be().ok()?)))).collect(),
+            ),
+            (8, 8) => TcpOption::Timestamps(r.u32_be().ok()?, r.u32_be().ok()?),
+            _ => return None,
+        };
+        Some(option)
+    }
+}
+
+/// A header's options, held inline in wire form: the option bytes as
+/// they go on the wire, End-of-List padding excluded. Encoding is one
+/// copy, a decode/encode round trip keeps NOPs, unknown kinds and order
+/// byte for byte, and a header costs no heap. The accessors on
+/// [`TcpHeader`] parse on read.
+#[derive(Copy, Clone)]
+pub struct TcpOptions {
+    len: u8,
+    bytes: [u8; MAX_OPTIONS_LEN],
+}
+
+impl TcpOptions {
+    /// No options.
+    pub const fn new() -> TcpOptions {
+        TcpOptions { len: 0, bytes: [0; MAX_OPTIONS_LEN] }
+    }
+
+    /// The option bytes, unpadded.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.len)]
+    }
+
+    /// Appends `option` in wire form, or refuses — leaving the options
+    /// as they were — if it would pass the 40-byte option space.
+    pub fn push(&mut self, option: TcpOption) -> Result<(), WireError> {
+        let mut wire = [0u8; 2 + 8 * MAX_SACK_BLOCKS];
+        let mut n = 0;
+        let mut put = |bytes: &[u8]| {
+            wire[n..n + bytes.len()].copy_from_slice(bytes);
+            n += bytes.len();
+        };
+        match option {
+            TcpOption::MaxSegmentSize(v) => {
+                put(&[2, 4]);
+                put(&v.to_be_bytes());
+            }
+            TcpOption::NoOp => put(&[1]),
+            TcpOption::WindowScale(s) => put(&[3, 3, s]),
+            TcpOption::SackPermitted => put(&[4, 2]),
+            TcpOption::Sack(blocks) => {
+                put(&[5, (2 + 8 * blocks.len()) as u8]);
+                for (left, right) in blocks.iter() {
+                    put(&left.raw().to_be_bytes());
+                    put(&right.raw().to_be_bytes());
+                }
+            }
+            TcpOption::Timestamps(tsval, tsecr) => {
+                put(&[8, 10]);
+                put(&tsval.to_be_bytes());
+                put(&tsecr.to_be_bytes());
+            }
+        }
+        self.extend(&wire[..n])
+    }
+
+    /// Appends an option as its raw `kind`, a length byte of `2 +
+    /// body.len()` and `body` — one this crate does not know, or one
+    /// made malformed on purpose — or refuses as [`TcpOptions::push`]
+    /// does.
+    pub fn push_raw(&mut self, kind: u8, body: &[u8]) -> Result<(), WireError> {
+        if usize::from(self.len) + 2 + body.len() > MAX_OPTIONS_LEN {
+            return Err(TOO_LONG);
+        }
+        self.extend(&[kind, (2 + body.len()) as u8])?;
+        self.extend(body)
+    }
+
+    /// Lowers every MSS option above `mss` to `mss`, rewriting its bytes
+    /// in place — what an MSS-clamping middlebox does. True if any
+    /// changed.
+    pub fn clamp_mss(&mut self, mss: u16) -> bool {
+        let mut changed = false;
+        let mut at = 0;
+        while let Some((kind, body, next)) = entry_at(self.as_bytes(), at) {
+            if matches!(TcpOption::parse(kind, body), Some(TcpOption::MaxSegmentSize(v)) if v > mss) {
+                self.bytes[at + 2..at + 4].copy_from_slice(&mss.to_be_bytes());
+                changed = true;
+            }
+            at = next;
+        }
+        changed
+    }
+
+    /// Appends `bytes`, or refuses — leaving the options as they were —
+    /// if they would pass the option space.
+    fn extend(&mut self, bytes: &[u8]) -> Result<(), WireError> {
+        let at = usize::from(self.len);
+        let room = self.bytes.get_mut(at..at + bytes.len()).ok_or(TOO_LONG)?;
+        room.copy_from_slice(bytes);
+        self.len += bytes.len() as u8; // at most MAX_OPTIONS_LEN
+        Ok(())
+    }
+
+    /// The options as `(kind, body)` pairs in wire order, a NOP as `(1,
+    /// [])`.
+    fn entries(&self) -> impl Iterator<Item = (u8, &[u8])> {
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            let (kind, body, next) = entry_at(self.as_bytes(), at)?;
+            at = next;
+            Some((kind, body))
+        })
+    }
+
+    /// The options the stack understands, parsed; raw and malformed ones
+    /// are passed over.
+    fn iter(&self) -> impl Iterator<Item = TcpOption> + '_ {
+        self.entries().filter_map(|(kind, body)| TcpOption::parse(kind, body))
+    }
+}
+
+/// The option that starts `at` bytes into `bytes`: its kind, its body and
+/// where the next one starts.
+fn entry_at(bytes: &[u8], at: usize) -> Option<(u8, &[u8], usize)> {
+    let kind = *bytes.get(at)?;
+    if kind == 1 {
+        return Some((1, &[], at + 1));
+    }
+    let len = usize::from(*bytes.get(at + 1)?);
+    Some((kind, bytes.get(at + 2..at + len)?, at + len))
+}
+
+impl Default for TcpOptions {
+    fn default() -> TcpOptions {
+        TcpOptions::new()
+    }
+}
+
+impl PartialEq for TcpOptions {
+    fn eq(&self, other: &TcpOptions) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for TcpOptions {}
+
+impl fmt::Debug for TcpOptions {
+    /// A list of the options: each one the stack understands as its
+    /// [`TcpOption`], any other as `Unknown(kind, body)`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Entry<'a>(u8, &'a [u8]);
+        impl fmt::Debug for Entry<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                match TcpOption::parse(self.0, self.1) {
+                    Some(option) => option.fmt(f),
+                    None => f.debug_tuple("Unknown").field(&self.0).field(&self.1).finish(),
+                }
+            }
+        }
+        f.debug_list().entries(self.entries().map(|(kind, body)| Entry(kind, body))).finish()
+    }
 }
 
 /// A decoded TCP header.
@@ -203,7 +429,7 @@ pub struct TcpHeader {
     /// Urgent pointer (valid iff `flags.urg`).
     pub urgent: u16,
     /// Options.
-    pub options: Vec<TcpOption>,
+    pub options: TcpOptions,
 }
 
 impl TcpHeader {
@@ -217,14 +443,14 @@ impl TcpHeader {
             flags: TcpFlags::default(),
             window: WireWindow(0),
             urgent: 0,
-            options: Vec::new(),
+            options: TcpOptions::new(),
         }
     }
 
     /// The MSS advertised in the options, if any.
     pub fn mss(&self) -> Option<u16> {
         self.options.iter().find_map(|o| match o {
-            TcpOption::MaxSegmentSize(v) => Some(*v),
+            TcpOption::MaxSegmentSize(v) => Some(v),
             _ => None,
         })
     }
@@ -233,7 +459,7 @@ impl TcpHeader {
     /// to [`MAX_WSCALE`] as RFC 7323 §2.3 requires of the receiver.
     pub fn wscale(&self) -> Option<u8> {
         self.options.iter().find_map(|o| match o {
-            TcpOption::WindowScale(s) => Some((*s).min(MAX_WSCALE)),
+            TcpOption::WindowScale(s) => Some(s.min(MAX_WSCALE)),
             _ => None,
         })
     }
@@ -244,44 +470,28 @@ impl TcpHeader {
     }
 
     /// The SACK blocks carried in the options (empty if none).
-    pub fn sack_blocks(&self) -> &[(Seq, Seq)] {
+    pub fn sack_blocks(&self) -> SackBlocks {
         self.options
             .iter()
             .find_map(|o| match o {
-                TcpOption::Sack(blocks) => Some(blocks.as_slice()),
+                TcpOption::Sack(blocks) => Some(blocks),
                 _ => None,
             })
-            .unwrap_or(&[])
+            .unwrap_or_default()
     }
 
     /// The timestamps option as (TSval, TSecr), if present.
     pub fn timestamps(&self) -> Option<(u32, u32)> {
         self.options.iter().find_map(|o| match o {
-            TcpOption::Timestamps(tsval, tsecr) => Some((*tsval, *tsecr)),
+            TcpOption::Timestamps(tsval, tsecr) => Some((tsval, tsecr)),
             _ => None,
         })
     }
 
-    fn options_wire_len(&self) -> usize {
-        let raw: usize = self
-            .options
-            .iter()
-            .map(|o| match o {
-                TcpOption::MaxSegmentSize(_) => 4,
-                TcpOption::NoOp => 1,
-                TcpOption::WindowScale(_) => 3,
-                TcpOption::SackPermitted => 2,
-                TcpOption::Sack(blocks) => 2 + 8 * blocks.len(),
-                TcpOption::Timestamps(..) => 10,
-                TcpOption::Unknown(_, data) => 2 + data.len(),
-            })
-            .sum();
-        (raw + 3) & !3 // padded to a 32-bit boundary
-    }
-
-    /// Header length in bytes, including options and padding.
+    /// Header length in bytes, including options and padding to a
+    /// 32-bit boundary.
     pub fn header_len(&self) -> usize {
-        HEADER_LEN + self.options_wire_len()
+        HEADER_LEN + ((self.options.as_bytes().len() + 3) & !3)
     }
 }
 
@@ -339,10 +549,7 @@ impl TcpSegment {
     /// End-of-List padding up to a 32-bit boundary.
     fn encode_header(&self, out: &mut [u8; MAX_HEADER_LEN]) -> Result<usize, WireError> {
         let h = &self.header;
-        let len = HEADER_LEN + h.options_wire_len();
-        if len > MAX_HEADER_LEN {
-            return Err(WireError::Malformed("tcp options too long"));
-        }
+        let len = h.header_len();
         if len + self.payload.len() > 65535 {
             return Err(WireError::Malformed("tcp segment too long"));
         }
@@ -355,40 +562,9 @@ impl TcpSegment {
         out[14..16].copy_from_slice(&h.window.0.to_be_bytes());
         out[16..18].fill(0); // checksum placeholder
         out[18..20].copy_from_slice(&h.urgent.to_be_bytes());
-        // `len` bounds every option's bytes, so `put` stays inside `out`.
-        let mut at = HEADER_LEN;
-        let mut put = |bytes: &[u8]| {
-            out[at..at + bytes.len()].copy_from_slice(bytes);
-            at += bytes.len();
-        };
-        for opt in &h.options {
-            match opt {
-                TcpOption::MaxSegmentSize(v) => {
-                    put(&[2, 4]);
-                    put(&v.to_be_bytes());
-                }
-                TcpOption::NoOp => put(&[1]),
-                TcpOption::WindowScale(s) => put(&[3, 3, *s]),
-                TcpOption::SackPermitted => put(&[4, 2]),
-                TcpOption::Sack(blocks) => {
-                    put(&[5, (2 + 8 * blocks.len()) as u8]);
-                    for (left, right) in blocks {
-                        put(&left.raw().to_be_bytes());
-                        put(&right.raw().to_be_bytes());
-                    }
-                }
-                TcpOption::Timestamps(tsval, tsecr) => {
-                    put(&[8, 10]);
-                    put(&tsval.to_be_bytes());
-                    put(&tsecr.to_be_bytes());
-                }
-                TcpOption::Unknown(kind, data) => {
-                    put(&[*kind, (2 + data.len()) as u8]);
-                    put(data);
-                }
-            }
-        }
-        out[at..len].fill(0); // pad options with End-of-List
+        let (options, padding) = out[HEADER_LEN..len].split_at_mut(h.options.as_bytes().len());
+        options.copy_from_slice(h.options.as_bytes());
+        padding.fill(0); // End-of-List
         Ok(len)
     }
 
@@ -444,12 +620,15 @@ impl TcpSegment {
         let window = WireWindow(r.u16_be()?);
         r.skip(2)?; // checksum field, verified above when requested
         let urgent = r.u16_be()?;
-        let mut options = Vec::new();
-        let mut opts = ByteReader::new("tcp options", range("tcp options", buf, HEADER_LEN, data_offset)?);
+        // The option bytes are kept as they came, up to End-of-List,
+        // once every option in them has passed the checks below.
+        let area = range("tcp options", buf, HEADER_LEN, data_offset)?;
+        let mut opts = ByteReader::new("tcp options", area);
+        let mut kept = 0;
         while opts.remaining() > 0 {
             match opts.u8()? {
                 0 => break, // end of option list
-                1 => options.push(TcpOption::NoOp),
+                1 => {}
                 kind => {
                     let len =
                         usize::from(opts.u8().map_err(|_| WireError::Malformed("tcp option truncated"))?);
@@ -457,59 +636,29 @@ impl TcpSegment {
                         return Err(WireError::Malformed("tcp option length"));
                     }
                     let body = opts.bytes(len - 2).map_err(|_| WireError::Malformed("tcp option length"))?;
-                    match kind {
-                        2 => {
-                            if len != 4 {
-                                return Err(WireError::Malformed("tcp MSS option length"));
-                            }
-                            let mss = ByteReader::new("tcp MSS option", body)
-                                .u16_be()
-                                .map_err(|_| WireError::Malformed("tcp MSS option length"))?;
-                            options.push(TcpOption::MaxSegmentSize(mss));
+                    // RFC 1122 4.2.2.5: unknown options are skipped by
+                    // their length and otherwise ignored; a known one must
+                    // have its RFC's length (SACK: 1 to 4 blocks of 8
+                    // bytes, RFC 2018 §3).
+                    let misfit = match kind {
+                        2 => Some("tcp MSS option length"),
+                        3 => Some("tcp wscale option length"),
+                        4 => Some("tcp SACK-permitted length"),
+                        5 => Some("tcp SACK option length"),
+                        8 => Some("tcp timestamps option length"),
+                        _ => None,
+                    };
+                    if let Some(what) = misfit {
+                        if TcpOption::parse(kind, body).is_none() {
+                            return Err(WireError::Malformed(what));
                         }
-                        3 => {
-                            if len != 3 {
-                                return Err(WireError::Malformed("tcp wscale option length"));
-                            }
-                            let shift = ByteReader::new("tcp wscale option", body)
-                                .u8()
-                                .map_err(|_| WireError::Malformed("tcp wscale option length"))?;
-                            options.push(TcpOption::WindowScale(shift));
-                        }
-                        4 => {
-                            if len != 2 {
-                                return Err(WireError::Malformed("tcp SACK-permitted length"));
-                            }
-                            options.push(TcpOption::SackPermitted);
-                        }
-                        5 => {
-                            // 1 to 4 blocks of 8 bytes (RFC 2018 §3).
-                            if len < 10 || (len - 2) % 8 != 0 || len > 2 + 8 * 4 {
-                                return Err(WireError::Malformed("tcp SACK option length"));
-                            }
-                            let mut blocks = Vec::with_capacity((len - 2) / 8);
-                            let mut br = ByteReader::new("tcp SACK option", body);
-                            while br.remaining() > 0 {
-                                let left = Seq(br.u32_be()?);
-                                let right = Seq(br.u32_be()?);
-                                blocks.push((left, right));
-                            }
-                            options.push(TcpOption::Sack(blocks));
-                        }
-                        8 => {
-                            if len != 10 {
-                                return Err(WireError::Malformed("tcp timestamps option length"));
-                            }
-                            let mut br = ByteReader::new("tcp timestamps option", body);
-                            options.push(TcpOption::Timestamps(br.u32_be()?, br.u32_be()?));
-                        }
-                        // RFC 1122 4.2.2.5: unknown options are skipped
-                        // by their length and otherwise ignored.
-                        _ => options.push(TcpOption::Unknown(kind, body.to_vec())),
                     }
                 }
             }
+            kept = opts.pos();
         }
+        let mut options = TcpOptions::new();
+        options.extend(prefix("tcp options", area, kept)?)?;
         let header = TcpHeader { src_port, dst_port, seq, ack, flags, window, urgent, options };
         Ok((header, data_offset))
     }
@@ -546,12 +695,26 @@ mod tests {
         TcpSegment::decode_buf(&PacketBuf::from_vec(bytes.to_vec()), None)
     }
 
+    /// Test shorthand: `list` pushed in order.
+    fn options(list: &[TcpOption]) -> TcpOptions {
+        let mut out = TcpOptions::new();
+        for o in list {
+            out.push(*o).unwrap();
+        }
+        out
+    }
+
+    /// Test shorthand: SACK blocks from raw sequence numbers.
+    fn blocks(list: &[(u32, u32)]) -> SackBlocks {
+        list.iter().map(|&(l, r)| (Seq(l), Seq(r))).collect()
+    }
+
     fn syn_segment() -> TcpSegment {
         let mut h = TcpHeader::new(4000, 80);
         h.seq = Seq(12345);
         h.flags = TcpFlags::SYN;
         h.window = wire_window(4096, 0);
-        h.options = vec![TcpOption::MaxSegmentSize(1460)];
+        h.options = options(&[TcpOption::MaxSegmentSize(1460)]);
         TcpSegment { header: h, payload: PacketBuf::new() }
     }
 
@@ -634,22 +797,62 @@ mod tests {
     #[test]
     fn unknown_options_roundtrip() {
         let mut s = syn_segment();
-        s.header.options =
-            vec![TcpOption::NoOp, TcpOption::Unknown(254, vec![0xde, 0xad]), TcpOption::MaxSegmentSize(536)];
+        s.header.options = options(&[TcpOption::NoOp]);
+        s.header.options.push_raw(254, &[0xde, 0xad]).unwrap();
+        s.header.options.push(TcpOption::MaxSegmentSize(536)).unwrap();
         let bytes = wire(&s);
+        assert_eq!(&bytes[20..28], &[1, 254, 4, 0xde, 0xad, 2, 4, 2], "wire order, unpadded");
         let t = read(&bytes).unwrap();
         assert_eq!(t.header.options, s.header.options);
+        assert_eq!(t.header.mss(), Some(536));
+        assert_eq!(
+            format!("{:?}", t.header.options),
+            "[NoOp, Unknown(254, [222, 173]), MaxSegmentSize(536)]"
+        );
+    }
+
+    #[test]
+    fn a_push_past_the_option_space_is_refused() {
+        let too_long = Err(WireError::Malformed("tcp options too long"));
+        // Timestamps (10) and four SACK blocks (34) are 44 bytes.
+        let mut o = options(&[TcpOption::Timestamps(1, 2)]);
+        let four = blocks(&[(1, 2), (3, 4), (5, 6), (7, 8)]);
+        assert_eq!(o.push(TcpOption::Sack(four)), too_long);
+        assert_eq!(o, options(&[TcpOption::Timestamps(1, 2)]), "a refused push changes nothing");
+        // Three blocks (26) fit beside them: 36 bytes.
+        o.push(TcpOption::Sack(blocks(&[(1, 2), (3, 4), (5, 6)]))).unwrap();
+        assert_eq!(o.as_bytes().len(), 36);
+        assert_eq!(o.push_raw(99, &[0; 3]), too_long, "36 + 5");
+        o.push_raw(99, &[0; 2]).unwrap();
+        assert_eq!(o.push(TcpOption::NoOp), too_long, "exactly 40 is full");
+        let mut s = syn_segment();
+        s.header.options = o;
+        assert_eq!(s.header.header_len(), MAX_HEADER_LEN);
+        assert_eq!(read(&wire(&s)).unwrap().header.options, o);
+    }
+
+    #[test]
+    fn mss_clamp_rewrites_only_larger_mss_options() {
+        let mut o = options(&[TcpOption::NoOp, TcpOption::MaxSegmentSize(1460), TcpOption::SackPermitted]);
+        o.push_raw(2, &[0xff]).unwrap(); // a malformed MSS is not an MSS
+        let before = o;
+        assert!(!o.clamp_mss(1460));
+        assert_eq!(o, before);
+        assert!(o.clamp_mss(536));
+        let mut want = options(&[TcpOption::NoOp, TcpOption::MaxSegmentSize(536), TcpOption::SackPermitted]);
+        want.push_raw(2, &[0xff]).unwrap();
+        assert_eq!(o, want);
     }
 
     #[test]
     fn rfc7323_and_sack_options_roundtrip() {
         let mut s = syn_segment();
-        s.header.options = vec![
+        s.header.options = options(&[
             TcpOption::MaxSegmentSize(1460),
             TcpOption::WindowScale(7),
             TcpOption::SackPermitted,
             TcpOption::Timestamps(0xdead_beef, 0x0bad_cafe),
-        ];
+        ]);
         let bytes = wire_v4(&s);
         let t = read_v4(&bytes, B).unwrap();
         assert_eq!(t.header.options, s.header.options);
@@ -663,23 +866,26 @@ mod tests {
     fn sack_blocks_roundtrip() {
         let mut s = syn_segment();
         s.header.flags = TcpFlags::ACK;
-        s.header.options = vec![
-            TcpOption::Sack(vec![(Seq(100), Seq(200)), (Seq(400), Seq(450))]),
-            TcpOption::Timestamps(1, 2),
-        ];
+        s.header.options =
+            options(&[TcpOption::Sack(blocks(&[(100, 200), (400, 450)])), TcpOption::Timestamps(1, 2)]);
         let bytes = wire_v4(&s);
         let t = read_v4(&bytes, B).unwrap();
-        assert_eq!(t.header.sack_blocks(), &[(Seq(100), Seq(200)), (Seq(400), Seq(450))]);
+        assert_eq!(*t.header.sack_blocks(), [(Seq(100), Seq(200)), (Seq(400), Seq(450))]);
+        assert_eq!(
+            format!("{:?}", t.header.options),
+            "[Sack([(Seq(100), Seq(200)), (Seq(400), Seq(450))]), Timestamps(1, 2)]",
+            "the list form a Vec<TcpOption> printed"
+        );
     }
 
     #[test]
     fn wscale_accessor_clamps_to_rfc_limit() {
         let mut s = syn_segment();
-        s.header.options = vec![TcpOption::WindowScale(30)];
+        s.header.options = options(&[TcpOption::WindowScale(30)]);
         let bytes = wire(&s);
         let t = read(&bytes).unwrap();
         // Decoded verbatim, but the accessor applies RFC 7323 §2.3.
-        assert_eq!(t.header.options, vec![TcpOption::WindowScale(30)]);
+        assert_eq!(t.header.options, options(&[TcpOption::WindowScale(30)]));
         assert_eq!(t.header.wscale(), Some(MAX_WSCALE));
     }
 
@@ -695,6 +901,16 @@ mod tests {
                 "kind {kind} len {bad_len} must be malformed"
             );
         }
+    }
+
+    #[test]
+    fn decoding_stops_at_end_of_list() {
+        let mut bytes = wire(&syn_segment());
+        bytes[12] = 0x80; // 12 option bytes: MSS, End-of-List, then junk
+        bytes.splice(24..24, [0, 99, 1, 1, 1, 1, 1, 1]);
+        let t = read(&bytes).unwrap();
+        assert_eq!(t.header.options, options(&[TcpOption::MaxSegmentSize(1460)]));
+        assert_eq!(t.header.header_len(), 24);
     }
 
     #[test]
@@ -731,10 +947,11 @@ mod tests {
         fn roundtrip_arbitrary(
             src_port: u16, dst_port: u16, seq: u32, ack: u32,
             flags in 0u8..64, window: u16, urgent: u16,
+            syn_side: bool,
             syn_opts in (proptest::option::of(536u16..9000), proptest::option::of(0u8..=14), any::<bool>()),
             ack_opts in (
                 proptest::option::of((any::<u32>(), any::<u32>())),
-                proptest::option::of(proptest::collection::vec((any::<u32>(), any::<u32>()), 1..=2)),
+                proptest::collection::vec((any::<u32>(), any::<u32>()), 0..=MAX_SACK_BLOCKS),
             ),
             payload in proptest::collection::vec(any::<u8>(), 0..1400),
         ) {
@@ -745,20 +962,65 @@ mod tests {
             h.window = wire_window(u32::from(window), 0);
             h.urgent = urgent;
             let (mss, wscale, sack_permitted) = syn_opts;
-            let (ts, sack) = ack_opts;
-            if let Some(m) = mss { h.options.push(TcpOption::MaxSegmentSize(m)); }
-            if let Some(s) = wscale { h.options.push(TcpOption::WindowScale(s)); }
-            if sack_permitted { h.options.push(TcpOption::SackPermitted); }
-            if let Some((v, e)) = ts { h.options.push(TcpOption::Timestamps(v, e)); }
-            if let Some(blocks) = sack {
-                h.options.push(TcpOption::Sack(
-                    blocks.into_iter().map(|(l, r)| (Seq(l), Seq(r))).collect(),
-                ));
+            // A SYN's options, or a later segment's: timestamps beside
+            // 0-3 SACK blocks, or 0-4 blocks alone — all that fit.
+            let (ts, mut sack) = ack_opts;
+            if ts.is_some() { sack.truncate(MAX_SACK_BLOCKS - 1); }
+            let mut list = Vec::new();
+            if syn_side {
+                if let Some(m) = mss { list.push(TcpOption::MaxSegmentSize(m)); }
+                if let Some(s) = wscale { list.push(TcpOption::WindowScale(s)); }
+                if sack_permitted { list.push(TcpOption::SackPermitted); }
             }
+            if let Some((v, e)) = ts { list.push(TcpOption::Timestamps(v, e)); }
+            if !syn_side && !sack.is_empty() { list.push(TcpOption::Sack(blocks(&sack))); }
+            h.options = options(&list);
             let s = TcpSegment { header: h, payload: payload.into() };
             let bytes = wire_v4(&s);
             let t = read_v4(&bytes, B).unwrap();
+            let want_blocks = if syn_side { SackBlocks::default() } else { blocks(&sack) };
+            prop_assert_eq!(t.header.sack_blocks(), want_blocks);
+            prop_assert_eq!(t.header.timestamps(), ts);
             prop_assert_eq!(t, s);
+        }
+
+        /// Any option bytes the decoder accepts — NOPs, every kind it
+        /// knows, unknown kinds with 0-6 byte bodies, in any order —
+        /// survive decode, encode, decode byte for byte.
+        #[test]
+        fn accepted_option_bytes_roundtrip_exactly(
+            picks in proptest::collection::vec((0u8..7, any::<u32>(), any::<u32>(), 0usize..7), 0..16),
+        ) {
+            let mut area = Vec::new();
+            for (sel, a, b, n) in picks {
+                let pair = [a.to_be_bytes(), b.to_be_bytes()].concat();
+                let option = match sel {
+                    0 => vec![1],
+                    1 => vec![2, 4, a as u8, b as u8],
+                    2 => vec![3, 3, a as u8],
+                    3 => vec![4, 2],
+                    4 => {
+                        let k = 1 + n % MAX_SACK_BLOCKS;
+                        [vec![5, (2 + 8 * k) as u8], pair.repeat(k)].concat()
+                    }
+                    5 => [vec![8, 10], pair].concat(),
+                    _ => [vec![[6u8, 7, 9, 19, 28, 30, 34, 254][a as usize % 8], (2 + n) as u8], pair[..n].to_vec()]
+                        .concat(),
+                };
+                if area.len() + option.len() <= MAX_OPTIONS_LEN {
+                    area.extend(option);
+                }
+            }
+            let padded = (area.len() + 3) & !3;
+            let mut bytes = wire(&TcpSegment { header: TcpHeader::new(1, 2), payload: PacketBuf::new() });
+            bytes[12] = (((HEADER_LEN + padded) / 4) as u8) << 4;
+            bytes.extend(&area);
+            bytes.resize(HEADER_LEN + padded, 0);
+            let first = read(&bytes).unwrap();
+            prop_assert_eq!(first.header.options.as_bytes(), &area[..]);
+            let again = wire(&first);
+            prop_assert_eq!(&again, &bytes);
+            prop_assert_eq!(read(&again).unwrap(), first);
         }
 
         #[test]

@@ -85,7 +85,14 @@ proptest! {
         let opt_len = opts.len() & !3;
         wire.splice(20..20, opts[..opt_len].iter().copied());
         wire[12] = (((20 + opt_len) / 4) as u8) << 4;
-        let _ = TcpSegment::decode_buf(&buf(&wire), None);
+        // What the decoder accepts, it keeps byte for byte up to
+        // End-of-List, and its encoding decodes to the same segment.
+        if let Ok(seg) = TcpSegment::decode_buf(&buf(&wire), None) {
+            let kept = seg.header.options.as_bytes().len();
+            prop_assert_eq!(seg.header.options.as_bytes(), &wire[20..20 + kept]);
+            let again = seg.clone().encode_buf(None).unwrap();
+            prop_assert_eq!(TcpSegment::decode_buf(&again, None).unwrap(), seg);
+        }
     }
 
     // Well-formed option kinds with every possible length byte: a known
@@ -109,12 +116,14 @@ proptest! {
     #[test]
     fn truncated_valid_packets_never_panic(cut in 0usize..200, flip in 0usize..200) {
         let mut header = tcp_header();
-        header.options = vec![
+        for option in [
             foxwire::TcpOption::MaxSegmentSize(1460),
             foxwire::TcpOption::WindowScale(7),
             foxwire::TcpOption::SackPermitted,
             foxwire::TcpOption::Timestamps(1000, 2000),
-        ];
+        ] {
+            header.options.push(option).unwrap();
+        }
         let tcp = TcpSegment { header, payload: PacketBuf::from_vec(b"payload".to_vec()) };
         let seg = tcp.encode_v4(Some((A, B))).unwrap().to_vec();
         let ip = Ipv4Packet {

@@ -42,6 +42,11 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
 
+/// Why no option push onto a header xk builds is refused: a SYN carries
+/// at most 19 option bytes and any later segment 10, of the 40 there
+/// are.
+const OPTIONS_FIT: &str = "a header's options fit the 40-byte option space";
+
 /// Socket handle.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Hash)]
 pub struct SockId(pub u32);
@@ -692,7 +697,9 @@ where
         let shift = if flags.syn || !s.wscale_on { 0 } else { s.rcv_wscale };
         h.window = foxwire::tcp::wire_window(s.recv_buf.free() as u32, shift);
         if s.ts_on && !flags.syn {
-            h.options.push(TcpOption::Timestamps(self.now.as_millis() as u32, s.ts_recent));
+            h.options
+                .push(TcpOption::Timestamps(self.now.as_millis() as u32, s.ts_recent))
+                .expect(OPTIONS_FIT);
         }
         h
     }
@@ -703,17 +710,19 @@ where
         let mut h = self.header_for(i, flags, iss);
         {
             let s = &self.socks[i];
-            h.options.push(TcpOption::MaxSegmentSize(s.mss.min(65535) as u16));
+            h.options.push(TcpOption::MaxSegmentSize(s.mss.min(65535) as u16)).expect(OPTIONS_FIT);
             // A SYN offers what the config enables; a SYN+ACK echoes
             // only what the peer's SYN already agreed to.
             if if with_ack { s.wscale_on } else { self.cfg.window_scale } {
-                h.options.push(TcpOption::WindowScale(s.rcv_wscale));
+                h.options.push(TcpOption::WindowScale(s.rcv_wscale)).expect(OPTIONS_FIT);
             }
             if if with_ack { s.sack_ok } else { self.cfg.sack } {
-                h.options.push(TcpOption::SackPermitted);
+                h.options.push(TcpOption::SackPermitted).expect(OPTIONS_FIT);
             }
             if if with_ack { s.ts_on } else { self.cfg.timestamps } {
-                h.options.push(TcpOption::Timestamps(self.now.as_millis() as u32, s.ts_recent));
+                h.options
+                    .push(TcpOption::Timestamps(self.now.as_millis() as u32, s.ts_recent))
+                    .expect(OPTIONS_FIT);
             }
         }
         if self.socks[i].snd_nxt == iss {

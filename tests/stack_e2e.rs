@@ -3,12 +3,14 @@
 //! network abuse, and the behavior of the full stack's substrate
 //! features (ARP, fragmentation, ICMP) under the same roof as TCP.
 
-use foxbasis::obs::EventSink;
+use foxbasis::buf::{copy_mark, PacketBuf};
+use foxbasis::obs::{Event, EventSink};
 use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxharness::sim::drive;
 use foxharness::stack::StackKind;
 use foxharness::Cell;
 use foxtcp::TcpConfig;
+use foxwire::{EtherType, Frame, Ipv4Packet, TcpSegment};
 use simnet::{CostModel, FaultConfig, NetConfig};
 
 fn cfg() -> TcpConfig {
@@ -162,4 +164,58 @@ fn quiescent_stack_stays_quiescent() {
         VirtualTime::from_millis(660_000),
     );
     assert!(a.stats().segments_sent > before);
+}
+
+/// No layer re-homes a frame on its way down, options or not. Over the
+/// full dev/eth/ip stack with SACK and timestamps on, through loss and
+/// the retransmissions it forces, the thread's copy counter reads
+/// exactly one staging copy per data segment either end sent,
+/// retransmissions included, of exactly its payload, plus the two ARP
+/// packets. The receive-side term is zero: each layer slices its
+/// payload out of the frame, and the user's bytes are read out of the
+/// view without a counted copy.
+#[test]
+fn no_layer_rehomes_an_optioned_frame_under_loss() {
+    let tcp = TcpConfig { sack: true, timestamps: true, ..cfg() };
+    let faults = FaultConfig { drop_chance: 0.03, ..FaultConfig::default() };
+    let cell = Cell { tcp, ..cell(StackKind::FoxStandard, NetConfig { faults, ..NetConfig::default() }, 89) };
+    let mark = copy_mark();
+    let run = cell.traced_bulk(200_000);
+    let copied = mark.delta();
+
+    assert_eq!((run.bulk.bytes, run.dropped), (200_000, 0), "delivered whole, traced whole");
+    assert!(run.bulk.sender.retransmits > 0, "the loss forced retransmissions");
+    let sent: Vec<u64> = run
+        .events
+        .iter()
+        .filter_map(|e| match e.event {
+            Event::SegTx { len, .. } if len > 0 => Some(u64::from(len)),
+            _ => None,
+        })
+        .collect();
+    // Beside them, the only copies are the ARP exchange's: a request and
+    // a reply, each one packet staged.
+    let arp = (2, 2 * foxwire::arp::PACKET_LEN as u64);
+    assert_eq!(copied.copies, sent.len() as u64 + arp.0, "one staging copy per data segment sent");
+    assert_eq!(copied.bytes, sent.iter().sum::<u64>() + arp.1, "of exactly its payload");
+
+    // The options were on the wire: every TCP segment is timestamped, and
+    // the receiver reported its holes in SACK blocks.
+    let pcap = run.pcap.bytes();
+    let (mut segments, mut stamped, mut sacked, mut at) = (0, 0, 0, 24); // past the global header
+    while at < pcap.len() {
+        let len = u32::from_le_bytes(pcap[at + 8..at + 12].try_into().unwrap()) as usize;
+        let frame = Frame::decode_buf(&PacketBuf::from(&pcap[at + 16..at + 16 + len])).unwrap();
+        at += 16 + len;
+        if frame.ethertype != EtherType::Ipv4 {
+            continue; // the ARP exchange
+        }
+        let ip = Ipv4Packet::decode_buf(&frame.payload).unwrap();
+        let seg = TcpSegment::decode_buf(&ip.payload, None).unwrap();
+        segments += 1;
+        stamped += usize::from(seg.header.timestamps().is_some());
+        sacked += usize::from(!seg.header.sack_blocks().is_empty());
+    }
+    assert_eq!(stamped, segments, "every segment carries timestamps");
+    assert!(sacked > 0, "SACK blocks reported the holes");
 }
