@@ -8,10 +8,13 @@
 #   2. release build of every crate and target. This is also where the
 #      ownership invariants fail (DESIGN.md §5.8): a connection's state
 #      is an `fsm::State` only control/fsm.rs can change, the TCB's
-#      sequence space is `pub(in crate::data)`, the congestion windows
-#      are private to `congestion::Cc`, and a header window is a
-#      `WireWindow` only `wire_window` makes — so a write outside its
-#      owner, or a raw narrowing, does not compile (in test code: stage 3)
+#      sequence space is `pub(in crate::data)`, each of its records
+#      (`Negotiated`, `RecvSide` and the ACK clock in data/transfer.rs,
+#      `SendSide` in data/resend.rs, `Cc` in congestion.rs) has fields
+#      private to that one module, `ConnCore::tcb` is not `pub`, and a
+#      header window is a `WireWindow` only `wire_window` makes — so a
+#      write outside its owner, or a raw narrowing, does not compile (in
+#      test code: stage 3)
 #   3. the whole workspace test suite, then foxbasis and foxwire again
 #      in release: their per-byte kernels (checksum, CRC-32, ring) defer
 #      carries and index tables, debug builds trap the overflow that
@@ -34,8 +37,9 @@
 #      The workspace run also pins the statements of the tool-enforced
 #      invariants (the root tests/clippy_gate.rs): every clippy.toml
 #      entry and deny attribute, and that the ownership types above are
-#      not loosened (no `pub` field, no `Clone` on `State`, every test
-#      hook `#[cfg(test)]`)
+#      not loosened (no `pub` field on `Tcb` or any record, a private
+#      `ConnCore::tcb`, no `Clone` on `State`, every test hook
+#      `#[cfg(test)]`)
 #   4. the RFC-793 conformance suite, explicitly (both TCP stacks
 #      against the standard's state diagram; also part of stage 3, but
 #      a named stage keeps the gate visible)

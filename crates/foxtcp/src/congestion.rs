@@ -308,8 +308,9 @@ impl Cc {
 
 /// Runs `f` on the TCB's windows, in place, through the algorithm seam.
 fn with_windows<P>(tcb: &mut Tcb<P>, f: impl FnOnce(&mut dyn CongestionControl, &mut CcWindow, u32)) {
+    let mss = tcb.negotiated().mss();
     let Cc { w, alg } = &mut tcb.cc;
-    f(alg.as_cc(), w, tcb.mss);
+    f(alg.as_cc(), w, mss);
 }
 
 /// Connection established: initial window (one MSS) and cleared
@@ -472,16 +473,17 @@ mod tests {
 
     #[test]
     fn machine_dispatches_and_guards_ablation() {
-        let mut tcb: Tcb<()> = Tcb::new(foxbasis::seq::Seq(0), 4096, 4096);
-        tcb.mss = 1000;
+        let mut core: crate::ConnCore<u8> = crate::data::transfer::Fixture::default().core();
+        crate::data::send::user_send(&Default::default(), &mut core, &[0; 4000], VirtualTime::ZERO);
+        let tcb = &mut core.tcb;
         // cwnd == 0 (ablated): growth and inflation are no-ops.
-        on_ack(&mut tcb, 1000, VirtualTime::ZERO);
-        dup_ack_inflate(&mut tcb);
+        on_ack(tcb, 1000, VirtualTime::ZERO);
+        dup_ack_inflate(tcb);
         assert_eq!(tcb.cc.cwnd(), 0);
-        init(&mut tcb);
+        init(tcb);
         assert_eq!((tcb.cc.cwnd(), tcb.cc.ssthresh()), (1000, u32::MAX));
-        tcb.set_snd(tcb.snd_una(), tcb.snd_una() + 4000);
-        enter_recovery(&mut tcb, VirtualTime::ZERO);
+        assert_eq!(tcb.flight_size(), 4000);
+        enter_recovery(tcb, VirtualTime::ZERO);
         assert_eq!((tcb.cc.cwnd(), tcb.cc.ssthresh()), (5000, 2000));
     }
 }

@@ -11,7 +11,7 @@
 
 use crate::action::{TcpAction, TimerKind};
 use crate::data::tcb::Tcb;
-use crate::{congestion, ConnCore, TcpConfig};
+use crate::{ConnCore, TcpConfig};
 use foxbasis::buf::BufPool;
 use foxbasis::seq::Seq;
 use foxwire::tcp::TcpFlags;
@@ -155,18 +155,10 @@ impl State {
 }
 
 impl<P: Clone + PartialEq + std::fmt::Debug> ConnCore<P> {
-    /// A fresh closed connection core, staging its segments in `pool`.
+    /// A fresh closed connection core, staging its segments in `pool`;
+    /// its MSS is `our_mss` until the peer's SYN says less.
     pub fn new(cfg: &TcpConfig, local_port: u16, iss: Seq, our_mss: u32, pool: BufPool) -> ConnCore<P> {
-        let mut tcb = Tcb::new(iss, cfg.send_buffer, cfg.initial_window);
-        // The options we will offer at SYN time (each only turns on if
-        // the peer offers it back; see `transfer::negotiate_syn_options`).
-        tcb.offer_wscale = cfg.window_scale;
-        tcb.offer_sack = cfg.sack;
-        tcb.offer_ts = cfg.timestamps;
-        if cfg.window_scale {
-            tcb.rcv_wscale = foxwire::tcp::wscale_for(cfg.initial_window);
-        }
-        tcb.cc = congestion::Cc::new(cfg.congestion_algorithm);
+        let tcb = Tcb::new(cfg, iss, our_mss);
         ConnCore { local_port, remote: None, state: State(TcpState::Closed), tcb, our_mss, pool }
     }
 }

@@ -144,7 +144,7 @@ fn syn_sent<P: Clone + PartialEq + Debug>(
     let h = &seg.header;
     // First: check the ACK bit.
     let ack_acceptable = if h.flags.ack {
-        if h.ack.le(core.tcb.iss()) || h.ack.gt(core.tcb.snd_nxt()) {
+        if h.ack.le(core.tcb.seq().iss) || h.ack.gt(core.tcb.seq().snd_nxt) {
             // "send a reset (unless the RST bit is set)... and discard."
             if h.flags.rst {
                 return Disposition::default();
@@ -212,7 +212,7 @@ fn synchronized<P: Clone + PartialEq + Debug>(
         // guessed the window but not the exact sequence number): answer
         // with a challenge ACK so a genuine peer can re-send the exact
         // one, and count the rejection.
-        if seg.header.seq == core.tcb.rcv_nxt() {
+        if seg.header.seq == core.tcb.seq().rcv_nxt {
             check_rst(core);
         } else {
             core.tcb.push_action(TcpAction::Attack(AttackEvent::RstBadSeq));
@@ -270,7 +270,7 @@ fn check_ack<P: Clone + PartialEq + Debug>(
 
     // SACK blocks ride on (duplicate) ACKs: fold them into the
     // scoreboard before any ACK processing decides what to retransmit.
-    if core.tcb.sack_on {
+    if core.tcb.negotiated().sack_on() {
         let blocks = h.sack_blocks();
         if !blocks.is_empty() {
             core.tcb.note_sack_blocks(&blocks);
@@ -280,7 +280,7 @@ fn check_ack<P: Clone + PartialEq + Debug>(
     if core.state.is_syn_received() {
         // "If SND.UNA =< SEG.ACK =< SND.NXT then enter ESTABLISHED state
         // ... otherwise send a reset."
-        if ack.in_open_closed(core.tcb.snd_una() - 1, core.tcb.snd_nxt()) {
+        if ack.in_open_closed(core.tcb.seq().snd_una - 1, core.tcb.seq().snd_nxt) {
             resend::process_ack(cfg, core, ack, now);
             // The handshake-completing ACK is not a SYN: scaled.
             transfer::establish(cfg, core, h, true, EstablishedHandle::mint());
@@ -296,15 +296,16 @@ fn check_ack<P: Clone + PartialEq + Debug>(
     }
 
     // ESTABLISHED-family ACK processing.
-    if ack.in_open_closed(core.tcb.snd_una(), core.tcb.snd_nxt()) {
-        let outcome = resend::process_ack(cfg, core, ack, now);
+    let seq = core.tcb.seq();
+    if ack.in_open_closed(seq.snd_una, seq.snd_nxt) {
+        resend::process_ack(cfg, core, ack, now);
         transfer::update_send_window(core, seg);
-        after_ack_transitions(cfg, core, outcome.fin_acked);
+        after_ack_transitions(cfg, core);
         send::maybe_send(cfg, core, now);
-    } else if ack == core.tcb.snd_una() {
+    } else if ack == seq.snd_una {
         // Duplicate. Window updates may still ride on it.
         let pure_dup = seg.payload.is_empty()
-            && core.tcb.scale_peer_window(h.window, h.flags.syn) == core.tcb.snd_wnd()
+            && core.tcb.negotiated().scale_peer_window(h.window, h.flags.syn) == seq.snd_wnd
             && !seg.header.flags.fin;
         transfer::update_send_window(core, seg);
         if pure_dup {
@@ -312,7 +313,7 @@ fn check_ack<P: Clone + PartialEq + Debug>(
         } else {
             send::maybe_send(cfg, core, now);
         }
-    } else if ack.gt(core.tcb.snd_nxt()) {
+    } else if ack.gt(seq.snd_nxt) {
         // "If the ACK acks something not yet sent ... send an ACK, drop
         // the segment." This is also the optimistic-ACK attack shape:
         // count it so the harness can assert cwnd never grew on it.
@@ -325,12 +326,8 @@ fn check_ack<P: Clone + PartialEq + Debug>(
 }
 
 /// ACK-driven state transitions for the closing states.
-fn after_ack_transitions<P: Clone + PartialEq + Debug>(
-    cfg: &TcpConfig,
-    core: &mut ConnCore<P>,
-    fin_acked_now: bool,
-) {
-    let our_fin_acked = fin_acked_now || core.tcb.fin_seq.is_some_and(|f| (f + 1).le(core.tcb.snd_una()));
+fn after_ack_transitions<P: Clone + PartialEq + Debug>(cfg: &TcpConfig, core: &mut ConnCore<P>) {
+    let our_fin_acked = core.tcb.fin_acked();
     match *core.state {
         TcpState::FinWait1 if our_fin_acked => transition(core, Trigger::Ack, TcpState::FinWait2),
         TcpState::Closing if our_fin_acked => {
@@ -356,11 +353,11 @@ fn check_fin<P: Clone + PartialEq + Debug>(
         return;
     }
     let fin_seq = seg.header.seq + seg.payload.len() as u32;
-    if core.tcb.rcv_nxt() != fin_seq {
+    if core.tcb.seq().rcv_nxt != fin_seq {
         // FIN not yet reachable (data missing in between): if its data
         // was queued out of order the FIN mark went with it; the ACK we
         // already sent tells the peer to retransmit.
-        if fin_seq.gt(core.tcb.rcv_nxt()) {
+        if fin_seq.gt(core.tcb.seq().rcv_nxt) {
             if seg.payload.is_empty() {
                 transfer::note_out_of_order_fin(core, seg.header.seq);
             }
@@ -382,7 +379,7 @@ fn check_fin<P: Clone + PartialEq + Debug>(
             transition(core, Trigger::Fin, TcpState::CloseWait);
         }
         TcpState::FinWait1 => {
-            if core.tcb.fin_seq.is_some_and(|f| (f + 1).le(core.tcb.snd_una())) {
+            if core.tcb.fin_acked() {
                 transition(core, Trigger::Fin, TcpState::TimeWait);
                 core.tcb.push_action(TcpAction::SetTimer(TimerKind::TimeWait, cfg.time_wait_ms));
             } else {
@@ -409,10 +406,7 @@ fn enter_closed_after_reset<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>
 /// Close without any user signal (embryonic reset).
 fn silently_close<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, trigger: Trigger) {
     transition(core, trigger, TcpState::Closed);
-    let tcb = &mut core.tcb;
-    tcb.resend_queue.clear();
-    tcb.send_buf.clear();
-    tcb.out_of_order.clear();
+    core.tcb.discard();
 }
 
 #[cfg(test)]
@@ -424,6 +418,8 @@ mod tests {
     //! SEGMENT-ARRIVES, and checks the TCB and emitted actions.
 
     use super::*;
+    use crate::control::state;
+    use crate::data::transfer::Fixture;
     use foxbasis::seq::Seq;
     use foxwire::tcp::{wire_window, TcpFlags, TcpHeader, TcpOption};
 
@@ -431,16 +427,16 @@ mod tests {
         TcpConfig { delayed_ack_ms: None, ..TcpConfig::default() }
     }
 
-    /// An ESTABLISHED connection: iss 100 (una=nxt=600 after 500 sent
-    /// and acked... keep simple: una=nxt=101), irs 5000, rcv_nxt 5001.
+    /// An ESTABLISHED connection: una=nxt=101, irs 5000, rcv_nxt 5001.
     fn estab() -> ConnCore<u8> {
-        let mut core: ConnCore<u8> = ConnCore::new(&cfg(), 80, Seq(100), 1460, BufPool::new());
-        core.remote = Some((9, 4000));
-        core.state.force(TcpState::Estab);
-        core.tcb.mss = 1000;
-        core.tcb.set_snd(Seq(101), Seq(101));
-        core.tcb.set_rcv(Seq(5000), Seq(5001));
-        core.tcb.set_snd_wnd(4096);
+        Fixture { snd: Seq(101), rcv: Seq(5001), ..Fixture::default() }.core()
+    }
+
+    /// `estab()` after our CLOSE: FIN-WAIT-1, our FIN at 101 in flight.
+    fn fin_sent() -> ConnCore<u8> {
+        let mut core = estab();
+        state::close(&cfg(), &mut core, VirtualTime::ZERO).unwrap();
+        drain_actions(&mut core);
         core
     }
 
@@ -461,32 +457,35 @@ mod tests {
         core.tcb.to_do.drain_all()
     }
 
+    /// The bytes handed to the user, draining the queue.
+    fn delivered(core: &mut ConnCore<u8>) -> Vec<u8> {
+        let data = drain_actions(core).into_iter().filter_map(|a| {
+            if let TcpAction::UserData(d) = a {
+                Some(d)
+            } else {
+                None
+            }
+        });
+        data.flatten().collect()
+    }
+
     // ---- LISTEN ----
 
     #[test]
     fn listen_syn_becomes_syn_passive_with_syn_ack() {
         let mut core: ConnCore<u8> = ConnCore::new(&cfg(), 80, Seq(300), 1460, BufPool::new());
         core.remote = Some((9, 4000));
-        core.tcb.mss = 1460;
         core.state.force(TcpState::Listen { backlog: 0 });
         let mut s = seg(7000, TcpFlags::SYN, b"");
         s.header.options.push(TcpOption::MaxSegmentSize(800)).unwrap();
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
         // TCB per the standard: RCV.NXT = SEG.SEQ+1, IRS = SEG.SEQ,
         // SND.NXT = ISS+1.
-        assert_eq!(core.tcb.irs(), Seq(7000));
-        assert_eq!(core.tcb.rcv_nxt(), Seq(7001));
-        assert_eq!(core.tcb.snd_nxt(), Seq(301));
-        assert_eq!(core.tcb.mss, 800, "min(ours, peer) adopted");
+        let s = core.tcb.seq();
+        assert_eq!((s.irs, s.rcv_nxt, s.snd_nxt), (Seq(7000), Seq(7001), Seq(301)));
+        assert_eq!(core.tcb.negotiated().mss(), 800, "min(ours, peer) adopted");
         assert_eq!(core.state, TcpState::SynPassive { retries_left: 5 });
-        let actions = drain_actions(&mut core);
-        let synack = actions
-            .iter()
-            .find_map(|a| match a {
-                TcpAction::SendSegment(s) => Some(s.clone()),
-                _ => None,
-            })
-            .expect("SYN+ACK staged");
+        let synack = core.tcb.drain_segments().into_iter().next().expect("SYN+ACK staged");
         assert!(synack.header.flags.syn && synack.header.flags.ack);
         assert_eq!(synack.header.seq, Seq(300));
         assert_eq!(synack.header.ack, Seq(7001));
@@ -516,32 +515,25 @@ mod tests {
 
     // ---- SYN-SENT ----
 
-    fn syn_sent_core() -> ConnCore<u8> {
-        let mut core: ConnCore<u8> = ConnCore::new(&cfg(), 5000, Seq(100), 1460, BufPool::new());
+    /// An active open configured by `c`, its SYN at 100 sent.
+    fn syn_sent_core(c: &TcpConfig) -> ConnCore<u8> {
+        let mut core: ConnCore<u8> = ConnCore::new(c, 5000, Seq(100), 1460, BufPool::new());
         core.remote = Some((9, 80));
-        core.state.force(TcpState::SynSent { retries_left: 5 });
-        // SYN already sent.
-        core.tcb.set_snd(core.tcb.snd_una(), Seq(101));
-        core.tcb.resend_queue.push_back(crate::data::tcb::SentSegment {
-            seq: Seq(100),
-            len: 0,
-            syn: true,
-            fin: false,
-        });
+        state::active_open(c, &mut core, VirtualTime::ZERO).unwrap();
+        drain_actions(&mut core);
         core
     }
 
     #[test]
     fn syn_sent_good_synack_establishes() {
-        let mut core = syn_sent_core();
+        let mut core = syn_sent_core(&cfg());
         let mut s = seg(9000, TcpFlags::SYN_ACK, b"");
         s.header.ack = Seq(101);
         segment_arrives(&cfg(), &mut core, s, VirtualTime::from_millis(42));
         assert_eq!(core.state, TcpState::Estab);
-        assert_eq!(core.tcb.irs(), Seq(9000));
-        assert_eq!(core.tcb.rcv_nxt(), Seq(9001));
-        assert_eq!(core.tcb.snd_una(), Seq(101));
-        assert!(core.tcb.resend_queue.is_empty(), "SYN acked and removed");
+        let s = core.tcb.seq();
+        assert_eq!((s.irs, s.rcv_nxt, s.snd_una), (Seq(9000), Seq(9001), Seq(101)));
+        assert!(core.tcb.send_side().resend_queue().is_empty(), "SYN acked and removed");
         let tags = drain_tags(&mut core);
         assert!(tags.contains(&"Complete_Open"));
         assert!(tags.contains(&"Send_Segment"), "the final ACK of the handshake");
@@ -549,7 +541,7 @@ mod tests {
 
     #[test]
     fn syn_sent_bad_ack_is_answered_with_rst() {
-        let mut core = syn_sent_core();
+        let mut core = syn_sent_core(&cfg());
         let mut s = seg(9000, TcpFlags::SYN_ACK, b"");
         s.header.ack = Seq(555); // acks nothing we sent
         let d = segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
@@ -561,7 +553,7 @@ mod tests {
 
     #[test]
     fn syn_sent_acceptable_rst_closes() {
-        let mut core = syn_sent_core();
+        let mut core = syn_sent_core(&cfg());
         let mut s = seg(0, TcpFlags::RST_ACK, b"");
         s.header.ack = Seq(101);
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
@@ -571,7 +563,7 @@ mod tests {
 
     #[test]
     fn syn_sent_rst_without_ack_ignored() {
-        let mut core = syn_sent_core();
+        let mut core = syn_sent_core(&cfg());
         let s = seg(0, TcpFlags::RST, b"");
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
         assert_eq!(core.state, TcpState::SynSent { retries_left: 5 });
@@ -579,19 +571,12 @@ mod tests {
 
     #[test]
     fn simultaneous_open_goes_syn_active() {
-        let mut core = syn_sent_core();
+        let mut core = syn_sent_core(&cfg());
         let s = seg(9000, TcpFlags::SYN, b""); // SYN, no ACK
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
         assert_eq!(core.state, TcpState::SynActive);
-        assert_eq!(core.tcb.rcv_nxt(), Seq(9001));
-        let actions = drain_actions(&mut core);
-        let synack = actions
-            .iter()
-            .find_map(|a| match a {
-                TcpAction::SendSegment(s) => Some(s.clone()),
-                _ => None,
-            })
-            .expect("SYN+ACK for simultaneous open");
+        assert_eq!(core.tcb.seq().rcv_nxt, Seq(9001));
+        let synack = core.tcb.drain_segments().into_iter().next().expect("SYN+ACK for simultaneous open");
         assert!(synack.header.flags.syn && synack.header.flags.ack);
         assert_eq!(synack.header.seq, Seq(100), "same ISS re-announced");
     }
@@ -603,15 +588,8 @@ mod tests {
         let mut core = estab();
         let s = seg(4000, TcpFlags::ACK, b"stale");
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
-        assert_eq!(core.tcb.rcv_nxt(), Seq(5001), "nothing consumed");
-        let actions = drain_actions(&mut core);
-        let ack = actions
-            .iter()
-            .find_map(|a| match a {
-                TcpAction::SendSegment(s) => Some(s.clone()),
-                _ => None,
-            })
-            .expect("re-ACK of current position");
+        assert_eq!(core.tcb.seq().rcv_nxt, Seq(5001), "nothing consumed");
+        let ack = core.tcb.drain_segments().into_iter().next().expect("re-ACK of current position");
         assert_eq!(ack.header.ack, Seq(5001));
     }
 
@@ -620,7 +598,7 @@ mod tests {
         let mut core = estab();
         let s = seg(5001 + 100_000, TcpFlags::ACK, b"beyond window");
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
-        assert!(core.tcb.out_of_order.is_empty());
+        assert!(core.tcb.recv_side().out_of_order().is_empty());
         assert!(drain_tags(&mut core).contains(&"Send_Segment"));
     }
 
@@ -686,19 +664,12 @@ mod tests {
     #[test]
     fn ack_advances_and_releases() {
         let mut core = estab();
-        core.tcb.send_buf.write(&[1; 300]);
-        core.tcb.set_snd(core.tcb.snd_una(), Seq(401));
-        core.tcb.resend_queue.push_back(crate::data::tcb::SentSegment {
-            seq: Seq(101),
-            len: 300,
-            syn: false,
-            fin: false,
-        });
+        crate::data::send::user_send(&cfg(), &mut core, &[1; 300], VirtualTime::ZERO);
         let mut s = seg(5001, TcpFlags::ACK, b"");
         s.header.ack = Seq(401);
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
-        assert_eq!(core.tcb.snd_una(), Seq(401));
-        assert_eq!(core.tcb.send_buf.len(), 0);
+        assert_eq!(core.tcb.seq().snd_una, Seq(401));
+        assert_eq!(core.tcb.send_side().send_buf().len(), 0);
     }
 
     #[test]
@@ -707,7 +678,7 @@ mod tests {
         let mut s = seg(5001, TcpFlags::ACK, b"should not deliver");
         s.header.ack = Seq(9999);
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
-        assert_eq!(core.tcb.rcv_nxt(), Seq(5001), "text not processed");
+        assert_eq!(core.tcb.seq().rcv_nxt, Seq(5001), "text not processed");
         let tags = drain_tags(&mut core);
         assert!(tags.contains(&"Send_Segment"));
         assert!(tags.contains(&"Attack"), "optimistic ACK counted");
@@ -717,12 +688,11 @@ mod tests {
     #[test]
     fn window_update_follows_wl_rules() {
         let mut core = estab();
-        core.tcb.set_snd_wl(Seq(4000), Seq(90));
         let mut s = seg(5001, TcpFlags::ACK, b"");
         s.header.window = wire_window(123, 0);
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
-        assert_eq!(core.tcb.snd_wnd(), 123);
-        assert_eq!(core.tcb.snd_wl1(), Seq(5001));
+        assert_eq!(core.tcb.seq().snd_wnd, 123);
+        assert_eq!(core.tcb.seq().snd_wl1, Seq(5001));
         // An *older* segment (lower seq) must not regress the window.
         let mut s2 = seg(4500, TcpFlags::ACK, b"");
         s2.header.window = wire_window(9, 0);
@@ -730,7 +700,7 @@ mod tests {
         // unacceptable, so this drops before the window code — which is
         // itself the protection.)
         segment_arrives(&cfg(), &mut core, s2, VirtualTime::ZERO);
-        assert_eq!(core.tcb.snd_wnd(), 123);
+        assert_eq!(core.tcb.seq().snd_wnd, 123);
     }
 
     // ---- text processing ----
@@ -740,7 +710,7 @@ mod tests {
         let mut core = estab();
         let s = seg(5001, TcpFlags::ACK, b"abcdef");
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
-        assert_eq!(core.tcb.rcv_nxt(), Seq(5007));
+        assert_eq!(core.tcb.seq().rcv_nxt, Seq(5007));
         let actions = drain_actions(&mut core);
         let data = actions.iter().find_map(|a| match a {
             TcpAction::UserData(d) => Some(d.clone()),
@@ -765,14 +735,13 @@ mod tests {
             !actions.iter().any(|a| matches!(a, TcpAction::SendSegment(_))),
             "no immediate ACK: {actions:?}"
         );
-        assert!(core.tcb.ack_pending);
     }
 
     #[test]
     fn two_mss_of_data_forces_ack_despite_delay() {
         let dcfg = TcpConfig { delayed_ack_ms: Some(200), ..TcpConfig::default() };
-        let mut core = estab();
-        core.tcb.mss = 100;
+        let mut core: ConnCore<u8> =
+            Fixture { snd: Seq(101), rcv: Seq(5001), mss: 100, ..Fixture::default() }.core();
         let s = seg(5001, TcpFlags::ACK, &[7; 250]);
         segment_arrives(&dcfg, &mut core, s, VirtualTime::ZERO);
         let tags = drain_tags(&mut core);
@@ -784,8 +753,8 @@ mod tests {
         let mut core = estab();
         let s = seg(5101, TcpFlags::ACK, b"late block");
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
-        assert_eq!(core.tcb.rcv_nxt(), Seq(5001), "gap remains");
-        assert_eq!(core.tcb.out_of_order.len(), 1);
+        assert_eq!(core.tcb.seq().rcv_nxt, Seq(5001), "gap remains");
+        assert_eq!(core.tcb.recv_side().out_of_order().len(), 1);
         let actions = drain_actions(&mut core);
         assert!(
             actions.iter().any(|a| matches!(a, TcpAction::SendSegment(s) if s.header.ack == Seq(5001))),
@@ -799,16 +768,8 @@ mod tests {
         segment_arrives(&cfg(), &mut core, seg(5007, TcpFlags::ACK, b"world!"), VirtualTime::ZERO);
         drain_actions(&mut core);
         segment_arrives(&cfg(), &mut core, seg(5001, TcpFlags::ACK, b"hello "), VirtualTime::ZERO);
-        assert_eq!(core.tcb.rcv_nxt(), Seq(5013));
-        let actions = drain_actions(&mut core);
-        let delivered: Vec<u8> = actions
-            .iter()
-            .filter_map(|a| match a {
-                TcpAction::UserData(d) => Some(d.clone()),
-                _ => None,
-            })
-            .flatten()
-            .collect();
+        assert_eq!(core.tcb.seq().rcv_nxt, Seq(5013));
+        let delivered = delivered(&mut core);
         assert_eq!(delivered, b"hello world!");
     }
 
@@ -819,16 +780,8 @@ mod tests {
         drain_actions(&mut core);
         // Peer retransmits [5001..5009): first 4 bytes are old.
         segment_arrives(&cfg(), &mut core, seg(5001, TcpFlags::ACK, b"abcdEFGH"), VirtualTime::ZERO);
-        assert_eq!(core.tcb.rcv_nxt(), Seq(5009));
-        let actions = drain_actions(&mut core);
-        let delivered: Vec<u8> = actions
-            .iter()
-            .filter_map(|a| match a {
-                TcpAction::UserData(d) => Some(d.clone()),
-                _ => None,
-            })
-            .flatten()
-            .collect();
+        assert_eq!(core.tcb.seq().rcv_nxt, Seq(5009));
+        let delivered = delivered(&mut core);
         assert_eq!(delivered, b"EFGH");
     }
 
@@ -840,7 +793,7 @@ mod tests {
         let s = seg(5001, TcpFlags::FIN_ACK, b"");
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
         assert_eq!(core.state, TcpState::CloseWait);
-        assert_eq!(core.tcb.rcv_nxt(), Seq(5002), "FIN consumes a sequence number");
+        assert_eq!(core.tcb.seq().rcv_nxt, Seq(5002), "FIN consumes a sequence number");
         let tags = drain_tags(&mut core);
         assert!(tags.contains(&"Peer_Close"));
         assert!(tags.contains(&"Send_Segment"), "FIN acked immediately");
@@ -851,7 +804,7 @@ mod tests {
         let mut core = estab();
         let s = seg(5001, TcpFlags::FIN_ACK, b"bye");
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
-        assert_eq!(core.tcb.rcv_nxt(), Seq(5005)); // 3 data + FIN
+        assert_eq!(core.tcb.seq().rcv_nxt, Seq(5005)); // 3 data + FIN
         let tags = drain_tags(&mut core);
         let data_pos = tags.iter().position(|t| *t == "User_Data").unwrap();
         let close_pos = tags.iter().position(|t| *t == "Peer_Close").unwrap();
@@ -860,10 +813,11 @@ mod tests {
 
     #[test]
     fn fin_in_fin_wait_2_enters_time_wait() {
-        let mut core = estab();
-        core.state.force(TcpState::FinWait2);
-        core.tcb.fin_seq = Some(Seq(101));
-        core.tcb.set_snd(Seq(102), Seq(102));
+        let mut core = fin_sent();
+        let mut s = seg(5001, TcpFlags::ACK, b"");
+        s.header.ack = Seq(102);
+        segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
+        assert_eq!(core.state, TcpState::FinWait2);
         let mut s = seg(5001, TcpFlags::FIN_ACK, b"");
         s.header.ack = Seq(102);
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
@@ -874,19 +828,8 @@ mod tests {
 
     #[test]
     fn simultaneous_close_fins_cross() {
-        let mut core = estab();
-        // We closed: FIN sent at 101, unacked.
-        core.state.force(TcpState::FinWait1);
-        core.tcb.fin_pending = true;
-        core.tcb.fin_seq = Some(Seq(101));
-        core.tcb.set_snd(core.tcb.snd_una(), Seq(102));
-        core.tcb.resend_queue.push_back(crate::data::tcb::SentSegment {
-            seq: Seq(101),
-            len: 0,
-            syn: false,
-            fin: true,
-        });
-        // Peer's FIN arrives, acking only old data (not our FIN).
+        let mut core = fin_sent(); // our FIN at 101, unacked
+                                   // Peer's FIN arrives, acking only old data (not our FIN).
         let mut s = seg(5001, TcpFlags::FIN_ACK, b"");
         s.header.ack = Seq(101);
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
@@ -901,10 +844,7 @@ mod tests {
 
     #[test]
     fn fin_wait_1_with_fin_acked_goes_time_wait_on_fin() {
-        let mut core = estab();
-        core.state.force(TcpState::FinWait1);
-        core.tcb.fin_seq = Some(Seq(101));
-        core.tcb.set_snd(core.tcb.snd_una(), Seq(102));
+        let mut core = fin_sent();
         // Peer ACKs our FIN and FINs in the same segment.
         let mut s = seg(5001, TcpFlags::FIN_ACK, b"");
         s.header.ack = Seq(102);
@@ -914,9 +854,9 @@ mod tests {
 
     #[test]
     fn retransmitted_fin_in_time_wait_restarts_timer() {
-        let mut core = estab();
+        // The peer's FIN at 5001 already consumed.
+        let mut core: ConnCore<u8> = Fixture { snd: Seq(101), rcv: Seq(5002), ..Fixture::default() }.core();
         core.state.force(TcpState::TimeWait);
-        core.tcb.set_rcv(Seq(5000), Seq(5002)); // FIN at 5001 already consumed
         let s = seg(5001, TcpFlags::FIN_ACK, b"");
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
         let actions = drain_actions(&mut core);
@@ -934,7 +874,7 @@ mod tests {
         let s = seg(5011, TcpFlags::FIN_ACK, b"");
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
         assert_eq!(core.state, TcpState::Estab, "FIN not consumable yet");
-        assert_eq!(core.tcb.rcv_nxt(), Seq(5001));
+        assert_eq!(core.tcb.seq().rcv_nxt, Seq(5001));
     }
 
     // ---- SYN-time option negotiation (RFC 7323 / RFC 2018) ----
@@ -952,7 +892,6 @@ mod tests {
     fn listener(c: &TcpConfig) -> ConnCore<u8> {
         let mut core: ConnCore<u8> = ConnCore::new(c, 80, Seq(300), 1460, BufPool::new());
         core.remote = Some((9, 4000));
-        core.tcb.mss = 1460;
         core.state.force(TcpState::Listen { backlog: 0 });
         core
     }
@@ -984,50 +923,30 @@ mod tests {
                 let mut core = listener(&opt_cfg(ours, false, false));
                 let s = peer_syn(theirs.then_some(7), false, None);
                 segment_arrives(&opt_cfg(ours, false, false), &mut core, s, VirtualTime::ZERO);
-                assert_eq!(core.tcb.wscale_on, on, "wscale ours={ours} theirs={theirs}");
-                if on {
-                    assert_eq!(core.tcb.snd_wscale, 7);
-                    assert_eq!(core.tcb.rcv_wscale, 3, "shift for a 256 KiB buffer");
-                }
-                let synack = drain_actions(&mut core)
-                    .iter()
-                    .find_map(|a| match a {
-                        TcpAction::SendSegment(s) => Some(s.clone()),
-                        _ => None,
-                    })
-                    .unwrap();
+                let n = core.tcb.negotiated(); // 3: the shift for a 256 KiB buffer
+                assert_eq!(
+                    (n.snd_shift(), n.adv_wscale()),
+                    if on { (7, 3) } else { (0, 0) },
+                    "{ours} {theirs}"
+                );
+                let synack = core.tcb.drain_segments().remove(0);
                 assert_eq!(synack.header.wscale().is_some(), on);
 
                 // SACK
                 let mut core = listener(&opt_cfg(false, ours, false));
                 let s = peer_syn(None, theirs, None);
                 segment_arrives(&opt_cfg(false, ours, false), &mut core, s, VirtualTime::ZERO);
-                assert_eq!(core.tcb.sack_on, on, "sack ours={ours} theirs={theirs}");
-                let synack = drain_actions(&mut core)
-                    .iter()
-                    .find_map(|a| match a {
-                        TcpAction::SendSegment(s) => Some(s.clone()),
-                        _ => None,
-                    })
-                    .unwrap();
+                assert_eq!(core.tcb.negotiated().sack_on(), on, "sack ours={ours} theirs={theirs}");
+                let synack = core.tcb.drain_segments().remove(0);
                 assert_eq!(synack.header.sack_permitted(), on);
 
                 // timestamps
                 let mut core = listener(&opt_cfg(false, false, ours));
                 let s = peer_syn(None, false, theirs.then_some((5555, 0)));
                 segment_arrives(&opt_cfg(false, false, ours), &mut core, s, VirtualTime::ZERO);
-                assert_eq!(core.tcb.ts_on, on, "ts ours={ours} theirs={theirs}");
-                if on {
-                    assert_eq!(core.tcb.ts_recent, 5555, "TS.Recent initialized from the SYN");
-                }
-                let synack = drain_actions(&mut core)
-                    .iter()
-                    .find_map(|a| match a {
-                        TcpAction::SendSegment(s) => Some(s.clone()),
-                        _ => None,
-                    })
-                    .unwrap();
-                assert_eq!(synack.header.timestamps().is_some(), on);
+                assert_eq!(core.tcb.negotiated().ts_on(), on, "ts ours={ours} theirs={theirs}");
+                let synack = core.tcb.drain_segments().remove(0);
+                assert_eq!(synack.header.timestamps(), on.then_some((0, 5555)), "TS.Recent from the SYN");
             }
         }
     }
@@ -1036,62 +955,49 @@ mod tests {
     #[test]
     fn active_opener_negotiates_from_syn_ack() {
         let c = opt_cfg(true, true, true);
-        let mut core: ConnCore<u8> = ConnCore::new(&c, 5000, Seq(100), 1460, BufPool::new());
-        core.remote = Some((9, 80));
-        core.state.force(TcpState::SynSent { retries_left: 5 });
-        core.tcb.set_snd(core.tcb.snd_una(), Seq(101));
-        core.tcb.resend_queue.push_back(crate::data::tcb::SentSegment {
-            seq: Seq(100),
-            len: 0,
-            syn: true,
-            fin: false,
-        });
+        let mut core = syn_sent_core(&c);
         let mut s = peer_syn(Some(10), true, Some((9000, 1)));
         s.header.flags = TcpFlags::SYN_ACK;
         s.header.ack = Seq(101);
         s.header.window = wire_window(2048, 0);
         segment_arrives(&c, &mut core, s, VirtualTime::from_millis(30));
         assert_eq!(core.state, TcpState::Estab);
-        assert!(core.tcb.wscale_on && core.tcb.sack_on && core.tcb.ts_on);
-        assert_eq!(core.tcb.snd_wscale, 10);
-        assert_eq!(core.tcb.ts_recent, 9000);
-        assert_eq!(core.tcb.snd_wnd(), 2048, "the SYN+ACK window itself is never scaled");
+        let n = core.tcb.negotiated();
+        assert!(n.sack_on() && n.ts_on());
+        assert_eq!(n.snd_shift(), 10);
+        assert_eq!(core.tcb.seq().snd_wnd, 2048, "the SYN+ACK window itself is never scaled");
         // The handshake ACK carries a timestamp echoing the peer.
-        let ack = drain_actions(&mut core)
-            .iter()
-            .find_map(|a| match a {
-                TcpAction::SendSegment(s) => Some(s.clone()),
-                _ => None,
-            })
-            .unwrap();
+        let ack = core.tcb.drain_segments().remove(0);
         assert_eq!(ack.header.timestamps(), Some((30, 9000)));
         // And the peer's SYN+ACK echo of our timestamp fed RTTM.
-        assert!(core.tcb.rtt.srtt.is_some(), "RTT sampled from TSecr");
+        assert!(core.tcb.send_side().rtt().srtt.is_some(), "RTT sampled from TSecr");
     }
 
     /// A post-handshake window update applies the negotiated shift.
     #[test]
     fn scaled_window_update() {
-        let mut core = estab();
-        core.tcb.wscale_on = true;
-        core.tcb.snd_wscale = 4;
+        let scaled = TcpConfig { window_scale: true, ..cfg() };
+        let mut core: ConnCore<u8> =
+            Fixture { cfg: scaled, snd: Seq(101), rcv: Seq(5001), peer_wscale: 4, ..Fixture::default() }
+                .core();
         let mut s = seg(5001, TcpFlags::ACK, b"");
         s.header.window = wire_window(4096, 0);
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
-        assert_eq!(core.tcb.snd_wnd(), 4096 << 4, "window widened by the peer's shift");
+        assert_eq!(core.tcb.seq().snd_wnd, 4096 << 4, "window widened by the peer's shift");
     }
 
     /// PAWS (RFC 7323 §5.3): an in-window segment whose timestamp is
     /// older than TS.Recent is dropped and re-ACKed.
     #[test]
     fn paws_rejects_old_timestamp() {
-        let mut core = estab();
-        core.tcb.ts_on = true;
-        core.tcb.ts_recent = 10_000;
+        let stamped = TcpConfig { timestamps: true, ..cfg() };
+        let mut core: ConnCore<u8> =
+            Fixture { cfg: stamped, snd: Seq(101), rcv: Seq(5001), ts_recent: 10_000, ..Fixture::default() }
+                .core();
         let mut s = seg(5001, TcpFlags::ACK, b"wrapped ghost");
         s.header.options.push(TcpOption::Timestamps(9_999, 0)).unwrap();
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
-        assert_eq!(core.tcb.rcv_nxt(), Seq(5001), "text not consumed");
+        assert_eq!(core.tcb.seq().rcv_nxt, Seq(5001), "text not consumed");
         let actions = drain_actions(&mut core);
         assert!(
             actions.iter().any(|a| matches!(a, TcpAction::SendSegment(s) if s.header.ack == Seq(5001))),
@@ -1101,31 +1007,24 @@ mod tests {
         let mut s = seg(5001, TcpFlags::ACK, b"fresh");
         s.header.options.push(TcpOption::Timestamps(10_001, 0)).unwrap();
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
-        assert_eq!(core.tcb.rcv_nxt(), Seq(5006));
-        assert_eq!(core.tcb.ts_recent, 10_001, "TS.Recent advanced");
+        assert_eq!(core.tcb.seq().rcv_nxt, Seq(5006));
+        let ack = core.tcb.drain_segments().remove(0);
+        assert_eq!(ack.header.timestamps(), Some((0, 10_001)), "TS.Recent advanced");
     }
 
     /// Incoming SACK blocks land in the sender-side scoreboard.
     #[test]
     fn ack_with_sack_blocks_updates_scoreboard() {
-        let mut core = estab();
-        core.tcb.sack_on = true;
-        core.tcb.set_snd(core.tcb.snd_una(), Seq(4101));
-        core.tcb.send_buf.write(&[0; 4000]);
-        for i in 0..4u32 {
-            core.tcb.resend_queue.push_back(crate::data::tcb::SentSegment {
-                seq: Seq(101 + i * 1000),
-                len: 1000,
-                syn: false,
-                fin: false,
-            });
-        }
+        let sack = TcpConfig { sack: true, ..cfg() };
+        let mut core: ConnCore<u8> =
+            Fixture { cfg: sack, snd: Seq(101), rcv: Seq(5001), ..Fixture::default() }.core();
+        crate::data::send::user_send(&cfg(), &mut core, &[0; 4000], VirtualTime::ZERO); // 101..4101
         let mut s = seg(5001, TcpFlags::ACK, b"");
         s.header.ack = Seq(101); // duplicate
         s.header.options.push(TcpOption::Sack([(Seq(1101), Seq(2101))].into_iter().collect())).unwrap();
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
-        assert_eq!(core.tcb.sack_scoreboard, vec![(Seq(1101), Seq(2101))]);
-        assert!(core.tcb.sacked(Seq(1101), Seq(2101)));
+        assert_eq!(core.tcb.send_side().sack_scoreboard(), [(Seq(1101), Seq(2101))]);
+        assert!(core.tcb.send_side().sacked(Seq(1101), Seq(2101)));
     }
 
     #[test]
@@ -1134,7 +1033,7 @@ mod tests {
         core.state.force(TcpState::CloseWait);
         let s = seg(5001, TcpFlags::ACK, b"zombie data");
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
-        assert_eq!(core.tcb.rcv_nxt(), Seq(5001), "text ignored after FIN");
+        assert_eq!(core.tcb.seq().rcv_nxt, Seq(5001), "text ignored after FIN");
         assert!(!drain_tags(&mut core).contains(&"User_Data"));
     }
 }

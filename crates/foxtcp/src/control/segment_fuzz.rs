@@ -2,14 +2,14 @@
 //! segments against SEGMENT-ARRIVES, from every synchronized state. The
 //! quasi-synchronous design's promise is determinism and testability;
 //! these properties pin down the safety side — no input sequence may
-//! panic the receive DAG or corrupt the TCB's invariants. They start
-//! from states and sequence points no handshake would hand them, so
-//! they live inside the crate, where the test hooks that place a
-//! connection there are visible.
+//! panic the receive DAG or corrupt the TCB's invariants, and what the
+//! SYNs agreed stays agreed. They start from states and sequence points
+//! no handshake would hand them, so they live inside the crate, where
+//! the fixture that places a connection there is visible.
 
-use crate::control::segment;
+use crate::control::{segment, state};
+use crate::data::transfer::Fixture;
 use crate::{ConnCore, TcpConfig, TcpState};
-use foxbasis::buf::BufPool;
 use foxbasis::seq::Seq;
 use foxbasis::time::VirtualTime;
 use foxwire::tcp::{wire_window, TcpFlags, TcpHeader, TcpSegment};
@@ -53,26 +53,25 @@ fn to_segment(a: &ArbSegment) -> TcpSegment {
     TcpSegment { header: h, payload: vec![0x7u8; a.payload_len].into() }
 }
 
+/// ESTABLISHED with every option agreed, so that there is something
+/// for a segment to renegotiate.
 fn estab_core() -> ConnCore<u8> {
-    let cfg = TcpConfig::default();
-    let mut core: ConnCore<u8> = ConnCore::new(&cfg, 80, Seq(1_000_000), 1460, BufPool::new());
-    core.remote = Some((9, 4000));
-    core.state.force(TcpState::Estab);
-    core.tcb.mss = 1000;
-    core.tcb.set_snd(Seq(1_000_001), Seq(1_000_001));
-    core.tcb.set_rcv(Seq(5_000_000), Seq(5_000_001));
-    core.tcb.set_snd_wnd(4096);
-    core
+    let cfg = TcpConfig { window_scale: true, sack: true, timestamps: true, ..TcpConfig::default() };
+    Fixture { cfg, snd: Seq(1_000_001), rcv: Seq(5_000_001), peer_wscale: 2, ..Fixture::default() }.core()
 }
 
 /// Feeds `segs` to `core` one at a time, checking the TCB after each,
-/// until the connection closes.
+/// until the connection closes. Once synchronized, a connection's
+/// [`crate::data::transfer::Negotiated`] is read-only: no segment may
+/// change it.
 fn feed(core: &mut ConnCore<u8>, segs: &[ArbSegment]) {
     let cfg = TcpConfig::default();
     for (i, a) in segs.iter().enumerate() {
+        let (agreed, synchronized) = (core.tcb.negotiated(), core.state.is_synchronized());
         let _ = segment::segment_arrives(&cfg, core, to_segment(a), VirtualTime::from_millis(i as u64));
-        core.tcb.clear_pending_actions();
+        core.tcb.to_do.clear();
         core.tcb.check_invariants();
+        assert!(!synchronized || core.tcb.negotiated() == agreed, "a segment renegotiated: {a:?}");
         if core.state == TcpState::Closed {
             break;
         }
@@ -117,12 +116,11 @@ proptest! {
             TcpState::TimeWait,
         ];
         let mut core = estab_core();
-        core.state.force(states[state_ix].clone());
-        if matches!(*core.state, TcpState::FinWait1 | TcpState::Closing) {
-            let nxt = core.tcb.snd_nxt();
-            core.tcb.fin_seq = Some(nxt);
-            core.tcb.set_snd(core.tcb.snd_una(), nxt + 1);
+        if matches!(states[state_ix], TcpState::FinWait1 | TcpState::Closing) {
+            state::close(&TcpConfig::default(), &mut core, VirtualTime::ZERO).unwrap(); // our FIN in flight
+            core.tcb.to_do.clear();
         }
+        core.state.force(states[state_ix].clone());
         feed(&mut core, &segs);
     }
 }

@@ -4,7 +4,7 @@
 
 use crate::action::{TcpAction, TimerKind};
 use crate::control::fsm::{spend_syn_retry, transition, Trigger};
-use crate::data::{resend, send};
+use crate::data::{resend, send, transfer};
 use crate::{ConnCore, TcpConfig, TcpState};
 use foxbasis::time::VirtualTime;
 use foxproto::ProtoError;
@@ -69,13 +69,13 @@ pub fn close<P: Clone + PartialEq + Debug>(
             // "Queue this until all preceding SENDs have been segmentized,
             // then form a FIN segment and send it" — fin_pending does the
             // queueing; the Send module emits the FIN after the data.
-            core.tcb.fin_pending = true;
+            core.tcb.close_send();
             transition(core, Trigger::Close, TcpState::FinWait1);
             send::maybe_send(cfg, core, now);
             Ok(())
         }
         TcpState::CloseWait => {
-            core.tcb.fin_pending = true;
+            core.tcb.close_send();
             transition(core, Trigger::Close, TcpState::LastAck);
             send::maybe_send(cfg, core, now);
             Ok(())
@@ -98,14 +98,12 @@ pub fn abort<P: Clone + PartialEq + Debug>(
         return Err(ProtoError::NotOpen);
     }
     if core.state.is_synchronized() && core.state != TcpState::TimeWait {
-        let header = send::make_header(core, TcpFlags::RST_ACK, core.tcb.snd_nxt(), now);
+        let header = send::make_header(core, TcpFlags::RST_ACK, core.tcb.seq().snd_nxt, now, true);
         let payload = core.pool.empty();
         core.tcb.push_action(TcpAction::SendSegment(foxwire::tcp::TcpSegment { header, payload }));
     }
     transition(core, Trigger::Abort, TcpState::Closed);
-    core.tcb.resend_queue.clear();
-    core.tcb.send_buf.clear();
-    core.tcb.out_of_order.clear();
+    core.tcb.discard();
     core.tcb.push_action(TcpAction::CompleteClose);
     Ok(())
 }
@@ -123,11 +121,7 @@ pub fn timer_expired<P: Clone + PartialEq + Debug>(
     }
     match kind {
         TimerKind::Resend => retransmit_timer(cfg, core, now),
-        TimerKind::DelayedAck => {
-            if core.tcb.ack_pending {
-                send::queue_ack(core, now);
-            }
-        }
+        TimerKind::DelayedAck => transfer::delayed_ack_fired(core, now),
         TimerKind::Persist => {
             send::window_probe(cfg, core, now);
         }
@@ -141,8 +135,7 @@ pub fn timer_expired<P: Clone + PartialEq + Debug>(
             // A hung operation (usually the handshake) fails.
             if core.state != TcpState::Estab {
                 transition(core, Trigger::Timer, TcpState::Closed);
-                core.tcb.resend_queue.clear();
-                core.tcb.send_buf.clear();
+                core.tcb.discard();
                 core.tcb.push_action(TcpAction::UserTimeoutFired);
             }
         }
@@ -181,6 +174,7 @@ fn give_up<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::transfer::Fixture;
     use foxbasis::buf::BufPool;
     use foxbasis::seq::Seq;
 
@@ -188,10 +182,11 @@ mod tests {
         TcpConfig::default()
     }
 
+    /// The fixture, back in CLOSED before anything was sent.
     fn fresh() -> ConnCore<u32> {
-        let mut c: ConnCore<u32> = ConnCore::new(&cfg(), 1000, Seq(100), 1460, BufPool::new());
-        c.remote = Some((7, 2000));
-        c
+        let mut core = Fixture::default().core();
+        core.state.force(TcpState::Closed);
+        core
     }
 
     fn tags(core: &mut ConnCore<u32>) -> Vec<&'static str> {
@@ -206,7 +201,7 @@ mod tests {
         let t = tags(&mut core);
         assert!(t.contains(&"Send_Segment"));
         assert!(t.contains(&"Set_Timer"));
-        assert_eq!(core.tcb.snd_nxt(), Seq(101));
+        assert_eq!(core.tcb.seq().snd_nxt, Seq(101));
         // Double open fails.
         assert_eq!(active_open(&cfg(), &mut core, VirtualTime::ZERO), Err(ProtoError::AlreadyOpen));
     }
@@ -227,22 +222,18 @@ mod tests {
 
     #[test]
     fn close_from_estab_sends_fin_enters_finwait1() {
-        let mut core = fresh();
-        core.state.force(TcpState::Estab);
-        core.tcb.set_snd_wnd(4096);
+        let mut core: ConnCore<u32> = Fixture::default().core();
         close(&cfg(), &mut core, VirtualTime::ZERO).unwrap();
         assert_eq!(core.state, TcpState::FinWait1);
-        assert!(core.tcb.fin_pending);
-        assert!(core.tcb.fin_seq.is_some(), "FIN actually staged");
+        assert!(core.tcb.fin_sent(), "FIN actually staged");
         let t = tags(&mut core);
         assert!(t.contains(&"Send_Segment"));
     }
 
     #[test]
     fn close_from_close_wait_enters_last_ack() {
-        let mut core = fresh();
+        let mut core: ConnCore<u32> = Fixture::default().core();
         core.state.force(TcpState::CloseWait);
-        core.tcb.set_snd_wnd(4096);
         close(&cfg(), &mut core, VirtualTime::ZERO).unwrap();
         assert_eq!(core.state, TcpState::LastAck);
     }
@@ -272,12 +263,11 @@ mod tests {
 
     #[test]
     fn abort_sends_rst_and_flushes() {
-        let mut core = fresh();
-        core.state.force(TcpState::Estab);
-        core.tcb.send_buf.write(&[1; 100]);
+        let mut core: ConnCore<u32> = Fixture::default().core();
+        assert_eq!(send::user_send(&cfg(), &mut core, &[1; 100], VirtualTime::ZERO), 100);
         abort(&cfg(), &mut core, VirtualTime::ZERO).unwrap();
         assert_eq!(core.state, TcpState::Closed);
-        assert_eq!(core.tcb.send_buf.len(), 0);
+        assert_eq!(core.tcb.send_side().send_buf().len(), 0);
         let acts: Vec<String> = core.tcb.to_do.drain_all().iter().map(|a| format!("{a:?}")).collect();
         assert!(acts.iter().any(|a| a.contains("RST")), "{acts:?}");
         assert!(acts.iter().any(|a| a == "Complete_Close"));
@@ -320,14 +310,20 @@ mod tests {
 
     #[test]
     fn delayed_ack_timer_acks_only_when_pending() {
-        let mut core = fresh();
-        core.state.force(TcpState::Estab);
+        let mut core: ConnCore<u32> = Fixture::default().core();
         timer_expired(&cfg(), &mut core, TimerKind::DelayedAck, VirtualTime::from_millis(1));
         assert!(tags(&mut core).is_empty());
-        core.tcb.ack_pending = true;
+        // One small in-order segment: its ACK is held for the timer.
+        let mut h = foxwire::tcp::TcpHeader::new(2000, 1000);
+        (h.seq, h.ack, h.flags, h.window) =
+            (Seq(5000), Seq(100), TcpFlags::ACK, foxwire::tcp::wire_window(4096, 0));
+        let seg = foxwire::tcp::TcpSegment { header: h, payload: b"x"[..].into() };
+        crate::control::segment::segment_arrives(&cfg(), &mut core, seg, VirtualTime::ZERO);
+        assert!(!tags(&mut core).contains(&"Send_Segment"));
         timer_expired(&cfg(), &mut core, TimerKind::DelayedAck, VirtualTime::from_millis(2));
         assert!(tags(&mut core).contains(&"Send_Segment"));
-        assert!(!core.tcb.ack_pending);
+        timer_expired(&cfg(), &mut core, TimerKind::DelayedAck, VirtualTime::from_millis(3));
+        assert!(tags(&mut core).is_empty(), "the ACK went: none is owed");
     }
 
     #[test]

@@ -26,8 +26,7 @@
     clippy::unimplemented
 )]
 
-use crate::action::{TcpAction, TimerKind};
-use crate::data::{resend, send};
+use crate::data::{resend, send, transfer};
 use crate::{ConnCore, TcpConfig, TcpState};
 use foxbasis::time::VirtualTime;
 use foxwire::tcp::TcpSegment;
@@ -55,19 +54,19 @@ pub fn try_fast<P: Clone + PartialEq + Debug>(
     }
     // The wire field is compared post-scaling: with wscale negotiated an
     // unchanged 16-bit field still predicts an unchanged true window.
-    if core.tcb.scale_peer_window(h.window, false) != core.tcb.snd_wnd {
+    if core.tcb.neg.scale_peer_window(h.window, false) != core.tcb.snd_wnd {
         return false;
     }
     // SACK blocks are loss-recovery input (RFC 2018): only the full
     // path's ACK processing folds them into the scoreboard, and a
     // partial ACK that carries them must not be consumed without that.
     // Declined before the timestamp step, so nothing runs twice.
-    if core.tcb.sack_on && !h.sack_blocks().is_empty() {
+    if core.tcb.neg.sack_on() && !h.sack_blocks().is_empty() {
         return false;
     }
     // RFC 7323's fast-path timestamp check: PAWS-reject old segments,
     // and keep TS.Recent / the pending echo fresh for RTTM.
-    if !super::transfer::process_timestamps(core, h, now) {
+    if !transfer::process_timestamps(core, h, now) {
         return true; // dropped and re-ACKed: fully handled
     }
 
@@ -88,44 +87,21 @@ pub fn try_fast<P: Clone + PartialEq + Debug>(
         }
         false
     } else {
-        // Case 2: pure in-order data, nothing new acknowledged, and the
-        // whole payload fits our buffer.
-        if h.ack != core.tcb.snd_una {
+        // Case 2: pure in-order data, nothing new acknowledged, the
+        // whole payload fits our buffer, and no reassembly for the full
+        // path to manage.
+        if h.ack != core.tcb.snd_una || !core.tcb.fits_in_order(seg.payload.len()) {
             return false;
         }
-        if core.tcb.recv_buf.free() < seg.payload.len() {
-            return false;
-        }
-        if !core.tcb.out_of_order.is_empty() {
-            return false; // let the full path manage reassembly
-        }
-        let tcb = &mut core.tcb;
-        let took = tcb.recv_buf.take(seg.payload.len());
-        debug_assert_eq!(took, seg.payload.len());
-        tcb.rcv_nxt += took as u32;
-        tcb.bytes_since_ack += took as u32;
-        tcb.segs_since_ack += 1;
         // Keep WL1/WL2 fresh exactly as the slow path's
         // update_send_window would (window unchanged by predicate).
-        tcb.snd_wl1 = h.seq;
-        tcb.snd_wl2 = h.ack;
-        // The copy into the user's vector — the same user-boundary copy
-        // the slow path pays, and the only time the receive side touches
-        // the payload after its checksum (`recv_buf` only counts bytes).
-        // Deliberately outside the copy counter: the paper keeps the
-        // user copy out of its benchmarks.
-        tcb.push_action(TcpAction::UserData(seg.payload.bytes().to_vec()));
-        let th = cfg.ack_threshold();
-        match cfg.delayed_ack_ms {
-            Some(ms) if tcb.segs_since_ack < th && tcb.bytes_since_ack < th * tcb.mss => {
-                tcb.ack_pending = true;
-                tcb.push_action(TcpAction::SetTimer(TimerKind::DelayedAck, ms));
-            }
-            _ => {
-                send::queue_ack(core, now);
-                core.tcb.push_action(TcpAction::ClearTimer(TimerKind::DelayedAck));
-            }
-        }
+        (core.tcb.snd_wl1, core.tcb.snd_wl2) = (h.seq, h.ack);
+        // Delivered — with the same user-boundary copy the slow path
+        // pays, the only time the receive side touches the payload after
+        // its checksum, and deliberately outside the copy counter: the
+        // paper keeps the user copy out of its benchmarks — and ACKed or
+        // not by the slow path's own rule.
+        transfer::take_in_order(cfg, core, seg, now);
         // The slow path ends every non-duplicate segment with a send
         // attempt; without it, data queued while this (bidirectional)
         // segment was processed would sit until the next timer.
@@ -137,7 +113,8 @@ pub fn try_fast<P: Clone + PartialEq + Debug>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use foxbasis::buf::BufPool;
+    use crate::data::transfer::Fixture;
+    use crate::testlink::no_nagle;
     use foxbasis::seq::Seq;
     use foxwire::tcp::{wire_window, TcpFlags, TcpHeader};
 
@@ -146,14 +123,14 @@ mod tests {
     }
 
     fn estab() -> ConnCore<u32> {
-        let mut core: ConnCore<u32> = ConnCore::new(&cfg(), 1000, Seq(100), 1460, BufPool::new());
-        core.remote = Some((7, 2000));
-        core.state.force(TcpState::Estab);
-        core.tcb.mss = 1000;
-        core.tcb.snd_wnd = 4096;
-        core.tcb.rcv_nxt = Seq(5000);
-        core.tcb.snd_una = Seq(100);
-        core.tcb.snd_nxt = Seq(100);
+        Fixture::default().core()
+    }
+
+    /// `estab()` with one 500-byte segment from 100 in flight.
+    fn with_flight() -> ConnCore<u32> {
+        let mut core = estab();
+        assert_eq!(send::user_send(&no_nagle(), &mut core, &[1; 500], VirtualTime::ZERO), 500);
+        core.tcb.to_do.clear();
         core
     }
 
@@ -168,19 +145,10 @@ mod tests {
 
     #[test]
     fn pure_ack_taken_fast() {
-        let mut core = estab();
-        // One outstanding segment.
-        core.tcb.send_buf.write(&[1; 500]);
-        core.tcb.snd_nxt = Seq(600);
-        core.tcb.resend_queue.push_back(crate::data::tcb::SentSegment {
-            seq: Seq(100),
-            len: 500,
-            syn: false,
-            fin: false,
-        });
+        let mut core = with_flight();
         assert!(try_fast(&cfg(), &mut core, &seg(5000, 600, 4096, b""), VirtualTime::ZERO));
         assert_eq!(core.tcb.snd_una, Seq(600));
-        assert!(core.tcb.resend_queue.is_empty());
+        assert!(core.tcb.snd.resend_queue().is_empty());
     }
 
     #[test]
@@ -245,15 +213,7 @@ mod tests {
     fn fast_path_advances_wl_state() {
         // Both fast-path cases must leave snd_wl1/snd_wl2 exactly where
         // the slow path's update_send_window would.
-        let mut core = estab();
-        core.tcb.send_buf.write(&[1; 500]);
-        core.tcb.snd_nxt = Seq(600);
-        core.tcb.resend_queue.push_back(crate::data::tcb::SentSegment {
-            seq: Seq(100),
-            len: 500,
-            syn: false,
-            fin: false,
-        });
+        let mut core = with_flight();
         assert!(try_fast(&cfg(), &mut core, &seg(5000, 600, 4096, b""), VirtualTime::ZERO));
         assert_eq!(core.tcb.snd_wl1, Seq(5000), "case 1 must advance WL1");
         assert_eq!(core.tcb.snd_wl2, Seq(600), "case 1 must advance WL2");
@@ -296,13 +256,8 @@ mod tests {
         // the fast path's data case skipped it, stranding queued data on
         // bidirectional connections until the next timer or ACK.
         let mut core = estab();
-        let taken = send::user_send(&cfg(), &mut core, &[5u8; 300], VirtualTime::ZERO);
-        assert_eq!(taken, 300);
-        // user_send itself sent what the window allowed; drop those
-        // actions and pretend the window just kept us from sending more.
-        core.tcb.to_do.drain_all();
-        core.tcb.snd_nxt = core.tcb.snd_una; // nothing in flight yet
-        core.tcb.resend_queue.clear();
+        // Queued, as if the window had just kept us from sending it.
+        assert_eq!(core.tcb.snd.write(&[5u8; 300]), 300);
 
         assert!(try_fast(&cfg(), &mut core, &seg(5000, 100, 4096, &[9u8; 200]), VirtualTime::ZERO));
         let tags: Vec<_> = core.tcb.to_do.drain_all().iter().map(|a| a.tag()).collect();
@@ -317,24 +272,20 @@ mod tests {
         // snd_wnd 4096 with shift 4 means the wire field reads 256; the
         // fast path must compare post-scaling or every segment of a
         // wscale connection falls to the slow path.
-        let mut core = estab();
-        core.tcb.wscale_on = true;
-        core.tcb.snd_wscale = 4;
+        let scaled =
+            Fixture { cfg: TcpConfig { window_scale: true, ..cfg() }, peer_wscale: 4, ..Fixture::default() };
+        let mut core: ConnCore<u32> = scaled.core();
         assert!(try_fast(&cfg(), &mut core, &seg(5000, 100, 256, &[3u8; 50]), VirtualTime::ZERO));
         assert_eq!(core.tcb.rcv_nxt, Seq(5050));
         // And a genuinely changed window still falls through.
-        let mut core = estab();
-        core.tcb.wscale_on = true;
-        core.tcb.snd_wscale = 4;
+        let mut core: ConnCore<u32> = scaled.core();
         assert!(!try_fast(&cfg(), &mut core, &seg(5000, 100, 128, b""), VirtualTime::ZERO));
     }
 
     #[test]
     fn paws_checked_on_fast_path() {
         use foxwire::tcp::TcpOption;
-        let mut core = estab();
-        core.tcb.ts_on = true;
-        core.tcb.ts_recent = 500;
+        let mut core = stamped();
         let mut s = seg(5000, 100, 4096, &[1u8; 10]);
         s.header.options.push(TcpOption::Timestamps(499, 0)).unwrap();
         assert!(try_fast(&cfg(), &mut core, &s, VirtualTime::ZERO), "PAWS drop is a handled segment");
@@ -343,7 +294,16 @@ mod tests {
         s.header.options.push(TcpOption::Timestamps(501, 0)).unwrap();
         assert!(try_fast(&cfg(), &mut core, &s, VirtualTime::ZERO));
         assert_eq!(core.tcb.rcv_nxt, Seq(5010));
-        assert_eq!(core.tcb.ts_recent, 501);
+        // TS.Recent is 501 now, so a segment stamped 500 is old.
+        let mut s = seg(5010, 100, 4096, &[1u8; 10]);
+        s.header.options.push(TcpOption::Timestamps(500, 0)).unwrap();
+        assert!(try_fast(&cfg(), &mut core, &s, VirtualTime::ZERO));
+        assert_eq!(core.tcb.rcv_nxt, Seq(5010), "TS.Recent advanced");
+    }
+
+    /// `estab()` with timestamps agreed and TS.Recent at 500.
+    fn stamped() -> ConnCore<u32> {
+        Fixture { cfg: TcpConfig { timestamps: true, ..cfg() }, ts_recent: 500, ..Fixture::default() }.core()
     }
 
     #[test]
@@ -355,50 +315,31 @@ mod tests {
         // acknowledgment in reply"). The engine drains to_do after
         // try_fast returns, so an action here *is* an emitted segment.
         use foxwire::tcp::TcpOption;
-        let mut core = estab();
-        core.tcb.ts_on = true;
-        core.tcb.ts_recent = 500;
+        let mut core = stamped();
         let mut s = seg(5000, 100, 4096, &[1u8; 10]);
         s.header.options.push(TcpOption::Timestamps(499, 0)).unwrap();
         assert!(try_fast(&cfg(), &mut core, &s, VirtualTime::ZERO));
-        let actions = core.tcb.to_do.drain_all();
-        let acks: Vec<_> = actions
-            .iter()
-            .filter_map(|a| match a {
-                TcpAction::SendSegment(seg) => Some(&seg.header),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(acks.len(), 1, "exactly one re-ACK must be staged, got {actions:?}");
-        let h = acks[0];
+        let acks = core.tcb.drain_segments();
+        assert_eq!(acks.len(), 1, "exactly one re-ACK must be staged, got {acks:?}");
+        let h = &acks[0].header;
         assert!(h.flags.ack && !h.flags.syn && !h.flags.fin && !h.flags.rst);
         assert_eq!(h.ack, Seq(5000), "the re-ACK must re-assert rcv_nxt");
         assert_eq!(h.seq, Seq(100), "the re-ACK carries snd_nxt");
 
         // And the same drop on the *slow* path stages the same ACK —
         // the parity the fast path's early return claims.
-        let mut core = estab();
-        core.tcb.ts_on = true;
-        core.tcb.ts_recent = 500;
+        let mut core = stamped();
         let mut s = seg(5000, 100, 4096, &[1u8; 10]);
         s.header.options.push(TcpOption::Timestamps(499, 0)).unwrap();
         let _ = crate::control::segment::segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
-        let actions = core.tcb.to_do.drain_all();
-        let slow_acks: Vec<_> = actions
-            .iter()
-            .filter_map(|a| match a {
-                TcpAction::SendSegment(seg) => Some(seg.header.ack),
-                _ => None,
-            })
-            .collect();
+        let slow_acks: Vec<_> = core.tcb.drain_segments().iter().map(|s| s.header.ack).collect();
         assert_eq!(slow_acks, vec![Seq(5000)], "slow-path PAWS drop must stage the same re-ACK");
     }
 
     #[test]
     fn rejects_data_when_buffer_tight() {
         let mut core = estab();
-        let fill = core.tcb.recv_buf.capacity() - 10;
-        core.tcb.recv_buf.take(fill);
-        assert!(!try_fast(&cfg(), &mut core, &seg(5000, 100, 4096, &[1u8; 20]), VirtualTime::ZERO));
+        assert!(try_fast(&cfg(), &mut core, &seg(5000, 100, 4096, &[1u8; 4086]), VirtualTime::ZERO));
+        assert!(!try_fast(&cfg(), &mut core, &seg(9086, 100, 4096, &[1u8; 20]), VirtualTime::ZERO));
     }
 }

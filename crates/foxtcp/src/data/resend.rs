@@ -4,7 +4,9 @@
 //!
 //! Responsibilities, exactly as the paper assigns them: implement the
 //! RTT estimation, and "remove acknowledged segments from the retransmit
-//! queue".
+//! queue". It owns the TCB's [`SendSide`]: the Send module queues bytes
+//! and records what it sent through the methods here, and control asks
+//! whether our FIN is acknowledged ([`Tcb::fin_acked`]).
 //!
 //! Loss recovery is one record and one walk. A loss detected either way
 //! — the third duplicate ACK ([`duplicate_ack`]) or the retransmission
@@ -26,10 +28,225 @@ use crate::action::{LossEvent, TcpAction, TimerKind};
 use crate::data::send;
 use crate::data::tcb::{Recovery, RttEstimator, SentSegment, Tcb, MAX_RTO, MIN_RTO};
 use crate::{congestion, ConnCore, TcpConfig};
+use foxbasis::deq::Deq;
+use foxbasis::ring::RingBuffer;
 use foxbasis::seq::Seq;
 use foxbasis::time::{VirtualDuration, VirtualTime};
-use foxwire::tcp::{TcpFlags, TcpHeader, TcpSegment};
+use foxwire::tcp::{TcpFlags, TcpSegment};
 use std::fmt::Debug;
+
+/// The send side of a connection: the bytes queued and in flight, where
+/// our FIN is, the retransmission queue, the round-trip estimator, the
+/// retry budget and the SACK scoreboard.
+#[derive(Clone, PartialEq)]
+pub struct SendSide {
+    /// Outgoing byte store: `snd_una .. snd_una + send_buf.len()`.
+    /// The prefix up to `snd_nxt` is sent-but-unacked — the one copy of
+    /// the flight, which `resend_queue` describes and every
+    /// retransmission reads; the tail is the paper's `queued` — staged,
+    /// unsent data. Its storage grows with use and is released once our
+    /// FIN is acknowledged ([`process_ack`]): nothing can be written or
+    /// resent after that.
+    send_buf: RingBuffer,
+    /// True once the user has called `close` — a FIN follows the last
+    /// byte of `send_buf`.
+    fin_pending: bool,
+    /// Sequence number our FIN occupies once sent.
+    fin_seq: Option<Seq>,
+    /// Sent, unacknowledged segments, oldest first: sequence ranges
+    /// over the sent prefix of `send_buf`.
+    resend_queue: Deq<SentSegment>,
+    /// RTT estimation.
+    rtt: RttEstimator,
+    /// Retransmissions remaining before the connection gives up.
+    retransmits_left: u32,
+    /// The sender-side SACK scoreboard (RFC 6675): peer-reported
+    /// received ranges above `snd_una`, merged and sorted.
+    sack_scoreboard: Vec<(Seq, Seq)>,
+}
+
+impl SendSide {
+    /// An empty send side bounded by `cfg.send_buffer`, with
+    /// `cfg.max_retransmits` retries to spend from the first SYN on.
+    pub(crate) fn new(cfg: &TcpConfig) -> SendSide {
+        SendSide {
+            send_buf: RingBuffer::new(cfg.send_buffer.max(1)),
+            fin_pending: false,
+            fin_seq: None,
+            resend_queue: Deq::new(),
+            rtt: RttEstimator::default(),
+            retransmits_left: cfg.max_retransmits,
+            sack_scoreboard: Vec::new(),
+        }
+    }
+
+    /// The outgoing byte store.
+    pub fn send_buf(&self) -> &RingBuffer {
+        &self.send_buf
+    }
+
+    /// Sent, unacknowledged segments, oldest first.
+    pub fn resend_queue(&self) -> &Deq<SentSegment> {
+        &self.resend_queue
+    }
+
+    /// RTT estimation.
+    pub fn rtt(&self) -> &RttEstimator {
+        &self.rtt
+    }
+
+    /// The SACK scoreboard: ranges above `snd_una`, sorted and disjoint.
+    pub fn sack_scoreboard(&self) -> &[(Seq, Seq)] {
+        &self.sack_scoreboard
+    }
+
+    /// True if the peer has SACKed the whole range `[seq, end)`.
+    pub fn sacked(&self, seq: Seq, end: Seq) -> bool {
+        self.sack_scoreboard.iter().any(|(s, e)| s.le(seq) && end.le(*e))
+    }
+
+    /// True once the user has closed: a FIN follows the last byte.
+    pub(crate) fn fin_pending(&self) -> bool {
+        self.fin_pending
+    }
+
+    /// Accepts user bytes into the send buffer (the paper's `queued`
+    /// store); returns how many were accepted — none once the user has
+    /// closed, and none when the buffer is full, which is flow control
+    /// pushing back on the user.
+    pub(crate) fn write(&mut self, data: &[u8]) -> usize {
+        if self.fin_pending {
+            return 0;
+        }
+        self.send_buf.write(data)
+    }
+
+    /// Drops scoreboard ranges the cumulative ACK has overtaken.
+    fn prune_sack_scoreboard(&mut self, ack: Seq) {
+        self.sack_scoreboard.retain(|(_, e)| e.gt(ack));
+        for (s, _) in &mut self.sack_scoreboard {
+            if s.lt(ack) {
+                *s = ack;
+            }
+        }
+    }
+}
+
+impl<P> Tcb<P> {
+    /// Unsent bytes staged in the send buffer (the paper's `queued`).
+    pub fn unsent(&self) -> u32 {
+        (self.snd.send_buf.len() as u32).saturating_sub(self.flight_size())
+    }
+
+    /// Drops everything buffered in either direction: the one discard
+    /// that abort, a peer's reset and the user timeout share on their
+    /// way to CLOSED. The sequence variables stay where they were.
+    pub(crate) fn discard(&mut self) {
+        self.snd.resend_queue.clear();
+        self.snd.send_buf.clear();
+        self.rcv.discard();
+    }
+
+    /// The user closed: a FIN follows the last byte queued.
+    pub(crate) fn close_send(&mut self) {
+        self.snd.fin_pending = true;
+    }
+
+    /// True once our FIN has been sent: no sequence space is left.
+    pub(crate) fn fin_sent(&self) -> bool {
+        self.snd.fin_seq.is_some_and(|f| self.snd_nxt.gt(f))
+    }
+
+    /// True once our FIN is acknowledged — the one test of it, for the
+    /// closing states' ACK and FIN processing.
+    pub(crate) fn fin_acked(&self) -> bool {
+        self.snd.fin_seq.is_some_and(|f| (f + 1).le(self.snd_una))
+    }
+
+    /// Merges peer-reported SACK blocks into the scoreboard, dropping
+    /// anything at or below `snd_una` and keeping the ranges sorted and
+    /// disjoint.
+    pub(crate) fn note_sack_blocks(&mut self, blocks: &[(Seq, Seq)]) {
+        let board = &mut self.snd.sack_scoreboard;
+        for &(start, end) in blocks {
+            let start = if start.lt(self.snd_una) { self.snd_una } else { start };
+            if !start.lt(end) || end.gt(self.snd_nxt) {
+                continue; // empty, or claims bytes never sent
+            }
+            board.insert(board.partition_point(|(s, _)| s.lt(start)), (start, end));
+        }
+        // Coalesce overlapping/adjacent ranges, in place: a range that
+        // touches the one kept before it extends that one and goes.
+        board.dedup_by(|next, kept| {
+            let touches = next.0.le(kept.1);
+            if touches && next.1.gt(kept.1) {
+                kept.1 = next.1;
+            }
+            touches
+        });
+        board.truncate(16);
+    }
+
+    /// The interval to arm the persist (zero-window probe) timer with:
+    /// the current RTO scaled by the probe backoff, capped like the
+    /// retransmit timeout. Uses `persist_backoff`, not the RTT backoff,
+    /// so an answered probe (which resets the RTT backoff) cannot stop
+    /// the probe interval from growing.
+    pub fn persist_timeout(&self) -> VirtualDuration {
+        self.snd.rtt.rto.saturating_mul(1u64 << self.persist_backoff.min(6)).min(MAX_RTO)
+    }
+
+    /// The send side's share of [`Tcb::check_invariants`].
+    pub(in crate::data) fn check_send_side(&self) {
+        let s = &self.snd;
+        // In-flight data never exceeds what the buffers can back (plus
+        // the SYN and FIN octets).
+        assert!(
+            self.flight_size() as usize <= s.send_buf.capacity() + 2,
+            "flight {} vs send buffer {}",
+            self.flight_size(),
+            s.send_buf.capacity()
+        );
+        // The send buffer's storage grows by use, never past its bound.
+        assert!(
+            s.send_buf.storage() <= s.send_buf.capacity(),
+            "send buffer stores {} for a bound of {}",
+            s.send_buf.storage(),
+            s.send_buf.capacity()
+        );
+
+        // The retransmission queue is ordered, and only its front entry
+        // may carry the SYN (`send::stage` relies on it).
+        let q = &s.resend_queue;
+        for (i, (a, b)) in q.iter().zip(q.iter().skip(1)).enumerate() {
+            assert!(a.end().le(b.seq), "resend queue out of order at {i}: {} then {}", a.end(), b.seq);
+            assert!(!b.syn, "resend queue entry {} carries a SYN", i + 1);
+        }
+        // The queue holds ranges, not bytes: what it describes must
+        // still be in the send buffer for a retransmission to stage.
+        let queued: usize = q.iter().map(|s| s.len as usize).sum();
+        assert!(queued <= s.send_buf.len(), "resend queue describes {queued} bytes of {}", s.send_buf.len());
+        // And it describes the whole flight, or nothing: `abort`, a peer
+        // reset and the user timeout clear the queue and leave `snd_una`
+        // and `snd_nxt` where they were, so an empty queue says nothing
+        // about the flight.
+        let described: u32 = q.iter().map(SentSegment::seq_len).sum();
+        assert!(
+            q.is_empty() || described == self.flight_size(),
+            "resend queue covers {described} of a flight of {}",
+            self.flight_size()
+        );
+
+        // The scoreboard: sorted, disjoint, and about bytes in flight.
+        for &(s, e) in &s.sack_scoreboard {
+            assert!(s.lt(e), "empty scoreboard range {s}..{e}");
+            assert!(self.snd_una.le(s) && e.le(self.snd_nxt), "scoreboard range {s}..{e} outside the flight");
+        }
+        for (a, b) in s.sack_scoreboard.iter().zip(s.sack_scoreboard.iter().skip(1)) {
+            assert!(a.1.lt(b.0), "scoreboard ranges {a:?} and {b:?} touch or cross");
+        }
+    }
+}
 
 /// Jacobson's estimator update: `rttvar = 3/4 rttvar + 1/4 |srtt - m|`,
 /// `srtt = 7/8 srtt + 1/8 m`, `rto = srtt + 4 rttvar`, clamped.
@@ -49,17 +266,6 @@ pub fn update_rtt(est: &mut RttEstimator, sample: VirtualDuration) {
     est.rto = (srtt + est.rttvar * 4).max(MIN_RTO).min(MAX_RTO);
 }
 
-/// Outcome of processing an acceptable ACK.
-#[derive(Debug, Default, PartialEq, Eq)]
-pub struct AckOutcome {
-    /// Payload bytes newly acknowledged.
-    pub bytes_acked: u32,
-    /// Our SYN was acknowledged.
-    pub syn_acked: bool,
-    /// Our FIN was acknowledged.
-    pub fin_acked: bool,
-}
-
 /// Processes an ACK that satisfies `SND.UNA < SEG.ACK =< SND.NXT`:
 /// removes acknowledged segments from the retransmit queue, advances
 /// `snd_una`, releases send-buffer bytes, takes the RTT sample (Karn),
@@ -70,33 +276,33 @@ pub fn process_ack<P: Clone + PartialEq + Debug>(
     core: &mut ConnCore<P>,
     ack: Seq,
     now: VirtualTime,
-) -> AckOutcome {
+) {
     let tcb = &mut core.tcb;
-    let mut out = AckOutcome::default();
+    let s = &mut tcb.snd;
+    // Payload bytes newly acknowledged, and whether our FIN is.
+    let (mut bytes_acked, mut fin_acked) = (0, false);
 
     // Remove acknowledged segments from the retransmit queue.
-    while let Some(front) = tcb.resend_queue.front() {
+    while let Some(front) = s.resend_queue.front() {
         if front.end().le(ack) {
-            let seg = tcb.resend_queue.pop_front().expect("front");
-            out.bytes_acked += seg.len;
-            out.syn_acked |= seg.syn;
-            out.fin_acked |= seg.fin;
+            let seg = s.resend_queue.pop_front().expect("front");
+            bytes_acked += seg.len;
+            fin_acked |= seg.fin;
         } else {
             break;
         }
     }
     // Partial ACK inside the front segment: trim it.
-    if let Some(front) = tcb.resend_queue.front_mut() {
+    if let Some(front) = s.resend_queue.front_mut() {
         if front.seq.lt(ack) && ack.lt(front.end()) {
             // The entry becomes the unacknowledged remainder: the SYN
             // octet is first, so it is covered, and an ACK short of the
             // entry's end leaves its last data byte or its FIN.
             let data_cut = ack.since(front.seq) - u32::from(front.syn);
-            out.syn_acked |= front.syn;
             front.syn = false;
             front.seq = ack;
             front.len -= data_cut;
-            out.bytes_acked += data_cut;
+            bytes_acked += data_cut;
         }
     }
 
@@ -106,40 +312,38 @@ pub fn process_ack<P: Clone + PartialEq + Debug>(
     // Without them, Karn: only sample if the timed sequence number is
     // covered and no retransmission intervened (timing is cleared on
     // retransmit).
-    if tcb.ts_on {
-        if let Some(ecr) = tcb.ts_ecr_pending.take() {
+    if tcb.neg.ts_on() {
+        if let Some(ecr) = tcb.rcv.take_ts_ecr() {
             let sample_ms = u64::from((now.as_millis() as u32).wrapping_sub(ecr));
             if sample_ms < 3_600_000 {
-                update_rtt(&mut tcb.rtt, VirtualDuration::from_millis(sample_ms));
+                update_rtt(&mut s.rtt, VirtualDuration::from_millis(sample_ms));
             }
-            tcb.rtt.timing = None;
+            s.rtt.timing = None;
         }
-    } else if let Some((timed_seq, sent_at)) = tcb.rtt.timing {
+    } else if let Some((timed_seq, sent_at)) = s.rtt.timing {
         if timed_seq.le(ack) {
-            update_rtt(&mut tcb.rtt, now.saturating_since(sent_at));
-            tcb.rtt.timing = None;
+            update_rtt(&mut s.rtt, now.saturating_since(sent_at));
+            s.rtt.timing = None;
         }
     }
 
     // The ACK of new data resets backoff and the give-up counter.
-    tcb.rtt.backoff = 0;
-    tcb.retransmits_left = cfg.max_retransmits;
+    s.rtt.backoff = 0;
+    s.retransmits_left = cfg.max_retransmits;
     tcb.dup_acks = 0;
 
     // Release acknowledged bytes from the send buffer. (snd_una tracks
     // the buffer head; SYN/FIN octets occupy sequence space but no
     // buffer bytes.)
-    tcb.send_buf.skip(out.bytes_acked as usize);
-    if out.fin_acked {
+    s.send_buf.skip(bytes_acked as usize);
+    if fin_acked {
         // Everything before the FIN is acknowledged with it and nothing
         // follows it: the buffer is empty for good, so its storage goes
         // back now and TIME-WAIT holds none.
-        tcb.send_buf.clear();
+        s.send_buf.clear();
     }
     tcb.snd_una = ack;
-    if tcb.sack_on {
-        tcb.prune_sack_scoreboard(ack);
-    }
+    s.prune_sack_scoreboard(ack); // without SACK the board is empty
 
     // The recovery episode, if one is open. An ACK covering the recovery
     // point ends it; below that, recovery continues and the walk below
@@ -160,9 +364,9 @@ pub fn process_ack<P: Clone + PartialEq + Debug>(
             if r.high_rxt.lt(ack) {
                 r.high_rxt = ack;
             }
-            tcb.rtt.timing = None; // Karn: retransmissions follow
+            tcb.snd.rtt.timing = None; // Karn: retransmissions follow
             if fast_recovery {
-                congestion::partial_ack(tcb, out.bytes_acked);
+                congestion::partial_ack(tcb, bytes_acked);
                 tcb.push_action(TcpAction::Loss(LossEvent::PartialAck));
             }
         }
@@ -173,19 +377,18 @@ pub fn process_ack<P: Clone + PartialEq + Debug>(
     // fast recovery — inflation/deflation own the window until the
     // recovery point is acknowledged.
     if cfg.congestion_control && !fast_recovery {
-        congestion::on_ack(tcb, out.bytes_acked, now);
+        congestion::on_ack(tcb, bytes_acked, now);
     }
 
     // Retransmit timer: clear when everything is acknowledged, restart
     // when something is still outstanding.
-    if tcb.resend_queue.is_empty() {
+    if tcb.snd.resend_queue.is_empty() {
         tcb.push_action(TcpAction::ClearTimer(TimerKind::Resend));
     } else {
-        tcb.push_action(TcpAction::SetTimer(TimerKind::Resend, tcb.rtt.timeout().as_millis()));
+        tcb.push_action(TcpAction::SetTimer(TimerKind::Resend, tcb.snd.rtt.timeout().as_millis()));
     }
     tcb.push_action(TcpAction::AckedTo(ack));
     retransmit_lost(core, now);
-    out
 }
 
 /// A duplicate ACK (`SEG.ACK == SND.UNA` with nothing else of interest).
@@ -203,7 +406,7 @@ pub fn duplicate_ack<P: Clone + PartialEq + Debug>(
     core: &mut ConnCore<P>,
     now: VirtualTime,
 ) {
-    if core.tcb.resend_queue.is_empty() {
+    if core.tcb.snd.resend_queue.is_empty() {
         return;
     }
     core.tcb.dup_acks += 1;
@@ -228,7 +431,7 @@ pub fn duplicate_ack<P: Clone + PartialEq + Debug>(
             let tcb = &mut core.tcb;
             congestion::enter_recovery(tcb, now);
             tcb.recovery = Some(Recovery { recover: tcb.snd_nxt, high_rxt: tcb.snd_una, by_rto: false });
-            tcb.rtt.timing = None; // Karn
+            tcb.snd.rtt.timing = None; // Karn
             tcb.push_action(TcpAction::Loss(LossEvent::RecoveryEntered));
             retransmit_lost(core, now);
         }
@@ -247,16 +450,17 @@ pub fn duplicate_ack<P: Clone + PartialEq + Debug>(
 /// which goes out whatever the scoreboard says (a peer may renege).
 fn next_lost<P>(tcb: &Tcb<P>) -> Option<&SentSegment> {
     let r = tcb.recovery?;
-    let sacked_to = tcb.sack_scoreboard.last().map(|&(_, end)| end);
+    let sacked_to = tcb.snd.sack_scoreboard.last().map(|&(_, end)| end);
     let presumed_lost = |s: &SentSegment| {
         s.end().le(r.recover)
             && (r.by_rto || s.seq == tcb.snd_una || sacked_to.is_some_and(|end| s.end().le(end)))
     };
-    tcb.resend_queue
+    tcb.snd
+        .resend_queue
         .iter()
         .skip_while(|s| s.seq.lt(r.high_rxt))
         .take_while(|s| presumed_lost(s))
-        .find(|s| s.seq == tcb.snd_una || !tcb.sacked(s.seq, s.end()))
+        .find(|s| s.seq == tcb.snd_una || !tcb.snd.sacked(s.seq, s.end()))
 }
 
 /// The walk the ACKs of a recovery episode take, and the timer before
@@ -273,7 +477,7 @@ pub fn retransmit_lost<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, now
     while let Some(seg) = next_lost(&core.tcb).copied() {
         let tcb = &mut core.tcb;
         let r = tcb.recovery.as_mut().expect("next_lost found an episode");
-        if seg.seq != tcb.snd_una && seg.end().since(tcb.snd_una) > tcb.cc.cwnd().max(tcb.mss) {
+        if seg.seq != tcb.snd_una && seg.end().since(tcb.snd_una) > tcb.cc.cwnd().max(tcb.neg.mss()) {
             return;
         }
         r.high_rxt = seg.end();
@@ -288,49 +492,35 @@ pub fn retransmit_lost<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, now
 }
 
 /// Stages `seg`'s bytes again, rebuilds its header (current `rcv_nxt`,
-/// window, negotiated options) and queues it for transmission.
+/// window, negotiated options — no SACK blocks) and queues it for
+/// transmission.
 fn retransmit_segment<P: Clone + PartialEq + Debug>(
     core: &mut ConnCore<P>,
     seg: SentSegment,
     now: VirtualTime,
 ) {
     let payload = send::stage(core, seg.seq, seg.len);
-    let mut header = TcpHeader::new(core.local_port, core.remote.as_ref().map(|(_, p)| *p).unwrap_or(0));
-    header.seq = seg.seq;
+    let ack = if seg.syn { core.state.is_syn_received() } else { true };
+    let flags = TcpFlags { syn: seg.syn, fin: seg.fin, ack, psh: seg.len > 0, ..TcpFlags::default() };
+    let mut header = send::make_header(core, flags, seg.seq, now, false);
+    // A resent SYN without the ACK bit still carries `rcv_nxt`, as it
+    // always has; the field means nothing without the bit.
     header.ack = core.tcb.rcv_nxt;
-    header.flags = TcpFlags {
-        syn: seg.syn,
-        fin: seg.fin,
-        ack: core.state.is_synchronized() || !seg.syn,
-        psh: seg.len > 0,
-        ..TcpFlags::default()
-    };
-    if seg.syn {
-        header.flags.ack = core.state.is_syn_received();
-        send::push_syn_options(core, &mut header, now);
-    } else if core.tcb.ts_on {
-        header
-            .options
-            .push(foxwire::tcp::TcpOption::Timestamps(send::ts_val(now), core.tcb.ts_recent))
-            .expect(send::OPTIONS_FIT);
-    }
-    header.window = core.tcb.wire_window_field(seg.syn);
-    let tcb = &mut core.tcb;
-    tcb.push_action(TcpAction::SendSegment(TcpSegment { header, payload }));
+    core.tcb.push_action(TcpAction::SendSegment(TcpSegment { header, payload }));
 }
 
 /// True while the retransmission queue still holds unacknowledged
 /// flight — a retransmission timer that fires with nothing queued is
 /// stale and should do nothing.
 pub fn has_flight<P: Clone + PartialEq + Debug>(core: &ConnCore<P>) -> bool {
-    !core.tcb.resend_queue.is_empty()
+    !core.tcb.snd.resend_queue.is_empty()
 }
 
 /// True once the per-connection retry budget is spent. The control path
 /// turns this into a give-up (the paper's user timeout); the data path
 /// only reports it.
 pub fn out_of_retries<P: Clone + PartialEq + Debug>(core: &ConnCore<P>) -> bool {
-    core.tcb.retransmits_left == 0
+    core.tcb.snd.retransmits_left == 0
 }
 
 /// The data-path half of a retransmission timeout: spend a retry, back
@@ -346,9 +536,9 @@ pub fn out_of_retries<P: Clone + PartialEq + Debug>(core: &ConnCore<P>) -> bool 
 /// (`state::timer_expired`), around this call.
 pub fn rto_backoff<P: Clone + PartialEq + Debug>(cfg: &TcpConfig, core: &mut ConnCore<P>, now: VirtualTime) {
     let tcb = &mut core.tcb;
-    tcb.retransmits_left -= 1;
-    tcb.rtt.backoff += 1;
-    tcb.rtt.timing = None; // Karn: never time a retransmitted segment
+    tcb.snd.retransmits_left -= 1;
+    tcb.snd.rtt.backoff += 1;
+    tcb.snd.rtt.timing = None; // Karn: never time a retransmitted segment
     tcb.push_action(TcpAction::Loss(LossEvent::Rto));
     if cfg.congestion_control {
         congestion::on_rto(tcb, now);
@@ -362,20 +552,26 @@ pub fn rto_backoff<P: Clone + PartialEq + Debug>(cfg: &TcpConfig, core: &mut Con
 /// the backed-off RTO.
 pub fn retransmit_and_rearm<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, now: VirtualTime) {
     retransmit_lost(core, now);
-    let timeout = core.tcb.rtt.timeout().as_millis();
+    let timeout = core.tcb.snd.rtt.timeout().as_millis();
     core.tcb.push_action(TcpAction::SetTimer(TimerKind::Resend, timeout));
 }
 
-/// Records a freshly transmitted segment in the retransmission queue and
-/// starts the RTT clock if idle.
+/// Records a freshly transmitted segment in the retransmission queue —
+/// and, if it carries our FIN, where the FIN is — and starts the RTT
+/// clock if idle.
 pub fn record_sent<P>(tcb: &mut Tcb<P>, seg: SentSegment, now: VirtualTime) {
-    if tcb.rtt.timing.is_none() && seg.seq_len() > 0 {
-        tcb.rtt.timing = Some((seg.end(), now));
+    let s = &mut tcb.snd;
+    if s.rtt.timing.is_none() && seg.seq_len() > 0 {
+        s.rtt.timing = Some((seg.end(), now));
     }
-    let was_empty = tcb.resend_queue.is_empty();
-    tcb.resend_queue.push_back(seg);
+    if seg.fin {
+        s.fin_seq = Some(seg.seq + seg.len);
+    }
+    let was_empty = s.resend_queue.is_empty();
+    s.resend_queue.push_back(seg);
     if was_empty {
-        tcb.push_action(TcpAction::SetTimer(TimerKind::Resend, tcb.rtt.timeout().as_millis()));
+        let timeout = s.rtt.timeout().as_millis();
+        tcb.push_action(TcpAction::SetTimer(TimerKind::Resend, timeout));
     }
 }
 
@@ -383,31 +579,29 @@ pub fn record_sent<P>(tcb: &mut Tcb<P>, seg: SentSegment, now: VirtualTime) {
 mod tests {
     use super::*;
     use crate::data::tcb::INITIAL_RTO;
+    use crate::data::transfer::Fixture;
+    use crate::testlink::no_nagle;
     use crate::TcpState;
-    use foxbasis::buf::BufPool;
 
     fn cfg() -> TcpConfig {
         TcpConfig::default()
     }
 
-    fn core_with_flight() -> ConnCore<u32> {
-        let mut core: ConnCore<u32> = ConnCore::new(&cfg(), 1000, Seq(100), 1460, BufPool::new());
-        core.remote = Some((9, 2000));
-        core.state.force(TcpState::Estab);
-        core.tcb.mss = 1000;
-        core.tcb.snd_wnd = 8000;
-        // 3000 bytes in the buffer, all sent as three 1000-byte segments.
-        core.tcb.send_buf.write(&[0xAA; 3000]);
-        for i in 0..3u32 {
-            core.tcb.resend_queue.push_back(SentSegment {
-                seq: Seq(100 + i * 1000),
-                len: 1000,
-                syn: false,
-                fin: false,
-            });
-        }
-        core.tcb.snd_nxt = Seq(3100);
+    /// A flight of `n` 1000-byte segments of 0xAA from sequence 100,
+    /// sent under a peer window of `snd_wnd`, none of them timed.
+    fn flight(n: usize, snd_wnd: u32) -> ConnCore<u32> {
+        let mut core: ConnCore<u32> = Fixture { snd_wnd, ..Fixture::default() }.core();
+        assert_eq!(
+            send::user_send(&no_nagle(), &mut core, &vec![0xAA; n * 1000], VirtualTime::ZERO),
+            n * 1000
+        );
+        core.tcb.snd.rtt.timing = None;
+        core.tcb.to_do.clear();
         core
+    }
+
+    fn core_with_flight() -> ConnCore<u32> {
+        flight(3, 8000)
     }
 
     fn drain(core: &mut ConnCore<u32>) -> Vec<String> {
@@ -466,11 +660,10 @@ mod tests {
     #[test]
     fn ack_removes_covered_segments() {
         let mut core = core_with_flight();
-        let out = process_ack(&cfg(), &mut core, Seq(2100), VirtualTime::from_millis(50));
-        assert_eq!(out.bytes_acked, 2000);
+        process_ack(&cfg(), &mut core, Seq(2100), VirtualTime::from_millis(50));
         assert_eq!(core.tcb.snd_una, Seq(2100));
-        assert_eq!(core.tcb.resend_queue.len(), 1);
-        assert_eq!(core.tcb.send_buf.len(), 1000, "acked bytes released");
+        assert_eq!(core.tcb.snd.resend_queue.len(), 1);
+        assert_eq!(core.tcb.snd.send_buf.len(), 1000, "acked bytes released");
         let acts = drain(&mut core);
         assert!(acts.iter().any(|a| a.starts_with("Set_Timer(Resend")), "timer restarts: {acts:?}");
     }
@@ -479,7 +672,7 @@ mod tests {
     fn full_ack_clears_resend_timer() {
         let mut core = core_with_flight();
         process_ack(&cfg(), &mut core, Seq(3100), VirtualTime::from_millis(50));
-        assert!(core.tcb.resend_queue.is_empty());
+        assert!(core.tcb.snd.resend_queue.is_empty());
         let acts = drain(&mut core);
         assert!(acts.iter().any(|a| a.starts_with("Clear_Timer(Resend")), "{acts:?}");
     }
@@ -487,9 +680,9 @@ mod tests {
     #[test]
     fn partial_ack_trims_front_segment() {
         let mut core = core_with_flight();
-        let out = process_ack(&cfg(), &mut core, Seq(600), VirtualTime::from_millis(10));
-        assert_eq!(out.bytes_acked, 500);
-        let front = core.tcb.resend_queue.front().unwrap();
+        process_ack(&cfg(), &mut core, Seq(600), VirtualTime::from_millis(10));
+        assert_eq!(core.tcb.snd.send_buf.len(), 2500, "500 bytes acknowledged");
+        let front = core.tcb.snd.resend_queue.front().unwrap();
         assert_eq!(front.seq, Seq(600));
         assert_eq!(front.len, 500);
     }
@@ -497,53 +690,44 @@ mod tests {
     #[test]
     fn rtt_sample_taken_only_when_timed_seq_covered() {
         let mut core = core_with_flight();
-        core.tcb.rtt.timing = Some((Seq(2100), VirtualTime::from_millis(0)));
+        core.tcb.snd.rtt.timing = Some((Seq(2100), VirtualTime::from_millis(0)));
         process_ack(&cfg(), &mut core, Seq(1100), VirtualTime::from_millis(90));
-        assert!(core.tcb.rtt.timing.is_some(), "not covered yet");
-        assert!(core.tcb.rtt.srtt.is_none());
+        assert!(core.tcb.snd.rtt.timing.is_some(), "not covered yet");
+        assert!(core.tcb.snd.rtt.srtt.is_none());
         process_ack(&cfg(), &mut core, Seq(2100), VirtualTime::from_millis(120));
-        assert_eq!(core.tcb.rtt.srtt, Some(VirtualDuration::from_millis(120)));
-        assert!(core.tcb.rtt.timing.is_none());
+        assert_eq!(core.tcb.snd.rtt.srtt, Some(VirtualDuration::from_millis(120)));
+        assert!(core.tcb.snd.rtt.timing.is_none());
     }
 
     #[test]
     fn karn_no_sample_after_retransmit() {
         let mut core = core_with_flight();
-        core.tcb.rtt.timing = Some((Seq(1100), VirtualTime::from_millis(0)));
+        core.tcb.snd.rtt.timing = Some((Seq(1100), VirtualTime::from_millis(0)));
         rto(&mut core, 1000);
-        assert!(core.tcb.rtt.timing.is_none(), "Karn clears the timer");
+        assert!(core.tcb.snd.rtt.timing.is_none(), "Karn clears the timer");
         process_ack(&cfg(), &mut core, Seq(1100), VirtualTime::from_millis(1500));
-        assert!(core.tcb.rtt.srtt.is_none(), "no sample from a retransmitted segment");
+        assert!(core.tcb.snd.rtt.srtt.is_none(), "no sample from a retransmitted segment");
     }
 
     #[test]
     fn backoff_doubles_and_ack_resets() {
         let mut core = core_with_flight();
-        let t0 = core.tcb.rtt.timeout();
+        let t0 = core.tcb.snd.rtt.timeout();
         assert_eq!(t0, INITIAL_RTO);
         rto(&mut core, 1000);
-        assert_eq!(core.tcb.rtt.backoff, 1);
-        assert_eq!(core.tcb.rtt.timeout(), INITIAL_RTO * 2);
+        assert_eq!(core.tcb.snd.rtt.backoff, 1);
+        assert_eq!(core.tcb.snd.rtt.timeout(), INITIAL_RTO * 2);
         rto(&mut core, 3000);
-        assert_eq!(core.tcb.rtt.timeout(), INITIAL_RTO * 4);
+        assert_eq!(core.tcb.snd.rtt.timeout(), INITIAL_RTO * 4);
         process_ack(&cfg(), &mut core, Seq(1100), VirtualTime::from_millis(3500));
-        assert_eq!(core.tcb.rtt.backoff, 0, "new data acked resets backoff");
-    }
-
-    /// The first segment queued for transmission.
-    fn first_sent(core: &mut ConnCore<u32>) -> TcpSegment {
-        let sent = core.tcb.to_do.drain_all().into_iter().find_map(|a| match a {
-            TcpAction::SendSegment(s) => Some(s),
-            _ => None,
-        });
-        sent.expect("a segment was queued")
+        assert_eq!(core.tcb.snd.rtt.backoff, 0, "new data acked resets backoff");
     }
 
     #[test]
     fn retransmit_stages_the_front_segment_again() {
         let mut core = core_with_flight();
         rto(&mut core, 1000);
-        let seg = first_sent(&mut core);
+        let seg = core.tcb.drain_segments().remove(0);
         assert_eq!(seg.header.seq, Seq(100));
         assert_eq!(seg.payload, vec![0xAA; 1000]);
         assert!(seg.payload.is_unique(), "nothing else holds the buffer that goes down");
@@ -553,15 +737,15 @@ mod tests {
     fn timeout_after_a_partial_ack_resends_exactly_the_remainder() {
         let mut core = core_with_flight();
         let bytes: Vec<u8> = (0..3000u32).map(|i| (i % 251) as u8).collect();
-        core.tcb.send_buf.clear();
-        core.tcb.send_buf.write(&bytes);
+        core.tcb.snd.send_buf.clear();
+        core.tcb.snd.send_buf.write(&bytes);
         // The ACK lands 500 bytes into the first 1000-byte segment.
         process_ack(&cfg(), &mut core, Seq(600), VirtualTime::from_millis(10));
         let front = SentSegment { seq: Seq(600), len: 500, syn: false, fin: false };
-        assert_eq!(core.tcb.resend_queue.front(), Some(&front));
+        assert_eq!(core.tcb.snd.resend_queue.front(), Some(&front));
         core.tcb.to_do.clear();
         rto(&mut core, 1000);
-        let seg = first_sent(&mut core);
+        let seg = core.tcb.drain_segments().remove(0);
         assert_eq!(seg.header.seq, Seq(600));
         assert_eq!(seg.payload, bytes[500..1000], "the unacknowledged remainder, and only it");
         core.tcb.check_invariants();
@@ -579,7 +763,7 @@ mod tests {
     #[test]
     fn giving_up_signals_user_timeout() {
         let mut core = core_with_flight();
-        core.tcb.retransmits_left = 0;
+        core.tcb.snd.retransmits_left = 0;
         rto(&mut core, 1000);
         assert_eq!(core.state, TcpState::Closed);
         let acts = drain(&mut core);
@@ -627,7 +811,7 @@ mod tests {
         let mut core = core_with_flight();
         core.tcb.cc.set_cwnd(6000);
         // 2000 more bytes staged but unsent.
-        core.tcb.send_buf.write(&[0xBB; 2000]);
+        core.tcb.snd.send_buf.write(&[0xBB; 2000]);
         let now = VirtualTime::from_millis(10);
         for _ in 0..3 {
             duplicate_ack(&cfg(), &mut core, now);
@@ -699,16 +883,7 @@ mod tests {
         // A second loss episode: new flight, three fresh duplicates must
         // re-enter recovery (the old `== 3` trigger would never re-fire
         // if the count passed three while the first episode was open).
-        core.tcb.send_buf.write(&[0xCC; 2000]);
-        for i in 0..2u32 {
-            core.tcb.resend_queue.push_back(SentSegment {
-                seq: Seq(3100 + i * 1000),
-                len: 1000,
-                syn: false,
-                fin: false,
-            });
-        }
-        core.tcb.snd_nxt = Seq(5100);
+        send::user_send(&no_nagle(), &mut core, &[0xCC; 2000], now); // 3100 and 4100
         core.tcb.to_do.clear();
         for _ in 0..3 {
             duplicate_ack(&cfg(), &mut core, now);
@@ -742,32 +917,12 @@ mod tests {
 
     /// The sequence numbers of the segments queued for transmission.
     fn sent(core: &mut ConnCore<u32>) -> Vec<u32> {
-        core.tcb
-            .to_do
-            .drain_all()
-            .into_iter()
-            .filter_map(|a| match a {
-                TcpAction::SendSegment(s) => Some(s.header.seq.0),
-                _ => None,
-            })
-            .collect()
+        core.tcb.drain_segments().iter().map(|s| s.header.seq.0).collect()
     }
 
-    /// A flight of `n` 1000-byte segments from sequence 100.
-    fn core_with_segments(n: u32) -> ConnCore<u32> {
-        let mut core = core_with_flight();
-        core.tcb.send_buf = foxbasis::ring::RingBuffer::new(n as usize * 1000);
-        core.tcb.send_buf.write(&vec![0xAA; n as usize * 1000]);
-        for i in 3..n {
-            core.tcb.resend_queue.push_back(SentSegment {
-                seq: Seq(100 + i * 1000),
-                len: 1000,
-                syn: false,
-                fin: false,
-            });
-        }
-        core.tcb.snd_nxt = Seq(100 + n * 1000);
-        core.tcb.snd_wnd = 64_000;
+    /// A flight of `n` segments under a wide window and a 16 KB `cwnd`.
+    fn core_with_segments(n: usize) -> ConnCore<u32> {
+        let mut core = flight(n, 64_000);
         core.tcb.cc.set_cwnd(16_000);
         core
     }
@@ -796,11 +951,10 @@ mod tests {
     #[test]
     fn the_walk_never_resends_what_the_scoreboard_holds() {
         let mut core = core_with_segments(8);
-        core.tcb.sack_on = true;
         core.tcb.note_sack_blocks(&[(Seq(1100), Seq(3100)), (Seq(4100), Seq(5100))]);
         rto(&mut core, 1000);
         assert_eq!(sent(&mut core), [100]);
-        assert_eq!(core.tcb.sack_scoreboard.len(), 2, "the scoreboard survives the timeout");
+        assert_eq!(core.tcb.snd.sack_scoreboard.len(), 2, "the scoreboard survives the timeout");
         process_ack(&cfg(), &mut core, Seq(3100), VirtualTime::from_millis(1010));
         assert_eq!(sent(&mut core), [3100], "two MSS of window: 3100, and 4100's share is not spent on 5100");
         process_ack(&cfg(), &mut core, Seq(5100), VirtualTime::from_millis(1020));
@@ -829,7 +983,6 @@ mod tests {
     #[test]
     fn fast_recovery_resends_one_hole_per_ack_below_the_highest_sack() {
         let mut core = core_with_segments(8);
-        core.tcb.sack_on = true;
         // Holes at 100, 2100 and 4100; 7100 is merely not yet reported.
         core.tcb.note_sack_blocks(&[(Seq(1100), Seq(2100)), (Seq(3100), Seq(4100)), (Seq(5100), Seq(7100))]);
         let now = VirtualTime::from_millis(10);
@@ -848,12 +1001,53 @@ mod tests {
     #[test]
     fn record_sent_arms_timer_once() {
         let mut core = core_with_flight();
-        core.tcb.resend_queue.clear();
+        core.tcb.snd.resend_queue.clear();
         let now = VirtualTime::from_millis(5);
         record_sent(&mut core.tcb, SentSegment { seq: Seq(100), len: 10, syn: false, fin: false }, now);
         record_sent(&mut core.tcb, SentSegment { seq: Seq(110), len: 10, syn: false, fin: false }, now);
         let acts = drain(&mut core);
         assert_eq!(acts.iter().filter(|a| a.starts_with("Set_Timer(Resend")).count(), 1);
-        assert_eq!(core.tcb.rtt.timing, Some((Seq(110), now)), "first segment timed");
+        assert_eq!(core.tcb.snd.rtt.timing, Some((Seq(110), now)), "first segment timed");
+    }
+
+    #[test]
+    fn sack_scoreboard_merges_and_prunes() {
+        let mut t: Tcb<()> = Tcb::new(&cfg(), Seq(1000), 536);
+        t.snd_nxt = Seq(6000);
+        t.note_sack_blocks(&[(Seq(2000), Seq(3000))]);
+        t.note_sack_blocks(&[(Seq(4000), Seq(5000)), (Seq(2500), Seq(3500))]);
+        assert_eq!(t.snd.sack_scoreboard, vec![(Seq(2000), Seq(3500)), (Seq(4000), Seq(5000))]);
+        assert!(t.snd.sacked(Seq(2000), Seq(3000)));
+        assert!(t.snd.sacked(Seq(4000), Seq(5000)));
+        assert!(!t.snd.sacked(Seq(3400), Seq(4100)), "spans a hole");
+        // Stale range at/below snd_una is clipped away entirely.
+        t.note_sack_blocks(&[(Seq(500), Seq(900))]);
+        assert_eq!(t.snd.sack_scoreboard.len(), 2);
+        t.snd.prune_sack_scoreboard(Seq(4500));
+        assert_eq!(t.snd.sack_scoreboard, vec![(Seq(4500), Seq(5000))]);
+        // A block claiming bytes never sent is not evidence of anything.
+        t.note_sack_blocks(&[(Seq(5500), Seq(6001))]);
+        assert_eq!(t.snd.sack_scoreboard, vec![(Seq(4500), Seq(5000))]);
+    }
+
+    #[test]
+    fn sack_scoreboard_keeps_the_sixteen_lowest_ranges() {
+        let mut t: Tcb<()> = Tcb::new(&cfg(), Seq(1000), 536);
+        t.snd_nxt = Seq(3000);
+        let range = |i: u32| (Seq(1100 + 100 * i), Seq(1150 + 100 * i));
+        // Seventeen disjoint ranges, reported highest first.
+        for i in (0..17).rev() {
+            t.note_sack_blocks(&[range(i)]);
+        }
+        assert_eq!(
+            t.snd.sack_scoreboard,
+            (0..16).map(range).collect::<Vec<_>>(),
+            "the seventeenth is dropped"
+        );
+        // One block that bridges two of them shortens the board instead.
+        t.note_sack_blocks(&[(Seq(1150), Seq(1200))]);
+        assert_eq!(t.snd.sack_scoreboard.len(), 15);
+        assert_eq!(t.snd.sack_scoreboard[0], (Seq(1100), Seq(1250)));
+        t.check_invariants();
     }
 }

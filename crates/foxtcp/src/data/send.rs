@@ -14,7 +14,7 @@ use crate::{ConnCore, TcpConfig};
 use foxbasis::buf::{BufPool, PacketBuf, DEFAULT_HEADROOM};
 use foxbasis::seq::Seq;
 use foxbasis::time::VirtualTime;
-use foxwire::tcp::{TcpFlags, TcpHeader, TcpOption, TcpSegment};
+use foxwire::tcp::{TcpFlags, TcpHeader, TcpSegment};
 use std::fmt::Debug;
 
 /// Why no option push onto a header this module builds is refused: a
@@ -32,64 +32,29 @@ pub fn ts_val(now: VirtualTime) -> u32 {
 
 /// Builds a header for the current connection state: ports, `rcv_nxt`
 /// acknowledgment, advertised window (scaled per the negotiation), and
-/// the per-segment options — timestamps and SACK blocks — that ride on
-/// every post-handshake segment once negotiated. SYN options are the
-/// caller's job ([`push_syn_options`]).
+/// the options the TCB says it wears (`Tcb::push_options`): a SYN's
+/// negotiable set, timestamps once agreed, and — when `sack` asks, as
+/// it does for everything but a retransmission — SACK blocks.
 pub fn make_header<P: Clone + PartialEq + Debug>(
     core: &ConnCore<P>,
     flags: TcpFlags,
     seq: Seq,
     now: VirtualTime,
+    sack: bool,
 ) -> TcpHeader {
     let mut h = TcpHeader::new(core.local_port, core.remote.as_ref().map(|(_, p)| *p).unwrap_or(0));
     h.seq = seq;
     h.ack = if flags.ack { core.tcb.rcv_nxt } else { Seq(0) };
     h.flags = flags;
     h.window = core.tcb.wire_window_field(flags.syn);
-    if !flags.syn {
-        if core.tcb.ts_on {
-            h.options.push(TcpOption::Timestamps(ts_val(now), core.tcb.ts_recent)).expect(OPTIONS_FIT);
-        }
-        if core.tcb.sack_on && flags.ack {
-            let blocks = core.tcb.sack_blocks_to_send();
-            if !blocks.is_empty() {
-                h.options.push(TcpOption::Sack(blocks)).expect(OPTIONS_FIT);
-            }
-        }
-    }
+    core.tcb.push_options(&mut h, core.our_mss, sack, now).expect(OPTIONS_FIT);
     h
-}
-
-/// Appends the negotiated-at-SYN options to a SYN or SYN+ACK header:
-/// MSS always; window scale, SACK-permitted and timestamps per the
-/// offer flags (on our SYN) or per what the peer's SYN already agreed
-/// to (on a SYN+ACK — an option the peer withheld is cleanly omitted,
-/// RFC 7323 §2.5).
-pub fn push_syn_options<P: Clone + PartialEq + Debug>(
-    core: &ConnCore<P>,
-    header: &mut TcpHeader,
-    now: VirtualTime,
-) {
-    header.options.push(TcpOption::MaxSegmentSize(core.our_mss.min(65535) as u16)).expect(OPTIONS_FIT);
-    let tcb = &core.tcb;
-    let answering = header.flags.ack; // SYN+ACK answers the peer's offers
-    if if answering { tcb.wscale_on } else { tcb.offer_wscale } {
-        header.options.push(TcpOption::WindowScale(tcb.rcv_wscale)).expect(OPTIONS_FIT);
-    }
-    if if answering { tcb.sack_on } else { tcb.offer_sack } {
-        header.options.push(TcpOption::SackPermitted).expect(OPTIONS_FIT);
-    }
-    if if answering { tcb.ts_on } else { tcb.offer_ts } {
-        header.options.push(TcpOption::Timestamps(ts_val(now), tcb.ts_recent)).expect(OPTIONS_FIT);
-    }
 }
 
 /// Stages a pure ACK of the current `rcv_nxt`.
 pub fn queue_ack<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, now: VirtualTime) {
-    let header = make_header(core, TcpFlags::ACK, core.tcb.snd_nxt, now);
-    core.tcb.ack_pending = false;
-    core.tcb.bytes_since_ack = 0;
-    core.tcb.segs_since_ack = 0;
+    let header = make_header(core, TcpFlags::ACK, core.tcb.snd_nxt, now, true);
+    core.tcb.clock.acked();
     let payload = core.pool.empty();
     core.tcb.push_action(TcpAction::SendSegment(TcpSegment { header, payload }));
 }
@@ -99,8 +64,7 @@ pub fn queue_ack<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, now: Virt
 /// retransmission.
 pub fn queue_syn<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, with_ack: bool, now: VirtualTime) {
     let flags = if with_ack { TcpFlags::SYN_ACK } else { TcpFlags::SYN };
-    let mut header = make_header(core, flags, core.tcb.iss, now);
-    push_syn_options(core, &mut header, now);
+    let header = make_header(core, flags, core.tcb.iss, now, true);
     let payload = core.pool.empty();
     core.tcb.push_action(TcpAction::SendSegment(TcpSegment { header, payload }));
     if core.tcb.snd_nxt == core.tcb.iss {
@@ -126,10 +90,10 @@ pub fn queue_syn<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, with_ack:
 /// front entry can carry it.
 pub fn stage<P>(core: &ConnCore<P>, seq: Seq, len: u32) -> PacketBuf {
     let tcb = &core.tcb;
-    let syn_outstanding = tcb.resend_queue.front().is_some_and(|s| s.syn);
+    let syn_outstanding = tcb.snd.resend_queue().front().is_some_and(|s| s.syn);
     let offset = (seq.since(tcb.snd_una) as usize).saturating_sub(usize::from(syn_outstanding));
     core.pool.build_summed(DEFAULT_HEADROOM, len as usize, |dst| {
-        let (got, sum) = tcb.send_buf.peek_at_sum(offset, dst);
+        let (got, sum) = tcb.snd.send_buf().peek_at_sum(offset, dst);
         debug_assert_eq!(got, dst.len(), "staged bytes must be present");
         sum
     })
@@ -141,44 +105,38 @@ pub fn stage<P>(core: &ConnCore<P>, seq: Seq, len: u32) -> PacketBuf {
 pub fn maybe_send<P: Clone + PartialEq + Debug>(cfg: &TcpConfig, core: &mut ConnCore<P>, now: VirtualTime) {
     loop {
         let tcb = &core.tcb;
-        if core.tcb.fin_seq.is_some_and(|f| core.tcb.snd_nxt.gt(f)) {
-            return; // FIN already sent: sequence space exhausted
+        if tcb.fin_sent() {
+            return; // sequence space exhausted
         }
         let unsent = tcb.unsent();
         let usable = tcb.usable_window();
-        let take = unsent.min(usable).min(core.tcb.eff_mss());
+        let take = unsent.min(usable).min(tcb.neg.eff_mss());
 
-        let fin_now = core.tcb.fin_pending && core.tcb.fin_seq.is_none() && unsent == take; // this segment (possibly empty) drains the buffer
+        let fin_now = tcb.snd.fin_pending() && unsent == take; // this segment (possibly empty) drains the buffer
 
         if take == 0 && !fin_now {
             // Nothing sendable. If data is stuck behind a closed window,
             // make sure the persist machinery is armed.
-            if unsent > 0 && usable == 0 && core.tcb.flight_size() == 0 {
-                let probe_in = core.tcb.persist_timeout().as_millis();
+            if unsent > 0 && usable == 0 && tcb.flight_size() == 0 {
+                let probe_in = tcb.persist_timeout().as_millis();
                 core.tcb.push_action(TcpAction::SetTimer(TimerKind::Persist, probe_in));
             }
             return;
         }
 
         // Nagle: hold small segments while anything is in flight.
-        if cfg.nagle && !fin_now && take < core.tcb.eff_mss() && core.tcb.flight_size() > 0 && take == unsent
-        {
+        if cfg.nagle && !fin_now && take < tcb.neg.eff_mss() && tcb.flight_size() > 0 && take == unsent {
             return;
         }
 
-        let seq = core.tcb.snd_nxt;
+        let seq = tcb.snd_nxt;
         let payload = stage(core, seq, take);
         let push = take > 0 && take == unsent;
         let flags = TcpFlags { ack: true, psh: push, fin: fin_now, ..TcpFlags::default() };
-        let header = make_header(core, flags, seq, now);
+        let header = make_header(core, flags, seq, now, true);
         core.tcb.push_action(TcpAction::SendSegment(TcpSegment { header, payload }));
         core.tcb.snd_nxt = seq + take + u32::from(fin_now);
-        if fin_now {
-            core.tcb.fin_seq = Some(seq + take);
-        }
-        core.tcb.ack_pending = false;
-        core.tcb.bytes_since_ack = 0;
-        core.tcb.segs_since_ack = 0;
+        core.tcb.clock.acked();
         core.tcb.push_action(TcpAction::ClearTimer(TimerKind::DelayedAck));
         resend::record_sent(&mut core.tcb, SentSegment { seq, len: take, syn: false, fin: fin_now }, now);
         if fin_now {
@@ -189,17 +147,14 @@ pub fn maybe_send<P: Clone + PartialEq + Debug>(cfg: &TcpConfig, core: &mut Conn
 
 /// Accepts user bytes into the send buffer (the paper's `queued` store);
 /// returns how many were accepted (zero means the buffer is full — flow
-/// control pushes back on the user).
+/// control pushes back on the user — or the user has closed).
 pub fn user_send<P: Clone + PartialEq + Debug>(
     cfg: &TcpConfig,
     core: &mut ConnCore<P>,
     data: &[u8],
     now: VirtualTime,
 ) -> usize {
-    if core.tcb.fin_pending {
-        return 0;
-    }
-    let written = core.tcb.send_buf.write(data);
+    let written = core.tcb.snd.write(data);
     if written > 0 {
         maybe_send(cfg, core, now);
     }
@@ -220,7 +175,7 @@ pub fn window_probe<P: Clone + PartialEq + Debug>(
     }
     let seq = core.tcb.snd_nxt;
     let payload = stage(core, seq, 1);
-    let header = make_header(core, TcpFlags { ack: true, psh: true, ..TcpFlags::default() }, seq, now);
+    let header = make_header(core, TcpFlags { ack: true, psh: true, ..TcpFlags::default() }, seq, now, true);
     core.tcb.push_action(TcpAction::SendSegment(TcpSegment { header, payload }));
     core.tcb.snd_nxt = seq + 1;
     resend::record_sent(&mut core.tcb, SentSegment { seq, len: 1, syn: false, fin: false }, now);
@@ -255,30 +210,12 @@ pub fn reset_for(pool: &BufPool, local_port: u16, seg: &TcpSegment) -> TcpSegmen
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::transfer::Fixture;
     use crate::testlink::no_nagle;
     use crate::TcpState;
 
     fn estab_core(wnd: u32) -> ConnCore<u32> {
-        let cfg = TcpConfig::default();
-        let mut core: ConnCore<u32> = ConnCore::new(&cfg, 1000, Seq(100), 1460, BufPool::new());
-        core.remote = Some((7, 2000));
-        core.state.force(TcpState::Estab);
-        core.tcb.mss = 1000;
-        core.tcb.snd_wnd = wnd;
-        core.tcb.rcv_nxt = Seq(5000);
-        core
-    }
-
-    fn staged_segments(core: &mut ConnCore<u32>) -> Vec<TcpSegment> {
-        core.tcb
-            .to_do
-            .drain_all()
-            .into_iter()
-            .filter_map(|a| match a {
-                TcpAction::SendSegment(s) => Some(s),
-                _ => None,
-            })
-            .collect()
+        Fixture { snd_wnd: wnd, ..Fixture::default() }.core()
     }
 
     #[test]
@@ -287,7 +224,7 @@ mod tests {
         let mut core = estab_core(10_000);
         let n = user_send(&cfg, &mut core, &[7u8; 2500], VirtualTime::ZERO);
         assert_eq!(n, 2500);
-        let segs = staged_segments(&mut core);
+        let segs = core.tcb.drain_segments();
         assert_eq!(segs.len(), 3);
         assert_eq!(segs[0].payload.len(), 1000);
         assert_eq!(segs[1].payload.len(), 1000);
@@ -298,7 +235,7 @@ mod tests {
         assert!(segs[2].header.flags.psh, "last segment pushes");
         assert!(!segs[0].header.flags.psh);
         assert_eq!(core.tcb.snd_nxt, Seq(2600));
-        assert_eq!(core.tcb.resend_queue.len(), 3);
+        assert_eq!(core.tcb.snd.resend_queue().len(), 3);
     }
 
     #[test]
@@ -308,11 +245,12 @@ mod tests {
         // 12 padded bytes — a "full" segment sized by the raw MSS would
         // overflow the link MTU and fragment.
         let cfg = no_nagle();
-        let mut core = estab_core(10_000);
-        core.tcb.ts_on = true;
+        let timestamps = TcpConfig { timestamps: true, ..TcpConfig::default() };
+        let mut core: ConnCore<u32> =
+            Fixture { cfg: timestamps, snd_wnd: 10_000, ..Fixture::default() }.core();
         let n = user_send(&cfg, &mut core, &[7u8; 2000], VirtualTime::ZERO);
         assert_eq!(n, 2000);
-        let segs = staged_segments(&mut core);
+        let segs = core.tcb.drain_segments();
         assert_eq!(segs.len(), 3);
         assert_eq!(segs[0].payload.len(), 988, "mss 1000 less the 12-byte option");
         assert_eq!(segs[1].payload.len(), 988);
@@ -329,7 +267,7 @@ mod tests {
         let cfg = no_nagle();
         let mut core = estab_core(1500);
         user_send(&cfg, &mut core, &[1u8; 4000], VirtualTime::ZERO);
-        let segs = staged_segments(&mut core);
+        let segs = core.tcb.drain_segments();
         let sent: usize = segs.iter().map(|s| s.payload.len()).sum();
         assert_eq!(sent, 1500, "only the advertised window goes out");
         assert_eq!(core.tcb.unsent(), 2500);
@@ -341,7 +279,7 @@ mod tests {
         let mut core = estab_core(60_000);
         core.tcb.cc.set_cwnd(2000);
         user_send(&cfg, &mut core, &[1u8; 8000], VirtualTime::ZERO);
-        let segs = staged_segments(&mut core);
+        let segs = core.tcb.drain_segments();
         let sent: usize = segs.iter().map(|s| s.payload.len()).sum();
         assert_eq!(sent, 2000);
     }
@@ -351,7 +289,7 @@ mod tests {
         let cfg = TcpConfig::default(); // nagle on
         let mut core = estab_core(10_000);
         user_send(&cfg, &mut core, &[1u8; 1300], VirtualTime::ZERO);
-        let segs = staged_segments(&mut core);
+        let segs = core.tcb.drain_segments();
         // First 1000 go out (nothing in flight yet), the 300-byte tail
         // is held while the first segment is unacknowledged.
         assert_eq!(segs.len(), 2 - 1, "tail held: {segs:?}");
@@ -364,7 +302,7 @@ mod tests {
         let cfg = no_nagle();
         let mut core = estab_core(10_000);
         user_send(&cfg, &mut core, &[1u8; 1300], VirtualTime::ZERO);
-        assert_eq!(staged_segments(&mut core).len(), 2);
+        assert_eq!(core.tcb.drain_segments().len(), 2);
         assert_eq!(core.tcb.unsent(), 0);
     }
 
@@ -385,9 +323,7 @@ mod tests {
         user_send(&cfg, &mut core, b"probe-me", VirtualTime::ZERO);
         core.tcb.to_do.clear();
         window_probe(&cfg, &mut core, VirtualTime::from_millis(500));
-        let segs = staged_segments(&mut core);
-        // Note: staged_segments drained Set_Timer too — re-check via a
-        // fresh probe call below.
+        let segs = core.tcb.drain_segments();
         assert_eq!(segs.len(), 1);
         assert_eq!(segs[0].payload, b"p");
         assert_eq!(core.tcb.snd_nxt, Seq(101));
@@ -424,7 +360,7 @@ mod tests {
             // The peer ACKs the probe byte but still advertises zero.
             let ack = core.tcb.snd_nxt;
             resend::process_ack(&cfg, &mut core, ack, now);
-            assert_eq!(core.tcb.rtt.backoff, 0, "the probe ACK resets the RTT backoff");
+            assert_eq!(core.tcb.snd.rtt().backoff, 0, "the probe ACK resets the RTT backoff");
             let acts: Vec<String> = core.tcb.to_do.drain_all().iter().map(|a| format!("{a:?}")).collect();
             let ms: u64 = acts
                 .iter()
@@ -448,34 +384,30 @@ mod tests {
         }
         assert_eq!(core.tcb.persist_backoff, 3);
         core.tcb.persist_backoff = 0; // what transfer::update_send_window does
-        assert_eq!(core.tcb.persist_timeout(), core.tcb.rtt.rto, "back to the base interval");
+        assert_eq!(core.tcb.persist_timeout(), core.tcb.snd.rtt().rto, "back to the base interval");
     }
 
     #[test]
     fn probe_skipped_when_window_open() {
         let cfg = TcpConfig::default();
         let mut core = estab_core(1000);
-        core.tcb.send_buf.write(b"data");
+        core.tcb.snd.write(b"data");
         window_probe(&cfg, &mut core, VirtualTime::ZERO);
-        assert!(staged_segments(&mut core).is_empty());
+        assert!(core.tcb.drain_segments().is_empty());
     }
 
     #[test]
     fn fin_piggybacks_on_last_segment() {
         let cfg = no_nagle();
         let mut core = estab_core(10_000);
-        user_send(&cfg, &mut core, &[9u8; 500], VirtualTime::ZERO);
-        core.tcb.to_do.clear();
-        // Pretend nothing was sent yet so FIN piggybacks: reset.
-        let mut core = estab_core(10_000);
-        core.tcb.send_buf.write(&[9u8; 500]);
-        core.tcb.fin_pending = true;
+        core.tcb.snd.write(&[9u8; 500]);
+        core.tcb.close_send();
         maybe_send(&cfg, &mut core, VirtualTime::ZERO);
-        let segs = staged_segments(&mut core);
+        let segs = core.tcb.drain_segments();
         assert_eq!(segs.len(), 1);
         assert!(segs[0].header.flags.fin);
         assert_eq!(segs[0].payload.len(), 500);
-        assert_eq!(core.tcb.fin_seq, Some(Seq(600)));
+        assert!(core.tcb.fin_sent());
         assert_eq!(core.tcb.snd_nxt, Seq(601), "FIN consumes one sequence number");
     }
 
@@ -483,9 +415,9 @@ mod tests {
     fn bare_fin_when_buffer_empty() {
         let cfg = TcpConfig::default();
         let mut core = estab_core(10_000);
-        core.tcb.fin_pending = true;
+        core.tcb.close_send();
         maybe_send(&cfg, &mut core, VirtualTime::ZERO);
-        let segs = staged_segments(&mut core);
+        let segs = core.tcb.drain_segments();
         assert_eq!(segs.len(), 1);
         assert!(segs[0].header.flags.fin && segs[0].header.flags.ack);
         assert!(segs[0].payload.is_empty());
@@ -495,7 +427,7 @@ mod tests {
     fn no_data_after_fin() {
         let cfg = TcpConfig::default();
         let mut core = estab_core(10_000);
-        core.tcb.fin_pending = true;
+        core.tcb.close_send();
         maybe_send(&cfg, &mut core, VirtualTime::ZERO);
         assert_eq!(user_send(&cfg, &mut core, b"late", VirtualTime::ZERO), 0);
     }
@@ -507,16 +439,16 @@ mod tests {
         core.remote = Some((7, 2000));
         core.state.force(TcpState::SynSent { retries_left: 3 });
         queue_syn(&mut core, false, VirtualTime::ZERO);
-        let segs = staged_segments(&mut core);
+        let segs = core.tcb.drain_segments();
         assert_eq!(segs.len(), 1);
         assert!(segs[0].header.flags.syn && !segs[0].header.flags.ack);
         assert_eq!(segs[0].header.mss(), Some(1460));
         assert_eq!(core.tcb.snd_nxt, Seq(101));
-        assert_eq!(core.tcb.resend_queue.len(), 1);
+        assert_eq!(core.tcb.snd.resend_queue().len(), 1);
         // Re-queueing (retransmission path) does not double-advance.
         queue_syn(&mut core, false, VirtualTime::ZERO);
         assert_eq!(core.tcb.snd_nxt, Seq(101));
-        assert_eq!(core.tcb.resend_queue.len(), 1);
+        assert_eq!(core.tcb.snd.resend_queue().len(), 1);
     }
 
     #[test]
@@ -528,7 +460,7 @@ mod tests {
         core.remote = Some((7, 2000));
         core.state.force(TcpState::SynSent { retries_left: 3 });
         queue_syn(&mut core, false, VirtualTime::ZERO);
-        core.tcb.send_buf.write(b"early data");
+        core.tcb.snd.write(b"early data");
         assert_eq!(stage(&core, Seq(101), 5), b"early");
         assert_eq!(stage(&core, Seq(106), 5), b" data");
         assert!(stage(&core, Seq(100), 0).is_empty(), "the SYN itself stages nothing");
@@ -550,7 +482,7 @@ mod tests {
         core.remote = Some((7, 2000));
         core.state.force(TcpState::SynSent { retries_left: 3 });
         queue_syn(&mut core, false, VirtualTime::from_millis(250));
-        let segs = staged_segments(&mut core);
+        let segs = core.tcb.drain_segments();
         let h = &segs[0].header;
         assert_eq!(h.mss(), Some(1460));
         assert_eq!(h.wscale(), Some(5), "offers the shift covering a 1 MiB buffer");
@@ -564,7 +496,7 @@ mod tests {
         core.remote = Some((7, 2000));
         core.state.force(TcpState::SynPassive { retries_left: 3 });
         queue_syn(&mut core, true, VirtualTime::ZERO);
-        let segs = staged_segments(&mut core);
+        let segs = core.tcb.drain_segments();
         let h = &segs[0].header;
         assert_eq!(h.wscale(), None);
         assert!(!h.sack_permitted());
@@ -574,13 +506,12 @@ mod tests {
 
     #[test]
     fn negotiated_segments_carry_timestamps_and_sack_blocks() {
-        let mut core = estab_core(10_000);
-        core.tcb.ts_on = true;
-        core.tcb.ts_recent = 777;
-        core.tcb.sack_on = true;
+        let cfg = TcpConfig { timestamps: true, sack: true, ..TcpConfig::default() };
+        let mut core: ConnCore<u32> =
+            Fixture { cfg, snd_wnd: 10_000, ts_recent: 777, ..Fixture::default() }.core();
         core.tcb.insert_out_of_order(Seq(6000), vec![1u8; 100], false);
         queue_ack(&mut core, VirtualTime::from_millis(1234));
-        let segs = staged_segments(&mut core);
+        let segs = core.tcb.drain_segments();
         let h = &segs[0].header;
         assert_eq!(h.timestamps(), Some((1234, 777)));
         assert_eq!(*h.sack_blocks(), [(Seq(6000), Seq(6100))]);
@@ -591,7 +522,7 @@ mod tests {
         let mut core = estab_core(1000);
         core.tcb.rcv_nxt = Seq(9999);
         queue_ack(&mut core, VirtualTime::ZERO);
-        let segs = staged_segments(&mut core);
+        let segs = core.tcb.drain_segments();
         assert_eq!(segs[0].header.ack, Seq(9999));
         assert_eq!(u32::from(segs[0].header.window), 4096);
         assert!(segs[0].payload.is_empty());
@@ -620,11 +551,7 @@ mod tests {
     #[test]
     fn send_buffer_full_pushes_back() {
         let cfg = TcpConfig { send_buffer: 100, nagle: false, ..TcpConfig::default() };
-        let mut core: ConnCore<u32> = ConnCore::new(&cfg, 1, Seq(0), 1460, BufPool::new());
-        core.remote = Some((7, 2));
-        core.state.force(TcpState::Estab);
-        core.tcb.mss = 1000;
-        core.tcb.snd_wnd = 0; // nothing drains
+        let mut core: ConnCore<u32> = Fixture { cfg: cfg.clone(), snd_wnd: 0, ..Fixture::default() }.core(); // nothing drains
         assert_eq!(user_send(&cfg, &mut core, &[1; 60], VirtualTime::ZERO), 60);
         assert_eq!(user_send(&cfg, &mut core, &[1; 60], VirtualTime::ZERO), 40);
         assert_eq!(user_send(&cfg, &mut core, &[1; 60], VirtualTime::ZERO), 0);

@@ -19,7 +19,7 @@ use crate::action::{AttackEvent, LossEvent, TcpAction, TimerKind};
 use crate::control::fsm::Trigger;
 use crate::control::segment::{self, ListenVerdict};
 use crate::control::state;
-use crate::data::{fastpath, send};
+use crate::data::{fastpath, resend, send, transfer};
 use crate::demux::{Demux, DemuxStats};
 use crate::{ConnCore, TcpConfig, TcpState};
 use fox_scheduler::SchedHandle;
@@ -390,12 +390,13 @@ where
     pub fn metrics_of(&self, conn: TcpConnId) -> Option<ConnMetrics> {
         let i = self.conns.slot_of(conn.0)?;
         let tcb = &self.conns[i].core.tcb;
+        let rtt = tcb.send_side().rtt();
         Some(ConnMetrics {
-            srtt_us: tcb.rtt.srtt.map(|d| d.as_micros()),
-            rto_us: tcb.rtt.rto.as_micros(),
+            srtt_us: rtt.srtt.map(|d| d.as_micros()),
+            rto_us: rtt.rto.as_micros(),
             cwnd: tcb.cc.cwnd(),
             ssthresh: tcb.cc.ssthresh(),
-            snd_wnd: tcb.snd_wnd(),
+            snd_wnd: tcb.seq().snd_wnd,
             bytes_in_flight: tcb.flight_size(),
             fastpath_hits: self.stats.fastpath_hits,
             fastpath_misses: self.stats.fastpath_misses,
@@ -431,7 +432,7 @@ where
     /// but flow control is pushing back.
     pub fn send_capacity(&self, conn: TcpConnId) -> Result<usize, ProtoError> {
         let i = self.conns.slot_of(conn.0).ok_or(ProtoError::NotOpen)?;
-        Ok(self.conns[i].core.tcb.send_buf.free())
+        Ok(self.conns[i].core.tcb.send_side().send_buf().free())
     }
 
     /// Installs (or replaces) the upcall handler; buffered events are
@@ -451,7 +452,7 @@ where
         self.leave_backlog(i);
         self.list_for_reap(i);
         if taken > 0 {
-            self.user_took(i, taken);
+            transfer::user_took(&mut self.conns[i].core, taken, self.sched.now());
             self.run_actions(i);
         }
         Ok(())
@@ -580,7 +581,6 @@ where
         let mss = foxwire::tcp::mss_for_mtu(self.aux.mtu() as u32);
         let mut core = ConnCore::new(&self.cfg, local_port, iss, mss, self.pool.clone());
         core.remote = remote;
-        core.tcb.mss = mss;
         let conn = Conn {
             id,
             core,
@@ -619,23 +619,6 @@ where
         }
     }
 
-    /// The user took `n` delivered bytes from the connection in slot
-    /// `idx`, which frees their share of the receive buffer — the copy
-    /// the paper says is "not reflected in the benchmarks".
-    fn user_took(&mut self, idx: usize, n: usize) {
-        let core = &mut self.conns[idx].core;
-        core.tcb.recv_buf.skip(n);
-        // BSD window-update rule: consuming data may have grown the
-        // window well past what the peer last saw; tell it, or a
-        // zero-window peer stays stuck.
-        let wnd = core.tcb.rcv_wnd();
-        let grew = wnd.saturating_sub(core.tcb.last_adv_wnd);
-        let half = (core.tcb.recv_buf.capacity() as u32 / 2).max(1);
-        if core.state == TcpState::Estab && (grew >= 2 * core.tcb.mss || grew >= half) {
-            send::queue_ack(core, self.sched.now());
-        }
-    }
-
     fn deliver(&mut self, idx: usize, event: TcpEvent) {
         if matches!(event, TcpEvent::Closed | TcpEvent::Reset | TcpEvent::TimedOut) {
             self.conns[idx].finished = true;
@@ -668,14 +651,8 @@ where
         }
         self.host.charge(Work::TcpSegment { payload: seg.payload.len() });
         self.host.with(|h| h.alloc_segment(seg.payload.len()));
-        // Remember what window the peer will believe after this segment
-        // (post-scaling; SYN windows go out unscaled per RFC 7323).
-        if seg.header.flags.ack {
-            if let Some(idx) = tx_conn {
-                let tcb = &mut self.conns[idx].core.tcb;
-                let shift = if seg.header.flags.syn { 0 } else { tcb.adv_wscale() };
-                tcb.last_adv_wnd = u32::from(seg.header.window) << shift;
-            }
+        if let Some(idx) = tx_conn {
+            self.conns[idx].core.tcb.note_advertised(&seg.header);
         }
         // The encoder consumes the segment — the payload buffer it
         // carries is the buffer that goes down — so what is reported
@@ -799,7 +776,8 @@ where
                         self.stats.fastpath_hits += 1;
                     } else {
                         self.stats.fastpath_misses += 1;
-                        if seg.header.seq != self.conns[idx].core.tcb.rcv_nxt() && !seg.payload.is_empty() {
+                        if seg.header.seq != self.conns[idx].core.tcb.seq().rcv_nxt && !seg.payload.is_empty()
+                        {
                             self.stats.out_of_order += 1;
                         }
                         let disposition = {
@@ -822,7 +800,7 @@ where
                     // — the bound on what a peer nobody `accept`s from
                     // can make us hold — until `set_handler` flushes it.
                     if self.conns[idx].handler.is_some() {
-                        self.user_took(idx, data.len());
+                        transfer::user_took(&mut self.conns[idx].core, data.len(), now);
                     }
                     if !data.is_empty() {
                         self.deliver(idx, TcpEvent::Data(data));
@@ -844,7 +822,7 @@ where
                     self.deliver(idx, TcpEvent::NewConnection(TcpConnId(child)))
                 }
                 TcpAction::UrgentData(up) => {
-                    let offset = up.since(self.conns[idx].core.tcb.irs());
+                    let offset = up.since(self.conns[idx].core.tcb.seq().irs);
                     self.deliver(idx, TcpEvent::Urgent(offset));
                 }
                 TcpAction::AckedTo(_) => {}
@@ -1074,7 +1052,7 @@ where
             // in flight.
             assert_eq!(
                 pending(TimerKind::Resend).is_some(),
-                !c.core.tcb.resend_queue.is_empty(),
+                resend::has_flight(&c.core),
                 "connection {id}'s retransmission timer against its resend queue"
             );
         }

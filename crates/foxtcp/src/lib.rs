@@ -173,7 +173,8 @@ impl TcpConfig {
 /// (user handler, timer handles). Module-level tests construct one of
 /// these, apply one operation, and compare the TCB against the standard
 /// — the paper's test structure. [`ConnCore::new`] (in
-/// [`control::fsm`]) is the only way to make one.
+/// [`control::fsm`]) is the only way to make one; code outside the
+/// crate reads its TCB ([`ConnCore::tcb`]) and cannot replace it.
 pub struct ConnCore<P> {
     /// Our port.
     pub local_port: u16,
@@ -183,7 +184,7 @@ pub struct ConnCore<P> {
     /// [`control::fsm`].
     pub state: control::fsm::State,
     /// The transmission control block.
-    pub tcb: Tcb<P>,
+    pub(crate) tcb: Tcb<P>,
     /// The MSS we advertise on SYNs (from the aux structure's MTU).
     pub our_mss: u32,
     /// The engine's buffer pool, a handle on the one every connection
@@ -191,4 +192,11 @@ pub struct ConnCore<P> {
     /// staged in a block from it. Kept beside the TCB, not in it, so
     /// that the TCB stays plain data.
     pub pool: BufPool,
+}
+
+impl<P> ConnCore<P> {
+    /// The transmission control block, to read.
+    pub fn tcb(&self) -> &Tcb<P> {
+        &self.tcb
+    }
 }

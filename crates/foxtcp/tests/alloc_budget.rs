@@ -23,6 +23,7 @@ use counting_alloc::{allocs, live_bytes};
 use foxbasis::time::VirtualDuration;
 use foxtcp::testlink::Pair;
 use foxtcp::{TcpConfig, TcpConnId, TcpEvent};
+use foxwire::ipv4::Ipv4Addr;
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -130,8 +131,8 @@ fn round_trip_allocations_are_pinned(cfg: TcpConfig) {
     let (client, server) = p.open(80);
     p.a.set_handler(client, counting(&got_a)).unwrap();
     p.b.set_handler(server, counting(&got_b)).unwrap();
-    let tcb = &p.a.core_of(client).unwrap().tcb;
-    assert_eq!((tcb.ts_on, tcb.sack_on), (cfg.timestamps, cfg.sack), "negotiated as configured");
+    let agreed = p.a.core_of(client).unwrap().tcb().negotiated();
+    assert_eq!((agreed.ts_on(), agreed.sack_on()), (cfg.timestamps, cfg.sack), "negotiated as configured");
 
     // Warm-up: buffers, queues and the wheel's slab reach their
     // steady-state capacity, and the run crosses tick roll-overs.
@@ -205,4 +206,6 @@ fn idle_established_connections_hold_a_pinned_number_of_bytes() {
         held / (2 * IDLE_PAIRS)
     );
     assert!(held / (2 * IDLE_PAIRS) < 2048, "an idle connection costs 2 KB or more");
+    // Most of it is the connection itself, which the TCB's records did not grow.
+    assert!(std::mem::size_of::<foxtcp::ConnCore<Ipv4Addr>>() <= 440, "a connection core outgrew 440 bytes");
 }

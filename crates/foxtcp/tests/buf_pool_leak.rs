@@ -71,7 +71,7 @@ fn release(p: &Pair, side: u8, late: &Late) {
 
 /// Segments `conn` has sent and not yet had acknowledged.
 fn flight(p: &Pair, conn: TcpConnId) -> usize {
-    p.a.core_of(conn).map_or(0, |core| core.tcb.resend_queue.len())
+    p.a.core_of(conn).map_or(0, |core| core.tcb().send_side().resend_queue().len())
 }
 
 #[test]

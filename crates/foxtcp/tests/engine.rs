@@ -258,6 +258,24 @@ fn syn_retransmits_then_gives_up() {
     assert!(p.link.dropped() >= 3, "initial SYN plus at least 2 retries");
 }
 
+/// The retry budget is the configured one from the first SYN on, so the
+/// handshake gives up at whichever of `max_retransmits` and
+/// `syn_retries` runs out first.
+#[test]
+fn max_retransmits_bounds_the_handshake_too() {
+    for (max_retransmits, syn_retries, syns) in [(2, 5, 3), (20, 15, 16)] {
+        let cfg =
+            TcpConfig { max_retransmits, syn_retries, user_timeout_ms: 36_000_000, ..TcpConfig::default() };
+        let mut p = Pair::new(cfg, TcpConfig::default());
+        p.link.set_filter_toward(1, Box::new(|_| false));
+        let active = TcpPattern::Active { remote: 1, remote_port: 80, local_port: 0 };
+        p.a.open(active, p.recorder(0, TcpConnId(7))).unwrap();
+        p.run_for(1_000_000, 1_000);
+        assert!(p.events_of(0, TcpConnId(7)).contains(&TcpEvent::TimedOut));
+        assert_eq!(p.link.dropped(), syns, "SYNs sent under {max_retransmits}/{syn_retries}");
+    }
+}
+
 #[test]
 fn zero_window_then_reopen_via_probe() {
     // Server app stops consuming (we emulate by a tiny window),

@@ -9,7 +9,7 @@ use foxbasis::buf::PacketBuf;
 use foxbasis::seq::Seq;
 use foxbasis::time::VirtualDuration;
 use foxproto::Protocol;
-use foxtcp::data::tcb::MAX_OUT_OF_ORDER;
+use foxtcp::data::transfer::MAX_OUT_OF_ORDER;
 use foxtcp::testlink::Pair;
 use foxtcp::{TcpConfig, TcpConnId};
 use foxwire::tcp::{TcpOption, TcpOptions, TcpSegment};
@@ -102,7 +102,7 @@ fn inject(p: &Pair, from: u8, seg: &TcpSegment) {
 fn the_receiver_keeps_what_its_window_promised() {
     let mut p = Pair::new(wide(), wide());
     let (client, child, streamed) = warmed_up(&mut p, 70);
-    let hole = p.a.core_of(client).unwrap().tcb.snd_nxt();
+    let hole = p.a.core_of(client).unwrap().tcb().seq().snd_nxt;
     let blocked = Rc::new(Cell::new(true));
     let still_blocked = blocked.clone();
     let sends = tap_toward_b(&p, move |seq| seq == hole && still_blocked.get());
@@ -112,18 +112,18 @@ fn the_receiver_keeps_what_its_window_promised() {
     p.settle();
 
     let behind_the_hole = [(hole + MSS, hole + 65 * MSS)];
-    let rx = &p.b.core_of(child).unwrap().tcb;
-    assert_eq!(rx.out_of_order.len(), 64, "every segment behind the hole is held");
-    assert_eq!(*rx.sack_blocks_to_send(), behind_the_hole);
-    let tx = &p.a.core_of(client).unwrap().tcb;
-    assert_eq!(tx.sack_scoreboard, behind_the_hole, "and the sender knows it");
+    let rx = p.b.core_of(child).unwrap().tcb();
+    assert_eq!(rx.recv_side().out_of_order().len(), 64, "every segment behind the hole is held");
+    assert_eq!(*rx.recv_side().sack_blocks_to_send(), behind_the_hole);
+    let tx = p.a.core_of(client).unwrap().tcb();
+    assert_eq!(tx.send_side().sack_scoreboard(), behind_the_hole, "and the sender knows it");
     assert_eq!(sends.borrow()[&hole.0], 2, "the third duplicate resent the hole (into the filter)");
 
     // The fast retransmission was lost too, which only the timer sees.
     blocked.set(false);
     p.run_for(1_100, 100);
     assert_eq!(p.data_of(1, child)[streamed.len()..], payload[..]);
-    assert!(p.b.core_of(child).unwrap().tcb.out_of_order.is_empty());
+    assert!(p.b.core_of(child).unwrap().tcb().recv_side().out_of_order().is_empty());
     for (seq, times) in sends.borrow().iter() {
         assert_eq!(*times, if *seq == hole.0 { 3 } else { 1 }, "segment {seq} went out {times} times");
     }
@@ -137,7 +137,7 @@ fn the_receiver_keeps_what_its_window_promised() {
 fn a_timeout_resends_the_old_flight_under_slow_start() {
     let mut p = Pair::new(wide(), wide());
     let (client, child, streamed) = warmed_up(&mut p, 40);
-    let base = p.a.core_of(client).unwrap().tcb.snd_nxt();
+    let base = p.a.core_of(client).unwrap().tcb().seq().snd_nxt;
     // Segments 20..=30 are lost; 31 arrives, out of order.
     let lossy = Rc::new(Cell::new(true));
     let (still_lossy, acks_lost) = (lossy.clone(), lossy.clone());
@@ -148,7 +148,7 @@ fn a_timeout_resends_the_old_flight_under_slow_start() {
     let payload = pattern(32 * MSS as usize);
     assert_eq!(p.a.send_data(client, &payload).unwrap(), payload.len());
     p.settle();
-    assert_eq!(p.a.core_of(client).unwrap().tcb.snd_una(), base, "no ACK came back");
+    assert_eq!(p.a.core_of(client).unwrap().tcb().seq().snd_una, base, "no ACK came back");
     let rto_fires = p.a.stats().rto_fires;
 
     // The link heals and the retransmission timer (one second: the RTT
@@ -172,7 +172,7 @@ fn a_timeout_resends_the_old_flight_under_slow_start() {
     assert_eq!(p.a.stats().recoveries, 0, "none of it was fast recovery");
     assert_eq!(sends.borrow()[&(base + 31 * MSS).0], 1, "the SACKed last segment is never resent");
     assert_eq!(p.data_of(1, child)[streamed.len()..], payload[..]);
-    assert!(p.a.core_of(client).unwrap().tcb.recovery().is_none(), "the episode is over");
+    assert!(p.a.core_of(client).unwrap().tcb().seq().recovery.is_none(), "the episode is over");
 }
 
 /// (iii) After a timeout, duplicate ACKs for data below the recovery
@@ -188,7 +188,7 @@ fn duplicates_after_a_timeout_enter_no_fast_recovery() {
     p.a.send_data(client, b"x").unwrap();
     p.settle();
     let ack = TcpSegment::decode_buf(last_ack.borrow().as_ref().expect("b acknowledged"), None).unwrap();
-    assert_eq!(ack.header.ack, p.a.core_of(client).unwrap().tcb.snd_nxt());
+    assert_eq!(ack.header.ack, p.a.core_of(client).unwrap().tcb().seq().snd_nxt);
 
     p.link.set_filter_toward(1, Box::new(|_| false));
     p.a.send_data(client, &pattern(8 * MSS as usize)).unwrap();
@@ -198,9 +198,9 @@ fn duplicates_after_a_timeout_enter_no_fast_recovery() {
     let after_rto = p.a.stats();
     assert_eq!(after_rto.rto_fires, 1);
     let (cwnd, ssthresh) = {
-        let tcb = &p.a.core_of(client).unwrap().tcb;
-        assert!(tcb.recovery().is_some_and(|r| r.by_rto));
-        (tcb.cc.cwnd(), tcb.cc.ssthresh())
+        let tcb = p.a.core_of(client).unwrap().tcb();
+        assert!(tcb.seq().recovery.is_some_and(|r| r.by_rto));
+        (tcb.cc().cwnd(), tcb.cc().ssthresh())
     };
 
     for _ in 0..5 {
@@ -211,9 +211,9 @@ fn duplicates_after_a_timeout_enter_no_fast_recovery() {
     assert_eq!(stats.recoveries, after_rto.recoveries, "no RecoveryEntered");
     assert_eq!(stats.fast_retransmits, after_rto.fast_retransmits);
     assert_eq!(stats.segments_sent, after_rto.segments_sent, "and nothing was sent on their account");
-    let tcb = &p.a.core_of(client).unwrap().tcb;
-    assert_eq!(tcb.dup_acks(), 5, "they were duplicates");
-    assert_eq!((tcb.cc.cwnd(), tcb.cc.ssthresh()), (cwnd, ssthresh));
+    let tcb = p.a.core_of(client).unwrap().tcb();
+    assert_eq!(tcb.seq().dup_acks, 5, "they were duplicates");
+    assert_eq!((tcb.cc().cwnd(), tcb.cc().ssthresh()), (cwnd, ssthresh));
 }
 
 /// (iv) During fast recovery, a pure ACK of new data whose window field
@@ -223,16 +223,16 @@ fn duplicates_after_a_timeout_enter_no_fast_recovery() {
 fn a_partial_ack_with_sack_blocks_reaches_the_scoreboard() {
     let mut p = Pair::new(wide(), wide());
     let (client, _child, _) = warmed_up(&mut p, 16);
-    let base = p.a.core_of(client).unwrap().tcb.snd_nxt();
+    let base = p.a.core_of(client).unwrap().tcb().seq().snd_nxt;
     // Segments 0 and 5 of the next flight never arrive.
     tap_toward_b(&p, move |seq| [0, 5 * MSS].contains(&seq.since(base)));
     let last_ack = tap_toward_a(&p, Rc::new(Cell::new(false)));
     p.a.send_data(client, &pattern(10 * MSS as usize)).unwrap();
     p.settle();
-    let tcb = &p.a.core_of(client).unwrap().tcb;
-    assert!(tcb.recovery().is_some_and(|r| !r.by_rto), "three duplicates entered fast recovery");
+    let tcb = p.a.core_of(client).unwrap().tcb();
+    assert!(tcb.seq().recovery.is_some_and(|r| !r.by_rto), "three duplicates entered fast recovery");
     let segment_5 = (base + 5 * MSS, base + 6 * MSS);
-    assert!(!tcb.sacked(segment_5.0, segment_5.1));
+    assert!(!tcb.send_side().sacked(segment_5.0, segment_5.1));
 
     // b's last duplicate ACK, rewritten: it now acknowledges segment 0
     // and reports segment 5. Same window, no payload, in sequence.
@@ -249,11 +249,11 @@ fn a_partial_ack_with_sack_blocks_reaches_the_scoreboard() {
     inject(&p, 1, &ack);
     p.settle();
 
-    let tcb = &p.a.core_of(client).unwrap().tcb;
-    assert_eq!(tcb.snd_una(), base + MSS, "it was a partial ACK");
-    assert!(tcb.recovery().is_some(), "below the recovery point");
-    assert!(tcb.sacked(segment_5.0, segment_5.1), "and its SACK block was read");
-    assert_eq!(tcb.sack_scoreboard, [(base + MSS, base + 10 * MSS)]);
+    let tcb = p.a.core_of(client).unwrap().tcb();
+    assert_eq!(tcb.seq().snd_una, base + MSS, "it was a partial ACK");
+    assert!(tcb.seq().recovery.is_some(), "below the recovery point");
+    assert!(tcb.send_side().sacked(segment_5.0, segment_5.1), "and its SACK block was read");
+    assert_eq!(tcb.send_side().sack_scoreboard(), [(base + MSS, base + 10 * MSS)]);
 }
 
 /// (v) A flood of one-byte out-of-order segments: the queue takes what
@@ -276,7 +276,7 @@ fn one_byte_segments_cannot_outgrow_the_reassembly_queue() {
     p.a.send_data(client, b"x").unwrap();
     p.settle();
     let mut seg = TcpSegment::decode_buf(last_data.borrow().as_ref().unwrap(), None).unwrap();
-    let rcv_nxt = p.b.core_of(child).unwrap().tcb.rcv_nxt();
+    let rcv_nxt = p.b.core_of(child).unwrap().tcb().seq().rcv_nxt;
 
     seg.payload = vec![0x5a].into();
     for i in 0..4096 {
@@ -284,25 +284,33 @@ fn one_byte_segments_cannot_outgrow_the_reassembly_queue() {
         inject(&p, 0, &seg);
     }
     p.settle();
-    let rx = &p.b.core_of(child).unwrap().tcb;
-    assert_eq!(rx.out_of_order_ranges().count(), MAX_OUT_OF_ORDER, "scattered bytes stop at the range bound");
-    assert_eq!(rx.out_of_order.len(), MAX_OUT_OF_ORDER);
+    let rx = p.b.core_of(child).unwrap().tcb();
+    assert_eq!(
+        rx.recv_side().out_of_order_ranges().count(),
+        MAX_OUT_OF_ORDER,
+        "scattered bytes stop at the range bound"
+    );
+    assert_eq!(rx.recv_side().out_of_order().len(), MAX_OUT_OF_ORDER);
 
     // The same flood again, contiguous from where the last range ends.
-    let last_range_end = rx.out_of_order_ranges().last().expect("32 ranges").1;
+    let last_range_end = rx.recv_side().out_of_order_ranges().last().expect("32 ranges").1;
     for i in 0..4096 {
         seg.header.seq = last_range_end + i;
         inject(&p, 0, &seg);
     }
     p.settle();
-    let rx = &p.b.core_of(child).unwrap().tcb;
+    let rx = p.b.core_of(child).unwrap().tcb();
     assert_eq!(rx.max_out_of_order_entries(), 2 * 256 * 1024 / MSS as usize);
     assert_eq!(
-        rx.out_of_order.len(),
+        rx.recv_side().out_of_order().len(),
         rx.max_out_of_order_entries(),
         "contiguous bytes stop at the entry bound"
     );
-    assert_eq!(rx.out_of_order_ranges().count(), MAX_OUT_OF_ORDER, "having only extended the last range");
+    assert_eq!(
+        rx.recv_side().out_of_order_ranges().count(),
+        MAX_OUT_OF_ORDER,
+        "having only extended the last range"
+    );
     rx.check_invariants();
-    assert_eq!(rx.rcv_nxt(), rcv_nxt, "none of it was in order");
+    assert_eq!(rx.seq().rcv_nxt, rcv_nxt, "none of it was in order");
 }

@@ -249,7 +249,8 @@ fn a_senders_ring_is_released_once_its_fin_is_acknowledged() {
     let cfg = TcpConfig { send_buffer: 65_536, initial_window: 65_535, ..immediate() };
     let mut p = Pair::new(cfg.clone(), cfg);
     let (client, child) = p.open(80);
-    let ring = |p: &Pair| p.a.core_of(client).expect("still in the table").tcb.send_buf.storage();
+    let ring =
+        |p: &Pair| p.a.core_of(client).expect("still in the table").tcb().send_side().send_buf().storage();
     assert_eq!(ring(&p), 0, "nothing written, nothing allocated");
 
     let payload = vec![0x5a; 40_000];

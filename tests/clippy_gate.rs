@@ -9,7 +9,7 @@
 //! decoder's `indexing_slicing` fails here.
 //!
 //! Two more are stated to rustc as visibility and types — who may write
-//! a connection's state, its sequence space and its congestion windows,
+//! a connection's state, its sequence space and each record of its TCB,
 //! and that a header window is narrowed only by `wire_window` — and any
 //! build finds their violations. What no build notices is the statement
 //! being loosened (a `pub` added, a `Clone` derived), so this file pins
@@ -188,32 +188,22 @@ fn every_crate_root_requires_a_reason_on_each_allow() {
     }
 }
 
-/// The TCB's sequence space: written only by `crate::data` (the data-path
-/// modules and the TCB's own methods), read elsewhere through accessors.
-const DATA_OWNED: &[&str] = &[
-    "iss",
-    "snd_una",
-    "snd_nxt",
-    "snd_wnd",
-    "snd_wl1",
-    "snd_wl2",
-    "snd_up",
-    "irs",
-    "rcv_nxt",
-    "rcv_up",
-    "dup_acks",
-    "recovery",
-    "persist_backoff",
+/// The records of the TCB, each `(owner, declaration)`: every field is
+/// private to the one module that writes it.
+const RECORDS: &[(&str, &str)] = &[
+    ("crates/foxtcp/src/data/transfer.rs", "pub struct Negotiated {"),
+    ("crates/foxtcp/src/data/transfer.rs", "pub struct RecvSide {"),
+    ("crates/foxtcp/src/data/transfer.rs", "pub(crate) struct AckClock {"),
+    ("crates/foxtcp/src/data/resend.rs", "pub struct SendSide {"),
 ];
 
 /// The test hooks that place a connection where a rule would not let a
-/// test put it, each `(file, fn)`.
+/// test put it, each `(file, fn)`: the state, the TCB's fixture (its
+/// sequence space, window, MSS and agreed options), and the congestion
+/// window.
 const TEST_HOOKS: &[(&str, &str)] = &[
     ("crates/foxtcp/src/control/fsm.rs", "force"),
-    ("crates/foxtcp/src/data/tcb.rs", "set_snd"),
-    ("crates/foxtcp/src/data/tcb.rs", "set_snd_wnd"),
-    ("crates/foxtcp/src/data/tcb.rs", "set_snd_wl"),
-    ("crates/foxtcp/src/data/tcb.rs", "set_rcv"),
+    ("crates/foxtcp/src/data/transfer.rs", "core"),
     ("crates/foxtcp/src/congestion.rs", "set_cwnd"),
 ];
 
@@ -231,6 +221,21 @@ fn item<'a>(src: &'a str, decl: &str) -> (Vec<&'a str>, Vec<&'a str>) {
         at
     };
     (attrs.filter(|l| l.starts_with("#[")).collect(), lines[at..=end].to_vec())
+}
+
+/// The field lines of the struct declared by the line starting `decl` in
+/// `rel`, comments skipped.
+fn fields(rel: &str, decl: &str) -> Vec<String> {
+    let src = read(rel);
+    let (_, body) = item(&src, decl);
+    let fields: Vec<String> = body[1..body.len() - 1]
+        .iter()
+        .map(|l| l.trim())
+        .filter(|l| !l.starts_with("//"))
+        .map(String::from)
+        .collect();
+    assert!(!fields.is_empty(), "{rel}: `{decl}` has no fields");
+    fields
 }
 
 /// Fails if the tuple struct declared `pub struct {name}(…)` in `rel`
@@ -251,14 +256,15 @@ fn sealed_newtype(rel: &str, name: &str, forbid_clone: bool) {
 
 #[test]
 fn the_sequence_space_is_written_only_by_the_data_path() {
+    // Every field the TCB shows beyond its own module — the sequence
+    // space and the records — is the data path's, but the congestion
+    // state and the action queue.
     let rel = "crates/foxtcp/src/data/tcb.rs";
-    let src = read(rel);
-    let (_, body) = item(&src, "pub struct Tcb<P> {");
-    for field in DATA_OWNED {
-        let decl = format!("pub(in crate::data) {field}:");
+    for f in fields(rel, "pub struct Tcb<P> {").iter().filter(|f| f.starts_with("pub")) {
+        let crate_wide = ["pub(crate) cc:", "pub(crate) to_do:"].iter().any(|p| f.starts_with(p));
         assert!(
-            body.iter().any(|l| l.trim_start().starts_with(&decl)),
-            "{rel}: `Tcb::{field}` is not `{decl}`"
+            f.starts_with("pub(in crate::data) ") || crate_wide,
+            "{rel}: a `Tcb` field left the data path: {f}"
         );
     }
     // The seam that writes the windows must not be able to write
@@ -274,13 +280,30 @@ fn a_connections_state_is_sealed_in_fsm() {
 
 #[test]
 fn the_congestion_windows_are_private_to_the_seam() {
-    let rel = "crates/foxtcp/src/congestion.rs";
-    let src = read(rel);
-    let (_, body) = item(&src, "pub struct Cc {");
-    let fields: Vec<&str> =
-        body[1..body.len() - 1].iter().map(|l| l.trim()).filter(|l| !l.starts_with("//")).collect();
-    assert!(!fields.is_empty(), "{rel}: `Cc` has no fields");
-    assert!(fields.iter().all(|f| !f.starts_with("pub")), "{rel}: a `Cc` field became visible: {fields:?}");
+    let fields = fields("crates/foxtcp/src/congestion.rs", "pub struct Cc {");
+    assert!(fields.iter().all(|f| !f.starts_with("pub")), "a `Cc` field became visible: {fields:?}");
+}
+
+#[test]
+fn each_record_of_the_tcb_is_private_to_its_owner() {
+    for (rel, decl) in RECORDS {
+        let fields = fields(rel, decl);
+        assert!(fields.iter().all(|f| !f.starts_with("pub")), "{rel}: `{decl}` shows a field: {fields:?}");
+    }
+}
+
+#[test]
+fn the_tcb_has_no_pub_field() {
+    let fields = fields("crates/foxtcp/src/data/tcb.rs", "pub struct Tcb<P> {");
+    let public: Vec<&String> = fields.iter().filter(|f| f.starts_with("pub ")).collect();
+    assert!(public.is_empty(), "`Tcb` fields anyone may write: {public:?}");
+}
+
+#[test]
+fn a_connections_tcb_is_not_pub() {
+    let fields = fields("crates/foxtcp/src/lib.rs", "pub struct ConnCore<P> {");
+    let tcb = fields.iter().find(|f| f.contains("tcb: Tcb<P>")).expect("`ConnCore` holds a TCB");
+    assert!(!tcb.starts_with("pub "), "`ConnCore::tcb` is `pub`: code outside the crate could replace it");
 }
 
 #[test]
@@ -295,7 +318,9 @@ fn every_test_hook_is_test_only() {
         let lines: Vec<&str> = src.lines().collect();
         let at = lines
             .iter()
-            .position(|l| l.trim_start().starts_with(&format!("pub(crate) fn {name}(")))
+            .position(|l| {
+                ['(', '<'].iter().any(|c| l.trim_start().starts_with(&format!("pub(crate) fn {name}{c}")))
+            })
             .unwrap_or_else(|| panic!("{rel}: no `pub(crate) fn {name}`"));
         let imp = lines[..at].iter().rposition(|l| l.starts_with("impl")).expect("hook inside an impl");
         assert_eq!(lines[imp - 1], "#[cfg(test)]", "{rel}: `{name}`'s impl is not `#[cfg(test)]`");
