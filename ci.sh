@@ -11,7 +11,9 @@
 #      sequence space is `pub(in crate::data)`, each of its records
 #      (`Negotiated`, `RecvSide` and the ACK clock in data/transfer.rs,
 #      `SendSide` in data/resend.rs, `Cc` in congestion.rs) has fields
-#      private to that one module, `ConnCore::tcb` is not `pub`, and a
+#      private to that one module, `ConnCore::tcb` is not `pub`,
+#      `ConnCore` keeps the peer's port but not its lower-layer address
+#      (only the engine's `Conn` holds that), and a
 #      header window is a `WireWindow` only `wire_window` makes — so a
 #      write outside its owner, or a raw narrowing, does not compile (in
 #      test code: stage 3)
@@ -38,7 +40,8 @@
 #      invariants (the root tests/clippy_gate.rs): every clippy.toml
 #      entry and deny attribute, and that the ownership types above are
 #      not loosened (no `pub` field on `Tcb` or any record, a private
-#      `ConnCore::tcb`, no `Clone` on `State`, every test hook
+#      `ConnCore::tcb`, no type parameter on `ConnCore`, `Tcb` or
+#      `TcpAction`, no `Clone` on `State`, every test hook
 #      `#[cfg(test)]`)
 #   4. the RFC-793 conformance suite, explicitly (both TCP stacks
 #      against the standard's state diagram; also part of stage 3, but

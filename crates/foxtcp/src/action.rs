@@ -123,13 +123,11 @@ impl AttackEvent {
 }
 
 /// One action on a connection's to_do queue (paper Fig. 8).
-/// `P` is the lower-layer peer address type (IPv4 address for
-/// `Standard_Tcp`, Ethernet address for `Special_Tcp`).
 #[derive(Clone, PartialEq)]
-pub enum TcpAction<P> {
+pub enum TcpAction {
     /// An internalized (decoded, checksum-verified) segment has arrived
-    /// from `src` — the Receive module processes it.
-    ProcessData(TcpSegment, P),
+    /// — the Receive module processes it.
+    ProcessData(TcpSegment),
     /// Externalize and transmit this segment (the Action module sends
     /// it; the Send and Receive modules only ever *queue* it).
     SendSegment(TcpSegment),
@@ -172,16 +170,15 @@ pub enum TcpAction<P> {
     Attack(AttackEvent),
 }
 
-impl<P: fmt::Debug> fmt::Debug for TcpAction<P> {
+impl fmt::Debug for TcpAction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TcpAction::ProcessData(seg, src) => write!(
+            TcpAction::ProcessData(seg) => write!(
                 f,
-                "Process_Data(seq={}, len={}, {:?}, from {:?})",
+                "Process_Data(seq={}, len={}, {:?})",
                 seg.header.seq,
                 seg.payload.len(),
-                seg.header.flags,
-                src
+                seg.header.flags
             ),
             TcpAction::SendSegment(seg) => write!(
                 f,
@@ -209,7 +206,7 @@ impl<P: fmt::Debug> fmt::Debug for TcpAction<P> {
     }
 }
 
-impl<P> TcpAction<P> {
+impl TcpAction {
     /// A short tag for trace output and tests.
     pub fn tag(&self) -> &'static str {
         match self {
@@ -239,15 +236,15 @@ mod tests {
 
     #[test]
     fn debug_rendering() {
-        let a: TcpAction<()> = TcpAction::SetTimer(TimerKind::Resend, 500);
+        let a = TcpAction::SetTimer(TimerKind::Resend, 500);
         assert_eq!(format!("{a:?}"), "Set_Timer(Resend, 500ms)");
-        let b: TcpAction<()> = TcpAction::UserData(vec![1, 2, 3]);
+        let b = TcpAction::UserData(vec![1, 2, 3]);
         assert_eq!(format!("{b:?}"), "User_Data(3 bytes)");
     }
 
     #[test]
     fn tags_cover_all_variants() {
-        let actions: Vec<TcpAction<()>> = vec![
+        let actions = vec![
             TcpAction::UserData(vec![]),
             TcpAction::TimerExpiration(TimerKind::Persist),
             TcpAction::SetTimer(TimerKind::DelayedAck, 1),
@@ -272,7 +269,7 @@ mod tests {
     fn attack_event_names() {
         assert_eq!(AttackEvent::RstBadSeq.name(), "RstBadSeq");
         assert_eq!(AttackEvent::AckUnsentData.name(), "AckUnsentData");
-        let a: TcpAction<()> = TcpAction::Attack(AttackEvent::AckUnsentData);
+        let a = TcpAction::Attack(AttackEvent::AckUnsentData);
         assert_eq!(format!("{a:?}"), "Attack(AckUnsentData)");
     }
 }

@@ -307,7 +307,7 @@ impl Cc {
 // ---------------------------------------------------------------------
 
 /// Runs `f` on the TCB's windows, in place, through the algorithm seam.
-fn with_windows<P>(tcb: &mut Tcb<P>, f: impl FnOnce(&mut dyn CongestionControl, &mut CcWindow, u32)) {
+fn with_windows(tcb: &mut Tcb, f: impl FnOnce(&mut dyn CongestionControl, &mut CcWindow, u32)) {
     let mss = tcb.negotiated().mss();
     let Cc { w, alg } = &mut tcb.cc;
     f(alg.as_cc(), w, mss);
@@ -315,12 +315,12 @@ fn with_windows<P>(tcb: &mut Tcb<P>, f: impl FnOnce(&mut dyn CongestionControl, 
 
 /// Connection established: initial window (one MSS) and cleared
 /// threshold.
-pub fn init<P>(tcb: &mut Tcb<P>) {
+pub fn init(tcb: &mut Tcb) {
     with_windows(tcb, |cc, w, mss| cc.init(w, mss));
 }
 
 /// New data acknowledged outside recovery: grow the window.
-pub fn on_ack<P>(tcb: &mut Tcb<P>, bytes_acked: u32, now: VirtualTime) {
+pub fn on_ack(tcb: &mut Tcb, bytes_acked: u32, now: VirtualTime) {
     if tcb.cc.w.cwnd == 0 || bytes_acked == 0 {
         return;
     }
@@ -328,7 +328,7 @@ pub fn on_ack<P>(tcb: &mut Tcb<P>, bytes_acked: u32, now: VirtualTime) {
 }
 
 /// A duplicate ACK while recovering: inflate.
-pub fn dup_ack_inflate<P>(tcb: &mut Tcb<P>) {
+pub fn dup_ack_inflate(tcb: &mut Tcb) {
     if tcb.cc.w.cwnd == 0 {
         return;
     }
@@ -337,13 +337,13 @@ pub fn dup_ack_inflate<P>(tcb: &mut Tcb<P>) {
 
 /// Third duplicate ACK: recovery entry (ssthresh moves even with the
 /// window ablated, matching the historical behavior).
-pub fn enter_recovery<P>(tcb: &mut Tcb<P>, now: VirtualTime) {
+pub fn enter_recovery(tcb: &mut Tcb, now: VirtualTime) {
     let flight = tcb.flight_size();
     with_windows(tcb, |cc, w, mss| cc.enter_recovery(w, mss, flight, now));
 }
 
 /// Partial ACK during recovery: deflate by what was acknowledged.
-pub fn partial_ack<P>(tcb: &mut Tcb<P>, bytes_acked: u32) {
+pub fn partial_ack(tcb: &mut Tcb, bytes_acked: u32) {
     if tcb.cc.w.cwnd == 0 {
         return;
     }
@@ -351,7 +351,7 @@ pub fn partial_ack<P>(tcb: &mut Tcb<P>, bytes_acked: u32) {
 }
 
 /// Recovery point acknowledged: deflate to ssthresh.
-pub fn exit_recovery<P>(tcb: &mut Tcb<P>, now: VirtualTime) {
+pub fn exit_recovery(tcb: &mut Tcb, now: VirtualTime) {
     if tcb.cc.w.cwnd == 0 {
         return;
     }
@@ -359,7 +359,7 @@ pub fn exit_recovery<P>(tcb: &mut Tcb<P>, now: VirtualTime) {
 }
 
 /// Retransmission timeout: collapse to slow start.
-pub fn on_rto<P>(tcb: &mut Tcb<P>, now: VirtualTime) {
+pub fn on_rto(tcb: &mut Tcb, now: VirtualTime) {
     let flight = tcb.flight_size();
     with_windows(tcb, |cc, w, mss| cc.on_rto(w, mss, flight, now));
 }
@@ -473,7 +473,7 @@ mod tests {
 
     #[test]
     fn machine_dispatches_and_guards_ablation() {
-        let mut core: crate::ConnCore<u8> = crate::data::transfer::Fixture::default().core();
+        let mut core = crate::data::transfer::Fixture::default().core();
         crate::data::send::user_send(&Default::default(), &mut core, &[0; 4000], VirtualTime::ZERO);
         let tcb = &mut core.tcb;
         // cwnd == 0 (ablated): growth and inflation are no-ops.

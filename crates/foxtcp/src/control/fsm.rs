@@ -65,11 +65,6 @@ pub enum TcpState {
 }
 
 impl TcpState {
-    /// True in states where user data may still be sent.
-    pub fn can_send(&self) -> bool {
-        matches!(self, TcpState::Estab | TcpState::CloseWait)
-    }
-
     /// True in states where incoming segment text is accepted.
     pub fn can_receive(&self) -> bool {
         matches!(self, TcpState::Estab | TcpState::FinWait1 | TcpState::FinWait2)
@@ -154,12 +149,20 @@ impl State {
     }
 }
 
-impl<P: Clone + PartialEq + std::fmt::Debug> ConnCore<P> {
-    /// A fresh closed connection core, staging its segments in `pool`;
+impl ConnCore {
+    /// A fresh closed connection core between `local_port` and
+    /// `remote_port` (0 for a listener), staging its segments in `pool`;
     /// its MSS is `our_mss` until the peer's SYN says less.
-    pub fn new(cfg: &TcpConfig, local_port: u16, iss: Seq, our_mss: u32, pool: BufPool) -> ConnCore<P> {
+    pub fn new(
+        cfg: &TcpConfig,
+        local_port: u16,
+        remote_port: u16,
+        iss: Seq,
+        our_mss: u32,
+        pool: BufPool,
+    ) -> ConnCore {
         let tcb = Tcb::new(cfg, iss, our_mss);
-        ConnCore { local_port, remote: None, state: State(TcpState::Closed), tcb, our_mss, pool }
+        ConnCore { local_port, remote_port, state: State(TcpState::Closed), tcb, our_mss, pool }
     }
 }
 
@@ -255,7 +258,7 @@ fn admits(from: &str, trigger: Trigger, to: &str) -> bool {
 /// queues the entry action every such site shares: no timer outlives
 /// the connection.
 #[inline]
-pub(in crate::control) fn transition<P>(core: &mut ConnCore<P>, trigger: Trigger, to: TcpState) {
+pub(in crate::control) fn transition(core: &mut ConnCore, trigger: Trigger, to: TcpState) {
     let (from, into) = (core.state.rfc_name(), to.rfc_name());
     debug_assert!(admits(from, trigger, into), "not in the spec: {from} -> {into} : {}", trigger.name());
     core.state.0 = to;
@@ -270,7 +273,7 @@ pub(in crate::control) fn transition<P>(core: &mut ConnCore<P>, trigger: Trigger
 /// mirroring the paper's `Syn_Sent of tcp_tcb * int`; false, spending
 /// nothing, once none is left. States that count no retries always
 /// answer true. The state stays what it was, so this is no transition.
-pub(in crate::control) fn spend_syn_retry<P>(core: &mut ConnCore<P>) -> bool {
+pub(in crate::control) fn spend_syn_retry(core: &mut ConnCore) -> bool {
     match &mut core.state.0 {
         TcpState::SynSent { retries_left } | TcpState::SynPassive { retries_left } => {
             let any_left = *retries_left > 0;
@@ -317,16 +320,13 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "ESTABLISHED -> CLOSING : fin")]
     fn a_write_outside_the_spec_is_caught() {
-        let mut core: ConnCore<u8> = ConnCore::new(&Default::default(), 1, Seq(0), 1460, BufPool::new());
+        let mut core = ConnCore::new(&Default::default(), 1, 0, Seq(0), 1460, BufPool::new());
         core.state.force(TcpState::Estab);
         transition(&mut core, Trigger::Fin, TcpState::Closing);
     }
 
     #[test]
     fn state_predicates() {
-        assert!(TcpState::Estab.can_send());
-        assert!(TcpState::CloseWait.can_send());
-        assert!(!TcpState::FinWait1.can_send());
         assert!(TcpState::FinWait2.can_receive());
         assert!(!TcpState::CloseWait.can_receive());
         assert!(TcpState::SynActive.is_syn_received());

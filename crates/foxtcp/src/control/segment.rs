@@ -40,7 +40,6 @@ use crate::{ConnCore, TcpConfig, TcpState};
 use foxbasis::buf::BufPool;
 use foxbasis::time::VirtualTime;
 use foxwire::tcp::TcpSegment;
-use std::fmt::Debug;
 
 /// What the engine should do after processing (beyond the actions queued
 /// on the to_do queue).
@@ -94,9 +93,9 @@ pub fn on_closed_segment(
 }
 
 /// SEGMENT ARRIVES for a connection in any non-LISTEN, non-CLOSED state.
-pub fn segment_arrives<P: Clone + PartialEq + Debug>(
+pub fn segment_arrives(
     cfg: &TcpConfig,
-    core: &mut ConnCore<P>,
+    core: &mut ConnCore,
     seg: TcpSegment,
     now: VirtualTime,
 ) -> Disposition {
@@ -119,12 +118,7 @@ pub fn segment_arrives<P: Clone + PartialEq + Debug>(
 /// ... ISS should be selected and a SYN segment sent of the form
 /// <SEQ=ISS><ACK=RCV.NXT><CTL=SYN,ACK> ... The connection state should
 /// be changed to SYN-RECEIVED."
-fn listen_receives_syn<P: Clone + PartialEq + Debug>(
-    cfg: &TcpConfig,
-    core: &mut ConnCore<P>,
-    seg: &TcpSegment,
-    now: VirtualTime,
-) {
+fn listen_receives_syn(cfg: &TcpConfig, core: &mut ConnCore, seg: &TcpSegment, now: VirtualTime) {
     transfer::note_peer_syn(core, &seg.header);
     transfer::init_window_from_syn(core, &seg.header);
     transition(core, Trigger::Syn, TcpState::SynPassive { retries_left: cfg.syn_retries });
@@ -135,12 +129,7 @@ fn listen_receives_syn<P: Clone + PartialEq + Debug>(
 }
 
 /// SYN-SENT processing (RFC 793 p. 66).
-fn syn_sent<P: Clone + PartialEq + Debug>(
-    cfg: &TcpConfig,
-    core: &mut ConnCore<P>,
-    seg: TcpSegment,
-    now: VirtualTime,
-) -> Disposition {
+fn syn_sent(cfg: &TcpConfig, core: &mut ConnCore, seg: TcpSegment, now: VirtualTime) -> Disposition {
     let h = &seg.header;
     // First: check the ACK bit.
     let ack_acceptable = if h.flags.ack {
@@ -194,12 +183,7 @@ fn syn_sent<P: Clone + PartialEq + Debug>(
 }
 
 /// The common path for synchronized states (RFC 793 pp. 69–75).
-fn synchronized<P: Clone + PartialEq + Debug>(
-    cfg: &TcpConfig,
-    core: &mut ConnCore<P>,
-    seg: TcpSegment,
-    now: VirtualTime,
-) -> Disposition {
+fn synchronized(cfg: &TcpConfig, core: &mut ConnCore, seg: TcpSegment, now: VirtualTime) -> Disposition {
     if !transfer::process_timestamps(core, &seg.header, now) {
         return Disposition::default(); // PAWS rejected the segment
     }
@@ -239,7 +223,7 @@ fn synchronized<P: Clone + PartialEq + Debug>(
 }
 
 /// Second check: RST in window.
-fn check_rst<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>) {
+fn check_rst(core: &mut ConnCore) {
     match *core.state {
         TcpState::SynPassive { .. } => {
             // Passive opens "return to the LISTEN state" — the embryonic
@@ -252,19 +236,14 @@ fn check_rst<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>) {
 }
 
 /// Fourth check: an in-window SYN is an error.
-fn check_syn<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, seg: &TcpSegment) -> Disposition {
+fn check_syn(core: &mut ConnCore, seg: &TcpSegment) -> Disposition {
     let reply = send::reset_for(&core.pool, core.local_port, seg);
     enter_closed_after_reset(core, Trigger::Syn);
     Disposition { reply: Some(reply) }
 }
 
 /// Fifth check: the ACK field. Returns false if processing should stop.
-fn check_ack<P: Clone + PartialEq + Debug>(
-    cfg: &TcpConfig,
-    core: &mut ConnCore<P>,
-    seg: &TcpSegment,
-    now: VirtualTime,
-) -> bool {
+fn check_ack(cfg: &TcpConfig, core: &mut ConnCore, seg: &TcpSegment, now: VirtualTime) -> bool {
     let h = &seg.header;
     let ack = h.ack;
 
@@ -326,7 +305,7 @@ fn check_ack<P: Clone + PartialEq + Debug>(
 }
 
 /// ACK-driven state transitions for the closing states.
-fn after_ack_transitions<P: Clone + PartialEq + Debug>(cfg: &TcpConfig, core: &mut ConnCore<P>) {
+fn after_ack_transitions(cfg: &TcpConfig, core: &mut ConnCore) {
     let our_fin_acked = core.tcb.fin_acked();
     match *core.state {
         TcpState::FinWait1 if our_fin_acked => transition(core, Trigger::Ack, TcpState::FinWait2),
@@ -343,12 +322,7 @@ fn after_ack_transitions<P: Clone + PartialEq + Debug>(cfg: &TcpConfig, core: &m
 }
 
 /// Eighth: check the FIN bit.
-fn check_fin<P: Clone + PartialEq + Debug>(
-    cfg: &TcpConfig,
-    core: &mut ConnCore<P>,
-    seg: &TcpSegment,
-    now: VirtualTime,
-) {
+fn check_fin(cfg: &TcpConfig, core: &mut ConnCore, seg: &TcpSegment, now: VirtualTime) {
     if !seg.header.flags.fin {
         return;
     }
@@ -398,13 +372,13 @@ fn check_fin<P: Clone + PartialEq + Debug>(
 }
 
 /// Peer reset: flush everything, tell the user.
-fn enter_closed_after_reset<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, trigger: Trigger) {
+fn enter_closed_after_reset(core: &mut ConnCore, trigger: Trigger) {
     silently_close(core, trigger);
     core.tcb.push_action(TcpAction::PeerReset);
 }
 
 /// Close without any user signal (embryonic reset).
-fn silently_close<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, trigger: Trigger) {
+fn silently_close(core: &mut ConnCore, trigger: Trigger) {
     transition(core, trigger, TcpState::Closed);
     core.tcb.discard();
 }
@@ -428,12 +402,12 @@ mod tests {
     }
 
     /// An ESTABLISHED connection: una=nxt=101, irs 5000, rcv_nxt 5001.
-    fn estab() -> ConnCore<u8> {
+    fn estab() -> ConnCore {
         Fixture { snd: Seq(101), rcv: Seq(5001), ..Fixture::default() }.core()
     }
 
     /// `estab()` after our CLOSE: FIN-WAIT-1, our FIN at 101 in flight.
-    fn fin_sent() -> ConnCore<u8> {
+    fn fin_sent() -> ConnCore {
         let mut core = estab();
         state::close(&cfg(), &mut core, VirtualTime::ZERO).unwrap();
         drain_actions(&mut core);
@@ -449,16 +423,16 @@ mod tests {
         TcpSegment { header: h, payload: payload.into() }
     }
 
-    fn drain_tags(core: &mut ConnCore<u8>) -> Vec<&'static str> {
+    fn drain_tags(core: &mut ConnCore) -> Vec<&'static str> {
         core.tcb.to_do.drain_all().iter().map(|a| a.tag()).collect()
     }
 
-    fn drain_actions(core: &mut ConnCore<u8>) -> Vec<TcpAction<u8>> {
+    fn drain_actions(core: &mut ConnCore) -> Vec<TcpAction> {
         core.tcb.to_do.drain_all()
     }
 
     /// The bytes handed to the user, draining the queue.
-    fn delivered(core: &mut ConnCore<u8>) -> Vec<u8> {
+    fn delivered(core: &mut ConnCore) -> Vec<u8> {
         let data = drain_actions(core).into_iter().filter_map(|a| {
             if let TcpAction::UserData(d) = a {
                 Some(d)
@@ -473,8 +447,7 @@ mod tests {
 
     #[test]
     fn listen_syn_becomes_syn_passive_with_syn_ack() {
-        let mut core: ConnCore<u8> = ConnCore::new(&cfg(), 80, Seq(300), 1460, BufPool::new());
-        core.remote = Some((9, 4000));
+        let mut core = ConnCore::new(&cfg(), 80, 4000, Seq(300), 1460, BufPool::new());
         core.state.force(TcpState::Listen { backlog: 0 });
         let mut s = seg(7000, TcpFlags::SYN, b"");
         s.header.options.push(TcpOption::MaxSegmentSize(800)).unwrap();
@@ -516,9 +489,8 @@ mod tests {
     // ---- SYN-SENT ----
 
     /// An active open configured by `c`, its SYN at 100 sent.
-    fn syn_sent_core(c: &TcpConfig) -> ConnCore<u8> {
-        let mut core: ConnCore<u8> = ConnCore::new(c, 5000, Seq(100), 1460, BufPool::new());
-        core.remote = Some((9, 80));
+    fn syn_sent_core(c: &TcpConfig) -> ConnCore {
+        let mut core = ConnCore::new(c, 5000, 80, Seq(100), 1460, BufPool::new());
         state::active_open(c, &mut core, VirtualTime::ZERO).unwrap();
         drain_actions(&mut core);
         core
@@ -740,8 +712,7 @@ mod tests {
     #[test]
     fn two_mss_of_data_forces_ack_despite_delay() {
         let dcfg = TcpConfig { delayed_ack_ms: Some(200), ..TcpConfig::default() };
-        let mut core: ConnCore<u8> =
-            Fixture { snd: Seq(101), rcv: Seq(5001), mss: 100, ..Fixture::default() }.core();
+        let mut core = Fixture { snd: Seq(101), rcv: Seq(5001), mss: 100, ..Fixture::default() }.core();
         let s = seg(5001, TcpFlags::ACK, &[7; 250]);
         segment_arrives(&dcfg, &mut core, s, VirtualTime::ZERO);
         let tags = drain_tags(&mut core);
@@ -855,7 +826,7 @@ mod tests {
     #[test]
     fn retransmitted_fin_in_time_wait_restarts_timer() {
         // The peer's FIN at 5001 already consumed.
-        let mut core: ConnCore<u8> = Fixture { snd: Seq(101), rcv: Seq(5002), ..Fixture::default() }.core();
+        let mut core = Fixture { snd: Seq(101), rcv: Seq(5002), ..Fixture::default() }.core();
         core.state.force(TcpState::TimeWait);
         let s = seg(5001, TcpFlags::FIN_ACK, b"");
         segment_arrives(&cfg(), &mut core, s, VirtualTime::ZERO);
@@ -889,9 +860,8 @@ mod tests {
         }
     }
 
-    fn listener(c: &TcpConfig) -> ConnCore<u8> {
-        let mut core: ConnCore<u8> = ConnCore::new(c, 80, Seq(300), 1460, BufPool::new());
-        core.remote = Some((9, 4000));
+    fn listener(c: &TcpConfig) -> ConnCore {
+        let mut core = ConnCore::new(c, 80, 4000, Seq(300), 1460, BufPool::new());
         core.state.force(TcpState::Listen { backlog: 0 });
         core
     }
@@ -977,7 +947,7 @@ mod tests {
     #[test]
     fn scaled_window_update() {
         let scaled = TcpConfig { window_scale: true, ..cfg() };
-        let mut core: ConnCore<u8> =
+        let mut core =
             Fixture { cfg: scaled, snd: Seq(101), rcv: Seq(5001), peer_wscale: 4, ..Fixture::default() }
                 .core();
         let mut s = seg(5001, TcpFlags::ACK, b"");
@@ -991,7 +961,7 @@ mod tests {
     #[test]
     fn paws_rejects_old_timestamp() {
         let stamped = TcpConfig { timestamps: true, ..cfg() };
-        let mut core: ConnCore<u8> =
+        let mut core =
             Fixture { cfg: stamped, snd: Seq(101), rcv: Seq(5001), ts_recent: 10_000, ..Fixture::default() }
                 .core();
         let mut s = seg(5001, TcpFlags::ACK, b"wrapped ghost");
@@ -1016,8 +986,7 @@ mod tests {
     #[test]
     fn ack_with_sack_blocks_updates_scoreboard() {
         let sack = TcpConfig { sack: true, ..cfg() };
-        let mut core: ConnCore<u8> =
-            Fixture { cfg: sack, snd: Seq(101), rcv: Seq(5001), ..Fixture::default() }.core();
+        let mut core = Fixture { cfg: sack, snd: Seq(101), rcv: Seq(5001), ..Fixture::default() }.core();
         crate::data::send::user_send(&cfg(), &mut core, &[0; 4000], VirtualTime::ZERO); // 101..4101
         let mut s = seg(5001, TcpFlags::ACK, b"");
         s.header.ack = Seq(101); // duplicate

@@ -55,7 +55,7 @@ fn to_segment(a: &ArbSegment) -> TcpSegment {
 
 /// ESTABLISHED with every option agreed, so that there is something
 /// for a segment to renegotiate.
-fn estab_core() -> ConnCore<u8> {
+fn estab_core() -> ConnCore {
     let cfg = TcpConfig { window_scale: true, sack: true, timestamps: true, ..TcpConfig::default() };
     Fixture { cfg, snd: Seq(1_000_001), rcv: Seq(5_000_001), peer_wscale: 2, ..Fixture::default() }.core()
 }
@@ -64,7 +64,7 @@ fn estab_core() -> ConnCore<u8> {
 /// until the connection closes. Once synchronized, a connection's
 /// [`crate::data::transfer::Negotiated`] is read-only: no segment may
 /// change it.
-fn feed(core: &mut ConnCore<u8>, segs: &[ArbSegment]) {
+fn feed(core: &mut ConnCore, segs: &[ArbSegment]) {
     let cfg = TcpConfig::default();
     for (i, a) in segs.iter().enumerate() {
         let (agreed, synchronized) = (core.tcb.negotiated(), core.state.is_synchronized());

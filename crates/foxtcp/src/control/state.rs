@@ -9,20 +9,14 @@ use crate::{ConnCore, TcpConfig, TcpState};
 use foxbasis::time::VirtualTime;
 use foxproto::ProtoError;
 use foxwire::tcp::TcpFlags;
-use std::fmt::Debug;
 
 /// Active open (RFC 793 OPEN with a specified foreign socket): send a
-/// SYN, arm the user timeout, enter SYN-SENT.
-pub fn active_open<P: Clone + PartialEq + Debug>(
-    cfg: &TcpConfig,
-    core: &mut ConnCore<P>,
-    now: VirtualTime,
-) -> Result<(), ProtoError> {
+/// SYN, arm the user timeout, enter SYN-SENT. The foreign socket is not
+/// checked here: the engine reaches this only from
+/// [`crate::TcpPattern::Active`], which always names one.
+pub fn active_open(cfg: &TcpConfig, core: &mut ConnCore, now: VirtualTime) -> Result<(), ProtoError> {
     if core.state != TcpState::Closed {
         return Err(ProtoError::AlreadyOpen);
-    }
-    if core.remote.is_none() {
-        return Err(ProtoError::Invalid("active open requires a remote"));
     }
     transition(core, Trigger::Open, TcpState::SynSent { retries_left: cfg.syn_retries });
     send::queue_syn(core, false, now);
@@ -31,10 +25,7 @@ pub fn active_open<P: Clone + PartialEq + Debug>(
 }
 
 /// Passive open (RFC 793 OPEN with an unspecified foreign socket).
-pub fn passive_open<P: Clone + PartialEq + Debug>(
-    cfg: &TcpConfig,
-    core: &mut ConnCore<P>,
-) -> Result<(), ProtoError> {
+pub fn passive_open(cfg: &TcpConfig, core: &mut ConnCore) -> Result<(), ProtoError> {
     if core.state != TcpState::Closed {
         return Err(ProtoError::AlreadyOpen);
     }
@@ -47,16 +38,12 @@ pub fn passive_open<P: Clone + PartialEq + Debug>(
 /// that created it (backlog 0 — a child spawns nothing itself). The
 /// engine calls this instead of writing the state directly; every
 /// lifecycle write stays in `control`.
-pub fn spawn_embryonic<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>) {
+pub fn spawn_embryonic(core: &mut ConnCore) {
     transition(core, Trigger::Open, TcpState::Listen { backlog: 0 });
 }
 
 /// CLOSE (RFC 793 p. 60): graceful shutdown of our direction.
-pub fn close<P: Clone + PartialEq + Debug>(
-    cfg: &TcpConfig,
-    core: &mut ConnCore<P>,
-    now: VirtualTime,
-) -> Result<(), ProtoError> {
+pub fn close(cfg: &TcpConfig, core: &mut ConnCore, now: VirtualTime) -> Result<(), ProtoError> {
     match *core.state {
         TcpState::Closed => Err(ProtoError::NotOpen),
         TcpState::Listen { .. } | TcpState::SynSent { .. } => {
@@ -88,12 +75,35 @@ pub fn close<P: Clone + PartialEq + Debug>(
     }
 }
 
-/// ABORT (RFC 793 p. 62): RST out (if synchronized), flush, close.
-pub fn abort<P: Clone + PartialEq + Debug>(
-    _cfg: &TcpConfig,
-    core: &mut ConnCore<P>,
+/// SEND (RFC 793 p. 56): takes as much of `data` as the send buffer
+/// has room for and returns how many bytes that was. Before the
+/// handshake completes the data is queued "for transmission after
+/// entering ESTABLISHED"; once our side has closed, or on a listener,
+/// the call is refused.
+pub fn send(
+    cfg: &TcpConfig,
+    core: &mut ConnCore,
+    data: &[u8],
     now: VirtualTime,
-) -> Result<(), ProtoError> {
+) -> Result<usize, ProtoError> {
+    match *core.state {
+        TcpState::Closed => Err(ProtoError::NotOpen),
+        TcpState::Listen { .. } => Err(ProtoError::Invalid("send on listener")),
+        TcpState::SynSent { .. }
+        | TcpState::SynActive
+        | TcpState::SynPassive { .. }
+        | TcpState::Estab
+        | TcpState::CloseWait => Ok(send::user_send(cfg, core, data, now)),
+        TcpState::FinWait1
+        | TcpState::FinWait2
+        | TcpState::Closing
+        | TcpState::LastAck
+        | TcpState::TimeWait => Err(ProtoError::Closing),
+    }
+}
+
+/// ABORT (RFC 793 p. 62): RST out (if synchronized), flush, close.
+pub fn abort(_cfg: &TcpConfig, core: &mut ConnCore, now: VirtualTime) -> Result<(), ProtoError> {
     if core.state == TcpState::Closed {
         return Err(ProtoError::NotOpen);
     }
@@ -110,12 +120,7 @@ pub fn abort<P: Clone + PartialEq + Debug>(
 
 /// Timer expirations (the `Timer_Expiration` action): dispatch to the
 /// responsible module.
-pub fn timer_expired<P: Clone + PartialEq + Debug>(
-    cfg: &TcpConfig,
-    core: &mut ConnCore<P>,
-    kind: TimerKind,
-    now: VirtualTime,
-) {
+pub fn timer_expired(cfg: &TcpConfig, core: &mut ConnCore, kind: TimerKind, now: VirtualTime) {
     if core.state == TcpState::Closed {
         return;
     }
@@ -147,7 +152,7 @@ pub fn timer_expired<P: Clone + PartialEq + Debug>(
 /// the connection gives up instead — the retry budget, the SYN-state
 /// retry accounting — is this module's decision, because giving up is a
 /// state transition.
-fn retransmit_timer<P: Clone + PartialEq + Debug>(cfg: &TcpConfig, core: &mut ConnCore<P>, now: VirtualTime) {
+fn retransmit_timer(cfg: &TcpConfig, core: &mut ConnCore, now: VirtualTime) {
     if !resend::has_flight(core) {
         return;
     }
@@ -166,7 +171,7 @@ fn retransmit_timer<P: Clone + PartialEq + Debug>(cfg: &TcpConfig, core: &mut Co
 }
 
 /// Hung operation: fail it (the paper's user timeout).
-fn give_up<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>) {
+fn give_up(core: &mut ConnCore) {
     transition(core, Trigger::Timer, TcpState::Closed);
     core.tcb.push_action(TcpAction::UserTimeoutFired);
 }
@@ -175,7 +180,6 @@ fn give_up<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>) {
 mod tests {
     use super::*;
     use crate::data::transfer::Fixture;
-    use foxbasis::buf::BufPool;
     use foxbasis::seq::Seq;
 
     fn cfg() -> TcpConfig {
@@ -183,13 +187,13 @@ mod tests {
     }
 
     /// The fixture, back in CLOSED before anything was sent.
-    fn fresh() -> ConnCore<u32> {
+    fn fresh() -> ConnCore {
         let mut core = Fixture::default().core();
         core.state.force(TcpState::Closed);
         core
     }
 
-    fn tags(core: &mut ConnCore<u32>) -> Vec<&'static str> {
+    fn tags(core: &mut ConnCore) -> Vec<&'static str> {
         core.tcb.to_do.drain_all().iter().map(|a| a.tag()).collect()
     }
 
@@ -207,12 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn active_open_requires_remote() {
-        let mut core: ConnCore<u32> = ConnCore::new(&cfg(), 1, Seq(0), 1460, BufPool::new());
-        assert!(matches!(active_open(&cfg(), &mut core, VirtualTime::ZERO), Err(ProtoError::Invalid(_))));
-    }
-
-    #[test]
     fn passive_open_listens() {
         let mut core = fresh();
         passive_open(&cfg(), &mut core).unwrap();
@@ -222,7 +220,7 @@ mod tests {
 
     #[test]
     fn close_from_estab_sends_fin_enters_finwait1() {
-        let mut core: ConnCore<u32> = Fixture::default().core();
+        let mut core = Fixture::default().core();
         close(&cfg(), &mut core, VirtualTime::ZERO).unwrap();
         assert_eq!(core.state, TcpState::FinWait1);
         assert!(core.tcb.fin_sent(), "FIN actually staged");
@@ -232,7 +230,7 @@ mod tests {
 
     #[test]
     fn close_from_close_wait_enters_last_ack() {
-        let mut core: ConnCore<u32> = Fixture::default().core();
+        let mut core = Fixture::default().core();
         core.state.force(TcpState::CloseWait);
         close(&cfg(), &mut core, VirtualTime::ZERO).unwrap();
         assert_eq!(core.state, TcpState::LastAck);
@@ -253,6 +251,31 @@ mod tests {
     }
 
     #[test]
+    fn send_is_refused_outside_the_states_that_queue_data() {
+        use TcpState::*;
+        for (state, want) in [
+            (Closed, Err(ProtoError::NotOpen)),
+            (Listen { backlog: 8 }, Err(ProtoError::Invalid("send on listener"))),
+            (SynSent { retries_left: 5 }, Ok(4)),
+            (SynActive, Ok(4)),
+            (SynPassive { retries_left: 5 }, Ok(4)),
+            (Estab, Ok(4)),
+            (FinWait1, Err(ProtoError::Closing)),
+            (FinWait2, Err(ProtoError::Closing)),
+            (CloseWait, Ok(4)),
+            (Closing, Err(ProtoError::Closing)),
+            (LastAck, Err(ProtoError::Closing)),
+            (TimeWait, Err(ProtoError::Closing)),
+        ] {
+            let mut core = fresh();
+            core.state.force(state.clone());
+            assert_eq!(send(&cfg(), &mut core, b"data", VirtualTime::ZERO), want, "{state:?}");
+            let buffered = core.tcb.send_side().send_buf().len();
+            assert_eq!(buffered, want.unwrap_or(0), "{state:?}: what a refused SEND buffers");
+        }
+    }
+
+    #[test]
     fn double_close_is_an_error() {
         let mut core = fresh();
         core.state.force(TcpState::FinWait2);
@@ -263,7 +286,7 @@ mod tests {
 
     #[test]
     fn abort_sends_rst_and_flushes() {
-        let mut core: ConnCore<u32> = Fixture::default().core();
+        let mut core = Fixture::default().core();
         assert_eq!(send::user_send(&cfg(), &mut core, &[1; 100], VirtualTime::ZERO), 100);
         abort(&cfg(), &mut core, VirtualTime::ZERO).unwrap();
         assert_eq!(core.state, TcpState::Closed);
@@ -310,7 +333,7 @@ mod tests {
 
     #[test]
     fn delayed_ack_timer_acks_only_when_pending() {
-        let mut core: ConnCore<u32> = Fixture::default().core();
+        let mut core = Fixture::default().core();
         timer_expired(&cfg(), &mut core, TimerKind::DelayedAck, VirtualTime::from_millis(1));
         assert!(tags(&mut core).is_empty());
         // One small in-order segment: its ACK is held for the timer.

@@ -30,16 +30,10 @@ use crate::data::{resend, send, transfer};
 use crate::{ConnCore, TcpConfig, TcpState};
 use foxbasis::time::VirtualTime;
 use foxwire::tcp::TcpSegment;
-use std::fmt::Debug;
 
 /// Attempts fast-path processing; returns `true` if the segment was
 /// fully handled.
-pub fn try_fast<P: Clone + PartialEq + Debug>(
-    cfg: &TcpConfig,
-    core: &mut ConnCore<P>,
-    seg: &TcpSegment,
-    now: VirtualTime,
-) -> bool {
+pub fn try_fast(cfg: &TcpConfig, core: &mut ConnCore, seg: &TcpSegment, now: VirtualTime) -> bool {
     if core.state != TcpState::Estab {
         return false;
     }
@@ -122,12 +116,12 @@ mod tests {
         TcpConfig::default()
     }
 
-    fn estab() -> ConnCore<u32> {
+    fn estab() -> ConnCore {
         Fixture::default().core()
     }
 
     /// `estab()` with one 500-byte segment from 100 in flight.
-    fn with_flight() -> ConnCore<u32> {
+    fn with_flight() -> ConnCore {
         let mut core = estab();
         assert_eq!(send::user_send(&no_nagle(), &mut core, &[1; 500], VirtualTime::ZERO), 500);
         core.tcb.to_do.clear();
@@ -274,11 +268,11 @@ mod tests {
         // wscale connection falls to the slow path.
         let scaled =
             Fixture { cfg: TcpConfig { window_scale: true, ..cfg() }, peer_wscale: 4, ..Fixture::default() };
-        let mut core: ConnCore<u32> = scaled.core();
+        let mut core = scaled.core();
         assert!(try_fast(&cfg(), &mut core, &seg(5000, 100, 256, &[3u8; 50]), VirtualTime::ZERO));
         assert_eq!(core.tcb.rcv_nxt, Seq(5050));
         // And a genuinely changed window still falls through.
-        let mut core: ConnCore<u32> = scaled.core();
+        let mut core = scaled.core();
         assert!(!try_fast(&cfg(), &mut core, &seg(5000, 100, 128, b""), VirtualTime::ZERO));
     }
 
@@ -302,7 +296,7 @@ mod tests {
     }
 
     /// `estab()` with timestamps agreed and TS.Recent at 500.
-    fn stamped() -> ConnCore<u32> {
+    fn stamped() -> ConnCore {
         Fixture { cfg: TcpConfig { timestamps: true, ..cfg() }, ts_recent: 500, ..Fixture::default() }.core()
     }
 

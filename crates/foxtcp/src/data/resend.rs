@@ -33,7 +33,6 @@ use foxbasis::ring::RingBuffer;
 use foxbasis::seq::Seq;
 use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxwire::tcp::{TcpFlags, TcpSegment};
-use std::fmt::Debug;
 
 /// The send side of a connection: the bytes queued and in flight, where
 /// our FIN is, the retransmission queue, the round-trip estimator, the
@@ -132,7 +131,7 @@ impl SendSide {
     }
 }
 
-impl<P> Tcb<P> {
+impl Tcb {
     /// Unsent bytes staged in the send buffer (the paper's `queued`).
     pub fn unsent(&self) -> u32 {
         (self.snd.send_buf.len() as u32).saturating_sub(self.flight_size())
@@ -271,12 +270,7 @@ pub fn update_rtt(est: &mut RttEstimator, sample: VirtualDuration) {
 /// `snd_una`, releases send-buffer bytes, takes the RTT sample (Karn),
 /// opens the congestion window, and re-arms or clears the retransmit
 /// timer.
-pub fn process_ack<P: Clone + PartialEq + Debug>(
-    cfg: &TcpConfig,
-    core: &mut ConnCore<P>,
-    ack: Seq,
-    now: VirtualTime,
-) {
+pub fn process_ack(cfg: &TcpConfig, core: &mut ConnCore, ack: Seq, now: VirtualTime) {
     let tcb = &mut core.tcb;
     let s = &mut tcb.snd;
     // Payload bytes newly acknowledged, and whether our FIN is.
@@ -401,11 +395,7 @@ pub fn process_ack<P: Clone + PartialEq + Debug>(
 /// acknowledged. Duplicates that arrive during the episode a timeout
 /// opened are its own go-back-N's echo: they enter nothing (RFC 6582
 /// §4), or every timeout would halve the window a second time.
-pub fn duplicate_ack<P: Clone + PartialEq + Debug>(
-    cfg: &TcpConfig,
-    core: &mut ConnCore<P>,
-    now: VirtualTime,
-) {
+pub fn duplicate_ack(cfg: &TcpConfig, core: &mut ConnCore, now: VirtualTime) {
     if core.tcb.snd.resend_queue.is_empty() {
         return;
     }
@@ -448,7 +438,7 @@ pub fn duplicate_ack<P: Clone + PartialEq + Debug>(
 /// after three duplicates, what lies below the highest SACKed byte — and
 /// always the front segment, which is what the duplicates are about, and
 /// which goes out whatever the scoreboard says (a peer may renege).
-fn next_lost<P>(tcb: &Tcb<P>) -> Option<&SentSegment> {
+fn next_lost(tcb: &Tcb) -> Option<&SentSegment> {
     let r = tcb.recovery?;
     let sacked_to = tcb.snd.sack_scoreboard.last().map(|&(_, end)| end);
     let presumed_lost = |s: &SentSegment| {
@@ -473,7 +463,7 @@ fn next_lost<P>(tcb: &Tcb<P>) -> Option<&SentSegment> {
 /// sequence ranges, so each segment the walk sends is staged from the
 /// send buffer again: one copy per segment resent, the same copy its
 /// first transmission made.
-pub fn retransmit_lost<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, now: VirtualTime) {
+pub fn retransmit_lost(core: &mut ConnCore, now: VirtualTime) {
     while let Some(seg) = next_lost(&core.tcb).copied() {
         let tcb = &mut core.tcb;
         let r = tcb.recovery.as_mut().expect("next_lost found an episode");
@@ -494,11 +484,7 @@ pub fn retransmit_lost<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, now
 /// Stages `seg`'s bytes again, rebuilds its header (current `rcv_nxt`,
 /// window, negotiated options — no SACK blocks) and queues it for
 /// transmission.
-fn retransmit_segment<P: Clone + PartialEq + Debug>(
-    core: &mut ConnCore<P>,
-    seg: SentSegment,
-    now: VirtualTime,
-) {
+fn retransmit_segment(core: &mut ConnCore, seg: SentSegment, now: VirtualTime) {
     let payload = send::stage(core, seg.seq, seg.len);
     let ack = if seg.syn { core.state.is_syn_received() } else { true };
     let flags = TcpFlags { syn: seg.syn, fin: seg.fin, ack, psh: seg.len > 0, ..TcpFlags::default() };
@@ -512,14 +498,14 @@ fn retransmit_segment<P: Clone + PartialEq + Debug>(
 /// True while the retransmission queue still holds unacknowledged
 /// flight — a retransmission timer that fires with nothing queued is
 /// stale and should do nothing.
-pub fn has_flight<P: Clone + PartialEq + Debug>(core: &ConnCore<P>) -> bool {
+pub fn has_flight(core: &ConnCore) -> bool {
     !core.tcb.snd.resend_queue.is_empty()
 }
 
 /// True once the per-connection retry budget is spent. The control path
 /// turns this into a give-up (the paper's user timeout); the data path
 /// only reports it.
-pub fn out_of_retries<P: Clone + PartialEq + Debug>(core: &ConnCore<P>) -> bool {
+pub fn out_of_retries(core: &ConnCore) -> bool {
     core.tcb.snd.retransmits_left == 0
 }
 
@@ -534,7 +520,7 @@ pub fn out_of_retries<P: Clone + PartialEq + Debug>(core: &ConnCore<P>) -> bool 
 /// Whether the connection *gives up* — the retry budget, the SYN-state
 /// retry accounting — is decided on the control side
 /// (`state::timer_expired`), around this call.
-pub fn rto_backoff<P: Clone + PartialEq + Debug>(cfg: &TcpConfig, core: &mut ConnCore<P>, now: VirtualTime) {
+pub fn rto_backoff(cfg: &TcpConfig, core: &mut ConnCore, now: VirtualTime) {
     let tcb = &mut core.tcb;
     tcb.snd.retransmits_left -= 1;
     tcb.snd.rtt.backoff += 1;
@@ -550,7 +536,7 @@ pub fn rto_backoff<P: Clone + PartialEq + Debug>(cfg: &TcpConfig, core: &mut Con
 /// Resends the front (oldest unacknowledged) segment — all one MSS of
 /// congestion window covers — and re-arms the retransmission timer with
 /// the backed-off RTO.
-pub fn retransmit_and_rearm<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, now: VirtualTime) {
+pub fn retransmit_and_rearm(core: &mut ConnCore, now: VirtualTime) {
     retransmit_lost(core, now);
     let timeout = core.tcb.snd.rtt.timeout().as_millis();
     core.tcb.push_action(TcpAction::SetTimer(TimerKind::Resend, timeout));
@@ -559,7 +545,7 @@ pub fn retransmit_and_rearm<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>
 /// Records a freshly transmitted segment in the retransmission queue —
 /// and, if it carries our FIN, where the FIN is — and starts the RTT
 /// clock if idle.
-pub fn record_sent<P>(tcb: &mut Tcb<P>, seg: SentSegment, now: VirtualTime) {
+pub fn record_sent(tcb: &mut Tcb, seg: SentSegment, now: VirtualTime) {
     let s = &mut tcb.snd;
     if s.rtt.timing.is_none() && seg.seq_len() > 0 {
         s.rtt.timing = Some((seg.end(), now));
@@ -589,8 +575,8 @@ mod tests {
 
     /// A flight of `n` 1000-byte segments of 0xAA from sequence 100,
     /// sent under a peer window of `snd_wnd`, none of them timed.
-    fn flight(n: usize, snd_wnd: u32) -> ConnCore<u32> {
-        let mut core: ConnCore<u32> = Fixture { snd_wnd, ..Fixture::default() }.core();
+    fn flight(n: usize, snd_wnd: u32) -> ConnCore {
+        let mut core = Fixture { snd_wnd, ..Fixture::default() }.core();
         assert_eq!(
             send::user_send(&no_nagle(), &mut core, &vec![0xAA; n * 1000], VirtualTime::ZERO),
             n * 1000
@@ -600,18 +586,18 @@ mod tests {
         core
     }
 
-    fn core_with_flight() -> ConnCore<u32> {
+    fn core_with_flight() -> ConnCore {
         flight(3, 8000)
     }
 
-    fn drain(core: &mut ConnCore<u32>) -> Vec<String> {
+    fn drain(core: &mut ConnCore) -> Vec<String> {
         core.tcb.to_do.drain_all().into_iter().map(|a| format!("{a:?}")).collect()
     }
 
     /// Drives a retransmission timeout the way the engine does: through
     /// the control path (`state::timer_expired`), which wraps the data
     /// helpers under test here.
-    fn rto(core: &mut ConnCore<u32>, at_ms: u64) {
+    fn rto(core: &mut ConnCore, at_ms: u64) {
         crate::control::state::timer_expired(
             &cfg(),
             core,
@@ -916,12 +902,12 @@ mod tests {
     }
 
     /// The sequence numbers of the segments queued for transmission.
-    fn sent(core: &mut ConnCore<u32>) -> Vec<u32> {
+    fn sent(core: &mut ConnCore) -> Vec<u32> {
         core.tcb.drain_segments().iter().map(|s| s.header.seq.0).collect()
     }
 
     /// A flight of `n` segments under a wide window and a 16 KB `cwnd`.
-    fn core_with_segments(n: usize) -> ConnCore<u32> {
+    fn core_with_segments(n: usize) -> ConnCore {
         let mut core = flight(n, 64_000);
         core.tcb.cc.set_cwnd(16_000);
         core
@@ -1012,7 +998,7 @@ mod tests {
 
     #[test]
     fn sack_scoreboard_merges_and_prunes() {
-        let mut t: Tcb<()> = Tcb::new(&cfg(), Seq(1000), 536);
+        let mut t = Tcb::new(&cfg(), Seq(1000), 536);
         t.snd_nxt = Seq(6000);
         t.note_sack_blocks(&[(Seq(2000), Seq(3000))]);
         t.note_sack_blocks(&[(Seq(4000), Seq(5000)), (Seq(2500), Seq(3500))]);
@@ -1032,7 +1018,7 @@ mod tests {
 
     #[test]
     fn sack_scoreboard_keeps_the_sixteen_lowest_ranges() {
-        let mut t: Tcb<()> = Tcb::new(&cfg(), Seq(1000), 536);
+        let mut t = Tcb::new(&cfg(), Seq(1000), 536);
         t.snd_nxt = Seq(3000);
         let range = |i: u32| (Seq(1100 + 100 * i), Seq(1150 + 100 * i));
         // Seventeen disjoint ranges, reported highest first.

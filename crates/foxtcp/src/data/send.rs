@@ -15,7 +15,6 @@ use foxbasis::buf::{BufPool, PacketBuf, DEFAULT_HEADROOM};
 use foxbasis::seq::Seq;
 use foxbasis::time::VirtualTime;
 use foxwire::tcp::{TcpFlags, TcpHeader, TcpSegment};
-use std::fmt::Debug;
 
 /// Why no option push onto a header this module builds is refused: a
 /// SYN carries at most 19 option bytes (MSS, window scale,
@@ -35,14 +34,8 @@ pub fn ts_val(now: VirtualTime) -> u32 {
 /// the options the TCB says it wears (`Tcb::push_options`): a SYN's
 /// negotiable set, timestamps once agreed, and — when `sack` asks, as
 /// it does for everything but a retransmission — SACK blocks.
-pub fn make_header<P: Clone + PartialEq + Debug>(
-    core: &ConnCore<P>,
-    flags: TcpFlags,
-    seq: Seq,
-    now: VirtualTime,
-    sack: bool,
-) -> TcpHeader {
-    let mut h = TcpHeader::new(core.local_port, core.remote.as_ref().map(|(_, p)| *p).unwrap_or(0));
+pub fn make_header(core: &ConnCore, flags: TcpFlags, seq: Seq, now: VirtualTime, sack: bool) -> TcpHeader {
+    let mut h = TcpHeader::new(core.local_port, core.remote_port);
     h.seq = seq;
     h.ack = if flags.ack { core.tcb.rcv_nxt } else { Seq(0) };
     h.flags = flags;
@@ -52,7 +45,7 @@ pub fn make_header<P: Clone + PartialEq + Debug>(
 }
 
 /// Stages a pure ACK of the current `rcv_nxt`.
-pub fn queue_ack<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, now: VirtualTime) {
+pub fn queue_ack(core: &mut ConnCore, now: VirtualTime) {
     let header = make_header(core, TcpFlags::ACK, core.tcb.snd_nxt, now, true);
     core.tcb.clock.acked();
     let payload = core.pool.empty();
@@ -62,7 +55,7 @@ pub fn queue_ack<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, now: Virt
 /// Stages our SYN (active open) or SYN+ACK (passive/simultaneous open).
 /// Advances `snd_nxt` over the SYN octet and records it for
 /// retransmission.
-pub fn queue_syn<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, with_ack: bool, now: VirtualTime) {
+pub fn queue_syn(core: &mut ConnCore, with_ack: bool, now: VirtualTime) {
     let flags = if with_ack { TcpFlags::SYN_ACK } else { TcpFlags::SYN };
     let header = make_header(core, flags, core.tcb.iss, now, true);
     let payload = core.pool.empty();
@@ -88,7 +81,7 @@ pub fn queue_syn<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, with_ack:
 /// that is unacknowledged. The queue is push-back/pop-front and the SYN,
 /// at `iss`, is the first thing a connection ever sends, so only the
 /// front entry can carry it.
-pub fn stage<P>(core: &ConnCore<P>, seq: Seq, len: u32) -> PacketBuf {
+pub fn stage(core: &ConnCore, seq: Seq, len: u32) -> PacketBuf {
     let tcb = &core.tcb;
     let syn_outstanding = tcb.snd.resend_queue().front().is_some_and(|s| s.syn);
     let offset = (seq.since(tcb.snd_una) as usize).saturating_sub(usize::from(syn_outstanding));
@@ -102,7 +95,7 @@ pub fn stage<P>(core: &ConnCore<P>, seq: Seq, len: u32) -> PacketBuf {
 /// Stages as much pending data (and the pending FIN) as the windows
 /// allow. This is the segmentation loop; each staged segment is recorded
 /// in the retransmission queue.
-pub fn maybe_send<P: Clone + PartialEq + Debug>(cfg: &TcpConfig, core: &mut ConnCore<P>, now: VirtualTime) {
+pub fn maybe_send(cfg: &TcpConfig, core: &mut ConnCore, now: VirtualTime) {
     loop {
         let tcb = &core.tcb;
         if tcb.fin_sent() {
@@ -148,12 +141,7 @@ pub fn maybe_send<P: Clone + PartialEq + Debug>(cfg: &TcpConfig, core: &mut Conn
 /// Accepts user bytes into the send buffer (the paper's `queued` store);
 /// returns how many were accepted (zero means the buffer is full — flow
 /// control pushes back on the user — or the user has closed).
-pub fn user_send<P: Clone + PartialEq + Debug>(
-    cfg: &TcpConfig,
-    core: &mut ConnCore<P>,
-    data: &[u8],
-    now: VirtualTime,
-) -> usize {
+pub fn user_send(cfg: &TcpConfig, core: &mut ConnCore, data: &[u8], now: VirtualTime) -> usize {
     let written = core.tcb.snd.write(data);
     if written > 0 {
         maybe_send(cfg, core, now);
@@ -164,11 +152,7 @@ pub fn user_send<P: Clone + PartialEq + Debug>(
 /// The persist (zero-window probe) timer fired: send one byte beyond
 /// the window to force the peer to re-advertise, and re-arm with
 /// backoff.
-pub fn window_probe<P: Clone + PartialEq + Debug>(
-    _cfg: &TcpConfig,
-    core: &mut ConnCore<P>,
-    now: VirtualTime,
-) {
+pub fn window_probe(_cfg: &TcpConfig, core: &mut ConnCore, now: VirtualTime) {
     let tcb = &core.tcb;
     if tcb.snd_wnd > 0 || tcb.unsent() == 0 {
         return; // window opened meanwhile, or nothing to probe with
@@ -214,7 +198,7 @@ mod tests {
     use crate::testlink::no_nagle;
     use crate::TcpState;
 
-    fn estab_core(wnd: u32) -> ConnCore<u32> {
+    fn estab_core(wnd: u32) -> ConnCore {
         Fixture { snd_wnd: wnd, ..Fixture::default() }.core()
     }
 
@@ -246,8 +230,7 @@ mod tests {
         // overflow the link MTU and fragment.
         let cfg = no_nagle();
         let timestamps = TcpConfig { timestamps: true, ..TcpConfig::default() };
-        let mut core: ConnCore<u32> =
-            Fixture { cfg: timestamps, snd_wnd: 10_000, ..Fixture::default() }.core();
+        let mut core = Fixture { cfg: timestamps, snd_wnd: 10_000, ..Fixture::default() }.core();
         let n = user_send(&cfg, &mut core, &[7u8; 2000], VirtualTime::ZERO);
         assert_eq!(n, 2000);
         let segs = core.tcb.drain_segments();
@@ -435,8 +418,7 @@ mod tests {
     #[test]
     fn syn_carries_mss_option() {
         let cfg = TcpConfig::default();
-        let mut core: ConnCore<u32> = ConnCore::new(&cfg, 1000, Seq(100), 1460, BufPool::new());
-        core.remote = Some((7, 2000));
+        let mut core = ConnCore::new(&cfg, 1000, 2000, Seq(100), 1460, BufPool::new());
         core.state.force(TcpState::SynSent { retries_left: 3 });
         queue_syn(&mut core, false, VirtualTime::ZERO);
         let segs = core.tcb.drain_segments();
@@ -456,8 +438,7 @@ mod tests {
         // The SYN holds a sequence number and no byte of the buffer:
         // while it is at the front of the queue, `iss + 1` is offset 0.
         let cfg = TcpConfig::default();
-        let mut core: ConnCore<u32> = ConnCore::new(&cfg, 1000, Seq(100), 1460, BufPool::new());
-        core.remote = Some((7, 2000));
+        let mut core = ConnCore::new(&cfg, 1000, 2000, Seq(100), 1460, BufPool::new());
         core.state.force(TcpState::SynSent { retries_left: 3 });
         queue_syn(&mut core, false, VirtualTime::ZERO);
         core.tcb.snd.write(b"early data");
@@ -478,8 +459,7 @@ mod tests {
             initial_window: 1 << 20,
             ..TcpConfig::default()
         };
-        let mut core: ConnCore<u32> = ConnCore::new(&cfg, 1000, Seq(100), 1460, BufPool::new());
-        core.remote = Some((7, 2000));
+        let mut core = ConnCore::new(&cfg, 1000, 2000, Seq(100), 1460, BufPool::new());
         core.state.force(TcpState::SynSent { retries_left: 3 });
         queue_syn(&mut core, false, VirtualTime::from_millis(250));
         let segs = core.tcb.drain_segments();
@@ -492,8 +472,7 @@ mod tests {
 
         // A SYN+ACK echoes only what was negotiated: here the peer
         // offered nothing, so nothing is echoed even though we offer.
-        let mut core: ConnCore<u32> = ConnCore::new(&cfg, 1000, Seq(100), 1460, BufPool::new());
-        core.remote = Some((7, 2000));
+        let mut core = ConnCore::new(&cfg, 1000, 2000, Seq(100), 1460, BufPool::new());
         core.state.force(TcpState::SynPassive { retries_left: 3 });
         queue_syn(&mut core, true, VirtualTime::ZERO);
         let segs = core.tcb.drain_segments();
@@ -507,8 +486,7 @@ mod tests {
     #[test]
     fn negotiated_segments_carry_timestamps_and_sack_blocks() {
         let cfg = TcpConfig { timestamps: true, sack: true, ..TcpConfig::default() };
-        let mut core: ConnCore<u32> =
-            Fixture { cfg, snd_wnd: 10_000, ts_recent: 777, ..Fixture::default() }.core();
+        let mut core = Fixture { cfg, snd_wnd: 10_000, ts_recent: 777, ..Fixture::default() }.core();
         core.tcb.insert_out_of_order(Seq(6000), vec![1u8; 100], false);
         queue_ack(&mut core, VirtualTime::from_millis(1234));
         let segs = core.tcb.drain_segments();
@@ -551,7 +529,7 @@ mod tests {
     #[test]
     fn send_buffer_full_pushes_back() {
         let cfg = TcpConfig { send_buffer: 100, nagle: false, ..TcpConfig::default() };
-        let mut core: ConnCore<u32> = Fixture { cfg: cfg.clone(), snd_wnd: 0, ..Fixture::default() }.core(); // nothing drains
+        let mut core = Fixture { cfg: cfg.clone(), snd_wnd: 0, ..Fixture::default() }.core(); // nothing drains
         assert_eq!(user_send(&cfg, &mut core, &[1; 60], VirtualTime::ZERO), 60);
         assert_eq!(user_send(&cfg, &mut core, &[1; 60], VirtualTime::ZERO), 40);
         assert_eq!(user_send(&cfg, &mut core, &[1; 60], VirtualTime::ZERO), 0);

@@ -151,7 +151,7 @@ pub struct SeqVars {
 /// a clone is a snapshot, and two snapshots compare field by field, so a
 /// test can diff the TCB before and after one input.
 #[derive(Clone, PartialEq)]
-pub struct Tcb<P> {
+pub struct Tcb {
     // --- RFC 793 send sequence variables ---
     /// Initial send sequence number.
     pub(in crate::data) iss: Seq,
@@ -213,14 +213,14 @@ pub struct Tcb<P> {
     /// the engine's wheel, never a handle to this queue. Crate-private;
     /// external code enqueues with [`Tcb::push_action`] and the engine
     /// drains.
-    pub(crate) to_do: Fifo<TcpAction<P>>,
+    pub(crate) to_do: Fifo<TcpAction>,
 }
 
-impl<P> Tcb<P> {
+impl Tcb {
     /// A TCB for a connection configured by `cfg`, with initial send
     /// sequence number `iss`, sending segments of at most `mss` bytes
     /// until the peer's SYN says less.
-    pub fn new(cfg: &TcpConfig, iss: Seq, mss: u32) -> Tcb<P> {
+    pub fn new(cfg: &TcpConfig, iss: Seq, mss: u32) -> Tcb {
         Tcb {
             iss,
             snd_una: iss,
@@ -285,7 +285,7 @@ impl<P> Tcb<P> {
 
     /// Pushes an action onto the to_do queue (the only way anything is
     /// ever scheduled against a connection).
-    pub fn push_action(&mut self, action: TcpAction<P>) {
+    pub fn push_action(&mut self, action: TcpAction) {
         self.to_do.add(action);
     }
 
@@ -334,14 +334,14 @@ impl<P> Tcb<P> {
 /// Test helper: drains the to_do queue, returning the segments it
 /// staged, in order.
 #[cfg(test)]
-impl<P> Tcb<P> {
+impl Tcb {
     pub(crate) fn drain_segments(&mut self) -> Vec<foxwire::tcp::TcpSegment> {
         let drained = self.to_do.drain_all().into_iter();
         drained.filter_map(|a| if let TcpAction::SendSegment(s) = a { Some(s) } else { None }).collect()
     }
 }
 
-impl<P> fmt::Debug for Tcb<P> {
+impl fmt::Debug for Tcb {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -363,7 +363,7 @@ impl<P> fmt::Debug for Tcb<P> {
 mod tests {
     use super::*;
 
-    fn tcb() -> Tcb<()> {
+    fn tcb() -> Tcb {
         Tcb::new(&TcpConfig::default(), Seq(1000), 536)
     }
 

@@ -42,7 +42,6 @@ use foxbasis::time::VirtualTime;
 use foxwire::tcp::{SackBlocks, TcpHeader, TcpOption, TcpSegment, WireWindow};
 use foxwire::WireError;
 use std::collections::VecDeque;
-use std::fmt::Debug;
 
 /// What the data path observed while consuming a segment — reported
 /// back to control, which alone maps stream events onto state
@@ -323,7 +322,7 @@ fn ooo_end((seq, data, fin): &(Seq, PacketBuf, bool)) -> Seq {
     *seq + data.len() as u32 + u32::from(*fin)
 }
 
-impl<P> Tcb<P> {
+impl Tcb {
     /// The receive window we advertise: free space in the receive
     /// buffer, capped at what the 16-bit field can carry under the
     /// negotiated shift. Without window scaling this is exactly the
@@ -528,7 +527,7 @@ impl<P> Tcb<P> {
 /// *and* the peer's SYN (or SYN+ACK) carries it. A withheld option is
 /// cleanly off — every window stays 16-bit, no SACK blocks are sent or
 /// consumed, no timestamps ride on segments.
-fn negotiate_syn_options<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, h: &TcpHeader) {
+fn negotiate_syn_options(core: &mut ConnCore, h: &TcpHeader) {
     debug_assert!(h.flags.syn);
     let (n, rcv) = (&mut core.tcb.neg, &mut core.tcb.rcv);
     if let Some(mss) = h.mss() {
@@ -555,7 +554,7 @@ fn negotiate_syn_options<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, h
 /// is set to SEG.SEQ", and the SYN-time negotiation. Control calls this
 /// from both LISTEN and SYN-SENT processing; the state transition it
 /// precedes stays on the control side.
-pub(crate) fn note_peer_syn<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, h: &TcpHeader) {
+pub(crate) fn note_peer_syn(core: &mut ConnCore, h: &TcpHeader) {
     debug_assert!(h.flags.syn);
     core.tcb.irs = h.seq;
     core.tcb.rcv_nxt = h.seq + 1;
@@ -565,7 +564,7 @@ pub(crate) fn note_peer_syn<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>
 /// First sight of the peer's send window, from its SYN (passive side).
 /// A SYN's window is never scaled (RFC 7323 §2.2); `SND.WL2` starts at
 /// zero because the SYN acknowledged nothing.
-pub(crate) fn init_window_from_syn<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, h: &TcpHeader) {
+pub(crate) fn init_window_from_syn(core: &mut ConnCore, h: &TcpHeader) {
     let tcb = &mut core.tcb;
     tcb.snd_wnd = u32::from(h.window);
     tcb.snd_wl1 = h.seq;
@@ -574,7 +573,7 @@ pub(crate) fn init_window_from_syn<P: Clone + PartialEq + Debug>(core: &mut Conn
 
 /// Stashes the timestamp echo a SYN+ACK carries so the imminent
 /// `process_ack` can take the connection's first RTTM sample from it.
-pub(crate) fn stash_syn_ack_echo<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, h: &TcpHeader) {
+pub(crate) fn stash_syn_ack_echo(core: &mut ConnCore, h: &TcpHeader) {
     if let Some((_, ecr)) = h.timestamps().filter(|&(_, ecr)| core.tcb.neg.ts_on && ecr != 0) {
         core.tcb.rcv.ts_ecr_pending = ecr;
     }
@@ -588,9 +587,9 @@ pub(crate) fn stash_syn_ack_echo<P: Clone + PartialEq + Debug>(core: &mut ConnCo
 /// Demands an [`EstablishedHandle`], which only the control path can
 /// mint — the type system's way of saying the transition decision was
 /// made on the other side of the boundary.
-pub(crate) fn establish<P: Clone + PartialEq + Debug>(
+pub(crate) fn establish(
     cfg: &TcpConfig,
-    core: &mut ConnCore<P>,
+    core: &mut ConnCore,
     h: &TcpHeader,
     scaled: bool,
     _proof: EstablishedHandle,
@@ -610,7 +609,7 @@ pub(crate) fn establish<P: Clone + PartialEq + Debug>(
 /// Sixth check: the URG bit (RFC 793 p. 73). We advance `RCV.UP` and
 /// tell the user once per urgent region; like the paper's stack, we do
 /// not expedite delivery.
-pub(crate) fn check_urg<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, seg: &TcpSegment) {
+pub(crate) fn check_urg(core: &mut ConnCore, seg: &TcpSegment) {
     if !seg.header.flags.urg || !core.state.can_receive() {
         return;
     }
@@ -624,9 +623,9 @@ pub(crate) fn check_urg<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, se
 /// First check: sequence acceptability (the four-case table on p. 69).
 /// Unacceptable segments are answered with an ACK (unless RST) and
 /// dropped.
-pub(crate) fn check_sequence<P: Clone + PartialEq + Debug>(
+pub(crate) fn check_sequence(
     cfg: &TcpConfig,
-    core: &mut ConnCore<P>,
+    core: &mut ConnCore,
     seg: &TcpSegment,
     now: VirtualTime,
 ) -> bool {
@@ -662,11 +661,7 @@ fn paws_reject(ts_recent: u32, tsval: u32) -> bool {
 /// `TS.Recent` update for segments at the left window edge, then stash
 /// TSecr for the RTTM sample `process_ack` takes. Returns false when
 /// PAWS drops the segment.
-pub(crate) fn process_timestamps<P: Clone + PartialEq + Debug>(
-    core: &mut ConnCore<P>,
-    h: &TcpHeader,
-    now: VirtualTime,
-) -> bool {
+pub(crate) fn process_timestamps(core: &mut ConnCore, h: &TcpHeader, now: VirtualTime) -> bool {
     if !core.tcb.neg.ts_on {
         return true;
     }
@@ -690,7 +685,7 @@ pub(crate) fn process_timestamps<P: Clone + PartialEq + Debug>(
 }
 
 /// RFC 793's send-window update rule.
-pub(crate) fn update_send_window<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, seg: &TcpSegment) {
+pub(crate) fn update_send_window(core: &mut ConnCore, seg: &TcpSegment) {
     let h = &seg.header;
     let tcb = &mut core.tcb;
     if tcb.snd_wl1.lt(h.seq) || (tcb.snd_wl1 == h.seq && tcb.snd_wl2.le(h.ack)) {
@@ -706,12 +701,7 @@ pub(crate) fn update_send_window<P: Clone + PartialEq + Debug>(core: &mut ConnCo
 }
 
 /// Seventh: process the segment text.
-pub(crate) fn process_text<P: Clone + PartialEq + Debug>(
-    cfg: &TcpConfig,
-    core: &mut ConnCore<P>,
-    seg: &TcpSegment,
-    now: VirtualTime,
-) {
+pub(crate) fn process_text(cfg: &TcpConfig, core: &mut ConnCore, seg: &TcpSegment, now: VirtualTime) {
     if seg.payload.is_empty() {
         return;
     }
@@ -750,12 +740,7 @@ pub(crate) fn process_text<P: Clone + PartialEq + Debug>(
 /// ("else a Set_Timer for the ack timer if the ack is to be delayed").
 /// The threshold of 2 can be raised by `ack_coalesce_segments`
 /// (GRO-era batching); the default keeps the historical rule exactly.
-pub(crate) fn take_in_order<P: Clone + PartialEq + Debug>(
-    cfg: &TcpConfig,
-    core: &mut ConnCore<P>,
-    seg: &TcpSegment,
-    now: VirtualTime,
-) {
+pub(crate) fn take_in_order(cfg: &TcpConfig, core: &mut ConnCore, seg: &TcpSegment, now: VirtualTime) {
     let tcb = &mut core.tcb;
     tcb.clock.bytes_since_ack += deliver(tcb, &seg.payload, 0);
     tcb.clock.segs_since_ack += 1;
@@ -785,7 +770,7 @@ pub(crate) fn take_in_order<P: Clone + PartialEq + Debug>(
 /// bytes delivered. What did not fit stays unacknowledged, for the
 /// sender to retransmit; so does a FIN queued out of order, which
 /// `check_fin` meets again on its retransmission.
-fn deliver<P>(tcb: &mut Tcb<P>, payload: &PacketBuf, skip: usize) -> u32 {
+fn deliver(tcb: &mut Tcb, payload: &PacketBuf, skip: usize) -> u32 {
     let fresh = payload.len() - skip;
     let took = tcb.rcv.recv_buf.take(fresh);
     tcb.rcv_nxt += took as u32;
@@ -796,7 +781,7 @@ fn deliver<P>(tcb: &mut Tcb<P>, payload: &PacketBuf, skip: usize) -> u32 {
 
 /// The delayed-ACK timer fired: the ACK it held goes out, if it is
 /// still owed.
-pub(crate) fn delayed_ack_fired<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, now: VirtualTime) {
+pub(crate) fn delayed_ack_fired(core: &mut ConnCore, now: VirtualTime) {
     if core.tcb.clock.ack_pending {
         send::queue_ack(core, now);
     }
@@ -808,7 +793,7 @@ pub(crate) fn delayed_ack_fired<P: Clone + PartialEq + Debug>(core: &mut ConnCor
 /// the window well past what the peer last saw
 /// ([`Tcb::note_advertised`]); by two segments or half the buffer, tell
 /// it, or a zero-window peer stays stuck.
-pub(crate) fn user_took<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, n: usize, now: VirtualTime) {
+pub(crate) fn user_took(core: &mut ConnCore, n: usize, now: VirtualTime) {
     let tcb = &mut core.tcb;
     tcb.rcv.recv_buf.skip(n);
     let grew = tcb.rcv_wnd().saturating_sub(tcb.clock.last_adv_wnd);
@@ -820,7 +805,7 @@ pub(crate) fn user_took<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, n:
 
 /// Marks a FIN that arrived ahead of missing data: a bare entry in the
 /// reassembly queue so the gap's eventual fill re-exposes it.
-pub(crate) fn note_out_of_order_fin<P: Clone + PartialEq + Debug>(core: &mut ConnCore<P>, seq: Seq) {
+pub(crate) fn note_out_of_order_fin(core: &mut ConnCore, seq: Seq) {
     core.tcb.insert_out_of_order(seq, core.pool.empty(), true);
 }
 
@@ -828,10 +813,7 @@ pub(crate) fn note_out_of_order_fin<P: Clone + PartialEq + Debug>(core: &mut Con
 /// over it and the FIN is acknowledged immediately. Reports
 /// [`DataEvent::FinReceived`]; which closing state that implies is
 /// control's decision, not ours.
-pub(crate) fn consume_fin<P: Clone + PartialEq + Debug>(
-    core: &mut ConnCore<P>,
-    now: VirtualTime,
-) -> DataEvent {
+pub(crate) fn consume_fin(core: &mut ConnCore, now: VirtualTime) -> DataEvent {
     core.tcb.rcv_nxt += 1;
     send::queue_ack(core, now);
     DataEvent::FinReceived
@@ -866,9 +848,9 @@ impl Default for Fixture {
 
 #[cfg(test)]
 impl Fixture {
-    pub(crate) fn core<P: Clone + PartialEq + Debug + Default>(&self) -> ConnCore<P> {
-        let mut core = ConnCore::new(&self.cfg, 1000, self.snd, self.mss, foxbasis::buf::BufPool::new());
-        core.remote = Some((P::default(), 2000));
+    pub(crate) fn core(&self) -> ConnCore {
+        let mut core =
+            ConnCore::new(&self.cfg, 1000, 2000, self.snd, self.mss, foxbasis::buf::BufPool::new());
         core.state.force(TcpState::Estab);
         let tcb = &mut core.tcb;
         (tcb.irs, tcb.rcv_nxt, tcb.snd_wnd, tcb.rcv.ts_recent) =
@@ -884,13 +866,13 @@ impl Fixture {
 mod tests {
     use super::*;
 
-    fn tcb() -> Tcb<()> {
+    fn tcb() -> Tcb {
         Tcb::new(&TcpConfig::default(), Seq(1000), 536)
     }
 
     /// A TCB whose receive buffer holds `recv_buffer` bytes and whose
     /// MSS is `mss`.
-    fn sized(recv_buffer: usize, mss: u32) -> Tcb<()> {
+    fn sized(recv_buffer: usize, mss: u32) -> Tcb {
         Tcb::new(&TcpConfig { initial_window: recv_buffer, ..TcpConfig::default() }, Seq(0), mss)
     }
 
@@ -923,7 +905,7 @@ mod tests {
 
     /// Drains the queue and returns what it handed the user (the
     /// `UserData` actions, concatenated) and whether the FIN was reached.
-    fn drain(t: &mut Tcb<()>) -> (Vec<u8>, bool) {
+    fn drain(t: &mut Tcb) -> (Vec<u8>, bool) {
         let (n, fin) = t.drain_out_of_order();
         let mut data = Vec::new();
         for a in t.to_do.drain_all() {
@@ -993,7 +975,7 @@ mod tests {
         t.insert_out_of_order(Seq(120), vec![3; 20], false); // head held, tail new
         t.insert_out_of_order(Seq(150), vec![5; 10], false);
         t.insert_out_of_order(Seq(135), vec![4; 20], false); // head and tail both held
-        let held = |t: &Tcb<()>| t.rcv.out_of_order.iter().map(|(s, d, _)| (*s, d.len())).collect::<Vec<_>>();
+        let held = |t: &Tcb| t.rcv.out_of_order.iter().map(|(s, d, _)| (*s, d.len())).collect::<Vec<_>>();
         assert_eq!(held(&t), vec![(Seq(110), 20), (Seq(130), 10), (Seq(140), 10), (Seq(150), 10)]);
         t.insert_out_of_order(Seq(105), vec![6; 50], false); // covers three, overlaps a fourth
         assert_eq!(held(&t), vec![(Seq(105), 45), (Seq(150), 10)]);

@@ -19,7 +19,7 @@ use crate::action::{AttackEvent, LossEvent, TcpAction, TimerKind};
 use crate::control::fsm::Trigger;
 use crate::control::segment::{self, ListenVerdict};
 use crate::control::state;
-use crate::data::{fastpath, resend, send, transfer};
+use crate::data::{fastpath, resend, transfer};
 use crate::demux::{Demux, DemuxStats};
 use crate::{ConnCore, TcpConfig, TcpState};
 use fox_scheduler::SchedHandle;
@@ -138,7 +138,11 @@ pub struct TcpStats {
 
 struct Conn<P> {
     id: u32,
-    core: ConnCore<P>,
+    /// The peer's lower-layer address (`None` while listening), fixed
+    /// for the connection's lifetime: only demultiplexing and
+    /// transmission read it, so the core does not carry it.
+    peer: Option<P>,
+    core: ConnCore,
     handler: Option<Handler<TcpEvent>>,
     pending_events: Vec<TcpEvent>,
     timers: [Option<foxbasis::wheel::TimerId>; 5],
@@ -416,7 +420,7 @@ where
 
     /// The connection's core — its state and TCB — for a test or a
     /// diagnostic to read, if it still exists.
-    pub fn core_of(&self, conn: TcpConnId) -> Option<&ConnCore<L::Peer>> {
+    pub fn core_of(&self, conn: TcpConnId) -> Option<&ConnCore> {
         self.conns.slot_of(conn.0).map(|i| &self.conns[i].core)
     }
 
@@ -462,28 +466,7 @@ where
     /// number of bytes taken (0 means flow control pushed back).
     pub fn send_data(&mut self, conn: TcpConnId, data: &[u8]) -> Result<usize, ProtoError> {
         let i = self.conns.slot_of(conn.0).ok_or(ProtoError::NotOpen)?;
-        {
-            let core = &mut self.conns[i].core;
-            match *core.state {
-                TcpState::Closed => return Err(ProtoError::NotOpen),
-                TcpState::Listen { .. } => return Err(ProtoError::Invalid("send on listener")),
-                ref s
-                    if !s.can_send()
-                        && !matches!(
-                            s,
-                            TcpState::SynSent { .. } | TcpState::SynActive | TcpState::SynPassive { .. }
-                        ) =>
-                {
-                    return Err(ProtoError::Closing)
-                }
-                _ => {}
-            }
-        }
-        let now = self.sched.now();
-        let taken = {
-            let core = &mut self.conns[i].core;
-            send::user_send(&self.cfg, core, data, now)
-        };
+        let taken = state::send(&self.cfg, &mut self.conns[i].core, data, self.sched.now())?;
         self.run_actions(i);
         Ok(taken)
     }
@@ -506,9 +489,10 @@ where
         let mut found = None;
         self.demux.lookup_flow(local_port, A::hash(peer), remote_port, |id| {
             found = conns.slot_of(id).filter(|&i| {
-                let core = &conns[i].core;
-                core.remote.as_ref().is_some_and(|(a, p)| A::eq(a, peer) && *p == remote_port)
-                    && accept(&core.state)
+                let conn = &conns[i];
+                conn.peer.as_ref().is_some_and(|a| A::eq(a, peer))
+                    && conn.core.remote_port == remote_port
+                    && accept(&conn.core.state)
             });
             found.is_some()
         })?;
@@ -539,6 +523,26 @@ where
                 cause,
             });
         }
+    }
+
+    /// Runs the user call `call` on the connection in slot `idx`, then
+    /// reports what it did: the state change it made, stamped with
+    /// `trigger`, and the actions it queued, drained. The call's own
+    /// refusal is returned after that.
+    fn user_call(
+        &mut self,
+        idx: usize,
+        trigger: Trigger,
+        call: impl FnOnce(&TcpConfig, &mut ConnCore, VirtualTime) -> Result<(), ProtoError>,
+    ) -> Result<(), ProtoError> {
+        let now = self.sched.now();
+        let core = &mut self.conns[idx].core;
+        let before = core.state.name();
+        let res = call(&self.cfg, core, now);
+        self.note_closed(idx);
+        self.note_transition(idx, before, trigger.name());
+        self.run_actions(idx);
+        res
     }
 
     fn ensure_lower_open(&mut self) -> Result<(), ProtoError> {
@@ -579,10 +583,11 @@ where
         // the link MTU the aux reports — 1460 on a 1500-byte Ethernet.
         // One saturating helper, shared with xktcp.
         let mss = foxwire::tcp::mss_for_mtu(self.aux.mtu() as u32);
-        let mut core = ConnCore::new(&self.cfg, local_port, iss, mss, self.pool.clone());
-        core.remote = remote;
+        let (peer, remote_port) = remote.map_or((None, 0), |(peer, port)| (Some(peer), port));
+        let core = ConnCore::new(&self.cfg, local_port, remote_port, iss, mss, self.pool.clone());
         let conn = Conn {
             id,
+            peer,
             core,
             handler: None,
             pending_events: Vec::new(),
@@ -593,8 +598,8 @@ where
             backlogged: 0,
             reap_listed: false,
         };
-        // `core.remote` is fixed for the connection's lifetime, so its
-        // demux key never needs re-filing.
+        // The peer and both ports are fixed for the connection's
+        // lifetime, so its demux key never needs re-filing.
         let (id, local_port, flow) = Self::demux_key(&conn);
         self.demux.insert(id, local_port, flow);
         self.conns.insert(conn)
@@ -633,8 +638,8 @@ where
     /// Externalizes and transmits a segment for connection `idx` (the
     /// Action module's send half).
     fn transmit(&mut self, idx: usize, seg: TcpSegment) {
-        let to = match &self.conns[idx].core.remote {
-            Some((peer, _)) => peer.clone(),
+        let to = match &self.conns[idx].peer {
+            Some(peer) => peer.clone(),
             None => return, // cannot address: drop (listener RSTs go via transmit_to)
         };
         self.transmit_to(seg, to, Some(idx));
@@ -748,7 +753,7 @@ where
                 // from inside the action loop; stamp the cause now,
                 // while the action still owns its segment.
                 let cause = match &action {
-                    TcpAction::ProcessData(seg, _) => Trigger::of(&seg.header.flags).name(),
+                    TcpAction::ProcessData(seg) => Trigger::of(&seg.header.flags).name(),
                     TcpAction::TimerExpiration(_) => Trigger::Timer.name(),
                     _ => "action",
                 };
@@ -757,7 +762,7 @@ where
                 None
             };
             match action {
-                TcpAction::ProcessData(seg, _src) => {
+                TcpAction::ProcessData(seg) => {
                     self.obs.emit(now, conn_id, || Event::SegRx {
                         seq: seg.header.seq.0,
                         ack: seg.header.ack.0,
@@ -905,7 +910,7 @@ where
         let exact =
             self.flow_index(seg.header.dst_port, &src, seg.header.src_port, |s| *s != TcpState::Closed);
         if let Some(idx) = exact {
-            self.conns[idx].core.tcb.push_action(TcpAction::ProcessData(seg, src));
+            self.conns[idx].core.tcb.push_action(TcpAction::ProcessData(seg));
             self.run_actions(idx);
             return;
         }
@@ -934,16 +939,13 @@ where
                         self.stats.syns_dropped += 1;
                         return;
                     }
-                    let cidx = self.new_conn(
-                        seg.header.dst_port,
-                        Some((src.clone(), seg.header.src_port)),
-                        Some(lid),
-                    );
+                    let cidx =
+                        self.new_conn(seg.header.dst_port, Some((src, seg.header.src_port)), Some(lid));
                     self.conns[cidx].in_backlog = true;
                     self.conns[lidx].backlogged += 1;
                     let child = self.conns[cidx].id;
                     state::spawn_embryonic(&mut self.conns[cidx].core);
-                    self.conns[cidx].core.tcb.push_action(TcpAction::ProcessData(seg, src));
+                    self.conns[cidx].core.tcb.push_action(TcpAction::ProcessData(seg));
                     self.run_actions(cidx);
                     // Tell the listener's user about the child.
                     self.conns[lidx].core.tcb.push_action(TcpAction::NewConnection(child));
@@ -1030,7 +1032,7 @@ where
                 c.parent.is_some() && waits(c),
                 "connection {id}'s place in the accept queue"
             );
-            if c.core.remote.is_none() {
+            if c.peer.is_none() {
                 let scan = table.iter().filter(|child| child.parent == Some(id) && waits(child)).count();
                 assert_eq!(c.backlogged, scan, "listener {id}'s accept-queue count");
             } else {
@@ -1060,7 +1062,7 @@ where
 
     /// The demux key connection `c` is filed under.
     fn demux_key(c: &Conn<L::Peer>) -> (u32, u16, Option<(u64, u16)>) {
-        (c.id, c.core.local_port, c.core.remote.as_ref().map(|(a, p)| (A::hash(a), *p)))
+        (c.id, c.core.local_port, c.peer.as_ref().map(|a| (A::hash(a), c.core.remote_port)))
     }
 }
 
@@ -1098,11 +1100,8 @@ where
                     return Err(ProtoError::AlreadyOpen);
                 }
                 let idx = self.new_conn(local_port, Some((remote, remote_port)), None);
-                let conn = &mut self.conns[idx];
-                conn.handler = Some(handler);
-                state::active_open(&self.cfg, &mut conn.core, self.sched.now())?;
-                self.note_transition(idx, "Closed", Trigger::Open.name());
-                self.run_actions(idx);
+                self.conns[idx].handler = Some(handler);
+                self.user_call(idx, Trigger::Open, state::active_open)?;
                 Ok(TcpConnId(self.conns[idx].id))
             }
             TcpPattern::Passive { local_port } => {
@@ -1113,10 +1112,8 @@ where
                     return Err(ProtoError::AlreadyOpen);
                 }
                 let idx = self.new_conn(local_port, None, None);
-                let conn = &mut self.conns[idx];
-                conn.handler = Some(handler);
-                state::passive_open(&self.cfg, &mut conn.core)?;
-                self.note_transition(idx, "Closed", Trigger::Open.name());
+                self.conns[idx].handler = Some(handler);
+                self.user_call(idx, Trigger::Open, |cfg, core, _| state::passive_open(cfg, core))?;
                 Ok(TcpConnId(self.conns[idx].id))
             }
         }
@@ -1142,24 +1139,12 @@ where
 
     fn close(&mut self, conn: TcpConnId) -> Result<(), ProtoError> {
         let i = self.conns.slot_of(conn.0).ok_or(ProtoError::NotOpen)?;
-        let core = &mut self.conns[i].core;
-        let before = core.state.name();
-        let res = state::close(&self.cfg, core, self.sched.now());
-        self.note_closed(i);
-        self.note_transition(i, before, Trigger::Close.name());
-        self.run_actions(i);
-        res
+        self.user_call(i, Trigger::Close, state::close)
     }
 
     fn abort(&mut self, conn: TcpConnId) -> Result<(), ProtoError> {
         let i = self.conns.slot_of(conn.0).ok_or(ProtoError::NotOpen)?;
-        let core = &mut self.conns[i].core;
-        let before = core.state.name();
-        let res = state::abort(&self.cfg, core, self.sched.now());
-        self.note_closed(i);
-        self.note_transition(i, before, Trigger::Abort.name());
-        self.run_actions(i);
-        res
+        self.user_call(i, Trigger::Abort, state::abort)
     }
 
     fn step(&mut self, now: VirtualTime) -> bool {

@@ -170,21 +170,22 @@ impl TcpConfig {
 
 /// The per-connection core the State/Receive/Send/Resend modules operate
 /// on: everything about a connection *except* the engine-side plumbing
-/// (user handler, timer handles). Module-level tests construct one of
-/// these, apply one operation, and compare the TCB against the standard
-/// — the paper's test structure. [`ConnCore::new`] (in
-/// [`control::fsm`]) is the only way to make one; code outside the
+/// (user handler, timer handles, and the peer's lower-layer address,
+/// which only demultiplexing and transmission read). Module-level tests
+/// construct one of these, apply one operation, and compare the TCB
+/// against the standard — the paper's test structure. [`ConnCore::new`]
+/// (in [`control::fsm`]) is the only way to make one; code outside the
 /// crate reads its TCB ([`ConnCore::tcb`]) and cannot replace it.
-pub struct ConnCore<P> {
+pub struct ConnCore {
     /// Our port.
     pub local_port: u16,
-    /// Peer address and port (`None` while listening).
-    pub remote: Option<(P, u16)>,
+    /// The peer's port (0 while listening).
+    pub remote_port: u16,
     /// The connection state: read anywhere, changed only by
     /// [`control::fsm`].
     pub state: control::fsm::State,
     /// The transmission control block.
-    pub(crate) tcb: Tcb<P>,
+    pub(crate) tcb: Tcb,
     /// The MSS we advertise on SYNs (from the aux structure's MTU).
     pub our_mss: u32,
     /// The engine's buffer pool, a handle on the one every connection
@@ -194,9 +195,9 @@ pub struct ConnCore<P> {
     pub pool: BufPool,
 }
 
-impl<P> ConnCore<P> {
+impl ConnCore {
     /// The transmission control block, to read.
-    pub fn tcb(&self) -> &Tcb<P> {
+    pub fn tcb(&self) -> &Tcb {
         &self.tcb
     }
 }

@@ -23,7 +23,6 @@ use counting_alloc::{allocs, live_bytes};
 use foxbasis::time::VirtualDuration;
 use foxtcp::testlink::Pair;
 use foxtcp::{TcpConfig, TcpConnId, TcpEvent};
-use foxwire::ipv4::Ipv4Addr;
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -206,6 +205,6 @@ fn idle_established_connections_hold_a_pinned_number_of_bytes() {
         held / (2 * IDLE_PAIRS)
     );
     assert!(held / (2 * IDLE_PAIRS) < 2048, "an idle connection costs 2 KB or more");
-    // Most of it is the connection itself, which the TCB's records did not grow.
-    assert!(std::mem::size_of::<foxtcp::ConnCore<Ipv4Addr>>() <= 440, "a connection core outgrew 440 bytes");
+    // Most of it is the connection itself, whose core carries no lower-layer address.
+    assert!(std::mem::size_of::<foxtcp::ConnCore>() <= 432, "a connection core outgrew 432 bytes");
 }

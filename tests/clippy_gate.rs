@@ -260,7 +260,7 @@ fn the_sequence_space_is_written_only_by_the_data_path() {
     // space and the records — is the data path's, but the congestion
     // state and the action queue.
     let rel = "crates/foxtcp/src/data/tcb.rs";
-    for f in fields(rel, "pub struct Tcb<P> {").iter().filter(|f| f.starts_with("pub")) {
+    for f in fields(rel, "pub struct Tcb {").iter().filter(|f| f.starts_with("pub")) {
         let crate_wide = ["pub(crate) cc:", "pub(crate) to_do:"].iter().any(|p| f.starts_with(p));
         assert!(
             f.starts_with("pub(in crate::data) ") || crate_wide,
@@ -294,16 +294,52 @@ fn each_record_of_the_tcb_is_private_to_its_owner() {
 
 #[test]
 fn the_tcb_has_no_pub_field() {
-    let fields = fields("crates/foxtcp/src/data/tcb.rs", "pub struct Tcb<P> {");
+    let fields = fields("crates/foxtcp/src/data/tcb.rs", "pub struct Tcb {");
     let public: Vec<&String> = fields.iter().filter(|f| f.starts_with("pub ")).collect();
     assert!(public.is_empty(), "`Tcb` fields anyone may write: {public:?}");
 }
 
 #[test]
 fn a_connections_tcb_is_not_pub() {
-    let fields = fields("crates/foxtcp/src/lib.rs", "pub struct ConnCore<P> {");
-    let tcb = fields.iter().find(|f| f.contains("tcb: Tcb<P>")).expect("`ConnCore` holds a TCB");
+    let fields = fields("crates/foxtcp/src/lib.rs", "pub struct ConnCore {");
+    let tcb = fields.iter().find(|f| f.contains("tcb: Tcb,")).expect("`ConnCore` holds a TCB");
     assert!(!tcb.starts_with("pub "), "`ConnCore::tcb` is `pub`: code outside the crate could replace it");
+}
+
+/// The TCP's inner modules, which work on a connection's core and never
+/// address its peer: the lower layer's address type is the engine's.
+const INNER_MODULES: &[&str] = &[
+    "crates/foxtcp/src/lib.rs",
+    "crates/foxtcp/src/action.rs",
+    "crates/foxtcp/src/congestion.rs",
+    "crates/foxtcp/src/control",
+    "crates/foxtcp/src/data",
+];
+
+#[test]
+fn the_inner_modules_name_no_lower_layer_type() {
+    for (rel, decl) in [
+        ("crates/foxtcp/src/lib.rs", "pub struct ConnCore {"),
+        ("crates/foxtcp/src/data/tcb.rs", "pub struct Tcb {"),
+        ("crates/foxtcp/src/action.rs", "pub enum TcpAction {"),
+    ] {
+        assert!(read(rel).lines().any(|l| l.starts_with(decl)), "{rel}: no `{decl}`");
+    }
+    let mut generic = Vec::new();
+    for rel in INNER_MODULES {
+        let path = root().join(rel);
+        let files: Vec<PathBuf> = if path.is_dir() {
+            fs::read_dir(&path).expect("readable directory").flatten().map(|e| e.path()).collect()
+        } else {
+            vec![path]
+        };
+        for file in files {
+            let src = fs::read_to_string(&file).expect("readable source");
+            let lines = src.lines().enumerate().filter(|(_, l)| l.contains("<P>") || l.contains("<P:"));
+            generic.extend(lines.map(|(n, l)| format!("{}:{}: {}", file.display(), n + 1, l.trim())));
+        }
+    }
+    assert!(generic.is_empty(), "the inner modules take the peer's type: {generic:#?}");
 }
 
 #[test]
