@@ -42,7 +42,9 @@
 #      not loosened (no `pub` field on `Tcb` or any record, a private
 #      `ConnCore::tcb`, no type parameter on `ConnCore`, `Tcb` or
 #      `TcpAction`, no `Clone` on `State`, every test hook
-#      `#[cfg(test)]`)
+#      `#[cfg(test)]`), and that every layer above the device — TCP
+#      included — attaches below through `foxproto::upcall::Below`: no
+#      file of foxproto or foxtcp but `upcall.rs` builds a receive queue
 #   4. the RFC-793 conformance suite, explicitly (both TCP stacks
 #      against the standard's state diagram; also part of stage 3, but
 #      a named stage keeps the gate visible)

@@ -24,18 +24,16 @@ use crate::demux::{Demux, DemuxStats};
 use crate::{ConnCore, TcpConfig, TcpState};
 use fox_scheduler::SchedHandle;
 use foxbasis::buf::{copy_mark, BufPool};
-use foxbasis::fifo::Fifo;
 use foxbasis::obs::{ConnMetrics, Event, EventSink};
 use foxbasis::seq::Seq;
 use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxbasis::wheel::{TimerWheel, WheelStats};
 use foxproto::aux::IpAux;
+use foxproto::upcall::Below;
 use foxproto::{Handler, ProtoError, Protocol};
 use foxwire::tcp::TcpSegment;
 use simnet::{HostHandle, Work};
-use std::cell::RefCell;
 use std::fmt;
-use std::rc::Rc;
 
 /// A TCP connection handle.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -206,14 +204,11 @@ where
     L: Protocol,
     A: IpAux<Address = L::Peer, Incoming = L::Incoming>,
 {
-    lower: L,
+    below: Below<L>,
     aux: A,
     cfg: TcpConfig,
     sched: SchedHandle,
     host: HostHandle,
-    lower_pattern: L::Pattern,
-    lower_conn: Option<L::ConnId>,
-    rx: Rc<RefCell<Fifo<L::Incoming>>>,
     /// The only connection table (see [`Table`]).
     conns: Table<L::Peer>,
     next_id: u32,
@@ -338,14 +333,11 @@ where
     ) -> Tcp<L, A> {
         let wheel = TimerWheel::new(sched.now());
         Tcp {
-            lower,
+            below: Below::new(lower, lower_pattern),
             aux,
             cfg,
             sched,
             host,
-            lower_pattern,
-            lower_conn: None,
-            rx: Rc::new(RefCell::new(Fifo::new())),
             conns: Table::new(),
             next_id: 0,
             next_ephemeral: EPHEMERAL_FIRST,
@@ -545,15 +537,6 @@ where
         res
     }
 
-    fn ensure_lower_open(&mut self) -> Result<(), ProtoError> {
-        if self.lower_conn.is_none() {
-            let q = self.rx.clone();
-            self.lower_conn =
-                Some(self.lower.open(self.lower_pattern.clone(), Box::new(move |m| q.borrow_mut().add(m)))?);
-        }
-        Ok(())
-    }
-
     /// RFC 793-style clock-driven initial sequence number, made unique
     /// per connection id. Deterministic under the virtual clock.
     fn new_iss(&self) -> Seq {
@@ -693,11 +676,7 @@ where
         if flags.rst {
             self.stats.rsts_sent += 1;
         }
-        let conn = match self.lower_conn {
-            Some(c) => c,
-            None => return,
-        };
-        let _ = self.lower.send(conn, to, bytes);
+        let _ = self.below.send(to, bytes);
     }
 
     /// Arms the Fig. 11 timer for `kind` on connection `idx` — on the
@@ -1081,7 +1060,7 @@ where
         pattern: TcpPattern<L::Peer>,
         handler: Handler<TcpEvent>,
     ) -> Result<TcpConnId, ProtoError> {
-        self.ensure_lower_open()?;
+        self.below.attach()?;
         match pattern {
             TcpPattern::Active { remote, remote_port, local_port } => {
                 let local_port = match local_port {
@@ -1150,7 +1129,7 @@ where
     fn step(&mut self, now: VirtualTime) -> bool {
         // 0. A host answers (RSTs) even before any user open: make sure
         //    we are attached below.
-        let _ = self.ensure_lower_open();
+        let _ = self.below.attach();
         // 1. Let the clock catch up: due timers enqueue
         //    Timer_Expiration actions, in (deadline, arm order).
         let mut fired = std::mem::take(&mut self.fired);
@@ -1165,13 +1144,9 @@ where
             }
         }
         // 2. Pull from below.
-        let mut progress = self.lower.step(now);
+        let mut progress = self.below.step(now);
         // 3. Internalize and process arrivals.
-        loop {
-            let msg = match self.rx.borrow_mut().next() {
-                Some(m) => m,
-                None => break,
-            };
+        while let Some(msg) = self.below.next() {
             progress = true;
             self.internalize(msg);
         }
@@ -1203,7 +1178,7 @@ where
     A: IpAux<Address = L::Peer, Incoming = L::Incoming>,
 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Tcp(conns={}, over {:?})", self.conns.len(), self.lower)
+        write!(f, "Tcp(conns={}, over {:?})", self.conns.len(), self.below)
     }
 }
 

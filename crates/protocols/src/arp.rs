@@ -127,18 +127,17 @@ impl ArpCache {
     }
 
     /// Drops pending queues whose requests have gone unanswered past
-    /// `timeout`; returns the addresses given up on, in address order
-    /// (the `pending` map is ordered, so this is deterministic).
-    pub fn expire_pending(&mut self, now: VirtualTime, timeout: VirtualDuration) -> Vec<Ipv4Addr> {
-        let mut gone = Vec::new();
-        self.pending.retain(|ip, slot| {
+    /// `timeout`; returns how many queued packets went with them.
+    pub fn expire_pending(&mut self, now: VirtualTime, timeout: VirtualDuration) -> u64 {
+        let mut dropped = 0;
+        self.pending.retain(|_, slot| {
             let dead = now.saturating_since(slot.last_request) > timeout;
             if dead {
-                gone.push(*ip);
+                dropped += slot.packets.len() as u64;
             }
             !dead
         });
-        gone
+        dropped
     }
 
     /// A snapshot lookup without side effects (and without allocating):
@@ -267,9 +266,10 @@ mod tests {
     #[test]
     fn unanswered_pending_expires() {
         let mut c = ArpCache::new(A_ETH, A_IP);
-        c.resolve(t(0), B_IP, b"p".to_vec());
-        assert!(c.expire_pending(t(1000), VirtualDuration::from_secs(3)).is_empty());
-        let gone = c.expire_pending(t(10_000), VirtualDuration::from_secs(3));
-        assert_eq!(gone, vec![B_IP]);
+        c.resolve(t(0), B_IP, b"p1".to_vec());
+        c.resolve(t(100), B_IP, b"p2".to_vec());
+        assert_eq!(c.expire_pending(t(1000), VirtualDuration::from_secs(3)), 0);
+        assert_eq!(c.expire_pending(t(10_000), VirtualDuration::from_secs(3)), 2, "both packets, one hop");
+        assert_eq!(c.resolve(t(10_001), B_IP, b"p3".to_vec()).len(), 1, "a fresh request");
     }
 }

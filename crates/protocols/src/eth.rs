@@ -7,16 +7,13 @@
 //! signature as `Ip`, which is what lets `Special_Tcp` run directly on
 //! top of it.
 
-use crate::dev::DevConn;
+use crate::upcall::{Below, Bindings};
 use crate::{Handler, ProtoError, Protocol};
 use foxbasis::buf::PacketBuf;
-use foxbasis::fifo::Fifo;
 use foxbasis::time::VirtualTime;
 use foxwire::ether::{EthAddr, EtherType, Frame};
 use simnet::{HostHandle, Work};
-use std::cell::RefCell;
 use std::fmt;
-use std::rc::Rc;
 
 /// What an upper layer receives from `Eth`.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -37,12 +34,6 @@ pub struct EthIncoming {
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub struct EthConn(u32);
 
-struct Conn {
-    id: EthConn,
-    ethertype: EtherType,
-    handler: Handler<EthIncoming>,
-}
-
 /// Error/drop counters for the layer.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct EthStats {
@@ -58,29 +49,23 @@ pub struct EthStats {
 
 /// The Ethernet layer over a device (`L` is [`crate::dev::Dev`] in real
 /// stacks; anything with the same signature in tests).
-pub struct Eth<L: Protocol<Pattern = (), Peer = (), Incoming = PacketBuf, ConnId = DevConn>> {
-    lower: L,
+pub struct Eth<L: Protocol<Pattern = (), Peer = (), Incoming = PacketBuf>> {
+    below: Below<L>,
     local: EthAddr,
     host: HostHandle,
-    rx: Rc<RefCell<Fifo<PacketBuf>>>,
-    conns: Vec<Conn>,
-    next_id: u32,
+    bindings: Bindings<EtherType, EthIncoming>,
     stats: EthStats,
-    opened_lower: bool,
 }
 
-impl<L: Protocol<Pattern = (), Peer = (), Incoming = PacketBuf, ConnId = DevConn>> Eth<L> {
+impl<L: Protocol<Pattern = (), Peer = (), Incoming = PacketBuf>> Eth<L> {
     /// An Ethernet station with address `local` over `lower`.
     pub fn new(lower: L, local: EthAddr, host: HostHandle) -> Eth<L> {
         Eth {
-            lower,
+            below: Below::new(lower, ()),
             local,
             host,
-            rx: Rc::new(RefCell::new(Fifo::new())),
-            conns: Vec::new(),
-            next_id: 0,
+            bindings: Bindings::new(),
             stats: EthStats::default(),
-            opened_lower: false,
         }
     }
 
@@ -93,62 +78,35 @@ impl<L: Protocol<Pattern = (), Peer = (), Incoming = PacketBuf, ConnId = DevConn
     pub fn stats(&self) -> EthStats {
         self.stats
     }
-
-    fn ensure_lower_open(&mut self) -> Result<(), ProtoError> {
-        if !self.opened_lower {
-            let q = self.rx.clone();
-            // The device upcall only enqueues — the quasi-synchronous
-            // discipline.
-            self.lower.open((), Box::new(move |frame| q.borrow_mut().add(frame)))?;
-            self.opened_lower = true;
-        }
-        Ok(())
-    }
 }
 
-impl<L: Protocol<Pattern = (), Peer = (), Incoming = PacketBuf, ConnId = DevConn>> Protocol for Eth<L> {
+impl<L: Protocol<Pattern = (), Peer = (), Incoming = PacketBuf>> Protocol for Eth<L> {
     type Pattern = EtherType;
     type Peer = EthAddr;
     type Incoming = EthIncoming;
     type ConnId = EthConn;
 
     fn open(&mut self, ethertype: EtherType, handler: Handler<EthIncoming>) -> Result<EthConn, ProtoError> {
-        self.ensure_lower_open()?;
-        if self.conns.iter().any(|c| c.ethertype == ethertype) {
-            return Err(ProtoError::AlreadyOpen);
-        }
-        let id = EthConn(self.next_id);
-        self.next_id += 1;
-        self.conns.push(Conn { id, ethertype, handler });
-        Ok(id)
+        self.below.attach()?;
+        self.bindings.bind(ethertype, handler).map(EthConn)
     }
 
     fn send(&mut self, conn: EthConn, to: EthAddr, payload: impl Into<PacketBuf>) -> Result<(), ProtoError> {
-        let ethertype =
-            self.conns.iter().find(|c| c.id == conn).map(|c| c.ethertype).ok_or(ProtoError::NotOpen)?;
+        let ethertype = self.bindings.key_of(conn.0)?;
         self.host.charge(Work::EthFrame);
         let frame =
             Frame::new(to, self.local, ethertype, payload).encode_buf().map_err(|_| ProtoError::TooBig)?;
         self.stats.sent += 1;
-        self.lower.send(DevConn, (), frame)
+        self.below.send((), frame)
     }
 
     fn close(&mut self, conn: EthConn) -> Result<(), ProtoError> {
-        let before = self.conns.len();
-        self.conns.retain(|c| c.id != conn);
-        if self.conns.len() == before {
-            return Err(ProtoError::NotOpen);
-        }
-        Ok(())
+        self.bindings.unbind(conn.0)
     }
 
     fn step(&mut self, now: VirtualTime) -> bool {
-        let mut progress = self.lower.step(now);
-        loop {
-            let raw = match self.rx.borrow_mut().next() {
-                Some(f) => f,
-                None => break,
-            };
+        let mut progress = self.below.step(now);
+        while let Some(raw) = self.below.next() {
             progress = true;
             self.host.charge(Work::EthFrame);
             let frame = match Frame::decode_buf(&raw) {
@@ -161,28 +119,25 @@ impl<L: Protocol<Pattern = (), Peer = (), Incoming = PacketBuf, ConnId = DevConn
             if frame.dst != self.local && !frame.dst.is_broadcast() && !frame.dst.is_multicast() {
                 continue; // not for us (promiscuous delivery, other host)
             }
-            match self.conns.iter_mut().find(|c| c.ethertype == frame.ethertype) {
-                Some(conn) => {
-                    self.stats.delivered += 1;
-                    (conn.handler)(EthIncoming {
-                        src: frame.src,
-                        dst: frame.dst,
-                        ethertype: frame.ethertype,
-                        payload: frame.payload,
-                    });
-                }
-                None => self.stats.no_listener += 1,
+            let msg = EthIncoming {
+                src: frame.src,
+                dst: frame.dst,
+                ethertype: frame.ethertype,
+                payload: frame.payload,
+            };
+            if self.bindings.deliver(msg.ethertype, msg) {
+                self.stats.delivered += 1;
+            } else {
+                self.stats.no_listener += 1;
             }
         }
         progress
     }
 }
 
-impl<L: Protocol<Pattern = (), Peer = (), Incoming = PacketBuf, ConnId = DevConn> + fmt::Debug> fmt::Debug
-    for Eth<L>
-{
+impl<L: Protocol<Pattern = (), Peer = (), Incoming = PacketBuf> + fmt::Debug> fmt::Debug for Eth<L> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Eth({:?}, conns={}, over {:?})", self.local, self.conns.len(), self.lower)
+        write!(f, "Eth({:?}, conns={}, over {:?})", self.local, self.bindings.len(), self.below)
     }
 }
 
@@ -191,6 +146,8 @@ mod tests {
     use super::*;
     use crate::dev::Dev;
     use simnet::{NetConfig, SimNet};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn station(net: &SimNet, id: u8) -> Eth<Dev> {
         let host = HostHandle::free();

@@ -6,9 +6,9 @@
 //! [`Ping`] session matches their identifier.
 
 use crate::ip::IpIncoming;
+use crate::upcall::{Below, Bindings};
 use crate::{Handler, ProtoError, Protocol};
 use foxbasis::buf::PacketBuf;
-use foxbasis::fifo::Fifo;
 use foxbasis::time::VirtualTime;
 use foxwire::icmp::IcmpEcho;
 use foxwire::ipv4::{IpProtocol, Ipv4Addr};
@@ -30,7 +30,7 @@ pub struct EchoReply {
 
 /// Connection handle (one per ping identifier).
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub struct IcmpConn(u16);
+pub struct IcmpConn(u32);
 
 /// Statistics.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -43,18 +43,12 @@ pub struct IcmpStats {
     pub bad: u64,
 }
 
-struct Session {
-    ident: u16,
-    handler: Handler<EchoReply>,
-}
-
 /// The ICMP echo layer over Ip.
 pub struct Icmp<L: Protocol<Pattern = IpProtocol, Peer = Ipv4Addr, Incoming = IpIncoming>> {
-    lower: L,
+    below: Below<L>,
     host: HostHandle,
-    conn: Option<L::ConnId>,
-    rx: Rc<RefCell<Fifo<IpIncoming>>>,
-    sessions: Vec<Session>,
+    /// Ping sessions, bound by identifier.
+    sessions: Bindings<u16, EchoReply>,
     stats: IcmpStats,
 }
 
@@ -62,11 +56,9 @@ impl<L: Protocol<Pattern = IpProtocol, Peer = Ipv4Addr, Incoming = IpIncoming>> 
     /// An echo layer over `lower`.
     pub fn new(lower: L, host: HostHandle) -> Icmp<L> {
         Icmp {
-            lower,
+            below: Below::new(lower, IpProtocol::Icmp),
             host,
-            conn: None,
-            rx: Rc::new(RefCell::new(Fifo::new())),
-            sessions: Vec::new(),
+            sessions: Bindings::new(),
             stats: IcmpStats::default(),
         }
     }
@@ -76,18 +68,10 @@ impl<L: Protocol<Pattern = IpProtocol, Peer = Ipv4Addr, Incoming = IpIncoming>> 
         self.stats
     }
 
-    fn ensure_lower_open(&mut self) -> Result<(), ProtoError> {
-        if self.conn.is_none() {
-            let q = self.rx.clone();
-            self.conn = Some(self.lower.open(IpProtocol::Icmp, Box::new(move |m| q.borrow_mut().add(m)))?);
-        }
-        Ok(())
-    }
-
     /// Activates the responder (opens the lower conn) without starting a
     /// ping session — every host should call this once.
     pub fn activate(&mut self) -> Result<(), ProtoError> {
-        self.ensure_lower_open()
+        self.below.attach()
     }
 }
 
@@ -99,18 +83,12 @@ impl<L: Protocol<Pattern = IpProtocol, Peer = Ipv4Addr, Incoming = IpIncoming>> 
     type ConnId = IcmpConn;
 
     fn open(&mut self, ident: u16, handler: Handler<EchoReply>) -> Result<IcmpConn, ProtoError> {
-        self.ensure_lower_open()?;
-        if self.sessions.iter().any(|s| s.ident == ident) {
-            return Err(ProtoError::AlreadyOpen);
-        }
-        self.sessions.push(Session { ident, handler });
-        Ok(IcmpConn(ident))
+        self.below.attach()?;
+        self.sessions.bind(ident, handler).map(IcmpConn)
     }
 
-    /// Sends an echo request carrying `payload`; the first two bytes of
-    /// `payload` are used as the sequence number if present... no —
-    /// `send` uses an internal sequence of 0; use [`Ping`] for numbered
-    /// probes.
+    /// Sends an echo request carrying `payload`, with sequence number 0;
+    /// [`Icmp::send_request`] (what [`Ping`] uses) numbers its probes.
     fn send(
         &mut self,
         conn: IcmpConn,
@@ -121,21 +99,12 @@ impl<L: Protocol<Pattern = IpProtocol, Peer = Ipv4Addr, Incoming = IpIncoming>> 
     }
 
     fn close(&mut self, conn: IcmpConn) -> Result<(), ProtoError> {
-        let before = self.sessions.len();
-        self.sessions.retain(|s| s.ident != conn.0);
-        if self.sessions.len() == before {
-            return Err(ProtoError::NotOpen);
-        }
-        Ok(())
+        self.sessions.unbind(conn.0)
     }
 
     fn step(&mut self, now: VirtualTime) -> bool {
-        let mut progress = self.lower.step(now);
-        loop {
-            let msg = match self.rx.borrow_mut().next() {
-                Some(m) => m,
-                None => break,
-            };
+        let mut progress = self.below.step(now);
+        while let Some(msg) = self.below.next() {
             progress = true;
             let echo = match IcmpEcho::decode(&msg.payload.bytes()) {
                 Ok(e) => e,
@@ -147,15 +116,14 @@ impl<L: Protocol<Pattern = IpProtocol, Peer = Ipv4Addr, Incoming = IpIncoming>> 
             if echo.is_request {
                 // Answer automatically, as every live host does.
                 self.host.charge(Work::Checksum(msg.payload.len()));
-                let reply = echo.reply();
-                if let (Some(conn), Ok(bytes)) = (self.conn, reply.encode()) {
-                    let _ = self.lower.send(conn, msg.src, bytes);
+                if let Ok(bytes) = echo.reply().encode() {
+                    let _ = self.below.send(msg.src, bytes);
                     self.stats.requests_answered += 1;
                 }
             } else {
-                if let Some(sess) = self.sessions.iter_mut().find(|s| s.ident == echo.ident) {
+                let reply = EchoReply { from: msg.src, seq: echo.seq, payload: echo.payload };
+                if self.sessions.deliver(echo.ident, reply) {
                     self.stats.replies_delivered += 1;
-                    (sess.handler)(EchoReply { from: msg.src, seq: echo.seq, payload: echo.payload });
                 }
             }
         }
@@ -172,14 +140,11 @@ impl<L: Protocol<Pattern = IpProtocol, Peer = Ipv4Addr, Incoming = IpIncoming>> 
         seq: u16,
         payload: Vec<u8>,
     ) -> Result<(), ProtoError> {
-        if !self.sessions.iter().any(|s| s.ident == conn.0) {
-            return Err(ProtoError::NotOpen);
-        }
-        let lower_conn = self.conn.ok_or(ProtoError::NotOpen)?;
-        let req = IcmpEcho { is_request: true, ident: conn.0, seq, payload };
+        let ident = self.sessions.key_of(conn.0)?;
+        let req = IcmpEcho { is_request: true, ident, seq, payload };
         let bytes = req.encode().map_err(|_| ProtoError::TooBig)?;
         self.host.charge(Work::Checksum(bytes.len()));
-        self.lower.send(lower_conn, to, bytes)
+        self.below.send(to, bytes)
     }
 }
 
@@ -187,7 +152,7 @@ impl<L: Protocol<Pattern = IpProtocol, Peer = Ipv4Addr, Incoming = IpIncoming> +
     for Icmp<L>
 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Icmp(sessions={}, over {:?})", self.sessions.len(), self.lower)
+        write!(f, "Icmp(sessions={}, over {:?})", self.sessions.len(), self.below)
     }
 }
 
@@ -321,7 +286,7 @@ mod tests {
         let mut ping = Ping::new(&mut a, 77).unwrap();
         ping.probe(&mut a, Ipv4Addr::new(10, 0, 0, 2), net.now()).unwrap();
         // Drop the session before the reply lands.
-        a.close(IcmpConn(77)).unwrap();
+        a.close(ping.conn).unwrap();
         settle(&net, &mut [&mut a, &mut b]);
         assert_eq!(a.stats().replies_delivered, 0);
         let _ = ping;

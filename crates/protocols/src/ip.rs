@@ -9,9 +9,9 @@
 
 use crate::arp::{ArpCache, ArpEffect};
 use crate::eth::EthIncoming;
+use crate::upcall::{Bindings, Inbox};
 use crate::{Handler, ProtoError, Protocol};
 use foxbasis::buf::PacketBuf;
-use foxbasis::fifo::Fifo;
 use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxwire::arp::ArpPacket;
 use foxwire::ether::{EthAddr, EtherType};
@@ -19,7 +19,6 @@ use foxwire::ipv4::{IpProtocol, Ipv4Addr, Ipv4Header, Ipv4Packet};
 use simnet::{HostHandle, Work};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::{cell::RefCell, rc::Rc};
 
 /// Reassembly gives up on a datagram after this long (RFC 1122's
 /// suggested 15–120 s range).
@@ -86,12 +85,6 @@ pub struct IpStats {
     pub reassembly_expired: u64,
     /// Packets dropped because ARP never resolved.
     pub unresolved: u64,
-}
-
-struct Conn {
-    id: IpConn,
-    proto: IpProtocol,
-    handler: Handler<IpIncoming>,
 }
 
 struct Reassembly {
@@ -225,18 +218,150 @@ impl Reassembler {
     }
 }
 
+/// One IPv4 interface on an Ethernet-like layer: the IPv4 and ARP
+/// bindings, which feed one inbox so that ARP and IPv4 frames keep their
+/// arrival order, the ARP cache, and the interface's address and prefix.
+/// A host's [`Ip`] holds one; a [`crate::router::Router`] holds one per
+/// interface.
+pub(crate) struct Link<L: Protocol> {
+    lower: L,
+    /// The (IPv4, ARP) bindings, once attached.
+    bound: Option<(L::ConnId, L::ConnId)>,
+    inbox: Inbox<EthIncoming>,
+    arp: ArpCache,
+    addr: Ipv4Addr,
+    prefix_len: u8,
+}
+
+/// What [`Link::next`] took from the inbox.
+pub(crate) enum Arrival {
+    /// An IPv4 packet, still encoded.
+    Ipv4(PacketBuf),
+    /// An ARP packet, already answered.
+    Arp,
+    /// A frame that does not decode.
+    Bad,
+}
+
+impl<L: Protocol<Pattern = EtherType, Peer = EthAddr, Incoming = EthIncoming>> Link<L> {
+    /// The interface `addr`/`prefix_len` at station address `mac` over
+    /// `lower`.
+    pub(crate) fn new(lower: L, mac: EthAddr, addr: Ipv4Addr, prefix_len: u8) -> Link<L> {
+        Link { lower, bound: None, inbox: Inbox::new(), arp: ArpCache::new(mac, addr), addr, prefix_len }
+    }
+
+    /// Opens both bindings below, once.
+    pub(crate) fn attach(&mut self) -> Result<(), ProtoError> {
+        if self.bound.is_none() {
+            let ipv4 = self.lower.open(EtherType::Ipv4, self.inbox.handler())?;
+            let arp = self.lower.open(EtherType::Arp, self.inbox.handler())?;
+            self.bound = Some((ipv4, arp));
+        }
+        Ok(())
+    }
+
+    /// The interface's address.
+    pub(crate) fn addr(&self) -> Ipv4Addr {
+        self.addr
+    }
+
+    fn subnet(&self, a: Ipv4Addr) -> u32 {
+        let mask = if self.prefix_len == 0 { 0 } else { !0u32 << (32 - self.prefix_len) };
+        a.to_u32() & mask
+    }
+
+    /// Whether `a` is on the interface's subnet.
+    pub(crate) fn on_link(&self, a: Ipv4Addr) -> bool {
+        self.subnet(a) == self.subnet(self.addr)
+    }
+
+    /// Whether `dst` is the limited broadcast or the subnet's broadcast
+    /// address.
+    pub(crate) fn is_broadcast(&self, dst: Ipv4Addr) -> bool {
+        if dst == Ipv4Addr::BROADCAST {
+            return true;
+        }
+        let host_bits = 32 - u32::from(self.prefix_len);
+        let subnet_broadcast = self.subnet(self.addr) | ((1u64 << host_bits) as u32).wrapping_sub(1);
+        dst.to_u32() == subnet_broadcast
+    }
+
+    /// Sends the encoded IPv4 `packet` to the station at `hop`, or to
+    /// every station for `None`. A hop ARP has not resolved yet gets the
+    /// packet queued behind a request.
+    pub(crate) fn send(
+        &mut self,
+        now: VirtualTime,
+        hop: Option<Ipv4Addr>,
+        packet: PacketBuf,
+    ) -> Result<(), ProtoError> {
+        let (ipv4, _) = self.bound.ok_or(ProtoError::NotOpen)?;
+        match hop {
+            None => self.lower.send(ipv4, EthAddr::BROADCAST, packet),
+            Some(hop) => match self.arp.lookup(now, hop) {
+                // The per-packet case: a live mapping, nothing to queue,
+                // no effect list to build.
+                Some(mac) => self.lower.send(ipv4, mac, packet),
+                None => {
+                    let effects = self.arp.resolve(now, hop, packet);
+                    self.apply(effects)
+                }
+            },
+        }
+    }
+
+    fn apply(&mut self, effects: Vec<ArpEffect>) -> Result<(), ProtoError> {
+        let (ipv4, arp) = self.bound.ok_or(ProtoError::NotOpen)?;
+        for e in effects {
+            match e {
+                ArpEffect::Transmit(arp_pkt, mac) => self.lower.send(arp, mac, arp_pkt.encode())?,
+                ArpEffect::Release(packets, mac) => {
+                    for p in packets {
+                        self.lower.send(ipv4, mac, p)?;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The oldest arrival not yet taken. An ARP packet is answered (and
+    /// the packets it releases sent) here.
+    pub(crate) fn next(&mut self, now: VirtualTime) -> Option<Arrival> {
+        let msg = self.inbox.next()?;
+        Some(match msg.ethertype {
+            EtherType::Ipv4 => Arrival::Ipv4(msg.payload),
+            EtherType::Arp => match ArpPacket::decode(&msg.payload.bytes()) {
+                Ok(pkt) => {
+                    let effects = self.arp.input(now, &pkt);
+                    let _ = self.apply(effects);
+                    Arrival::Arp
+                }
+                Err(_) => Arrival::Bad,
+            },
+            _ => Arrival::Bad,
+        })
+    }
+
+    /// Drives the layer below, which fills the inbox.
+    pub(crate) fn step(&mut self, now: VirtualTime) -> bool {
+        self.lower.step(now)
+    }
+
+    /// Gives up on next hops whose ARP requests went unanswered for
+    /// [`ARP_GIVE_UP`]; returns how many queued packets were dropped.
+    pub(crate) fn expire(&mut self, now: VirtualTime) -> u64 {
+        self.arp.expire_pending(now, ARP_GIVE_UP)
+    }
+}
+
 /// The IPv4 layer over an Ethernet-like lower protocol.
 pub struct Ip<L: Protocol<Pattern = EtherType, Peer = EthAddr, Incoming = EthIncoming>> {
-    lower: L,
+    link: Link<L>,
     config: IpConfig,
     host: HostHandle,
-    ipv4_conn: Option<L::ConnId>,
-    arp_conn: Option<L::ConnId>,
-    rx: Rc<RefCell<Fifo<EthIncoming>>>,
-    arp: ArpCache,
     reasm: Reassembler,
-    conns: Vec<Conn>,
-    next_id: u32,
+    bindings: Bindings<IpProtocol, IpIncoming>,
     next_ident: u16,
     stats: IpStats,
 }
@@ -245,18 +370,12 @@ impl<L: Protocol<Pattern = EtherType, Peer = EthAddr, Incoming = EthIncoming>> I
     /// An IP host at `config.local` over `lower`, whose station address
     /// is `local_eth`.
     pub fn new(lower: L, local_eth: EthAddr, config: IpConfig, host: HostHandle) -> Ip<L> {
-        let arp = ArpCache::new(local_eth, config.local);
         Ip {
-            lower,
+            link: Link::new(lower, local_eth, config.local, config.prefix_len),
             config,
             host,
-            ipv4_conn: None,
-            arp_conn: None,
-            rx: Rc::new(RefCell::new(Fifo::new())),
-            arp,
             reasm: Reassembler::new(),
-            conns: Vec::new(),
-            next_id: 0,
+            bindings: Bindings::new(),
             next_ident: 1,
             stats: IpStats::default(),
         }
@@ -278,37 +397,11 @@ impl<L: Protocol<Pattern = EtherType, Peer = EthAddr, Incoming = EthIncoming>> I
         self.stats
     }
 
-    fn ensure_lower_open(&mut self) -> Result<(), ProtoError> {
-        if self.ipv4_conn.is_none() {
-            let q = self.rx.clone();
-            self.ipv4_conn =
-                Some(self.lower.open(EtherType::Ipv4, Box::new(move |m| q.borrow_mut().add(m)))?);
-            let q = self.rx.clone();
-            self.arp_conn = Some(self.lower.open(EtherType::Arp, Box::new(move |m| q.borrow_mut().add(m)))?);
-        }
-        Ok(())
-    }
-
-    fn subnet_of(&self, addr: Ipv4Addr) -> u32 {
-        let mask = if self.config.prefix_len == 0 { 0 } else { !0u32 << (32 - self.config.prefix_len) };
-        addr.to_u32() & mask
-    }
-
-    fn is_broadcast_for_us(&self, dst: Ipv4Addr) -> bool {
-        if dst == Ipv4Addr::BROADCAST {
-            return true;
-        }
-        let host_bits = 32 - u32::from(self.config.prefix_len);
-        let subnet_broadcast =
-            self.subnet_of(self.config.local) | ((1u64 << host_bits) as u32).wrapping_sub(1);
-        dst.to_u32() == subnet_broadcast
-    }
-
     fn next_hop(&self, dst: Ipv4Addr) -> Result<Option<Ipv4Addr>, ProtoError> {
-        if self.is_broadcast_for_us(dst) {
+        if self.link.is_broadcast(dst) {
             return Ok(None); // link broadcast
         }
-        if self.subnet_of(dst) == self.subnet_of(self.config.local) {
+        if self.link.on_link(dst) {
             return Ok(Some(dst));
         }
         self.config.gateway.map(Some).ok_or(ProtoError::Unreachable)
@@ -320,47 +413,43 @@ impl<L: Protocol<Pattern = EtherType, Peer = EthAddr, Incoming = EthIncoming>> I
         bytes: PacketBuf,
         dst: Ipv4Addr,
     ) -> Result<(), ProtoError> {
-        let conn = self.ipv4_conn.expect("lower opened");
         self.stats.sent += 1;
-        match self.next_hop(dst)? {
-            None => self.lower.send(conn, EthAddr::BROADCAST, bytes),
-            Some(hop) => match self.arp.lookup(now, hop) {
-                // The per-packet case: a live mapping, nothing to queue,
-                // no effect list to build.
-                Some(mac) => self.lower.send(conn, mac, bytes),
-                None => {
-                    let effects = self.arp.resolve(now, hop, bytes);
-                    self.apply_arp_effects(effects)
-                }
-            },
-        }
+        let hop = self.next_hop(dst)?;
+        self.link.send(now, hop, bytes)
     }
 
-    fn apply_arp_effects(&mut self, effects: Vec<ArpEffect>) -> Result<(), ProtoError> {
-        for e in effects {
-            match e {
-                ArpEffect::Transmit(arp_pkt, dst_mac) => {
-                    let conn = self.arp_conn.expect("lower opened");
-                    self.lower.send(conn, dst_mac, arp_pkt.encode())?;
-                }
-                ArpEffect::Release(packets, dst_mac) => {
-                    let conn = self.ipv4_conn.expect("lower opened");
-                    for p in packets {
-                        self.lower.send(conn, dst_mac, p)?;
-                    }
-                }
+    /// One IPv4 packet from the link: checked, reassembled if it is a
+    /// fragment, and delivered.
+    fn input(&mut self, now: VirtualTime, payload: PacketBuf) {
+        self.host.charge(Work::IpPacket);
+        let pkt = match Ipv4Packet::decode_buf(&payload) {
+            Ok(p) => p,
+            Err(_) => {
+                self.stats.bad += 1;
+                return;
             }
+        };
+        if pkt.header.dst != self.config.local && !self.link.is_broadcast(pkt.header.dst) {
+            self.stats.not_ours += 1;
+            return;
         }
-        Ok(())
-    }
-
-    fn deliver(&mut self, msg: IpIncoming) {
-        match self.conns.iter_mut().find(|c| c.proto == msg.proto) {
-            Some(conn) => {
-                self.stats.delivered += 1;
-                (conn.handler)(msg);
+        let msg = if pkt.header.is_fragment() {
+            match self.reasm.input(now, pkt) {
+                Some(whole) => whole,
+                None => return,
             }
-            None => self.stats.no_listener += 1,
+        } else {
+            IpIncoming {
+                src: pkt.header.src,
+                dst: pkt.header.dst,
+                proto: pkt.header.protocol,
+                payload: pkt.payload,
+            }
+        };
+        if self.bindings.deliver(msg.proto, msg) {
+            self.stats.delivered += 1;
+        } else {
+            self.stats.no_listener += 1;
         }
     }
 }
@@ -372,19 +461,13 @@ impl<L: Protocol<Pattern = EtherType, Peer = EthAddr, Incoming = EthIncoming>> P
     type ConnId = IpConn;
 
     fn open(&mut self, proto: IpProtocol, handler: Handler<IpIncoming>) -> Result<IpConn, ProtoError> {
-        self.ensure_lower_open()?;
-        if self.conns.iter().any(|c| c.proto == proto) {
-            return Err(ProtoError::AlreadyOpen);
-        }
-        let id = IpConn(self.next_id);
-        self.next_id += 1;
-        self.conns.push(Conn { id, proto, handler });
-        Ok(id)
+        self.link.attach()?;
+        self.bindings.bind(proto, handler).map(IpConn)
     }
 
     fn send(&mut self, conn: IpConn, to: Ipv4Addr, payload: impl Into<PacketBuf>) -> Result<(), ProtoError> {
         let payload: PacketBuf = payload.into();
-        let proto = self.conns.iter().find(|c| c.id == conn).map(|c| c.proto).ok_or(ProtoError::NotOpen)?;
+        let proto = self.bindings.key_of(conn.0)?;
         self.host.charge(Work::IpPacket);
         let now = self.host.with(|h| h.now_busy());
         let mtu = self.mtu();
@@ -424,65 +507,21 @@ impl<L: Protocol<Pattern = EtherType, Peer = EthAddr, Incoming = EthIncoming>> P
     }
 
     fn close(&mut self, conn: IpConn) -> Result<(), ProtoError> {
-        let before = self.conns.len();
-        self.conns.retain(|c| c.id != conn);
-        if self.conns.len() == before {
-            return Err(ProtoError::NotOpen);
-        }
-        Ok(())
+        self.bindings.unbind(conn.0)
     }
 
     fn step(&mut self, now: VirtualTime) -> bool {
-        let mut progress = self.lower.step(now);
-        loop {
-            let msg = match self.rx.borrow_mut().next() {
-                Some(m) => m,
-                None => break,
-            };
+        let mut progress = self.link.step(now);
+        while let Some(arrival) = self.link.next(now) {
             progress = true;
-            match msg.ethertype {
-                EtherType::Arp => {
-                    if let Ok(pkt) = ArpPacket::decode(&msg.payload.bytes()) {
-                        let effects = self.arp.input(now, &pkt);
-                        let _ = self.apply_arp_effects(effects);
-                    } else {
-                        self.stats.bad += 1;
-                    }
-                }
-                EtherType::Ipv4 => {
-                    self.host.charge(Work::IpPacket);
-                    let pkt = match Ipv4Packet::decode_buf(&msg.payload) {
-                        Ok(p) => p,
-                        Err(_) => {
-                            self.stats.bad += 1;
-                            continue;
-                        }
-                    };
-                    if pkt.header.dst != self.config.local && !self.is_broadcast_for_us(pkt.header.dst) {
-                        self.stats.not_ours += 1;
-                        continue;
-                    }
-                    if pkt.header.is_fragment() {
-                        if let Some(whole) = self.reasm.input(now, pkt) {
-                            self.deliver(whole);
-                        }
-                    } else {
-                        let m = IpIncoming {
-                            src: pkt.header.src,
-                            dst: pkt.header.dst,
-                            proto: pkt.header.protocol,
-                            payload: pkt.payload,
-                        };
-                        self.deliver(m);
-                    }
-                }
-                _ => self.stats.bad += 1,
+            match arrival {
+                Arrival::Ipv4(payload) => self.input(now, payload),
+                Arrival::Arp => {}
+                Arrival::Bad => self.stats.bad += 1,
             }
         }
         self.stats.reassembly_expired += self.reasm.expire(now);
-        for _dead in self.arp.expire_pending(now, ARP_GIVE_UP) {
-            self.stats.unresolved += 1;
-        }
+        self.stats.unresolved += self.link.expire(now);
         progress
     }
 }
@@ -491,7 +530,7 @@ impl<L: Protocol<Pattern = EtherType, Peer = EthAddr, Incoming = EthIncoming> + 
     for Ip<L>
 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Ip({}, conns={}, over {:?})", self.config.local, self.conns.len(), self.lower)
+        write!(f, "Ip({}, conns={}, over {:?})", self.config.local, self.bindings.len(), self.link.lower)
     }
 }
 
@@ -501,6 +540,8 @@ mod tests {
     use crate::dev::Dev;
     use crate::eth::Eth;
     use simnet::SimNet;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     type Stack = Ip<Eth<Dev>>;
 
@@ -645,6 +686,23 @@ mod tests {
         a.send(conn, Ipv4Addr::new(10, 0, 0, 2), b"udp".to_vec()).unwrap();
         settle(&net, &mut [&mut a, &mut b]);
         assert_eq!(b.stats().no_listener, 1);
+    }
+
+    /// Every packet queued behind a next hop nobody answers counts once
+    /// when ARP gives up on it.
+    #[test]
+    fn packets_queued_to_a_silent_hop_count_as_unresolved() {
+        let net = SimNet::ethernet_10mbps(5);
+        let mut a = station(&net, 1);
+        let conn = a.open(IpProtocol::Udp, Box::new(|_| {})).unwrap();
+        for payload in [b"one", b"two", b"six"] {
+            a.send(conn, Ipv4Addr::new(10, 0, 0, 9), payload.to_vec()).unwrap();
+        }
+        settle(&net, &mut [&mut a]);
+        assert_eq!(a.stats().unresolved, 0, "still asking");
+        net.advance_to(net.now() + ARP_GIVE_UP + VirtualDuration::from_secs(1));
+        a.step(net.now());
+        assert_eq!((a.stats().sent, a.stats().unresolved), (3, 3));
     }
 
     #[test]

@@ -24,19 +24,29 @@
 //! higher-order functions. To preserve the quasi-synchronous discipline
 //! (and to make the single-threaded borrow story sound), handlers must
 //! only *enqueue*; real processing happens when the owner's `step` runs.
+//! That rule is written once, in [`upcall::Below`]: every layer above the
+//! device (TCP included) attaches below through one, whose handler only
+//! enqueues into an inbox the layer drains in its own `step`.
 //!
 //! Layers:
+//! * [`upcall`] — `Below`, the one attachment shape, and the binding
+//!   table every demultiplexing layer keeps;
 //! * [`dev`] — the device protocol: the boundary to the simulated
 //!   Mach 3.0 device interface;
 //! * [`eth`] — Ethernet framing/demultiplexing;
-//! * [`arp`] — the address-resolution cache used by Ip;
-//! * [`ip`] — IPv4 with routing, fragmentation and reassembly;
+//! * [`arp`] — the address-resolution cache each IP link keeps;
+//! * [`ip`] — IPv4 with routing, fragmentation and reassembly, over a
+//!   `Link` (the IPv4 and ARP bindings, the ARP cache, the subnet);
+//! * [`router`] — store-and-forward between segments, one `Link` per
+//!   interface;
 //! * [`aux`] — the `IP_AUX` signature of Fig. 5, the auxiliary structure
 //!   TCP and UDP take alongside their lower protocol;
 //! * [`udp`] — UDP as a functor over any (lower, aux) pair, like TCP;
 //! * [`icmp`] — ICMP echo: a responder layer and a `Ping` client;
 //! * [`shared`] — `Shared<P>`, the glue that lets several upper layers
-//!   (TCP, UDP, ICMP) share one lower instance.
+//!   (TCP, UDP, ICMP) share one lower instance;
+//! * [`vp`] — `SizedPayload`, the virtual protocol that makes raw
+//!   Ethernet a clean transport substrate.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,6 +61,7 @@ pub mod ip;
 pub mod router;
 pub mod shared;
 pub mod udp;
+pub mod upcall;
 pub mod vp;
 
 pub use aux::{EthAux, IpAux, IpAuxImpl};

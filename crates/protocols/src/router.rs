@@ -4,26 +4,23 @@
 //! routers", as §3's Special_Tcp discussion notes), but the Ip layer's
 //! gateway configuration implies one — so here it is: a store-and-
 //! forward IPv4 router joining any number of simulated segments, with
-//! per-interface ARP, TTL decrement, and the RFC 1624 *incremental*
-//! header-checksum update (`foxbasis::checksum::incremental_update`)
-//! on the forwarding fast path, exactly as real routers avoid re-summing
-//! the whole header.
+//! per-interface ARP (each interface is a host's own IP `Link`: its
+//! bindings, ARP cache and subnet), TTL decrement, and the RFC 1624
+//! *incremental* header-checksum update
+//! (`foxbasis::checksum::incremental_update`) on the forwarding fast
+//! path, exactly as real routers avoid re-summing the whole header.
 
-use crate::arp::{ArpCache, ArpEffect};
 use crate::dev::Dev;
-use crate::eth::{Eth, EthIncoming};
-use crate::{ProtoError, Protocol};
+use crate::eth::Eth;
+use crate::ip::{Arrival, Link};
+use crate::ProtoError;
 use foxbasis::buf::PacketBuf;
 use foxbasis::checksum::incremental_update;
-use foxbasis::fifo::Fifo;
 use foxbasis::time::VirtualTime;
-use foxwire::arp::ArpPacket;
-use foxwire::ether::{EthAddr, EtherType};
+use foxwire::ether::EthAddr;
 use foxwire::ipv4::Ipv4Addr;
 use simnet::{HostHandle, SimNet};
-use std::cell::RefCell;
 use std::fmt;
-use std::rc::Rc;
 
 /// Forwarding statistics.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -38,32 +35,14 @@ pub struct RouterStats {
     pub for_router: u64,
     /// Undecodable packets.
     pub bad: u64,
-}
-
-struct Iface {
-    eth: Eth<Dev>,
-    ipv4_conn: crate::eth::EthConn,
-    arp_conn: crate::eth::EthConn,
-    rx: Rc<RefCell<Fifo<EthIncoming>>>,
-    arp: ArpCache,
-    addr: Ipv4Addr,
-    prefix_len: u8,
-}
-
-impl Iface {
-    fn subnet(&self, a: Ipv4Addr) -> u32 {
-        let mask = if self.prefix_len == 0 { 0 } else { !0u32 << (32 - self.prefix_len) };
-        a.to_u32() & mask
-    }
-
-    fn owns(&self, a: Ipv4Addr) -> bool {
-        self.subnet(a) == self.subnet(self.addr)
-    }
+    /// Forwarded packets dropped because ARP never resolved their
+    /// destination.
+    pub unresolved: u64,
 }
 
 /// The router.
 pub struct Router {
-    ifs: Vec<Iface>,
+    ifs: Vec<Link<Eth<Dev>>>,
     stats: RouterStats,
 }
 
@@ -83,21 +62,10 @@ impl Router {
         prefix_len: u8,
         host: HostHandle,
     ) -> Result<(), ProtoError> {
-        let mut eth = Eth::new(Dev::new(net.attach(mac), host.clone()), mac, host);
-        let rx = Rc::new(RefCell::new(Fifo::new()));
-        let q = rx.clone();
-        let ipv4_conn = eth.open(EtherType::Ipv4, Box::new(move |m| q.borrow_mut().add(m)))?;
-        let q = rx.clone();
-        let arp_conn = eth.open(EtherType::Arp, Box::new(move |m| q.borrow_mut().add(m)))?;
-        self.ifs.push(Iface {
-            eth,
-            ipv4_conn,
-            arp_conn,
-            rx,
-            arp: ArpCache::new(mac, addr),
-            addr,
-            prefix_len,
-        });
+        let eth = Eth::new(Dev::new(net.attach(mac), host.clone()), mac, host);
+        let mut link = Link::new(eth, mac, addr, prefix_len);
+        link.attach()?;
+        self.ifs.push(link);
         Ok(())
     }
 
@@ -110,55 +78,23 @@ impl Router {
     pub fn step(&mut self, now: VirtualTime) -> bool {
         let mut progress = false;
         for i in 0..self.ifs.len() {
-            progress |= self.ifs[i].eth.step(now);
-            loop {
-                let msg = match self.ifs[i].rx.borrow_mut().next() {
-                    Some(m) => m,
-                    None => break,
-                };
+            progress |= self.ifs[i].step(now);
+            while let Some(arrival) = self.ifs[i].next(now) {
                 progress = true;
-                match msg.ethertype {
-                    EtherType::Arp => self.handle_arp(i, now, &msg),
-                    EtherType::Ipv4 => self.handle_ipv4(i, now, msg.payload),
-                    _ => self.stats.bad += 1,
+                match arrival {
+                    Arrival::Ipv4(packet) => self.forward(now, packet),
+                    Arrival::Arp => {}
+                    Arrival::Bad => self.stats.bad += 1,
                 }
             }
+            self.stats.unresolved += self.ifs[i].expire(now);
         }
         progress
     }
 
-    fn handle_arp(&mut self, i: usize, now: VirtualTime, msg: &EthIncoming) {
-        let pkt = match ArpPacket::decode(&msg.payload.bytes()) {
-            Ok(p) => p,
-            Err(_) => {
-                self.stats.bad += 1;
-                return;
-            }
-        };
-        let effects = self.ifs[i].arp.input(now, &pkt);
-        self.apply_arp_effects(i, effects);
-    }
-
-    fn apply_arp_effects(&mut self, i: usize, effects: Vec<ArpEffect>) {
-        for e in effects {
-            match e {
-                ArpEffect::Transmit(arp_pkt, dst) => {
-                    let conn = self.ifs[i].arp_conn;
-                    let _ = self.ifs[i].eth.send(conn, dst, arp_pkt.encode());
-                }
-                ArpEffect::Release(packets, dst) => {
-                    let conn = self.ifs[i].ipv4_conn;
-                    for p in packets {
-                        let _ = self.ifs[i].eth.send(conn, dst, p);
-                    }
-                }
-            }
-        }
-    }
-
     /// The forwarding path. Works on raw header bytes so the checksum
     /// can be updated incrementally.
-    fn handle_ipv4(&mut self, from: usize, now: VirtualTime, buf: PacketBuf) {
+    fn forward(&mut self, now: VirtualTime, buf: PacketBuf) {
         let (dst, ttl) = {
             let b = buf.bytes();
             // Minimal header sanity; full validation happens at end hosts.
@@ -168,12 +104,12 @@ impl Router {
             }
             (Ipv4Addr([b[16], b[17], b[18], b[19]]), b[8])
         };
-        if self.ifs.iter().any(|f| f.addr == dst) {
+        if self.ifs.iter().any(|f| f.addr() == dst) {
             self.stats.for_router += 1;
             return; // the router offers no services of its own
         }
         // Route: the interface owning the destination subnet.
-        let out = match self.ifs.iter().position(|f| f.owns(dst)) {
+        let out = match self.ifs.iter().position(|f| f.on_link(dst)) {
             Some(i) => i,
             None => {
                 self.stats.no_route += 1;
@@ -205,9 +141,9 @@ impl Router {
         }
 
         self.stats.forwarded += 1;
-        let _ = from;
-        let effects = self.ifs[out].arp.resolve(now, dst, bytes);
-        self.apply_arp_effects(out, effects);
+        // Eth over Dev refuses only an over-MTU frame, and a forwarded
+        // frame is no larger than the one that arrived.
+        let _ = self.ifs[out].send(now, Some(dst), bytes);
     }
 }
 
@@ -226,8 +162,12 @@ impl fmt::Debug for Router {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ip::{Ip, IpConfig, IpIncoming};
+    use crate::ip::{Ip, IpConfig, IpIncoming, ARP_GIVE_UP};
+    use crate::Protocol;
+    use foxbasis::time::VirtualDuration;
     use foxwire::ipv4::IpProtocol;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     type HostStation = (Ip<Eth<Dev>>, crate::ip::IpConn, Rc<RefCell<Vec<IpIncoming>>>);
 
@@ -366,6 +306,31 @@ mod tests {
         a.send(a_udp, Ipv4Addr::new(172, 16, 0, 9), b"nowhere".to_vec()).unwrap();
         settle(&[&net1], |now| a.step(now) | router.step(now));
         assert_eq!(router.stats().no_route, 1);
+    }
+
+    /// A router gives up on a destination nobody answers ARP for, as a
+    /// host does, and counts the packet it held for it.
+    #[test]
+    fn unanswered_arp_drops_the_held_packet() {
+        let net1 = SimNet::ethernet_10mbps(1);
+        let net2 = SimNet::ethernet_10mbps(2);
+        let (mut a, a_udp, _) =
+            host_station(&net1, 1, Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 254));
+        let mut router = Router::new();
+        router
+            .add_interface(&net1, EthAddr::host(101), Ipv4Addr::new(10, 0, 0, 254), 24, HostHandle::free())
+            .unwrap();
+        router
+            .add_interface(&net2, EthAddr::host(102), Ipv4Addr::new(10, 0, 1, 254), 24, HostHandle::free())
+            .unwrap();
+        a.send(a_udp, Ipv4Addr::new(10, 0, 1, 9), b"nobody home".to_vec()).unwrap();
+        settle(&[&net1, &net2], |now| a.step(now) | router.step(now));
+        assert_eq!((router.stats().forwarded, router.stats().unresolved), (1, 0), "held, still asking");
+        let later = net1.now().max(net2.now()) + ARP_GIVE_UP + VirtualDuration::from_secs(1);
+        net1.advance_to(later);
+        net2.advance_to(later);
+        router.step(later);
+        assert_eq!(router.stats().unresolved, 1, "{:?}", router.stats());
     }
 
     /// The forwarded packet's header checksum stays valid — the

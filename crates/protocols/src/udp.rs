@@ -8,15 +8,13 @@
 //! like `Special_Tcp` does.
 
 use crate::aux::IpAux;
+use crate::upcall::{Below, Bindings};
 use crate::{Handler, ProtoError, Protocol};
 use foxbasis::buf::PacketBuf;
-use foxbasis::fifo::Fifo;
 use foxbasis::time::VirtualTime;
 use foxwire::udp::UdpDatagram;
 use simnet::{HostHandle, Work};
-use std::cell::RefCell;
 use std::fmt;
-use std::rc::Rc;
 
 /// What a UDP client receives.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -46,29 +44,20 @@ pub struct UdpStats {
     pub no_listener: u64,
 }
 
-struct Socket<A> {
-    id: UdpConn,
-    local_port: u16,
-    handler: Handler<UdpIncoming<A>>,
-}
-
 /// The UDP layer.
 pub struct Udp<L, A>
 where
     L: Protocol,
     A: IpAux<Address = L::Peer, Incoming = L::Incoming>,
 {
-    lower: L,
+    below: Below<L>,
     aux: A,
     host: HostHandle,
     /// Whether to compute/verify checksums (the functor's
     /// `compute_checksums`; also forced off when `aux.check` is `None`).
     compute_checksums: bool,
-    lower_conn: Option<L::ConnId>,
-    lower_pattern: L::Pattern,
-    rx: Rc<RefCell<Fifo<L::Incoming>>>,
-    sockets: Vec<Socket<L::Peer>>,
-    next_id: u32,
+    /// Bound by local port.
+    sockets: Bindings<u16, UdpIncoming<L::Peer>>,
     stats: UdpStats,
 }
 
@@ -89,15 +78,11 @@ where
         host: HostHandle,
     ) -> Udp<L, A> {
         Udp {
-            lower,
+            below: Below::new(lower, lower_pattern),
             aux,
             host,
             compute_checksums,
-            lower_conn: None,
-            lower_pattern,
-            rx: Rc::new(RefCell::new(Fifo::new())),
-            sockets: Vec::new(),
-            next_id: 0,
+            sockets: Bindings::new(),
             stats: UdpStats::default(),
         }
     }
@@ -105,15 +90,6 @@ where
     /// Layer statistics.
     pub fn stats(&self) -> UdpStats {
         self.stats
-    }
-
-    fn ensure_lower_open(&mut self) -> Result<(), ProtoError> {
-        if self.lower_conn.is_none() {
-            let q = self.rx.clone();
-            self.lower_conn =
-                Some(self.lower.open(self.lower_pattern.clone(), Box::new(move |m| q.borrow_mut().add(m)))?);
-        }
-        Ok(())
     }
 }
 
@@ -130,60 +106,38 @@ where
     type ConnId = UdpConn;
 
     fn open(&mut self, local_port: u16, handler: Handler<Self::Incoming>) -> Result<UdpConn, ProtoError> {
-        self.ensure_lower_open()?;
-        if self.sockets.iter().any(|s| s.local_port == local_port) {
-            return Err(ProtoError::AlreadyOpen);
-        }
-        let id = UdpConn(self.next_id);
-        self.next_id += 1;
-        self.sockets.push(Socket { id, local_port, handler });
-        Ok(id)
+        self.below.attach()?;
+        self.sockets.bind(local_port, handler).map(UdpConn)
     }
 
+    /// A datagram larger than the MTU goes down whole, for the IP layer
+    /// to fragment.
     fn send(
         &mut self,
         conn: UdpConn,
         to: Self::Peer,
         payload: impl Into<PacketBuf>,
     ) -> Result<(), ProtoError> {
-        let local_port =
-            self.sockets.iter().find(|s| s.id == conn).map(|s| s.local_port).ok_or(ProtoError::NotOpen)?;
+        let local_port = self.sockets.key_of(conn.0)?;
         let (addr, port) = to;
         let d = UdpDatagram { src_port: local_port, dst_port: port, payload: payload.into() };
-        if d.payload.len() + foxwire::udp::HEADER_LEN > self.aux.mtu() {
-            // Leave IP fragmentation to callers that want it; a UDP
-            // socket refusing over-MTU sends keeps the example apps
-            // honest. (The IP layer below *can* fragment.)
-            // We still allow it — fragmentation exists — but cap at
-            // 65507.
-        }
         let total = d.payload.len() + foxwire::udp::HEADER_LEN;
         let pseudo = if self.compute_checksums { self.aux.check(&addr, total) } else { None };
         if self.compute_checksums && pseudo.is_some() {
             self.host.charge(Work::Checksum(total));
         }
         let bytes = d.encode_buf(pseudo).map_err(|_| ProtoError::TooBig)?;
-        let lower_conn = self.lower_conn.ok_or(ProtoError::NotOpen)?;
         self.stats.sent += 1;
-        self.lower.send(lower_conn, addr, bytes)
+        self.below.send(addr, bytes)
     }
 
     fn close(&mut self, conn: UdpConn) -> Result<(), ProtoError> {
-        let before = self.sockets.len();
-        self.sockets.retain(|s| s.id != conn);
-        if self.sockets.len() == before {
-            return Err(ProtoError::NotOpen);
-        }
-        Ok(())
+        self.sockets.unbind(conn.0)
     }
 
     fn step(&mut self, now: VirtualTime) -> bool {
-        let mut progress = self.lower.step(now);
-        loop {
-            let msg = match self.rx.borrow_mut().next() {
-                Some(m) => m,
-                None => break,
-            };
+        let mut progress = self.below.step(now);
+        while let Some(msg) = self.below.next() {
             progress = true;
             let (src_addr, datagram) = {
                 let info = self.aux.info(&msg);
@@ -214,16 +168,12 @@ where
                     continue;
                 }
             };
-            match self.sockets.iter_mut().find(|s| s.local_port == d.dst_port) {
-                Some(sock) => {
-                    self.stats.delivered += 1;
-                    (sock.handler)(UdpIncoming {
-                        src: (src_addr, d.src_port),
-                        dst_port: d.dst_port,
-                        payload: d.payload,
-                    });
-                }
-                None => self.stats.no_listener += 1,
+            let incoming =
+                UdpIncoming { src: (src_addr, d.src_port), dst_port: d.dst_port, payload: d.payload };
+            if self.sockets.deliver(incoming.dst_port, incoming) {
+                self.stats.delivered += 1;
+            } else {
+                self.stats.no_listener += 1;
             }
         }
         progress
@@ -236,7 +186,7 @@ where
     A: IpAux<Address = L::Peer, Incoming = L::Incoming>,
 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Udp(sockets={}, over {:?})", self.sockets.len(), self.lower)
+        write!(f, "Udp(sockets={}, over {:?})", self.sockets.len(), self.below)
     }
 }
 
@@ -250,6 +200,8 @@ mod tests {
     use foxwire::ether::EthAddr;
     use foxwire::ipv4::{IpProtocol, Ipv4Addr};
     use simnet::SimNet;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     type Stack = Udp<Ip<Eth<Dev>>, IpAuxImpl>;
 

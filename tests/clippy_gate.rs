@@ -342,6 +342,44 @@ fn the_inner_modules_name_no_lower_layer_type() {
     assert!(generic.is_empty(), "the inner modules take the peer's type: {generic:#?}");
 }
 
+/// Every `.rs` file under `rel`, subdirectories included.
+fn rust_files(rel: &str) -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    let mut dirs = vec![root().join(rel)];
+    while let Some(dir) = dirs.pop() {
+        for path in fs::read_dir(&dir).expect("readable directory").flatten().map(|e| e.path()) {
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+    out.sort();
+    out
+}
+
+/// Every layer above the device attaches below through
+/// `foxproto::upcall::Below` (IP's two bindings through its `Inbox`), so
+/// the quasi-synchronous rule — a handler registered below only enqueues
+/// — is written once: no other file builds a receive queue.
+#[test]
+fn layers_attach_through_below() {
+    let mut queues = Vec::new();
+    for file in rust_files("crates/protocols/src").into_iter().chain(rust_files("crates/foxtcp/src")) {
+        if file.ends_with("upcall.rs") {
+            continue;
+        }
+        let src = fs::read_to_string(&file).expect("readable source");
+        let lines = src
+            .lines()
+            .enumerate()
+            .filter(|(_, l)| l.contains("RefCell<Fifo") || l.contains("borrow_mut().add("));
+        queues.extend(lines.map(|(n, l)| format!("{}:{}: {}", file.display(), n + 1, l.trim())));
+    }
+    assert!(queues.is_empty(), "a layer builds its own receive queue: {queues:#?}");
+}
+
 #[test]
 fn a_header_window_is_made_only_by_wire_window() {
     sealed_newtype("crates/wire/src/tcp.rs", "WireWindow", false);
