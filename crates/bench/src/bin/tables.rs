@@ -15,16 +15,9 @@
 //!                    (open it in Perfetto)
 //!   --pcap <file>    write the same run's wire capture, Wireshark-ready
 
-#![expect(
-    clippy::disallowed_types,
-    clippy::disallowed_methods,
-    reason = "the `micro` item times real code on the wall clock; no other item reads it"
-)]
-
 use foxharness::experiments as exp;
 use foxharness::stack::StackKind;
 use simnet::CostModel;
-use std::time::Instant;
 
 /// One thing the command line can ask for.
 struct Item {
@@ -126,12 +119,6 @@ const ITEMS: &[Item] = &[
         run: |seed| println!("{}", exp::render_adversarial_matrix(&exp::adversarial_matrix(seed))),
         in_all: true,
     },
-    Item {
-        name: "micro",
-        banner: "quick wall-clock microbenchmarks (see Criterion benches for rigor):",
-        run: |_| micro(),
-        in_all: true,
-    },
 ];
 
 /// The complaint about the first argument that names no item, if any.
@@ -205,83 +192,6 @@ fn main() {
         println!("{}\n", item.banner);
         (item.run)(seed);
     }
-}
-
-/// Quick-and-dirty wall-clock versions of the Criterion microbenches, so
-/// the tables binary is self-contained.
-fn micro() {
-    use foxbasis::checksum::{byte_check, word_check};
-    use foxbasis::copy::{byte_copy, checked_word_copy, optimized_copy};
-    use foxbasis::wordarray::WordArray;
-
-    let kb = 64usize;
-    let data: Vec<u8> = (0..kb * 1024).map(|i| (i % 251) as u8).collect();
-    let reps = 2000;
-
-    let time_per_kb = |f: &mut dyn FnMut() -> u16| {
-        let t0 = Instant::now();
-        let mut acc = 0u16;
-        for _ in 0..reps {
-            acc = acc.wrapping_add(f());
-        }
-        std::hint::black_box(acc);
-        t0.elapsed().as_nanos() as f64 / (reps as f64 * kb as f64) // ns per KB
-    };
-
-    let w = time_per_kb(&mut || word_check(&data));
-    let b = time_per_kb(&mut || byte_check(&data));
-    println!("checksum (per KB):");
-    println!("  word_check (Fig. 10)  {w:8.1} ns/KB   (paper: 343,000 ns/KB on the DECstation)");
-    println!("  byte_check (x-kernel) {b:8.1} ns/KB   (paper: 375,000 ns/KB)");
-    println!("  algorithm speedup: {:.2}x (paper: 1.09x)", b / w);
-    println!();
-
-    let src = WordArray::from_slice(&data);
-    let mut dst = WordArray::new(data.len());
-    let mut dst2 = vec![0u8; data.len()];
-    let time_copy = |f: &mut dyn FnMut()| {
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        t0.elapsed().as_nanos() as f64 / (reps as f64 * kb as f64)
-    };
-    let cw = time_copy(&mut || checked_word_copy(&src, &mut dst));
-    let cb = time_copy(&mut || byte_copy(&src, &mut dst));
-    let co = time_copy(&mut || optimized_copy(&data, &mut dst2));
-    println!("copy (per KB):");
-    println!("  checked word copy     {cw:8.1} ns/KB   (paper SML: 300,000 ns/KB)");
-    println!("  checked byte copy     {cb:8.1} ns/KB");
-    println!("  memcpy (bcopy)        {co:8.1} ns/KB   (paper: 61,000 ns/KB)");
-    println!("  checked/memcpy ratio: {:.1}x (paper: ~5x)", cw / co.max(0.01));
-    println!();
-
-    // Scheduler: empty call vs fork+switch.
-    use fox_scheduler::Scheduler;
-    let t0 = Instant::now();
-    let n = 5_000_000u64;
-    let mut acc = 0u64;
-    for i in 0..n {
-        acc = acc.wrapping_add(std::hint::black_box(i));
-    }
-    std::hint::black_box(acc);
-    let call = t0.elapsed().as_nanos() as f64 / n as f64;
-
-    let mut s = Scheduler::new();
-    let t0 = Instant::now();
-    let m = 200_000u64;
-    for _ in 0..m {
-        s.fork(Box::new(|_| {
-            std::hint::black_box(0u64);
-        }));
-        s.run_ready();
-    }
-    let switch = t0.elapsed().as_nanos() as f64 / m as f64;
-    println!("scheduler:");
-    println!("  baseline op           {call:8.2} ns     (paper empty call: 1,200 ns)");
-    println!("  fork+terminate+switch {switch:8.1} ns     (paper: 30,000 ns)");
-    println!("  ratio: {:.0}x (paper: ~25x)", switch / call.max(0.01));
-    println!();
 }
 
 #[cfg(test)]

@@ -156,10 +156,6 @@ pub enum TcpAction {
     /// The peer signalled urgent data up to the given sequence number
     /// (RFC 793's sixth check; tracked, not expedited).
     UrgentData(Seq),
-    /// Karn/Jacobson bookkeeping: a valid ACK advanced `snd_una` to the
-    /// given sequence number (used by module-level tests to observe the
-    /// Resend module; the engine treats it as a no-op).
-    AckedTo(Seq),
     /// Loss-recovery bookkeeping: the Resend/Send modules report how
     /// they are recovering; the engine counts these into its statistics
     /// and trace.
@@ -199,7 +195,6 @@ impl fmt::Debug for TcpAction {
             TcpAction::UserTimeoutFired => write!(f, "User_Timeout"),
             TcpAction::NewConnection(id) => write!(f, "New_Connection({id})"),
             TcpAction::UrgentData(up) => write!(f, "Urgent_Data(up to {up})"),
-            TcpAction::AckedTo(seq) => write!(f, "Acked_To({seq})"),
             TcpAction::Loss(ev) => write!(f, "Loss({ev:?})"),
             TcpAction::Attack(ev) => write!(f, "Attack({ev:?})"),
         }
@@ -223,7 +218,6 @@ impl TcpAction {
             TcpAction::UserTimeoutFired => "User_Timeout",
             TcpAction::NewConnection(..) => "New_Connection",
             TcpAction::UrgentData(..) => "Urgent_Data",
-            TcpAction::AckedTo(..) => "Acked_To",
             TcpAction::Loss(..) => "Loss",
             TcpAction::Attack(..) => "Attack",
         }
@@ -255,13 +249,11 @@ mod tests {
             TcpAction::PeerReset,
             TcpAction::UserTimeoutFired,
             TcpAction::NewConnection(7),
-            TcpAction::AckedTo(Seq(9)),
             TcpAction::Attack(AttackEvent::RstBadSeq),
         ];
         let tags: Vec<_> = actions.iter().map(|a| a.tag()).collect();
-        assert_eq!(tags.len(), 12);
+        assert_eq!(tags.len(), 11);
         assert!(tags.contains(&"User_Data"));
-        assert!(tags.contains(&"Acked_To"));
         assert!(tags.contains(&"Attack"));
     }
 

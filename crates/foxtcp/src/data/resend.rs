@@ -381,7 +381,6 @@ pub fn process_ack(cfg: &TcpConfig, core: &mut ConnCore, ack: Seq, now: VirtualT
     } else {
         tcb.push_action(TcpAction::SetTimer(TimerKind::Resend, tcb.snd.rtt.timeout().as_millis()));
     }
-    tcb.push_action(TcpAction::AckedTo(ack));
     retransmit_lost(core, now);
 }
 

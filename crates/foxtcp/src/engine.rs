@@ -809,7 +809,6 @@ where
                     let offset = up.since(self.conns[idx].core.tcb.seq().irs);
                     self.deliver(idx, TcpEvent::Urgent(offset));
                 }
-                TcpAction::AckedTo(_) => {}
                 TcpAction::Loss(ev) => {
                     self.obs.emit(now, conn_id, || Event::Loss { kind: ev.name() });
                     match ev {

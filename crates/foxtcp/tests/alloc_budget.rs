@@ -47,7 +47,7 @@ const IDLE_PAIRS: u64 = 64;
 /// Heap bytes the two engines hold for [`IDLE_PAIRS`] ESTABLISHED
 /// connections (so twice as many connection ends, and the listener),
 /// each idle after one 64-byte round trip, under the benchmark's
-/// 512 KB / 256 KB buffer configuration: 1 994 per end.
+/// 512 KB / 256 KB buffer configuration: 1 802 per end.
 /// What an end holds: its slot in the engine's table (the `Conn` itself,
 /// most of the figure), a 64-byte send ring, its handler's box, the
 /// warmed-up `to_do` and resend queues, and its share of the table's
@@ -72,7 +72,11 @@ const IDLE_PAIRS: u64 = 64;
 /// - −1 088: 136 `TestMsg` slots, 68 in the test link's in-flight queues
 ///   and 68 in the engines' receive queues, each 8 bytes smaller with the
 ///   `PacketBuf`.
-const BYTES_HELD_BY_IDLE_PAIRS: u64 = 255_248;
+///
+/// Since an ACK of new data stopped queueing a no-op action it is 24 576
+/// bytes under the 255 248 before: the 64 clients' `to_do` queues warm to
+/// 4 slots, not 8, so 256 slots of 96 bytes go.
+const BYTES_HELD_BY_IDLE_PAIRS: u64 = 230_672;
 
 /// `foxharness::bench::BenchProfile::Modern.tcp_config()`, which this
 /// crate cannot name (the harness depends on it).

@@ -177,7 +177,6 @@ enum FoxConn {
 
 struct FoxSut {
     tcp: Tcp<TestLower, TestAux>,
-    _sched: SchedHandle,
     events: Rc<RefCell<Vec<TcpEvent>>>,
     listener: Option<ListeningSocket>,
     listener_id: Option<TcpConnId>,
@@ -187,12 +186,16 @@ struct FoxSut {
 
 impl FoxSut {
     fn new(link: &LinkPair) -> FoxSut {
-        let sched = SchedHandle::new();
-        let tcp =
-            Tcp::new(link.endpoint(1), TestAux, (), TcpConfig::default(), sched.clone(), HostHandle::free());
+        let tcp = Tcp::new(
+            link.endpoint(1),
+            TestAux,
+            (),
+            TcpConfig::default(),
+            SchedHandle::new(),
+            HostHandle::free(),
+        );
         FoxSut {
             tcp,
-            _sched: sched,
             events: Rc::new(RefCell::new(Vec::new())),
             listener: None,
             listener_id: None,

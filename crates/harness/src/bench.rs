@@ -1,8 +1,9 @@
 //! The two machine-and-link eras a run can model (DESIGN.md §5.10), each
 //! a recipe for a [`Cell`]. Everything here stays on the virtual clock —
 //! the `std::time::Instant` entries of `crates/clippy.toml` forbid wall
-//! time everywhere but `tables micro` — and wall-clock measurement of
-//! these profiles is foxperf's job (`foxperf/`, `BENCHMARK.json`).
+//! time everywhere in `crates/`, with no exception — and wall-clock
+//! measurement of these profiles is foxperf's job (`foxperf/`,
+//! `BENCHMARK.json`).
 
 use crate::cell::Cell;
 use crate::experiments::paper_tcp_config;

@@ -2,11 +2,10 @@
 //!
 //! Everything needed to regenerate the paper's evaluation (§5): stack
 //! assembly (the paper's Fig. 3), a common station abstraction over the
-//! Fox TCP and the x-kernel baseline, the two-host discrete-event
-//! driver, the workloads (bulk transfer and round-trip), a two-host
+//! Fox TCP and the x-kernel baseline, host episodes over `simnet`'s
+//! discrete-event loop ([`sim`]), the workloads (bulk transfer and round-trip), a two-host
 //! experiment as one declared value ([`Cell`]), and the experiments
-//! themselves (Table 1, Table 2, the GC study, the microbenchmark
-//! tables, and the ablations).
+//! themselves (Table 1, Table 2, the GC study, and the ablations).
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,11 +1,12 @@
-//! The two-host discrete-event driver.
+//! Host episodes over the discrete-event loop.
 //!
 //! Each station's protocol processing runs inside a host *episode*: the
 //! simulated CPU starts when the event arrives (or when it finishes its
 //! previous work), accumulates the charges the protocol code makes, and
 //! frames the station transmits enter the wire when the CPU actually
-//! produced them. Stepping alternates with advancing the shared network
-//! clock, in ticks small enough that timer firings stay accurate.
+//! produced them. This module brackets every station's step in its
+//! episode; [`simnet::drive()`] decides when the stations step and when
+//! the network clock moves.
 
 use crate::station::Station;
 use foxbasis::time::{VirtualDuration, VirtualTime};
@@ -20,44 +21,21 @@ use simnet::SimNet;
 pub fn drive(
     net: &SimNet,
     stations: &mut [&mut Box<dyn Station>],
-    mut done: impl FnMut(&mut [&mut Box<dyn Station>]) -> bool,
+    done: impl FnMut(&mut [&mut Box<dyn Station>]) -> bool,
     tick: VirtualDuration,
     deadline: VirtualTime,
 ) -> VirtualTime {
-    let mut now = net.now();
-    loop {
-        // Settle at the current instant: stations may ping-pong frames
-        // that arrive "now" several times (zero-latency CPU models).
-        for _ in 0..64 {
-            let mut progress = false;
-            for s in stations.iter_mut() {
-                let host = s.host();
-                host.begin(now);
-                progress |= s.step(now);
-                host.end();
-            }
-            if let Some(t) = net.next_delivery() {
-                if t <= now {
-                    net.advance_to(now);
-                    progress = true;
-                }
-            }
-            if !progress {
-                break;
-            }
+    let episodes = |stations: &mut [&mut Box<dyn Station>], now| {
+        let mut progress = false;
+        for s in stations.iter_mut() {
+            let host = s.host();
+            host.begin(now);
+            progress |= s.step(now);
+            host.end();
         }
-        if done(stations) || now >= deadline {
-            return now;
-        }
-        // Advance to the next interesting instant.
-        let mut next = now + tick;
-        if let Some(t) = net.next_delivery() {
-            next = next.min(t.max(now + VirtualDuration::from_micros(1)));
-        }
-        next = next.min(deadline);
-        net.advance_to(next);
-        now = next;
-    }
+        progress
+    };
+    simnet::drive(&[net], stations, episodes, done, tick, deadline)
 }
 
 #[cfg(test)]

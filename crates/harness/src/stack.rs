@@ -163,9 +163,8 @@ impl Substrate {
 /// `Standard_Tcp = Tcp (structure Lower = Ip ...)`.
 fn standard_station(sub: Substrate, id: u16, peer_id: u16, tcp_cfg: TcpConfig) -> Box<dyn Station> {
     let (host, sink, ip, aux) = sub.ip(id);
-    let sched = SchedHandle::new();
-    let tcp = Tcp::new(ip, aux, IpProtocol::Tcp, tcp_cfg, sched.clone(), host.clone());
-    FoxStation::boxed(tcp, sched, host, sink, ip_of(peer_id), StackKind::FoxStandard)
+    let tcp = Tcp::new(ip, aux, IpProtocol::Tcp, tcp_cfg, SchedHandle::new(), host.clone());
+    FoxStation::boxed(tcp, host, sink, ip_of(peer_id), StackKind::FoxStandard)
 }
 
 /// `Special_Tcp = Tcp (structure Lower = Eth ...)` — with the
@@ -174,9 +173,9 @@ fn standard_station(sub: Substrate, id: u16, peer_id: u16, tcp_cfg: TcpConfig) -
 fn special_station(sub: Substrate, peer_id: u16, mut tcp_cfg: TcpConfig) -> Box<dyn Station> {
     tcp_cfg.compute_checksums = false; // val do_checksums = false
     let eth = SizedPayload::new(sub.eth);
-    let sched = SchedHandle::new();
-    let tcp = Tcp::new(eth, EthAux::new(), EtherType::TcpDirect, tcp_cfg, sched.clone(), sub.host.clone());
-    FoxStation::boxed(tcp, sched, sub.host, sub.sink, mac_of(peer_id), StackKind::FoxSpecial)
+    let tcp =
+        Tcp::new(eth, EthAux::new(), EtherType::TcpDirect, tcp_cfg, SchedHandle::new(), sub.host.clone());
+    FoxStation::boxed(tcp, sub.host, sub.sink, mac_of(peer_id), StackKind::FoxSpecial)
 }
 
 /// The x-kernel baseline over the standard substrate.
@@ -235,7 +234,6 @@ where
     A: IpAux<Address = L::Peer, Incoming = L::Incoming>,
 {
     tcp: Tcp<L, A>,
-    _sched: SchedHandle,
     host: HostHandle,
     peer: L::Peer,
     kind: &'static str,
@@ -268,7 +266,6 @@ where
 {
     fn boxed(
         mut tcp: Tcp<L, A>,
-        sched: SchedHandle,
         host: HostHandle,
         sink: EventSink,
         peer: L::Peer,
@@ -281,7 +278,6 @@ where
         tcp.set_obs(sink);
         Box::new(FoxStation {
             tcp,
-            _sched: sched,
             host,
             peer,
             kind: kind.name(),

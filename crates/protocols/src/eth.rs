@@ -69,11 +69,6 @@ impl<L: Protocol<Pattern = (), Peer = (), Incoming = PacketBuf>> Eth<L> {
         }
     }
 
-    /// Our MAC address.
-    pub fn local_addr(&self) -> EthAddr {
-        self.local
-    }
-
     /// Layer statistics.
     pub fn stats(&self) -> EthStats {
         self.stats

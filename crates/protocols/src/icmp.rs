@@ -228,22 +228,6 @@ mod tests {
         Icmp::new(ip, host)
     }
 
-    fn settle(net: &SimNet, stacks: &mut [&mut Stack]) {
-        for _ in 0..100 {
-            let mut progress = false;
-            for s in stacks.iter_mut() {
-                progress |= s.step(net.now());
-            }
-            if let Some(t) = net.next_delivery() {
-                net.advance_to(t);
-                progress = true;
-            }
-            if !progress {
-                break;
-            }
-        }
-    }
-
     #[test]
     fn ping_round_trip() {
         let net = SimNet::ethernet_10mbps(21);
@@ -252,7 +236,7 @@ mod tests {
         b.activate().unwrap();
         let mut ping = Ping::new(&mut a, 0x1234).unwrap();
         ping.probe(&mut a, Ipv4Addr::new(10, 0, 0, 2), net.now()).unwrap();
-        settle(&net, &mut [&mut a, &mut b]);
+        simnet::settle(&[&net], |now| a.step(now) | b.step(now));
         let replies = ping.replies();
         assert_eq!(replies.len(), 1);
         assert_eq!(replies[0].from, Ipv4Addr::new(10, 0, 0, 2));
@@ -271,7 +255,7 @@ mod tests {
         let mut ping = Ping::new(&mut a, 1).unwrap();
         for _ in 0..4 {
             ping.probe(&mut a, Ipv4Addr::new(10, 0, 0, 2), net.now()).unwrap();
-            settle(&net, &mut [&mut a, &mut b]);
+            simnet::settle(&[&net], |now| a.step(now) | b.step(now));
         }
         let seqs: Vec<u16> = ping.replies().iter().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3]);
@@ -287,7 +271,7 @@ mod tests {
         ping.probe(&mut a, Ipv4Addr::new(10, 0, 0, 2), net.now()).unwrap();
         // Drop the session before the reply lands.
         a.close(ping.conn).unwrap();
-        settle(&net, &mut [&mut a, &mut b]);
+        simnet::settle(&[&net], |now| a.step(now) | b.step(now));
         assert_eq!(a.stats().replies_delivered, 0);
         let _ = ping;
     }

@@ -381,11 +381,6 @@ impl<L: Protocol<Pattern = EtherType, Peer = EthAddr, Incoming = EthIncoming>> I
         }
     }
 
-    /// Our address.
-    pub fn local_addr(&self) -> Ipv4Addr {
-        self.config.local
-    }
-
     /// The MTU available to transports: Ethernet payload minus our
     /// header (the `mtu` of the paper's `IP_AUX`).
     pub fn mtu(&self) -> usize {
@@ -559,23 +554,6 @@ mod tests {
         got
     }
 
-    /// Run both stacks until the network and queues go quiet.
-    fn settle(net: &SimNet, stacks: &mut [&mut Stack]) {
-        for _ in 0..100 {
-            let mut progress = false;
-            for s in stacks.iter_mut() {
-                progress |= s.step(net.now());
-            }
-            if let Some(t) = net.next_delivery() {
-                net.advance_to(t);
-                progress = true;
-            }
-            if !progress {
-                break;
-            }
-        }
-    }
-
     #[test]
     fn datagram_exchange_with_arp_resolution() {
         let net = SimNet::ethernet_10mbps(5);
@@ -584,7 +562,7 @@ mod tests {
         let got = listen(&mut b, IpProtocol::Udp);
         let conn = a.open(IpProtocol::Udp, Box::new(|_| {})).unwrap();
         a.send(conn, Ipv4Addr::new(10, 0, 0, 2), b"hello ip".to_vec()).unwrap();
-        settle(&net, &mut [&mut a, &mut b]);
+        simnet::settle(&[&net], |now| a.step(now) | b.step(now));
         assert_eq!(got.borrow().len(), 1, "datagram arrives after ARP resolves");
         let m = &got.borrow()[0];
         assert_eq!(m.src, Ipv4Addr::new(10, 0, 0, 1));
@@ -600,10 +578,10 @@ mod tests {
         let got = listen(&mut b, IpProtocol::Udp);
         let conn = a.open(IpProtocol::Udp, Box::new(|_| {})).unwrap();
         a.send(conn, Ipv4Addr::new(10, 0, 0, 2), b"one".to_vec()).unwrap();
-        settle(&net, &mut [&mut a, &mut b]);
+        simnet::settle(&[&net], |now| a.step(now) | b.step(now));
         let arp_frames_before = net.stats().frames_sent;
         a.send(conn, Ipv4Addr::new(10, 0, 0, 2), b"two".to_vec()).unwrap();
-        settle(&net, &mut [&mut a, &mut b]);
+        simnet::settle(&[&net], |now| a.step(now) | b.step(now));
         assert_eq!(got.borrow().len(), 2);
         // Only one more frame on the wire: the datagram itself.
         assert_eq!(net.stats().frames_sent, arp_frames_before + 1);
@@ -618,7 +596,7 @@ mod tests {
         let conn = a.open(IpProtocol::Udp, Box::new(|_| {})).unwrap();
         let payload: Vec<u8> = (0..4000u32).map(|i| (i % 251) as u8).collect();
         a.send(conn, Ipv4Addr::new(10, 0, 0, 2), payload.clone()).unwrap();
-        settle(&net, &mut [&mut a, &mut b]);
+        simnet::settle(&[&net], |now| a.step(now) | b.step(now));
         assert_eq!(got.borrow().len(), 1);
         assert_eq!(got.borrow()[0].payload, payload);
         assert_eq!(a.stats().sent, 3, "4000 bytes over 1480-byte MTU = 3 fragments");
@@ -643,12 +621,12 @@ mod tests {
         let got_c = listen(&mut c, IpProtocol::Udp);
         let conn = a.open(IpProtocol::Udp, Box::new(|_| {})).unwrap();
         a.send(conn, Ipv4Addr::BROADCAST, b"all".to_vec()).unwrap();
-        settle(&net, &mut [&mut a, &mut b, &mut c]);
+        simnet::settle(&[&net], |now| a.step(now) | b.step(now) | c.step(now));
         assert_eq!(got_b.borrow().len(), 1);
         assert_eq!(got_c.borrow().len(), 1);
         // Subnet broadcast too.
         a.send(conn, Ipv4Addr::new(10, 0, 0, 255), b"subnet".to_vec()).unwrap();
-        settle(&net, &mut [&mut a, &mut b, &mut c]);
+        simnet::settle(&[&net], |now| a.step(now) | b.step(now) | c.step(now));
         assert_eq!(got_b.borrow().len(), 2);
     }
 
@@ -671,7 +649,7 @@ mod tests {
         let mut raw = Eth::new(Dev::new(net.attach(mac), host.clone()), mac, host);
         let rc = raw.open(EtherType::Ipv4, Box::new(|_| {})).unwrap();
         raw.send(rc, EthAddr::host(2), pkt.encode_buf().unwrap()).unwrap();
-        settle(&net, &mut [&mut a, &mut b]);
+        simnet::settle(&[&net], |now| a.step(now) | b.step(now));
         assert!(got.borrow().is_empty());
         assert_eq!(b.stats().not_ours, 1);
     }
@@ -684,7 +662,7 @@ mod tests {
         let _tcp_only = listen(&mut b, IpProtocol::Tcp);
         let conn = a.open(IpProtocol::Udp, Box::new(|_| {})).unwrap();
         a.send(conn, Ipv4Addr::new(10, 0, 0, 2), b"udp".to_vec()).unwrap();
-        settle(&net, &mut [&mut a, &mut b]);
+        simnet::settle(&[&net], |now| a.step(now) | b.step(now));
         assert_eq!(b.stats().no_listener, 1);
     }
 
@@ -698,7 +676,7 @@ mod tests {
         for payload in [b"one", b"two", b"six"] {
             a.send(conn, Ipv4Addr::new(10, 0, 0, 9), payload.to_vec()).unwrap();
         }
-        settle(&net, &mut [&mut a]);
+        simnet::settle(&[&net], |now| a.step(now));
         assert_eq!(a.stats().unresolved, 0, "still asking");
         net.advance_to(net.now() + ARP_GIVE_UP + VirtualDuration::from_secs(1));
         a.step(net.now());
@@ -731,7 +709,7 @@ mod tests {
         let mut raw = Eth::new(Dev::new(net.attach(mac), host.clone()), mac, host);
         let rc = raw.open(EtherType::Ipv4, Box::new(|_| {})).unwrap();
         raw.send(rc, EthAddr::host(2), pkt.encode_buf().unwrap()).unwrap();
-        settle(&net, &mut [&mut a, &mut b]);
+        simnet::settle(&[&net], |now| a.step(now) | b.step(now));
         assert_eq!(b.reasm.in_flight(), 1);
         net.advance_to(net.now() + VirtualDuration::from_secs(31));
         b.step(net.now());
@@ -758,12 +736,7 @@ mod tests {
             let pkt = Ipv4Packet { header, payload: vec![0u8; 8].into() };
             raw.send(rc, EthAddr::host(2), pkt.encode_buf().unwrap()).unwrap();
         }
-        for _ in 0..60 {
-            if let Some(t) = net.next_delivery() {
-                net.advance_to(t);
-            }
-            b.step(net.now());
-        }
+        simnet::settle(&[&net], |now| b.step(now));
         assert_eq!(b.reasm.in_flight(), MAX_REASSEMBLIES);
     }
 }
@@ -804,16 +777,7 @@ mod gateway_tests {
 
         let conn = ip.open(IpProtocol::Udp, Box::new(|_| {})).unwrap();
         ip.send(conn, Ipv4Addr::new(192, 168, 7, 7), b"far away".to_vec()).unwrap();
-        for _ in 0..50 {
-            if let Some(t) = net.next_delivery() {
-                net.advance_to(t);
-            }
-            let p1 = ip.step(net.now());
-            let p2 = gw.step(net.now());
-            if !p1 && !p2 {
-                break;
-            }
-        }
+        simnet::settle(&[&net], |now| ip.step(now) | gw.step(now));
         // The gateway heard the packet addressed (at the Ethernet level)
         // to it; its IP layer counted it "not ours" because the IP
         // destination is beyond it — exactly a router's inbound view.

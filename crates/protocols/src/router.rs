@@ -187,31 +187,6 @@ mod tests {
         (ip, conn, got)
     }
 
-    fn settle(nets: &[&SimNet], mut f: impl FnMut(VirtualTime) -> bool) {
-        for _ in 0..400 {
-            let mut progress = false;
-            let now = nets.iter().map(|n| n.now()).max().unwrap();
-            for n in nets {
-                if let Some(t) = n.next_delivery() {
-                    if t <= now || !progress {
-                        n.advance_to(t.max(n.now()));
-                        progress = true;
-                    }
-                }
-            }
-            let now = nets.iter().map(|n| n.now()).max().unwrap();
-            for n in nets {
-                if n.now() < now {
-                    n.advance_to(now);
-                }
-            }
-            progress |= f(now);
-            if !progress {
-                break;
-            }
-        }
-    }
-
     #[test]
     fn forwards_between_segments_with_ttl_decrement() {
         // Segment 1: 10.0.0.0/24, segment 2: 10.0.1.0/24; the router is
@@ -234,12 +209,7 @@ mod tests {
         let conn = a.open(IpProtocol::Icmp, Box::new(|_| {})).unwrap();
         a.send(conn, Ipv4Addr::new(10, 0, 1, 2), b"across the router".to_vec()).unwrap();
 
-        settle(&[&net1, &net2], |now| {
-            let p1 = a.step(now);
-            let p2 = b.step(now);
-            let p3 = router.step(now);
-            p1 || p2 || p3
-        });
+        simnet::settle(&[&net1, &net2], |now| a.step(now) | b.step(now) | router.step(now));
         // A sent on its Icmp conn, so the IP proto is Icmp and B (which
         // listens on Udp) won't deliver it — but the router must have
         // forwarded it all the same.
@@ -247,12 +217,7 @@ mod tests {
 
         let conn_udp = _a_udp;
         a.send(conn_udp, Ipv4Addr::new(10, 0, 1, 2), b"across the router".to_vec()).unwrap();
-        settle(&[&net1, &net2], |now| {
-            let p1 = a.step(now);
-            let p2 = b.step(now);
-            let p3 = router.step(now);
-            p1 || p2 || p3
-        });
+        simnet::settle(&[&net1, &net2], |now| a.step(now) | b.step(now) | router.step(now));
         assert_eq!(got_b.borrow().len(), 1);
         assert_eq!(got_b.borrow()[0].payload, b"across the router");
         assert_eq!(got_b.borrow()[0].src, Ipv4Addr::new(10, 0, 0, 1));
@@ -289,7 +254,7 @@ mod tests {
             .unwrap();
         let conn = a.open(IpProtocol::Icmp, Box::new(|_| {})).unwrap();
         a.send(conn, Ipv4Addr::new(10, 0, 1, 2), b"too far".to_vec()).unwrap();
-        settle(&[&net1, &net2], |now| a.step(now) | b.step(now) | router.step(now));
+        simnet::settle(&[&net1, &net2], |now| a.step(now) | b.step(now) | router.step(now));
         assert_eq!(router.stats().ttl_expired, 1);
         assert!(got_b.borrow().is_empty());
     }
@@ -304,7 +269,7 @@ mod tests {
             .add_interface(&net1, EthAddr::host(101), Ipv4Addr::new(10, 0, 0, 254), 24, HostHandle::free())
             .unwrap();
         a.send(a_udp, Ipv4Addr::new(172, 16, 0, 9), b"nowhere".to_vec()).unwrap();
-        settle(&[&net1], |now| a.step(now) | router.step(now));
+        simnet::settle(&[&net1], |now| a.step(now) | router.step(now));
         assert_eq!(router.stats().no_route, 1);
     }
 
@@ -324,7 +289,7 @@ mod tests {
             .add_interface(&net2, EthAddr::host(102), Ipv4Addr::new(10, 0, 1, 254), 24, HostHandle::free())
             .unwrap();
         a.send(a_udp, Ipv4Addr::new(10, 0, 1, 9), b"nobody home".to_vec()).unwrap();
-        settle(&[&net1, &net2], |now| a.step(now) | router.step(now));
+        simnet::settle(&[&net1, &net2], |now| a.step(now) | router.step(now));
         assert_eq!((router.stats().forwarded, router.stats().unresolved), (1, 0), "held, still asking");
         let later = net1.now().max(net2.now()) + ARP_GIVE_UP + VirtualDuration::from_secs(1);
         net1.advance_to(later);

@@ -215,22 +215,6 @@ mod tests {
         Udp::new(ip, IpAuxImpl::new(local, IpProtocol::Udp, mtu), IpProtocol::Udp, true, host)
     }
 
-    fn settle(net: &SimNet, stacks: &mut [&mut Stack]) {
-        for _ in 0..100 {
-            let mut progress = false;
-            for s in stacks.iter_mut() {
-                progress |= s.step(net.now());
-            }
-            if let Some(t) = net.next_delivery() {
-                net.advance_to(t);
-                progress = true;
-            }
-            if !progress {
-                break;
-            }
-        }
-    }
-
     fn bind(u: &mut Stack, port: u16) -> Rc<RefCell<Vec<UdpIncoming<Ipv4Addr>>>> {
         let got = Rc::new(RefCell::new(Vec::new()));
         let g = got.clone();
@@ -246,7 +230,7 @@ mod tests {
         let got = bind(&mut b, 6969);
         let sock = a.open(5000, Box::new(|_| {})).unwrap();
         a.send(sock, (Ipv4Addr::new(10, 0, 0, 2), 6969), b"abcdefg".to_vec()).unwrap();
-        settle(&net, &mut [&mut a, &mut b]);
+        simnet::settle(&[&net], |now| a.step(now) | b.step(now));
         assert_eq!(got.borrow().len(), 1);
         let m = &got.borrow()[0];
         assert_eq!(m.src, (Ipv4Addr::new(10, 0, 0, 1), 5000));
@@ -264,12 +248,12 @@ mod tests {
         let sock_a = a.open(5000, Box::new(|_| {})).unwrap();
         let _ = got_a;
         a.send(sock_a, (Ipv4Addr::new(10, 0, 0, 2), 7), b"ping".to_vec()).unwrap();
-        settle(&net, &mut [&mut a, &mut b]);
+        simnet::settle(&[&net], |now| a.step(now) | b.step(now));
         let src = got_b.borrow()[0].src;
         // Echo back to wherever it came from — but to a's bound port.
         let sock_b = b.open(7000, Box::new(|_| {})).unwrap();
         b.send(sock_b, (src.0, 5001), b"pong".to_vec()).unwrap();
-        settle(&net, &mut [&mut a, &mut b]);
+        simnet::settle(&[&net], |now| a.step(now) | b.step(now));
         assert_eq!(got_a.borrow().len(), 1);
         assert_eq!(got_a.borrow()[0].payload, b"pong");
     }
@@ -282,7 +266,7 @@ mod tests {
         bind(&mut b, 1000);
         let sock = a.open(5000, Box::new(|_| {})).unwrap();
         a.send(sock, (Ipv4Addr::new(10, 0, 0, 2), 2000), b"x".to_vec()).unwrap();
-        settle(&net, &mut [&mut a, &mut b]);
+        simnet::settle(&[&net], |now| a.step(now) | b.step(now));
         assert_eq!(b.stats().no_listener, 1);
         assert_eq!(b.stats().delivered, 0);
     }
@@ -306,7 +290,7 @@ mod tests {
         let sock = a.open(5000, Box::new(|_| {})).unwrap();
         let payload: Vec<u8> = (0..5000u32).map(|i| (i % 241) as u8).collect();
         a.send(sock, (Ipv4Addr::new(10, 0, 0, 2), 6969), payload.clone()).unwrap();
-        settle(&net, &mut [&mut a, &mut b]);
+        simnet::settle(&[&net], |now| a.step(now) | b.step(now));
         assert_eq!(got.borrow().len(), 1);
         assert_eq!(got.borrow()[0].payload, payload);
     }

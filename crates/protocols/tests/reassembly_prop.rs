@@ -83,14 +83,7 @@ proptest! {
         for f in &frags {
             raw.send(conn, EthAddr::host(2), f.clone().encode_buf().unwrap()).unwrap();
         }
-        for _ in 0..200 {
-            if let Some(t) = net.next_delivery() {
-                net.advance_to(t);
-            }
-            if !ip.step(net.now()) {
-                break;
-            }
-        }
+        simnet::settle(&[&net], |now| ip.step(now));
         // A complete duplicate set legitimately reassembles a second
         // datagram (IP is not required to suppress whole-datagram
         // duplication — transports are). The invariants: at least one
@@ -191,14 +184,7 @@ proptest! {
             };
             raw.send(conn, EthAddr::host(2), pkt.encode_buf().unwrap()).unwrap();
         }
-        for _ in 0..300 {
-            if let Some(t) = net.next_delivery() {
-                net.advance_to(t);
-            }
-            if !ip.step(net.now()) {
-                break;
-            }
-        }
+        simnet::settle(&[&net], |now| ip.step(now));
 
         let got = got.borrow();
         prop_assert_eq!(got.len(), expected.len(), "completion count must match the model");
@@ -254,14 +240,7 @@ fn regression_complete_duplicate_set_len_100_chunk_64() {
     for f in &frags {
         raw.send(conn, EthAddr::host(2), f.clone().encode_buf().unwrap()).unwrap();
     }
-    for _ in 0..200 {
-        if let Some(t) = net.next_delivery() {
-            net.advance_to(t);
-        }
-        if !ip.step(net.now()) {
-            break;
-        }
-    }
+    simnet::settle(&[&net], |now| ip.step(now));
     assert!(!got.borrow().is_empty(), "the datagram must reassemble");
     for d in got.borrow().iter() {
         assert_eq!(&d.payload, &payload);

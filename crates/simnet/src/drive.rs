@@ -1,0 +1,185 @@
+//! The discrete-event loop: the one place that decides how hosts and
+//! frames take turns.
+//!
+//! A round steps the hosts at the segments' common instant, then lets
+//! the segments move frames. [`settle`] runs rounds until nothing is left
+//! to do, jumping the clock from one delivery to the next; [`drive`] runs
+//! them on a ticking clock, so timers fire, until a condition holds or a
+//! deadline passes. Every segment in a run is kept on one clock.
+
+use crate::net::SimNet;
+use foxbasis::time::{VirtualDuration, VirtualTime};
+
+/// Rounds [`settle`] runs before it calls the run a livelock.
+pub const SETTLE_ROUNDS: usize = 1000;
+
+/// Rounds [`drive`] runs at one instant: hosts may ping-pong frames that
+/// arrive "now" several times (zero-latency CPU models).
+const ROUNDS_PER_INSTANT: usize = 64;
+
+/// Brings every segment to the latest of their clocks and returns it.
+fn common_instant(nets: &[&SimNet]) -> VirtualTime {
+    let now = nets.iter().map(|n| n.now()).max().expect("at least one segment");
+    advance_all(nets, now);
+    now
+}
+
+fn advance_all(nets: &[&SimNet], t: VirtualTime) {
+    for n in nets {
+        n.advance_to(t);
+    }
+}
+
+/// The earliest pending delivery on any segment.
+fn next_delivery(nets: &[&SimNet]) -> Option<VirtualTime> {
+    nets.iter().filter_map(|n| n.next_delivery()).min()
+}
+
+/// Runs `step` (which steps every host at the instant it is given and
+/// reports whether any did something) and the segments until a round in
+/// which no host does anything and no frame is in flight. Between
+/// rounds the clock jumps to the earliest pending delivery; no timer
+/// fires unless a delivery carries the clock past it.
+///
+/// # Panics
+/// If the run is still busy after [`SETTLE_ROUNDS`] rounds.
+pub fn settle(nets: &[&SimNet], mut step: impl FnMut(VirtualTime) -> bool) {
+    let mut now = common_instant(nets);
+    for _ in 0..SETTLE_ROUNDS {
+        let mut progress = step(now);
+        if let Some(t) = next_delivery(nets) {
+            advance_all(nets, t);
+            now = t;
+            progress = true;
+        }
+        if !progress {
+            return;
+        }
+    }
+    panic!("did not settle in {SETTLE_ROUNDS} rounds");
+}
+
+/// Runs `step` over `hosts` and the segments until `done(hosts)` or
+/// `deadline`, and returns the instant at which `done` first held (or
+/// the deadline).
+///
+/// At each instant, rounds of `step` and the delivery of frames that are
+/// due repeat until quiet (at most 64). Then the clock moves to the
+/// earliest of `now + tick`, the next delivery (at least 1 µs on) and
+/// `deadline`. `tick` bounds timer latency; 1 ms reproduces the paper's
+/// timings faithfully at simulation speeds of millions of virtual
+/// seconds per wall second.
+pub fn drive<H: ?Sized>(
+    nets: &[&SimNet],
+    hosts: &mut H,
+    mut step: impl FnMut(&mut H, VirtualTime) -> bool,
+    mut done: impl FnMut(&mut H) -> bool,
+    tick: VirtualDuration,
+    deadline: VirtualTime,
+) -> VirtualTime {
+    let mut now = common_instant(nets);
+    loop {
+        for _ in 0..ROUNDS_PER_INSTANT {
+            let mut progress = step(hosts, now);
+            if next_delivery(nets).is_some_and(|t| t <= now) {
+                advance_all(nets, now);
+                progress = true;
+            }
+            if !progress {
+                break;
+            }
+        }
+        if done(hosts) || now >= deadline {
+            return now;
+        }
+        let mut next = (now + tick).min(deadline);
+        if let Some(t) = next_delivery(nets) {
+            next = next.min(t.max(now + VirtualDuration::from_micros(1)));
+        }
+        advance_all(nets, next);
+        now = next;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::net::Port;
+    use foxwire::ether::{EthAddr, EtherType, Frame};
+
+    fn frame(dst: EthAddr, src: EthAddr) -> Vec<u8> {
+        Frame::new(dst, src, EtherType::Other(0x1234), vec![0xab; 64]).encode_buf().unwrap().to_vec()
+    }
+
+    /// Stations that send every frame they receive back to its sender
+    /// while they have bounces left.
+    struct Bouncers {
+        ports: Vec<Port>,
+        bounces_left: usize,
+        received: usize,
+    }
+
+    impl Bouncers {
+        fn step(&mut self) -> bool {
+            let mut progress = false;
+            for p in &self.ports {
+                while let Some(f) = p.recv() {
+                    progress = true;
+                    self.received += 1;
+                    if self.bounces_left > 0 {
+                        self.bounces_left -= 1;
+                        let src = Frame::decode_buf(&f).unwrap().src;
+                        p.send(frame(src, p.addr()));
+                    }
+                }
+            }
+            progress
+        }
+    }
+
+    /// Two segments, each with a frame on its way from host 1 to host 2.
+    fn two_segments(bounces: usize) -> (SimNet, SimNet, Bouncers) {
+        let nets = (SimNet::ethernet_10mbps(1), SimNet::ethernet_10mbps(2));
+        let mut ports = Vec::new();
+        for net in [&nets.0, &nets.1] {
+            let (a, b) = (net.attach(EthAddr::host(1)), net.attach(EthAddr::host(2)));
+            a.send(frame(b.addr(), a.addr()));
+            ports.extend([a, b]);
+        }
+        (nets.0, nets.1, Bouncers { ports, bounces_left: bounces, received: 0 })
+    }
+
+    #[test]
+    fn settle_moves_frames_on_every_segment_until_all_are_quiet() {
+        let (n1, n2, mut hosts) = two_segments(5);
+        settle(&[&n1, &n2], |_| hosts.step());
+        assert_eq!(hosts.received, 2 + 5, "both first frames and every bounce arrived");
+        assert_eq!((n1.next_delivery(), n2.next_delivery()), (None, None));
+        assert_eq!(n1.now(), n2.now(), "one clock");
+    }
+
+    #[test]
+    #[should_panic(expected = "did not settle")]
+    fn settle_panics_on_a_run_that_never_quiesces() {
+        let net = SimNet::ethernet_10mbps(1);
+        settle(&[&net], |_| true);
+    }
+
+    #[test]
+    fn drive_returns_when_done_holds_or_at_the_deadline() {
+        let tick = VirtualDuration::from_millis(1);
+        let deadline = VirtualTime::from_millis(20);
+
+        let (n1, n2, mut hosts) = two_segments(0);
+        let first = n1.next_delivery().min(n2.next_delivery()).unwrap();
+        let at = drive(&[&n1, &n2], &mut hosts, |h, _| h.step(), |h| h.received > 0, tick, deadline);
+        assert_eq!(at, first, "the first instant a frame is in");
+        assert_eq!((n1.now(), n2.now()), (at, at));
+
+        let (n1, n2, mut hosts) = two_segments(3);
+        let at = drive(&[&n1, &n2], &mut hosts, |h, _| h.step(), |_| false, tick, deadline);
+        assert_eq!(at, deadline);
+        assert_eq!((n1.now(), n2.now()), (deadline, deadline));
+        assert_eq!(hosts.received, 2 + 3);
+    }
+}

@@ -390,11 +390,6 @@ impl Host {
         self.name
     }
 
-    /// The cost model in force.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// When the CPU becomes free (truncated to the µs simulation clock).
     pub fn cpu_free_at(&self) -> VirtualTime {
         VirtualTime::from_micros(self.cpu_free_ns / 1_000)

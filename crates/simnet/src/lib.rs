@@ -23,7 +23,11 @@
 //! * [`gcmodel`] — an allocation-driven model of the SML/NJ generational
 //!   stop-and-copy collector: minor collections when the nursery fills,
 //!   major collections as promoted data accumulates, each contributing
-//!   pauses to the host CPU and time to the `g. c.` account.
+//!   pauses to the host CPU and time to the `g. c.` account;
+//! * [`mod@drive`] — the discrete-event loop: [`settle`] runs hosts and
+//!   segments until quiet, [`drive()`] on a ticking clock until a
+//!   condition or a deadline. It is the one place that decides how
+//!   hosts and frames take turns.
 //!
 //! Everything is keyed by [`foxbasis::time::VirtualTime`]; with the same
 //! seed and configuration a simulation is bit-for-bit repeatable.
@@ -32,11 +36,13 @@
 #![warn(missing_docs)]
 #![deny(clippy::allow_attributes_without_reason)]
 
+pub mod drive;
 pub mod gcmodel;
 pub mod host;
 pub mod net;
 pub mod pcap;
 
+pub use drive::{drive, settle, SETTLE_ROUNDS};
 pub use gcmodel::{GcConfig, GcStats, SmlRuntime};
 pub use host::{Account, CostModel, Host, HostHandle, Work, PAPER_COUNTER_UPDATE_COST};
 pub use net::{FaultConfig, NetConfig, NetStats, Port, SimNet, TxShape};

@@ -5,6 +5,7 @@
 //!
 //! Run with: `cargo run --example ping`
 
+use foxbasis::time::VirtualTime;
 use foxproto::aux::IpAuxImpl;
 use foxproto::dev::Dev;
 use foxproto::eth::Eth;
@@ -40,21 +41,9 @@ fn station(net: &SimNet, id: u8) -> HostStack {
     HostStack { ip, icmp, udp }
 }
 
-fn settle(net: &SimNet, stacks: &mut [&mut HostStack]) {
-    for _ in 0..200 {
-        let mut progress = false;
-        for s in stacks.iter_mut() {
-            progress |= s.icmp.step(net.now());
-            progress |= s.udp.step(net.now());
-            progress |= s.ip.step(net.now());
-        }
-        if let Some(t) = net.next_delivery() {
-            net.advance_to(t);
-            progress = true;
-        }
-        if !progress {
-            break;
-        }
+impl HostStack {
+    fn step(&mut self, now: VirtualTime) -> bool {
+        self.icmp.step(now) | self.udp.step(now) | self.ip.step(now)
     }
 }
 
@@ -68,7 +57,7 @@ fn main() {
     for _ in 0..4 {
         let t0 = net.now();
         let seq = ping.probe(&mut a.icmp, Ipv4Addr::new(192, 168, 69, 2), t0).unwrap();
-        settle(&net, &mut [&mut a, &mut b]);
+        simnet::settle(&[&net], |now| a.step(now) | b.step(now));
         let got = ping.replies().iter().any(|r| r.seq == seq);
         println!("   icmp_seq={seq} {} t={}", if got { "reply received" } else { "timed out" }, net.now());
     }
@@ -87,7 +76,7 @@ fn main() {
     let a_sock = a.udp.open(5000, Box::new(move |m| r2.borrow_mut().push(m.payload.to_vec()))).unwrap();
 
     a.udp.send(a_sock, (Ipv4Addr::new(192, 168, 69, 2), 6969), b"abcdefg".to_vec()).unwrap();
-    settle(&net, &mut [&mut a, &mut b]);
+    simnet::settle(&[&net], |now| a.step(now) | b.step(now));
 
     // The echo application: reverse and send back.
     let pending: Vec<_> = echo_log.borrow_mut().drain(..).collect();
@@ -96,7 +85,7 @@ fn main() {
         data.reverse();
         b.udp.send(b_sock, (src, port), data).ok(); // back to the sender
     }
-    settle(&net, &mut [&mut a, &mut b]);
+    simnet::settle(&[&net], |now| a.step(now) | b.step(now));
     for r in replies.borrow().iter() {
         println!("   echoed back: {:?}", String::from_utf8_lossy(r));
     }

@@ -66,36 +66,15 @@ fn main() {
         .unwrap();
 
     let drive = |client: &mut Stack, server: &mut Stack, router: &mut Router, ms: u64| {
-        let mut now = net1.now().max(net2.now());
-        let end = now + VirtualDuration::from_millis(ms);
-        while now < end {
-            for _ in 0..50 {
-                let mut progress = client.step(now) | server.step(now) | router.step(now);
-                for n in [&net1, &net2] {
-                    if let Some(t) = n.next_delivery() {
-                        if t <= now {
-                            n.advance_to(now);
-                            progress = true;
-                        }
-                    }
-                }
-                if !progress {
-                    break;
-                }
-            }
-            let mut next = now + VirtualDuration::from_millis(1);
-            for n in [&net1, &net2] {
-                if let Some(t) = n.next_delivery() {
-                    next = next.min(t.max(now + VirtualDuration::from_micros(1)));
-                }
-            }
-            for n in [&net1, &net2] {
-                if n.now() < next {
-                    n.advance_to(next);
-                }
-            }
-            now = next;
-        }
+        let deadline = net1.now().max(net2.now()) + VirtualDuration::from_millis(ms);
+        simnet::drive(
+            &[&net1, &net2],
+            &mut (client, server, router),
+            |(c, s, r), now| c.step(now) | s.step(now) | r.step(now),
+            |_| false,
+            VirtualDuration::from_millis(1),
+            deadline,
+        );
     };
 
     drive(&mut client, &mut server, &mut router, 2_000);

@@ -6,10 +6,10 @@
 #   scripts/same_bytes.sh <rev> [workdir]
 #
 # Compared, one line per artifact:
-#   - the stdout of every `tables` item except `micro` (wall clock). The
-#     item list is read from the working tree's `tables` binary (its
-#     unknown-item message lists them), so a new item is covered without
-#     editing this script; an item <rev> does not know is reported NEW;
+#   - the stdout of every `tables` item. The item list is read from the
+#     working tree's `tables` binary (its unknown-item message lists
+#     them), so a new item is covered without editing this script; an
+#     item <rev> does not know is reported NEW;
 #   - the traced Table 1 run: `tables --trace t.jsonl --pcap t.pcap`, its
 #     stdout and both files;
 #   - the stdout of each example in examples/*.rs.
@@ -81,7 +81,6 @@ report() {
 }
 
 for item in $head_items; do
-  [ "$item" = micro ] && continue
   case "$base_items" in
     *" $item "*) ;;
     *)

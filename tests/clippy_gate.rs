@@ -400,3 +400,40 @@ fn every_test_hook_is_test_only() {
         assert_eq!(lines[imp - 1], "#[cfg(test)]", "{rel}: `{name}`'s impl is not `#[cfg(test)]`");
     }
 }
+
+/// `simnet::drive` is the one place that decides how hosts and frames
+/// take turns: every run that waits until quiet goes through
+/// `simnet::settle`, every ticked run through `simnet::drive`, and no
+/// other code asks a segment when its next frame is due. foxperf's
+/// `ladder.rs` keeps a loop of its own: `foxperf/` is a separate package
+/// that compiles against the workspace, outside what this file reads.
+#[test]
+fn one_discrete_event_loop() {
+    let call = format!(".{}(", "next_delivery");
+    let loop_home = root().join("crates/simnet/src");
+    let mut loops = Vec::new();
+    for file in ["crates", "tests", "examples"].into_iter().flat_map(rust_files) {
+        if file.starts_with(&loop_home) {
+            continue;
+        }
+        let src = fs::read_to_string(&file).expect("readable source");
+        let lines = src.lines().enumerate().filter(|(_, l)| l.contains(&call));
+        loops.extend(lines.map(|(n, l)| format!("{}:{}: {}", file.display(), n + 1, l.trim())));
+    }
+    assert!(loops.is_empty(), "a stepping loop outside simnet::drive: {loops:#?}");
+}
+
+/// Nothing under `crates/` reads the wall clock, so `determinism`'s
+/// banned types take no exception: wall-clock timing is foxperf's and
+/// the vendored Criterion's.
+#[test]
+fn the_determinism_lint_has_no_exception() {
+    let lint = format!("clippy::{}", "disallowed_types");
+    let mut exceptions = Vec::new();
+    for file in rust_files("crates") {
+        let src = fs::read_to_string(&file).expect("readable source");
+        let lines = src.lines().enumerate().filter(|(_, l)| l.contains(&lint));
+        exceptions.extend(lines.map(|(n, l)| format!("{}:{}: {}", file.display(), n + 1, l.trim())));
+    }
+    assert!(exceptions.is_empty(), "an exception to the determinism lint: {exceptions:#?}");
+}

@@ -79,13 +79,7 @@ fn udp_directly_over_ethernet() {
     b.open(6969, Box::new(move |m| g.borrow_mut().push(m))).unwrap();
     let sock = a.open(5000, Box::new(|_| {})).unwrap();
     a.send(sock, (EthAddr::host(2), 6969), b"udp over raw ethernet".to_vec()).unwrap();
-    for _ in 0..20 {
-        if let Some(t) = net.next_delivery() {
-            net.advance_to(t);
-        }
-        a.step(net.now());
-        b.step(net.now());
-    }
+    simnet::settle(&[&net], |now| a.step(now) | b.step(now));
     assert_eq!(got.borrow().len(), 1);
     assert_eq!(got.borrow()[0].payload, b"udp over raw ethernet");
     assert_eq!(got.borrow()[0].src, (EthAddr::host(1), 5000));

@@ -64,39 +64,14 @@ fn tcp_session_through_the_router() {
 
     // Drive both segments and all three boxes on one logical clock.
     let drive = |client: &mut Stack, server: &mut Stack, router: &mut Router, until_ms: u64| {
-        let mut now = net1.now().max(net2.now());
-        let end = VirtualTime::from_millis(until_ms);
-        while now < end {
-            for _ in 0..50 {
-                let mut progress = false;
-                progress |= client.step(now);
-                progress |= server.step(now);
-                progress |= router.step(now);
-                for n in [&net1, &net2] {
-                    if let Some(t) = n.next_delivery() {
-                        if t <= now {
-                            n.advance_to(now);
-                            progress = true;
-                        }
-                    }
-                }
-                if !progress {
-                    break;
-                }
-            }
-            let mut next = now + VirtualDuration::from_millis(1);
-            for n in [&net1, &net2] {
-                if let Some(t) = n.next_delivery() {
-                    next = next.min(t.max(now + VirtualDuration::from_micros(1)));
-                }
-            }
-            for n in [&net1, &net2] {
-                if n.now() < next {
-                    n.advance_to(next);
-                }
-            }
-            now = next;
-        }
+        simnet::drive(
+            &[&net1, &net2],
+            &mut (client, server, router),
+            |(c, s, r), now| c.step(now) | s.step(now) | r.step(now),
+            |_| false,
+            VirtualDuration::from_millis(1),
+            VirtualTime::from_millis(until_ms),
+        );
     };
 
     drive(&mut client, &mut server, &mut router, 2_000);
