@@ -1189,6 +1189,7 @@ mod tests {
 
     use super::*;
     use crate::testlink::{immediate, Pair};
+    use simnet::Medium;
 
     /// Slots are recycled, ids are not; and whatever slots connections
     /// landed in, `step` drains the ones whose timers fired in id order.
@@ -1220,13 +1221,13 @@ mod tests {
 
         // Timers on all three at one instant, armed in slot order —
         // the newest connection first.
-        p.link.set_filter_toward(1, Box::new(|_| false));
+        p.link.set_filter_toward(1, Box::new(|_, _| false));
         let sink = EventSink::recording(1024);
         p.a.set_obs(sink.clone());
         for conn in [fourth, second, third] {
             assert_eq!(p.a.send_data(conn, b"unanswered"), Ok(10));
         }
-        p.a.step(p.now + VirtualDuration::from_secs(5));
+        p.a.step(p.now() + VirtualDuration::from_secs(5));
         let fired: Vec<u32> = sink
             .events()
             .iter()
@@ -1252,14 +1253,14 @@ mod tests {
         // A fires (a delayed ACK with none owed does nothing) and frees
         // its cell; B, armed next on an otherwise empty wheel, gets it.
         p.a.set_timer(idx, TimerKind::DelayedAck, 1);
-        p.now = VirtualTime::from_millis(2);
+        p.link.advance_to(VirtualTime::from_millis(2));
         p.settle();
         p.a.set_timer(idx, TimerKind::UserTimeout, 5);
         let before = p.a.wheel_stats();
         p.a.clear_timer(idx, TimerKind::DelayedAck);
         assert_eq!(p.a.wheel_stats(), before, "a stale id cancels nothing");
         assert_eq!(p.a.wheel.len(), 1, "B is still pending");
-        p.now = VirtualTime::from_millis(10);
+        p.link.advance_to(VirtualTime::from_millis(10));
         p.settle();
 
         let timers: Vec<String> = sink

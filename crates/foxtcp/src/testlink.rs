@@ -5,17 +5,22 @@
 //! without a live network; [`LinkPair`] extends that to whole-engine
 //! tests: two [`TestLower`] endpoints joined by loss-free (or
 //! deterministically lossy) in-memory queues, with addresses that are
-//! plain `u8`s. No IP, no Ethernet, no simulator — every test failure is
-//! a TCP bug.
+//! plain `u8`s. No IP, no Ethernet, no simulated segment — every test
+//! failure is a TCP bug.
 //!
 //! The companion [`TestAux`] satisfies `IP_AUX` with checksums disabled
 //! (the in-memory link never corrupts), so the full engine runs over it
 //! unchanged — the same genericity that lets `Special_Tcp` run over raw
 //! Ethernet.
 //!
+//! The link is a [`simnet::Medium`] and owns the rig's one clock, so
+//! everything stepped over it settles in `simnet::settle`, the loop the
+//! simulator's own runs use. A sent frame is in the receiver's queue at
+//! once; the link never has a delivery pending.
+//!
 //! [`Pair`] is the rig every two-engine test and bench drives: both
-//! engines, the link between them, one virtual clock and a log of what
-//! each side's users were told.
+//! engines, the link between them and a log of what each side's users
+//! were told.
 
 use crate::{ConnectingSocket, ListeningSocket, Tcp, TcpConfig, TcpConnId, TcpEvent};
 use fox_scheduler::{SchedHandle, Scheduler};
@@ -23,7 +28,7 @@ use foxbasis::buf::PacketBuf;
 use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxproto::aux::{AuxInfo, IpAux};
 use foxproto::{Handler, ProtoError, Protocol};
-use simnet::HostHandle;
+use simnet::{HostHandle, Medium};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -39,16 +44,21 @@ pub struct TestMsg {
     pub data: PacketBuf,
 }
 
-/// Policy hook: inspect/modify/drop frames in transit.
+/// Policy hook: inspect/modify/drop frames in transit. It is given the
+/// frame's index among those offered toward its side since it was
+/// installed (from 0), so a drop rule is a function of the index.
 /// Returns `false` to drop the frame.
-pub type Filter = Box<dyn FnMut(&mut PacketBuf) -> bool>;
+pub type Filter = Box<dyn FnMut(u64, &mut PacketBuf) -> bool>;
 
 struct Wire {
     /// Frames in flight toward endpoint 0 / 1.
     toward: [VecDeque<TestMsg>; 2],
-    filters: [Option<Filter>; 2],
+    /// Each side's filter and the index of the next frame it is offered.
+    filters: [Option<(u64, Filter)>; 2],
     /// Frames dropped by filters.
-    pub dropped: u64,
+    dropped: u64,
+    /// The link's clock.
+    now: VirtualTime,
 }
 
 /// A pair of connected test endpoints.
@@ -57,13 +67,15 @@ pub struct LinkPair {
 }
 
 impl LinkPair {
-    /// A fresh, loss-free pair. Endpoint addresses are 0 and 1.
+    /// A fresh, loss-free pair, its clock at zero. Endpoint addresses
+    /// are 0 and 1.
     pub fn new() -> LinkPair {
         LinkPair {
             wire: Rc::new(RefCell::new(Wire {
                 toward: [VecDeque::new(), VecDeque::new()],
                 filters: [None, None],
                 dropped: 0,
+                now: VirtualTime::ZERO,
             })),
         }
     }
@@ -74,9 +86,10 @@ impl LinkPair {
         TestLower { wire: self.wire.clone(), side, handler: None, opened: false }
     }
 
-    /// Installs a filter on frames *toward* `side`.
+    /// Installs a filter on frames *toward* `side`; the next frame
+    /// offered to it is its frame 0.
     pub fn set_filter_toward(&self, side: u8, filter: Filter) {
-        self.wire.borrow_mut().filters[usize::from(side)] = Some(filter);
+        self.wire.borrow_mut().filters[usize::from(side)] = Some((0, filter));
     }
 
     /// Frames dropped by filters so far.
@@ -93,6 +106,25 @@ impl LinkPair {
 impl Default for LinkPair {
     fn default() -> Self {
         LinkPair::new()
+    }
+}
+
+impl Medium for LinkPair {
+    fn now(&self) -> VirtualTime {
+        self.wire.borrow().now
+    }
+
+    /// Always `None`: a sent frame is already in the receiver's queue.
+    fn next_delivery(&self) -> Option<VirtualTime> {
+        None
+    }
+
+    /// # Panics
+    /// If `t` is before the link's clock.
+    fn advance_to(&self, t: VirtualTime) {
+        let now = &mut self.wire.borrow_mut().now;
+        assert!(t >= *now, "the link's clock cannot run backwards");
+        *now = t;
     }
 }
 
@@ -126,7 +158,10 @@ impl Protocol for TestLower {
         let mut wire = self.wire.borrow_mut();
         let mut payload = payload.into();
         let keep = match &mut wire.filters[usize::from(to)] {
-            Some(f) => f(&mut payload),
+            Some((i, f)) => {
+                *i += 1;
+                f(*i - 1, &mut payload)
+            }
             None => true,
         };
         if keep {
@@ -208,8 +243,8 @@ pub fn immediate() -> TcpConfig {
     TcpConfig { delayed_ack_ms: None, ..no_nagle() }
 }
 
-/// Two engines joined by a [`LinkPair`], one virtual clock between them
-/// and a log of every event either side's users received.
+/// Two engines joined by a [`LinkPair`], whose clock they are stepped
+/// at, and a log of every event either side's users received.
 ///
 /// `a` (link address 0) is the active opener and `b` (address 1) the
 /// listener in [`Pair::open`]; everything else about the engines is
@@ -217,14 +252,13 @@ pub fn immediate() -> TcpConfig {
 /// lifecycle (a listener of its own, a handler of its own via
 /// [`Tcp::set_handler`], a filter on `link`) just uses it.
 pub struct Pair {
-    /// The wire between the engines: filters and the drop count.
+    /// The wire between the engines: the clock, filters and the drop
+    /// count.
     pub link: LinkPair,
     /// The engine at link address 0.
     pub a: Engine,
     /// The engine at link address 1.
     pub b: Engine,
-    /// The virtual instant the engines are stepped at.
-    pub now: VirtualTime,
     logs: [EventLog; 2],
     listeners: Vec<(u16, ListeningSocket)>,
     /// How much of `b`'s log [`Pair::accept`] has already searched.
@@ -246,13 +280,14 @@ impl Pair {
         start: VirtualTime,
     ) -> Pair {
         let link = LinkPair::new();
+        link.advance_to(start);
         let [host_a, host_b] = hosts;
         let engine = |side, cfg, host| {
             let sched = SchedHandle::from_scheduler(Scheduler::starting_at(start));
             Tcp::new(link.endpoint(side), TestAux, (), cfg, sched, host)
         };
         let (a, b) = (engine(0, cfg_a, host_a), engine(1, cfg_b, host_b));
-        Pair { link, a, b, now: start, logs: Default::default(), listeners: Vec::new(), accepted_to: 0 }
+        Pair { link, a, b, logs: Default::default(), listeners: Vec::new(), accepted_to: 0 }
     }
 
     /// A handler that logs every event for `side` under `tag`.
@@ -261,34 +296,35 @@ impl Pair {
         Box::new(move |e| log.borrow_mut().push((tag, e)))
     }
 
-    /// Steps both engines at `now` until neither makes progress.
+    /// The link's clock: the instant the engines are stepped at.
+    pub fn now(&self) -> VirtualTime {
+        self.link.now()
+    }
+
+    /// Steps both engines at the link's clock until neither makes
+    /// progress.
     ///
     /// # Panics
-    /// If they are still talking after 500 rounds.
+    /// If they are still talking after [`simnet::SETTLE_ROUNDS`] rounds.
     pub fn settle(&mut self) {
-        for _ in 0..500 {
-            let pa = self.a.step(self.now);
-            let pb = self.b.step(self.now);
-            if !pa && !pb {
-                return;
-            }
-        }
-        panic!("did not settle");
+        let (a, b) = (&mut self.a, &mut self.b);
+        simnet::settle(&[&self.link], |now| a.step(now) | b.step(now));
     }
 
     /// Advances the clock `ms` and steps each engine once — a host's
     /// poll loop, for tests that pace a transfer themselves.
     pub fn tick(&mut self, ms: u64) {
-        self.now += VirtualDuration::from_millis(ms);
-        self.a.step(self.now);
-        self.b.step(self.now);
+        let now = self.now() + VirtualDuration::from_millis(ms);
+        self.link.advance_to(now);
+        self.a.step(now);
+        self.b.step(now);
     }
 
     /// Advances the clock `ms` in `tick_ms` steps, settling at each.
     pub fn run_for(&mut self, ms: u64, tick_ms: u64) {
-        let end = self.now + VirtualDuration::from_millis(ms);
-        while self.now < end {
-            self.now = (self.now + VirtualDuration::from_millis(tick_ms)).min(end);
+        let end = self.now() + VirtualDuration::from_millis(ms);
+        while self.now() < end {
+            self.link.advance_to((self.now() + VirtualDuration::from_millis(tick_ms)).min(end));
             self.settle();
         }
     }
@@ -387,6 +423,19 @@ mod tests {
         assert!(b.step(VirtualTime::ZERO));
         assert_eq!(got.borrow().len(), 1);
         assert_eq!(got.borrow()[0], TestMsg { src: 0, data: b"hello"[..].into() });
+        // Run as a medium, the link settles once both queues are empty.
+        a.send(0, 1, b"again".to_vec()).unwrap();
+        b.send(1, 0, b"back".to_vec()).unwrap();
+        simnet::settle(&[&pair], |now| a.step(now) | b.step(now));
+        assert_eq!((pair.in_flight_toward(0), pair.in_flight_toward(1), got.borrow().len()), (0, 0, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot run backwards")]
+    fn the_link_clock_never_runs_backwards() {
+        let pair = LinkPair::new();
+        pair.advance_to(VirtualTime::from_millis(2));
+        pair.advance_to(VirtualTime::from_millis(1));
     }
 
     #[test]
@@ -396,20 +445,18 @@ mod tests {
         let mut b = pair.endpoint(1);
         b.open((), Box::new(|_| {})).unwrap();
         a.open((), Box::new(|_| {})).unwrap();
-        let count = Rc::new(RefCell::new(0));
-        let c = count.clone();
-        pair.set_filter_toward(
-            1,
-            Box::new(move |_| {
-                *c.borrow_mut() += 1;
-                *c.borrow() % 2 == 0 // drop every odd frame
-            }),
-        );
+        pair.set_filter_toward(1, Box::new(|i, _| i % 2 == 1)); // drop frames 0, 2, ...
         for _ in 0..4 {
             a.send(0, 1, vec![0]).unwrap();
         }
         b.step(VirtualTime::ZERO);
         assert_eq!(pair.dropped(), 2);
+        // A new filter counts from 0 again: it drops only its first frame.
+        pair.set_filter_toward(1, Box::new(|i, _| i > 0));
+        for _ in 0..3 {
+            a.send(0, 1, vec![0]).unwrap();
+        }
+        assert_eq!((pair.dropped(), pair.in_flight_toward(1)), (3, 2));
     }
 
     #[test]
@@ -429,13 +476,13 @@ mod tests {
     fn a_filter_drop_shows_through_the_pair() {
         let mut p = Pair::new(no_nagle(), TcpConfig::default());
         let (client, child) = p.open(80);
-        p.link.set_filter_toward(1, Box::new(|_| false));
+        p.link.set_filter_toward(1, Box::new(|_, _| false));
         p.a.send_data(client, b"lost").unwrap();
         p.settle();
         assert_eq!(p.link.dropped(), 1, "the one data segment");
         assert!(p.data_of(1, child).is_empty());
         // The wire heals; the retransmission gets through.
-        p.link.set_filter_toward(1, Box::new(|_| true));
+        p.link.set_filter_toward(1, Box::new(|_, _| true));
         p.run_for(2_000, 100);
         assert_eq!(p.data_of(1, child), b"lost");
         assert_eq!(p.link.dropped(), 1);
@@ -453,7 +500,7 @@ mod tests {
         for side in [0, 1] {
             p.link.set_filter_toward(
                 side,
-                Box::new(|bytes| {
+                Box::new(|_, bytes| {
                     let mut seg = foxwire::tcp::TcpSegment::decode_buf(bytes, None).unwrap();
                     seg.header.seq += 1_000_000;
                     *bytes = seg.encode_buf(None).unwrap();

@@ -23,6 +23,7 @@ use counting_alloc::{allocs, live_bytes};
 use foxbasis::time::VirtualDuration;
 use foxtcp::testlink::Pair;
 use foxtcp::{TcpConfig, TcpConnId, TcpEvent};
+use simnet::Medium;
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -109,10 +110,10 @@ fn counting(into: &Rc<Cell<usize>>) -> foxproto::Handler<TcpEvent> {
 /// the reply.
 fn round_trip(p: &mut Pair, client: TcpConnId, server: TcpConnId) {
     assert_eq!(p.a.send_data(client, &[0x5a; 64]), Ok(64));
-    p.now += VirtualDuration::from_micros(3);
+    p.link.advance_to(p.now() + VirtualDuration::from_micros(3));
     p.settle();
     assert_eq!(p.b.send_data(server, &[0xa5; 64]), Ok(64));
-    p.now += VirtualDuration::from_micros(3);
+    p.link.advance_to(p.now() + VirtualDuration::from_micros(3));
     p.settle();
 }
 
@@ -196,7 +197,7 @@ fn idle_established_connections_hold_a_pinned_number_of_bytes() {
         round_trip(&mut p, client, child);
     }
     // Past every delayed ACK: nothing in flight, no timer pending.
-    p.now += VirtualDuration::from_millis(10);
+    p.link.advance_to(p.now() + VirtualDuration::from_millis(10));
     p.settle();
     assert_eq!(got.get() as u64, IDLE_PAIRS * 128, "every request and every reply arrived");
     assert!(p.a.wheel_stats().arms > 0 && p.link.in_flight_toward(0) + p.link.in_flight_toward(1) == 0);

@@ -35,10 +35,9 @@ use foxtcp::{
     ConnectingSocket, EstablishedSocket, ListeningSocket, Tcp, TcpConfig, TcpConnId, TcpEvent, TcpState,
 };
 use foxwire::tcp::{wire_window, TcpFlags, TcpHeader, TcpSegment};
-use simnet::HostHandle;
+use simnet::{HostHandle, Medium};
 use std::cell::RefCell;
 use std::collections::BTreeSet;
-use std::collections::VecDeque;
 use std::rc::Rc;
 use xktcp::{SockId, XkConfig, XkEvent, XkTcp};
 
@@ -397,14 +396,59 @@ impl Sut for XkSut {
 
 // --------------------------------------------------------- the runner
 
+/// The other end of the link from the SUT: not a TCP, only raw
+/// segments out and every segment the SUT transmitted, decoded, in.
+struct Peer {
+    link: LinkPair,
+    lower: TestLower,
+    rx: Rc<RefCell<Vec<TcpSegment>>>,
+}
+
+impl Peer {
+    /// Takes endpoint 0 of `link`; the SUT holds endpoint 1.
+    fn new(link: LinkPair) -> Peer {
+        let rx = Rc::new(RefCell::new(Vec::new()));
+        let sink = rx.clone();
+        let mut lower = link.endpoint(0);
+        lower
+            .open(
+                (),
+                Box::new(move |m| {
+                    let seg = TcpSegment::decode_buf(&m.data, None).expect("undecodable segment");
+                    sink.borrow_mut().push(seg);
+                }),
+            )
+            .unwrap();
+        Peer { link, lower, rx }
+    }
+
+    /// Puts a bare segment `src_port` → `dst_port` on the wire.
+    fn send(&mut self, (src_port, dst_port): (u16, u16), flags: TcpFlags, seq: u32, ack: u32) {
+        let mut h = TcpHeader::new(src_port, dst_port);
+        h.seq = Seq(seq);
+        h.ack = Seq(ack);
+        h.flags = flags;
+        h.window = wire_window(4096, 0);
+        let seg = TcpSegment { header: h, payload: foxbasis::buf::PacketBuf::new() };
+        self.lower.send(0, 1, seg.encode_buf(None).unwrap()).unwrap();
+    }
+
+    /// Settles the SUT (stepped by `sut_step`) and the peer at the
+    /// link's clock, and returns every segment the SUT transmitted
+    /// meanwhile.
+    fn exchange(&mut self, mut sut_step: impl FnMut(VirtualTime) -> bool) -> Vec<TcpSegment> {
+        let lower = &mut self.lower;
+        simnet::settle(&[&self.link], |now| sut_step(now) | lower.step(now));
+        self.rx.take()
+    }
+}
+
 /// The scripted peer plus the bookkeeping the script needs: its own
 /// next sequence number, the SUT's (observed, not computed), and every
 /// segment the SUT has transmitted.
 struct Harness {
     sut: Box<dyn Sut>,
-    lower: TestLower,
-    rx: Rc<RefCell<VecDeque<TcpSegment>>>,
-    now: VirtualTime,
+    peer: Peer,
     /// Next sequence number the peer will send.
     peer_nxt: u32,
     /// Everything the SUT has sent us, cumulatively acknowledged.
@@ -419,54 +463,13 @@ struct Harness {
 }
 
 impl Harness {
-    fn new(link: &LinkPair, sut: Box<dyn Sut>) -> Harness {
-        let rx: Rc<RefCell<VecDeque<TcpSegment>>> = Rc::new(RefCell::new(VecDeque::new()));
-        let sink = rx.clone();
-        let mut lower = link.endpoint(0);
-        lower
-            .open(
-                (),
-                Box::new(move |m| {
-                    let seg = TcpSegment::decode_buf(&m.data, None).expect("undecodable segment");
-                    sink.borrow_mut().push_back(seg);
-                }),
-            )
-            .unwrap();
-        Harness {
-            sut,
-            lower,
-            rx,
-            now: VirtualTime::ZERO,
-            peer_nxt: PEER_ISS,
-            sut_nxt: 0,
-            sut_fin_seq: None,
-            dst_port: SUT_LISTEN_PORT,
-            got: Vec::new(),
-            cursor: 0,
-        }
-    }
-
-    /// Steps SUT and peer until neither makes progress.
+    /// Steps SUT and peer until neither makes progress, then notes
+    /// what the SUT sent.
     fn settle(&mut self) {
-        for _ in 0..256 {
-            let p = self.sut.step(self.now);
-            self.lower.step(self.now);
-            let mut fresh = false;
-            loop {
-                let seg = self.rx.borrow_mut().pop_front();
-                match seg {
-                    Some(seg) => {
-                        fresh = true;
-                        self.note(seg);
-                    }
-                    None => break,
-                }
-            }
-            if !p && !fresh {
-                return;
-            }
+        let sut = &mut self.sut;
+        for seg in self.peer.exchange(|now| sut.step(now)) {
+            self.note(seg);
         }
-        panic!("[{}] did not settle", self.sut.kind());
     }
 
     /// Records a segment from the SUT; the link is in-order and
@@ -482,14 +485,7 @@ impl Harness {
 
     /// Peer → SUT.
     fn send(&mut self, flags: TcpFlags, seq: u32, ack: u32) {
-        let mut h = TcpHeader::new(PEER_PORT, self.dst_port);
-        h.seq = Seq(seq);
-        h.ack = Seq(ack);
-        h.flags = flags;
-        h.window = wire_window(4096, 0);
-        let seg = TcpSegment { header: h, payload: foxbasis::buf::PacketBuf::new() };
-        let buf = seg.encode_buf(None).unwrap();
-        self.lower.send(0, 1, buf).unwrap();
+        self.peer.send((PEER_PORT, self.dst_port), flags, seq, ack);
         self.settle();
     }
 
@@ -608,9 +604,10 @@ impl Harness {
                     }
                 }
                 Step::Wait(ms) => {
-                    let end = self.now + VirtualDuration::from_millis(ms);
-                    while self.now < end {
-                        self.now = (self.now + VirtualDuration::from_millis(1000)).min(end);
+                    let end = self.peer.link.now() + VirtualDuration::from_millis(ms);
+                    while self.peer.link.now() < end {
+                        let next = (self.peer.link.now() + VirtualDuration::from_millis(1000)).min(end);
+                        self.peer.link.advance_to(next);
                         self.settle();
                     }
                 }
@@ -657,7 +654,16 @@ fn run_on(stack: &'static str, sc: &Scenario) -> BTreeSet<(&'static str, &'stati
     };
     let sink = EventSink::recording(1 << 16);
     sut.set_obs(sink.clone());
-    let mut h = Harness::new(&link, sut);
+    let mut h = Harness {
+        sut,
+        peer: Peer::new(link),
+        peer_nxt: PEER_ISS,
+        sut_nxt: 0,
+        sut_fin_seq: None,
+        dst_port: SUT_LISTEN_PORT,
+        got: Vec::new(),
+        cursor: 0,
+    };
     h.run(sc.name, sc.steps);
     let mut out = BTreeSet::new();
     for ev in sink.events() {
@@ -1594,96 +1600,45 @@ fn rfc9293_figure_5_is_a_subgraph_of_the_spec() {
 
 // ------------------------------------------------- SYN-flood recovery
 
-/// A raw peer that floods from many source ports and watches which of
-/// them the xk listener answers. (fox faces real clients below: its
-/// peer is a second engine on `foxtcp::testlink::Pair`.)
-struct FloodPeer {
-    lower: TestLower,
-    rx: Rc<RefCell<VecDeque<TcpSegment>>>,
-}
-
-impl FloodPeer {
-    fn new(link: &LinkPair) -> FloodPeer {
-        let rx: Rc<RefCell<VecDeque<TcpSegment>>> = Rc::new(RefCell::new(VecDeque::new()));
-        let sink = rx.clone();
-        let mut lower = link.endpoint(0);
-        lower
-            .open(
-                (),
-                Box::new(move |m| {
-                    let seg = TcpSegment::decode_buf(&m.data, None).expect("undecodable segment");
-                    sink.borrow_mut().push_back(seg);
-                }),
-            )
-            .unwrap();
-        FloodPeer { lower, rx }
-    }
-
-    fn send(&mut self, src_port: u16, flags: TcpFlags, seq: u32, ack: u32) {
-        let mut h = TcpHeader::new(src_port, SUT_LISTEN_PORT);
-        h.seq = Seq(seq);
-        h.ack = Seq(ack);
-        h.flags = flags;
-        h.window = wire_window(4096, 0);
-        let seg = TcpSegment { header: h, payload: foxbasis::buf::PacketBuf::new() };
-        self.lower.send(0, 1, seg.encode_buf(None).unwrap()).unwrap();
-    }
-
-    /// Steps `tcp` at time zero until it and the link fall silent,
-    /// returning every `(dst_port, segment)` it transmitted meanwhile.
-    fn exchange(&mut self, tcp: &mut XkTcp<TestLower, TestAux>) -> Vec<(u16, TcpSegment)> {
-        let now = VirtualTime::ZERO;
-        let mut seen = Vec::new();
-        for _ in 0..256 {
-            let progress = tcp.step(now);
-            self.lower.step(now);
-            let fresh: Vec<_> = self.rx.borrow_mut().drain(..).map(|s| (s.header.dst_port, s)).collect();
-            if !progress && fresh.is_empty() {
-                return seen;
-            }
-            seen.extend(fresh);
-        }
-        panic!("[xk] did not settle");
-    }
-}
-
 fn is_syn_ack(seg: &TcpSegment) -> bool {
     seg.header.flags.syn && seg.header.flags.ack
 }
 
-/// Flood a backlog-2 listener with 5 SYNs, check only 2 are answered,
-/// finish those handshakes (which is all xk needs for a child to leave
-/// its accept queue: SYN-RECEIVED ends at establishment), then retry one
-/// of the dropped SYNs and see it admitted — the bounded queue recovers
-/// instead of wedging.
+/// The raw [`Peer`] against xk (fox faces real clients below, on a
+/// `Pair`): flood a backlog-2 listener with 5 SYNs, check only 2 are
+/// answered, finish those handshakes (which is all xk needs for a child
+/// to leave its accept queue: SYN-RECEIVED ends at establishment), then
+/// retry one of the dropped SYNs and see it admitted — the bounded queue
+/// recovers instead of wedging.
 #[test]
 fn xk_syn_flood_drops_beyond_backlog_and_recovers() {
     let link = LinkPair::new();
     let cfg = XkConfig { backlog: 2, ..XkConfig::default() };
     let mut tcp = XkTcp::new(link.endpoint(1), TestAux, (), cfg, HostHandle::free());
     tcp.listen(SUT_LISTEN_PORT).unwrap();
-    let mut peer = FloodPeer::new(&link);
+    let mut peer = Peer::new(link);
 
     // Five clients, one burst. Backlog is 2.
     for port in [9001u16, 9002, 9003, 9004, 9005] {
-        peer.send(port, TcpFlags::SYN, 1000, 0);
+        peer.send((port, SUT_LISTEN_PORT), TcpFlags::SYN, 1000, 0);
     }
-    let replies = peer.exchange(&mut tcp);
-    let answered: Vec<u16> = replies.iter().filter(|(_, s)| is_syn_ack(s)).map(|(p, _)| *p).collect();
+    let replies = peer.exchange(|now| tcp.step(now));
+    let answered: Vec<u16> = replies.iter().filter(|s| is_syn_ack(s)).map(|s| s.header.dst_port).collect();
     assert_eq!(answered, vec![9001, 9002], "only the backlog is admitted");
 
     // Finish the admitted handshakes.
-    for (port, seg) in replies.iter().filter(|(_, s)| is_syn_ack(s)) {
-        peer.send(*port, TcpFlags::ACK, 1001, seg.header.seq.0.wrapping_add(1));
+    for seg in replies.iter().filter(|s| is_syn_ack(s)) {
+        let ports = (seg.header.dst_port, SUT_LISTEN_PORT);
+        peer.send(ports, TcpFlags::ACK, 1001, seg.header.seq.0.wrapping_add(1));
     }
-    peer.exchange(&mut tcp);
+    peer.exchange(|now| tcp.step(now));
 
     // One of the silently dropped clients retransmits its SYN; the
     // drained queue now has room.
-    peer.send(9004, TcpFlags::SYN, 1000, 0);
-    let replies = peer.exchange(&mut tcp);
+    peer.send((9004, SUT_LISTEN_PORT), TcpFlags::SYN, 1000, 0);
+    let replies = peer.exchange(|now| tcp.step(now));
     assert!(
-        replies.iter().any(|(p, s)| *p == 9004 && is_syn_ack(s)),
+        replies.iter().any(|s| s.header.dst_port == 9004 && is_syn_ack(s)),
         "retransmitted SYN is admitted after the queue drains"
     );
 }
@@ -1791,14 +1746,15 @@ fn xk_reaped_child_reads_none() {
     let link = LinkPair::new();
     let mut tcp = XkTcp::new(link.endpoint(1), TestAux, (), XkConfig::default(), HostHandle::free());
     let listener = tcp.listen(SUT_LISTEN_PORT).unwrap();
-    let mut peer = FloodPeer::new(&link);
+    let mut peer = Peer::new(link);
+    let ports = (PEER_PORT, SUT_LISTEN_PORT);
 
-    peer.send(PEER_PORT, TcpFlags::SYN, PEER_ISS, 0);
-    let replies = peer.exchange(&mut tcp);
-    let (_, syn_ack) = replies.iter().find(|(_, s)| is_syn_ack(s)).expect("SYN-ACK answers the SYN");
+    peer.send(ports, TcpFlags::SYN, PEER_ISS, 0);
+    let replies = peer.exchange(|now| tcp.step(now));
+    let syn_ack = replies.iter().find(|s| is_syn_ack(s)).expect("SYN-ACK answers the SYN");
     let sut_iss = syn_ack.header.seq.0;
-    peer.send(PEER_PORT, TcpFlags::ACK, PEER_ISS + 1, sut_iss.wrapping_add(1));
-    peer.exchange(&mut tcp);
+    peer.send(ports, TcpFlags::ACK, PEER_ISS + 1, sut_iss.wrapping_add(1));
+    peer.exchange(|now| tcp.step(now));
 
     let mut child = None;
     while let Some(e) = tcp.poll_event(listener) {
@@ -1811,12 +1767,12 @@ fn xk_reaped_child_reads_none() {
     assert!(tcp.metrics_of(child).is_some());
 
     // Passive close of the child.
-    peer.send(PEER_PORT, TcpFlags::FIN_ACK, PEER_ISS + 1, sut_iss.wrapping_add(1));
-    peer.exchange(&mut tcp);
+    peer.send(ports, TcpFlags::FIN_ACK, PEER_ISS + 1, sut_iss.wrapping_add(1));
+    peer.exchange(|now| tcp.step(now));
     tcp.close(child).unwrap();
-    peer.exchange(&mut tcp);
-    peer.send(PEER_PORT, TcpFlags::ACK, PEER_ISS + 2, sut_iss.wrapping_add(2));
-    peer.exchange(&mut tcp);
+    peer.exchange(|now| tcp.step(now));
+    peer.send(ports, TcpFlags::ACK, PEER_ISS + 2, sut_iss.wrapping_add(2));
+    peer.exchange(|now| tcp.step(now));
 
     // xk reaps only once the user has drained the child's events.
     while tcp.poll_event(child).is_some() {}

@@ -201,7 +201,7 @@ fn syn_advertises_rfc_879_mss_for_the_link() {
     let tap = seen.clone();
     p.link.set_filter_toward(
         1,
-        Box::new(move |bytes| {
+        Box::new(move |_, bytes| {
             if let Ok(seg) = TcpSegment::decode_buf(bytes, None) {
                 if seg.header.flags.syn {
                     tap.borrow_mut().push(seg.header.mss());
@@ -220,15 +220,7 @@ fn transfer_survives_packet_loss() {
     let mut p = Pair::new(no_nagle(), TcpConfig::default());
     let (client, child) = p.open(80);
     // Drop every 5th frame toward the server.
-    let counter = Rc::new(RefCell::new(0u32));
-    let c = counter.clone();
-    p.link.set_filter_toward(
-        1,
-        Box::new(move |_| {
-            *c.borrow_mut() += 1;
-            !(*c.borrow()).is_multiple_of(5)
-        }),
-    );
+    p.link.set_filter_toward(1, Box::new(|i, _| !(i + 1).is_multiple_of(5)));
     let payload: Vec<u8> = (0..30_000u32).map(|i| (i % 241) as u8).collect();
     pump(&mut p, client, &payload, 200, 50);
     p.run_for(30_000, 250);
@@ -246,7 +238,7 @@ fn syn_retransmits_then_gives_up() {
         TcpConfig::default(),
     );
     // Black-hole everything toward b.
-    p.link.set_filter_toward(1, Box::new(|_| false));
+    p.link.set_filter_toward(1, Box::new(|_, _| false));
     let client = p
         .a
         .open(TcpPattern::Active { remote: 1, remote_port: 80, local_port: 0 }, p.recorder(0, TcpConnId(7)))
@@ -267,7 +259,7 @@ fn max_retransmits_bounds_the_handshake_too() {
         let cfg =
             TcpConfig { max_retransmits, syn_retries, user_timeout_ms: 36_000_000, ..TcpConfig::default() };
         let mut p = Pair::new(cfg, TcpConfig::default());
-        p.link.set_filter_toward(1, Box::new(|_| false));
+        p.link.set_filter_toward(1, Box::new(|_, _| false));
         let active = TcpPattern::Active { remote: 1, remote_port: 80, local_port: 0 };
         p.a.open(active, p.recorder(0, TcpConnId(7))).unwrap();
         p.run_for(1_000_000, 1_000);
@@ -294,7 +286,7 @@ fn listener_backlog_bounds_embryonic_connections() {
     let mut p = Pair::new(TcpConfig::default(), TcpConfig { backlog: 1, ..TcpConfig::default() });
     let _listener = p.b.open(TcpPattern::Passive { local_port: 80 }, p.recorder(1, TcpConnId(999))).unwrap();
     // Stop SYN+ACKs from reaching client so children stay embryonic.
-    p.link.set_filter_toward(0, Box::new(|_| false));
+    p.link.set_filter_toward(0, Box::new(|_, _| false));
     for i in 0..3 {
         let _ = p.a.open(
             TcpPattern::Active { remote: 1, remote_port: 80, local_port: 10_000 + i },

@@ -95,7 +95,7 @@ fn urgent_pointer_signalled_once_per_region() {
     // decode, set, re-encode.) "urgent!" itself is already on the wire.
     p.link.set_filter_toward(
         1,
-        Box::new(move |bytes| {
+        Box::new(move |_, bytes| {
             if let Ok(mut seg) = TcpSegment::decode_buf(bytes, None) {
                 if !seg.payload.is_empty() {
                     seg.header.flags.urg = true;

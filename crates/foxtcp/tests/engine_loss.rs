@@ -13,6 +13,7 @@ use foxtcp::data::transfer::MAX_OUT_OF_ORDER;
 use foxtcp::testlink::Pair;
 use foxtcp::{TcpConfig, TcpConnId};
 use foxwire::tcp::{TcpOption, TcpOptions, TcpSegment};
+use simnet::Medium;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -61,7 +62,7 @@ fn tap_toward_b(p: &Pair, mut lose: impl FnMut(Seq) -> bool + 'static) -> Rc<Ref
     let tap = sends.clone();
     p.link.set_filter_toward(
         1,
-        Box::new(move |bytes| {
+        Box::new(move |_, bytes| {
             let seg = TcpSegment::decode_buf(bytes, None).expect("a TCP segment");
             if seg.payload.is_empty() {
                 return true;
@@ -80,7 +81,7 @@ fn tap_toward_a(p: &Pair, black_hole: Rc<Cell<bool>>) -> Rc<RefCell<Option<Packe
     let tap = last.clone();
     p.link.set_filter_toward(
         0,
-        Box::new(move |bytes| {
+        Box::new(move |_, bytes| {
             *tap.borrow_mut() = Some(bytes.clone());
             !black_hole.get()
         }),
@@ -154,18 +155,17 @@ fn a_timeout_resends_the_old_flight_under_slow_start() {
     // The link heals and the retransmission timer (one second: the RTT
     // of this link is nothing) expires.
     lossy.set(false);
-    p.now += VirtualDuration::from_millis(1_000);
+    p.link.advance_to(p.now() + VirtualDuration::from_millis(1_000));
     let sent_so_far = || sends.borrow().values().sum::<u32>();
     let mut rounds = Vec::new();
-    loop {
+    let (a, b) = (&mut p.a, &mut p.b);
+    simnet::settle(&[&p.link], |now| {
         let before = sent_so_far();
-        let (a_moved, b_moved) = (p.a.step(p.now), p.b.step(p.now));
-        match sent_so_far() - before {
-            0 if !a_moved && !b_moved => break,
-            0 => {}
-            n => rounds.push(n),
-        }
-    }
+        let moved = a.step(now) | b.step(now);
+        rounds.push(sent_so_far() - before);
+        moved
+    });
+    rounds.retain(|n| *n > 0);
 
     assert_eq!(p.a.stats().rto_fires, rto_fires + 1, "exactly one timeout");
     assert_eq!(rounds, [1, 2, 4, 5], "the front segment, then the eleven lost ones under slow start");
@@ -190,10 +190,10 @@ fn duplicates_after_a_timeout_enter_no_fast_recovery() {
     let ack = TcpSegment::decode_buf(last_ack.borrow().as_ref().expect("b acknowledged"), None).unwrap();
     assert_eq!(ack.header.ack, p.a.core_of(client).unwrap().tcb().seq().snd_nxt);
 
-    p.link.set_filter_toward(1, Box::new(|_| false));
+    p.link.set_filter_toward(1, Box::new(|_, _| false));
     p.a.send_data(client, &pattern(8 * MSS as usize)).unwrap();
     p.settle();
-    p.now += VirtualDuration::from_millis(1_000);
+    p.link.advance_to(p.now() + VirtualDuration::from_millis(1_000));
     p.settle();
     let after_rto = p.a.stats();
     assert_eq!(after_rto.rto_fires, 1);
@@ -268,7 +268,7 @@ fn one_byte_segments_cannot_outgrow_the_reassembly_queue() {
     let tap = last_data.clone();
     p.link.set_filter_toward(
         1,
-        Box::new(move |bytes| {
+        Box::new(move |_, bytes| {
             *tap.borrow_mut() = Some(bytes.clone());
             true
         }),

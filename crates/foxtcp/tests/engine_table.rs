@@ -12,6 +12,7 @@ use foxproto::{ProtoError, Protocol};
 use foxtcp::testlink::{immediate, no_nagle, Engine, Pair};
 use foxtcp::TcpState;
 use foxtcp::{TcpConfig, TcpConnId, TcpEvent, TcpPattern};
+use simnet::Medium;
 
 /// Three established connections a → b, all to one listener. Returns
 /// a's ids and b's child ids, pairwise.
@@ -30,7 +31,7 @@ fn ephemeral_port_exhaustion_errors_instead_of_hanging() {
     const EPHEMERAL_PORTS: usize = 65_536 - 49_152;
     let cfg = TcpConfig { send_buffer: 64, initial_window: 64, ..TcpConfig::default() };
     let Pair { link, mut a, .. } = Pair::new(cfg, TcpConfig::default());
-    link.set_filter_toward(1, Box::new(|_| false)); // nobody answers
+    link.set_filter_toward(1, Box::new(|_, _| false)); // nobody answers
     let open = |a: &mut Engine| {
         a.open(TcpPattern::Active { remote: 1, remote_port: 80, local_port: 0 }, Box::new(|_| {}))
     };
@@ -59,7 +60,7 @@ fn fired_connections_drain_in_id_order() {
 
     // The peer goes silent; each send arms that connection's Resend
     // timer, all at one virtual instant, highest id first.
-    p.link.set_filter_toward(1, Box::new(|_| false));
+    p.link.set_filter_toward(1, Box::new(|_, _| false));
     let sink = EventSink::recording(1024);
     p.a.set_obs(sink.clone());
     for (client, _) in pairs.iter().rev() {
@@ -101,7 +102,7 @@ fn reaping_the_middle_connection_leaves_the_rest_reachable() {
     p.a.close(second).unwrap();
     p.settle();
     assert_eq!(p.a.state_of(second), None, "a reaped its middle connection");
-    p.now = VirtualTime::ZERO + VirtualDuration::from_secs(61);
+    p.link.advance_to(VirtualTime::ZERO + VirtualDuration::from_secs(61));
     p.settle();
     assert_eq!(p.b.state_of(second_child), None, "b reaped its middle connection");
 

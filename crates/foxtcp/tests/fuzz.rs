@@ -7,8 +7,6 @@
 
 use foxtcp::testlink::{immediate, Pair};
 use proptest::prelude::*;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 // Whole-engine property: under an arbitrary drop pattern, a transfer
 // either completes with a byte-exact stream or makes no false delivery
@@ -23,17 +21,8 @@ fn stream_prefix_property(drop_mask: &[bool], payload_len: usize) {
 
     // Drop frames toward the server according to the mask, cycling.
     let mask = drop_mask.to_vec();
-    let idx = Rc::new(RefCell::new(0usize));
-    let i2 = idx.clone();
-    p.link.set_filter_toward(
-        1,
-        Box::new(move |_| {
-            let mut i = i2.borrow_mut();
-            let keep = !mask[*i % mask.len()];
-            *i += 1;
-            keep
-        }),
-    );
+    let len = mask.len() as u64;
+    p.link.set_filter_toward(1, Box::new(move |i, _| !mask[(i % len) as usize]));
 
     let conn = p.connect(80).id();
     let payload: Vec<u8> = (0..payload_len as u32).map(|i| (i % 251) as u8).collect();

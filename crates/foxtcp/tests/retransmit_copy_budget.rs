@@ -14,7 +14,7 @@
 use foxbasis::buf::{copy_mark, reset_copy_stats};
 use foxtcp::testlink::{immediate, Pair};
 use foxwire::tcp::TcpSegment;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::rc::Rc;
 
 #[test]
@@ -31,7 +31,7 @@ fn a_retransmission_copies_its_payload_once() {
     // transmission's staging copies happen here, outside the measured
     // window, and the data is lost in flight: drop everything toward
     // the server from now on.
-    p.link.set_filter_toward(1, Box::new(|_| false));
+    p.link.set_filter_toward(1, Box::new(|_, _| false));
     let payload = vec![0xB5u8; 2000];
     let sent = p.a.send_data(client, &payload).unwrap();
     assert_eq!(sent, payload.len());
@@ -73,7 +73,7 @@ fn resending_a_whole_flight_after_a_timeout_copies_each_segment_once() {
         p.a.send_data(client, &payload).unwrap();
         p.settle();
     }
-    p.link.set_filter_toward(1, Box::new(|_| false));
+    p.link.set_filter_toward(1, Box::new(|_, _| false));
     assert_eq!(p.a.send_data(client, &payload).unwrap(), payload.len());
     p.settle();
     // Healed, and counting the data segments that cross.
@@ -81,7 +81,7 @@ fn resending_a_whole_flight_after_a_timeout_copies_each_segment_once() {
     let tap = data_segments.clone();
     p.link.set_filter_toward(
         1,
-        Box::new(move |bytes| {
+        Box::new(move |_, bytes| {
             let seg = TcpSegment::decode_buf(bytes, None).expect("a TCP segment");
             tap.set(tap.get() + u64::from(!seg.payload.is_empty()));
             true
@@ -113,16 +113,7 @@ fn retransmitted_bytes_still_arrive_intact() {
     let (client, child) = p.open(80);
 
     // Lose the first flight entirely, then heal.
-    let drops = Rc::new(RefCell::new(0u32));
-    let d2 = drops.clone();
-    p.link.set_filter_toward(
-        1,
-        Box::new(move |_| {
-            let mut n = d2.borrow_mut();
-            *n += 1;
-            *n > 3
-        }),
-    );
+    p.link.set_filter_toward(1, Box::new(|i, _| i >= 3));
     let payload: Vec<u8> = (0..3000u32).map(|i| (i % 251) as u8).collect();
     let mut sent = 0;
     while sent < payload.len() {

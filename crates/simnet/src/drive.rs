@@ -1,11 +1,11 @@
 //! The discrete-event loop: the one place that decides how hosts and
 //! frames take turns.
 //!
-//! A round steps the hosts at the segments' common instant, then lets
-//! the segments move frames. [`settle`] runs rounds until nothing is left
+//! A round steps the hosts at the media's common instant, then lets
+//! the media move frames. [`settle`] runs rounds until nothing is left
 //! to do, jumping the clock from one delivery to the next; [`drive`] runs
 //! them on a ticking clock, so timers fire, until a condition holds or a
-//! deadline passes. Every segment in a run is kept on one clock.
+//! deadline passes. Every medium in a run is kept on one clock.
 
 use crate::net::SimNet;
 use foxbasis::time::{VirtualDuration, VirtualTime};
@@ -17,38 +17,66 @@ pub const SETTLE_ROUNDS: usize = 1000;
 /// arrive "now" several times (zero-latency CPU models).
 const ROUNDS_PER_INSTANT: usize = 64;
 
-/// Brings every segment to the latest of their clocks and returns it.
-fn common_instant(nets: &[&SimNet]) -> VirtualTime {
-    let now = nets.iter().map(|n| n.now()).max().expect("at least one segment");
-    advance_all(nets, now);
-    now
+/// What the loop runs hosts over: a clock, and frames that come due on
+/// it. A simulated segment ([`SimNet`]) is one; so is an in-memory link
+/// whose frames are in the receiver's queue as soon as they are sent.
+pub trait Medium {
+    /// The medium's clock.
+    fn now(&self) -> VirtualTime;
+    /// When the earliest frame still in flight is due, if any.
+    fn next_delivery(&self) -> Option<VirtualTime>;
+    /// Moves the clock to `t`, delivering every frame due by then.
+    fn advance_to(&self, t: VirtualTime);
 }
 
-fn advance_all(nets: &[&SimNet], t: VirtualTime) {
-    for n in nets {
-        n.advance_to(t);
+impl Medium for SimNet {
+    fn now(&self) -> VirtualTime {
+        SimNet::now(self)
+    }
+
+    fn next_delivery(&self) -> Option<VirtualTime> {
+        SimNet::next_delivery(self)
+    }
+
+    fn advance_to(&self, t: VirtualTime) {
+        SimNet::advance_to(self, t);
     }
 }
 
-/// The earliest pending delivery on any segment.
-fn next_delivery(nets: &[&SimNet]) -> Option<VirtualTime> {
-    nets.iter().filter_map(|n| n.next_delivery()).min()
+/// Brings every medium to the latest of their clocks and returns it.
+fn common_instant<M: Medium + ?Sized>(media: &[&M]) -> VirtualTime {
+    let now = media.iter().map(|m| m.now()).max().expect("at least one medium");
+    advance_all(media, now);
+    now
+}
+
+fn advance_all<M: Medium + ?Sized>(media: &[&M], t: VirtualTime) {
+    for m in media {
+        m.advance_to(t);
+    }
+}
+
+/// The earliest pending delivery on any medium.
+fn next_delivery<M: Medium + ?Sized>(media: &[&M]) -> Option<VirtualTime> {
+    media.iter().filter_map(|m| m.next_delivery()).min()
 }
 
 /// Runs `step` (which steps every host at the instant it is given and
-/// reports whether any did something) and the segments until a round in
+/// reports whether any did something) and the media until a round in
 /// which no host does anything and no frame is in flight. Between
 /// rounds the clock jumps to the earliest pending delivery; no timer
-/// fires unless a delivery carries the clock past it.
+/// fires unless a delivery carries the clock past it. A medium whose
+/// frames are delivered as they are sent has no pending delivery, so
+/// over it every round runs at the instant `settle` started at.
 ///
 /// # Panics
 /// If the run is still busy after [`SETTLE_ROUNDS`] rounds.
-pub fn settle(nets: &[&SimNet], mut step: impl FnMut(VirtualTime) -> bool) {
-    let mut now = common_instant(nets);
+pub fn settle<M: Medium + ?Sized>(media: &[&M], mut step: impl FnMut(VirtualTime) -> bool) {
+    let mut now = common_instant(media);
     for _ in 0..SETTLE_ROUNDS {
         let mut progress = step(now);
-        if let Some(t) = next_delivery(nets) {
-            advance_all(nets, t);
+        if let Some(t) = next_delivery(media) {
+            advance_all(media, t);
             now = t;
             progress = true;
         }

@@ -25,9 +25,11 @@
 //!   major collections as promoted data accumulates, each contributing
 //!   pauses to the host CPU and time to the `g. c.` account;
 //! * [`mod@drive`] — the discrete-event loop: [`settle`] runs hosts and
-//!   segments until quiet, [`drive()`] on a ticking clock until a
-//!   condition or a deadline. It is the one place that decides how
-//!   hosts and frames take turns.
+//!   media until quiet, [`drive()`] runs hosts and segments on a ticking
+//!   clock until a condition or a deadline. It is the one place that
+//!   decides how hosts and frames take turns. A [`Medium`] is what
+//!   `settle` runs over: a clock and the frames due on it, which a
+//!   segment has and so has the whole-engine test link in `foxtcp`.
 //!
 //! Everything is keyed by [`foxbasis::time::VirtualTime`]; with the same
 //! seed and configuration a simulation is bit-for-bit repeatable.
@@ -42,7 +44,7 @@ pub mod host;
 pub mod net;
 pub mod pcap;
 
-pub use drive::{drive, settle, SETTLE_ROUNDS};
+pub use drive::{drive, settle, Medium, SETTLE_ROUNDS};
 pub use gcmodel::{GcConfig, GcStats, SmlRuntime};
 pub use host::{Account, CostModel, Host, HostHandle, Work, PAPER_COUNTER_UPDATE_COST};
 pub use net::{FaultConfig, NetConfig, NetStats, Port, SimNet, TxShape};

@@ -1711,7 +1711,7 @@ mod tests {
         let now = run_for(&mut a, &mut b, VirtualTime::ZERO, 1_000, 100);
         let blackhole = std::rc::Rc::new(std::cell::RefCell::new(true));
         let bh = blackhole.clone();
-        link.set_filter_toward(0, Box::new(move |_| !*bh.borrow()));
+        link.set_filter_toward(0, Box::new(move |_, _| !*bh.borrow()));
         a.send(client, &[7u8; 100]).unwrap();
         let now = run_for(&mut a, &mut b, now, 200, 10);
         let bi = b.idx(child).unwrap();
@@ -1739,15 +1739,7 @@ mod tests {
         let (link, mut a, mut b) = pair();
         let (client, child) = open(&mut a, &mut b);
         // Drop every 4th frame toward b.
-        let n = std::rc::Rc::new(std::cell::RefCell::new(0u32));
-        let n2 = n.clone();
-        link.set_filter_toward(
-            1,
-            Box::new(move |_| {
-                *n2.borrow_mut() += 1;
-                !(*n2.borrow()).is_multiple_of(4)
-            }),
-        );
+        link.set_filter_toward(1, Box::new(|i, _| !(i + 1).is_multiple_of(4)));
         let payload = vec![0xabu8; 20_000];
         let mut sent = 0;
         let mut got = Vec::new();
@@ -1787,7 +1779,7 @@ mod tests {
         let (link, _unused, mut b) = pair();
         let cfgd = XkConfig { max_retransmits: 2, ..XkConfig::default() };
         let mut a = XkTcp::new(link.endpoint(0), TestAux, (), cfgd, HostHandle::free());
-        link.set_filter_toward(1, Box::new(|_| false));
+        link.set_filter_toward(1, Box::new(|_, _| false));
         let client = a.connect(1, 80, 0).unwrap();
         let mut now = VirtualTime::ZERO;
         for _ in 0..300 {
@@ -1841,20 +1833,7 @@ mod persist_tests {
         }
         // b's buffer (512) is now full; drain it while suppressing the
         // very next frame toward a (the window update).
-        let drop_next = std::rc::Rc::new(std::cell::RefCell::new(1u32));
-        let d = drop_next.clone();
-        link.set_filter_toward(
-            0,
-            Box::new(move |_| {
-                let mut n = d.borrow_mut();
-                if *n > 0 {
-                    *n -= 1;
-                    false
-                } else {
-                    true
-                }
-            }),
-        );
+        link.set_filter_toward(0, Box::new(|i, _| i > 0));
         let mut buf = [0u8; 4096];
         let _ = b.recv(child, &mut buf).unwrap();
         for _ in 0..20 {

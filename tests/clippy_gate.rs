@@ -404,20 +404,29 @@ fn every_test_hook_is_test_only() {
 /// `simnet::drive` is the one place that decides how hosts and frames
 /// take turns: every run that waits until quiet goes through
 /// `simnet::settle`, every ticked run through `simnet::drive`, and no
-/// other code asks a segment when its next frame is due. foxperf's
-/// `ladder.rs` keeps a loop of its own: `foxperf/` is a separate package
-/// that compiles against the workspace, outside what this file reads.
+/// other code asks a medium when its next frame is due, or gives up on a
+/// run that will not settle (a round cap of its own is a settle loop of
+/// its own). xktcp's test module keeps its own settle loop, because the
+/// monolith is the control. foxperf's `ladder.rs` keeps a loop of its own: `foxperf/` is a
+/// separate package that compiles against the workspace, outside what
+/// this file reads.
 #[test]
 fn one_discrete_event_loop() {
     let call = format!(".{}(", "next_delivery");
+    let (give_up, why) = (format!("{}!(", "panic"), format!("did not {}", "settle"));
     let loop_home = root().join("crates/simnet/src");
+    let control = root().join("crates/xktcp/src/lib.rs");
     let mut loops = Vec::new();
     for file in ["crates", "tests", "examples"].into_iter().flat_map(rust_files) {
         if file.starts_with(&loop_home) {
             continue;
         }
         let src = fs::read_to_string(&file).expect("readable source");
-        let lines = src.lines().enumerate().filter(|(_, l)| l.contains(&call));
+        let exempt_from = if file == control { src.lines().position(|l| l == "mod tests {") } else { None };
+        let capped = |n: usize, l: &str| {
+            n < exempt_from.unwrap_or(usize::MAX) && l.contains(&give_up) && l.contains(&why)
+        };
+        let lines = src.lines().enumerate().filter(|&(n, l)| l.contains(&call) || capped(n, l));
         loops.extend(lines.map(|(n, l)| format!("{}:{}: {}", file.display(), n + 1, l.trim())));
     }
     assert!(loops.is_empty(), "a stepping loop outside simnet::drive: {loops:#?}");
