@@ -3,17 +3,21 @@
 //! Every scenario is a table of [`Step`]s — user calls on the system
 //! under test (SUT) interleaved with raw segments crafted by a scripted
 //! peer — and runs unchanged against the structured stack
-//! ([`foxtcp::Tcp`]) and the monolithic baseline ([`xktcp::XkTcp`]).
+//! ([`foxtcp::Tcp`]) and the monolithic baseline ([`xktcp::XkTcp`]),
+//! each driven as a [`Station`], the harness's one driver interface.
 //! The peer is *not* a TCP: it is the test itself, holding the other
-//! end of a [`LinkPair`] and encoding/decoding [`TcpSegment`]s by hand,
-//! so every transition is pinned against the standard's state diagram
-//! rather than against whatever the other implementation happens to do.
+//! end of a [`LinkPair`], building segments with [`forge`] and
+//! following the SUT through a [`WireView`] — the adversary's wire-side
+//! core — so every transition is pinned against the standard's state
+//! diagram rather than against whatever the other implementation
+//! happens to do. The SUT opens actively from its own ephemeral port;
+//! the peer learns it from the wire.
 //!
 //! State names are normalized to the RFC's vocabulary (`SYN-RECEIVED`,
 //! `FIN-WAIT-1`, ...) because the two stacks factor the diagram
 //! differently: fox splits SYN-RECEIVED into `SynActive`/`SynPassive`
-//! (the paper's Fig. 6), and a connection that has been reaped reads as
-//! `CLOSED`.
+//! (the paper's Fig. 6), and a connection the stack has forgotten reads
+//! as `CLOSED`.
 //!
 //! The scenarios live in one registry ([`SCENARIOS`]) so the suite can
 //! be ratcheted against the declared state machine: every run records
@@ -26,25 +30,23 @@
 
 use fox_scheduler::SchedHandle;
 use foxbasis::obs::{Event, EventSink};
-use foxbasis::seq::Seq;
 use foxbasis::time::{VirtualDuration, VirtualTime};
+use foxharness::advpeer::{forge, WireView};
+use foxharness::stack::{fox_station, xk_station};
+use foxharness::station::{ConnHandle, Station};
 use foxproto::Protocol;
 use foxtcp::control::fsm::{self, SpecEdge, Trigger};
 use foxtcp::testlink::{LinkPair, Pair, TestAux, TestLower};
-use foxtcp::{
-    ConnectingSocket, EstablishedSocket, ListeningSocket, Tcp, TcpConfig, TcpConnId, TcpEvent, TcpState,
-};
-use foxwire::tcp::{wire_window, TcpFlags, TcpHeader, TcpSegment};
+use foxtcp::{Tcp, TcpConfig, TcpConnId, TcpEvent, TcpState};
+use foxwire::tcp::{TcpFlags, TcpSegment};
 use simnet::{HostHandle, Medium};
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
-use xktcp::{SockId, XkConfig, XkEvent, XkTcp};
+use xktcp::{XkConfig, XkEvent, XkTcp};
 
 /// Port the SUT listens on in passive scenarios.
 const SUT_LISTEN_PORT: u16 = 80;
-/// Local port the SUT binds in active scenarios.
-const SUT_ACTIVE_PORT: u16 = 4000;
 /// The scripted peer's port.
 const PEER_PORT: u16 = 9000;
 /// The peer's initial sequence number.
@@ -112,48 +114,17 @@ enum Pat {
     Rst,
 }
 
-/// The driver interface both stacks are wrapped in. "The connection"
-/// is the single data connection a scenario exercises: the active
-/// client, or the first child a listener spawns.
-trait Sut {
-    fn kind(&self) -> &'static str;
-    /// Routes the stack's typed event stream into `sink` so the
-    /// coverage ratchet can read the transitions back out.
-    fn set_obs(&mut self, sink: EventSink);
-    fn listen(&mut self);
-    fn connect(&mut self);
-    fn close_conn(&mut self);
-    fn close_listener(&mut self);
-    /// Queues a small payload on the data connection (it must be in a
-    /// state that accepts sends).
-    fn send_data(&mut self, data: &[u8]);
-    /// ABORT (RFC 793 p. 62) on the data connection. Scenarios using
-    /// this are marked [`Stacks::FoxOnly`]; the default is unreachable.
-    fn abort_conn(&mut self) {
-        panic!("[{}] stack has no abort API", self.kind());
-    }
-    /// ABORT on the listener (fox only, as above).
-    fn abort_listener(&mut self) {
-        panic!("[{}] stack has no abort API", self.kind());
-    }
-    /// One step at `now`; returns true if progress was made.
-    fn step(&mut self, now: VirtualTime) -> bool;
-    /// Raw (un-normalized) state name of the data connection;
-    /// `"Closed"` once the stack has forgotten it.
-    fn conn_state(&self) -> &'static str;
-    fn listener_state(&self) -> &'static str;
-}
-
-/// Maps both stacks' state vocabularies onto RFC 793's.
+/// Maps both stacks' state vocabularies onto RFC 793's. A connection
+/// the stack has forgotten (`""`) is CLOSED.
 fn normalize(raw: &str) -> &'static str {
     match raw {
-        "Closed" => "CLOSED",
+        "" | "Closed" => "CLOSED",
         "Listen" => "LISTEN",
         "SynSent" => "SYN-SENT",
         // fox factors SYN-RECEIVED by how it was reached (paper Fig. 6);
         // xk keeps the RFC's single state.
         "SynActive" | "SynPassive" | "SynReceived" => "SYN-RECEIVED",
-        "Estab" | "Established" => "ESTABLISHED",
+        "Estab" => "ESTABLISHED",
         "FinWait1" => "FIN-WAIT-1",
         "FinWait2" => "FIN-WAIT-2",
         "CloseWait" => "CLOSE-WAIT",
@@ -161,236 +132,6 @@ fn normalize(raw: &str) -> &'static str {
         "LastAck" => "LAST-ACK",
         "TimeWait" => "TIME-WAIT",
         other => panic!("unknown state name {other:?}"),
-    }
-}
-
-// ---------------------------------------------------------------- fox
-
-/// The data connection's typestate wrapper, at whichever stage it
-/// currently holds. The wrapper is consumed on close; `FoxSut` keeps
-/// the bare [`TcpConnId`] separately for state queries afterwards.
-enum FoxConn {
-    Connecting(ConnectingSocket),
-    Established(EstablishedSocket),
-}
-
-struct FoxSut {
-    tcp: Tcp<TestLower, TestAux>,
-    events: Rc<RefCell<Vec<TcpEvent>>>,
-    listener: Option<ListeningSocket>,
-    listener_id: Option<TcpConnId>,
-    conn: Option<FoxConn>,
-    conn_id: Option<TcpConnId>,
-}
-
-impl FoxSut {
-    fn new(link: &LinkPair) -> FoxSut {
-        let tcp = Tcp::new(
-            link.endpoint(1),
-            TestAux,
-            (),
-            TcpConfig::default(),
-            SchedHandle::new(),
-            HostHandle::free(),
-        );
-        FoxSut {
-            tcp,
-            events: Rc::new(RefCell::new(Vec::new())),
-            listener: None,
-            listener_id: None,
-            conn: None,
-            conn_id: None,
-        }
-    }
-
-    fn recorder(&self) -> foxproto::Handler<TcpEvent> {
-        let ev = self.events.clone();
-        Box::new(move |e| ev.borrow_mut().push(e))
-    }
-}
-
-impl Sut for FoxSut {
-    fn kind(&self) -> &'static str {
-        "fox"
-    }
-
-    fn set_obs(&mut self, sink: EventSink) {
-        self.tcp.set_obs(sink);
-    }
-
-    fn listen(&mut self) {
-        let h = self.recorder();
-        let sock = self.tcp.listen(SUT_LISTEN_PORT, h).unwrap();
-        self.listener_id = Some(sock.id());
-        self.listener = Some(sock);
-    }
-
-    fn connect(&mut self) {
-        let h = self.recorder();
-        let sock = self.tcp.connect(0, PEER_PORT, SUT_ACTIVE_PORT, h).unwrap();
-        self.conn_id = Some(sock.id());
-        self.conn = Some(FoxConn::Connecting(sock));
-    }
-
-    fn close_conn(&mut self) {
-        // Close consumes the wrapper at whatever stage the handshake
-        // reached; promote first so an established connection closes
-        // through the `EstablishedSocket` it really is.
-        match self.conn.take().expect("no connection to close") {
-            FoxConn::Connecting(sock) => match sock.try_established(&self.tcp) {
-                Ok(est) => est.close(&mut self.tcp).unwrap(),
-                Err(still) => still.close(&mut self.tcp).unwrap(),
-            },
-            FoxConn::Established(sock) => sock.close(&mut self.tcp).unwrap(),
-        }
-    }
-
-    fn close_listener(&mut self) {
-        // Keep `listener_id` so the state query still answers (reaped
-        // listeners read as CLOSED).
-        self.listener.take().expect("no listener to close").close(&mut self.tcp).unwrap();
-    }
-
-    fn send_data(&mut self, data: &[u8]) {
-        // Data moves only through the established-stage wrapper; the
-        // wrapper survives into CLOSE-WAIT, where RFC 793 still allows
-        // sends (only our peer has finished).
-        let Some(FoxConn::Established(est)) = &self.conn else {
-            panic!("send_data needs an established connection");
-        };
-        let n = est.send_data(&mut self.tcp, data).unwrap();
-        assert_eq!(n, data.len(), "send buffer accepted the payload");
-    }
-
-    fn abort_conn(&mut self) {
-        let id = self.conn_id.expect("no connection to abort");
-        self.conn = None; // the typed wrapper is dead with the connection
-        self.tcp.abort(id).unwrap();
-    }
-
-    fn abort_listener(&mut self) {
-        let id = self.listener_id.expect("no listener to abort");
-        self.listener = None;
-        self.tcp.abort(id).unwrap();
-    }
-
-    fn step(&mut self, now: VirtualTime) -> bool {
-        let progress = self.tcp.step(now);
-        if self.conn_id.is_none() {
-            // Adopt the listener's first child so its state is visible
-            // and its terminal event lets the engine reap it.
-            let child = self.events.borrow().iter().find_map(|e| match e {
-                TcpEvent::NewConnection(c) => Some(*c),
-                _ => None,
-            });
-            if let Some(c) = child {
-                let ev = self.events.clone();
-                let listener = self.listener.as_ref().expect("a child implies a listener");
-                let sock =
-                    listener.accept(&mut self.tcp, c, Box::new(move |e| ev.borrow_mut().push(e))).unwrap();
-                self.conn_id = Some(c);
-                self.conn = Some(FoxConn::Connecting(sock));
-            }
-        }
-        // Promote the wrapper once the handshake completes, so closes
-        // after establishment go through `EstablishedSocket`.
-        if let Some(FoxConn::Connecting(_)) = self.conn {
-            let Some(FoxConn::Connecting(sock)) = self.conn.take() else { unreachable!() };
-            self.conn = Some(match sock.try_established(&self.tcp) {
-                Ok(est) => FoxConn::Established(est),
-                Err(still) => FoxConn::Connecting(still),
-            });
-        }
-        progress
-    }
-
-    fn conn_state(&self) -> &'static str {
-        match self.conn_id {
-            None => "Closed",
-            Some(c) => self.tcp.state_of(c).map_or("Closed", |s| s.name()),
-        }
-    }
-
-    fn listener_state(&self) -> &'static str {
-        match self.listener_id {
-            None => "Closed",
-            Some(l) => self.tcp.state_of(l).map_or("Closed", |s| s.name()),
-        }
-    }
-}
-
-// ----------------------------------------------------------------- xk
-
-struct XkSut {
-    tcp: XkTcp<TestLower, TestAux>,
-    listener: Option<SockId>,
-    conn: Option<SockId>,
-}
-
-impl XkSut {
-    fn new(link: &LinkPair) -> XkSut {
-        let tcp = XkTcp::new(link.endpoint(1), TestAux, (), XkConfig::default(), HostHandle::free());
-        XkSut { tcp, listener: None, conn: None }
-    }
-}
-
-impl Sut for XkSut {
-    fn kind(&self) -> &'static str {
-        "xk"
-    }
-
-    fn set_obs(&mut self, sink: EventSink) {
-        self.tcp.set_obs(sink);
-    }
-
-    fn listen(&mut self) {
-        self.listener = Some(self.tcp.listen(SUT_LISTEN_PORT).unwrap());
-    }
-
-    fn connect(&mut self) {
-        self.conn = Some(self.tcp.connect(0, PEER_PORT, SUT_ACTIVE_PORT).unwrap());
-    }
-
-    fn close_conn(&mut self) {
-        let c = self.conn.expect("no connection to close");
-        self.tcp.close(c).unwrap();
-    }
-
-    fn close_listener(&mut self) {
-        let l = self.listener.expect("no listener to close");
-        self.tcp.close(l).unwrap();
-    }
-
-    fn send_data(&mut self, data: &[u8]) {
-        let c = self.conn.expect("no connection to send on");
-        let n = self.tcp.send(c, data).unwrap();
-        assert_eq!(n, data.len(), "send buffer accepted the payload");
-    }
-
-    fn step(&mut self, now: VirtualTime) -> bool {
-        let progress = self.tcp.step(now);
-        if let Some(l) = self.listener {
-            while let Some(e) = self.tcp.poll_event(l) {
-                if let XkEvent::Accepted(c) = e {
-                    self.conn.get_or_insert(c);
-                }
-            }
-        }
-        progress
-    }
-
-    fn conn_state(&self) -> &'static str {
-        match self.conn {
-            None => "Closed",
-            Some(c) => self.tcp.state_of(c).map_or("Closed", |s| s.name()),
-        }
-    }
-
-    fn listener_state(&self) -> &'static str {
-        match self.listener {
-            None => "Closed",
-            Some(l) => self.tcp.state_of(l).map_or("Closed", |s| s.name()),
-        }
     }
 }
 
@@ -422,14 +163,9 @@ impl Peer {
         Peer { link, lower, rx }
     }
 
-    /// Puts a bare segment `src_port` → `dst_port` on the wire.
-    fn send(&mut self, (src_port, dst_port): (u16, u16), flags: TcpFlags, seq: u32, ack: u32) {
-        let mut h = TcpHeader::new(src_port, dst_port);
-        h.seq = Seq(seq);
-        h.ack = Seq(ack);
-        h.flags = flags;
-        h.window = wire_window(4096, 0);
-        let seg = TcpSegment { header: h, payload: foxbasis::buf::PacketBuf::new() };
+    /// Puts a bare segment `ports.0` → `ports.1` on the wire.
+    fn send(&mut self, ports: (u16, u16), flags: TcpFlags, seq: u32, ack: Option<u32>) {
+        let seg = forge(ports, flags, seq, ack, 4096, &[], &[]);
         self.lower.send(0, 1, seg.encode_buf(None).unwrap()).unwrap();
     }
 
@@ -444,127 +180,102 @@ impl Peer {
 }
 
 /// The scripted peer plus the bookkeeping the script needs: its own
-/// next sequence number, the SUT's (observed, not computed), and every
-/// segment the SUT has transmitted.
+/// next sequence number, what the SUT has shown of itself on the wire
+/// (observed, not computed), and every segment the SUT has transmitted.
 struct Harness {
-    sut: Box<dyn Sut>,
+    sut: Box<dyn Station>,
+    /// The single data connection a scenario exercises: the active
+    /// client, or the first child the listener spawns.
+    conn: Option<ConnHandle>,
+    /// The listener, once the scenario opened one.
+    listener: Option<ConnHandle>,
     peer: Peer,
     /// Next sequence number the peer will send.
     peer_nxt: u32,
-    /// Everything the SUT has sent us, cumulatively acknowledged.
-    sut_nxt: u32,
-    /// Sequence number of the SUT's FIN, once seen.
-    sut_fin_seq: Option<u32>,
-    /// Where peer segments are addressed (learned from SUT traffic).
-    dst_port: u16,
+    /// The SUT's side of the wire; its port starts at the listening one.
+    sut_view: WireView,
     /// Transmit log and the assertion cursor into it.
     got: Vec<TcpSegment>,
     cursor: usize,
 }
 
 impl Harness {
-    /// Steps SUT and peer until neither makes progress, then notes
-    /// what the SUT sent.
+    /// Steps SUT and peer until neither makes progress, follows what the
+    /// SUT sent (the link is in-order and loss-free, so the latest
+    /// segment is the SUT's cumulative state), then adopts the
+    /// listener's first child as the data connection.
     fn settle(&mut self) {
         let sut = &mut self.sut;
         for seg in self.peer.exchange(|now| sut.step(now)) {
-            self.note(seg);
+            self.sut_view.observe(&seg);
+            self.got.push(seg);
         }
-    }
-
-    /// Records a segment from the SUT; the link is in-order and
-    /// loss-free, so cumulative state just follows the latest segment.
-    fn note(&mut self, seg: TcpSegment) {
-        self.dst_port = seg.header.src_port;
-        self.sut_nxt = seg.header.seq.0.wrapping_add(seg.seq_len());
-        if seg.header.flags.fin {
-            self.sut_fin_seq = Some(seg.header.seq.0.wrapping_add(seg.payload.len() as u32));
+        if self.conn.is_none() {
+            self.conn = self.sut.accept();
         }
-        self.got.push(seg);
     }
 
     /// Peer → SUT.
-    fn send(&mut self, flags: TcpFlags, seq: u32, ack: u32) {
-        self.peer.send((PEER_PORT, self.dst_port), flags, seq, ack);
-        self.settle();
+    fn send(&mut self, flags: TcpFlags, seq: u32, ack: Option<u32>) {
+        self.peer.send((PEER_PORT, self.sut_view.port), flags, seq, ack);
+    }
+
+    /// The peer's next sequence number, advanced past a SYN or FIN.
+    fn take_seq(&mut self) -> u32 {
+        self.peer_nxt = self.peer_nxt.wrapping_add(1);
+        self.peer_nxt.wrapping_sub(1)
     }
 
     fn run(&mut self, name: &str, steps: &[Step]) {
         for (i, step) in steps.iter().enumerate() {
             let ctx = format!("[{} · {name} · step {i}: {step:?}]", self.sut.kind());
+            let conn = self.conn;
+            let (sut_nxt, listener) = (self.sut_view.seq_end, self.listener);
             match *step {
                 Step::Listen => {
-                    self.sut.listen();
-                    self.settle();
+                    self.sut.listen(SUT_LISTEN_PORT);
+                    self.listener = self.sut.listener();
                 }
-                Step::Connect => {
-                    self.sut.connect();
-                    self.settle();
-                }
-                Step::Close => {
-                    self.sut.close_conn();
-                    self.settle();
-                }
-                Step::CloseListener => {
-                    self.sut.close_listener();
-                    self.settle();
-                }
+                Step::Connect => self.conn = Some(self.sut.connect(PEER_PORT)),
+                Step::Close => self.sut.close(conn.expect("no connection to close")),
+                Step::CloseListener => self.sut.close(listener.expect("no listener to close")),
                 Step::Send => {
-                    self.sut.send_data(b"ratchet");
-                    self.settle();
+                    let n = self.sut.send(conn.expect("no connection to send on"), b"ratchet");
+                    assert_eq!(n, 7, "{ctx} send buffer accepted the payload");
                 }
-                Step::Abort => {
-                    self.sut.abort_conn();
-                    self.settle();
-                }
-                Step::AbortListener => {
-                    self.sut.abort_listener();
-                    self.settle();
-                }
+                Step::Abort => self.sut.abort(conn.expect("no connection to abort")),
+                Step::AbortListener => self.sut.abort(listener.expect("no listener to abort")),
                 Step::Syn => {
-                    let seq = self.peer_nxt;
-                    self.peer_nxt = self.peer_nxt.wrapping_add(1);
-                    self.send(TcpFlags::SYN, seq, 0);
+                    let seq = self.take_seq();
+                    self.send(TcpFlags::SYN, seq, None);
                 }
                 Step::SynAck => {
-                    let seq = self.peer_nxt;
-                    self.peer_nxt = self.peer_nxt.wrapping_add(1);
-                    let ack = self.sut_nxt;
-                    self.send(TcpFlags::SYN_ACK, seq, ack);
+                    let seq = self.take_seq();
+                    self.send(TcpFlags::SYN_ACK, seq, Some(sut_nxt));
                 }
-                Step::Ack => {
-                    let (seq, ack) = (self.peer_nxt, self.sut_nxt);
-                    self.send(TcpFlags::ACK, seq, ack);
-                }
+                Step::Ack => self.send(TcpFlags::ACK, self.peer_nxt, Some(sut_nxt)),
                 Step::Fin => {
-                    let seq = self.peer_nxt;
-                    self.peer_nxt = self.peer_nxt.wrapping_add(1);
-                    let ack = self.sut_nxt;
-                    self.send(TcpFlags::FIN_ACK, seq, ack);
+                    let seq = self.take_seq();
+                    self.send(TcpFlags::FIN_ACK, seq, Some(sut_nxt));
                 }
                 Step::FinCrossing => {
-                    let seq = self.peer_nxt;
-                    self.peer_nxt = self.peer_nxt.wrapping_add(1);
-                    let ack = self.sut_fin_seq.expect("no SUT FIN to cross");
-                    self.send(TcpFlags::FIN_ACK, seq, ack);
+                    let seq = self.take_seq();
+                    let ack = self.sut_view.fin_seq.expect("no SUT FIN to cross");
+                    self.send(TcpFlags::FIN_ACK, seq, Some(ack));
                 }
-                Step::Rst => {
-                    let (seq, ack) = (self.peer_nxt, self.sut_nxt);
-                    self.send(TcpFlags::RST_ACK, seq, ack);
-                }
+                Step::Rst => self.send(TcpFlags::RST_ACK, self.peer_nxt, Some(sut_nxt)),
                 Step::RstInWindow(offset) => {
-                    let (seq, ack) = (self.peer_nxt.wrapping_add(offset), self.sut_nxt);
-                    self.send(TcpFlags::RST_ACK, seq, ack);
+                    self.send(TcpFlags::RST_ACK, self.peer_nxt.wrapping_add(offset), Some(sut_nxt))
                 }
                 Step::Expect(want) => {
-                    let raw = self.sut.conn_state();
-                    let have = normalize(raw);
-                    assert_eq!(have, want, "{ctx} connection is {raw}");
+                    let raw = conn.map_or("", |c| self.sut.conn_state(c));
+                    assert_eq!(normalize(raw), want, "{ctx} connection is {raw:?}");
+                    continue;
                 }
                 Step::ExpectListener(want) => {
-                    let raw = self.sut.listener_state();
-                    let have = normalize(raw);
-                    assert_eq!(have, want, "{ctx} listener is {raw}");
+                    let raw = listener.map_or("", |l| self.sut.conn_state(l));
+                    assert_eq!(normalize(raw), want, "{ctx} listener is {raw:?}");
+                    continue;
                 }
                 Step::ExpectTx(pat) => {
                     let found = self.got[self.cursor..].iter().position(|seg| {
@@ -602,6 +313,7 @@ impl Harness {
                                 .collect::<Vec<_>>()
                         ),
                     }
+                    continue;
                 }
                 Step::Wait(ms) => {
                     let end = self.peer.link.now() + VirtualDuration::from_millis(ms);
@@ -610,8 +322,11 @@ impl Harness {
                         self.peer.link.advance_to(next);
                         self.settle();
                     }
+                    continue;
                 }
             }
+            // A user call or a peer segment: let it land.
+            self.settle();
         }
     }
 }
@@ -647,20 +362,27 @@ impl Scenario {
 /// RFC state) are dropped: the spec graph has no self-edges.
 fn run_on(stack: &'static str, sc: &Scenario) -> BTreeSet<(&'static str, &'static str, &'static str)> {
     let link = LinkPair::new();
-    let mut sut: Box<dyn Sut> = match stack {
-        "fox" => Box::new(FoxSut::new(&link)),
-        "xk" => Box::new(XkSut::new(&link)),
+    let host = HostHandle::free();
+    let mut sut = match stack {
+        "fox" => {
+            let cfg = TcpConfig::default();
+            let tcp = Tcp::new(link.endpoint(1), TestAux, (), cfg, SchedHandle::new(), host.clone());
+            fox_station(tcp, host, 0, stack)
+        }
+        "xk" => {
+            xk_station(XkTcp::new(link.endpoint(1), TestAux, (), XkConfig::default(), host.clone()), host, 0)
+        }
         other => panic!("unknown stack {other:?}"),
     };
     let sink = EventSink::recording(1 << 16);
     sut.set_obs(sink.clone());
     let mut h = Harness {
         sut,
+        conn: None,
+        listener: None,
         peer: Peer::new(link),
         peer_nxt: PEER_ISS,
-        sut_nxt: 0,
-        sut_fin_seq: None,
-        dst_port: SUT_LISTEN_PORT,
+        sut_view: WireView { port: SUT_LISTEN_PORT, ..WireView::default() },
         got: Vec::new(),
         cursor: 0,
     };
@@ -1620,7 +1342,7 @@ fn xk_syn_flood_drops_beyond_backlog_and_recovers() {
 
     // Five clients, one burst. Backlog is 2.
     for port in [9001u16, 9002, 9003, 9004, 9005] {
-        peer.send((port, SUT_LISTEN_PORT), TcpFlags::SYN, 1000, 0);
+        peer.send((port, SUT_LISTEN_PORT), TcpFlags::SYN, 1000, None);
     }
     let replies = peer.exchange(|now| tcp.step(now));
     let answered: Vec<u16> = replies.iter().filter(|s| is_syn_ack(s)).map(|s| s.header.dst_port).collect();
@@ -1629,13 +1351,13 @@ fn xk_syn_flood_drops_beyond_backlog_and_recovers() {
     // Finish the admitted handshakes.
     for seg in replies.iter().filter(|s| is_syn_ack(s)) {
         let ports = (seg.header.dst_port, SUT_LISTEN_PORT);
-        peer.send(ports, TcpFlags::ACK, 1001, seg.header.seq.0.wrapping_add(1));
+        peer.send(ports, TcpFlags::ACK, 1001, Some(seg.header.seq.0.wrapping_add(1)));
     }
     peer.exchange(|now| tcp.step(now));
 
     // One of the silently dropped clients retransmits its SYN; the
     // drained queue now has room.
-    peer.send((9004, SUT_LISTEN_PORT), TcpFlags::SYN, 1000, 0);
+    peer.send((9004, SUT_LISTEN_PORT), TcpFlags::SYN, 1000, None);
     let replies = peer.exchange(|now| tcp.step(now));
     assert!(
         replies.iter().any(|s| s.header.dst_port == 9004 && is_syn_ack(s)),
@@ -1749,11 +1471,11 @@ fn xk_reaped_child_reads_none() {
     let mut peer = Peer::new(link);
     let ports = (PEER_PORT, SUT_LISTEN_PORT);
 
-    peer.send(ports, TcpFlags::SYN, PEER_ISS, 0);
+    peer.send(ports, TcpFlags::SYN, PEER_ISS, None);
     let replies = peer.exchange(|now| tcp.step(now));
     let syn_ack = replies.iter().find(|s| is_syn_ack(s)).expect("SYN-ACK answers the SYN");
     let sut_iss = syn_ack.header.seq.0;
-    peer.send(ports, TcpFlags::ACK, PEER_ISS + 1, sut_iss.wrapping_add(1));
+    peer.send(ports, TcpFlags::ACK, PEER_ISS + 1, Some(sut_iss.wrapping_add(1)));
     peer.exchange(|now| tcp.step(now));
 
     let mut child = None;
@@ -1767,11 +1489,11 @@ fn xk_reaped_child_reads_none() {
     assert!(tcp.metrics_of(child).is_some());
 
     // Passive close of the child.
-    peer.send(ports, TcpFlags::FIN_ACK, PEER_ISS + 1, sut_iss.wrapping_add(1));
+    peer.send(ports, TcpFlags::FIN_ACK, PEER_ISS + 1, Some(sut_iss.wrapping_add(1)));
     peer.exchange(|now| tcp.step(now));
     tcp.close(child).unwrap();
     peer.exchange(|now| tcp.step(now));
-    peer.send(ports, TcpFlags::ACK, PEER_ISS + 2, sut_iss.wrapping_add(2));
+    peer.send(ports, TcpFlags::ACK, PEER_ISS + 2, Some(sut_iss.wrapping_add(2)));
     peer.exchange(|now| tcp.step(now));
 
     // xk reaps only once the user has drained the child's events.

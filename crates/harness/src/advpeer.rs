@@ -1,14 +1,18 @@
-//! The adversarial scripted peer — the conformance suite's raw peer,
-//! generalized into a reusable attacker that runs against *both* stacks
-//! on the simulated wire.
+//! The wire-side peer: one view of what a TCP has sent ([`WireView`])
+//! and one segment builder ([`forge`]), and the adversarial scripted
+//! peer built on them, which runs against *both* stacks on the
+//! simulated wire.
 //!
-//! The conformance tests drive a stack with hand-built segments over a
-//! private [`foxtcp::testlink`] pair; that peer is cooperative — it
-//! speaks TCP badly on purpose, but only to one victim, with perfect
-//! knowledge, on a perfect link. This module rebuilds the idea at the
-//! [`simnet`] level: an [`Adversary`] is a third, promiscuous port on
-//! the shared Ethernet segment that *sniffs* a live legitimate transfer
-//! and injects spoofed frames against it — blind resets, blind data,
+//! The conformance suite drives a stack with segments from [`forge`]
+//! over a private [`foxtcp::testlink`] pair, following it through a
+//! [`WireView`]; that peer is cooperative — it speaks TCP badly on
+//! purpose, but only to one victim, with perfect knowledge, on a
+//! perfect link. Each rig keeps its own framing: the test link carries
+//! bare segments, the adversary IPv4 in Ethernet. This module rebuilds
+//! the idea at the [`simnet`] level: an [`Adversary`] is a third,
+//! promiscuous port on the shared Ethernet segment that *sniffs* a live
+//! legitimate transfer, one [`WireView`] per source, and injects
+//! spoofed frames against it — blind resets, blind data,
 //! ACK-division and optimistic-ACK window inflation, silly-window
 //! pumps, self-addressed land SYNs, and SYN floods with replays of a
 //! promoted child's original SYN. Every script runs mid-transfer, so
@@ -56,19 +60,62 @@ const BACKLOG: usize = 4;
 /// Spoofed SYNs the flood script sends.
 const FLOOD_SYNS: usize = 6;
 
-/// What the sniffer knows about one direction of a flow, updated from
-/// every frame whose IPv4 source matches the key.
-#[derive(Copy, Clone, Debug, Default)]
-struct FlowView {
-    /// TCP source port of the latest frame.
-    src_port: u16,
-    /// `seq + seg.len` of the latest frame — the speaker's SND.NXT as
+/// What one side of a connection has shown of itself on the wire, as
+/// its peer sees it: fed every segment that side sends, in arrival
+/// order. The conformance suite's scripted peer keeps one for the stack
+/// under test, the [`Adversary`] one per sniffed source.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct WireView {
+    /// TCP source port of the latest segment.
+    pub port: u16,
+    /// `seq + seg.len` of the latest segment — the speaker's SND.NXT as
     /// far as the wire shows it.
-    seq_end: u32,
+    pub seq_end: u32,
     /// Latest acknowledgment field — the speaker's RCV.NXT.
-    ack: u32,
-    /// Frames seen from this source.
-    frames: u64,
+    pub ack: u32,
+    /// Sequence number of the speaker's FIN, once one was seen.
+    pub fin_seq: Option<u32>,
+}
+
+impl WireView {
+    /// Follows one more segment from this side.
+    pub fn observe(&mut self, seg: &TcpSegment) {
+        let h = &seg.header;
+        self.port = h.src_port;
+        self.seq_end = (h.seq + seg.seq_len()).0;
+        if h.flags.ack {
+            self.ack = h.ack.0;
+        }
+        if h.flags.fin {
+            self.fin_seq = Some(h.seq.0.wrapping_add(seg.payload.len() as u32));
+        }
+    }
+}
+
+/// Builds one TCP segment `ports.0` → `ports.1`. An `ack` sets the ACK
+/// flag with it; `window` is unscaled. Framing (and so the checksum's
+/// pseudo-header) is the caller's rig's.
+pub fn forge(
+    ports: (u16, u16),
+    mut flags: TcpFlags,
+    seq: u32,
+    ack: Option<u32>,
+    window: u16,
+    payload: &[u8],
+    options: &[TcpOption],
+) -> TcpSegment {
+    let mut h = TcpHeader::new(ports.0, ports.1);
+    h.seq = Seq(seq);
+    if let Some(a) = ack {
+        h.ack = Seq(a);
+        flags.ack = true;
+    }
+    h.flags = flags;
+    h.window = wire_window(u32::from(window), 0);
+    for &o in options {
+        h.options.push(o).expect("forged options fit the option space");
+    }
+    TcpSegment { header: h, payload: payload.into() }
 }
 
 /// A promiscuous port plus the flow state it has sniffed. All attack
@@ -77,7 +124,7 @@ struct FlowView {
 /// real on-segment attacker has.
 pub struct Adversary {
     port: Port,
-    views: BTreeMap<Ipv4Addr, FlowView>,
+    views: BTreeMap<Ipv4Addr, WireView>,
     /// Raw bytes of the first client SYN toward the service port —
     /// replayed verbatim by the flood script.
     captured_syn: Option<Vec<u8>>,
@@ -117,49 +164,20 @@ impl Adversary {
         {
             self.captured_syn = Some(frame.bytes().to_vec());
         }
-        let v = self.views.entry(ip.header.src).or_default();
-        v.src_port = tcp.header.src_port;
-        v.seq_end = (tcp.header.seq + tcp.seq_len()).0;
-        if tcp.header.flags.ack {
-            v.ack = tcp.header.ack.0;
-        }
-        v.frames += 1;
+        self.views.entry(ip.header.src).or_default().observe(&tcp);
     }
 
-    fn view(&self, ip: Ipv4Addr) -> FlowView {
+    fn view(&self, ip: Ipv4Addr) -> WireView {
         self.views.get(&ip).copied().unwrap_or_default()
     }
 
-    /// Forges one TCP segment (correct TCP checksum, IP checksum and
-    /// Ethernet FCS — forgeries must survive every integrity check the
-    /// stack runs) and puts it on the wire from the adversary's port.
-    #[allow(clippy::too_many_arguments, reason = "a forged header is its field list")]
-    fn forge(
-        &mut self,
-        src: (Ipv4Addr, u16),
-        dst: (Ipv4Addr, u16),
-        dst_mac: EthAddr,
-        seq: u32,
-        ack: Option<u32>,
-        mut flags: TcpFlags,
-        window: u16,
-        payload: &[u8],
-        options: &[TcpOption],
-    ) {
-        let mut h = TcpHeader::new(src.1, dst.1);
-        h.seq = Seq(seq);
-        if let Some(a) = ack {
-            h.ack = Seq(a);
-            flags.ack = true;
-        }
-        h.flags = flags;
-        h.window = wire_window(u32::from(window), 0);
-        for &o in options {
-            h.options.push(o).expect("forged options fit the option space");
-        }
-        let seg = TcpSegment { header: h, payload: payload.into() };
-        let tcp_bytes = seg.encode_v4(Some((src.0, dst.0))).expect("forged segment encodes");
-        let pkt = Ipv4Packet { header: Ipv4Header::new(IpProtocol::Tcp, src.0, dst.0), payload: tcp_bytes };
+    /// Puts a forged segment on the wire from the adversary's port, in
+    /// an IPv4 packet `ips.0` → `ips.1` and an Ethernet frame to
+    /// `dst_mac`, with correct TCP checksum, IP checksum and FCS —
+    /// forgeries must survive every integrity check the stack runs.
+    fn forge(&mut self, (src, dst, dst_mac): (Ipv4Addr, Ipv4Addr, EthAddr), seg: TcpSegment) {
+        let tcp_bytes = seg.encode_v4(Some((src, dst))).expect("forged segment encodes");
+        let pkt = Ipv4Packet { header: Ipv4Header::new(IpProtocol::Tcp, src, dst), payload: tcp_bytes };
         // The source MAC is spoofed too: the frame claims to come from
         // the host whose IP it borrows, like a real on-LAN forgery.
         let frame = Frame::new(
@@ -341,6 +359,7 @@ pub fn run_attack(kind: StackKind, attack: Attack, faults: FaultConfig, seed: u6
     let receiver_ip = ip_of(RECEIVER_ID);
     let receiver_mac = mac_of(RECEIVER_ID);
     let junk = [0xEEu8; INJECT_LEN];
+    let mss = TcpOption::MaxSegmentSize(1460);
 
     let mut produced = 0usize;
     let mut request_seen = false;
@@ -412,101 +431,49 @@ pub fn run_attack(kind: StackKind, attack: Attack, faults: FaultConfig, seed: u6
             // ---- The attack script.
             let fired_window = received >= trigger;
             let sustained = fired_window && received < sustain;
-            let to_receiver = (sender_ip, SERVICE_PORT);
-            let to_receiver_dst = (receiver_ip, vr.src_port);
-            let to_sender = (receiver_ip, vr.src_port);
-            let to_sender_dst = (sender_ip, SERVICE_PORT);
+            // Each forgery claims the other end's addresses and ports.
+            let to_receiver = (sender_ip, receiver_ip, receiver_mac);
+            let to_sender = (receiver_ip, sender_ip, sender_mac);
+            // `ack: Some(..)` sets ACK, so a pure ACK is forged from no flags.
+            let (rst, psh, bare) =
+                (TcpFlags::RST, TcpFlags { psh: true, ..TcpFlags::default() }, TcpFlags::default());
+            let (receiver_ports, sender_ports) = ((SERVICE_PORT, vr.port), (vr.port, SERVICE_PORT));
             match attack {
                 Attack::BlindRstOffWindow if quiet => {
                     volleys += 1;
-                    adv.forge(
-                        to_receiver,
-                        to_receiver_dst,
-                        receiver_mac,
-                        vr.ack.wrapping_add(100_000),
-                        None,
-                        TcpFlags::RST,
-                        0,
-                        &[],
-                        &[],
-                    );
+                    let seq = vr.ack.wrapping_add(100_000);
+                    adv.forge(to_receiver, forge(receiver_ports, rst, seq, None, 0, &[], &[]));
                 }
                 Attack::BlindRstInWindow if quiet => {
                     // The cursor is parked, so +2048 is inside the
                     // receiver's 4096-byte window but off RCV.NXT.
                     volleys += 1;
-                    adv.forge(
-                        to_receiver,
-                        to_receiver_dst,
-                        receiver_mac,
-                        vr.ack.wrapping_add(2048),
-                        None,
-                        TcpFlags::RST,
-                        0,
-                        &[],
-                        &[],
-                    );
+                    let seq = vr.ack.wrapping_add(2048);
+                    adv.forge(to_receiver, forge(receiver_ports, rst, seq, None, 0, &[], &[]));
                 }
                 Attack::ExactRst if quiet => {
                     // With the stream drained, the receiver's last ACK
                     // *is* RCV.NXT — this one lands exactly.
                     volleys += 1;
-                    adv.forge(
-                        to_receiver,
-                        to_receiver_dst,
-                        receiver_mac,
-                        vr.ack,
-                        None,
-                        TcpFlags::RST,
-                        0,
-                        &[],
-                        &[],
-                    );
+                    adv.forge(to_receiver, forge(receiver_ports, rst, vr.ack, None, 0, &[], &[]));
                 }
                 Attack::BlindDataOffWindow if fired_window && volleys < 4 => {
                     volleys += 1;
-                    adv.forge(
-                        to_sender,
-                        to_sender_dst,
-                        sender_mac,
-                        vs.ack.wrapping_add(100_000),
-                        Some(vs.seq_end),
-                        TcpFlags { psh: true, ..TcpFlags::default() },
-                        4096,
-                        &junk,
-                        &[],
-                    );
+                    let seq = vs.ack.wrapping_add(100_000);
+                    adv.forge(to_sender, forge(sender_ports, psh, seq, Some(vs.seq_end), 4096, &junk, &[]));
                 }
                 Attack::BlindDataInWindow if fired_window && volleys < 4 => {
                     // The sender's RCV.NXT is parked after the 8-byte
                     // request, so +1024 is stably in-window and the hole
                     // in front of it is never filled.
                     volleys += 1;
-                    adv.forge(
-                        to_sender,
-                        to_sender_dst,
-                        sender_mac,
-                        vs.ack.wrapping_add(1024),
-                        Some(vs.seq_end),
-                        TcpFlags { psh: true, ..TcpFlags::default() },
-                        4096,
-                        &junk,
-                        &[],
-                    );
+                    let seq = vs.ack.wrapping_add(1024);
+                    adv.forge(to_sender, forge(sender_ports, psh, seq, Some(vs.seq_end), 4096, &junk, &[]));
                 }
                 Attack::ExactData if fired_window && volleys < 1 => {
                     volleys += 1;
-                    adv.forge(
-                        to_sender,
-                        to_sender_dst,
-                        sender_mac,
-                        vs.ack,
-                        Some(vs.seq_end),
-                        TcpFlags { psh: true, ..TcpFlags::default() },
-                        4096,
-                        &junk,
-                        &[],
-                    );
+                    let seg = forge(sender_ports, psh, vs.ack, Some(vs.seq_end), 4096, &junk, &[]);
+                    adv.forge(to_sender, seg);
                 }
                 Attack::AckDivision if sustained && volleys < 30 => {
                     // Divide the unacked flight into ten sub-MSS ACKs.
@@ -515,77 +482,33 @@ pub fn run_attack(kind: StackKind, attack: Attack, faults: FaultConfig, seed: u6
                     let gap = vs.seq_end.wrapping_sub(base).min(1460);
                     if gap >= 10 {
                         for i in 1..=10u32 {
-                            adv.forge(
-                                to_sender,
-                                to_sender_dst,
-                                sender_mac,
-                                vr.seq_end,
-                                Some(base.wrapping_add(i * gap / 10)),
-                                TcpFlags::default(),
-                                4096,
-                                &[],
-                                &[],
-                            );
+                            let ack = Some(base.wrapping_add(i * gap / 10));
+                            adv.forge(to_sender, forge(sender_ports, bare, vr.seq_end, ack, 4096, &[], &[]));
                         }
                     }
                 }
                 Attack::OptimisticAck if fired_window && volleys < 6 => {
                     volleys += 1;
-                    adv.forge(
-                        to_sender,
-                        to_sender_dst,
-                        sender_mac,
-                        vr.seq_end,
-                        Some(vs.seq_end.wrapping_add(100_000)),
-                        TcpFlags::default(),
-                        4096,
-                        &[],
-                        &[],
-                    );
+                    let ack = Some(vs.seq_end.wrapping_add(100_000));
+                    adv.forge(to_sender, forge(sender_ports, bare, vr.seq_end, ack, 4096, &[], &[]));
                 }
                 Attack::SwsPump if fired_window && volleys < 40 => {
                     // A valid-but-tiny window update at the current ack.
                     volleys += 1;
-                    adv.forge(
-                        to_sender,
-                        to_sender_dst,
-                        sender_mac,
-                        vr.seq_end,
-                        Some(vr.ack),
-                        TcpFlags::default(),
-                        64,
-                        &[],
-                        &[],
-                    );
+                    adv.forge(to_sender, forge(sender_ports, bare, vr.seq_end, Some(vr.ack), 64, &[], &[]));
                 }
                 Attack::Land if fired_window && volleys < 3 => {
                     volleys += 1;
-                    adv.forge(
-                        (sender_ip, SERVICE_PORT),
-                        (sender_ip, SERVICE_PORT),
-                        sender_mac,
-                        0xdead_0000 + volleys,
-                        None,
-                        TcpFlags::SYN,
-                        4096,
-                        &[],
-                        &[TcpOption::MaxSegmentSize(1460)],
-                    );
+                    let ports = (SERVICE_PORT, SERVICE_PORT);
+                    let seg = forge(ports, TcpFlags::SYN, 0xdead_0000 + volleys, None, 4096, &[], &[mss]);
+                    adv.forge((sender_ip, sender_ip, sender_mac), seg);
                 }
                 Attack::SynFloodReplay if fired_window && volleys < 1 => {
                     volleys += 1;
                     for i in 0..FLOOD_SYNS as u16 {
-                        adv.forge(
-                            (ip_of(40 + i), 7000 + i),
-                            (sender_ip, SERVICE_PORT),
-                            sender_mac,
-                            1_000 + u32::from(i),
-                            None,
-                            TcpFlags::SYN,
-                            4096,
-                            &[],
-                            &[TcpOption::MaxSegmentSize(1460)],
-                        );
+                        let (ports, seq) = ((7000 + i, SERVICE_PORT), 1_000 + u32::from(i));
+                        let seg = forge(ports, TcpFlags::SYN, seq, None, 4096, &[], &[mss]);
+                        adv.forge((ip_of(40 + i), sender_ip, sender_mac), seg);
                     }
                     if let Some(syn) = adv.captured_syn.clone() {
                         adv.replay(&syn);

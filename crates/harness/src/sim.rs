@@ -83,6 +83,21 @@ mod tests {
         );
         assert_eq!(b.recv(sc), b"echo me", "{}: client to server", a.kind());
         assert_eq!(a.recv(conn), b"echoed", "{}: server to client", a.kind());
+
+        let listener = b.listener().expect("listening");
+        assert_eq!(b.conn_state(listener), "Listen", "{}: the listener's handle", b.kind());
+        if kind == StackKind::XKernel {
+            return; // the baseline has no abort API
+        }
+        a.abort(conn);
+        drive(
+            &net,
+            &mut [&mut a, &mut b],
+            |st| st[0].finished(conn) && st[1].finished(sc),
+            VirtualDuration::from_millis(1),
+            VirtualTime::from_millis(10_000),
+        );
+        assert!(a.finished(conn) && b.finished(sc), "{}: ABORT resets both ends", a.kind());
     }
 
     #[test]

@@ -70,7 +70,7 @@ impl StackKind {
         match self {
             StackKind::FoxStandard => standard_station(sub, id, peer_id, tcp_cfg),
             StackKind::FoxSpecial => special_station(sub, peer_id, tcp_cfg),
-            StackKind::XKernel => xk_station(sub, id, peer_id, &tcp_cfg),
+            StackKind::XKernel => xk_over_ip(sub, id, peer_id, &tcp_cfg),
         }
     }
 
@@ -163,8 +163,9 @@ impl Substrate {
 /// `Standard_Tcp = Tcp (structure Lower = Ip ...)`.
 fn standard_station(sub: Substrate, id: u16, peer_id: u16, tcp_cfg: TcpConfig) -> Box<dyn Station> {
     let (host, sink, ip, aux) = sub.ip(id);
-    let tcp = Tcp::new(ip, aux, IpProtocol::Tcp, tcp_cfg, SchedHandle::new(), host.clone());
-    FoxStation::boxed(tcp, host, sink, ip_of(peer_id), StackKind::FoxStandard)
+    let mut tcp = Tcp::new(ip, aux, IpProtocol::Tcp, tcp_cfg, SchedHandle::new(), host.clone());
+    tcp.set_obs(sink);
+    fox_station(tcp, host, ip_of(peer_id), StackKind::FoxStandard.name())
 }
 
 /// `Special_Tcp = Tcp (structure Lower = Eth ...)` — with the
@@ -173,13 +174,14 @@ fn standard_station(sub: Substrate, id: u16, peer_id: u16, tcp_cfg: TcpConfig) -
 fn special_station(sub: Substrate, peer_id: u16, mut tcp_cfg: TcpConfig) -> Box<dyn Station> {
     tcp_cfg.compute_checksums = false; // val do_checksums = false
     let eth = SizedPayload::new(sub.eth);
-    let tcp =
+    let mut tcp =
         Tcp::new(eth, EthAux::new(), EtherType::TcpDirect, tcp_cfg, SchedHandle::new(), sub.host.clone());
-    FoxStation::boxed(tcp, sub.host, sub.sink, mac_of(peer_id), StackKind::FoxSpecial)
+    tcp.set_obs(sub.sink);
+    fox_station(tcp, sub.host, mac_of(peer_id), StackKind::FoxSpecial.name())
 }
 
 /// The x-kernel baseline over the standard substrate.
-fn xk_station(sub: Substrate, id: u16, peer_id: u16, tcp_cfg: &TcpConfig) -> Box<dyn Station> {
+fn xk_over_ip(sub: Substrate, id: u16, peer_id: u16, tcp_cfg: &TcpConfig) -> Box<dyn Station> {
     let (host, sink, ip, aux) = sub.ip(id);
     let cfg = XkConfig {
         window: tcp_cfg.initial_window,
@@ -196,10 +198,45 @@ fn xk_station(sub: Substrate, id: u16, peer_id: u16, tcp_cfg: &TcpConfig) -> Box
     };
     let mut tcp = XkTcp::new(ip, aux, IpProtocol::Tcp, cfg, host.clone());
     tcp.set_obs(sink);
+    xk_station(tcp, host, ip_of(peer_id))
+}
+
+/// Boxes an already-built structured TCP, over any lower layer, as a
+/// station whose connections go toward `peer`. `kind` names it in
+/// reports.
+pub fn fox_station<L, A>(
+    tcp: Tcp<L, A>,
+    host: HostHandle,
+    peer: L::Peer,
+    kind: &'static str,
+) -> Box<dyn Station>
+where
+    L: Protocol + 'static,
+    A: IpAux<Address = L::Peer, Incoming = L::Incoming> + 'static,
+{
+    Box::new(FoxStation {
+        tcp,
+        host,
+        peer,
+        kind,
+        bufs: BTreeMap::new(),
+        accepted: Rc::new(RefCell::new(VecDeque::new())),
+        listener: None,
+        socks: BTreeMap::new(),
+    })
+}
+
+/// Boxes an already-built x-kernel baseline, over any lower layer, as a
+/// station whose connections go toward `peer`.
+pub fn xk_station<L, A>(tcp: XkTcp<L, A>, host: HostHandle, peer: L::Peer) -> Box<dyn Station>
+where
+    L: Protocol + 'static,
+    A: IpAux<Address = L::Peer, Incoming = L::Incoming> + 'static,
+{
     Box::new(XkStation {
         tcp,
         host,
-        peer: ip_of(peer_id),
+        peer,
         conns: Vec::new(),
         listener: None,
         accepted: VecDeque::new(),
@@ -264,30 +301,6 @@ where
     L: Protocol,
     A: IpAux<Address = L::Peer, Incoming = L::Incoming>,
 {
-    fn boxed(
-        mut tcp: Tcp<L, A>,
-        host: HostHandle,
-        sink: EventSink,
-        peer: L::Peer,
-        kind: StackKind,
-    ) -> Box<dyn Station>
-    where
-        L: 'static,
-        A: 'static,
-    {
-        tcp.set_obs(sink);
-        Box::new(FoxStation {
-            tcp,
-            host,
-            peer,
-            kind: kind.name(),
-            bufs: BTreeMap::new(),
-            accepted: Rc::new(RefCell::new(VecDeque::new())),
-            listener: None,
-            socks: BTreeMap::new(),
-        })
-    }
-
     /// Promotes a `Connecting` socket to `Established` if its handshake
     /// has completed; leaves it (and any other stage) untouched
     /// otherwise.
@@ -389,10 +402,28 @@ where
             Some(SocketStage::Established(sock)) => {
                 let _ = sock.close(&mut self.tcp);
             }
-            None => {
-                let _ = self.tcp.close(TcpConnId(conn));
-            }
+            // The listener closes through its typed wrapper too.
+            None => match self.listener.take_if(|l| l.id().0 == conn) {
+                Some(listener) => {
+                    let _ = listener.close(&mut self.tcp);
+                }
+                None => {
+                    let _ = self.tcp.close(TcpConnId(conn));
+                }
+            },
         }
+    }
+
+    fn abort(&mut self, conn: ConnHandle) {
+        // ABORT has no typed wrapper; whatever wrapper the connection
+        // (or listener) had dies with it.
+        self.socks.remove(&conn);
+        self.listener.take_if(|l| l.id().0 == conn);
+        let _ = self.tcp.abort(TcpConnId(conn));
+    }
+
+    fn listener(&self) -> Option<ConnHandle> {
+        self.listener.as_ref().map(|l| l.id().0)
     }
 
     fn step(&mut self, now: VirtualTime) -> bool {
@@ -553,6 +584,10 @@ where
 
     fn close(&mut self, conn: ConnHandle) {
         let _ = self.tcp.close(xktcp::SockId(conn));
+    }
+
+    fn listener(&self) -> Option<ConnHandle> {
+        self.listener.map(|l| l.0)
     }
 
     fn step(&mut self, now: VirtualTime) -> bool {

@@ -1,5 +1,8 @@
-//! A uniform face over the two TCP implementations, so one workload
-//! drives both sides of Table 1.
+//! The one driver interface over the two TCP implementations: every
+//! workload, the Table 1 comparison and the RFC 793 conformance suite
+//! drive both stacks through [`Station`]. `crate::stack::fox_station`
+//! and `crate::stack::xk_station` box an already-built TCP over any
+//! lower layer as one.
 
 use foxbasis::time::VirtualTime;
 use simnet::HostHandle;
@@ -92,8 +95,19 @@ pub trait Station {
     /// True once fully closed (or reset / timed out).
     fn finished(&self, conn: ConnHandle) -> bool;
 
-    /// Starts a graceful close.
+    /// Starts a graceful close (of a connection or the listener).
     fn close(&mut self, conn: ConnHandle);
+
+    /// ABORT (RFC 793 p. 62): drops the connection (or the listener) at
+    /// once. The default panics: the baseline has no abort API.
+    fn abort(&mut self, _conn: ConnHandle) {
+        panic!("{} has no abort API", self.kind());
+    }
+
+    /// The listener's handle, once `listen` has been called.
+    fn listener(&self) -> Option<ConnHandle> {
+        None
+    }
 
     /// Drives the stack.
     fn step(&mut self, now: VirtualTime) -> bool;
@@ -117,9 +131,11 @@ pub trait Station {
         None
     }
 
-    /// RFC 793 state name of a connection (`""` once the station no
-    /// longer tracks it). Diagnostic: the adversarial harness uses it
-    /// to tell a SYN-RCVD husk from a connection that really opened.
+    /// The stack's own name for a connection's state (`Estab`,
+    /// `SynPassive`, `SynReceived`, ...), or `""` once the stack has
+    /// forgotten the connection. The adversarial harness uses it to tell
+    /// a SYN-RCVD husk from a connection that really opened; the
+    /// conformance suite maps it onto RFC 793's vocabulary.
     fn conn_state(&self, _conn: ConnHandle) -> &'static str {
         ""
     }

@@ -432,6 +432,33 @@ fn one_discrete_event_loop() {
     assert!(loops.is_empty(), "a stepping loop outside simnet::drive: {loops:#?}");
 }
 
+/// Both stacks are driven through one interface,
+/// `foxharness::station::Station`: the workloads, the tables and the
+/// RFC 793 conformance suite alike. No other trait may declare both a
+/// `listen` and a `step` — a second driver face over the same stacks.
+/// foxperf, outside what this file reads, implements `Station` rather
+/// than declaring a face of its own.
+#[test]
+fn one_driver_interface() {
+    let (listen, step) = (format!("fn {}(", "listen"), format!("fn {}(", "step"));
+    let home = root().join("crates/harness/src/station.rs");
+    let is_trait = |l: &&str| l.split_whitespace().find(|w| !w.starts_with("pub")) == Some("trait");
+    let mut faces = Vec::new();
+    for file in ["crates", "tests", "examples"].into_iter().flat_map(rust_files) {
+        if file == home {
+            continue;
+        }
+        let src = fs::read_to_string(&file).expect("readable source");
+        for decl in src.lines().map(str::trim_start).filter(is_trait) {
+            let (_, body) = item(&src, decl);
+            if body.iter().any(|l| l.contains(&listen)) && body.iter().any(|l| l.contains(&step)) {
+                faces.push(format!("{}: {}", file.display(), decl.trim_end_matches(" {")));
+            }
+        }
+    }
+    assert!(faces.is_empty(), "a driver interface besides Station: {faces:#?}");
+}
+
 /// Nothing under `crates/` reads the wall clock, so `determinism`'s
 /// banned types take no exception: wall-clock timing is foxperf's and
 /// the vendored Criterion's.
