@@ -15,6 +15,11 @@
 //!   the per-connection `to_do` action queue and each layer's queue of
 //!   received messages (the TCB's out-of-order store is a `VecDeque` of
 //!   the received `PacketBuf`s, kept sorted by sequence number);
+//! * [`flat`] — [`flat::FlatIndex`], the open-addressing index behind
+//!   every keyed lookup on the per-segment and per-call paths (the
+//!   engine's id → slot table, the demux, the harness's stations): one
+//!   hashed probe, duplicate keys in insertion order, a fixed mixer and
+//!   no iteration, so its layout is never an observable order;
 //! * [`deq`] — the double-ended queue (`structure D: DEQ` in Fig. 6),
 //!   used for the TCB's resend queue: the sequence ranges of sent,
 //!   unacknowledged segments;
@@ -54,6 +59,7 @@ pub mod checksum;
 pub mod copy;
 pub mod deq;
 pub mod fifo;
+pub mod flat;
 pub mod obs;
 pub mod ring;
 pub mod seq;
@@ -65,6 +71,7 @@ pub use buf::PacketBuf;
 pub use checksum::{checksum, ones_complement_sum, ChecksumAccum};
 pub use deq::Deq;
 pub use fifo::Fifo;
+pub use flat::{FlatIndex, FlatKey};
 pub use obs::{ConnMetrics, Event, EventRing, EventSink, Stamped, NO_CONN};
 pub use ring::RingBuffer;
 pub use seq::Seq;

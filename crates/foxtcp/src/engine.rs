@@ -24,6 +24,7 @@ use crate::demux::{Demux, DemuxStats};
 use crate::{ConnCore, TcpConfig, TcpState};
 use fox_scheduler::SchedHandle;
 use foxbasis::buf::{copy_mark, BufPool};
+use foxbasis::flat::FlatIndex;
 use foxbasis::obs::{ConnMetrics, Event, EventSink};
 use foxbasis::seq::Seq;
 use foxbasis::time::{VirtualDuration, VirtualTime};
@@ -240,39 +241,38 @@ where
 /// oldest-first rule and `step`'s drain order all read it as one), and a
 /// stale `TcpConnId` must name nothing rather than a stranger.
 ///
-/// `live` is the table's only order and its only index: `(id, slot)`
-/// pairs in creation order, which is ascending id, so id → slot is a
-/// binary search over 8-byte entries. An entry is written once when its
-/// connection is created and removed once when it is reaped; nothing
-/// ever renumbers the others.
+/// `index` maps id → slot in one hashed probe ([`FlatIndex`]): an entry
+/// is written once when its connection is created and removed once
+/// when it is reaped, and neither touches any other entry's. The table
+/// keeps no order of its own; what reads ids in creation order reads
+/// the ids.
 struct Table<P> {
     slots: Vec<Option<Conn<P>>>,
     /// Vacant slots, the last vacated first to be reused.
     free: Vec<u32>,
-    live: Vec<(u32, u32)>,
+    index: FlatIndex<u32, u32>,
 }
 
 impl<P> Table<P> {
     fn new() -> Table<P> {
-        Table { slots: Vec::new(), free: Vec::new(), live: Vec::new() }
+        Table { slots: Vec::new(), free: Vec::new(), index: FlatIndex::new() }
     }
 
     /// Live connections.
     fn len(&self) -> usize {
-        self.live.len()
+        self.index.len()
     }
 
     /// The slot connection `id` lives in, if it is live.
     fn slot_of(&self, id: u32) -> Option<usize> {
-        let at = self.live.binary_search_by_key(&id, |&(id, _)| id).ok()?;
-        Some(self.live[at].1 as usize)
+        self.index.get(&id).map(|&slot| slot as usize)
     }
 
-    /// Files `conn`, whose id must exceed every id filed before it, in
-    /// a vacant slot; returns the slot.
+    /// Files `conn`, whose id must be new, in a vacant slot; returns the
+    /// slot.
     fn insert(&mut self, conn: Conn<P>) -> usize {
-        debug_assert!(self.live.last().is_none_or(|&(newest, _)| newest < conn.id), "ids only grow");
         let id = conn.id;
+        debug_assert!(self.slot_of(id).is_none(), "ids are never reused");
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slots[slot as usize] = Some(conn);
@@ -283,23 +283,21 @@ impl<P> Table<P> {
                 u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 connections")
             }
         };
-        self.live.push((id, slot));
+        self.index.insert(id, slot);
         slot as usize
     }
 
     /// Takes the connection out of `slot`, which it must occupy.
     fn remove(&mut self, slot: usize) -> Conn<P> {
         let conn = self.slots[slot].take().expect("only an occupied slot is vacated");
-        let at =
-            self.live.binary_search_by_key(&conn.id, |&(id, _)| id).expect("a live connection is listed");
-        self.live.remove(at);
+        self.index.remove_where(&conn.id, |_| true).expect("a live connection is indexed");
         self.free.push(slot as u32);
         conn
     }
 
-    /// Every live connection, in id order.
+    /// Every live connection, in slot order.
     fn iter(&self) -> impl Iterator<Item = &Conn<P>> {
-        self.live.iter().map(|&(_, slot)| &self[slot as usize])
+        self.slots.iter().flatten()
     }
 }
 
@@ -975,15 +973,17 @@ where
     /// Panics, naming the relation, if one does not hold.
     fn check_invariants(&self) {
         let table = &self.conns;
-        // The slab: `live` ascends by id and points at its connections;
-        // every other slot is vacant and on the free list exactly once.
-        for pair in table.live.windows(2) {
-            assert!(pair[0].0 < pair[1].0, "live entries {:?} and {:?} out of order", pair[0], pair[1]);
+        // The slab: every occupied slot's id indexes to that slot, the
+        // index holds nothing else, and every other slot is vacant and
+        // on the free list exactly once.
+        let mut occupied = 0;
+        for (slot, c) in table.slots.iter().enumerate() {
+            if let Some(c) = c {
+                occupied += 1;
+                assert_eq!(table.slot_of(c.id), Some(slot), "connection {} is not indexed to its slot", c.id);
+            }
         }
-        for &(id, slot) in &table.live {
-            let holds = table.slots.get(slot as usize).and_then(|s| s.as_ref()).map(|c| c.id);
-            assert_eq!(holds, Some(id), "slot {slot} does not hold connection {id}");
-        }
+        assert_eq!(table.len(), occupied, "the index files a connection no slot holds");
         let mut free = table.free.clone();
         free.sort_unstable();
         assert!(free.windows(2).all(|w| w[0] != w[1]), "a slot is on the free list twice");
@@ -991,7 +991,7 @@ where
             free.iter().all(|&s| table.slots[s as usize].is_none()),
             "an occupied slot is on the free list"
         );
-        assert_eq!(table.live.len() + free.len(), table.slots.len(), "a slot is neither live nor free");
+        assert_eq!(occupied + free.len(), table.slots.len(), "a slot is neither live nor free");
 
         for c in table.iter() {
             let id = c.id;
@@ -1215,7 +1215,11 @@ mod tests {
         let (fourth, _) = p.open(80);
         assert_eq!((fourth, slot(&p, fourth)), (TcpConnId(3), Some(0)), "the freed slot, the next id");
         assert!(p.a.conns.free.is_empty());
-        assert_eq!(p.a.conns.live, [(1, 1), (2, 2), (3, 0)], "creation order, whatever the slots");
+        assert_eq!(
+            ([second, third, fourth].map(|c| (c.0, slot(&p, c))), p.a.conns.len()),
+            ([(1, Some(1)), (2, Some(2)), (3, Some(0))], 3),
+            "creation order, whatever the slots"
+        );
         assert_eq!(p.a.state_of(first), None, "the old id names nothing, not the slot's new tenant");
         assert_eq!(p.a.send_data(first, b"x"), Err(ProtoError::NotOpen));
 

@@ -48,7 +48,7 @@ const IDLE_PAIRS: u64 = 64;
 /// Heap bytes the two engines hold for [`IDLE_PAIRS`] ESTABLISHED
 /// connections (so twice as many connection ends, and the listener),
 /// each idle after one 64-byte round trip, under the benchmark's
-/// 512 KB / 256 KB buffer configuration: 1 802 per end.
+/// 512 KB / 256 KB buffer configuration: 1 858 per end.
 /// What an end holds: its slot in the engine's table (the `Conn` itself,
 /// most of the figure), a 64-byte send ring, its handler's box, the
 /// warmed-up `to_do` and resend queues, and its share of the table's
@@ -77,7 +77,16 @@ const IDLE_PAIRS: u64 = 64;
 /// Since an ACK of new data stopped queueing a no-op action it is 24 576
 /// bytes under the 255 248 before: the 64 clients' `to_do` queues warm to
 /// 4 slots, not 8, so 256 slots of 96 bytes go.
-const BYTES_HELD_BY_IDLE_PAIRS: u64 = 230_672;
+///
+/// Since the table's id → slot index and the demux's three namespaces
+/// became `FlatIndex`es it is 7 224 bytes over the 230 672 before: they
+/// hold 14 400 bytes where the id list and the ordered trees held 7 176
+/// (1 536 of vectors, 5 640 of tree nodes), 112.5 per end against 56.
+/// An index is kept under half full, so each engine's 64 or 65 ids and
+/// 64 flows sit in 256 slots (8 and 16 bytes a slot), the client's 64
+/// port counts in 256 more, and the listening port and its count in 4
+/// each: slack, against the trees' node headers and half-filled leaves.
+const BYTES_HELD_BY_IDLE_PAIRS: u64 = 237_896;
 
 /// `foxharness::bench::BenchProfile::Modern.tcp_config()`, which this
 /// crate cannot name (the harness depends on it).

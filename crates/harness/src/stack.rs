@@ -15,6 +15,7 @@
 
 use crate::station::{ConnHandle, ScaleCounters, Station, StationStats};
 use fox_scheduler::SchedHandle;
+use foxbasis::flat::FlatIndex;
 use foxbasis::obs::{ConnMetrics, EventSink};
 use foxbasis::time::VirtualTime;
 use foxproto::aux::IpAux;
@@ -219,10 +220,9 @@ where
         host,
         peer,
         kind,
-        bufs: BTreeMap::new(),
+        conns: FlatIndex::new(),
         accepted: Rc::new(RefCell::new(VecDeque::new())),
         listener: None,
-        socks: BTreeMap::new(),
     })
 }
 
@@ -265,6 +265,15 @@ enum SocketStage {
     Established(EstablishedSocket),
 }
 
+/// What the station keeps per connection: the buffer its handler fills,
+/// and its typestate wrapper until the user closes it.
+#[derive(Default)]
+struct StationConn {
+    /// `None` only in the index's vacant slots.
+    buf: Option<Rc<RefCell<ConnBuf>>>,
+    stage: Option<SocketStage>,
+}
+
 struct FoxStation<L, A>
 where
     L: Protocol,
@@ -274,10 +283,11 @@ where
     host: HostHandle,
     peer: L::Peer,
     kind: &'static str,
-    bufs: BTreeMap<u32, Rc<RefCell<ConnBuf>>>,
+    /// Every connection the station opened or accepted, closed ones
+    /// included (their buffers still answer).
+    conns: FlatIndex<u32, StationConn>,
     accepted: Rc<RefCell<VecDeque<TcpConnId>>>,
     listener: Option<ListeningSocket>,
-    socks: BTreeMap<u32, SocketStage>,
 }
 
 fn buf_handler(buf: Rc<RefCell<ConnBuf>>) -> foxproto::Handler<TcpEvent> {
@@ -301,20 +311,14 @@ where
     L: Protocol,
     A: IpAux<Address = L::Peer, Incoming = L::Incoming>,
 {
-    /// Promotes a `Connecting` socket to `Established` if its handshake
-    /// has completed; leaves it (and any other stage) untouched
-    /// otherwise.
-    fn promote(&mut self, conn: ConnHandle) {
-        if matches!(self.socks.get(&conn), Some(SocketStage::Connecting(_))) {
-            let Some(SocketStage::Connecting(sock)) = self.socks.remove(&conn) else {
-                unreachable!("just matched Connecting");
-            };
-            let stage = match sock.try_established(&self.tcp) {
-                Ok(est) => SocketStage::Established(est),
-                Err(still) => SocketStage::Connecting(still),
-            };
-            self.socks.insert(conn, stage);
-        }
+    /// Files a new connection with its buffer and its wrapper.
+    fn file(&mut self, conn: ConnHandle, buf: Rc<RefCell<ConnBuf>>, sock: ConnectingSocket) {
+        self.conns.insert(conn, StationConn { buf: Some(buf), stage: Some(SocketStage::Connecting(sock)) });
+    }
+
+    /// The buffer `conn`'s handler fills, if the station has `conn`.
+    fn buf(&self, conn: ConnHandle) -> Option<&RefCell<ConnBuf>> {
+        self.conns.get(&conn)?.buf.as_deref()
     }
 }
 
@@ -330,8 +334,7 @@ where
             .connect(self.peer.clone(), remote_port, 0, buf_handler(buf.clone()))
             .expect("active open");
         let conn = sock.id().0;
-        self.bufs.insert(conn, buf);
-        self.socks.insert(conn, SocketStage::Connecting(sock));
+        self.file(conn, buf, sock);
         conn
     }
 
@@ -356,29 +359,37 @@ where
         let listener = self.listener.as_ref()?;
         let buf = Rc::new(RefCell::new(ConnBuf::default()));
         let sock = listener.accept(&mut self.tcp, child, buf_handler(buf.clone())).ok()?;
-        self.bufs.insert(child.0, buf);
-        self.socks.insert(child.0, SocketStage::Connecting(sock));
+        self.file(child.0, buf, sock);
         Some(child.0)
     }
 
     fn send(&mut self, conn: ConnHandle, data: &[u8]) -> usize {
-        self.promote(conn);
-        match self.socks.get(&conn) {
+        let Some(c) = self.conns.get_mut(&conn) else { return 0 };
+        // A `Connecting` wrapper whose handshake has completed is
+        // promoted in place first.
+        c.stage = match c.stage.take() {
+            Some(SocketStage::Connecting(sock)) => Some(match sock.try_established(&self.tcp) {
+                Ok(est) => SocketStage::Established(est),
+                Err(still) => SocketStage::Connecting(still),
+            }),
+            stage => stage,
+        };
+        match &c.stage {
             Some(SocketStage::Established(sock)) => sock.send_data(&mut self.tcp, data).unwrap_or(0),
             _ => 0, // not yet established (or already closed): nothing taken
         }
     }
 
     fn recv(&mut self, conn: ConnHandle) -> Vec<u8> {
-        self.bufs.get(&conn).map_or(Vec::new(), |b| std::mem::take(&mut b.borrow_mut().data))
+        self.buf(conn).map_or(Vec::new(), |b| std::mem::take(&mut b.borrow_mut().data))
     }
 
     fn received_len(&self, conn: ConnHandle) -> usize {
-        self.bufs.get(&conn).map_or(0, |b| b.borrow().data.len())
+        self.buf(conn).map_or(0, |b| b.borrow().data.len())
     }
 
     fn established(&self, conn: ConnHandle) -> bool {
-        self.bufs.get(&conn).is_some_and(|b| b.borrow().established)
+        self.buf(conn).is_some_and(|b| b.borrow().established)
     }
 
     fn conn_state(&self, conn: ConnHandle) -> &'static str {
@@ -386,16 +397,16 @@ where
     }
 
     fn peer_closed(&self, conn: ConnHandle) -> bool {
-        self.bufs.get(&conn).is_some_and(|b| b.borrow().peer_closed)
+        self.buf(conn).is_some_and(|b| b.borrow().peer_closed)
     }
 
     fn finished(&self, conn: ConnHandle) -> bool {
-        self.bufs.get(&conn).is_some_and(|b| b.borrow().finished)
+        self.buf(conn).is_some_and(|b| b.borrow().finished)
     }
 
     fn close(&mut self, conn: ConnHandle) {
         // Closing consumes the typestate wrapper, whatever its stage.
-        match self.socks.remove(&conn) {
+        match self.conns.get_mut(&conn).and_then(|c| c.stage.take()) {
             Some(SocketStage::Connecting(sock)) => {
                 let _ = sock.close(&mut self.tcp);
             }
@@ -417,7 +428,9 @@ where
     fn abort(&mut self, conn: ConnHandle) {
         // ABORT has no typed wrapper; whatever wrapper the connection
         // (or listener) had dies with it.
-        self.socks.remove(&conn);
+        if let Some(c) = self.conns.get_mut(&conn) {
+            c.stage = None;
+        }
         self.listener.take_if(|l| l.id().0 == conn);
         let _ = self.tcp.abort(TcpConnId(conn));
     }

@@ -129,6 +129,9 @@ impl ArpCache {
     /// Drops pending queues whose requests have gone unanswered past
     /// `timeout`; returns how many queued packets went with them.
     pub fn expire_pending(&mut self, now: VirtualTime, timeout: VirtualDuration) -> u64 {
+        if self.pending.is_empty() {
+            return 0;
+        }
         let mut dropped = 0;
         self.pending.retain(|_, slot| {
             let dead = now.saturating_since(slot.last_request) > timeout;

@@ -207,6 +207,9 @@ impl Reassembler {
     }
 
     fn expire(&mut self, now: VirtualTime) -> u64 {
+        if self.inflight.is_empty() {
+            return 0;
+        }
         let before = self.inflight.len();
         self.inflight.retain(|_, r| now.saturating_since(r.started) <= REASSEMBLY_TIMEOUT);
         (before - self.inflight.len()) as u64

@@ -60,6 +60,7 @@ const RX_FILES: &[&str] = &[
     "crates/foxtcp/src/data/transfer.rs",
     "crates/foxtcp/src/data/fastpath.rs",
     "crates/foxtcp/src/demux.rs",
+    "crates/foxbasis/src/flat.rs",
 ];
 
 /// Receive-path fns inside files that are not.
@@ -472,4 +473,21 @@ fn the_determinism_lint_has_no_exception() {
         exceptions.extend(lines.map(|(n, l)| format!("{}:{}: {}", file.display(), n + 1, l.trim())));
     }
     assert!(exceptions.is_empty(), "an exception to the determinism lint: {exceptions:#?}");
+}
+
+/// `hash_iter` by construction: `foxbasis::flat` offers no way to walk
+/// its entries, so its hash layout can never become an order anyone
+/// observes. Lookups by key are all it answers.
+#[test]
+fn the_flat_index_cannot_be_iterated() {
+    let src = read("crates/foxbasis/src/flat.rs");
+    let walks = ["iter", "keys", "values", "drain", "retain"].map(|f| format!("fn {f}"));
+    let impls = ["impl Iterator", "impl IntoIterator", " Iterator for ", " IntoIterator for "];
+    let found: Vec<String> = src
+        .lines()
+        .enumerate()
+        .filter(|(_, l)| walks.iter().any(|w| l.contains(w.as_str())) || impls.iter().any(|i| l.contains(i)))
+        .map(|(n, l)| format!("flat.rs:{}: {}", n + 1, l.trim()))
+        .collect();
+    assert!(found.is_empty(), "the flat index can be iterated: {found:#?}");
 }
