@@ -32,6 +32,11 @@
 //!   sequence), and a cell remembers the sequence of its tenant, so an
 //!   id kept past its timer's firing can never cancel the cell's next
 //!   tenant.
+//! * Each level keeps a `u64` **occupancy mask**, one bit per slot, so
+//!   [`TimerWheel::next_due`] finds the nearest occupied slot with one
+//!   `trailing_zeros` per level instead of a walk over 64 list heads.
+//!   That bound is what lets a driver skip the instants at which no
+//!   timer can be due.
 //! * Exact deadlines are kept in the cells; [`TimerWheel::advance`]
 //!   hands back everything due sorted by `(deadline, arm order)` — the
 //!   same total order the scheduler's sleep heap imposed, which is what
@@ -119,9 +124,11 @@ pub struct TimerWheel<T> {
     /// First cell of each list: `LEVELS * SLOTS` slots, then `NEAR`,
     /// then `RIPE`.
     heads: [u32; RIPE + 1],
-    /// A lower bound on the deadlines on the `NEAR` list (exact after
-    /// every scan of it; a cancel may leave it too low, never too
-    /// high), so a same-tick `advance` short of it looks at no entry.
+    /// Bit `s` of `occupied[l]` is set iff slot `s` of level `l` holds a
+    /// cell.
+    occupied: [u64; LEVELS],
+    /// The earliest deadline on the `NEAR` list (`u64::MAX` while it is
+    /// empty), so a same-tick `advance` short of it looks at no entry.
     near_min: u64,
     /// What the last `advance` fired; the buffer is reused.
     due: Vec<Fired<T>>,
@@ -140,6 +147,7 @@ impl<T> TimerWheel<T> {
             cells: Vec::new(),
             free: NIL,
             heads: [NIL; RIPE + 1],
+            occupied: [0; LEVELS],
             near_min: u64::MAX,
             due: Vec::new(),
             now: start.as_micros(),
@@ -201,9 +209,13 @@ impl<T> TimerWheel<T> {
     pub fn cancel(&mut self, id: TimerId) -> bool {
         let pending = self.get(id).is_some();
         if pending {
+            let Cell { list, deadline, .. } = self.cells[id.cell as usize];
             self.unlink(id.cell);
             self.release(id.cell);
             self.stats.cancels += 1;
+            if usize::from(list) == NEAR && deadline == self.near_min {
+                self.near_min = self.list_min(NEAR);
+            }
         }
         pending
     }
@@ -216,15 +228,32 @@ impl<T> TimerWheel<T> {
         cell.payload.as_ref()
     }
 
-    /// The earliest pending deadline, if any. O(slab) — diagnostics
-    /// and tests only; the hot path is `advance`.
-    pub fn next_deadline(&self) -> Option<VirtualTime> {
-        self.cells
-            .iter()
-            .filter(|c| c.payload.is_some())
-            .map(|c| c.deadline)
-            .min()
-            .map(VirtualTime::from_micros)
+    /// A lower bound on the earliest pending deadline, `None` while no
+    /// timer is pending. O([`LEVELS`]): a timer already due gives now, a
+    /// timer within the current tick the exact earliest deadline, and
+    /// otherwise the nearest occupied slot of the lowest occupied level
+    /// gives the start of its window. Advancing to the bound either fires
+    /// the earliest timer or cascades it to a lower level, so repeating
+    /// it reaches the earliest deadline within `LEVELS + 1` advances
+    /// (plus one per top-level window crossed by a timer parked beyond
+    /// the top level's reach), and never fires anything early.
+    pub fn next_due(&self) -> Option<VirtualTime> {
+        if self.heads[RIPE] != NIL {
+            return Some(VirtualTime::from_micros(self.now));
+        }
+        if self.heads[NEAR] != NIL {
+            return Some(VirtualTime::from_micros(self.near_min));
+        }
+        let now_t = self.now >> TICK_BITS;
+        let lvl = self.occupied.iter().position(|&m| m != 0)?;
+        let shift = SLOT_BITS * lvl as u32;
+        let cursor = now_t >> shift;
+        // Every occupied slot lies ahead of the cursor (the overflow
+        // parking slot may wrap past slot 63), so rotating the cursor's
+        // successor to bit 0 ranks the slots by distance.
+        let rotated = self.occupied[lvl].rotate_right(((cursor + 1) % SLOTS as u64) as u32);
+        let window = cursor + 1 + u64::from(rotated.trailing_zeros());
+        Some(VirtualTime::from_micros((window << shift) << TICK_BITS))
     }
 
     /// Moves the clock to `to` (must not go backwards) and returns every
@@ -280,6 +309,7 @@ impl<T> TimerWheel<T> {
                 for k in 1..=span {
                     let slot = ((old_l + k) % SLOTS as u64) as usize;
                     let mut c = std::mem::replace(&mut self.heads[lvl * SLOTS + slot], NIL);
+                    self.occupied[lvl] &= !(1 << slot);
                     while c != NIL {
                         let Cell { next, deadline, .. } = self.cells[c as usize];
                         if deadline <= to_us {
@@ -336,6 +366,9 @@ impl<T> TimerWheel<T> {
                 ((d_t >> (SLOT_BITS * lvl as u32)) % SLOTS as u64) as usize + lvl * SLOTS
             }
         };
+        if list < NEAR {
+            self.occupied[list / SLOTS] |= 1 << (list % SLOTS);
+        }
         let head = std::mem::replace(&mut self.heads[list], c);
         if head != NIL {
             self.cells[head as usize].prev = c;
@@ -347,8 +380,12 @@ impl<T> TimerWheel<T> {
     /// Takes cell `c` off the list it is on.
     fn unlink(&mut self, c: u32) {
         let Cell { prev, next, list, .. } = self.cells[c as usize];
+        let list = usize::from(list);
         if prev == NIL {
-            self.heads[list as usize] = next;
+            self.heads[list] = next;
+            if next == NIL && list < NEAR {
+                self.occupied[list / SLOTS] &= !(1 << (list % SLOTS));
+            }
         } else {
             self.cells[prev as usize].next = next;
         }
@@ -375,6 +412,18 @@ impl<T> TimerWheel<T> {
             deadline: VirtualTime::from_micros(deadline),
             payload,
         });
+    }
+
+    /// The earliest deadline on `list`, `u64::MAX` if it is empty.
+    fn list_min(&self, list: usize) -> u64 {
+        let mut min = u64::MAX;
+        let mut c = self.heads[list];
+        while c != NIL {
+            let Cell { next, deadline, .. } = self.cells[c as usize];
+            min = min.min(deadline);
+            c = next;
+        }
+        min
     }
 
     /// Fires every cell on `list`.
@@ -483,16 +532,20 @@ mod tests {
     }
 
     #[test]
-    fn next_deadline_tracks_minimum() {
+    fn next_due_bounds_the_earliest_deadline() {
         let mut w = TimerWheel::new(VirtualTime::ZERO);
-        assert_eq!(w.next_deadline(), None);
+        assert_eq!(w.next_due(), None);
         w.arm(t(500_000), ());
-        let near = w.arm(t(2_000), ());
-        assert_eq!(w.next_deadline(), Some(t(2_000)));
+        // Tick 488 is in level 1's window of ticks 448..512.
+        assert_eq!(w.next_due(), Some(t(448 << TICK_BITS)));
+        let near = w.arm(t(700), ());
+        assert_eq!(w.next_due(), Some(t(700)), "within the current tick: exact");
         w.cancel(near);
-        assert_eq!(w.next_deadline(), Some(t(500_000)));
+        assert_eq!(w.next_due(), Some(t(448 << TICK_BITS)), "the cancel forgot the NEAR minimum");
+        w.arm(t(0), ());
+        assert_eq!(w.next_due(), Some(t(0)), "already due: now");
         w.advance(t(1_000_000));
-        assert_eq!(w.next_deadline(), None);
+        assert_eq!(w.next_due(), None);
     }
 
     #[test]
@@ -599,9 +652,34 @@ mod tests {
         }
 
         fn check(&self) {
-            assert_eq!(self.wheel.len(), self.model.map.len());
-            assert_eq!(self.wheel.next_deadline(), self.model.map.keys().next().map(|&(d, _)| t(d)));
-            let s = self.wheel.stats();
+            let w = &self.wheel;
+            assert_eq!(w.len(), self.model.map.len());
+            let mut occupied = [0u64; LEVELS];
+            for slot in 0..NEAR {
+                if w.heads[slot] != NIL {
+                    occupied[slot / SLOTS] |= 1 << (slot % SLOTS);
+                }
+            }
+            assert_eq!(w.occupied, occupied, "the occupancy masks");
+            // The bound: none without a timer, never later than the
+            // earliest deadline, and that deadline itself while the
+            // earliest timer is due or within the current tick.
+            let first = self.model.map.keys().next().map(|&(d, mid)| {
+                // The model numbers its timers in arm order, as `ids` does.
+                let wid = self.ids[mid as usize].0;
+                (d, usize::from(w.cells[wid.cell as usize].list))
+            });
+            match (w.next_due(), first) {
+                (None, None) => {}
+                (Some(bound), Some((d, list))) => {
+                    assert!(bound <= t(d), "bound {bound:?} past the earliest deadline {d}");
+                    if list >= NEAR {
+                        assert_eq!(bound, t(d), "the earliest timer is on RIPE or NEAR");
+                    }
+                }
+                (bound, first) => panic!("bound {bound:?} with earliest {first:?}"),
+            }
+            let s = w.stats();
             assert_eq!((s.arms, s.cancels, s.fires), (self.model.next, self.model.cancels, self.model.fires));
         }
 
@@ -621,7 +699,11 @@ mod tests {
         }
 
         fn advance_by(&mut self, us: u64) {
-            self.now += us;
+            self.advance_to(self.now + us);
+        }
+
+        fn advance_to(&mut self, to: u64) {
+            self.now = to;
             let fired: Vec<(u64, u32)> =
                 self.wheel.advance(t(self.now)).iter().map(|f| (f.deadline.as_micros(), f.payload)).collect();
             assert_eq!(fired, self.model.advance(self.now), "same timers, same order");
@@ -672,6 +754,46 @@ mod tests {
             // Drain everything left and compare the tail too.
             l.advance_by(100_000_000_000);
             proptest::prop_assert!(l.wheel.is_empty());
+        }
+
+        /// `next_due` against the model under arms (the overflow slot
+        /// included), cancels and advances: `check` holds it to its
+        /// bound after every operation, and chasing the bound — advance
+        /// to it, ask again — reaches the earliest deadline within
+        /// `LEVELS + 1` advances (one more per top-level window crossed
+        /// for a timer parked beyond the top level), firing nothing
+        /// before it.
+        #[test]
+        fn next_due_converges_on_the_earliest_deadline(ops in proptest::collection::vec((0u8..8, 0u64..5_000_000), 1..80)) {
+            let mut l = Lockstep::new();
+            for (op, arg) in ops {
+                match op {
+                    0 => { l.arm(l.now + arg % 2_048); }
+                    1 => { l.arm(l.now + arg % 400_000); }
+                    2 => { l.arm(l.now + arg * 64); }                 // up to level 4
+                    3 => { l.arm(l.now + (1 << 46) + arg); }          // overflow slot
+                    4 => {
+                        if !l.ids.is_empty() {
+                            l.cancel(arg as usize % l.ids.len());
+                        }
+                    }
+                    5 => l.advance_by(arg % 900_000),
+                    _ => {
+                        let Some(&(first, _)) = l.model.map.keys().next() else { continue };
+                        let reach = TICK_BITS + SLOT_BITS * LEVELS as u32;
+                        let parked = ((first ^ l.now) >> reach) != 0;
+                        let allowed = LEVELS + 1 + if parked { SLOTS } else { 0 };
+                        let mut advances = 0;
+                        while l.model.map.keys().next().is_some_and(|&(d, _)| d == first) {
+                            let bound = l.wheel.next_due().expect("a timer is pending").as_micros();
+                            proptest::prop_assert!(bound <= first);
+                            l.advance_to(bound);
+                            advances += 1;
+                            proptest::prop_assert!(advances <= allowed, "{advances} advances to reach {first}");
+                        }
+                    }
+                }
+            }
         }
     }
 

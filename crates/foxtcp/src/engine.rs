@@ -690,6 +690,7 @@ where
         });
         self.host.charge(Work::ThreadOp);
         let deadline = self.sched.now() + VirtualDuration::from_millis(ms);
+        self.host.wake_at(deadline);
         let id = self.conns[idx].id;
         let tid = self.wheel.arm(deadline, (id, kind));
         self.conns[idx].timers[timer_index(kind)] = Some(tid);
@@ -1142,12 +1143,16 @@ where
                 }
             }
         }
-        // 2. Pull from below.
-        let mut progress = self.below.step(now);
-        // 3. Internalize and process arrivals.
-        while let Some(msg) = self.below.next() {
-            progress = true;
-            self.internalize(msg);
+        // 2. Pull from below, and 3. internalize and process arrivals —
+        //    unless nothing below is due, which is what keeps a step
+        //    between events down to the clock update.
+        let mut progress = false;
+        if self.below.poll_at().is_some_and(|t| t <= now) {
+            progress = self.below.step(now);
+            while let Some(msg) = self.below.next() {
+                progress = true;
+                self.internalize(msg);
+            }
         }
         // 4. Drain queues filled by timer expirations, in id order
         //    whatever order the timers fired in. Only phase 1 leaves
@@ -1164,10 +1169,22 @@ where
         }
         self.fired = fired;
         self.reap();
+        // 5. The host's alarm, once reached, is refreshed from everything
+        //    pending. Until then it stays a lower bound: every arm lowers
+        //    it, and so does a layer below that takes on work it checks
+        //    at every step.
+        if self.host.alarm().is_some_and(|alarm| alarm <= now) {
+            self.host.set_alarm(self.poll_at());
+        }
         if cfg!(debug_assertions) {
             self.check_invariants();
         }
         progress
+    }
+
+    /// The earlier of the wheel's bound and the layer below's.
+    fn poll_at(&self) -> Option<VirtualTime> {
+        [self.wheel.next_due(), self.below.poll_at()].into_iter().flatten().min()
     }
 }
 

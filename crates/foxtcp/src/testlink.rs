@@ -195,6 +195,11 @@ impl Protocol for TestLower {
         }
         progress
     }
+
+    fn poll_at(&self) -> Option<VirtualTime> {
+        let waiting = !self.wire.borrow().toward[usize::from(self.side)].is_empty();
+        waiting.then_some(VirtualTime::ZERO)
+    }
 }
 
 /// `IP_AUX` for the test link: no checksums, a generous MTU.

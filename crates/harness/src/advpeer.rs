@@ -25,10 +25,11 @@
 //! link personality × seed) replays bit-identically — the property the
 //! `tables -- adversarial` matrix asserts by running every cell twice.
 
+use crate::cell::Cell;
 use crate::experiments::loss_cell;
 use crate::sim::drive;
 use crate::stack::{ip_of, mac_of, StackKind};
-use crate::station::StationStats;
+use crate::station::{Station, StationStats};
 use crate::workload::establish;
 use foxbasis::buf::PacketBuf;
 use foxbasis::obs::EventSink;
@@ -59,6 +60,9 @@ const INJECT_LEN: usize = 512;
 const BACKLOG: usize = 4;
 /// Spoofed SYNs the flood script sends.
 const FLOOD_SYNS: usize = 6;
+/// How long the wire must stay stable before an RST script fires: 20
+/// ticks of the drive loop.
+const QUIET: VirtualDuration = VirtualDuration::from_millis(20);
 
 /// What one side of a connection has shown of itself on the wire, as
 /// its peer sees it: fed every segment that side sends, in arrival
@@ -342,13 +346,31 @@ impl AttackReport {
 /// Runs one attack script against one stack over one link personality,
 /// returning the full report. Same arguments ⇒ bit-identical report.
 pub fn run_attack(kind: StackKind, attack: Attack, faults: FaultConfig, seed: u64) -> AttackReport {
-    let tcp_cfg = TcpConfig { backlog: BACKLOG, ..TcpConfig::default() };
-    let cell = loss_cell(kind, faults, tcp_cfg, seed);
+    let cell = attack_cell(kind, faults, seed);
     let (net, mut sender, mut receiver) = cell.pair(EventSink::off());
-    let mut adv = Adversary::new(&net);
-    let deadline = cell.deadline;
+    attack_pair(&cell, &net, &mut sender, &mut receiver, attack)
+}
 
-    let (sconn, rconn) = establish(&net, &mut sender, &mut receiver, SERVICE_PORT, deadline, || adv.poll());
+/// The cell every attack runs in: `kind` at both ends over a link with
+/// `faults`, the listener's backlog smaller than the SYN flood.
+pub fn attack_cell(kind: StackKind, faults: FaultConfig, seed: u64) -> Cell {
+    loss_cell(kind, faults, TcpConfig { backlog: BACKLOG, ..TcpConfig::default() }, seed)
+}
+
+/// [`run_attack`] on a pair already built from `cell` (an
+/// [`attack_cell`]): the adversary attaches to `net`, the transfer
+/// opens, and the script runs against it.
+pub fn attack_pair(
+    cell: &Cell,
+    net: &SimNet,
+    sender: &mut Box<dyn Station>,
+    receiver: &mut Box<dyn Station>,
+    attack: Attack,
+) -> AttackReport {
+    let mut adv = Adversary::new(net);
+    let (kind, deadline) = (cell.sender, cell.deadline);
+
+    let (sconn, rconn) = establish(net, sender, receiver, SERVICE_PORT, deadline, || adv.poll());
 
     let bytes = TRANSFER_BYTES;
     let request = (bytes as u64).to_be_bytes();
@@ -368,28 +390,35 @@ pub fn run_attack(kind: StackKind, attack: Attack, faults: FaultConfig, seed: u6
     let mut cwnd_max = 0u32;
     let mut volleys = 0u32;
     let mut refusal_noticed_at: Option<VirtualTime> = None;
-    // The RST scripts pause the sending application once the trigger
-    // byte count is through, wait for the wire to go stable (every byte
-    // acked, nothing in flight), and only then fire: a reset aimed at a
-    // moving RCV.NXT lands below the window and tells us nothing about
-    // the victim's sequence validation.
-    let rst_volley_cap: u32 = match attack {
-        Attack::BlindRstOffWindow => 4,
-        Attack::BlindRstInWindow => 6,
+    // Volleys each script fires. The RST scripts pause the sending
+    // application once the trigger byte count is through, wait for the
+    // wire to go stable (every byte acked, nothing in flight) for
+    // `QUIET`, and only then fire: a reset aimed at a moving RCV.NXT
+    // lands below the window and tells us nothing about the victim's
+    // sequence validation.
+    let volley_cap: u32 = match attack {
+        Attack::BlindRstOffWindow | Attack::BlindDataOffWindow | Attack::BlindDataInWindow => 4,
+        Attack::BlindRstInWindow | Attack::OptimisticAck => 6,
         Attack::ExactRst => 12,
-        _ => 0,
+        Attack::ExactData | Attack::SynFloodReplay => 1,
+        Attack::AckDivision => 30,
+        Attack::SwsPump => 40,
+        Attack::Land => 3,
     };
-    let mut stable_ticks = 0u32;
+    let rst_script =
+        matches!(attack, Attack::BlindRstOffWindow | Attack::BlindRstInWindow | Attack::ExactRst);
+    let mut stable_since = net.now();
     let mut last_wire = (0u32, 0u32);
     let payload_chunk: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
     let trigger = bytes / 4; // attacks start a quarter of the way in
     let sustain = bytes / 2; // pump-style attacks stop half-way
 
     drive(
-        &net,
-        &mut [&mut sender, &mut receiver],
+        net,
+        &mut [&mut *sender, &mut *receiver],
         |st| {
             adv.poll();
+            let now = net.now();
             // ---- Legitimate applications (as in workload::bulk_transfer).
             if !request_seen && st[0].received_len(sconn) >= 8 {
                 let req = st[0].recv(sconn);
@@ -399,20 +428,14 @@ pub fn run_attack(kind: StackKind, attack: Attack, faults: FaultConfig, seed: u6
             }
             let vs = adv.view(sender_ip); // sender's outbound view
             let vr = adv.view(receiver_ip); // receiver's outbound view
-            let rst_paused = rst_volley_cap > 0
-                && received >= trigger
-                && volleys < rst_volley_cap
-                && !st[1].finished(rconn);
+            let rst_paused =
+                rst_script && received >= trigger && volleys < volley_cap && !st[1].finished(rconn);
             let wire = (vs.seq_end, vr.ack);
-            if rst_paused && wire == last_wire && vr.ack == vs.seq_end {
-                stable_ticks += 1;
-            } else {
-                stable_ticks = 0;
+            let stable = rst_paused && wire == last_wire && vr.ack == vs.seq_end;
+            if !stable {
+                stable_since = now;
                 last_wire = wire;
             }
-            // Stable for 20 ticks with everything acked: RCV.NXT is
-            // parked exactly where the sniffed ACK says it is.
-            let quiet = rst_paused && stable_ticks >= 20;
             if request_seen {
                 if produced < bytes && !rst_paused {
                     let left = bytes - produced;
@@ -430,7 +453,13 @@ pub fn run_attack(kind: StackKind, attack: Attack, faults: FaultConfig, seed: u6
 
             // ---- The attack script.
             let fired_window = received >= trigger;
-            let sustained = fired_window && received < sustain;
+            let open = match attack {
+                // Stable for `QUIET` with everything acked: RCV.NXT is
+                // parked exactly where the sniffed ACK says it is.
+                _ if rst_script => stable && now >= stable_since + QUIET,
+                Attack::AckDivision => fired_window && received < sustain,
+                _ => fired_window,
+            };
             // Each forgery claims the other end's addresses and ports.
             let to_receiver = (sender_ip, receiver_ip, receiver_mac);
             let to_sender = (receiver_ip, sender_ip, sender_mac);
@@ -438,84 +467,87 @@ pub fn run_attack(kind: StackKind, attack: Attack, faults: FaultConfig, seed: u6
             let (rst, psh, bare) =
                 (TcpFlags::RST, TcpFlags { psh: true, ..TcpFlags::default() }, TcpFlags::default());
             let (receiver_ports, sender_ports) = ((SERVICE_PORT, vr.port), (vr.port, SERVICE_PORT));
-            match attack {
-                Attack::BlindRstOffWindow if quiet => {
-                    volleys += 1;
-                    let seq = vr.ack.wrapping_add(100_000);
-                    adv.forge(to_receiver, forge(receiver_ports, rst, seq, None, 0, &[], &[]));
-                }
-                Attack::BlindRstInWindow if quiet => {
-                    // The cursor is parked, so +2048 is inside the
-                    // receiver's 4096-byte window but off RCV.NXT.
-                    volleys += 1;
-                    let seq = vr.ack.wrapping_add(2048);
-                    adv.forge(to_receiver, forge(receiver_ports, rst, seq, None, 0, &[], &[]));
-                }
-                Attack::ExactRst if quiet => {
-                    // With the stream drained, the receiver's last ACK
-                    // *is* RCV.NXT — this one lands exactly.
-                    volleys += 1;
-                    adv.forge(to_receiver, forge(receiver_ports, rst, vr.ack, None, 0, &[], &[]));
-                }
-                Attack::BlindDataOffWindow if fired_window && volleys < 4 => {
-                    volleys += 1;
-                    let seq = vs.ack.wrapping_add(100_000);
-                    adv.forge(to_sender, forge(sender_ports, psh, seq, Some(vs.seq_end), 4096, &junk, &[]));
-                }
-                Attack::BlindDataInWindow if fired_window && volleys < 4 => {
-                    // The sender's RCV.NXT is parked after the 8-byte
-                    // request, so +1024 is stably in-window and the hole
-                    // in front of it is never filled.
-                    volleys += 1;
-                    let seq = vs.ack.wrapping_add(1024);
-                    adv.forge(to_sender, forge(sender_ports, psh, seq, Some(vs.seq_end), 4096, &junk, &[]));
-                }
-                Attack::ExactData if fired_window && volleys < 1 => {
-                    volleys += 1;
-                    let seg = forge(sender_ports, psh, vs.ack, Some(vs.seq_end), 4096, &junk, &[]);
-                    adv.forge(to_sender, seg);
-                }
-                Attack::AckDivision if sustained && volleys < 30 => {
-                    // Divide the unacked flight into ten sub-MSS ACKs.
-                    volleys += 1;
-                    let base = vr.ack;
-                    let gap = vs.seq_end.wrapping_sub(base).min(1460);
-                    if gap >= 10 {
-                        for i in 1..=10u32 {
-                            let ack = Some(base.wrapping_add(i * gap / 10));
-                            adv.forge(to_sender, forge(sender_ports, bare, vr.seq_end, ack, 4096, &[], &[]));
+            if open && volleys < volley_cap {
+                volleys += 1;
+                match attack {
+                    Attack::BlindRstOffWindow => {
+                        let seq = vr.ack.wrapping_add(100_000);
+                        adv.forge(to_receiver, forge(receiver_ports, rst, seq, None, 0, &[], &[]));
+                    }
+                    Attack::BlindRstInWindow => {
+                        // The cursor is parked, so +2048 is inside the
+                        // receiver's 4096-byte window but off RCV.NXT.
+                        let seq = vr.ack.wrapping_add(2048);
+                        adv.forge(to_receiver, forge(receiver_ports, rst, seq, None, 0, &[], &[]));
+                    }
+                    Attack::ExactRst => {
+                        // With the stream drained, the receiver's last ACK
+                        // *is* RCV.NXT — this one lands exactly.
+                        adv.forge(to_receiver, forge(receiver_ports, rst, vr.ack, None, 0, &[], &[]));
+                    }
+                    Attack::BlindDataOffWindow => {
+                        let seq = vs.ack.wrapping_add(100_000);
+                        let seg = forge(sender_ports, psh, seq, Some(vs.seq_end), 4096, &junk, &[]);
+                        adv.forge(to_sender, seg);
+                    }
+                    Attack::BlindDataInWindow => {
+                        // The sender's RCV.NXT is parked after the 8-byte
+                        // request, so +1024 is stably in-window and the hole
+                        // in front of it is never filled.
+                        let seq = vs.ack.wrapping_add(1024);
+                        let seg = forge(sender_ports, psh, seq, Some(vs.seq_end), 4096, &junk, &[]);
+                        adv.forge(to_sender, seg);
+                    }
+                    Attack::ExactData => {
+                        let seg = forge(sender_ports, psh, vs.ack, Some(vs.seq_end), 4096, &junk, &[]);
+                        adv.forge(to_sender, seg);
+                    }
+                    Attack::AckDivision => {
+                        // Divide the unacked flight into ten sub-MSS ACKs.
+                        let base = vr.ack;
+                        let gap = vs.seq_end.wrapping_sub(base).min(1460);
+                        if gap >= 10 {
+                            for i in 1..=10u32 {
+                                let ack = Some(base.wrapping_add(i * gap / 10));
+                                let seg = forge(sender_ports, bare, vr.seq_end, ack, 4096, &[], &[]);
+                                adv.forge(to_sender, seg);
+                            }
+                        }
+                    }
+                    Attack::OptimisticAck => {
+                        let ack = Some(vs.seq_end.wrapping_add(100_000));
+                        adv.forge(to_sender, forge(sender_ports, bare, vr.seq_end, ack, 4096, &[], &[]));
+                    }
+                    Attack::SwsPump => {
+                        // A valid-but-tiny window update at the current ack.
+                        let seg = forge(sender_ports, bare, vr.seq_end, Some(vr.ack), 64, &[], &[]);
+                        adv.forge(to_sender, seg);
+                    }
+                    Attack::Land => {
+                        let ports = (SERVICE_PORT, SERVICE_PORT);
+                        let seg = forge(ports, TcpFlags::SYN, 0xdead_0000 + volleys, None, 4096, &[], &[mss]);
+                        adv.forge((sender_ip, sender_ip, sender_mac), seg);
+                    }
+                    Attack::SynFloodReplay => {
+                        for i in 0..FLOOD_SYNS as u16 {
+                            let (ports, seq) = ((7000 + i, SERVICE_PORT), 1_000 + u32::from(i));
+                            let seg = forge(ports, TcpFlags::SYN, seq, None, 4096, &[], &[mss]);
+                            adv.forge((ip_of(40 + i), sender_ip, sender_mac), seg);
+                        }
+                        if let Some(syn) = adv.captured_syn.clone() {
+                            adv.replay(&syn);
+                            adv.replay(&syn);
                         }
                     }
                 }
-                Attack::OptimisticAck if fired_window && volleys < 6 => {
-                    volleys += 1;
-                    let ack = Some(vs.seq_end.wrapping_add(100_000));
-                    adv.forge(to_sender, forge(sender_ports, bare, vr.seq_end, ack, 4096, &[], &[]));
-                }
-                Attack::SwsPump if fired_window && volleys < 40 => {
-                    // A valid-but-tiny window update at the current ack.
-                    volleys += 1;
-                    adv.forge(to_sender, forge(sender_ports, bare, vr.seq_end, Some(vr.ack), 64, &[], &[]));
-                }
-                Attack::Land if fired_window && volleys < 3 => {
-                    volleys += 1;
-                    let ports = (SERVICE_PORT, SERVICE_PORT);
-                    let seg = forge(ports, TcpFlags::SYN, 0xdead_0000 + volleys, None, 4096, &[], &[mss]);
-                    adv.forge((sender_ip, sender_ip, sender_mac), seg);
-                }
-                Attack::SynFloodReplay if fired_window && volleys < 1 => {
-                    volleys += 1;
-                    for i in 0..FLOOD_SYNS as u16 {
-                        let (ports, seq) = ((7000 + i, SERVICE_PORT), 1_000 + u32::from(i));
-                        let seg = forge(ports, TcpFlags::SYN, seq, None, 4096, &[], &[mss]);
-                        adv.forge((ip_of(40 + i), sender_ip, sender_mac), seg);
-                    }
-                    if let Some(syn) = adv.captured_syn.clone() {
-                        adv.replay(&syn);
-                        adv.replay(&syn);
-                    }
-                }
-                _ => {}
+            }
+            // A volley still to come is the adversary's own timeout: the
+            // loop must stop at the instant it is due even if no station
+            // has anything due then — `QUIET` after the wire last moved
+            // for an RST script, the next tick for a script that fires
+            // every poll.
+            if volleys < volley_cap && (rst_paused || open) {
+                st[1].host().wake_at(if rst_script { stable_since + QUIET } else { now });
             }
 
             // ---- Termination.
@@ -528,13 +560,15 @@ pub fn run_attack(kind: StackKind, attack: Attack, faults: FaultConfig, seed: u6
                     _ => sender_extra > 0,
                 };
                 if refused && refusal_noticed_at.is_none() {
-                    refusal_noticed_at = Some(net.now());
+                    refusal_noticed_at = Some(now);
                 }
                 // Give the wreckage two seconds to settle, then stop —
                 // a poisoned connection would otherwise retransmit at
                 // the deadline's pleasure.
                 if let Some(t) = refusal_noticed_at {
-                    return net.now().saturating_since(t) >= VirtualDuration::from_millis(2_000);
+                    let settled = t + VirtualDuration::from_millis(2_000);
+                    st[1].host().wake_at(settled);
+                    return now >= settled;
                 }
             }
             false

@@ -15,9 +15,23 @@ use simnet::SimNet;
 /// Drives `stations` on `net` until `done()` or `deadline`. Returns the
 /// virtual time at which `done` first held (or the deadline).
 ///
-/// `tick` bounds timer latency; 1 ms reproduces the paper's timings
+/// `tick` is the timer grid; 1 ms reproduces the paper's timings
 /// faithfully at simulation speeds of millions of virtual seconds per
-/// wall second.
+/// wall second. Instants at which nothing is due are skipped: the loop
+/// moves to the next delivery or the earliest of the stations' host
+/// alarms ([`simnet::HostHandle::alarm`]), and neither steps a station
+/// nor polls `done` in between.
+///
+/// `done` is the applications, polled once per instant the loop stops
+/// at, and skipping is invisible only if it keeps a contract: a poll
+/// that changes nothing is followed by an identical poll until a
+/// station steps. Every `Station` call with an effect (`connect`,
+/// `listen`, `close`, `abort`, an `accept` that returns a connection, a
+/// `send` that takes bytes, a `recv` that returns them) lowers the
+/// station's alarm to now, so the loop stops at the next tick as it
+/// always did. A poll that waits for an instant at which no station has
+/// an event of its own (a timeout of the application's) asks for it
+/// with [`simnet::HostHandle::wake_at`].
 pub fn drive(
     net: &SimNet,
     stations: &mut [&mut Box<dyn Station>],
@@ -35,7 +49,8 @@ pub fn drive(
         }
         progress
     };
-    simnet::drive(&[net], stations, episodes, done, tick, deadline)
+    let alarm = |stations: &[&mut Box<dyn Station>]| stations.iter().filter_map(|s| s.host().alarm()).min();
+    simnet::drive(&[net], stations, episodes, done, alarm, tick, deadline)
 }
 
 #[cfg(test)]

@@ -143,6 +143,12 @@ impl ArpCache {
         dropped
     }
 
+    /// Whether any next hop is waiting for an answer (and so for
+    /// [`ArpCache::expire_pending`]).
+    pub fn has_pending(&self) -> bool {
+        !self.pending.is_empty()
+    }
+
     /// A snapshot lookup without side effects (and without allocating):
     /// the live mapping for `ip`, if there is one. `Ip` sends every
     /// packet whose next hop this answers straight to the returned

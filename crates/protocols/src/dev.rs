@@ -48,9 +48,12 @@ pub struct Dev {
     opened: bool,
     batch: BatchConfig,
     /// Frames handed to the device since the last doorbell charge;
-    /// resets every pump ([`Dev::step`]) so doorbell groups never span
-    /// engine passes.
+    /// resets every pump ([`Dev::step`]) and every host episode, so
+    /// doorbell groups never span engine passes, not even a pass that
+    /// had nothing to pump.
     tx_in_group: usize,
+    /// The host episode `tx_in_group` counts in.
+    tx_episode: u64,
     frames_sent: u64,
     frames_received: u64,
     rx_batches: u64,
@@ -72,6 +75,7 @@ impl Dev {
             opened: false,
             batch: BatchConfig::default(),
             tx_in_group: 0,
+            tx_episode: 0,
             frames_sent: 0,
             frames_received: 0,
             rx_batches: 0,
@@ -134,6 +138,7 @@ impl Protocol for Dev {
         // TSO-style doorbell: the first frame of every `tx_burst`-sized
         // group in this pump pays the per-batch device cost (zero under
         // the 1994 presets).
+        self.new_group_per_episode();
         if self.tx_in_group == 0 {
             self.host.charge(Work::TxDoorbell);
             self.tx_doorbells += 1;
@@ -159,6 +164,7 @@ impl Protocol for Dev {
 
     fn step(&mut self, _now: VirtualTime) -> bool {
         // A new pump starts a fresh transmit doorbell group.
+        self.new_group_per_episode();
         self.tx_in_group = 0;
         let mut progress = false;
         let burst = self.batch.rx_burst.max(1);
@@ -193,6 +199,23 @@ impl Protocol for Dev {
             progress = true;
         }
         progress
+    }
+
+    fn poll_at(&self) -> Option<VirtualTime> {
+        self.port.has_rx().then_some(VirtualTime::ZERO)
+    }
+}
+
+impl Dev {
+    /// Starts a fresh transmit doorbell group at the first call in a
+    /// new host episode: a stack that has nothing to pump skips
+    /// [`Dev::step`], but its pass is still a new one.
+    fn new_group_per_episode(&mut self) {
+        let episode = self.host.with(|h| h.episodes());
+        if episode != self.tx_episode {
+            self.tx_episode = episode;
+            self.tx_in_group = 0;
+        }
     }
 }
 

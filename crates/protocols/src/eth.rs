@@ -128,6 +128,10 @@ impl<L: Protocol<Pattern = (), Peer = (), Incoming = PacketBuf>> Protocol for Et
         }
         progress
     }
+
+    fn poll_at(&self) -> Option<VirtualTime> {
+        self.below.poll_at()
+    }
 }
 
 impl<L: Protocol<Pattern = (), Peer = (), Incoming = PacketBuf> + fmt::Debug> fmt::Debug for Eth<L> {

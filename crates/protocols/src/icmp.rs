@@ -129,6 +129,10 @@ impl<L: Protocol<Pattern = IpProtocol, Peer = Ipv4Addr, Incoming = IpIncoming>> 
         }
         progress
     }
+
+    fn poll_at(&self) -> Option<VirtualTime> {
+        self.below.poll_at()
+    }
 }
 
 impl<L: Protocol<Pattern = IpProtocol, Peer = Ipv4Addr, Incoming = IpIncoming>> Icmp<L> {

@@ -356,6 +356,22 @@ impl<L: Protocol<Pattern = EtherType, Peer = EthAddr, Incoming = EthIncoming>> L
     pub(crate) fn expire(&mut self, now: VirtualTime) -> u64 {
         self.arp.expire_pending(now, ARP_GIVE_UP)
     }
+
+    /// Whether a next hop waits for ARP, whose give-up [`Link::expire`]
+    /// checks at every step.
+    pub(crate) fn awaits_arp(&self) -> bool {
+        self.arp.has_pending()
+    }
+
+    /// Due now while an arrival waits in the inbox or a next hop waits
+    /// for ARP; otherwise when the lower layer is.
+    pub(crate) fn poll_at(&self) -> Option<VirtualTime> {
+        if self.inbox.is_empty() && !self.awaits_arp() {
+            self.lower.poll_at()
+        } else {
+            Some(VirtualTime::ZERO)
+        }
+    }
 }
 
 /// The IPv4 layer over an Ethernet-like lower protocol.
@@ -413,7 +429,12 @@ impl<L: Protocol<Pattern = EtherType, Peer = EthAddr, Incoming = EthIncoming>> I
     ) -> Result<(), ProtoError> {
         self.stats.sent += 1;
         let hop = self.next_hop(dst)?;
-        self.link.send(now, hop, bytes)
+        let sent = self.link.send(now, hop, bytes);
+        if self.link.awaits_arp() {
+            // Its give-up is checked at every step (see `poll_at`).
+            self.host.wake_at(VirtualTime::ZERO);
+        }
+        sent
     }
 
     /// One IPv4 packet from the link: checked, reassembled if it is a
@@ -434,7 +455,11 @@ impl<L: Protocol<Pattern = EtherType, Peer = EthAddr, Incoming = EthIncoming>> I
         let msg = if pkt.header.is_fragment() {
             match self.reasm.input(now, pkt) {
                 Some(whole) => whole,
-                None => return,
+                None => {
+                    // Its expiry is checked at every step (see `poll_at`).
+                    self.host.wake_at(VirtualTime::ZERO);
+                    return;
+                }
             }
         } else {
             IpIncoming {
@@ -522,6 +547,17 @@ impl<L: Protocol<Pattern = EtherType, Peer = EthAddr, Incoming = EthIncoming>> P
         self.stats.unresolved += self.link.expire(now);
         progress
     }
+
+    /// Due now while a datagram is in reassembly, since its expiry is
+    /// checked at every step; otherwise as the link is. Taking on either
+    /// kind of work lowers the host's alarm to now.
+    fn poll_at(&self) -> Option<VirtualTime> {
+        if self.reasm.in_flight() > 0 {
+            Some(VirtualTime::ZERO)
+        } else {
+            self.link.poll_at()
+        }
+    }
 }
 
 impl<L: Protocol<Pattern = EtherType, Peer = EthAddr, Incoming = EthIncoming> + fmt::Debug> fmt::Debug
@@ -571,6 +607,27 @@ mod tests {
         assert_eq!(m.src, Ipv4Addr::new(10, 0, 0, 1));
         assert_eq!(m.payload, b"hello ip");
         assert!(a.stats().sent >= 1);
+    }
+
+    /// `poll_at` down the stack: due while a frame waits at the port or
+    /// a next hop waits for ARP, and taking on the latter makes the host
+    /// due too.
+    #[test]
+    fn poll_at_reports_waiting_frames_and_unanswered_arp() {
+        let net = SimNet::ethernet_10mbps(5);
+        let mut a = station(&net, 1);
+        let mut b = station(&net, 2);
+        listen(&mut b, IpProtocol::Udp);
+        let conn = a.open(IpProtocol::Udp, Box::new(|_| {})).unwrap();
+        assert_eq!((a.poll_at(), b.poll_at()), (None, None), "idle");
+        a.host.set_alarm(None);
+        a.send(conn, Ipv4Addr::new(10, 0, 0, 2), b"hello".to_vec()).unwrap();
+        assert_eq!(a.poll_at(), Some(VirtualTime::ZERO), "the next hop waits for ARP");
+        assert_eq!(a.host.alarm(), Some(VirtualTime::ZERO), "and the host is due");
+        net.advance_to(VirtualTime::from_millis(1));
+        assert_eq!(b.poll_at(), Some(VirtualTime::ZERO), "the request waits at b's port");
+        simnet::settle(&[&net], |now| a.step(now) | b.step(now));
+        assert_eq!((a.poll_at(), b.poll_at()), (None, None), "answered and delivered");
     }
 
     #[test]

@@ -182,4 +182,13 @@ pub trait Protocol {
     /// protocol processing, fire upcalls. Returns true if any progress
     /// was made (used by drivers to loop to quiescence).
     fn step(&mut self, now: VirtualTime) -> bool;
+
+    /// The earliest instant at which [`Protocol::step`] has work that no
+    /// newly arriving frame brings, or `None` if it has none: until
+    /// then, stepping the layer (and everything below it) does nothing.
+    /// [`VirtualTime::ZERO`] means "due now". The default is always due,
+    /// which is right for any layer that does not say otherwise.
+    fn poll_at(&self) -> Option<VirtualTime> {
+        Some(VirtualTime::ZERO)
+    }
 }

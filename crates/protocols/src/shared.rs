@@ -72,6 +72,10 @@ impl<P: Protocol> Protocol for Shared<P> {
     fn step(&mut self, now: VirtualTime) -> bool {
         self.inner.borrow_mut().step(now)
     }
+
+    fn poll_at(&self) -> Option<VirtualTime> {
+        self.inner.borrow().poll_at()
+    }
 }
 
 impl<P: fmt::Debug> fmt::Debug for Shared<P> {

@@ -178,6 +178,10 @@ where
         }
         progress
     }
+
+    fn poll_at(&self) -> Option<VirtualTime> {
+        self.below.poll_at()
+    }
 }
 
 impl<L, A> fmt::Debug for Udp<L, A>

@@ -36,6 +36,11 @@ impl<T: 'static> Inbox<T> {
     pub(crate) fn next(&self) -> Option<T> {
         self.0.borrow_mut().next()
     }
+
+    /// Nothing waiting?
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.borrow().is_empty()
+    }
 }
 
 /// A layer's attachment to the layer below it: the lower layer, the
@@ -84,6 +89,16 @@ impl<L: Protocol> Below<L> {
     /// Drives the lower layer, which fills the inbox.
     pub fn step(&mut self, now: VirtualTime) -> bool {
         self.lower.step(now)
+    }
+
+    /// Due now while the inbox holds an arrival; otherwise when the lower
+    /// layer is (see [`Protocol::poll_at`]).
+    pub fn poll_at(&self) -> Option<VirtualTime> {
+        if self.inbox.is_empty() {
+            self.lower.poll_at()
+        } else {
+            Some(VirtualTime::ZERO)
+        }
     }
 }
 

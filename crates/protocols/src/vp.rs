@@ -90,6 +90,10 @@ impl<L: Protocol<Pattern = EtherType, Peer = EthAddr, Incoming = EthIncoming>> P
     fn step(&mut self, now: VirtualTime) -> bool {
         self.lower.step(now)
     }
+
+    fn poll_at(&self) -> Option<VirtualTime> {
+        self.lower.poll_at()
+    }
 }
 
 impl<L: Protocol<Pattern = EtherType, Peer = EthAddr, Incoming = EthIncoming> + fmt::Debug> fmt::Debug

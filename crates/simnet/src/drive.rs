@@ -5,7 +5,8 @@
 //! the media move frames. [`settle`] runs rounds until nothing is left
 //! to do, jumping the clock from one delivery to the next; [`drive`] runs
 //! them on a ticking clock, so timers fire, until a condition holds or a
-//! deadline passes. Every medium in a run is kept on one clock.
+//! deadline passes, skipping the ticks at which no host has anything
+//! due. Every medium in a run is kept on one clock.
 
 use crate::net::SimNet;
 use foxbasis::time::{VirtualDuration, VirtualTime};
@@ -92,16 +93,27 @@ pub fn settle<M: Medium + ?Sized>(media: &[&M], mut step: impl FnMut(VirtualTime
 /// the deadline).
 ///
 /// At each instant, rounds of `step` and the delivery of frames that are
-/// due repeat until quiet (at most 64). Then the clock moves to the
-/// earliest of `now + tick`, the next delivery (at least 1 µs on) and
-/// `deadline`. `tick` bounds timer latency; 1 ms reproduces the paper's
-/// timings faithfully at simulation speeds of millions of virtual
-/// seconds per wall second.
+/// due repeat until quiet (at most 64); then `done` is polled. The clock
+/// moves on the grid of `tick` from the current instant: to the first
+/// instant on it at or after the earliest of `wake(hosts)` (when a host
+/// next has work that no frame brings), the next delivery (at least 1 µs
+/// on) and `deadline`, or to that delivery or `deadline` if either comes
+/// sooner. `tick` is the timer grid: 1 ms reproduces the paper's timings
+/// faithfully at simulation speeds of millions of virtual seconds per
+/// wall second, and the instants at which nothing is due are skipped.
+/// `wake` is asked only when the next instant would be a plain tick; a
+/// `wake` of `Some(VirtualTime::ZERO)` visits every tick.
+///
+/// Skipping is invisible only if `done` keeps one contract: a poll that
+/// changes nothing is followed by an identical poll until a host steps,
+/// and a poll that waits for an instant with nothing due asks `wake` for
+/// it.
 pub fn drive<H: ?Sized>(
     nets: &[&SimNet],
     hosts: &mut H,
     mut step: impl FnMut(&mut H, VirtualTime) -> bool,
     mut done: impl FnMut(&mut H) -> bool,
+    mut wake: impl FnMut(&H) -> Option<VirtualTime>,
     tick: VirtualDuration,
     deadline: VirtualTime,
 ) -> VirtualTime {
@@ -120,9 +132,15 @@ pub fn drive<H: ?Sized>(
         if done(hosts) || now >= deadline {
             return now;
         }
-        let mut next = (now + tick).min(deadline);
-        if let Some(t) = next_delivery(nets) {
-            next = next.min(t.max(now + VirtualDuration::from_micros(1)));
+        let delivery = next_delivery(nets).map(|t| t.max(now + VirtualDuration::from_micros(1)));
+        let soonest = |t: VirtualTime| delivery.map_or(t, |d| d.min(t)).min(deadline);
+        let mut next = soonest(now + tick);
+        if next == now + tick {
+            // A plain tick: on to the first one at or after the earliest
+            // instant at which anything is due.
+            let due = soonest(wake(hosts).unwrap_or(deadline));
+            let ticks = due.saturating_since(now).as_micros().div_ceil(tick.as_micros().max(1)).max(1);
+            next = soonest(now + tick * ticks);
         }
         advance_all(nets, next);
         now = next;
@@ -197,17 +215,58 @@ mod tests {
     fn drive_returns_when_done_holds_or_at_the_deadline() {
         let tick = VirtualDuration::from_millis(1);
         let deadline = VirtualTime::from_millis(20);
+        let every = Some(VirtualTime::ZERO);
 
         let (n1, n2, mut hosts) = two_segments(0);
         let first = n1.next_delivery().min(n2.next_delivery()).unwrap();
-        let at = drive(&[&n1, &n2], &mut hosts, |h, _| h.step(), |h| h.received > 0, tick, deadline);
+        let at =
+            drive(&[&n1, &n2], &mut hosts, |h, _| h.step(), |h| h.received > 0, |_| every, tick, deadline);
         assert_eq!(at, first, "the first instant a frame is in");
         assert_eq!((n1.now(), n2.now()), (at, at));
 
         let (n1, n2, mut hosts) = two_segments(3);
-        let at = drive(&[&n1, &n2], &mut hosts, |h, _| h.step(), |_| false, tick, deadline);
+        let at = drive(&[&n1, &n2], &mut hosts, |h, _| h.step(), |_| false, |_| every, tick, deadline);
         assert_eq!(at, deadline);
         assert_eq!((n1.now(), n2.now()), (deadline, deadline));
         assert_eq!(hosts.received, 2 + 3);
+    }
+
+    /// A host that wants the instant 7.5 ms, on a 1 ms grid that a
+    /// delivery shifted by 0.3 ms: the loop steps it at the first tick
+    /// of that grid at or after 7.5 ms and at no instant between, and
+    /// polls `done` only where it stepped.
+    #[test]
+    fn drive_skips_to_the_first_tick_at_or_after_the_earliest_due_instant() {
+        let tick = VirtualDuration::from_millis(1);
+        let net = SimNet::ethernet_10mbps(1);
+        let (a, b) = (net.attach(EthAddr::host(1)), net.attach(EthAddr::host(2)));
+        net.advance_to(VirtualTime::from_micros(300));
+        a.send(frame(b.addr(), a.addr()));
+        let arrival = net.next_delivery().unwrap();
+        let mut stepped = Vec::new();
+        let mut polled = 0;
+        let wake = VirtualTime::from_micros(7_500);
+        let at = drive(
+            &[&net],
+            &mut stepped,
+            |s, now| {
+                s.push(now);
+                b.recv().is_some()
+            },
+            |s| {
+                polled += 1;
+                s.last().is_some_and(|&t| t >= wake)
+            },
+            |_| Some(wake),
+            tick,
+            VirtualTime::from_millis(20),
+        );
+        let first_after = arrival + tick * (wake - arrival).as_micros().div_ceil(1_000);
+        assert_eq!(at, first_after);
+        assert_eq!(stepped.first(), Some(&VirtualTime::from_micros(300)));
+        assert!(stepped.contains(&arrival), "the delivery instant: {stepped:?}");
+        assert_eq!(stepped.last(), Some(&first_after));
+        assert_eq!(stepped.iter().filter(|&&t| t > arrival && t < first_after).count(), 0, "{stepped:?}");
+        assert_eq!(polled, 3, "the start, the delivery and the wake");
     }
 }

@@ -356,6 +356,11 @@ pub struct Host {
     /// Episode start, in nanoseconds since the epoch.
     episode_start_ns: Option<u64>,
     episode_accum: NanoDuration,
+    /// Episodes begun so far.
+    episodes: u64,
+    /// The instant before which stepping the host's stack can do
+    /// nothing (see [`HostHandle::alarm`]).
+    alarm: Option<VirtualTime>,
     total_busy: NanoDuration,
     obs: EventSink,
 }
@@ -374,6 +379,8 @@ impl Host {
             cpu_free_ns: 0,
             episode_start_ns: None,
             episode_accum: NanoDuration::ZERO,
+            episodes: 0,
+            alarm: Some(VirtualTime::ZERO),
             total_busy: NanoDuration::ZERO,
             obs: EventSink::off(),
         }
@@ -415,7 +422,14 @@ impl Host {
         let start_ns = (arrival.as_micros() * 1_000).max(self.cpu_free_ns);
         self.episode_start_ns = Some(start_ns);
         self.episode_accum = NanoDuration::ZERO;
+        self.episodes += 1;
         VirtualTime::from_micros(start_ns / 1_000)
+    }
+
+    /// Episodes begun so far: the number of the current (or last)
+    /// episode.
+    pub fn episodes(&self) -> u64 {
+        self.episodes
     }
 
     /// Ends the episode; the CPU is busy until the returned instant.
@@ -544,6 +558,32 @@ impl HostHandle {
     /// See [`Host::charge`].
     pub fn charge(&self, work: Work) {
         self.inner.borrow_mut().charge(work);
+    }
+
+    /// The host's alarm: an instant before which stepping its stack can
+    /// do nothing that an arriving frame does not bring, or `None` if
+    /// nothing is pending. A driver may skip the host's steps until
+    /// then. It starts at [`VirtualTime::ZERO`], always due, so the stack
+    /// of a host whose alarm nothing ever sets is stepped at every
+    /// instant.
+    pub fn alarm(&self) -> Option<VirtualTime> {
+        self.inner.borrow().alarm
+    }
+
+    /// Lowers the alarm to `t` if it is later: the host has work at `t`.
+    /// A stack calls it when it arms a timer or takes a user call; an
+    /// application that waits for an instant at which its stack has no
+    /// event of its own asks for that instant here.
+    pub fn wake_at(&self, t: VirtualTime) {
+        let mut host = self.inner.borrow_mut();
+        host.alarm = Some(host.alarm.map_or(t, |a| a.min(t)));
+    }
+
+    /// Sets the alarm, raising it too. Only the stack's own step, which
+    /// knows everything it has pending, may call this, once its alarm
+    /// is reached.
+    pub fn set_alarm(&self, at: Option<VirtualTime>) {
+        self.inner.borrow_mut().alarm = at;
     }
 }
 

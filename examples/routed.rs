@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example routed`
 
 use fox_scheduler::SchedHandle;
-use foxbasis::time::VirtualDuration;
+use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxproto::aux::IpAuxImpl;
 use foxproto::dev::Dev;
 use foxproto::eth::Eth;
@@ -72,6 +72,7 @@ fn main() {
             &mut (client, server, router),
             |(c, s, r), now| c.step(now) | s.step(now) | r.step(now),
             |_| false,
+            |_| Some(VirtualTime::ZERO),
             VirtualDuration::from_millis(1),
             deadline,
         );

@@ -491,3 +491,28 @@ fn the_flat_index_cannot_be_iterated() {
         .collect();
     assert!(found.is_empty(), "the flat index can be iterated: {found:#?}");
 }
+
+/// Every layer says when it next has work (`Protocol::poll_at`), which
+/// is what lets `simnet::drive` skip the ticks at which no host has
+/// anything due and `Tcp::step` skip an idle stack. The trait's default
+/// is "always due", so a layer that forgets the method is not wrong,
+/// only stepped at every tick again — silently. xktcp, the monolithic
+/// control, is not a layer of this stack and keeps being stepped at
+/// every tick.
+#[test]
+fn every_layer_reports_poll_at() {
+    let mut silent = Vec::new();
+    for file in rust_files("crates/protocols/src").into_iter().chain(rust_files("crates/foxtcp/src")) {
+        let src = fs::read_to_string(&file).expect("readable source");
+        let lines: Vec<&str> = src.lines().collect();
+        for (n, decl) in
+            lines.iter().enumerate().filter(|(_, l)| l.starts_with("impl") && l.contains(" Protocol for "))
+        {
+            let end = n + lines[n..].iter().position(|l| *l == "}").expect("impl closes");
+            if !lines[n..end].iter().any(|l| l.trim_start().starts_with("fn poll_at(")) {
+                silent.push(format!("{}:{}: {decl}", file.display(), n + 1));
+            }
+        }
+    }
+    assert!(silent.is_empty(), "a layer without `fn poll_at`: {silent:#?}");
+}

@@ -69,6 +69,7 @@ fn tcp_session_through_the_router() {
             &mut (client, server, router),
             |(c, s, r), now| c.step(now) | s.step(now) | r.step(now),
             |_| false,
+            |_| Some(VirtualTime::ZERO),
             VirtualDuration::from_millis(1),
             VirtualTime::from_millis(until_ms),
         );
