@@ -27,7 +27,7 @@
 #      foxbasis's pool_alloc: a warm BufPool hands back the same block
 #      with 0 heap calls; foxtcp's alloc_budget: ALLOCS_PER_ROUND_TRIP
 #      == 2 with options on and off, the two TcpEvent::Data vectors, and
-#      BYTES_HELD_BY_IDLE_PAIRS == 230 672, the bytes-per-connection
+#      BYTES_HELD_BY_IDLE_PAIRS == 237 896, the bytes-per-connection
 #      ceiling with the engines' free blocks — both exact constants) —
 #      the counts are facts about the optimized build.
 #      The workspace run also holds the copy budget beside them

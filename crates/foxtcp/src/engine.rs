@@ -453,11 +453,16 @@ where
     }
 
     /// Accepts as much of `data` as fits the send buffer; returns the
-    /// number of bytes taken (0 means flow control pushed back).
+    /// number of bytes taken (0 means flow control pushed back). Bytes
+    /// taken are work, so the host's alarm is lowered to now; a call
+    /// that takes none changes nothing and leaves it.
     pub fn send_data(&mut self, conn: TcpConnId, data: &[u8]) -> Result<usize, ProtoError> {
         let i = self.conns.slot_of(conn.0).ok_or(ProtoError::NotOpen)?;
         let taken = state::send(&self.cfg, &mut self.conns[i].core, data, self.sched.now())?;
         self.run_actions(i);
+        if taken > 0 {
+            self.host.wake_at(self.sched.now());
+        }
         Ok(taken)
     }
 
@@ -1170,9 +1175,9 @@ where
         self.fired = fired;
         self.reap();
         // 5. The host's alarm, once reached, is refreshed from everything
-        //    pending. Until then it stays a lower bound: every arm lowers
-        //    it, and so does a layer below that takes on work it checks
-        //    at every step.
+        //    pending. Until then it stays a lower bound: every arm and
+        //    every `send_data` that takes bytes lowers it, and so does a
+        //    layer below that takes on work it checks at every step.
         if self.host.alarm().is_some_and(|alarm| alarm <= now) {
             self.host.set_alarm(self.poll_at());
         }

@@ -23,15 +23,12 @@ use simnet::SimNet;
 /// nor polls `done` in between.
 ///
 /// `done` is the applications, polled once per instant the loop stops
-/// at, and skipping is invisible only if it keeps a contract: a poll
-/// that changes nothing is followed by an identical poll until a
-/// station steps. Every `Station` call with an effect (`connect`,
-/// `listen`, `close`, `abort`, an `accept` that returns a connection, a
-/// `send` that takes bytes, a `recv` that returns them) lowers the
-/// station's alarm to now, so the loop stops at the next tick as it
-/// always did. A poll that waits for an instant at which no station has
-/// an event of its own (a timeout of the application's) asks for it
-/// with [`simnet::HostHandle::wake_at`].
+/// at, and skipping is invisible only if a poll acts on what it read
+/// within that same poll. A stack lowers its own host's alarm when a
+/// user call gives it work (a timer the call arms, bytes a send takes),
+/// so the loop stops in time; an application's own timeout asks for
+/// its instant with
+/// [`simnet::HostHandle::wake_at`].
 pub fn drive(
     net: &SimNet,
     stations: &mut [&mut Box<dyn Station>],

@@ -320,13 +320,6 @@ where
     fn buf(&self, conn: ConnHandle) -> Option<&RefCell<ConnBuf>> {
         self.conns.get(&conn)?.buf.as_deref()
     }
-
-    /// A call with an effect: the stack and the application may have
-    /// work at the next step, so the host's alarm is due now (see
-    /// `crate::sim::drive`).
-    fn poke(&self) {
-        self.host.wake_at(VirtualTime::ZERO);
-    }
 }
 
 impl<L, A> Station for FoxStation<L, A>
@@ -342,12 +335,10 @@ where
             .expect("active open");
         let conn = sock.id().0;
         self.file(conn, buf, sock);
-        self.poke();
         conn
     }
 
     fn listen(&mut self, local_port: u16) {
-        self.poke();
         let acc = self.accepted.clone();
         self.listener = Some(
             self.tcp
@@ -369,7 +360,6 @@ where
         let buf = Rc::new(RefCell::new(ConnBuf::default()));
         let sock = listener.accept(&mut self.tcp, child, buf_handler(buf.clone())).ok()?;
         self.file(child.0, buf, sock);
-        self.poke();
         Some(child.0)
     }
 
@@ -384,22 +374,14 @@ where
             }),
             stage => stage,
         };
-        let taken = match &c.stage {
+        match &c.stage {
             Some(SocketStage::Established(sock)) => sock.send_data(&mut self.tcp, data).unwrap_or(0),
             _ => 0, // not yet established (or already closed): nothing taken
-        };
-        if taken > 0 {
-            self.poke();
         }
-        taken
     }
 
     fn recv(&mut self, conn: ConnHandle) -> Vec<u8> {
-        let data = self.buf(conn).map_or(Vec::new(), |b| std::mem::take(&mut b.borrow_mut().data));
-        if !data.is_empty() {
-            self.poke();
-        }
-        data
+        self.buf(conn).map_or(Vec::new(), |b| std::mem::take(&mut b.borrow_mut().data))
     }
 
     fn received_len(&self, conn: ConnHandle) -> usize {
@@ -423,7 +405,6 @@ where
     }
 
     fn close(&mut self, conn: ConnHandle) {
-        self.poke();
         // Closing consumes the typestate wrapper, whatever its stage.
         match self.conns.get_mut(&conn).and_then(|c| c.stage.take()) {
             Some(SocketStage::Connecting(sock)) => {
@@ -445,7 +426,6 @@ where
     }
 
     fn abort(&mut self, conn: ConnHandle) {
-        self.poke();
         // ABORT has no typed wrapper; whatever wrapper the connection
         // (or listener) had dies with it.
         if let Some(c) = self.conns.get_mut(&conn) {

@@ -186,9 +186,7 @@ pub trait Protocol {
     /// The earliest instant at which [`Protocol::step`] has work that no
     /// newly arriving frame brings, or `None` if it has none: until
     /// then, stepping the layer (and everything below it) does nothing.
-    /// [`VirtualTime::ZERO`] means "due now". The default is always due,
-    /// which is right for any layer that does not say otherwise.
-    fn poll_at(&self) -> Option<VirtualTime> {
-        Some(VirtualTime::ZERO)
-    }
+    /// [`VirtualTime::ZERO`] means "due now". There is no default: a
+    /// layer that cannot tell says `Some(VirtualTime::ZERO)` itself.
+    fn poll_at(&self) -> Option<VirtualTime>;
 }

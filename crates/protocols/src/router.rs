@@ -92,6 +92,12 @@ impl Router {
         progress
     }
 
+    /// The earliest instant at which [`Router::step`] has work that no
+    /// arriving frame brings: the earliest of its interfaces'.
+    pub fn poll_at(&self) -> Option<VirtualTime> {
+        self.ifs.iter().filter_map(Link::poll_at).min()
+    }
+
     /// The forwarding path. Works on raw header bytes so the checksum
     /// can be updated incrementally.
     fn forward(&mut self, now: VirtualTime, buf: PacketBuf) {

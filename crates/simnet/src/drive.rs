@@ -104,10 +104,8 @@ pub fn settle<M: Medium + ?Sized>(media: &[&M], mut step: impl FnMut(VirtualTime
 /// `wake` is asked only when the next instant would be a plain tick; a
 /// `wake` of `Some(VirtualTime::ZERO)` visits every tick.
 ///
-/// Skipping is invisible only if `done` keeps one contract: a poll that
-/// changes nothing is followed by an identical poll until a host steps,
-/// and a poll that waits for an instant with nothing due asks `wake` for
-/// it.
+/// Skipping is invisible only if `done` keeps one contract: a poll acts
+/// on what it read within that same poll.
 pub fn drive<H: ?Sized>(
     nets: &[&SimNet],
     hosts: &mut H,

@@ -563,17 +563,16 @@ impl HostHandle {
     /// The host's alarm: an instant before which stepping its stack can
     /// do nothing that an arriving frame does not bring, or `None` if
     /// nothing is pending. A driver may skip the host's steps until
-    /// then. It starts at [`VirtualTime::ZERO`], always due, so the stack
-    /// of a host whose alarm nothing ever sets is stepped at every
-    /// instant.
+    /// then. It starts at [`VirtualTime::ZERO`], due at once; from its
+    /// first step on, the host's stack keeps it.
     pub fn alarm(&self) -> Option<VirtualTime> {
         self.inner.borrow().alarm
     }
 
     /// Lowers the alarm to `t` if it is later: the host has work at `t`.
-    /// A stack calls it when it arms a timer or takes a user call; an
-    /// application that waits for an instant at which its stack has no
-    /// event of its own asks for that instant here.
+    /// A stack calls it when it arms a timer or a user call gives it
+    /// work; an application that waits for an instant at which its stack
+    /// has no event of its own asks for that instant here.
     pub fn wake_at(&self, t: VirtualTime) {
         let mut host = self.inner.borrow_mut();
         host.alarm = Some(host.alarm.map_or(t, |a| a.min(t)));

@@ -12,8 +12,9 @@
 //!   actions — the control structure the paper's design replaces;
 //! * **poll-based**: no upcalls; users call `recv` against a receive
 //!   buffer, as with sockets;
-//! * **deadline timers**: retransmission and delayed-ACK deadlines are
-//!   plain fields checked on every `step`, not scheduler threads.
+//! * **deadline timers**: retransmission and delayed-ACK deadlines sit
+//!   on one timer wheel, not in scheduler threads; every arm lowers
+//!   the host's alarm to its deadline, as in `foxtcp`.
 //!
 //! It speaks the same wire format (`foxwire::tcp`), so it interoperates
 //! with `foxtcp` — the integration suite connects the two — and it runs
@@ -291,15 +292,6 @@ impl<P> Socket<P> {
         self.timers[kind as usize].at
     }
 
-    fn set_timer(&mut self, wheel: &mut TimerWheel<(u32, XkTimerKind)>, kind: XkTimerKind, at: VirtualTime) {
-        let slot = &mut self.timers[kind as usize];
-        if let Some(tid) = slot.tid.take() {
-            wheel.cancel(tid);
-        }
-        slot.at = Some(at);
-        slot.tid = Some(wheel.arm(at, (self.id, kind)));
-    }
-
     fn clear_timer(&mut self, wheel: &mut TimerWheel<(u32, XkTimerKind)>, kind: XkTimerKind) {
         let slot = &mut self.timers[kind as usize];
         slot.at = None;
@@ -547,7 +539,7 @@ where
             self.socks[i].ack_owed = true;
             if self.socks[i].deadline(XkTimerKind::DelayedAck).is_none() {
                 let at = self.now;
-                self.socks[i].set_timer(&mut self.wheel, XkTimerKind::DelayedAck, at);
+                self.set_timer(i, XkTimerKind::DelayedAck, at);
             }
         }
         Ok(n)
@@ -631,7 +623,19 @@ where
         }
         progress |= self.run_timers();
         self.socks.retain(|s| !(s.state == XkState::Closed && s.events.is_empty() && s.parent.is_some()));
+        // The host's alarm, once reached, is refreshed from everything
+        // pending; until then every arm lowers it.
+        if self.host.alarm().is_some_and(|alarm| alarm <= now) {
+            self.host.set_alarm(self.poll_at());
+        }
         progress
+    }
+
+    /// The earliest of the wheel's next deadline, now while an arrival
+    /// waits in the inbox, and the layer below's bound.
+    fn poll_at(&self) -> Option<VirtualTime> {
+        let inbox = (!self.rx.borrow().is_empty()).then_some(self.now);
+        [self.wheel.next_due(), inbox, self.lower.poll_at()].into_iter().flatten().min()
     }
 
     // ----- output path -----
@@ -798,7 +802,7 @@ where
                     let stalled = unsent > 0 && s.snd_wnd == 0 && s.flight() == 0;
                     if stalled && self.socks[i].deadline(XkTimerKind::Persist).is_none() {
                         let at = self.now + self.socks[i].rto;
-                        self.socks[i].set_timer(&mut self.wheel, XkTimerKind::Persist, at);
+                        self.set_timer(i, XkTimerKind::Persist, at);
                     }
                     return;
                 }
@@ -838,11 +842,25 @@ where
         }
     }
 
+    /// Arms `kind` on socket `i` at `at` and lowers the host's alarm to
+    /// it, as `foxtcp` does: a timer armed by a user call, between
+    /// steps, fires on time.
+    fn set_timer(&mut self, i: usize, kind: XkTimerKind, at: VirtualTime) {
+        let sock = &mut self.socks[i];
+        let slot = &mut sock.timers[kind as usize];
+        if let Some(tid) = slot.tid.take() {
+            self.wheel.cancel(tid);
+        }
+        slot.at = Some(at);
+        slot.tid = Some(self.wheel.arm(at, (sock.id, kind)));
+        self.host.wake_at(at);
+    }
+
     fn arm_retransmit(&mut self, i: usize) {
         if self.socks[i].deadline(XkTimerKind::Resend).is_none() {
             let s = &self.socks[i];
             let at = self.now + s.rto.saturating_mul(1 << s.backoff.min(6));
-            self.socks[i].set_timer(&mut self.wheel, XkTimerKind::Resend, at);
+            self.set_timer(i, XkTimerKind::Resend, at);
         }
     }
 
@@ -962,7 +980,7 @@ where
         {
             let s = &self.socks[i];
             let at = self.now + s.rto.saturating_mul(1 << s.backoff);
-            self.socks[i].set_timer(&mut self.wheel, XkTimerKind::Persist, at);
+            self.set_timer(i, XkTimerKind::Persist, at);
         }
         {
             let conn = self.socks[i].id;
@@ -1369,7 +1387,7 @@ where
                 None
             };
             match rearm {
-                Some(at) => self.socks[i].set_timer(&mut self.wheel, XkTimerKind::Resend, at),
+                Some(at) => self.set_timer(i, XkTimerKind::Resend, at),
                 None => self.socks[i].clear_timer(&mut self.wheel, XkTimerKind::Resend),
             }
         } else if h.ack.gt(self.socks[i].snd_nxt) {
@@ -1400,7 +1418,7 @@ where
             XkState::Closing if fin_acked => {
                 self.socks[i].state = XkState::TimeWait;
                 let at = self.now + VirtualDuration::from_millis(self.cfg.time_wait_ms);
-                self.socks[i].set_timer(&mut self.wheel, XkTimerKind::TimeWait, at);
+                self.set_timer(i, XkTimerKind::TimeWait, at);
             }
             XkState::LastAck if fin_acked => {
                 self.socks[i].state = XkState::Closed;
@@ -1433,7 +1451,7 @@ where
                 if self.socks[i].deadline(XkTimerKind::DelayedAck).is_none() {
                     let delay = self.cfg.delayed_ack_ms.unwrap_or(0);
                     let at = self.now + VirtualDuration::from_millis(delay);
-                    self.socks[i].set_timer(&mut self.wheel, XkTimerKind::DelayedAck, at);
+                    self.set_timer(i, XkTimerKind::DelayedAck, at);
                 }
                 if full_segment && self.socks[i].segs_since_ack >= threshold {
                     self.send_ack(i);
@@ -1472,14 +1490,14 @@ where
                 XkState::Established | XkState::SynReceived => self.socks[i].state = XkState::CloseWait,
                 XkState::FinWait1 if fin_acked => {
                     self.socks[i].state = XkState::TimeWait;
-                    self.socks[i].set_timer(&mut self.wheel, XkTimerKind::TimeWait, tw);
+                    self.set_timer(i, XkTimerKind::TimeWait, tw);
                 }
                 XkState::FinWait1 => self.socks[i].state = XkState::Closing,
                 XkState::FinWait2 => {
                     self.socks[i].state = XkState::TimeWait;
-                    self.socks[i].set_timer(&mut self.wheel, XkTimerKind::TimeWait, tw);
+                    self.set_timer(i, XkTimerKind::TimeWait, tw);
                 }
-                XkState::TimeWait => self.socks[i].set_timer(&mut self.wheel, XkTimerKind::TimeWait, tw),
+                XkState::TimeWait => self.set_timer(i, XkTimerKind::TimeWait, tw),
                 _ => {}
             }
         }
@@ -1670,7 +1688,7 @@ mod tests {
         let (_client, child) = open(&mut a, &mut b);
         let i = b.idx(child).unwrap();
         let at = b.now + VirtualDuration::from_millis(1);
-        b.socks[i].set_timer(&mut b.wheel, XkTimerKind::DelayedAck, at);
+        b.set_timer(i, XkTimerKind::DelayedAck, at);
         b.socks[i].ack_owed = false;
         let before = b.wheel_stats().fires;
         let mut now = b.now;

@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example routed`
 
 use fox_scheduler::SchedHandle;
-use foxbasis::time::{VirtualDuration, VirtualTime};
+use foxbasis::time::VirtualDuration;
 use foxproto::aux::IpAuxImpl;
 use foxproto::dev::Dev;
 use foxproto::eth::Eth;
@@ -72,7 +72,7 @@ fn main() {
             &mut (client, server, router),
             |(c, s, r), now| c.step(now) | s.step(now) | r.step(now),
             |_| false,
-            |_| Some(VirtualTime::ZERO),
+            |(c, s, r)| [c.poll_at(), s.poll_at(), r.poll_at()].into_iter().flatten().min(),
             VirtualDuration::from_millis(1),
             deadline,
         );

@@ -16,7 +16,7 @@ use foxtcp::{Tcp, TcpConfig, TcpConnId, TcpEvent, TcpPattern};
 use foxwire::ether::EthAddr;
 use foxwire::ipv4::{IpProtocol, Ipv4Addr};
 use simnet::{HostHandle, SimNet};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 type Stack = Tcp<Ip<Eth<Dev>>, IpAuxImpl>;
@@ -62,14 +62,21 @@ fn tcp_session_through_the_router() {
         )
         .unwrap();
 
-    // Drive both segments and all three boxes on one logical clock.
+    // Drive both segments and all three boxes on one logical clock,
+    // counting the instants the loop stops at.
+    let (instants, last) = (Cell::new(0u64), Cell::new(None));
     let drive = |client: &mut Stack, server: &mut Stack, router: &mut Router, until_ms: u64| {
         simnet::drive(
             &[&net1, &net2],
             &mut (client, server, router),
-            |(c, s, r), now| c.step(now) | s.step(now) | r.step(now),
+            |(c, s, r), now| {
+                if last.replace(Some(now)) != Some(now) {
+                    instants.set(instants.get() + 1);
+                }
+                c.step(now) | s.step(now) | r.step(now)
+            },
             |_| false,
-            |_| Some(VirtualTime::ZERO),
+            |(c, s, r)| [c.poll_at(), s.poll_at(), r.poll_at()].into_iter().flatten().min(),
             VirtualDuration::from_millis(1),
             VirtualTime::from_millis(until_ms),
         );
@@ -121,4 +128,9 @@ fn tcp_session_through_the_router() {
             client.state_of(conn) == Some(foxtcp::TcpState::FinWait2)
         }
     );
+
+    // Every box reports when it is next due, so the loop skips the
+    // ticks at which none is.
+    let ticks = net1.now().as_millis();
+    assert!(instants.get() < ticks, "stopped at {} instants over {ticks} ticks", instants.get());
 }
