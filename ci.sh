@@ -26,9 +26,13 @@
 #      (foxbasis's wheel_alloc: a warm timer wheel makes 0 heap calls;
 #      foxbasis's pool_alloc: a warm BufPool hands back the same block
 #      with 0 heap calls; foxtcp's alloc_budget: ALLOCS_PER_ROUND_TRIP
-#      == 2 with options on and off, the two TcpEvent::Data vectors, and
+#      == 2 with options on and off, the two TcpEvent::Data vectors,
+#      ALLOCS_PER_LIFECYCLE == 2, a whole connect/exchange/close/reap
+#      lifecycle on warm engines that recycle reaped records,
 #      BYTES_HELD_BY_IDLE_PAIRS == 237 896, the bytes-per-connection
-#      ceiling with the engines' free blocks — both exact constants) —
+#      ceiling with the engines' free blocks, and the spare bound: reused
+#      spares hold no byte more and each new one holds DESIGN.md §5.15's
+#      formula, 880 + 976 bytes a client/child pair — all exact) —
 #      the counts are facts about the optimized build.
 #      The workspace run also holds the copy budget beside them
 #      (foxtcp's retransmit_copy_budget: one staging copy per segment

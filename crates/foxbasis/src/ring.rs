@@ -13,9 +13,12 @@
 //! is not. A new ring holds none, the first [`RingBuffer::write`]
 //! allocates [`STORAGE_FLOOR`] bytes (or the bound, if smaller), later
 //! writes double it as far as the bytes stored need and never past the
-//! bound, and [`RingBuffer::clear`] gives it all back. A connection that
-//! moves 64 bytes therefore costs 64 bytes of ring, not its whole send
-//! buffer, and one that fills the buffer pays a dozen or so growth steps, once.
+//! bound, and [`RingBuffer::clear`] gives back all of it that grew past
+//! the floor: a ring that never did keeps its floor-sized storage for
+//! the next write, so emptying one and filling it again costs no heap
+//! call. A connection that moves 64 bytes therefore costs 64 bytes of
+//! ring, not its whole send buffer, and one that fills the buffer pays
+//! a dozen or so growth steps, once.
 //!
 //! Any stretch of the ring — stored bytes or free space — is at most two
 //! contiguous runs of the storage, so every operation is one index
@@ -179,9 +182,13 @@ impl RingBuffer {
         n
     }
 
-    /// Removes everything and returns the storage to the allocator.
+    /// Removes everything. Storage grown past the floor goes back to
+    /// the allocator; floor-sized storage (the first step of the ladder)
+    /// is kept, so a ring emptied and written again allocates nothing.
     pub fn clear(&mut self) {
-        self.data = Vec::new();
+        if self.data.len() > STORAGE_FLOOR {
+            self.data = Vec::new();
+        }
         self.head = 0;
         self.len = 0;
     }
@@ -370,6 +377,23 @@ mod tests {
     }
 
     #[test]
+    fn clear_keeps_floor_sized_storage() {
+        let mut r = RingBuffer::new(1000);
+        r.write(&[1; 40]);
+        r.skip(30); // head mid-storage: clear must rewind it
+        r.clear();
+        assert_eq!((r.storage(), r.len(), r.free()), (STORAGE_FLOOR, 0, 1000), "the floor stays");
+        assert_eq!(r.write(b"again"), 5);
+        let mut out = [0u8; 5];
+        assert_eq!(r.read(&mut out), 5);
+        assert_eq!((&out, r.storage()), (b"again", STORAGE_FLOOR));
+        let mut small = RingBuffer::new(7);
+        small.write(&[0; 7]);
+        small.clear();
+        assert_eq!(small.storage(), 7, "a bound under the floor is kept whole");
+    }
+
+    #[test]
     fn equality_is_bound_and_content_not_layout() {
         // `a` holds "cdef" wrapped around the end of 64 bytes of
         // storage; `b` holds it from the front of 100.
@@ -461,8 +485,9 @@ mod tests {
                 prop_assert!(ring.storage() <= ladder, "{} bytes of storage for a high-water of {}", ring.storage(), high_water);
                 prop_assert!(ring.storage() >= ring.len());
             }
+            let kept = if ring.storage() > STORAGE_FLOOR { 0 } else { ring.storage() };
             ring.clear();
-            prop_assert_eq!((ring.storage(), ring.len(), ring.free()), (0, 0, cap));
+            prop_assert_eq!((ring.storage(), ring.len(), ring.free()), (kept, 0, cap));
         }
     }
 }

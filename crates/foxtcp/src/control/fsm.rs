@@ -2,7 +2,8 @@
 //! place a `FROM -> TO : trigger` edge is written down, and this module
 //! holds the paper's `tcp_state` datatype ([`TcpState`]) and the only
 //! code that can make or change a connection's [`State`]:
-//! [`ConnCore::new`], [`transition`] and the SYN-retry count
+//! [`ConnCore::new`] and its in-place twin `ConnCore::reset`,
+//! [`transition`] and the SYN-retry count
 //! [`spend_syn_retry`]. `State`'s field is private, so the compiler
 //! rejects a write anywhere else; [`transition`] in debug builds asserts
 //! the write is an edge of that file. So code ⊆ spec holds on every
@@ -163,6 +164,23 @@ impl ConnCore {
     ) -> ConnCore {
         let tcb = Tcb::new(cfg, iss, our_mss);
         ConnCore { local_port, remote_port, state: State(TcpState::Closed), tcb, our_mss, pool }
+    }
+
+    /// Re-initialises this core in place as [`ConnCore::new`] would make
+    /// it from the same arguments and the pool it already holds: the
+    /// engine files a new connection in a reaped one's record this way,
+    /// and its queues keep the storage they grew ([`Tcb::reset`]).
+    pub(crate) fn reset(
+        &mut self,
+        cfg: &TcpConfig,
+        local_port: u16,
+        remote_port: u16,
+        iss: Seq,
+        our_mss: u32,
+    ) {
+        self.tcb.reset(cfg, iss, our_mss);
+        (self.local_port, self.remote_port, self.our_mss) = (local_port, remote_port, our_mss);
+        self.state = State(TcpState::Closed);
     }
 }
 

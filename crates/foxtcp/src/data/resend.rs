@@ -43,9 +43,9 @@ pub struct SendSide {
     /// The prefix up to `snd_nxt` is sent-but-unacked — the one copy of
     /// the flight, which `resend_queue` describes and every
     /// retransmission reads; the tail is the paper's `queued` — staged,
-    /// unsent data. Its storage grows with use and is released once our
-    /// FIN is acknowledged ([`process_ack`]): nothing can be written or
-    /// resent after that.
+    /// unsent data. Its storage grows with use, and once our FIN is
+    /// acknowledged ([`process_ack`]) — nothing can be written or resent
+    /// after that — all of it past the ring's floor is released.
     send_buf: RingBuffer,
     /// True once the user has called `close` — a FIN follows the last
     /// byte of `send_buf`.
@@ -77,6 +77,20 @@ impl SendSide {
             retransmits_left: cfg.max_retransmits,
             sack_scoreboard: Vec::new(),
         }
+    }
+
+    /// Makes this send side what [`SendSide::new`] makes for `cfg`,
+    /// keeping the storage the ring, the resend queue and the scoreboard
+    /// have grown: the engine re-initialises a reaped connection's
+    /// record this way for the next connection it files.
+    pub(crate) fn reset(&mut self, cfg: &TcpConfig) {
+        debug_assert_eq!(self.send_buf.capacity(), cfg.send_buffer.max(1), "one engine, one bound");
+        self.send_buf.clear();
+        self.resend_queue.clear();
+        self.sack_scoreboard.clear();
+        let SendSide { send_buf, resend_queue, sack_scoreboard, .. } =
+            std::mem::replace(self, SendSide::new(cfg));
+        (self.send_buf, self.resend_queue, self.sack_scoreboard) = (send_buf, resend_queue, sack_scoreboard);
     }
 
     /// The outgoing byte store.
@@ -332,8 +346,10 @@ pub fn process_ack(cfg: &TcpConfig, core: &mut ConnCore, ack: Seq, now: VirtualT
     s.send_buf.skip(bytes_acked as usize);
     if fin_acked {
         // Everything before the FIN is acknowledged with it and nothing
-        // follows it: the buffer is empty for good, so its storage goes
-        // back now and TIME-WAIT holds none.
+        // follows it: the buffer is empty for good, so storage it grew
+        // goes back now. Floor-sized storage stays (`RingBuffer::clear`)
+        // for the connection that reuses this record once it is reaped,
+        // so TIME-WAIT holds at most `STORAGE_FLOOR` (64) bytes of ring.
         s.send_buf.clear();
     }
     tcb.snd_una = ack;

@@ -244,6 +244,19 @@ impl Tcb {
         }
     }
 
+    /// Makes this TCB `==` what [`Tcb::new`] makes from the same
+    /// arguments, keeping the storage its queues have grown: the
+    /// `to_do` queue here, and each record's queues by the record's own
+    /// `reset`. The records without storage are simply made again.
+    /// Allocates nothing ([`Tcb::new`] does not either).
+    pub(crate) fn reset(&mut self, cfg: &TcpConfig, iss: Seq, mss: u32) {
+        self.snd.reset(cfg);
+        self.rcv.reset(cfg.initial_window);
+        self.to_do.clear();
+        let Tcb { snd, rcv, to_do, .. } = std::mem::replace(self, Tcb::new(cfg, iss, mss));
+        (self.snd, self.rcv, self.to_do) = (snd, rcv, to_do);
+    }
+
     /// The sequence space, as a copy.
     pub fn seq(&self) -> SeqVars {
         let Tcb { iss, snd_una, snd_nxt, snd_wnd, snd_wl1, irs, rcv_nxt, dup_acks, recovery, .. } = *self;

@@ -234,6 +234,15 @@ impl RecvSide {
         RecvSide { recv_buf: RecvAccount::new(recv_buffer.max(1)), ..RecvSide::default() }
     }
 
+    /// Makes this receive side what [`RecvSide::new`] makes for a
+    /// buffer of `recv_buffer` bytes, keeping the storage the
+    /// reassembly queue has grown, as `SendSide::reset` does its queues'.
+    pub(crate) fn reset(&mut self, recv_buffer: usize) {
+        self.out_of_order.clear();
+        let out_of_order = std::mem::take(&mut self.out_of_order);
+        *self = RecvSide { out_of_order, ..RecvSide::new(recv_buffer) };
+    }
+
     /// The reassembly queue: `(seq, bytes, FIN)`, ascending, disjoint.
     pub fn out_of_order(&self) -> &VecDeque<(Seq, PacketBuf, bool)> {
         &self.out_of_order

@@ -24,8 +24,9 @@ use crate::demux::{Demux, DemuxStats};
 use crate::{ConnCore, TcpConfig, TcpState};
 use fox_scheduler::SchedHandle;
 use foxbasis::buf::{copy_mark, BufPool};
-use foxbasis::flat::FlatIndex;
+use foxbasis::flat::{FlatIndex, FlatKey};
 use foxbasis::obs::{ConnMetrics, Event, EventSink};
+use foxbasis::ring::STORAGE_FLOOR;
 use foxbasis::seq::Seq;
 use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxbasis::wheel::{TimerWheel, WheelStats};
@@ -162,6 +163,10 @@ struct Conn<P> {
 /// The first port of the ephemeral range (through 65535).
 const EPHEMERAL_FIRST: u16 = 49152;
 
+/// The id a vacant slot's record carries: the one id [`FlatIndex`]
+/// never files, and one the creation counter never reaches.
+const VACANT: u32 = <u32 as FlatKey>::EMPTY;
+
 impl<P> Conn<P> {
     /// Fully closed, drained, and the user has seen the end (an
     /// unadopted child has no user to show it to).
@@ -170,6 +175,41 @@ impl<P> Conn<P> {
             && self.core.tcb.to_do.is_empty()
             && self.pending_events.is_empty()
             && (self.finished || self.parent.is_some())
+    }
+
+    /// The record of a reaped connection becomes its slot's spare: the
+    /// user's handler goes, and so does whatever the core still buffers
+    /// (nothing, after an orderly close; after an abort or a reset
+    /// `discard` has already run). What stays is storage: the queues'
+    /// capacity, the event vector's and a floor-sized send ring.
+    fn vacate(&mut self) {
+        self.id = VACANT;
+        self.handler = None;
+        self.core.tcb.discard();
+    }
+
+    /// Files connection `id` in this spare record, whose core the caller
+    /// has just reset: every other field as [`Tcp::new_conn`] makes a
+    /// fresh record's, the event vector emptied but not shrunk.
+    fn renew(&mut self, id: u32, peer: Option<P>, parent: Option<u32>) {
+        let Conn {
+            id: own_id,
+            peer: own_peer,
+            core: _,
+            handler,
+            pending_events,
+            timers,
+            parent: own_parent,
+            finished,
+            in_backlog,
+            backlogged,
+            reap_listed,
+        } = self;
+        (*own_id, *own_peer, *own_parent) = (id, peer, parent);
+        *handler = None;
+        pending_events.clear();
+        *timers = Default::default();
+        (*finished, *in_backlog, *backlogged, *reap_listed) = (false, false, 0, false);
     }
 }
 
@@ -241,13 +281,24 @@ where
 /// oldest-first rule and `step`'s drain order all read it as one), and a
 /// stale `TcpConnId` must name nothing rather than a stranger.
 ///
+/// Records are recycled too. A reaped connection's record stays in the
+/// slot it vacated as the slot's *spare* ([`Conn::vacate`]: id
+/// [`VACANT`], no handler, nothing buffered), and the next connection
+/// filed there re-initialises it in place ([`ConnCore::reset`],
+/// [`Conn::renew`]), so its `to_do`, resend, reassembly and event
+/// queues start with the capacity the last tenant grew and a warm
+/// engine opens, runs and reaps a connection without re-growing them.
+/// Spares are bounded by the slot high-water: DESIGN.md §5.15 states
+/// what one holds.
+///
 /// `index` maps id → slot in one hashed probe ([`FlatIndex`]): an entry
 /// is written once when its connection is created and removed once
 /// when it is reaped, and neither touches any other entry's. The table
 /// keeps no order of its own; what reads ids in creation order reads
 /// the ids.
 struct Table<P> {
-    slots: Vec<Option<Conn<P>>>,
+    /// Live connections and the vacant slots' spares.
+    slots: Vec<Conn<P>>,
     /// Vacant slots, the last vacated first to be reused.
     free: Vec<u32>,
     index: FlatIndex<u32, u32>,
@@ -268,36 +319,40 @@ impl<P> Table<P> {
         self.index.get(&id).map(|&slot| slot as usize)
     }
 
-    /// Files `conn`, whose id must be new, in a vacant slot; returns the
-    /// slot.
-    fn insert(&mut self, conn: Conn<P>) -> usize {
-        let id = conn.id;
-        debug_assert!(self.slot_of(id).is_none(), "ids are never reused");
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = Some(conn);
-                slot
-            }
-            None => {
-                self.slots.push(Some(conn));
-                u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 connections")
-            }
-        };
-        self.index.insert(id, slot);
-        slot as usize
+    /// The vacant slot the next connection is filed in, and its spare,
+    /// if there is one; the caller must [`Table::file`] a connection
+    /// there before anything else reads the table.
+    fn take_vacancy(&mut self) -> Option<(usize, &mut Conn<P>)> {
+        let slot = self.free.pop()? as usize;
+        Some((slot, &mut self.slots[slot]))
     }
 
-    /// Takes the connection out of `slot`, which it must occupy.
-    fn remove(&mut self, slot: usize) -> Conn<P> {
-        let conn = self.slots[slot].take().expect("only an occupied slot is vacated");
+    /// Appends `conn` in a new slot, unfiled; returns the slot.
+    fn push(&mut self, conn: Conn<P>) -> usize {
+        self.slots.push(conn);
+        self.slots.len() - 1
+    }
+
+    /// Files the connection now in `slot` (from [`Table::take_vacancy`]
+    /// or [`Table::push`]), whose id must be new.
+    fn file(&mut self, slot: usize) {
+        let id = self.slots[slot].id;
+        debug_assert!(self.slot_of(id).is_none(), "ids are never reused");
+        self.index.insert(id, u32::try_from(slot).expect("fewer than 2^32 connections"));
+    }
+
+    /// Reaps the connection in `slot`, which it must occupy: unfiles it
+    /// and leaves its record behind as the slot's spare.
+    fn vacate(&mut self, slot: usize) {
+        let conn = &mut self.slots[slot];
         self.index.remove_where(&conn.id, |_| true).expect("a live connection is indexed");
+        conn.vacate();
         self.free.push(slot as u32);
-        conn
     }
 
     /// Every live connection, in slot order.
     fn iter(&self) -> impl Iterator<Item = &Conn<P>> {
-        self.slots.iter().flatten()
+        self.slots.iter().filter(|c| c.id != VACANT)
     }
 }
 
@@ -305,13 +360,17 @@ impl<P> std::ops::Index<usize> for Table<P> {
     type Output = Conn<P>;
 
     fn index(&self, slot: usize) -> &Conn<P> {
-        self.slots[slot].as_ref().expect("a looked-up slot stays occupied until the end of `step`")
+        let conn = &self.slots[slot];
+        debug_assert_ne!(conn.id, VACANT, "a looked-up slot stays occupied until the end of `step`");
+        conn
     }
 }
 
 impl<P> std::ops::IndexMut<usize> for Table<P> {
     fn index_mut(&mut self, slot: usize) -> &mut Conn<P> {
-        self.slots[slot].as_mut().expect("a looked-up slot stays occupied until the end of `step`")
+        let conn = &mut self.slots[slot];
+        debug_assert_ne!(conn.id, VACANT, "a looked-up slot stays occupied until the end of `step`");
+        conn
     }
 }
 
@@ -570,25 +629,34 @@ where
         // One saturating helper, shared with xktcp.
         let mss = foxwire::tcp::mss_for_mtu(self.aux.mtu() as u32);
         let (peer, remote_port) = remote.map_or((None, 0), |(peer, port)| (Some(peer), port));
-        let core = ConnCore::new(&self.cfg, local_port, remote_port, iss, mss, self.pool.clone());
-        let conn = Conn {
-            id,
-            peer,
-            core,
-            handler: None,
-            pending_events: Vec::new(),
-            timers: Default::default(),
-            parent,
-            finished: false,
-            in_backlog: false,
-            backlogged: 0,
-            reap_listed: false,
+        // A reaped connection's record, if a slot has one spare, is
+        // re-initialised in place (see [`Table`]).
+        let slot = match self.conns.take_vacancy() {
+            Some((slot, spare)) => {
+                spare.core.reset(&self.cfg, local_port, remote_port, iss, mss);
+                spare.renew(id, peer, parent);
+                slot
+            }
+            None => self.conns.push(Conn {
+                id,
+                peer,
+                core: ConnCore::new(&self.cfg, local_port, remote_port, iss, mss, self.pool.clone()),
+                handler: None,
+                pending_events: Vec::new(),
+                timers: Default::default(),
+                parent,
+                finished: false,
+                in_backlog: false,
+                backlogged: 0,
+                reap_listed: false,
+            }),
         };
+        self.conns.file(slot);
         // The peer and both ports are fixed for the connection's
         // lifetime, so its demux key never needs re-filing.
-        let (id, local_port, flow) = Self::demux_key(&conn);
+        let (id, local_port, flow) = Self::demux_key(&self.conns[slot]);
         self.demux.insert(id, local_port, flow);
-        self.conns.insert(conn)
+        slot
     }
 
     /// The child in slot `idx` gives up its place in its parent's accept
@@ -964,8 +1032,9 @@ where
         while let Some(idx) = self.reap_list.pop() {
             self.conns[idx].reap_listed = false;
             if self.conns[idx].reapable() {
-                let (id, local_port, flow) = Self::demux_key(&self.conns.remove(idx));
+                let (id, local_port, flow) = Self::demux_key(&self.conns[idx]);
                 self.demux.remove(id, local_port, flow);
+                self.conns.vacate(idx);
             }
         }
     }
@@ -983,21 +1052,36 @@ where
         // index holds nothing else, and every other slot is vacant and
         // on the free list exactly once.
         let mut occupied = 0;
-        for (slot, c) in table.slots.iter().enumerate() {
-            if let Some(c) = c {
-                occupied += 1;
-                assert_eq!(table.slot_of(c.id), Some(slot), "connection {} is not indexed to its slot", c.id);
-            }
+        for (slot, c) in table.slots.iter().enumerate().filter(|(_, c)| c.id != VACANT) {
+            occupied += 1;
+            assert_eq!(table.slot_of(c.id), Some(slot), "connection {} is not indexed to its slot", c.id);
         }
         assert_eq!(table.len(), occupied, "the index files a connection no slot holds");
-        let mut free = table.free.clone();
-        free.sort_unstable();
-        assert!(free.windows(2).all(|w| w[0] != w[1]), "a slot is on the free list twice");
-        assert!(
-            free.iter().all(|&s| table.slots[s as usize].is_none()),
-            "an occupied slot is on the free list"
-        );
-        assert_eq!(occupied + free.len(), table.slots.len(), "a slot is neither live nor free");
+        // Every slot on the free list is vacant, and there are as many
+        // entries as vacant slots: none is listed twice (`Table::vacate`
+        // refuses a slot it already vacated, whose id is no longer
+        // indexed), so every vacant slot is listed.
+        assert_eq!(occupied + table.free.len(), table.slots.len(), "a slot is neither live nor free");
+        // A vacant slot's spare holds storage and nothing else: no user,
+        // no queued action or event, no resend entry, no stored byte, no
+        // out-of-order segment, and at most a floor-sized send ring.
+        for &slot in &table.free {
+            let spare = &table.slots[slot as usize];
+            let (tcb, side) = (&spare.core.tcb, spare.core.tcb.send_side());
+            assert_eq!(spare.id, VACANT, "occupied slot {slot} is on the free list");
+            assert!(
+                spare.handler.is_none() && spare.pending_events.is_empty(),
+                "slot {slot}'s spare has a user"
+            );
+            assert!(tcb.to_do.is_empty(), "slot {slot}'s spare has a queued action");
+            assert!(side.resend_queue().is_empty(), "slot {slot}'s spare has a resend entry");
+            assert!(side.send_buf().is_empty(), "slot {slot}'s spare stores bytes");
+            assert!(side.send_buf().storage() <= STORAGE_FLOOR, "slot {slot}'s spare kept a grown ring");
+            assert!(
+                tcb.recv_side().out_of_order().is_empty(),
+                "slot {slot}'s spare has out-of-order segments"
+            );
+        }
 
         for c in table.iter() {
             let id = c.id;
@@ -1212,6 +1296,80 @@ mod tests {
     use super::*;
     use crate::testlink::{immediate, Pair};
     use simnet::Medium;
+
+    /// A reaped connection's record, reset, is the record `ConnCore::new`
+    /// makes — even after a lifecycle that used every queue it keeps:
+    /// the sender's SACK scoreboard and resend queue, the receiver's
+    /// reassembly queue, and `to_do` queues that held a window's worth
+    /// of actions at once.
+    #[test]
+    fn a_reset_spare_is_a_fresh_record() {
+        let cfg = TcpConfig {
+            sack: true,
+            timestamps: true,
+            window_scale: true,
+            initial_window: 64 * 1024,
+            send_buffer: 64 * 1024,
+            time_wait_ms: 10,
+            ..immediate()
+        };
+        let mut p = Pair::new(cfg.clone(), cfg.clone());
+        let (client, child) = p.open(80);
+        let slots = (p.a.conns.slot_of(client.0).unwrap(), p.b.conns.slot_of(child.0).unwrap());
+        // Three of the first dozen frames toward `b` are lost.
+        p.link.set_filter_toward(1, Box::new(|i, _| !matches!(i, 3 | 7 | 8)));
+        let payload: Vec<u8> = (0..40_000u32).map(|i| (i % 251) as u8).collect();
+        assert_eq!(p.a.send_data(client, &payload), Ok(payload.len()));
+        let (mut scoreboard, mut reassembly) = (0, 0);
+        while p.data_of(1, child).len() < payload.len() {
+            assert!(p.now() < VirtualTime::from_millis(30_000), "the transfer stalled");
+            let now = p.now();
+            p.a.step(now);
+            p.b.step(now);
+            scoreboard = scoreboard.max(p.a.conns[slots.0].core.tcb.send_side().sack_scoreboard().len());
+            reassembly = reassembly.max(p.b.conns[slots.1].core.tcb.recv_side().out_of_order().len());
+            p.link.advance_to(now + VirtualDuration::from_millis(1));
+        }
+        assert!(p.data_of(1, child) == payload, "everything arrived in order");
+        assert!(
+            scoreboard > 0 && reassembly > 0,
+            "the scoreboard ({scoreboard}) and the reassembly queue ({reassembly}) were used"
+        );
+        assert!(p.a.stats().retransmits > 0);
+
+        let ids = [(&p.a, client), (&p.b, child)].map(|(e, c)| {
+            let core = e.core_of(c).unwrap();
+            (core.local_port, core.remote_port, core.our_mss)
+        });
+        p.a.close(client).unwrap();
+        p.settle();
+        p.b.close(child).unwrap();
+        p.settle();
+        p.link.advance_to(p.now() + VirtualDuration::from_millis(20));
+        p.settle();
+        assert_eq!((p.a.state_of(client), p.b.state_of(child)), (None, None), "both ends reaped");
+        p.a.check_invariants();
+        p.b.check_invariants();
+
+        for (engine, slot, (local_port, remote_port, mss)) in
+            [(&mut p.a, slots.0, ids[0]), (&mut p.b, slots.1, ids[1])]
+        {
+            assert!(engine.conns.free.contains(&(slot as u32)), "the slot is vacant");
+            let fresh = ConnCore::new(&cfg, local_port, remote_port, Seq(7), mss, engine.pool.clone());
+            let spare = &mut engine.conns.slots[slot].core;
+            spare.reset(&cfg, local_port, remote_port, Seq(7), mss);
+            assert!(
+                spare.tcb == fresh.tcb,
+                "a reset TCB is a fresh one: {:?} against {:?}",
+                spare.tcb,
+                fresh.tcb
+            );
+            assert_eq!(
+                (spare.local_port, spare.remote_port, spare.our_mss, TcpState::clone(&spare.state)),
+                (fresh.local_port, fresh.remote_port, fresh.our_mss, TcpState::Closed)
+            );
+        }
+    }
 
     /// Slots are recycled, ids are not; and whatever slots connections
     /// landed in, `step` drains the ones whose timers fired in id order.

@@ -1,6 +1,7 @@
 //! The engine's heap budget, pinned as exact counts: heap calls per
-//! round trip, with and without options, and heap bytes held per idle
-//! connection.
+//! round trip, with and without options, heap calls per whole
+//! connection lifecycle, heap bytes held per idle connection, and what
+//! a reaped connection's spare record holds.
 //!
 //! ROADMAP item 2 asks for an engine that is "allocation-free per
 //! segment" and prefers "the allocator count over a `hot_alloc` lint":
@@ -20,12 +21,17 @@
 mod counting_alloc;
 
 use counting_alloc::{allocs, live_bytes};
+use foxbasis::ring::STORAGE_FLOOR;
 use foxbasis::time::VirtualDuration;
+use foxproto::Protocol;
+use foxtcp::data::tcb::SentSegment;
 use foxtcp::testlink::Pair;
-use foxtcp::{TcpConfig, TcpConnId, TcpEvent};
+use foxtcp::{ListeningSocket, TcpAction, TcpConfig, TcpConnId, TcpEvent};
 use simnet::Medium;
 use std::cell::Cell;
+use std::mem::size_of;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 /// Heap calls one 64-byte request/response costs the two engines
 /// together, in steady state, with options negotiated or not. What is
@@ -41,6 +47,29 @@ use std::rc::Rc;
 const ALLOCS_PER_ROUND_TRIP: u64 = 2;
 
 const ROUND_TRIPS: u64 = 1_000;
+
+/// Heap calls one whole connection lifecycle — connect, 64 bytes each
+/// way, close, both ends reaped — costs two warm engines. What is left
+/// is the two `TcpEvent::Data` vectors that hand each user its 64
+/// bytes, as in [`ALLOCS_PER_ROUND_TRIP`]. Everything else a lifecycle
+/// uses is already there:
+/// - each end's record is the spare its slot's last tenant left (the
+///   engine recycles reaped records in place), so its `to_do` queue
+///   (4 calls a lifecycle while records were freed: each end's grew
+///   0 → 4 → 8), its resend queue (2: the SYN's entry), its send ring
+///   (2: kept at its 64-byte floor through the FIN's ACK) and the
+///   child's parked-event vector (1: its `Established` waits for
+///   `accept`) start with the capacity they grew before;
+/// - the handlers box closures that capture nothing, which allocates
+///   nothing;
+/// - the table, its index, the demux, the wheel, the pool and the
+///   link's queues are warm, and connect and reap write one entry each
+///   without growing any of them.
+///
+/// The commit before records were recycled spent 11.
+const ALLOCS_PER_LIFECYCLE: u64 = 2;
+
+const LIFECYCLES: u64 = 200;
 
 /// How many connections the idle budget is taken over.
 const IDLE_PAIRS: u64 = 64;
@@ -172,6 +201,150 @@ fn round_trip_allocations_are_pinned(cfg: TcpConfig) {
         "heap calls per ESTABLISHED round trip moved ({} over {ROUND_TRIPS} round trips)",
         spent as f64 / ROUND_TRIPS as f64
     );
+}
+
+/// The lifecycle budget's configuration: the benchmark's `churn`
+/// buffers and TIME-WAIT, so a closed connection is reaped 10 ms after
+/// it gets there.
+fn churn() -> TcpConfig {
+    TcpConfig { initial_window: 8192, send_buffer: 8192, time_wait_ms: 10, ..modern() }
+}
+
+/// Payload bytes the lifecycle test's handlers were handed.
+static LIFECYCLE_BYTES: AtomicUsize = AtomicUsize::new(0);
+/// The child the lifecycle test's listener announced last.
+static LIFECYCLE_CHILD: AtomicU32 = AtomicU32::new(u32::MAX);
+
+/// One whole connection lifecycle over the benchmark's `churn`
+/// exchange: `a` connects to `b`'s listener, 64 bytes go each way, `a`
+/// closes and then `b`, and both ends are reaped (`a`'s once its 10 ms
+/// of TIME-WAIT are up). The handlers are closures that capture nothing
+/// — boxing one allocates nothing — so what the lifecycle costs is the
+/// engines'.
+fn lifecycle(p: &mut Pair, listener: &ListeningSocket) {
+    fn count(e: TcpEvent) {
+        if let TcpEvent::Data(d) = e {
+            LIFECYCLE_BYTES.fetch_add(d.len(), Ordering::Relaxed);
+        }
+    }
+    let client = p.a.connect(1, 80, 0, Box::new(count)).unwrap().id();
+    p.settle();
+    let child = TcpConnId(LIFECYCLE_CHILD.load(Ordering::Relaxed));
+    listener.accept(&mut p.b, child, Box::new(count)).unwrap();
+    round_trip(p, client, child);
+    p.a.close(client).unwrap();
+    p.settle();
+    p.b.close(child).unwrap();
+    p.settle();
+    p.link.advance_to(p.now() + VirtualDuration::from_millis(11));
+    p.settle();
+    assert_eq!((p.a.state_of(client), p.b.state_of(child)), (None, None), "both ends reaped");
+}
+
+#[test]
+fn a_warm_engine_runs_a_lifecycle_in_a_pinned_number_of_heap_calls() {
+    let mut p = Pair::new(churn(), churn());
+    let listener =
+        p.b.listen(
+            80,
+            Box::new(|e| {
+                if let TcpEvent::NewConnection(child) = e {
+                    LIFECYCLE_CHILD.store(child.0, Ordering::Relaxed);
+                }
+            }),
+        )
+        .unwrap();
+    // Warm-up: the first lifecycle grows both ends' records, which stay
+    // behind as spares; the rest let the wheel and the pool settle.
+    for _ in 0..LIFECYCLES {
+        lifecycle(&mut p, &listener);
+    }
+    let before = allocs();
+    for _ in 0..LIFECYCLES {
+        lifecycle(&mut p, &listener);
+    }
+    let spent = allocs() - before;
+    assert_eq!(LIFECYCLE_BYTES.load(Ordering::Relaxed), 2 * LIFECYCLES as usize * 128, "every byte arrived");
+    assert_eq!(
+        spent,
+        ALLOCS_PER_LIFECYCLE * LIFECYCLES,
+        "heap calls per lifecycle moved ({} over {LIFECYCLES} lifecycles)",
+        spent as f64 / LIFECYCLES as f64
+    );
+}
+
+/// The child the spare-bound test's listener announced last.
+static BOUND_CHILD: AtomicU32 = AtomicU32::new(u32::MAX);
+
+/// Opens `n` connections side by side, each exchanging 64 bytes each
+/// way; closes them all, `a` first, and runs past TIME-WAIT so both
+/// engines reap all of them. Immediate ACKs: nothing is left for a timer
+/// to send, so what the engines hold afterwards does not depend on how
+/// many ACKs one step happened to fire.
+fn open_and_reap(p: &mut Pair, listener: &ListeningSocket, n: usize) {
+    let mut open = Vec::with_capacity(n);
+    for _ in 0..n {
+        let client = p.a.connect(1, 80, 0, Box::new(|_| {})).unwrap().id();
+        p.settle();
+        let child = TcpConnId(BOUND_CHILD.load(Ordering::Relaxed));
+        listener.accept(&mut p.b, child, Box::new(|_| {})).unwrap();
+        assert_eq!(p.a.send_data(client, &[0x5a; 64]), Ok(64));
+        p.settle();
+        assert_eq!(p.b.send_data(child, &[0xa5; 64]), Ok(64));
+        p.settle();
+        open.push((client, child));
+    }
+    for &(client, child) in &open {
+        p.a.close(client).unwrap();
+        p.settle();
+        p.b.close(child).unwrap();
+        p.settle();
+    }
+    p.link.advance_to(p.now() + VirtualDuration::from_millis(11));
+    p.settle();
+    assert!(open.iter().all(|&(c, s)| (p.a.state_of(c), p.b.state_of(s)) == (None, None)), "all reaped");
+}
+
+/// Spares are bounded by the slot high-water and cost what DESIGN.md
+/// §5.15 says one costs. After `K` side-by-side lifecycles every slot
+/// is vacant; running them again reuses every spare and the engines
+/// hold not one byte more. Running `K + J` grows the table by `J`
+/// slots, inside capacity the table, the free list, the indexes, the
+/// wheel and the scratch lists already have at `K`, so the bytes added
+/// are exactly the `J` new spares' heap, by the formula: for this
+/// lifecycle a client's spare keeps a `to_do` queue of 8 actions (it
+/// grew 0 → 4 → 8), a resend queue of 4 entries and a 64-byte send
+/// ring, and a child's the same plus an event vector of 4, where its
+/// `Established` waited for `accept`.
+#[test]
+fn spares_cost_what_the_formula_says_and_no_more_than_the_slot_high_water() {
+    const K: usize = 40;
+    const J: usize = 8;
+    let cfg = TcpConfig { delayed_ack_ms: None, ..churn() };
+    let mut p = Pair::new(cfg.clone(), cfg);
+    let listener =
+        p.b.listen(
+            80,
+            Box::new(|e| {
+                if let TcpEvent::NewConnection(child) = e {
+                    BOUND_CHILD.store(child.0, Ordering::Relaxed);
+                }
+            }),
+        )
+        .unwrap();
+    open_and_reap(&mut p, &listener, K);
+    let first = live_bytes();
+    open_and_reap(&mut p, &listener, K);
+    assert_eq!(live_bytes().wrapping_sub(first), 0, "reusing {K} spares holds nothing more");
+    open_and_reap(&mut p, &listener, K + J);
+    let grown = live_bytes().wrapping_sub(first);
+
+    let (action, sent, event) = (size_of::<TcpAction>(), size_of::<SentSegment>(), size_of::<TcpEvent>());
+    let client_spare = 8 * action + 4 * sent + STORAGE_FLOOR;
+    let child_spare = client_spare + 4 * event;
+    assert_eq!((action, sent, event), (96, 12, 24), "the formula's element sizes");
+    assert_eq!(grown, (J * (client_spare + child_spare)) as u64, "{J} more spares, by the formula");
+    assert_eq!((client_spare, child_spare), (880, 976));
 }
 
 #[test]

@@ -215,15 +215,7 @@ where
     L: Protocol + 'static,
     A: IpAux<Address = L::Peer, Incoming = L::Incoming> + 'static,
 {
-    Box::new(FoxStation {
-        tcp,
-        host,
-        peer,
-        kind,
-        conns: FlatIndex::new(),
-        accepted: Rc::new(RefCell::new(VecDeque::new())),
-        listener: None,
-    })
+    Box::new(FoxStation::new(tcp, host, peer, kind))
 }
 
 /// Boxes an already-built x-kernel baseline, over any lower layer, as a
@@ -251,6 +243,9 @@ struct ConnBuf {
     established: bool,
     peer_closed: bool,
     finished: bool,
+    /// `finished` has returned true for this connection (FoxStation
+    /// lists it once, to forget it).
+    seen_finished: bool,
     data: Vec<u8>,
 }
 
@@ -283,9 +278,22 @@ where
     host: HostHandle,
     peer: L::Peer,
     kind: &'static str,
-    /// Every connection the station opened or accepted, closed ones
-    /// included (their buffers still answer).
+    /// Every connection the station opened or accepted and has not
+    /// forgotten. A connection is forgotten once `finished` has returned
+    /// true for it, `recv` has nothing left to hand out and the engine
+    /// has reaped it; its handle then reads as finished with nothing
+    /// received ([`Self::forgotten`]), and as neither established nor
+    /// closed by the peer.
     conns: FlatIndex<u32, StationConn>,
+    /// One past the highest handle `connect` or `accept` has returned.
+    issued: u32,
+    /// Handles `finished` has returned true for, forgotten by the first
+    /// `connect`, `accept` or `step` that finds them drained and reaped
+    /// (`finished` reads the station through `&self`).
+    seen_finished: RefCell<Vec<u32>>,
+    /// Buffers of forgotten connections, cleared, for the next
+    /// `connect` or `accept`.
+    spare_bufs: Vec<Rc<RefCell<ConnBuf>>>,
     accepted: Rc<RefCell<VecDeque<TcpConnId>>>,
     listener: Option<ListeningSocket>,
 }
@@ -311,14 +319,63 @@ where
     L: Protocol,
     A: IpAux<Address = L::Peer, Incoming = L::Incoming>,
 {
+    fn new(tcp: Tcp<L, A>, host: HostHandle, peer: L::Peer, kind: &'static str) -> FoxStation<L, A> {
+        FoxStation {
+            tcp,
+            host,
+            peer,
+            kind,
+            conns: FlatIndex::new(),
+            issued: 0,
+            seen_finished: RefCell::new(Vec::new()),
+            spare_bufs: Vec::new(),
+            accepted: Rc::new(RefCell::new(VecDeque::new())),
+            listener: None,
+        }
+    }
+
     /// Files a new connection with its buffer and its wrapper.
     fn file(&mut self, conn: ConnHandle, buf: Rc<RefCell<ConnBuf>>, sock: ConnectingSocket) {
         self.conns.insert(conn, StationConn { buf: Some(buf), stage: Some(SocketStage::Connecting(sock)) });
+        self.issued = self.issued.max(conn + 1);
     }
 
     /// The buffer `conn`'s handler fills, if the station has `conn`.
     fn buf(&self, conn: ConnHandle) -> Option<&RefCell<ConnBuf>> {
         self.conns.get(&conn)?.buf.as_deref()
+    }
+
+    /// A buffer for a new connection's handler: a forgotten one's, if
+    /// one is spare.
+    fn new_buf(&mut self) -> Rc<RefCell<ConnBuf>> {
+        self.forget_finished();
+        self.spare_bufs.pop().unwrap_or_default()
+    }
+
+    /// Forgets every connection whose user has seen it finished, that
+    /// has nothing left to receive and whose handler the engine has
+    /// dropped (it has once the connection is reaped, at the end of the
+    /// step that finished it). Its buffer, which nothing else holds
+    /// then, is cleared and kept for reuse.
+    fn forget_finished(&mut self) {
+        let (conns, spare_bufs) = (&mut self.conns, &mut self.spare_bufs);
+        self.seen_finished.get_mut().retain(|&conn| {
+            let Some(buf) = conns.get(&conn).and_then(|c| c.buf.as_ref()) else { return false };
+            if Rc::strong_count(buf) > 1 || !buf.borrow().data.is_empty() {
+                return true;
+            }
+            if let Some(buf) = conns.remove_where(&conn, |_| true).and_then(|c| c.buf) {
+                *buf.borrow_mut() = ConnBuf::default();
+                spare_bufs.push(buf);
+            }
+            false
+        });
+    }
+
+    /// True for a handle this station returned and has since forgotten:
+    /// one it no longer holds that the engine has reaped too.
+    fn forgotten(&self, conn: ConnHandle) -> bool {
+        conn < self.issued && self.conns.get(&conn).is_none() && self.tcp.state_of(TcpConnId(conn)).is_none()
     }
 }
 
@@ -328,7 +385,7 @@ where
     A: IpAux<Address = L::Peer, Incoming = L::Incoming>,
 {
     fn connect(&mut self, remote_port: u16) -> ConnHandle {
-        let buf = Rc::new(RefCell::new(ConnBuf::default()));
+        let buf = self.new_buf();
         let sock = self
             .tcp
             .connect(self.peer.clone(), remote_port, 0, buf_handler(buf.clone()))
@@ -356,8 +413,8 @@ where
 
     fn accept(&mut self) -> Option<ConnHandle> {
         let child = self.accepted.borrow_mut().pop_front()?;
+        let buf = self.new_buf();
         let listener = self.listener.as_ref()?;
-        let buf = Rc::new(RefCell::new(ConnBuf::default()));
         let sock = listener.accept(&mut self.tcp, child, buf_handler(buf.clone())).ok()?;
         self.file(child.0, buf, sock);
         Some(child.0)
@@ -401,7 +458,12 @@ where
     }
 
     fn finished(&self, conn: ConnHandle) -> bool {
-        self.buf(conn).is_some_and(|b| b.borrow().finished)
+        let Some(buf) = self.buf(conn) else { return self.forgotten(conn) };
+        let mut b = buf.borrow_mut();
+        if b.finished && !std::mem::replace(&mut b.seen_finished, true) {
+            self.seen_finished.borrow_mut().push(conn);
+        }
+        b.finished
     }
 
     fn close(&mut self, conn: ConnHandle) {
@@ -440,6 +502,7 @@ where
     }
 
     fn step(&mut self, now: VirtualTime) -> bool {
+        self.forget_finished();
         self.tcp.step(now)
     }
 
@@ -662,7 +725,59 @@ where
 mod tests {
     use super::*;
     use crate::workload::bulk_transfer;
+    use fox_scheduler::Scheduler;
     use foxbasis::obs::{Event, DEFAULT_RING_CAPACITY};
+    use foxtcp::testlink::{LinkPair, TestAux, TestLower};
+
+    type TestStation = FoxStation<TestLower, TestAux>;
+
+    /// Steps both stations at the link's clock until neither has work.
+    fn settle(link: &LinkPair, a: &mut TestStation, b: &mut TestStation) {
+        simnet::settle(&[link], |now| a.step(now) | b.step(now));
+    }
+
+    /// A server forgets a connection once its user has seen it finished
+    /// with nothing left to read, and the next `accept` reuses its
+    /// buffer; the forgotten handle still reads as finished, with
+    /// nothing received. The client never asks, so it forgets nothing.
+    #[test]
+    fn a_finished_drained_connection_is_forgotten_and_its_buffer_reused() {
+        let link = LinkPair::new();
+        let cfg = TcpConfig { time_wait_ms: 10, ..TcpConfig::default() };
+        let station = |side: u8| {
+            let sched = SchedHandle::from_scheduler(Scheduler::starting_at(VirtualTime::ZERO));
+            let tcp = Tcp::new(link.endpoint(side), TestAux, (), cfg.clone(), sched, HostHandle::free());
+            FoxStation::new(tcp, HostHandle::free(), 1 - side, "test")
+        };
+        let (mut client, mut server) = (station(0), station(1));
+        server.listen(80);
+        let mut last: Option<(ConnHandle, *const RefCell<ConnBuf>)> = None;
+        for round in 0..3 {
+            let c = client.connect(80);
+            settle(&link, &mut client, &mut server);
+            let s = server.accept().expect("a child to accept");
+            let buf = Rc::as_ptr(server.conns.get(&s).and_then(|c| c.buf.as_ref()).expect("filed"));
+            if let Some((old, old_buf)) = last {
+                assert_eq!(buf, old_buf, "round {round}: the forgotten connection's buffer is reused");
+                assert!(server.conns.get(&old).is_none(), "round {round}: the old handle is forgotten");
+                assert!(server.finished(old) && server.received_len(old) == 0 && server.recv(old).is_empty());
+            }
+            assert_eq!(client.send(c, b"ping"), 4);
+            settle(&link, &mut client, &mut server);
+            assert_eq!(server.recv(s), b"ping");
+            assert_eq!(server.send(s, b"pong"), 4);
+            client.close(c);
+            settle(&link, &mut client, &mut server);
+            assert!(server.peer_closed(s));
+            server.close(s);
+            settle(&link, &mut client, &mut server);
+            assert!(server.finished(s), "round {round}: LAST-ACK is over");
+            assert_eq!(client.recv(c), b"pong");
+            last = Some((s, buf));
+        }
+        assert_eq!(client.conns.len(), 3, "a user that never saw `finished` keeps its handles");
+        assert!(!server.finished(ConnHandle::MAX), "a handle never issued is not finished");
+    }
 
     /// Stations stamp their events with the wire port `net.attach` gave
     /// them, not with one guessed from their id — so the device's and the
