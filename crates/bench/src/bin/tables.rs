@@ -26,8 +26,6 @@ struct Item {
     banner: &'static str,
     /// Runs the item under the given seed and prints its tables.
     run: fn(u64),
-    /// Whether a bare `tables` runs it; `false` means by name only.
-    in_all: bool,
 }
 
 /// Every item, in the order a run prints them. Dispatch, the
@@ -37,13 +35,11 @@ const ITEMS: &[Item] = &[
         name: "table1",
         banner: "running Table 1 (two 10^6-byte transfers + RTT runs)...",
         run: |seed| println!("{}", exp::render_table1(&exp::table1(seed))),
-        in_all: true,
     },
     Item {
         name: "table2",
         banner: "running Table 2 (profiled 10^6-byte transfer, counters on)...",
         run: |seed| println!("{}", exp::render_table2(&exp::table2(seed))),
-        in_all: true,
     },
     Item {
         name: "gc",
@@ -52,37 +48,31 @@ const ITEMS: &[Item] = &[
             let rows = exp::gc_study(&[500_000, 1_000_000, 2_000_000, 5_000_000, 8_000_000], seed);
             println!("{}", exp::render_gc_study(&rows));
         },
-        in_all: true,
     },
     Item {
         name: "gcpause",
         banner: "running the GC pause study (stop-and-copy vs incremental)...",
         run: |seed| println!("{}", exp::render_gc_pause_study(&exp::gc_pause_study(400, seed))),
-        in_all: true,
     },
     Item {
         name: "ablations",
         banner: "running the ablations (design-choice sweep)...",
         run: |seed| println!("{}", exp::render_ablations(&exp::ablations(500_000, seed))),
-        in_all: true,
     },
     Item {
         name: "matrix",
         banner: "running the interoperation matrix...",
         run: |seed| println!("{}", exp::render_interop_matrix(&exp::interop_matrix(300_000, seed))),
-        in_all: true,
     },
     Item {
         name: "loss",
         banner: "running the loss sweep...",
         run: |seed| println!("{}", exp::render_loss_sweep(&exp::loss_sweep(200_000, seed))),
-        in_all: true,
     },
     Item {
         name: "lossmatrix",
         banner: "running the loss matrix (each cell twice, checking determinism)...",
         run: |seed| println!("{}", exp::render_loss_matrix(&exp::loss_matrix(200_000, seed))),
-        in_all: true,
     },
     Item {
         name: "interop",
@@ -92,32 +82,21 @@ const ITEMS: &[Item] = &[
             println!("running SACK vs NewReno under burst loss (three seeds)...\n");
             println!("{}", exp::render_sack_vs_newreno(&exp::sack_vs_newreno(300_000, seed)));
         },
-        in_all: true,
     },
     Item {
         name: "copies",
         banner: "running the copy comparison (Table 1 workload, copy counter on)...",
         run: |seed| println!("{}", exp::render_copy_comparison(&exp::copy_comparison(1_000_000, seed))),
-        in_all: true,
     },
     Item {
         name: "scale",
         banner: "running the scale experiment (N concurrent connections, fox vs x-kernel)...",
         run: |seed| println!("{}", exp::render_scale(&exp::scale_experiment(&[16, 64, 256], seed))),
-        in_all: true,
-    },
-    // CI's subset: the full matrix already covers it.
-    Item {
-        name: "adversarial-smoke",
-        banner: "running the adversarial smoke subset (6 fixed cells, each twice)...",
-        run: |seed| println!("{}", exp::render_adversarial_matrix(&exp::adversarial_smoke(seed))),
-        in_all: false,
     },
     Item {
         name: "adversarial",
         banner: "running the adversarial matrix (attack × link × stack, each cell twice)...",
         run: |seed| println!("{}", exp::render_adversarial_matrix(&exp::adversarial_matrix(seed))),
-        in_all: true,
     },
 ];
 
@@ -186,9 +165,7 @@ fn main() {
         }
     }
 
-    let wanted =
-        |item: &&Item| if args.is_empty() { item.in_all } else { args.iter().any(|a| a == item.name) };
-    for item in ITEMS.iter().filter(wanted) {
+    for item in ITEMS.iter().filter(|item| args.is_empty() || args.iter().any(|a| a == item.name)) {
         println!("{}\n", item.banner);
         (item.run)(seed);
     }

@@ -1010,30 +1010,6 @@ fn adversarial_cell(
     }
 }
 
-/// The CI smoke subset: six fixed cells spanning both stacks, both
-/// documented refusals, every counter, and four of the five link
-/// personalities — each cell run twice with the same bit-identical
-/// assertions as the full matrix, in a fraction of the time.
-pub fn adversarial_smoke(seed: u64) -> Vec<AdvCell> {
-    use crate::advpeer::Attack;
-    let profiles = adversarial_profiles();
-    let faults = |name: &str| {
-        profiles.iter().find(|(n, _)| *n == name).map(|(_, f)| f.clone()).expect("known profile")
-    };
-    let picks: [(StackKind, Attack, &'static str); 6] = [
-        (StackKind::FoxStandard, Attack::BlindRstInWindow, "clean"),
-        (StackKind::XKernel, Attack::ExactRst, "clean"),
-        (StackKind::FoxStandard, Attack::ExactData, "fuzz2%"),
-        (StackKind::XKernel, Attack::OptimisticAck, "dialup"),
-        (StackKind::FoxStandard, Attack::SynFloodReplay, "clamp536"),
-        (StackKind::XKernel, Attack::AckDivision, "bloat"),
-    ];
-    picks
-        .into_iter()
-        .map(|(kind, attack, profile)| adversarial_cell(kind, attack, profile, &faults(profile), seed))
-        .collect()
-}
-
 /// Renders the adversarial matrix.
 pub fn render_adversarial_matrix(cells: &[AdvCell]) -> Table {
     let mut tab = Table::new(

@@ -2,11 +2,11 @@
 //! §5.8).
 //!
 //! Four workspace invariants are stated as `crates/clippy.toml` entries
-//! and lint attributes, and `ci.sh` stage 9 (`cargo clippy --workspace
-//! --all-targets -- -D warnings`) finds their violations. Clippy does not
-//! run under `cargo test`, so this file checks that the statements are
-//! still there: deleting a banned path, a receive-path deny or a
-//! decoder's `indexing_slicing` fails here.
+//! and lint attributes, and `ci.sh`'s `== clippy ==` stage (`cargo
+//! clippy --workspace --all-targets -- -D warnings`) finds their
+//! violations. Clippy does not run under `cargo test`, so this file
+//! checks that the statements are still there: deleting a banned path, a
+//! receive-path deny or a decoder's `indexing_slicing` fails here.
 //!
 //! Two more are stated to rustc as visibility and types — who may write
 //! a connection's state, its sequence space and each record of its TCB,
@@ -172,21 +172,59 @@ fn every_wire_decoder_denies_indexing() {
     assert!(checked >= 10, "found only {checked} decode*/parse* fns — wrong directory?");
 }
 
+/// Every crate root states a reason for each `allow` and denies
+/// `unsafe_code`, and no manifest declares a `[features]` table: the
+/// workspace has no `unsafe` and no feature switch.
 #[test]
 fn every_crate_root_requires_a_reason_on_each_allow() {
     let crates = root().join("crates");
-    let mut roots: Vec<PathBuf> =
-        fs::read_dir(&crates).expect("crates/").flatten().map(|e| e.path().join("src/lib.rs")).collect();
-    roots.retain(|p| p.exists());
+    let dirs: Vec<PathBuf> = fs::read_dir(&crates).expect("crates/").flatten().map(|e| e.path()).collect();
+    let roots: Vec<PathBuf> = dirs.iter().map(|d| d.join("src/lib.rs")).filter(|p| p.exists()).collect();
     assert!(roots.len() >= 8, "found only {} crate roots", roots.len());
     for lib in roots {
         let src = fs::read_to_string(&lib).expect("readable source");
+        let deny = denied(&src, "#![deny(");
+        for lint in ["clippy::allow_attributes_without_reason", "unsafe_code"] {
+            assert!(deny.contains(lint), "{}: lost #![deny({lint})]", lib.display());
+        }
+    }
+    let manifests = dirs.iter().map(|d| d.join("Cargo.toml")).filter(|p| p.exists());
+    for manifest in manifests.chain([root().join("Cargo.toml")]) {
+        let toml = fs::read_to_string(&manifest).expect("readable manifest");
         assert!(
-            denied(&src, "#![deny(").contains("clippy::allow_attributes_without_reason"),
-            "{}: lost #![deny(clippy::allow_attributes_without_reason)]",
-            lib.display()
+            !toml.lines().any(|l| l.trim() == "[features]"),
+            "{}: declares [features]",
+            manifest.display()
         );
     }
+}
+
+/// `TcpConfig` keeps its 19 fields: this pattern names each one and has
+/// no `..`, so a 20th field does not compile (`error[E0027]: pattern
+/// does not mention field`).
+#[test]
+fn tcp_config_has_nineteen_fields() {
+    let foxtcp::TcpConfig {
+        initial_window: _,
+        compute_checksums: _,
+        abort_unknown_connections: _,
+        user_timeout_ms: _,
+        send_buffer: _,
+        delayed_ack_ms: _,
+        ack_coalesce_segments: _,
+        nagle: _,
+        fast_path: _,
+        latency_priority: _,
+        congestion_control: _,
+        congestion_algorithm: _,
+        window_scale: _,
+        sack: _,
+        timestamps: _,
+        time_wait_ms: _,
+        max_retransmits: _,
+        syn_retries: _,
+        backlog: _,
+    } = foxtcp::TcpConfig::default();
 }
 
 /// The records of the TCB, each `(owner, declaration)`: every field is
