@@ -6,7 +6,10 @@
 # Ten stages, all must pass. Each prints `== <name> (…) ==`, and the
 # docs cite a stage by that name (`== clippy ==`), never by its place:
 #   fmt: formatting (fails fast, before anything compiles)
-#   build: release build of every crate and target. This is also where
+#   build: release build of every crate's library, every binary (the
+#      `tables` and `trace-diff` CLIs) and every example, so a
+#      release-only compile error fails here and not first in
+#      `== artifacts ==`. This is also where
 #      the ownership invariants fail (DESIGN.md §5.8): a connection's
 #      state is an `fsm::State` only control/fsm.rs can change, the
 #      TCB's sequence space is `pub(in crate::data)`, each of its records
@@ -59,8 +62,9 @@
 #   loss matrix: the loss matrix once from a *debug* build, where
 #      `Tcb::check_invariants` runs after every executed action,
 #      `Tcp::check_invariants` (table, demux, accept-queue counters,
-#      timers) at the end of every `step`, and `fsm::transition`'s guard
-#      is live, so every lossy cell is checked at every step on every run
+#      timers) at the end of every input to the engine, and
+#      `fsm::transition`'s guard is live, so every lossy cell is checked
+#      at every step on every run
 #   artifacts: every "same bytes" artifact, each run once from the
 #      release build — each `tables` item's stdout, the traced Table 1
 #      run's stdout, JSONL and pcap, each example's stdout — digested by
@@ -111,8 +115,8 @@ cd "$(dirname "$0")"
 echo "== fmt (check) =="
 cargo fmt --check
 
-echo "== build (release) =="
-cargo build --release
+echo "== build (release: every library, binary and example) =="
+cargo build --release --workspace --lib --bins --examples
 
 echo "== test (workspace; per-byte kernels and allocation budgets again in release) =="
 cargo test -q --workspace

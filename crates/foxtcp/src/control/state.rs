@@ -49,6 +49,7 @@ pub fn close(cfg: &TcpConfig, core: &mut ConnCore, now: VirtualTime) -> Result<(
         TcpState::Listen { .. } | TcpState::SynSent { .. } => {
             // "Any outstanding RECEIVEs are returned ... delete the TCB."
             transition(core, Trigger::Close, TcpState::Closed);
+            core.tcb.discard();
             core.tcb.push_action(TcpAction::CompleteClose);
             Ok(())
         }
@@ -170,9 +171,11 @@ fn retransmit_timer(cfg: &TcpConfig, core: &mut ConnCore, now: VirtualTime) {
     resend::retransmit_and_rearm(core, now);
 }
 
-/// Hung operation: fail it (the paper's user timeout).
+/// Hung operation: fail it (the paper's user timeout), deleting the TCB
+/// as the user timeout does.
 fn give_up(core: &mut ConnCore) {
     transition(core, Trigger::Timer, TcpState::Closed);
+    core.tcb.discard();
     core.tcb.push_action(TcpAction::UserTimeoutFired);
 }
 

@@ -14,6 +14,9 @@
 //! protocol and the auxiliary structure — and the `where` bounds are the
 //! `sharing type` constraints, checked by the compiler exactly as the
 //! paper advertises. [`crate::TcpConfig`] carries the value parameters.
+//!
+//! The one entry is [`Tcp::apply`]: every arrival, user call and tick is
+//! an [`Input`] to it, and the other entry points only build one.
 
 use crate::action::{AttackEvent, LossEvent, TcpAction, TimerKind};
 use crate::control::fsm::Trigger;
@@ -35,7 +38,10 @@ use foxproto::upcall::Below;
 use foxproto::{Handler, ProtoError, Protocol};
 use foxwire::tcp::TcpSegment;
 use simnet::{HostHandle, Work};
+use std::borrow::Cow;
+use std::cell::RefCell;
 use std::fmt;
+use std::rc::Rc;
 
 /// A TCP connection handle.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -134,6 +140,63 @@ pub struct TcpStats {
     pub buf_copies: u64,
     /// Bytes moved by those copies.
     pub buf_copy_bytes: u64,
+}
+
+/// Everything that reaches the engine; [`Tcp::apply`] runs any of it.
+pub enum Input<'a, P, M> {
+    /// A message from the layer below.
+    Arrival(M),
+    /// A call of the engine's user.
+    User(UserCall<'a, P>),
+    /// The clock reaching an instant: due timers fire, and the layer
+    /// below is pulled (each message an `Arrival` of its own in the log).
+    Tick(VirtualTime),
+}
+
+/// `open`, `send`, `close`, `abort`, and adopting a child (`set_handler`).
+pub enum UserCall<'a, P> {
+    /// A new connection, active or passive, and its user's handler.
+    Open(TcpPattern<P>, Handler<TcpEvent>),
+    /// As much of the bytes as the send buffer takes.
+    Send(TcpConnId, Cow<'a, [u8]>),
+    /// Close our direction.
+    Close(TcpConnId),
+    /// Reset the connection.
+    Abort(TcpConnId),
+    /// Install the handler, flushing what the connection parked.
+    Adopt(TcpConnId, Handler<TcpEvent>),
+}
+
+/// What [`Tcp::apply`] hands back to the entry point that built the input.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Applied {
+    /// The connection an `Open` made.
+    Opened(TcpConnId),
+    /// The bytes a `Send` took (0: flow control pushed back).
+    Took(usize),
+    /// Whether a tick found work below or on the wheel.
+    Stepped(bool),
+    /// Any other input ran.
+    Done,
+}
+
+/// An input log, `(instant, input)` in order: a handler is logged as one
+/// that drops its events, and an arrival as the message, once read.
+pub type InputLog<P, M> = Rc<RefCell<Vec<(VirtualTime, Input<'static, P, M>)>>>;
+
+impl<P: Clone, M> Input<'_, P, M> {
+    /// This input as the log keeps it; an arrival is logged by `arrive`.
+    fn logged(&self) -> Option<Input<'static, P, M>> {
+        Some(Input::User(match self {
+            Input::Arrival(_) => return None,
+            Input::Tick(now) => return Some(Input::Tick(*now)),
+            Input::User(UserCall::Open(pattern, _)) => UserCall::Open(pattern.clone(), Box::new(|_| {})),
+            Input::User(UserCall::Send(conn, data)) => UserCall::Send(*conn, Cow::Owned(data.to_vec())),
+            Input::User(UserCall::Close(conn)) => UserCall::Close(*conn),
+            Input::User(UserCall::Abort(conn)) => UserCall::Abort(*conn),
+            Input::User(UserCall::Adopt(conn, _)) => UserCall::Adopt(*conn, Box::new(|_| {})),
+        }))
+    }
 }
 
 struct Conn<P> {
@@ -246,8 +309,8 @@ where
     A: IpAux<Address = L::Peer, Incoming = L::Incoming>,
 {
     below: Below<L>,
-    aux: A,
-    cfg: TcpConfig,
+    pub(crate) aux: A,
+    pub(crate) cfg: TcpConfig,
     sched: SchedHandle,
     host: HostHandle,
     /// The only connection table (see [`Table`]).
@@ -256,6 +319,7 @@ where
     next_ephemeral: u16,
     stats: TcpStats,
     obs: EventSink,
+    recorder: Option<InputLog<L::Peer, L::Incoming>>,
     /// All connection timers, one shared wheel: payload is
     /// (connection id, timer kind).
     wheel: TimerWheel<(u32, TimerKind)>,
@@ -400,6 +464,7 @@ where
             next_ephemeral: EPHEMERAL_FIRST,
             stats: TcpStats::default(),
             obs: EventSink::off(),
+            recorder: None,
             wheel,
             demux: Demux::new(),
             pool: BufPool::new(),
@@ -412,6 +477,11 @@ where
     /// nothing and costs one branch per emit site.
     pub fn set_obs(&mut self, sink: EventSink) {
         self.obs = sink;
+    }
+
+    /// Attaches an input log; with none (the default) nothing is copied.
+    pub fn set_recorder(&mut self, log: InputLog<L::Peer, L::Incoming>) {
+        self.recorder = Some(log);
     }
 
     /// Statistics snapshot.
@@ -492,37 +562,145 @@ where
     /// flushed to it immediately. This is how a listener's user adopts a
     /// [`TcpEvent::NewConnection`] child — and when the data the child
     /// parked meanwhile stops counting against its receive window.
-    pub fn set_handler(&mut self, conn: TcpConnId, mut handler: Handler<TcpEvent>) -> Result<(), ProtoError> {
-        let i = self.conns.slot_of(conn.0).ok_or(ProtoError::NotOpen)?;
-        let mut taken = 0;
-        for ev in self.conns[i].pending_events.drain(..) {
-            if let TcpEvent::Data(d) = &ev {
-                taken += d.len();
-            }
-            handler(ev);
-        }
-        self.conns[i].handler = Some(handler);
-        self.leave_backlog(i);
-        self.list_for_reap(i);
-        if taken > 0 {
-            transfer::user_took(&mut self.conns[i].core, taken, self.sched.now());
-            self.run_actions(i);
-        }
-        Ok(())
+    pub fn set_handler(&mut self, conn: TcpConnId, handler: Handler<TcpEvent>) -> Result<(), ProtoError> {
+        self.apply(Input::User(UserCall::Adopt(conn, handler))).map(drop)
     }
 
     /// Accepts as much of `data` as fits the send buffer; returns the
-    /// number of bytes taken (0 means flow control pushed back). Bytes
-    /// taken are work, so the host's alarm is lowered to now; a call
-    /// that takes none changes nothing and leaves it.
+    /// number of bytes taken (0 means flow control pushed back).
     pub fn send_data(&mut self, conn: TcpConnId, data: &[u8]) -> Result<usize, ProtoError> {
-        let i = self.conns.slot_of(conn.0).ok_or(ProtoError::NotOpen)?;
-        let taken = state::send(&self.cfg, &mut self.conns[i].core, data, self.sched.now())?;
-        self.run_actions(i);
-        if taken > 0 {
-            self.host.wake_at(self.sched.now());
+        match self.apply(Input::User(UserCall::Send(conn, Cow::Borrowed(data))))? {
+            Applied::Took(n) => Ok(n),
+            other => unreachable!("a send answered {other:?}"),
         }
-        Ok(taken)
+    }
+
+    /// Runs one input — logged first, if a log is attached — and ends it
+    /// in the epilogue every input shares: a user call's state change and
+    /// queue, the wake rule, and in debug builds the invariants.
+    pub fn apply(&mut self, input: Input<'_, L::Peer, L::Incoming>) -> Result<Applied, ProtoError> {
+        if let Some(log) = &self.recorder {
+            let at = if let Input::Tick(now) = input { now } else { self.sched.now() };
+            log.borrow_mut().extend(input.logged().map(|logged| (at, logged)));
+        }
+        let (ran, touched) = match input {
+            Input::Arrival(msg) => {
+                self.arrive(msg);
+                (Ok(Applied::Done), None)
+            }
+            Input::User(call) => self.run_call(call),
+            Input::Tick(now) => (Ok(Applied::Stepped(self.tick(now))), None),
+        };
+        if let Some((idx, before, cause)) = touched {
+            self.note_closed(idx);
+            self.note_transition(idx, before, cause);
+            self.run_actions(idx);
+        }
+        // The wake rule (DESIGN.md §5.1): a tick that reached the host's
+        // alarm sets it from everything pending; until then it is a lower
+        // bound that every timer arm lowers (`set_timer`), and a send that
+        // took bytes lowers to now for the writer's next write, which can
+        // go on the wire at once (or re-arm Persist) and which nothing
+        // else announces. Other calls send within the call or arm a timer.
+        let now = self.sched.now();
+        match ran {
+            Ok(Applied::Stepped(_)) if self.host.alarm().is_some_and(|alarm| alarm <= now) => {
+                self.host.set_alarm(self.poll_at());
+            }
+            Ok(Applied::Took(taken)) if taken > 0 => self.host.wake_at(now),
+            _ => {}
+        }
+        if cfg!(debug_assertions) {
+            self.check_invariants(touched.map(|(idx, ..)| idx));
+        }
+        ran
+    }
+
+    /// A user call's own part: finds its connection (`Open` makes one) and
+    /// runs it. Returns the result and, unless the call found no connection
+    /// to run on, the slot, its state before and the cause to stamp.
+    #[expect(clippy::type_complexity, reason = "the epilogue's inputs, named where apply takes them apart")]
+    fn run_call(
+        &mut self,
+        call: UserCall<'_, L::Peer>,
+    ) -> (Result<Applied, ProtoError>, Option<(usize, &'static str, &'static str)>) {
+        let now = self.sched.now();
+        let found = match &call {
+            UserCall::Open(pattern, _) => self.open_conn(pattern),
+            UserCall::Send(c, _) | UserCall::Close(c) | UserCall::Abort(c) | UserCall::Adopt(c, _) => {
+                self.conns.slot_of(c.0).ok_or(ProtoError::NotOpen)
+            }
+        };
+        let idx = match found {
+            Ok(idx) => idx,
+            Err(refused) => return (Err(refused), None),
+        };
+        let (cfg, conn) = (&self.cfg, &mut self.conns[idx]);
+        let before = conn.core.state.name();
+        let core = &mut conn.core;
+        let done = |ran: Result<(), ProtoError>| ran.map(|()| Applied::Done);
+        let (ran, cause) = match call {
+            UserCall::Open(pattern, handler) => {
+                conn.handler = Some(handler);
+                let opened = match pattern {
+                    TcpPattern::Active { .. } => state::active_open(cfg, core, now),
+                    TcpPattern::Passive { .. } => state::passive_open(cfg, core),
+                };
+                (opened.map(|()| Applied::Opened(TcpConnId(conn.id))), Trigger::Open.name())
+            }
+            UserCall::Send(_, data) => (state::send(cfg, core, &data, now).map(Applied::Took), "send"),
+            UserCall::Close(_) => (done(state::close(cfg, core, now)), Trigger::Close.name()),
+            UserCall::Abort(_) => (done(state::abort(cfg, core, now)), Trigger::Abort.name()),
+            UserCall::Adopt(_, mut handler) => {
+                let mut taken = 0;
+                for ev in conn.pending_events.drain(..) {
+                    if let TcpEvent::Data(d) = &ev {
+                        taken += d.len();
+                    }
+                    handler(ev);
+                }
+                conn.handler = Some(handler);
+                self.leave_backlog(idx);
+                self.list_for_reap(idx);
+                if taken > 0 {
+                    transfer::user_took(&mut self.conns[idx].core, taken, now);
+                }
+                (Ok(Applied::Done), "adopt")
+            }
+        };
+        (ran, Some((idx, before, cause)))
+    }
+
+    /// Files the closed connection an `Open` asks for, if its ports are free.
+    fn open_conn(&mut self, pattern: &TcpPattern<L::Peer>) -> Result<usize, ProtoError> {
+        self.below.attach()?;
+        match *pattern {
+            TcpPattern::Active { ref remote, remote_port, local_port } => {
+                let local_port = match local_port {
+                    // Every ephemeral port bound: the request cannot be
+                    // given a 4-tuple of its own.
+                    0 => self.alloc_ephemeral().ok_or(ProtoError::AlreadyOpen)?,
+                    p => p,
+                };
+                // A live connection with the exact 4-tuple, or any live
+                // listener on the port (remote-`None` connections are
+                // only listeners).
+                let live = |s: &TcpState| *s != TcpState::Closed;
+                let clash = self.flow_index(local_port, remote, remote_port, live).is_some()
+                    || self.listener_index(local_port, live).is_some();
+                if clash {
+                    return Err(ProtoError::AlreadyOpen);
+                }
+                Ok(self.new_conn(local_port, Some((remote.clone(), remote_port)), None))
+            }
+            TcpPattern::Passive { local_port: 0 } => Err(ProtoError::Invalid("listen port 0")),
+            TcpPattern::Passive { local_port } => {
+                if self.listener_index(local_port, |s| matches!(s, TcpState::Listen { .. })).is_some() {
+                    return Err(ProtoError::AlreadyOpen);
+                }
+                Ok(self.new_conn(local_port, None, None))
+            }
+        }
     }
 
     // ----- internals -----
@@ -577,26 +755,6 @@ where
                 cause,
             });
         }
-    }
-
-    /// Runs the user call `call` on the connection in slot `idx`, then
-    /// reports what it did: the state change it made, stamped with
-    /// `trigger`, and the actions it queued, drained. The call's own
-    /// refusal is returned after that.
-    fn user_call(
-        &mut self,
-        idx: usize,
-        trigger: Trigger,
-        call: impl FnOnce(&TcpConfig, &mut ConnCore, VirtualTime) -> Result<(), ProtoError>,
-    ) -> Result<(), ProtoError> {
-        let now = self.sched.now();
-        let core = &mut self.conns[idx].core;
-        let before = core.state.name();
-        let res = call(&self.cfg, core, now);
-        self.note_closed(idx);
-        self.note_transition(idx, before, trigger.name());
-        self.run_actions(idx);
-        res
     }
 
     /// RFC 793-style clock-driven initial sequence number, made unique
@@ -915,6 +1073,61 @@ where
         }
     }
 
+    /// A tick's own part; returns whether a timer or the layer below had work.
+    fn tick(&mut self, now: VirtualTime) -> bool {
+        // 0. A host answers (RSTs) even before any user open: make sure
+        //    we are attached below.
+        let _ = self.below.attach();
+        // 1. Let the clock catch up: due timers enqueue
+        //    Timer_Expiration actions, in (deadline, arm order).
+        let mut fired = std::mem::take(&mut self.fired);
+        if self.sched.now() < now {
+            self.sched.advance_to(now);
+            for timer in self.wheel.advance(now) {
+                let (cid, kind) = timer.payload;
+                if let Some(idx) = self.conns.slot_of(cid) {
+                    self.conns[idx].core.tcb.push_action(TcpAction::TimerExpiration(kind));
+                    fired.push((cid, idx));
+                }
+            }
+        }
+        // 2. Pull from below, and 3. internalize and process arrivals —
+        //    unless nothing below is due, which is what keeps a step
+        //    between events down to the clock update.
+        let mut progress = false;
+        if self.below.poll_at().is_some_and(|t| t <= now) {
+            progress = self.below.step(now);
+            while let Some(msg) = self.below.next() {
+                progress = true;
+                self.arrive(msg);
+            }
+        }
+        // 4. Drain queues filled by timer expirations, in id order
+        //    whatever order the timers fired in. Only phase 1 leaves
+        //    actions queued: every other enqueue is followed by
+        //    `run_actions` before control returns (and an arrival in
+        //    phase 3 may already have drained a fired connection).
+        fired.sort_unstable();
+        fired.dedup();
+        for (_, idx) in fired.drain(..) {
+            if !self.conns[idx].core.tcb.to_do.is_empty() {
+                progress = true;
+                self.run_actions(idx);
+            }
+        }
+        self.fired = fired;
+        self.reap();
+        progress
+    }
+
+    /// An arrival's own part: internalize, then log the message itself.
+    fn arrive(&mut self, msg: L::Incoming) {
+        self.internalize(&msg);
+        if let Some(log) = &self.recorder {
+            log.borrow_mut().push((self.sched.now(), Input::Arrival(msg)));
+        }
+    }
+
     /// Internalizes one lower-layer message (the Action module's receive
     /// half): verify the checksum, decode, demultiplex, enqueue a
     /// `Process_Data` action, then drain that connection's queue.
@@ -926,9 +1139,9 @@ where
         clippy::todo,
         clippy::unimplemented
     )]
-    fn internalize(&mut self, msg: L::Incoming) {
+    fn internalize(&mut self, msg: &L::Incoming) {
         let (src, seg) = {
-            let info = self.aux.info(&msg);
+            let info = self.aux.info(msg);
             let pseudo =
                 if self.cfg.compute_checksums { self.aux.check(&info.src, info.data.len()) } else { None };
             if pseudo.is_some() {
@@ -1013,7 +1226,7 @@ where
 
     /// A connection reaching `Closed` is one of the three ways it can
     /// become reapable (see [`Conn::reapable`]) — `deliver` and
-    /// `set_handler` list the other two — and, for a child nobody
+    /// adoption list the other two — and, for a child nobody
     /// adopted, the end of its stay in the accept queue.
     fn note_closed(&mut self, idx: usize) {
         if self.conns[idx].core.state == TcpState::Closed {
@@ -1040,53 +1253,62 @@ where
     }
 
     /// Asserts what holds between the table, the demux, the wheel and
-    /// the accept-queue counters whenever the engine is at rest. `step`
-    /// ends with it in debug builds (the switch `Tcb::check_invariants`
+    /// the accept-queue counters whenever the engine is at rest. Every
+    /// input ends with it in debug builds (the switch `Tcb::check_invariants`
     /// and `fsm::transition`'s guard use); release builds never call it.
+    /// After a user call, given its slot, it checks only what a call can
+    /// touch, that connection and its listener; after a tick, everything.
     ///
     /// # Panics
     /// Panics, naming the relation, if one does not hold.
-    fn check_invariants(&self) {
+    fn check_invariants(&self, touched: Option<usize>) {
         let table = &self.conns;
-        // The slab: every occupied slot's id indexes to that slot, the
-        // index holds nothing else, and every other slot is vacant and
-        // on the free list exactly once.
-        let mut occupied = 0;
-        for (slot, c) in table.slots.iter().enumerate().filter(|(_, c)| c.id != VACANT) {
-            occupied += 1;
-            assert_eq!(table.slot_of(c.id), Some(slot), "connection {} is not indexed to its slot", c.id);
+        let scope = touched.map(|idx| [Some(idx), table[idx].parent.and_then(|lid| table.slot_of(lid))]);
+        let scoped = scope.into_iter().flatten().flatten().map(|slot| &table[slot]);
+        if scope.is_none() {
+            // The slab: every occupied slot's id indexes to that slot, the
+            // index holds nothing else, and every other slot is vacant and
+            // on the free list exactly once.
+            let mut occupied = 0;
+            for (slot, c) in table.slots.iter().enumerate().filter(|(_, c)| c.id != VACANT) {
+                occupied += 1;
+                assert_eq!(table.slot_of(c.id), Some(slot), "connection {} is not indexed to its slot", c.id);
+            }
+            assert_eq!(table.len(), occupied, "the index files a connection no slot holds");
+            // Every slot on the free list is vacant, and there are as many
+            // entries as vacant slots: none is listed twice (`Table::vacate`
+            // refuses a slot it already vacated, whose id is no longer
+            // indexed), so every vacant slot is listed.
+            assert_eq!(occupied + table.free.len(), table.slots.len(), "a slot is neither live nor free");
+            // A vacant slot's spare holds storage and nothing else: no user,
+            // no queued action or event, no resend entry, no stored byte, no
+            // out-of-order segment, and at most a floor-sized send ring.
+            for &slot in &table.free {
+                let spare = &table.slots[slot as usize];
+                let (tcb, side) = (&spare.core.tcb, spare.core.tcb.send_side());
+                assert_eq!(spare.id, VACANT, "occupied slot {slot} is on the free list");
+                assert!(
+                    spare.handler.is_none() && spare.pending_events.is_empty(),
+                    "slot {slot}'s spare has a user"
+                );
+                assert!(tcb.to_do.is_empty(), "slot {slot}'s spare has a queued action");
+                assert!(side.resend_queue().is_empty(), "slot {slot}'s spare has a resend entry");
+                assert!(side.send_buf().is_empty(), "slot {slot}'s spare stores bytes");
+                assert!(side.send_buf().storage() <= STORAGE_FLOOR, "slot {slot}'s spare kept a grown ring");
+                assert!(
+                    tcb.recv_side().out_of_order().is_empty(),
+                    "slot {slot}'s spare has out-of-order segments"
+                );
+            }
+            // The reap list holds each slot whose record says it is listed.
+            let listed = table.slots.iter().filter(|c| c.reap_listed).count();
+            let marked = self.reap_list.iter().all(|&slot| table.slots[slot].reap_listed);
+            assert!(marked && self.reap_list.len() == listed, "the reap list against the records on it");
         }
-        assert_eq!(table.len(), occupied, "the index files a connection no slot holds");
-        // Every slot on the free list is vacant, and there are as many
-        // entries as vacant slots: none is listed twice (`Table::vacate`
-        // refuses a slot it already vacated, whose id is no longer
-        // indexed), so every vacant slot is listed.
-        assert_eq!(occupied + table.free.len(), table.slots.len(), "a slot is neither live nor free");
-        // A vacant slot's spare holds storage and nothing else: no user,
-        // no queued action or event, no resend entry, no stored byte, no
-        // out-of-order segment, and at most a floor-sized send ring.
-        for &slot in &table.free {
-            let spare = &table.slots[slot as usize];
-            let (tcb, side) = (&spare.core.tcb, spare.core.tcb.send_side());
-            assert_eq!(spare.id, VACANT, "occupied slot {slot} is on the free list");
-            assert!(
-                spare.handler.is_none() && spare.pending_events.is_empty(),
-                "slot {slot}'s spare has a user"
-            );
-            assert!(tcb.to_do.is_empty(), "slot {slot}'s spare has a queued action");
-            assert!(side.resend_queue().is_empty(), "slot {slot}'s spare has a resend entry");
-            assert!(side.send_buf().is_empty(), "slot {slot}'s spare stores bytes");
-            assert!(side.send_buf().storage() <= STORAGE_FLOOR, "slot {slot}'s spare kept a grown ring");
-            assert!(
-                tcb.recv_side().out_of_order().is_empty(),
-                "slot {slot}'s spare has out-of-order segments"
-            );
-        }
-
-        for c in table.iter() {
+        for c in scoped.chain(scope.is_none().then(|| table.iter()).into_iter().flatten()) {
             let id = c.id;
-            assert!(c.core.tcb.to_do.is_empty(), "connection {id}'s to_do queue outlived step");
-            assert!(!c.reapable(), "reapable connection {id} was not listed");
+            assert!(c.core.tcb.to_do.is_empty(), "connection {id}'s to_do queue outlived its input");
+            assert!(c.reap_listed || !c.reapable(), "reapable connection {id} was not listed");
             let (_, local_port, flow) = Self::demux_key(c);
             assert!(self.demux.files(id, local_port, flow), "connection {id} is not filed in the demux");
 
@@ -1149,41 +1371,9 @@ where
         pattern: TcpPattern<L::Peer>,
         handler: Handler<TcpEvent>,
     ) -> Result<TcpConnId, ProtoError> {
-        self.below.attach()?;
-        match pattern {
-            TcpPattern::Active { remote, remote_port, local_port } => {
-                let local_port = match local_port {
-                    // Every ephemeral port bound: the request cannot be
-                    // given a 4-tuple of its own.
-                    0 => self.alloc_ephemeral().ok_or(ProtoError::AlreadyOpen)?,
-                    p => p,
-                };
-                // A live connection with the exact 4-tuple, or any live
-                // listener on the port (remote-`None` connections are
-                // only listeners).
-                let live = |s: &TcpState| *s != TcpState::Closed;
-                let clash = self.flow_index(local_port, &remote, remote_port, live).is_some()
-                    || self.listener_index(local_port, live).is_some();
-                if clash {
-                    return Err(ProtoError::AlreadyOpen);
-                }
-                let idx = self.new_conn(local_port, Some((remote, remote_port)), None);
-                self.conns[idx].handler = Some(handler);
-                self.user_call(idx, Trigger::Open, state::active_open)?;
-                Ok(TcpConnId(self.conns[idx].id))
-            }
-            TcpPattern::Passive { local_port } => {
-                if local_port == 0 {
-                    return Err(ProtoError::Invalid("listen port 0"));
-                }
-                if self.listener_index(local_port, |s| matches!(s, TcpState::Listen { .. })).is_some() {
-                    return Err(ProtoError::AlreadyOpen);
-                }
-                let idx = self.new_conn(local_port, None, None);
-                self.conns[idx].handler = Some(handler);
-                self.user_call(idx, Trigger::Open, |cfg, core, _| state::passive_open(cfg, core))?;
-                Ok(TcpConnId(self.conns[idx].id))
-            }
+        match self.apply(Input::User(UserCall::Open(pattern, handler)))? {
+            Applied::Opened(conn) => Ok(conn),
+            other => unreachable!("an open answered {other:?}"),
         }
     }
 
@@ -1206,69 +1396,15 @@ where
     }
 
     fn close(&mut self, conn: TcpConnId) -> Result<(), ProtoError> {
-        let i = self.conns.slot_of(conn.0).ok_or(ProtoError::NotOpen)?;
-        self.user_call(i, Trigger::Close, state::close)
+        self.apply(Input::User(UserCall::Close(conn))).map(drop)
     }
 
     fn abort(&mut self, conn: TcpConnId) -> Result<(), ProtoError> {
-        let i = self.conns.slot_of(conn.0).ok_or(ProtoError::NotOpen)?;
-        self.user_call(i, Trigger::Abort, state::abort)
+        self.apply(Input::User(UserCall::Abort(conn))).map(drop)
     }
 
     fn step(&mut self, now: VirtualTime) -> bool {
-        // 0. A host answers (RSTs) even before any user open: make sure
-        //    we are attached below.
-        let _ = self.below.attach();
-        // 1. Let the clock catch up: due timers enqueue
-        //    Timer_Expiration actions, in (deadline, arm order).
-        let mut fired = std::mem::take(&mut self.fired);
-        if self.sched.now() < now {
-            self.sched.advance_to(now);
-            for timer in self.wheel.advance(now) {
-                let (cid, kind) = timer.payload;
-                if let Some(idx) = self.conns.slot_of(cid) {
-                    self.conns[idx].core.tcb.push_action(TcpAction::TimerExpiration(kind));
-                    fired.push((cid, idx));
-                }
-            }
-        }
-        // 2. Pull from below, and 3. internalize and process arrivals —
-        //    unless nothing below is due, which is what keeps a step
-        //    between events down to the clock update.
-        let mut progress = false;
-        if self.below.poll_at().is_some_and(|t| t <= now) {
-            progress = self.below.step(now);
-            while let Some(msg) = self.below.next() {
-                progress = true;
-                self.internalize(msg);
-            }
-        }
-        // 4. Drain queues filled by timer expirations, in id order
-        //    whatever order the timers fired in. Only phase 1 leaves
-        //    actions queued: every other enqueue is followed by
-        //    `run_actions` before control returns (and an arrival in
-        //    phase 3 may already have drained a fired connection).
-        fired.sort_unstable();
-        fired.dedup();
-        for (_, idx) in fired.drain(..) {
-            if !self.conns[idx].core.tcb.to_do.is_empty() {
-                progress = true;
-                self.run_actions(idx);
-            }
-        }
-        self.fired = fired;
-        self.reap();
-        // 5. The host's alarm, once reached, is refreshed from everything
-        //    pending. Until then it stays a lower bound: every arm and
-        //    every `send_data` that takes bytes lowers it, and so does a
-        //    layer below that takes on work it checks at every step.
-        if self.host.alarm().is_some_and(|alarm| alarm <= now) {
-            self.host.set_alarm(self.poll_at());
-        }
-        if cfg!(debug_assertions) {
-            self.check_invariants();
-        }
-        progress
+        matches!(self.apply(Input::Tick(now)), Ok(Applied::Stepped(true)))
     }
 
     /// The earlier of the wheel's bound and the layer below's.
@@ -1348,8 +1484,8 @@ mod tests {
         p.link.advance_to(p.now() + VirtualDuration::from_millis(20));
         p.settle();
         assert_eq!((p.a.state_of(client), p.b.state_of(child)), (None, None), "both ends reaped");
-        p.a.check_invariants();
-        p.b.check_invariants();
+        p.a.check_invariants(None);
+        p.b.check_invariants(None);
 
         for (engine, slot, (local_port, remote_port, mss)) in
             [(&mut p.a, slots.0, ids[0]), (&mut p.b, slots.1, ids[1])]

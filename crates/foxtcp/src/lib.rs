@@ -54,7 +54,7 @@ pub use congestion::CcAlg;
 pub use control::fsm::TcpState;
 pub use data::tcb::Tcb;
 pub use demux::{Demux, DemuxStats};
-pub use engine::{Tcp, TcpConnId, TcpEvent, TcpPattern, TcpStats};
+pub use engine::{Applied, Input, InputLog, Tcp, TcpConnId, TcpEvent, TcpPattern, TcpStats, UserCall};
 pub use socket::{ConnectingSocket, EstablishedSocket, ListeningSocket};
 
 use foxbasis::buf::BufPool;

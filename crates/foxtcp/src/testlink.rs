@@ -21,16 +21,25 @@
 //! [`Pair`] is the rig every two-engine test and bench drives: both
 //! engines, the link between them and a log of what each side's users
 //! were told.
+//!
+//! [`check_replay`] runs an engine's recorded input log
+//! ([`Tcp::set_recorder`]) again on a lone engine over a [`Replay`] — a
+//! lower layer of any peer and message types, so any recorded stack can
+//! be replayed — and checks that it does the same thing.
 
+use crate::engine::{Input, InputLog, UserCall};
 use crate::{ConnectingSocket, ListeningSocket, Tcp, TcpConfig, TcpConnId, TcpEvent};
 use fox_scheduler::{SchedHandle, Scheduler};
 use foxbasis::buf::PacketBuf;
+use foxbasis::obs::{first_divergence, EventSink, Stamped, NO_CONN};
 use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxproto::aux::{AuxInfo, IpAux};
 use foxproto::{Handler, ProtoError, Protocol};
 use simnet::{HostHandle, Medium};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
+use std::fmt;
+use std::marker::PhantomData;
 use std::rc::Rc;
 
 /// A message on the test link: (source address, bytes). The frame rides
@@ -407,6 +416,145 @@ impl Pair {
         let (log, tag) = (self.logs[usize::from(side)].clone(), id.clone());
         (Box::new(move |e| log.borrow_mut().push((tag.get(), e))), id)
     }
+}
+
+/// The lower layer of a lone engine replaying a recorded run: each tick
+/// it hands up the arrivals the log says that tick pulled, and what the
+/// engine sends goes nowhere. `P` and `M` are the peer and message
+/// types of the recording engine's lower layer, so the replaying engine
+/// runs over the recording one's aux structure.
+pub struct Replay<P, M> {
+    due: Rc<RefCell<VecDeque<M>>>,
+    handler: Option<Handler<M>>,
+    peer: PhantomData<P>,
+}
+
+impl<P: Clone + PartialEq + fmt::Debug + 'static, M: 'static> Protocol for Replay<P, M> {
+    type Pattern = ();
+    type Peer = P;
+    type Incoming = M;
+    type ConnId = ();
+
+    fn open(&mut self, _pattern: (), handler: Handler<M>) -> Result<(), ProtoError> {
+        self.handler = Some(handler);
+        Ok(())
+    }
+
+    fn send(&mut self, _conn: (), _to: P, _payload: impl Into<PacketBuf>) -> Result<(), ProtoError> {
+        Ok(())
+    }
+
+    fn close(&mut self, _conn: ()) -> Result<(), ProtoError> {
+        Ok(())
+    }
+
+    fn step(&mut self, _now: VirtualTime) -> bool {
+        let mut progress = false;
+        loop {
+            let Some(msg) = self.due.borrow_mut().pop_front() else { return progress };
+            progress = true;
+            if let Some(h) = &mut self.handler {
+                h(msg);
+            }
+        }
+    }
+
+    fn poll_at(&self) -> Option<VirtualTime> {
+        (!self.due.borrow().is_empty()).then_some(VirtualTime::ZERO)
+    }
+}
+
+/// One input in a line, for reports: an arrival shows only that it is
+/// one, a send only its length.
+impl<P: fmt::Debug, M> fmt::Debug for Input<'_, P, M> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Input::Arrival(_) => write!(f, "Arrival"),
+            Input::Tick(now) => write!(f, "Tick({now:?})"),
+            Input::User(UserCall::Open(pattern, _)) => write!(f, "Open({pattern:?})"),
+            Input::User(UserCall::Send(conn, data)) => write!(f, "Send({}, {} B)", conn.0, data.len()),
+            Input::User(UserCall::Close(conn)) => write!(f, "Close({})", conn.0),
+            Input::User(UserCall::Abort(conn)) => write!(f, "Abort({})", conn.0),
+            Input::User(UserCall::Adopt(conn, _)) => write!(f, "Adopt({})", conn.0),
+        }
+    }
+}
+
+/// Replays (and empties) `log`, the input log of `recorded` from its first input on,
+/// on a lone engine with the same configuration and aux structure,
+/// whose clock starts at the first input's instant, and checks that it
+/// did what `recorded` did: `events`, everything `recorded` emitted,
+/// come out again event for event, and every connection `events` names
+/// ends with the same state and an equal TCB, and the engine with the
+/// same statistics.
+///
+/// # Errors
+/// A report of the first difference: for a stream, the input during
+/// which the replay parted from it (a tick stands for the arrivals it
+/// pulled) and the streams' [`first_divergence`].
+pub fn check_replay<L, A>(
+    recorded: &Tcp<L, A>,
+    events: &[Stamped],
+    log: &InputLog<L::Peer, L::Incoming>,
+) -> Result<(), String>
+where
+    L: Protocol,
+    A: IpAux<Address = L::Peer, Incoming = L::Incoming> + Clone,
+{
+    let log = log.take();
+    let start = log.first().map_or(VirtualTime::ZERO, |(at, _)| *at);
+    let sink = EventSink::recording(2 * events.len() + 64).for_host(events.first().map_or(0, |e| e.host));
+    let due = Rc::new(RefCell::new(VecDeque::new()));
+    let lower = Replay { due: due.clone(), handler: None, peer: PhantomData };
+    let sched = SchedHandle::from_scheduler(Scheduler::starting_at(start));
+    let mut lone = Tcp::new(lower, recorded.aux.clone(), (), recorded.cfg.clone(), sched, HostHandle::free());
+    lone.set_obs(sink.clone());
+    // Per input applied: its index, what it was, and how many events
+    // the replay had emitted once it was done.
+    let mut ends: Vec<(usize, String, usize)> = Vec::new();
+    let (mut clock, mut log) = (start, log.into_iter().enumerate().peekable());
+    while let Some((i, (at, input))) = log.next() {
+        let what = format!("{input:?}");
+        if let Input::Tick(now) = input {
+            clock = clock.max(now);
+            while let Some((_, (at, Input::Arrival(_)))) = log.peek() {
+                if *at != clock {
+                    return Err(format!("input #{i}: an arrival at {at:?} in a tick at {clock:?}"));
+                }
+                let Some((_, (_, Input::Arrival(msg)))) = log.next() else { unreachable!() };
+                due.borrow_mut().push_back(msg);
+            }
+        } else if at != clock {
+            return Err(format!("input #{i} ({what}) came at {at:?}, the engine's clock read {clock:?}"));
+        }
+        // A refused call is refused again: its result is in the stream.
+        let _ = lone.apply(input);
+        ends.push((i, what, sink.len()));
+    }
+
+    let replayed = sink.events();
+    if let Some(d) = first_divergence(events, &replayed) {
+        let at = match ends.iter().find(|(.., end)| *end > d.index) {
+            Some((i, what, _)) => format!("input #{i}, {what}"),
+            None => "the end of the log".to_string(),
+        };
+        return Err(format!(
+            "the replay parts from the recorded run at {at} ({} dropped): {d:#?}",
+            sink.dropped()
+        ));
+    }
+    let last = events.iter().filter(|e| e.conn != NO_CONN).map(|e| e.conn).max();
+    for conn in (0..last.map_or(0, |c| c + 1)).map(TcpConnId) {
+        let [was, is] =
+            [recorded.core_of(conn), lone.core_of(conn)].map(|c| c.map(|c| (c.state.name(), c.tcb())));
+        if was != is {
+            return Err(format!("connection {} ends otherwise: recorded {was:#?}, replayed {is:#?}", conn.0));
+        }
+    }
+    if recorded.stats() != lone.stats() {
+        return Err(format!("statistics: recorded {:?}, replayed {:?}", recorded.stats(), lone.stats()));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -36,8 +36,8 @@ use foxharness::stack::{fox_station, xk_station};
 use foxharness::station::{ConnHandle, Station};
 use foxproto::Protocol;
 use foxtcp::control::fsm::{self, SpecEdge, Trigger};
-use foxtcp::testlink::{LinkPair, Pair, TestAux, TestLower};
-use foxtcp::{Tcp, TcpConfig, TcpConnId, TcpEvent, TcpState};
+use foxtcp::testlink::{check_replay, LinkPair, Pair, TestAux, TestLower, TestMsg};
+use foxtcp::{InputLog, Tcp, TcpConfig, TcpConnId, TcpEvent, TcpState};
 use foxwire::tcp::{TcpFlags, TcpSegment};
 use simnet::{HostHandle, Medium};
 use std::cell::RefCell;
@@ -361,12 +361,35 @@ impl Scenario {
 /// Normalized self-loops (e.g. a retransmission that re-enters the same
 /// RFC state) are dropped: the spec graph has no self-edges.
 fn run_on(stack: &'static str, sc: &Scenario) -> BTreeSet<(&'static str, &'static str, &'static str)> {
+    let (_, sink) = run(stack, sc, None);
+    let mut out = BTreeSet::new();
+    for ev in sink.events() {
+        if let Event::StateTransition { from, to, cause } = ev.event {
+            let (f, t) = (normalize(from), normalize(to));
+            if f != t {
+                out.insert((f, cause, t));
+            }
+        }
+    }
+    out
+}
+
+/// Runs one scenario against one stack, the fox engine keeping its
+/// input in `log` if one is given; returns the SUT and what it emitted.
+fn run(
+    stack: &'static str,
+    sc: &Scenario,
+    log: Option<InputLog<u8, TestMsg>>,
+) -> (Box<dyn Station>, EventSink) {
     let link = LinkPair::new();
     let host = HostHandle::free();
     let mut sut = match stack {
         "fox" => {
             let cfg = TcpConfig::default();
-            let tcp = Tcp::new(link.endpoint(1), TestAux, (), cfg, SchedHandle::new(), host.clone());
+            let mut tcp = Tcp::new(link.endpoint(1), TestAux, (), cfg, SchedHandle::new(), host.clone());
+            if let Some(log) = log {
+                tcp.set_recorder(log);
+            }
             fox_station(tcp, host, 0, stack)
         }
         "xk" => {
@@ -387,17 +410,28 @@ fn run_on(stack: &'static str, sc: &Scenario) -> BTreeSet<(&'static str, &'stati
         cursor: 0,
     };
     h.run(sc.name, sc.steps);
-    let mut out = BTreeSet::new();
-    for ev in sink.events() {
-        if let Event::StateTransition { from, to, cause } = ev.event {
-            let (f, t) = (normalize(from), normalize(to));
-            if f != t {
-                out.insert((f, cause, t));
-            }
+    assert_eq!(sink.dropped(), 0, "[{stack} · {}] event ring overflowed", sc.name);
+    (h.sut, sink)
+}
+
+/// The engine is a function of its inputs (paper §4: once arrivals and
+/// expirations are `to_do` actions, "behaviour is totally ordered and
+/// deterministic"): every fox scenario's recorded input log, replayed
+/// on a lone engine, gives the same event stream, and every connection
+/// ends with an equal TCB.
+#[test]
+fn every_fox_scenario_replays_on_a_lone_engine() {
+    let mut failures = Vec::new();
+    for sc in SCENARIOS.iter().filter(|sc| sc.runs_on("fox")) {
+        let log = InputLog::default();
+        let (mut sut, sink) = run("fox", sc, Some(log.clone()));
+        let engine =
+            sut.engine().and_then(|e| e.downcast_ref::<Tcp<TestLower, TestAux>>()).expect("a fox engine");
+        if let Err(report) = check_replay(engine, &sink.events(), &log) {
+            failures.push(format!("[{}] {report}", sc.name));
         }
     }
-    assert_eq!(sink.dropped(), 0, "[{stack} · {}] event ring overflowed", sc.name);
-    out
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
 /// Runs a registered scenario against every stack it applies to.

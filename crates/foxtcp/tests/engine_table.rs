@@ -270,3 +270,21 @@ fn a_senders_ring_is_released_once_its_fin_is_acknowledged() {
     assert_eq!(p.a.state_of(client), Some(TcpState::TimeWait));
     assert_eq!(ring(&p), 0);
 }
+
+/// A child nobody adopted that gives up on its SYN-ACK stays in the
+/// table, its `TimedOut` parked for a user who may yet come, but holds
+/// nothing else: giving up deletes the TCB's queues, as the user timeout
+/// does, so no resend entry outlives its timer.
+#[test]
+fn an_unadopted_child_that_gives_up_holds_no_flight() {
+    let mut p = Pair::new(immediate(), immediate());
+    p.b.open(TcpPattern::Passive { local_port: 80 }, Box::new(|_| {})).unwrap();
+    // b hears the first SYN and nothing after; a hears nothing at all.
+    p.link.set_filter_toward(1, Box::new(|i, _| i == 0));
+    p.link.set_filter_toward(0, Box::new(|_, _| false));
+    p.a.open(TcpPattern::Active { remote: 1, remote_port: 80, local_port: 0 }, Box::new(|_| {})).unwrap();
+    p.run_for(600_000, 1_000);
+    let child = TcpConnId(1);
+    assert_eq!(p.b.state_of(child), Some(TcpState::Closed), "parked for its user, not reaped");
+    assert!(p.b.core_of(child).unwrap().tcb().send_side().resend_queue().is_empty());
+}

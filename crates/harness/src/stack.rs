@@ -381,8 +381,8 @@ where
 
 impl<L, A> Station for FoxStation<L, A>
 where
-    L: Protocol,
-    A: IpAux<Address = L::Peer, Incoming = L::Incoming>,
+    L: Protocol + 'static,
+    A: IpAux<Address = L::Peer, Incoming = L::Incoming> + 'static,
 {
     fn connect(&mut self, remote_port: u16) -> ConnHandle {
         let buf = self.new_buf();
@@ -552,6 +552,10 @@ where
             demux_lookups: d.lookups,
             demux_steps: d.steps,
         }
+    }
+
+    fn engine(&mut self) -> Option<&mut dyn std::any::Any> {
+        Some(&mut self.tcp)
     }
 }
 

@@ -149,4 +149,11 @@ pub trait Station {
     fn debug_line(&self) -> String {
         String::new()
     }
+
+    /// The TCP engine itself, for a test to downcast to its concrete
+    /// type and reach what this trait does not carry (a `foxtcp::Tcp`'s
+    /// input recorder and TCBs). `None` by default.
+    fn engine(&mut self) -> Option<&mut dyn std::any::Any> {
+        None
+    }
 }

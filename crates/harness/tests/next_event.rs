@@ -3,7 +3,8 @@
 //! optimisation if nothing can tell: each cell here runs twice, once as
 //! `sim::drive` runs it and once with every station made due again after
 //! each of its steps, so that the loop stops at every tick, and the
-//! event stream and the wire bytes must be the same.
+//! event stream and the wire bytes must be the same. The lossy cell's
+//! engines are also replayed, alone, from their recorded input logs.
 
 use foxbasis::obs::{first_divergence, ConnMetrics, EventSink, Stamped, DEFAULT_RING_CAPACITY};
 use foxbasis::time::{VirtualDuration, VirtualTime};
@@ -14,7 +15,12 @@ use foxharness::stack::StackKind;
 use foxharness::station::{ConnHandle, ScaleCounters, Station, StationStats};
 use foxharness::workload::{bulk_transfer, ping_pong};
 use foxharness::Cell;
-use foxtcp::TcpConfig;
+use foxproto::dev::Dev;
+use foxproto::eth::Eth;
+use foxproto::ip::Ip;
+use foxproto::IpAuxImpl;
+use foxtcp::testlink::check_replay;
+use foxtcp::{InputLog, Tcp, TcpConfig};
 use simnet::{CostModel, FaultConfig, HostHandle, SimNet};
 use std::rc::Rc;
 
@@ -194,6 +200,63 @@ fn the_baseline_lossy_cell_is_the_same_run_in_fewer_steps() {
     let (skipping, every) = invisible(&lossy_cell(StackKind::XKernel), &bulk_200k);
     assert_eq!(skipping, XK_LOSSY_CELL_STEPS, "stepped at every tick: {every}");
     assert!(skipping < every, "{skipping} steps, {every} at every tick");
+}
+
+/// The fox engine of the standard stack: the traced Table 1 run's.
+type FoxEngine = Tcp<Ip<Eth<Dev>>, IpAuxImpl>;
+
+/// `station`'s fox engine.
+fn fox_engine(station: &mut Box<dyn Station>) -> &mut FoxEngine {
+    station.engine().and_then(|e| e.downcast_mut()).expect("a standard-stack fox engine")
+}
+
+/// Both fox engines of the lossy cell, each recorded, replay on lone
+/// engines: the same event stream and equal TCBs from the input log
+/// alone, whatever the loss, the IP and Ethernet layers and the drive
+/// loop did around them.
+#[test]
+fn the_lossy_cells_engines_replay_on_lone_engines() {
+    let cell = lossy_cell(StackKind::FoxStandard);
+    let (net, mut a, mut b) = cell.pair(EventSink::off());
+    let recorded = [&mut a, &mut b].map(|station| {
+        let (sink, log) = (EventSink::recording(DEFAULT_RING_CAPACITY), InputLog::default());
+        fox_engine(station).set_obs(sink.clone());
+        fox_engine(station).set_recorder(log.clone());
+        (sink, log)
+    });
+    bulk_200k(&cell, &net, &mut a, &mut b);
+    for (station, (sink, log)) in [&mut a, &mut b].into_iter().zip(recorded) {
+        assert_eq!(sink.dropped(), 0, "the event ring overflowed");
+        let inputs = log.borrow().len();
+        assert!(inputs > 1000, "{inputs} inputs recorded");
+        if let Err(report) = check_replay(fox_engine(station), &sink.events(), &log) {
+            panic!("{} engine: {report}", station.host().with(|h| h.name()));
+        }
+    }
+}
+
+/// A writer that was given room writes again, and nothing but its next
+/// poll announces that write. With congestion control off, a 16 KB
+/// window and a 32 KB send buffer, `bulk_transfer`'s 8 KB writes are
+/// what holds the flow back: each write that takes bytes leaves the
+/// window room for the next, which goes on the wire within the call.
+/// Stepped at every tick, the writer writes at the very next one; so
+/// must the skipping loop, and it does because a send that takes bytes
+/// lowers its host's alarm to now (`Tcp::apply`'s wake rule). Without
+/// that wake the second write, and its segments, wait for the next
+/// delivery.
+#[test]
+fn a_writer_given_room_writes_again_at_the_next_tick() {
+    let workload =
+        |cell: &Cell, net: &SimNet, sender: &mut Box<dyn Station>, receiver: &mut Box<dyn Station>| {
+            assert_eq!(bulk_transfer(net, sender, receiver, 32_768, cell.deadline).bytes, 32_768);
+        };
+    let cfg = TcpConfig { congestion_control: false, ..exp::loss_matrix_config() };
+    for kind in BOTH {
+        let (skipping, every) =
+            invisible(&exp::loss_cell(kind, FaultConfig::default(), cfg.clone(), 1), &workload);
+        assert!(skipping < every, "{kind:?}: {skipping} steps, {every} at every tick");
+    }
 }
 
 /// The paper's round trip: 20 × 64 B on the 1994 cost model.
