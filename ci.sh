@@ -36,7 +36,10 @@
 #      BYTES_HELD_BY_IDLE_PAIRS == 237 896, the bytes-per-connection
 #      ceiling with the engines' free blocks, and the spare bound: reused
 #      spares hold no byte more and each new one holds DESIGN.md §5.15's
-#      formula, 880 + 976 bytes a client/child pair — all exact) —
+#      formula, 880 + 976 bytes a client/child pair — all exact;
+#      foxharness's forget_rule: a warm fox station whose user never
+#      asks `finished` runs a connect/exchange/close lifecycle in
+#      CLIENT_ALLOCS_PER_LIFECYCLE == 2 heap calls, exact) —
 #      the counts are facts about the optimized build.
 #      The workspace run also holds the copy budget beside them
 #      (foxtcp's retransmit_copy_budget: one staging copy per segment
@@ -122,6 +125,7 @@ echo "== test (workspace; per-byte kernels and allocation budgets again in relea
 cargo test -q --workspace
 cargo test -q --release -p foxbasis -p foxwire
 cargo test -q --release -p foxtcp --test alloc_budget
+cargo test -q --release -p foxharness --test forget_rule
 
 echo "== conformance (RFC 793, both stacks) =="
 cargo test -q -p foxtcp --test conformance

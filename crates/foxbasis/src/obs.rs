@@ -94,6 +94,12 @@ pub enum Event {
         /// The action's tag, e.g. `Process_Data`.
         tag: &'static str,
     },
+    /// A listener's user adopted a child (`Tcp::set_handler`), which
+    /// handed the user the events it had parked.
+    Adopt {
+        /// Events parked for the user and handed over.
+        parked: u32,
+    },
     /// A timer was armed.
     TimerSet {
         /// Which timer.
@@ -202,6 +208,7 @@ impl Event {
         match self {
             Event::StateTransition { .. } => "state",
             Event::Action { .. } => "action",
+            Event::Adopt { .. } => "adopt",
             Event::TimerSet { .. } => "timer_set",
             Event::TimerClear { .. } => "timer_clear",
             Event::TimerFire { .. } => "timer_fire",
@@ -229,6 +236,9 @@ impl Event {
             }
             Event::Action { tag } => {
                 let _ = write!(s, "{{\"tag\":\"{tag}\"}}");
+            }
+            Event::Adopt { parked } => {
+                let _ = write!(s, "{{\"parked\":{parked}}}");
             }
             Event::TimerSet { timer, after_ms } => {
                 let _ = write!(s, "{{\"timer\":\"{timer}\",\"after_ms\":{after_ms}}}");
@@ -432,8 +442,9 @@ impl EventSink {
     }
 }
 
-/// A per-connection metrics snapshot, unifying what `TcpStats` and the
-/// harness `StationStats` each held half of.
+/// A per-connection metrics snapshot: the RTT and window state of one
+/// connection, beside the counters `TcpStats` (a harness station's
+/// `StationStats`) keeps for a whole engine, counted for it alone.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ConnMetrics {
     /// Smoothed RTT, microseconds (None before the first sample).

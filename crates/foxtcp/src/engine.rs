@@ -652,6 +652,8 @@ where
             UserCall::Close(_) => (done(state::close(cfg, core, now)), Trigger::Close.name()),
             UserCall::Abort(_) => (done(state::abort(cfg, core, now)), Trigger::Abort.name()),
             UserCall::Adopt(_, mut handler) => {
+                let parked = conn.pending_events.len() as u32;
+                self.obs.emit(now, conn.id, || Event::Adopt { parked });
                 let mut taken = 0;
                 for ev in conn.pending_events.drain(..) {
                     if let TcpEvent::Data(d) = &ev {
@@ -927,6 +929,12 @@ where
         self.conns[idx].timers[timer_index(kind)] = Some(tid);
     }
 
+    /// True while connection `idx`'s `kind` timer is armed and has not
+    /// fired.
+    fn timer_pending(&self, idx: usize, kind: TimerKind) -> bool {
+        self.conns[idx].timers[timer_index(kind)].is_some_and(|tid| self.wheel.get(tid).is_some())
+    }
+
     fn clear_timer(&mut self, idx: usize, kind: TimerKind) {
         if let Some(tid) = self.conns[idx].timers[timer_index(kind)].take() {
             // May already have fired — cancelling then is a no-op, and
@@ -1020,7 +1028,14 @@ where
                         self.deliver(idx, TcpEvent::Data(data));
                     }
                 }
-                TcpAction::SetTimer(kind, ms) => self.set_timer(idx, kind, ms),
+                TcpAction::SetTimer(kind, ms) => {
+                    // Persist is armed once: every write into a closed window
+                    // asks for it, and a later ask must not push the probe
+                    // back. Its own expiry, no longer pending, re-arms it.
+                    if kind != TimerKind::Persist || !self.timer_pending(idx, kind) {
+                        self.set_timer(idx, kind, ms);
+                    }
+                }
                 TcpAction::ClearTimer(kind) => self.clear_timer(idx, kind),
                 TcpAction::TimerExpiration(kind) => {
                     self.obs.emit(now, conn_id, || Event::TimerFire { timer: kind.name() });

@@ -4,12 +4,12 @@
 //! every failure here is a TCP bug.
 
 use foxbasis::obs::{flags, Event, EventSink};
-use foxbasis::time::VirtualTime;
+use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxproto::{ProtoError, Protocol};
-use foxtcp::testlink::{no_nagle, Pair};
+use foxtcp::testlink::{immediate, no_nagle, Pair};
 use foxtcp::{TcpConfig, TcpConnId, TcpEvent, TcpPattern, TcpState, TcpStats};
 use foxwire::tcp::TcpSegment;
-use simnet::{Account, CostModel, Host as SimHost, HostHandle};
+use simnet::{Account, CostModel, Host as SimHost, HostHandle, Medium};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -122,7 +122,7 @@ fn fast_and_slow_path_charge_the_same_accounts() {
 }
 
 /// The obs layer sees the whole life of a connection: transitions,
-/// actions, timers, segments — and metrics summarize it.
+/// actions, timers, segments, the adoption — and metrics summarize it.
 #[test]
 fn obs_records_typed_events_and_metrics() {
     let mut p = Pair::new(no_nagle(), TcpConfig::default());
@@ -148,6 +148,9 @@ fn obs_records_typed_events_and_metrics() {
     assert!(has(&|e| matches!(e, Event::Action { tag: "Process_Data" })));
     assert!(has(&|e| matches!(e, Event::TimerSet { timer: "Resend", .. })));
     assert!(has(&|e| matches!(e, Event::TimerFire { timer: "TimeWait" })));
+    // The one adoption, with the `Established` the child parked for it.
+    let adoptions: Vec<_> = evs.iter().filter(|e| matches!(e.event, Event::Adopt { .. })).collect();
+    assert!(matches!(adoptions[..], [e] if e.conn == child.0 && e.event == Event::Adopt { parked: 1 }));
     assert!(evs.iter().any(|e| e.host == 0) && evs.iter().any(|e| e.host == 1));
     assert_eq!(sink.dropped(), 0);
 }
@@ -279,6 +282,39 @@ fn zero_window_then_reopen_via_probe() {
     pump(&mut p, client, &payload, 400, 100);
     p.run_for(20_000, 250);
     assert_eq!(p.data_of(1, child).len(), payload.len());
+}
+
+/// A write into a closed window asks for the persist timer, but only the
+/// first ask arms it: a writer that writes more often than the probe
+/// interval still probes at the first arm's deadline.
+#[test]
+fn writes_into_a_zero_window_do_not_postpone_the_probe() {
+    // `b`'s listener never adopts its child, which parks what arrives
+    // against its 512-byte window: once 512 bytes are in, it is shut.
+    let mut p = Pair::new(immediate(), TcpConfig { initial_window: 512, ..immediate() });
+    let client = p.connect(80);
+    p.settle();
+    let client = client.try_established(&p.a).expect("the handshake completed").id();
+    let sink = EventSink::recording(4096);
+    p.a.set_obs(sink.clone());
+    assert_eq!(p.a.send_data(client, &[1; 1024]).unwrap(), 1024);
+    p.settle();
+    let armed = sink.events().into_iter().find_map(|e| match e.event {
+        Event::TimerSet { timer: "Persist", after_ms } => Some(e.at + VirtualDuration::from_millis(after_ms)),
+        _ => None,
+    });
+    let due = armed.expect("the closed window armed Persist");
+    // One byte every 10 ms, each taken into the send buffer behind the
+    // closed window, until the first deadline.
+    while p.now() + VirtualDuration::from_millis(10) < due {
+        p.link.advance_to(p.now() + VirtualDuration::from_millis(10));
+        assert_eq!(p.a.send_data(client, &[2]).unwrap(), 1, "the send buffer has room");
+        p.settle();
+    }
+    assert_eq!(p.a.stats().probe_fires, 0, "no probe before the deadline");
+    p.link.advance_to(due);
+    p.settle();
+    assert_eq!(p.a.stats().probe_fires, 1, "the probe goes at the first arm's deadline");
 }
 
 #[test]

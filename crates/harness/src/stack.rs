@@ -29,7 +29,7 @@ use foxwire::ether::{EthAddr, EtherType};
 use foxwire::ipv4::{IpProtocol, Ipv4Addr};
 use simnet::{CostModel, Host, HostHandle, SimNet};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 use xktcp::{XkConfig, XkEvent, XkTcp};
 
@@ -229,25 +229,142 @@ where
         tcp,
         host,
         peer,
-        conns: Vec::new(),
+        conns: ConnTable::default(),
+        live: Vec::new(),
         listener: None,
         accepted: VecDeque::new(),
-        state: BTreeMap::new(),
     })
 }
 
-// ----- Fox station -----
+// ----- The connection table both stations keep -----
 
+/// What a station records of one connection: what its stack has told
+/// it, and the bytes `recv` has yet to hand out.
 #[derive(Default)]
 struct ConnBuf {
+    /// The connection's handle, listed under when it ends.
+    conn: ConnHandle,
     established: bool,
     peer_closed: bool,
     finished: bool,
-    /// `finished` has returned true for this connection (FoxStation
-    /// lists it once, to forget it).
-    seen_finished: bool,
     data: Vec<u8>,
 }
+
+impl ConnBuf {
+    /// The stack delivered the connection's end (Closed, Reset or
+    /// TimedOut): lists its handle, once, for [`ConnTable::forget_ended`].
+    fn end(&mut self, ended: &RefCell<Vec<ConnHandle>>) {
+        if !std::mem::replace(&mut self.finished, true) {
+            ended.borrow_mut().push(self.conn);
+        }
+    }
+}
+
+/// A connection in a [`ConnTable`]: its record and the station's own part.
+#[derive(Default)]
+struct Entry<S> {
+    /// `None` only in the index's vacant slots.
+    buf: Option<Rc<RefCell<ConnBuf>>>,
+    sock: S,
+}
+
+/// Every connection a station opened or accepted and has not forgotten,
+/// and the one rule by which it forgets them (see [`Station`]).
+#[derive(Default)]
+struct ConnTable<S> {
+    conns: FlatIndex<u32, Entry<S>>,
+    /// One past the highest handle filed.
+    issued: u32,
+    /// Handles whose end the stack has delivered, not yet forgotten:
+    /// fox's handlers list them, xk's `pump` does.
+    ended: Rc<RefCell<Vec<ConnHandle>>>,
+    /// Records of forgotten connections, cleared, for the next ones.
+    spare: Vec<Rc<RefCell<ConnBuf>>>,
+}
+
+impl<S: Default> ConnTable<S> {
+    /// A record for a new connection: a forgotten one's, if one is spare.
+    fn new_buf(&mut self) -> Rc<RefCell<ConnBuf>> {
+        self.forget_ended();
+        self.spare.pop().unwrap_or_default()
+    }
+
+    /// Files connection `conn` with its record.
+    fn file(&mut self, conn: ConnHandle, buf: Rc<RefCell<ConnBuf>>, sock: S) {
+        buf.borrow_mut().conn = conn;
+        self.conns.insert(conn, Entry { buf: Some(buf), sock });
+        self.issued = self.issued.max(conn + 1);
+    }
+
+    /// `conn`'s record, while the station has it.
+    fn buf(&self, conn: ConnHandle) -> Option<&RefCell<ConnBuf>> {
+        self.conns.get(&conn)?.buf.as_deref()
+    }
+
+    /// The forget rule: drops every connection whose end the stack has
+    /// delivered, that the stack will deliver nothing more for — nothing
+    /// but the table holds its record: fox's engine dropped the handler
+    /// holding it when it reaped the connection, and xk's never had one —
+    /// and that has nothing left to `recv`. Its record, cleared, is kept
+    /// for the next connection.
+    fn forget_ended(&mut self) {
+        let (conns, spare) = (&mut self.conns, &mut self.spare);
+        let over = |c: &Entry<S>| {
+            c.buf.as_ref().is_some_and(|b| Rc::strong_count(b) == 1 && b.borrow().data.is_empty())
+        };
+        self.ended.borrow_mut().retain(|&conn| {
+            let Some(buf) = conns.remove_where(&conn, over).and_then(|c| c.buf) else {
+                return conns.get(&conn).is_some();
+            };
+            *buf.borrow_mut() = ConnBuf::default();
+            spare.push(buf);
+            false
+        });
+    }
+
+    /// True once the stack has delivered `conn`'s end, or the station has
+    /// forgotten it: it issued `conn`, no longer files it, and `unfiled`
+    /// (what the stack holds that the station never files: a listener, a
+    /// child not yet accepted) says it is not one of those.
+    fn finished(&self, conn: ConnHandle, unfiled: impl FnOnce() -> bool) -> bool {
+        match self.buf(conn) {
+            Some(b) => b.borrow().finished,
+            None => conn < self.issued && !unfiled(),
+        }
+    }
+}
+
+/// The `Station` methods both stations answer alike: from their
+/// [`ConnTable`], their host and their engine's sink.
+macro_rules! answered_alike {
+    () => {
+        fn recv(&mut self, conn: ConnHandle) -> Vec<u8> {
+            self.conns.buf(conn).map_or(Vec::new(), |b| std::mem::take(&mut b.borrow_mut().data))
+        }
+
+        fn received_len(&self, conn: ConnHandle) -> usize {
+            self.conns.buf(conn).map_or(0, |b| b.borrow().data.len())
+        }
+
+        fn established(&self, conn: ConnHandle) -> bool {
+            self.conns.buf(conn).is_some_and(|b| b.borrow().established)
+        }
+
+        fn peer_closed(&self, conn: ConnHandle) -> bool {
+            self.conns.buf(conn).is_some_and(|b| b.borrow().peer_closed)
+        }
+
+        fn host(&self) -> HostHandle {
+            self.host.clone()
+        }
+
+        fn set_obs(&mut self, sink: EventSink) {
+            self.tcp.set_obs(sink);
+        }
+    };
+}
+
+// ----- Fox station -----
 
 /// A connection at its current lifecycle stage: the typestate wrapper
 /// the station holds for it. Sending requires promotion to
@@ -260,15 +377,6 @@ enum SocketStage {
     Established(EstablishedSocket),
 }
 
-/// What the station keeps per connection: the buffer its handler fills,
-/// and its typestate wrapper until the user closes it.
-#[derive(Default)]
-struct StationConn {
-    /// `None` only in the index's vacant slots.
-    buf: Option<Rc<RefCell<ConnBuf>>>,
-    stage: Option<SocketStage>,
-}
-
 struct FoxStation<L, A>
 where
     L: Protocol,
@@ -278,40 +386,11 @@ where
     host: HostHandle,
     peer: L::Peer,
     kind: &'static str,
-    /// Every connection the station opened or accepted and has not
-    /// forgotten. A connection is forgotten once `finished` has returned
-    /// true for it, `recv` has nothing left to hand out and the engine
-    /// has reaped it; its handle then reads as finished with nothing
-    /// received ([`Self::forgotten`]), and as neither established nor
-    /// closed by the peer.
-    conns: FlatIndex<u32, StationConn>,
-    /// One past the highest handle `connect` or `accept` has returned.
-    issued: u32,
-    /// Handles `finished` has returned true for, forgotten by the first
-    /// `connect`, `accept` or `step` that finds them drained and reaped
-    /// (`finished` reads the station through `&self`).
-    seen_finished: RefCell<Vec<u32>>,
-    /// Buffers of forgotten connections, cleared, for the next
-    /// `connect` or `accept`.
-    spare_bufs: Vec<Rc<RefCell<ConnBuf>>>,
+    /// Each connection's record, which its handler fills, and its
+    /// typestate wrapper until the user closes it.
+    conns: ConnTable<Option<SocketStage>>,
     accepted: Rc<RefCell<VecDeque<TcpConnId>>>,
     listener: Option<ListeningSocket>,
-}
-
-fn buf_handler(buf: Rc<RefCell<ConnBuf>>) -> foxproto::Handler<TcpEvent> {
-    Box::new(move |ev| {
-        let mut b = buf.borrow_mut();
-        match ev {
-            TcpEvent::Established => b.established = true,
-            // `recv` takes the whole vector, so most deliveries find the
-            // buffer drained: keep the engine's vector, copy nothing.
-            TcpEvent::Data(d) if b.data.is_empty() => b.data = d,
-            TcpEvent::Data(d) => b.data.extend_from_slice(&d),
-            TcpEvent::PeerClosed => b.peer_closed = true,
-            TcpEvent::Closed | TcpEvent::Reset | TcpEvent::TimedOut => b.finished = true,
-            TcpEvent::NewConnection(_) | TcpEvent::Urgent(_) => {}
-        }
-    })
 }
 
 impl<L, A> FoxStation<L, A>
@@ -325,57 +404,30 @@ where
             host,
             peer,
             kind,
-            conns: FlatIndex::new(),
-            issued: 0,
-            seen_finished: RefCell::new(Vec::new()),
-            spare_bufs: Vec::new(),
+            conns: ConnTable::default(),
             accepted: Rc::new(RefCell::new(VecDeque::new())),
             listener: None,
         }
     }
 
-    /// Files a new connection with its buffer and its wrapper.
-    fn file(&mut self, conn: ConnHandle, buf: Rc<RefCell<ConnBuf>>, sock: ConnectingSocket) {
-        self.conns.insert(conn, StationConn { buf: Some(buf), stage: Some(SocketStage::Connecting(sock)) });
-        self.issued = self.issued.max(conn + 1);
-    }
-
-    /// The buffer `conn`'s handler fills, if the station has `conn`.
-    fn buf(&self, conn: ConnHandle) -> Option<&RefCell<ConnBuf>> {
-        self.conns.get(&conn)?.buf.as_deref()
-    }
-
-    /// A buffer for a new connection's handler: a forgotten one's, if
-    /// one is spare.
-    fn new_buf(&mut self) -> Rc<RefCell<ConnBuf>> {
-        self.forget_finished();
-        self.spare_bufs.pop().unwrap_or_default()
-    }
-
-    /// Forgets every connection whose user has seen it finished, that
-    /// has nothing left to receive and whose handler the engine has
-    /// dropped (it has once the connection is reaped, at the end of the
-    /// step that finished it). Its buffer, which nothing else holds
-    /// then, is cleared and kept for reuse.
-    fn forget_finished(&mut self) {
-        let (conns, spare_bufs) = (&mut self.conns, &mut self.spare_bufs);
-        self.seen_finished.get_mut().retain(|&conn| {
-            let Some(buf) = conns.get(&conn).and_then(|c| c.buf.as_ref()) else { return false };
-            if Rc::strong_count(buf) > 1 || !buf.borrow().data.is_empty() {
-                return true;
+    /// A record for a new connection, and the handler that fills it.
+    fn new_buf(&mut self) -> (Rc<RefCell<ConnBuf>>, foxproto::Handler<TcpEvent>) {
+        let (buf, ended) = (self.conns.new_buf(), self.conns.ended.clone());
+        let b = buf.clone();
+        let handler = Box::new(move |ev| {
+            let mut b = b.borrow_mut();
+            match ev {
+                TcpEvent::Established => b.established = true,
+                // `recv` takes the whole vector, so most deliveries find the
+                // buffer drained: keep the engine's vector, copy nothing.
+                TcpEvent::Data(d) if b.data.is_empty() => b.data = d,
+                TcpEvent::Data(d) => b.data.extend_from_slice(&d),
+                TcpEvent::PeerClosed => b.peer_closed = true,
+                TcpEvent::Closed | TcpEvent::Reset | TcpEvent::TimedOut => b.end(&ended),
+                TcpEvent::NewConnection(_) | TcpEvent::Urgent(_) => {}
             }
-            if let Some(buf) = conns.remove_where(&conn, |_| true).and_then(|c| c.buf) {
-                *buf.borrow_mut() = ConnBuf::default();
-                spare_bufs.push(buf);
-            }
-            false
         });
-    }
-
-    /// True for a handle this station returned and has since forgotten:
-    /// one it no longer holds that the engine has reaped too.
-    fn forgotten(&self, conn: ConnHandle) -> bool {
-        conn < self.issued && self.conns.get(&conn).is_none() && self.tcp.state_of(TcpConnId(conn)).is_none()
+        (buf, handler)
     }
 }
 
@@ -384,114 +436,80 @@ where
     L: Protocol + 'static,
     A: IpAux<Address = L::Peer, Incoming = L::Incoming> + 'static,
 {
+    answered_alike!();
+
     fn connect(&mut self, remote_port: u16) -> ConnHandle {
-        let buf = self.new_buf();
-        let sock = self
-            .tcp
-            .connect(self.peer.clone(), remote_port, 0, buf_handler(buf.clone()))
-            .expect("active open");
+        let (buf, handler) = self.new_buf();
+        let sock = self.tcp.connect(self.peer.clone(), remote_port, 0, handler).expect("active open");
         let conn = sock.id().0;
-        self.file(conn, buf, sock);
+        self.conns.file(conn, buf, Some(SocketStage::Connecting(sock)));
         conn
     }
 
     fn listen(&mut self, local_port: u16) {
         let acc = self.accepted.clone();
-        self.listener = Some(
-            self.tcp
-                .listen(
-                    local_port,
-                    Box::new(move |ev| {
-                        if let TcpEvent::NewConnection(c) = ev {
-                            acc.borrow_mut().push_back(c);
-                        }
-                    }),
-                )
-                .expect("listen"),
-        );
+        let handler = Box::new(move |ev| {
+            if let TcpEvent::NewConnection(c) = ev {
+                acc.borrow_mut().push_back(c);
+            }
+        });
+        self.listener = Some(self.tcp.listen(local_port, handler).expect("listen"));
     }
 
     fn accept(&mut self) -> Option<ConnHandle> {
         let child = self.accepted.borrow_mut().pop_front()?;
-        let buf = self.new_buf();
+        let (buf, handler) = self.new_buf();
+        // Adopting hands the child what it parked, its end among them.
+        buf.borrow_mut().conn = child.0;
         let listener = self.listener.as_ref()?;
-        let sock = listener.accept(&mut self.tcp, child, buf_handler(buf.clone())).ok()?;
-        self.file(child.0, buf, sock);
+        let sock = listener.accept(&mut self.tcp, child, handler).ok()?;
+        self.conns.file(child.0, buf, Some(SocketStage::Connecting(sock)));
         Some(child.0)
     }
 
     fn send(&mut self, conn: ConnHandle, data: &[u8]) -> usize {
-        let Some(c) = self.conns.get_mut(&conn) else { return 0 };
+        let Some(c) = self.conns.conns.get_mut(&conn) else { return 0 };
         // A `Connecting` wrapper whose handshake has completed is
         // promoted in place first.
-        c.stage = match c.stage.take() {
+        c.sock = match c.sock.take() {
             Some(SocketStage::Connecting(sock)) => Some(match sock.try_established(&self.tcp) {
                 Ok(est) => SocketStage::Established(est),
                 Err(still) => SocketStage::Connecting(still),
             }),
             stage => stage,
         };
-        match &c.stage {
+        match &c.sock {
             Some(SocketStage::Established(sock)) => sock.send_data(&mut self.tcp, data).unwrap_or(0),
             _ => 0, // not yet established (or already closed): nothing taken
         }
-    }
-
-    fn recv(&mut self, conn: ConnHandle) -> Vec<u8> {
-        self.buf(conn).map_or(Vec::new(), |b| std::mem::take(&mut b.borrow_mut().data))
-    }
-
-    fn received_len(&self, conn: ConnHandle) -> usize {
-        self.buf(conn).map_or(0, |b| b.borrow().data.len())
-    }
-
-    fn established(&self, conn: ConnHandle) -> bool {
-        self.buf(conn).is_some_and(|b| b.borrow().established)
     }
 
     fn conn_state(&self, conn: ConnHandle) -> &'static str {
         self.tcp.state_of(TcpConnId(conn)).map_or("", |s| s.name())
     }
 
-    fn peer_closed(&self, conn: ConnHandle) -> bool {
-        self.buf(conn).is_some_and(|b| b.borrow().peer_closed)
-    }
-
     fn finished(&self, conn: ConnHandle) -> bool {
-        let Some(buf) = self.buf(conn) else { return self.forgotten(conn) };
-        let mut b = buf.borrow_mut();
-        if b.finished && !std::mem::replace(&mut b.seen_finished, true) {
-            self.seen_finished.borrow_mut().push(conn);
-        }
-        b.finished
+        self.conns.finished(conn, || self.tcp.state_of(TcpConnId(conn)).is_some())
     }
 
     fn close(&mut self, conn: ConnHandle) {
-        // Closing consumes the typestate wrapper, whatever its stage.
-        match self.conns.get_mut(&conn).and_then(|c| c.stage.take()) {
-            Some(SocketStage::Connecting(sock)) => {
-                let _ = sock.close(&mut self.tcp);
-            }
-            Some(SocketStage::Established(sock)) => {
-                let _ = sock.close(&mut self.tcp);
-            }
-            // The listener closes through its typed wrapper too.
+        // Closing consumes the typestate wrapper, whatever its stage; the
+        // listener closes through its typed wrapper too.
+        let _ = match self.conns.conns.get_mut(&conn).and_then(|c| c.sock.take()) {
+            Some(SocketStage::Connecting(sock)) => sock.close(&mut self.tcp),
+            Some(SocketStage::Established(sock)) => sock.close(&mut self.tcp),
             None => match self.listener.take_if(|l| l.id().0 == conn) {
-                Some(listener) => {
-                    let _ = listener.close(&mut self.tcp);
-                }
-                None => {
-                    let _ = self.tcp.close(TcpConnId(conn));
-                }
+                Some(listener) => listener.close(&mut self.tcp),
+                None => self.tcp.close(TcpConnId(conn)),
             },
-        }
+        };
     }
 
     fn abort(&mut self, conn: ConnHandle) {
         // ABORT has no typed wrapper; whatever wrapper the connection
         // (or listener) had dies with it.
-        if let Some(c) = self.conns.get_mut(&conn) {
-            c.stage = None;
+        if let Some(c) = self.conns.conns.get_mut(&conn) {
+            c.sock = None;
         }
         self.listener.take_if(|l| l.id().0 == conn);
         let _ = self.tcp.abort(TcpConnId(conn));
@@ -502,12 +520,9 @@ where
     }
 
     fn step(&mut self, now: VirtualTime) -> bool {
-        self.forget_finished();
-        self.tcp.step(now)
-    }
-
-    fn host(&self) -> HostHandle {
-        self.host.clone()
+        let progress = self.tcp.step(now);
+        self.conns.forget_ended();
+        progress
     }
 
     fn kind(&self) -> &'static str {
@@ -515,26 +530,7 @@ where
     }
 
     fn stats(&self) -> StationStats {
-        let s = self.tcp.stats();
-        StationStats {
-            segments_sent: s.segments_sent,
-            segments_received: s.segments_received,
-            retransmits: s.retransmits,
-            bytes_sent: s.bytes_sent,
-            fastpath_hits: s.fastpath_hits,
-            checksum_failures: s.checksum_failures,
-            fast_retransmits: s.fast_retransmits,
-            recoveries: s.recoveries,
-            rto_fires: s.rto_fires,
-            probe_fires: s.probe_fires,
-            rst_rejected_seq: s.rst_rejected_seq,
-            acks_ignored_unsent_data: s.acks_ignored_unsent_data,
-            syns_dropped: s.syns_dropped,
-        }
-    }
-
-    fn set_obs(&mut self, sink: EventSink) {
-        self.tcp.set_obs(sink);
+        self.tcp.stats()
     }
 
     fn metrics(&self, conn: ConnHandle) -> Option<ConnMetrics> {
@@ -569,10 +565,12 @@ where
     tcp: XkTcp<L, A>,
     host: HostHandle,
     peer: L::Peer,
-    conns: Vec<xktcp::SockId>,
+    /// Each connection's record, which `pump` fills.
+    conns: ConnTable<()>,
+    /// The sockets whose end `pump` has not pulled yet: the ones it polls.
+    live: Vec<xktcp::SockId>,
     listener: Option<xktcp::SockId>,
     accepted: VecDeque<xktcp::SockId>,
-    state: BTreeMap<u32, ConnBuf>,
 }
 
 impl<L, A> XkStation<L, A>
@@ -580,37 +578,43 @@ where
     L: Protocol,
     A: IpAux<Address = L::Peer, Incoming = L::Incoming>,
 {
+    /// Files a new socket and starts polling it.
+    fn file(&mut self, sock: xktcp::SockId) {
+        let buf = self.conns.new_buf();
+        self.conns.file(sock.0, buf, ());
+        self.live.push(sock);
+    }
+
+    /// Pulls every live socket's events and received bytes into its
+    /// record; a socket whose end it pulls is polled no more.
     fn pump(&mut self) {
-        // Drain events and receive buffers into our ConnBufs.
         if let Some(l) = self.listener {
             while let Some(ev) = self.tcp.poll_event(l) {
                 if let XkEvent::Accepted(c) = ev {
                     self.accepted.push_back(c);
-                    self.conns.push(c);
-                    self.state.entry(c.0).or_default();
+                    self.file(c);
                 }
             }
         }
-        for i in 0..self.conns.len() {
-            let c = self.conns[i];
-            while let Some(ev) = self.tcp.poll_event(c) {
-                let b = self.state.entry(c.0).or_default();
+        let (tcp, conns) = (&mut self.tcp, &self.conns);
+        self.live.retain(|&c| {
+            let Some(buf) = conns.buf(c.0) else { return false };
+            let mut b = buf.borrow_mut();
+            while let Some(ev) = tcp.poll_event(c) {
                 match ev {
                     XkEvent::Connected => b.established = true,
                     XkEvent::PeerClosed => b.peer_closed = true,
-                    XkEvent::Closed | XkEvent::Reset | XkEvent::TimedOut => b.finished = true,
+                    XkEvent::Closed | XkEvent::Reset | XkEvent::TimedOut => b.end(&conns.ended),
                     XkEvent::Accepted(_) => {}
                 }
             }
             let mut tmp = [0u8; 4096];
-            loop {
-                let n = self.tcp.recv(c, &mut tmp).unwrap_or(0);
-                if n == 0 {
-                    break;
-                }
-                self.state.entry(c.0).or_default().data.extend_from_slice(&tmp[..n]);
+            while let Ok(n @ 1..) = tcp.recv(c, &mut tmp) {
+                b.data.extend_from_slice(&tmp[..n]);
             }
-        }
+            !b.finished
+        });
+        self.conns.forget_ended();
     }
 }
 
@@ -619,10 +623,11 @@ where
     L: Protocol,
     A: IpAux<Address = L::Peer, Incoming = L::Incoming>,
 {
+    answered_alike!();
+
     fn connect(&mut self, remote_port: u16) -> ConnHandle {
         let c = self.tcp.connect(self.peer.clone(), remote_port, 0).expect("connect");
-        self.conns.push(c);
-        self.state.insert(c.0, ConnBuf::default());
+        self.file(c);
         c.0
     }
 
@@ -638,28 +643,14 @@ where
         self.tcp.send(xktcp::SockId(conn), data).unwrap_or(0)
     }
 
-    fn recv(&mut self, conn: ConnHandle) -> Vec<u8> {
-        self.state.get_mut(&conn).map_or(Vec::new(), |b| std::mem::take(&mut b.data))
-    }
-
-    fn received_len(&self, conn: ConnHandle) -> usize {
-        self.state.get(&conn).map_or(0, |b| b.data.len())
-    }
-
-    fn established(&self, conn: ConnHandle) -> bool {
-        self.state.get(&conn).is_some_and(|b| b.established)
-    }
-
     fn conn_state(&self, conn: ConnHandle) -> &'static str {
         self.tcp.state_of(xktcp::SockId(conn)).map_or("", |s| s.name())
     }
 
-    fn peer_closed(&self, conn: ConnHandle) -> bool {
-        self.state.get(&conn).is_some_and(|b| b.peer_closed)
-    }
-
     fn finished(&self, conn: ConnHandle) -> bool {
-        self.state.get(&conn).is_some_and(|b| b.finished)
+        // A child is filed as soon as it is announced: the listener is
+        // all the stack holds that the station does not.
+        self.conns.finished(conn, || self.listener.is_some_and(|l| l.0 == conn))
     }
 
     fn close(&mut self, conn: ConnHandle) {
@@ -676,10 +667,6 @@ where
         p
     }
 
-    fn host(&self) -> HostHandle {
-        self.host.clone()
-    }
-
     fn kind(&self) -> &'static str {
         "x-kernel"
     }
@@ -691,16 +678,11 @@ where
             segments_received: s.segments_received,
             retransmits: s.retransmits,
             bytes_sent: s.bytes_sent,
-            fastpath_hits: 0,
             checksum_failures: s.checksum_failures,
             rst_rejected_seq: s.rst_rejected_seq,
             acks_ignored_unsent_data: s.acks_ignored_unsent_data,
             ..StationStats::default()
         }
-    }
-
-    fn set_obs(&mut self, sink: EventSink) {
-        self.tcp.set_obs(sink);
     }
 
     fn metrics(&self, conn: ConnHandle) -> Option<ConnMetrics> {
@@ -721,7 +703,7 @@ where
     }
 
     fn debug_line(&self) -> String {
-        self.conns.iter().filter_map(|c| self.tcp.debug_of(*c)).collect::<Vec<_>>().join(" | ")
+        self.live.iter().filter_map(|c| self.tcp.debug_of(*c)).collect::<Vec<_>>().join(" | ")
     }
 }
 
@@ -731,7 +713,9 @@ mod tests {
     use crate::workload::bulk_transfer;
     use fox_scheduler::Scheduler;
     use foxbasis::obs::{Event, DEFAULT_RING_CAPACITY};
+    use foxbasis::time::VirtualDuration;
     use foxtcp::testlink::{LinkPair, TestAux, TestLower};
+    use simnet::Medium;
 
     type TestStation = FoxStation<TestLower, TestAux>;
 
@@ -740,10 +724,11 @@ mod tests {
         simnet::settle(&[link], |now| a.step(now) | b.step(now));
     }
 
-    /// A server forgets a connection once its user has seen it finished
-    /// with nothing left to read, and the next `accept` reuses its
-    /// buffer; the forgotten handle still reads as finished, with
-    /// nothing received. The client never asks, so it forgets nothing.
+    /// A station forgets a connection once the engine has reaped it with
+    /// nothing left to read, and the next `accept` reuses its record; the
+    /// forgotten handle still reads as finished, with nothing received.
+    /// The client never asks `finished`, and forgets its connections
+    /// once their TIME-WAIT is over all the same.
     #[test]
     fn a_finished_drained_connection_is_forgotten_and_its_buffer_reused() {
         let link = LinkPair::new();
@@ -760,10 +745,10 @@ mod tests {
             let c = client.connect(80);
             settle(&link, &mut client, &mut server);
             let s = server.accept().expect("a child to accept");
-            let buf = Rc::as_ptr(server.conns.get(&s).and_then(|c| c.buf.as_ref()).expect("filed"));
+            let buf = Rc::as_ptr(server.conns.conns.get(&s).and_then(|c| c.buf.as_ref()).expect("filed"));
             if let Some((old, old_buf)) = last {
                 assert_eq!(buf, old_buf, "round {round}: the forgotten connection's buffer is reused");
-                assert!(server.conns.get(&old).is_none(), "round {round}: the old handle is forgotten");
+                assert!(server.conns.conns.get(&old).is_none(), "round {round}: the old handle is forgotten");
                 assert!(server.finished(old) && server.received_len(old) == 0 && server.recv(old).is_empty());
             }
             assert_eq!(client.send(c, b"ping"), 4);
@@ -779,7 +764,10 @@ mod tests {
             assert_eq!(client.recv(c), b"pong");
             last = Some((s, buf));
         }
-        assert_eq!(client.conns.len(), 3, "a user that never saw `finished` keeps its handles");
+        assert_eq!(client.conns.conns.len(), 3, "the client's connections wait out TIME-WAIT");
+        link.advance_to(link.now() + VirtualDuration::from_millis(11));
+        settle(&link, &mut client, &mut server);
+        assert!(client.conns.conns.is_empty(), "over, they are forgotten unasked");
         assert!(!server.finished(ConnHandle::MAX), "a handle never issued is not finished");
     }
 

@@ -10,40 +10,11 @@ use simnet::HostHandle;
 /// An opaque per-station connection handle.
 pub type ConnHandle = u32;
 
-/// Stats every station can report (the union the tables need).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct StationStats {
-    /// Segments sent (with retransmissions).
-    pub segments_sent: u64,
-    /// Segments received.
-    pub segments_received: u64,
-    /// Retransmissions.
-    pub retransmits: u64,
-    /// Payload bytes sent.
-    pub bytes_sent: u64,
-    /// Fast-path hits (zero for the baseline, which has no fast path).
-    pub fastpath_hits: u64,
-    /// Checksum failures.
-    pub checksum_failures: u64,
-    /// Fast retransmissions (zero for the baseline, which has no fast
-    /// retransmit).
-    pub fast_retransmits: u64,
-    /// Fast-recovery episodes entered (zero for the baseline).
-    pub recoveries: u64,
-    /// Retransmission-timer fires that retransmitted (zero for the
-    /// baseline, which does not separate them from `retransmits`).
-    pub rto_fires: u64,
-    /// Zero-window probes sent (zero for the baseline).
-    pub probe_fires: u64,
-    /// In-window RSTs rejected for not landing exactly on RCV.NXT
-    /// (blind-reset attempts answered with a challenge ACK).
-    pub rst_rejected_seq: u64,
-    /// ACKs for data never sent, dropped (optimistic-ACK attempts).
-    pub acks_ignored_unsent_data: u64,
-    /// SYNs refused because the accept backlog was full (zero for the
-    /// baseline, which keeps no such counter).
-    pub syns_dropped: u64,
-}
+/// What a station counts: the structured TCP's own record. The
+/// baseline fills what it counts too (segments and bytes sent, segments
+/// received, retransmissions, checksum failures, rejected RSTs, ignored
+/// ACKs for unsent data) and leaves the rest zero.
+pub type StationStats = foxtcp::TcpStats;
 
 /// Timer and demultiplexer operation counts, for the scale experiment.
 /// Both stacks arm timers on the shared hierarchical wheel, so the
@@ -67,6 +38,13 @@ pub struct ScaleCounters {
 }
 
 /// One host's TCP endpoint, as the workloads see it.
+///
+/// A station forgets a connection once its stack has delivered the
+/// connection's end (Closed, Reset or TimedOut), will deliver nothing
+/// more for it, and `recv` has nothing left to hand out — whether or not
+/// its user ever asked `finished`. A forgotten handle reads as finished,
+/// with nothing received, and as neither established nor closed by the
+/// peer. No query that takes `&self` changes what the station holds.
 pub trait Station {
     /// Begins an active open; the handle becomes established later.
     fn connect(&mut self, remote_port: u16) -> ConnHandle;
