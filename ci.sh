@@ -62,12 +62,13 @@
 #   conformance: the RFC-793 conformance suite, explicitly (both TCP
 #      stacks against the standard's state diagram; also part of
 #      `== test ==`, but a named stage keeps the gate visible)
-#   loss matrix: the loss matrix once from a *debug* build, where
+#   loss and adversarial matrices: the loss matrix and the adversarial
+#      matrix (all 110 attack cells) once from a *debug* build, where
 #      `Tcb::check_invariants` runs after every executed action,
 #      `Tcp::check_invariants` (table, demux, accept-queue counters,
 #      timers) at the end of every input to the engine, and
-#      `fsm::transition`'s guard is live, so every lossy cell is checked
-#      at every step on every run
+#      `fsm::transition`'s guard is live, so every lossy cell and every
+#      attack is checked at every step on every run
 #   artifacts: every "same bytes" artifact, each run once from the
 #      release build — each `tables` item's stdout, the traced Table 1
 #      run's stdout, JSONL and pcap, each example's stdout — digested by
@@ -130,8 +131,8 @@ cargo test -q --release -p foxharness --test forget_rule
 echo "== conformance (RFC 793, both stacks) =="
 cargo test -q -p foxtcp --test conformance
 
-echo "== loss matrix (debug build, invariants checked at every step) =="
-cargo run -q -p foxbench --bin tables -- lossmatrix > /dev/null
+echo "== loss and adversarial matrices (debug build, invariants checked at every step) =="
+cargo run -q -p foxbench --bin tables -- lossmatrix adversarial > /dev/null
 
 echo "== artifacts (every tables item, the traced run, the examples; digests against artifacts.sha256) =="
 pinned=$(head -n 1 artifacts.sha256)

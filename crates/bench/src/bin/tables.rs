@@ -72,31 +72,31 @@ const ITEMS: &[Item] = &[
     Item {
         name: "lossmatrix",
         banner: "running the loss matrix (each cell twice, checking determinism)...",
-        run: |seed| println!("{}", exp::render_loss_matrix(&exp::loss_matrix(200_000, seed))),
+        run: |seed| println!("{}", exp::loss_matrix(200_000, seed)),
     },
     Item {
         name: "interop",
         banner: "running the options interop matrix (each cell twice, checking determinism)...",
         run: |seed| {
-            println!("{}", exp::render_options_interop(&exp::options_interop(50_000, seed)));
+            println!("{}", exp::options_interop(50_000, seed));
             println!("running SACK vs NewReno under burst loss (three seeds)...\n");
-            println!("{}", exp::render_sack_vs_newreno(&exp::sack_vs_newreno(300_000, seed)));
+            println!("{}", exp::sack_vs_newreno(300_000, seed));
         },
     },
     Item {
         name: "copies",
         banner: "running the copy comparison (Table 1 workload, copy counter on)...",
-        run: |seed| println!("{}", exp::render_copy_comparison(&exp::copy_comparison(1_000_000, seed))),
+        run: |seed| println!("{}", exp::copy_comparison(1_000_000, seed)),
     },
     Item {
         name: "scale",
         banner: "running the scale experiment (N concurrent connections, fox vs x-kernel)...",
-        run: |seed| println!("{}", exp::render_scale(&exp::scale_experiment(&[16, 64, 256], seed))),
+        run: |seed| println!("{}", exp::scale_experiment(&[16, 64, 256], seed)),
     },
     Item {
         name: "adversarial",
         banner: "running the adversarial matrix (attack × link × stack, each cell twice)...",
-        run: |seed| println!("{}", exp::render_adversarial_matrix(&exp::adversarial_matrix(seed))),
+        run: |seed| println!("{}", exp::adversarial_matrix(seed)),
     },
 ];
 

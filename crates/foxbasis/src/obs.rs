@@ -443,8 +443,13 @@ impl EventSink {
 }
 
 /// A per-connection metrics snapshot: the RTT and window state of one
-/// connection, beside the counters `TcpStats` (a harness station's
-/// `StationStats`) keeps for a whole engine, counted for it alone.
+/// connection, beside copies of the engine-wide counters `TcpStats` (a
+/// harness station's `StationStats`) keeps. Only the first six fields
+/// are the connection's own; every counter is the whole engine's total,
+/// so it is the connection's alone only on an engine that holds one
+/// connection. The x-kernel baseline fills what it has: no congestion
+/// or fast-path state, and its one retransmission count in both
+/// `retransmits` and `rto_fires`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ConnMetrics {
     /// Smoothed RTT, microseconds (None before the first sample).

@@ -81,7 +81,9 @@ impl TcpState {
         !matches!(self, TcpState::Closed | TcpState::Listen { .. } | TcpState::SynSent { .. })
     }
 
-    /// The RFC 793 state name, as event exports use it.
+    /// The paper's Fig. 6 state name, as event exports use it: the two
+    /// SYN-RECEIVED flavors keep their own names ([`TcpState::rfc_name`]
+    /// gives the RFC 793 one).
     pub fn name(&self) -> &'static str {
         match self {
             TcpState::Closed => "Closed",

@@ -507,9 +507,10 @@ where
     }
 
     /// A unified per-connection metrics snapshot: the TCB's live
-    /// estimator/window state plus the engine's counters (the engine
-    /// counts across connections; single-connection hosts — every
-    /// harness station — read them as per-connection).
+    /// estimator/window state plus the engine's counters, which count
+    /// across all its connections. Only on an engine with one data
+    /// connection (either end of a two-host cell, but not `many_flows`'
+    /// server) do they read as this connection's.
     pub fn metrics_of(&self, conn: TcpConnId) -> Option<ConnMetrics> {
         let i = self.conns.slot_of(conn.0)?;
         let tcb = &self.conns[i].core.tcb;

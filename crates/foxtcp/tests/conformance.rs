@@ -1495,8 +1495,8 @@ fn fox_reaped_connection_reads_none() {
 
 /// The xk baseline keeps the same post-reap contract: an accepted child
 /// that finishes its close and drains its events vanishes from
-/// `state_of`/`metrics_of` instead of lingering as a stale entry.
-/// (Only children are reaped — the listener itself stays.)
+/// `state_of`/`metrics_of` instead of lingering as a stale entry. The
+/// listener, still open, stays.
 #[test]
 fn xk_reaped_child_reads_none() {
     let link = LinkPair::new();
@@ -1537,4 +1537,37 @@ fn xk_reaped_child_reads_none() {
     assert_eq!(tcp.state_of(child), None, "reaped: no stale state");
     assert!(tcp.metrics_of(child).is_none(), "reaped: no stale metrics");
     assert!(tcp.state_of(listener).is_some(), "the listener survives its child");
+}
+
+/// An actively opened xk socket is reaped by the same rule as a child:
+/// once its close and TIME-WAIT are over and its events are drained, it
+/// reads `None` instead of lingering, Closed, in the socket table.
+#[test]
+fn xk_reaped_active_opener_reads_none() {
+    let link = LinkPair::new();
+    let cfg = XkConfig { time_wait_ms: 1_000, ..XkConfig::default() };
+    let mut tcp = XkTcp::new(link.endpoint(1), TestAux, (), cfg, HostHandle::free());
+    let mut peer = Peer::new(link);
+
+    let client = tcp.connect(0, PEER_PORT, 0).unwrap();
+    let replies = peer.exchange(|now| tcp.step(now));
+    let syn = replies.iter().find(|s| s.header.flags.syn).expect("the active open sends a SYN");
+    let (ports, sut_iss) = ((PEER_PORT, syn.header.src_port), syn.header.seq.0);
+    peer.send(ports, TcpFlags::SYN_ACK, PEER_ISS, Some(sut_iss.wrapping_add(1)));
+    peer.exchange(|now| tcp.step(now));
+
+    // Active close: our FIN, the peer's ACK and FIN, then TIME-WAIT.
+    tcp.close(client).unwrap();
+    peer.exchange(|now| tcp.step(now));
+    peer.send(ports, TcpFlags::FIN_ACK, PEER_ISS + 1, Some(sut_iss.wrapping_add(2)));
+    peer.exchange(|now| tcp.step(now));
+    assert_eq!(tcp.state_of(client).map(|s| s.name()), Some("TimeWait"));
+
+    peer.link.advance_to(peer.link.now() + VirtualDuration::from_millis(1_000));
+    peer.exchange(|now| tcp.step(now));
+    while tcp.poll_event(client).is_some() {}
+    tcp.step(peer.link.now());
+
+    assert_eq!(tcp.state_of(client), None, "reaped: no stale state");
+    assert!(tcp.metrics_of(client).is_none(), "reaped: no stale metrics");
 }

@@ -5,7 +5,6 @@
 use crate::cell::Cell;
 use crate::report::{f1, f2, Table};
 use crate::stack::StackKind;
-use crate::station::ScaleCounters;
 use crate::workload::{bulk_transfer, many_flows, ping_pong, BulkResult, PingResult};
 use foxbasis::obs::EventSink;
 use foxbasis::time::{NanoDuration, VirtualDuration, VirtualTime};
@@ -409,25 +408,6 @@ pub fn render_interop_matrix(rows: &[(String, f64)]) -> Table {
     tab
 }
 
-/// One cell of the deterministic fault matrix.
-#[derive(Clone, Debug)]
-pub struct LossCell {
-    /// Fault profile name.
-    pub profile: &'static str,
-    /// Implementation name.
-    pub stack: &'static str,
-    /// Throughput, Mb/s.
-    pub throughput_mbps: f64,
-    /// Sender retransmissions (all causes).
-    pub retransmits: u64,
-    /// Sender fast retransmissions.
-    pub fast_retransmits: u64,
-    /// Fast-recovery episodes on the sender.
-    pub recoveries: u64,
-    /// Retransmission-timer retransmits on the sender.
-    pub rto_fires: u64,
-}
-
 /// The fault profiles of the loss matrix: one fault class per row, each
 /// strong enough to provoke recovery but survivable by both stacks.
 pub fn loss_matrix_profiles() -> Vec<(&'static str, FaultConfig)> {
@@ -477,43 +457,26 @@ pub fn loss_cell(kind: StackKind, faults: FaultConfig, cfg: TcpConfig, seed: u64
 /// and every cell is run twice to assert that identical seeds give
 /// bit-identical outcomes — the paper's determinism claim extended to
 /// the fault harness itself.
-pub fn loss_matrix(bytes: usize, seed: u64) -> Vec<LossCell> {
-    let mut cells = Vec::new();
+pub fn loss_matrix(bytes: usize, seed: u64) -> Table {
+    let mut tab = Table::new(
+        "Loss matrix (every cell delivered all bytes; identical seeds replay bit-identically)",
+        &["profile", "stack", "Mb/s", "retx", "fast retx", "recoveries", "RTO"],
+    );
     for (profile, faults) in loss_matrix_profiles() {
         for kind in [StackKind::FoxStandard, StackKind::XKernel] {
             let cell = loss_cell(kind, faults.clone(), loss_matrix_config(), seed);
             let r = replayed(&cell, || cell.bulk(bytes));
             assert_eq!(r.bytes, bytes, "{profile}: transfer must complete: {cell:?}");
-            cells.push(LossCell {
-                profile,
-                stack: kind.name(),
-                throughput_mbps: r.throughput_mbps,
-                retransmits: r.sender.retransmits,
-                fast_retransmits: r.sender.fast_retransmits,
-                recoveries: r.sender.recoveries,
-                rto_fires: r.sender.rto_fires,
-            });
+            tab.row(&[
+                profile.into(),
+                kind.name().into(),
+                f2(r.throughput_mbps),
+                r.sender.retransmits.to_string(),
+                r.sender.fast_retransmits.to_string(),
+                r.sender.recoveries.to_string(),
+                r.sender.rto_fires.to_string(),
+            ]);
         }
-    }
-    cells
-}
-
-/// Renders the loss matrix.
-pub fn render_loss_matrix(cells: &[LossCell]) -> Table {
-    let mut tab = Table::new(
-        "Loss matrix (every cell delivered all bytes; identical seeds replay bit-identically)",
-        &["profile", "stack", "Mb/s", "retx", "fast retx", "recoveries", "RTO"],
-    );
-    for c in cells {
-        tab.row(&[
-            c.profile.into(),
-            c.stack.into(),
-            f2(c.throughput_mbps),
-            c.retransmits.to_string(),
-            c.fast_retransmits.to_string(),
-            c.recoveries.to_string(),
-            c.rto_fires.to_string(),
-        ]);
     }
     tab
 }
@@ -534,21 +497,6 @@ pub fn option_profiles() -> Vec<(&'static str, bool, bool, bool)> {
     ]
 }
 
-/// One cell of the options interop matrix.
-#[derive(Clone, Debug)]
-pub struct OptionCell {
-    /// Option profile name.
-    pub options: &'static str,
-    /// "sender -> receiver" stack pairing.
-    pub pairing: String,
-    /// Fault profile name.
-    pub profile: &'static str,
-    /// Throughput, Mb/s.
-    pub throughput_mbps: f64,
-    /// Sender retransmissions (all causes).
-    pub retransmits: u64,
-}
-
 /// The loss-matrix config with one option profile switched on. The
 /// window stays at the loss-matrix size so the `none` rows are directly
 /// comparable with the loss matrix itself.
@@ -564,13 +512,16 @@ fn option_config(wscale: bool, sack: bool, ts: bool) -> TcpConfig {
 /// that each option degrades cleanly against a peer with a simpler
 /// implementation (xk echoes timestamps but keeps go-back-N, so its
 /// SackPermitted never grows a scoreboard).
-pub fn options_interop(bytes: usize, seed: u64) -> Vec<OptionCell> {
+pub fn options_interop(bytes: usize, seed: u64) -> Table {
+    let mut tab = Table::new(
+        "Options interop matrix (every cell delivered all bytes; identical seeds replay bit-identically)",
+        &["options", "pairing", "fault profile", "Mb/s", "retx"],
+    );
     let pairings = [
         (StackKind::FoxStandard, StackKind::FoxStandard),
         (StackKind::FoxStandard, StackKind::XKernel),
         (StackKind::XKernel, StackKind::FoxStandard),
     ];
-    let mut cells = Vec::new();
     for (opts, wscale, sack, ts) in option_profiles() {
         let cfg = option_config(wscale, sack, ts);
         for &(sender, receiver) in &pairings {
@@ -578,55 +529,20 @@ pub fn options_interop(bytes: usize, seed: u64) -> Vec<OptionCell> {
                 let cell = Cell { receiver, ..loss_cell(sender, faults, cfg.clone(), seed) };
                 let r = replayed(&cell, || cell.bulk(bytes));
                 assert_eq!(r.bytes, bytes, "{opts}/{profile}: transfer must complete: {cell:?}");
-                cells.push(OptionCell {
-                    options: opts,
-                    pairing: format!("{} -> {}", sender.name(), receiver.name()),
-                    profile,
-                    throughput_mbps: r.throughput_mbps,
-                    retransmits: r.sender.retransmits,
-                });
+                tab.row(&[
+                    opts.into(),
+                    format!("{} -> {}", sender.name(), receiver.name()),
+                    profile.into(),
+                    f2(r.throughput_mbps),
+                    r.sender.retransmits.to_string(),
+                ]);
             }
         }
-    }
-    cells
-}
-
-/// Renders the options interop matrix.
-pub fn render_options_interop(cells: &[OptionCell]) -> Table {
-    let mut tab = Table::new(
-        "Options interop matrix (every cell delivered all bytes; identical seeds replay bit-identically)",
-        &["options", "pairing", "fault profile", "Mb/s", "retx"],
-    );
-    for c in cells {
-        tab.row(&[
-            c.options.into(),
-            c.pairing.clone(),
-            c.profile.into(),
-            f2(c.throughput_mbps),
-            c.retransmits.to_string(),
-        ]);
     }
     tab
 }
 
-/// One seed's SACK-vs-NewReno comparison under multi-hole burst loss.
-#[derive(Clone, Debug)]
-pub struct SackRow {
-    /// The seed this row ran under.
-    pub seed: u64,
-    /// Recovery scheme ("NewReno" or "SACK").
-    pub scheme: &'static str,
-    /// Completion time of the transfer, ms.
-    pub elapsed_ms: f64,
-    /// Payload bytes retransmitted (bytes sent beyond those delivered).
-    pub retransmitted_bytes: u64,
-    /// Sender retransmissions (all causes).
-    pub retransmits: u64,
-    /// Retransmission-timer retransmits on the sender.
-    pub rto_fires: u64,
-}
-
-fn sack_cell(sack: bool, bytes: usize, seed: u64) -> SackRow {
+fn sack_cell(sack: bool, bytes: usize, seed: u64) -> BulkResult {
     // A window wide enough (~43 MSS) for a burst to punch several holes
     // into one flight — the multi-hole regime where cumulative-ACK
     // NewReno retransmits one hole per RTT while the SACK scoreboard
@@ -641,14 +557,7 @@ fn sack_cell(sack: bool, bytes: usize, seed: u64) -> SackRow {
     let faults = FaultConfig::bursty(1.0 / 50.0, 1.0 / 3.0, 0.9);
     let res = loss_cell(StackKind::FoxStandard, faults, cfg, seed).bulk(bytes);
     assert_eq!(res.bytes, bytes, "{}: transfer must complete", if sack { "SACK" } else { "NewReno" });
-    SackRow {
-        seed,
-        scheme: if sack { "SACK" } else { "NewReno" },
-        elapsed_ms: res.elapsed.as_micros() as f64 / 1e3,
-        retransmitted_bytes: res.sender.bytes_sent - res.bytes as u64,
-        retransmits: res.sender.retransmits,
-        rto_fires: res.sender.rto_fires,
-    }
+    res
 }
 
 /// SACK-based loss recovery (RFC 6675) against plain NewReno under
@@ -658,124 +567,77 @@ fn sack_cell(sack: bool, bytes: usize, seed: u64) -> SackRow {
 /// bytes and completes strictly sooner in aggregate — the scoreboard
 /// retransmits only the holes the bursts actually punched, where
 /// go-one-hole-per-RTT NewReno rewinds and waits.
-pub fn sack_vs_newreno(bytes: usize, seed: u64) -> Vec<SackRow> {
-    let mut rows = Vec::new();
-    let (mut nr_bytes, mut nr_ms, mut sk_bytes, mut sk_ms) = (0u64, 0.0f64, 0u64, 0.0f64);
+pub fn sack_vs_newreno(bytes: usize, seed: u64) -> Table {
+    let mut tab = Table::new(
+        "SACK vs NewReno under Gilbert-Elliott burst loss (fox -> fox, 64 KB window)",
+        &["seed", "scheme", "elapsed (ms)", "retx bytes", "retx", "RTO"],
+    );
+    // (payload bytes retransmitted, completion ms) summed over the seeds:
+    // NewReno, then SACK.
+    let mut totals = [(0u64, 0.0f64); 2];
     for s in seed..seed + 3 {
-        let nr = sack_cell(false, bytes, s);
-        let sk = sack_cell(true, bytes, s);
-        nr_bytes += nr.retransmitted_bytes;
-        nr_ms += nr.elapsed_ms;
-        sk_bytes += sk.retransmitted_bytes;
-        sk_ms += sk.elapsed_ms;
-        rows.push(nr);
-        rows.push(sk);
+        for (sack, total) in [false, true].into_iter().zip(&mut totals) {
+            let r = sack_cell(sack, bytes, s);
+            let elapsed_ms = r.elapsed.as_micros() as f64 / 1e3;
+            let retransmitted_bytes = r.sender.bytes_sent - r.bytes as u64;
+            total.0 += retransmitted_bytes;
+            total.1 += elapsed_ms;
+            tab.row(&[
+                s.to_string(),
+                if sack { "SACK" } else { "NewReno" }.into(),
+                f1(elapsed_ms),
+                retransmitted_bytes.to_string(),
+                r.sender.retransmits.to_string(),
+                r.sender.rto_fires.to_string(),
+            ]);
+        }
     }
+    let [(nr_bytes, nr_ms), (sk_bytes, sk_ms)] = totals;
     assert!(
         sk_bytes < nr_bytes,
         "SACK must retransmit fewer payload bytes than NewReno ({sk_bytes} vs {nr_bytes})"
     );
     assert!(sk_ms < nr_ms, "SACK must complete sooner than NewReno ({sk_ms:.1} ms vs {nr_ms:.1} ms)");
-    rows
-}
-
-/// Renders the SACK-vs-NewReno comparison.
-pub fn render_sack_vs_newreno(rows: &[SackRow]) -> Table {
-    let mut tab = Table::new(
-        "SACK vs NewReno under Gilbert-Elliott burst loss (fox -> fox, 64 KB window)",
-        &["seed", "scheme", "elapsed (ms)", "retx bytes", "retx", "RTO"],
-    );
-    for r in rows {
-        tab.row(&[
-            r.seed.to_string(),
-            r.scheme.into(),
-            f1(r.elapsed_ms),
-            r.retransmitted_bytes.to_string(),
-            r.retransmits.to_string(),
-            r.rto_fires.to_string(),
-        ]);
-    }
     tab
 }
 
 // ----- copy accounting (DESIGN.md §5.6: the buffer architecture) -----
 
-/// One row of the copy comparison: real memcpy traffic through the
-/// packet-buffer layer during the Table 1 bulk workload. The counter is
-/// purely observational — the virtual cost model charges the paper's
-/// per-KB constants independently — so these numbers measure what the
-/// zero-copy buffer architecture actually saves, per stack.
-#[derive(Clone, Debug)]
-pub struct CopyRow {
-    /// Implementation name.
-    pub name: &'static str,
-    /// Counted buffer copies across both hosts.
-    pub copies: u64,
-    /// Bytes those copies moved.
-    pub bytes: u64,
-    /// Segments transmitted across both hosts.
-    pub segments: u64,
-}
-
-impl CopyRow {
-    /// Counted copies per transmitted segment.
-    pub fn copies_per_packet(&self) -> f64 {
-        if self.segments == 0 {
-            0.0
-        } else {
-            self.copies as f64 / self.segments as f64
-        }
-    }
-
-    /// Bytes memcpy'd per transmitted segment.
-    pub fn bytes_per_segment(&self) -> f64 {
-        if self.segments == 0 {
-            0.0
-        } else {
-            self.bytes as f64 / self.segments as f64
-        }
-    }
-}
-
 /// Runs the Table 1 bulk transfer once per stack with the thread-local
-/// copy counter zeroed, and reports what each implementation memcpy'd.
-/// The Fox stack stages each segment once (ring -> [`PacketBuf`] with
-/// headroom, checksum folded into the same pass); the baseline stages
-/// headroom-free and pays again when the header is prepended.
+/// copy counter zeroed, and reports what each implementation memcpy'd
+/// through the packet-buffer layer. The counter is purely observational
+/// — the virtual cost model charges the paper's per-KB constants
+/// independently — so these numbers measure what the zero-copy buffer
+/// architecture actually saves, per stack. The Fox stack stages each
+/// segment once (ring -> [`PacketBuf`] with headroom, checksum folded
+/// into the same pass); the baseline stages headroom-free and pays
+/// again when the header is prepended.
 ///
 /// [`PacketBuf`]: foxbasis::buf::PacketBuf
-pub fn copy_comparison(bytes: usize, seed: u64) -> Vec<CopyRow> {
+pub fn copy_comparison(bytes: usize, seed: u64) -> Table {
     use foxbasis::buf::{copy_stats, reset_copy_stats};
+    let mut tab = Table::new(
+        "Buffer copies on the Table 1 bulk workload (both hosts, user copy excluded)",
+        &["stack", "copies", "bytes", "segments", "copies/pkt", "bytes/pkt"],
+    );
     let runs = [
         (StackKind::FoxStandard, CostModel::decstation_sml()),
         (StackKind::XKernel, CostModel::decstation_c()),
     ];
-    let mut rows = Vec::new();
     for (kind, cost) in runs {
         reset_copy_stats();
         let bulk = table1_cell(kind, cost, seed).bulk(bytes);
         let cs = copy_stats();
         assert_eq!(bulk.bytes, bytes, "{}: transfer must complete", kind.name());
         let segments = bulk.sender.segments_sent + bulk.receiver.segments_sent;
-        rows.push(CopyRow { name: kind.name(), copies: cs.copies, bytes: cs.bytes, segments });
-    }
-    rows
-}
-
-/// Renders the copy comparison.
-pub fn render_copy_comparison(rows: &[CopyRow]) -> Table {
-    let mut tab = Table::new(
-        "Buffer copies on the Table 1 bulk workload (both hosts, user copy excluded)",
-        &["stack", "copies", "bytes", "segments", "copies/pkt", "bytes/pkt"],
-    );
-    for r in rows {
+        let per_segment = |n: u64| if segments == 0 { 0.0 } else { n as f64 / segments as f64 };
         tab.row(&[
-            r.name.into(),
-            r.copies.to_string(),
-            r.bytes.to_string(),
-            r.segments.to_string(),
-            f2(r.copies_per_packet()),
-            f1(r.bytes_per_segment()),
+            kind.name().into(),
+            cs.copies.to_string(),
+            cs.bytes.to_string(),
+            segments.to_string(),
+            f2(per_segment(cs.copies)),
+            f1(per_segment(cs.bytes)),
         ]);
     }
     tab
@@ -790,35 +652,31 @@ pub fn render_loss_sweep(rows: &[(f64, f64, u64)]) -> Table {
     tab
 }
 
-/// One cell of the scale experiment: one stack at one concurrency level.
-#[derive(Clone, Debug)]
-pub struct ScaleCell {
-    /// Which stack served the flows.
-    pub kind: StackKind,
-    /// Clients attached (half bulk, half ping-pong).
-    pub flows: usize,
-    /// Flows that delivered everything (must equal `flows`).
-    pub completed: usize,
-    /// Aggregate payload throughput across all flows, Mb/s.
-    pub aggregate_mbps: f64,
-    /// Mean per-connection throughput of the bulk flows, Mb/s.
-    pub bulk_mean_mbps: f64,
-    /// Mean application round-trip of the ping flows, ms.
-    pub ping_mean_ms: f64,
-    /// Simulated CPU time the server spent, ms (aggregate host cost).
-    pub server_busy_ms: f64,
-    /// Server timer-wheel and demux operation counts.
-    pub scale: ScaleCounters,
-}
-
 /// The scale experiment: [`many_flows`] at each concurrency in `ns`
 /// (paper setup × N — the regime Table 1 never reaches), fox and
 /// x-kernel back to back on identical segments. Every client downloads
 /// 8 KB (even index) or runs eight 64-byte round trips (odd index).
 /// Both stacks run on the same DECstation C cost model, so the host-cost
 /// column compares implementations, not machines.
-pub fn scale_experiment(ns: &[usize], seed: u64) -> Vec<ScaleCell> {
-    let mut cells = Vec::new();
+pub fn scale_experiment(ns: &[usize], seed: u64) -> Table {
+    let mut tab = Table::new(
+        "Scale: N concurrent connections through one server (DECstation C cost model)",
+        &[
+            "stack",
+            "N",
+            "done",
+            "agg Mb/s",
+            "bulk Mb/s",
+            "ping ms",
+            "cpu ms",
+            "tmr arms",
+            "tmr fires",
+            "casc",
+            "dmx look",
+            "dmx steps",
+            "steps/look",
+        ],
+    );
     for &kind in &[StackKind::FoxStandard, StackKind::XKernel] {
         for &n in ns {
             let net = SimNet::new(NetConfig::default(), seed);
@@ -840,58 +698,23 @@ pub fn scale_experiment(ns: &[usize], seed: u64) -> Vec<ScaleCell> {
                 .map(|f| f.elapsed.as_secs_f64() * 1000.0 / 8.0)
                 .collect();
             let mean = |v: &[f64]| if v.is_empty() { 0.0 } else { v.iter().sum::<f64>() / v.len() as f64 };
-            cells.push(ScaleCell {
-                kind,
-                flows: n,
-                completed: r.completed,
-                aggregate_mbps: r.aggregate_mbps,
-                bulk_mean_mbps: mean(&bulk),
-                ping_mean_ms: mean(&ping),
-                server_busy_ms: r.server_busy.as_secs_f64() * 1000.0,
-                scale: r.server_scale,
-            });
+            let sc = r.server_scale;
+            tab.row(&[
+                kind.name().into(),
+                n.to_string(),
+                format!("{}/{n}", r.completed),
+                f2(r.aggregate_mbps),
+                f2(mean(&bulk)),
+                f2(mean(&ping)),
+                f1(r.server_busy.as_secs_f64() * 1000.0),
+                sc.timer_arms.to_string(),
+                sc.timer_fires.to_string(),
+                sc.timer_cascades.to_string(),
+                sc.demux_lookups.to_string(),
+                sc.demux_steps.to_string(),
+                f2(sc.demux_steps as f64 / (sc.demux_lookups as f64).max(1.0)),
+            ]);
         }
-    }
-    cells
-}
-
-/// Renders the scale experiment.
-pub fn render_scale(cells: &[ScaleCell]) -> Table {
-    let mut tab = Table::new(
-        "Scale: N concurrent connections through one server (DECstation C cost model)",
-        &[
-            "stack",
-            "N",
-            "done",
-            "agg Mb/s",
-            "bulk Mb/s",
-            "ping ms",
-            "cpu ms",
-            "tmr arms",
-            "tmr fires",
-            "casc",
-            "dmx look",
-            "dmx steps",
-            "steps/look",
-        ],
-    );
-    for c in cells {
-        let per = c.scale.demux_steps as f64 / (c.scale.demux_lookups as f64).max(1.0);
-        tab.row(&[
-            c.kind.name().into(),
-            c.flows.to_string(),
-            format!("{}/{}", c.completed, c.flows),
-            f2(c.aggregate_mbps),
-            f2(c.bulk_mean_mbps),
-            f2(c.ping_mean_ms),
-            f1(c.server_busy_ms),
-            c.scale.timer_arms.to_string(),
-            c.scale.timer_fires.to_string(),
-            c.scale.timer_cascades.to_string(),
-            c.scale.demux_lookups.to_string(),
-            c.scale.demux_steps.to_string(),
-            f2(per),
-        ]);
     }
     tab
 }
@@ -912,59 +735,39 @@ pub fn adversarial_profiles() -> Vec<(&'static str, FaultConfig)> {
     ]
 }
 
-/// One cell of the adversarial matrix.
-#[derive(Clone, Debug)]
-pub struct AdvCell {
-    /// Attack script name.
-    pub attack: &'static str,
-    /// Link personality name.
-    pub profile: &'static str,
-    /// Victim stack name.
-    pub stack: &'static str,
-    /// "survived", "refused", or "FAILED".
-    pub verdict: &'static str,
-    /// Payload bytes the legitimate receiver got.
-    pub delivered: usize,
-    /// Spoofed frames the adversary injected.
-    pub injected: u64,
-    /// Challenge-ACK rejections, both hosts.
-    pub rst_rejected: u64,
-    /// Optimistic/poisoned ACKs dropped, both hosts.
-    pub acks_ignored: u64,
-    /// SYNs refused at a full backlog, both hosts.
-    pub syns_dropped: u64,
-}
-
 /// The adversarial matrix: every attack script × every link
 /// personality × {Fox Net, x-kernel}, on a fixed seed. Every cell must
 /// either survive with full delivery or be one of the two documented
 /// refusals, and every cell is run twice to assert that identical
 /// seeds give bit-identical reports — the adversary owns no
 /// randomness, so a replayed cell is the same cell.
-pub fn adversarial_matrix(seed: u64) -> Vec<AdvCell> {
+pub fn adversarial_matrix(seed: u64) -> Table {
     use crate::advpeer::Attack;
-    let mut cells = Vec::new();
+    let mut tab = Table::new(
+        "Adversarial matrix (attack × link × stack; every cell replayed bit-identically)",
+        &["attack", "link", "stack", "verdict", "delivered", "injected", "rstRej", "ackIgn", "synDrop"],
+    );
     for attack in Attack::ALL {
         for (profile, faults) in adversarial_profiles() {
             for kind in [StackKind::FoxStandard, StackKind::XKernel] {
-                cells.push(adversarial_cell(kind, attack, profile, &faults, seed));
+                tab.row(&adversarial_cell(kind, attack, profile, &faults, seed));
             }
         }
     }
-    cells
+    tab
 }
 
 /// Runs one matrix cell twice, asserting bit-identical replay, the
 /// survive-or-documented-refusal outcome, and — for the attacks that
 /// are *about* a counter — that the counter moved on this personality,
-/// not just on the clean link.
+/// not just on the clean link. Returns the cell's row of the matrix.
 fn adversarial_cell(
     kind: StackKind,
     attack: crate::advpeer::Attack,
     profile: &'static str,
     faults: &FaultConfig,
     seed: u64,
-) -> AdvCell {
+) -> [String; 9] {
     use crate::advpeer::{run_attack, Attack};
     let a = replayed(&(attack, profile, kind, seed), || run_attack(kind, attack, faults.clone(), seed));
     assert!(
@@ -997,37 +800,15 @@ fn adversarial_cell(
         ),
         _ => {}
     }
-    AdvCell {
-        attack: attack.name(),
-        profile,
-        stack: kind.name(),
-        verdict: a.verdict(),
-        delivered: a.delivered,
-        injected: a.injected,
-        rst_rejected,
-        acks_ignored,
-        syns_dropped,
-    }
-}
-
-/// Renders the adversarial matrix.
-pub fn render_adversarial_matrix(cells: &[AdvCell]) -> Table {
-    let mut tab = Table::new(
-        "Adversarial matrix (attack × link × stack; every cell replayed bit-identically)",
-        &["attack", "link", "stack", "verdict", "delivered", "injected", "rstRej", "ackIgn", "synDrop"],
-    );
-    for c in cells {
-        tab.row(&[
-            c.attack.into(),
-            c.profile.into(),
-            c.stack.into(),
-            c.verdict.into(),
-            c.delivered.to_string(),
-            c.injected.to_string(),
-            c.rst_rejected.to_string(),
-            c.acks_ignored.to_string(),
-            c.syns_dropped.to_string(),
-        ]);
-    }
-    tab
+    [
+        attack.name().into(),
+        profile.into(),
+        kind.name().into(),
+        a.verdict().into(),
+        a.delivered.to_string(),
+        a.injected.to_string(),
+        rst_rejected.to_string(),
+        acks_ignored.to_string(),
+        syns_dropped.to_string(),
+    ]
 }

@@ -60,3 +60,38 @@ fn ablations_smoke() {
     let w1k = rows.iter().find(|r| r.name.contains("window 1024")).unwrap();
     assert!(w1k.throughput_mbps < base.throughput_mbps, "a 1 KB window must hurt");
 }
+
+/// The rows a rendered table prints: its text less the title, the header
+/// and the three rules.
+fn rendered_rows(t: &foxharness::report::Table) -> usize {
+    t.to_string().lines().count() - 5
+}
+
+// The next five run at the `tables` sizes and seed (`scale` at one
+// concurrency), so each experiment's own asserts — delivery, replay,
+// SACK beating NewReno — also run in a debug build.
+
+#[test]
+fn loss_matrix_smoke() {
+    assert_eq!(rendered_rows(&exp::loss_matrix(200_000, 42)), 5 * 2, "profiles × stacks");
+}
+
+#[test]
+fn options_interop_smoke() {
+    assert_eq!(rendered_rows(&exp::options_interop(50_000, 42)), 5 * 3 * 5, "options × pairings × profiles");
+}
+
+#[test]
+fn sack_vs_newreno_smoke() {
+    assert_eq!(rendered_rows(&exp::sack_vs_newreno(300_000, 42)), 3 * 2, "seeds × schemes");
+}
+
+#[test]
+fn copy_comparison_smoke() {
+    assert_eq!(rendered_rows(&exp::copy_comparison(1_000_000, 42)), 2, "one row per stack");
+}
+
+#[test]
+fn scale_experiment_smoke() {
+    assert_eq!(rendered_rows(&exp::scale_experiment(&[16], 42)), 2, "one row per stack");
+}

@@ -622,7 +622,9 @@ where
             self.input(msg);
         }
         progress |= self.run_timers();
-        self.socks.retain(|s| !(s.state == XkState::Closed && s.events.is_empty() && s.parent.is_some()));
+        // Reap every socket its user is done with: ended, its events
+        // pulled, and every byte it received read.
+        self.socks.retain(|s| !(s.state == XkState::Closed && s.events.is_empty() && s.recv_buf.is_empty()));
         // The host's alarm, once reached, is refreshed from everything
         // pending; until then every arm lowers it.
         if self.host.alarm().is_some_and(|alarm| alarm <= now) {
