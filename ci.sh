@@ -33,7 +33,7 @@
 #      == 2 with options on and off, the two TcpEvent::Data vectors,
 #      ALLOCS_PER_LIFECYCLE == 2, a whole connect/exchange/close/reap
 #      lifecycle on warm engines that recycle reaped records,
-#      BYTES_HELD_BY_IDLE_PAIRS == 237 896, the bytes-per-connection
+#      BYTES_HELD_BY_IDLE_PAIRS == 233 288, the bytes-per-connection
 #      ceiling with the engines' free blocks, and the spare bound: reused
 #      spares hold no byte more and each new one holds DESIGN.md §5.15's
 #      formula, 880 + 976 bytes a client/child pair — all exact;
@@ -54,8 +54,8 @@
 #      ownership types above are not loosened (no `pub` field on `Tcb`
 #      or any record, a private `ConnCore::tcb`, no type parameter on
 #      `ConnCore`, `Tcb` or `TcpAction`, no `Clone` on `State`, every
-#      test hook `#[cfg(test)]`, `TcpConfig`'s 19 fields named by one
-#      exhaustive pattern, so a 20th does not compile), and that every
+#      test hook `#[cfg(test)]`, `TcpConfig`'s 18 fields named by one
+#      exhaustive pattern, so a 19th does not compile), and that every
 #      layer above the device — TCP included — attaches below through
 #      `foxproto::upcall::Below`: no file of foxproto or foxtcp but
 #      `upcall.rs` builds a receive queue

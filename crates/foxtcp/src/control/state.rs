@@ -161,7 +161,7 @@ fn retransmit_timer(cfg: &TcpConfig, core: &mut ConnCore, now: VirtualTime) {
         give_up(core);
         return;
     }
-    resend::rto_backoff(cfg, core, now);
+    resend::rto_backoff(cfg, core);
     // The SYN states count their own retries (`fsm` spends them); with
     // none left the connection gives up.
     if !spend_syn_retry(core) {

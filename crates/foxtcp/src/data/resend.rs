@@ -367,7 +367,7 @@ pub fn process_ack(cfg: &TcpConfig, core: &mut ConnCore, ack: Seq, now: VirtualT
         if ack.ge(r.recover) {
             tcb.recovery = None;
             if fast_recovery {
-                congestion::exit_recovery(tcb, now);
+                congestion::exit_recovery(tcb);
                 tcb.push_action(TcpAction::Loss(LossEvent::RecoveryExited));
             }
         } else {
@@ -382,12 +382,12 @@ pub fn process_ack(cfg: &TcpConfig, core: &mut ConnCore, ack: Seq, now: VirtualT
         }
     }
 
-    // Congestion window growth: the algorithm behind the seam decides
-    // (Reno: slow start below ssthresh, linear above). Suspended during
-    // fast recovery — inflation/deflation own the window until the
-    // recovery point is acknowledged.
+    // Congestion window growth: slow start below ssthresh, linear
+    // above (`congestion::on_ack`). Suspended during fast recovery —
+    // inflation/deflation own the window until the recovery point is
+    // acknowledged.
     if cfg.congestion_control && !fast_recovery {
-        congestion::on_ack(tcb, bytes_acked, now);
+        congestion::on_ack(tcb, bytes_acked);
     }
 
     // Retransmit timer: clear when everything is acknowledged, restart
@@ -434,7 +434,7 @@ pub fn duplicate_ack(cfg: &TcpConfig, core: &mut ConnCore, now: VirtualTime) {
             // recovery ends, and retransmit the first unacknowledged
             // segment without waiting for the timer.
             let tcb = &mut core.tcb;
-            congestion::enter_recovery(tcb, now);
+            congestion::enter_recovery(tcb);
             tcb.recovery = Some(Recovery { recover: tcb.snd_nxt, high_rxt: tcb.snd_una, by_rto: false });
             tcb.snd.rtt.timing = None; // Karn
             tcb.push_action(TcpAction::Loss(LossEvent::RecoveryEntered));
@@ -535,14 +535,14 @@ pub fn out_of_retries(core: &ConnCore) -> bool {
 /// Whether the connection *gives up* — the retry budget, the SYN-state
 /// retry accounting — is decided on the control side
 /// (`state::timer_expired`), around this call.
-pub fn rto_backoff(cfg: &TcpConfig, core: &mut ConnCore, now: VirtualTime) {
+pub fn rto_backoff(cfg: &TcpConfig, core: &mut ConnCore) {
     let tcb = &mut core.tcb;
     tcb.snd.retransmits_left -= 1;
     tcb.snd.rtt.backoff += 1;
     tcb.snd.rtt.timing = None; // Karn: never time a retransmitted segment
     tcb.push_action(TcpAction::Loss(LossEvent::Rto));
     if cfg.congestion_control {
-        congestion::on_rto(tcb, now);
+        congestion::on_rto(tcb);
         tcb.dup_acks = 0;
     }
     tcb.recovery = Some(Recovery { recover: tcb.snd_nxt, high_rxt: tcb.snd_una, by_rto: true });

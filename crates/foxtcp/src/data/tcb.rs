@@ -192,10 +192,9 @@ pub struct Tcb {
     pub(in crate::data) clock: AckClock,
 
     // --- congestion control (RFC 1122 / Jacobson) ---
-    /// The congestion windows and the algorithm that owns them (the
-    /// [`crate::congestion::CongestionControl`] seam): `cwnd` and
-    /// `ssthresh` are its private fields, written only in
-    /// [`crate::congestion`] and read through [`Tcb::cc`].
+    /// The congestion windows: `cwnd` and `ssthresh` are [`Cc`]'s
+    /// private fields, written only in [`crate::congestion`] and read
+    /// through [`Tcb::cc`].
     pub(crate) cc: Cc,
     /// Consecutive duplicate ACKs seen.
     pub(in crate::data) dup_acks: u32,
@@ -236,7 +235,7 @@ impl Tcb {
             snd: SendSide::new(cfg),
             rcv: RecvSide::new(cfg.initial_window),
             clock: AckClock::new(cfg.initial_window),
-            cc: Cc::new(cfg.congestion_algorithm),
+            cc: Cc::new(),
             dup_acks: 0,
             recovery: None,
             persist_backoff: 0,

@@ -50,7 +50,6 @@ pub mod socket;
 pub mod testlink;
 
 pub use action::{LossEvent, TcpAction, TimerKind};
-pub use congestion::CcAlg;
 pub use control::fsm::TcpState;
 pub use data::tcb::Tcb;
 pub use demux::{Demux, DemuxStats};
@@ -103,15 +102,11 @@ pub struct TcpConfig {
     /// executor serves `Send_Segment` actions (the latency-affecting
     /// ones) ahead of anything else in the connection's to_do queue.
     pub latency_priority: bool,
-    /// Slow start and congestion avoidance (RFC 1122 requires them; an
-    /// ablation switch here).
+    /// Slow start, congestion avoidance and NewReno fast recovery
+    /// ([`congestion`]; RFC 1122 requires the first two). On by default;
+    /// the ablations turn it off, and so does the modern bench profile,
+    /// whose x-kernel baseline has none.
     pub congestion_control: bool,
-    /// Which algorithm owns `cwnd`/`ssthresh` when `congestion_control`
-    /// is on. Reno is the paper-era default; every write goes through
-    /// the [`congestion::CongestionControl`] trait either way (the
-    /// windows are private to [`congestion::Cc`], so the seam is the
-    /// only possible writer).
-    pub congestion_algorithm: CcAlg,
     /// Offer RFC 7323 window scaling on our SYN. Scaling only turns on
     /// when both sides offer it; otherwise windows stay 16-bit exactly
     /// as before.
@@ -147,7 +142,6 @@ impl Default for TcpConfig {
             fast_path: true,
             latency_priority: false,
             congestion_control: true,
-            congestion_algorithm: CcAlg::Reno,
             window_scale: false,
             sack: false,
             timestamps: false,

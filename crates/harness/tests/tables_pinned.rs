@@ -7,11 +7,17 @@
 
 use foxharness::experiments as exp;
 
-/// The new knobs must default off: no ACK coalescing override and no
-/// device batching in the paper configuration, or the pins below would
-/// be testing the wrong experiment.
+/// The new knobs must default off: no TCP option offered, no ACK
+/// coalescing override and no device batching in the paper
+/// configuration, or the pins below would be testing the wrong
+/// experiment (and would not be the unnegotiated-options baseline).
 #[test]
 fn paper_config_leaves_the_new_knobs_off() {
+    let defaults = foxtcp::TcpConfig::default();
+    assert!(
+        !defaults.window_scale && !defaults.sack && !defaults.timestamps,
+        "no option is offered unless asked for"
+    );
     let cfg = exp::paper_tcp_config();
     assert_eq!(cfg.ack_coalesce_segments, None, "coalescing must be opt-in");
     assert_eq!(cfg.delayed_ack_ms, None, "the paper bulk runs ack immediately");

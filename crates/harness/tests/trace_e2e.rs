@@ -10,7 +10,6 @@ use foxharness::experiments as exp;
 use foxharness::stack::StackKind;
 use foxharness::workload::{many_flows, ManyFlowsResult};
 use foxharness::{Cell, TracedBulk};
-use foxtcp::CcAlg;
 use foxtcp::TcpConfig;
 use simnet::{CostModel, FaultConfig, NetConfig, SimNet};
 
@@ -156,51 +155,6 @@ fn ack_coalescing_defaults_pin_the_historical_thresholds() {
     let explicit = xk(TcpConfig { ack_coalesce_segments: Some(1), ..paper });
     let d = first_divergence(&base.events, &explicit.events);
     assert!(d.is_none(), "xk: Some(1) must equal the default threshold, diverged at {d:?}");
-}
-
-/// The `CongestionControl` trait seam must be invisible on Reno's
-/// pinned runs: selecting the algorithm explicitly (with CUBIC compiled
-/// in behind the same trait) diffs to zero against the default
-/// configuration on the same fault dice. And the default configuration
-/// offers no TCP options, so these pinned streams are also the
-/// unnegotiated-options baseline of Tables 1–2.
-#[test]
-fn reno_pinned_runs_trace_diff_to_zero_with_cubic_behind_the_trait() {
-    let defaults = TcpConfig::default();
-    assert_eq!(defaults.congestion_algorithm, CcAlg::Reno, "Reno is the pinned default");
-    assert!(
-        !defaults.window_scale && !defaults.sack && !defaults.timestamps,
-        "no option is offered unless asked for"
-    );
-    let base = traced_drop5(exp::loss_matrix_config(), 40_000, 7);
-    let explicit_reno = exp::loss_matrix_config();
-    assert_eq!(explicit_reno.congestion_algorithm, CcAlg::Reno);
-    let reno = traced_drop5(TcpConfig { congestion_algorithm: CcAlg::Reno, ..explicit_reno }, 40_000, 7);
-    let d = first_divergence(&base.events, &reno.events);
-    assert!(d.is_none(), "the trait seam changed Reno's behavior, diverged at {d:?}");
-
-    // CUBIC on the same dice is a real alternative, not an alias: it
-    // must still deliver everything, replay deterministically, and
-    // grow the window differently once loss has forced recovery. The
-    // window must be wide enough that cwnd — not the peer's 16 KB
-    // advertisement — is what limits sending, or the two algorithms'
-    // different growth stays invisible in the trace.
-    let wide = |alg| TcpConfig {
-        congestion_algorithm: alg,
-        initial_window: 65535,
-        send_buffer: 131072,
-        delayed_ack_ms: None,
-        ..TcpConfig::default()
-    };
-    let reno_wide = traced_drop5(wide(CcAlg::Reno), 100_000, 7);
-    let cubic = traced_drop5(wide(CcAlg::Cubic), 100_000, 7);
-    assert_eq!(cubic.bulk.bytes, 100_000, "CUBIC delivers in full");
-    let cubic2 = traced_drop5(wide(CcAlg::Cubic), 100_000, 7);
-    assert!(first_divergence(&cubic.events, &cubic2.events).is_none(), "CUBIC replays deterministically");
-    assert!(
-        first_divergence(&reno_wide.events, &cubic.events).is_some(),
-        "CUBIC must actually differ from Reno under loss"
-    );
 }
 
 #[test]

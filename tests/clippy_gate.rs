@@ -199,11 +199,11 @@ fn every_crate_root_requires_a_reason_on_each_allow() {
     }
 }
 
-/// `TcpConfig` keeps its 19 fields: this pattern names each one and has
-/// no `..`, so a 20th field does not compile (`error[E0027]: pattern
+/// `TcpConfig` keeps its 18 fields: this pattern names each one and has
+/// no `..`, so a 19th field does not compile (`error[E0027]: pattern
 /// does not mention field`).
 #[test]
-fn tcp_config_has_nineteen_fields() {
+fn tcp_config_has_eighteen_fields() {
     let foxtcp::TcpConfig {
         initial_window: _,
         compute_checksums: _,
@@ -216,7 +216,6 @@ fn tcp_config_has_nineteen_fields() {
         fast_path: _,
         latency_priority: _,
         congestion_control: _,
-        congestion_algorithm: _,
         window_scale: _,
         sack: _,
         timestamps: _,
