@@ -95,10 +95,12 @@
 #      themselves
 #   fsm gate: the control::fsm unit tests (the guard admits exactly the
 #      edges of spec/tcp_fsm.txt, a write outside it panics, the spec
-#      parser, docs/tcp_fsm.dot is current), then the conformance
-#      coverage ratchet proves every non-exempt spec edge is witnessed
-#      at runtime by both stacks (printing the edges-covered/total
-#      counts per stack). That every state write is a spec edge needs no
+#      parser reads every RFC state, docs/tcp_fsm.dot is current), then
+#      the conformance coverage ratchet proves every non-exempt spec
+#      edge is witnessed at runtime by both stacks (printing the
+#      edges-covered/total counts per stack). Guard and ratchet compare
+#      typed edges, foxbasis::obs's RfcState and Trigger, never the
+#      spelling of a state. That every state write is a spec edge needs no
 #      stage of its own: rustc confines the writes to control/fsm.rs,
 #      where `transition`'s debug assertion is live in `== test ==` and
 #      `== conformance ==`

@@ -20,9 +20,6 @@
 //!   engine's id → slot table, the demux, the harness's stations): one
 //!   hashed probe, duplicate keys in insertion order, a fixed mixer and
 //!   no iteration, so its layout is never an observable order;
-//! * [`deq`] — the double-ended queue (`structure D: DEQ` in Fig. 6),
-//!   used for the TCB's resend queue: the sequence ranges of sent,
-//!   unacknowledged segments;
 //! * [`ring`] — a byte ring buffer used for the socket send buffer (the
 //!   receive side keeps a byte count, not a ring);
 //! * [`wordarray`] — safe byte arrays with 1/2/4-byte big-endian access,
@@ -57,7 +54,6 @@
 pub mod buf;
 pub mod checksum;
 pub mod copy;
-pub mod deq;
 pub mod fifo;
 pub mod flat;
 pub mod obs;
@@ -69,7 +65,6 @@ pub mod wordarray;
 
 pub use buf::PacketBuf;
 pub use checksum::{checksum, ones_complement_sum, ChecksumAccum};
-pub use deq::Deq;
 pub use fifo::Fifo;
 pub use flat::{FlatIndex, FlatKey};
 pub use obs::{ConnMetrics, Event, EventRing, EventSink, Stamped, NO_CONN};

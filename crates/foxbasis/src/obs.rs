@@ -31,7 +31,8 @@ use std::rc::Rc;
 /// frames, GC pauses).
 pub const NO_CONN: u32 = u32::MAX;
 
-/// TCP flag bits as events carry them (wire order of RFC 793).
+/// TCP flag bits as events carry them: the wire byte's low six bits
+/// (RFC 793 order), as `foxwire`'s `TcpFlags::to_u8` gives them.
 pub mod flags {
     /// FIN.
     pub const FIN: u8 = 1;
@@ -72,21 +73,277 @@ pub fn flags_to_string(bits: u8) -> String {
     out
 }
 
+// ----- the vocabularies -----
+
+/// The eleven connection states of RFC 793 §3.9, spelled (by
+/// [`RfcState::name`]) as `spec/tcp_fsm.txt` spells them. The spec, its
+/// guard and the conformance suite speak this vocabulary; a stack's own
+/// names map onto it through [`StateName::rfc`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[allow(missing_docs, reason = "each state is the RFC 793 state of the same name")]
+pub enum RfcState {
+    Closed,
+    Listen,
+    SynSent,
+    SynReceived,
+    Established,
+    FinWait1,
+    FinWait2,
+    CloseWait,
+    Closing,
+    LastAck,
+    TimeWait,
+}
+
+impl RfcState {
+    /// Every state, in declaration order.
+    #[rustfmt::skip]
+    pub const ALL: [RfcState; 11] = [
+        Self::Closed, Self::Listen, Self::SynSent, Self::SynReceived, Self::Established, Self::FinWait1,
+        Self::FinWait2, Self::CloseWait, Self::Closing, Self::LastAck, Self::TimeWait,
+    ];
+
+    /// The RFC's spelling, as in the spec file.
+    pub fn name(self) -> &'static str {
+        #[rustfmt::skip]
+        const NAMES: [&str; 11] = [
+            "CLOSED", "LISTEN", "SYN-SENT", "SYN-RECEIVED", "ESTABLISHED", "FIN-WAIT-1",
+            "FIN-WAIT-2", "CLOSE-WAIT", "CLOSING", "LAST-ACK", "TIME-WAIT",
+        ];
+        NAMES[self as usize]
+    }
+
+    /// True in RFC 793's synchronized states: ESTABLISHED, FIN-WAIT-1,
+    /// FIN-WAIT-2, CLOSE-WAIT, CLOSING, LAST-ACK and TIME-WAIT (§3.9
+    /// counts SYN-RECEIVED among the non-synchronized ones).
+    pub fn is_synchronized(self) -> bool {
+        !matches!(self, RfcState::Closed | RfcState::Listen | RfcState::SynSent | RfcState::SynReceived)
+    }
+
+    /// The one string → state mapping: the RFC state a stack's state name
+    /// ([`StateName::name`], what `Station::conn_state` returns) stands
+    /// for. `""`, a connection its stack has forgotten, is CLOSED; any
+    /// other string is `None`.
+    pub fn of_name(name: &str) -> Option<RfcState> {
+        if name.is_empty() {
+            return Some(RfcState::Closed);
+        }
+        StateName::ALL.into_iter().find(|s| s.name() == name).map(StateName::rfc)
+    }
+}
+
+/// A connection state as a stack names it: the structured stack's twelve
+/// (paper Fig. 6, which splits SYN-RECEIVED into `SynActive` and
+/// `SynPassive` by how it was reached) and the x-kernel baseline's
+/// single `SynReceived`. Each knows its [`RfcState`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[allow(missing_docs, reason = "each name is the stack state of the same name")]
+pub enum StateName {
+    Closed,
+    Listen,
+    SynSent,
+    SynActive,
+    SynPassive,
+    SynReceived,
+    Estab,
+    FinWait1,
+    FinWait2,
+    CloseWait,
+    Closing,
+    LastAck,
+    TimeWait,
+}
+
+impl StateName {
+    /// Every name, in declaration order.
+    #[rustfmt::skip]
+    pub const ALL: [StateName; 13] = [
+        Self::Closed, Self::Listen, Self::SynSent, Self::SynActive, Self::SynPassive, Self::SynReceived,
+        Self::Estab, Self::FinWait1, Self::FinWait2, Self::CloseWait, Self::Closing, Self::LastAck,
+        Self::TimeWait,
+    ];
+
+    /// The name as traces and `Station::conn_state` spell it.
+    pub fn name(self) -> &'static str {
+        #[rustfmt::skip]
+        const NAMES: [&str; 13] = [
+            "Closed", "Listen", "SynSent", "SynActive", "SynPassive", "SynReceived", "Estab",
+            "FinWait1", "FinWait2", "CloseWait", "Closing", "LastAck", "TimeWait",
+        ];
+        NAMES[self as usize]
+    }
+
+    /// The RFC 793 state this name stands for.
+    pub fn rfc(self) -> RfcState {
+        match self {
+            StateName::Closed => RfcState::Closed,
+            StateName::Listen => RfcState::Listen,
+            StateName::SynSent => RfcState::SynSent,
+            StateName::SynActive | StateName::SynPassive | StateName::SynReceived => RfcState::SynReceived,
+            StateName::Estab => RfcState::Established,
+            StateName::FinWait1 => RfcState::FinWait1,
+            StateName::FinWait2 => RfcState::FinWait2,
+            StateName::CloseWait => RfcState::CloseWait,
+            StateName::Closing => RfcState::Closing,
+            StateName::LastAck => RfcState::LastAck,
+            StateName::TimeWait => RfcState::TimeWait,
+        }
+    }
+}
+
+/// What moves the state machine: a user call, any timer expiry, or a
+/// segment — the trigger vocabulary of `spec/tcp_fsm.txt`.
+#[rustfmt::skip]
+#[allow(missing_docs, reason = "each trigger names the event of the same name")]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Trigger { Open, Close, Abort, Timer, Rst, Syn, Fin, Ack }
+
+impl Trigger {
+    /// Every trigger, in declaration order.
+    pub const ALL: [Trigger; 8] =
+        [Self::Open, Self::Close, Self::Abort, Self::Timer, Self::Rst, Self::Syn, Self::Fin, Self::Ack];
+
+    /// The trigger a segment with flag bits `bits` (see [`flags`]) is
+    /// stamped with: RST outranks SYN outranks FIN outranks its
+    /// piggybacked ACK. (Both stacks drop a segment with none of the four
+    /// before any state write.)
+    pub fn of(bits: u8) -> Trigger {
+        if bits & flags::RST != 0 {
+            Trigger::Rst
+        } else if bits & flags::SYN != 0 {
+            Trigger::Syn
+        } else if bits & flags::FIN != 0 {
+            Trigger::Fin
+        } else {
+            Trigger::Ack
+        }
+    }
+
+    /// The spelling in the spec file and in traces.
+    pub fn name(self) -> &'static str {
+        ["open", "close", "abort", "timer", "rst", "syn", "fin", "ack"][self as usize]
+    }
+}
+
+/// The per-connection timers (the Action module's time-dependent side).
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Hash)]
+pub enum TimerKind {
+    /// Retransmission timer (the Resend module's).
+    Resend,
+    /// Delayed-ACK timer ("a Set_Timer for the ack timer if the ack is
+    /// to be delayed").
+    DelayedAck,
+    /// Zero-window probe (persist) timer.
+    Persist,
+    /// The 2MSL TIME-WAIT timer.
+    TimeWait,
+    /// The user timeout of the paper's Fig. 4 functor header: "the
+    /// length of time before hung operations fail".
+    UserTimeout,
+}
+
+impl TimerKind {
+    /// All kinds, for iteration.
+    pub const ALL: [TimerKind; 5] = [
+        TimerKind::Resend,
+        TimerKind::DelayedAck,
+        TimerKind::Persist,
+        TimerKind::TimeWait,
+        TimerKind::UserTimeout,
+    ];
+
+    /// The timer's name, as event exports use it.
+    pub fn name(self) -> &'static str {
+        match self {
+            TimerKind::Resend => "Resend",
+            TimerKind::DelayedAck => "DelayedAck",
+            TimerKind::Persist => "Persist",
+            TimerKind::TimeWait => "TimeWait",
+            TimerKind::UserTimeout => "UserTimeout",
+        }
+    }
+}
+
+/// A loss-recovery event, threaded through the to_do queue so the
+/// engine's statistics (and tests reading the queue or trace) can
+/// observe *how* a transfer recovered, not just that the bytes arrived.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum LossEvent {
+    /// A segment was retransmitted during fast recovery without waiting
+    /// for the timer: the front segment on the third duplicate ACK, or a
+    /// later hole on a further duplicate or a partial ACK.
+    FastRetransmit,
+    /// A segment of the flight a timeout declared lost was retransmitted:
+    /// the front segment when the timer fired, or the rest of that
+    /// flight, under slow start, on the ACKs that followed.
+    RtoRetransmit,
+    /// Fast recovery was entered (Reno: cwnd inflating on further
+    /// duplicate ACKs until the recovery point is acknowledged).
+    RecoveryEntered,
+    /// The recovery point was acknowledged; cwnd deflated to ssthresh.
+    RecoveryExited,
+    /// A partial ACK during fast recovery (NewReno): recovery continues,
+    /// and the hole it exposed is retransmitted at once.
+    PartialAck,
+    /// The retransmission timer fired with data outstanding.
+    Rto,
+    /// The persist timer sent a zero-window probe.
+    Probe,
+}
+
+impl LossEvent {
+    /// The event's name, as event exports use it.
+    pub fn name(self) -> &'static str {
+        match self {
+            LossEvent::FastRetransmit => "FastRetransmit",
+            LossEvent::RtoRetransmit => "RtoRetransmit",
+            LossEvent::RecoveryEntered => "RecoveryEntered",
+            LossEvent::RecoveryExited => "RecoveryExited",
+            LossEvent::PartialAck => "PartialAck",
+            LossEvent::Rto => "Rto",
+            LossEvent::Probe => "Probe",
+        }
+    }
+}
+
+/// A repelled state-targeted attack, threaded through the to_do queue
+/// like [`LossEvent`] so the engine's statistics and trace observe
+/// *which* hostile input the connection rejected, not merely that it
+/// survived.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum AttackEvent {
+    /// An RST whose sequence number was in the receive window but not
+    /// exactly `RCV.NXT` — a blind reset attempt; a challenge ACK was
+    /// queued instead of aborting (RFC 5961 §3.2 semantics).
+    RstBadSeq,
+    /// An ACK for data never sent (`SEG.ACK > SND.NXT`) — an optimistic
+    /// ACK attempt; the segment was dropped after queuing an ACK.
+    AckUnsentData,
+}
+
+impl AttackEvent {
+    /// The event's name, as event exports use it.
+    pub fn name(self) -> &'static str {
+        match self {
+            AttackEvent::RstBadSeq => "RstBadSeq",
+            AttackEvent::AckUnsentData => "AckUnsentData",
+        }
+    }
+}
+
 /// One observable step of the stack.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Event {
     /// A connection moved between TCP states.
     StateTransition {
         /// State before.
-        from: &'static str,
+        from: StateName,
         /// State after.
-        to: &'static str,
-        /// What drove the move: a user call (`open`/`close`/`abort`),
-        /// a `timer`, or the highest-precedence flag of the arriving
-        /// segment (`rst` > `syn` > `fin` > `ack`) — the trigger
-        /// vocabulary of `spec/tcp_fsm.txt`, so runtime coverage can be
+        to: StateName,
+        /// What drove the move: a user call, a timer, or the arriving
+        /// segment ([`Trigger::of`]), so runtime coverage can be
         /// ratcheted against the extracted state machine.
-        cause: &'static str,
+        cause: Trigger,
     },
     /// A `to_do` action was executed (the paper's quasi-synchronous
     /// unit of work).
@@ -103,25 +360,25 @@ pub enum Event {
     /// A timer was armed.
     TimerSet {
         /// Which timer.
-        timer: &'static str,
+        timer: TimerKind,
         /// Delay it was armed with, in milliseconds.
         after_ms: u64,
     },
     /// A timer was cleared before firing.
     TimerClear {
         /// Which timer.
-        timer: &'static str,
+        timer: TimerKind,
     },
     /// A timer expired and its action ran.
     TimerFire {
         /// Which timer.
-        timer: &'static str,
+        timer: TimerKind,
     },
     /// A retransmission/recovery episode event (fast retransmit,
     /// recovery entry/exit, partial ACK, RTO, zero-window probe).
     Loss {
         /// Which kind of loss event.
-        kind: &'static str,
+        kind: LossEvent,
     },
     /// A TCP segment was handed to the lower layer.
     SegTx {
@@ -177,7 +434,7 @@ pub enum Event {
     /// RST, optimistic ACK for unsent data, ...).
     Attack {
         /// Which attack signature was rejected.
-        kind: &'static str,
+        kind: AttackEvent,
     },
     /// A frame landed in a port's receive queue.
     FrameDeliver {
@@ -232,6 +489,7 @@ impl Event {
         let mut s = String::new();
         match self {
             Event::StateTransition { from, to, cause } => {
+                let (from, to, cause) = (from.name(), to.name(), cause.name());
                 let _ = write!(s, "{{\"from\":\"{from}\",\"to\":\"{to}\",\"cause\":\"{cause}\"}}");
             }
             Event::Action { tag } => {
@@ -241,16 +499,10 @@ impl Event {
                 let _ = write!(s, "{{\"parked\":{parked}}}");
             }
             Event::TimerSet { timer, after_ms } => {
-                let _ = write!(s, "{{\"timer\":\"{timer}\",\"after_ms\":{after_ms}}}");
+                let _ = write!(s, "{{\"timer\":\"{}\",\"after_ms\":{after_ms}}}", timer.name());
             }
-            Event::TimerClear { timer } => {
-                let _ = write!(s, "{{\"timer\":\"{timer}\"}}");
-            }
-            Event::TimerFire { timer } => {
-                let _ = write!(s, "{{\"timer\":\"{timer}\"}}");
-            }
-            Event::Loss { kind } => {
-                let _ = write!(s, "{{\"kind\":\"{kind}\"}}");
+            Event::TimerClear { timer } | Event::TimerFire { timer } => {
+                let _ = write!(s, "{{\"timer\":\"{}\"}}", timer.name());
             }
             Event::SegTx { seq, ack, len, flags, wnd } | Event::SegRx { seq, ack, len, flags, wnd } => {
                 let _ = write!(
@@ -266,9 +518,9 @@ impl Event {
                 let _ = write!(s, "{{\"reason\":\"{reason}\"}}");
             }
             Event::FrameCorrupt => s.push_str("{}"),
-            Event::FrameMutate { kind } | Event::FrameRewrite { kind } | Event::Attack { kind } => {
-                let _ = write!(s, "{{\"kind\":\"{kind}\"}}");
-            }
+            Event::FrameMutate { kind } | Event::FrameRewrite { kind } => Self::kind_json(&mut s, kind),
+            Event::Loss { kind } => Self::kind_json(&mut s, kind.name()),
+            Event::Attack { kind } => Self::kind_json(&mut s, kind.name()),
             Event::GcPause { micros } => {
                 let _ = write!(s, "{{\"micros\":{micros}}}");
             }
@@ -277,6 +529,10 @@ impl Event {
             }
         }
         s
+    }
+
+    fn kind_json(s: &mut String, kind: &str) {
+        let _ = write!(s, "{{\"kind\":\"{kind}\"}}");
     }
 }
 
@@ -617,7 +873,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_has_required_fields() {
-        let events = vec![ev(7, 3, Event::TimerFire { timer: "Resend" })];
+        let events = vec![ev(7, 3, Event::TimerFire { timer: TimerKind::Resend })];
         let json = to_chrome_trace(&events);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"name\":\"timer_fire\""));
@@ -644,6 +900,33 @@ mod tests {
         assert_eq!(d.index, 1);
         assert_eq!(d.left.unwrap().event, Event::Action { tag: "b" });
         assert_eq!(d.right.unwrap().event, Event::Action { tag: "c" });
+    }
+
+    #[test]
+    fn a_state_is_spelled_as_its_variant_is_named() {
+        for n in StateName::ALL {
+            assert_eq!(n.name(), format!("{n:?}"));
+        }
+    }
+
+    #[test]
+    fn a_segment_triggers_by_flag_precedence() {
+        use flags::*;
+        assert_eq!(Trigger::of(RST | SYN | FIN | ACK), Trigger::Rst);
+        assert_eq!(Trigger::of(SYN | FIN | ACK), Trigger::Syn);
+        assert_eq!(Trigger::of(FIN | ACK | PSH), Trigger::Fin);
+        assert_eq!(Trigger::of(ACK), Trigger::Ack);
+    }
+
+    /// Every recording ring holds `capacity` of these. History: 56 and
+    /// 72 B while `StateTransition` carried three `&'static str` and the
+    /// timer, loss and attack events one each; 24 and 40 B since those are
+    /// one-byte enums. `Action`'s and `BufCopy`'s `&'static str` and
+    /// `SegTx`'s 17 bytes keep `Event` at 24.
+    #[test]
+    fn event_sizes_are_pinned() {
+        assert_eq!(std::mem::size_of::<Event>(), 24);
+        assert_eq!(std::mem::size_of::<Stamped>(), 40);
     }
 
     #[test]

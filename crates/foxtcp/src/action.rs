@@ -12,115 +12,10 @@
 //! actions have been placed on the queue the behavior of TCP is
 //! completely deterministic and testable."
 
+use foxbasis::obs::{AttackEvent, LossEvent, TimerKind};
 use foxbasis::seq::Seq;
 use foxwire::tcp::TcpSegment;
 use std::fmt;
-
-/// The per-connection timers (the Action module's time-dependent side).
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Hash)]
-pub enum TimerKind {
-    /// Retransmission timer (the Resend module's).
-    Resend,
-    /// Delayed-ACK timer ("a Set_Timer for the ack timer if the ack is
-    /// to be delayed").
-    DelayedAck,
-    /// Zero-window probe (persist) timer.
-    Persist,
-    /// The 2MSL TIME-WAIT timer.
-    TimeWait,
-    /// The user timeout of the paper's Fig. 4 functor header: "the
-    /// length of time before hung operations fail".
-    UserTimeout,
-}
-
-impl TimerKind {
-    /// All kinds, for iteration.
-    pub const ALL: [TimerKind; 5] = [
-        TimerKind::Resend,
-        TimerKind::DelayedAck,
-        TimerKind::Persist,
-        TimerKind::TimeWait,
-        TimerKind::UserTimeout,
-    ];
-
-    /// The timer's name, as event exports use it.
-    pub fn name(self) -> &'static str {
-        match self {
-            TimerKind::Resend => "Resend",
-            TimerKind::DelayedAck => "DelayedAck",
-            TimerKind::Persist => "Persist",
-            TimerKind::TimeWait => "TimeWait",
-            TimerKind::UserTimeout => "UserTimeout",
-        }
-    }
-}
-
-/// A loss-recovery event, threaded through the to_do queue so the
-/// engine's statistics (and tests reading the queue or trace) can
-/// observe *how* a transfer recovered, not just that the bytes arrived.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum LossEvent {
-    /// A segment was retransmitted during fast recovery without waiting
-    /// for the timer: the front segment on the third duplicate ACK, or a
-    /// later hole on a further duplicate or a partial ACK.
-    FastRetransmit,
-    /// A segment of the flight a timeout declared lost was retransmitted:
-    /// the front segment when the timer fired, or the rest of that
-    /// flight, under slow start, on the ACKs that followed.
-    RtoRetransmit,
-    /// Fast recovery was entered (Reno: cwnd inflating on further
-    /// duplicate ACKs until the recovery point is acknowledged).
-    RecoveryEntered,
-    /// The recovery point was acknowledged; cwnd deflated to ssthresh.
-    RecoveryExited,
-    /// A partial ACK during fast recovery (NewReno): recovery continues,
-    /// and the hole it exposed is retransmitted at once.
-    PartialAck,
-    /// The retransmission timer fired with data outstanding.
-    Rto,
-    /// The persist timer sent a zero-window probe.
-    Probe,
-}
-
-impl LossEvent {
-    /// The event's name, as event exports use it.
-    pub fn name(self) -> &'static str {
-        match self {
-            LossEvent::FastRetransmit => "FastRetransmit",
-            LossEvent::RtoRetransmit => "RtoRetransmit",
-            LossEvent::RecoveryEntered => "RecoveryEntered",
-            LossEvent::RecoveryExited => "RecoveryExited",
-            LossEvent::PartialAck => "PartialAck",
-            LossEvent::Rto => "Rto",
-            LossEvent::Probe => "Probe",
-        }
-    }
-}
-
-/// A repelled state-targeted attack, threaded through the to_do queue
-/// like [`LossEvent`] so the engine's statistics and trace observe
-/// *which* hostile input the connection rejected, not merely that it
-/// survived.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum AttackEvent {
-    /// An RST whose sequence number was in the receive window but not
-    /// exactly `RCV.NXT` — a blind reset attempt; a challenge ACK was
-    /// queued instead of aborting (RFC 5961 §3.2 semantics).
-    RstBadSeq,
-    /// An ACK for data never sent (`SEG.ACK > SND.NXT`) — an optimistic
-    /// ACK attempt; the segment was dropped after queuing an ACK.
-    AckUnsentData,
-}
-
-impl AttackEvent {
-    /// The event's name, as event exports use it.
-    pub fn name(self) -> &'static str {
-        match self {
-            AttackEvent::RstBadSeq => "RstBadSeq",
-            AttackEvent::AckUnsentData => "AckUnsentData",
-        }
-    }
-}
 
 /// One action on a connection's to_do queue (paper Fig. 8).
 #[derive(Clone, PartialEq)]

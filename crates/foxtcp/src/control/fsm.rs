@@ -10,12 +10,12 @@
 //! debug run of anything that links foxtcp; spec ⊆ code is conformance's
 //! coverage ratchet (§5.13).
 
-use crate::action::{TcpAction, TimerKind};
+use crate::action::TcpAction;
 use crate::data::tcb::Tcb;
 use crate::{ConnCore, TcpConfig};
 use foxbasis::buf::BufPool;
+use foxbasis::obs::{RfcState, StateName, TimerKind, Trigger};
 use foxbasis::seq::Seq;
-use foxwire::tcp::TcpFlags;
 use std::ops::Deref;
 use std::sync::LazyLock;
 
@@ -76,45 +76,29 @@ impl TcpState {
         matches!(self, TcpState::SynActive | TcpState::SynPassive { .. })
     }
 
-    /// True once the connection is past the three-way handshake.
+    /// True once a SYN has been received: SYN-RECEIVED and RFC 793's
+    /// synchronized states ([`RfcState::is_synchronized`]).
     pub fn is_synchronized(&self) -> bool {
         !matches!(self, TcpState::Closed | TcpState::Listen { .. } | TcpState::SynSent { .. })
     }
 
-    /// The paper's Fig. 6 state name, as event exports use it: the two
-    /// SYN-RECEIVED flavors keep their own names ([`TcpState::rfc_name`]
-    /// gives the RFC 793 one).
-    pub fn name(&self) -> &'static str {
+    /// The paper's Fig. 6 state name, as events carry it: the two
+    /// SYN-RECEIVED flavors keep their own names ([`StateName::rfc`]
+    /// gives the RFC 793 state).
+    pub fn name(&self) -> StateName {
         match self {
-            TcpState::Closed => "Closed",
-            TcpState::Listen { .. } => "Listen",
-            TcpState::SynSent { .. } => "SynSent",
-            TcpState::SynActive => "SynActive",
-            TcpState::SynPassive { .. } => "SynPassive",
-            TcpState::Estab => "Estab",
-            TcpState::FinWait1 => "FinWait1",
-            TcpState::FinWait2 => "FinWait2",
-            TcpState::CloseWait => "CloseWait",
-            TcpState::Closing => "Closing",
-            TcpState::LastAck => "LastAck",
-            TcpState::TimeWait => "TimeWait",
-        }
-    }
-
-    /// The RFC 793 name; the two SYN-RECEIVED flavors share one.
-    pub fn rfc_name(&self) -> &'static str {
-        match self {
-            TcpState::Closed => "CLOSED",
-            TcpState::Listen { .. } => "LISTEN",
-            TcpState::SynSent { .. } => "SYN-SENT",
-            TcpState::SynActive | TcpState::SynPassive { .. } => "SYN-RECEIVED",
-            TcpState::Estab => "ESTABLISHED",
-            TcpState::FinWait1 => "FIN-WAIT-1",
-            TcpState::FinWait2 => "FIN-WAIT-2",
-            TcpState::CloseWait => "CLOSE-WAIT",
-            TcpState::Closing => "CLOSING",
-            TcpState::LastAck => "LAST-ACK",
-            TcpState::TimeWait => "TIME-WAIT",
+            TcpState::Closed => StateName::Closed,
+            TcpState::Listen { .. } => StateName::Listen,
+            TcpState::SynSent { .. } => StateName::SynSent,
+            TcpState::SynActive => StateName::SynActive,
+            TcpState::SynPassive { .. } => StateName::SynPassive,
+            TcpState::Estab => StateName::Estab,
+            TcpState::FinWait1 => StateName::FinWait1,
+            TcpState::FinWait2 => StateName::FinWait2,
+            TcpState::CloseWait => StateName::CloseWait,
+            TcpState::Closing => StateName::Closing,
+            TcpState::LastAck => StateName::LastAck,
+            TcpState::TimeWait => StateName::TimeWait,
         }
     }
 }
@@ -186,47 +170,12 @@ impl ConnCore {
     }
 }
 
-/// RFC 793 §3.9 state names: the spec file's vocabulary.
-#[rustfmt::skip]
-const RFC_STATES: [&str; 11] = [
-    "CLOSED", "LISTEN", "SYN-SENT", "SYN-RECEIVED", "ESTABLISHED", "FIN-WAIT-1",
-    "FIN-WAIT-2", "CLOSE-WAIT", "CLOSING", "LAST-ACK", "TIME-WAIT",
-];
-
-/// What moves the machine: a user call, any timer expiry, or a segment.
-#[rustfmt::skip]
-#[allow(missing_docs, reason = "each trigger names the event of the same name")]
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Trigger { Open, Close, Abort, Timer, Rst, Syn, Fin, Ack }
-
-impl Trigger {
-    /// Every trigger, in declaration order.
-    pub const ALL: [Trigger; 8] =
-        [Self::Open, Self::Close, Self::Abort, Self::Timer, Self::Rst, Self::Syn, Self::Fin, Self::Ack];
-
-    /// The trigger an observed segment is stamped with: RST outranks SYN outranks FIN outranks its
-    /// piggybacked ACK. (A segment with none of the four is dropped before any state write.)
-    pub fn of(f: &TcpFlags) -> Trigger {
-        match (f.rst, f.syn, f.fin) {
-            (true, ..) => Trigger::Rst,
-            (_, true, _) => Trigger::Syn,
-            (.., true) => Trigger::Fin,
-            _ => Trigger::Ack,
-        }
-    }
-
-    /// The spelling in the spec file and in `StateTransition { cause }`.
-    pub fn name(self) -> &'static str {
-        ["open", "close", "abort", "timer", "rst", "syn", "fin", "ack"][self as usize]
-    }
-}
-
 /// One `FROM -> TO : trigger` line of `spec/tcp_fsm.txt`.
 #[allow(missing_docs, reason = "`from`, `to` and `trigger` are the line's three parts")]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpecEdge {
-    pub from: &'static str,
-    pub to: &'static str,
+    pub from: RfcState,
+    pub to: RfcState,
     pub trigger: Trigger,
     /// The stack (`"fox"` or `"xk"`) an `@untested(stack: reason)` excuses from witnessing the edge.
     pub untested: Option<&'static str>,
@@ -244,7 +193,7 @@ fn parse_edge(line: &str) -> Result<SpecEdge, &'static str> {
     };
     let (from, rest) = edge.split_once("->").ok_or("missing `->`")?;
     let (to, trigger) = rest.split_once(':').ok_or("missing `: trigger`")?;
-    let state = |s: &str| RFC_STATES.into_iter().find(|r| *r == s.trim()).ok_or("unknown state");
+    let state = |s: &str| RfcState::ALL.into_iter().find(|r| r.name() == s.trim()).ok_or("unknown state");
     let trigger = Trigger::ALL.into_iter().find(|t| t.name() == trigger.trim()).ok_or("unknown trigger")?;
     Ok(SpecEdge { from: state(from)?, to: state(to)?, trigger, untested })
 }
@@ -269,8 +218,8 @@ fn parse_spec(text: &str) -> Result<Vec<SpecEdge>, String> {
 pub static SPEC: LazyLock<Vec<SpecEdge>> =
     LazyLock::new(|| parse_spec(include_str!("../../../../spec/tcp_fsm.txt")).expect("spec/tcp_fsm.txt"));
 
-/// The guard's predicate, on RFC names: a spec edge, or no transition at all.
-fn admits(from: &str, trigger: Trigger, to: &str) -> bool {
+/// The guard's predicate, on RFC states: a spec edge, or no transition at all.
+fn admits(from: RfcState, trigger: Trigger, to: RfcState) -> bool {
     from == to || SPEC.iter().any(|e| (e.from, e.trigger, e.to) == (from, trigger, to))
 }
 
@@ -279,8 +228,14 @@ fn admits(from: &str, trigger: Trigger, to: &str) -> bool {
 /// the connection.
 #[inline]
 pub(in crate::control) fn transition(core: &mut ConnCore, trigger: Trigger, to: TcpState) {
-    let (from, into) = (core.state.rfc_name(), to.rfc_name());
-    debug_assert!(admits(from, trigger, into), "not in the spec: {from} -> {into} : {}", trigger.name());
+    let (from, into) = (core.state.name().rfc(), to.name().rfc());
+    debug_assert!(
+        admits(from, trigger, into),
+        "not in the spec: {} -> {} : {}",
+        from.name(),
+        into.name(),
+        trigger.name()
+    );
     core.state.0 = to;
     if core.state == TcpState::Closed {
         for kind in TimerKind::ALL {
@@ -316,7 +271,8 @@ pub fn to_dot(edges: &[SpecEdge]) -> String {
             Trigger::Timer => ", color=gray, style=dashed",
             _ => "",
         };
-        s += &format!("  \"{}\" -> \"{}\" [label=\"{}\"{style}];\n", e.from, e.to, e.trigger.name());
+        let (from, to, trigger) = (e.from.name(), e.to.name(), e.trigger.name());
+        s += &format!("  \"{from}\" -> \"{to}\" [label=\"{trigger}\"{style}];\n");
     }
     s + "}\n"
 }
@@ -328,9 +284,13 @@ mod tests {
     #[test]
     fn the_guard_admits_exactly_spec_edges_and_self_edges() {
         let listed = |f, t, to| SPEC.iter().any(|e| (e.from, e.trigger, e.to) == (f, t, to));
-        for (from, to) in RFC_STATES.into_iter().flat_map(|f| RFC_STATES.map(|to| (f, to))) {
+        for (from, to) in RfcState::ALL.into_iter().flat_map(|f| RfcState::ALL.map(|to| (f, to))) {
             for t in Trigger::ALL {
-                assert_eq!(admits(from, t, to), from == to || listed(from, t, to), "{from} -> {to} : {t:?}");
+                assert_eq!(
+                    admits(from, t, to),
+                    from == to || listed(from, t, to),
+                    "{from:?} -> {to:?} : {t:?}"
+                );
             }
         }
         assert_eq!(SPEC.iter().filter(|e| e.from != e.to).count(), 54, "54 edges, none a self-edge");
@@ -371,6 +331,14 @@ mod tests {
             "CLOSED -> LISTEN : open  @untested xk: no parens",
         ] {
             assert!(parse_spec(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn every_rfc_state_round_trips_through_the_spec_parser() {
+        for r in RfcState::ALL {
+            let e = parse_edge(&format!("{0} -> {0} : timer", r.name())).expect("a state the parser knows");
+            assert_eq!((e.from, e.to), (r, r));
         }
     }
 

@@ -31,13 +31,14 @@
     clippy::unimplemented
 )]
 
-use crate::action::{AttackEvent, TcpAction, TimerKind};
-use crate::control::fsm::{transition, Trigger};
+use crate::action::TcpAction;
+use crate::control::fsm::transition;
 use crate::control::EstablishedHandle;
 use crate::data::transfer::{self, DataEvent};
 use crate::data::{resend, send};
 use crate::{ConnCore, TcpConfig, TcpState};
 use foxbasis::buf::BufPool;
+use foxbasis::obs::{AttackEvent, TimerKind, Trigger};
 use foxbasis::time::VirtualTime;
 use foxwire::tcp::TcpSegment;
 

@@ -2,10 +2,11 @@
 //! connection open, close, or abort, and also when a timer expires"
 //! (paper §4).
 
-use crate::action::{TcpAction, TimerKind};
-use crate::control::fsm::{spend_syn_retry, transition, Trigger};
+use crate::action::TcpAction;
+use crate::control::fsm::{spend_syn_retry, transition};
 use crate::data::{resend, send, transfer};
 use crate::{ConnCore, TcpConfig, TcpState};
+use foxbasis::obs::{TimerKind, Trigger};
 use foxbasis::time::VirtualTime;
 use foxproto::ProtoError;
 use foxwire::tcp::TcpFlags;

@@ -24,15 +24,16 @@
 //! Reno's ACK clock, and with no scoreboard NewReno's one hole per
 //! partial ACK. The timer is what is left when no ACK comes back at all.
 
-use crate::action::{LossEvent, TcpAction, TimerKind};
+use crate::action::TcpAction;
 use crate::data::send;
 use crate::data::tcb::{Recovery, RttEstimator, SentSegment, Tcb, MAX_RTO, MIN_RTO};
 use crate::{congestion, ConnCore, TcpConfig};
-use foxbasis::deq::Deq;
+use foxbasis::obs::{LossEvent, TimerKind};
 use foxbasis::ring::RingBuffer;
 use foxbasis::seq::Seq;
 use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxwire::tcp::{TcpFlags, TcpSegment};
+use std::collections::VecDeque;
 
 /// The send side of a connection: the bytes queued and in flight, where
 /// our FIN is, the retransmission queue, the round-trip estimator, the
@@ -54,7 +55,7 @@ pub struct SendSide {
     fin_seq: Option<Seq>,
     /// Sent, unacknowledged segments, oldest first: sequence ranges
     /// over the sent prefix of `send_buf`.
-    resend_queue: Deq<SentSegment>,
+    resend_queue: VecDeque<SentSegment>,
     /// RTT estimation.
     rtt: RttEstimator,
     /// Retransmissions remaining before the connection gives up.
@@ -72,7 +73,7 @@ impl SendSide {
             send_buf: RingBuffer::new(cfg.send_buffer.max(1)),
             fin_pending: false,
             fin_seq: None,
-            resend_queue: Deq::new(),
+            resend_queue: VecDeque::new(),
             rtt: RttEstimator::default(),
             retransmits_left: cfg.max_retransmits,
             sack_scoreboard: Vec::new(),
@@ -99,7 +100,7 @@ impl SendSide {
     }
 
     /// Sent, unacknowledged segments, oldest first.
-    pub fn resend_queue(&self) -> &Deq<SentSegment> {
+    pub fn resend_queue(&self) -> &VecDeque<SentSegment> {
         &self.resend_queue
     }
 

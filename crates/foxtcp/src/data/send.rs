@@ -7,11 +7,12 @@
 //! given the peer's window, the congestion window, MSS, and Nagle's
 //! algorithm, and stages the segments.
 
-use crate::action::{LossEvent, TcpAction, TimerKind};
+use crate::action::TcpAction;
 use crate::data::resend;
 use crate::data::tcb::SentSegment;
 use crate::{ConnCore, TcpConfig};
 use foxbasis::buf::{BufPool, PacketBuf, DEFAULT_HEADROOM};
+use foxbasis::obs::{LossEvent, TimerKind};
 use foxbasis::seq::Seq;
 use foxbasis::time::VirtualTime;
 use foxwire::tcp::{TcpFlags, TcpHeader, TcpSegment};

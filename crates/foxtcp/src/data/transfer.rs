@@ -31,12 +31,13 @@
     clippy::unimplemented
 )]
 
-use crate::action::{TcpAction, TimerKind};
+use crate::action::TcpAction;
 use crate::control::EstablishedHandle;
 use crate::data::send;
 use crate::data::tcb::Tcb;
 use crate::{congestion, ConnCore, TcpConfig, TcpState};
 use foxbasis::buf::PacketBuf;
+use foxbasis::obs::TimerKind;
 use foxbasis::seq::Seq;
 use foxbasis::time::VirtualTime;
 use foxwire::tcp::{SackBlocks, TcpHeader, TcpOption, TcpSegment, WireWindow};

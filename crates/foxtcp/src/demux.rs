@@ -29,7 +29,7 @@
 //! through a listener, and the children it makes that no user has
 //! adopted are bounded by the listener's backlog, so that is what an
 //! attacker can make collide; a keyed hash no attacker can aim at waits
-//! for a per-host secret (ROADMAP item 1d).
+//! for a per-host secret (DESIGN.md §5.7).
 
 // rx_panic (DESIGN.md §5.8): a segment from the wire reaches this module.
 #![deny(

@@ -18,8 +18,7 @@
 //! The one entry is [`Tcp::apply`]: every arrival, user call and tick is
 //! an [`Input`] to it, and the other entry points only build one.
 
-use crate::action::{AttackEvent, LossEvent, TcpAction, TimerKind};
-use crate::control::fsm::Trigger;
+use crate::action::TcpAction;
 use crate::control::segment::{self, ListenVerdict};
 use crate::control::state;
 use crate::data::{fastpath, resend, transfer};
@@ -28,7 +27,7 @@ use crate::{ConnCore, TcpConfig, TcpState};
 use fox_scheduler::SchedHandle;
 use foxbasis::buf::{copy_mark, BufPool};
 use foxbasis::flat::{FlatIndex, FlatKey};
-use foxbasis::obs::{ConnMetrics, Event, EventSink};
+use foxbasis::obs::{AttackEvent, ConnMetrics, Event, EventSink, LossEvent, StateName, TimerKind, Trigger};
 use foxbasis::ring::STORAGE_FLOOR;
 use foxbasis::seq::Seq;
 use foxbasis::time::{VirtualDuration, VirtualTime};
@@ -273,16 +272,6 @@ impl<P> Conn<P> {
         pending_events.clear();
         *timers = Default::default();
         (*finished, *in_backlog, *backlogged, *reap_listed) = (false, false, 0, false);
-    }
-}
-
-fn timer_index(kind: TimerKind) -> usize {
-    match kind {
-        TimerKind::Resend => 0,
-        TimerKind::DelayedAck => 1,
-        TimerKind::Persist => 2,
-        TimerKind::TimeWait => 3,
-        TimerKind::UserTimeout => 4,
     }
 }
 
@@ -624,7 +613,7 @@ where
     fn run_call(
         &mut self,
         call: UserCall<'_, L::Peer>,
-    ) -> (Result<Applied, ProtoError>, Option<(usize, &'static str, &'static str)>) {
+    ) -> (Result<Applied, ProtoError>, Option<(usize, StateName, Option<Trigger>)>) {
         let now = self.sched.now();
         let found = match &call {
             UserCall::Open(pattern, _) => self.open_conn(pattern),
@@ -647,11 +636,11 @@ where
                     TcpPattern::Active { .. } => state::active_open(cfg, core, now),
                     TcpPattern::Passive { .. } => state::passive_open(cfg, core),
                 };
-                (opened.map(|()| Applied::Opened(TcpConnId(conn.id))), Trigger::Open.name())
+                (opened.map(|()| Applied::Opened(TcpConnId(conn.id))), Some(Trigger::Open))
             }
-            UserCall::Send(_, data) => (state::send(cfg, core, &data, now).map(Applied::Took), "send"),
-            UserCall::Close(_) => (done(state::close(cfg, core, now)), Trigger::Close.name()),
-            UserCall::Abort(_) => (done(state::abort(cfg, core, now)), Trigger::Abort.name()),
+            UserCall::Send(_, data) => (state::send(cfg, core, &data, now).map(Applied::Took), None),
+            UserCall::Close(_) => (done(state::close(cfg, core, now)), Some(Trigger::Close)),
+            UserCall::Abort(_) => (done(state::abort(cfg, core, now)), Some(Trigger::Abort)),
             UserCall::Adopt(_, mut handler) => {
                 let parked = conn.pending_events.len() as u32;
                 self.obs.emit(now, conn.id, || Event::Adopt { parked });
@@ -668,7 +657,7 @@ where
                 if taken > 0 {
                     transfer::user_took(&mut self.conns[idx].core, taken, now);
                 }
-                (Ok(Applied::Done), "adopt")
+                (Ok(Applied::Done), None)
             }
         };
         (ran, Some((idx, before, cause)))
@@ -748,15 +737,20 @@ where
 
     /// Reports the state change of the connection in slot `idx` since
     /// `before`, if any — the one place a `StateTransition` is stamped.
-    fn note_transition(&self, idx: usize, before: &'static str, cause: &'static str) {
+    /// Only a user call or an input with a trigger can move a state; a
+    /// send, an adoption or any other action never does.
+    fn note_transition(&self, idx: usize, before: StateName, cause: Option<Trigger>) {
         let conn = &self.conns[idx];
         let after = conn.core.state.name();
         if before != after {
-            self.obs.emit(self.sched.now(), conn.id, || Event::StateTransition {
-                from: before,
-                to: after,
-                cause,
-            });
+            debug_assert!(cause.is_some(), "{before:?} -> {after:?} with no trigger");
+            if let Some(cause) = cause {
+                self.obs.emit(self.sched.now(), conn.id, || Event::StateTransition {
+                    from: before,
+                    to: after,
+                    cause,
+                });
+            }
         }
     }
 
@@ -918,30 +912,27 @@ where
     /// never by touching state.
     fn set_timer(&mut self, idx: usize, kind: TimerKind, ms: u64) {
         self.clear_timer(idx, kind);
-        self.obs.emit(self.sched.now(), self.conns[idx].id, || Event::TimerSet {
-            timer: kind.name(),
-            after_ms: ms,
-        });
+        self.obs.emit(self.sched.now(), self.conns[idx].id, || Event::TimerSet { timer: kind, after_ms: ms });
         self.host.charge(Work::ThreadOp);
         let deadline = self.sched.now() + VirtualDuration::from_millis(ms);
         self.host.wake_at(deadline);
         let id = self.conns[idx].id;
         let tid = self.wheel.arm(deadline, (id, kind));
-        self.conns[idx].timers[timer_index(kind)] = Some(tid);
+        self.conns[idx].timers[kind as usize] = Some(tid);
     }
 
     /// True while connection `idx`'s `kind` timer is armed and has not
     /// fired.
     fn timer_pending(&self, idx: usize, kind: TimerKind) -> bool {
-        self.conns[idx].timers[timer_index(kind)].is_some_and(|tid| self.wheel.get(tid).is_some())
+        self.conns[idx].timers[kind as usize].is_some_and(|tid| self.wheel.get(tid).is_some())
     }
 
     fn clear_timer(&mut self, idx: usize, kind: TimerKind) {
-        if let Some(tid) = self.conns[idx].timers[timer_index(kind)].take() {
+        if let Some(tid) = self.conns[idx].timers[kind as usize].take() {
             // May already have fired — cancelling then is a no-op, and
             // the clear is still reported.
             self.wheel.cancel(tid);
-            self.obs.emit(self.sched.now(), self.conns[idx].id, || Event::TimerClear { timer: kind.name() });
+            self.obs.emit(self.sched.now(), self.conns[idx].id, || Event::TimerClear { timer: kind });
         }
     }
 
@@ -965,19 +956,15 @@ where
             let Some(action) = action else { return };
             self.stats.actions_executed += 1;
             let now = self.sched.now();
-            let state_before = if self.obs.is_on() {
-                self.obs.emit(now, conn_id, || Event::Action { tag: action.tag() });
-                // Only segments and timers can move the state machine
-                // from inside the action loop; stamp the cause now,
-                // while the action still owns its segment.
-                let cause = match &action {
-                    TcpAction::ProcessData(seg) => Trigger::of(&seg.header.flags).name(),
-                    TcpAction::TimerExpiration(_) => Trigger::Timer.name(),
-                    _ => "action",
-                };
-                Some((self.conns[idx].core.state.name(), cause))
-            } else {
-                None
+            self.obs.emit(now, conn_id, || Event::Action { tag: action.tag() });
+            // Only segments and timers can move the state machine from
+            // inside the action loop; take the trigger now, while the
+            // action still owns its segment.
+            let before = self.conns[idx].core.state.name();
+            let cause = match &action {
+                TcpAction::ProcessData(seg) => Some(Trigger::of(seg.header.flags.to_u8())),
+                TcpAction::TimerExpiration(_) => Some(Trigger::Timer),
+                _ => None,
             };
             match action {
                 TcpAction::ProcessData(seg) => {
@@ -1039,7 +1026,7 @@ where
                 }
                 TcpAction::ClearTimer(kind) => self.clear_timer(idx, kind),
                 TcpAction::TimerExpiration(kind) => {
-                    self.obs.emit(now, conn_id, || Event::TimerFire { timer: kind.name() });
+                    self.obs.emit(now, conn_id, || Event::TimerFire { timer: kind });
                     let core = &mut self.conns[idx].core;
                     state::timer_expired(&self.cfg, core, kind, now);
                 }
@@ -1056,7 +1043,7 @@ where
                     self.deliver(idx, TcpEvent::Urgent(offset));
                 }
                 TcpAction::Loss(ev) => {
-                    self.obs.emit(now, conn_id, || Event::Loss { kind: ev.name() });
+                    self.obs.emit(now, conn_id, || Event::Loss { kind: ev });
                     match ev {
                         LossEvent::FastRetransmit => {
                             self.stats.fast_retransmits += 1;
@@ -1072,16 +1059,14 @@ where
                     }
                 }
                 TcpAction::Attack(ev) => {
-                    self.obs.emit(now, conn_id, || Event::Attack { kind: ev.name() });
+                    self.obs.emit(now, conn_id, || Event::Attack { kind: ev });
                     match ev {
                         AttackEvent::RstBadSeq => self.stats.rst_rejected_seq += 1,
                         AttackEvent::AckUnsentData => self.stats.acks_ignored_unsent_data += 1,
                     }
                 }
             }
-            if let Some((before, cause)) = state_before {
-                self.note_transition(idx, before, cause);
-            }
+            self.note_transition(idx, before, cause);
             if cfg!(debug_assertions) {
                 self.conns[idx].core.tcb.check_invariants();
             }
@@ -1347,7 +1332,7 @@ where
 
             // A timer id still pending on the wheel is this connection's
             // own, and of the kind it is filed under.
-            let pending = |kind| c.timers[timer_index(kind)].and_then(|tid| self.wheel.get(tid));
+            let pending = |kind| c.timers[kind as usize].and_then(|tid| self.wheel.get(tid));
             for kind in TimerKind::ALL {
                 assert!(
                     pending(kind).is_none_or(|&armed| armed == (id, kind)),
@@ -1567,7 +1552,7 @@ mod tests {
         let fired: Vec<u32> = sink
             .events()
             .iter()
-            .filter(|e| matches!(e.event, Event::TimerFire { timer: "Resend" }))
+            .filter(|e| matches!(e.event, Event::TimerFire { timer: TimerKind::Resend }))
             .map(|e| e.conn)
             .collect();
         assert_eq!(fired, [1, 2, 3], "drained in id order, not slot order");
@@ -1603,9 +1588,9 @@ mod tests {
             .events()
             .iter()
             .filter_map(|e| match e.event {
-                Event::TimerSet { timer, .. } => Some(format!("set {timer}")),
-                Event::TimerClear { timer } => Some(format!("clear {timer}")),
-                Event::TimerFire { timer } => Some(format!("fire {timer}")),
+                Event::TimerSet { timer, .. } => Some(format!("set {timer:?}")),
+                Event::TimerClear { timer } => Some(format!("clear {timer:?}")),
+                Event::TimerFire { timer } => Some(format!("fire {timer:?}")),
                 _ => None,
             })
             .collect();

@@ -49,7 +49,7 @@ pub mod engine;
 pub mod socket;
 pub mod testlink;
 
-pub use action::{LossEvent, TcpAction, TimerKind};
+pub use action::TcpAction;
 pub use control::fsm::TcpState;
 pub use data::tcb::Tcb;
 pub use demux::{Demux, DemuxStats};

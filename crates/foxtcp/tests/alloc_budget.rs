@@ -3,17 +3,17 @@
 //! connection lifecycle, heap bytes held per idle connection, and what
 //! a reaped connection's spare record holds.
 //!
-//! ROADMAP item 2 asks for an engine that is "allocation-free per
-//! segment" and prefers "the allocator count over a `hot_alloc` lint":
-//! this is that count. Two engines over `testlink` (no dev/eth/ip, no
-//! simnet — the engine's own allocations and nothing else) in
-//! ESTABLISHED play the benchmark's `rr` exchange: 64 bytes one way,
-//! 64 bytes back, each reply piggybacking the ACK and cancelling the
-//! delayed-ACK timer the request armed. The run is deterministic, so
-//! the count is a constant; a change that moves it has to say so here.
+//! An engine "allocation-free per segment" is checked by the allocator's
+//! count, not by a lint (DESIGN.md §5.6): this is that count. Two
+//! engines over `testlink` (no dev/eth/ip, no simnet — the engine's own
+//! allocations and nothing else) in ESTABLISHED play the benchmark's
+//! `rr` exchange: 64 bytes one way, 64 bytes back, each reply
+//! piggybacking the ACK and cancelling the delayed-ACK timer the request
+//! armed. The run is deterministic, so the count is a constant; a change
+//! that moves it has to say so here.
 //!
 //! The second budget is what a connection costs when it is doing
-//! nothing (ROADMAP item 5): the bytes the two engines still hold for a
+//! nothing (DESIGN.md §5.15): the bytes the two engines still hold for a
 //! population of ESTABLISHED connections that each made one such round
 //! trip and fell idle. Equally deterministic, equally pinned.
 

@@ -13,11 +13,11 @@
 //! happens to do. The SUT opens actively from its own ephemeral port;
 //! the peer learns it from the wire.
 //!
-//! State names are normalized to the RFC's vocabulary (`SYN-RECEIVED`,
-//! `FIN-WAIT-1`, ...) because the two stacks factor the diagram
-//! differently: fox splits SYN-RECEIVED into `SynActive`/`SynPassive`
-//! (the paper's Fig. 6), and a connection the stack has forgotten reads
-//! as `CLOSED`.
+//! States are checked as RFC 793 states (`RfcState`, here `Rfc`)
+//! because the two stacks factor the diagram differently: fox splits
+//! SYN-RECEIVED into `SynActive`/`SynPassive` (the paper's Fig. 6). Each
+//! stack's state name knows its RFC state, and a connection the stack
+//! has forgotten reads as CLOSED.
 //!
 //! The scenarios live in one registry ([`SCENARIOS`]) so the suite can
 //! be ratcheted against the declared state machine: every run records
@@ -29,13 +29,13 @@
 //! that stack.
 
 use fox_scheduler::SchedHandle;
-use foxbasis::obs::{Event, EventSink};
+use foxbasis::obs::{Event, EventSink, RfcState as Rfc, StateName, Trigger};
 use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxharness::advpeer::{forge, WireView};
 use foxharness::stack::{fox_station, xk_station};
 use foxharness::station::{ConnHandle, Station};
 use foxproto::Protocol;
-use foxtcp::control::fsm::{self, SpecEdge, Trigger};
+use foxtcp::control::fsm::{self, SpecEdge};
 use foxtcp::testlink::{check_replay, LinkPair, Pair, TestAux, TestLower, TestMsg};
 use foxtcp::{InputLog, Tcp, TcpConfig, TcpConnId, TcpEvent, TcpState};
 use foxwire::tcp::{TcpFlags, TcpSegment};
@@ -43,7 +43,7 @@ use simnet::{HostHandle, Medium};
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
-use xktcp::{XkConfig, XkEvent, XkTcp};
+use xktcp::{XkConfig, XkEvent, XkState, XkTcp};
 
 /// Port the SUT listens on in passive scenarios.
 const SUT_LISTEN_PORT: u16 = 80;
@@ -88,10 +88,10 @@ enum Step {
     /// RCV.NXT — inside the window but not exact. RFC 5961 §3.2 says
     /// this must NOT abort; it draws a challenge ACK instead.
     RstInWindow(u32),
-    /// Assert the data connection's normalized state.
-    Expect(&'static str),
-    /// Assert the listener's normalized state.
-    ExpectListener(&'static str),
+    /// Assert the data connection's RFC state.
+    Expect(Rfc),
+    /// Assert the listener's RFC state.
+    ExpectListener(Rfc),
     /// Assert the SUT transmitted a segment matching the pattern
     /// (consumes received segments up to and including the match).
     ExpectTx(Pat),
@@ -112,27 +112,6 @@ enum Pat {
     Fin,
     /// Any segment with RST set.
     Rst,
-}
-
-/// Maps both stacks' state vocabularies onto RFC 793's. A connection
-/// the stack has forgotten (`""`) is CLOSED.
-fn normalize(raw: &str) -> &'static str {
-    match raw {
-        "" | "Closed" => "CLOSED",
-        "Listen" => "LISTEN",
-        "SynSent" => "SYN-SENT",
-        // fox factors SYN-RECEIVED by how it was reached (paper Fig. 6);
-        // xk keeps the RFC's single state.
-        "SynActive" | "SynPassive" | "SynReceived" => "SYN-RECEIVED",
-        "Estab" => "ESTABLISHED",
-        "FinWait1" => "FIN-WAIT-1",
-        "FinWait2" => "FIN-WAIT-2",
-        "CloseWait" => "CLOSE-WAIT",
-        "Closing" => "CLOSING",
-        "LastAck" => "LAST-ACK",
-        "TimeWait" => "TIME-WAIT",
-        other => panic!("unknown state name {other:?}"),
-    }
 }
 
 // --------------------------------------------------------- the runner
@@ -269,12 +248,12 @@ impl Harness {
                 }
                 Step::Expect(want) => {
                     let raw = conn.map_or("", |c| self.sut.conn_state(c));
-                    assert_eq!(normalize(raw), want, "{ctx} connection is {raw:?}");
+                    assert_eq!(Rfc::of_name(raw), Some(want), "{ctx} connection is {raw:?}");
                     continue;
                 }
                 Step::ExpectListener(want) => {
                     let raw = listener.map_or("", |l| self.sut.conn_state(l));
-                    assert_eq!(normalize(raw), want, "{ctx} listener is {raw:?}");
+                    assert_eq!(Rfc::of_name(raw), Some(want), "{ctx} listener is {raw:?}");
                     continue;
                 }
                 Step::ExpectTx(pat) => {
@@ -356,16 +335,16 @@ impl Scenario {
     }
 }
 
-/// Runs one scenario against one stack, returning the normalized
-/// `(from, trigger, to)` transitions the stack emitted while it ran.
-/// Normalized self-loops (e.g. a retransmission that re-enters the same
-/// RFC state) are dropped: the spec graph has no self-edges.
-fn run_on(stack: &'static str, sc: &Scenario) -> BTreeSet<(&'static str, &'static str, &'static str)> {
+/// Runs one scenario against one stack, returning the `(from, trigger,
+/// to)` RFC-state transitions the stack emitted while it ran. A move
+/// within one RFC state (fox's `SynActive` and `SynPassive` are both
+/// SYN-RECEIVED) is dropped: the spec graph has no self-edges.
+fn run_on(stack: &'static str, sc: &Scenario) -> BTreeSet<(Rfc, Trigger, Rfc)> {
     let (_, sink) = run(stack, sc, None);
     let mut out = BTreeSet::new();
     for ev in sink.events() {
         if let Event::StateTransition { from, to, cause } = ev.event {
-            let (f, t) = (normalize(from), normalize(to));
+            let (f, t) = (from.rfc(), to.rfc());
             if f != t {
                 out.insert((f, cause, t));
             }
@@ -466,21 +445,21 @@ static SCENARIOS: &[Scenario] = &[
         stacks: Stacks::Both,
         steps: &[
             Listen,
-            ExpectListener("LISTEN"),
+            ExpectListener(Rfc::Listen),
             Syn,
-            Expect("SYN-RECEIVED"),
+            Expect(Rfc::SynReceived),
             ExpectTx(Pat::SynAck),
             Ack,
-            Expect("ESTABLISHED"),
+            Expect(Rfc::Established),
             Fin,
             ExpectTx(Pat::AckOnly),
-            Expect("CLOSE-WAIT"),
+            Expect(Rfc::CloseWait),
             Close,
             ExpectTx(Pat::Fin),
-            Expect("LAST-ACK"),
+            Expect(Rfc::LastAck),
             Ack,
-            Expect("CLOSED"),
-            ExpectListener("LISTEN"),
+            Expect(Rfc::Closed),
+            ExpectListener(Rfc::Listen),
         ],
     },
     Scenario {
@@ -489,20 +468,20 @@ static SCENARIOS: &[Scenario] = &[
         steps: &[
             Listen,
             Syn,
-            Expect("SYN-RECEIVED"),
+            Expect(Rfc::SynReceived),
             ExpectTx(Pat::SynAck),
             Ack,
-            Expect("ESTABLISHED"),
+            Expect(Rfc::Established),
             Close,
             ExpectTx(Pat::Fin),
-            Expect("FIN-WAIT-1"),
+            Expect(Rfc::FinWait1),
             Ack,
-            Expect("FIN-WAIT-2"),
+            Expect(Rfc::FinWait2),
             Fin,
             ExpectTx(Pat::AckOnly),
-            Expect("TIME-WAIT"),
+            Expect(Rfc::TimeWait),
             Wait(TWO_MSL_MS),
-            Expect("CLOSED"),
+            Expect(Rfc::Closed),
         ],
     },
     Scenario {
@@ -511,20 +490,20 @@ static SCENARIOS: &[Scenario] = &[
         steps: &[
             Connect,
             ExpectTx(Pat::Syn),
-            Expect("SYN-SENT"),
+            Expect(Rfc::SynSent),
             SynAck,
             ExpectTx(Pat::AckOnly),
-            Expect("ESTABLISHED"),
+            Expect(Rfc::Established),
             Close,
             ExpectTx(Pat::Fin),
-            Expect("FIN-WAIT-1"),
+            Expect(Rfc::FinWait1),
             Ack,
-            Expect("FIN-WAIT-2"),
+            Expect(Rfc::FinWait2),
             Fin,
             ExpectTx(Pat::AckOnly),
-            Expect("TIME-WAIT"),
+            Expect(Rfc::TimeWait),
             Wait(TWO_MSL_MS),
-            Expect("CLOSED"),
+            Expect(Rfc::Closed),
         ],
     },
     Scenario {
@@ -533,12 +512,12 @@ static SCENARIOS: &[Scenario] = &[
         steps: &[
             Connect,
             ExpectTx(Pat::Syn),
-            Expect("SYN-SENT"),
+            Expect(Rfc::SynSent),
             Syn,
             ExpectTx(Pat::SynAck),
-            Expect("SYN-RECEIVED"),
+            Expect(Rfc::SynReceived),
             Ack,
-            Expect("ESTABLISHED"),
+            Expect(Rfc::Established),
         ],
     },
     Scenario {
@@ -548,17 +527,17 @@ static SCENARIOS: &[Scenario] = &[
             Connect,
             ExpectTx(Pat::Syn),
             SynAck,
-            Expect("ESTABLISHED"),
+            Expect(Rfc::Established),
             Close,
             ExpectTx(Pat::Fin),
-            Expect("FIN-WAIT-1"),
+            Expect(Rfc::FinWait1),
             FinCrossing,
             ExpectTx(Pat::AckOnly),
-            Expect("CLOSING"),
+            Expect(Rfc::Closing),
             Ack,
-            Expect("TIME-WAIT"),
+            Expect(Rfc::TimeWait),
             Wait(TWO_MSL_MS),
-            Expect("CLOSED"),
+            Expect(Rfc::Closed),
         ],
     },
     // ---- FIN variants the diagram quotes but the walks miss ------
@@ -568,7 +547,7 @@ static SCENARIOS: &[Scenario] = &[
         // segment).
         name: "fin_completes_handshake_in_syn_received",
         stacks: Stacks::Both,
-        steps: &[Listen, Syn, Expect("SYN-RECEIVED"), Fin, Expect("CLOSE-WAIT")],
+        steps: &[Listen, Syn, Expect(Rfc::SynReceived), Fin, Expect(Rfc::CloseWait)],
     },
     Scenario {
         // A FIN that also acknowledges our FIN: FIN-WAIT-1 jumps
@@ -579,25 +558,25 @@ static SCENARIOS: &[Scenario] = &[
             Listen,
             Syn,
             Ack,
-            Expect("ESTABLISHED"),
+            Expect(Rfc::Established),
             Close,
             ExpectTx(Pat::Fin),
-            Expect("FIN-WAIT-1"),
+            Expect(Rfc::FinWait1),
             Fin,
             ExpectTx(Pat::AckOnly),
-            Expect("TIME-WAIT"),
+            Expect(Rfc::TimeWait),
         ],
     },
     // ---- user closes from every closeable state ------------------
     Scenario {
         name: "close_in_listen",
         stacks: Stacks::Both,
-        steps: &[Listen, ExpectListener("LISTEN"), CloseListener, ExpectListener("CLOSED")],
+        steps: &[Listen, ExpectListener(Rfc::Listen), CloseListener, ExpectListener(Rfc::Closed)],
     },
     Scenario {
         name: "close_in_syn_sent",
         stacks: Stacks::Both,
-        steps: &[Connect, ExpectTx(Pat::Syn), Expect("SYN-SENT"), Close, Expect("CLOSED")],
+        steps: &[Connect, ExpectTx(Pat::Syn), Expect(Rfc::SynSent), Close, Expect(Rfc::Closed)],
     },
     Scenario {
         // "Queue this until all preceding SENDs have been segmentized,
@@ -605,7 +584,7 @@ static SCENARIOS: &[Scenario] = &[
         // FIN-WAIT-1 even though the handshake never completed.
         name: "close_in_syn_received",
         stacks: Stacks::Both,
-        steps: &[Listen, Syn, Expect("SYN-RECEIVED"), Close, Expect("FIN-WAIT-1")],
+        steps: &[Listen, Syn, Expect(Rfc::SynReceived), Close, Expect(Rfc::FinWait1)],
     },
     // ---- RST handling ---------------------------------------------
     Scenario {
@@ -616,7 +595,7 @@ static SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "rst_in_syn_sent",
         stacks: Stacks::Both,
-        steps: &[Connect, ExpectTx(Pat::Syn), Expect("SYN-SENT"), Rst, Expect("CLOSED")],
+        steps: &[Connect, ExpectTx(Pat::Syn), Expect(Rfc::SynSent), Rst, Expect(Rfc::Closed)],
     },
     Scenario {
         name: "rst_in_syn_received",
@@ -625,16 +604,24 @@ static SCENARIOS: &[Scenario] = &[
             Listen,
             Syn,
             ExpectTx(Pat::SynAck),
-            Expect("SYN-RECEIVED"),
+            Expect(Rfc::SynReceived),
             Rst,
-            Expect("CLOSED"),
-            ExpectListener("LISTEN"),
+            Expect(Rfc::Closed),
+            ExpectListener(Rfc::Listen),
         ],
     },
     Scenario {
         name: "rst_in_established",
         stacks: Stacks::Both,
-        steps: &[Listen, Syn, Ack, Expect("ESTABLISHED"), Rst, Expect("CLOSED"), ExpectListener("LISTEN")],
+        steps: &[
+            Listen,
+            Syn,
+            Ack,
+            Expect(Rfc::Established),
+            Rst,
+            Expect(Rfc::Closed),
+            ExpectListener(Rfc::Listen),
+        ],
     },
     Scenario {
         name: "in_window_rst_challenges_instead_of_aborting",
@@ -643,13 +630,13 @@ static SCENARIOS: &[Scenario] = &[
             Listen,
             Syn,
             Ack,
-            Expect("ESTABLISHED"),
+            Expect(Rfc::Established),
             RstInWindow(100),
-            Expect("ESTABLISHED"),
+            Expect(Rfc::Established),
             ExpectTx(Pat::AckOnly),
             Rst,
-            Expect("CLOSED"),
-            ExpectListener("LISTEN"),
+            Expect(Rfc::Closed),
+            ExpectListener(Rfc::Listen),
         ],
     },
     Scenario {
@@ -659,9 +646,9 @@ static SCENARIOS: &[Scenario] = &[
             Listen,
             Syn,
             Ack,
-            Expect("ESTABLISHED"),
+            Expect(Rfc::Established),
             RstInWindow(1),
-            Expect("ESTABLISHED"),
+            Expect(Rfc::Established),
             ExpectTx(Pat::AckOnly),
         ],
     },
@@ -674,9 +661,9 @@ static SCENARIOS: &[Scenario] = &[
             SynAck,
             Close,
             ExpectTx(Pat::Fin),
-            Expect("FIN-WAIT-1"),
+            Expect(Rfc::FinWait1),
             Rst,
-            Expect("CLOSED"),
+            Expect(Rfc::Closed),
         ],
     },
     Scenario {
@@ -686,19 +673,19 @@ static SCENARIOS: &[Scenario] = &[
             Connect,
             ExpectTx(Pat::Syn),
             SynAck,
-            Expect("ESTABLISHED"),
+            Expect(Rfc::Established),
             Close,
             ExpectTx(Pat::Fin),
             Ack,
-            Expect("FIN-WAIT-2"),
+            Expect(Rfc::FinWait2),
             Rst,
-            Expect("CLOSED"),
+            Expect(Rfc::Closed),
         ],
     },
     Scenario {
         name: "rst_in_close_wait",
         stacks: Stacks::Both,
-        steps: &[Listen, Syn, Ack, Fin, Expect("CLOSE-WAIT"), Rst, Expect("CLOSED")],
+        steps: &[Listen, Syn, Ack, Fin, Expect(Rfc::CloseWait), Rst, Expect(Rfc::Closed)],
     },
     Scenario {
         name: "rst_in_closing",
@@ -710,9 +697,9 @@ static SCENARIOS: &[Scenario] = &[
             Close,
             ExpectTx(Pat::Fin),
             FinCrossing,
-            Expect("CLOSING"),
+            Expect(Rfc::Closing),
             Rst,
-            Expect("CLOSED"),
+            Expect(Rfc::Closed),
         ],
     },
     Scenario {
@@ -723,11 +710,11 @@ static SCENARIOS: &[Scenario] = &[
             Syn,
             Ack,
             Fin,
-            Expect("CLOSE-WAIT"),
+            Expect(Rfc::CloseWait),
             Close,
-            Expect("LAST-ACK"),
+            Expect(Rfc::LastAck),
             Rst,
-            Expect("CLOSED"),
+            Expect(Rfc::Closed),
         ],
     },
     Scenario {
@@ -741,15 +728,15 @@ static SCENARIOS: &[Scenario] = &[
             ExpectTx(Pat::Fin),
             Ack,
             Fin,
-            Expect("TIME-WAIT"),
+            Expect(Rfc::TimeWait),
             Rst,
-            Expect("CLOSED"),
+            Expect(Rfc::Closed),
         ],
     },
     Scenario {
         name: "rst_in_listen_is_ignored",
         stacks: Stacks::Both,
-        steps: &[Listen, Rst, ExpectListener("LISTEN")],
+        steps: &[Listen, Rst, ExpectListener(Rfc::Listen)],
     },
     // ---- in-window SYN is an error in every synchronized state ----
     // "If the SYN is in the window it is an error, send a reset ...
@@ -757,17 +744,26 @@ static SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "syn_in_syn_received_resets",
         stacks: Stacks::Both,
-        steps: &[Listen, Syn, Expect("SYN-RECEIVED"), Syn, ExpectTx(Pat::Rst), Expect("CLOSED")],
+        steps: &[Listen, Syn, Expect(Rfc::SynReceived), Syn, ExpectTx(Pat::Rst), Expect(Rfc::Closed)],
     },
     Scenario {
         name: "syn_in_established_resets",
         stacks: Stacks::Both,
-        steps: &[Listen, Syn, Ack, Expect("ESTABLISHED"), Syn, ExpectTx(Pat::Rst), Expect("CLOSED")],
+        steps: &[Listen, Syn, Ack, Expect(Rfc::Established), Syn, ExpectTx(Pat::Rst), Expect(Rfc::Closed)],
     },
     Scenario {
         name: "syn_in_fin_wait_1_resets",
         stacks: Stacks::Both,
-        steps: &[Listen, Syn, Ack, Close, ExpectTx(Pat::Fin), Expect("FIN-WAIT-1"), Syn, Expect("CLOSED")],
+        steps: &[
+            Listen,
+            Syn,
+            Ack,
+            Close,
+            ExpectTx(Pat::Fin),
+            Expect(Rfc::FinWait1),
+            Syn,
+            Expect(Rfc::Closed),
+        ],
     },
     Scenario {
         name: "syn_in_fin_wait_2_resets",
@@ -779,15 +775,15 @@ static SCENARIOS: &[Scenario] = &[
             Close,
             ExpectTx(Pat::Fin),
             Ack,
-            Expect("FIN-WAIT-2"),
+            Expect(Rfc::FinWait2),
             Syn,
-            Expect("CLOSED"),
+            Expect(Rfc::Closed),
         ],
     },
     Scenario {
         name: "syn_in_close_wait_resets",
         stacks: Stacks::Both,
-        steps: &[Listen, Syn, Ack, Fin, Expect("CLOSE-WAIT"), Syn, Expect("CLOSED")],
+        steps: &[Listen, Syn, Ack, Fin, Expect(Rfc::CloseWait), Syn, Expect(Rfc::Closed)],
     },
     Scenario {
         name: "syn_in_closing_resets",
@@ -799,26 +795,26 @@ static SCENARIOS: &[Scenario] = &[
             Close,
             ExpectTx(Pat::Fin),
             FinCrossing,
-            Expect("CLOSING"),
+            Expect(Rfc::Closing),
             Syn,
-            Expect("CLOSED"),
+            Expect(Rfc::Closed),
         ],
     },
     Scenario {
         name: "syn_in_last_ack_resets",
         stacks: Stacks::Both,
-        steps: &[Listen, Syn, Ack, Fin, Close, Expect("LAST-ACK"), Syn, Expect("CLOSED")],
+        steps: &[Listen, Syn, Ack, Fin, Close, Expect(Rfc::LastAck), Syn, Expect(Rfc::Closed)],
     },
     Scenario {
         name: "syn_in_time_wait_resets",
         stacks: Stacks::Both,
-        steps: &[Listen, Syn, Ack, Close, Ack, Fin, Expect("TIME-WAIT"), Syn, Expect("CLOSED")],
+        steps: &[Listen, Syn, Ack, Close, Ack, Fin, Expect(Rfc::TimeWait), Syn, Expect(Rfc::Closed)],
     },
     // ---- retransmission budgets give up (the paper's user timeout) --
     Scenario {
         name: "handshake_times_out_in_syn_sent",
         stacks: Stacks::Both,
-        steps: &[Connect, ExpectTx(Pat::Syn), Expect("SYN-SENT"), Wait(EXHAUST_MS), Expect("CLOSED")],
+        steps: &[Connect, ExpectTx(Pat::Syn), Expect(Rfc::SynSent), Wait(EXHAUST_MS), Expect(Rfc::Closed)],
     },
     Scenario {
         // The embryonic child dies when its SYN-ACK is never answered;
@@ -828,16 +824,16 @@ static SCENARIOS: &[Scenario] = &[
         steps: &[
             Listen,
             Syn,
-            Expect("SYN-RECEIVED"),
+            Expect(Rfc::SynReceived),
             Wait(EXHAUST_MS),
-            Expect("CLOSED"),
-            ExpectListener("LISTEN"),
+            Expect(Rfc::Closed),
+            ExpectListener(Rfc::Listen),
         ],
     },
     Scenario {
         name: "unacked_data_times_out_in_established",
         stacks: Stacks::Both,
-        steps: &[Listen, Syn, Ack, Expect("ESTABLISHED"), Send, Wait(EXHAUST_MS), Expect("CLOSED")],
+        steps: &[Listen, Syn, Ack, Expect(Rfc::Established), Send, Wait(EXHAUST_MS), Expect(Rfc::Closed)],
     },
     Scenario {
         name: "unacked_fin_times_out_in_fin_wait_1",
@@ -848,9 +844,9 @@ static SCENARIOS: &[Scenario] = &[
             Ack,
             Close,
             ExpectTx(Pat::Fin),
-            Expect("FIN-WAIT-1"),
+            Expect(Rfc::FinWait1),
             Wait(EXHAUST_MS),
-            Expect("CLOSED"),
+            Expect(Rfc::Closed),
         ],
     },
     Scenario {
@@ -859,7 +855,7 @@ static SCENARIOS: &[Scenario] = &[
         // budget runs out there too.
         name: "unacked_data_times_out_in_close_wait",
         stacks: Stacks::Both,
-        steps: &[Listen, Syn, Ack, Fin, Expect("CLOSE-WAIT"), Send, Wait(EXHAUST_MS), Expect("CLOSED")],
+        steps: &[Listen, Syn, Ack, Fin, Expect(Rfc::CloseWait), Send, Wait(EXHAUST_MS), Expect(Rfc::Closed)],
     },
     Scenario {
         name: "unacked_fin_times_out_in_closing",
@@ -871,9 +867,9 @@ static SCENARIOS: &[Scenario] = &[
             Close,
             ExpectTx(Pat::Fin),
             FinCrossing,
-            Expect("CLOSING"),
+            Expect(Rfc::Closing),
             Wait(EXHAUST_MS),
-            Expect("CLOSED"),
+            Expect(Rfc::Closed),
         ],
     },
     Scenario {
@@ -884,49 +880,56 @@ static SCENARIOS: &[Scenario] = &[
             Syn,
             Ack,
             Fin,
-            Expect("CLOSE-WAIT"),
+            Expect(Rfc::CloseWait),
             Close,
-            Expect("LAST-ACK"),
+            Expect(Rfc::LastAck),
             Wait(EXHAUST_MS),
-            Expect("CLOSED"),
+            Expect(Rfc::Closed),
         ],
     },
     // ---- ABORT from every state (fox only: xk has no abort API) ----
     Scenario {
         name: "abort_in_listen",
         stacks: Stacks::FoxOnly,
-        steps: &[Listen, ExpectListener("LISTEN"), AbortListener, ExpectListener("CLOSED")],
+        steps: &[Listen, ExpectListener(Rfc::Listen), AbortListener, ExpectListener(Rfc::Closed)],
     },
     Scenario {
         name: "abort_in_syn_sent",
         stacks: Stacks::FoxOnly,
-        steps: &[Connect, ExpectTx(Pat::Syn), Expect("SYN-SENT"), Abort, Expect("CLOSED")],
+        steps: &[Connect, ExpectTx(Pat::Syn), Expect(Rfc::SynSent), Abort, Expect(Rfc::Closed)],
     },
     Scenario {
         name: "abort_in_syn_received",
         stacks: Stacks::FoxOnly,
-        steps: &[Listen, Syn, Expect("SYN-RECEIVED"), Abort, Expect("CLOSED"), ExpectListener("LISTEN")],
+        steps: &[
+            Listen,
+            Syn,
+            Expect(Rfc::SynReceived),
+            Abort,
+            Expect(Rfc::Closed),
+            ExpectListener(Rfc::Listen),
+        ],
     },
     Scenario {
         // A synchronized abort puts an RST on the wire (RFC 793 p. 62).
         name: "abort_in_established",
         stacks: Stacks::FoxOnly,
-        steps: &[Listen, Syn, Ack, Expect("ESTABLISHED"), Abort, ExpectTx(Pat::Rst), Expect("CLOSED")],
+        steps: &[Listen, Syn, Ack, Expect(Rfc::Established), Abort, ExpectTx(Pat::Rst), Expect(Rfc::Closed)],
     },
     Scenario {
         name: "abort_in_fin_wait_1",
         stacks: Stacks::FoxOnly,
-        steps: &[Listen, Syn, Ack, Close, Expect("FIN-WAIT-1"), Abort, Expect("CLOSED")],
+        steps: &[Listen, Syn, Ack, Close, Expect(Rfc::FinWait1), Abort, Expect(Rfc::Closed)],
     },
     Scenario {
         name: "abort_in_fin_wait_2",
         stacks: Stacks::FoxOnly,
-        steps: &[Listen, Syn, Ack, Close, Ack, Expect("FIN-WAIT-2"), Abort, Expect("CLOSED")],
+        steps: &[Listen, Syn, Ack, Close, Ack, Expect(Rfc::FinWait2), Abort, Expect(Rfc::Closed)],
     },
     Scenario {
         name: "abort_in_close_wait",
         stacks: Stacks::FoxOnly,
-        steps: &[Listen, Syn, Ack, Fin, Expect("CLOSE-WAIT"), Abort, Expect("CLOSED")],
+        steps: &[Listen, Syn, Ack, Fin, Expect(Rfc::CloseWait), Abort, Expect(Rfc::Closed)],
     },
     Scenario {
         name: "abort_in_closing",
@@ -938,20 +941,20 @@ static SCENARIOS: &[Scenario] = &[
             Close,
             ExpectTx(Pat::Fin),
             FinCrossing,
-            Expect("CLOSING"),
+            Expect(Rfc::Closing),
             Abort,
-            Expect("CLOSED"),
+            Expect(Rfc::Closed),
         ],
     },
     Scenario {
         name: "abort_in_last_ack",
         stacks: Stacks::FoxOnly,
-        steps: &[Listen, Syn, Ack, Fin, Close, Expect("LAST-ACK"), Abort, Expect("CLOSED")],
+        steps: &[Listen, Syn, Ack, Fin, Close, Expect(Rfc::LastAck), Abort, Expect(Rfc::Closed)],
     },
     Scenario {
         name: "abort_in_time_wait",
         stacks: Stacks::FoxOnly,
-        steps: &[Listen, Syn, Ack, Close, Ack, Fin, Expect("TIME-WAIT"), Abort, Expect("CLOSED")],
+        steps: &[Listen, Syn, Ack, Close, Ack, Fin, Expect(Rfc::TimeWait), Abort, Expect(Rfc::Closed)],
     },
 ];
 
@@ -1283,19 +1286,19 @@ fn runtime_transitions_cover_the_fsm_spec() {
                 seen.extend(run_on(stack, sc));
             }
         }
-        let key = |e: &SpecEdge| (e.from, e.trigger.name(), e.to);
+        let key = |e: &SpecEdge| (e.from, e.trigger, e.to);
+        let edge = |&(from, trigger, to): &(Rfc, Trigger, Rfc)| {
+            format!("{} -> {} : {}", from.name(), to.name(), trigger.name())
+        };
         // Nothing observed that the spec does not admit.
-        for (from, trigger, to) in seen.iter().filter(|s| !fsm::SPEC.iter().any(|e| key(e) == **s)) {
-            failures
-                .push(format!("[{stack}] observed transition outside the spec: {from} -> {to} : {trigger}"));
+        for s in seen.iter().filter(|s| !fsm::SPEC.iter().any(|e| key(e) == **s)) {
+            failures.push(format!("[{stack}] observed transition outside the spec: {}", edge(s)));
         }
         // Everything the spec admits (minus exemptions) observed.
         let testable: Vec<_> = fsm::SPEC.iter().filter(|e| e.untested != Some(stack)).collect();
         let missed: Vec<_> = testable.iter().filter(|e| !seen.contains(&key(e))).collect();
         for e in &missed {
-            let (from, trigger, to) = key(e);
-            failures
-                .push(format!("[{stack}] spec edge never witnessed at runtime: {from} -> {to} : {trigger}"));
+            failures.push(format!("[{stack}] spec edge never witnessed at runtime: {}", edge(&key(e))));
         }
         println!("[{stack}] fsm coverage: {}/{} spec edges", testable.len() - missed.len(), testable.len());
     }
@@ -1310,35 +1313,36 @@ fn runtime_transitions_cover_the_fsm_spec() {
 /// deliberately lacks, and each says why.
 #[test]
 fn rfc9293_figure_5_is_a_subgraph_of_the_spec() {
+    use Rfc::*;
     use Trigger::*;
-    const FIG5: &[(&str, Trigger, &str)] = &[
-        ("CLOSED", Open, "LISTEN"),            // passive OPEN
-        ("CLOSED", Open, "SYN-SENT"),          // active OPEN / snd SYN
-        ("LISTEN", Syn, "SYN-RECEIVED"),       // rcv SYN / snd SYN,ACK
-        ("LISTEN", Close, "CLOSED"),           // CLOSE / delete TCB
-        ("SYN-SENT", Syn, "SYN-RECEIVED"),     // rcv SYN / snd SYN,ACK
-        ("SYN-SENT", Syn, "ESTABLISHED"),      // rcv SYN,ACK / snd ACK
-        ("SYN-SENT", Close, "CLOSED"),         // CLOSE / delete TCB
-        ("SYN-RECEIVED", Ack, "ESTABLISHED"),  // rcv ACK of SYN
-        ("SYN-RECEIVED", Close, "FIN-WAIT-1"), // CLOSE / snd FIN
-        ("ESTABLISHED", Close, "FIN-WAIT-1"),  // CLOSE / snd FIN
-        ("ESTABLISHED", Fin, "CLOSE-WAIT"),    // rcv FIN / snd ACK
-        ("FIN-WAIT-1", Ack, "FIN-WAIT-2"),     // rcv ACK of FIN
-        ("FIN-WAIT-1", Fin, "CLOSING"),        // rcv FIN / snd ACK
-        ("FIN-WAIT-2", Fin, "TIME-WAIT"),      // rcv FIN / snd ACK
-        ("CLOSE-WAIT", Close, "LAST-ACK"),     // CLOSE / snd FIN
-        ("CLOSING", Ack, "TIME-WAIT"),         // rcv ACK of FIN
-        ("LAST-ACK", Ack, "CLOSED"),           // rcv ACK of FIN
-        ("TIME-WAIT", Timer, "CLOSED"),        // Timeout=2MSL / delete TCB
+    const FIG5: &[(Rfc, Trigger, Rfc)] = &[
+        (Closed, Open, Listen),          // passive OPEN
+        (Closed, Open, SynSent),         // active OPEN / snd SYN
+        (Listen, Syn, SynReceived),      // rcv SYN / snd SYN,ACK
+        (Listen, Close, Closed),         // CLOSE / delete TCB
+        (SynSent, Syn, SynReceived),     // rcv SYN / snd SYN,ACK
+        (SynSent, Syn, Established),     // rcv SYN,ACK / snd ACK
+        (SynSent, Close, Closed),        // CLOSE / delete TCB
+        (SynReceived, Ack, Established), // rcv ACK of SYN
+        (SynReceived, Close, FinWait1),  // CLOSE / snd FIN
+        (Established, Close, FinWait1),  // CLOSE / snd FIN
+        (Established, Fin, CloseWait),   // rcv FIN / snd ACK
+        (FinWait1, Ack, FinWait2),       // rcv ACK of FIN
+        (FinWait1, Fin, Closing),        // rcv FIN / snd ACK
+        (FinWait2, Fin, TimeWait),       // rcv FIN / snd ACK
+        (CloseWait, Close, LastAck),     // CLOSE / snd FIN
+        (Closing, Ack, TimeWait),        // rcv ACK of FIN
+        (LastAck, Ack, Closed),          // rcv ACK of FIN
+        (TimeWait, Timer, Closed),       // Timeout=2MSL / delete TCB
     ];
-    const LACKING: &[((&str, Trigger, &str), &str)] = &[
+    const LACKING: &[((Rfc, Trigger, Rfc), &str)] = &[
         (
-            ("LISTEN", Open, "SYN-SENT"),
+            (Listen, Open, SynSent),
             "SEND on a listener: neither stack turns a listening socket active (`ListeningSocket` has \
              no send); the user opens a second, active connection instead",
         ),
         (
-            ("SYN-RECEIVED", Rst, "LISTEN"),
+            (SynReceived, Rst, Listen),
             "the figure's note 1: an RST closes the embryonic child (SYN-RECEIVED -> CLOSED : rst) and \
              the parent listener never left LISTEN, so nothing returns to it",
         ),
@@ -1352,6 +1356,50 @@ fn rfc9293_figure_5_is_a_subgraph_of_the_spec() {
         assert!(!in_spec(edge), "{edge:?} is now in the spec; it was left out because: {why}");
     }
     assert_eq!(FIG5.len() + LACKING.len(), 20, "Fig. 5 draws twenty edges");
+}
+
+/// Both stacks' states map onto RFC 793's as §3.9 draws them — a table
+/// typed from the RFC, not derived from `StateName::rfc` — and each
+/// `Station::conn_state` spelling (a state's name, or `""` once
+/// forgotten) maps back through `RfcState::of_name`.
+#[test]
+fn every_stack_state_is_an_rfc_state() {
+    use Rfc::*;
+    let fox = [
+        (TcpState::Closed, Closed),
+        (TcpState::Listen { backlog: 1 }, Listen),
+        (TcpState::SynSent { retries_left: 1 }, SynSent),
+        (TcpState::SynActive, SynReceived),
+        (TcpState::SynPassive { retries_left: 1 }, SynReceived),
+        (TcpState::Estab, Established),
+        (TcpState::FinWait1, FinWait1),
+        (TcpState::FinWait2, FinWait2),
+        (TcpState::CloseWait, CloseWait),
+        (TcpState::Closing, Closing),
+        (TcpState::LastAck, LastAck),
+        (TcpState::TimeWait, TimeWait),
+    ];
+    let xk = [
+        (XkState::Closed, Closed),
+        (XkState::Listen, Listen),
+        (XkState::SynSent, SynSent),
+        (XkState::SynReceived, SynReceived),
+        (XkState::Established, Established),
+        (XkState::FinWait1, FinWait1),
+        (XkState::FinWait2, FinWait2),
+        (XkState::CloseWait, CloseWait),
+        (XkState::Closing, Closing),
+        (XkState::LastAck, LastAck),
+        (XkState::TimeWait, TimeWait),
+    ];
+    let names: Vec<(StateName, Rfc)> =
+        fox.iter().map(|(s, rfc)| (s.name(), *rfc)).chain(xk.map(|(s, rfc)| (s.name(), rfc))).collect();
+    for &(name, rfc) in &names {
+        assert_eq!(name.rfc(), rfc, "{name:?}");
+        assert_eq!(Rfc::of_name(name.name()), Some(rfc), "{name:?} as `conn_state` spells it");
+    }
+    assert_eq!(Rfc::of_name(""), Some(Closed), "a connection its stack has forgotten");
+    assert!(StateName::ALL.iter().all(|n| names.iter().any(|(m, _)| m == n)), "a name no stack uses");
 }
 
 // ------------------------------------------------- SYN-flood recovery
@@ -1463,7 +1511,7 @@ fn fox_typed_lifecycle_listen_accept_send_close() {
     est.close(&mut p.b).unwrap();
     p.settle();
     assert!(p.events_of(0, client_tag).contains(&TcpEvent::PeerClosed), "FIN transmitted");
-    assert_eq!(p.b.state_of(child).expect("still tracked").name(), "FinWait2");
+    assert_eq!(p.b.state_of(child).expect("still tracked").name(), StateName::FinWait2);
     listener.close(&mut p.b).unwrap();
 }
 
@@ -1561,7 +1609,7 @@ fn xk_reaped_active_opener_reads_none() {
     peer.exchange(|now| tcp.step(now));
     peer.send(ports, TcpFlags::FIN_ACK, PEER_ISS + 1, Some(sut_iss.wrapping_add(2)));
     peer.exchange(|now| tcp.step(now));
-    assert_eq!(tcp.state_of(client).map(|s| s.name()), Some("TimeWait"));
+    assert_eq!(tcp.state_of(client).map(|s| s.name()), Some(StateName::TimeWait));
 
     peer.link.advance_to(peer.link.now() + VirtualDuration::from_millis(1_000));
     peer.exchange(|now| tcp.step(now));

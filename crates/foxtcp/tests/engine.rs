@@ -3,7 +3,7 @@
 //! flow control, close and abort. No IP, no Ethernet, no simulator —
 //! every failure here is a TCP bug.
 
-use foxbasis::obs::{flags, Event, EventSink};
+use foxbasis::obs::{flags, Event, EventSink, StateName, TimerKind};
 use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxproto::{ProtoError, Protocol};
 use foxtcp::testlink::{immediate, no_nagle, Pair};
@@ -141,13 +141,13 @@ fn obs_records_typed_events_and_metrics() {
 
     let evs = sink.events();
     let has = |f: &dyn Fn(&Event) -> bool| evs.iter().any(|e| f(&e.event));
-    assert!(has(&|e| matches!(e, Event::StateTransition { to: "Estab", .. })));
-    assert!(has(&|e| matches!(e, Event::StateTransition { to: "TimeWait", .. })));
+    assert!(has(&|e| matches!(e, Event::StateTransition { to: StateName::Estab, .. })));
+    assert!(has(&|e| matches!(e, Event::StateTransition { to: StateName::TimeWait, .. })));
     assert!(has(&|e| matches!(e, Event::SegTx { flags: f, .. } if *f == flags::SYN)));
     assert!(has(&|e| matches!(e, Event::SegRx { flags: f, .. } if *f == flags::SYN | flags::ACK)));
     assert!(has(&|e| matches!(e, Event::Action { tag: "Process_Data" })));
-    assert!(has(&|e| matches!(e, Event::TimerSet { timer: "Resend", .. })));
-    assert!(has(&|e| matches!(e, Event::TimerFire { timer: "TimeWait" })));
+    assert!(has(&|e| matches!(e, Event::TimerSet { timer: TimerKind::Resend, .. })));
+    assert!(has(&|e| matches!(e, Event::TimerFire { timer: TimerKind::TimeWait })));
     // The one adoption, with the `Established` the child parked for it.
     let adoptions: Vec<_> = evs.iter().filter(|e| matches!(e.event, Event::Adopt { .. })).collect();
     assert!(matches!(adoptions[..], [e] if e.conn == child.0 && e.event == Event::Adopt { parked: 1 }));
@@ -300,7 +300,9 @@ fn writes_into_a_zero_window_do_not_postpone_the_probe() {
     assert_eq!(p.a.send_data(client, &[1; 1024]).unwrap(), 1024);
     p.settle();
     let armed = sink.events().into_iter().find_map(|e| match e.event {
-        Event::TimerSet { timer: "Persist", after_ms } => Some(e.at + VirtualDuration::from_millis(after_ms)),
+        Event::TimerSet { timer: TimerKind::Persist, after_ms } => {
+            Some(e.at + VirtualDuration::from_millis(after_ms))
+        }
         _ => None,
     });
     let due = armed.expect("the closed window armed Persist");

@@ -6,7 +6,7 @@
 //! drives whole engines over the in-memory test link; the tests that
 //! need to see slot numbers are beside the table, in `engine.rs`.
 
-use foxbasis::obs::{Event, EventSink};
+use foxbasis::obs::{Event, EventSink, TimerKind};
 use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxproto::{ProtoError, Protocol};
 use foxtcp::testlink::{immediate, no_nagle, Engine, Pair};
@@ -69,7 +69,7 @@ fn fired_connections_drain_in_id_order() {
     let armed: Vec<u32> = sink
         .events()
         .iter()
-        .filter(|e| matches!(e.event, Event::TimerSet { timer: "Resend", .. }))
+        .filter(|e| matches!(e.event, Event::TimerSet { timer: TimerKind::Resend, .. }))
         .map(|e| e.conn)
         .collect();
     assert_eq!(armed, [2, 1, 0], "armed in reverse id order");
@@ -79,7 +79,7 @@ fn fired_connections_drain_in_id_order() {
     let fired: Vec<u32> = sink
         .events()
         .iter()
-        .filter(|e| matches!(e.event, Event::TimerFire { timer: "Resend" }))
+        .filter(|e| matches!(e.event, Event::TimerFire { timer: TimerKind::Resend }))
         .map(|e| e.conn)
         .collect();
     assert_eq!(fired, [0, 1, 2], "drained in id order, not fire order");

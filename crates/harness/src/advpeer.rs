@@ -32,7 +32,7 @@ use crate::stack::{ip_of, mac_of, StackKind};
 use crate::station::{Station, StationStats};
 use crate::workload::establish;
 use foxbasis::buf::PacketBuf;
-use foxbasis::obs::EventSink;
+use foxbasis::obs::{EventSink, RfcState};
 use foxbasis::seq::Seq;
 use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxtcp::TcpConfig;
@@ -585,11 +585,7 @@ pub fn attack_pair(
     let mut self_accepts = 0u32;
     for _ in 0..(FLOOD_SYNS + BACKLOG) {
         if let Some(h) = sender.accept() {
-            let synchronized = matches!(
-                sender.conn_state(h),
-                "Estab" | "FinWait1" | "FinWait2" | "CloseWait" | "Closing" | "LastAck" | "TimeWait"
-            );
-            if synchronized {
+            if RfcState::of_name(sender.conn_state(h)).is_some_and(RfcState::is_synchronized) {
                 self_accepts += 1;
             }
         }

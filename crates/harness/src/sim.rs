@@ -55,7 +55,7 @@ mod tests {
     use super::*;
     use crate::cell::Cell;
     use crate::stack::StackKind;
-    use foxbasis::obs::EventSink;
+    use foxbasis::obs::{EventSink, RfcState};
     use foxtcp::TcpConfig;
     use simnet::{CostModel, SimNet};
 
@@ -97,7 +97,8 @@ mod tests {
         assert_eq!(a.recv(conn), b"echoed", "{}: server to client", a.kind());
 
         let listener = b.listener().expect("listening");
-        assert_eq!(b.conn_state(listener), "Listen", "{}: the listener's handle", b.kind());
+        let state = RfcState::of_name(b.conn_state(listener));
+        assert_eq!(state, Some(RfcState::Listen), "{}: the listener's handle", b.kind());
         if kind == StackKind::XKernel {
             return; // the baseline has no abort API
         }

@@ -485,7 +485,7 @@ where
     }
 
     fn conn_state(&self, conn: ConnHandle) -> &'static str {
-        self.tcp.state_of(TcpConnId(conn)).map_or("", |s| s.name())
+        self.tcp.state_of(TcpConnId(conn)).map_or("", |s| s.name().name())
     }
 
     fn finished(&self, conn: ConnHandle) -> bool {
@@ -644,7 +644,7 @@ where
     }
 
     fn conn_state(&self, conn: ConnHandle) -> &'static str {
-        self.tcp.state_of(xktcp::SockId(conn)).map_or("", |s| s.name())
+        self.tcp.state_of(xktcp::SockId(conn)).map_or("", |s| s.name().name())
     }
 
     fn finished(&self, conn: ConnHandle) -> bool {

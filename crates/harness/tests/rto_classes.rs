@@ -1,5 +1,5 @@
 //! Every retransmission timeout of one lossy bulk transfer, classified
-//! from the event stream (ROADMAP item 2, "Diagnose").
+//! from the event stream (DESIGN.md §5.14).
 //!
 //! The cell is `foxperf`'s `bulk-loss` workload on the first of its three
 //! compiled-in fault schedules: the modern profile over Gilbert–Elliott
@@ -10,7 +10,7 @@
 //! whose predecessor was also a timeout and bought exactly one segment.
 //! EXPERIMENTS.md has the table.
 
-use foxbasis::obs::{flags, Event, EventSink, Stamped};
+use foxbasis::obs::{flags, Event, EventSink, LossEvent, Stamped};
 use foxbasis::time::VirtualDuration;
 use foxharness::stack::StackKind;
 use foxharness::workload::bulk_transfer;
@@ -98,7 +98,7 @@ fn classify(events: &[Stamped], sender: u32) -> RtoClasses {
                 rcv_seen = Some(seq.wrapping_add(len));
             }
             Event::SegTx { ack, .. } if !from_sender && later(ack, rcv_nxt) => rcv_nxt = Some(ack),
-            Event::Loss { kind: "Rto" } if from_sender => {
+            Event::Loss { kind: LossEvent::Rto } if from_sender => {
                 let advanced =
                     snd_una.zip(una_at_last_rto).map(|(now, then): (u32, u32)| now.wrapping_sub(then));
                 if backoff > 0 {
@@ -120,7 +120,9 @@ fn classify(events: &[Stamped], sender: u32) -> RtoClasses {
                 last_loss_was_rto = true;
             }
             // The retransmissions a timeout causes are part of it.
-            Event::Loss { kind } if from_sender && kind != "RtoRetransmit" => last_loss_was_rto = false,
+            Event::Loss { kind } if from_sender && kind != LossEvent::RtoRetransmit => {
+                last_loss_was_rto = false
+            }
             _ => {}
         }
     }

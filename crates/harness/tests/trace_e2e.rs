@@ -4,7 +4,7 @@
 //! difference), and a schema check that the chrome://tracing export of
 //! a loss-matrix cell is well-formed JSON of the expected shape.
 
-use foxbasis::obs::{first_divergence, to_chrome_trace, to_jsonl, Event, EventSink, Stamped};
+use foxbasis::obs::{first_divergence, to_chrome_trace, to_jsonl, Event, EventSink, Stamped, StateName};
 use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxharness::experiments as exp;
 use foxharness::stack::StackKind;
@@ -39,7 +39,7 @@ fn traced_run_covers_every_layer() {
     // so the GC layer shows up in the stream.
     let t = exp::table1_cell(StackKind::FoxStandard, CostModel::decstation_sml(), 7).traced_bulk(300_000);
     let has = |f: &dyn Fn(&Event) -> bool| t.events.iter().any(|e| f(&e.event));
-    assert!(has(&|e| matches!(e, Event::StateTransition { to: "Estab", .. })), "TCP layer");
+    assert!(has(&|e| matches!(e, Event::StateTransition { to: StateName::Estab, .. })), "TCP layer");
     assert!(has(&|e| matches!(e, Event::Action { .. })), "action queue");
     assert!(has(&|e| matches!(e, Event::TimerSet { .. })), "timers");
     assert!(has(&|e| matches!(e, Event::SegTx { .. })), "segments out");
@@ -57,7 +57,7 @@ fn traced_run_covers_every_layer() {
 fn xkernel_stack_is_traced_too() {
     let t = exp::table1_cell(StackKind::XKernel, CostModel::modern(), 7).traced_bulk(30_000);
     let has = |f: &dyn Fn(&Event) -> bool| t.events.iter().any(|e| f(&e.event));
-    assert!(has(&|e| matches!(e, Event::StateTransition { to: "Estab", .. })));
+    assert!(has(&|e| matches!(e, Event::StateTransition { to: StateName::Estab, .. })));
     assert!(has(&|e| matches!(e, Event::SegTx { .. })));
     assert!(has(&|e| matches!(e, Event::SegRx { .. })));
 }

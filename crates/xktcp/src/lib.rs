@@ -29,7 +29,7 @@
 #![deny(clippy::allow_attributes_without_reason)]
 
 use foxbasis::buf::{copy_mark, PacketBuf};
-use foxbasis::obs::{ConnMetrics, Event, EventSink};
+use foxbasis::obs::{AttackEvent, ConnMetrics, Event, EventSink, LossEvent, StateName, TimerKind, Trigger};
 use foxbasis::ring::RingBuffer;
 use foxbasis::seq::Seq;
 use foxbasis::time::{VirtualDuration, VirtualTime};
@@ -71,21 +71,21 @@ pub enum XkState {
 }
 
 impl XkState {
-    /// Short stable name for traces; the same vocabulary a reader of
-    /// the `foxtcp` stream sees where the two state machines overlap.
-    pub fn name(self) -> &'static str {
+    /// The state's name in traces; the same vocabulary a reader of the
+    /// `foxtcp` stream sees where the two state machines overlap.
+    pub fn name(self) -> StateName {
         match self {
-            XkState::Closed => "Closed",
-            XkState::Listen => "Listen",
-            XkState::SynSent => "SynSent",
-            XkState::SynReceived => "SynReceived",
-            XkState::Established => "Estab",
-            XkState::FinWait1 => "FinWait1",
-            XkState::FinWait2 => "FinWait2",
-            XkState::CloseWait => "CloseWait",
-            XkState::Closing => "Closing",
-            XkState::LastAck => "LastAck",
-            XkState::TimeWait => "TimeWait",
+            XkState::Closed => StateName::Closed,
+            XkState::Listen => StateName::Listen,
+            XkState::SynSent => StateName::SynSent,
+            XkState::SynReceived => StateName::SynReceived,
+            XkState::Established => StateName::Estab,
+            XkState::FinWait1 => StateName::FinWait1,
+            XkState::FinWait2 => StateName::FinWait2,
+            XkState::CloseWait => StateName::CloseWait,
+            XkState::Closing => StateName::Closing,
+            XkState::LastAck => StateName::LastAck,
+            XkState::TimeWait => StateName::TimeWait,
         }
     }
 }
@@ -398,10 +398,9 @@ where
     }
 
     /// Emits a state transition if `before` is no longer the state of
-    /// socket `i` (callers snapshot before mutating). `cause` names the
-    /// trigger in the `spec/tcp_fsm.txt` vocabulary: a user call, a
-    /// timer, or the arriving segment's dominant flag.
-    fn note_transition(&mut self, i: usize, before: XkState, cause: &'static str) {
+    /// socket `i` (callers snapshot before mutating). `cause` is the
+    /// trigger: a user call, a timer, or the arriving segment's.
+    fn note_transition(&mut self, i: usize, before: XkState, cause: Trigger) {
         if !self.obs.is_on() {
             return;
         }
@@ -496,7 +495,7 @@ where
         let id = self.new_socket(local_port, Some((remote, remote_port)));
         let i = self.idx(SockId(id)).expect("created");
         self.socks[i].state = XkState::SynSent;
-        self.note_transition(i, XkState::Closed, "open");
+        self.note_transition(i, XkState::Closed, Trigger::Open);
         self.send_syn(i, false);
         Ok(SockId(id))
     }
@@ -510,7 +509,7 @@ where
         let id = self.new_socket(local_port, None);
         let i = self.idx(SockId(id)).expect("created");
         self.socks[i].state = XkState::Listen;
-        self.note_transition(i, XkState::Closed, "open");
+        self.note_transition(i, XkState::Closed, Trigger::Open);
         Ok(SockId(id))
     }
 
@@ -565,7 +564,7 @@ where
             XkState::Listen | XkState::SynSent => {
                 self.socks[i].state = XkState::Closed;
                 self.socks[i].push_event(XkEvent::Closed);
-                self.note_transition(i, before, "close");
+                self.note_transition(i, before, Trigger::Close);
                 return Ok(());
             }
             XkState::Established | XkState::SynReceived => {
@@ -578,7 +577,7 @@ where
             }
             _ => return Err(ProtoError::Closing),
         }
-        self.note_transition(i, before, "close");
+        self.note_transition(i, before, Trigger::Close);
         self.output(i);
         Ok(())
     }
@@ -672,7 +671,7 @@ where
                 seq: seg.header.seq.0,
                 ack: seg.header.ack.0,
                 len: seg.payload.len() as u32,
-                flags: obs_flags(&seg.header.flags),
+                flags: seg.header.flags.to_u8(),
                 wnd: u32::from(seg.header.window),
             });
         }
@@ -896,7 +895,7 @@ where
                     if self.socks[i].ack_owed {
                         progress = true;
                         let conn = self.socks[i].id;
-                        self.obs.emit(self.now, conn, || Event::TimerFire { timer: "DelayedAck" });
+                        self.obs.emit(self.now, conn, || Event::TimerFire { timer: TimerKind::DelayedAck });
                         self.send_ack(i);
                     } else {
                         // No ACK owed: the flush was superseded (the ACK
@@ -917,11 +916,11 @@ where
                     if self.socks[i].state == XkState::TimeWait {
                         progress = true;
                         let conn = self.socks[i].id;
-                        self.obs.emit(self.now, conn, || Event::TimerFire { timer: "TimeWait" });
+                        self.obs.emit(self.now, conn, || Event::TimerFire { timer: TimerKind::TimeWait });
                         self.socks[i].state = XkState::Closed;
                         self.socks[i].clear_timer(&mut self.wheel, XkTimerKind::TimeWait);
                         self.socks[i].push_event(XkEvent::Closed);
-                        self.note_transition(i, XkState::TimeWait, "timer");
+                        self.note_transition(i, XkState::TimeWait, Trigger::Timer);
                     } else {
                         // Left TIME-WAIT some other way; re-entry re-arms.
                         self.socks[i].clear_timer(&mut self.wheel, XkTimerKind::TimeWait);
@@ -931,16 +930,16 @@ where
                 XkTimerKind::Resend => {
                     progress = true;
                     let conn = self.socks[i].id;
-                    self.obs.emit(self.now, conn, || Event::TimerFire { timer: "Resend" });
+                    self.obs.emit(self.now, conn, || Event::TimerFire { timer: TimerKind::Resend });
                     let before = self.socks[i].state;
                     self.retransmit(i);
-                    self.note_transition(i, before, "timer");
+                    self.note_transition(i, before, Trigger::Timer);
                 }
                 // Zero-window probe.
                 XkTimerKind::Persist => {
                     progress = true;
                     let conn = self.socks[i].id;
-                    self.obs.emit(self.now, conn, || Event::TimerFire { timer: "Persist" });
+                    self.obs.emit(self.now, conn, || Event::TimerFire { timer: TimerKind::Persist });
                     self.window_probe(i);
                 }
             }
@@ -986,7 +985,7 @@ where
         }
         {
             let conn = self.socks[i].id;
-            self.obs.emit(self.now, conn, || Event::Loss { kind: "Probe" });
+            self.obs.emit(self.now, conn, || Event::Loss { kind: LossEvent::Probe });
         }
         let flags = TcpFlags { ack: true, psh: true, ..TcpFlags::default() };
         let h = self.header_for(i, flags, seq);
@@ -1014,7 +1013,7 @@ where
         self.stats.retransmits += 1;
         {
             let conn = self.socks[i].id;
-            self.obs.emit(self.now, conn, || Event::Loss { kind: "Rto" });
+            self.obs.emit(self.now, conn, || Event::Loss { kind: LossEvent::Rto });
         }
         // Go-back-N from snd_una.
         let (state, una) = {
@@ -1148,7 +1147,7 @@ where
                                 seq: h.seq.0,
                                 ack: h.ack.0,
                                 len: 0,
-                                flags: obs_flags(&h.flags),
+                                flags: h.flags.to_u8(),
                                 wnd: u32::from(h.window),
                             });
                             // The child is spawned by the listener's
@@ -1159,7 +1158,7 @@ where
                             self.obs.emit(self.now, conn, || Event::StateTransition {
                                 from: XkState::Listen.name(),
                                 to: XkState::SynReceived.name(),
-                                cause: "syn",
+                                cause: Trigger::Syn,
                             });
                         }
                         self.socks[ci].rcv_nxt = h.seq + 1;
@@ -1195,12 +1194,12 @@ where
                 seq: h.seq.0,
                 ack: h.ack.0,
                 len: seg.payload.len() as u32,
-                flags: obs_flags(&h.flags),
+                flags: h.flags.to_u8(),
                 wnd: u32::from(h.window),
             });
         }
         let before = self.socks[i].state;
-        let cause = seg_cause(&h.flags);
+        let cause = Trigger::of(h.flags.to_u8());
         self.process_segment(i, seg);
         // `process_segment` never removes sockets (reaping happens in
         // `step`), so index `i` still names the same socket here.
@@ -1315,7 +1314,7 @@ where
             } else {
                 self.stats.rst_rejected_seq += 1;
                 let conn = self.socks[i].id;
-                self.obs.emit(self.now, conn, || Event::Attack { kind: "RstBadSeq" });
+                self.obs.emit(self.now, conn, || Event::Attack { kind: AttackEvent::RstBadSeq });
                 self.send_ack(i);
             }
             return;
@@ -1397,7 +1396,7 @@ where
             // drop the segment" — the optimistic-ACK attack shape.
             self.stats.acks_ignored_unsent_data += 1;
             let conn = self.socks[i].id;
-            self.obs.emit(self.now, conn, || Event::Attack { kind: "AckUnsentData" });
+            self.obs.emit(self.now, conn, || Event::Attack { kind: AttackEvent::AckUnsentData });
             self.send_ack(i);
             return;
         }
@@ -1510,49 +1509,6 @@ where
             self.send_ack(i);
         }
     }
-}
-
-/// The transition-cause a segment carries, by flag precedence (`rst` >
-/// `syn` > `fin` > `ack`) — the `spec/tcp_fsm.txt` trigger vocabulary,
-/// kept identical to the structured stack's so both engines' observed
-/// edges resolve against the same spec.
-fn seg_cause(f: &TcpFlags) -> &'static str {
-    if f.rst {
-        "rst"
-    } else if f.syn {
-        "syn"
-    } else if f.fin {
-        "fin"
-    } else if f.ack {
-        "ack"
-    } else {
-        "seg"
-    }
-}
-
-/// Renders wire flags as the event layer's bitmask.
-fn obs_flags(f: &TcpFlags) -> u8 {
-    use foxbasis::obs::flags;
-    let mut bits = 0;
-    if f.fin {
-        bits |= flags::FIN;
-    }
-    if f.syn {
-        bits |= flags::SYN;
-    }
-    if f.rst {
-        bits |= flags::RST;
-    }
-    if f.psh {
-        bits |= flags::PSH;
-    }
-    if f.ack {
-        bits |= flags::ACK;
-    }
-    if f.urg {
-        bits |= flags::URG;
-    }
-    bits
 }
 
 fn reset_for(local_port: u16, seg: &TcpSegment) -> TcpSegment {
