@@ -3,7 +3,7 @@
 #
 #   ./ci.sh
 #
-# Ten stages, all must pass. Each prints `== <name> (…) ==`, and the
+# Eleven stages, all must pass. Each prints `== <name> (…) ==`, and the
 # docs cite a stage by that name (`== clippy ==`), never by its place:
 #   fmt: formatting (fails fast, before anything compiles)
 #   build: release build of every crate's library, every binary (the
@@ -84,6 +84,9 @@
 #      rotting) — including timer.rs's `wheel` group beside the Fig. 11
 #      rows, and engine.rs and obs.rs on the shared two-engine rig
 #      (foxtcp::testlink::Pair)
+#   doc: rustdoc over every workspace crate, warnings as errors, so a
+#      doc link to a renamed or deleted name (or a public doc linking a
+#      private item) fails here instead of rotting silently
 #   clippy: clippy over every target (benches and bins too), warnings
 #      as errors. This is the gate for four workspace invariants
 #      (DESIGN.md §5.8), stated in crates/clippy.toml and lint
@@ -150,6 +153,9 @@ diff artifacts.sha256 - <<< "$digests" || {
 
 echo "== bench (compile only) =="
 cargo bench --workspace --no-run
+
+echo "== doc (rustdoc, deny warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
 echo "== clippy (all targets, deny warnings; determinism, hash_iter, rx_panic, shard_global) =="
 cargo clippy --workspace --all-targets -- -D warnings

@@ -9,11 +9,11 @@
 //! `foxperf/` (see `BENCHMARK.json`).
 //!
 //! Flags:
-//!   --trace <file>   record the Table 1 bulk run's typed event stream;
+//!   --trace FILE     record the Table 1 bulk run's typed event stream;
 //!                    `.jsonl` writes one JSON object per event, any
 //!                    other extension writes chrome://tracing JSON
 //!                    (open it in Perfetto)
-//!   --pcap <file>    write the same run's wire capture, Wireshark-ready
+//!   --pcap FILE      write the same run's wire capture, Wireshark-ready
 
 use foxharness::experiments as exp;
 use foxharness::stack::StackKind;

@@ -77,8 +77,10 @@
 //! ## Copy accounting
 //!
 //! Every real payload memcpy this module performs is recorded in a
-//! thread-local counter ([`copy_stats`]); callers that sit next to an
-//! [`crate::obs::EventSink`] additionally emit `Event::BufCopy`. Header
+//! thread-local counter ([`copy_stats`]), and that counter is the record
+//! of copies: the event stream does not carry them (only the x-kernel
+//! baseline brackets its own encode and decode and emits
+//! `Event::BufCopy`). Header
 //! and trailer writes (≤ ~60 bytes per layer, plain stores into
 //! reserved room) are not copies and are not counted. The *virtual*
 //! cost model is entirely unaffected: the `Copy` and `Checksum` work

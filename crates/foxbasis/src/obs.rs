@@ -447,12 +447,13 @@ pub enum Event {
         micros: u64,
     },
     /// A real host memcpy of payload bytes — a [`crate::buf::PacketBuf`]
-    /// materialization or fallback reallocation. Purely observational:
-    /// the *virtual* cost model charges the paper's per-KB constants
-    /// independently of these.
+    /// materialization or fallback reallocation — that the x-kernel
+    /// baseline made while encoding or decoding a segment; only it emits
+    /// this. Every copy is counted by [`crate::buf::copy_stats`], which
+    /// is the record. Purely observational: the *virtual* cost model
+    /// charges the paper's per-KB constants independently of these.
     BufCopy {
-        /// The layer that performed the copy (e.g. `tcp`, `ip_reasm`,
-        /// `wire`).
+        /// The layer that performed the copy (`xk_tx` or `xk_rx`).
         layer: &'static str,
         /// Payload bytes memcpy'd.
         bytes: u32,
@@ -699,13 +700,10 @@ impl EventSink {
 }
 
 /// A per-connection metrics snapshot: the RTT and window state of one
-/// connection, beside copies of the engine-wide counters `TcpStats` (a
-/// harness station's `StationStats`) keeps. Only the first six fields
-/// are the connection's own; every counter is the whole engine's total,
-/// so it is the connection's alone only on an engine that holds one
-/// connection. The x-kernel baseline fills what it has: no congestion
-/// or fast-path state, and its one retransmission count in both
-/// `retransmits` and `rto_fires`.
+/// connection. The engine's totals are its `stats()` (a harness
+/// station's `StationStats`), not copied here. The x-kernel baseline
+/// fills what it has: no congestion state, so `cwnd` and `ssthresh`
+/// read zero.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ConnMetrics {
     /// Smoothed RTT, microseconds (None before the first sample).
@@ -720,33 +718,10 @@ pub struct ConnMetrics {
     pub snd_wnd: u32,
     /// Sent-but-unacknowledged bytes.
     pub bytes_in_flight: u32,
-    /// Segments the fast path fully handled.
-    pub fastpath_hits: u64,
-    /// Segments that fell through to the full DAG.
+    /// The engine-wide count of segments that fell through to the full
+    /// DAG (`TcpStats::fastpath_misses`), not this connection's: kept
+    /// here only because foxperf's counter reader reads it here.
     pub fastpath_misses: u64,
-    /// Segments retransmitted.
-    pub retransmits: u64,
-    /// Fast retransmissions.
-    pub fast_retransmits: u64,
-    /// Fast-recovery episodes entered.
-    pub recoveries: u64,
-    /// Retransmission-timer fires that retransmitted.
-    pub rto_fires: u64,
-    /// Zero-window probes sent.
-    pub probe_fires: u64,
-    /// Segments transmitted.
-    pub segments_sent: u64,
-    /// Segments received and processed.
-    pub segments_received: u64,
-    /// Payload bytes transmitted (with retransmissions).
-    pub bytes_sent: u64,
-    /// Payload bytes delivered to the user.
-    pub bytes_delivered: u64,
-    /// Real host payload memcpys this connection caused (the
-    /// `Event::BufCopy` count; the modeled copy charge is separate).
-    pub buf_copies: u64,
-    /// Real payload bytes memcpy'd.
-    pub buf_copy_bytes: u64,
 }
 
 // ----- exporters -----

@@ -3,9 +3,9 @@
 //! holds the paper's `tcp_state` datatype ([`TcpState`]) and the only
 //! code that can make or change a connection's [`State`]:
 //! [`ConnCore::new`] and its in-place twin `ConnCore::reset`,
-//! [`transition`] and the SYN-retry count
-//! [`spend_syn_retry`]. `State`'s field is private, so the compiler
-//! rejects a write anywhere else; [`transition`] in debug builds asserts
+//! `transition` and the SYN-retry count
+//! `spend_syn_retry`. `State`'s field is private, so the compiler
+//! rejects a write anywhere else; `transition` in debug builds asserts
 //! the write is an edge of that file. So code ⊆ spec holds on every
 //! debug run of anything that links foxtcp; spec ⊆ code is conformance's
 //! coverage ratchet (§5.13).

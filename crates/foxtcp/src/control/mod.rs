@@ -3,7 +3,7 @@
 //! Everything that decides *what a connection is* lives here — passive
 //! and active opens, the SYN handshakes, RST handling, the close
 //! sequences, timer-driven give-ups, and every change of
-//! [`crate::TcpState`], each one a [`fsm::transition`] checked against
+//! [`crate::TcpState`], each one a `fsm::transition` checked against
 //! `spec/tcp_fsm.txt`. The data path ([`crate::data`]) moves bytes for
 //! a connection whose shape control has already decided; it reports
 //! events back (see `DataEvent` in [`crate::data::transfer`]) but never

@@ -6,7 +6,7 @@
 //! RTT estimation, and "remove acknowledged segments from the retransmit
 //! queue". It owns the TCB's [`SendSide`]: the Send module queues bytes
 //! and records what it sent through the methods here, and control asks
-//! whether our FIN is acknowledged ([`Tcb::fin_acked`]).
+//! whether our FIN is acknowledged (`Tcb::fin_acked`).
 //!
 //! Loss recovery is one record and one walk. A loss detected either way
 //! — the third duplicate ACK ([`duplicate_ack`]) or the retransmission
@@ -470,7 +470,7 @@ fn next_lost(tcb: &Tcb) -> Option<&SentSegment> {
 }
 
 /// The walk the ACKs of a recovery episode take, and the timer before
-/// the first of them: resend [`next_lost`] segments, lowest first. After
+/// the first of them: resend `next_lost` segments, lowest first. After
 /// a timeout, as many as keep what has been resent since `snd_una`
 /// inside the congestion window (one segment, with congestion control
 /// off), so the old flight leaves under slow start; in fast recovery one

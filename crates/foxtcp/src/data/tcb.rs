@@ -10,7 +10,7 @@
 //! | `snd_una` …      | [`SeqVars::snd_una`] and the other RFC 793 vars |
 //! | `queued`         | the unsent tail of [`SendSide::send_buf`] (bytes past `snd_nxt`) — the deque of not-yet-sent packets, adapted to a byte-stream store. The sent prefix stays in it until acknowledged and is the only copy of the flight: every transmission, first or repeated, stages its bytes from here (`send::stage`). Bounded by `TcpConfig::send_buffer`, but it holds storage only for what the connection has had queued at once (`foxbasis::ring`: none until the first write, doubled by use) and gives it back when our FIN is acknowledged, so neither an idle connection nor TIME-WAIT pays for the bound |
 //! | `out_of_order`   | [`RecvSide::out_of_order`]                     |
-//! | `to_do`          | [`Tcb::to_do`] — the action queue at the heart of the quasi-synchronous control structure |
+//! | `to_do`          | `Tcb::to_do` — the action queue at the heart of the quasi-synchronous control structure |
 //!
 //! The `tcp_state` datatype is [`crate::TcpState`], which lives with the
 //! state machine in [`crate::control::fsm`].

@@ -8,16 +8,16 @@
 //! here, inside [`crate::data`], the only place the TCB's sequence
 //! space can be written. The two halves communicate narrowly:
 //!
-//! * control hands data an [`EstablishedHandle`] (minted next to the
-//!   `TcpState::Estab` write, nowhere else) to run [`establish`], the
+//! * control hands data an `EstablishedHandle` (minted next to the
+//!   `TcpState::Estab` write, nowhere else) to run `establish`, the
 //!   data-path half of the transition;
-//! * data reports stream-level events back as [`DataEvent`]s — e.g.
-//!   [`consume_fin`] advances `rcv_nxt` over a FIN and returns
-//!   [`DataEvent::FinReceived`]; *control* then decides which closing
+//! * data reports stream-level events back as `DataEvent`s — e.g.
+//!   `consume_fin` advances `rcv_nxt` over a FIN and returns
+//!   `DataEvent::FinReceived`; *control* then decides which closing
 //!   state that implies. Nothing in this module writes `TcpState`.
 //!
 //! Three of the TCB's records are this module's, fields and all —
-//! [`Negotiated`], [`RecvSide`] and [`AckClock`] — so every decision
+//! [`Negotiated`], [`RecvSide`] and `AckClock` — so every decision
 //! about them is made here: ACK now or later, which options a header
 //! wears, and when a window update goes out.
 
@@ -56,7 +56,7 @@ pub(crate) enum DataEvent {
 
 /// What the two SYNs agreed: built from [`TcpConfig`]'s offers when the
 /// connection is made, finished by the peer's SYN
-/// ([`note_peer_syn`]) and read-only after that. An option is on only
+/// (`note_peer_syn`) and read-only after that. An option is on only
 /// when both sides carried it (RFC 7323 §2.5, RFC 2018 §2).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Negotiated {

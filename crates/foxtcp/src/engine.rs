@@ -25,7 +25,7 @@ use crate::data::{fastpath, resend, transfer};
 use crate::demux::{Demux, DemuxStats};
 use crate::{ConnCore, TcpConfig, TcpState};
 use fox_scheduler::SchedHandle;
-use foxbasis::buf::{copy_mark, BufPool};
+use foxbasis::buf::BufPool;
 use foxbasis::flat::{FlatIndex, FlatKey};
 use foxbasis::obs::{AttackEvent, ConnMetrics, Event, EventSink, LossEvent, StateName, TimerKind, Trigger};
 use foxbasis::ring::STORAGE_FLOOR;
@@ -90,7 +90,11 @@ pub enum TcpEvent {
     Urgent(u32),
 }
 
-/// Aggregate statistics (several of the benchmark tables read these).
+/// The engine's counters, each a total across all its connections and
+/// kept only here: a harness station's `StationStats` is this type, and
+/// a connection's `ConnMetrics` holds that connection's own state.
+/// Payload copies are not counted here but by
+/// [`foxbasis::buf::copy_stats`].
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct TcpStats {
     /// Segments transmitted (including retransmissions).
@@ -132,13 +136,6 @@ pub struct TcpStats {
     /// ACKs dropped because they acknowledged data never sent
     /// (optimistic-ACK attempts; SEG.ACK > SND.NXT).
     pub acks_ignored_unsent_data: u64,
-    /// Real buffer copies ([`foxbasis::buf`] copy counter deltas)
-    /// observed while externalizing/internalizing segments. Purely
-    /// observational: the virtual cost model charges the paper's per-KB
-    /// constants independently.
-    pub buf_copies: u64,
-    /// Bytes moved by those copies.
-    pub buf_copy_bytes: u64,
 }
 
 /// Everything that reaches the engine; [`Tcp::apply`] runs any of it.
@@ -289,9 +286,10 @@ impl<P> Conn<P> {
 ///    ...): TCP_PROTOCOL
 /// ```
 ///
-/// The engine reads the scheduler only as a clock (`now`,
-/// `advance_to`): it forks no coroutine, and every connection timer
-/// lives on the engine's own shared wheel.
+/// The engine reads the scheduler once, in [`Tcp::new`], as the instant
+/// its timer wheel starts at; from then on the wheel is its only clock,
+/// moved only by a tick. It forks no coroutine, and every connection
+/// timer lives on that one shared wheel.
 pub struct Tcp<L, A>
 where
     L: Protocol,
@@ -300,7 +298,6 @@ where
     below: Below<L>,
     pub(crate) aux: A,
     pub(crate) cfg: TcpConfig,
-    sched: SchedHandle,
     host: HostHandle,
     /// The only connection table (see [`Table`]).
     conns: Table<L::Peer>,
@@ -310,7 +307,7 @@ where
     obs: EventSink,
     recorder: Option<InputLog<L::Peer, L::Incoming>>,
     /// All connection timers, one shared wheel: payload is
-    /// (connection id, timer kind).
+    /// (connection id, timer kind). Its `now` is the engine's clock.
     wheel: TimerWheel<(u32, TimerKind)>,
     /// Keyed segment→connection-id table; files every id in `conns`.
     demux: Demux,
@@ -432,7 +429,9 @@ where
     L: Protocol,
     A: IpAux<Address = L::Peer, Incoming = L::Incoming>,
 {
-    /// Instantiates the functor.
+    /// Instantiates the functor. `sched` is read once, for the instant
+    /// the engine's timer wheel starts at, and not kept: the wheel is the
+    /// engine's clock, and only a tick moves it.
     pub fn new(
         lower: L,
         aux: A,
@@ -446,7 +445,6 @@ where
             below: Below::new(lower, lower_pattern),
             aux,
             cfg,
-            sched,
             host,
             conns: Table::new(),
             next_id: 0,
@@ -495,11 +493,8 @@ where
         &self.pool
     }
 
-    /// A unified per-connection metrics snapshot: the TCB's live
-    /// estimator/window state plus the engine's counters, which count
-    /// across all its connections. Only on an engine with one data
-    /// connection (either end of a two-host cell, but not `many_flows`'
-    /// server) do they read as this connection's.
+    /// A per-connection metrics snapshot: the TCB's live estimator and
+    /// window state. The engine's totals are [`Tcp::stats`].
     pub fn metrics_of(&self, conn: TcpConnId) -> Option<ConnMetrics> {
         let i = self.conns.slot_of(conn.0)?;
         let tcb = &self.conns[i].core.tcb;
@@ -511,19 +506,7 @@ where
             ssthresh: tcb.cc.ssthresh(),
             snd_wnd: tcb.seq().snd_wnd,
             bytes_in_flight: tcb.flight_size(),
-            fastpath_hits: self.stats.fastpath_hits,
             fastpath_misses: self.stats.fastpath_misses,
-            retransmits: self.stats.retransmits,
-            fast_retransmits: self.stats.fast_retransmits,
-            recoveries: self.stats.recoveries,
-            rto_fires: self.stats.rto_fires,
-            probe_fires: self.stats.probe_fires,
-            segments_sent: self.stats.segments_sent,
-            segments_received: self.stats.segments_received,
-            bytes_sent: self.stats.bytes_sent,
-            bytes_delivered: self.stats.bytes_delivered,
-            buf_copies: self.stats.buf_copies,
-            buf_copy_bytes: self.stats.buf_copy_bytes,
         })
     }
 
@@ -570,7 +553,7 @@ where
     /// queue, the wake rule, and in debug builds the invariants.
     pub fn apply(&mut self, input: Input<'_, L::Peer, L::Incoming>) -> Result<Applied, ProtoError> {
         if let Some(log) = &self.recorder {
-            let at = if let Input::Tick(now) = input { now } else { self.sched.now() };
+            let at = if let Input::Tick(now) = input { now } else { self.wheel.now() };
             log.borrow_mut().extend(input.logged().map(|logged| (at, logged)));
         }
         let (ran, touched) = match input {
@@ -592,7 +575,7 @@ where
         // took bytes lowers to now for the writer's next write, which can
         // go on the wire at once (or re-arm Persist) and which nothing
         // else announces. Other calls send within the call or arm a timer.
-        let now = self.sched.now();
+        let now = self.wheel.now();
         match ran {
             Ok(Applied::Stepped(_)) if self.host.alarm().is_some_and(|alarm| alarm <= now) => {
                 self.host.set_alarm(self.poll_at());
@@ -614,7 +597,7 @@ where
         &mut self,
         call: UserCall<'_, L::Peer>,
     ) -> (Result<Applied, ProtoError>, Option<(usize, StateName, Option<Trigger>)>) {
-        let now = self.sched.now();
+        let now = self.wheel.now();
         let found = match &call {
             UserCall::Open(pattern, _) => self.open_conn(pattern),
             UserCall::Send(c, _) | UserCall::Close(c) | UserCall::Abort(c) | UserCall::Adopt(c, _) => {
@@ -745,7 +728,7 @@ where
         if before != after {
             debug_assert!(cause.is_some(), "{before:?} -> {after:?} with no trigger");
             if let Some(cause) = cause {
-                self.obs.emit(self.sched.now(), conn.id, || Event::StateTransition {
+                self.obs.emit(self.wheel.now(), conn.id, || Event::StateTransition {
                     from: before,
                     to: after,
                     cause,
@@ -757,7 +740,7 @@ where
     /// RFC 793-style clock-driven initial sequence number, made unique
     /// per connection id. Deterministic under the virtual clock.
     fn new_iss(&self) -> Seq {
-        let clock = (self.sched.now().as_micros() / 4) as u32;
+        let clock = (self.wheel.now().as_micros() / 4) as u32;
         Seq(clock.wrapping_add(self.next_id.wrapping_mul(65_536)).wrapping_add(1))
     }
 
@@ -873,25 +856,15 @@ where
         // about it is read first.
         let (h, len) = (&seg.header, seg.payload.len());
         let (seq, ack, flags, wnd) = (h.seq.0, h.ack.0, h.flags, h.window);
-        let mark = copy_mark();
         let bytes = match seg.encode_buf(pseudo) {
             Ok(b) => b,
             Err(_) => return,
         };
-        let delta = mark.delta();
-        if delta.bytes > 0 {
-            self.stats.buf_copies += delta.copies;
-            self.stats.buf_copy_bytes += delta.bytes;
-            self.obs.emit(self.sched.now(), foxbasis::obs::NO_CONN, || Event::BufCopy {
-                layer: "tcp_tx",
-                bytes: delta.bytes as u32,
-            });
-        }
         self.stats.segments_sent += 1;
         self.stats.bytes_sent += len as u64;
         if self.obs.is_on() {
             let conn = tx_conn.map_or(foxbasis::obs::NO_CONN, |idx| self.conns[idx].id);
-            self.obs.emit(self.sched.now(), conn, || Event::SegTx {
+            self.obs.emit(self.wheel.now(), conn, || Event::SegTx {
                 seq,
                 ack,
                 len: len as u32,
@@ -912,9 +885,9 @@ where
     /// never by touching state.
     fn set_timer(&mut self, idx: usize, kind: TimerKind, ms: u64) {
         self.clear_timer(idx, kind);
-        self.obs.emit(self.sched.now(), self.conns[idx].id, || Event::TimerSet { timer: kind, after_ms: ms });
+        self.obs.emit(self.wheel.now(), self.conns[idx].id, || Event::TimerSet { timer: kind, after_ms: ms });
         self.host.charge(Work::ThreadOp);
-        let deadline = self.sched.now() + VirtualDuration::from_millis(ms);
+        let deadline = self.wheel.now() + VirtualDuration::from_millis(ms);
         self.host.wake_at(deadline);
         let id = self.conns[idx].id;
         let tid = self.wheel.arm(deadline, (id, kind));
@@ -932,7 +905,7 @@ where
             // May already have fired — cancelling then is a no-op, and
             // the clear is still reported.
             self.wheel.cancel(tid);
-            self.obs.emit(self.sched.now(), self.conns[idx].id, || Event::TimerClear { timer: kind });
+            self.obs.emit(self.wheel.now(), self.conns[idx].id, || Event::TimerClear { timer: kind });
         }
     }
 
@@ -955,7 +928,7 @@ where
             };
             let Some(action) = action else { return };
             self.stats.actions_executed += 1;
-            let now = self.sched.now();
+            let now = self.wheel.now();
             self.obs.emit(now, conn_id, || Event::Action { tag: action.tag() });
             // Only segments and timers can move the state machine from
             // inside the action loop; take the trigger now, while the
@@ -1082,8 +1055,7 @@ where
         // 1. Let the clock catch up: due timers enqueue
         //    Timer_Expiration actions, in (deadline, arm order).
         let mut fired = std::mem::take(&mut self.fired);
-        if self.sched.now() < now {
-            self.sched.advance_to(now);
+        if self.wheel.now() < now {
             for timer in self.wheel.advance(now) {
                 let (cid, kind) = timer.payload;
                 if let Some(idx) = self.conns.slot_of(cid) {
@@ -1125,7 +1097,7 @@ where
     fn arrive(&mut self, msg: L::Incoming) {
         self.internalize(&msg);
         if let Some(log) = &self.recorder {
-            log.borrow_mut().push((self.sched.now(), Input::Arrival(msg)));
+            log.borrow_mut().push((self.wheel.now(), Input::Arrival(msg)));
         }
     }
 
@@ -1148,18 +1120,7 @@ where
             if pseudo.is_some() {
                 self.host.charge(Work::Checksum(info.data.len()));
             }
-            let mark = copy_mark();
-            let decoded = TcpSegment::decode_buf(info.data, pseudo);
-            let delta = mark.delta();
-            if delta.bytes > 0 {
-                self.stats.buf_copies += delta.copies;
-                self.stats.buf_copy_bytes += delta.bytes;
-                self.obs.emit(self.sched.now(), foxbasis::obs::NO_CONN, || Event::BufCopy {
-                    layer: "tcp_rx",
-                    bytes: delta.bytes as u32,
-                });
-            }
-            match decoded {
+            match TcpSegment::decode_buf(info.data, pseudo) {
                 Ok(seg) => (info.src.clone(), seg),
                 Err(foxwire::WireError::BadChecksum(_)) => {
                     self.stats.checksum_failures += 1;

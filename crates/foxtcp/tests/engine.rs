@@ -3,11 +3,12 @@
 //! flow control, close and abort. No IP, no Ethernet, no simulator —
 //! every failure here is a TCP bug.
 
+use fox_scheduler::SchedHandle;
 use foxbasis::obs::{flags, Event, EventSink, StateName, TimerKind};
 use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxproto::{ProtoError, Protocol};
-use foxtcp::testlink::{immediate, no_nagle, Pair};
-use foxtcp::{TcpConfig, TcpConnId, TcpEvent, TcpPattern, TcpState, TcpStats};
+use foxtcp::testlink::{immediate, no_nagle, LinkPair, Pair, TestAux};
+use foxtcp::{Tcp, TcpConfig, TcpConnId, TcpEvent, TcpPattern, TcpState, TcpStats};
 use foxwire::tcp::TcpSegment;
 use simnet::{Account, CostModel, Host as SimHost, HostHandle, Medium};
 use std::cell::RefCell;
@@ -122,7 +123,8 @@ fn fast_and_slow_path_charge_the_same_accounts() {
 }
 
 /// The obs layer sees the whole life of a connection: transitions,
-/// actions, timers, segments, the adoption — and metrics summarize it.
+/// actions, timers, segments, the adoption — and the engine's counters
+/// summarize it.
 #[test]
 fn obs_records_typed_events_and_metrics() {
     let mut p = Pair::new(no_nagle(), TcpConfig::default());
@@ -132,9 +134,9 @@ fn obs_records_typed_events_and_metrics() {
     let (client, child) = p.open(80);
     p.a.send(client, (), b"observable".to_vec()).unwrap();
     p.settle();
-    let m = p.b.metrics_of(child).expect("child metrics");
-    assert!(m.segments_received > 0);
-    assert_eq!(m.bytes_delivered, 10);
+    let stats = p.b.stats();
+    assert!(stats.segments_received > 0);
+    assert_eq!(stats.bytes_delivered, 10);
     p.a.close(client).unwrap();
     p.b.close(child).unwrap();
     p.run_for(120_000, 5_000);
@@ -153,6 +155,39 @@ fn obs_records_typed_events_and_metrics() {
     assert!(matches!(adoptions[..], [e] if e.conn == child.0 && e.event == Event::Adopt { parked: 1 }));
     assert!(evs.iter().any(|e| e.host == 0) && evs.iter().any(|e| e.host == 1));
     assert_eq!(sink.dropped(), 0);
+}
+
+/// The engine's clock is its timer wheel's, moved only by its ticks: a
+/// scheduler handle that runs ahead after the engine is built moves
+/// neither the ISS (RFC 793's clock-driven choice) nor the timers armed
+/// from it.
+#[test]
+fn an_engine_reads_no_clock_but_its_inputs() {
+    let syn_and_alarm = |run_ahead: bool| {
+        let link = LinkPair::new();
+        let host = HostHandle::free();
+        let sched = SchedHandle::new();
+        let mut tcp =
+            Tcp::new(link.endpoint(0), TestAux, (), TcpConfig::default(), sched.clone(), host.clone());
+        if run_ahead {
+            sched.advance_to(VirtualTime::from_micros(5_000_000));
+        }
+        let syn = Rc::new(RefCell::new(None));
+        let tap = syn.clone();
+        link.set_filter_toward(
+            1,
+            Box::new(move |_, bytes| {
+                tap.borrow_mut()
+                    .get_or_insert(TcpSegment::decode_buf(bytes, None).expect("a segment").header.seq.0);
+                false
+            }),
+        );
+        tcp.connect(1, 80, 0, Box::new(|_| {})).expect("connect");
+        tcp.step(VirtualTime::ZERO);
+        let seq = syn.borrow().expect("a SYN went out");
+        (seq, host.alarm())
+    };
+    assert_eq!(syn_and_alarm(true), syn_and_alarm(false));
 }
 
 #[test]

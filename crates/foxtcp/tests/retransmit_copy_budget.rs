@@ -7,9 +7,9 @@
 //! into a buffer nobody else holds, and every encoder below writes its
 //! header into that buffer in place. If either half regresses — a
 //! segment is staged more than once, or a shared handle forces a header
-//! prepend to re-home the payload — the copy counters catch it here: the
-//! thread's counter must read exactly the retransmitted bytes, and the
-//! engine's own counter (copies made *while encoding*) must not move.
+//! prepend to re-home the payload — the thread's copy counter catches it
+//! here: it must read exactly one copy and the payload per segment
+//! resent, so a re-home while encoding would show as a copy too many.
 
 use foxbasis::buf::{copy_mark, reset_copy_stats};
 use foxtcp::testlink::{immediate, Pair};
@@ -51,11 +51,6 @@ fn a_retransmission_copies_its_payload_once() {
     assert!(retransmits > 0, "the episode must actually retransmit");
     assert_eq!(delta.copies, retransmits, "one staging copy per segment resent ({delta:?})");
     assert_eq!(delta.bytes, stats_after.bytes_sent - stats_before.bytes_sent, "of exactly its payload");
-    assert_eq!(
-        stats_after.buf_copies, stats_before.buf_copies,
-        "the frame built for a retransmission takes every header in place"
-    );
-    assert_eq!(stats_after.buf_copy_bytes, stats_before.buf_copy_bytes);
 }
 
 #[test]
@@ -100,9 +95,11 @@ fn resending_a_whole_flight_after_a_timeout_copies_each_segment_once() {
     // Three retransmissions and the tail the peer's window had held
     // back: each staged once, and no byte of the write twice.
     assert_eq!(data_segments.get(), 4);
-    assert_eq!((delta.copies, delta.bytes), (data_segments.get(), payload.len() as u64));
-    assert_eq!(stats_after.buf_copies, stats_before.buf_copies, "and none copied again on the way down");
-    assert_eq!(stats_after.buf_copy_bytes, stats_before.buf_copy_bytes);
+    assert_eq!(
+        (delta.copies, delta.bytes),
+        (data_segments.get(), payload.len() as u64),
+        "and none copied again on the way down"
+    );
 }
 
 #[test]

@@ -369,8 +369,8 @@ where
 
     /// Per-connection metrics snapshot (None once reaped). The baseline
     /// has no congestion window, so `cwnd`/`ssthresh` read zero and the
-    /// fast-path counters stay empty; segment and byte counters are the
-    /// stack-wide totals, as BSD kept them.
+    /// fast-path count stays empty; the stack-wide totals are `stats()`,
+    /// as BSD kept them.
     pub fn metrics_of(&self, sock: SockId) -> Option<ConnMetrics> {
         let i = self.idx(sock)?;
         let s = &self.socks[i];
@@ -381,19 +381,7 @@ where
             ssthresh: 0,
             snd_wnd: s.snd_wnd,
             bytes_in_flight: s.flight(),
-            fastpath_hits: 0,
             fastpath_misses: 0,
-            retransmits: self.stats.retransmits,
-            fast_retransmits: 0,
-            recoveries: 0,
-            rto_fires: self.stats.retransmits,
-            probe_fires: 0,
-            segments_sent: self.stats.segments_sent,
-            segments_received: self.stats.segments_received,
-            bytes_sent: self.stats.bytes_sent,
-            bytes_delivered: self.stats.bytes_received,
-            buf_copies: self.stats.buf_copies,
-            buf_copy_bytes: self.stats.buf_copy_bytes,
         })
     }
 
