@@ -7,7 +7,7 @@
 # docs cite a stage by that name (`== clippy ==`), never by its place:
 #   fmt: formatting (fails fast, before anything compiles)
 #   build: release build of every crate's library, every binary (the
-#      `tables` and `trace-diff` CLIs) and every example, so a
+#      `tables` CLI) and every example, so a
 #      release-only compile error fails here and not first in
 #      `== artifacts ==`. This is also where
 #      the ownership invariants fail (DESIGN.md §5.8): a connection's
@@ -50,7 +50,8 @@
 #      The workspace run also pins the statements of the tool-enforced
 #      invariants (the root tests/clippy_gate.rs): every clippy.toml
 #      entry and deny attribute, `unsafe_code` denied in every crate
-#      root and no `[features]` table in any manifest, and that the
+#      root, no `[features]` table in any manifest and no manifest entry
+#      its package's code never names, and that the
 #      ownership types above are not loosened (no `pub` field on `Tcb`
 #      or any record, a private `ConnCore::tcb`, no type parameter on
 #      `ConnCore`, `Tcb` or `TcpAction`, no `Clone` on `State`, every

@@ -446,18 +446,6 @@ pub enum Event {
         /// Pause length in microseconds.
         micros: u64,
     },
-    /// A real host memcpy of payload bytes — a [`crate::buf::PacketBuf`]
-    /// materialization or fallback reallocation — that the x-kernel
-    /// baseline made while encoding or decoding a segment; only it emits
-    /// this. Every copy is counted by [`crate::buf::copy_stats`], which
-    /// is the record. Purely observational: the *virtual* cost model
-    /// charges the paper's per-KB constants independently of these.
-    BufCopy {
-        /// The layer that performed the copy (`xk_tx` or `xk_rx`).
-        layer: &'static str,
-        /// Payload bytes memcpy'd.
-        bytes: u32,
-    },
 }
 
 impl Event {
@@ -481,7 +469,6 @@ impl Event {
             Event::Attack { .. } => "attack",
             Event::FrameDeliver { .. } => "frame_deliver",
             Event::GcPause { .. } => "gc_pause",
-            Event::BufCopy { .. } => "buf_copy",
         }
     }
 
@@ -524,9 +511,6 @@ impl Event {
             Event::Attack { kind } => Self::kind_json(&mut s, kind.name()),
             Event::GcPause { micros } => {
                 let _ = write!(s, "{{\"micros\":{micros}}}");
-            }
-            Event::BufCopy { layer, bytes } => {
-                let _ = write!(s, "{{\"layer\":\"{layer}\",\"bytes\":{bytes}}}");
             }
         }
         s
@@ -896,8 +880,7 @@ mod tests {
     /// Every recording ring holds `capacity` of these. History: 56 and
     /// 72 B while `StateTransition` carried three `&'static str` and the
     /// timer, loss and attack events one each; 24 and 40 B since those are
-    /// one-byte enums. `Action`'s and `BufCopy`'s `&'static str` and
-    /// `SegTx`'s 17 bytes keep `Event` at 24.
+    /// one-byte enums. `SegTx`'s 17 bytes keep `Event` at 24.
     #[test]
     fn event_sizes_are_pinned() {
         assert_eq!(std::mem::size_of::<Event>(), 24);

@@ -4,8 +4,11 @@
 //! difference), and a schema check that the chrome://tracing export of
 //! a loss-matrix cell is well-formed JSON of the expected shape.
 
-use foxbasis::obs::{first_divergence, to_chrome_trace, to_jsonl, Event, EventSink, Stamped, StateName};
+use foxbasis::obs::{
+    first_divergence, to_chrome_trace, to_jsonl, Event, EventSink, Stamped, StateName, DEFAULT_RING_CAPACITY,
+};
 use foxbasis::time::{VirtualDuration, VirtualTime};
+use foxharness::advpeer::{attack_cell, attack_pair, Attack};
 use foxharness::experiments as exp;
 use foxharness::stack::StackKind;
 use foxharness::workload::{many_flows, ManyFlowsResult};
@@ -51,6 +54,79 @@ fn traced_run_covers_every_layer() {
         t.events.iter().any(|e| e.host == 0) && t.events.iter().any(|e| e.host == 1),
         "both hosts are stamped"
     );
+}
+
+/// Every variant of `Event`, in declaration order, by its export name.
+const KINDS: [&str; 17] = [
+    "state",
+    "action",
+    "adopt",
+    "timer_set",
+    "timer_clear",
+    "timer_fire",
+    "loss",
+    "seg_tx",
+    "seg_rx",
+    "frame_tx",
+    "frame_drop",
+    "frame_corrupt",
+    "frame_mutate",
+    "frame_rewrite",
+    "attack",
+    "frame_deliver",
+    "gc_pause",
+];
+
+/// The place of `e`'s variant in [`KINDS`]. No arm is a wildcard, so a
+/// new variant does not compile here until it is listed, and then fails
+/// [`every_event_kind_is_emitted_by_some_run`] until some run emits it.
+fn kind(e: &Event) -> usize {
+    match e {
+        Event::StateTransition { .. } => 0,
+        Event::Action { .. } => 1,
+        Event::Adopt { .. } => 2,
+        Event::TimerSet { .. } => 3,
+        Event::TimerClear { .. } => 4,
+        Event::TimerFire { .. } => 5,
+        Event::Loss { .. } => 6,
+        Event::SegTx { .. } => 7,
+        Event::SegRx { .. } => 8,
+        Event::FrameTx { .. } => 9,
+        Event::FrameDrop { .. } => 10,
+        Event::FrameCorrupt => 11,
+        Event::FrameMutate { .. } => 12,
+        Event::FrameRewrite { .. } => 13,
+        Event::Attack { .. } => 14,
+        Event::FrameDeliver { .. } => 15,
+        Event::GcPause { .. } => 16,
+    }
+}
+
+/// No event kind is defined that nothing writes: three small recorded
+/// runs emit all of them. A fox bulk on the 1994 machine (the collector
+/// pauses it), a lossy cell whose wire drops, corrupts, mutates and
+/// clamps, and one blind-RST attack, whose listener adopts its child.
+#[test]
+fn every_event_kind_is_emitted_by_some_run() {
+    let table1 =
+        exp::table1_cell(StackKind::FoxStandard, CostModel::decstation_sml(), 7).traced_bulk(300_000);
+    let faults = FaultConfig { mutate_chance: 0.05, mss_clamp: Some(536), ..FaultConfig::lossy(0.05) };
+    let lossy = exp::loss_cell(StackKind::FoxStandard, faults, TcpConfig::default(), 3).traced_bulk(20_000);
+    let cell = attack_cell(StackKind::FoxStandard, FaultConfig::default(), 11);
+    let sink = EventSink::recording(DEFAULT_RING_CAPACITY);
+    let (net, mut sender, mut receiver) = cell.pair(sink.clone());
+    let report = attack_pair(&cell, &net, &mut sender, &mut receiver, Attack::BlindRstInWindow);
+    assert!(report.outcome_ok(), "{report:?}");
+    assert_eq!(table1.dropped + lossy.dropped + sink.dropped(), 0, "every ring holds its whole run");
+
+    let mut seen = [false; KINDS.len()];
+    for e in table1.events.iter().chain(&lossy.events).chain(&sink.events()) {
+        let k = kind(&e.event);
+        assert_eq!(KINDS[k], e.event.name(), "KINDS is in Event's declaration order");
+        seen[k] = true;
+    }
+    let unwritten: Vec<&str> = KINDS.iter().zip(seen).filter(|&(_, s)| !s).map(|(k, _)| *k).collect();
+    assert!(unwritten.is_empty(), "event kinds no run emits: {unwritten:?}");
 }
 
 #[test]

@@ -95,11 +95,6 @@ impl Dev {
         self.obs = sink;
     }
 
-    /// The port's MAC address.
-    pub fn mac(&self) -> foxwire::ether::EthAddr {
-        self.port.addr()
-    }
-
     /// Frames sent / received so far.
     pub fn counters(&self) -> (u64, u64) {
         (self.frames_sent, self.frames_received)

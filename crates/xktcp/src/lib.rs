@@ -28,7 +28,7 @@
 #![warn(missing_docs)]
 #![deny(clippy::allow_attributes_without_reason)]
 
-use foxbasis::buf::{copy_mark, PacketBuf};
+use foxbasis::buf::PacketBuf;
 use foxbasis::obs::{AttackEvent, ConnMetrics, Event, EventSink, LossEvent, StateName, TimerKind, Trigger};
 use foxbasis::ring::RingBuffer;
 use foxbasis::seq::Seq;
@@ -172,17 +172,8 @@ pub struct XkStats {
     pub retransmits: u64,
     /// Payload bytes sent.
     pub bytes_sent: u64,
-    /// Payload bytes received in order.
-    pub bytes_received: u64,
     /// Checksum drops.
     pub checksum_failures: u64,
-    /// Real buffer copies while externalizing/internalizing segments.
-    /// The baseline stages payloads with no headroom, so every data
-    /// segment pays a counted copy when the header is prepended — the
-    /// per-layer copy the x-kernel inherited from Berkeley.
-    pub buf_copies: u64,
-    /// Bytes moved by those copies.
-    pub buf_copy_bytes: u64,
     /// Demultiplexing scans over the socket table (one per arriving
     /// segment, plus one for the listener pass when the exact scan
     /// misses). The baseline keeps the x-kernel's linear session list.
@@ -532,11 +523,6 @@ where
         Ok(n)
     }
 
-    /// Bytes waiting in the receive buffer.
-    pub fn available(&self, sock: SockId) -> usize {
-        self.idx(sock).map_or(0, |i| self.socks[i].recv_buf.len())
-    }
-
     /// Next queued event.
     pub fn poll_event(&mut self, sock: SockId) -> Option<XkEvent> {
         let i = self.idx(sock)?;
@@ -663,18 +649,7 @@ where
                 wnd: u32::from(seg.header.window),
             });
         }
-        let mark = copy_mark();
-        let encoded = seg.encode_buf(pseudo);
-        let delta = mark.delta();
-        if delta.bytes > 0 {
-            self.stats.buf_copies += delta.copies;
-            self.stats.buf_copy_bytes += delta.bytes;
-            self.obs.emit(self.now, foxbasis::obs::NO_CONN, || Event::BufCopy {
-                layer: "xk_tx",
-                bytes: delta.bytes as u32,
-            });
-        }
-        if let (Some(conn), Ok(bytes)) = (self.lower_conn, encoded) {
+        if let (Some(conn), Ok(bytes)) = (self.lower_conn, seg.encode_buf(pseudo)) {
             let _ = self.lower.send(conn, to, bytes);
         }
     }
@@ -1064,18 +1039,7 @@ where
             if pseudo.is_some() {
                 self.host.charge(simnet::Work::Checksum(info.data.len()));
             }
-            let mark = copy_mark();
-            let decoded = TcpSegment::decode_buf(info.data, pseudo);
-            let delta = mark.delta();
-            if delta.bytes > 0 {
-                self.stats.buf_copies += delta.copies;
-                self.stats.buf_copy_bytes += delta.bytes;
-                self.obs.emit(self.now, foxbasis::obs::NO_CONN, || Event::BufCopy {
-                    layer: "xk_rx",
-                    bytes: delta.bytes as u32,
-                });
-            }
-            match decoded {
+            match TcpSegment::decode_buf(info.data, pseudo) {
                 Ok(seg) => (info.src.clone(), seg),
                 Err(foxwire::WireError::BadChecksum(_)) => {
                     self.stats.checksum_failures += 1;
@@ -1426,7 +1390,6 @@ where
             if h.seq == s.rcv_nxt {
                 let took = s.recv_buf.write(&seg.payload.bytes());
                 s.rcv_nxt += took as u32;
-                self.stats.bytes_received += took as u64;
                 s.ack_owed = true;
                 // Ack every full segment immediately (this baseline's
                 // approximation of BSD's every-second-segment rule),
@@ -1457,7 +1420,6 @@ where
                 if skip < seg.payload.len() {
                     let took = s.recv_buf.write(&seg.payload.bytes()[skip..]);
                     s.rcv_nxt += took as u32;
-                    self.stats.bytes_received += took as u64;
                 }
                 self.send_ack(i);
             }

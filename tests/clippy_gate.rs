@@ -528,3 +528,54 @@ fn the_flat_index_cannot_be_iterated() {
         .collect();
     assert!(found.is_empty(), "the flat index can be iterated: {found:#?}");
 }
+
+/// A manifest declares only the crates its package's code names: every
+/// `[dependencies]` and `[dev-dependencies]` entry of each
+/// `crates/*/Cargo.toml` and of the root manifest is named as `name::`,
+/// `use name` or `extern crate name` (`-` spelled `_`) by some `.rs`
+/// file under that package's `src/`, `tests/`, `benches/` or
+/// `examples/`. An entry nothing names is a build edge nothing reads.
+#[test]
+fn every_declared_dependency_is_named_by_its_crate() {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    let names = |src: &str, krate: &str| {
+        src.match_indices(krate).any(|(at, _)| {
+            let (before, after) = (&src[..at], &src[at + krate.len()..]);
+            !before.ends_with(ident)
+                && !after.starts_with(ident)
+                && (after.starts_with("::") || before.ends_with("use ") || before.ends_with("extern crate "))
+        })
+    };
+    let mut packages: Vec<PathBuf> = fs::read_dir(root().join("crates"))
+        .expect("crates/")
+        .flatten()
+        .map(|e| e.path())
+        .filter(|d| d.join("Cargo.toml").exists())
+        .collect();
+    packages.sort();
+    packages.push(root());
+    let mut unnamed = Vec::new();
+    for package in packages {
+        let rel = package.strip_prefix(root()).expect("inside the repo").to_path_buf();
+        let sources: Vec<String> = ["src", "tests", "benches", "examples"]
+            .iter()
+            .map(|d| rel.join(d))
+            .filter(|d| root().join(d).is_dir())
+            .flat_map(|d| rust_files(d.to_str().expect("utf-8 path")))
+            .map(|f| fs::read_to_string(&f).expect("readable source"))
+            .collect();
+        let manifest = fs::read_to_string(package.join("Cargo.toml")).expect("readable manifest");
+        let mut section = "";
+        for line in manifest.lines().map(str::trim).filter(|l| !l.is_empty() && !l.starts_with('#')) {
+            if line.starts_with('[') {
+                section = line;
+            } else if matches!(section, "[dependencies]" | "[dev-dependencies]") {
+                let name = &line[..line.find(['.', ' ', '=']).unwrap_or(line.len())];
+                if !sources.iter().any(|src| names(src, &name.replace('-', "_"))) {
+                    unnamed.push(format!("{}: {section} {name}", rel.join("Cargo.toml").display()));
+                }
+            }
+        }
+    }
+    assert!(unnamed.is_empty(), "a declared dependency its crate never names: {unnamed:#?}");
+}
