@@ -1,6 +1,6 @@
 //! The TCP engine itself, on today's hardware: what does the
 //! quasi-synchronous structured implementation cost per segment in real
-//! Rust, fast path on and off?
+//! Rust?
 //!
 //! The paper could not yet answer "is the structured design as fast as C"
 //! ("the maturity of our current implementation is as yet insufficient
@@ -14,11 +14,10 @@ use foxtcp::testlink::Pair;
 use foxtcp::TcpConfig;
 use std::hint::black_box;
 
-fn transfer(bytes: usize, fast_path: bool) -> u64 {
+fn transfer(bytes: usize) -> u64 {
     let cfg = TcpConfig {
         nagle: false,
         delayed_ack_ms: None,
-        fast_path,
         initial_window: 65_535,
         send_buffer: 65_535,
         ..TcpConfig::default()
@@ -44,12 +43,8 @@ fn bench_engine(c: &mut Criterion) {
     group.sample_size(20);
     let bytes = 262_144usize;
     group.throughput(Throughput::Bytes(bytes as u64));
-    group.bench_with_input(BenchmarkId::new("bulk_fastpath_on", bytes), &bytes, |b, &n| {
-        b.iter(|| black_box(transfer(n, true)))
-    });
-    group.bench_with_input(BenchmarkId::new("bulk_fastpath_off", bytes), &bytes, |b, &n| {
-        b.iter(|| black_box(transfer(n, false)))
-    });
+    group
+        .bench_with_input(BenchmarkId::new("bulk", bytes), &bytes, |b, &n| b.iter(|| black_box(transfer(n))));
     group.finish();
 }
 

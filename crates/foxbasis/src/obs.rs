@@ -702,8 +702,8 @@ pub struct ConnMetrics {
     pub snd_wnd: u32,
     /// Sent-but-unacknowledged bytes.
     pub bytes_in_flight: u32,
-    /// The engine-wide count of segments that fell through to the full
-    /// DAG (`TcpStats::fastpath_misses`), not this connection's: kept
+    /// The engine-wide count of segments header prediction would not
+    /// take (`TcpStats::fastpath_misses`), not this connection's: kept
     /// here only because foxperf's counter reader reads it here.
     pub fastpath_misses: u64,
 }

@@ -676,6 +676,24 @@ mod tests {
         assert_eq!(core.tcb.seq().snd_wnd, 123);
     }
 
+    /// Every acceptable in-order segment keeps SND.WL1 current, so a run
+    /// of data that carries RCV.NXT 2^31 past where WL1 started cannot
+    /// leave it stale: a stale WL1 would compare as ahead of SEG.SEQ,
+    /// and the peer's next window update would be refused.
+    #[test]
+    fn window_update_accepted_after_data_runs_2_31_past_wl1() {
+        // WL1 starts at 0; RCV.NXT just short of 2^31 from it.
+        let mut core = Fixture { snd: Seq(101), rcv: Seq(0x7fff_fff0), ..Fixture::default() }.core();
+        assert_eq!(core.tcb.seq().snd_wl1, Seq(0));
+        segment_arrives(&cfg(), &mut core, seg(0x7fff_fff0, TcpFlags::ACK, &[7u8; 100]), VirtualTime::ZERO);
+        assert_eq!(core.tcb.seq().snd_wl1, Seq(0x7fff_fff0), "the data segment moved WL1");
+        // The peer opens its window, 2^31 past the WL1 the run started at.
+        let mut upd = seg(0x8000_0054, TcpFlags::ACK, b"");
+        upd.header.window = wire_window(8192, 0);
+        segment_arrives(&cfg(), &mut core, upd, VirtualTime::ZERO);
+        assert_eq!(core.tcb.seq().snd_wnd, 8192, "a legitimate window update must not be refused");
+    }
+
     // ---- text processing ----
 
     #[test]

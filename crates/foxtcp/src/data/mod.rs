@@ -1,7 +1,7 @@
 //! The data path: byte transfer over an already-shaped connection.
 //!
 //! Sequence/ack bookkeeping, the send and receive windows,
-//! retransmission, and the §4 fast path, over the TCB ([`tcb`]) whose
+//! retransmission, and §4's header prediction (a count), over the TCB ([`tcb`]) whose
 //! sequence space they own. The TCB's sequence-space fields are
 //! `pub(in crate::data)`: only the modules here can write them, and the
 //! rest of the crate reads a copy ([`tcb::Tcb::seq`]). Each of the TCB's

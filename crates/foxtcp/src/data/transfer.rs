@@ -402,7 +402,7 @@ impl Tcb {
     }
 
     /// True if `len` in-order bytes fit the receive buffer whole and
-    /// nothing waits in reassembly: the fast path's receive prediction.
+    /// nothing waits in reassembly: header prediction's receive case.
     pub(in crate::data) fn fits_in_order(&self, len: usize) -> bool {
         self.rcv.recv_buf.free() >= len && self.rcv.out_of_order.is_empty()
     }
@@ -692,6 +692,14 @@ pub(crate) fn process_timestamps(core: &mut ConnCore, h: &TcpHeader, now: Virtua
         core.tcb.rcv.ts_ecr_pending = tsecr;
     }
     true
+}
+
+/// True if PAWS drops a segment with this header: `process_timestamps`'s
+/// test, without its side effects, for header prediction.
+pub(crate) fn paws_drops(core: &ConnCore, h: &TcpHeader) -> bool {
+    core.tcb.neg.ts_on
+        && !h.flags.rst
+        && h.timestamps().is_some_and(|(tsval, _)| paws_reject(core.tcb.rcv.ts_recent, tsval))
 }
 
 /// RFC 793's send-window update rule.

@@ -107,9 +107,11 @@ pub struct TcpStats {
     pub bytes_delivered: u64,
     /// Segments retransmitted.
     pub retransmits: u64,
-    /// Segments the §4 fast path fully handled.
+    /// Segments header prediction (§4, `data::fastpath`) would take.
+    /// Every segment goes through the one SEGMENT-ARRIVES DAG; this is a
+    /// count, not a second path.
     pub fastpath_hits: u64,
-    /// Segments that fell through to the full DAG.
+    /// Segments header prediction would not take.
     pub fastpath_misses: u64,
     /// Segments dropped for bad checksums.
     pub checksum_failures: u64,
@@ -950,26 +952,18 @@ where
                     });
                     self.host.charge(Work::TcpSegment { payload: seg.payload.len() });
                     self.host.with(|h| h.alloc_segment(seg.payload.len()));
-                    let mut handled_fast = false;
-                    if self.cfg.fast_path {
-                        let core = &mut self.conns[idx].core;
-                        handled_fast = fastpath::try_fast(&self.cfg, core, &seg, now);
-                    }
-                    if handled_fast {
+                    let core = &mut self.conns[idx].core;
+                    if fastpath::predicted(core, &seg) {
                         self.stats.fastpath_hits += 1;
                     } else {
                         self.stats.fastpath_misses += 1;
-                        if seg.header.seq != self.conns[idx].core.tcb.seq().rcv_nxt && !seg.payload.is_empty()
-                        {
-                            self.stats.out_of_order += 1;
-                        }
-                        let disposition = {
-                            let core = &mut self.conns[idx].core;
-                            segment::segment_arrives(&self.cfg, core, seg, now)
-                        };
-                        if let Some(reply) = disposition.reply {
-                            self.transmit(idx, reply);
-                        }
+                    }
+                    if seg.header.seq != core.tcb.seq().rcv_nxt && !seg.payload.is_empty() {
+                        self.stats.out_of_order += 1;
+                    }
+                    let disposition = segment::segment_arrives(&self.cfg, core, seg, now);
+                    if let Some(reply) = disposition.reply {
+                        self.transmit(idx, reply);
                     }
                 }
                 TcpAction::SendSegment(seg) => {

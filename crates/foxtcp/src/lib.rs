@@ -13,7 +13,7 @@
 //! | `Resend`     | [`data::resend`] | the retransmit queue and the Karn/Jacobson round-trip computations |
 //! | `Send`       | [`data::send`] | segmenting outgoing data into `Send_Segment` actions |
 //! | `Action`     | [`engine`] + [`action`] | timers, segment externalization/internalization |
-//! |  (§4)        | [`data::fastpath`] | "fast-path receive and send routines which handle the normal cases quickly" |
+//! |  (§4)        | [`data::fastpath`] | header prediction, counted: every segment takes the one `Receive` DAG |
 //!
 //! On top of the paper's decomposition, the modules are grouped by
 //! *which half of TCP they implement*: [`control`] owns the connection
@@ -93,8 +93,6 @@ pub struct TcpConfig {
     pub ack_coalesce_segments: Option<u32>,
     /// Nagle's small-segment coalescing.
     pub nagle: bool,
-    /// Use the §4 fast-path receive routine for common-case segments.
-    pub fast_path: bool,
     /// The paper's proposed scheduling extension: "By replacing the
     /// current FIFO with a priority queue, we could specify that
     /// particular actions, e.g., actions which affect the packet
@@ -139,7 +137,6 @@ impl Default for TcpConfig {
             delayed_ack_ms: Some(200),
             ack_coalesce_segments: None,
             nagle: true,
-            fast_path: true,
             latency_priority: false,
             congestion_control: true,
             window_scale: false,

@@ -217,8 +217,8 @@ fn duplicates_after_a_timeout_enter_no_fast_recovery() {
 }
 
 /// (iv) During fast recovery, a pure ACK of new data whose window field
-/// has not changed is exactly what the fast path predicts — and if it
-/// carries a SACK block the scoreboard must still see it.
+/// has not changed has header prediction's shape — and if it carries a
+/// SACK block the scoreboard must still see it.
 #[test]
 fn a_partial_ack_with_sack_blocks_reaches_the_scoreboard() {
     let mut p = Pair::new(wide(), wide());

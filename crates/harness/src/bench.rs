@@ -14,8 +14,7 @@ use simnet::{CostModel, NetConfig};
 
 /// Which machine-and-link era a run models. The 1994 profile is
 /// the paper's Table 1 setup, bit-for-bit; the modern profile is the
-/// same experiment rebased onto today's constants so the fast path is
-/// exercised where it matters.
+/// same experiment rebased onto today's constants.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum BenchProfile {
     /// The paper's setup: DECstation 5000/200-class costs (µs quantum)

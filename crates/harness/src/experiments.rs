@@ -257,7 +257,8 @@ pub struct AblationRow {
     pub throughput_mbps: f64,
     /// Segments the sender transmitted.
     pub segments: u64,
-    /// Fast-path hit fraction on the receiver (NaN when disabled).
+    /// Share of the receiver's segments header prediction takes (NaN
+    /// when it received none).
     pub fastpath_fraction: f64,
 }
 
@@ -280,7 +281,6 @@ fn run_ablation(name: &str, cfg: TcpConfig, bytes: usize, seed: u64) -> Ablation
 pub fn ablations(bytes: usize, seed: u64) -> Vec<AblationRow> {
     let base = paper_tcp_config;
     let mut rows = vec![run_ablation("baseline (paper config)", base(), bytes, seed)];
-    rows.push(run_ablation("fast path off", TcpConfig { fast_path: false, ..base() }, bytes, seed));
     rows.push(run_ablation("delayed ACK off", TcpConfig { delayed_ack_ms: None, ..base() }, bytes, seed));
     rows.push(run_ablation("Nagle off", TcpConfig { nagle: false, ..base() }, bytes, seed));
     rows.push(run_ablation("checksums off", TcpConfig { compute_checksums: false, ..base() }, bytes, seed));

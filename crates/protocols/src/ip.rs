@@ -778,6 +778,45 @@ mod tests {
         assert!(got.borrow().is_empty());
     }
 
+    /// RFC 791 keys fragments by source, destination, protocol and
+    /// identification: two datagrams from one source that share an
+    /// identification but not a protocol reassemble apart, however
+    /// their fragments interleave.
+    #[test]
+    fn fragments_sharing_an_ident_reassemble_by_protocol() {
+        let net = SimNet::ethernet_10mbps(5);
+        let mut b = station(&net, 2);
+        let got_udp = listen(&mut b, IpProtocol::Udp);
+        let got_tcp = listen(&mut b, IpProtocol::Tcp);
+        let host = HostHandle::free();
+        let mac = EthAddr::host(7);
+        let mut raw = Eth::new(Dev::new(net.attach(mac), host.clone()), mac, host);
+        let rc = raw.open(EtherType::Ipv4, Box::new(|_| {})).unwrap();
+        let udp: Vec<u8> = (0..16).collect();
+        let tcp: Vec<u8> = (100..116).collect();
+        let fragment = |proto, data: &[u8], half: usize| {
+            let header = Ipv4Header {
+                ident: 42,
+                more_frags: half == 0,
+                frag_offset: half as u16,
+                ..Ipv4Header::new(proto, Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2))
+            };
+            Ipv4Packet { header, payload: data[8 * half..8 * half + 8].into() }
+        };
+        for half in [0, 1] {
+            for (proto, data) in [(IpProtocol::Udp, &udp), (IpProtocol::Tcp, &tcp)] {
+                raw.send(rc, EthAddr::host(2), fragment(proto, data, half).encode_buf().unwrap()).unwrap();
+            }
+        }
+        simnet::settle(&[&net], |now| b.step(now));
+        let payloads = |got: &Rc<RefCell<Vec<IpIncoming>>>| -> Vec<Vec<u8>> {
+            got.borrow().iter().map(|m| m.payload.to_vec()).collect()
+        };
+        assert_eq!(payloads(&got_udp), [udp], "the UDP datagram, intact");
+        assert_eq!(payloads(&got_tcp), [tcp], "the TCP datagram, intact");
+        assert_eq!(b.reasm.in_flight(), 0);
+    }
+
     #[test]
     fn reassembly_table_is_bounded() {
         let net = SimNet::ethernet_10mbps(5);

@@ -359,8 +359,8 @@ where
     }
 
     /// Per-connection metrics snapshot (None once reaped). The baseline
-    /// has no congestion window, so `cwnd`/`ssthresh` read zero and the
-    /// fast-path count stays empty; the stack-wide totals are `stats()`,
+    /// has no congestion window, so `cwnd`/`ssthresh` read zero, and it
+    /// counts no header prediction; the stack-wide totals are `stats()`,
     /// as BSD kept them.
     pub fn metrics_of(&self, sock: SockId) -> Option<ConnMetrics> {
         let i = self.idx(sock)?;

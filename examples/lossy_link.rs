@@ -27,7 +27,7 @@ fn run(label: &str, faults: FaultConfig) {
         n.frames_dropped_fault,
         n.frames_corrupted,
         n.frames_duplicated,
-        r.receiver.segments_received - r.receiver.fastpath_hits, // full-path segments
+        r.receiver.segments_received - r.receiver.fastpath_hits, // header prediction's misses
     );
 }
 

@@ -199,11 +199,11 @@ fn every_crate_root_requires_a_reason_on_each_allow() {
     }
 }
 
-/// `TcpConfig` keeps its 18 fields: this pattern names each one and has
-/// no `..`, so a 19th field does not compile (`error[E0027]: pattern
+/// `TcpConfig` keeps its 17 fields: this pattern names each one and has
+/// no `..`, so an 18th field does not compile (`error[E0027]: pattern
 /// does not mention field`).
 #[test]
-fn tcp_config_has_eighteen_fields() {
+fn tcp_config_has_seventeen_fields() {
     let foxtcp::TcpConfig {
         initial_window: _,
         compute_checksums: _,
@@ -213,7 +213,6 @@ fn tcp_config_has_eighteen_fields() {
         delayed_ack_ms: _,
         ack_coalesce_segments: _,
         nagle: _,
-        fast_path: _,
         latency_priority: _,
         congestion_control: _,
         window_scale: _,
