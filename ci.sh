@@ -21,11 +21,16 @@
 #      header window is a `WireWindow` only `wire_window` makes — so a
 #      write outside its owner, or a raw narrowing, does not compile (in
 #      test code: `== test ==`)
-#   test: the whole workspace test suite, then foxbasis and foxwire
-#      again in release: their per-byte kernels (checksum, CRC-32, ring)
-#      defer carries and index tables, debug builds trap the overflow
-#      that release builds wrap, and every benchmark number is a release
-#      build — a mistake that only misbehaves when wrapping fails here.
+#   test: the whole workspace test suite, then foxbasis, foxwire,
+#      simnet and foxproto again in release: their per-byte kernels
+#      (checksum, CRC-32, ring) defer carries and index tables, debug
+#      builds trap the overflow that release builds wrap, and every
+#      benchmark number is a release build — a mistake that only
+#      misbehaves when wrapping fails here. Debug builds also write a
+#      sealed frame's FCS when it is sealed (the shadow the decoder
+#      checks), so only release leaves the trailer unwritten until it is
+#      read: the re-run puts the corruption, capture and Ethernet tests
+#      against that lazy trailer.
 #      The release re-run also covers the allocation budgets
 #      (foxbasis's wheel_alloc: a warm timer wheel makes 0 heap calls;
 #      foxbasis's pool_alloc: a warm BufPool hands back the same block
@@ -128,9 +133,9 @@ cargo fmt --check
 echo "== build (release: every library, binary and example) =="
 cargo build --release --workspace --lib --bins --examples
 
-echo "== test (workspace; per-byte kernels and allocation budgets again in release) =="
+echo "== test (workspace; per-byte kernels, the lazy FCS and allocation budgets again in release) =="
 cargo test -q --workspace
-cargo test -q --release -p foxbasis -p foxwire
+cargo test -q --release -p foxbasis -p foxwire -p simnet -p foxproto
 cargo test -q --release -p foxtcp --test alloc_budget
 cargo test -q --release -p foxharness --test forget_rule
 

@@ -49,6 +49,54 @@
 //! write to what it received (the router's TTL) does so in place when
 //! it holds the last handle and on a private copy when it does not.
 //!
+//! ## A sealed frame's FCS is written when it is read
+//!
+//! On the paper's DECstation the Ethernet controller computed the frame
+//! check sequence; here software does, and a CRC-32 pass over a full
+//! frame costs more than the rest of the stack's per-byte work on it.
+//! [`PacketBuf::seal_fcs`] appends the 4-byte trailer and *seals* the
+//! view: its last four bytes are, by construction, the CRC-32 of the
+//! bytes before them, and in release builds they are not computed yet.
+//! The seal is a flag on the view, not on the storage, and one rule
+//! keeps every observable byte what an eager encoding would have made:
+//!
+//! * *read:* anything that reads a sealed view's bytes — [`bytes`],
+//!   [`to_vec`], [`clone_owned`], [`ones_sum`], `==` — writes the real
+//!   FCS into the trailer first and drops the seal;
+//! * *write:* anything that writes — [`bytes_mut`], [`prepend_header`],
+//!   [`append`] and the re-homing copy behind them — does the same
+//!   before it writes;
+//! * *re-bound:* a sub-view ([`slice`], [`trim_front`], [`trim_back`],
+//!   [`truncate`]) is never sealed; one that keeps any trailer byte has
+//!   the FCS written first, and one that drops the whole trailer (the
+//!   Ethernet decoder's view of the header and payload) reads nothing.
+//!
+//! A clone of a sealed view is sealed. So the receiver's Ethernet layer
+//! may skip its CRC check on a view that is still sealed — nobody wrote
+//! to it, or a write would have cleared the flag — and checks every
+//! other frame in full. Writing the trailer through a shared handle is
+//! the one write that does not need the last handle, and it is sound
+//! because every handle that can see those four bytes agrees on them:
+//! the view was its storage's only handle when it was sealed, its clones
+//! are sealed with the same bounds and compute the same four bytes, and
+//! a sub-view that reaches the trailer had it written when it was cut.
+//!
+//! Debug builds write the FCS at seal time as well — the *shadow* —
+//! and the sealed decode re-checks it in full and asserts that it holds,
+//! so only release builds run a truly unwritten trailer.
+//!
+//! [`bytes`]: PacketBuf::bytes
+//! [`to_vec`]: PacketBuf::to_vec
+//! [`clone_owned`]: PacketBuf::clone_owned
+//! [`ones_sum`]: PacketBuf::ones_sum
+//! [`bytes_mut`]: PacketBuf::bytes_mut
+//! [`prepend_header`]: PacketBuf::prepend_header
+//! [`append`]: PacketBuf::append
+//! [`slice`]: PacketBuf::slice
+//! [`trim_front`]: PacketBuf::trim_front
+//! [`trim_back`]: PacketBuf::trim_back
+//! [`truncate`]: PacketBuf::truncate
+//!
 //! ## Where a buffer goes when it is done
 //!
 //! "Done" is the last handle's drop: nothing else frees storage, and it
@@ -86,7 +134,7 @@
 //! same points, so Tables 1–2 reproduce byte-for-byte while the host's
 //! real memcpy traffic drops.
 
-use crate::checksum::ones_complement_sum;
+use crate::checksum::{crc32, ones_complement_sum};
 use std::cell::{Cell, Ref, RefCell};
 use std::fmt;
 use std::rc::{Rc, Weak};
@@ -100,6 +148,8 @@ pub const DEFAULT_HEADROOM: usize = 96;
 /// Default tailroom reserved behind a payload: Ethernet minimum-payload
 /// padding (≤46) plus the 4-byte FCS.
 pub const DEFAULT_TAILROOM: usize = 64;
+/// Bytes of the frame check sequence [`PacketBuf::seal_fcs`] appends.
+pub const FCS_LEN: usize = 4;
 
 // ----- thread-local copy accounting -----
 
@@ -192,6 +242,10 @@ pub struct PacketBuf {
     /// the payload is summed exactly once (the paper's Fig. 10 combined
     /// pass).
     sum: Cell<Option<u16>>,
+    /// True while the view's last [`FCS_LEN`] bytes are the CRC-32 of
+    /// the rest, by construction and perhaps not yet written (see the
+    /// module docs). Fits in the padding: the struct stays 24 bytes.
+    sealed: Cell<bool>,
 }
 
 /// Zero-fills `storage` to `headroom + len` bytes, lets `fill` write the
@@ -223,7 +277,13 @@ impl PacketBuf {
 
     /// The view `[start, end)` of `storage`.
     fn view(storage: Rc<Storage>, start: usize, end: usize, sum: Option<u16>) -> PacketBuf {
-        PacketBuf { storage, start: bound(start), end: bound(end), sum: Cell::new(sum) }
+        PacketBuf {
+            storage,
+            start: bound(start),
+            end: bound(end),
+            sum: Cell::new(sum),
+            sealed: Cell::new(false),
+        }
     }
 
     /// The view `[start, end)` of `storage`, as its only handle.
@@ -305,8 +365,10 @@ impl PacketBuf {
 
     /// The view's bytes. The returned guard borrows the shared storage:
     /// drop it before calling any mutating operation on a view of the
-    /// same buffer.
+    /// same buffer — and before the first read of a sealed view of it,
+    /// which writes the FCS.
     pub fn bytes(&self) -> Ref<'_, [u8]> {
+        self.unseal();
         Ref::map(self.storage.bytes.borrow(), |s| &s[self.start()..self.end()])
     }
 
@@ -332,10 +394,64 @@ impl PacketBuf {
         Rc::strong_count(&self.storage) == 1
     }
 
+    /// True while the view is sealed: [`PacketBuf::seal_fcs`] made its
+    /// last [`FCS_LEN`] bytes the CRC-32 of the rest, and nothing has
+    /// read, written or re-bounded it since.
+    pub fn is_sealed(&self) -> bool {
+        self.sealed.get()
+    }
+
+    // ----- the FCS seal -----
+
+    /// Appends a [`FCS_LEN`]-byte frame check sequence behind the view —
+    /// the big-endian CRC-32 of the view's bytes — and seals the view:
+    /// the trailer is written when the view is first read or written,
+    /// never if it is not (debug builds also write it here). Returns the
+    /// payload bytes really memcpy'd, as [`PacketBuf::append`] does.
+    pub fn seal_fcs(&mut self) -> usize {
+        let copied = self.append(&[0; FCS_LEN]);
+        self.sealed.set(true);
+        if cfg!(debug_assertions) {
+            self.write_fcs();
+        }
+        copied
+    }
+
+    /// Drops the seal, writing the FCS first unless a debug build wrote
+    /// it at seal time.
+    fn unseal(&self) {
+        if self.sealed.replace(false) && !cfg!(debug_assertions) {
+            self.write_fcs();
+        }
+    }
+
+    /// Writes the CRC-32 of the view's body into its trailer — unless a
+    /// sealed clone of this view already has: the storage is then left
+    /// alone, so a reader still holding a guard on it is not disturbed.
+    fn write_fcs(&self) {
+        let (body, end) = (self.end() - FCS_LEN, self.end());
+        let fcs = {
+            let bytes = self.storage.bytes.borrow();
+            let fcs = crc32(&bytes[self.start()..body]).to_be_bytes();
+            if bytes[body..end] == fcs {
+                return;
+            }
+            fcs
+        };
+        self.storage.bytes.borrow_mut()[body..end].copy_from_slice(&fcs);
+    }
+
     // ----- view surgery (zero-copy) -----
 
     fn set_bounds(&mut self, start: usize, end: usize) {
         debug_assert!(start <= end);
+        // A new view that keeps a byte of a sealed trailer reads it as
+        // written; one that drops the whole trailer needs nothing. Either
+        // way the new view is not sealed.
+        if start < end && end + FCS_LEN > self.end() {
+            self.unseal();
+        }
+        self.sealed.set(false);
         self.start = bound(start);
         self.end = bound(end);
         self.sum.set(None);
@@ -385,6 +501,7 @@ impl PacketBuf {
     /// bytes really memcpy'd: 0 for the in-place path, `self.len()`
     /// otherwise.
     pub fn prepend_header(&mut self, header: &[u8]) -> usize {
+        self.unseal();
         let (n, start, end) = (header.len(), self.start(), self.end());
         match Rc::get_mut(&mut self.storage) {
             Some(storage) if start >= n => {
@@ -400,6 +517,7 @@ impl PacketBuf {
     /// storage's only handle, otherwise by re-homing. Returns the
     /// payload bytes really memcpy'd (0 for the in-place path).
     pub fn append(&mut self, data: &[u8]) -> usize {
+        self.unseal();
         let (n, start, end) = (data.len(), self.start(), self.end());
         match Rc::get_mut(&mut self.storage) {
             Some(storage) => {
@@ -457,13 +575,15 @@ impl PacketBuf {
 
     /// Mutable access to the view's bytes, only when this is the sole
     /// handle to its storage (e.g. right after [`clone_owned`]).
-    /// Invalidates the memoized sum.
+    /// Invalidates the memoized sum, and unseals the view with its FCS
+    /// written.
     ///
     /// [`clone_owned`]: PacketBuf::clone_owned
     pub fn bytes_mut(&mut self) -> Option<std::cell::RefMut<'_, [u8]>> {
         if !self.is_unique() {
             return None;
         }
+        self.unseal();
         self.sum.set(None);
         Some(std::cell::RefMut::map(self.storage.bytes.borrow_mut(), |s| &mut s[self.start()..self.end()]))
     }
@@ -516,9 +636,14 @@ impl<const N: usize> From<&[u8; N]> for PacketBuf {
 impl PartialEq for PacketBuf {
     fn eq(&self, other: &PacketBuf) -> bool {
         // Same storage and bounds is common (clones); compare bytes
-        // otherwise.
-        (Rc::ptr_eq(&self.storage, &other.storage) && self.start == other.start && self.end == other.end)
-            || *self.bytes() == *other.bytes()
+        // otherwise, with both trailers written before either is
+        // borrowed.
+        if Rc::ptr_eq(&self.storage, &other.storage) && self.start == other.start && self.end == other.end {
+            return true;
+        }
+        self.unseal();
+        other.unseal();
+        *self.bytes() == *other.bytes()
     }
 }
 
@@ -767,6 +892,68 @@ mod tests {
         assert_eq!(a, b"same");
         assert_eq!(a, b"same".to_vec());
         assert_ne!(a, PacketBuf::from_vec(b"diff".to_vec()));
+    }
+
+    #[test]
+    fn the_seal_fits_in_the_padding() {
+        assert_eq!(std::mem::size_of::<PacketBuf>(), 24);
+    }
+
+    #[test]
+    fn a_sealed_view_writes_its_fcs_when_read_and_only_then() {
+        let body = b"a frame's body".to_vec();
+        let mut want = body.clone();
+        want.extend_from_slice(&crc32(&body).to_be_bytes());
+        let mut frame = PacketBuf::with_headroom(8, &body);
+        reset_copy_stats();
+        assert_eq!(frame.seal_fcs(), 0, "the trailer goes on in place");
+        assert_eq!(copy_stats(), CopyStats::default());
+        assert_eq!(frame.len(), want.len());
+        assert!(frame.is_sealed() && frame.is_unique());
+        let (twin, head) = (frame.clone(), frame.slice(0, body.len()));
+        assert!(twin.is_sealed() && !head.is_sealed());
+        assert_eq!(head, body);
+        assert!(frame.is_sealed(), "a view short of the trailer reads none of it");
+        let tail = frame.slice(body.len() - 1, want.len());
+        assert!(!tail.is_sealed());
+        assert_eq!(tail, want[body.len() - 1..], "a view into the trailer sees it written");
+        assert!(frame.is_sealed() && twin.is_sealed(), "each view keeps its own seal");
+        assert_eq!(frame, want);
+        assert!(!frame.is_sealed());
+        assert_eq!(twin.to_vec(), want, "the twin reads the same four bytes");
+    }
+
+    #[test]
+    fn a_write_to_a_sealed_view_writes_its_fcs_first() {
+        let body = b"body".to_vec();
+        let sealed = || {
+            let mut b = PacketBuf::with_headroom(8, &body);
+            b.seal_fcs();
+            b
+        };
+        let mut want = body.clone();
+        want.extend_from_slice(&crc32(&body).to_be_bytes());
+        let mut b = sealed();
+        b.prepend_header(b"H");
+        assert!(!b.is_sealed());
+        assert_eq!(b, [b"H".as_slice(), &want].concat());
+        let mut b = sealed();
+        b.append(b"T");
+        assert_eq!(b, [want.as_slice(), b"T"].concat());
+        let mut b = sealed();
+        b.bytes_mut().expect("the only handle")[0] = b'B';
+        assert!(!b.is_sealed());
+        assert_eq!(b, [b"Body".as_slice(), &want[4..]].concat(), "the FCS of the bytes before the write");
+        let mut b = sealed();
+        let held = b.clone();
+        assert_eq!(b.prepend_header(b"H"), want.len(), "a shared view re-homes");
+        assert_eq!(b, [b"H".as_slice(), &want].concat());
+        assert!(held.is_sealed());
+        assert_eq!(held, want);
+        let mut b = sealed();
+        b.trim_back(FCS_LEN);
+        assert!(!b.is_sealed());
+        assert_eq!(b, body);
     }
 
     // ----- the pool -----

@@ -21,11 +21,15 @@
 //!   §5 checksum comparison; likewise an exhibit only);
 //! * [`ChecksumAccum`] — a streaming accumulator so pseudo-header, header
 //!   and payload can be summed without concatenation;
-//! * [`incremental_update`] — RFC 1624 incremental checksum adjustment.
+//! * [`incremental_update`] — RFC 1624 incremental checksum adjustment;
+//! * [`crc32`] — the IEEE 802.3 CRC-32 an Ethernet frame check sequence
+//!   is, slice-by-16 over `const`-built tables (a sealed
+//!   [`crate::buf::PacketBuf`] runs it only when its trailer is read).
 //!
-//! All functions compute the same mathematical value (verified by
-//! property tests): the 16-bit ones-complement sum of the data taken as
-//! big-endian 16-bit words, with a trailing odd byte padded with zero.
+//! All the ones-complement functions compute the same mathematical value
+//! (verified by property tests): the 16-bit ones-complement sum of the
+//! data taken as big-endian 16-bit words, with a trailing odd byte padded
+//! with zero.
 
 /// Number of 32-bit iterations the Fig. 10 loop may run before the
 /// deferred carries in the top half of the accumulator could overflow.
@@ -215,6 +219,62 @@ impl ChecksumAccum {
     }
 }
 
+/// The reflected IEEE 802.3 generator polynomial.
+const CRC32_POLY: u32 = 0xedb8_8320;
+
+/// Slice-by-16 lookup tables: `CRC32_TABLES[k][b]` is the CRC state
+/// after byte `b` followed by `k` zero bytes, so sixteen input bytes fold
+/// into the state with sixteen independent lookups instead of 128
+/// shifts.
+static CRC32_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 { (crc >> 1) ^ CRC32_POLY } else { crc >> 1 };
+            bit += 1;
+        }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 16 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) over `data`.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut crc: u32 = 0xffff_ffff;
+    let mut chunks = data.chunks_exact(16);
+    for c in &mut chunks {
+        // The running state only touches the first four bytes; the other
+        // twelve lookups do not wait for it.
+        let head = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = t[15][(head & 0xff) as usize]
+            ^ t[14][(head >> 8 & 0xff) as usize]
+            ^ t[13][(head >> 16 & 0xff) as usize]
+            ^ t[12][(head >> 24) as usize];
+        for (k, &b) in c.iter().enumerate().skip(4) {
+            crc ^= t[15 - k][usize::from(b)];
+        }
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xff) as usize];
+    }
+    !crc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,6 +295,39 @@ mod tests {
             sum = (sum & 0xffff) + (sum >> 16);
         }
         sum as u16
+    }
+
+    /// The CRC-32 definition, one bit at a time: the oracle the table
+    /// kernel is held to.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc: u32 = 0xffff_ffff;
+        for &b in data {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 { (crc >> 1) ^ CRC32_POLY } else { crc >> 1 };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_known_vector() {
+        // The canonical check value: CRC-32("123456789") = 0xCBF43926.
+        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_definition_at_every_length_and_alignment() {
+        // Lengths through four 16-byte strides plus every tail length,
+        // at every offset into one allocation.
+        let backing: Vec<u8> = (0..83u32).map(|i| (i * 151 + 3) as u8).collect();
+        for align in 0..16 {
+            for len in 0..=67 {
+                let data = &backing[align..align + len];
+                assert_eq!(crc32(data), crc32_bitwise(data), "align {align} len {len}");
+            }
+        }
     }
 
     #[test]
@@ -354,6 +447,13 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn crc32_matches_the_bitwise_definition_on_full_frames(
+            frame in proptest::collection::vec(any::<u8>(), 1514),
+        ) {
+            prop_assert_eq!(crc32(&frame), crc32_bitwise(&frame));
+        }
+
         #[test]
         fn algorithms_agree(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
             let r = reference_sum(&data);

@@ -10,7 +10,7 @@
 //! * [`buf`] — [`buf::PacketBuf`], the refcounted headroom buffer a
 //!   packet lives in from TCP payload to wire and back (one real copy
 //!   per direction, with the checksum folded into that pass; two heap
-//!   calls per buffer, none per clone);
+//!   calls per buffer, none per clone; a frame's FCS sealed until read);
 //! * [`fifo`] — the FIFO queue (`structure Q: FIFO` in Fig. 6), used for
 //!   the per-connection `to_do` action queue and each layer's queue of
 //!   received messages (the TCB's out-of-order store is a `VecDeque` of
@@ -28,7 +28,7 @@
 //! * [`mod@checksum`] — the Internet checksum: the wide-load kernel the
 //!   stack runs, a line-for-line port of the paper's Fig. 10 `word_check`
 //!   loop and the slower byte-oriented algorithm the x-kernel used (the
-//!   §5 exhibits), and incremental update;
+//!   §5 exhibits), incremental update, and the Ethernet FCS's CRC-32;
 //! * [`copy`] — the copy routines whose cost the paper reports
 //!   (300 µs/KB in SML vs 61 µs/KB for `bcopy` on a DECstation 5000/125);
 //! * [`seq`] — TCP sequence-number arithmetic (modulo 2^32);

@@ -281,4 +281,18 @@ mod tests {
         assert_eq!(c.expire_pending(t(10_000), VirtualDuration::from_secs(3)), 2, "both packets, one hop");
         assert_eq!(c.resolve(t(10_001), B_IP, b"p3".to_vec()).len(), 1, "a fresh request");
     }
+
+    /// A pending queue outlives its timeout by nothing and falls short of
+    /// it by nothing: it is kept at the exact deadline and dropped one
+    /// microsecond past it.
+    #[test]
+    fn pending_expires_just_past_its_timeout() {
+        let mut c = ArpCache::new(A_ETH, A_IP);
+        c.resolve(t(500), B_IP, b"p".to_vec());
+        let timeout = VirtualDuration::from_secs(3);
+        assert_eq!(c.expire_pending(t(3_500), timeout), 0, "kept at the deadline");
+        assert!(c.has_pending());
+        assert_eq!(c.expire_pending(t(3_500) + VirtualDuration::from_micros(1), timeout), 1);
+        assert!(!c.has_pending());
+    }
 }

@@ -2,7 +2,10 @@
 //!
 //! Frames arriving from the device are FCS-verified, filtered by
 //! destination address, and demultiplexed by ethertype to whichever
-//! upper connection opened that type. Sends are framed and handed down.
+//! upper connection opened that type. Sends are framed and handed down
+//! sealed, their FCS unwritten (`foxwire::ether`): a frame that arrives
+//! still sealed is one nobody changed on the way, and is not re-checked;
+//! [`EthStats::fcs_checked`] counts the frames that are.
 //! Per Fig. 3 of the paper, `Eth` satisfies the same [`Protocol`]
 //! signature as `Ip`, which is what lets `Special_Tcp` run directly on
 //! top of it.
@@ -39,6 +42,10 @@ pub struct EthConn(u32);
 pub struct EthStats {
     /// Frames that failed FCS verification (wire corruption).
     pub bad_fcs: u64,
+    /// Frames that arrived unsealed — read or written since they were
+    /// framed, by a capture, a corrupting wire or a middlebox — and so
+    /// had their CRC-32 run again here. 0 on a clean exchange.
+    pub fcs_checked: u64,
     /// Frames for an ethertype nobody opened.
     pub no_listener: u64,
     /// Frames delivered upward.
@@ -104,6 +111,7 @@ impl<L: Protocol<Pattern = (), Peer = (), Incoming = PacketBuf>> Protocol for Et
         while let Some(raw) = self.below.next() {
             progress = true;
             self.host.charge(Work::EthFrame);
+            self.stats.fcs_checked += u64::from(!raw.is_sealed());
             let frame = match Frame::decode_buf(&raw) {
                 Ok(f) => f,
                 Err(_) => {
@@ -193,6 +201,50 @@ mod tests {
         b.step(net.now());
         assert!(rx.borrow().is_empty());
         assert_eq!(b.stats().bad_fcs, 1);
+    }
+
+    /// One frame from `a` to `b` over `net`, with `b` stepped after it.
+    fn one_frame(net: &SimNet, a: &mut Eth<Dev>, b: &mut Eth<Dev>) -> Rc<RefCell<Vec<EthIncoming>>> {
+        let rx = collect(b, EtherType::Ipv4);
+        let c = a.open(EtherType::Ipv4, Box::new(|_| {})).unwrap();
+        a.send(c, EthAddr::host(2), vec![0x5a; 64]).unwrap();
+        net.advance_to(VirtualTime::from_millis(5));
+        b.step(net.now());
+        rx
+    }
+
+    #[test]
+    fn a_clean_frame_arrives_sealed_and_is_not_checked_again() {
+        let net = SimNet::ethernet_10mbps(1);
+        let (mut a, mut b) = (station(&net, 1), station(&net, 2));
+        let rx = one_frame(&net, &mut a, &mut b);
+        assert_eq!(rx.borrow().len(), 1);
+        let s = b.stats();
+        assert_eq!((s.delivered, s.fcs_checked, s.bad_fcs), (1, 0, 0));
+    }
+
+    #[test]
+    fn a_corrupted_frame_is_checked_in_full() {
+        let mut cfg = NetConfig::default();
+        cfg.faults.corrupt_chance = 1.0;
+        let net = SimNet::new(cfg, 9);
+        let (mut a, mut b) = (station(&net, 1), station(&net, 2));
+        let rx = one_frame(&net, &mut a, &mut b);
+        assert!(rx.borrow().is_empty());
+        let s = b.stats();
+        assert_eq!((s.fcs_checked, s.bad_fcs), (1, 1), "the flip wrote the FCS and unsealed the frame");
+    }
+
+    #[test]
+    fn a_captured_frame_is_checked_in_full_and_still_good() {
+        let net = SimNet::ethernet_10mbps(1);
+        let cap = net.capture();
+        let (mut a, mut b) = (station(&net, 1), station(&net, 2));
+        let rx = one_frame(&net, &mut a, &mut b);
+        assert_eq!(rx.borrow().len(), 1);
+        assert_eq!(cap.frame_count(), 1);
+        let s = b.stats();
+        assert_eq!((s.fcs_checked, s.bad_fcs), (1, 0), "the tap read the frame, so its FCS was written");
     }
 
     #[test]

@@ -778,6 +778,32 @@ mod tests {
         assert!(got.borrow().is_empty());
     }
 
+    /// A datagram's fragments are kept for exactly `REASSEMBLY_TIMEOUT`:
+    /// the fragment that completes it at the deadline still does, and a
+    /// sweep one microsecond past the deadline drops them.
+    #[test]
+    fn reassembly_keeps_fragments_until_the_exact_deadline() {
+        let fragment = |half: u16| {
+            let header = Ipv4Header {
+                ident: 9,
+                more_frags: half == 0,
+                frag_offset: half,
+                ..Ipv4Header::new(IpProtocol::Udp, Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2))
+            };
+            Ipv4Packet { header, payload: vec![half as u8; 8].into() }
+        };
+        let start = VirtualTime::from_millis(5);
+        let deadline = start + REASSEMBLY_TIMEOUT;
+        let mut r = Reassembler::new();
+        assert!(r.input(start, fragment(0)).is_none());
+        assert_eq!(r.expire(deadline), 0, "kept at the deadline");
+        let whole = r.input(deadline, fragment(1)).expect("completed at the deadline");
+        assert_eq!(whole.payload, [[0u8; 8], [1u8; 8]].concat());
+        assert!(r.input(start, fragment(0)).is_none());
+        assert_eq!(r.expire(deadline + VirtualDuration::from_micros(1)), 1, "dropped just past it");
+        assert_eq!(r.in_flight(), 0);
+    }
+
     /// RFC 791 keys fragments by source, destination, protocol and
     /// identification: two datagrams from one source that share an
     /// identification but not a protocol reassemble apart, however

@@ -498,12 +498,14 @@ fn mutate_tcp(rng: &mut StdRng, frame: &PacketBuf) -> Option<(PacketBuf, &'stati
     encode_tcp(eth, ip, tcp).map(|f| (f, kind))
 }
 
+/// The destination address at the front of `frame`, read through a
+/// sub-view so a sealed frame's FCS stays unwritten.
 fn frame_dst(frame: &PacketBuf) -> Option<EthAddr> {
     if frame.len() < 6 {
         return None;
     }
     let mut a = [0u8; 6];
-    a.copy_from_slice(&frame.bytes()[..6]);
+    a.copy_from_slice(&frame.slice(0, 6).bytes());
     Some(EthAddr(a))
 }
 

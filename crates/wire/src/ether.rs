@@ -6,10 +6,22 @@
 //! paper's `Special_Tcp` composition (TCP over raw Ethernet with TCP
 //! checksums disabled): corruption injected by the fault model is caught
 //! here, below TCP.
+//!
+//! The FCS is the NIC's work — on the paper's DECstation the controller
+//! computed it, and Table 2 prices no such pass — so the codec leaves it
+//! to the buffer's seal (`foxbasis::buf`'s module docs): the encoder
+//! appends the trailer and seals the frame without running the CRC, the
+//! trailer is written when someone first reads or writes the frame, and
+//! the decoder skips the check on a frame that is still sealed, because
+//! nobody can have changed it. Every other frame — a captured one, one
+//! the wire corrupted, one a middlebox rewrote and did not seal — is
+//! checked in full.
 
 use crate::bytes::{prefix, ByteReader};
-use crate::{need, WireError};
+use crate::WireError;
 use foxbasis::buf::PacketBuf;
+pub use foxbasis::buf::FCS_LEN;
+pub use foxbasis::checksum::crc32;
 use std::fmt;
 
 /// A 48-bit IEEE MAC address.
@@ -95,8 +107,8 @@ pub const MIN_PAYLOAD: usize = 46;
 pub const MTU: usize = 1500;
 /// Header bytes: dst(6) + src(6) + ethertype(2).
 pub const HEADER_LEN: usize = 14;
-/// Trailer bytes: FCS(4).
-pub const FCS_LEN: usize = 4;
+/// The shortest frame: header, minimum payload and FCS.
+const MIN_FRAME: usize = HEADER_LEN + MIN_PAYLOAD + FCS_LEN;
 
 /// A decoded Ethernet frame.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -113,62 +125,6 @@ pub struct Frame {
     pub payload: PacketBuf,
 }
 
-/// The reflected IEEE 802.3 generator polynomial.
-const CRC32_POLY: u32 = 0xedb8_8320;
-
-/// Slice-by-16 lookup tables: `CRC32_TABLES[k][b]` is the CRC state
-/// after byte `b` followed by `k` zero bytes, so sixteen input bytes fold
-/// into the state with sixteen independent lookups instead of 128
-/// shifts.
-static CRC32_TABLES: [[u32; 256]; 16] = {
-    let mut tables = [[0u32; 256]; 16];
-    let mut b = 0;
-    while b < 256 {
-        let mut crc = b as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ CRC32_POLY } else { crc >> 1 };
-            bit += 1;
-        }
-        tables[0][b] = crc;
-        b += 1;
-    }
-    let mut k = 1;
-    while k < 16 {
-        let mut b = 0;
-        while b < 256 {
-            let prev = tables[k - 1][b];
-            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
-            b += 1;
-        }
-        k += 1;
-    }
-    tables
-};
-
-/// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) over `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    let t = &CRC32_TABLES;
-    let mut crc: u32 = 0xffff_ffff;
-    let mut chunks = data.chunks_exact(16);
-    for c in &mut chunks {
-        // The running state only touches the first four bytes; the other
-        // twelve lookups do not wait for it.
-        let head = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-        crc = t[15][(head & 0xff) as usize]
-            ^ t[14][(head >> 8 & 0xff) as usize]
-            ^ t[13][(head >> 16 & 0xff) as usize]
-            ^ t[12][(head >> 24) as usize];
-        for (k, &b) in c.iter().enumerate().skip(4) {
-            crc ^= t[15 - k][usize::from(b)];
-        }
-    }
-    for &b in chunks.remainder() {
-        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xff) as usize];
-    }
-    !crc
-}
-
 impl Frame {
     /// Builds a frame.
     pub fn new(dst: EthAddr, src: EthAddr, ethertype: EtherType, payload: impl Into<PacketBuf>) -> Frame {
@@ -177,10 +133,11 @@ impl Frame {
 
     /// Externalizes the frame — header, payload padded to the minimum,
     /// and the FCS — **in place**, consuming it: header into the payload
-    /// buffer's headroom, minimum-payload padding and FCS into its
-    /// tailroom. The FCS pass reads the frame once (the link layer's
-    /// checksum cost, charged by the virtual model as before); the
-    /// payload bytes are not copied.
+    /// buffer's headroom, minimum-payload padding and the FCS trailer into
+    /// its tailroom. The frame comes back sealed: its FCS is written when
+    /// someone first reads it (a capture, a corrupting wire), and not at
+    /// all if only a receiving [`Frame::decode_buf`] sees it. Neither the
+    /// payload nor, in release builds, any other byte is read.
     ///
     /// # Errors
     /// Fails with [`WireError::Malformed`] if the payload exceeds the
@@ -197,36 +154,56 @@ impl Frame {
         let pad = MIN_PAYLOAD.saturating_sub(buf.len());
         buf.prepend_header(&header);
         buf.append_zeros(pad);
-        let fcs = crc32(&buf.bytes());
-        buf.append(&fcs.to_be_bytes());
+        buf.seal_fcs();
         Ok(buf)
     }
 
     /// Internalizes a frame from a [`PacketBuf`] view, verifying the FCS
     /// and slicing the (padded) payload out of the same storage
-    /// (zero-copy).
+    /// (zero-copy). A view [`Frame::encode_buf`] sealed and nobody has
+    /// touched since is not re-checked: the header is read through a
+    /// sub-view that stops short of the trailer, so the decode writes no
+    /// FCS either. Debug builds check it in full all the same, on a clone
+    /// that leaves the seal on `buf`, and assert that it holds.
     #[deny(clippy::indexing_slicing)]
     pub fn decode_buf(buf: &PacketBuf) -> Result<Frame, WireError> {
-        let (dst, src, ethertype, body_len) = Frame::parse(&buf.bytes())?;
-        Ok(Frame { dst, src, ethertype, payload: buf.slice(HEADER_LEN, body_len) })
+        let len = buf.len();
+        if len < MIN_FRAME {
+            return Err(WireError::Truncated { what: "ethernet frame", need: MIN_FRAME, have: len });
+        }
+        if buf.is_sealed() {
+            debug_assert!(
+                Frame::check_fcs(&buf.clone().bytes()).is_ok(),
+                "a sealed frame's FCS does not hold"
+            );
+        } else {
+            Frame::check_fcs(&buf.bytes())?;
+        }
+        let body = buf.slice(0, len.saturating_sub(FCS_LEN));
+        let (dst, src, ethertype) = Frame::parse_header(&body.bytes())?;
+        Ok(Frame { dst, src, ethertype, payload: body.slice(HEADER_LEN, body.len()) })
     }
 
+    /// Checks a whole frame's FCS against its body.
     #[deny(clippy::indexing_slicing)]
-    fn parse(buf: &[u8]) -> Result<(EthAddr, EthAddr, EtherType, usize), WireError> {
-        need("ethernet frame", buf, HEADER_LEN + MIN_PAYLOAD + FCS_LEN)?;
-        let body_len = buf.len().saturating_sub(FCS_LEN);
-        let body = prefix("ethernet frame", buf, body_len)?;
-        let mut trailer = ByteReader::new("ethernet FCS", buf);
+    fn check_fcs(frame: &[u8]) -> Result<(), WireError> {
+        let body_len = frame.len().saturating_sub(FCS_LEN);
+        let body = prefix("ethernet frame", frame, body_len)?;
+        let mut trailer = ByteReader::new("ethernet FCS", frame);
         trailer.skip(body_len)?;
-        let fcs = trailer.u32_be()?;
-        if crc32(body) != fcs {
+        if crc32(body) != trailer.u32_be()? {
             return Err(WireError::BadChecksum("ethernet FCS"));
         }
+        Ok(())
+    }
+
+    /// The addresses and ethertype at the front of a frame's body.
+    #[deny(clippy::indexing_slicing)]
+    fn parse_header(body: &[u8]) -> Result<(EthAddr, EthAddr, EtherType), WireError> {
         let mut r = ByteReader::new("ethernet header", body);
         let dst = EthAddr(r.array::<6>()?);
         let src = EthAddr(r.array::<6>()?);
-        let ethertype = EtherType::from_u16(r.u16_be()?);
-        Ok((dst, src, ethertype, body_len))
+        Ok((dst, src, EtherType::from_u16(r.u16_be()?)))
     }
 }
 
@@ -235,42 +212,9 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The definition, one bit at a time: the oracle the table kernel is
-    /// held to.
-    fn crc32_bitwise(data: &[u8]) -> u32 {
-        let mut crc: u32 = 0xffff_ffff;
-        for &b in data {
-            crc ^= u32::from(b);
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 { (crc >> 1) ^ CRC32_POLY } else { crc >> 1 };
-            }
-        }
-        !crc
-    }
-
     /// Test shorthand: `bytes` decoded as a frame.
     fn read(bytes: &[u8]) -> Result<Frame, WireError> {
         Frame::decode_buf(&PacketBuf::from_vec(bytes.to_vec()))
-    }
-
-    #[test]
-    fn crc32_known_vector() {
-        // The canonical check value: CRC-32("123456789") = 0xCBF43926.
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn crc32_matches_the_bitwise_definition_at_every_length_and_alignment() {
-        // Lengths through four 16-byte strides plus every tail length,
-        // at every offset into one allocation.
-        let backing: Vec<u8> = (0..83u32).map(|i| (i * 151 + 3) as u8).collect();
-        for align in 0..16 {
-            for len in 0..=67 {
-                let data = &backing[align..align + len];
-                assert_eq!(crc32(data), crc32_bitwise(data), "align {align} len {len}");
-            }
-        }
     }
 
     #[test]
@@ -323,13 +267,6 @@ mod tests {
 
     proptest! {
         #[test]
-        fn crc32_matches_the_bitwise_definition_on_full_frames(
-            frame in proptest::collection::vec(any::<u8>(), HEADER_LEN + MTU),
-        ) {
-            prop_assert_eq!(crc32(&frame), crc32_bitwise(&frame));
-        }
-
-        #[test]
         fn roundtrip_any_payload(
             dst in any::<[u8; 6]>(),
             src in any::<[u8; 6]>(),
@@ -356,5 +293,120 @@ mod tests {
             bytes[bit / 8] ^= 1 << (bit % 8);
             prop_assert!(read(&bytes).is_err());
         }
+
+        /// Every read of a sealed frame — `to_vec`, `clone_owned`, `==`,
+        /// a sealed clone's after its twin's — shows the eager encoding
+        /// byte for byte, and leaves the reader unsealed.
+        #[test]
+        fn a_sealed_frame_reads_as_its_eager_encoding(
+            payload in proptest::collection::vec(any::<u8>(), 0..200),
+            how in 0u8..4,
+        ) {
+            let f = Frame::new(EthAddr::host(1), EthAddr::host(2), EtherType::Ipv4, payload);
+            let want = eager(&f);
+            let sealed = f.encode_buf().unwrap();
+            prop_assert!(sealed.is_sealed());
+            let twin = sealed.clone();
+            match how {
+                0 => prop_assert_eq!(sealed.to_vec(), want.clone()),
+                1 => prop_assert_eq!(sealed.clone_owned(), want.clone()),
+                2 => prop_assert!(sealed == PacketBuf::from_vec(want.clone())),
+                _ => prop_assert_eq!(&*sealed.bytes(), &want[..]),
+            }
+            prop_assert!(!sealed.is_sealed());
+            prop_assert!(twin.is_sealed(), "a clone keeps its own seal");
+            prop_assert_eq!(twin.to_vec(), want);
+        }
+
+        /// Whatever is done to a sealed frame — a bit flipped through
+        /// `bytes_mut` or on a private copy, bytes cut off, appended or
+        /// prepended, a sub-view cut — leaves it unsealed, so the
+        /// receiver checks it in full: it decodes exactly as the same
+        /// bytes never sealed, and a frame whose bytes changed is
+        /// rejected. A sealed clone held across the change keeps its
+        /// seal and its bytes, and still decodes.
+        #[test]
+        fn a_frame_changed_after_sealing_is_checked_in_full(
+            payload in proptest::collection::vec(any::<u8>(), 0..200),
+            op in 0u8..7,
+            at: usize,
+            n in 1usize..8,
+            hold_twin: bool,
+        ) {
+            let f = Frame::new(EthAddr::host(1), EthAddr::host(2), EtherType::Ipv4, payload);
+            let want = eager(&f);
+            let mut buf = f.encode_buf().unwrap();
+            let twin = hold_twin.then(|| buf.clone());
+            let len = want.len();
+            let mut model = want.clone();
+            match op {
+                0 => {
+                    let bit = at % (len * 8);
+                    if buf.bytes_mut().is_none() {
+                        buf = buf.clone_owned();
+                    }
+                    buf.bytes_mut().unwrap()[bit / 8] ^= 1 << (bit % 8);
+                    model[bit / 8] ^= 1 << (bit % 8);
+                }
+                1 => {
+                    buf.trim_back(n);
+                    model.truncate(len - n);
+                }
+                2 => {
+                    buf.truncate(len - n);
+                    model.truncate(len - n);
+                }
+                3 => {
+                    buf.append(&vec![at as u8; n]);
+                    model.extend(vec![at as u8; n]);
+                }
+                4 => {
+                    buf.prepend_header(&vec![at as u8; n]);
+                    model.splice(0..0, vec![at as u8; n]);
+                }
+                5 => {
+                    let from = at % n;
+                    buf = buf.slice(from, len - (n - from) % n);
+                    model = model[from..len - (n - from) % n].to_vec();
+                }
+                _ => {
+                    buf.trim_front(n);
+                    model.drain(..n);
+                }
+            }
+            prop_assert!(!buf.is_sealed());
+            let got = Frame::decode_buf(&buf);
+            prop_assert_eq!(&got, &read(&model));
+            if model != want {
+                prop_assert!(got.is_err(), "a changed frame was accepted");
+            }
+            if let Some(twin) = twin {
+                prop_assert!(twin.is_sealed());
+                prop_assert!(Frame::decode_buf(&twin).is_ok());
+                prop_assert_eq!(twin.to_vec(), want);
+            }
+        }
+    }
+
+    /// What `encode_buf` wrote before the seal, built by hand: header,
+    /// payload padded to the minimum, then the CRC-32 of both.
+    fn eager(f: &Frame) -> Vec<u8> {
+        let mut v = [f.dst.0, f.src.0].concat();
+        v.extend_from_slice(&f.ethertype.to_u16().to_be_bytes());
+        v.extend_from_slice(&f.payload.bytes());
+        v.resize(v.len().max(HEADER_LEN + MIN_PAYLOAD), 0);
+        let fcs = crc32(&v);
+        v.extend_from_slice(&fcs.to_be_bytes());
+        v
+    }
+
+    #[test]
+    fn a_sealed_decode_reads_no_trailer() {
+        let f = Frame::new(EthAddr::host(1), EthAddr::host(2), EtherType::Arp, vec![9; 80]);
+        let sealed = f.clone().encode_buf().unwrap();
+        let got = Frame::decode_buf(&sealed).unwrap();
+        assert_eq!((got.dst, got.src, got.ethertype), (f.dst, f.src, f.ethertype));
+        assert!(sealed.is_sealed(), "the decode read the header through a view short of the trailer");
+        assert_eq!(got.payload, f.payload);
     }
 }

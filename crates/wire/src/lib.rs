@@ -10,7 +10,9 @@
 //!   (TCP directly over Ethernet with TCP checksums off) is only sound
 //!   "if there is specific knowledge that the Ethernet implementation
 //!   implements the CRC correctly" — so our simulated Ethernet really
-//!   does compute and verify the FCS;
+//!   does compute and verify the FCS, lazily: a frame is sealed on
+//!   encode and its FCS written when someone reads it, and a frame that
+//!   arrives still sealed is one nobody changed;
 //! * [`arp`] — Address Resolution Protocol for IPv4 over Ethernet;
 //! * [`ipv4`] — the IPv4 header with fragmentation fields and header
 //!   checksum;

@@ -3,15 +3,22 @@
 //! network abuse, and the behavior of the full stack's substrate
 //! features (ARP, fragmentation, ICMP) under the same roof as TCP.
 
+use fox_scheduler::SchedHandle;
 use foxbasis::buf::{copy_mark, PacketBuf};
 use foxbasis::obs::{Event, EventSink};
 use foxbasis::time::{VirtualDuration, VirtualTime};
 use foxharness::sim::drive;
-use foxharness::stack::StackKind;
+use foxharness::stack::{fox_station, ip_of, mac_of, StackKind};
 use foxharness::Cell;
-use foxtcp::TcpConfig;
-use foxwire::{EtherType, Frame, Ipv4Packet, TcpSegment};
-use simnet::{CostModel, FaultConfig, NetConfig};
+use foxproto::aux::IpAuxImpl;
+use foxproto::dev::Dev;
+use foxproto::eth::Eth;
+use foxproto::ip::{Ip, IpConfig};
+use foxproto::shared::Shared;
+use foxtcp::{Tcp, TcpConfig};
+use foxwire::ether::MTU;
+use foxwire::{EtherType, Frame, IpProtocol, Ipv4Packet, TcpSegment};
+use simnet::{CostModel, FaultConfig, HostHandle, NetConfig, SimNet};
 
 fn cfg() -> TcpConfig {
     TcpConfig { delayed_ack_ms: None, ..TcpConfig::default() }
@@ -218,4 +225,82 @@ fn no_layer_rehomes_an_optioned_frame_under_loss() {
     }
     assert_eq!(stamped, segments, "every segment carries timestamps");
     assert!(sacked > 0, "SACK blocks reported the holes");
+}
+
+/// A clean exchange re-runs no CRC-32: every frame leaves its sender
+/// sealed, with its FCS unwritten, and arrives sealed, so neither
+/// host's Ethernet layer checks one again. A promiscuous port that never
+/// reads a byte sees every frame the wire carried still sealed — which a
+/// read anywhere on the send path (the wire's own look at the
+/// destination address, say) would have undone.
+#[test]
+fn a_clean_exchange_runs_no_fcs_check_and_every_frame_stays_sealed() {
+    let net = SimNet::new(NetConfig::gigabit(), 41);
+    let snoop = net.attach(mac_of(99));
+    snoop.set_promiscuous(true);
+    let standard = |id: u16, peer: u16| {
+        let host = HostHandle::free();
+        let eth =
+            Shared::new(Eth::new(Dev::new(net.attach(mac_of(id)), host.clone()), mac_of(id), host.clone()));
+        let ip = Ip::new(eth.clone(), mac_of(id), IpConfig::isolated(ip_of(id)), host.clone());
+        let aux = IpAuxImpl::new(ip_of(id), IpProtocol::Tcp, MTU);
+        let tcp = Tcp::new(ip, aux, IpProtocol::Tcp, cfg(), SchedHandle::new(), host.clone());
+        (fox_station(tcp, host, ip_of(peer), "fox"), eth)
+    };
+    let ((mut a, a_eth), (mut b, b_eth)) = (standard(1, 2), standard(2, 1));
+    b.listen(7);
+    let conn = a.connect(7);
+    let mut bc = None;
+    drive(
+        &net,
+        &mut [&mut a, &mut b],
+        |st| {
+            if bc.is_none() {
+                bc = st[1].accept();
+            }
+            bc.is_some() && st[0].established(conn)
+        },
+        VirtualDuration::from_millis(1),
+        VirtualTime::from_millis(5_000),
+    );
+    let bc = bc.expect("accepted");
+    let data = vec![0x3c; 4_000];
+    assert_eq!(a.send(conn, &data), data.len());
+    drive(
+        &net,
+        &mut [&mut a, &mut b],
+        |st| st[1].received_len(bc) == data.len(),
+        VirtualDuration::from_millis(1),
+        VirtualTime::from_millis(10_000),
+    );
+    assert_eq!(b.recv(bc), data);
+    b.send(bc, b"thanks");
+    drive(
+        &net,
+        &mut [&mut a, &mut b],
+        |st| st[0].received_len(conn) == 6,
+        VirtualDuration::from_millis(1),
+        VirtualTime::from_millis(15_000),
+    );
+    assert_eq!(a.recv(conn), b"thanks");
+    // Let the last ACK land.
+    drive(
+        &net,
+        &mut [&mut a, &mut b],
+        |_| false,
+        VirtualDuration::from_millis(1),
+        VirtualTime::from_millis(20_000),
+    );
+
+    for (name, eth) in [("a", &a_eth), ("b", &b_eth)] {
+        let s = eth.with(|e| e.stats());
+        assert!(s.delivered > 5, "{name}: {s:?}");
+        assert_eq!((s.fcs_checked, s.bad_fcs), (0, 0), "{name}: {s:?}");
+    }
+    let mut seen = 0;
+    while let Some(frame) = snoop.recv() {
+        assert!(frame.is_sealed(), "frame {seen} ({} bytes) reached the wire unsealed", frame.len());
+        seen += 1;
+    }
+    assert_eq!(seen, net.stats().frames_sent, "the snoop saw every frame");
 }
