@@ -48,7 +48,7 @@ fn main() {
         r.sender.segments_sent, r.sender.retransmits, r.sender.bytes_sent
     );
     println!(
-        "receiver:          {} segments in, fast path took {}",
+        "receiver:          {} segments in, header prediction would take {}",
         r.receiver.segments_received, r.receiver.fastpath_hits
     );
     if let Some(gc) = &r.sender_gc {
