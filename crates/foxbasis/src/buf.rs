@@ -425,20 +425,12 @@ impl PacketBuf {
         }
     }
 
-    /// Writes the CRC-32 of the view's body into its trailer — unless a
-    /// sealed clone of this view already has: the storage is then left
-    /// alone, so a reader still holding a guard on it is not disturbed.
+    /// Writes the CRC-32 of the view's body into its trailer.
     fn write_fcs(&self) {
         let (body, end) = (self.end() - FCS_LEN, self.end());
-        let fcs = {
-            let bytes = self.storage.bytes.borrow();
-            let fcs = crc32(&bytes[self.start()..body]).to_be_bytes();
-            if bytes[body..end] == fcs {
-                return;
-            }
-            fcs
-        };
-        self.storage.bytes.borrow_mut()[body..end].copy_from_slice(&fcs);
+        let mut bytes = self.storage.bytes.borrow_mut();
+        let fcs = crc32(&bytes[self.start()..body]);
+        bytes[body..end].copy_from_slice(&fcs.to_be_bytes());
     }
 
     // ----- view surgery (zero-copy) -----
